@@ -580,7 +580,7 @@ mod tests {
     fn drift_resolve_retargets_without_rebuilding() {
         let guard = mv_obs::CounterGuard::scoped();
         let mut svc = small_service();
-        let base_builds = guard.delta(mv_obs::Counter::EvaluatorBuild);
+        let base_builds = guard.local_delta(mv_obs::Counter::EvaluatorBuild);
         assert_eq!(base_builds, 1, "the service builds its evaluator once");
         let skew: Vec<QueryEvent> = (0..40)
             .map(|i| QueryEvent {
@@ -593,12 +593,12 @@ mod tests {
         assert!(out.resolved, "skewed traffic must trigger a re-solve");
         // The ISSUE's contract: drift re-solves are retarget-only.
         assert_eq!(
-            guard.delta(mv_obs::Counter::EvaluatorBuild),
+            guard.local_delta(mv_obs::Counter::EvaluatorBuild),
             base_builds,
             "a drift re-solve must not rebuild the evaluator"
         );
-        assert!(guard.delta(mv_obs::Counter::EvaluatorRetarget) > 0);
-        assert_eq!(guard.delta(mv_obs::Counter::ServiceDriftResolves), 1);
+        assert!(guard.local_delta(mv_obs::Counter::EvaluatorRetarget) > 0);
+        assert_eq!(guard.local_delta(mv_obs::Counter::ServiceDriftResolves), 1);
     }
 
     #[test]

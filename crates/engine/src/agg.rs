@@ -1,6 +1,13 @@
 //! Aggregate functions and accumulators.
 
+use std::ops::Range;
+
 use serde::{Deserialize, Serialize};
+
+use crate::{EngineError, Table};
+
+/// Group id of a row the query's mask filtered out.
+pub(crate) const SKIP: u32 = u32::MAX;
 
 /// Public aggregate functions.
 ///
@@ -129,88 +136,153 @@ pub(crate) enum AggExpr {
     RatioOfSums { sum_col: usize, count_col: usize },
 }
 
-/// Per-group accumulator state, one per lowered expression.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum AggState {
-    SumCount { sum: i64, count: i64 },
-    MinMax { value: i64, seen: bool },
+/// Per-group accumulator columns for one lowered expression: one slot per
+/// group id, typed once so the update loops carry no per-row dispatch.
+///
+/// Sums are kept in `i128`, which no number of `i64` inputs a table can hold
+/// overflows, so partial sums combine in any order (serial scan or parallel
+/// merge) to the same total; [`Accumulator::finish`] narrows them back and
+/// reports a total that does not fit as [`EngineError::AggregateOverflow`].
+#[derive(Debug, Clone)]
+pub(crate) enum Accumulator {
+    /// `Sum` and `Count`: one running total.
+    Total(Vec<i128>),
+    /// `Avg` and `RatioOfSums`: numerator and denominator totals.
+    Ratio { sum: Vec<i128>, count: Vec<i128> },
+    /// `Min`; every group has at least one row, so no "seen" flag.
+    Min(Vec<i64>),
+    /// `Max`.
+    Max(Vec<i64>),
 }
 
-impl AggExpr {
-    pub(crate) fn init(self) -> AggState {
-        match self {
-            AggExpr::Sum { .. }
-            | AggExpr::Count
-            | AggExpr::Avg { .. }
-            | AggExpr::RatioOfSums { .. } => AggState::SumCount { sum: 0, count: 0 },
-            AggExpr::Min { .. } | AggExpr::Max { .. } => AggState::MinMax {
-                value: 0,
-                seen: false,
+impl Accumulator {
+    /// Identity state for `groups` groups of `expr`.
+    pub(crate) fn new(expr: AggExpr, groups: usize) -> Self {
+        let mut acc = match expr {
+            AggExpr::Sum { .. } | AggExpr::Count => Accumulator::Total(Vec::new()),
+            AggExpr::Avg { .. } | AggExpr::RatioOfSums { .. } => Accumulator::Ratio {
+                sum: Vec::new(),
+                count: Vec::new(),
             },
+            AggExpr::Min { .. } => Accumulator::Min(Vec::new()),
+            AggExpr::Max { .. } => Accumulator::Max(Vec::new()),
+        };
+        acc.grow(groups);
+        acc
+    }
+
+    /// Extends the state to `groups` groups (new groups start at identity).
+    pub(crate) fn grow(&mut self, groups: usize) {
+        match self {
+            Accumulator::Total(t) => t.resize(groups, 0),
+            Accumulator::Ratio { sum, count } => {
+                sum.resize(groups, 0);
+                count.resize(groups, 0);
+            }
+            Accumulator::Min(m) => m.resize(groups, i64::MAX),
+            Accumulator::Max(m) => m.resize(groups, i64::MIN),
         }
     }
 
-    /// Folds row `row`'s contribution into `state`; `get` reads an input
-    /// column's integer at that row.
-    #[inline]
+    /// Folds rows `rows` of `table` into the groups `gids` names for them
+    /// (`gids[i]` is the group of row `rows.start + i`; [`SKIP`] rows are
+    /// filtered out). `expr` must be the expression `self` was built for.
     pub(crate) fn update(
-        self,
-        state: &mut AggState,
-        get: &impl Fn(usize, usize) -> i64,
-        row: usize,
-    ) {
-        match (self, state) {
-            (AggExpr::Sum { col }, AggState::SumCount { sum, count }) => {
-                *sum += get(col, row);
-                *count += 1;
-            }
-            (AggExpr::Count, AggState::SumCount { sum, count }) => {
-                *sum += 1;
-                *count += 1;
-            }
-            (AggExpr::Avg { col }, AggState::SumCount { sum, count }) => {
-                *sum += get(col, row);
-                *count += 1;
-            }
-            (AggExpr::RatioOfSums { sum_col, count_col }, AggState::SumCount { sum, count }) => {
-                *sum += get(sum_col, row);
-                *count += get(count_col, row);
-            }
-            (AggExpr::Min { col }, AggState::MinMax { value, seen }) => {
-                let v = get(col, row);
-                if !*seen || v < *value {
-                    *value = v;
-                    *seen = true;
+        &mut self,
+        expr: AggExpr,
+        table: &Table,
+        rows: Range<usize>,
+        gids: &[u32],
+    ) -> Result<(), EngineError> {
+        /// `f(slot of the row's group, row's value)` for every selected row.
+        fn scatter<T>(slots: &mut [T], gids: &[u32], values: &[i64], f: impl Fn(&mut T, i64)) {
+            for (&g, &v) in gids.iter().zip(values) {
+                if g != SKIP {
+                    f(&mut slots[g as usize], v);
                 }
             }
-            (AggExpr::Max { col }, AggState::MinMax { value, seen }) => {
-                let v = get(col, row);
-                if !*seen || v > *value {
-                    *value = v;
-                    *seen = true;
-                }
+        }
+        fn count_rows(slots: &mut [i128], gids: &[u32]) {
+            for &g in gids.iter().filter(|&&g| g != SKIP) {
+                slots[g as usize] += 1;
             }
+        }
+        let input = |col: usize| Ok::<_, EngineError>(&table.column(col).as_int()?[rows.clone()]);
+        let add = |total: &mut i128, v: i64| *total += v as i128;
+        match (expr, self) {
+            (AggExpr::Sum { col }, Accumulator::Total(total)) => {
+                scatter(total, gids, input(col)?, add)
+            }
+            (AggExpr::Count, Accumulator::Total(total)) => count_rows(total, gids),
+            (AggExpr::Avg { col }, Accumulator::Ratio { sum, count }) => {
+                scatter(sum, gids, input(col)?, add);
+                count_rows(count, gids);
+            }
+            (AggExpr::RatioOfSums { sum_col, count_col }, Accumulator::Ratio { sum, count }) => {
+                scatter(sum, gids, input(sum_col)?, add);
+                scatter(count, gids, input(count_col)?, add);
+            }
+            (AggExpr::Min { col }, Accumulator::Min(min)) => {
+                scatter(min, gids, input(col)?, |m, v| *m = (*m).min(v))
+            }
+            (AggExpr::Max { col }, Accumulator::Max(max)) => {
+                scatter(max, gids, input(col)?, |m, v| *m = (*m).max(v))
+            }
+            _ => unreachable!("accumulator state mismatch"),
+        }
+        Ok(())
+    }
+
+    /// Combines a partial state into this one: group `i` of `other` is
+    /// group `dst[i]` here (the partial-aggregate combine step).
+    pub(crate) fn merge(&mut self, other: &Accumulator, dst: &[u32]) {
+        fn fold<T: Copy>(into: &mut [T], from: &[T], dst: &[u32], f: impl Fn(T, T) -> T) {
+            for (&v, &d) in from.iter().zip(dst) {
+                into[d as usize] = f(into[d as usize], v);
+            }
+        }
+        match (self, other) {
+            (Accumulator::Total(a), Accumulator::Total(b)) => fold(a, b, dst, |x, y| x + y),
+            (
+                Accumulator::Ratio { sum, count },
+                Accumulator::Ratio {
+                    sum: sum_b,
+                    count: count_b,
+                },
+            ) => {
+                fold(sum, sum_b, dst, |x, y| x + y);
+                fold(count, count_b, dst, |x, y| x + y);
+            }
+            (Accumulator::Min(a), Accumulator::Min(b)) => fold(a, b, dst, i64::min),
+            (Accumulator::Max(a), Accumulator::Max(b)) => fold(a, b, dst, i64::max),
             _ => unreachable!("accumulator state mismatch"),
         }
     }
 
-    /// Final output value of `state`.
-    pub(crate) fn finish(self, state: &AggState) -> i64 {
-        match (self, state) {
-            (AggExpr::Sum { .. }, AggState::SumCount { sum, .. }) => *sum,
-            (AggExpr::Count, AggState::SumCount { sum, .. }) => *sum,
-            (
-                AggExpr::Avg { .. } | AggExpr::RatioOfSums { .. },
-                AggState::SumCount { sum, count },
-            ) => {
-                if *count == 0 {
-                    0
-                } else {
-                    sum.div_euclid(*count)
-                }
-            }
-            (AggExpr::Min { .. } | AggExpr::Max { .. }, AggState::MinMax { value, .. }) => *value,
-            _ => unreachable!("accumulator state mismatch"),
+    /// The output column: one value per group. `alias` names the aggregate
+    /// in the overflow error.
+    pub(crate) fn finish(self, alias: &str) -> Result<Vec<i64>, EngineError> {
+        let overflow = || EngineError::AggregateOverflow {
+            aggregate: alias.to_string(),
+        };
+        match self {
+            Accumulator::Total(total) => total
+                .into_iter()
+                .map(|t| i64::try_from(t).map_err(|_| overflow()))
+                .collect(),
+            // Floor(sum / count); an empty denominator yields 0.
+            Accumulator::Ratio { sum, count } => sum
+                .into_iter()
+                .zip(count)
+                .map(|(s, c)| match (i64::try_from(s), i64::try_from(c)) {
+                    (_, Ok(0)) => Ok(0),
+                    // 128-bit division is a library call; stay out of it
+                    // whenever both totals fit a machine word.
+                    (Ok(s), Ok(c)) => s.checked_div_euclid(c).ok_or_else(overflow),
+                    _ => i64::try_from(s.div_euclid(c)).map_err(|_| overflow()),
+                })
+                .collect(),
+            Accumulator::Min(v) | Accumulator::Max(v) => Ok(v),
         }
     }
 }
@@ -218,6 +290,7 @@ impl AggExpr {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Column, DataType, Field, Schema};
 
     #[test]
     fn spec_constructors_name_outputs() {
@@ -238,13 +311,22 @@ mod tests {
         assert!(!AggFunc::Count.is_distributive()); // re-aggregates as SUM, not COUNT
     }
 
+    /// Aggregates every row of `data` (one `Vec` per column) into one group.
     fn run(expr: AggExpr, data: &[Vec<i64>]) -> i64 {
-        let mut state = expr.init();
-        let get = |col: usize, row: usize| data[col][row];
-        for row in 0..data[0].len() {
-            expr.update(&mut state, &get, row);
-        }
-        expr.finish(&state)
+        let names: Vec<String> = (0..data.len()).map(|i| format!("c{i}")).collect();
+        let schema = Schema::new(
+            names
+                .iter()
+                .map(|n| Field::new(n.as_str(), DataType::Int))
+                .collect(),
+        )
+        .unwrap();
+        let columns = data.iter().cloned().map(Column::Int).collect();
+        let table = Table::new(schema, columns).unwrap();
+        let rows = table.num_rows();
+        let mut acc = Accumulator::new(expr, 1);
+        acc.update(expr, &table, 0..rows, &vec![0; rows]).unwrap();
+        acc.finish("out").unwrap()[0]
     }
 
     #[test]

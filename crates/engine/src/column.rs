@@ -64,7 +64,8 @@ impl Column {
 
     /// A group-by key fragment for `row`: the raw integer for `Int`
     /// columns, the dictionary code for `Str` columns. Only comparable
-    /// within one column, which is all hash aggregation needs.
+    /// within one column, which is all grouping needs (the group-by kernel
+    /// reads the same fragments a whole column slice at a time).
     #[inline]
     pub fn key_at(&self, row: usize) -> i64 {
         match self {
@@ -108,6 +109,35 @@ impl Column {
         match self {
             Column::Str { codes, dict } => codes.push(dict.intern(s)),
             Column::Int(_) => panic!("push_str on an int column"),
+        }
+    }
+
+    /// The rows `rows` of this column, in that order, as a self-contained
+    /// column. A string column's dictionary is rebuilt through an old-code →
+    /// new-code table, so each distinct string is interned once — in order
+    /// of first appearance among `rows` — however many rows carry it.
+    pub(crate) fn gather(&self, rows: &[u32]) -> Column {
+        match self {
+            Column::Int(v) => Column::Int(rows.iter().map(|&r| v[r as usize]).collect()),
+            Column::Str { codes, dict } => {
+                const UNMAPPED: u32 = u32::MAX;
+                let mut remap = vec![UNMAPPED; dict.len()];
+                let mut out_dict = Dictionary::new();
+                let out_codes = rows
+                    .iter()
+                    .map(|&r| {
+                        let old = codes[r as usize] as usize;
+                        if remap[old] == UNMAPPED {
+                            remap[old] = out_dict.intern(dict.decode(old as u32));
+                        }
+                        remap[old]
+                    })
+                    .collect();
+                Column::Str {
+                    codes: out_codes,
+                    dict: out_dict,
+                }
+            }
         }
     }
 
@@ -182,6 +212,25 @@ mod tests {
         let (codes, dict) = c.as_str().unwrap();
         assert_eq!(codes.len(), 3);
         assert_eq!(dict.len(), 2);
+    }
+
+    #[test]
+    fn gather_rebuilds_the_dictionary_in_first_appearance_order() {
+        let mut c = Column::empty(DataType::Str);
+        for s in ["a", "b", "c", "b", "d"] {
+            c.push_str(s);
+        }
+        let picked = c.gather(&[3, 2, 1, 2]);
+        let mut expected = Column::empty(DataType::Str);
+        for s in ["b", "c", "b", "c"] {
+            expected.push_str(s);
+        }
+        // Equal codes *and* an equal two-entry dictionary: "a" and "d" are gone.
+        assert_eq!(picked, expected);
+        assert_eq!(c.gather(&[]), Column::empty(DataType::Str));
+
+        let ints = Column::Int(vec![10, 20, 30]);
+        assert_eq!(ints.gather(&[2, 0, 2]), Column::Int(vec![30, 10, 30]));
     }
 
     #[test]

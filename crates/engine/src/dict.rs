@@ -3,14 +3,30 @@
 //! String columns store a `u32` code per row plus one [`Dictionary`] mapping
 //! codes to distinct strings. Group-by keys then compare as integers, which
 //! is what makes the hash aggregation cheap.
+//!
+//! Each distinct string is owned once, in code order; the reverse index is
+//! an open-addressing table of codes hashed with [`FxHasher`] over the
+//! string's bytes, so neither interning nor cloning copies a string twice.
 
-use std::collections::HashMap;
+use std::hash::Hasher;
+
+use crate::fx::FxHasher;
 
 /// An append-only mapping between distinct strings and dense `u32` codes.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Default)]
 pub struct Dictionary {
     values: Vec<String>,
-    index: HashMap<String, u32>,
+    /// `code + 1` per occupied slot, `0` when empty; the length is zero or
+    /// a power of two at least twice `values.len()`.
+    slots: Vec<u32>,
+}
+
+/// Equality is content and code order: two dictionaries are equal when
+/// they decode every code to the same string (the index is derived data).
+impl PartialEq for Dictionary {
+    fn eq(&self, other: &Self) -> bool {
+        self.values == other.values
+    }
 }
 
 impl Dictionary {
@@ -19,20 +35,66 @@ impl Dictionary {
         Dictionary::default()
     }
 
+    /// The slot probing for `s` starts at. Multiplicative hashing keeps its
+    /// entropy in the high bits, so the slot is taken from the top.
+    fn home_slot(slots: usize, s: &str) -> usize {
+        debug_assert!(slots.is_power_of_two());
+        let mut hasher = FxHasher::default();
+        hasher.write(s.as_bytes());
+        hasher.write_usize(s.len());
+        (hasher.finish() >> (u64::BITS - slots.trailing_zeros())) as usize
+    }
+
+    /// The slot holding `s`, or the empty slot where it belongs.
+    fn find_slot(&self, s: &str) -> usize {
+        let wrap = self.slots.len() - 1;
+        let mut slot = Self::home_slot(self.slots.len(), s);
+        loop {
+            match self.slots[slot] {
+                0 => return slot,
+                code if self.values[code as usize - 1] == s => return slot,
+                _ => slot = (slot + 1) & wrap,
+            }
+        }
+    }
+
+    /// Doubles the index and re-seats every code.
+    fn grow(&mut self) {
+        let slots = (self.slots.len() * 2).max(8);
+        self.slots = vec![0; slots];
+        for (i, s) in self.values.iter().enumerate() {
+            let mut slot = Self::home_slot(slots, s);
+            while self.slots[slot] != 0 {
+                slot = (slot + 1) & (slots - 1);
+            }
+            self.slots[slot] = i as u32 + 1;
+        }
+    }
+
     /// Interns `s`, returning its code (allocating one if unseen).
     pub fn intern(&mut self, s: &str) -> u32 {
-        if let Some(&code) = self.index.get(s) {
-            return code;
+        if self.slots.len() < 2 * (self.values.len() + 1) {
+            self.grow();
         }
-        let code = u32::try_from(self.values.len()).expect("dictionary overflow");
+        let slot = self.find_slot(s);
+        if self.slots[slot] != 0 {
+            return self.slots[slot] - 1;
+        }
+        let code = u32::try_from(self.values.len())
+            .ok()
+            .filter(|&c| c < u32::MAX)
+            .expect("dictionary overflow");
         self.values.push(s.to_string());
-        self.index.insert(s.to_string(), code);
+        self.slots[slot] = code + 1;
         code
     }
 
     /// The code of `s`, if already interned.
     pub fn lookup(&self, s: &str) -> Option<u32> {
-        self.index.get(s).copied()
+        if self.slots.is_empty() {
+            return None;
+        }
+        self.slots[self.find_slot(s)].checked_sub(1)
     }
 
     /// The string for `code`.
@@ -53,9 +115,13 @@ impl Dictionary {
         self.values.is_empty()
     }
 
-    /// Approximate heap footprint in bytes (strings + index).
+    /// Modelled footprint in bytes: each string's bytes plus a 24-byte
+    /// header, counted for the value and again for its index entry. View
+    /// sizes — and so the cost models' storage charges — are computed from
+    /// this figure, which is why it is a function of the contents alone and
+    /// not of how the index happens to be laid out.
     pub fn heap_bytes(&self) -> u64 {
-        self.values.iter().map(|s| s.len() as u64 + 24).sum::<u64>() * 2 // stored once in `values`, once in `index`
+        self.values.iter().map(|s| s.len() as u64 + 24).sum::<u64>() * 2
     }
 
     /// Iterates `(code, string)` pairs in code order.
@@ -106,5 +172,57 @@ mod tests {
         assert!(d.is_empty());
         assert_eq!(d.len(), 0);
         assert_eq!(d.heap_bytes(), 0);
+        assert_eq!(d.lookup(""), None);
+    }
+
+    #[test]
+    fn index_survives_growth() {
+        let mut d = Dictionary::new();
+        let words: Vec<String> = (0..1000).map(|i| format!("w{}", i * 7919)).collect();
+        for (i, w) in words.iter().enumerate() {
+            assert_eq!(d.intern(w), i as u32);
+        }
+        for (i, w) in words.iter().enumerate() {
+            assert_eq!(d.lookup(w), Some(i as u32));
+            assert_eq!(d.intern(w), i as u32);
+            assert_eq!(d.decode(i as u32), w);
+        }
+        assert_eq!(d.len(), 1000);
+        assert_eq!(d.lookup("w1"), None);
+        // The empty string and prefixes of each other are distinct keys.
+        let e = d.intern("");
+        assert_eq!(d.lookup(""), Some(e));
+        assert_ne!(d.intern("w"), e);
+    }
+
+    #[test]
+    fn heap_bytes_is_a_function_of_the_contents() {
+        // Pinned: view sizes (and so `ViewCharge`s) are computed from it.
+        let mut d = Dictionary::new();
+        for s in ["France", "Italy", "", "Île-de-France"] {
+            d.intern(s);
+        }
+        assert_eq!(d.heap_bytes(), 2 * ((6 + 24) + (5 + 24) + 24 + (14 + 24)));
+        d.intern("Italy");
+        assert_eq!(d.heap_bytes(), 2 * ((6 + 24) + (5 + 24) + 24 + (14 + 24)));
+    }
+
+    #[test]
+    fn equality_is_content_and_code_order() {
+        let build = |words: &[&str]| {
+            let mut d = Dictionary::new();
+            for w in words {
+                d.intern(w);
+            }
+            d
+        };
+        let a = build(&["x", "y", "z"]);
+        // Same contents reached through re-interning and a clone.
+        let mut b = build(&["x", "y", "x", "z", "y"]).clone();
+        assert_eq!(a, b);
+        assert_ne!(a, build(&["y", "x", "z"]));
+        assert_ne!(a, build(&["x", "y"]));
+        b.intern("w");
+        assert_ne!(a, b);
     }
 }

@@ -59,6 +59,13 @@ pub enum EngineError {
     /// negative, or NaN) compute units — reachable from user-supplied
     /// instance counts, so it is an error, not an invariant.
     NonPositiveComputeUnits,
+    /// An aggregate's result does not fit in the engine's 64-bit integers
+    /// (a `SUM` over values near `i64::MAX`, or a refresh pushing a stored
+    /// `SUM`/`COUNT` past it).
+    AggregateOverflow {
+        /// Output column of the overflowing aggregate.
+        aggregate: String,
+    },
 }
 
 impl fmt::Display for EngineError {
@@ -96,6 +103,9 @@ impl fmt::Display for EngineError {
             }
             EngineError::NonPositiveComputeUnits => {
                 write!(f, "compute units must be positive")
+            }
+            EngineError::AggregateOverflow { aggregate } => {
+                write!(f, "aggregate {aggregate:?} overflows a 64-bit integer")
             }
         }
     }

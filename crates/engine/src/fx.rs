@@ -2,10 +2,10 @@
 //!
 //! This is the well-known "Fx" multiply-rotate hash used by rustc (the
 //! `rustc-hash` crate), reimplemented here because the offline dependency
-//! set does not include it. Group keys are short integer slices with no
-//! adversarial source, so HashDoS resistance is not needed and a fast
-//! integer mix wins — the guide's standard advice for database hash
-//! aggregation.
+//! set does not include it. It hashes the group-by kernel's packed `u64`
+//! keys and the dictionary's strings; neither has an adversarial source,
+//! so HashDoS resistance is not needed and a fast integer mix wins — the
+//! guide's standard advice for database hash aggregation.
 
 use std::hash::{BuildHasherDefault, Hasher};
 

@@ -1,13 +1,44 @@
-//! Hash aggregation.
+//! Columnar group-by kernel.
 //!
-//! The single physical operator this engine needs: scan the input columns,
-//! build a hash table keyed on the group columns' integer keys, fold each
-//! row into per-group accumulators, then emit one output row per group.
-//! A parallel variant partitions the input, aggregates each partition
-//! locally and merges the partial states — the same partial-aggregate/
-//! combine structure MapReduce gave the paper's Pig Latin queries.
+//! The single physical operator this engine needs, used by base-table
+//! queries, view materialization, view answers and incremental refresh
+//! alike. It never builds a row: every step is a pass over typed column
+//! slices.
+//!
+//! 1. **Key packing** ([`KeyLayout`]). Each key column is read as an offset
+//!    from its smallest value (`Int`) or as its dictionary code (`Str`) and
+//!    folded, column at a time, into one mixed-radix `u64` per row. When the
+//!    next radix would push the packed domain past what a direct-indexed
+//!    table may span, the running prefix is first *re-densified* — replaced
+//!    by the dense id of its distinct values — which is what keeps hierarchy
+//!    columns (country → region → city) from multiplying into a domain far
+//!    sparser than the data. When even a dense prefix times the radix would
+//!    overflow `u64` — `Int` keys spanning most of `i64` — the column's
+//!    values are re-densified on their own. Packing is injective, so equal
+//!    packed keys mean equal key tuples.
+//! 2. **Resolution** ([`Resolver`]). Packed keys become group ids through a
+//!    direct-indexed slot table when the packed domain is small against the
+//!    row count, and through an `FxHashMap<u64, u32>` otherwise. Ids are
+//!    handed out in scan order, so group `g` is the `g`-th distinct key *by
+//!    first appearance* and output rows come out in that order.
+//! 3. **Accumulation** ([`Accumulator`]). Each aggregate makes one pass over
+//!    the group-id vector and its input column(s), with the expression and
+//!    column type matched once outside the loop.
+//! 4. **Output.** Key columns are gathered by each group's representative
+//!    (first) row; string dictionaries are rebuilt through an old-code →
+//!    new-code table ([`Column::gather`]).
+//!
+//! The parallel variant packs keys once for the whole table (the layout is
+//! shared), resolves and accumulates contiguous row ranges on their own
+//! threads, and merges the partial states by packed key in range order —
+//! the same partial-aggregate/combine structure MapReduce gave the paper's
+//! Pig Latin queries. Because ranges are merged in row order and each lists
+//! its groups by first appearance, the merged result is *identical* to the
+//! serial one, row order included.
 
-use crate::agg::{AggExpr, AggState};
+use std::ops::Range;
+
+use crate::agg::{Accumulator, AggExpr, SKIP};
 use crate::fx::FxHashMap;
 use crate::{Column, DataType, EngineError, ExecStats, Field, Schema, Table};
 
@@ -18,60 +49,317 @@ pub(crate) struct LoweredAgg {
     pub alias: String,
 }
 
-/// Partial aggregation state: group keys -> accumulator block, plus a
-/// representative input row per group for decoding key values.
-struct Partial {
-    index: FxHashMap<Box<[i64]>, usize>,
-    states: Vec<AggState>,
-    rep_rows: Vec<usize>,
-    n_aggs: usize,
+/// Packed key of a probed row that matches no row of the build side. Packed
+/// keys stay below their layout's `card`, itself a `u64`, so this is never
+/// one of them and no [`Resolver`] of packed keys resolves it.
+const NO_KEY: u64 = u64::MAX;
+
+/// Largest packed domain resolved through a direct-indexed table, for an
+/// input of `rows` rows: a few slots per row, so clearing the table never
+/// costs more than the scan it serves.
+fn direct_limit(rows: usize) -> u64 {
+    4 * rows.max(256) as u64
 }
 
-impl Partial {
-    fn new(n_aggs: usize) -> Self {
-        Partial {
-            index: FxHashMap::default(),
-            states: Vec::new(),
-            rep_rows: Vec::new(),
-            n_aggs,
+/// Maps `u64` keys to dense ids `0, 1, 2, …` in order of first insertion.
+#[derive(Debug)]
+pub(crate) enum Resolver {
+    /// `slots[key]` is the key's id, or [`Resolver::VACANT`].
+    Direct { slots: Vec<u32>, len: u32 },
+    /// For domains too large (or too sparse) to index directly.
+    Hashed(FxHashMap<u64, u32>),
+}
+
+impl Resolver {
+    const VACANT: u32 = u32::MAX;
+
+    /// A resolver for keys below `card`, sized for about `rows` insertions.
+    pub(crate) fn new(card: u64, rows: usize) -> Self {
+        if card <= direct_limit(rows) {
+            Resolver::Direct {
+                slots: vec![Self::VACANT; card as usize],
+                len: 0,
+            }
+        } else {
+            Resolver::hashed(rows.min(usize::try_from(card).unwrap_or(usize::MAX)))
         }
+    }
+
+    fn hashed(capacity: usize) -> Self {
+        Resolver::Hashed(FxHashMap::with_capacity_and_hasher(
+            capacity,
+            Default::default(),
+        ))
     }
 
     #[inline]
-    fn group_index(&mut self, key: &[i64], row: usize, exprs: &[LoweredAgg]) -> usize {
-        if let Some(&g) = self.index.get(key) {
-            return g;
+    fn direct_id(slots: &mut [u32], len: &mut u32, key: u64) -> u32 {
+        let slot = &mut slots[key as usize];
+        if *slot == Self::VACANT {
+            *slot = *len;
+            *len += 1;
         }
-        let g = self.rep_rows.len();
-        self.index.insert(key.into(), g);
-        self.rep_rows.push(row);
-        for a in exprs {
-            self.states.push(a.expr.init());
+        *slot
+    }
+
+    #[inline]
+    fn hashed_id(map: &mut FxHashMap<u64, u32>, key: u64) -> u32 {
+        let next = map.len() as u32;
+        *map.entry(key).or_insert(next)
+    }
+
+    /// The id of `key`, assigning the next free one on first sight.
+    #[inline]
+    pub(crate) fn get_or_insert(&mut self, key: u64) -> u32 {
+        match self {
+            Resolver::Direct { slots, len } => Self::direct_id(slots, len, key),
+            Resolver::Hashed(map) => Self::hashed_id(map, key),
         }
-        debug_assert_eq!(self.states.len(), (g + 1) * self.n_aggs);
-        g
+    }
+
+    /// [`Resolver::get_or_insert`] over a whole column of keys, with the
+    /// table kind matched once outside the loop. Rows whose `mask` entry is
+    /// `false` are not inserted and come out as [`SKIP`].
+    pub(crate) fn assign(&mut self, keys: &[u64], mask: Option<&[bool]>) -> Vec<u32> {
+        fn scan(keys: &[u64], mask: Option<&[bool]>, mut id: impl FnMut(u64) -> u32) -> Vec<u32> {
+            match mask {
+                None => keys.iter().map(|&k| id(k)).collect(),
+                Some(mask) => keys
+                    .iter()
+                    .zip(mask)
+                    .map(|(&k, &keep)| if keep { id(k) } else { SKIP })
+                    .collect(),
+            }
+        }
+        match self {
+            Resolver::Direct { slots, len } => scan(keys, mask, |k| Self::direct_id(slots, len, k)),
+            Resolver::Hashed(map) => scan(keys, mask, |k| Self::hashed_id(map, k)),
+        }
+    }
+
+    /// The id of `key`, if it was inserted.
+    #[inline]
+    pub(crate) fn get(&self, key: u64) -> Option<u32> {
+        match self {
+            Resolver::Direct { slots, .. } => usize::try_from(key)
+                .ok()
+                .and_then(|k| slots.get(k))
+                .copied()
+                .filter(|&id| id != Self::VACANT),
+            Resolver::Hashed(map) => map.get(&key).copied(),
+        }
+    }
+
+    /// Number of distinct keys inserted.
+    pub(crate) fn len(&self) -> usize {
+        match self {
+            Resolver::Direct { len, .. } => *len as usize,
+            Resolver::Hashed(map) => map.len(),
+        }
     }
 }
 
-/// Runs hash aggregation over `table`.
+/// One key column's values, borrowed from its table.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum KeySlice<'a> {
+    /// Integer values.
+    Int(&'a [i64]),
+    /// Dictionary codes, all below `domain`.
+    Codes { codes: &'a [u32], domain: usize },
+}
+
+impl<'a> KeySlice<'a> {
+    /// The key view of a table column.
+    pub(crate) fn of(column: &'a Column) -> Self {
+        match column {
+            Column::Int(v) => KeySlice::Int(v),
+            Column::Str { codes, dict } => KeySlice::Codes {
+                codes,
+                domain: dict.len(),
+            },
+        }
+    }
+
+    /// `(min, max - min)` over the column; `(0, 0)` when it is empty.
+    fn bounds(&self) -> (i64, u64) {
+        match self {
+            KeySlice::Int(v) => match (v.iter().min(), v.iter().max()) {
+                (Some(&min), Some(&max)) => (min, max.wrapping_sub(min) as u64),
+                _ => (0, 0),
+            },
+            KeySlice::Codes { domain, .. } => (0, domain.saturating_sub(1) as u64),
+        }
+    }
+
+    /// Calls `f(key, offset)` for every row, `offset` being the row's value
+    /// minus `min` (wrapping, so values below `min` come out above any span).
+    #[inline]
+    fn fold_offsets(&self, min: i64, keys: &mut [u64], mut f: impl FnMut(&mut u64, u64)) {
+        match self {
+            KeySlice::Int(v) => {
+                for (k, &x) in keys.iter_mut().zip(*v) {
+                    f(k, (x as u64).wrapping_sub(min as u64));
+                }
+            }
+            KeySlice::Codes { codes, .. } => {
+                for (k, &c) in keys.iter_mut().zip(*codes) {
+                    f(k, c as u64);
+                }
+            }
+        }
+    }
+}
+
+/// How one key column enters the packed key.
+#[derive(Debug)]
+struct KeyPart {
+    /// The running prefix is replaced by its dense id before this column
+    /// is folded in.
+    prefix: Option<Resolver>,
+    /// Smallest value on the build side (`0` for dictionary codes).
+    min: i64,
+    /// Largest build-side offset from `min`.
+    span: u64,
+    /// The column's offsets are replaced by their dense ids (only for
+    /// columns too wide to multiply into a `u64` any other way).
+    dense: Option<Resolver>,
+    /// Exclusive bound on what this column adds: `key = key * radix + v`.
+    radix: u64,
+}
+
+/// The packing of a list of key columns into one `u64` per row, planned
+/// over a *build side* and replayable over any table with the same column
+/// types ([`KeyLayout::probe`]).
+#[derive(Debug)]
+pub(crate) struct KeyLayout {
+    parts: Vec<KeyPart>,
+    /// Exclusive bound on the packed keys.
+    card: u64,
+}
+
+impl KeyLayout {
+    /// Plans the packing of `cols` (each `rows` long) and returns it with
+    /// the packed key of every row.
+    pub(crate) fn build(cols: &[KeySlice<'_>], rows: usize) -> (KeyLayout, Vec<u64>) {
+        assert!(rows < SKIP as usize, "group ids are 32-bit");
+        let limit = direct_limit(rows);
+        let mut keys = vec![0u64; rows];
+        let mut parts = Vec::with_capacity(cols.len());
+        let mut card = 1u64;
+        // Whether `card` already counts distinct prefixes exactly.
+        let mut dense = true;
+        for col in cols {
+            let (min, span) = col.bounds();
+            let mut part = KeyPart {
+                prefix: None,
+                min,
+                span,
+                dense: None,
+                radix: 0,
+            };
+            let mut radix = span.checked_add(1);
+            let fits = |card: u64, radix: Option<u64>, bound: u64| {
+                radix
+                    .and_then(|r| card.checked_mul(r))
+                    .is_some_and(|c| c <= bound)
+            };
+            // Re-densify the prefix when that keeps the packed domain
+            // directly indexable and costs only a direct-indexed pass
+            // itself, or when nothing else stops a `u64` overflow.
+            if !dense
+                && !fits(card, radix, limit)
+                && (card <= limit || !fits(card, radix, u64::MAX))
+            {
+                let mut ids = Resolver::new(card, rows);
+                keys = ids.assign(&keys, None).into_iter().map(u64::from).collect();
+                card = ids.len() as u64;
+                dense = true;
+                part.prefix = Some(ids);
+            }
+            // A dense prefix is at most `rows` wide; a column that still
+            // overflows spans more than 2^32 values and is densified too.
+            if !fits(card, radix, u64::MAX) {
+                let mut ids = Resolver::hashed(rows);
+                col.fold_offsets(min, &mut keys, |_, off| {
+                    ids.get_or_insert(off);
+                });
+                radix = Some(ids.len() as u64);
+                part.dense = Some(ids);
+            }
+            let radix = radix.expect("a densified column has at most `rows` values");
+            match &part.dense {
+                Some(ids) => col.fold_offsets(min, &mut keys, |k, off| {
+                    *k = *k * radix + ids.get(off).expect("inserted above") as u64;
+                }),
+                None => col.fold_offsets(min, &mut keys, |k, off| *k = *k * radix + off),
+            }
+            part.radix = radix;
+            card *= radix;
+            dense = dense && radix == 1;
+            parts.push(part);
+        }
+        (KeyLayout { parts, card }, keys)
+    }
+
+    /// Packs the rows of another table's key columns the way the build
+    /// side was packed; rows holding a value the build side never saw in
+    /// that column come out as [`NO_KEY`].
+    pub(crate) fn probe(&self, cols: &[KeySlice<'_>], rows: usize) -> Vec<u64> {
+        let mut keys = vec![0u64; rows];
+        for (part, col) in self.parts.iter().zip(cols) {
+            if let Some(ids) = &part.prefix {
+                for k in keys.iter_mut().filter(|k| **k != NO_KEY) {
+                    *k = ids.get(*k).map_or(NO_KEY, u64::from);
+                }
+            }
+            col.fold_offsets(part.min, &mut keys, |k, off| {
+                let v = match &part.dense {
+                    _ if *k == NO_KEY || off > part.span => None,
+                    Some(ids) => ids.get(off).map(u64::from),
+                    None => Some(off),
+                };
+                *k = v.map_or(NO_KEY, |v| *k * part.radix + v);
+            });
+        }
+        keys
+    }
+
+    /// A resolver for this layout's packed keys.
+    pub(crate) fn resolver(&self, rows: usize) -> Resolver {
+        Resolver::new(self.card, rows)
+    }
+}
+
+/// Aggregation state of a contiguous row range.
+struct Partial {
+    /// Packed key → group id, ids in first-appearance order.
+    groups: Resolver,
+    /// First row (table-wide index) of each group.
+    reps: Vec<u32>,
+    /// One accumulator per aggregate.
+    accs: Vec<Accumulator>,
+}
+
+/// Runs the group-by over `table`.
 ///
 /// * `group_cols` — input column indices forming the key (order defines the
 ///   output column order);
 /// * `aggs` — lowered aggregate expressions with output names;
 /// * `mask` — optional row filter (from a predicate evaluation).
-pub(crate) fn hash_group_by(
+pub(crate) fn group_by(
     table: &Table,
     group_cols: &[usize],
     aggs: &[LoweredAgg],
     mask: Option<&[bool]>,
 ) -> Result<(Table, ExecStats), EngineError> {
-    let partial = aggregate_range(table, group_cols, aggs, mask, 0, table.num_rows());
+    let (layout, keys) = pack_keys(table, group_cols);
+    let partial = aggregate_range(table, &layout, &keys, aggs, mask, 0..table.num_rows())?;
     build_output(table, group_cols, aggs, partial, mask)
 }
 
-/// Parallel hash aggregation: splits rows into `threads` ranges, aggregates
-/// each on its own thread, then merges partials. Produces exactly the same
-/// result as [`hash_group_by`] (asserted by tests), only faster.
+/// Parallel group-by: packs keys once, aggregates `threads` row ranges on
+/// their own threads, then merges the partials by packed key. Produces
+/// exactly the same table as [`group_by`], only faster.
 pub(crate) fn parallel_group_by(
     table: &Table,
     group_cols: &[usize],
@@ -82,21 +370,19 @@ pub(crate) fn parallel_group_by(
     let threads = threads.max(1);
     let rows = table.num_rows();
     if threads == 1 || rows < 2 * threads {
-        return hash_group_by(table, group_cols, aggs, mask);
+        return group_by(table, group_cols, aggs, mask);
     }
+    let (layout, keys) = pack_keys(table, group_cols);
     let chunk = rows.div_ceil(threads);
-    let mut partials: Vec<Partial> = crossbeam::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(threads);
-        for t in 0..threads {
-            let start = t * chunk;
-            let end = ((t + 1) * chunk).min(rows);
-            if start >= end {
-                continue;
-            }
-            handles.push(
-                scope.spawn(move |_| aggregate_range(table, group_cols, aggs, mask, start, end)),
-            );
-        }
+    let (layout, keys) = (&layout, &keys);
+    let partials: Vec<Result<Partial, EngineError>> = crossbeam::thread::scope(|scope| {
+        let handles: Vec<_> = (0..rows)
+            .step_by(chunk)
+            .map(|start| {
+                let range = start..(start + chunk).min(rows);
+                scope.spawn(move |_| aggregate_range(table, layout, keys, aggs, mask, range))
+            })
+            .collect();
         handles
             .into_iter()
             .map(|h| h.join().expect("aggregation worker panicked"))
@@ -104,103 +390,67 @@ pub(crate) fn parallel_group_by(
     })
     .expect("crossbeam scope failed");
 
-    // Merge partials into the first one.
-    let mut merged = partials.remove(0);
+    // Merge in range order: a group new to `merged` first appeared in this
+    // range, after every group of the ranges before it.
+    let mut partials = partials.into_iter();
+    let mut merged = partials.next().expect("at least one range")?;
     for partial in partials {
-        for (key, &g_src) in &partial.index {
-            let rep = partial.rep_rows[g_src];
-            let g_dst = merged.group_index(key, rep, aggs);
-            for (a, agg) in aggs.iter().enumerate() {
-                let src = partial.states[g_src * partial.n_aggs + a];
-                merge_state(
-                    agg.expr,
-                    &mut merged.states[g_dst * merged.n_aggs + a],
-                    &src,
-                );
-            }
+        let partial = partial?;
+        let dst: Vec<u32> = partial
+            .reps
+            .iter()
+            .map(|&rep| {
+                let g = merged.groups.get_or_insert(keys[rep as usize]);
+                if g as usize == merged.reps.len() {
+                    merged.reps.push(rep);
+                }
+                g
+            })
+            .collect();
+        for (acc, other) in merged.accs.iter_mut().zip(&partial.accs) {
+            acc.grow(merged.reps.len());
+            acc.merge(other, &dst);
         }
     }
     build_output(table, group_cols, aggs, merged, mask)
 }
 
-/// Folds `other` into `state` (partial-aggregate combine step).
-fn merge_state(expr: AggExpr, state: &mut AggState, other: &AggState) {
-    match (expr, state, other) {
-        (
-            AggExpr::Sum { .. }
-            | AggExpr::Count
-            | AggExpr::Avg { .. }
-            | AggExpr::RatioOfSums { .. },
-            AggState::SumCount { sum, count },
-            AggState::SumCount { sum: s2, count: c2 },
-        ) => {
-            *sum += s2;
-            *count += c2;
-        }
-        (
-            AggExpr::Min { .. },
-            AggState::MinMax { value, seen },
-            AggState::MinMax {
-                value: v2,
-                seen: s2,
-            },
-        ) => {
-            if *s2 && (!*seen || v2 < value) {
-                *value = *v2;
-                *seen = true;
-            }
-        }
-        (
-            AggExpr::Max { .. },
-            AggState::MinMax { value, seen },
-            AggState::MinMax {
-                value: v2,
-                seen: s2,
-            },
-        ) => {
-            if *s2 && (!*seen || v2 > value) {
-                *value = *v2;
-                *seen = true;
-            }
-        }
-        _ => unreachable!("accumulator state mismatch"),
-    }
+/// Packs the group key of every row of `table`.
+fn pack_keys(table: &Table, group_cols: &[usize]) -> (KeyLayout, Vec<u64>) {
+    let cols: Vec<KeySlice<'_>> = group_cols
+        .iter()
+        .map(|&c| KeySlice::of(table.column(c)))
+        .collect();
+    KeyLayout::build(&cols, table.num_rows())
 }
 
-/// Aggregates rows `start..end` into a fresh partial.
+/// Aggregates the rows `rows` (whose packed keys are `keys[rows]`) into a
+/// fresh partial.
 fn aggregate_range(
     table: &Table,
-    group_cols: &[usize],
+    layout: &KeyLayout,
+    keys: &[u64],
     aggs: &[LoweredAgg],
     mask: Option<&[bool]>,
-    start: usize,
-    end: usize,
-) -> Partial {
-    let mut partial = Partial::new(aggs.len());
-    let columns = table.columns();
-    let get = |col: usize, row: usize| -> i64 {
-        match &columns[col] {
-            Column::Int(v) => v[row],
-            Column::Str { codes, .. } => codes[row] as i64,
-        }
-    };
-    let mut key: Vec<i64> = vec![0; group_cols.len()];
-    for row in start..end {
-        if let Some(m) = mask {
-            if !m[row] {
-                continue;
-            }
-        }
-        for (i, &c) in group_cols.iter().enumerate() {
-            key[i] = columns[c].key_at(row);
-        }
-        let g = partial.group_index(&key, row, aggs);
-        let base = g * partial.n_aggs;
-        for (a, agg) in aggs.iter().enumerate() {
-            agg.expr.update(&mut partial.states[base + a], &get, row);
+    rows: Range<usize>,
+) -> Result<Partial, EngineError> {
+    let mut groups = layout.resolver(rows.len());
+    let gids = groups.assign(&keys[rows.clone()], mask.map(|m| &m[rows.clone()]));
+    // Ids count up in scan order, so each group's first row is where the
+    // next unseen id shows.
+    let mut reps: Vec<u32> = Vec::with_capacity(groups.len());
+    for (row, &g) in rows.clone().zip(&gids) {
+        if g as usize == reps.len() {
+            reps.push(row as u32);
         }
     }
-    partial
+    let mut accs = Vec::with_capacity(aggs.len());
+    for agg in aggs {
+        let mut acc = Accumulator::new(agg.expr, reps.len());
+        acc.update(agg.expr, table, rows.clone(), &gids)?;
+        accs.push(acc);
+    }
+    Ok(Partial { groups, reps, accs })
 }
 
 /// Emits the output table (group columns + one Int column per aggregate)
@@ -222,28 +472,16 @@ fn build_output(
     }
     let out_schema = Schema::new(fields)?;
 
-    let n_groups = partial.rep_rows.len();
-    let mut out_cols: Vec<Column> = out_schema
-        .fields()
+    // Groups are numbered by first appearance: deterministic given input
+    // order, whatever the thread count.
+    let n_groups = partial.reps.len();
+    let mut out_cols: Vec<Column> = group_cols
         .iter()
-        .map(|f| Column::empty(f.dtype))
+        .map(|&c| table.column(c).gather(&partial.reps))
         .collect();
-
-    // Emit groups in insertion order: deterministic given input order.
-    for g in 0..n_groups {
-        let rep = partial.rep_rows[g];
-        for (i, &c) in group_cols.iter().enumerate() {
-            match table.column(c) {
-                Column::Int(v) => out_cols[i].push_int(v[rep]),
-                Column::Str { codes, dict } => out_cols[i].push_str(dict.decode(codes[rep])),
-            }
-        }
-        for (a, agg) in aggs.iter().enumerate() {
-            let v = agg.expr.finish(&partial.states[g * partial.n_aggs + a]);
-            out_cols[group_cols.len() + a].push_int(v);
-        }
+    for (agg, acc) in aggs.iter().zip(partial.accs) {
+        out_cols.push(Column::Int(acc.finish(&agg.alias)?));
     }
-
     let out = Table::new(out_schema, out_cols)?;
 
     // Metering: a columnar scan reads every referenced input column over all
@@ -313,7 +551,7 @@ mod tests {
     #[test]
     fn groups_and_sums() {
         let t = sales();
-        let (out, stats) = hash_group_by(&t, &[0, 1], &sum_profit(), None).unwrap();
+        let (out, stats) = group_by(&t, &[0, 1], &sum_profit(), None).unwrap();
         let rows = out.to_sorted_rows();
         assert_eq!(
             rows,
@@ -333,7 +571,7 @@ mod tests {
     #[test]
     fn empty_group_key_is_grand_total() {
         let t = sales();
-        let (out, _) = hash_group_by(&t, &[], &sum_profit(), None).unwrap();
+        let (out, _) = group_by(&t, &[], &sum_profit(), None).unwrap();
         assert_eq!(out.num_rows(), 1);
         assert_eq!(out.row(0), vec![Value::Int(148)]);
     }
@@ -342,7 +580,7 @@ mod tests {
     fn mask_filters_rows() {
         let t = sales();
         let mask = vec![true, false, true, false];
-        let (out, _) = hash_group_by(&t, &[1], &sum_profit(), Some(&mask)).unwrap();
+        let (out, _) = group_by(&t, &[1], &sum_profit(), Some(&mask)).unwrap();
         assert_eq!(
             out.to_sorted_rows(),
             vec![
@@ -361,7 +599,7 @@ mod tests {
             expr: AggExpr::Sum { col: 1 },
             alias: "s".into(),
         }];
-        let (out, stats) = hash_group_by(&t, &[0], &aggs, None).unwrap();
+        let (out, stats) = group_by(&t, &[0], &aggs, None).unwrap();
         assert_eq!(out.num_rows(), 0);
         assert_eq!(stats.groups, 0);
     }
@@ -407,7 +645,7 @@ mod tests {
                 alias: "avg_v".into(),
             },
         ];
-        let (serial, _) = hash_group_by(&t, &[0, 1], &aggs, None).unwrap();
+        let (serial, _) = group_by(&t, &[0, 1], &aggs, None).unwrap();
         for threads in [2, 3, 8] {
             let (par, _) = parallel_group_by(&t, &[0, 1], &aggs, None, threads).unwrap();
             assert_eq!(
@@ -430,9 +668,88 @@ mod tests {
             expr: AggExpr::Sum { col: 1 },
             alias: "s".into(),
         }];
-        let (serial, _) = hash_group_by(&t, &[0], &aggs, Some(&mask)).unwrap();
+        let (serial, _) = group_by(&t, &[0], &aggs, Some(&mask)).unwrap();
         let (par, _) = parallel_group_by(&t, &[0], &aggs, Some(&mask), 4).unwrap();
         assert_eq!(serial.to_sorted_rows(), par.to_sorted_rows());
+    }
+
+    #[test]
+    fn output_follows_first_appearance_at_any_thread_count() {
+        let mut b = TableBuilder::new(&[("s", DataType::Str), ("v", DataType::Int)]).unwrap();
+        for i in 0..300i64 {
+            // "g9", "g8", … first appear in that order, then repeat.
+            b = b
+                .row(&[Value::from(format!("g{}", 9 - i % 10)), Value::Int(i)])
+                .unwrap();
+        }
+        let t = b.build();
+        let aggs = vec![LoweredAgg {
+            expr: AggExpr::Count,
+            alias: "n".into(),
+        }];
+        let (serial, stats) = group_by(&t, &[0], &aggs, None).unwrap();
+        let firsts: Vec<Value> = (0..10).map(|g| serial.row(g)[0].clone()).collect();
+        let expected: Vec<Value> = (0..10)
+            .map(|g| Value::from(format!("g{}", 9 - g)))
+            .collect();
+        assert_eq!(firsts, expected);
+        for threads in [2, 3, 8] {
+            // Equal tables, not merely equal row sets: order, codes, dictionary.
+            assert_eq!(
+                parallel_group_by(&t, &[0], &aggs, None, threads).unwrap(),
+                (serial.clone(), stats)
+            );
+        }
+    }
+
+    #[test]
+    fn keys_spanning_all_of_i64_are_grouped_exactly() {
+        let mut b = TableBuilder::new(&[
+            ("a", DataType::Int),
+            ("b", DataType::Int),
+            ("v", DataType::Int),
+        ])
+        .unwrap();
+        let keys = [i64::MIN, i64::MAX, 0, i64::MAX, i64::MIN, -1];
+        for (i, &a) in keys.iter().enumerate() {
+            b = b
+                .row(&[
+                    Value::Int(a),
+                    Value::Int(-a.max(-i64::MAX)),
+                    Value::Int(i as i64),
+                ])
+                .unwrap();
+        }
+        let (out, _) = group_by(&b.build(), &[0, 1], &sum_profit(), None).unwrap();
+        assert_eq!(
+            out.to_rows(),
+            vec![
+                vec![Value::Int(i64::MIN), Value::Int(i64::MAX), Value::Int(4)],
+                vec![Value::Int(i64::MAX), Value::Int(-i64::MAX), Value::Int(4)],
+                vec![Value::Int(0), Value::Int(0), Value::Int(2)],
+                vec![Value::Int(-1), Value::Int(1), Value::Int(5)],
+            ]
+        );
+    }
+
+    #[test]
+    fn probe_matches_only_keys_the_build_side_holds() {
+        let build = [KeySlice::Int(&[10, 20, 10]), KeySlice::Int(&[1, 1, 2])];
+        let (layout, keys) = KeyLayout::build(&build, 3);
+        let mut index = layout.resolver(3);
+        assert_eq!(index.assign(&keys, None), vec![0, 1, 2]);
+        // Same tuples, values outside each column's range, and a tuple
+        // inside both ranges that was never inserted.
+        let probe = [
+            KeySlice::Int(&[10, 20, 10, 30, 10, 20]),
+            KeySlice::Int(&[2, 1, 1, 1, 0, 2]),
+        ];
+        let found: Vec<Option<u32>> = layout
+            .probe(&probe, 6)
+            .into_iter()
+            .map(|k| index.get(k))
+            .collect();
+        assert_eq!(found, vec![Some(2), Some(1), Some(0), None, None, None]);
     }
 
     #[test]

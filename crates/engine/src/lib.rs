@@ -28,6 +28,27 @@
 //!   simulated cluster-hours ([`SimScale`] maps engine bytes to cloud
 //!   gigabytes).
 //!
+//! ## The group-by kernel
+//!
+//! Queries, view builds, view answers and incremental refreshes all run on
+//! one columnar operator (`groupby.rs`). It packs each row's key columns —
+//! `Int` values offset by the column minimum, `Str` dictionary codes — into
+//! a single mixed-radix `u64`, re-densifying the running prefix where a
+//! hierarchy (country → region → city) would make the product needlessly
+//! sparse and a column's own values where they span more than a `u64` can
+//! multiply. Packed keys resolve to group ids through a direct-indexed slot
+//! table when the packed domain is small against the row count and through
+//! an Fx-hashed `u64 → u32` map otherwise; ids are assigned in scan order,
+//! so **output rows appear in order of each group's first input row**,
+//! whatever the thread count. Aggregates then make one typed pass each over
+//! the id vector (sums in `i128`, narrowed with a typed overflow error),
+//! and key columns are gathered by representative row with dictionaries
+//! rebuilt through a code remap table. The parallel variant shares one key
+//! layout, aggregates contiguous row ranges on their own threads and merges
+//! the partials by packed key in range order, which reproduces the serial
+//! result exactly. Incremental refresh indexes the delta's few groups and
+//! probes that index with the stored rows' packed keys.
+//!
 //! ```
 //! use mv_engine::{
 //!     datagen, AggQuery, AggSpec, MaterializedView, SalesConfig, ViewDefinition,
@@ -62,6 +83,8 @@ mod maintenance;
 mod metering;
 mod predicate;
 mod query;
+#[cfg(test)]
+mod reference;
 pub mod replay;
 mod schema;
 pub mod sql;

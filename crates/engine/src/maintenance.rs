@@ -13,7 +13,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::fx::FxHashMap;
+use crate::groupby::{KeyLayout, KeySlice};
 use crate::{AggFunc, Column, EngineError, ExecStats, MaterializedView, Table};
 
 /// Maintenance strategy.
@@ -38,6 +38,13 @@ impl MaterializedView {
     /// Incrementally merges the insert-only `delta` (same schema as the
     /// base table) into the stored table. Returns the work performed —
     /// proportional to the delta, not the base, which is the whole point.
+    ///
+    /// The delta is aggregated at the view's granularity; its (few) groups
+    /// are indexed by packed key, in the stored table's dictionary code
+    /// space, and the stored rows are scanned once, probing that index.
+    /// Matched groups merge in place, the rest are appended in the delta's
+    /// group order. A `SUM`/`COUNT` that would leave `i64` is reported as
+    /// [`EngineError::AggregateOverflow`] before anything is written.
     pub fn refresh_incremental(&mut self, delta: &Table) -> Result<ExecStats, EngineError> {
         // Aggregate the delta at the view's granularity.
         let (partial, mut stats) = self.def().as_query().execute(delta)?;
@@ -47,79 +54,99 @@ impl MaterializedView {
         if partial.schema() != self.data().schema() {
             return Err(EngineError::SchemaMismatch);
         }
-
         let n_keys = self.def().group_by.len();
-        let measures = self.def().measures.clone();
+        let data = self.data();
 
-        // Index existing groups by key.
-        let mut index: FxHashMap<Box<[i64]>, usize> = FxHashMap::default();
+        // String keys only compare within one dictionary: translate the
+        // partial's codes into the stored table's, one lookup per distinct
+        // string. A group with a string the stored table lacks is new.
+        let mut untranslatable = vec![false; partial.num_rows()];
+        let translated: Vec<Option<Vec<u32>>> = (0..n_keys)
+            .map(|i| match (partial.column(i), data.column(i)) {
+                (Column::Int(_), Column::Int(_)) => Ok(None),
+                (Column::Str { codes, dict }, Column::Str { dict: stored, .. }) => {
+                    let remap: Vec<Option<u32>> =
+                        dict.iter().map(|(_, s)| stored.lookup(s)).collect();
+                    let codes = codes.iter().zip(&mut untranslatable).map(|(&c, un)| {
+                        *un |= remap[c as usize].is_none();
+                        remap[c as usize].unwrap_or(0)
+                    });
+                    Ok(Some(codes.collect()))
+                }
+                _ => Err(EngineError::SchemaMismatch),
+            })
+            .collect::<Result<_, _>>()?;
+        let partial_keys: Vec<KeySlice<'_>> = (0..n_keys)
+            .map(|i| match (&translated[i], data.column(i)) {
+                (Some(codes), Column::Str { dict, .. }) => KeySlice::Codes {
+                    codes,
+                    domain: dict.len(),
+                },
+                _ => KeySlice::of(partial.column(i)),
+            })
+            .collect();
+
+        // Index the partial's groups, then probe with every stored row.
+        let (layout, keys) = KeyLayout::build(&partial_keys, partial.num_rows());
+        let mut index = layout.resolver(partial.num_rows());
+        let mut indexed: Vec<usize> = Vec::new();
+        for (prow, &key) in keys.iter().enumerate() {
+            if !untranslatable[prow] {
+                index.get_or_insert(key);
+                indexed.push(prow);
+            }
+        }
+        let stored_keys: Vec<KeySlice<'_>> =
+            (0..n_keys).map(|i| KeySlice::of(data.column(i))).collect();
+        let mut matches: Vec<(usize, usize)> = Vec::new();
+        let mut is_new = vec![true; partial.num_rows()];
+        for (row, &key) in layout
+            .probe(&stored_keys, data.num_rows())
+            .iter()
+            .enumerate()
         {
-            let data = self.data();
-            let mut key = vec![0i64; n_keys];
-            for row in 0..data.num_rows() {
-                for (i, k) in key.iter_mut().enumerate() {
-                    *k = data.column(i).key_at(row);
-                }
-                index.insert(key.as_slice().into(), row);
+            if let Some(id) = index.get(key) {
+                let prow = indexed[id as usize];
+                matches.push((row, prow));
+                is_new[prow] = false;
             }
         }
 
-        // Merge each partial row. String key columns must be re-interned
-        // into the stored table's dictionaries, so keys are matched through
-        // decoded values rather than raw codes.
-        let data = self.data_mut();
-        let mut appended = 0u64;
-        for prow in 0..partial.num_rows() {
-            // Build the key in the *stored* table's code space.
-            let mut key = Vec::with_capacity(n_keys);
-            let mut translatable = true;
-            for i in 0..n_keys {
-                match (partial.column(i), data.column(i)) {
-                    (Column::Int(v), Column::Int(_)) => key.push(v[prow]),
-                    (Column::Str { codes, dict }, Column::Str { dict: tdict, .. }) => {
-                        match tdict.lookup(dict.decode(codes[prow])) {
-                            Some(code) => key.push(code as i64),
-                            None => {
-                                translatable = false;
-                                break;
-                            }
-                        }
+        // Merge measures of matched groups; nothing is written until every
+        // merged value is known to fit.
+        let mut merged: Vec<Vec<i64>> = Vec::with_capacity(self.def().measures.len());
+        for (m, spec) in self.def().measures.iter().enumerate() {
+            let current = data.column(n_keys + m).as_int()?;
+            let incoming = partial.column(n_keys + m).as_int()?;
+            let merge = |&(row, prow): &(usize, usize)| {
+                let (cur, inc) = (current[row], incoming[prow]);
+                match spec.func {
+                    AggFunc::Sum | AggFunc::Count => {
+                        cur.checked_add(inc)
+                            .ok_or_else(|| EngineError::AggregateOverflow {
+                                aggregate: spec.alias.clone(),
+                            })
                     }
-                    _ => return Err(EngineError::SchemaMismatch),
+                    AggFunc::Min => Ok(cur.min(inc)),
+                    AggFunc::Max => Ok(cur.max(inc)),
+                    AggFunc::Avg => unreachable!("canonical views never store Avg"),
                 }
-            }
-            let existing = if translatable {
-                index.get(key.as_slice()).copied()
-            } else {
-                None
             };
-            match existing {
-                Some(row) => {
-                    // Merge measures in place.
-                    for (m, spec) in measures.iter().enumerate() {
-                        let col_idx = n_keys + m;
-                        let delta_v = partial.column(col_idx).as_int()?[prow];
-                        let values = data.column_mut(col_idx).int_values_mut();
-                        let cur = values[row];
-                        values[row] = match spec.func {
-                            AggFunc::Sum | AggFunc::Count => cur + delta_v,
-                            AggFunc::Min => cur.min(delta_v),
-                            AggFunc::Max => cur.max(delta_v),
-                            AggFunc::Avg => {
-                                unreachable!("canonical views never store Avg")
-                            }
-                        };
-                    }
-                }
-                None => {
-                    // New group: append the partial row wholesale.
-                    let values = partial.row(prow);
-                    data.push_row(&values)?;
-                    appended += 1;
-                }
+            merged.push(matches.iter().map(merge).collect::<Result<_, _>>()?);
+        }
+        let data = self.data_mut_internal();
+        for (m, values) in merged.iter().enumerate() {
+            let stored = data.column_mut(n_keys + m).int_values_mut();
+            for (&(row, _), &v) in matches.iter().zip(values) {
+                stored[row] = v;
             }
         }
-        stats.rows_out += appended;
+
+        // New groups: append the partial rows wholesale.
+        for prow in (0..partial.num_rows()).filter(|&prow| is_new[prow]) {
+            data.push_row(&partial.row(prow))?;
+            stats.rows_out += 1;
+        }
         Ok(stats)
     }
 
@@ -135,12 +162,6 @@ impl MaterializedView {
             RefreshStrategy::Full => self.refresh_full(base_after),
             RefreshStrategy::Incremental => self.refresh_incremental(delta),
         }
-    }
-
-    fn data_mut(&mut self) -> &mut Table {
-        // Private accessor: `self.data` is private to view.rs, so route
-        // through a crate-internal helper defined there.
-        self.data_mut_internal()
     }
 }
 

@@ -3,7 +3,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::agg::AggExpr;
-use crate::groupby::{hash_group_by, parallel_group_by, LoweredAgg};
+use crate::groupby::{group_by, parallel_group_by, LoweredAgg};
 use crate::{AggFunc, AggSpec, DataType, EngineError, ExecStats, Predicate, Schema, Table};
 
 /// A roll-up aggregation query: `SELECT group_by…, agg(…)… FROM t [WHERE …]
@@ -130,7 +130,7 @@ impl AggQuery {
         let (out, agg_stats) = if threads > 1 {
             parallel_group_by(table, &group_cols, &lowered, mask.as_deref(), threads)?
         } else {
-            hash_group_by(table, &group_cols, &lowered, mask.as_deref())?
+            group_by(table, &group_cols, &lowered, mask.as_deref())?
         };
         pred_stats.merge(&agg_stats);
         // Rows were scanned once, not twice; keep the aggregation's count.

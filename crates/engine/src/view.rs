@@ -273,7 +273,7 @@ impl MaterializedView {
             None => (None, ExecStats::default()),
         };
         let (out, agg_stats) =
-            crate::groupby::hash_group_by(&self.data, &group_cols, &lowered, mask.as_deref())?;
+            crate::groupby::group_by(&self.data, &group_cols, &lowered, mask.as_deref())?;
         pred_stats.merge(&agg_stats);
         pred_stats.rows_scanned = agg_stats.rows_scanned;
         Ok((out, pred_stats))

@@ -5,6 +5,7 @@
 //! O(deg) flip path. The set of counters is closed ([`Counter`]); a
 //! new instrumentation site adds a variant, not a registry entry.
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
@@ -149,11 +150,21 @@ impl Counter {
 
 static CELLS: [AtomicU64; COUNT] = [const { AtomicU64::new(0) }; COUNT];
 
+thread_local! {
+    /// This thread's share of [`CELLS`]: what [`CounterGuard::local_delta`]
+    /// reads, so a test's window is blind to its siblings' work.
+    static LOCAL: [Cell<u64>; COUNT] = const { [const { Cell::new(0) }; COUNT] };
+}
+
 /// Adds `n` to counter `c` — no-op while telemetry is disabled.
 #[inline(always)]
 pub fn add(c: Counter, n: u64) {
     if crate::enabled() {
         CELLS[c as usize].fetch_add(n, Ordering::Relaxed);
+        LOCAL.with(|local| {
+            let cell = &local[c as usize];
+            cell.set(cell.get().wrapping_add(n));
+        });
     }
 }
 
@@ -162,6 +173,12 @@ pub fn add(c: Counter, n: u64) {
 #[inline]
 pub fn get(c: Counter) -> u64 {
     CELLS[c as usize].load(Ordering::Relaxed)
+}
+
+/// The calling thread's own increments of every counter, in
+/// [`Counter::ALL`] order.
+fn all_local() -> [u64; COUNT] {
+    LOCAL.with(|local| std::array::from_fn(|i| local[i].get()))
 }
 
 /// Reads every counter in [`Counter::ALL`] order.
@@ -184,12 +201,22 @@ static SERIAL: Mutex<()> = Mutex::new(());
 /// whose unconditional increments made cross-test interleaving a
 /// latent hazard under threaded `cargo test`: counters now only move
 /// inside an enabled window, and `CounterGuard` windows are mutually
-/// exclusive by construction. (A non-guard test doing solver work
-/// *during* someone else's window still counts — keep guarded
-/// sections short.)
+/// exclusive by construction.
+///
+/// The switch the window flips is process-wide, though: a sibling test
+/// that holds no guard and does solver work on *its* thread while the
+/// window is open moves the process totals too, so [`delta`] can read
+/// high in a multi-test binary. A test whose guarded work stays on its
+/// own thread asserts on [`local_delta`], which only sees the calling
+/// thread's increments; [`delta`] is for work that fans out to worker
+/// threads, in a test binary where every test takes the guard.
+///
+/// [`delta`]: CounterGuard::delta
+/// [`local_delta`]: CounterGuard::local_delta
 pub struct CounterGuard {
     _serial: MutexGuard<'static, ()>,
     base: [u64; COUNT],
+    local_base: [u64; COUNT],
 }
 
 impl CounterGuard {
@@ -201,20 +228,36 @@ impl CounterGuard {
         CounterGuard {
             _serial: serial,
             base: all(),
+            local_base: all_local(),
         }
     }
 
-    /// Counter movement since this guard (or the last [`rebase`]) —
-    /// saturating, in case an unrelated enabler raced the baseline.
+    /// Counter movement, on every thread of the process, since this
+    /// guard (or the last [`rebase`]) — saturating, in case an
+    /// unrelated enabler raced the baseline.
     ///
     /// [`rebase`]: CounterGuard::rebase
     pub fn delta(&self, c: Counter) -> u64 {
         get(c).saturating_sub(self.base[c as usize])
     }
 
+    /// Counter movement caused by the calling thread alone since this
+    /// guard (or the last [`rebase`]); call it on the thread that made
+    /// the guard. Exact whatever other tests do meanwhile.
+    ///
+    /// [`rebase`]: CounterGuard::rebase
+    pub fn local_delta(&self, c: Counter) -> u64 {
+        LOCAL.with(|local| {
+            local[c as usize]
+                .get()
+                .wrapping_sub(self.local_base[c as usize])
+        })
+    }
+
     /// Moves the baseline up to "now" for a fresh delta window.
     pub fn rebase(&mut self) {
         self.base = all();
+        self.local_base = all_local();
     }
 }
 

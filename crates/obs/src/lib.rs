@@ -27,6 +27,11 @@
 //! [`CounterGuard`], which additionally holds a process-wide mutex so
 //! delta-scoped sections never interleave with each other (the
 //! cross-test hazard the old `IncrementalEvaluator` statics had).
+//! The switch itself is process-wide, so a guard-less sibling test
+//! working on another thread still moves the totals while a window is
+//! open; every increment is therefore also tallied per thread, and a
+//! test whose work stays on its own thread asserts on
+//! [`CounterGuard::local_delta`], which no other thread can move.
 //!
 //! ## Identity guarantee
 //!
@@ -166,6 +171,21 @@ mod tests {
         let before = counter::get(Counter::EvaluatorBuild);
         inc(Counter::EvaluatorBuild);
         assert_eq!(counter::get(Counter::EvaluatorBuild), before);
+    }
+
+    #[test]
+    fn local_delta_ignores_other_threads() {
+        let mut guard = counter::CounterGuard::scoped();
+        inc(Counter::EvaluatorFork);
+        // A sibling test without a guard, working while the window is open.
+        std::thread::spawn(|| add(Counter::EvaluatorFork, 5))
+            .join()
+            .unwrap();
+        assert_eq!(guard.local_delta(Counter::EvaluatorFork), 1);
+        assert_eq!(guard.delta(Counter::EvaluatorFork), 6);
+        guard.rebase();
+        assert_eq!(guard.local_delta(Counter::EvaluatorFork), 0);
+        assert_eq!(guard.delta(Counter::EvaluatorFork), 0);
     }
 
     #[test]

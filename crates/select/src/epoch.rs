@@ -2083,7 +2083,7 @@ mod tests {
             &reprice,
         );
         assert_eq!(
-            counters.delta(mv_obs::Counter::EvaluatorBuild),
+            counters.local_delta(mv_obs::Counter::EvaluatorBuild),
             1,
             "fleet chain must keep one evaluator for the whole horizon"
         );

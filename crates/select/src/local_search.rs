@@ -459,7 +459,7 @@ mod tests {
         let counters = mv_obs::CounterGuard::scoped();
         let end = improve_joint(&mut ev, s, &baseline, 64, &mut placements, &charge_for);
         assert_eq!(
-            counters.delta(mv_obs::Counter::EvaluatorBuild),
+            counters.local_delta(mv_obs::Counter::EvaluatorBuild),
             0,
             "placement flips must splice, not rebuild"
         );
