@@ -6,9 +6,11 @@
 //!
 //! 1. **probe** — flip + snapshot + unflip stays in *microseconds*:
 //!    the flip itself is O(deg) against the top-k tables and the
-//!    snapshot is O(n + m) over the cached per-query bests, never
-//!    O(n·m). The `full_evaluate` reference is the dense-era cost of
-//!    the same read (one from-scratch evaluation).
+//!    snapshot is O(n/64 + selected + m/B + B·dirty) over the cached
+//!    block sums, never O(n·m). The `full_evaluate` reference is one
+//!    from-scratch evaluation of the same read, O(m + Σ deg).
+//!    `probe_primitive` is the same probe through
+//!    `IncrementalEvaluator::probe`, as the move loops issue it.
 //! 2. **churn** — an add + probe + retire cycle (the streaming
 //!    advisor's inner loop) stays O(deg + m), not a rebuild.
 //! 3. **solve** — a bounded LNS pass completes on the full shape;
@@ -31,9 +33,8 @@ fn bench_probe(c: &mut Criterion) {
     let (n, m) = (problem.len(), problem.model().context().workload.len());
     let mut group = c.benchmark_group(format!("scale/probe_n{n}_m{m}"));
 
-    // The dense-era reference: one from-scratch evaluation per probe.
-    // O(n·m) — expected in the hundreds of milliseconds, so it gets the
-    // minimum sample count.
+    // The from-scratch reference: one full evaluation per probe.
+    // Minimum sample count.
     group.sample_size(10);
     group.bench_function(BenchmarkId::from_parameter("full_evaluate"), |b| {
         let mut sel = SelectionSet::empty(n);
@@ -125,6 +126,33 @@ fn bench_snapshot_delta(c: &mut Criterion) {
             ev.unflip(k);
             black_box(t)
         })
+    });
+
+    // The same probe through the primitive the move loops call: no
+    // selection handle (so no copy-on-write on the next flip), and the
+    // refolded block sums are put back instead of left dirty for the
+    // next probe to refold again.
+    group.bench_function(BenchmarkId::from_parameter("probe_primitive"), |b| {
+        let mut ev = IncrementalEvaluator::new(&problem);
+        for k in (0..n).step_by(7) {
+            ev.flip(k);
+        }
+        let mut i = 0usize;
+        b.iter(|| {
+            i = (i + 1) % probes.len();
+            black_box(ev.probe(&[probes[i]]).time.value())
+        })
+    });
+
+    // The from-scratch reference at the same position: one scattered
+    // Formula 9 fold, O(m + Σ deg) — what `cold_full_fold` is a cached
+    // version of, and what `baseline()` costs on the empty selection.
+    group.bench_function(BenchmarkId::from_parameter("evaluate_full"), |b| {
+        let mut sel = SelectionSet::empty(n);
+        for k in (0..n).step_by(7) {
+            sel.set(k, true);
+        }
+        b.iter(|| black_box(problem.evaluate(black_box(&sel)).time.value()))
     });
     group.finish();
 }

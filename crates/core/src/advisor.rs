@@ -545,9 +545,9 @@ impl Advisor {
             // Admission probe: select the newcomer iff it improves the
             // scenario ordering right now.
             ev.flip(k);
-            let e = ev.snapshot();
+            let e = ev.score();
             if scenario.better(&e, &current, &baseline) {
-                current = e;
+                current = e.with_selection(ev.selection().clone());
             } else {
                 ev.unflip(k);
             }

@@ -92,6 +92,10 @@ impl CloudCostModel {
 
     /// Formula 9: per-query best time under a selection — each query uses
     /// the fastest selected view that can answer it, else its base time.
+    /// O(selected · log deg) for the one query; the summed form
+    /// ([`CloudCostModel::processing_time_with_views`]) does not call
+    /// this per query, and the differential tests fold it as the slow
+    /// reference.
     pub fn query_time_with_views(
         &self,
         index: usize,
@@ -109,6 +113,14 @@ impl CloudCostModel {
 
     /// Formula 9 summed: `TprocessingQ = Σ t_iV` (frequency-weighted).
     ///
+    /// The per-query minima are found by *scattering*: every query
+    /// starts at its base time and each selected view, in ascending
+    /// candidate order, lowers the queries of its sparse profile —
+    /// the same `min` sequence per query as
+    /// [`CloudCostModel::query_time_with_views`], in O(m + Σ deg) over
+    /// the selected views' degrees instead of one O(selected · log deg)
+    /// sweep per query.
+    ///
     /// The fold is *blocked*: per-query terms accumulate into
     /// [`TIME_FOLD_BLOCK`]-wide partial sums (each folded from zero in
     /// workload order) and the total folds the block sums in order. For
@@ -124,16 +136,24 @@ impl CloudCostModel {
         selected: &SelectionSet,
     ) -> Hours {
         let workload = &self.ctx.workload;
+        let mut best: Vec<Hours> = workload.iter().map(|q| q.base_time).collect();
+        for k in selected.ones() {
+            let profile = &views[k].profile;
+            for (&i, &t) in profile.query_ids().iter().zip(profile.times()) {
+                let slot = &mut best[i as usize];
+                *slot = slot.min(t);
+            }
+        }
         let mut total = Hours::ZERO;
-        let mut start = 0;
-        while start < workload.len() {
-            let end = (start + TIME_FOLD_BLOCK).min(workload.len());
+        for (times, queries) in best
+            .chunks(TIME_FOLD_BLOCK)
+            .zip(workload.chunks(TIME_FOLD_BLOCK))
+        {
             let mut block = Hours::ZERO;
-            for (i, q) in workload[start..end].iter().enumerate() {
-                block += self.query_time_with_views(start + i, views, selected) * q.frequency;
+            for (&t, q) in times.iter().zip(queries) {
+                block += t * q.frequency;
             }
             total += block;
-            start = end;
         }
         total
     }
@@ -154,6 +174,9 @@ impl CloudCostModel {
     }
 
     /// Section 4 total (Formulas 6–12 plus unchanged Formula 3 transfer).
+    /// Callers that also need the processing time fold it once and go
+    /// through [`CloudCostModel::breakdown_from_totals`] themselves
+    /// (`SelectionProblem::evaluate` does).
     pub fn with_views(&self, views: &[ViewCharge], selected: &SelectionSet) -> CostBreakdown {
         assert_eq!(
             views.len(),

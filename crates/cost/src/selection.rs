@@ -2,14 +2,18 @@
 //!
 //! The optimizer probes thousands-to-millions of candidate subsets per
 //! solve; selections were previously `Vec<bool>`, cloned on every probe
-//! and stored in every [`crate::CostBreakdown`]-carrying evaluation.
+//! and stored in every evaluation.
 //! [`SelectionSet`] packs the mask into `u64` words behind an `Arc`:
 //!
 //! * **clone is O(1)** — an atomic refcount bump, no allocation;
 //! * **mutation is copy-on-write** — `Arc::make_mut` only copies the
 //!   word vector when the selection is actually shared;
 //! * **n ≤ 64 never allocates more than one word**, the common case for
-//!   the paper's ≤ 16-candidate problems.
+//!   the paper's ≤ 16-candidate problems;
+//! * **iteration is word-wise** — [`SelectionSet::ones`] peels set bits
+//!   with `trailing_zeros`, O(len/64 + selected), so folding the few
+//!   hundred selected views of a 2 000-candidate pool does not test
+//!   2 000 bits.
 
 use std::fmt;
 use std::sync::Arc;
@@ -163,15 +167,47 @@ impl SelectionSet {
         (0..self.len).map(move |k| self.contains(k))
     }
 
-    /// Indices of the selected candidates, ascending.
+    /// Indices of the selected candidates, ascending. Walks the words,
+    /// peeling set bits with `trailing_zeros` — O(len/64 + selected),
+    /// not one test per candidate. (Bits at and past `len` are zero in
+    /// every word: each constructor and mutator keeps them so.)
     pub fn ones(&self) -> impl Iterator<Item = usize> + '_ {
-        (0..self.len).filter(move |&k| self.contains(k))
+        Ones {
+            rest: self.words.iter().enumerate(),
+            word: 0,
+            base: 0,
+        }
     }
 
     /// The selection as a `u64` bitmask (requires ≤ 64 candidates).
     pub fn as_mask(&self) -> u64 {
         assert!(self.len <= 64, "as_mask supports at most 64 candidates");
         self.words.first().copied().unwrap_or(0)
+    }
+}
+
+/// [`SelectionSet::ones`]: the unvisited bits of the current word and
+/// the words after it.
+struct Ones<'a> {
+    rest: std::iter::Enumerate<std::slice::Iter<'a, u64>>,
+    word: u64,
+    /// Index of bit 0 of `word`.
+    base: usize,
+}
+
+impl Iterator for Ones<'_> {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        while self.word == 0 {
+            let (w, &word) = self.rest.next()?;
+            self.word = word;
+            self.base = w * 64;
+        }
+        let bit = self.word.trailing_zeros() as usize;
+        self.word &= self.word - 1;
+        Some(self.base + bit)
     }
 }
 

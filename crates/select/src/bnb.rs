@@ -85,9 +85,9 @@ impl Search<'_, '_> {
         self.stats.visited += 1;
         if depth == self.problem.len() {
             // Fully decided: the optimistic completion *is* the selection.
-            let e = self.optimistic.snapshot();
+            let e = self.optimistic.score();
             if self.scenario.better(&e, incumbent, self.baseline) {
-                *incumbent = e;
+                *incumbent = e.with_selection(self.optimistic.selection().clone());
             }
             return;
         }

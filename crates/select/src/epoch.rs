@@ -681,7 +681,7 @@ impl EpochChain {
             baselines.push(problem.baseline());
             let mut per_mask = Vec::with_capacity(size);
             crate::sweep::sweep_masks(&problem, 0, size as u64, |_, ev| {
-                let e = ev.snapshot();
+                let e = ev.score();
                 per_mask.push((e.time, e.breakdown));
             });
             full.push(per_mask);
@@ -845,7 +845,7 @@ impl EpochChain {
             baselines.push(problem.baseline());
             let mut per_mask = Vec::with_capacity(1usize << n);
             crate::sweep::sweep_masks(&problem, 0, 1u64 << n, |_, ev| {
-                per_mask.push(ev.snapshot().time);
+                per_mask.push(ev.score().time);
             });
             times.push(per_mask);
         }

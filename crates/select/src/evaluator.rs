@@ -3,8 +3,9 @@
 //! Every solver probes neighbors of a current selection: "what happens
 //! if view `k` is flipped on (or off)?" Answering through
 //! [`SelectionProblem::evaluate`] recomputes the full interaction model —
-//! O(n·m) for n candidates and m workload queries — per probe, which
-//! makes greedy O(n²·m) per pass and exhaustive O(2ⁿ·n·m).
+//! O(m + Σ deg) over the selected views' profiles, for m workload
+//! queries — per probe, which makes greedy O(n·(m + Σ deg)) per pass
+//! and exhaustive O(2ⁿ·(m + Σ deg)).
 //!
 //! [`IncrementalEvaluator`] caches, per workload query, the fastest
 //! selected view **and the runner-up**. A flip then touches only the
@@ -39,18 +40,63 @@
 //!
 //! # Dirty-delta snapshots
 //!
-//! [`IncrementalEvaluator::snapshot`] rebuilds a full [`Evaluation`]
-//! from the cached per-query minima through the canonical blocked
-//! processing-time fold (`mv_cost::TIME_FOLD_BLOCK`-wide partial sums):
-//! flips mark only the blocks whose best view changed, and a probe
-//! refolds just those blocks plus the O(m/B) block-sum total — O(deg)
-//! per probe where the flat fold was O(n + m)
-//! ([`IncrementalEvaluator::snapshot_cold`] keeps the full fold as the
-//! benchmark reference). Every fold runs in exactly the same order as
-//! [`SelectionProblem::evaluate`] (and the breakdown assembles through
-//! `CloudCostModel::compute_cost`, the same routine `with_views` uses),
-//! so snapshots are **bit-identical** to full re-evaluations —
-//! property-tested in `tests/evaluator_matches.rs`.
+//! [`IncrementalEvaluator::score`] (and [`IncrementalEvaluator::snapshot`],
+//! which is `score` plus a handle on the selection) prices the current
+//! selection from the cached per-query minima through the canonical
+//! blocked processing-time fold (`mv_cost::TIME_FOLD_BLOCK`-wide partial
+//! sums): flips mark only the blocks whose best view changed, and a
+//! score refolds just those. Its cost, honestly itemized, is
+//! **O(n/64 + selected + m/B + B·dirty)**: the word-wise walk of the
+//! selection bitset, one pass over the selected views' charges
+//! (maintenance, materialization, size — folded in ascending candidate
+//! order from zero, so they cannot be kept as running sums), the
+//! in-order total of the m/B block sums (a dependent add chain: the
+//! floor of a probe at large m), and B adds per dirty block
+//! ([`IncrementalEvaluator::snapshot_cold`] keeps the full
+//! O(n/64 + selected + m) fold as the benchmark reference). Every fold
+//! runs in exactly the same order as [`SelectionProblem::evaluate`]
+//! (and the breakdown assembles through `CloudCostModel::compute_cost`,
+//! the same routine `with_views` uses), so scores are **bit-identical**
+//! to full re-evaluations — property-tested in
+//! `tests/evaluator_matches.rs`.
+//!
+//! # Probes
+//!
+//! Every solver tier ranks neighbours of its current selection, and
+//! keeps at most one of thousands. [`IncrementalEvaluator::probe`] is
+//! the one implementation of that read — apply a few toggles, score,
+//! revert — and three things keep it to the work the toggled views
+//! cause:
+//!
+//! * **The term cache.** `term[i] = min(base_i, best_i) × frequency_i`
+//!   is kept per query, rewritten only where a flip moves a query's
+//!   best view and reloaded whole on `retarget` (the model owns base
+//!   times and frequencies). A block refold is then a straight sum of
+//!   64 contiguous `f64`s — in the same order, of the same products, as
+//!   the model's own fold — instead of a stride through 48-byte
+//!   `QueryCharge` structs. It is the only per-query state the probe
+//!   path added (8 bytes per query on a `fork`).
+//! * **Save and restore of block sums.** A probe first settles
+//!   whatever earlier *accepted* moves left dirty, applies its toggles,
+//!   saves the sums of the blocks they dirtied, scores, reverts the
+//!   toggles, and puts the saved sums back with the dirty list cleared.
+//!   Reverting returns every query's best time — hence every term — to
+//!   its value before the probe, so the saved sums are again the right
+//!   ones; without the restore each probe would also refold the blocks
+//!   its predecessor's revert left dirty.
+//! * **`Score` carries no selection.** An [`Evaluation`] holds the
+//!   selection's `Arc`; while one is alive the evaluator's next flip
+//!   must copy the word vector before writing to it — spelled as
+//!   `flip → snapshot → unflip`, a probe pays two allocations.
+//!   `probe` and `score` return a `Copy`
+//!   [`Score`] (time + breakdown), the scenario orderings accept either
+//!   (`crate::Scored`), and a move loop materializes an `Evaluation`
+//!   (`Score::with_selection`) only for the move it keeps — so a warm
+//!   probe allocates nothing (`tests/probe_allocs.rs`).
+//!
+//! A probe counts in telemetry as exactly the flips, unflips and one
+//! snapshot it performs. `probe ≡ the triple`, with the evaluator left
+//! bit-equal, is property-tested in `evaluator/probe_tests.rs`.
 //!
 //! # Dynamic candidates
 //!
@@ -82,7 +128,7 @@ use mv_cost::{CloudCostModel, CostBreakdown, SelectionSet, ViewCharge, TIME_FOLD
 use mv_obs::{Counter, Hist};
 use mv_units::{Gb, Hours, Money, Months};
 
-use crate::{Evaluation, SelectionProblem};
+use crate::{Evaluation, Score, SelectionProblem};
 
 /// Sentinel candidate index meaning "no view".
 const NONE: u32 = u32::MAX;
@@ -119,9 +165,12 @@ struct Span {
 ///
 /// let problem = fixtures::paper_like_problem();
 /// let mut ev = IncrementalEvaluator::new(&problem);
-/// ev.flip(0);
 /// let mut sel = mv_cost::SelectionSet::empty(problem.len());
 /// sel.set(0, true);
+/// // What would selecting view 0 score? The evaluator does not move.
+/// assert_eq!(ev.probe(&[0]), problem.evaluate(&sel).score());
+/// assert_eq!(ev.snapshot(), problem.baseline());
+/// ev.flip(0);
 /// assert_eq!(ev.snapshot(), problem.evaluate(&sel));
 /// ev.unflip(0);
 /// assert_eq!(ev.snapshot(), problem.baseline());
@@ -167,8 +216,8 @@ pub struct IncrementalEvaluator<'p> {
     /// Cached per-block partial sums of the canonical
     /// [`TIME_FOLD_BLOCK`]-wide processing-time fold. A probe refolds
     /// only the blocks whose per-query minima changed since the last
-    /// refresh, so `snapshot()` is O(selected + m/B + B·dirty) instead
-    /// of O(n + m).
+    /// refresh, so `score()` is O(n/64 + selected + m/B + B·dirty)
+    /// instead of O(n + m).
     block_time: Vec<Hours>,
     /// Whether block `b` needs a refold (parallel to `block_time`).
     block_dirty: Vec<bool>,
@@ -177,6 +226,16 @@ pub struct IncrementalEvaluator<'p> {
     /// Every block is stale (fresh build / retarget): refold them all
     /// and ignore the dirty list.
     all_dirty: bool,
+    /// Per-query term of the time fold, `min(base, best) × frequency`:
+    /// rewritten where a flip moves a query's best view and reloaded
+    /// whole on [`IncrementalEvaluator::retarget`], so a block refold
+    /// sums 64 contiguous values instead of striding through the
+    /// model's `QueryCharge` structs.
+    term: Vec<Hours>,
+    /// [`IncrementalEvaluator::probe`]'s scratch: the sums of the
+    /// blocks it refolds, put back once the toggles are reverted.
+    /// Empty between probes; kept for its capacity.
+    saved_blocks: Vec<(u32, Hours)>,
 }
 
 impl<'p> IncrementalEvaluator<'p> {
@@ -219,8 +278,8 @@ impl<'p> IncrementalEvaluator<'p> {
 
     /// Clones the warm evaluator for a scenario-tree branch point: the
     /// copy carries every cache (answer arena, top-k tables, per-query
-    /// minima, block sums) and continues independently. Counted in
-    /// [`IncrementalEvaluator::fork_count`], *not* in
+    /// minima, term cache, block sums) and continues independently.
+    /// Counted in [`IncrementalEvaluator::fork_count`], *not* in
     /// [`IncrementalEvaluator::build_count`] — no O(n·m) rebuild happens.
     pub fn fork(&self) -> Self {
         mv_obs::inc(Counter::EvaluatorFork);
@@ -259,10 +318,13 @@ impl<'p> IncrementalEvaluator<'p> {
             block_dirty: vec![false; m.div_ceil(TIME_FOLD_BLOCK)],
             dirty_blocks: Vec::new(),
             all_dirty: true,
+            term: vec![Hours::ZERO; m],
+            saved_blocks: Vec::new(),
         };
         for k in 0..n {
             ev.push_span(k);
         }
+        ev.reload_terms();
         ev
     }
 
@@ -572,16 +634,17 @@ impl<'p> IncrementalEvaluator<'p> {
     /// Swaps in a new costing model over the same workload shape — the
     /// epoch-boundary *context* switch. The per-query best/runner-up
     /// caches survive untouched: they hold only candidate answer times,
-    /// which do not depend on the model, while base times and
-    /// frequencies are read live from the model at snapshot time. Only
-    /// the two selection-independent caches — the transfer cost and the
-    /// storage-interval template — are recomputed, in O(m + inserts).
+    /// which do not depend on the model. What does depend on it is
+    /// recomputed in O(m + inserts): the transfer cost, the
+    /// storage-interval template, and the per-query term cache (base
+    /// times and frequencies are the model's).
     pub fn retarget(&mut self, model: CloudCostModel) {
         mv_obs::inc(Counter::EvaluatorRetarget);
         self.problem.to_mut().set_model(model);
         self.transfer = self.problem.model().transfer_cost();
         self.storage_intervals = storage_interval_template(&self.problem);
         // Base times and frequencies may have changed under every block.
+        self.reload_terms();
         self.all_dirty = true;
     }
 
@@ -613,7 +676,7 @@ impl<'p> IncrementalEvaluator<'p> {
                 self.second_time[i] = self.best_time[i];
                 self.best_view[i] = kk;
                 self.best_time[i] = t;
-                self.mark_time_dirty(i);
+                self.best_changed(i);
             } else if self.second_view[i] == NONE || t < self.second_time[i] {
                 self.second_view[i] = kk;
                 self.second_time[i] = t;
@@ -637,7 +700,7 @@ impl<'p> IncrementalEvaluator<'p> {
                 let (sv, st) = (self.second_view[i], self.second_time[i]);
                 self.best_view[i] = sv;
                 self.best_time[i] = st;
-                self.mark_time_dirty(i);
+                self.best_changed(i);
                 if sv == NONE {
                     self.second_view[i] = NONE;
                     self.second_time[i] = Hours::ZERO;
@@ -674,9 +737,29 @@ impl<'p> IncrementalEvaluator<'p> {
         }
     }
 
-    /// Marks query `i`'s time-fold block stale (its best selected view
-    /// changed). O(1).
-    fn mark_time_dirty(&mut self, i: usize) {
+    /// Query `i`'s term of the time fold under the current caches —
+    /// the one expression every term in `term` is computed by.
+    fn term_of(&self, i: usize) -> Hours {
+        let q = &self.problem.model().context().workload[i];
+        let t = if self.best_view[i] == NONE {
+            q.base_time
+        } else {
+            q.base_time.min(self.best_time[i])
+        };
+        t * q.frequency
+    }
+
+    /// Recomputes every term (fresh build, new model). O(m).
+    fn reload_terms(&mut self) {
+        for i in 0..self.term.len() {
+            self.term[i] = self.term_of(i);
+        }
+    }
+
+    /// Query `i`'s best selected view changed: rewrite its term and
+    /// mark its time-fold block stale. O(1).
+    fn best_changed(&mut self, i: usize) {
+        self.term[i] = self.term_of(i);
         if self.all_dirty {
             return;
         }
@@ -687,40 +770,24 @@ impl<'p> IncrementalEvaluator<'p> {
         }
     }
 
-    /// Refolds `block_time[b]` from the per-query caches, in workload
-    /// order from an exact zero — the same inner fold as
+    /// Block `b`'s partial sum: its terms in workload order from an
+    /// exact zero — the same inner fold as
     /// `CloudCostModel::processing_time_with_views`.
-    fn refold_block(&mut self, b: usize) {
-        let workload = &self.problem.model().context().workload;
+    fn fold_block(&self, b: usize) -> Hours {
         let start = b * TIME_FOLD_BLOCK;
-        let end = (start + TIME_FOLD_BLOCK).min(workload.len());
+        let end = (start + TIME_FOLD_BLOCK).min(self.term.len());
         let mut block = Hours::ZERO;
-        for (i, q) in workload.iter().enumerate().take(end).skip(start) {
-            let base = q.base_time;
-            let t = if self.best_view[i] == NONE {
-                base
-            } else {
-                base.min(self.best_time[i])
-            };
-            block += t * q.frequency;
+        for &t in &self.term[start..end] {
+            block += t;
         }
-        self.block_time[b] = block;
+        block
     }
 
-    /// Brings every stale block sum up to date. Telemetry records the
-    /// dirty-delta size (blocks refolded) per refresh.
+    /// Brings every stale block sum up to date.
     fn refresh_time_blocks(&mut self) {
-        if mv_obs::enabled() {
-            let dirty = if self.all_dirty {
-                self.block_time.len()
-            } else {
-                self.dirty_blocks.len()
-            };
-            mv_obs::record(Hist::SnapshotDirtyBlocks, dirty as u64);
-        }
         if self.all_dirty {
             for b in 0..self.block_time.len() {
-                self.refold_block(b);
+                self.block_time[b] = self.fold_block(b);
             }
             self.all_dirty = false;
             for idx in 0..self.dirty_blocks.len() {
@@ -731,17 +798,26 @@ impl<'p> IncrementalEvaluator<'p> {
         }
         while let Some(b) = self.dirty_blocks.pop() {
             self.block_dirty[b as usize] = false;
-            self.refold_block(b as usize);
+            self.block_time[b as usize] = self.fold_block(b as usize);
         }
     }
 
     /// Frequency-weighted total processing time (Formula 9 summed)
     /// through the canonical blocked fold: stale block sums refold from
-    /// the per-query caches (each in workload order from an exact zero)
-    /// and the total folds the block sums in order — exactly the
+    /// the term cache (each in workload order from an exact zero) and
+    /// the total folds the block sums in order — exactly the
     /// arithmetic of `processing_time_with_views`, so the result is
-    /// bit-identical. O(m/B + B·dirty) per probe instead of O(m).
+    /// bit-identical. O(m/B + B·dirty) per call instead of O(m).
+    /// Telemetry records the dirty-delta size (blocks refolded).
     pub fn processing_time(&mut self) -> Hours {
+        if mv_obs::enabled() {
+            let dirty = if self.all_dirty {
+                self.block_time.len()
+            } else {
+                self.dirty_blocks.len()
+            };
+            mv_obs::record(Hist::SnapshotDirtyBlocks, dirty as u64);
+        }
         self.refresh_time_blocks();
         let mut total = Hours::ZERO;
         for &block in &self.block_time {
@@ -750,10 +826,13 @@ impl<'p> IncrementalEvaluator<'p> {
         total
     }
 
-    /// Full [`Evaluation`] of the current selection, agreeing exactly
-    /// with [`SelectionProblem::evaluate`]. O(selected + m/B + B·dirty):
-    /// the processing-time total is a dirty-delta refold over the cached
-    /// block sums, not a full O(m) sweep.
+    /// Time and cost breakdown of the current selection, agreeing
+    /// exactly with [`SelectionProblem::evaluate`] — the selection-free
+    /// half of [`IncrementalEvaluator::snapshot`], for the move loops
+    /// that rank thousands of neighbours and keep one.
+    /// O(n/64 + selected + m/B + B·dirty): the word-wise walk of the
+    /// selection, one pass over the selected views' charges, the
+    /// block-sum total and the refold of the stale blocks.
     ///
     /// Exactness: the time total is summed in workload order and the
     /// per-candidate totals in candidate order — the same fold orders as
@@ -764,7 +843,7 @@ impl<'p> IncrementalEvaluator<'p> {
     /// precomputed template, so every `f64` operation matches
     /// `storage_cost_with_extra` bit for bit — without rebuilding (and
     /// re-allocating) a `StorageTimeline` per probe.
-    pub fn snapshot(&mut self) -> Evaluation {
+    pub fn score(&mut self) -> Score {
         mv_obs::inc(Counter::EvaluatorSnapshot);
         let time = self.processing_time();
         let model = self.problem.model();
@@ -783,7 +862,7 @@ impl<'p> IncrementalEvaluator<'p> {
             materialization += v.materialization;
             views_size += v.size;
         }
-        Evaluation {
+        Score {
             time,
             breakdown: CostBreakdown {
                 transfer: self.transfer,
@@ -792,13 +871,60 @@ impl<'p> IncrementalEvaluator<'p> {
                 compute_materialization: model.compute_cost(materialization),
                 storage: self.storage_cost(views_size),
             },
-            selection: self.selection.clone(),
         }
     }
 
+    /// Full [`Evaluation`] of the current selection:
+    /// [`IncrementalEvaluator::score`] plus a handle on the selection
+    /// (an `Arc` bump — which makes the evaluator's *next* flip pay one
+    /// copy-on-write allocation, the reason move loops rank on `score`
+    /// and materialize an `Evaluation` only for the move they keep).
+    pub fn snapshot(&mut self) -> Evaluation {
+        self.score().with_selection(self.selection.clone())
+    }
+
+    /// What [`IncrementalEvaluator::score`] would return with
+    /// `toggles` applied, leaving the evaluator exactly where it was:
+    /// apply the toggles in order, score, revert them in reverse, and
+    /// put back the block sums the score refolded — so no dirty block
+    /// outlives the probe and the next one refolds only its own.
+    /// Allocation-free on a warm evaluator; counts as the flips,
+    /// unflips and one snapshot it performs.
+    ///
+    /// Putting the saved sums back is exact: reverting the toggles
+    /// returns every query's best *time* (ties may swap which view
+    /// holds it), hence every term, to its value before the probe, and
+    /// the blocks were settled before the toggles were applied — so
+    /// each block's sum is again the one it held then, whether the
+    /// probe overwrote it (restored) or not (untouched).
+    pub fn probe(&mut self, toggles: &[usize]) -> Score {
+        self.refresh_time_blocks();
+        for &k in toggles {
+            self.toggle(k);
+        }
+        debug_assert!(self.saved_blocks.is_empty());
+        self.saved_blocks.extend(
+            self.dirty_blocks
+                .iter()
+                .map(|&b| (b, self.block_time[b as usize])),
+        );
+        let score = self.score();
+        for &k in toggles.iter().rev() {
+            self.toggle(k);
+        }
+        while let Some(b) = self.dirty_blocks.pop() {
+            self.block_dirty[b as usize] = false;
+        }
+        while let Some((b, sum)) = self.saved_blocks.pop() {
+            self.block_time[b as usize] = sum;
+            debug_assert!(self.fold_block(b as usize) == sum, "block {b} moved");
+        }
+        score
+    }
+
     /// [`IncrementalEvaluator::snapshot`] with every block sum forced
-    /// stale first — the full O(n + m) fold the dirty-delta path
-    /// replaces. Exists as the benchmark reference (`--bench scale`
+    /// stale first — the full O(n/64 + selected + m) fold the
+    /// dirty-delta path avoids. Exists as the benchmark reference (`--bench scale`
     /// races the two) and as a self-check handle; results are identical.
     pub fn snapshot_cold(&mut self) -> Evaluation {
         self.all_dirty = true;
@@ -862,6 +988,9 @@ fn storage_interval_template(problem: &SelectionProblem) -> Vec<(usize, Months)>
     }
     out
 }
+
+#[cfg(test)]
+mod probe_tests;
 
 #[cfg(test)]
 mod tests {

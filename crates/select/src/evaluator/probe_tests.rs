@@ -1,0 +1,141 @@
+//! Differential property: [`IncrementalEvaluator::probe`] ≡ the
+//! `flip → snapshot → unflip` triple spelled out, and it leaves the
+//! evaluator *bit-equal* to where it found it — block sums, term
+//! cache, an empty dirty list, the selection — under random walks that
+//! interleave accepted flips with `add_candidate` / `remove_candidate`
+//! / `update_charge` (both the O(1) same-profile path and the
+//! resplice) / `retarget`, on pools where most queries have more than
+//! [`ANSWER_TOP_K`] answerers (pruned tables, exact-fallback rescans)
+//! and the workload spans several [`TIME_FOLD_BLOCK`]s.
+
+use mv_cost::CloudCostModel;
+use proptest::prelude::*;
+
+use super::*;
+use crate::fixtures::{random_sparse_problem, reference_evaluate};
+
+/// Everything a probe must put back, as bits: block sums, terms,
+/// selection. Asserts the fold is settled (nothing dirty).
+fn settled_state(ev: &IncrementalEvaluator<'_>) -> (Vec<u64>, Vec<u64>, SelectionSet) {
+    assert!(!ev.all_dirty, "all blocks stale");
+    assert!(
+        ev.dirty_blocks.is_empty(),
+        "dirty list {:?}",
+        ev.dirty_blocks
+    );
+    assert!(ev.block_dirty.iter().all(|&d| !d), "stray dirty flag");
+    assert!(ev.saved_blocks.is_empty(), "scratch not drained");
+    let bits = |v: &[Hours]| v.iter().map(|h| h.value().to_bits()).collect();
+    (bits(&ev.block_time), bits(&ev.term), ev.selection.clone())
+}
+
+/// What `probe` must equal: apply, snapshot, revert.
+fn triple(ev: &mut IncrementalEvaluator<'_>, toggles: &[usize]) -> Evaluation {
+    for &k in toggles {
+        ev.toggle(k);
+    }
+    let e = ev.snapshot();
+    for &k in toggles.iter().rev() {
+        ev.toggle(k);
+    }
+    e
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn probe_matches_the_triple_and_leaves_no_trace(
+        seed in 0u64..10_000,
+        n_queries in 1usize..200,
+        density_pct in 15u8..60,
+        ops in proptest::collection::vec((0u8..8, 0usize..1_000, 0usize..1_000), 1..40),
+    ) {
+        // 40 candidates at ≥ 15 % density: ≥ 6 answerers per query on
+        // average, past the 8 table slots for most queries from 25 % up.
+        let pool_problem =
+            random_sparse_problem(seed, n_queries, 40, f64::from(density_pct) / 100.0);
+        let pool = pool_problem.candidates().to_vec();
+        let mut ev = IncrementalEvaluator::new(&pool_problem);
+        let mut recycle = 0usize;
+        for (step, &(op, a, b)) in ops.iter().enumerate() {
+            let n = ev.problem().len();
+            match op {
+                // An accepted move: leaves its blocks dirty for the next
+                // probe to settle.
+                0 | 1 if n > 0 => ev.toggle(a % n),
+                2 => {
+                    ev.add_candidate(pool[recycle % pool.len()].clone());
+                    recycle += 1;
+                }
+                3 if n > 1 => {
+                    ev.remove_candidate(a % n);
+                }
+                // Re-price in place: same answers (the O(1) splice)...
+                4 if n > 0 => {
+                    let k = a % n;
+                    let carried = ev.problem().candidates()[k].carried();
+                    ev.update_charge(k, carried);
+                }
+                // ...or another view's answers (the resplice).
+                5 if n > 0 => {
+                    ev.update_charge(a % n, pool[b % pool.len()].clone());
+                }
+                // New epoch: every frequency and base time moves.
+                6 => {
+                    let mut ctx = ev.problem().model().context().clone();
+                    for (i, q) in ctx.workload.iter_mut().enumerate() {
+                        q.frequency = 0.25 + ((a + 7 * i) % 17) as f64 / 4.0;
+                        q.base_time = q.base_time * (0.5 + ((b + 3 * i) % 5) as f64 / 4.0);
+                    }
+                    ev.retarget(CloudCostModel::new(ctx));
+                }
+                _ => {}
+            }
+            let n = ev.problem().len();
+            if n == 0 {
+                continue;
+            }
+            // One to three toggles (repeats allowed: a view toggled
+            // twice must cancel), as single flips and swaps do.
+            let toggles: Vec<usize> = [a, b, a ^ b][..1 + (a + b) % 3]
+                .iter()
+                .map(|&x| x % n)
+                .collect();
+
+            let mut twin = ev.clone();
+            let expected = triple(&mut twin, &toggles);
+            let mut settled = ev.clone();
+            settled.refresh_time_blocks();
+            let before = settled_state(&settled);
+
+            let got = ev.probe(&toggles);
+            prop_assert_eq!(got, expected.score(), "probe ≠ triple at step {}", step);
+            prop_assert_eq!(
+                got.time.value().to_bits(), expected.time.value().to_bits(),
+                "time bits at step {}", step
+            );
+            prop_assert_eq!(settled_state(&ev), before, "probe left a trace at step {}", step);
+
+            // And the score is the true one: against the slow reference,
+            // at the probed selection.
+            let mut probed = ev.selection().clone();
+            for &k in &toggles {
+                probed.toggle(k);
+            }
+            prop_assert_eq!(
+                got.with_selection(probed.clone()),
+                reference_evaluate(ev.problem(), &probed),
+                "probe ≠ reference at step {}", step
+            );
+            // A second probe from the settled state refolds only its own
+            // blocks and still agrees.
+            prop_assert_eq!(ev.probe(&toggles), got, "re-probe at step {}", step);
+            prop_assert_eq!(
+                ev.snapshot(),
+                reference_evaluate(ev.problem(), ev.selection()),
+                "position drifted at step {}", step
+            );
+        }
+    }
+}

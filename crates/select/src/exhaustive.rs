@@ -13,8 +13,10 @@
 //! the per-chunk winners are merged in ascending chunk order, which
 //! preserves the serial sweep's first-wins tie-breaking exactly.
 
+use mv_cost::SelectionSet;
+
 use crate::sweep;
-use crate::{Evaluation, Outcome, Scenario, SelectionProblem, SolverKind};
+use crate::{Outcome, Scenario, Score, SelectionProblem, SolverKind};
 
 /// Maximum candidate count accepted (2^24 evaluations ≈ seconds).
 pub const MAX_CANDIDATES: usize = 24;
@@ -51,38 +53,38 @@ pub fn solve_exhaustive_with_threads(
     let chunk_bests = sweep::chunked(total, threads, |lo, hi| {
         // Mask 0 is the baseline, folded in below; every other mask
         // competes. Ties keep the lower mask.
-        let mut best: Option<Evaluation> = None;
+        let mut best: Option<(u64, Score)> = None;
         sweep::sweep_masks(problem, lo, hi, |mask, ev| {
             if mask == 0 {
                 return;
             }
-            let e = ev.snapshot();
-            let replace = match &best {
-                None => true,
-                Some(cur) => scenario.better(&e, cur, &baseline),
-            };
-            if replace {
-                best = Some(e);
+            let e = ev.score();
+            if best
+                .as_ref()
+                .is_none_or(|(_, cur)| scenario.better(&e, cur, &baseline))
+            {
+                best = Some((mask, e));
             }
         });
         best
     });
     // Ascending-chunk merge keeps the lowest-mask winner among ties,
     // exactly like a serial sweep.
-    let mut best: Option<Evaluation> = None;
+    let mut best: Option<(u64, Score)> = None;
     for candidate in chunk_bests.into_iter().flatten() {
-        let replace = match &best {
-            None => true,
-            Some(cur) => scenario.better(&candidate, cur, &baseline),
-        };
-        if replace {
+        if best
+            .as_ref()
+            .is_none_or(|(_, cur)| scenario.better(&candidate.1, cur, &baseline))
+        {
             best = Some(candidate);
         }
     }
 
     // Mask 0 (the baseline) is always part of the space.
     let chosen = match best {
-        Some(e) if scenario.better(&e, &baseline, &baseline) => e,
+        Some((mask, e)) if scenario.better(&e, &baseline, &baseline) => {
+            e.with_selection(SelectionSet::from_mask(mask, n))
+        }
         _ => baseline.clone(),
     };
     Outcome::new(chosen, baseline, scenario, SolverKind::Exhaustive)
@@ -92,7 +94,6 @@ pub fn solve_exhaustive_with_threads(
 mod tests {
     use super::*;
     use crate::fixtures::{paper_like_problem, random_problem};
-    use mv_cost::SelectionSet;
     use mv_units::{Hours, Money};
 
     #[test]

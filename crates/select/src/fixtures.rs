@@ -1,12 +1,46 @@
 //! Problem fixtures shared by unit tests, property tests, benches and
 //! examples.
 
-use mv_cost::{CloudCostModel, CostContext, QueryCharge, ViewCharge};
+use mv_cost::{
+    CloudCostModel, CostContext, QueryCharge, SelectionSet, ViewCharge, TIME_FOLD_BLOCK,
+};
 use mv_pricing::presets;
 use mv_units::{Gb, Hours, Months};
 
 use crate::epoch::EpochChain;
-use crate::SelectionProblem;
+use crate::{Evaluation, SelectionProblem};
+
+/// The slow reference [`SelectionProblem::evaluate`] is differentially
+/// tested against: Formula 9 one query at a time through
+/// `CloudCostModel::query_time_with_views` (every selected view probed
+/// per query, O(m · selected · log deg)), the canonical blocked fold
+/// over those, and the per-view totals summed by testing every
+/// candidate's bit in turn.
+pub fn reference_evaluate(problem: &SelectionProblem, selection: &SelectionSet) -> Evaluation {
+    let model = problem.model();
+    let views = problem.candidates();
+    let workload = &model.context().workload;
+    let mut time = Hours::ZERO;
+    for (b, block) in workload.chunks(TIME_FOLD_BLOCK).enumerate() {
+        let mut sum = Hours::ZERO;
+        for (j, q) in block.iter().enumerate() {
+            let i = b * TIME_FOLD_BLOCK + j;
+            sum += model.query_time_with_views(i, views, selection) * q.frequency;
+        }
+        time += sum;
+    }
+    let chosen = || (0..views.len()).filter(|&k| selection.contains(k));
+    Evaluation {
+        time,
+        breakdown: model.breakdown_from_totals(
+            time,
+            chosen().map(|k| views[k].maintenance).sum(),
+            chosen().map(|k| views[k].materialization).sum(),
+            chosen().map(|k| views[k].size).sum(),
+        ),
+        selection: selection.clone(),
+    }
+}
 
 /// A small deterministic problem shaped like the paper's experiment: a
 /// 10 GB dataset, a handful of roll-up queries and candidate views whose

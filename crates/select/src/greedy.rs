@@ -5,45 +5,27 @@
 //! Classic view-selection greedy (HRU-style) adapted to the paper's
 //! monetary objectives; used as a baseline in the solver ablation.
 //!
-//! Probes run through the [`IncrementalEvaluator`]: each candidate flip
-//! costs O(m) instead of a full O(n·m) re-evaluation, making a greedy
-//! pass O(n·(n + m)) overall.
+//! Probes run through [`IncrementalEvaluator::probe`]: each candidate
+//! flip costs O(deg) plus the O(n/64 + selected + m/B) score instead
+//! of a full O(m + Σ deg) re-evaluation. The pass itself is
+//! [`crate::local_search::best_flip_on`], shared with the local-search
+//! fill and the LNS repair.
 
-use crate::{Evaluation, IncrementalEvaluator, Outcome, Scenario, SelectionProblem, SolverKind};
+use crate::local_search::best_flip_on;
+use crate::{IncrementalEvaluator, Outcome, Scenario, SelectionProblem, SolverKind};
 
 /// Solves `scenario` by add-only greedy search.
 pub fn solve_greedy(problem: &SelectionProblem, scenario: Scenario) -> Outcome {
     let baseline = problem.baseline();
     let mut ev = IncrementalEvaluator::new(problem);
-    let mut current = baseline.clone();
-    loop {
-        let mut best_flip: Option<(usize, Evaluation)> = None;
-        for k in 0..problem.len() {
-            if ev.is_selected(k) {
-                continue;
-            }
-            ev.flip(k);
-            let e = ev.snapshot();
-            ev.unflip(k);
-            if scenario.better(&e, &current, &baseline) {
-                let replace = match &best_flip {
-                    None => true,
-                    Some((_, cur)) => scenario.better(&e, cur, &baseline),
-                };
-                if replace {
-                    best_flip = Some((k, e));
-                }
-            }
-        }
-        match best_flip {
-            Some((k, e)) => {
-                ev.flip(k);
-                current = e;
-            }
-            None => break,
-        }
+    let mut current = baseline.score();
+    while let Some((k, e)) = best_flip_on(&mut ev, scenario, &baseline, &current, 0..problem.len())
+    {
+        ev.flip(k);
+        current = e;
     }
-    Outcome::new(current, baseline, scenario, SolverKind::Greedy)
+    let chosen = current.with_selection(ev.selection().clone());
+    Outcome::new(chosen, baseline, scenario, SolverKind::Greedy)
 }
 
 #[cfg(test)]

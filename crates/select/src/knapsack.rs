@@ -23,7 +23,7 @@
 use mv_cost::SelectionSet;
 use mv_units::{Hours, Money};
 
-use crate::{Evaluation, IncrementalEvaluator, Outcome, Scenario, SelectionProblem, SolverKind};
+use crate::{IncrementalEvaluator, Outcome, Scenario, Score, SelectionProblem, SolverKind};
 
 /// Hours per value unit in both DPs.
 const TIME_UNIT_HOURS: f64 = 1e-4;
@@ -220,24 +220,16 @@ fn repair(problem: &SelectionProblem, scenario: Scenario, selection: &mut Select
 
     // Phase 1: restore feasibility.
     for _ in 0..max_moves {
-        let current = ev.snapshot();
+        let current = ev.score();
         if scenario.feasible(&current) {
             break;
         }
+        let violation = scenario.violation(&current);
         let mut best: Option<(usize, f64)> = None;
         for k in 0..n {
-            ev.toggle(k);
-            let e = ev.snapshot();
-            ev.toggle(k);
-            let v = scenario.violation(&e);
-            if v < scenario.violation(&current) {
-                let replace = match best {
-                    None => true,
-                    Some((_, bv)) => v < bv,
-                };
-                if replace {
-                    best = Some((k, v));
-                }
+            let v = scenario.violation(&ev.probe(&[k]));
+            if v < violation && best.is_none_or(|(_, bv)| v < bv) {
+                best = Some((k, v));
             }
         }
         match best {
@@ -248,20 +240,16 @@ fn repair(problem: &SelectionProblem, scenario: Scenario, selection: &mut Select
 
     // Phase 2: hill-climb the true objective within feasibility.
     for _ in 0..max_moves {
-        let current = ev.snapshot();
-        let mut best_flip: Option<(usize, Evaluation)> = None;
+        let current = ev.score();
+        let mut best_flip: Option<(usize, Score)> = None;
         for k in 0..n {
-            ev.toggle(k);
-            let e = ev.snapshot();
-            ev.toggle(k);
-            if scenario.better(&e, &current, &baseline) {
-                let replace = match &best_flip {
-                    None => true,
-                    Some((_, cur_best)) => scenario.better(&e, cur_best, &baseline),
-                };
-                if replace {
-                    best_flip = Some((k, e));
-                }
+            let e = ev.probe(&[k]);
+            if scenario.better(&e, &current, &baseline)
+                && best_flip
+                    .as_ref()
+                    .is_none_or(|(_, b)| scenario.better(&e, b, &baseline))
+            {
+                best_flip = Some((k, e));
             }
         }
         match best_flip {

@@ -21,8 +21,11 @@
 //! # Evaluation architecture
 //!
 //! Selections are [`SelectionSet`] bitsets (copy-on-write `u64` words):
-//! cloning one — which every probe and every [`Evaluation`] does — is an
-//! atomic refcount bump instead of a `Vec<bool>` allocation.
+//! cloning one — which every [`Evaluation`] does — is an atomic refcount
+//! bump instead of a `Vec<bool>` allocation. Probes do not clone one at
+//! all: they return a `Copy` [`Score`] (time + breakdown), the scenario
+//! orderings accept either ([`Scored`]), and a move loop builds an
+//! `Evaluation` only for the move it keeps.
 //!
 //! Every solver probes neighboring selections through the
 //! [`IncrementalEvaluator`], which caches each query's fastest selected
@@ -39,14 +42,22 @@
 //!
 //! * `flip`/`unflip` — O(deg) (a runner-up rescan only when the flipped
 //!   view was among a query's two fastest);
-//! * `snapshot` — O(n + m), summing in the model's own fold orders and
-//!   pricing through the model's own routines, so results are
-//!   **bit-identical** to [`SelectionProblem::evaluate`] (property-tested
-//!   in `tests/evaluator_matches.rs`, including random sparse profiles
-//!   and dynamic add/remove/placement interleavings);
-//! * a greedy pass is therefore O(n·(n + m)) instead of O(n²·m), and the
-//!   exhaustive sweep O(2ⁿ·m) instead of O(2ⁿ·n·m) by walking masks in
-//!   ascending order (amortized two flips per subset).
+//! * `score` / `snapshot` — O(n/64 + selected + m/B + B·dirty) over
+//!   cached block sums of the time fold (B = `TIME_FOLD_BLOCK`), summing
+//!   in the model's own fold orders and pricing through the model's own
+//!   routines, so results are **bit-identical** to
+//!   [`SelectionProblem::evaluate`] (property-tested in
+//!   `tests/evaluator_matches.rs`, including random sparse profiles and
+//!   dynamic add/remove/placement interleavings);
+//! * `probe(toggles)` — the one "what would this move score?" primitive
+//!   every tier calls: apply, score, revert, put the refolded block sums
+//!   back. Allocation-free, and it leaves the evaluator bit-equal to
+//!   where it was (see the *Probes* section of the evaluator module);
+//! * `SelectionProblem::evaluate` itself is O(m + Σ deg) over the
+//!   selected views' profiles (one scattered Formula 9 fold);
+//! * a greedy pass is therefore O(n) probes instead of O(n) full
+//!   evaluations, and the exhaustive sweep amortizes two flips and one
+//!   score per subset by walking masks in ascending order.
 //!
 //! The sparse layout is what scales the evaluator 100–1000× past the
 //! paper's shape: at n = 2 000 candidates and m = 50 000 queries a
@@ -183,7 +194,7 @@
 //! | site | counters | spans / histograms / events |
 //! |---|---|---|
 //! | [`IncrementalEvaluator`] build/retarget/fork | `evaluator/build`, `evaluator/retarget`, `evaluator/fork` | — |
-//! | [`IncrementalEvaluator`] flip/unflip/snapshot | `evaluator/flip`, `evaluator/unflip`, `evaluator/snapshot` | `evaluator/snapshot_dirty_blocks` histogram (dirty-delta width) |
+//! | [`IncrementalEvaluator`] flip/unflip/score (a `probe` counts as the flips, unflips and one snapshot it performs) | `evaluator/flip`, `evaluator/unflip`, `evaluator/snapshot` | `evaluator/snapshot_dirty_blocks` histogram (dirty-delta width) |
 //! | [`IncrementalEvaluator::update_charge`] | `evaluator/update_charge`, `evaluator/update_charge_fast` | — |
 //! | [`local_search`] probe loops | `search/probes`; accepted moves: `search/flip_moves`, `search/swap_moves`, `search/place_moves` | `placement_move` event per accepted pool move |
 //! | [`lns`] refine rounds | `lns/rounds`, `lns/accepted`, `lns/rejected` | `lns/destroy_size` histogram, `lns_round` event |
@@ -235,7 +246,7 @@ pub use lns::{solve_lns, solve_lns_with, LnsConfig};
 pub use local_search::{solve_local_search, solve_local_search_bounded};
 pub use mv_cost::Placement;
 pub use mv_cost::SelectionSet;
-pub use problem::{Evaluation, SelectionProblem};
+pub use problem::{Evaluation, Score, Scored, SelectionProblem};
 pub use scenario::Scenario;
 pub use solution::{Outcome, SolverKind};
 

@@ -22,6 +22,8 @@
 //! rolled back flip-for-flip). The regression pin lives in
 //! `tests/lns_never_worse.rs`.
 
+use mv_cost::SelectionSet;
+
 use crate::local_search::{self, default_move_budget};
 use crate::{Evaluation, IncrementalEvaluator, Outcome, Scenario, SelectionProblem, SolverKind};
 
@@ -81,23 +83,54 @@ impl XorShift {
 /// Standalone benefit score of each candidate: frequency-weighted hours
 /// it would shave off the workload if it were the only selected view.
 /// Interactions make this optimistic, but it ranks repair shortlists
-/// and worst-charge evictions well — and it is selection-independent,
-/// so it is computed once per search.
+/// well — and it is selection-independent, so it is computed once per
+/// search. (`+ 0.0` folds a `-0.0` sum into `+0.0`, so `total_cmp`
+/// ranks exactly as the numeric comparison does.)
 fn standalone_gains(problem: &SelectionProblem) -> Vec<f64> {
     let workload = &problem.model().context().workload;
     problem
         .candidates()
         .iter()
         .map(|c| {
-            c.profile
+            let gain: f64 = c
+                .profile
                 .entries()
                 .map(|(i, t)| {
                     let q = &workload[i];
                     (q.base_time.value() - t.value()).max(0.0) * q.frequency
                 })
-                .sum()
+                .sum();
+            gain + 0.0
         })
         .collect()
+}
+
+/// Every candidate, highest standalone gain first (ties by index): the
+/// order repair shortlists are cut from. Selection-independent, so one
+/// sort serves the initial fill and every round of a solve.
+fn gain_order(problem: &SelectionProblem) -> Vec<usize> {
+    let gains = standalone_gains(problem);
+    let mut order: Vec<usize> = (0..problem.len()).collect();
+    order.sort_by(|&a, &b| gains[b].total_cmp(&gains[a]).then(a.cmp(&b)));
+    order
+}
+
+/// The `shortlist` highest-gain candidates `eligible` admits, in gain
+/// order — or, when the shortlist is off (`0`) or would not cut
+/// anything (`available` candidates are eligible), all of them in
+/// index order.
+fn shortlisted(
+    order: &[usize],
+    shortlist: usize,
+    available: usize,
+    eligible: impl Fn(usize) -> bool,
+) -> Vec<usize> {
+    if shortlist > 0 && available > shortlist {
+        let by_gain = order.iter().copied().filter(|&k| eligible(k));
+        by_gain.take(shortlist).collect()
+    } else {
+        (0..order.len()).filter(|&k| eligible(k)).collect()
+    }
 }
 
 /// Charge weight of a candidate: the cost-side hours and bytes keeping
@@ -105,45 +138,7 @@ fn standalone_gains(problem: &SelectionProblem) -> Vec<f64> {
 /// the heaviest.
 fn charge_weight(problem: &SelectionProblem, k: usize) -> f64 {
     let c = &problem.candidates()[k];
-    c.maintenance.value() + c.materialization.value() + c.size.value()
-}
-
-/// Greedy best-improvement fill restricted to `pool`: repeatedly flip
-/// on the pool candidate that improves the scenario ordering the most,
-/// until none does. The restriction is what keeps repair affordable at
-/// large n.
-fn greedy_fill_pool(
-    ev: &mut IncrementalEvaluator<'_>,
-    scenario: Scenario,
-    baseline: &Evaluation,
-    pool: &[usize],
-) -> Evaluation {
-    let mut current = ev.snapshot();
-    loop {
-        let mut best: Option<(usize, Evaluation)> = None;
-        for &k in pool {
-            if ev.is_selected(k) {
-                continue;
-            }
-            ev.flip(k);
-            let e = ev.snapshot();
-            ev.unflip(k);
-            if scenario.better(&e, &current, baseline)
-                && best
-                    .as_ref()
-                    .is_none_or(|(_, b)| scenario.better(&e, b, baseline))
-            {
-                best = Some((k, e));
-            }
-        }
-        match best {
-            Some((k, e)) => {
-                ev.flip(k);
-                current = e;
-            }
-            None => return current,
-        }
-    }
+    c.maintenance.value() + c.materialization.value() + c.size.value() + 0.0
 }
 
 /// Runs the LNS rounds from the evaluator's current position, returning
@@ -161,15 +156,23 @@ pub fn refine(
     baseline: &Evaluation,
     cfg: &LnsConfig,
 ) -> Evaluation {
+    let order = gain_order(ev.problem());
+    refine_ordered(ev, scenario, baseline, cfg, &order)
+}
+
+/// [`refine`] over a [`gain_order`] the caller already holds.
+fn refine_ordered(
+    ev: &mut IncrementalEvaluator<'_>,
+    scenario: Scenario,
+    baseline: &Evaluation,
+    cfg: &LnsConfig,
+    order: &[usize],
+) -> Evaluation {
     let mut incumbent = if cfg.polish_moves > 0 {
         local_search::improve(ev, scenario, baseline, cfg.polish_moves)
     } else {
         ev.snapshot()
     };
-    if cfg.rounds == 0 {
-        return incumbent;
-    }
-    let gains = standalone_gains(ev.problem());
     let mut rng = XorShift(cfg.seed);
     for round in 0..cfg.rounds {
         let n = ev.problem().len();
@@ -177,7 +180,8 @@ pub fn refine(
         // Destroy: evict part of the incumbent. Even rounds draw the
         // set uniformly (diversification); odd rounds evict the
         // heaviest charges (intensification on likely misallocations).
-        let mut destroyed: Vec<usize> = Vec::new();
+        let mut destroyed = SelectionSet::empty(n);
+        let mut pool: Vec<usize> = Vec::new();
         if !selected.is_empty() {
             let want = ((selected.len() as f64 * cfg.destroy_fraction).ceil() as usize)
                 .clamp(1, selected.len());
@@ -186,41 +190,32 @@ pub fn refine(
                     let j = d + (rng.next_u64() as usize) % (selected.len() - d);
                     selected.swap(d, j);
                 }
-                destroyed.extend_from_slice(&selected[..want]);
             } else {
                 let problem = ev.problem();
                 selected.sort_by(|&a, &b| {
                     charge_weight(problem, b)
-                        .partial_cmp(&charge_weight(problem, a))
-                        .expect("charge weights are finite")
+                        .total_cmp(&charge_weight(problem, a))
                         .then(a.cmp(&b))
                 });
-                destroyed.extend_from_slice(&selected[..want]);
             }
-            for &k in &destroyed {
+            pool.extend_from_slice(&selected[..want]);
+            for &k in &pool {
                 ev.unflip(k);
+                destroyed.set(k, true);
             }
         }
         // Repair pool: the evicted views themselves plus the
-        // highest-gain unselected candidates.
-        let mut pool = destroyed.clone();
-        let mut rest: Vec<usize> = (0..n)
-            .filter(|&k| !ev.is_selected(k) && !destroyed.contains(&k))
-            .collect();
-        if cfg.shortlist > 0 && rest.len() > cfg.shortlist {
-            rest.sort_by(|&a, &b| {
-                gains[b]
-                    .partial_cmp(&gains[a])
-                    .expect("gains are finite")
-                    .then(a.cmp(&b))
-            });
-            rest.truncate(cfg.shortlist);
-        }
-        pool.extend(rest);
-        let candidate = greedy_fill_pool(ev, scenario, baseline, &pool);
+        // highest-gain candidates that were unselected all along.
+        let evicted = pool.len();
+        let available = n - selected.len();
+        pool.extend(shortlisted(order, cfg.shortlist, available, |k| {
+            !ev.is_selected(k) && !destroyed.contains(k)
+        }));
+        let start = ev.score();
+        let candidate = local_search::fill_from(ev, scenario, baseline, start, &pool);
         let accepted = scenario.better(&candidate, &incumbent, baseline);
         if accepted {
-            incumbent = candidate;
+            incumbent = candidate.with_selection(ev.selection().clone());
         } else {
             // Roll the evaluator back to the incumbent flip-for-flip.
             for k in 0..n {
@@ -236,12 +231,12 @@ pub fn refine(
             } else {
                 mv_obs::Counter::LnsRejected
             });
-            mv_obs::record(mv_obs::Hist::LnsDestroySize, destroyed.len() as u64);
+            mv_obs::record(mv_obs::Hist::LnsDestroySize, evicted as u64);
             mv_obs::event(
                 "lns_round",
                 &[
                     ("round", round as f64),
-                    ("destroyed", destroyed.len() as f64),
+                    ("destroyed", evicted as f64),
                     ("accepted", f64::from(u8::from(accepted))),
                 ],
             );
@@ -261,26 +256,18 @@ pub fn solve_lns(problem: &SelectionProblem, scenario: Scenario) -> Outcome {
 pub fn solve_lns_with(problem: &SelectionProblem, scenario: Scenario, cfg: &LnsConfig) -> Outcome {
     let baseline = problem.baseline();
     let mut ev = IncrementalEvaluator::new(problem);
+    let order = gain_order(problem);
     if cfg.polish_moves > 0 {
         // Small-pool path: full greedy fill, so the polish pass starts
         // where solve_local_search starts (the never-worse guarantee).
         local_search::greedy_fill(&mut ev, scenario, &baseline);
     } else {
         // Large-pool path: shortlist-restricted fill.
-        let gains = standalone_gains(problem);
-        let mut pool: Vec<usize> = (0..problem.len()).collect();
-        if cfg.shortlist > 0 && pool.len() > cfg.shortlist {
-            pool.sort_by(|&a, &b| {
-                gains[b]
-                    .partial_cmp(&gains[a])
-                    .expect("gains are finite")
-                    .then(a.cmp(&b))
-            });
-            pool.truncate(cfg.shortlist);
-        }
-        greedy_fill_pool(&mut ev, scenario, &baseline, &pool);
+        let pool = shortlisted(&order, cfg.shortlist, problem.len(), |_| true);
+        let start = ev.score();
+        local_search::fill_from(&mut ev, scenario, &baseline, start, &pool);
     }
-    let best = refine(&mut ev, scenario, &baseline, cfg);
+    let best = refine_ordered(&mut ev, scenario, &baseline, cfg, &order);
     Outcome::new(best, baseline, scenario, SolverKind::Lns)
 }
 

@@ -21,7 +21,9 @@
 
 use mv_cost::{Placement, ViewCharge};
 
-use crate::{Evaluation, IncrementalEvaluator, Outcome, Scenario, SelectionProblem, SolverKind};
+use crate::{
+    Evaluation, IncrementalEvaluator, Outcome, Scenario, Score, SelectionProblem, SolverKind,
+};
 
 /// The effective charge candidate `k` would carry under placement `p`
 /// this epoch — the hook the joint selection+placement pass
@@ -51,58 +53,107 @@ enum Move {
     FlipOnPlaced(usize),
 }
 
-/// Applies `mv`, returning the displaced charge for placement moves
-/// (needed to revert them bit-exactly).
+/// The placement half of a joint-mode move: the charge `k` would carry
+/// on the other pool.
+fn replaced(joint: Option<(&[Placement], ChargeFor<'_>)>, k: usize) -> ViewCharge {
+    let (placements, charge_for) = joint.expect("placement move outside joint mode");
+    charge_for(k, placements[k].flipped())
+}
+
+/// Applies `mv` for good.
 fn apply(
     ev: &mut IncrementalEvaluator<'_>,
     mv: Move,
     joint: Option<(&[Placement], ChargeFor<'_>)>,
-) -> Option<ViewCharge> {
+) {
     match mv {
-        Move::FlipOn(k) => {
-            ev.flip(k);
-            None
-        }
-        Move::FlipOff(k) => {
-            ev.unflip(k);
-            None
-        }
+        Move::FlipOn(k) => ev.flip(k),
+        Move::FlipOff(k) => ev.unflip(k),
         Move::Swap { out, in_ } => {
             ev.unflip(out);
             ev.flip(in_);
-            None
         }
         Move::Place(k) => {
-            let (placements, charge_for) = joint.expect("placement move outside joint mode");
-            Some(ev.update_charge(k, charge_for(k, placements[k].flipped())))
+            ev.update_charge(k, replaced(joint, k));
         }
         Move::FlipOnPlaced(k) => {
-            let (placements, charge_for) = joint.expect("placement move outside joint mode");
-            let old = ev.update_charge(k, charge_for(k, placements[k].flipped()));
+            ev.update_charge(k, replaced(joint, k));
             ev.flip(k);
-            Some(old)
         }
     }
 }
 
-/// Undoes `mv` (moves are involutions up to order); `undo` is the
-/// charge [`apply`] displaced, for placement moves.
-fn revert(ev: &mut IncrementalEvaluator<'_>, mv: Move, undo: Option<ViewCharge>) {
+/// What the evaluator would score with `mv` applied, leaving it where
+/// it was. Selection moves are one [`IncrementalEvaluator::probe`];
+/// placement moves splice the other pool's charge around the probe and
+/// put the displaced charge back (bit-exact: the splice is the O(1)
+/// same-profile path, which touches no cached time).
+fn probe_move(
+    ev: &mut IncrementalEvaluator<'_>,
+    mv: Move,
+    joint: Option<(&[Placement], ChargeFor<'_>)>,
+) -> Score {
     match mv {
-        Move::FlipOn(k) => ev.unflip(k),
-        Move::FlipOff(k) => ev.flip(k),
-        Move::Swap { out, in_ } => {
-            ev.unflip(in_);
-            ev.flip(out);
-        }
-        Move::Place(k) => {
-            ev.update_charge(k, undo.expect("placement move displaced a charge"));
-        }
-        Move::FlipOnPlaced(k) => {
-            ev.unflip(k);
-            ev.update_charge(k, undo.expect("placement move displaced a charge"));
+        Move::FlipOn(k) | Move::FlipOff(k) => ev.probe(&[k]),
+        Move::Swap { out, in_ } => ev.probe(&[out, in_]),
+        Move::Place(k) | Move::FlipOnPlaced(k) => {
+            let displaced = ev.update_charge(k, replaced(joint, k));
+            let score = if matches!(mv, Move::Place(_)) {
+                ev.score()
+            } else {
+                ev.probe(&[k])
+            };
+            ev.update_charge(k, displaced);
+            score
         }
     }
+}
+
+/// One best-improvement step of a flip-on fill: probes selecting each
+/// still-unselected candidate of `pool`, in order, and returns the one
+/// that improves on `current` the most under the scenario ordering
+/// (first wins among equals) with its score — `None` at a flip-on
+/// local optimum. The one loop behind [`crate::solve_greedy`],
+/// [`greedy_fill`] and the LNS repair.
+pub(crate) fn best_flip_on(
+    ev: &mut IncrementalEvaluator<'_>,
+    scenario: Scenario,
+    baseline: &Evaluation,
+    current: &Score,
+    pool: impl IntoIterator<Item = usize>,
+) -> Option<(usize, Score)> {
+    let mut best: Option<(usize, Score)> = None;
+    for k in pool {
+        if ev.is_selected(k) {
+            continue;
+        }
+        let e = ev.probe(&[k]);
+        if scenario.better(&e, current, baseline)
+            && best
+                .as_ref()
+                .is_none_or(|(_, b)| scenario.better(&e, b, baseline))
+        {
+            best = Some((k, e));
+        }
+    }
+    best
+}
+
+/// Flip-on fill restricted to `pool`, from the evaluator's current
+/// position (scored `current`): applies [`best_flip_on`]'s pick until
+/// there is none, returning the final score.
+pub(crate) fn fill_from(
+    ev: &mut IncrementalEvaluator<'_>,
+    scenario: Scenario,
+    baseline: &Evaluation,
+    mut current: Score,
+    pool: &[usize],
+) -> Score {
+    while let Some((k, e)) = best_flip_on(ev, scenario, baseline, &current, pool.iter().copied()) {
+        ev.flip(k);
+        current = e;
+    }
+    current
 }
 
 /// Greedy fill from the evaluator's current position: repeatedly apply
@@ -115,32 +166,17 @@ pub fn greedy_fill(
     scenario: Scenario,
     baseline: &Evaluation,
 ) -> Evaluation {
-    let mut current = ev.snapshot();
+    let mut current = ev.score();
     loop {
         let n = ev.problem().len();
-        let mut best: Option<(usize, Evaluation)> = None;
-        for k in 0..n {
-            if ev.is_selected(k) {
-                continue;
-            }
-            mv_obs::inc(mv_obs::Counter::SearchProbes);
-            ev.flip(k);
-            let e = ev.snapshot();
-            ev.unflip(k);
-            if scenario.better(&e, &current, baseline)
-                && best
-                    .as_ref()
-                    .is_none_or(|(_, b)| scenario.better(&e, b, baseline))
-            {
-                best = Some((k, e));
-            }
-        }
-        match best {
+        let unselected = n - ev.selection().count_ones();
+        mv_obs::add(mv_obs::Counter::SearchProbes, unselected as u64);
+        match best_flip_on(ev, scenario, baseline, &current, 0..n) {
             Some((k, e)) => {
                 ev.flip(k);
                 current = e;
             }
-            None => return current,
+            None => return current.with_selection(ev.selection().clone()),
         }
     }
 }
@@ -192,10 +228,10 @@ fn improve_inner(
     max_moves: usize,
     mut joint: Option<(&mut [Placement], ChargeFor<'_>)>,
 ) -> Evaluation {
-    let mut current = ev.snapshot();
+    let mut current = ev.score();
     for _ in 0..max_moves {
         let n = ev.problem().len();
-        let selected: Vec<usize> = (0..n).filter(|&k| ev.is_selected(k)).collect();
+        let selected: Vec<usize> = ev.selection().ones().collect();
         let unselected: Vec<usize> = (0..n).filter(|&k| !ev.is_selected(k)).collect();
         let mut moves: Vec<Move> = Vec::with_capacity(n + selected.len() * unselected.len());
         moves.extend(unselected.iter().map(|&k| Move::FlipOn(k)));
@@ -212,13 +248,11 @@ fn improve_inner(
             moves.extend(selected.iter().map(|&k| Move::Place(k)));
             moves.extend(unselected.iter().map(|&k| Move::FlipOnPlaced(k)));
         }
-        let mut best: Option<(Move, Evaluation)> = None;
+        let mut best: Option<(Move, Score)> = None;
         mv_obs::add(mv_obs::Counter::SearchProbes, moves.len() as u64);
         for mv in moves {
             let shared = joint.as_ref().map(|(p, f)| (&**p, *f));
-            let undo = apply(ev, mv, shared);
-            let e = ev.snapshot();
-            revert(ev, mv, undo);
+            let e = probe_move(ev, mv, shared);
             if scenario.better(&e, &current, baseline)
                 && best
                     .as_ref()
@@ -242,7 +276,7 @@ fn improve_inner(
             None => break,
         }
     }
-    current
+    current.with_selection(ev.selection().clone())
 }
 
 /// Telemetry for one accepted improvement move: per-kind counters plus

@@ -51,7 +51,7 @@ pub fn solution_space_with_threads(problem: &SelectionProblem, threads: usize) -
     let chunks = crate::sweep::chunked(total, threads, |lo, hi| {
         let mut out = Vec::with_capacity((hi - lo) as usize);
         crate::sweep::sweep_masks(problem, lo, hi, |mask, ev| {
-            let e = ev.snapshot();
+            let e = ev.score();
             out.push(SpacePoint {
                 mask,
                 time: e.time,

@@ -26,6 +26,74 @@ impl Evaluation {
     pub fn num_selected(&self) -> usize {
         self.selection.count_ones()
     }
+
+    /// The time and breakdown alone.
+    pub fn score(&self) -> Score {
+        Score {
+            time: self.time,
+            breakdown: self.breakdown,
+        }
+    }
+}
+
+/// What a selection scores — processing time and cost breakdown —
+/// without the selection itself: `Copy`, so a move loop can rank
+/// thousands of probed neighbours without touching the evaluator's
+/// selection handle, and build an [`Evaluation`] for the one it keeps.
+/// Produced by `IncrementalEvaluator::{score, probe}`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Score {
+    /// `TprocessingQ` under the scored selection (Formula 9).
+    pub time: Hours,
+    /// Formula 1/6 cost decomposition.
+    pub breakdown: CostBreakdown,
+}
+
+impl Score {
+    /// Total monetary cost `C`.
+    pub fn cost(&self) -> Money {
+        self.breakdown.total()
+    }
+
+    /// The [`Evaluation`] of `selection`, which must be the selection
+    /// this score was taken at.
+    pub fn with_selection(self, selection: SelectionSet) -> Evaluation {
+        Evaluation {
+            selection,
+            time: self.time,
+            breakdown: self.breakdown,
+        }
+    }
+}
+
+/// Anything the scenarios can rank: a processing time and a total
+/// cost. Lets `Scenario::{feasible, violation, objective, better}`
+/// keep one body for full [`Evaluation`]s and bare [`Score`]s alike.
+pub trait Scored {
+    /// `TprocessingQ` (Formula 9).
+    fn time(&self) -> Hours;
+    /// Total monetary cost `C` (Formula 1).
+    fn cost(&self) -> Money;
+}
+
+impl Scored for Evaluation {
+    fn time(&self) -> Hours {
+        self.time
+    }
+
+    fn cost(&self) -> Money {
+        self.breakdown.total()
+    }
+}
+
+impl Scored for Score {
+    fn time(&self) -> Hours {
+        self.time
+    }
+
+    fn cost(&self) -> Money {
+        self.breakdown.total()
+    }
 }
 
 /// A selection problem: the costing model plus the candidate views output
@@ -131,14 +199,25 @@ impl SelectionProblem {
         self.candidates.swap_remove(k)
     }
 
-    /// Evaluates a selection under the true interaction model.
+    /// Evaluates a selection under the true interaction model: one
+    /// Formula 9 fold (O(m + Σ deg) over the selected views' profiles),
+    /// the three per-view totals in ascending candidate order, and the
+    /// breakdown assembled from those totals — the same arithmetic as
+    /// `CloudCostModel::with_views`, which is defined over
+    /// `breakdown_from_totals` too.
     pub fn evaluate(&self, selection: &SelectionSet) -> Evaluation {
         assert_eq!(selection.len(), self.candidates.len());
+        let model = &self.model;
+        let views = &self.candidates;
+        let time = model.processing_time_with_views(views, selection);
         Evaluation {
-            time: self
-                .model
-                .processing_time_with_views(&self.candidates, selection),
-            breakdown: self.model.with_views(&self.candidates, selection),
+            time,
+            breakdown: model.breakdown_from_totals(
+                time,
+                model.maintenance_time(views, selection),
+                model.materialization_time(views, selection),
+                model.views_size(views, selection),
+            ),
             selection: selection.clone(),
         }
     }
@@ -159,9 +238,7 @@ impl SelectionProblem {
         let mut ev = crate::IncrementalEvaluator::new(self);
         (0..self.candidates.len())
             .map(|k| {
-                ev.flip(k);
-                let e = ev.snapshot();
-                ev.unflip(k);
+                let e = ev.probe(&[k]);
                 (
                     baseline.time.saturating_sub(e.time),
                     e.cost() - baseline.cost(),

@@ -3,7 +3,7 @@
 use mv_units::{Hours, Money};
 use serde::{Deserialize, Serialize};
 
-use crate::Evaluation;
+use crate::Scored;
 
 /// An optimization scenario.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -59,35 +59,36 @@ impl Scenario {
         }
     }
 
-    /// Whether `e` satisfies the scenario's constraint.
-    pub fn feasible(&self, e: &Evaluation) -> bool {
+    /// Whether `e` (an `Evaluation` or a bare `Score`, here and in the
+    /// three methods below) satisfies the scenario's constraint.
+    pub fn feasible(&self, e: &impl Scored) -> bool {
         match self {
             Scenario::Mv1 { budget } => e.cost() <= *budget,
-            Scenario::Mv2 { time_limit } => e.time <= *time_limit,
+            Scenario::Mv2 { time_limit } => e.time() <= *time_limit,
             Scenario::Mv3 { .. } => true,
         }
     }
 
     /// Constraint violation magnitude, as a dimensionless number used only
     /// to rank infeasible solutions (0 when feasible).
-    pub fn violation(&self, e: &Evaluation) -> f64 {
+    pub fn violation(&self, e: &impl Scored) -> f64 {
         match self {
             Scenario::Mv1 { budget } => (e.cost() - *budget).to_dollars_f64().max(0.0),
-            Scenario::Mv2 { time_limit } => (e.time.value() - time_limit.value()).max(0.0),
+            Scenario::Mv2 { time_limit } => (e.time().value() - time_limit.value()).max(0.0),
             Scenario::Mv3 { .. } => 0.0,
         }
     }
 
     /// The scenario's objective value for `e`, lower = better. `baseline`
     /// supplies the normalization denominators for MV3.
-    pub fn objective(&self, e: &Evaluation, baseline: &Evaluation) -> f64 {
+    pub fn objective(&self, e: &impl Scored, baseline: &impl Scored) -> f64 {
         match self {
-            Scenario::Mv1 { .. } => e.time.value(),
+            Scenario::Mv1 { .. } => e.time().value(),
             Scenario::Mv2 { .. } => e.cost().to_dollars_f64(),
             Scenario::Mv3 { alpha, normalize } => {
                 let (t, c) = if *normalize {
                     (
-                        e.time.value() / baseline.time.value().max(f64::MIN_POSITIVE),
+                        e.time().value() / baseline.time().value().max(f64::MIN_POSITIVE),
                         e.cost().to_dollars_f64()
                             / baseline
                                 .cost()
@@ -96,7 +97,7 @@ impl Scenario {
                                 .max(f64::MIN_POSITIVE),
                     )
                 } else {
-                    (e.time.value(), e.cost().to_dollars_f64())
+                    (e.time().value(), e.cost().to_dollars_f64())
                 };
                 alpha * t + (1.0 - alpha) * c
             }
@@ -106,7 +107,7 @@ impl Scenario {
     /// `true` when `a` is strictly better than `b`: feasibility first, then
     /// smaller violation, then smaller objective, then (tie-break) smaller
     /// cost and time.
-    pub fn better(&self, a: &Evaluation, b: &Evaluation, baseline: &Evaluation) -> bool {
+    pub fn better(&self, a: &impl Scored, b: &impl Scored, baseline: &impl Scored) -> bool {
         let (fa, fb) = (self.feasible(a), self.feasible(b));
         if fa != fb {
             return fa;
@@ -124,7 +125,7 @@ impl Scenario {
         if a.cost() != b.cost() {
             return a.cost() < b.cost();
         }
-        a.time < b.time
+        a.time() < b.time()
     }
 
     /// Short label for reports (`"MV1"`, `"MV2"`, `"MV3"`).
