@@ -12,7 +12,7 @@
 //! 2. **K-path hedged sweep** — the `solve_fleet` hot loop at the
 //!    `mv-select` layer: K sampled spot paths with a correlated
 //!    crunch regime, each solved over an 8-epoch horizon by
-//!    `EpochChain::solve_fleet` with free placement (the joint
+//!    `EpochChain::solve_with` with free placement (the joint
 //!    neighborhood probes ~2n more moves per round) vs the same chain
 //!    pinned all-spot (the single-fleet neighborhood). The delta is
 //!    the price of the placement dimension itself.
@@ -23,7 +23,7 @@
 use std::hint::black_box;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use mv_select::epoch::{EpochChain, EpochTree, EpochTreeNode};
+use mv_select::epoch::{ChainSpec, EpochChain, EpochTree, EpochTreeNode, Topology};
 use mv_select::{IncrementalEvaluator, Placement, Scenario, SelectionProblem, SelectionSet};
 use mvcloud::cost::{InterruptionRisk, PoolCharge};
 use mvcloud::market::{CorrelatedHazard, MarketScenario, PriceProcess, SpotMarket};
@@ -163,39 +163,34 @@ fn bench_k_path_hedged_sweep(c: &mut Criterion) {
         }
     }
 
+    let sweep = |rebalance: bool| -> usize {
+        let mut total = 0usize;
+        for (chain, pools) in &paths {
+            let spec = ChainSpec {
+                reprice: reprice_for(pools),
+                initial: Some(&initial),
+                rebalance,
+                max_moves: budget,
+            };
+            total += chain.solve_with(scenario, &spec, Topology::Path)[0].len();
+        }
+        total
+    };
     let mut group = c.benchmark_group(format!(
         "fleet/k_path_sweep_k{PATHS}_e{EPOCHS}_n{CANDIDATES}"
     ));
     group.bench_function(BenchmarkId::from_parameter("pure_spot_pinned"), |b| {
-        b.iter(|| {
-            let mut total = 0usize;
-            for (chain, pools) in &paths {
-                let reprice = reprice_for(pools);
-                total += chain
-                    .solve_fleet_bounded(scenario, budget, &initial, false, &reprice)
-                    .len();
-            }
-            black_box(total)
-        })
+        b.iter(|| black_box(sweep(false)))
     });
     group.bench_function(BenchmarkId::from_parameter("hedged_joint"), |b| {
-        b.iter(|| {
-            let mut total = 0usize;
-            for (chain, pools) in &paths {
-                let reprice = reprice_for(pools);
-                total += chain
-                    .solve_fleet_bounded(scenario, budget, &initial, true, &reprice)
-                    .len();
-            }
-            black_box(total)
-        })
+        b.iter(|| black_box(sweep(true)))
     });
     group.finish();
 }
 
-/// Tree vs flat at K = 32 for the hedged *joint* solve: the flat sweep
-/// pays one evaluator build (greedy fill) plus 7 warm transitions per
-/// path; the scenario tree pays one build per root, one transition per
+/// Shared vs unshared at K = 32 for the hedged *joint* solve: every
+/// path alone pays one evaluator build (greedy fill) plus 7 warm
+/// transitions; the scenario tree pays one build per root, one transition per
 /// tree edge and a cheap fork per extra sibling — the correlated crunch
 /// regime is discrete, so sampled paths share long quote prefixes and
 /// the tree is much smaller than K × epochs. Identical outcomes are
@@ -224,7 +219,7 @@ fn bench_scenario_tree_vs_flat(c: &mut Criterion) {
         )
     };
 
-    // Flat reference: one chain + per-epoch pool terms per path.
+    // Unshared reference: one chain + per-epoch pool terms per path.
     let flat: Vec<(EpochChain, Vec<(f64, InterruptionRisk)>)> = sampled
         .iter()
         .map(|p| {
@@ -263,7 +258,7 @@ fn bench_scenario_tree_vs_flat(c: &mut Criterion) {
     );
     let scenario = Scenario::tradeoff_normalized(0.5);
     let budget = 2 * CANDIDATES + 8;
-    let initial = vec![Placement::Spot; CANDIDATES];
+    let initial = [Placement::Spot; CANDIDATES];
     fn pool_reprice(
         pools: &[(f64, InterruptionRisk)],
     ) -> impl Fn(usize, usize, Placement, &ViewCharge) -> ViewCharge + '_ {
@@ -278,14 +273,19 @@ fn bench_scenario_tree_vs_flat(c: &mut Criterion) {
         }
     }
 
-    // Sanity: tree and flat must agree before we time them.
-    let tree_reprice = pool_reprice(&node_pools);
-    let tree_steps =
-        chain.solve_tree_fleet_bounded(scenario, budget, &tree, &initial, true, &tree_reprice);
+    let hedged = |pools| ChainSpec {
+        reprice: pool_reprice(pools),
+        initial: Some(&initial[..]),
+        rebalance: true,
+        max_moves: budget,
+    };
+
+    // Sanity: shared and unshared must agree before we time them.
+    let tree_spec = hedged(&node_pools);
+    let tree_steps = chain.solve_with(scenario, &tree_spec, Topology::Tree(&tree));
     for (j, (fchain, pools)) in flat.iter().enumerate() {
-        let reprice = pool_reprice(pools);
-        let warm = fchain.solve_fleet_bounded(scenario, budget, &initial, true, &reprice);
-        for (t, w) in tree_steps[j].iter().zip(&warm) {
+        let warm = &fchain.solve_with(scenario, &hedged(pools), Topology::Path)[0];
+        for (t, w) in tree_steps[j].iter().zip(warm) {
             assert_eq!(t.outcome.evaluation, w.outcome.evaluation);
         }
     }
@@ -297,10 +297,7 @@ fn bench_scenario_tree_vs_flat(c: &mut Criterion) {
         b.iter(|| {
             let mut total = 0usize;
             for (fchain, pools) in &flat {
-                let reprice = pool_reprice(pools);
-                total += fchain
-                    .solve_fleet_bounded(scenario, budget, &initial, true, &reprice)
-                    .len();
+                total += fchain.solve_with(scenario, &hedged(pools), Topology::Path)[0].len();
             }
             black_box(total)
         })
@@ -309,14 +306,7 @@ fn bench_scenario_tree_vs_flat(c: &mut Criterion) {
         b.iter(|| {
             black_box(
                 chain
-                    .solve_tree_fleet_bounded(
-                        scenario,
-                        budget,
-                        &tree,
-                        &initial,
-                        true,
-                        &tree_reprice,
-                    )
+                    .solve_with(scenario, &tree_spec, Topology::Tree(&tree))
                     .len(),
             )
         })

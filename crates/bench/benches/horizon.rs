@@ -11,9 +11,10 @@
 //!    vector, a fresh `SelectionProblem`, a fresh evaluator repositioned
 //!    by O(n) flips, and one snapshot.
 //! 2. **chain solve** — `EpochChain::solve` vs two rebuild policies
-//!    over an 8-epoch mildly-drifting horizon: `solve_rebuilding` (the
-//!    bit-identical reference that rebuilds the machinery but keeps the
-//!    warm selection) and the pre-refactor "one problem, one solve"
+//!    over an 8-epoch mildly-drifting horizon: `solve_rebuilding` on
+//!    the same single-pool spec (the bit-identical reference that
+//!    rebuilds the machinery but keeps the warm selection) and the
+//!    pre-refactor "one problem, one solve"
 //!    policy that also re-derives every epoch's selection from scratch
 //!    (greedy fill + improve on a fresh problem).
 //!
@@ -23,7 +24,7 @@
 use std::hint::black_box;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use mv_select::epoch::EpochChain;
+use mv_select::epoch::{ChainSpec, EpochChain};
 use mv_select::{IncrementalEvaluator, Scenario, SelectionProblem, SelectionSet};
 use mvcloud::CloudCostModel;
 
@@ -119,10 +120,12 @@ fn bench_chain_solve(c: &mut Criterion) {
         .collect();
     let chain = EpochChain::new(models, problem.candidates().to_vec());
     let scenario = Scenario::tradeoff_normalized(0.5);
+    // `solve`'s own spec, for the rebuilding reference.
+    let spec = ChainSpec::single_pool(mv_select::local_search::default_move_budget(CANDIDATES));
     // Sanity: warm and rebuild must agree before we time them.
     {
         let warm = chain.solve(scenario);
-        let rebuilt = chain.solve_rebuilding(scenario);
+        let rebuilt = chain.solve_rebuilding(scenario, &spec);
         for (w, r) in warm.iter().zip(&rebuilt) {
             assert_eq!(w.outcome.evaluation, r.outcome.evaluation);
         }
@@ -150,7 +153,7 @@ fn bench_chain_solve(c: &mut Criterion) {
         })
     });
     group.bench_function(BenchmarkId::from_parameter("rebuild_per_epoch"), |b| {
-        b.iter(|| black_box(chain.solve_rebuilding(scenario).len()))
+        b.iter(|| black_box(chain.solve_rebuilding(scenario, &spec).len()))
     });
     group.bench_function(BenchmarkId::from_parameter("warm_start"), |b| {
         b.iter(|| black_box(chain.solve(scenario).len()))

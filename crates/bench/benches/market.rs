@@ -13,10 +13,12 @@
 //!    flips, and one snapshot.
 //! 2. **K-path sweep** — the `solve_market` hot loop at the `mv-select`
 //!    layer: K sampled spot paths, each solved over an 8-epoch horizon
-//!    by `EpochChain::solve_repriced` (one live evaluator per path) vs
-//!    `solve_repriced_rebuilding_bounded` (fresh problem + evaluator
-//!    every epoch). Identical outcomes (asserted before timing), only
-//!    the state handoff differs.
+//!    by `EpochChain::solve_with` on its own chain (one live evaluator
+//!    per path) vs `solve_rebuilding` on the same spec (fresh problem +
+//!    evaluator every epoch). Identical outcomes (asserted before
+//!    timing), only the state handoff differs.
+//! 3. **scenario tree vs unshared** — K = 32 paths as one prefix
+//!    forest vs the same paths one at a time.
 //!
 //! The acceptance bar for this PR: warm-start measurably faster than
 //! rebuild in both groups (ratios recorded in ROADMAP.md).
@@ -24,8 +26,8 @@
 use std::hint::black_box;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use mv_select::epoch::{EpochChain, EpochTree, EpochTreeNode};
-use mv_select::{IncrementalEvaluator, Scenario, SelectionProblem, SelectionSet};
+use mv_select::epoch::{ChainSpec, EpochChain, EpochStep, EpochTree, EpochTreeNode, Topology};
+use mv_select::{IncrementalEvaluator, Placement, Scenario, SelectionProblem, SelectionSet};
 use mvcloud::cost::InterruptionRisk;
 use mvcloud::market::{MarketPath, MarketScenario, PriceProcess, ScenarioTree, SpotMarket};
 use mvcloud::{CloudCostModel, ViewCharge};
@@ -72,6 +74,32 @@ fn compile_path(
         .map(|q| InterruptionRisk::new(q.interruption))
         .collect();
     (models, risks)
+}
+
+/// The single-pool spec the market solve runs: every charge re-risked
+/// by its node's (a path's: its epoch's) interruption premium.
+fn risk_spec(
+    risks: &[InterruptionRisk],
+    max_moves: usize,
+) -> ChainSpec<'static, impl Fn(usize, usize, Placement, &ViewCharge) -> ViewCharge + Sync + '_> {
+    ChainSpec {
+        reprice: move |node: usize, _k: usize, _p: Placement, v: &ViewCharge| risks[node].adjust(v),
+        initial: None,
+        rebalance: false,
+        max_moves,
+    }
+}
+
+/// One path solved alone, on its own chain.
+fn solve_path(
+    chain: &EpochChain,
+    risks: &[InterruptionRisk],
+    scenario: Scenario,
+    max_moves: usize,
+) -> Vec<EpochStep> {
+    chain
+        .solve_with(scenario, &risk_spec(risks, max_moves), Topology::Path)
+        .remove(0)
 }
 
 fn bench_price_drift_handoff(c: &mut Criterion) {
@@ -163,9 +191,8 @@ fn bench_k_path_sweep(c: &mut Criterion) {
     let budget = 2 * CANDIDATES + 8;
     // Sanity: warm and rebuild must agree before we time them.
     for (chain, risks) in &paths {
-        let reprice = |e: usize, _k: usize, v: &ViewCharge| risks[e].adjust(v);
-        let warm = chain.solve_repriced_bounded(scenario, budget, &reprice);
-        let rebuilt = chain.solve_repriced_rebuilding_bounded(scenario, budget, &reprice);
+        let warm = solve_path(chain, risks, scenario, budget);
+        let rebuilt = chain.solve_rebuilding(scenario, &risk_spec(risks, budget));
         for (w, r) in warm.iter().zip(&rebuilt) {
             assert_eq!(w.outcome.evaluation, r.outcome.evaluation);
         }
@@ -177,9 +204,8 @@ fn bench_k_path_sweep(c: &mut Criterion) {
         b.iter(|| {
             let mut total = 0usize;
             for (chain, risks) in &paths {
-                let reprice = |e: usize, _k: usize, v: &ViewCharge| risks[e].adjust(v);
                 total += chain
-                    .solve_repriced_rebuilding_bounded(scenario, budget, &reprice)
+                    .solve_rebuilding(scenario, &risk_spec(risks, budget))
                     .len();
             }
             black_box(total)
@@ -189,10 +215,7 @@ fn bench_k_path_sweep(c: &mut Criterion) {
         b.iter(|| {
             let mut total = 0usize;
             for (chain, risks) in &paths {
-                let reprice = |e: usize, _k: usize, v: &ViewCharge| risks[e].adjust(v);
-                total += chain
-                    .solve_repriced_bounded(scenario, budget, &reprice)
-                    .len();
+                total += solve_path(chain, risks, scenario, budget).len();
             }
             black_box(total)
         })
@@ -200,9 +223,9 @@ fn bench_k_path_sweep(c: &mut Criterion) {
     group.finish();
 }
 
-/// Tree vs flat at K = 32: the tentpole's acceptance shape. The flat
-/// sweep solves every path as its own chain — 32 evaluator builds (one
-/// greedy fill each) plus 32 × 7 retargets. The scenario tree factors
+/// Shared vs unshared at K = 32. The unshared sweep solves every path
+/// alone on its own chain — 32 evaluator builds (one greedy fill each)
+/// plus 32 × 7 retargets. The scenario tree factors
 /// the sampled paths into a prefix forest (the spot process pins epoch
 /// 0, so all 32 share one root) and solves each *node* once: 1 build,
 /// one retarget per edge, a cheap fork per extra sibling. Identical
@@ -212,7 +235,7 @@ fn bench_scenario_tree_vs_flat(c: &mut Criterion) {
     let market = spot_market(17);
     let sampled: Vec<MarketPath> = (0..TREE_PATHS).map(|j| market.path(j)).collect();
 
-    // Flat reference: one chain + per-epoch risks per path.
+    // Unshared reference: one chain + per-epoch risks per path.
     let flat: Vec<(EpochChain, Vec<InterruptionRisk>)> = sampled
         .iter()
         .map(|p| {
@@ -264,12 +287,12 @@ fn bench_scenario_tree_vs_flat(c: &mut Criterion) {
     let scenario = Scenario::tradeoff_normalized(0.5);
     let budget = 2 * CANDIDATES + 8;
 
-    // Sanity: tree and flat must price identically before we time them.
-    let tree_reprice = |node: usize, _k: usize, v: &ViewCharge| node_risks[node].adjust(v);
-    let tree_steps = chain.solve_tree_bounded(scenario, budget, &tree, &tree_reprice);
+    // Sanity: shared and unshared must price identically before we
+    // time them.
+    let tree_spec = risk_spec(&node_risks, budget);
+    let tree_steps = chain.solve_with(scenario, &tree_spec, Topology::Tree(&tree));
     for (j, (fchain, risks)) in flat.iter().enumerate() {
-        let reprice = |e: usize, _k: usize, v: &ViewCharge| risks[e].adjust(v);
-        let warm = fchain.solve_repriced_bounded(scenario, budget, &reprice);
+        let warm = solve_path(fchain, risks, scenario, budget);
         for (t, w) in tree_steps[j].iter().zip(&warm) {
             assert_eq!(t.outcome.evaluation, w.outcome.evaluation);
         }
@@ -282,10 +305,7 @@ fn bench_scenario_tree_vs_flat(c: &mut Criterion) {
         b.iter(|| {
             let mut total = 0usize;
             for (fchain, risks) in &flat {
-                let reprice = |e: usize, _k: usize, v: &ViewCharge| risks[e].adjust(v);
-                total += fchain
-                    .solve_repriced_bounded(scenario, budget, &reprice)
-                    .len();
+                total += solve_path(fchain, risks, scenario, budget).len();
             }
             black_box(total)
         })
@@ -294,7 +314,7 @@ fn bench_scenario_tree_vs_flat(c: &mut Criterion) {
         b.iter(|| {
             black_box(
                 chain
-                    .solve_tree_bounded(scenario, budget, &tree, &tree_reprice)
+                    .solve_with(scenario, &tree_spec, Topology::Tree(&tree))
                     .len(),
             )
         })

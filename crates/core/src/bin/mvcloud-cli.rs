@@ -150,12 +150,12 @@ fn print_usage() {
            mvcloud-cli market [--epochs N] [--paths K] [--seed S] [--volatility V]\n\
                               [--spot-mean M] [--bid B] [--cut-epoch E] [--cut-factor F]\n\
                               [--decay R] [--queries N] [--rows N] [--commitment]\n\
-                              [--flat] (--budget X | --time-limit H | --alpha A)\n\
+                              (--budget X | --time-limit H | --alpha A)\n\
            mvcloud-cli fleet [--epochs N] [--paths K] [--seed S] [--spot-mean M]\n\
                              [--volatility V] [--crunch-share S] [--persistence R]\n\
                              [--crunch-hazard H] [--crunch-factor F] [--reserved-rate R]\n\
                              [--pin spot|reserved] [--queries N] [--rows N]\n\
-                             [--commitment] [--no-compare] [--flat]\n\
+                             [--commitment] [--no-compare]\n\
                              (--budget X | --time-limit H | --alpha A)\n\
            mvcloud-cli calibrate [--domain sales|ssb] [--queries N] [--rows N]\n\
                                  [--frequency F] [--seed S] [--epochs N] [--scale GB]\n\
@@ -214,8 +214,6 @@ fn print_usage() {
            --cut-factor F   the cut's compute factor             [default 0.8]\n\
            --decay R        linear storage-rate decline/epoch    [default 0]\n\
            --commitment     price each path vs a reservation\n\
-           --flat           solve each path as its own chain instead of\n\
-                            the shared-prefix scenario tree (reference loop)\n\
          emits the per-epoch quantile timeline as JSON\n\
          \n\
          fleet flags (plus advise's workload/scenario flags):\n\
@@ -232,8 +230,6 @@ fn print_usage() {
            --pin P           pin every view: spot|reserved (pure fleet)\n\
            --commitment      price the reserved pool's reservation\n\
            --no-compare      skip the pure-spot/pure-reserved comparison\n\
-           --flat            solve each path as its own chain instead of\n\
-                             the shared-prefix scenario tree (reference loop)\n\
          emits the per-epoch hedge/quantile timeline as JSON\n\
          \n\
          calibrate flags (plus the scenario flags):\n\
@@ -747,7 +743,6 @@ fn cmd_market(args: &[String]) -> Result<(), String> {
 
     let mut args: Vec<String> = args.to_vec();
     let commitment_flag = extract_switch(&mut args, "--commitment");
-    let flat = extract_switch(&mut args, "--flat");
     let flags = parse_flags(&args)?;
     flags.expect_known(
         &[
@@ -824,7 +819,6 @@ fn cmd_market(args: &[String]) -> Result<(), String> {
         market,
         paths,
         commitment: commitment_flag.then(CommitmentPlan::aws_small_1yr),
-        flat,
         ..MarketConfig::default()
     };
     let report = advisor
@@ -842,7 +836,6 @@ fn cmd_fleet(args: &[String]) -> Result<(), String> {
     let mut args: Vec<String> = args.to_vec();
     let commitment_flag = extract_switch(&mut args, "--commitment");
     let no_compare = extract_switch(&mut args, "--no-compare");
-    let flat = extract_switch(&mut args, "--flat");
     let flags = parse_flags(&args)?;
     flags.expect_known(
         &[
@@ -925,7 +918,6 @@ fn cmd_fleet(args: &[String]) -> Result<(), String> {
         paths,
         fleet,
         compare_pure: !no_compare,
-        flat,
         ..FleetConfig::default()
     };
     let report = advisor

@@ -1,41 +1,49 @@
-//! Hedged mixed-fleet advising: joint selection + placement against
-//! sampled price paths with correlated interruption epochs.
+//! Hedged mixed-fleet advising — and the one Monte-Carlo driver: joint
+//! selection + placement against sampled price paths with correlated
+//! interruption epochs.
 //!
-//! [`Advisor::solve_market`] prices one homogeneous fleet against one
-//! sampled price sheet — reserved-vs-spot is an all-or-nothing
-//! comparison of whole fleets. [`Advisor::solve_fleet`] makes the
-//! hedge a **per-view decision**: an [`mv_pricing::FleetPlan`] splits
-//! capacity into a reserved pool and a spot pool, each view's
-//! [`Placement`] decides which pool its build/refresh work (and
-//! storage) bills against, and the transition-aware chain searches
-//! placements jointly with the selection itself
-//! (`EpochChain::solve_fleet` — placement-flip local-search moves on
-//! the same warm `retarget`/`update_charge` path, one evaluator per
-//! path, never a rebuild; asserted in `tests/market_no_rebuild.rs`).
+//! [`Advisor::solve_horizon`] re-bills a measured workload over a
+//! multi-epoch horizon with one pricing policy for every epoch.
+//! [`Advisor::solve_fleet`] replaces that constant with an
+//! [`mv_market::MarketScenario`] sampled into `K` reproducible price
+//! paths, and makes the reserved-vs-spot hedge a **per-view decision**:
+//! an [`mv_pricing::FleetPlan`] splits capacity into a reserved pool
+//! and a spot pool, each view's [`Placement`] decides which pool its
+//! build/refresh work (and storage) bills against, and the
+//! transition-aware chain searches placements jointly with the
+//! selection itself (placement-flip moves on the warm evaluator).
 //!
-//! The shared charges (workload processing, dataset storage,
-//! transfer) follow the plan's *primary* pool: a spot primary rides
-//! the sampled market sheet exactly like `solve_market`, a reserved
-//! primary keeps the contract sheet and only spot-*placed* views feel
-//! the market. Cross-pool rate differentials are folded into
-//! effective billable hours by [`mv_cost::PoolCharge`], and spot
-//! interruption premiums apply **only to spot-placed views** — which
-//! is what makes the degenerate plans exact:
-//! [`FleetPlan::pure_spot`] reproduces `solve_market` bit-for-bit per
-//! path, and [`FleetPlan::pure_reserved`] reproduces the risk-free
-//! `solve_horizon` (both property-tested in `tests/fleet.rs`).
+//! The driver is one pipeline: validate → sample the K paths once →
+//! factor them into a [`ScenarioTree`] (sampled paths share long quote
+//! prefixes; a deterministic market is a single chain) → one
+//! [`EpochChain::solve_with`] over the forest, with one quote-repriced
+//! primary-sheet model and one [`PoolCharge`] pair per tree *node* — one
+//! evaluator build per root, one warm transition per edge, one fork per
+//! extra sibling (counter-pinned in `tests/market_no_rebuild.rs`) → one
+//! per-path account → one envelope fold. [`Advisor::solve_market`] is
+//! this driver on the pure-spot plan ([`crate::MarketConfig::as_fleet`]),
+//! projected into a [`crate::MarketReport`]. [`Advisor::solve_fleet_paths`]
+//! is the inner *solve these sampled paths* step on its own: path `j`
+//! alone shares nothing and forks nothing, and must equal path `j` of
+//! the K-path solve bit for bit (`tests/tree_identity.rs`).
 //!
-//! Interruption hazards can additionally be *correlated* across
-//! epochs ([`mv_market::CorrelatedHazard`]): capacity crunches arrive
-//! in runs, which is exactly when pre-placing a view on reserved
-//! capacity ahead of the crunch beats reacting to it — the lookahead
-//! gap `EpochChain::solve_dp_fleet` quantifies.
+//! The shared charges (workload processing, dataset storage, transfer)
+//! follow the plan's *primary* pool: a spot primary rides the sampled
+//! market sheet, a reserved primary keeps the contract sheet and only
+//! spot-*placed* views feel the market. Cross-pool rate differentials
+//! are folded into effective billable hours by [`mv_cost::PoolCharge`],
+//! and interruption premiums apply **only to spot-placed views** — so
+//! [`FleetPlan::pure_reserved`] reproduces the risk-free `solve_horizon`
+//! exactly (`tests/fleet.rs`). Hazards can be *correlated* across epochs
+//! ([`mv_market::CorrelatedHazard`]): crunches arrive in runs, which is
+//! when pre-placing a view on reserved capacity beats reacting — the
+//! lookahead gap `EpochChain::solve_dp_fleet` quantifies.
 //!
-//! The report is the market report's mixed-fleet generalization:
-//! per-pool bills and hours, per-epoch **hedge-ratio quantiles** (the
-//! spot-placed share of the selection across paths), placement churn,
-//! and a hedged-vs-pure-spot-vs-pure-reserved comparison priced on
-//! the same sampled paths.
+//! The report is a Monte-Carlo envelope rather than a single bill:
+//! per-pool bills and hours, per-epoch cost and **hedge-ratio
+//! quantiles** (the spot-placed share of the selection across paths),
+//! plan stability, placement churn, and a
+//! hedged-vs-pure-spot-vs-pure-reserved comparison on the same paths.
 
 use std::collections::HashMap;
 
@@ -43,13 +51,13 @@ use mv_cost::{CloudCostModel, InterruptionRisk, PoolCharge, SelectionSet, ViewCh
 use mv_lattice::WorkloadEvolution;
 use mv_market::{EpochQuote, MarketPath, MarketScenario, ScenarioTree};
 use mv_pricing::{FleetPlan, Placement};
-use mv_select::epoch::{EpochChain, EpochStep, EpochTree, EpochTreeNode};
-use mv_select::Scenario;
+use mv_select::epoch::{ChainSpec, EpochChain, EpochStep, EpochTree, EpochTreeNode, Topology};
+use mv_select::{local_search, Scenario};
 use mv_units::{Hours, Money};
 use serde::Serialize;
 
 use crate::market::{Quantiles, SpotCommitmentReport};
-use crate::{Advisor, AdvisorError};
+use crate::{Advisor, AdvisorError, HorizonConfig};
 
 /// Shape of a mixed-fleet Monte-Carlo solve.
 #[derive(Debug, Clone)]
@@ -64,17 +72,13 @@ pub struct FleetConfig {
     pub fleet: FleetPlan,
     /// Also solve every path with the fleet pinned all-spot and
     /// all-reserved and report the three-way comparison (three chain
-    /// solves per path instead of one).
+    /// solves over the same sampled forest instead of one).
     pub compare_pure: bool,
-    /// Use the flat per-path reference loop instead of the scenario
-    /// tree. Results are bit-identical either way (pinned by
-    /// `tests/tree_identity.rs`); the tree is the default hot path.
-    pub flat: bool,
 }
 
 impl Default for FleetConfig {
     /// 16 paths over a year of constant prices, a rebalancing hedged
-    /// fleet, pure comparators on, scenario-tree solving.
+    /// fleet, pure comparators on.
     fn default() -> Self {
         FleetConfig {
             market: MarketScenario::constant(12, 42),
@@ -82,7 +86,6 @@ impl Default for FleetConfig {
             evolution: WorkloadEvolution::fixed(),
             fleet: FleetPlan::hedged("hedged"),
             compare_pure: true,
-            flat: false,
         }
     }
 }
@@ -117,6 +120,13 @@ pub struct FleetPathSummary {
     pub spot_share: f64,
     /// Per-epoch charged cost.
     pub epoch_costs: Vec<Money>,
+    /// Per-epoch processing hours.
+    pub epoch_times: Vec<Hours>,
+    /// Per-epoch billable instance-hours (each epoch's rounded
+    /// components summed on their own).
+    pub epoch_billed_hours: Vec<Hours>,
+    /// Per-epoch spot-placed share of the selection (0 when empty).
+    pub epoch_spot_shares: Vec<f64>,
     /// Per-epoch selected sets.
     pub selections: Vec<SelectionSet>,
     /// Per-epoch placement assignments (selected entries meaningful).
@@ -132,6 +142,8 @@ pub struct FleetEpochReport {
     pub charged_cost: Quantiles,
     /// Running cumulative bill across paths, in dollars.
     pub cumulative_cost: Quantiles,
+    /// Frequency-weighted processing hours across paths.
+    pub time_hours: Quantiles,
     /// The spot-placed share of the selected views across paths (the
     /// hedge ratio; 0 = all reserved, 1 = all spot).
     pub hedge_ratio: Quantiles,
@@ -190,12 +202,12 @@ pub struct FleetReport {
     pub commitment: Option<SpotCommitmentReport>,
     /// Distinct full-horizon solves actually performed for the K
     /// requested paths of the *hedged* fleet: distinct scenario-tree
-    /// leaves (tree mode) or distinct quote sequences after hash dedup
-    /// (flat mode); 1 when the fleet never sees the market at all.
+    /// leaves (identical quote sequences share one); 1 when the fleet
+    /// never sees the market at all.
     pub distinct_solves: usize,
-    /// Scenario-tree node count — the number of epoch-solves the tree
-    /// route paid. `None` when the flat reference path (or the
-    /// market-insulated shortcut) was used.
+    /// Scenario-tree node count — the number of epoch-solves paid (vs
+    /// `distinct_solves × epochs` without prefix sharing). `None` when
+    /// the fleet is market-insulated and no forest was solved.
     pub tree_nodes: Option<usize>,
     /// Telemetry delta covering this solve, when [`mv_obs`] was
     /// enabled at entry; `None` otherwise (and never serialized by
@@ -242,55 +254,118 @@ impl FleetReport {
     }
 }
 
-/// One solved fleet path (the summary already folds in everything the
-/// renderer needs from the chain steps).
+/// What [`Advisor::solve_fleet_paths`] returns.
 #[derive(Debug, Clone)]
-struct SolvedFleetPath {
-    summary: FleetPathSummary,
-    path: MarketPath,
+pub struct SolvedPaths {
+    /// Per-path accounting, in the order the paths were given.
+    pub paths: Vec<FleetPathSummary>,
+    /// See [`FleetReport::distinct_solves`].
+    pub distinct_solves: usize,
+    /// See [`FleetReport::tree_nodes`].
+    pub tree_nodes: Option<usize>,
+}
+
+/// Sampled paths factored into their shared-prefix forest, over the
+/// evolution-reweighted base models every fleet plan re-prices from.
+struct Forest<'a> {
+    sampled: &'a [MarketPath],
+    tree: ScenarioTree,
+    base: &'a [CloudCostModel],
+}
+
+impl<'a> Forest<'a> {
+    fn new(sampled: &'a [MarketPath], base: &'a [CloudCostModel]) -> Self {
+        Forest {
+            sampled,
+            tree: ScenarioTree::from_paths(sampled),
+            base,
+        }
+    }
+}
+
+/// The [`PoolCharge`] pair one sampled quote induces under a fleet: how
+/// a view placed on either pool is effectively charged against the
+/// primary sheet. The primary pool is always the exact identity on
+/// rates; the spot pool carries the quote's interruption risk.
+fn quote_pool_charges(quote: &EpochQuote, fleet: &FleetPlan) -> [PoolCharge; 2] {
+    let rates = |p: Placement| -> (f64, f64) {
+        let terms = fleet.terms(p);
+        match p {
+            Placement::Reserved => (terms.rate_factor, terms.storage_factor),
+            Placement::Spot => (
+                terms.rate_factor * quote.factors.compute,
+                terms.storage_factor,
+            ),
+        }
+    };
+    let (primary_rate, primary_storage) = rates(fleet.primary);
+    let pool = |p: Placement, risk: InterruptionRisk| -> PoolCharge {
+        if p == fleet.primary {
+            // The primary pool *is* the sheet: exact identity on rates
+            // by construction.
+            return PoolCharge::new(1.0, 1.0, risk);
+        }
+        let (rate, storage) = rates(p);
+        PoolCharge::new(rate / primary_rate, storage / primary_storage, risk)
+    };
+    [
+        pool(Placement::Reserved, InterruptionRisk::NONE),
+        pool(Placement::Spot, InterruptionRisk::new(quote.interruption)),
+    ]
+}
+
+/// A pool's slot in a `[reserved, spot]` pair.
+fn pool_index(p: Placement) -> usize {
+    usize::from(p == Placement::Spot)
+}
+
+/// A NaN or infinite process parameter (a price trace entry, a
+/// volatility) poisons the sampled quotes; fail before any model is
+/// compiled from them, with the offending metric named.
+fn check_finite(sampled: &[MarketPath]) -> Result<(), AdvisorError> {
+    for q in sampled.iter().flat_map(|p| &p.quotes) {
+        let f = &q.factors;
+        let metric = if !(f.compute.is_finite() && f.storage.is_finite() && f.transfer.is_finite())
+        {
+            "price factor"
+        } else if !q.interruption.is_finite() {
+            "interruption probability"
+        } else {
+            continue;
+        };
+        return Err(AdvisorError::NonFiniteMetric {
+            metric: metric.to_string(),
+        });
+    }
+    Ok(())
 }
 
 impl Advisor {
-    /// The per-epoch costing models the fleet's *primary* pool induces
-    /// for one sampled path: a spot primary rides the path's quotes
-    /// exactly like [`Advisor::market_epoch_models`]; a reserved
-    /// primary keeps the base sheet (market dynamics reach only the
-    /// spot-placed views' charges). Non-parity primary terms scale the
-    /// sheet on top; parity terms leave it bit-identical.
-    pub fn fleet_epoch_models(
+    /// The evolution-reweighted per-epoch models *before* any market
+    /// quote is applied — the base every tree node re-prices from.
+    fn market_base_models(
         &self,
-        path: &MarketPath,
+        epochs: usize,
         evolution: &WorkloadEvolution,
-        fleet: &FleetPlan,
     ) -> Vec<CloudCostModel> {
-        self.market_base_models(path.quotes.len(), evolution)
-            .iter()
-            .zip(&path.quotes)
-            .map(|(base, quote)| self.fleet_quote_model(base, quote, fleet))
-            .collect()
+        self.epoch_models(&HorizonConfig {
+            epochs,
+            evolution: *evolution,
+            commitment: None,
+        })
     }
 
-    /// One epoch's base model under the fleet's primary sheet for one
-    /// sampled quote — the per-node unit both the flat loop and the
-    /// scenario tree compile their models from.
-    fn fleet_quote_model(
+    /// `base` on another price sheet, the rented instance re-resolved
+    /// from it: the context embeds the *resolved* instance (Formula 4
+    /// prices through `ctx.instance.hourly`), so keeping the old one
+    /// would keep compute drift off the bill.
+    fn repriced_model(
         &self,
         base: &CloudCostModel,
-        quote: &EpochQuote,
-        fleet: &FleetPlan,
+        pricing: mv_pricing::PricingPolicy,
     ) -> CloudCostModel {
-        let model = match fleet.primary {
-            Placement::Spot => self.quote_model(base, quote),
-            Placement::Reserved => base.clone(),
-        };
-        let terms = fleet.terms(fleet.primary);
-        if terms.is_parity() {
-            return model;
-        }
-        let mut ctx = model.context().clone();
-        ctx.pricing = ctx
-            .pricing
-            .scale_rates(terms.rate_factor, terms.storage_factor, 1.0);
+        let mut ctx = base.context().clone();
+        ctx.pricing = pricing;
         ctx.instance = ctx
             .pricing
             .compute
@@ -300,51 +375,36 @@ impl Advisor {
         CloudCostModel::new(ctx)
     }
 
-    /// The [`PoolCharge`] pair one sampled quote induces under a
-    /// fleet: how a view placed on either pool is effectively charged
-    /// against the primary sheet. The primary pool is always the exact
-    /// identity on rates; the spot pool carries the quote's
-    /// interruption risk.
-    fn quote_pool_charges(quote: &EpochQuote, fleet: &FleetPlan) -> [PoolCharge; 2] {
-        let spot_risk = InterruptionRisk::new(quote.interruption);
-        let reserved_rate = fleet.reserved.rate_factor;
-        let spot_rate = fleet.spot.rate_factor * quote.factors.compute;
-        let pool = |p: Placement| -> PoolCharge {
-            let risk = match p {
-                Placement::Reserved => InterruptionRisk::NONE,
-                Placement::Spot => spot_risk,
-            };
-            if p == fleet.primary {
-                // The primary pool *is* the sheet: exact
-                // identity on rates by construction.
-                return PoolCharge::new(1.0, 1.0, risk);
-            }
-            let (rate, storage) = match p {
-                Placement::Reserved => (reserved_rate, fleet.reserved.storage_factor),
-                Placement::Spot => (spot_rate, fleet.spot.storage_factor),
-            };
-            let (primary_rate, primary_storage) = match fleet.primary {
-                Placement::Reserved => (reserved_rate, fleet.reserved.storage_factor),
-                Placement::Spot => (spot_rate, fleet.spot.storage_factor),
-            };
-            PoolCharge::new(rate / primary_rate, storage / primary_storage, risk)
+    /// One epoch's base model under the fleet's *primary* sheet for one
+    /// sampled quote: a spot primary rides the quote (unit quotes
+    /// reproduce the base model bit-for-bit); a reserved primary keeps
+    /// the base sheet. Non-parity primary terms scale the sheet on top;
+    /// parity terms leave it bit-identical.
+    fn fleet_quote_model(
+        &self,
+        base: &CloudCostModel,
+        quote: &EpochQuote,
+        fleet: &FleetPlan,
+    ) -> CloudCostModel {
+        let model = match fleet.primary {
+            Placement::Spot => self.repriced_model(base, quote.reprice(&self.config().pricing)),
+            Placement::Reserved => base.clone(),
         };
-        [pool(Placement::Reserved), pool(Placement::Spot)]
-    }
-
-    /// The per-epoch [`PoolCharge`]s one sampled path induces under a
-    /// fleet (one [`Advisor::quote_pool_charges`] pair per epoch).
-    fn fleet_pool_charges(path: &MarketPath, fleet: &FleetPlan) -> Vec<[PoolCharge; 2]> {
-        path.quotes
-            .iter()
-            .map(|q| Self::quote_pool_charges(q, fleet))
-            .collect()
+        let terms = fleet.terms(fleet.primary);
+        if terms.is_parity() {
+            return model;
+        }
+        let scaled =
+            model
+                .context()
+                .pricing
+                .scale_rates(terms.rate_factor, terms.storage_factor, 1.0);
+        self.repriced_model(&model, scaled)
     }
 
     /// Solves the horizon across `K` sampled price paths with joint
     /// per-view selection + placement and reports the Monte-Carlo
-    /// envelope. See the module docs for semantics; the per-path hot
-    /// loop is one warm-started `EpochChain::solve_fleet`.
+    /// envelope. See the module docs for the pipeline.
     pub fn solve_fleet(
         &self,
         scenario: Scenario,
@@ -370,22 +430,26 @@ impl Advisor {
         }
 
         let telemetry_base = mv_obs::enabled().then(mv_obs::Snapshot::capture);
-        let (solved, distinct_solves, tree_nodes) =
-            self.solve_fleet_variant(scenario, config, &config.fleet);
+        // Sampled once: every fleet variant and the fold read these.
+        let sampled: Vec<MarketPath> = (0..config.paths).map(|j| config.market.path(j)).collect();
+        check_finite(&sampled)?;
+        let base = self.market_base_models(config.market.epochs, &config.evolution);
+        let forest = Forest::new(&sampled, &base);
+        let solved = self.solve_forest(scenario, &forest, &config.fleet);
         let comparison = config.compare_pure.then(|| {
-            let hedged: Vec<f64> = solved
-                .iter()
-                .map(|s| s.summary.total_cost.to_dollars_f64())
-                .collect();
-            let totals = |fleet: &FleetPlan| -> Vec<f64> {
-                self.solve_fleet_variant(scenario, config, fleet)
-                    .0
+            let totals = |solved: &SolvedPaths| -> Vec<f64> {
+                solved
+                    .paths
                     .iter()
-                    .map(|s| s.summary.total_cost.to_dollars_f64())
+                    .map(|p| p.total_cost.to_dollars_f64())
                     .collect()
             };
-            let pure_spot = totals(&config.fleet.as_pure(Placement::Spot));
-            let pure_reserved = totals(&config.fleet.as_pure(Placement::Reserved));
+            let pure = |pool: Placement| {
+                totals(&self.solve_forest(scenario, &forest, &config.fleet.as_pure(pool)))
+            };
+            let hedged = totals(&solved);
+            let pure_spot = pure(Placement::Spot);
+            let pure_reserved = pure(Placement::Reserved);
             let wins = hedged
                 .iter()
                 .zip(pure_spot.iter().zip(&pure_reserved))
@@ -398,413 +462,284 @@ impl Advisor {
                 hedged_wins_share: wins as f64 / hedged.len() as f64,
             }
         });
-        let mut report = self.render_fleet(config, solved, comparison, distinct_solves, tree_nodes);
+        let mut report = self.render_fleet(config, &sampled, solved, comparison);
         if let Some(base) = telemetry_base {
             report.telemetry = Some(mv_obs::Snapshot::capture().since(&base));
         }
         Ok(report)
     }
 
-    /// Solves all `config.paths` paths under one fleet variant,
-    /// routing through the scenario tree by default. A pinned
-    /// all-reserved fleet under a reserved primary never sees the
-    /// market at all, so one solve covers every path regardless of its
-    /// quotes (a dedup neither the tree nor the quote-sequence hash
-    /// can discover — the quotes *differ*, they just don't matter).
-    /// Returns the solved paths plus the
-    /// (`distinct_solves`, `tree_nodes`) accounting pair.
-    fn solve_fleet_variant(
+    /// Solves exactly these sampled paths under one fleet plan — the
+    /// driver's inner step, without sampling, validation or the envelope
+    /// fold. Paths that share a quote prefix share its solves; one path
+    /// alone is a one-leaf forest, which makes
+    /// `solve_fleet_paths(.., &[path_j])` the unshared reference path `j`
+    /// of any K-path solve must equal bit for bit.
+    ///
+    /// # Panics
+    /// Panics when `sampled` is empty or its paths span different (or
+    /// zero-length) horizons.
+    pub fn solve_fleet_paths(
         &self,
         scenario: Scenario,
-        config: &FleetConfig,
-        fleet: &FleetPlan,
-    ) -> (Vec<SolvedFleetPath>, usize, Option<usize>) {
-        let sampled: Vec<MarketPath> = (0..config.paths).map(|j| config.market.path(j)).collect();
-        let insulated = fleet.primary == Placement::Reserved
-            && fleet.pinned_pool() == Some(Placement::Reserved);
-        if insulated {
-            let solved = self.solve_fleet_paths(scenario, config, fleet, &[0]);
-            let out = sampled
-                .iter()
-                .enumerate()
-                .map(|(j, p)| {
-                    let mut s = solved[0].clone();
-                    s.summary.path = j;
-                    // Interruption *events* are still Bernoulli-sampled
-                    // per path — keep the replica's own quotes for
-                    // event reporting.
-                    s.path = p.clone();
-                    s
-                })
-                .collect();
-            return (out, 1, None);
-        }
-        if config.flat {
-            self.solve_fleet_flat(scenario, config, fleet, &sampled)
-        } else {
-            self.solve_fleet_tree(scenario, config, fleet, &sampled)
-        }
-    }
-
-    /// The scenario-tree hot path for one fleet variant: one
-    /// quote-repriced primary-sheet model and one [`PoolCharge`] pair
-    /// per tree *node*, solved jointly (selection + placement) in one
-    /// [`EpochChain::solve_tree_fleet`] pass. Bit-identical to
-    /// [`Advisor::solve_fleet_flat`].
-    fn solve_fleet_tree(
-        &self,
-        scenario: Scenario,
-        config: &FleetConfig,
+        evolution: &WorkloadEvolution,
         fleet: &FleetPlan,
         sampled: &[MarketPath],
-    ) -> (Vec<SolvedFleetPath>, usize, Option<usize>) {
-        let stree = ScenarioTree::from_paths(sampled);
-        let base = self.market_base_models(stree.epochs, &config.evolution);
-        let nodes: Vec<EpochTreeNode> = stree
+    ) -> SolvedPaths {
+        let epochs = sampled.first().map_or(0, |p| p.quotes.len());
+        let base = self.market_base_models(epochs, evolution);
+        self.solve_forest(scenario, &Forest::new(sampled, &base), fleet)
+    }
+
+    /// One chain solve over the forest under one fleet plan, then one
+    /// account per path.
+    fn solve_forest(
+        &self,
+        scenario: Scenario,
+        forest: &Forest<'_>,
+        fleet: &FleetPlan,
+    ) -> SolvedPaths {
+        let (sampled, stree) = (forest.sampled, &forest.tree);
+        // A pinned all-reserved fleet under a reserved primary never
+        // sees the market: the quotes *differ* across paths, they just
+        // don't matter (a sharing the prefix forest cannot discover),
+        // so the first path's solve stands for all.
+        let insulated = fleet.primary == Placement::Reserved
+            && fleet.pinned_pool() == Some(Placement::Reserved);
+        if insulated && sampled.len() > 1 {
+            let one = self.solve_forest(scenario, &Forest::new(&sampled[..1], forest.base), fleet);
+            let paths = sampled
+                .iter()
+                .enumerate()
+                .map(|(j, p)| FleetPathSummary {
+                    path: j,
+                    // Interruption *events* are still Bernoulli-sampled
+                    // per path.
+                    interruptions: p.interruptions(),
+                    ..one.paths[0].clone()
+                })
+                .collect();
+            return SolvedPaths { paths, ..one };
+        }
+
+        let models = stree
             .nodes()
             .iter()
-            .map(|n| EpochTreeNode {
-                parent: n.parent,
-                epoch: n.epoch,
-                model: self.fleet_quote_model(&base[n.epoch], &n.quote, fleet),
-            })
-            .collect();
-        let leaves: Vec<usize> = (0..sampled.len()).map(|j| stree.leaf_of(j)).collect();
-        let tree = EpochTree::new(nodes, leaves);
+            .map(|n| self.fleet_quote_model(&forest.base[n.epoch], &n.quote, fleet));
         let node_pools: Vec<[PoolCharge; 2]> = stree
             .nodes()
             .iter()
-            .map(|n| Self::quote_pool_charges(&n.quote, fleet))
+            .map(|n| quote_pool_charges(&n.quote, fleet))
             .collect();
-        let pool_charges = self.problem().candidates().to_vec();
-        let initial: Vec<Placement> = match fleet.initial {
-            Some(p) => vec![p; pool_charges.len()],
-            None => pool_charges.iter().map(|c| c.placement).collect(),
+        let pool = self.problem().candidates();
+        let forced = fleet.initial.map(|p| vec![p; pool.len()]);
+        let spec = ChainSpec {
+            reprice: |node: usize, _k: usize, p: Placement, transition: &ViewCharge| {
+                node_pools[node][pool_index(p)].adjust(transition)
+            },
+            initial: forced.as_deref(),
+            rebalance: fleet.rebalance,
+            max_moves: local_search::default_move_budget(pool.len()),
         };
-        let chain = EpochChain::new(base, pool_charges);
-        let reprice =
-            |node: usize, _k: usize, p: Placement, transition: &ViewCharge| -> ViewCharge {
-                node_pools[node][usize::from(p == Placement::Spot)].adjust(transition)
-            };
-        let per_path = chain.solve_tree_fleet(scenario, &tree, &initial, fleet.rebalance, &reprice);
-        let solved = sampled
-            .iter()
-            .zip(per_path)
-            .enumerate()
-            .map(|(j, (p, steps))| {
-                let pools = Self::fleet_pool_charges(p, fleet);
-                let summary = self.account_fleet_path(j, fleet, &chain, &steps, &pools);
-                SolvedFleetPath {
-                    summary,
-                    path: p.clone(),
-                }
-            })
-            .collect();
-        (solved, stree.distinct_leaves(), Some(stree.len()))
-    }
-
-    /// The flat per-path reference loop for one fleet variant: solve
-    /// one representative chain per *distinct quote sequence*
-    /// (fingerprint-bucketed, full-key-verified grouping —
-    /// [`crate::dedup`]; a deterministic market collapses to one
-    /// representative) and replicate the result to the aliases.
-    fn solve_fleet_flat(
-        &self,
-        scenario: Scenario,
-        config: &FleetConfig,
-        fleet: &FleetPlan,
-        sampled: &[MarketPath],
-    ) -> (Vec<SolvedFleetPath>, usize, Option<usize>) {
-        let groups = crate::dedup::quote_sequence_groups(sampled);
-        mv_obs::add(mv_obs::Counter::FleetDedupHits, groups.duplicates() as u64);
-        let (reps, rep_of) = (groups.reps, groups.rep_of);
-        let solved_reps = self.solve_fleet_paths(scenario, config, fleet, &reps);
-        let solved = sampled
-            .iter()
-            .enumerate()
-            .map(|(j, p)| {
-                let mut s = solved_reps[rep_of[j]].clone();
-                s.summary.path = j;
-                // Solve-relevant quote fields match the representative
-                // bit-for-bit; interruption *events* are Bernoulli
-                // -sampled per path, so keep the replica's own quotes
-                // for event reporting.
-                s.path = p.clone();
-                s
-            })
-            .collect();
-        (solved, reps.len(), None)
-    }
-
-    /// Solves the representative paths `reps`, fanned out across
-    /// threads in contiguous chunks and merged in order (identical
-    /// results for any thread count).
-    fn solve_fleet_paths(
-        &self,
-        scenario: Scenario,
-        config: &FleetConfig,
-        fleet: &FleetPlan,
-        reps: &[usize],
-    ) -> Vec<SolvedFleetPath> {
-        let threads = std::thread::available_parallelism()
-            .map_or(1, |t| t.get())
-            .min(reps.len());
-        let solve = |i: usize| -> SolvedFleetPath {
-            self.solve_fleet_path(scenario, config, fleet, reps[i])
-        };
-        if threads <= 1 {
-            return (0..reps.len()).map(solve).collect();
-        }
-        let chunk = reps.len().div_ceil(threads);
-        let solve = &solve;
-        crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .filter_map(|t| {
-                    let lo = t * chunk;
-                    let hi = ((t + 1) * chunk).min(reps.len());
-                    (lo < hi).then(|| scope.spawn(move |_| (lo..hi).map(solve).collect::<Vec<_>>()))
+        let (per_path, tree_nodes) = if insulated {
+            // One lineage the quotes never reach: its nodes are its
+            // epochs, so there is no forest to walk.
+            let chain = EpochChain::new(models.collect(), pool.to_vec());
+            (chain.solve_with(scenario, &spec, Topology::Path), None)
+        } else {
+            let nodes = stree
+                .nodes()
+                .iter()
+                .zip(models)
+                .map(|(n, model)| EpochTreeNode {
+                    parent: n.parent,
+                    epoch: n.epoch,
+                    model,
                 })
                 .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("fleet path worker panicked"))
-                .collect()
-        })
-        .expect("fleet sweep scope failed")
-    }
-
-    /// Solves one sampled path: compile the primary sheet's models and
-    /// the per-pool charges, run the joint warm-started chain, account
-    /// the result.
-    fn solve_fleet_path(
-        &self,
-        scenario: Scenario,
-        config: &FleetConfig,
-        fleet: &FleetPlan,
-        j: usize,
-    ) -> SolvedFleetPath {
-        mv_obs::span!("fleet/solve_path");
-        mv_obs::inc(mv_obs::Counter::FleetPathSolves);
-        let path = config.market.path(j);
-        let models = self.fleet_epoch_models(&path, &config.evolution, fleet);
-        let pools = Self::fleet_pool_charges(&path, fleet);
-        let pool_charges = self.problem().candidates().to_vec();
-        let initial: Vec<Placement> = match fleet.initial {
-            Some(p) => vec![p; pool_charges.len()],
-            None => pool_charges.iter().map(|c| c.placement).collect(),
+            let leaves = (0..sampled.len()).map(|j| stree.leaf_of(j)).collect();
+            let tree = EpochTree::new(nodes, leaves);
+            let chain = EpochChain::new(forest.base.to_vec(), pool.to_vec());
+            let per_path = chain.solve_with(scenario, &spec, Topology::Tree(&tree));
+            (per_path, Some(stree.len()))
         };
-        let chain = EpochChain::new(models, pool_charges);
-        let reprice = |e: usize, _k: usize, p: Placement, transition: &ViewCharge| -> ViewCharge {
-            pools[e][usize::from(p == Placement::Spot)].adjust(transition)
-        };
-        let steps = chain.solve_fleet(scenario, &initial, fleet.rebalance, &reprice);
-        let summary = self.account_fleet_path(j, fleet, &chain, &steps, &pools);
-        SolvedFleetPath { summary, path }
+        let paths = sampled
+            .iter()
+            .zip(&per_path)
+            .enumerate()
+            .map(|(j, (path, steps))| self.account_fleet_path(j, fleet, path, steps))
+            .collect();
+        SolvedPaths {
+            paths,
+            distinct_solves: stree.distinct_leaves(),
+            tree_nodes,
+        }
     }
 
     /// Per-path accounting: totals, billable hours through the same
-    /// component-rounding arithmetic as the market report (so the
-    /// pure-spot fleet reconciles bit-for-bit), raw per-pool work
+    /// component-rounding arithmetic as the horizon report (so a
+    /// risk-free path reconciles with it bit-for-bit), raw per-pool work
     /// attribution, and selection/placement churn.
     fn account_fleet_path(
         &self,
         j: usize,
         fleet: &FleetPlan,
-        chain: &EpochChain,
+        path: &MarketPath,
         steps: &[EpochStep],
-        pools: &[[PoolCharge; 2]],
     ) -> FleetPathSummary {
         let config = self.config();
         let rounding = config.pricing.compute.rounding;
-        let pool = chain.pool();
+        let pool = self.problem().candidates();
         let mut billed = Hours::ZERO;
         let mut reserved_hours = Hours::ZERO;
         let mut spot_hours = Hours::ZERO;
         let mut compute_bill = Money::ZERO;
         let mut switches = 0;
         let mut moves = 0;
-        let mut spot_share_sum = 0.0;
         let mut epoch_costs = Vec::with_capacity(steps.len());
+        let mut epoch_times = Vec::with_capacity(steps.len());
+        let mut epoch_billed_hours = Vec::with_capacity(steps.len());
+        let mut epoch_spot_shares: Vec<f64> = Vec::with_capacity(steps.len());
         let mut selections = Vec::with_capacity(steps.len());
         let mut placements = Vec::with_capacity(steps.len());
-        for (e, step) in steps.iter().enumerate() {
-            // One pass over the selected views: each effective (risk-
-            // and rate-adjusted) charge is derived once, maintenance
-            // and rebuilt-materialization totals accumulate in
-            // ascending candidate order (added/moved are sorted, so
-            // binary_search gives O(log n) membership), and the same
-            // work is attributed raw (pre-rounding) to its pool.
-            let (mut res, mut spot) = (Hours::ZERO, Hours::ZERO);
-            match fleet.primary {
-                Placement::Reserved => res += step.outcome.evaluation.time,
-                Placement::Spot => spot += step.outcome.evaluation.time,
-            }
+        for (e, (step, quote)) in steps.iter().zip(&path.quotes).enumerate() {
+            // One pass over the selected views: each view's effective
+            // (risk- and rate-adjusted) hours are derived once, totals
+            // accumulate in ascending candidate order (added/moved are
+            // sorted: binary_search), and the same work is attributed
+            // raw (pre-rounding) to its pool.
+            let pools = quote_pool_charges(quote, fleet);
+            let time = step.outcome.evaluation.time;
+            let mut raw = [Hours::ZERO; 2]; // [reserved, spot]
+            raw[pool_index(fleet.primary)] += time;
             let mut maintenance = Hours::ZERO;
             let mut materialization = Hours::ZERO;
-            let mut selected = 0usize;
             let mut spot_selected = 0usize;
             for k in step.selection().ones() {
-                selected += 1;
-                let eff =
-                    pools[e][usize::from(step.placements[k] == Placement::Spot)].adjust(&pool[k]);
-                maintenance += eff.maintenance;
-                let rebuilt =
-                    step.added.binary_search(&k).is_ok() || step.moved.binary_search(&k).is_ok();
-                if rebuilt {
-                    materialization += eff.materialization;
+                let on = pool_index(step.placements[k]);
+                spot_selected += on;
+                let mut work = pools[on].hours(pool[k].maintenance);
+                maintenance += work;
+                if step.added.binary_search(&k).is_ok() || step.moved.binary_search(&k).is_ok() {
+                    let rebuild = pools[on].hours(pool[k].materialization);
+                    materialization += rebuild;
+                    work += rebuild;
                 }
-                let work = eff.maintenance
-                    + if rebuilt {
-                        eff.materialization
-                    } else {
-                        Hours::ZERO
-                    };
-                match step.placements[k] {
-                    Placement::Reserved => res += work,
-                    Placement::Spot => {
-                        spot += work;
-                        spot_selected += 1;
-                    }
-                }
+                raw[on] += work;
             }
-            // Billable hours: rounded per component exactly like the
-            // market report (the pure-spot conformance pin).
-            for t in [step.outcome.evaluation.time, maintenance, materialization] {
+            // Billable hours: rounded per component when nonzero (zero
+            // components bill zero) and fleet-multiplied. The path total
+            // accumulates component by component; the epoch's own
+            // subtotal is kept beside it (the two associate differently
+            // under sub-hour rounding).
+            let mut epoch_billed = Hours::ZERO;
+            for t in [time, maintenance, materialization] {
                 if t > Hours::ZERO {
-                    billed += rounding.apply(t) * config.nb_instances as f64;
+                    let hours = rounding.apply(t) * config.nb_instances as f64;
+                    billed += hours;
+                    epoch_billed += hours;
                 }
             }
-            reserved_hours += res;
-            spot_hours += spot;
-            spot_share_sum += if selected == 0 {
-                0.0
-            } else {
-                spot_selected as f64 / selected as f64
-            };
+            epoch_billed_hours.push(epoch_billed);
+            reserved_hours += raw[0];
+            spot_hours += raw[1];
+            epoch_spot_shares.push(match step.selection().count_ones() {
+                0 => 0.0,
+                selected => spot_selected as f64 / selected as f64,
+            });
             compute_bill += step.outcome.evaluation.breakdown.compute();
             if e > 0 && !(step.added.is_empty() && step.dropped.is_empty()) {
                 switches += 1;
             }
             moves += step.moved.len();
             epoch_costs.push(step.outcome.evaluation.cost());
+            epoch_times.push(time);
             selections.push(step.selection().clone());
             placements.push(step.placements.clone());
         }
         FleetPathSummary {
             path: j,
             total_cost: epoch_costs.iter().copied().sum(),
-            total_time: steps.iter().map(|s| s.outcome.evaluation.time).sum(),
+            total_time: epoch_times.iter().copied().sum(),
             billed_instance_hours: billed,
             reserved_hours,
             spot_hours,
             compute_bill,
             switches,
             moves,
-            interruptions: 0, // filled by the caller from the sampled path
-            spot_share: spot_share_sum / steps.len() as f64,
+            interruptions: path.interruptions(),
+            spot_share: epoch_spot_shares.iter().sum::<f64>() / steps.len() as f64,
             epoch_costs,
+            epoch_times,
+            epoch_billed_hours,
+            epoch_spot_shares,
             selections,
             placements,
         }
     }
 
-    /// Aggregates solved fleet paths into the quantile envelope.
+    /// Folds solved paths into the quantile envelope.
     fn render_fleet(
         &self,
         config: &FleetConfig,
-        mut solved: Vec<SolvedFleetPath>,
+        sampled: &[MarketPath],
+        solved: SolvedPaths,
         comparison: Option<FleetComparison>,
-        distinct_solves: usize,
-        tree_nodes: Option<usize>,
     ) -> FleetReport {
         let epochs = config.market.epochs;
-        let labels: Vec<String> = self.candidates().iter().map(|m| m.label.clone()).collect();
-        for s in &mut solved {
-            s.summary.interruptions = s.path.interruptions();
-        }
+        let paths = solved.paths;
+        let candidates = self.candidates();
 
         let mut epoch_reports = Vec::with_capacity(epochs);
-        let mut cumulative: Vec<f64> = vec![0.0; solved.len()];
+        let mut cumulative: Vec<f64> = vec![0.0; paths.len()];
         let mut stability_sum = 0.0;
         for e in 0..epochs {
-            let costs: Vec<f64> = solved
-                .iter()
-                .map(|s| s.summary.epoch_costs[e].to_dollars_f64())
-                .collect();
-            for (c, s) in cumulative.iter_mut().zip(&solved) {
-                *c += s.summary.epoch_costs[e].to_dollars_f64();
+            for (c, p) in cumulative.iter_mut().zip(&paths) {
+                *c += p.epoch_costs[e].to_dollars_f64();
             }
-            let ratios: Vec<f64> = solved
-                .iter()
-                .map(|s| {
-                    let selected: Vec<usize> = s.summary.selections[e].ones().collect();
-                    if selected.is_empty() {
-                        0.0
-                    } else {
-                        selected
-                            .iter()
-                            .filter(|&&k| s.summary.placements[e][k] == Placement::Spot)
-                            .count() as f64
-                            / selected.len() as f64
-                    }
-                })
-                .collect();
-            let factors: Vec<f64> = solved
-                .iter()
-                .map(|s| s.path.quotes[e].factors.compute)
-                .collect();
-            let probs: Vec<f64> = solved
-                .iter()
-                .map(|s| s.path.quotes[e].interruption)
-                .collect();
             let mut plans: HashMap<&SelectionSet, usize> = HashMap::new();
-            for s in &solved {
-                *plans.entry(&s.summary.selections[e]).or_insert(0) += 1;
+            for p in &paths {
+                *plans.entry(&p.selections[e]).or_insert(0) += 1;
             }
             // Tie-break modal plans deterministically (last maximal in
             // path order), not by HashMap iteration order — the report
             // must reproduce bit-for-bit from the seed.
-            let modal_set = solved
+            let modal_set = paths
                 .iter()
-                .map(|s| &s.summary.selections[e])
+                .map(|p| &p.selections[e])
                 .max_by_key(|sel| plans[*sel])
                 .expect("at least one path");
-            let modal_share = plans[modal_set] as f64 / solved.len() as f64;
+            let modal_share = plans[modal_set] as f64 / paths.len() as f64;
             stability_sum += modal_share;
             epoch_reports.push(FleetEpochReport {
                 epoch: e,
-                charged_cost: Quantiles::of(&costs),
+                charged_cost: Quantiles::over(&paths, |p| p.epoch_costs[e].to_dollars_f64()),
                 cumulative_cost: Quantiles::of(&cumulative),
-                hedge_ratio: Quantiles::of(&ratios),
-                compute_factor: Quantiles::of(&factors),
-                interruption: Quantiles::of(&probs),
+                time_hours: Quantiles::over(&paths, |p| p.epoch_times[e].value()),
+                hedge_ratio: Quantiles::over(&paths, |p| p.epoch_spot_shares[e]),
+                compute_factor: Quantiles::over(sampled, |p| p.quotes[e].factors.compute),
+                interruption: Quantiles::over(sampled, |p| p.quotes[e].interruption),
                 distinct_plans: plans.len(),
                 modal_share,
-                modal_selection: modal_set.ones().map(|k| labels[k].clone()).collect(),
+                modal_selection: modal_set
+                    .ones()
+                    .map(|k| candidates[k].label.clone())
+                    .collect(),
             });
         }
 
-        let totals: Vec<f64> = solved
-            .iter()
-            .map(|s| s.summary.total_cost.to_dollars_f64())
-            .collect();
-        let total_times: Vec<f64> = solved
-            .iter()
-            .map(|s| s.summary.total_time.value())
-            .collect();
-        let shares: Vec<f64> = solved.iter().map(|s| s.summary.spot_share).collect();
         let commitment = config.fleet.reserved.commitment.as_ref().map(|plan| {
             let total_months = self.config().months * epochs as f64;
-            let spot: Vec<f64> = solved
+            let spot: Vec<f64> = paths
                 .iter()
-                .map(|s| s.summary.compute_bill.to_dollars_f64())
+                .map(|p| p.compute_bill.to_dollars_f64())
                 .collect();
-            let reserved: Vec<f64> = solved
+            let reserved: Vec<f64> = paths
                 .iter()
-                .map(|s| {
+                .map(|p| {
                     plan.fleet_horizon_cost(
                         total_months,
-                        s.summary.billed_instance_hours,
+                        p.billed_instance_hours,
                         self.config().nb_instances,
                     )
                     .to_dollars_f64()
@@ -814,17 +749,17 @@ impl Advisor {
         });
         FleetReport {
             fleet: config.fleet.name.clone(),
-            paths: solved.into_iter().map(|s| s.summary).collect(),
             epochs: epoch_reports,
-            total_cost: Quantiles::of(&totals),
-            total_time_hours: Quantiles::of(&total_times),
-            hedge_ratio: Quantiles::of(&shares),
+            total_cost: Quantiles::over(&paths, |p| p.total_cost.to_dollars_f64()),
+            total_time_hours: Quantiles::over(&paths, |p| p.total_time.value()),
+            hedge_ratio: Quantiles::over(&paths, |p| p.spot_share),
             plan_stability: stability_sum / epochs as f64,
             comparison,
             commitment,
-            distinct_solves,
-            tree_nodes,
+            distinct_solves: solved.distinct_solves,
+            tree_nodes: solved.tree_nodes,
             telemetry: None,
+            paths,
         }
     }
 }
@@ -936,9 +871,12 @@ mod tests {
 
     #[test]
     fn tree_route_is_bit_identical_to_the_flat_loop() {
+        // The unshared reference: each sampled path solved alone through
+        // the driver's inner step — a one-leaf forest, nothing shared,
+        // nothing forked.
         let a = advisor();
         let scenario = Scenario::tradeoff_normalized(0.5);
-        let tree_cfg = FleetConfig {
+        let config = FleetConfig {
             market: MarketScenario::constant(6, 11)
                 .with(PriceProcess::Spot(SpotMarket::discounted(0.4, 0.2)))
                 .with(PriceProcess::Correlated(
@@ -947,33 +885,39 @@ mod tests {
             paths: 10,
             ..FleetConfig::default()
         };
-        let flat_cfg = FleetConfig {
-            flat: true,
-            ..tree_cfg.clone()
+        let tree = a.solve_fleet(scenario, &config).unwrap();
+        let alone = |fleet: &FleetPlan, j: usize| -> FleetPathSummary {
+            let path = [config.market.path(j)];
+            let solved = a.solve_fleet_paths(scenario, &config.evolution, fleet, &path);
+            assert_eq!(solved.distinct_solves, 1);
+            solved.paths.into_iter().next().expect("one path in")
         };
-        let tree = a.solve_fleet(scenario, &tree_cfg).unwrap();
-        let flat = a.solve_fleet(scenario, &flat_cfg).unwrap();
-        assert_eq!(tree.total_cost, flat.total_cost);
-        assert_eq!(tree.hedge_ratio, flat.hedge_ratio);
-        assert_eq!(tree.plan_stability, flat.plan_stability);
-        for (t, f) in tree.paths.iter().zip(&flat.paths) {
-            assert_eq!(t.total_cost, f.total_cost);
+        for (j, t) in tree.paths.iter().enumerate() {
+            let f = alone(&config.fleet, j);
+            assert_eq!(t.total_cost, f.total_cost, "path {j}");
             assert_eq!(t.billed_instance_hours, f.billed_instance_hours);
-            assert_eq!(t.reserved_hours, f.reserved_hours);
-            assert_eq!(t.spot_hours, f.spot_hours);
-            assert_eq!(t.selections, f.selections);
-            assert_eq!(t.placements, f.placements);
-            assert_eq!(t.moves, f.moves);
-            assert_eq!(t.interruptions, f.interruptions);
+            assert_eq!(t.reserved_hours, f.reserved_hours, "path {j}");
+            assert_eq!(t.spot_hours, f.spot_hours, "path {j}");
+            assert_eq!(t.selections, f.selections, "path {j}");
+            assert_eq!(t.placements, f.placements, "path {j}");
+            assert_eq!(t.moves, f.moves, "path {j}");
+            assert_eq!(t.interruptions, f.interruptions, "path {j}");
         }
-        let (tc, fc) = (tree.comparison.unwrap(), flat.comparison.unwrap());
-        assert_eq!(tc.hedged, fc.hedged);
-        assert_eq!(tc.pure_spot, fc.pure_spot);
-        assert_eq!(tc.pure_reserved, fc.pure_reserved);
-        assert_eq!(tree.distinct_solves, flat.distinct_solves);
-        let nodes = tree.tree_nodes.expect("tree route reports its size");
+        // The pure comparators run over the same forest: their totals
+        // are the unshared per-path totals too.
+        let cmp = tree.comparison.unwrap();
+        for (pool, shared) in [
+            (Placement::Spot, cmp.pure_spot),
+            (Placement::Reserved, cmp.pure_reserved),
+        ] {
+            let pure = config.fleet.as_pure(pool);
+            let totals: Vec<f64> = (0..config.paths)
+                .map(|j| alone(&pure, j).total_cost.to_dollars_f64())
+                .collect();
+            assert_eq!(shared, Quantiles::of(&totals), "pure {pool:?}");
+        }
+        let nodes = tree.tree_nodes.expect("a hedged fleet solves a forest");
         assert!(nodes < tree.distinct_solves * 6, "no prefix shared");
-        assert!(flat.tree_nodes.is_none());
     }
 
     #[test]

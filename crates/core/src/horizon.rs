@@ -229,7 +229,7 @@ impl Advisor {
                 .map_err(AdvisorError::from)?;
             let charged = step.outcome.evaluation.cost();
             cumulative += charged;
-            billed += self.epoch_billed_instance_hours(chain.pool(), step, 1.0);
+            billed += self.epoch_billed_instance_hours(chain.pool(), step);
             epochs.push(EpochReport {
                 epoch: e,
                 selected: name(&step.selection().ones().collect::<Vec<_>>()),
@@ -283,29 +283,16 @@ impl Advisor {
 
     /// Billable instance-hours of one solved epoch step — processing,
     /// the selection's maintenance and the added views'
-    /// materialization, each inflated by `attempts` (1.0 = risk-free),
-    /// rounded per the provider's rule when nonzero (zero components
-    /// bill zero) and fleet-multiplied. Shared by the horizon and
-    /// market reports so the two bill through identical arithmetic
-    /// (the zero-volatility market proptest pins them bit-for-bit).
-    pub(crate) fn epoch_billed_instance_hours(
-        &self,
-        pool: &[ViewCharge],
-        step: &EpochStep,
-        attempts: f64,
-    ) -> Hours {
+    /// materialization, each rounded per the provider's rule when
+    /// nonzero (zero components bill zero) and fleet-multiplied. The
+    /// Monte-Carlo driver's per-epoch subtotals (`crate::fleet`) are
+    /// the same arithmetic over risk-adjusted hours (the
+    /// zero-volatility market proptest pins them bit-for-bit).
+    fn epoch_billed_instance_hours(&self, pool: &[ViewCharge], step: &EpochStep) -> Hours {
         let config = self.config();
         let rounding = config.pricing.compute.rounding;
-        let maintenance: Hours = step
-            .selection()
-            .ones()
-            .map(|k| pool[k].maintenance * attempts)
-            .sum();
-        let materialization: Hours = step
-            .added
-            .iter()
-            .map(|&k| pool[k].materialization * attempts)
-            .sum();
+        let maintenance: Hours = step.selection().ones().map(|k| pool[k].maintenance).sum();
+        let materialization: Hours = step.added.iter().map(|&k| pool[k].materialization).sum();
         let mut billed = Hours::ZERO;
         for t in [step.outcome.evaluation.time, maintenance, materialization] {
             if t > Hours::ZERO {

@@ -57,7 +57,6 @@
 mod advisor;
 pub mod calibrate;
 pub mod catalog;
-mod dedup;
 mod domain;
 mod error;
 pub mod fleet;

@@ -6,33 +6,22 @@
 //! [`Advisor::solve_market`] replaces that constant with an
 //! [`mv_market::MarketScenario`]: a stack of price processes (spot
 //! swings, announced cuts, storage decay) sampled into `K` reproducible
-//! price paths. Each path compiles into its own epoch-aligned sequence
-//! of [`CloudCostModel`]s (per-epoch re-priced policies) plus per-epoch
-//! interruption probabilities, and the transition-aware chain solves it
-//! with **risk-adjusted charging**: every candidate's
-//! materialization/maintenance charge is inflated by its expected
-//! re-run count under interruption ([`InterruptionRisk`]), spliced into
-//! the live evaluator through the O(m) `retarget`/`update_charge`
-//! primitives — never a per-epoch rebuild.
+//! price paths. Every epoch of every path gets its own re-priced
+//! [`mv_cost::CloudCostModel`] plus an interruption probability, and the
+//! transition-aware chain solves it with **risk-adjusted charging**:
+//! every candidate's materialization/maintenance charge is inflated by
+//! its expected re-run count under interruption
+//! ([`mv_cost::InterruptionRisk`]).
 //!
-//! The Monte-Carlo hot path goes further: sampled paths share long
-//! common quote-prefixes, so the default route factors the K paths
-//! into a [`ScenarioTree`] and solves the whole *forest* in one pass
-//! ([`EpochChain::solve_tree`]) — one evaluator build per root, one
-//! warm `retarget` + charge-splice per tree *edge*, one cheap
-//! evaluator fork per extra sibling at each split — instead of per
-//! path × epoch (asserted via the evaluator's build/retarget/fork
-//! counters in `tests/market_no_rebuild.rs`). A deterministic market
-//! degenerates to a single chain, reproducing the old "solve path 0
-//! once" dedup; tree-node work distributes across threads through a
-//! ready-queue. [`MarketConfig::flat`] keeps the flat per-path loop as
-//! the bit-identical reference (pinned by `tests/tree_identity.rs`);
-//! in flat mode coincidentally-identical quote sequences still
-//! hash-dedup onto one representative solve. Either way the result is
-//! a Monte-Carlo envelope rather than a single bill: per-epoch cost
-//! quantiles, plan stability (how often the selected set agrees across
-//! paths), and a reserved-vs-spot commitment comparison priced per
-//! path.
+//! A single homogeneous fleet riding the sampled market *is* the
+//! mixed-fleet solve with every view pinned to a spot pool at market
+//! parity, so there is no market driver: [`Advisor::solve_market`] runs
+//! [`Advisor::solve_fleet`] on [`MarketConfig::as_fleet`] (the pipeline
+//! is described in [`crate::fleet`]) and projects the result onto the
+//! single-fleet report: a Monte-Carlo envelope rather than a single
+//! bill — per-epoch cost quantiles, plan stability (how often the
+//! selected set agrees across paths), and a reserved-vs-spot commitment
+//! comparison priced per path.
 
 // The price-dynamics vocabulary, re-exported so downstream users reach
 // everything through `mvcloud::market::*`.
@@ -41,17 +30,15 @@ pub use mv_market::{
     PriceProcess, PriceTrace, ProcessQuote, ScenarioTree, SpotMarket, StorageDecay, TreeNode,
 };
 
-use std::collections::HashMap;
-
-use mv_cost::{CloudCostModel, InterruptionRisk, SelectionSet};
+use mv_cost::SelectionSet;
 use mv_lattice::WorkloadEvolution;
-use mv_pricing::CommitmentPlan;
-use mv_select::epoch::{EpochChain, EpochStep, EpochTree, EpochTreeNode};
+use mv_pricing::{CommitmentPlan, FleetPlan};
 use mv_select::Scenario;
 use mv_units::{Hours, Money};
 use serde::Serialize;
 
-use crate::{Advisor, AdvisorError, HorizonConfig};
+use crate::fleet::{FleetConfig, FleetReport};
+use crate::{Advisor, AdvisorError};
 
 /// Shape of a market-aware Monte-Carlo solve.
 #[derive(Debug, Clone)]
@@ -67,23 +54,36 @@ pub struct MarketConfig {
     /// Optional reserved-capacity plan to price each path's compute
     /// against (must target the advisor's instance type).
     pub commitment: Option<CommitmentPlan>,
-    /// Use the flat per-path reference loop instead of the scenario
-    /// tree. Results are bit-identical either way (pinned by
-    /// `tests/tree_identity.rs`); the tree is the default hot path,
-    /// the flat loop the baseline it is benchmarked against.
-    pub flat: bool,
+}
+
+impl MarketConfig {
+    /// The mixed-fleet solve this market solve *is*: every view pinned
+    /// to a spot pool at market parity whose sheet is the primary one
+    /// ([`FleetPlan::pure_spot`]), over the same sampled paths. The
+    /// reservation, if any, backs the (idle) reserved pool, which is
+    /// what the fleet report's commitment leg prices.
+    pub fn as_fleet(&self) -> FleetConfig {
+        let mut fleet = FleetPlan::pure_spot();
+        fleet.reserved.commitment = self.commitment.clone();
+        FleetConfig {
+            market: self.market.clone(),
+            paths: self.paths,
+            evolution: self.evolution,
+            fleet,
+            compare_pure: false,
+        }
+    }
 }
 
 impl Default for MarketConfig {
     /// 16 paths over a year of constant prices (seed 42), fixed
-    /// workload, no reservation, scenario-tree solving.
+    /// workload, no reservation.
     fn default() -> Self {
         MarketConfig {
             market: MarketScenario::constant(12, 42),
             paths: 16,
             evolution: WorkloadEvolution::fixed(),
             commitment: None,
-            flat: false,
         }
     }
 }
@@ -130,6 +130,11 @@ impl Quantiles {
             max: *sorted.last().expect("non-empty"),
             mean: sorted.iter().sum::<f64>() / sorted.len() as f64,
         }
+    }
+
+    /// Summarizes `value` over `items` (must be non-empty).
+    pub fn over<T>(items: &[T], value: impl Fn(&T) -> f64) -> Quantiles {
+        Quantiles::of(&items.iter().map(value).collect::<Vec<f64>>())
     }
 
     /// Like [`Quantiles::of`], but surfaces non-finite samples as
@@ -221,11 +226,8 @@ impl SpotCommitmentReport {
     /// Assembles the report from aligned per-path bills: what the
     /// compute actually cost on the sampled market vs covering the
     /// same billed hours with the reservation. This is the ONE place
-    /// the comparison's arithmetic lives — `Advisor::solve_market` and
-    /// the mixed-fleet `Advisor::solve_fleet` both price through it,
-    /// so the single-fleet report is exactly the pure-fleet special
-    /// case of the fleet comparison (equality-tested in
-    /// `tests/fleet.rs`).
+    /// the comparison's arithmetic lives: the fleet report prices
+    /// through it, and the single-fleet report is its pure-spot case.
     pub fn from_path_bills(plan: &str, spot: &[f64], reserved: &[f64]) -> SpotCommitmentReport {
         assert_eq!(
             spot.len(),
@@ -262,13 +264,11 @@ pub struct MarketReport {
     /// Reserved-vs-spot comparison, when a plan was supplied.
     pub commitment: Option<SpotCommitmentReport>,
     /// Distinct full-horizon solves actually performed for the K
-    /// requested paths: distinct scenario-tree leaves (tree mode) or
-    /// distinct quote sequences after hash dedup (flat mode). A
-    /// deterministic market reports 1 either way.
+    /// requested paths: distinct scenario-tree leaves (identical quote
+    /// sequences share one). A deterministic market reports 1.
     pub distinct_solves: usize,
-    /// Scenario-tree node count — the number of epoch-solves the tree
-    /// route paid (vs `distinct_solves × epochs` for the flat loop).
-    /// `None` when the flat reference path was used.
+    /// Scenario-tree node count — the number of epoch-solves paid (vs
+    /// `distinct_solves × epochs` without prefix sharing); always `Some`.
     pub tree_nodes: Option<usize>,
     /// Telemetry recorded during this solve — a
     /// [`mv_obs::Snapshot::since`] delta over the solve window. `None`
@@ -315,425 +315,76 @@ impl MarketReport {
     }
 }
 
+impl From<FleetReport> for MarketReport {
+    /// The single-fleet projection of a pure-spot fleet report: the
+    /// pool split, hedge ratios and placements carry no information
+    /// when every view sits on the one pool, everything else maps
+    /// field for field.
+    fn from(fleet: FleetReport) -> MarketReport {
+        MarketReport {
+            paths: fleet
+                .paths
+                .into_iter()
+                .map(|p| MarketPathSummary {
+                    path: p.path,
+                    total_cost: p.total_cost,
+                    total_time: p.total_time,
+                    // Epoch subtotals first, as the horizon report sums
+                    // them: a zero-volatility market reproduces its
+                    // billed hours bit for bit under any rounding rule.
+                    billed_instance_hours: p.epoch_billed_hours.iter().copied().sum(),
+                    compute_bill: p.compute_bill,
+                    switches: p.switches,
+                    interruptions: p.interruptions,
+                    epoch_costs: p.epoch_costs,
+                    selections: p.selections,
+                })
+                .collect(),
+            epochs: fleet
+                .epochs
+                .into_iter()
+                .map(|e| MarketEpochReport {
+                    epoch: e.epoch,
+                    charged_cost: e.charged_cost,
+                    cumulative_cost: e.cumulative_cost,
+                    time_hours: e.time_hours,
+                    compute_factor: e.compute_factor,
+                    interruption: e.interruption,
+                    distinct_plans: e.distinct_plans,
+                    modal_share: e.modal_share,
+                    modal_selection: e.modal_selection,
+                })
+                .collect(),
+            total_cost: fleet.total_cost,
+            total_time_hours: fleet.total_time_hours,
+            plan_stability: fleet.plan_stability,
+            commitment: fleet.commitment,
+            distinct_solves: fleet.distinct_solves,
+            tree_nodes: fleet.tree_nodes,
+            telemetry: fleet.telemetry,
+        }
+    }
+}
+
 impl Advisor {
-    /// The per-epoch costing models one sampled price path induces: the
-    /// evolution-reweighted workload of [`Advisor::epoch_models`], with
-    /// each epoch's pricing re-priced by the path's quote. Unit quotes
-    /// reproduce the base models bit-for-bit.
-    pub fn market_epoch_models(
-        &self,
-        path: &MarketPath,
-        evolution: &WorkloadEvolution,
-    ) -> Vec<CloudCostModel> {
-        self.market_base_models(path.quotes.len(), evolution)
-            .iter()
-            .zip(&path.quotes)
-            .map(|(model, quote)| self.quote_model(model, quote))
-            .collect()
-    }
-
-    /// The evolution-reweighted per-epoch models *before* any market
-    /// quote is applied — the shared base both the flat per-path loop
-    /// and the scenario tree re-price from.
-    pub(crate) fn market_base_models(
-        &self,
-        epochs: usize,
-        evolution: &WorkloadEvolution,
-    ) -> Vec<CloudCostModel> {
-        self.epoch_models(&HorizonConfig {
-            epochs,
-            evolution: *evolution,
-            commitment: None,
-        })
-    }
-
-    /// One epoch's base model re-priced by a sampled quote. Unit quotes
-    /// reproduce the base model bit-for-bit.
-    pub(crate) fn quote_model(&self, base: &CloudCostModel, quote: &EpochQuote) -> CloudCostModel {
-        let mut ctx = base.context().clone();
-        ctx.pricing = quote.reprice(&self.config().pricing);
-        // The context embeds the *resolved* instance (Formula 4
-        // prices through `ctx.instance.hourly`), so the rented
-        // configuration must be re-resolved from the re-priced
-        // catalog or compute drift would never reach the bill.
-        ctx.instance = ctx
-            .pricing
-            .compute
-            .instance(&self.config().instance)
-            .expect("advisor instance validated at build")
-            .clone();
-        CloudCostModel::new(ctx)
-    }
-
     /// Solves the horizon across `K` sampled price paths and reports
-    /// the Monte-Carlo envelope. See the module docs for semantics; the
-    /// per-path hot loop is one warm-started
-    /// [`EpochChain::solve_repriced`] with risk-adjusted charges.
+    /// the Monte-Carlo envelope: [`Advisor::solve_fleet`] on
+    /// [`MarketConfig::as_fleet`], projected onto the single-fleet
+    /// report. See the module docs for semantics.
     pub fn solve_market(
         &self,
         scenario: Scenario,
         config: &MarketConfig,
     ) -> Result<MarketReport, AdvisorError> {
-        if config.market.epochs == 0 {
-            return Err(AdvisorError::EmptyHorizon);
-        }
-        if config.paths == 0 {
-            return Err(AdvisorError::NoMarketPaths);
-        }
-        if let Some(plan) = &config.commitment {
-            if plan.instance != self.config().instance {
-                return Err(AdvisorError::CommitmentMismatch {
-                    plan: plan.name.clone(),
-                    plan_instance: plan.instance.clone(),
-                    advisor_instance: self.config().instance.clone(),
-                });
-            }
-        }
-        // Sample the full path set once: the tree factoring, the flat
-        // dedup, and the per-path event reporting all read from it.
-        let sampled: Vec<MarketPath> = (0..config.paths).map(|j| config.market.path(j)).collect();
-        // A NaN volatility (or similar user-supplied process parameter)
-        // poisons every sampled price; fail up front with the offending
-        // metric named instead of summarizing garbage quantiles later.
-        for q in &sampled[0].quotes {
-            let f = &q.factors;
-            if !(f.compute.is_finite() && f.storage.is_finite() && f.transfer.is_finite()) {
-                return Err(AdvisorError::NonFiniteMetric {
-                    metric: "price factor".to_string(),
-                });
-            }
-            if !q.interruption.is_finite() {
-                return Err(AdvisorError::NonFiniteMetric {
-                    metric: "interruption probability".to_string(),
-                });
-            }
-        }
-
-        let telemetry_base = mv_obs::enabled().then(mv_obs::Snapshot::capture);
-        let (solved, distinct_solves, tree_nodes) = if config.flat {
-            self.solve_market_flat(scenario, config, &sampled)
-        } else {
-            self.solve_market_tree(scenario, config, &sampled)
-        };
-        let mut report = self.render_market(scenario, config, solved, distinct_solves, tree_nodes);
-        if let Some(base) = telemetry_base {
-            report.telemetry = Some(mv_obs::Snapshot::capture().since(&base));
-        }
-        Ok(report)
+        self.solve_fleet(scenario, &config.as_fleet())
+            .map(MarketReport::from)
     }
-
-    /// The scenario-tree hot path: factor the sampled paths into a
-    /// shared-prefix forest, compile one quote-repriced model and one
-    /// interruption risk per *node*, and let [`EpochChain::solve_tree`]
-    /// pay one solve per node — branching the warm evaluator at split
-    /// points — instead of one per path × epoch. Bit-identical to
-    /// [`Advisor::solve_market_flat`] (a node's search trajectory
-    /// depends only on its model, its effective charges and the
-    /// selection it inherits, all shared along the prefix).
-    fn solve_market_tree(
-        &self,
-        scenario: Scenario,
-        config: &MarketConfig,
-        sampled: &[MarketPath],
-    ) -> (Vec<SolvedPath>, usize, Option<usize>) {
-        let stree = ScenarioTree::from_paths(sampled);
-        let base = self.market_base_models(stree.epochs, &config.evolution);
-        let nodes: Vec<EpochTreeNode> = stree
-            .nodes()
-            .iter()
-            .map(|n| EpochTreeNode {
-                parent: n.parent,
-                epoch: n.epoch,
-                model: self.quote_model(&base[n.epoch], &n.quote),
-            })
-            .collect();
-        let leaves: Vec<usize> = (0..sampled.len()).map(|j| stree.leaf_of(j)).collect();
-        let tree = EpochTree::new(nodes, leaves);
-        let risks: Vec<InterruptionRisk> = stree
-            .nodes()
-            .iter()
-            .map(|n| InterruptionRisk::new(n.quote.interruption))
-            .collect();
-        let pool = self.problem().candidates().to_vec();
-        let chain = EpochChain::new(base, pool);
-        let per_path = chain.solve_tree(scenario, &tree, &|node, _k, transition| {
-            risks[node].adjust(transition)
-        });
-        let solved = sampled
-            .iter()
-            .zip(per_path)
-            .enumerate()
-            .map(|(j, (p, steps))| {
-                let path_risks: Vec<InterruptionRisk> = p
-                    .quotes
-                    .iter()
-                    .map(|q| InterruptionRisk::new(q.interruption))
-                    .collect();
-                let summary = self.account_path(j, &chain, &steps, &path_risks);
-                SolvedPath {
-                    summary,
-                    path: p.clone(),
-                    steps,
-                }
-            })
-            .collect();
-        (solved, stree.distinct_leaves(), Some(stree.len()))
-    }
-
-    /// The flat per-path reference loop: solve one representative chain
-    /// per *distinct quote sequence* and replicate the result to the
-    /// aliases (fingerprint-bucketed, full-key-verified grouping —
-    /// [`crate::dedup`]). This generalizes the old all-or-nothing
-    /// "deterministic market solves path 0 once" shortcut —
-    /// coincidentally-identical stochastic paths collapse too.
-    fn solve_market_flat(
-        &self,
-        scenario: Scenario,
-        config: &MarketConfig,
-        sampled: &[MarketPath],
-    ) -> (Vec<SolvedPath>, usize, Option<usize>) {
-        let groups = crate::dedup::quote_sequence_groups(sampled);
-        mv_obs::add(mv_obs::Counter::MarketDedupHits, groups.duplicates() as u64);
-        let (reps, rep_of) = (groups.reps, groups.rep_of);
-        let solved_reps = self.solve_market_paths(scenario, config, &reps);
-        let solved = sampled
-            .iter()
-            .enumerate()
-            .map(|(j, p)| {
-                let mut s = solved_reps[rep_of[j]].clone();
-                s.summary.path = j;
-                // The replica's factors and probabilities match its
-                // representative bit-for-bit (that is what the key
-                // means), but interruption *events* are Bernoulli
-                // -sampled per path — keep the replica's own quotes so
-                // event reporting matches `MarketScenario::path(j)`.
-                s.path = p.clone();
-                s
-            })
-            .collect();
-        (solved, reps.len(), None)
-    }
-
-    /// Solves the representative paths `reps`, fanned out across
-    /// threads in contiguous chunks and merged in order (identical
-    /// results for any thread count).
-    fn solve_market_paths(
-        &self,
-        scenario: Scenario,
-        config: &MarketConfig,
-        reps: &[usize],
-    ) -> Vec<SolvedPath> {
-        let threads = std::thread::available_parallelism()
-            .map_or(1, |t| t.get())
-            .min(reps.len());
-        let solve = |i: usize| -> SolvedPath { self.solve_market_path(scenario, config, reps[i]) };
-        if threads <= 1 {
-            return (0..reps.len()).map(solve).collect();
-        }
-        let chunk = reps.len().div_ceil(threads);
-        let solve = &solve;
-        crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .filter_map(|t| {
-                    let lo = t * chunk;
-                    let hi = ((t + 1) * chunk).min(reps.len());
-                    (lo < hi).then(|| scope.spawn(move |_| (lo..hi).map(solve).collect::<Vec<_>>()))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("market path worker panicked"))
-                .collect()
-        })
-        .expect("market sweep scope failed")
-    }
-
-    /// Solves one sampled path: compile models, risk-adjust charges,
-    /// run the warm-started chain, account the result.
-    fn solve_market_path(&self, scenario: Scenario, config: &MarketConfig, j: usize) -> SolvedPath {
-        mv_obs::span!("market/solve_path");
-        mv_obs::inc(mv_obs::Counter::MarketPathSolves);
-        let path = config.market.path(j);
-        let models = self.market_epoch_models(&path, &config.evolution);
-        let risks: Vec<InterruptionRisk> = path
-            .quotes
-            .iter()
-            .map(|q| InterruptionRisk::new(q.interruption))
-            .collect();
-        let pool = self.problem().candidates().to_vec();
-        let chain = EpochChain::new(models, pool);
-        // The sampled-path hot loop: ONE evaluator per path, re-risked
-        // and re-priced per epoch through retarget/update_charge. The
-        // risk transform only moves materialization/maintenance, so
-        // every splice takes update_charge's O(1) same-answer fast path.
-        let steps =
-            chain.solve_repriced(scenario, &|e, _k, transition| risks[e].adjust(transition));
-        let summary = self.account_path(j, &chain, &steps, &risks);
-        SolvedPath {
-            summary,
-            path,
-            steps,
-        }
-    }
-
-    /// Per-path accounting: totals, billable hours (risk-adjusted work,
-    /// per-component rounding, fleet-multiplied) and plan churn.
-    fn account_path(
-        &self,
-        j: usize,
-        chain: &EpochChain,
-        steps: &[EpochStep],
-        risks: &[InterruptionRisk],
-    ) -> MarketPathSummary {
-        let pool = chain.pool();
-        let mut billed = Hours::ZERO;
-        let mut compute_bill = Money::ZERO;
-        let mut switches = 0;
-        let mut epoch_costs = Vec::with_capacity(steps.len());
-        let mut selections = Vec::with_capacity(steps.len());
-        for (e, step) in steps.iter().enumerate() {
-            // Billable hours include the risk premium: interrupted
-            // build/refresh work re-runs, and the re-runs bill too.
-            billed += self.epoch_billed_instance_hours(pool, step, risks[e].expected_attempts());
-            compute_bill += step.outcome.evaluation.breakdown.compute();
-            if e > 0 && !(step.added.is_empty() && step.dropped.is_empty()) {
-                switches += 1;
-            }
-            epoch_costs.push(step.outcome.evaluation.cost());
-            selections.push(step.selection().clone());
-        }
-        MarketPathSummary {
-            path: j,
-            total_cost: epoch_costs.iter().copied().sum(),
-            total_time: steps.iter().map(|s| s.outcome.evaluation.time).sum(),
-            billed_instance_hours: billed,
-            compute_bill,
-            switches,
-            interruptions: 0, // filled by the caller from the sampled path
-            epoch_costs,
-            selections,
-        }
-    }
-
-    /// Aggregates solved paths into the quantile envelope.
-    fn render_market(
-        &self,
-        _scenario: Scenario,
-        config: &MarketConfig,
-        mut solved: Vec<SolvedPath>,
-        distinct_solves: usize,
-        tree_nodes: Option<usize>,
-    ) -> MarketReport {
-        let epochs = config.market.epochs;
-        let labels: Vec<String> = self.candidates().iter().map(|m| m.label.clone()).collect();
-        for s in &mut solved {
-            s.summary.interruptions = s.path.interruptions();
-        }
-
-        let mut epoch_reports = Vec::with_capacity(epochs);
-        let mut cumulative: Vec<f64> = vec![0.0; solved.len()];
-        let mut stability_sum = 0.0;
-        for e in 0..epochs {
-            let costs: Vec<f64> = solved
-                .iter()
-                .map(|s| s.summary.epoch_costs[e].to_dollars_f64())
-                .collect();
-            for (c, s) in cumulative.iter_mut().zip(&solved) {
-                *c += s.summary.epoch_costs[e].to_dollars_f64();
-            }
-            let times: Vec<f64> = solved
-                .iter()
-                .map(|s| s.steps[e].outcome.evaluation.time.value())
-                .collect();
-            let factors: Vec<f64> = solved
-                .iter()
-                .map(|s| s.path.quotes[e].factors.compute)
-                .collect();
-            let probs: Vec<f64> = solved
-                .iter()
-                .map(|s| s.path.quotes[e].interruption)
-                .collect();
-            let mut plans: HashMap<&SelectionSet, usize> = HashMap::new();
-            for s in &solved {
-                *plans.entry(&s.summary.selections[e]).or_insert(0) += 1;
-            }
-            // Tie-break modal plans deterministically (last maximal in
-            // path order), not by HashMap iteration order — the report
-            // must reproduce bit-for-bit from the seed.
-            let modal_set = solved
-                .iter()
-                .map(|s| &s.summary.selections[e])
-                .max_by_key(|sel| plans[*sel])
-                .expect("at least one path");
-            let modal_share = plans[modal_set] as f64 / solved.len() as f64;
-            stability_sum += modal_share;
-            epoch_reports.push(MarketEpochReport {
-                epoch: e,
-                charged_cost: Quantiles::of(&costs),
-                cumulative_cost: Quantiles::of(&cumulative),
-                time_hours: Quantiles::of(&times),
-                compute_factor: Quantiles::of(&factors),
-                interruption: Quantiles::of(&probs),
-                distinct_plans: plans.len(),
-                modal_share,
-                modal_selection: modal_set.ones().map(|k| labels[k].clone()).collect(),
-            });
-        }
-
-        let totals: Vec<f64> = solved
-            .iter()
-            .map(|s| s.summary.total_cost.to_dollars_f64())
-            .collect();
-        let total_times: Vec<f64> = solved
-            .iter()
-            .map(|s| s.summary.total_time.value())
-            .collect();
-        let commitment = config.commitment.as_ref().map(|plan| {
-            let total_months = self.config().months * epochs as f64;
-            let spot: Vec<f64> = solved
-                .iter()
-                .map(|s| s.summary.compute_bill.to_dollars_f64())
-                .collect();
-            let reserved: Vec<f64> = solved
-                .iter()
-                .map(|s| {
-                    plan.fleet_horizon_cost(
-                        total_months,
-                        s.summary.billed_instance_hours,
-                        self.config().nb_instances,
-                    )
-                    .to_dollars_f64()
-                })
-                .collect();
-            SpotCommitmentReport::from_path_bills(&plan.name, &spot, &reserved)
-        });
-        MarketReport {
-            paths: solved.into_iter().map(|s| s.summary).collect(),
-            epochs: epoch_reports,
-            total_cost: Quantiles::of(&totals),
-            total_time_hours: Quantiles::of(&total_times),
-            plan_stability: stability_sum / epochs as f64,
-            commitment,
-            distinct_solves,
-            tree_nodes,
-            telemetry: None,
-        }
-    }
-}
-
-/// One solved path: the sampled quotes, the chain steps, and the
-/// rendered summary.
-#[derive(Debug, Clone)]
-struct SolvedPath {
-    summary: MarketPathSummary,
-    path: MarketPath,
-    steps: Vec<EpochStep>,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{sales_domain, AdvisorConfig};
+    use crate::{sales_domain, AdvisorConfig, HorizonConfig};
     use mv_market::{AnnouncedCut, PriceProcess, SpotMarket};
 
     fn advisor() -> Advisor {
@@ -860,66 +511,75 @@ mod tests {
 
     #[test]
     fn tree_route_is_bit_identical_to_the_flat_loop() {
+        // The unshared reference: each sampled path solved alone through
+        // the driver's inner step — a one-leaf forest, nothing shared,
+        // nothing forked.
         let a = advisor();
         let scenario = Scenario::tradeoff_normalized(0.5);
-        let tree_cfg = MarketConfig {
+        let config = MarketConfig {
             market: MarketScenario::constant(6, 99)
                 .with(PriceProcess::Spot(SpotMarket::with_volatility(0.5))),
             paths: 12,
             commitment: Some(mv_pricing::CommitmentPlan::aws_small_1yr()),
             ..MarketConfig::default()
         };
-        let flat_cfg = MarketConfig {
-            flat: true,
-            ..tree_cfg.clone()
-        };
-        let tree = a.solve_market(scenario, &tree_cfg).unwrap();
-        let flat = a.solve_market(scenario, &flat_cfg).unwrap();
-        assert_eq!(tree.total_cost, flat.total_cost);
-        assert_eq!(tree.total_time_hours, flat.total_time_hours);
-        assert_eq!(tree.plan_stability, flat.plan_stability);
-        for (t, f) in tree.paths.iter().zip(&flat.paths) {
-            assert_eq!(t.total_cost, f.total_cost);
-            assert_eq!(t.billed_instance_hours, f.billed_instance_hours);
-            assert_eq!(t.compute_bill, f.compute_bill);
-            assert_eq!(t.selections, f.selections);
-            assert_eq!(t.switches, f.switches);
-            assert_eq!(t.interruptions, f.interruptions);
+        let tree = a.solve_market(scenario, &config).unwrap();
+        let fleet = config.as_fleet().fleet;
+        for (j, t) in tree.paths.iter().enumerate() {
+            let alone = a.solve_fleet_paths(
+                scenario,
+                &config.evolution,
+                &fleet,
+                &[config.market.path(j)],
+            );
+            assert_eq!((alone.distinct_solves, alone.tree_nodes), (1, Some(6)));
+            let f = &alone.paths[0];
+            assert_eq!(t.total_cost, f.total_cost, "path {j}");
+            assert_eq!(t.total_time, f.total_time, "path {j}");
+            assert_eq!(
+                t.billed_instance_hours,
+                f.epoch_billed_hours.iter().copied().sum(),
+                "path {j}"
+            );
+            assert_eq!(t.compute_bill, f.compute_bill, "path {j}");
+            assert_eq!(t.epoch_costs, f.epoch_costs, "path {j}");
+            assert_eq!(t.selections, f.selections, "path {j}");
+            assert_eq!(t.switches, f.switches, "path {j}");
+            assert_eq!(t.interruptions, f.interruptions, "path {j}");
         }
-        for (t, f) in tree.epochs.iter().zip(&flat.epochs) {
-            assert_eq!(t.charged_cost, f.charged_cost);
-            assert_eq!(t.modal_selection, f.modal_selection);
-        }
-        let (tc, fc) = (tree.commitment.unwrap(), flat.commitment.unwrap());
-        assert_eq!(tc.saving, fc.saving);
-        // Both modes report what they actually paid for.
-        assert_eq!(tree.distinct_solves, flat.distinct_solves);
-        let nodes = tree.tree_nodes.expect("tree route reports its size");
+        assert!(tree.commitment.is_some());
+        // The shared solve reports what it actually paid for.
+        let nodes = tree
+            .tree_nodes
+            .expect("a spot-riding fleet solves a forest");
         assert!(nodes < tree.distinct_solves * 6, "no prefix shared");
-        assert!(flat.tree_nodes.is_none());
     }
 
     #[test]
     fn deterministic_market_pays_one_solve_in_both_modes() {
+        // Sixteen identical paths degenerate to a single 4-node chain
+        // with every path an alias of its leaf — the same work as one
+        // of them solved alone.
         let a = advisor();
         let scenario = Scenario::tradeoff_normalized(0.5);
-        let tree_cfg = MarketConfig {
+        let config = MarketConfig {
             market: MarketScenario::constant(4, 7),
             paths: 16,
             ..MarketConfig::default()
         };
-        let flat_cfg = MarketConfig {
-            flat: true,
-            ..tree_cfg.clone()
-        };
-        let tree = a.solve_market(scenario, &tree_cfg).unwrap();
-        let flat = a.solve_market(scenario, &flat_cfg).unwrap();
-        // The tree degenerates to a single 4-node chain; the flat loop
-        // hash-dedups all 16 identical paths onto one representative.
-        assert_eq!(tree.distinct_solves, 1);
-        assert_eq!(tree.tree_nodes, Some(4));
-        assert_eq!(flat.distinct_solves, 1);
-        assert_eq!(tree.total_cost, flat.total_cost);
+        let shared = a.solve_market(scenario, &config).unwrap();
+        assert_eq!(shared.distinct_solves, 1);
+        assert_eq!(shared.tree_nodes, Some(4));
+        let alone = a.solve_fleet_paths(
+            scenario,
+            &config.evolution,
+            &config.as_fleet().fleet,
+            &[config.market.path(0)],
+        );
+        assert_eq!((alone.distinct_solves, alone.tree_nodes), (1, Some(4)));
+        for p in &shared.paths {
+            assert_eq!(p.total_cost, alone.paths[0].total_cost);
+        }
     }
 
     #[test]
@@ -949,8 +609,47 @@ mod tests {
             paths: 4,
             ..MarketConfig::default()
         };
+        let scenario = Scenario::tradeoff_normalized(0.5);
         assert!(matches!(
-            a.solve_market(Scenario::tradeoff_normalized(0.5), &config),
+            a.solve_market(scenario, &config),
+            Err(AdvisorError::NonFiniteMetric { .. })
+        ));
+        // The same trace under a hedged fleet (reserved primary: the
+        // check is the driver's, not the spot sheet's) used to abort
+        // inside the pricing layer's rate-factor assertion.
+        let hedged = FleetConfig {
+            market: config.market.clone(),
+            paths: 4,
+            ..FleetConfig::default()
+        };
+        assert!(matches!(
+            a.solve_fleet(scenario, &hedged),
+            Err(AdvisorError::NonFiniteMetric { .. })
+        ));
+        // Every quote of every sampled path is checked, not only the
+        // first path's: an infinite volatility leaves a path finite
+        // when its one shock is negative (the price floor catches it)
+        // and infinite otherwise.
+        let wild = |seed: u64| {
+            MarketScenario::constant(2, seed).with(PriceProcess::Spot(SpotMarket::with_volatility(
+                f64::INFINITY,
+            )))
+        };
+        let finite = |p: &MarketPath| p.quotes.iter().all(|q| q.factors.compute.is_finite());
+        let seed = (0..64)
+            .find(|&s| finite(&wild(s).path(0)) && (1..6).any(|j| !finite(&wild(s).path(j))))
+            .expect("a seed whose first path alone stays finite");
+        let later_path = MarketConfig {
+            market: wild(seed),
+            paths: 6,
+            ..MarketConfig::default()
+        };
+        assert!(matches!(
+            a.solve_market(scenario, &later_path),
+            Err(AdvisorError::NonFiniteMetric { .. })
+        ));
+        assert!(matches!(
+            a.solve_fleet(scenario, &later_path.as_fleet()),
             Err(AdvisorError::NonFiniteMetric { .. })
         ));
         // A NaN volatility is sanitized by the spot sampler itself
@@ -962,9 +661,7 @@ mod tests {
             paths: 2,
             ..MarketConfig::default()
         };
-        assert!(a
-            .solve_market(Scenario::tradeoff_normalized(0.5), &nan_vol)
-            .is_ok());
+        assert!(a.solve_market(scenario, &nan_vol).is_ok());
     }
 
     #[test]

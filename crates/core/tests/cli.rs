@@ -66,10 +66,11 @@ fn advise_succeeds_on_a_small_workload() {
     assert!(stdout.contains("selected"), "summary output: {stdout}");
 }
 
+/// There is one Monte-Carlo route: `--flat` takes the ordinary
+/// unknown-flag error, and the report always carries its forest size.
 #[test]
-fn market_flat_flag_switches_route_but_not_the_answer() {
-    let base = [
-        "market",
+fn market_and_fleet_reject_the_retired_flat_switch() {
+    let workload = [
         "--rows",
         "500",
         "--queries",
@@ -81,37 +82,31 @@ fn market_flat_flag_switches_route_but_not_the_answer() {
         "--alpha",
         "0.5",
     ];
-    let tree = run(&base);
-    assert!(tree.status.success(), "market should exit 0");
-    let tree_out = String::from_utf8_lossy(&tree.stdout).to_string();
-    assert!(
-        tree_out.contains("\"distinct_solves\":"),
-        "tree JSON reports its dedup: {tree_out}"
-    );
-    assert!(
-        !tree_out.contains("\"tree_nodes\":null"),
-        "default route is the scenario tree: {tree_out}"
-    );
+    for subcommand in ["market", "fleet"] {
+        let mut args = vec![subcommand, "--flat"];
+        args.extend_from_slice(&workload);
+        let out = run(&args);
+        assert_eq!(out.status.code(), Some(1), "{subcommand} --flat");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("unknown flag --flat"),
+            "{subcommand} --flat: {stderr}"
+        );
+    }
 
-    let mut flat_args = base.to_vec();
-    flat_args.push("--flat");
-    let flat = run(&flat_args);
-    assert!(flat.status.success(), "market --flat should exit 0");
-    let flat_out = String::from_utf8_lossy(&flat.stdout).to_string();
+    let mut args = vec!["market"];
+    args.extend_from_slice(&workload);
+    let out = run(&args);
+    assert!(out.status.success(), "market should exit 0");
+    let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(
-        flat_out.contains("\"tree_nodes\":null"),
-        "--flat skips the tree: {flat_out}"
+        stdout.contains("\"distinct_solves\":"),
+        "the report carries its solve accounting: {stdout}"
     );
-
-    // Same seed, same market: the routes must price identically, so
-    // everything past the route metadata is byte-identical JSON.
-    let strip = |s: &str| {
-        s.lines()
-            .filter(|l| !l.contains("\"tree_nodes\""))
-            .collect::<Vec<_>>()
-            .join("\n")
-    };
-    assert_eq!(strip(&tree_out), strip(&flat_out));
+    assert!(
+        !stdout.contains("\"tree_nodes\":null"),
+        "the market solve walks the scenario tree: {stdout}"
+    );
 }
 
 #[test]
@@ -140,9 +135,8 @@ fn calibrate_emits_a_reconciliation_report() {
 }
 
 /// `--metrics` acceptance: the telemetry snapshot a market run emits
-/// must reconcile *exactly* with the report's own solve accounting —
-/// tree mode pays one `solve_tree/node` span per scenario-tree node,
-/// flat mode one `market/solve_path` span per distinct quote sequence.
+/// must reconcile *exactly* with the report's own solve accounting:
+/// one `solve_tree/node` span per scenario-tree node.
 #[test]
 fn market_metrics_reconcile_with_solve_accounting() {
     use mvcloud::json::Json;
@@ -212,19 +206,6 @@ fn market_metrics_reconcile_with_solve_accounting() {
         "one tree-solve span per scenario-tree node"
     );
     assert_eq!(counter(&metrics, "tree/node_solves"), tree_nodes);
-
-    let (report, metrics) = run_with_metrics(&["--flat"], "flat.json");
-    assert!(report.get("tree_nodes").unwrap().is_null());
-    let distinct = report
-        .get("distinct_solves")
-        .and_then(Json::as_u64)
-        .expect("flat route reports dedup");
-    assert_eq!(
-        span_count(&metrics, "market/solve_path"),
-        distinct,
-        "one path-solve span per distinct quote sequence"
-    );
-    assert_eq!(counter(&metrics, "market/path_solves"), distinct);
 
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -31,6 +31,8 @@
 
 use serde::{Deserialize, Serialize};
 
+use mv_units::Hours;
+
 use crate::ViewCharge;
 
 /// Largest admissible per-epoch interruption probability, shared with
@@ -155,15 +157,33 @@ impl PoolCharge {
     /// differential on the risk-adjusted hours. Identity factors and
     /// zero risk return a bit-identical clone.
     pub fn adjust(&self, charge: &ViewCharge) -> ViewCharge {
-        let risked = self.risk.adjust(charge);
-        if self.hour_factor == 1.0 && self.size_factor == 1.0 {
-            return risked;
-        }
         ViewCharge {
-            materialization: risked.materialization * self.hour_factor,
-            maintenance: risked.maintenance * self.hour_factor,
-            size: risked.size * self.size_factor,
-            ..risked
+            materialization: self.hours(charge.materialization),
+            maintenance: self.hours(charge.maintenance),
+            size: if self.size_factor == 1.0 {
+                charge.size
+            } else {
+                charge.size * self.size_factor
+            },
+            ..charge.clone()
+        }
+    }
+
+    /// The effective billable hours of `hours` of build or refresh work
+    /// on this pool — what [`PoolCharge::adjust`] applies to a charge's
+    /// materialization and maintenance, for accounting that needs
+    /// nothing else of the charge. A factor of exactly `1.0` (and zero
+    /// risk) performs no float operation at all.
+    pub fn hours(&self, hours: Hours) -> Hours {
+        let risked = if self.risk.probability == 0.0 {
+            hours
+        } else {
+            hours * self.risk.expected_attempts()
+        };
+        if self.hour_factor == 1.0 {
+            risked
+        } else {
+            risked * self.hour_factor
         }
     }
 }

@@ -249,7 +249,10 @@ mod tests {
         // Hand-build two identical paths plus one divergent path.
         let m = MarketScenario::constant(4, 1);
         let a = m.path(0);
-        let b = m.path(1); // constant market: identical quotes
+        // A constant market: identical quotes. A sampled interruption
+        // *event* is reporting-only: it must not split the prefix.
+        let mut b = m.path(1);
+        b.quotes[1].interrupted = true;
         let mut c = m.path(2);
         c.quotes[2].factors.compute = 0.5;
         let tree = ScenarioTree::from_paths(&[a, b, c]);

@@ -36,11 +36,6 @@ pub enum Counter {
     TreeNodeSolves,
     TreeRootSolves,
     ChainEpochSteps,
-    // mv-core: market / fleet drivers
-    MarketPathSolves,
-    MarketDedupHits,
-    FleetPathSolves,
-    FleetDedupHits,
     // mv-engine: ReplayDriver
     EngineQueries,
     EngineQueriesViaViews,
@@ -62,7 +57,7 @@ pub enum Counter {
 }
 
 /// Number of [`Counter`] variants (length of the backing array).
-pub const COUNT: usize = 36;
+pub const COUNT: usize = 32;
 
 impl Counter {
     /// All variants, in declaration order (index == discriminant).
@@ -85,10 +80,6 @@ impl Counter {
         Counter::TreeNodeSolves,
         Counter::TreeRootSolves,
         Counter::ChainEpochSteps,
-        Counter::MarketPathSolves,
-        Counter::MarketDedupHits,
-        Counter::FleetPathSolves,
-        Counter::FleetDedupHits,
         Counter::EngineQueries,
         Counter::EngineQueriesViaViews,
         Counter::EngineScanBytes,
@@ -126,10 +117,6 @@ impl Counter {
             Counter::TreeNodeSolves => "tree/node_solves",
             Counter::TreeRootSolves => "tree/root_solves",
             Counter::ChainEpochSteps => "chain/epoch_steps",
-            Counter::MarketPathSolves => "market/path_solves",
-            Counter::MarketDedupHits => "market/dedup_hits",
-            Counter::FleetPathSolves => "fleet/path_solves",
-            Counter::FleetDedupHits => "fleet/dedup_hits",
             Counter::EngineQueries => "engine/queries",
             Counter::EngineQueriesViaViews => "engine/queries_via_views",
             Counter::EngineScanBytes => "engine/scan_bytes",

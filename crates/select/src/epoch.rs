@@ -20,22 +20,44 @@
 //!   chain knows are sunk (pinned by `chain_beats_myopic_churn` below
 //!   and the `tests/horizon.rs` regression).
 //! * **Warm starts, not rebuilds** — one [`IncrementalEvaluator`] lives
-//!   for the whole horizon. Epoch boundaries cost one
+//!   for a whole root-to-leaf lineage. An epoch boundary costs one
 //!   [`IncrementalEvaluator::retarget`] (O(m) context switch: the
 //!   per-query answer caches survive because they hold only candidate
 //!   answer times) plus an [`IncrementalEvaluator::update_charge`]
-//!   splice per candidate whose carried state flipped — instead of an
-//!   O(n·m) problem rebuild plus O(n) repositioning flips per epoch.
-//!   [`EpochChain::solve_rebuilding`] is the rebuild-per-epoch
-//!   reference implementation: bit-identical outcomes (tested), only
-//!   slower (`crates/bench/benches/horizon.rs`).
+//!   splice per candidate whose effective charge changed — instead of
+//!   an O(n·m) problem rebuild plus O(n) repositioning flips per epoch.
+//!   [`EpochChain::solve_rebuilding`] is that rebuild-per-epoch
+//!   **reference**: bit-identical steps (tested), only slower
+//!   (`crates/bench/benches/{horizon,market,fleet}.rs`).
 //!
-//! Each epoch is solved with the same move rules as
-//! [`crate::solve_local_search`]: epoch 0 greedy-fills from empty, and
-//! every epoch runs a bounded best-improvement flip/swap pass — from
-//! the previous epoch's selection, so with zero drift the chain simply
-//! confirms the standing selection is still a local optimum (one probe
-//! round) instead of re-deriving it.
+//! # One driver, four axes
+//!
+//! Every transition-aware solve is [`EpochChain::solve_with`]: **one
+//! node step** — inherit the parent's evaluator or build one at a root,
+//! switch it to the node's model and splice the charges that moved,
+//! greedy-fill from empty at a root, run [`crate::solve_local_search`]'s
+//! bounded best-improvement pass from the inherited selection (with
+//! zero drift it merely confirms the standing selection is still a
+//! local optimum), assemble the [`EpochStep`] — scheduled
+//! parent-before-child. What varies is four independent axes:
+//!
+//! | axis | set by | `solve` | `solve_fleet` | `mvcloud`'s Monte-Carlo driver |
+//! |---|---|---|---|---|
+//! | reprice | [`ChainSpec::reprice`] | identity | caller's per-pool transform | per-node rate differential + interruption premium |
+//! | placement | [`ChainSpec::initial`], [`ChainSpec::rebalance`] | each charge's own pool, pinned | caller's start, pinned or free | the fleet plan's |
+//! | budget | [`ChainSpec::max_moves`] | [`local_search::default_move_budget`] | same | same |
+//! | topology | [`Topology`] | `Path` | `Path` | `Tree`: a prefix forest of sampled price paths |
+//!
+//! A single pool is the pinned fleet on its charges' own placements and
+//! a path is the one-leaf forest, structurally. On a tree each node is
+//! solved exactly once — one evaluator build per root, one warm
+//! transition per edge, one [`IncrementalEvaluator::fork`] per extra
+//! sibling — and since a node's search depends only on its model, its
+//! effective charges and the state it inherits (all shared along a
+//! prefix), every leaf's steps are **bit-identical** to solving its
+//! lineage alone (tested below and in `tests/tree_identity.rs`).
+//! [`EpochChain::solve_dp_exact`] / [`EpochChain::solve_dp_fleet`] are
+//! the exact small-pool oracles.
 //!
 //! **Scenario caveat (MV1):** under a budget constraint, carried
 //! materialization discounts free up budget headroom, so later epochs
@@ -46,6 +68,8 @@
 //! new view at least what it was in the single-period problem, so a
 //! zero-drift horizon reproduces the single-period solve bit-for-bit
 //! (property-tested in `tests/horizon_consistency.rs`).
+
+use std::borrow::Cow;
 
 use mv_cost::{CloudCostModel, CostBreakdown, Placement, SelectionSet, ViewCharge};
 use mv_units::{Hours, Money};
@@ -169,6 +193,60 @@ impl DpFleetSolution {
     }
 }
 
+/// A solve's charge transform: `reprice(node, k, placement,
+/// transition)` yields candidate `k`'s effective charge on `placement`
+/// at `node` — the epoch on a [`Topology::Path`], the tree node on a
+/// [`Topology::Tree`]. `transition` is already the carry-aware charge:
+/// the full-price pool entry, or its [`ViewCharge::carried`] form when
+/// the candidate survived the previous epoch *on the same pool* (a
+/// placement move rebuilds the view on the new pool's capacity, so it
+/// re-pays materialization). This is the price-dynamics hook (`mv-cost`'s
+/// `PoolCharge` folds rate differentials and interruption premiums into
+/// it); transforms that leave the answer profile alone keep each splice
+/// on [`IncrementalEvaluator::update_charge`]'s O(1) fast path.
+pub trait Reprice: Fn(usize, usize, Placement, &ViewCharge) -> ViewCharge {}
+
+impl<F: Fn(usize, usize, Placement, &ViewCharge) -> ViewCharge> Reprice for F {}
+
+/// The axes of a solve other than its topology (module docs: table).
+pub struct ChainSpec<'a, F> {
+    /// The per-node charge transform, a [`Reprice`].
+    pub reprice: F,
+    /// Each candidate's starting pool; `None` is each charge's own.
+    pub initial: Option<&'a [Placement]>,
+    /// Whether the improvement pass may move views between pools
+    /// ([`local_search::improve_joint`]'s placement-flip moves, each one
+    /// O(1) charge splice); `false` pins every candidate where it starts.
+    pub rebalance: bool,
+    /// Bound on each node's improvement pass.
+    pub max_moves: usize,
+}
+
+impl ChainSpec<'static, fn(usize, usize, Placement, &ViewCharge) -> ViewCharge> {
+    /// The single-pool, full-price solve: identity transform, every
+    /// candidate pinned on its charge's own placement.
+    pub fn single_pool(max_moves: usize) -> Self {
+        ChainSpec {
+            reprice: |_, _, _, charge| charge.clone(),
+            initial: None,
+            rebalance: false,
+            max_moves,
+        }
+    }
+}
+
+/// Which epoch models a solve walks, and in what shape.
+#[derive(Debug, Clone, Copy)]
+pub enum Topology<'a> {
+    /// The chain's own epochs, one after another: one lineage.
+    Path,
+    /// A prefix forest of per-node models: one result per
+    /// [`EpochTree::leaves`] entry. Ready nodes are drained by up to
+    /// [`EpochTree::width`] worker threads; scheduling cannot change
+    /// results, only wall-clock.
+    Tree(&'a EpochTree),
+}
+
 /// A billing horizon: per-epoch costing models over one shared,
 /// full-price candidate pool.
 ///
@@ -229,136 +307,246 @@ impl EpochChain {
         &self.pool
     }
 
-    /// Solves the horizon transition-aware, warm-starting each epoch
-    /// from the previous epoch's evaluator state. See the module docs
-    /// for the mechanics; `max_moves` bounds the per-epoch improvement
-    /// pass ([`EpochChain::solve`] uses the default budget).
-    pub fn solve_bounded(&self, scenario: Scenario, max_moves: usize) -> Vec<EpochStep> {
-        self.solve_repriced_bounded(scenario, max_moves, &|_, _, charge| charge.clone())
-    }
-
-    /// [`EpochChain::solve_bounded`] with the default per-epoch move
-    /// budget.
-    pub fn solve(&self, scenario: Scenario) -> Vec<EpochStep> {
-        self.solve_bounded(scenario, local_search::default_move_budget(self.pool.len()))
-    }
-
-    /// The generalized transition-aware solve: each epoch's effective
-    /// charges pass through `reprice(epoch, candidate, transition)`
-    /// first, where `transition` is already the carry-aware charge (the
-    /// full-price pool entry, or its [`ViewCharge::carried`] form when
-    /// the candidate survived the previous epoch). This is the
-    /// price-dynamics hook: `mv-market` re-risks every candidate per
-    /// epoch (interruption premiums on materialization/maintenance)
-    /// without this module knowing anything about markets.
+    /// The transition-aware solve — the one driver every other entry
+    /// point calls (see the module docs). Returns one epoch-ordered
+    /// `Vec<EpochStep>` per lineage: exactly one on a [`Topology::Path`],
+    /// one per [`EpochTree::leaves`] entry on a [`Topology::Tree`].
     ///
-    /// The hot path is unchanged from [`EpochChain::solve_bounded`]
-    /// (which is this method with the identity transform): one
-    /// [`IncrementalEvaluator`] lives for the whole horizon, every
-    /// boundary costs one [`IncrementalEvaluator::retarget`] plus an
-    /// [`IncrementalEvaluator::update_charge`] splice per candidate
-    /// whose effective charge actually changed — never a rebuild
-    /// (asserted via `IncrementalEvaluator::build_count` in the market
-    /// tests). Transforms that only move materialization/maintenance
-    /// (the risk transform does exactly that) keep every splice on
-    /// `update_charge`'s O(1) same-answer-profile fast path.
-    pub fn solve_repriced_bounded<F>(
+    /// # Panics
+    /// Panics when `spec.initial` does not cover the pool, or a tree does
+    /// not fit this chain's query universe and horizon.
+    pub fn solve_with<F: Reprice + Sync>(
         &self,
         scenario: Scenario,
-        max_moves: usize,
+        spec: &ChainSpec<'_, F>,
+        topology: Topology<'_>,
+    ) -> Vec<Vec<EpochStep>> {
+        match topology {
+            Topology::Path => vec![self.run_path(scenario, spec)],
+            Topology::Tree(tree) => {
+                // One worker per unit of tree width, capped by the machine.
+                let machine = std::thread::available_parallelism().map_or(1, |t| t.get());
+                self.run_forest(scenario, spec, tree, machine.min(tree.width()))
+            }
+        }
+    }
+
+    /// The single-pool solve at full price with the default move budget:
+    /// [`ChainSpec::single_pool`] over the chain's own epochs.
+    pub fn solve(&self, scenario: Scenario) -> Vec<EpochStep> {
+        let budget = local_search::default_move_budget(self.pool.len());
+        self.run_path(scenario, &ChainSpec::single_pool(budget))
+    }
+
+    /// The joint **selection + placement** solve over a mixed fleet,
+    /// over the chain's own epochs with the default move budget:
+    /// `initial` seeds each candidate's pool, `rebalance` frees the
+    /// search to move them, `reprice` is [`ChainSpec::reprice`] with the
+    /// epoch as its node.
+    pub fn solve_fleet<F: Reprice>(
+        &self,
+        scenario: Scenario,
+        initial: &[Placement],
+        rebalance: bool,
         reprice: &F,
-    ) -> Vec<EpochStep>
-    where
-        F: Fn(usize, usize, &ViewCharge) -> ViewCharge,
-    {
-        let n = self.pool.len();
-        let mut current: Vec<ViewCharge> = self
-            .pool
+    ) -> Vec<EpochStep> {
+        let spec = ChainSpec {
+            reprice,
+            initial: Some(initial),
+            rebalance,
+            max_moves: local_search::default_move_budget(self.pool.len()),
+        };
+        self.run_path(scenario, &spec)
+    }
+
+    /// The path scheduler: each epoch hands its state to the next.
+    fn run_path<F: Reprice>(&self, scenario: Scenario, spec: &ChainSpec<'_, F>) -> Vec<EpochStep> {
+        let mut state = None;
+        self.epochs
             .iter()
             .enumerate()
-            .map(|(k, c)| reprice(0, k, c))
-            .collect();
-        let mut ev = IncrementalEvaluator::from_problem(SelectionProblem::new(
-            self.epochs[0].clone(),
-            current.clone(),
-        ));
-        let mut prev = SelectionSet::empty(n);
-        let mut steps = Vec::with_capacity(self.epochs.len());
-        for (e, model) in self.epochs.iter().enumerate() {
-            mv_obs::span!("chain/epoch");
-            if e > 0 {
+            .map(|(e, model)| {
+                mv_obs::span!("chain/epoch");
+                let (step, next) = self.node_step(scenario, spec, e, e, model, state.take());
+                state = Some(next);
+                step
+            })
+            .collect()
+    }
+
+    /// The forest scheduler: every node solved once by [`run_tree`], then
+    /// each leaf's lineage cloned out.
+    fn run_forest<F: Reprice + Sync>(
+        &self,
+        scenario: Scenario,
+        spec: &ChainSpec<'_, F>,
+        tree: &EpochTree,
+        threads: usize,
+    ) -> Vec<Vec<EpochStep>> {
+        self.validate_tree(tree);
+        let node_steps = run_tree(tree, threads, |idx, inherited| {
+            mv_obs::span!("solve_tree/node");
+            let node = &tree.nodes()[idx];
+            mv_obs::inc(mv_obs::Counter::TreeNodeSolves);
+            if node.parent.is_none() {
+                mv_obs::inc(mv_obs::Counter::TreeRootSolves);
+            }
+            mv_obs::event(
+                "tree_node_solve",
+                &[("node", idx as f64), ("epoch", node.epoch as f64)],
+            );
+            self.node_step(scenario, spec, idx, node.epoch, &node.model, inherited)
+        });
+        let steps_of = |&leaf| {
+            tree.lineage(leaf)
+                .into_iter()
+                .map(|i| node_steps[i].clone())
+        };
+        tree.leaves()
+            .iter()
+            .map(|l| steps_of(l).collect())
+            .collect()
+    }
+
+    /// The node step: one epoch under one model, from the state its
+    /// parent left (`None` at a root). See the module docs.
+    fn node_step<F: Reprice>(
+        &self,
+        scenario: Scenario,
+        spec: &ChainSpec<'_, F>,
+        node: usize,
+        epoch: usize,
+        model: &CloudCostModel,
+        inherited: Option<NodeState>,
+    ) -> (EpochStep, NodeState) {
+        let n = self.pool.len();
+        let effective = |k, p, carried| self.effective(&spec.reprice, node, k, p, carried);
+        let root = inherited.is_none();
+        let mut state = match inherited {
+            None => {
+                let placements = self.initial_placements(spec.initial);
+                let current: Vec<ViewCharge> =
+                    (0..n).map(|k| effective(k, placements[k], false)).collect();
+                let problem = SelectionProblem::new(model.clone(), current.clone());
+                NodeState {
+                    ev: IncrementalEvaluator::from_problem(problem),
+                    current,
+                    prev: SelectionSet::empty(n),
+                    placements,
+                }
+            }
+            Some(mut state) => {
                 // The whole epoch transition: an O(m) context switch
                 // plus one splice per candidate whose effective charge
                 // changed. No rebuild, no repositioning.
-                ev.retarget(model.clone());
-                for (k, slot) in current.iter_mut().enumerate() {
-                    // Borrow the full-price transition charge; only a
-                    // carried one needs constructing.
-                    let transition: std::borrow::Cow<'_, ViewCharge> = if prev.contains(k) {
-                        std::borrow::Cow::Owned(self.pool[k].carried())
-                    } else {
-                        std::borrow::Cow::Borrowed(&self.pool[k])
-                    };
-                    let want = reprice(e, k, transition.as_ref());
+                state.ev.retarget(model.clone());
+                for (k, slot) in state.current.iter_mut().enumerate() {
+                    let want = effective(k, state.placements[k], state.prev.contains(k));
                     if want != *slot {
-                        ev.update_charge(k, want.clone());
+                        state.ev.update_charge(k, want.clone());
                         *slot = want;
                     }
                 }
+                state
             }
-            let baseline = ev.problem().baseline();
-            if e == 0 {
-                local_search::greedy_fill(&mut ev, scenario, &baseline);
-            }
-            let evaluation = local_search::improve(&mut ev, scenario, &baseline, max_moves);
-            steps.push(self.step(model, e, evaluation, baseline, &prev, scenario));
-            prev = steps.last().expect("just pushed").selection().clone();
+        };
+        let baseline = state.ev.problem().baseline();
+        if root {
+            local_search::greedy_fill(&mut state.ev, scenario, &baseline);
         }
-        steps
+        let mut entry_placements = None;
+        let evaluation = if spec.rebalance {
+            // Carried-ness during the search keys off the node's *entry*
+            // state: flipping a carried view's placement re-prices it
+            // full (rebuild on the new pool), flipping it back restores
+            // the carried charge bit-for-bit.
+            let entry = entry_placements.insert(state.placements.clone());
+            let prev = &state.prev;
+            let charge_for = |k, p| effective(k, p, prev.contains(k) && p == entry[k]);
+            let evaluation = local_search::improve_joint(
+                &mut state.ev,
+                scenario,
+                &baseline,
+                spec.max_moves,
+                &mut state.placements,
+                &charge_for,
+            );
+            // Placement flips spliced new charges in; refresh the
+            // boundary-comparison cache from the live problem.
+            state
+                .current
+                .clone_from_slice(state.ev.problem().candidates());
+            evaluation
+        } else {
+            local_search::improve(&mut state.ev, scenario, &baseline, spec.max_moves)
+        };
+        let step = self.step(
+            model,
+            epoch,
+            Outcome::new(evaluation, baseline, scenario, SolverKind::LocalSearch),
+            &state.prev,
+            entry_placements.as_deref().unwrap_or(&state.placements),
+            &state.placements,
+        );
+        state.prev = step.selection().clone();
+        (step, state)
     }
 
-    /// [`EpochChain::solve_repriced_bounded`] with the default budget.
-    pub fn solve_repriced<F>(&self, scenario: Scenario, reprice: &F) -> Vec<EpochStep>
-    where
-        F: Fn(usize, usize, &ViewCharge) -> ViewCharge,
-    {
-        self.solve_repriced_bounded(
-            scenario,
-            local_search::default_move_budget(self.pool.len()),
-            reprice,
+    /// Candidate `k`'s effective charge on pool `p` at `node`. Only a
+    /// carried transition needs constructing; the full-price one is the
+    /// pool entry itself.
+    fn effective(
+        &self,
+        reprice: &impl Reprice,
+        node: usize,
+        k: usize,
+        p: Placement,
+        carried: bool,
+    ) -> ViewCharge {
+        let transition = if carried {
+            Cow::Owned(self.pool[k].carried())
+        } else {
+            Cow::Borrowed(&self.pool[k])
+        };
+        let mut charge = reprice(node, k, p, &transition);
+        charge.placement = p;
+        charge
+    }
+
+    /// A solve's starting placements: the caller's, or each pool
+    /// charge's own.
+    fn initial_placements(&self, initial: Option<&[Placement]>) -> Vec<Placement> {
+        let n = self.pool.len();
+        assert!(
+            initial.is_none_or(|given| given.len() == n),
+            "initial placements must cover the pool"
+        );
+        initial.map_or_else(
+            || self.pool.iter().map(|c| c.placement).collect(),
+            <[_]>::to_vec,
         )
     }
 
-    /// The rebuild-per-epoch reference implementation of
-    /// [`EpochChain::solve_repriced_bounded`]: identical transition and
+    /// The rebuild-per-epoch **reference** of [`EpochChain::solve_with`]
+    /// on a [`Topology::Path`]: identical transition, placement and
     /// re-pricing semantics, but each epoch builds a fresh charged
     /// problem and a fresh evaluator repositioned by O(n) flips.
-    /// Bit-identical steps (property-tested); exists as the correctness
-    /// anchor and as the baseline the market bench measures against.
-    pub fn solve_repriced_rebuilding_bounded<F>(
+    /// Bit-identical steps (tested below and in
+    /// `tests/horizon_consistency.rs`): the correctness anchor of the
+    /// warm-start machinery and the baseline the benches measure against.
+    pub fn solve_rebuilding<F: Reprice>(
         &self,
         scenario: Scenario,
-        max_moves: usize,
-        reprice: &F,
-    ) -> Vec<EpochStep>
-    where
-        F: Fn(usize, usize, &ViewCharge) -> ViewCharge,
-    {
-        let mut prev = SelectionSet::empty(self.pool.len());
+        spec: &ChainSpec<'_, F>,
+    ) -> Vec<EpochStep> {
+        let n = self.pool.len();
+        let mut placements = self.initial_placements(spec.initial);
+        let mut prev = SelectionSet::empty(n);
         let mut steps = Vec::with_capacity(self.epochs.len());
         for (e, model) in self.epochs.iter().enumerate() {
-            let charged: Vec<ViewCharge> = self
-                .pool
-                .iter()
-                .enumerate()
-                .map(|(k, c)| {
-                    let transition = if prev.contains(k) {
-                        c.carried()
-                    } else {
-                        c.clone()
-                    };
-                    reprice(e, k, &transition)
-                })
+            let effective = |k, p, carried| self.effective(&spec.reprice, e, k, p, carried);
+            let charged: Vec<ViewCharge> = (0..n)
+                .map(|k| effective(k, placements[k], prev.contains(k)))
                 .collect();
             let problem = SelectionProblem::new(model.clone(), charged);
             let baseline = problem.baseline();
@@ -366,27 +554,25 @@ impl EpochChain {
             if e == 0 {
                 local_search::greedy_fill(&mut ev, scenario, &baseline);
             }
-            let evaluation = local_search::improve(&mut ev, scenario, &baseline, max_moves);
-            steps.push(self.step(model, e, evaluation, baseline, &prev, scenario));
+            let entry = placements.clone();
+            let evaluation = if spec.rebalance {
+                let charge_for = |k, p| effective(k, p, prev.contains(k) && p == entry[k]);
+                local_search::improve_joint(
+                    &mut ev,
+                    scenario,
+                    &baseline,
+                    spec.max_moves,
+                    &mut placements,
+                    &charge_for,
+                )
+            } else {
+                local_search::improve(&mut ev, scenario, &baseline, spec.max_moves)
+            };
+            let outcome = Outcome::new(evaluation, baseline, scenario, SolverKind::LocalSearch);
+            steps.push(self.step(model, e, outcome, &prev, &entry, &placements));
             prev = steps.last().expect("just pushed").selection().clone();
         }
         steps
-    }
-
-    /// The rebuild-per-epoch reference implementation of
-    /// [`EpochChain::solve`]: identical transition semantics and move
-    /// rules, but each epoch builds a fresh charged problem and a fresh
-    /// evaluator repositioned by O(n) flips. Produces bit-identical
-    /// steps (tested below); exists as the correctness anchor for the
-    /// warm-start machinery and as the baseline the horizon bench
-    /// measures against.
-    pub fn solve_rebuilding_bounded(&self, scenario: Scenario, max_moves: usize) -> Vec<EpochStep> {
-        self.solve_repriced_rebuilding_bounded(scenario, max_moves, &|_, _, charge| charge.clone())
-    }
-
-    /// [`EpochChain::solve_rebuilding_bounded`] with the default budget.
-    pub fn solve_rebuilding(&self, scenario: Scenario) -> Vec<EpochStep> {
-        self.solve_rebuilding_bounded(scenario, local_search::default_move_budget(self.pool.len()))
     }
 
     /// The transition-*blind* comparator: each epoch is re-solved from
@@ -398,6 +584,7 @@ impl EpochChain {
     /// to; on drifting workloads it churns specialists and re-pays
     /// builds the chain keeps sunk.
     pub fn solve_myopic(&self, scenario: Scenario) -> Vec<EpochStep> {
+        let placements = self.initial_placements(None);
         let mut prev = SelectionSet::empty(self.pool.len());
         let mut steps = Vec::with_capacity(self.epochs.len());
         for (e, model) in self.epochs.iter().enumerate() {
@@ -410,222 +597,9 @@ impl EpochChain {
             let charged_problem = SelectionProblem::new(model.clone(), charged);
             let evaluation = charged_problem.evaluate(&solo.evaluation.selection);
             let baseline = charged_problem.baseline();
-            steps.push(self.step(model, e, evaluation, baseline, &prev, scenario));
+            let outcome = Outcome::new(evaluation, baseline, scenario, SolverKind::LocalSearch);
+            steps.push(self.step(model, e, outcome, &prev, &placements, &placements));
             prev = steps.last().expect("just pushed").selection().clone();
-        }
-        steps
-    }
-
-    /// The joint **selection + placement** chain solve over a mixed
-    /// fleet: each candidate additionally carries a [`Placement`]
-    /// deciding which pool its build/refresh work bills against, and
-    /// the per-epoch improvement pass gains placement-flip moves
-    /// ([`local_search::improve_joint`]) alongside select-flip/swap.
-    ///
-    /// `reprice(epoch, candidate, placement, transition)` yields the
-    /// candidate's effective charge on that pool (the fleet hook:
-    /// `mv-cost`'s `PoolCharge` folds rate differentials and spot
-    /// interruption premiums into it); `transition` is already the
-    /// carry-aware charge — carried only when the candidate survived
-    /// the previous epoch *on the same pool*: a placement move rebuilds
-    /// the view on the new pool's capacity, so it re-pays
-    /// materialization (classified `moved` in the step). `initial`
-    /// seeds each candidate's placement; `rebalance == false` pins
-    /// them, degenerating to [`EpochChain::solve_repriced_bounded`]
-    /// with the per-pool transform — the pure-fleet conformance cases.
-    ///
-    /// The hot path is unchanged: ONE [`IncrementalEvaluator`] lives
-    /// for the whole horizon, every boundary costs one `retarget` plus
-    /// an `update_charge` splice per candidate whose effective charge
-    /// moved, and every placement flip is itself one O(1)
-    /// `update_charge` splice (the transform never touches the answer
-    /// profile) — never a rebuild, asserted via
-    /// `IncrementalEvaluator::build_count` in
-    /// `tests/market_no_rebuild.rs`.
-    pub fn solve_fleet_bounded<F>(
-        &self,
-        scenario: Scenario,
-        max_moves: usize,
-        initial: &[Placement],
-        rebalance: bool,
-        reprice: &F,
-    ) -> Vec<EpochStep>
-    where
-        F: Fn(usize, usize, Placement, &ViewCharge) -> ViewCharge,
-    {
-        let n = self.pool.len();
-        assert_eq!(initial.len(), n, "initial placements must cover the pool");
-        let effective = |e: usize, k: usize, p: Placement, carried: bool| -> ViewCharge {
-            let transition = if carried {
-                self.pool[k].carried()
-            } else {
-                self.pool[k].clone()
-            };
-            let mut charge = reprice(e, k, p, &transition);
-            charge.placement = p;
-            charge
-        };
-        let mut placements: Vec<Placement> = initial.to_vec();
-        let mut current: Vec<ViewCharge> = (0..n)
-            .map(|k| effective(0, k, placements[k], false))
-            .collect();
-        let mut ev = IncrementalEvaluator::from_problem(SelectionProblem::new(
-            self.epochs[0].clone(),
-            current.clone(),
-        ));
-        let mut prev = SelectionSet::empty(n);
-        let mut prev_placements = placements.clone();
-        let mut steps = Vec::with_capacity(self.epochs.len());
-        for (e, model) in self.epochs.iter().enumerate() {
-            mv_obs::span!("chain/epoch");
-            if e > 0 {
-                ev.retarget(model.clone());
-                for (k, slot) in current.iter_mut().enumerate() {
-                    let want = effective(e, k, placements[k], prev.contains(k));
-                    if want != *slot {
-                        ev.update_charge(k, want.clone());
-                        *slot = want;
-                    }
-                }
-            }
-            let baseline = ev.problem().baseline();
-            if e == 0 {
-                local_search::greedy_fill(&mut ev, scenario, &baseline);
-            }
-            let evaluation = if rebalance {
-                // Carried-ness during the search keys off the epoch's
-                // *entry* state: flipping a carried view's placement
-                // re-prices it full (rebuild on the new pool), flipping
-                // it back restores the carried charge bit-for-bit.
-                let entry_prev = prev.clone();
-                let entry_place = placements.clone();
-                let charge_for = |k: usize, p: Placement| -> ViewCharge {
-                    effective(e, k, p, entry_prev.contains(k) && p == entry_place[k])
-                };
-                let ev_ = local_search::improve_joint(
-                    &mut ev,
-                    scenario,
-                    &baseline,
-                    max_moves,
-                    &mut placements,
-                    &charge_for,
-                );
-                // Placement flips spliced new charges in; refresh the
-                // boundary-comparison cache from the live problem.
-                current.clone_from_slice(ev.problem().candidates());
-                ev_
-            } else {
-                local_search::improve(&mut ev, scenario, &baseline, max_moves)
-            };
-            steps.push(self.step_with_placements(
-                model,
-                e,
-                evaluation,
-                baseline,
-                &prev,
-                &prev_placements,
-                placements.clone(),
-                scenario,
-            ));
-            prev = steps.last().expect("just pushed").selection().clone();
-            prev_placements.clone_from_slice(&placements);
-        }
-        steps
-    }
-
-    /// [`EpochChain::solve_fleet_bounded`] with the default per-epoch
-    /// move budget.
-    pub fn solve_fleet<F>(
-        &self,
-        scenario: Scenario,
-        initial: &[Placement],
-        rebalance: bool,
-        reprice: &F,
-    ) -> Vec<EpochStep>
-    where
-        F: Fn(usize, usize, Placement, &ViewCharge) -> ViewCharge,
-    {
-        self.solve_fleet_bounded(
-            scenario,
-            local_search::default_move_budget(self.pool.len()),
-            initial,
-            rebalance,
-            reprice,
-        )
-    }
-
-    /// The rebuild-per-epoch reference implementation of
-    /// [`EpochChain::solve_fleet_bounded`]: identical transition,
-    /// placement and re-pricing semantics, but each epoch builds a
-    /// fresh charged problem and a fresh evaluator repositioned by
-    /// O(n) flips. Bit-identical steps (property-tested below); the
-    /// fleet bench measures against it.
-    pub fn solve_fleet_rebuilding_bounded<F>(
-        &self,
-        scenario: Scenario,
-        max_moves: usize,
-        initial: &[Placement],
-        rebalance: bool,
-        reprice: &F,
-    ) -> Vec<EpochStep>
-    where
-        F: Fn(usize, usize, Placement, &ViewCharge) -> ViewCharge,
-    {
-        let n = self.pool.len();
-        assert_eq!(initial.len(), n, "initial placements must cover the pool");
-        let effective = |e: usize, k: usize, p: Placement, carried: bool| -> ViewCharge {
-            let transition = if carried {
-                self.pool[k].carried()
-            } else {
-                self.pool[k].clone()
-            };
-            let mut charge = reprice(e, k, p, &transition);
-            charge.placement = p;
-            charge
-        };
-        let mut placements: Vec<Placement> = initial.to_vec();
-        let mut prev = SelectionSet::empty(n);
-        let mut prev_placements = placements.clone();
-        let mut steps = Vec::with_capacity(self.epochs.len());
-        for (e, model) in self.epochs.iter().enumerate() {
-            let charged: Vec<ViewCharge> = (0..n)
-                .map(|k| effective(e, k, placements[k], prev.contains(k)))
-                .collect();
-            let problem = SelectionProblem::new(model.clone(), charged);
-            let baseline = problem.baseline();
-            let mut ev = IncrementalEvaluator::with_selection(&problem, &prev);
-            if e == 0 {
-                local_search::greedy_fill(&mut ev, scenario, &baseline);
-            }
-            let evaluation = if rebalance {
-                let entry_prev = prev.clone();
-                let entry_place = placements.clone();
-                let charge_for = |k: usize, p: Placement| -> ViewCharge {
-                    effective(e, k, p, entry_prev.contains(k) && p == entry_place[k])
-                };
-                local_search::improve_joint(
-                    &mut ev,
-                    scenario,
-                    &baseline,
-                    max_moves,
-                    &mut placements,
-                    &charge_for,
-                )
-            } else {
-                local_search::improve(&mut ev, scenario, &baseline, max_moves)
-            };
-            steps.push(self.step_with_placements(
-                model,
-                e,
-                evaluation,
-                baseline,
-                &prev,
-                &prev_placements,
-                placements.clone(),
-                scenario,
-            ));
-            prev = steps.last().expect("just pushed").selection().clone();
-            prev_placements.clone_from_slice(&placements);
         }
         steps
     }
@@ -979,340 +953,6 @@ impl EpochChain {
         }
     }
 
-    /// Solves a whole scenario *tree* of price trajectories in one
-    /// pass — the Monte-Carlo hot path. `tree` factors K sampled paths
-    /// into shared quote-prefixes (each [`EpochTreeNode`] carries the
-    /// quote-repriced costing model for its epoch); this solver visits
-    /// every node exactly once, warm-branching the incremental
-    /// evaluator at split points. The horizon work is one evaluator
-    /// build per *root* plus one [`IncrementalEvaluator::retarget`] +
-    /// charge-splice pass per *edge* — instead of per path × epoch as
-    /// the flat per-path loop ([`EpochChain::solve_repriced_bounded`])
-    /// pays — and one [`IncrementalEvaluator::fork`] per extra sibling
-    /// at each split (asserted in `tests/market_no_rebuild.rs`).
-    ///
-    /// `reprice(node, k, transition)` is the per-node analogue of the
-    /// flat solver's `reprice(epoch, k, transition)`; `transition` is
-    /// already the carry-aware charge. Returns one root→leaf
-    /// `Vec<EpochStep>` per entry of [`EpochTree::leaves`],
-    /// **bit-identical** to flat-solving each leaf's lineage as its own
-    /// chain: a node's search trajectory depends only on its model, its
-    /// effective charges and the selection it inherits — all shared
-    /// along the prefix — so solving the prefix once and forking is
-    /// exact, not approximate (pinned by the unit tests below and the
-    /// workspace-level `tests/tree_identity.rs` proptests).
-    ///
-    /// `threads > 1` drains ready nodes from a shared work queue (a
-    /// node becomes ready when its parent finishes); scheduling cannot
-    /// change results, only wall-clock.
-    pub fn solve_tree_threaded<F>(
-        &self,
-        scenario: Scenario,
-        max_moves: usize,
-        tree: &EpochTree,
-        threads: usize,
-        reprice: &F,
-    ) -> Vec<Vec<EpochStep>>
-    where
-        F: Fn(usize, usize, &ViewCharge) -> ViewCharge + Sync,
-    {
-        self.validate_tree(tree);
-        let n = self.pool.len();
-        let solve = |idx: usize, inherited: Option<TreeState>| -> (EpochStep, TreeState) {
-            mv_obs::span!("solve_tree/node");
-            let node = &tree.nodes()[idx];
-            mv_obs::inc(mv_obs::Counter::TreeNodeSolves);
-            if node.parent.is_none() {
-                mv_obs::inc(mv_obs::Counter::TreeRootSolves);
-            }
-            mv_obs::event(
-                "tree_node_solve",
-                &[("node", idx as f64), ("epoch", node.epoch as f64)],
-            );
-            let (mut ev, current, prev) = match inherited {
-                None => {
-                    let current: Vec<ViewCharge> = self
-                        .pool
-                        .iter()
-                        .enumerate()
-                        .map(|(k, c)| reprice(idx, k, c))
-                        .collect();
-                    let ev = IncrementalEvaluator::from_problem(SelectionProblem::new(
-                        node.model.clone(),
-                        current.clone(),
-                    ));
-                    (ev, current, SelectionSet::empty(n))
-                }
-                Some(state) => {
-                    let TreeState {
-                        mut ev,
-                        mut current,
-                        prev,
-                    } = state;
-                    ev.retarget(node.model.clone());
-                    for (k, slot) in current.iter_mut().enumerate() {
-                        let transition: std::borrow::Cow<'_, ViewCharge> = if prev.contains(k) {
-                            std::borrow::Cow::Owned(self.pool[k].carried())
-                        } else {
-                            std::borrow::Cow::Borrowed(&self.pool[k])
-                        };
-                        let want = reprice(idx, k, transition.as_ref());
-                        if want != *slot {
-                            ev.update_charge(k, want.clone());
-                            *slot = want;
-                        }
-                    }
-                    (ev, current, prev)
-                }
-            };
-            let baseline = ev.problem().baseline();
-            if node.parent.is_none() {
-                local_search::greedy_fill(&mut ev, scenario, &baseline);
-            }
-            let evaluation = local_search::improve(&mut ev, scenario, &baseline, max_moves);
-            let step = self.step(
-                &node.model,
-                node.epoch,
-                evaluation,
-                baseline,
-                &prev,
-                scenario,
-            );
-            let next = step.selection().clone();
-            (
-                step,
-                TreeState {
-                    ev,
-                    current,
-                    prev: next,
-                },
-            )
-        };
-        let branch = |s: &TreeState| TreeState {
-            ev: s.ev.fork(),
-            current: s.current.clone(),
-            prev: s.prev.clone(),
-        };
-        let node_steps = run_tree(tree, threads, solve, branch);
-        collect_leaf_steps(tree, &node_steps)
-    }
-
-    /// [`EpochChain::solve_tree_threaded`] with the thread count picked
-    /// from the machine and the tree's width (a degenerate chain stays
-    /// serial inline).
-    pub fn solve_tree_bounded<F>(
-        &self,
-        scenario: Scenario,
-        max_moves: usize,
-        tree: &EpochTree,
-        reprice: &F,
-    ) -> Vec<Vec<EpochStep>>
-    where
-        F: Fn(usize, usize, &ViewCharge) -> ViewCharge + Sync,
-    {
-        self.solve_tree_threaded(scenario, max_moves, tree, auto_tree_threads(tree), reprice)
-    }
-
-    /// [`EpochChain::solve_tree_bounded`] with the default per-epoch
-    /// move budget — the tree counterpart of
-    /// [`EpochChain::solve_repriced`].
-    pub fn solve_tree<F>(
-        &self,
-        scenario: Scenario,
-        tree: &EpochTree,
-        reprice: &F,
-    ) -> Vec<Vec<EpochStep>>
-    where
-        F: Fn(usize, usize, &ViewCharge) -> ViewCharge + Sync,
-    {
-        self.solve_tree_bounded(
-            scenario,
-            local_search::default_move_budget(self.pool.len()),
-            tree,
-            reprice,
-        )
-    }
-
-    /// The mixed-fleet scenario-tree solve — the tree counterpart of
-    /// [`EpochChain::solve_fleet_bounded`], with the same joint
-    /// selection + placement semantics per node and the same
-    /// one-solve-per-node accounting as
-    /// [`EpochChain::solve_tree_threaded`]. Placement state branches
-    /// with the evaluator, so sibling subtrees rebalance independently.
-    #[allow(clippy::too_many_arguments)]
-    pub fn solve_tree_fleet_threaded<F>(
-        &self,
-        scenario: Scenario,
-        max_moves: usize,
-        tree: &EpochTree,
-        threads: usize,
-        initial: &[Placement],
-        rebalance: bool,
-        reprice: &F,
-    ) -> Vec<Vec<EpochStep>>
-    where
-        F: Fn(usize, usize, Placement, &ViewCharge) -> ViewCharge + Sync,
-    {
-        self.validate_tree(tree);
-        let n = self.pool.len();
-        assert_eq!(initial.len(), n, "initial placements must cover the pool");
-        let effective = |node: usize, k: usize, p: Placement, carried: bool| -> ViewCharge {
-            let transition = if carried {
-                self.pool[k].carried()
-            } else {
-                self.pool[k].clone()
-            };
-            let mut charge = reprice(node, k, p, &transition);
-            charge.placement = p;
-            charge
-        };
-        let solve =
-            |idx: usize, inherited: Option<TreeFleetState>| -> (EpochStep, TreeFleetState) {
-                mv_obs::span!("solve_tree/node");
-                let node = &tree.nodes()[idx];
-                mv_obs::inc(mv_obs::Counter::TreeNodeSolves);
-                if node.parent.is_none() {
-                    mv_obs::inc(mv_obs::Counter::TreeRootSolves);
-                }
-                mv_obs::event(
-                    "tree_node_solve",
-                    &[("node", idx as f64), ("epoch", node.epoch as f64)],
-                );
-                let (mut ev, mut current, prev, mut placements) = match inherited {
-                    None => {
-                        let placements: Vec<Placement> = initial.to_vec();
-                        let current: Vec<ViewCharge> = (0..n)
-                            .map(|k| effective(idx, k, placements[k], false))
-                            .collect();
-                        let ev = IncrementalEvaluator::from_problem(SelectionProblem::new(
-                            node.model.clone(),
-                            current.clone(),
-                        ));
-                        (ev, current, SelectionSet::empty(n), placements)
-                    }
-                    Some(state) => {
-                        let TreeFleetState {
-                            mut ev,
-                            mut current,
-                            prev,
-                            placements,
-                        } = state;
-                        ev.retarget(node.model.clone());
-                        for (k, slot) in current.iter_mut().enumerate() {
-                            let want = effective(idx, k, placements[k], prev.contains(k));
-                            if want != *slot {
-                                ev.update_charge(k, want.clone());
-                                *slot = want;
-                            }
-                        }
-                        (ev, current, prev, placements)
-                    }
-                };
-                let baseline = ev.problem().baseline();
-                if node.parent.is_none() {
-                    local_search::greedy_fill(&mut ev, scenario, &baseline);
-                }
-                // Carried-ness during the search keys off the node's *entry*
-                // state, exactly as the flat fleet solver does per epoch.
-                let entry_place = placements.clone();
-                let evaluation = if rebalance {
-                    let entry_prev = prev.clone();
-                    let charge_for = |k: usize, p: Placement| -> ViewCharge {
-                        effective(idx, k, p, entry_prev.contains(k) && p == entry_place[k])
-                    };
-                    let ev_ = local_search::improve_joint(
-                        &mut ev,
-                        scenario,
-                        &baseline,
-                        max_moves,
-                        &mut placements,
-                        &charge_for,
-                    );
-                    current.clone_from_slice(ev.problem().candidates());
-                    ev_
-                } else {
-                    local_search::improve(&mut ev, scenario, &baseline, max_moves)
-                };
-                let step = self.step_with_placements(
-                    &node.model,
-                    node.epoch,
-                    evaluation,
-                    baseline,
-                    &prev,
-                    &entry_place,
-                    placements.clone(),
-                    scenario,
-                );
-                let next = step.selection().clone();
-                (
-                    step,
-                    TreeFleetState {
-                        ev,
-                        current,
-                        prev: next,
-                        placements,
-                    },
-                )
-            };
-        let branch = |s: &TreeFleetState| TreeFleetState {
-            ev: s.ev.fork(),
-            current: s.current.clone(),
-            prev: s.prev.clone(),
-            placements: s.placements.clone(),
-        };
-        let node_steps = run_tree(tree, threads, solve, branch);
-        collect_leaf_steps(tree, &node_steps)
-    }
-
-    /// [`EpochChain::solve_tree_fleet_threaded`] with the thread count
-    /// picked from the machine and the tree's width.
-    pub fn solve_tree_fleet_bounded<F>(
-        &self,
-        scenario: Scenario,
-        max_moves: usize,
-        tree: &EpochTree,
-        initial: &[Placement],
-        rebalance: bool,
-        reprice: &F,
-    ) -> Vec<Vec<EpochStep>>
-    where
-        F: Fn(usize, usize, Placement, &ViewCharge) -> ViewCharge + Sync,
-    {
-        self.solve_tree_fleet_threaded(
-            scenario,
-            max_moves,
-            tree,
-            auto_tree_threads(tree),
-            initial,
-            rebalance,
-            reprice,
-        )
-    }
-
-    /// [`EpochChain::solve_tree_fleet_bounded`] with the default
-    /// per-epoch move budget — the tree counterpart of
-    /// [`EpochChain::solve_fleet`].
-    pub fn solve_tree_fleet<F>(
-        &self,
-        scenario: Scenario,
-        tree: &EpochTree,
-        initial: &[Placement],
-        rebalance: bool,
-        reprice: &F,
-    ) -> Vec<Vec<EpochStep>>
-    where
-        F: Fn(usize, usize, Placement, &ViewCharge) -> ViewCharge + Sync,
-    {
-        self.solve_tree_fleet_bounded(
-            scenario,
-            local_search::default_move_budget(self.pool.len()),
-            tree,
-            initial,
-            rebalance,
-            reprice,
-        )
-    }
-
     /// Validates a scenario tree against this chain: every node model
     /// must cover the chain's query universe (that is what keeps the
     /// branched evaluators' answer caches valid across
@@ -1343,51 +983,21 @@ impl EpochChain {
     }
 
     /// Assembles one epoch's step: transition accounting against the
-    /// previous selection plus the full-price reference evaluation.
-    /// Single-fleet solvers: every candidate keeps its pool charge's
-    /// own placement, so the `moved` partition is always empty.
-    /// `model` is the epoch's *effective* costing model — the chain's
-    /// own epoch model on the flat solvers, the node's quote-repriced
-    /// model on the tree solvers.
+    /// previous selection and placements — a candidate selected in both
+    /// epochs whose placement changed is `moved` (it re-paid
+    /// materialization on the new pool), not `kept` — plus the
+    /// full-price reference evaluation. `model` is the epoch's
+    /// *effective* costing model (a tree node's is quote-repriced).
     fn step(
         &self,
         model: &CloudCostModel,
         epoch: usize,
-        evaluation: Evaluation,
-        baseline: Evaluation,
-        prev: &SelectionSet,
-        scenario: Scenario,
-    ) -> EpochStep {
-        let placements: Vec<Placement> = self.pool.iter().map(|c| c.placement).collect();
-        self.step_with_placements(
-            model,
-            epoch,
-            evaluation,
-            baseline,
-            prev,
-            &placements.clone(),
-            placements,
-            scenario,
-        )
-    }
-
-    /// [`EpochChain::step`] with explicit placement state: a candidate
-    /// selected in both epochs whose placement changed is classified
-    /// `moved` (it re-paid materialization on the new pool) instead of
-    /// `kept`.
-    #[allow(clippy::too_many_arguments)]
-    fn step_with_placements(
-        &self,
-        model: &CloudCostModel,
-        epoch: usize,
-        evaluation: Evaluation,
-        baseline: Evaluation,
+        outcome: Outcome,
         prev: &SelectionSet,
         prev_placements: &[Placement],
-        placements: Vec<Placement>,
-        scenario: Scenario,
+        placements: &[Placement],
     ) -> EpochStep {
-        let selection = evaluation.selection.clone();
+        let selection = &outcome.evaluation.selection;
         let mut added = Vec::new();
         let mut kept = Vec::new();
         let mut moved = Vec::new();
@@ -1424,21 +1034,21 @@ impl EpochChain {
         let full_materialization: Hours =
             selection.ones().map(|k| self.pool[k].materialization).sum();
         let full_price = Evaluation {
-            time: evaluation.time,
+            time: outcome.evaluation.time,
             breakdown: CostBreakdown {
                 compute_materialization: model.compute_cost(full_materialization),
-                ..evaluation.breakdown
+                ..outcome.evaluation.breakdown
             },
             selection: selection.clone(),
         };
         EpochStep {
-            outcome: Outcome::new(evaluation, baseline, scenario, SolverKind::LocalSearch),
+            outcome,
             full_price,
             added,
             kept,
             dropped,
             moved,
-            placements,
+            placements: placements.to_vec(),
         }
     }
 }
@@ -1551,7 +1161,7 @@ impl EpochTree {
     }
 
     /// Total node count — the number of epoch-solves a tree solve
-    /// performs (vs `paths × epochs` for the flat loop).
+    /// performs (vs `paths × epochs` solving each path alone).
     pub fn len(&self) -> usize {
         self.nodes.len()
     }
@@ -1586,150 +1196,99 @@ impl EpochTree {
     }
 }
 
-/// Per-branch solver state threaded through [`run_tree`] by the
-/// single-fleet tree solve.
-struct TreeState {
-    ev: IncrementalEvaluator<'static>,
-    current: Vec<ViewCharge>,
-    prev: SelectionSet,
-}
-
-/// [`TreeState`] plus the standing placement assignment, for the fleet
-/// tree solve.
-struct TreeFleetState {
+/// What one node hands its children: the live evaluator on the node's
+/// selection, the effective charges spliced into it (the boundary
+/// comparison cache), that selection, and the standing placements.
+struct NodeState {
     ev: IncrementalEvaluator<'static>,
     current: Vec<ViewCharge>,
     prev: SelectionSet,
     placements: Vec<Placement>,
 }
 
-/// Thread count for a tree solve: one worker per unit of maximum tree
-/// width, capped by the machine. A degenerate chain (width 1) stays
-/// serial inline, paying no scope setup.
-fn auto_tree_threads(tree: &EpochTree) -> usize {
-    std::thread::available_parallelism()
-        .map_or(1, |t| t.get())
-        .min(tree.width())
-}
-
-/// Clones each leaf's root→leaf step chain out of the per-node results.
-fn collect_leaf_steps(tree: &EpochTree, node_steps: &[EpochStep]) -> Vec<Vec<EpochStep>> {
-    tree.leaves()
-        .iter()
-        .map(|&leaf| {
-            tree.lineage(leaf)
-                .into_iter()
-                .map(|i| node_steps[i].clone())
-                .collect()
-        })
-        .collect()
+impl NodeState {
+    /// An independent copy for a sibling subtree (one evaluator fork).
+    fn fork(&self) -> NodeState {
+        NodeState {
+            ev: self.ev.fork(),
+            current: self.current.clone(),
+            prev: self.prev.clone(),
+            placements: self.placements.clone(),
+        }
+    }
 }
 
 /// Solves every tree node exactly once, parents before children,
 /// handing each node's post-solve state to its children: the last
-/// child takes it by move, earlier siblings get a `branch` fork.
+/// child takes it by move, earlier siblings get a [`NodeState::fork`].
 /// Returns one [`EpochStep`] per node, in node order.
 ///
-/// With `threads <= 1` this is a plain forward pass (nodes are stored
-/// parent-before-child). Otherwise `threads` workers drain a shared
-/// ready queue under a mutex + condvar — a node enters the queue the
-/// moment its parent finishes. Results are schedule-independent: a
-/// node's inputs come only from its parent.
-fn run_tree<S, Solve, Branch>(
-    tree: &EpochTree,
-    threads: usize,
-    solve: Solve,
-    branch: Branch,
-) -> Vec<EpochStep>
+/// Workers drain a shared ready queue under a mutex + condvar — a node
+/// enters the queue the moment its parent finishes. With `threads <= 1`
+/// the calling thread is the one worker (a degenerate chain pays no
+/// scope setup). Results are schedule-independent: a node's inputs come
+/// only from its parent.
+fn run_tree<Solve>(tree: &EpochTree, threads: usize, solve: Solve) -> Vec<EpochStep>
 where
-    S: Send,
-    Solve: Fn(usize, Option<S>) -> (EpochStep, S) + Sync,
-    Branch: Fn(&S) -> S + Sync,
+    Solve: Fn(usize, Option<NodeState>) -> (EpochStep, NodeState) + Sync,
 {
-    let len = tree.len();
-    if mv_obs::enabled() {
-        // Branch-width telemetry (a width-w split pays w-1 forks).
-        for i in 0..len {
-            let width = tree.children(i).len();
-            if width >= 2 {
-                mv_obs::record(mv_obs::Hist::TreeForkWidth, width as u64);
-            }
-        }
-    }
-    let mut inbox: Vec<Option<S>> = (0..len).map(|_| None).collect();
-    if threads <= 1 {
-        let mut steps = Vec::with_capacity(len);
-        for i in 0..len {
-            let (step, state) = solve(i, inbox[i].take());
-            steps.push(step);
-            if let Some((&last, rest)) = tree.children(i).split_last() {
-                for &c in rest {
-                    inbox[c] = Some(branch(&state));
-                }
-                inbox[last] = Some(state);
-            }
-        }
-        return steps;
-    }
-
     use std::collections::VecDeque;
     use std::sync::{Condvar, Mutex};
-    struct Board<S> {
-        queue: VecDeque<usize>,
-        inbox: Vec<Option<S>>,
+    let len = tree.len();
+    struct Board {
+        queue: VecDeque<(usize, Option<NodeState>)>,
         steps: Vec<Option<EpochStep>>,
         done: usize,
     }
     let board = Mutex::new(Board {
-        queue: tree.roots().iter().copied().collect(),
-        inbox,
+        queue: tree.roots().iter().map(|&root| (root, None)).collect(),
         steps: (0..len).map(|_| None).collect(),
         done: 0,
     });
     let ready = Condvar::new();
-    crossbeam::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|_| loop {
-                let (i, inherited) = {
-                    let mut b = board.lock().expect("tree board poisoned");
-                    loop {
-                        if b.done == len {
-                            return;
-                        }
-                        if let Some(i) = b.queue.pop_front() {
-                            let inherited = b.inbox[i].take();
-                            break (i, inherited);
-                        }
-                        b = ready.wait(b).expect("tree board poisoned");
-                    }
-                };
-                let (step, state) = solve(i, inherited);
-                // Fork outside the lock: sibling hand-offs are the
-                // expensive part of a split.
-                let kids = tree.children(i);
-                let mut ship: Vec<(usize, S)> = Vec::with_capacity(kids.len());
-                if let Some((&last, rest)) = kids.split_last() {
-                    for &c in rest {
-                        ship.push((c, branch(&state)));
-                    }
-                    ship.push((last, state));
+    let worker = || loop {
+        let (i, inherited) = {
+            let mut b = board.lock().expect("tree board poisoned");
+            loop {
+                if b.done == len {
+                    return;
                 }
-                let mut b = board.lock().expect("tree board poisoned");
-                b.steps[i] = Some(step);
-                b.done += 1;
-                for (c, s) in ship {
-                    b.inbox[c] = Some(s);
-                    b.queue.push_back(c);
+                if let Some(job) = b.queue.pop_front() {
+                    break job;
                 }
-                drop(b);
-                ready.notify_all();
-            });
+                b = ready.wait(b).expect("tree board poisoned");
+            }
+        };
+        let (step, state) = solve(i, inherited);
+        // Fork outside the lock: sibling hand-offs are the expensive
+        // part of a split (a width-w one pays w-1 forks).
+        let mut ship = Vec::with_capacity(tree.children(i).len());
+        if let Some((&last, rest)) = tree.children(i).split_last() {
+            if !rest.is_empty() {
+                mv_obs::record(mv_obs::Hist::TreeForkWidth, rest.len() as u64 + 1);
+            }
+            ship.extend(rest.iter().map(|&c| (c, Some(state.fork()))));
+            ship.push((last, Some(state)));
         }
-    })
-    .expect("tree solve scope failed");
+        let mut b = board.lock().expect("tree board poisoned");
+        b.steps[i] = Some(step);
+        b.done += 1;
+        b.queue.extend(ship);
+        drop(b);
+        ready.notify_all();
+    };
+    if threads <= 1 {
+        worker();
+    } else {
+        crossbeam::thread::scope(|scope| {
+            for _ in 0..threads {
+                scope.spawn(|_| worker());
+            }
+        })
+        .expect("tree solve scope failed");
+    }
+    let board = board.into_inner().expect("tree board poisoned");
     board
-        .into_inner()
-        .expect("tree board poisoned")
         .steps
         .into_iter()
         .map(|s| s.expect("every tree node solved"))
@@ -1745,6 +1304,21 @@ mod tests {
     fn flat_chain(epochs: usize) -> EpochChain {
         let p = paper_like_problem();
         EpochChain::new(vec![p.model().clone(); epochs], p.candidates().to_vec())
+    }
+
+    /// The default move budget of `chain`'s pool.
+    fn budget(chain: &EpochChain) -> usize {
+        crate::local_search::default_move_budget(chain.pool().len())
+    }
+
+    /// The driver over the chain's own epochs.
+    fn on_path<F>(chain: &EpochChain, scenario: Scenario, spec: &ChainSpec<'_, F>) -> Vec<EpochStep>
+    where
+        F: Fn(usize, usize, Placement, &ViewCharge) -> ViewCharge + Sync,
+    {
+        let mut solved = chain.solve_with(scenario, spec, Topology::Path);
+        assert_eq!(solved.len(), 1, "a path is one lineage");
+        solved.remove(0)
     }
 
     #[test]
@@ -1790,7 +1364,7 @@ mod tests {
             Scenario::time_limit(Hours::new(20.0)),
         ] {
             let warm = chain.solve(scenario);
-            let rebuilt = chain.solve_rebuilding(scenario);
+            let rebuilt = chain.solve_rebuilding(scenario, &ChainSpec::single_pool(budget(&chain)));
             assert_eq!(warm.len(), rebuilt.len());
             for (e, (w, r)) in warm.iter().zip(&rebuilt).enumerate() {
                 assert_eq!(w.outcome.evaluation, r.outcome.evaluation, "epoch {e}");
@@ -1807,22 +1381,26 @@ mod tests {
         let chain = drifting_chain(5);
         // A per-epoch transform shaped like the market's interruption
         // premium: build/refresh inflate with the epoch, answers don't.
-        let reprice = |e: usize, _k: usize, c: &ViewCharge| -> ViewCharge {
-            let attempts = 1.0 + 0.15 * e as f64;
-            ViewCharge {
-                materialization: c.materialization * attempts,
-                maintenance: c.maintenance * attempts,
-                ..c.clone()
-            }
+        let spec = ChainSpec {
+            reprice: |e: usize, _k: usize, _p: Placement, c: &ViewCharge| -> ViewCharge {
+                let attempts = 1.0 + 0.15 * e as f64;
+                ViewCharge {
+                    materialization: c.materialization * attempts,
+                    maintenance: c.maintenance * attempts,
+                    ..c.clone()
+                }
+            },
+            initial: None,
+            rebalance: false,
+            max_moves: budget(&chain),
         };
-        let budget = crate::local_search::default_move_budget(chain.pool().len());
         for scenario in [
             Scenario::tradeoff(0.02),
             Scenario::tradeoff_normalized(0.5),
             Scenario::time_limit(Hours::new(20.0)),
         ] {
-            let warm = chain.solve_repriced(scenario, &reprice);
-            let rebuilt = chain.solve_repriced_rebuilding_bounded(scenario, budget, &reprice);
+            let warm = on_path(&chain, scenario, &spec);
+            let rebuilt = chain.solve_rebuilding(scenario, &spec);
             assert_eq!(warm.len(), rebuilt.len());
             for (e, (w, r)) in warm.iter().zip(&rebuilt).enumerate() {
                 assert_eq!(w.outcome.evaluation, r.outcome.evaluation, "epoch {e}");
@@ -1835,14 +1413,22 @@ mod tests {
 
     #[test]
     fn identity_reprice_is_solve_bounded_bit_for_bit() {
+        // `solve` is the driver with the single-pool spec, and the
+        // single pool is the pinned fleet whose candidates start on
+        // their charges' own placements.
         let chain = drifting_chain(4);
+        let own: Vec<Placement> = chain.pool().iter().map(|c| c.placement).collect();
+        let spec = ChainSpec {
+            reprice: |_: usize, _: usize, _: Placement, c: &ViewCharge| c.clone(),
+            initial: Some(&own),
+            rebalance: false,
+            max_moves: budget(&chain),
+        };
         for scenario in [Scenario::tradeoff(0.02), Scenario::tradeoff_normalized(0.5)] {
             let plain = chain.solve(scenario);
-            let repriced = chain.solve_repriced(scenario, &|_, _, c| c.clone());
-            for (e, (p, r)) in plain.iter().zip(&repriced).enumerate() {
-                assert_eq!(p.outcome.evaluation, r.outcome.evaluation, "epoch {e}");
-                assert_eq!(p.full_price, r.full_price, "epoch {e}");
-            }
+            assert_steps_eq(&plain, &on_path(&chain, scenario, &spec), "own placements");
+            let single = ChainSpec::single_pool(budget(&chain));
+            assert_steps_eq(&plain, &on_path(&chain, scenario, &single), "single pool");
         }
     }
 
@@ -1965,18 +1551,20 @@ mod tests {
         let attempts: &[f64] = &[1.0, 1.5, 2.0, 1.25, 1.0];
         let reprice = fleet_reprice(factors, attempts);
         let initial = vec![Placement::Reserved; chain.pool().len()];
-        let budget = crate::local_search::default_move_budget(chain.pool().len());
         for scenario in [
             Scenario::tradeoff(0.02),
             Scenario::tradeoff_normalized(0.5),
             Scenario::time_limit(Hours::new(20.0)),
         ] {
             for rebalance in [false, true] {
-                let warm =
-                    chain.solve_fleet_bounded(scenario, budget, &initial, rebalance, &reprice);
-                let rebuilt = chain.solve_fleet_rebuilding_bounded(
-                    scenario, budget, &initial, rebalance, &reprice,
-                );
+                let spec = ChainSpec {
+                    reprice: &reprice,
+                    initial: Some(&initial),
+                    rebalance,
+                    max_moves: budget(&chain),
+                };
+                let warm = on_path(&chain, scenario, &spec);
+                let rebuilt = chain.solve_rebuilding(scenario, &spec);
                 assert_eq!(warm.len(), rebuilt.len());
                 for (e, (w, r)) in warm.iter().zip(&rebuilt).enumerate() {
                     assert_eq!(w.outcome.evaluation, r.outcome.evaluation, "epoch {e}");
@@ -1999,16 +1587,21 @@ mod tests {
         let chain = drifting_chain(4);
         let n = chain.pool().len();
         let attempts: &[f64] = &[1.0, 1.6, 2.2, 1.3];
-        let single = |e: usize, _k: usize, c: &ViewCharge| -> ViewCharge {
+        let fleet = |e: usize, _k: usize, _p: Placement, c: &ViewCharge| -> ViewCharge {
             ViewCharge {
                 materialization: c.materialization * attempts[e],
                 maintenance: c.maintenance * attempts[e],
                 ..c.clone()
             }
         };
-        let fleet = move |e: usize, k: usize, _p: Placement, c: &ViewCharge| single(e, k, c);
+        let single = ChainSpec {
+            reprice: &fleet,
+            initial: None,
+            rebalance: false,
+            max_moves: budget(&chain),
+        };
         for scenario in [Scenario::tradeoff(0.02), Scenario::tradeoff_normalized(0.5)] {
-            let plain = chain.solve_repriced(scenario, &single);
+            let plain = on_path(&chain, scenario, &single);
             let pinned = chain.solve_fleet(scenario, &vec![Placement::Reserved; n], false, &fleet);
             for (e, (p, f)) in plain.iter().zip(&pinned).enumerate() {
                 assert_eq!(p.outcome.evaluation, f.outcome.evaluation, "epoch {e}");
@@ -2242,7 +1835,7 @@ mod tests {
         )
     }
 
-    /// The flat per-path reference for one leaf: its lineage solved as
+    /// The unshared per-path reference for one leaf: its lineage solved as
     /// a stand-alone chain with the node-indexed reprice mapped down to
     /// epochs.
     fn lineage_chain(
@@ -2280,34 +1873,43 @@ mod tests {
         let chain = drifting_chain(4);
         let tree = branchy_tree(&chain);
         // A per-node transform shaped like the market's interruption
-        // premium, keyed on the node's epoch so the flat reference can
+        // premium, keyed on the node's epoch so the per-path reference can
         // reproduce it exactly.
-        let attempts = |e: usize| 1.0 + 0.2 * e as f64;
-        let tree_reprice = |node: usize, _k: usize, c: &ViewCharge| -> ViewCharge {
-            let a = attempts(tree.nodes()[node].epoch);
+        let risked = |e: usize, c: &ViewCharge| -> ViewCharge {
+            let a = 1.0 + 0.2 * e as f64;
             ViewCharge {
                 materialization: c.materialization * a,
                 maintenance: c.maintenance * a,
                 ..c.clone()
             }
         };
+        fn single_pool<F>(reprice: F, max_moves: usize) -> ChainSpec<'static, F> {
+            ChainSpec {
+                reprice,
+                initial: None,
+                rebalance: false,
+                max_moves,
+            }
+        }
+        let moves = budget(&chain);
+        let by_node = |node: usize, _k: usize, _p: Placement, c: &ViewCharge| {
+            risked(tree.nodes()[node].epoch, c)
+        };
+        let by_epoch = |e: usize, _k: usize, _p: Placement, c: &ViewCharge| risked(e, c);
         for scenario in [
             Scenario::tradeoff(0.02),
             Scenario::tradeoff_normalized(0.5),
             Scenario::time_limit(Hours::new(20.0)),
         ] {
-            let solved = chain.solve_tree(scenario, &tree, &tree_reprice);
+            let solved = chain.solve_with(
+                scenario,
+                &single_pool(&by_node, moves),
+                Topology::Tree(&tree),
+            );
             assert_eq!(solved.len(), tree.leaves().len());
             for (j, &leaf) in tree.leaves().iter().enumerate() {
-                let (flat, _) = lineage_chain(&chain, &tree, leaf);
-                let reference = flat.solve_repriced(scenario, &|e, _k, c: &ViewCharge| {
-                    let a = attempts(e);
-                    ViewCharge {
-                        materialization: c.materialization * a,
-                        maintenance: c.maintenance * a,
-                        ..c.clone()
-                    }
-                });
+                let (alone, _) = lineage_chain(&chain, &tree, leaf);
+                let reference = on_path(&alone, scenario, &single_pool(&by_epoch, moves));
                 assert_steps_eq(
                     &solved[j],
                     &reference,
@@ -2323,7 +1925,7 @@ mod tests {
         let tree = branchy_tree(&chain);
         let n = chain.pool().len();
         let initial = vec![Placement::Reserved; n];
-        // Spot factor keyed on the node's epoch (so the flat reference
+        // Spot factor keyed on the node's epoch (so the per-path reference
         // can reproduce it) with enough spread to force rebalancing.
         let spot = |e: usize| [0.4, 0.5, 0.9, 0.45][e];
         let tree_reprice = |node: usize, _k: usize, p: Placement, c: &ViewCharge| -> ViewCharge {
@@ -2351,11 +1953,16 @@ mod tests {
         };
         for scenario in [Scenario::tradeoff(0.02), Scenario::tradeoff_normalized(0.5)] {
             for rebalance in [false, true] {
-                let solved =
-                    chain.solve_tree_fleet(scenario, &tree, &initial, rebalance, &tree_reprice);
+                let spec = ChainSpec {
+                    reprice: &tree_reprice,
+                    initial: Some(&initial),
+                    rebalance,
+                    max_moves: budget(&chain),
+                };
+                let solved = chain.solve_with(scenario, &spec, Topology::Tree(&tree));
                 for (j, &leaf) in tree.leaves().iter().enumerate() {
-                    let (flat, _) = lineage_chain(&chain, &tree, leaf);
-                    let reference = flat.solve_fleet(scenario, &initial, rebalance, &flat_reprice);
+                    let (alone, _) = lineage_chain(&chain, &tree, leaf);
+                    let reference = alone.solve_fleet(scenario, &initial, rebalance, &flat_reprice);
                     assert_steps_eq(
                         &solved[j],
                         &reference,
@@ -2373,19 +1980,10 @@ mod tests {
         let chain = drifting_chain(4);
         let tree = branchy_tree(&chain);
         let scenario = Scenario::tradeoff_normalized(0.5);
-        let budget = crate::local_search::default_move_budget(chain.pool().len());
-        let serial =
-            chain.solve_tree_threaded(scenario, budget, &tree, 1, &|_, _, c: &ViewCharge| {
-                c.clone()
-            });
+        let single = ChainSpec::single_pool(budget(&chain));
+        let serial = chain.run_forest(scenario, &single, &tree, 1);
         for threads in [2, 4] {
-            let parallel = chain.solve_tree_threaded(
-                scenario,
-                budget,
-                &tree,
-                threads,
-                &|_, _, c: &ViewCharge| c.clone(),
-            );
+            let parallel = chain.run_forest(scenario, &single, &tree, threads);
             for (j, (s, p)) in serial.iter().zip(&parallel).enumerate() {
                 assert_steps_eq(s, p, &format!("leaf {j} threads={threads}"));
             }
@@ -2402,10 +2000,14 @@ mod tests {
                 },
             }
         };
-        let serial_fleet =
-            chain.solve_tree_fleet_threaded(scenario, budget, &tree, 1, &initial, true, &fleet);
-        let parallel_fleet =
-            chain.solve_tree_fleet_threaded(scenario, budget, &tree, 4, &initial, true, &fleet);
+        let hedged = ChainSpec {
+            reprice: &fleet,
+            initial: Some(&initial),
+            rebalance: true,
+            max_moves: budget(&chain),
+        };
+        let serial_fleet = chain.run_forest(scenario, &hedged, &tree, 1);
+        let parallel_fleet = chain.run_forest(scenario, &hedged, &tree, 4);
         for (j, (s, p)) in serial_fleet.iter().zip(&parallel_fleet).enumerate() {
             assert_steps_eq(s, p, &format!("fleet leaf {j}"));
         }
@@ -2427,7 +2029,8 @@ mod tests {
         assert_eq!(tree.edges(), 3);
         assert_eq!(tree.width(), 1);
         let scenario = Scenario::tradeoff(0.02);
-        let solved = chain.solve_tree(scenario, &tree, &|_, _, c: &ViewCharge| c.clone());
+        let single = ChainSpec::single_pool(budget(&chain));
+        let solved = chain.solve_with(scenario, &single, Topology::Tree(&tree));
         let reference = chain.solve(scenario);
         for (j, steps) in solved.iter().enumerate() {
             assert_steps_eq(steps, &reference, &format!("alias {j}"));
@@ -2456,8 +2059,10 @@ mod tests {
             model: chain.epochs()[epoch].clone(),
         };
         let tree = EpochTree::new(vec![node(None, 0), node(Some(0), 1)], vec![1]);
-        chain.solve_tree(Scenario::tradeoff(0.02), &tree, &|_, _, c: &ViewCharge| {
-            c.clone()
-        });
+        chain.solve_with(
+            Scenario::tradeoff(0.02),
+            &ChainSpec::single_pool(16),
+            Topology::Tree(&tree),
+        );
     }
 }

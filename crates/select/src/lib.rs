@@ -121,12 +121,15 @@
 //! reference). [`EpochChain::solve_myopic`] is the transition-blind
 //! re-solve-every-period comparator the regression tests beat.
 //!
-//! Charges can additionally be re-priced per epoch:
-//! [`EpochChain::solve_repriced`] passes every transition charge
-//! through a caller-supplied transform on the same warm-started hot
-//! path (this is how `mv-market` splices spot-interruption risk
-//! premiums into the chain without this crate knowing about markets;
-//! the identity transform *is* [`EpochChain::solve`]). For tiny pools,
+//! Every transition-aware solve is one driver,
+//! [`EpochChain::solve_with`], varied along four axes — a [`ChainSpec`]
+//! (charge transform, placements, move budget) and a [`Topology`]; see
+//! the [`epoch`] module docs for the table. The transform passes every
+//! transition charge through a caller-supplied [`epoch::Reprice`] on
+//! the same warm-started hot path (this is how `mvcloud` splices
+//! spot-interruption risk premiums into the chain without this crate
+//! knowing about markets; the identity transform over the chain's own
+//! epochs *is* [`EpochChain::solve`]). For tiny pools,
 //! [`EpochChain::solve_dp_exact`] is the finite-horizon DP oracle —
 //! exact over selection states per epoch — that quantifies how far the
 //! sequential chain sits from the true horizon optimum
@@ -136,7 +139,9 @@
 //!
 //! On a hedged fleet (part reserved, part spot capacity) each view
 //! additionally carries a [`Placement`] deciding which pool its
-//! build/refresh work bills against. [`EpochChain::solve_fleet`]
+//! build/refresh work bills against. With [`ChainSpec::rebalance`] set
+//! ([`EpochChain::solve_fleet`] is the shorthand over the chain's own
+//! epochs) the driver
 //! searches placements **jointly** with the selection: the improvement
 //! pass ([`local_search::improve_joint`]) gains a placement-flip move
 //! alongside select-flip/swap, and because the per-pool transform only
@@ -160,7 +165,7 @@
 //! [`EpochTree`] is a prefix forest of per-node costing models (node =
 //! one epoch under one quote, edge = an epoch transition; built by
 //! `mv-market`'s `ScenarioTree` from the sampled quote paths), and
-//! [`EpochChain::solve_tree`] / [`EpochChain::solve_tree_fleet`] solve
+//! [`EpochChain::solve_with`] on a [`Topology::Tree`] solves
 //! each tree **node** exactly once — one evaluator build per root, one
 //! warm [`IncrementalEvaluator::retarget`] + charge splice per edge,
 //! and one O(n + tables) [`IncrementalEvaluator::fork`] per extra
@@ -168,9 +173,9 @@
 //! search trajectory depends only on its model, its effective charges
 //! and the selection it inherits (all shared along a prefix), the
 //! per-leaf step sequences are **bit-identical** to solving each path
-//! through [`EpochChain::solve_repriced`] / [`EpochChain::solve_fleet`]
-//! on its own chain (proptest-pinned in `tests/tree_identity.rs` at the
-//! driver layer); ready nodes are work-stolen across crossbeam threads.
+//! alone on a [`Topology::Path`] over its own chain (proptest-pinned in
+//! `tests/tree_identity.rs` at the driver layer); ready nodes are
+//! work-stolen across crossbeam threads.
 //!
 //! The same two warm primitives carry the resident advisor service
 //! (`mvcloud::service`): a long-lived evaluator built **once** from the
@@ -179,8 +184,9 @@
 //! workload frequencies (counter-pinned rebuild-free), and
 //! [`IncrementalEvaluator::fork`]ed per concurrent what-if probe for
 //! snapshot isolation over the copy-on-write problem.
-//! At K = 32 sampled paths the tree sweep beats the flat loop ≈ 1.2×
-//! on a volatile spot market and ≈ 1.5× on a crunchy hedged fleet
+//! At K = 32 sampled paths the tree sweep beats the same paths solved
+//! one at a time ≈ 1.2× on a volatile spot market and ≈ 1.5× on a
+//! crunchy hedged fleet
 //! (`crates/bench/benches/market.rs`, `fleet.rs`), compounding with the
 //! dirty-delta `snapshot()` that makes every node probe O(deg).
 //!
@@ -198,7 +204,7 @@
 //! | [`IncrementalEvaluator::update_charge`] | `evaluator/update_charge`, `evaluator/update_charge_fast` | — |
 //! | [`local_search`] probe loops | `search/probes`; accepted moves: `search/flip_moves`, `search/swap_moves`, `search/place_moves` | `placement_move` event per accepted pool move |
 //! | [`lns`] refine rounds | `lns/rounds`, `lns/accepted`, `lns/rejected` | `lns/destroy_size` histogram, `lns_round` event |
-//! | [`EpochChain`] epoch loops | `chain/epoch_steps` | `chain/epoch` span, `epoch_transition` event (added/kept/dropped/moved) |
+//! | [`EpochChain`] node step (every topology) | `chain/epoch_steps` | `epoch_transition` event (added/kept/dropped/moved); on a path, one `chain/epoch` span per epoch |
 //! | [`EpochTree`] node solves | `tree/node_solves`, `tree/root_solves` | `solve_tree/node` span (count ≡ tree nodes), `tree/fork_width` histogram, `tree_node_solve` event |
 //!
 //! Telemetry is *observational*: with the registry enabled, solver
@@ -233,8 +239,8 @@ mod sweep;
 
 pub use bnb::{solve_bnb, solve_bnb_counted, BnbStats};
 pub use epoch::{
-    DpFleetSolution, DpSolution, EpochChain, EpochStep, EpochTree, EpochTreeNode,
-    DP_FLEET_MAX_CANDIDATES, DP_MAX_CANDIDATES,
+    ChainSpec, DpFleetSolution, DpSolution, EpochChain, EpochStep, EpochTree, EpochTreeNode,
+    Topology, DP_FLEET_MAX_CANDIDATES, DP_MAX_CANDIDATES,
 };
 pub use evaluator::{IncrementalEvaluator, ANSWER_TOP_K};
 pub use exhaustive::{

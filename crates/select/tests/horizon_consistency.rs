@@ -19,7 +19,7 @@
 //! views the single-period solve could not (see `mv_select::epoch`'s
 //! module docs).
 
-use mv_select::epoch::EpochChain;
+use mv_select::epoch::{ChainSpec, EpochChain, Topology};
 use mv_select::{fixtures, solve_local_search_bounded, Scenario};
 use mv_units::Hours;
 use proptest::prelude::*;
@@ -51,7 +51,8 @@ proptest! {
         };
         let solo = solve_local_search_bounded(&p, scenario, MOVES);
         let chain = EpochChain::new(vec![p.model().clone(); epochs], p.candidates().to_vec());
-        let steps = chain.solve_bounded(scenario, MOVES);
+        let spec = ChainSpec::single_pool(MOVES);
+        let steps = chain.solve_with(scenario, &spec, Topology::Path).remove(0);
         prop_assert_eq!(steps.len(), epochs);
 
         // Epoch 0 is the single-period solve, bit for bit.
@@ -82,7 +83,7 @@ proptest! {
 
         // The warm-started chain and the rebuild-per-epoch reference
         // are the same algorithm: bit-identical steps.
-        let rebuilt = chain.solve_rebuilding_bounded(scenario, MOVES);
+        let rebuilt = chain.solve_rebuilding(scenario, &spec);
         for (e, (w, r)) in steps.iter().zip(&rebuilt).enumerate() {
             prop_assert_eq!(&w.outcome.evaluation, &r.outcome.evaluation, "epoch {}", e);
             prop_assert_eq!(&w.full_price, &r.full_price, "epoch {}", e);

@@ -2,7 +2,8 @@
 //! `solve_fleet` pays *tree-shaped* work — one evaluator build per
 //! scenario-tree root, one warm `retarget` per tree edge, one
 //! evaluator fork per extra sibling at each split — instead of per
-//! path × epoch.
+//! path × epoch, which is what the same paths cost solved one at a
+//! time.
 //!
 //! The evaluator reports those operations through the [`mv_obs`]
 //! counter registry. [`mv_obs::CounterGuard`] owns the delta sections:
@@ -91,25 +92,28 @@ fn market_solves_pay_tree_shaped_work() {
         "expected one evaluator fork per extra sibling at each split"
     );
 
-    // The flat reference loop pays per distinct path × epoch: one
-    // build per representative chain, one retarget per epoch boundary
-    // of each, and no forks at all.
-    let flat_config = MarketConfig {
-        flat: true,
-        ..config
-    };
-    counters.rebase();
-    let flat_report = advisor
-        .solve_market(Scenario::tradeoff_normalized(0.5), &flat_config)
-        .unwrap();
-    let (builds, retargets, forked) = deltas(&counters);
-    let distinct = flat_report.distinct_solves as u64;
-    assert_eq!(builds, distinct);
-    assert_eq!(retargets, distinct * (EPOCHS as u64 - 1));
-    assert_eq!(forked, 0);
+    // Without sharing the same paths pay per path × epoch: each one
+    // solved alone is a one-leaf forest — one build, one retarget per
+    // epoch boundary, and no forks at all.
+    let pure_spot = config.as_fleet().fleet;
+    for j in 0..PATHS {
+        counters.rebase();
+        let alone = advisor.solve_fleet_paths(
+            Scenario::tradeoff_normalized(0.5),
+            &config.evolution,
+            &pure_spot,
+            &[market.path(j)],
+        );
+        assert_eq!(alone.tree_nodes, Some(EPOCHS));
+        assert_eq!(
+            deltas(&counters),
+            (1, EPOCHS as u64 - 1, 0),
+            "path {j} alone"
+        );
+    }
     assert!(
-        roots + edges < distinct * EPOCHS as u64,
-        "the tree must pay fewer epoch-solves than the flat loop"
+        roots + edges < (report.distinct_solves * EPOCHS) as u64,
+        "the forest must pay fewer epoch-solves than its distinct paths alone"
     );
 
     // The mixed-fleet case: joint selection + placement over a hedged

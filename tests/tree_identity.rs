@@ -1,21 +1,25 @@
-//! Scenario-tree ≡ flat identity: the tree-routed Monte-Carlo solvers
-//! must reproduce the flat per-path reference loop **bit for bit**.
+//! Shared ≡ unshared identity: the K-path Monte-Carlo solves must
+//! reproduce every sampled path solved **alone**, bit for bit.
 //!
-//! The tree solves each shared quote-prefix once and branches the warm
-//! evaluator at split points; the flat loop solves every path as its
-//! own chain. A node's search trajectory depends only on its costing
-//! model, its effective charges and the selection it inherits — all
-//! shared along a prefix — so the two routes must agree exactly: same
-//! per-path bills, hours, selections and placements, same quantile
-//! envelopes, same plan stability, same commitment comparison. These
-//! properties drive both `Advisor::solve_market` (volatile spot
-//! markets) and `Advisor::solve_fleet` (hedged fleets under correlated
-//! interruption crunches) over random market shapes.
+//! The K-path solve factors the sampled paths into a prefix forest,
+//! solves each shared quote-prefix once and branches the warm evaluator
+//! at split points. `Advisor::solve_fleet_paths` on one path is the
+//! same driver step over a one-leaf forest: nothing shared, nothing
+//! forked. A node's search trajectory depends only on its costing
+//! model, its effective charges and the state it inherits — all shared
+//! along a prefix — so the two must agree exactly: same per-path bills,
+//! hours, selections, placements and churn. These properties drive both
+//! `Advisor::solve_market` (volatile spot markets) and
+//! `Advisor::solve_fleet` (hedged fleets under correlated interruption
+//! crunches) over random market shapes.
 
 use std::sync::OnceLock;
 
-use mvcloud::fleet::FleetConfig;
+use mvcloud::fleet::{FleetConfig, FleetPathSummary};
+use mvcloud::lattice::WorkloadEvolution;
 use mvcloud::market::{CorrelatedHazard, MarketConfig, MarketScenario, PriceProcess, SpotMarket};
+use mvcloud::pricing::FleetPlan;
+use mvcloud::units::Hours;
 use mvcloud::{sales_domain, Advisor, AdvisorConfig, Scenario};
 use proptest::prelude::*;
 
@@ -49,6 +53,26 @@ fn volatile_market(
     market
 }
 
+/// Sampled path `j` of `market` solved alone: a one-leaf forest, so
+/// one full-horizon solve over exactly `epochs` nodes (none at all when
+/// the fleet is market-insulated).
+fn alone(
+    scenario: Scenario,
+    evolution: &WorkloadEvolution,
+    fleet: &FleetPlan,
+    market: &MarketScenario,
+    j: usize,
+) -> FleetPathSummary {
+    let solved = advisor().solve_fleet_paths(scenario, evolution, fleet, &[market.path(j)]);
+    assert_eq!(solved.distinct_solves, 1);
+    assert!(solved.tree_nodes.is_none_or(|nodes| nodes == market.epochs));
+    solved
+        .paths
+        .into_iter()
+        .next()
+        .expect("one path in, one out")
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -69,47 +93,30 @@ proptest! {
             commitment: Some(mvcloud::pricing::CommitmentPlan::aws_small_1yr()),
             ..MarketConfig::default()
         };
-        let flat_cfg = MarketConfig { flat: true, ..tree_cfg.clone() };
         let tree = a.solve_market(scenario, &tree_cfg).unwrap();
-        let flat = a.solve_market(scenario, &flat_cfg).unwrap();
+        let fleet = tree_cfg.as_fleet().fleet;
 
-        // Quantile envelopes.
-        prop_assert_eq!(tree.total_cost, flat.total_cost);
-        prop_assert_eq!(tree.total_time_hours, flat.total_time_hours);
-        prop_assert_eq!(tree.plan_stability, flat.plan_stability);
         // Per-path bills and plans.
-        prop_assert_eq!(tree.paths.len(), flat.paths.len());
-        for (t, f) in tree.paths.iter().zip(&flat.paths) {
+        prop_assert_eq!(tree.paths.len(), paths);
+        for (j, t) in tree.paths.iter().enumerate() {
+            let f = alone(scenario, &tree_cfg.evolution, &fleet, &tree_cfg.market, j);
             prop_assert_eq!(t.total_cost, f.total_cost);
             prop_assert_eq!(t.total_time, f.total_time);
-            prop_assert_eq!(t.billed_instance_hours, f.billed_instance_hours);
+            prop_assert_eq!(
+                t.billed_instance_hours,
+                f.epoch_billed_hours.iter().copied().sum::<Hours>()
+            );
             prop_assert_eq!(t.compute_bill, f.compute_bill);
             prop_assert_eq!(&t.epoch_costs, &f.epoch_costs);
             prop_assert_eq!(&t.selections, &f.selections);
             prop_assert_eq!(t.switches, f.switches);
             prop_assert_eq!(t.interruptions, f.interruptions);
         }
-        // Per-epoch envelope and modal plans.
-        for (t, f) in tree.epochs.iter().zip(&flat.epochs) {
-            prop_assert_eq!(t.charged_cost, f.charged_cost);
-            prop_assert_eq!(t.cumulative_cost, f.cumulative_cost);
-            prop_assert_eq!(t.time_hours, f.time_hours);
-            prop_assert_eq!(t.distinct_plans, f.distinct_plans);
-            prop_assert_eq!(t.modal_share, f.modal_share);
-            prop_assert_eq!(&t.modal_selection, &f.modal_selection);
-        }
-        // Commitment comparison prices identically.
-        let tc = tree.commitment.unwrap();
-        let fc = flat.commitment.unwrap();
-        prop_assert_eq!(tc.spot_compute, fc.spot_compute);
-        prop_assert_eq!(tc.reserved, fc.reserved);
-        prop_assert_eq!(tc.saving, fc.saving);
-        prop_assert_eq!(tc.reserved_wins_share, fc.reserved_wins_share);
-        // Both modes dedup to the same number of distinct solves, and
-        // the tree never pays more epoch-solves than the flat loop.
-        prop_assert_eq!(tree.distinct_solves, flat.distinct_solves);
+        prop_assert!(tree.commitment.is_some());
+        // The shared solve never pays more epoch-solves than the
+        // distinct paths solved alone.
         let nodes = tree.tree_nodes.unwrap();
-        prop_assert!(nodes <= flat.distinct_solves * epochs);
+        prop_assert!(nodes <= tree.distinct_solves * epochs);
     }
 
     #[test]
@@ -138,15 +145,11 @@ proptest! {
             compare_pure: false,
             ..FleetConfig::default()
         };
-        let flat_cfg = FleetConfig { flat: true, ..tree_cfg.clone() };
         let tree = a.solve_fleet(scenario, &tree_cfg).unwrap();
-        let flat = a.solve_fleet(scenario, &flat_cfg).unwrap();
 
-        prop_assert_eq!(tree.total_cost, flat.total_cost);
-        prop_assert_eq!(tree.total_time_hours, flat.total_time_hours);
-        prop_assert_eq!(tree.hedge_ratio, flat.hedge_ratio);
-        prop_assert_eq!(tree.plan_stability, flat.plan_stability);
-        for (t, f) in tree.paths.iter().zip(&flat.paths) {
+        prop_assert_eq!(tree.paths.len(), paths);
+        for (j, t) in tree.paths.iter().enumerate() {
+            let f = alone(scenario, &tree_cfg.evolution, &tree_cfg.fleet, &tree_cfg.market, j);
             prop_assert_eq!(t.total_cost, f.total_cost);
             prop_assert_eq!(t.total_time, f.total_time);
             prop_assert_eq!(t.billed_instance_hours, f.billed_instance_hours);
@@ -158,19 +161,13 @@ proptest! {
             prop_assert_eq!(&t.placements, &f.placements);
             prop_assert_eq!(t.switches, f.switches);
             prop_assert_eq!(t.moves, f.moves);
+            prop_assert_eq!(t.interruptions, f.interruptions);
         }
-        for (t, f) in tree.epochs.iter().zip(&flat.epochs) {
-            prop_assert_eq!(t.charged_cost, f.charged_cost);
-            prop_assert_eq!(t.hedge_ratio, f.hedge_ratio);
-            prop_assert_eq!(t.modal_share, f.modal_share);
-            prop_assert_eq!(&t.modal_selection, &f.modal_selection);
-        }
-        prop_assert_eq!(tree.distinct_solves, flat.distinct_solves);
         match tree.tree_nodes {
-            Some(nodes) => prop_assert!(nodes <= flat.distinct_solves * epochs),
+            Some(nodes) => prop_assert!(nodes <= tree.distinct_solves * epochs),
             // A non-rebalancing hedged fleet pins every view to its
             // initial reserved placement and never sees the market:
-            // both routes short-circuit to a single solve.
+            // one path is solved and stands for all.
             None => prop_assert_eq!(tree.distinct_solves, 1),
         }
     }
