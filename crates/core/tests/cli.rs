@@ -346,3 +346,153 @@ fn metrics_stdout_is_one_trailing_json_line() {
         "an advising run must move at least one counter: {last}"
     );
 }
+
+/// FNV-1a over a byte string (the digest `tests/driver_golden.rs` uses).
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Fixed-seed invocations covering every subcommand and every switch,
+/// with the FNV-1a digest of their stdout — recorded on the commit
+/// *before* the flag table replaced the hand-written parser and
+/// asserted ever since: an accepted invocation prints the same bytes.
+/// `{dir}` is a per-test scratch directory holding `script.txt` and
+/// `events.csv`. If a digest moves, a report byte moved — do not
+/// re-record it to make a change pass.
+const SMALL: &str = "--rows 500 --queries 3";
+const PINNED_STDOUT: [(&str, u64); 24] = [
+    ("advise {small} --alpha 0.5", 0x75fd_45dc_bee2_3eed),
+    (
+        "advise {small} --budget 1000 --solver exhaustive --provider cumulus --instances 3",
+        0x2586_78e4_24cf_9da7,
+    ),
+    ("advise {small} --time-limit 0.1 --solver bnb", 0x7815_828f_8e19_0015),
+    (
+        "advise --candidates 60 --queries 200 --seed 7 --solver lns --alpha 0.5",
+        0xf00f_3e49_6e88_308c,
+    ),
+    (
+        "advise --candidates 60 --queries 200 --solver greedy --budget 100000",
+        0xfc7f_a17d_b37e_fbc6,
+    ),
+    ("horizon {small} --epochs 3 --alpha 0.5", 0xafa8_3730_742b_ac32),
+    (
+        "horizon {small} --epochs 3 --alpha 0.5 --myopic --pattern drift --rate 0.3",
+        0x4f2b_5663_7409_983e,
+    ),
+    (
+        "horizon {small} --epochs 4 --budget 50 --commitment --pattern burst --factor 4 --period 2",
+        0xb364_3b4c_8575_f032,
+    ),
+    (
+        "horizon {small} --epochs 3 --time-limit 1 --pattern static --myopic --commitment",
+        0x3d9b_4592_e93d_0e46,
+    ),
+    (
+        "horizon {small} --epochs 4 --alpha 0.3 --pattern seasonal --amplitude 0.4 --period 3",
+        0x5774_0809_d5f0_6465,
+    ),
+    (
+        "market {small} --epochs 4 --paths 4 --seed 9 --alpha 0.5 --volatility 0.4 --spot-mean 0.6 \
+         --bid 1.1 --cut-epoch 2 --cut-factor 0.7 --decay 0.05 --commitment",
+        0x6e57_ec4c_9f07_93c0,
+    ),
+    ("market {small} --epochs 3 --paths 3 --budget 50 --volatility 0", 0x8e11_d2da_3663_7b52),
+    ("fleet {small} --epochs 3 --paths 4 --alpha 0.5", 0xa18d_e23e_9cea_9f17),
+    ("fleet {small} --epochs 3 --paths 4 --alpha 0.5 --pin spot", 0xb1fe_f99b_caf8_12e1),
+    (
+        "fleet {small} --epochs 3 --paths 4 --seed 5 --alpha 0.5 --no-compare --commitment \
+         --spot-mean 0.4 --volatility 0.2 --crunch-share 0.3 --persistence 0.5 \
+         --crunch-hazard 0.6 --crunch-factor 1.5 --reserved-rate 0.9",
+        0x0a12_10f7_7f7f_d32e,
+    ),
+    (
+        "fleet {small} --epochs 3 --paths 4 --time-limit 1 --pin reserved --commitment",
+        0x8d73_9e3f_ecbe_c33b,
+    ),
+    (
+        "calibrate {small} --epochs 3 --alpha 0.5 --frequency 2 --seed 5 --scale 100 \
+         --instances 3 --pattern drift --rate 0.1 --synthetic-rate 50 --synthetic-overhead 0.01",
+        0x53c0_feea_d473_a990,
+    ),
+    ("calibrate --domain ssb --rows 400 --epochs 2 --budget 100", 0xbcb9_5f11_bd4e_b7c9),
+    (
+        "serve {small} --alpha 0.5 --script {dir}/script.txt --catalog {dir}/script-catalog.json",
+        0xd082_13c4_53b3_2a5d,
+    ),
+    (
+        "serve {small} --budget 100 --frequency 2 --provider stratus --instances 3 --drift 0.5 \
+         --moves 8 --ingest {dir}/events.csv",
+        0x28b1_7b39_dcda_8927,
+    ),
+    (
+        "sql 'SELECT year, SUM(profit) FROM sales GROUP BY year' --rows 500",
+        0x6c7c_4537_17d1_b342,
+    ),
+    (
+        "sql 'SELECT year, country, SUM(profit) FROM sales GROUP BY year, country' \
+         --rows 300 --format csv",
+        0x2725_36c6_b2fb_c942,
+    ),
+    ("pricing", 0x52ba_4845_7a0b_ad07),
+    ("excerpt", 0x1274_3191_39f4_7dac),
+];
+
+/// Splits a pinned command line into arguments: blanks separate,
+/// `'…'` keeps one argument together (the SQL statement), `{small}` /
+/// `{dir}` are substituted.
+fn pinned_args(line: &str, dir: &std::path::Path) -> Vec<String> {
+    let line = line
+        .replace("{small}", SMALL)
+        .replace("{dir}", dir.to_str().expect("utf-8 temp dir"));
+    let mut args = Vec::new();
+    for (i, chunk) in line.split('\'').enumerate() {
+        if i % 2 == 1 {
+            args.push(chunk.to_string());
+        } else {
+            args.extend(chunk.split_ascii_whitespace().map(str::to_string));
+        }
+    }
+    args
+}
+
+#[test]
+fn accepted_invocations_print_the_pinned_bytes() {
+    let dir = std::env::temp_dir().join(format!("mvcloud-pinned-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    std::fs::write(
+        dir.join("script.txt"),
+        "# skew, then every verb\ningest 1 1 Q1\ningest 1 1 Q1\nstatus\nwhatif 0 1\nspill\n\
+         ingest 2 1 Q2\nresolve\nwhatif 2\nstatus\n",
+    )
+    .expect("write script");
+    std::fs::write(
+        dir.join("events.csv"),
+        "# timestamp,query_id,query\n1,1,Q1\n1,2,Q1\n1,2,Q1\n2,1,Q3\n3,1,Q1\n",
+    )
+    .expect("write events");
+
+    let mut moved = Vec::new();
+    for (line, want) in PINNED_STDOUT {
+        let args = pinned_args(line, &dir);
+        let args: Vec<&str> = args.iter().map(String::as_str).collect();
+        let out = run(&args);
+        assert!(
+            out.status.success(),
+            "{line}: exit {:?}, stderr: {}",
+            out.status,
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert!(!out.stdout.is_empty(), "{line}: empty stdout");
+        let got = fnv1a(&out.stdout);
+        if got != want {
+            moved.push(format!(
+                "{line}\n    recorded {want:#018x}, got {got:#018x}"
+            ));
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+    assert!(moved.is_empty(), "stdout moved for:\n{}", moved.join("\n"));
+}
