@@ -1,4 +1,4 @@
-//! Ablation A3 (DESIGN.md): incremental vs full view maintenance.
+//! Ablation A3: incremental vs full view maintenance.
 //!
 //! The incremental path's work is proportional to the delta, the full
 //! path's to the whole base — this bench quantifies the gap that makes the

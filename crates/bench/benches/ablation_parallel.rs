@@ -1,4 +1,4 @@
-//! Ablation A4 (DESIGN.md): serial vs multi-threaded aggregation.
+//! Ablation A4: serial vs multi-threaded aggregation.
 //!
 //! The paper's compute formulas scale cost with `nbIC` identical
 //! instances. This bench shows where partitioned aggregation actually

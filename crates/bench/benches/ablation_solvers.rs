@@ -1,7 +1,7 @@
-//! Ablation A1 (DESIGN.md): the paper's linearized knapsack vs the
+//! Ablation A1: the paper's linearized knapsack vs the
 //! interaction-aware solvers, across all three scenarios on the same
 //! problem. Runtime is measured here; the optimality gap is asserted in
-//! `mv-select`'s tests and printed by the `ablations` binary.
+//! `mv-select`'s tests and printed by `experiments ablations`.
 
 use std::hint::black_box;
 

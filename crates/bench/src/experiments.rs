@@ -1,14 +1,14 @@
 //! Experiment definitions: one runner per paper table/figure.
 //!
-//! Each runner returns structured rows so the experiment binaries can print
-//! paper-style tables, tests can assert the qualitative shapes, and
-//! `all_experiments` can write CSVs for EXPERIMENTS.md.
+//! Each runner returns structured rows so the `experiments` binary can
+//! print paper-style tables, tests can assert the qualitative shapes, and
+//! `experiments all` can write the CSV series.
 //!
 //! ## Workload regimes
 //!
 //! The paper's evaluation (§6) ran each scenario over 3-, 5- and 10-query
 //! workloads on a 10 GB dataset. Two regimes reproduce its two cost
-//! structures (documented in EXPERIMENTS.md):
+//! structures:
 //!
 //! * **MV1 (budget)** — ad-hoc regime: each query runs once, storage billed
 //!   over a year; the budget headroom over the no-view baseline is what
@@ -37,7 +37,7 @@ pub const SEED: u64 = 42;
 /// Builds the advisor for one workload size under a regime.
 /// `maintenance` is the monthly insert fraction (0 = static dataset).
 ///
-/// The sizing mode differs per regime and matters (see EXPERIMENTS.md):
+/// The sizing mode differs per regime and matters:
 /// the ad-hoc MV1 regime uses [`SizingMode::MeasuredScaled`], reproducing
 /// the paper's running example where views are a substantial fraction of
 /// the dataset (50 GB of views on 500 GB of data) so the budget genuinely

@@ -1,18 +1,19 @@
 //! Experiment harness: regenerates every table and figure of the paper.
 //!
-//! | Paper artifact | Runner | Binary |
+//! | Paper artifact | Runner | `experiments` subcommand |
 //! |---|---|---|
-//! | Table 1 (dataset excerpt) | [`mv_engine::datagen::paper_excerpt`] | `dataset_excerpt` |
-//! | Tables 2–4 (pricing) | [`mv_pricing::presets::aws_2012`] | `pricing_tables` |
-//! | Examples 1–9 | `mv-cost` golden tests | `examples_walkthrough` |
-//! | Figures 2–4 (solution spaces) | [`mv_select::pareto`] | `solution_space` |
-//! | Table 6 / Fig 5(a) | [`experiments::scenario_mv1`] | `scenario_mv1` |
-//! | Table 7 / Fig 5(b) | [`experiments::scenario_mv2`] | `scenario_mv2` |
-//! | Table 8 / Fig 5(c,d) | [`experiments::scenario_mv3`] | `scenario_mv3` |
-//! | everything | — | `all_experiments` |
+//! | Table 1 (dataset excerpt) | [`mv_engine::datagen::paper_excerpt`] | `excerpt` |
+//! | Tables 2–4 (pricing) | [`mv_pricing::presets::aws_2012`] | `pricing` |
+//! | Examples 1–9 | `mv-cost` golden tests | `examples` |
+//! | Figures 2–4 (solution spaces) | [`mv_select::pareto`] | `space` |
+//! | Table 6 / Fig 5(a) | [`experiments::scenario_mv1`] | `mv1` |
+//! | Table 7 / Fig 5(b) | [`experiments::scenario_mv2`] | `mv2` |
+//! | Table 8 / Fig 5(c,d) | [`experiments::scenario_mv3`] | `mv3` |
+//! | Figure 5, continuous sweeps | [`mvcloud::whatif`] | `sweeps` |
+//! | Tables 6–8 as CSV series | the three above | `all [--out DIR]` |
 //!
-//! The [`paper`] module holds the published values each run is compared
-//! against in EXPERIMENTS.md.
+//! The [`paper`] module holds the published values each run is printed
+//! beside (`cargo run --release -p mv-bench --bin experiments -- mv1`).
 
 pub mod experiments;
 pub mod paper;

@@ -11,7 +11,7 @@ pub const TABLE8: [(usize, f64, f64); 3] = [(3, 0.55, 0.32), (5, 0.50, 0.35), (1
 
 /// Worked examples (§3–§4): `(id, description, dollars)`.
 /// Example 3 records the value the paper's own formula yields ($2101.76);
-/// the printed $2131.76 is a typo (see EXPERIMENTS.md).
+/// the printed $2131.76 is a typo (`experiments examples` prints both).
 pub const EXAMPLES: [(&str, &str, &str); 7] = [
     ("EX1", "data transfer cost", "1.08"),
     ("EX2", "computing cost (no views)", "12.00"),

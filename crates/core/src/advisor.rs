@@ -26,13 +26,12 @@ use mv_select::{
     local_search, IncrementalEvaluator, Outcome, Scenario, SelectionProblem, SolverKind,
 };
 use mv_units::{Gb, Hours, Months};
-use serde::{Deserialize, Serialize};
 
 use crate::{AdvisorError, Domain};
 
 /// How candidate views are generated from the lattice (the paper's
 /// "existing materialized view selection method").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CandidateStrategy {
     /// Every non-base cuboid.
     FullLattice,
@@ -43,7 +42,7 @@ pub enum CandidateStrategy {
 }
 
 /// How engine measurements are projected to the simulated cloud scale.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SizingMode {
     /// Multiply all engine byte counts by the dataset scale factor. Only
     /// correct when the engine table *is* the full dataset (scale ≈ 1):
@@ -59,7 +58,7 @@ pub enum SizingMode {
 }
 
 /// Advisor configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AdvisorConfig {
     /// Provider pricing policy.
     pub pricing: PricingPolicy,
@@ -107,7 +106,7 @@ impl Default for AdvisorConfig {
 }
 
 /// How [`Advisor::solve_streaming`] pulls candidate cuboids.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StreamStrategy {
     /// HRU greedy benefit order over the lazily-walked lattice, optionally
     /// capped at a pull budget.
@@ -117,7 +116,7 @@ pub enum StreamStrategy {
 }
 
 /// Tuning knobs for the streaming solve.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StreamingConfig {
     /// Candidate source and order.
     pub strategy: StreamStrategy,
@@ -171,7 +170,7 @@ impl Default for StreamingConfig {
 }
 
 /// Accounting for one streaming solve.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StreamingReport {
     /// Cuboids pulled from the stream (each was materialized + metered).
     pub pulled: usize,

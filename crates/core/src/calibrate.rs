@@ -32,7 +32,6 @@ use mv_engine::{ReplayDriver, ThroughputModel};
 use mv_lattice::WorkloadEvolution;
 use mv_select::Scenario;
 use mv_units::{Gb, Hours, Money};
-use serde::Serialize;
 
 use crate::advisor::{monthly_delta, CandidateMeter};
 use crate::{Advisor, AdvisorError, HorizonConfig};
@@ -64,7 +63,7 @@ impl Default for CalibrationConfig {
 }
 
 /// One replayed epoch's reconciliation.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct EpochCalibration {
     /// Epoch index (0-based).
     pub epoch: usize,
@@ -92,7 +91,7 @@ pub struct EpochCalibration {
 
 /// The rendered calibration loop: per-epoch reconciliation, the fitted
 /// parameters, and the held-out generalization score.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct CalibrationReport {
     /// Per-epoch reconciliation, in replay order.
     pub epochs: Vec<EpochCalibration>,

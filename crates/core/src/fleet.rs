@@ -54,7 +54,6 @@ use mv_pricing::{FleetPlan, Placement};
 use mv_select::epoch::{ChainSpec, EpochChain, EpochStep, EpochTree, EpochTreeNode, Topology};
 use mv_select::{local_search, Scenario};
 use mv_units::{Hours, Money};
-use serde::Serialize;
 
 use crate::market::{Quantiles, SpotCommitmentReport};
 use crate::{Advisor, AdvisorError, HorizonConfig};
@@ -91,7 +90,7 @@ impl Default for FleetConfig {
 }
 
 /// Per-path accounting of one sampled trajectory under the fleet.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct FleetPathSummary {
     /// Path index (aligned with [`MarketScenario::path`]).
     pub path: usize,
@@ -134,7 +133,7 @@ pub struct FleetPathSummary {
 }
 
 /// One epoch of the fleet's Monte-Carlo envelope.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct FleetEpochReport {
     /// Epoch index (0-based).
     pub epoch: usize,
@@ -161,7 +160,7 @@ pub struct FleetEpochReport {
 
 /// The hedged fleet priced against its own pinned pure fleets, on the
 /// same sampled paths.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct FleetComparison {
     /// Per-path total cost of the hedged (rebalancing) fleet.
     pub hedged: Quantiles,
@@ -178,7 +177,7 @@ pub struct FleetComparison {
 }
 
 /// The Monte-Carlo envelope of a mixed-fleet horizon solve.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct FleetReport {
     /// The fleet plan's name.
     pub fleet: String,

@@ -21,7 +21,6 @@ use mv_pricing::{CommitmentComparison, CommitmentPlan, Invoice, UsageLedger};
 use mv_select::epoch::{horizon_cost, horizon_time, EpochChain, EpochStep};
 use mv_select::Scenario;
 use mv_units::{Hours, Money};
-use serde::Serialize;
 
 use crate::{Advisor, AdvisorError};
 
@@ -49,7 +48,7 @@ impl Default for HorizonConfig {
 }
 
 /// One epoch of the rendered timeline.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct EpochReport {
     /// Epoch index (0-based).
     pub epoch: usize,
@@ -351,7 +350,7 @@ impl Advisor {
 
 /// One point of a horizon what-if sweep: cumulative chain vs myopic
 /// bills after `epochs` periods.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct HorizonSweepPoint {
     /// Horizon length this point represents (1-based epoch count).
     pub epochs: usize,

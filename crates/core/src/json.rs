@@ -1,10 +1,8 @@
 //! The one JSON emitter (and a minimal parser) for the CLI surface.
 //!
-//! The vendored serde is a no-op marker crate, so every report the CLI
-//! prints is rendered by hand. Before this module each subcommand
-//! rolled its own `format!` emitter; now they all build a [`Json`]
-//! value and render it through the same escaping-correct writer — as
-//! does the `--metrics` telemetry snapshot ([`snapshot_json`]).
+//! Every report the CLI prints is a [`Json`] value rendered through
+//! one escaping-correct writer — as is the `--metrics` telemetry
+//! snapshot ([`snapshot_json`]) and the catalog spill.
 //!
 //! Two renderers:
 //! * [`Json::render`] — compact, single line.

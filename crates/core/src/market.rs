@@ -35,7 +35,6 @@ use mv_lattice::WorkloadEvolution;
 use mv_pricing::{CommitmentPlan, FleetPlan};
 use mv_select::Scenario;
 use mv_units::{Hours, Money};
-use serde::Serialize;
 
 use crate::fleet::{FleetConfig, FleetReport};
 use crate::{Advisor, AdvisorError};
@@ -90,7 +89,7 @@ impl Default for MarketConfig {
 
 /// Distribution summary of one per-path metric (nearest-rank
 /// quantiles over the K sampled paths).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Quantiles {
     /// Smallest sampled value.
     pub min: f64,
@@ -157,7 +156,7 @@ impl Quantiles {
 }
 
 /// One epoch of the Monte-Carlo envelope.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct MarketEpochReport {
     /// Epoch index (0-based).
     pub epoch: usize,
@@ -181,7 +180,7 @@ pub struct MarketEpochReport {
 }
 
 /// Per-path accounting of one sampled trajectory.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct MarketPathSummary {
     /// Path index (aligned with [`MarketScenario::path`]).
     pub path: usize,
@@ -206,7 +205,7 @@ pub struct MarketPathSummary {
 }
 
 /// Reserved-vs-spot pricing of the horizon's compute, across paths.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct SpotCommitmentReport {
     /// The plan's name.
     pub plan: String,
@@ -247,7 +246,7 @@ impl SpotCommitmentReport {
 }
 
 /// The Monte-Carlo envelope of a market-aware horizon solve.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct MarketReport {
     /// Per-path accounting, in path order.
     pub paths: Vec<MarketPathSummary>,

@@ -9,6 +9,7 @@
 //! n = 2 000 / m = 50 000 regime.
 
 use mv_cost::{CloudCostModel, CostContext, QueryCharge, ViewCharge};
+use mv_lattice::scale::XorShift;
 use mv_lattice::ScaleShape;
 use mv_pricing::presets;
 use mv_units::{Gb, Hours, Months};
@@ -66,30 +67,6 @@ pub fn scale_problem(shape: &ScaleShape) -> SelectionProblem {
         })
         .collect();
     SelectionProblem::new(model, candidates)
-}
-
-/// The fixtures' splitmix-style generator, local so charging stays
-/// deterministic without an RNG dependency.
-struct XorShift(u64);
-
-impl XorShift {
-    fn next_u64(&mut self) -> u64 {
-        let mut x = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        self.0 = x;
-        x ^= x >> 30;
-        x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        x ^= x >> 27;
-        x = x.wrapping_mul(0x94d0_49bb_1331_11eb);
-        x ^ (x >> 31)
-    }
-
-    fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
-    }
-
-    fn range(&mut self, lo: f64, hi: f64) -> f64 {
-        lo + self.next_f64() * (hi - lo)
-    }
 }
 
 #[cfg(test)]

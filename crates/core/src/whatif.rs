@@ -18,14 +18,13 @@
 
 use mv_select::{Scenario, SelectionProblem, SolverKind};
 use mv_units::{Hours, Money};
-use serde::Serialize;
 
 use crate::Advisor;
 
 pub use crate::horizon::{horizon_growth_sweep, horizon_sweep_csv, HorizonSweepPoint};
 
 /// One point of a what-if sweep.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct SweepPoint {
     /// The swept variable's value (dollars, hours, or α).
     pub x: f64,
@@ -65,11 +64,11 @@ fn solve_points(
             .collect();
     }
     let chunk = points.len().div_ceil(threads);
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let handles: Vec<_> = points
             .chunks(chunk)
             .map(|slice| {
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     slice
                         .iter()
                         // The sweep layer already owns every core: run the
@@ -84,7 +83,6 @@ fn solve_points(
             .flat_map(|h| h.join().expect("sweep worker panicked"))
             .collect()
     })
-    .expect("sweep scope failed")
 }
 
 /// [`budget_sweep`] over a bare [`SelectionProblem`] — the entry point

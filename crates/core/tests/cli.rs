@@ -13,9 +13,9 @@ fn run(args: &[&str]) -> Output {
 
 /// Asserts a clean, typed CLI failure: status 1, a human diagnostic on
 /// stderr, and no panic backtrace anywhere.
-fn assert_clean_error(args: &[&str]) {
+fn assert_clean_error(args: &[&str]) -> String {
     let out = run(args);
-    let stderr = String::from_utf8_lossy(&out.stderr);
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
     assert_eq!(
         out.status.code(),
         Some(1),
@@ -30,6 +30,7 @@ fn assert_clean_error(args: &[&str]) {
         !stderr.contains("panicked"),
         "{args:?} must not panic: {stderr}"
     );
+    stderr
 }
 
 #[test]
@@ -495,4 +496,299 @@ fn accepted_invocations_print_the_pinned_bytes() {
     }
     std::fs::remove_dir_all(&dir).ok();
     assert!(moved.is_empty(), "stdout moved for:\n{}", moved.join("\n"));
+}
+
+/// `(subcommand, valued flags, switches)`, read off the synopsis block
+/// of the generated `--help` — so a flag added to a table is swept by
+/// the tests below without being named here.
+fn commands_from_help() -> Vec<(String, Vec<String>, Vec<String>)> {
+    let out = run(&["--help"]);
+    assert!(out.status.success(), "--help should exit 0");
+    let help = String::from_utf8(out.stdout).expect("utf-8 help");
+    let synopsis = help
+        .split("USAGE:\n")
+        .nth(1)
+        .and_then(|rest| rest.split("\n\n").next())
+        .expect("a USAGE block");
+    let mut commands: Vec<(String, Vec<String>, Vec<String>)> = Vec::new();
+    for line in synopsis.lines() {
+        let mut rest = line.trim();
+        if let Some(after) = rest.strip_prefix("mvcloud-cli ") {
+            let (name, flags) = after.split_once(' ').unwrap_or((after, ""));
+            commands.push((name.to_string(), Vec::new(), Vec::new()));
+            rest = flags;
+        }
+        let (_, valued, switches) = commands.last_mut().expect("a synopsis line first");
+        for item in rest.split('[').skip(1) {
+            let item = item.trim().trim_end_matches(']');
+            match item.trim_start_matches("--").split_once(' ') {
+                Some((name, _metavar)) => valued.push(name.to_string()),
+                None => switches.push(item.trim_start_matches("--").to_string()),
+            }
+        }
+    }
+    commands
+}
+
+/// A small accepted invocation of `command` that gives `--flag value`:
+/// the base workload (only the flags the command has), with the
+/// scenario, the pattern or the mode the flag belongs to.
+fn hostile_args(command: &str, valued: &[String], flag: &str, value: &str) -> Vec<String> {
+    let mut base: Vec<(&str, &str)> = vec![
+        ("rows", "300"),
+        ("queries", "2"),
+        ("epochs", "2"),
+        ("paths", "2"),
+        ("alpha", "0.5"),
+    ];
+    match (command, flag) {
+        (_, "budget" | "time-limit") => base.retain(|(f, _)| *f != "alpha"),
+        (_, "rate") => base.push(("pattern", "drift")),
+        (_, "factor" | "period") => base.push(("pattern", "burst")),
+        (_, "cut-factor") => base.push(("cut-epoch", "1")),
+        ("advise", "candidates" | "seed") => {
+            base.retain(|(f, _)| *f != "rows");
+            base.push(("candidates", "12"));
+        }
+        _ => {}
+    }
+    let mut args = vec![command.to_string()];
+    if command == "sql" {
+        args.push("SELECT year, SUM(profit) FROM sales GROUP BY year".to_string());
+    }
+    for (f, v) in base {
+        if f != flag && valued.iter().any(|known| known == f) {
+            args.extend([format!("--{f}"), v.to_string()]);
+        }
+    }
+    args.extend([format!("--{flag}"), value.to_string()]);
+    args
+}
+
+/// Runs the CLI in `dir` and returns its exit code and stderr, or an
+/// error if it is still running after a minute (a worker that panics
+/// inside the tree solve leaves its siblings waiting: a hang, not an
+/// exit status).
+fn run_bounded(
+    args: &[String],
+    dir: &std::path::Path,
+) -> Result<(Option<i32>, String), &'static str> {
+    use std::io::Read;
+    let mut child = Command::new(env!("CARGO_BIN_EXE_mvcloud-cli"))
+        .args(args)
+        .current_dir(dir)
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("spawn mvcloud-cli");
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+    loop {
+        if let Some(status) = child.try_wait().expect("wait for mvcloud-cli") {
+            let mut stderr = String::new();
+            let pipe = child.stderr.as_mut().expect("piped stderr");
+            pipe.read_to_string(&mut stderr).expect("utf-8 stderr");
+            return Ok((status.code(), stderr));
+        }
+        if std::time::Instant::now() > deadline {
+            child.kill().ok();
+            child.wait().ok();
+            return Err("still running after 60 s");
+        }
+        std::thread::sleep(std::time::Duration::from_millis(2));
+    }
+}
+
+/// No value of any flag reaches a panic: every subcommand × every
+/// valued flag × a hostile value list exits 0, or 1 with an `error:`
+/// line.
+#[test]
+fn no_flag_value_reaches_a_panic() {
+    const HOSTILE: [&str; 9] = [
+        "NaN",
+        "inf",
+        "-inf",
+        "-1",
+        "0",
+        "1e308",
+        "",
+        "x",
+        "18446744073709551616",
+    ];
+    let commands = commands_from_help();
+    let names: Vec<&str> = commands.iter().map(|(name, ..)| name.as_str()).collect();
+    assert_eq!(
+        names,
+        [
+            "advise",
+            "horizon",
+            "market",
+            "fleet",
+            "calibrate",
+            "serve",
+            "sql",
+            "pricing",
+            "excerpt"
+        ]
+    );
+    // A relative `--catalog` value lands in the children's directory.
+    let dir = &std::env::temp_dir().join(format!("mvcloud-hostile-{}", std::process::id()));
+    std::fs::create_dir_all(dir).expect("create scratch dir");
+    let failures: Vec<String> = std::thread::scope(|scope| {
+        let sweeps: Vec<_> = commands
+            .iter()
+            .map(|(command, valued, _)| {
+                scope.spawn(move || {
+                    let mut failures = Vec::new();
+                    for flag in valued {
+                        for value in HOSTILE {
+                            let args = hostile_args(command, valued, flag, value);
+                            match run_bounded(&args, dir) {
+                                Ok((Some(0), _)) => {}
+                                Ok((Some(1), stderr))
+                                    if stderr.starts_with("error:")
+                                        && !stderr.contains("panicked") => {}
+                                Ok((code, stderr)) => failures.push(format!(
+                                    "{args:?}: exit {code:?}: {}",
+                                    stderr.lines().find(|l| !l.is_empty()).unwrap_or_default()
+                                )),
+                                Err(hung) => failures.push(format!("{args:?}: {hung}")),
+                            }
+                        }
+                    }
+                    failures
+                })
+            })
+            .collect();
+        sweeps
+            .into_iter()
+            .flat_map(|s| s.join().expect("sweep thread"))
+            .collect()
+    });
+    std::fs::remove_dir_all(dir).ok();
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
+}
+
+/// Every value that aborted deep in the pipeline (a `Hours` / `Gb` /
+/// rate-factor / evolution constructor assert, the exhaustive solver's
+/// candidate limit) or slipped through because `NaN < 0.0` is false is
+/// held to its table row's range at the edge.
+#[test]
+fn out_of_range_values_are_flag_errors_not_aborts() {
+    let cases = [
+        // Aborted at the parent.
+        ("advise", "time-limit", "NaN"),
+        ("advise", "time-limit", "-1"),
+        ("serve", "frequency", "NaN"),
+        ("serve", "frequency", "-1"),
+        ("serve", "frequency", "inf"),
+        ("calibrate", "frequency", "-1"),
+        ("market", "cut-factor", "-1"),
+        ("horizon", "rate", "NaN"),
+        ("horizon", "factor", "-3"),
+        ("horizon", "amplitude", "7"),
+        ("horizon", "rate", "1e308"),
+        ("market", "spot-mean", "1e308"),
+        // Exited 0 with a report at the parent.
+        ("market", "volatility", "NaN"),
+        ("market", "decay", "NaN"),
+        ("fleet", "spot-mean", "-1"),
+        ("fleet", "persistence", "2"),
+        ("fleet", "crunch-share", "2"),
+        ("fleet", "crunch-hazard", "5"),
+        ("sql", "format", "xml"),
+    ];
+    let commands = commands_from_help();
+    for (command, flag, value) in cases {
+        let (_, valued, _) = commands
+            .iter()
+            .find(|(name, ..)| name == command)
+            .expect("a known subcommand");
+        let args = hostile_args(command, valued, flag, value);
+        let args: Vec<&str> = args.iter().map(String::as_str).collect();
+        let stderr = assert_clean_error(&args);
+        assert!(stderr.contains(&format!("--{flag} must be")), "{stderr}");
+    }
+
+    let out = run(&[
+        "advise",
+        "--candidates",
+        "50",
+        "--queries",
+        "20",
+        "--solver",
+        "exhaustive",
+        "--alpha",
+        "0.5",
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.starts_with("error:") && stderr.contains("at most 24"),
+        "the error names the exhaustive limit: {stderr}"
+    );
+}
+
+/// One rule each: a flag is given once, with a value that is not itself
+/// a flag, and only to a subcommand whose table has it; a positional is
+/// taken only where one is declared.
+#[test]
+fn the_parser_rejects_what_it_used_to_ignore() {
+    let cases: [(&[&str], &str); 7] = [
+        (
+            &["advise", "--rows", "500", "--rows", "0", "--alpha", "0.5"],
+            "--rows given twice",
+        ),
+        (
+            &["advise", "junk", "--rows", "500", "--alpha", "0.5"],
+            "unexpected argument \"junk\"",
+        ),
+        (
+            &["horizon", "--alpha", "0.5", "--rows", "--myopic"],
+            "--rows needs a value",
+        ),
+        (
+            &["advise", "--alpha", "0.5", "--myopic"],
+            "unknown flag --myopic",
+        ),
+        (
+            &["sql", "SELECT sum(profit) FROM sales", "--format", "xml"],
+            "--format must be table|csv",
+        ),
+        (
+            &["sql", "SELECT sum(profit)", "FROM sales"],
+            "unexpected argument \"FROM sales\"",
+        ),
+        (&["pricing", "--rows", "5"], "unknown flag --rows"),
+    ];
+    for (args, message) in cases {
+        let stderr = assert_clean_error(args);
+        assert!(stderr.contains(message), "{args:?}: {stderr}");
+    }
+}
+
+/// `… | head`: the reader goes away before the report is written. The
+/// run finishes quietly — no panic, no backtrace, no error line.
+#[test]
+fn a_closed_stdout_is_a_quiet_exit() {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_mvcloud-cli"))
+        .args([
+            "horizon",
+            "--rows",
+            "2000",
+            "--queries",
+            "3",
+            "--epochs",
+            "3",
+        ])
+        .args(["--alpha", "0.5", "--metrics", "-"])
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("spawn mvcloud-cli");
+    // Closed while the child is still measuring its workload.
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("wait for mvcloud-cli");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{:?}: {stderr}", out.status);
+    assert!(stderr.is_empty(), "quiet: {stderr}");
 }

@@ -11,7 +11,6 @@
 //! view can do, not with the workload size.
 
 use mv_units::Hours;
-use serde::{Deserialize, Serialize};
 
 /// Which workload queries a view can answer, and how fast: the sparse
 /// `t_iV` map of the paper's Section 4, keyed by workload index.
@@ -20,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// is `< workload_len`, and `times` is index-parallel to `queries`.
 /// Equality compares the workload length and the entry set — exactly the
 /// distinctions the dense representation's `Vec` equality drew.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AnswerProfile {
     workload_len: u32,
     queries: Vec<u32>,

@@ -3,11 +3,10 @@
 use std::fmt;
 
 use mv_units::Money;
-use serde::{Deserialize, Serialize};
 
 /// The paper's Formula 1 decomposition, with compute further split into the
 /// three Section-4 components (Formula 6).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CostBreakdown {
     /// `Ct` — outbound transfer of query results.
     pub transfer: Money,

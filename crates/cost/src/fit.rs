@@ -13,12 +13,11 @@
 //! configured with synthetic defaults.
 
 use mv_units::{Gb, Hours};
-use serde::{Deserialize, Serialize};
 
 use crate::{AnswerProfile, QueryCharge, ViewCharge};
 
 /// The kind of engine work a metered sample records.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WorkKind {
     /// Answering a query (base-table or view scan).
     Scan,
@@ -30,7 +29,7 @@ pub enum WorkKind {
 
 /// One metered observation: a job of `kind` touched `cloud_gb` of data
 /// and took `hours` of cluster time.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MeterSample {
     /// What kind of work ran.
     pub kind: WorkKind,
@@ -53,7 +52,7 @@ impl MeterSample {
 
 /// An affine throughput law `hours = intercept + slope × gb`, fitted by
 /// ordinary least squares.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinearFit {
     /// Fixed per-job overhead in hours (clamped to ≥ 0).
     pub intercept: f64,
@@ -98,7 +97,7 @@ impl LinearFit {
 /// Fitted cost-model parameters: one throughput law per work kind, plus
 /// the compute-unit pool the measurements ran on (needed to express the
 /// scan law as the engine's per-unit rate).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CalibratedParams {
     /// Query/scan throughput law.
     pub scan: LinearFit,

@@ -3,13 +3,12 @@
 
 use mv_pricing::{InstanceType, Placement, PricingPolicy};
 use mv_units::{Gb, Hours, Months};
-use serde::{Deserialize, Serialize};
 
 use crate::AnswerProfile;
 
 /// One workload query's chargeable characteristics: the paper's `Q_i`,
 /// `s(R_i)` and `t_i`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QueryCharge {
     /// Query identifier.
     pub name: String,
@@ -36,7 +35,7 @@ impl QueryCharge {
 /// A candidate view's chargeable characteristics (Section 4): size,
 /// one-time materialization time, per-period maintenance time, and the
 /// improved per-query times `t_iV`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ViewCharge {
     /// View identifier.
     pub name: String,
@@ -105,7 +104,7 @@ impl ViewCharge {
 }
 
 /// The full costing context: everything the paper's formulas consume.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CostContext {
     /// Provider pricing (Tables 2–4).
     pub pricing: PricingPolicy,

@@ -29,8 +29,6 @@
 //!   whole pool at an epoch boundary costs one in-place splice per
 //!   candidate, no answer-table rebuilds.
 
-use serde::{Deserialize, Serialize};
-
 use mv_units::Hours;
 
 use crate::ViewCharge;
@@ -42,7 +40,7 @@ pub use mv_units::MAX_INTERRUPTION;
 
 /// Per-epoch interruption risk: the probability that the fleet is
 /// reclaimed mid-epoch and in-flight build/refresh work must re-run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InterruptionRisk {
     probability: f64,
 }
@@ -112,7 +110,7 @@ impl InterruptionRisk {
 /// * **the answer profile never changes** — only materialization,
 ///   maintenance and size move, so every fleet splice (including a
 ///   placement flip) stays on `update_charge`'s O(1) fast path.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PoolCharge {
     /// Pool compute rate over the primary sheet's rate this epoch.
     hour_factor: f64,

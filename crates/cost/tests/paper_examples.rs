@@ -6,7 +6,7 @@
 //! **$2131.76**, but its own formula
 //! `512×0.14×(7−0) + (512+2048)×0.125×(12−7) = 501.76 + 1600`
 //! evaluates to **$2101.76** — we reproduce the formula, not the typo
-//! (recorded in EXPERIMENTS.md).
+//! (`experiments examples` prints both).
 
 use mv_cost::{CloudCostModel, CostContext, QueryCharge, ViewCharge};
 use mv_pricing::{presets, StorageTimeline};

@@ -2,8 +2,6 @@
 
 use std::ops::Range;
 
-use serde::{Deserialize, Serialize};
-
 use crate::{EngineError, Table};
 
 /// Group id of a row the query's mask filtered out.
@@ -14,7 +12,7 @@ pub(crate) const SKIP: u32 = u32::MAX;
 /// `Avg` is supported end-to-end but is never *stored* in a materialized
 /// view: the materializer canonicalizes it to `Sum` + `Count` so the view
 /// stays re-aggregable (the classical distributive/algebraic split).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AggFunc {
     /// Sum of an integer column.
     Sum,
@@ -49,7 +47,7 @@ impl AggFunc {
 }
 
 /// A requested aggregate: function + input column + output name.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct AggSpec {
     /// The function.
     pub func: AggFunc,

@@ -6,19 +6,31 @@
 //! cheapest (smallest) view able to answer a query — the `min` in the
 //! selection evaluator's interaction model.
 
-use std::sync::Arc;
-
-use parking_lot::RwLock;
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use crate::{AggQuery, EngineError, ExecStats, MaterializedView, Table};
+
+type Views = Vec<(String, Arc<MaterializedView>)>;
 
 /// Thread-safe named collection of materialized views.
 #[derive(Debug, Default)]
 pub struct ViewCatalog {
-    views: RwLock<Vec<(String, Arc<MaterializedView>)>>,
+    views: RwLock<Views>,
 }
 
 impl ViewCatalog {
+    // A poisoned lock is recovered, not propagated: the list is only
+    // pushed to and removed from, and a refresh reports every error
+    // before it writes to a view, so a holder that panicked leaves it
+    // readable.
+    fn read(&self) -> RwLockReadGuard<'_, Views> {
+        self.views.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn write(&self) -> RwLockWriteGuard<'_, Views> {
+        self.views.write().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// An empty catalog.
     pub fn new() -> Self {
         ViewCatalog::default()
@@ -28,7 +40,7 @@ impl ViewCatalog {
     /// taken.
     pub fn register(&self, view: MaterializedView) -> Result<(), EngineError> {
         let name = view.def().name.clone();
-        let mut views = self.views.write();
+        let mut views = self.write();
         if views.iter().any(|(n, _)| *n == name) {
             return Err(EngineError::ViewExists { name });
         }
@@ -38,7 +50,7 @@ impl ViewCatalog {
 
     /// Removes a view by name, returning it.
     pub fn deregister(&self, name: &str) -> Result<Arc<MaterializedView>, EngineError> {
-        let mut views = self.views.write();
+        let mut views = self.write();
         match views.iter().position(|(n, _)| n == name) {
             Some(i) => Ok(views.remove(i).1),
             None => Err(EngineError::ViewNotFound {
@@ -49,8 +61,7 @@ impl ViewCatalog {
 
     /// Fetches a view by name.
     pub fn get(&self, name: &str) -> Result<Arc<MaterializedView>, EngineError> {
-        self.views
-            .read()
+        self.read()
             .iter()
             .find(|(n, _)| n == name)
             .map(|(_, v)| Arc::clone(v))
@@ -61,17 +72,17 @@ impl ViewCatalog {
 
     /// Registered view names, in registration order.
     pub fn names(&self) -> Vec<String> {
-        self.views.read().iter().map(|(n, _)| n.clone()).collect()
+        self.read().iter().map(|(n, _)| n.clone()).collect()
     }
 
     /// Number of registered views.
     pub fn len(&self) -> usize {
-        self.views.read().len()
+        self.read().len()
     }
 
     /// `true` when no view is registered.
     pub fn is_empty(&self) -> bool {
-        self.views.read().is_empty()
+        self.read().is_empty()
     }
 
     /// Incrementally refreshes every registered view with one insert
@@ -82,7 +93,7 @@ impl ViewCatalog {
         &self,
         delta: &Table,
     ) -> Result<Vec<(String, ExecStats)>, EngineError> {
-        let mut views = self.views.write();
+        let mut views = self.write();
         let mut metered = Vec::with_capacity(views.len());
         for (name, view) in views.iter_mut() {
             let stats = Arc::make_mut(view).refresh_incremental(delta)?;
@@ -95,8 +106,7 @@ impl ViewCatalog {
     /// smallest by stored row count, which minimises the scan and therefore
     /// the simulated processing time.
     pub fn best_view_for(&self, query: &AggQuery) -> Option<Arc<MaterializedView>> {
-        self.views
-            .read()
+        self.read()
             .iter()
             .filter(|(_, v)| v.can_answer(query).is_ok())
             .min_by_key(|(_, v)| v.data().num_rows())
@@ -210,11 +220,11 @@ mod tests {
         let cat = Arc::new(ViewCatalog::new());
         cat.register(make_view("v0", &["year"])).unwrap();
         let q = AggQuery::new("q", &["year"], vec![AggSpec::sum("profit")]);
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             for t in 0..4 {
                 let cat = Arc::clone(&cat);
                 let q = q.clone();
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for i in 0..20 {
                         let _ = cat.best_view_for(&q);
                         if i % 5 == 0 {
@@ -224,8 +234,31 @@ mod tests {
                     }
                 });
             }
-        })
-        .unwrap();
+        });
         assert_eq!(cat.len(), 1 + 4 * 4);
+    }
+
+    /// A writer that panics while holding the lock poisons it; the
+    /// catalog recovers the guard, so readers and later writers go on.
+    #[test]
+    fn a_panicking_writer_leaves_the_catalog_usable() {
+        let cat = ViewCatalog::new();
+        cat.register(make_view("v0", &["year"])).unwrap();
+        let crashed = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _held = cat.views.write().unwrap();
+                panic!("writer dies holding the lock");
+            })
+            .join()
+        });
+        assert!(crashed.is_err());
+        assert!(cat.views.is_poisoned());
+
+        assert_eq!(cat.names(), ["v0"]);
+        assert!(cat.get("v0").is_ok());
+        cat.register(make_view("v1", &["year", "month"])).unwrap();
+        assert_eq!(cat.len(), 2);
+        cat.deregister("v0").unwrap();
+        assert_eq!(cat.names(), ["v1"]);
     }
 }

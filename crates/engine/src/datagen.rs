@@ -10,7 +10,6 @@
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::{DataType, Field, Schema, Table, TableBuilder, Value};
 
@@ -95,7 +94,7 @@ pub fn days_in_month(year: i64, month: i64) -> i64 {
 }
 
 /// Generator configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SalesConfig {
     /// Number of fact rows to generate.
     pub rows: usize,

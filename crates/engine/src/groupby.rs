@@ -375,20 +375,19 @@ pub(crate) fn parallel_group_by(
     let (layout, keys) = pack_keys(table, group_cols);
     let chunk = rows.div_ceil(threads);
     let (layout, keys) = (&layout, &keys);
-    let partials: Vec<Result<Partial, EngineError>> = crossbeam::thread::scope(|scope| {
+    let partials: Vec<Result<Partial, EngineError>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..rows)
             .step_by(chunk)
             .map(|start| {
                 let range = start..(start + chunk).min(rows);
-                scope.spawn(move |_| aggregate_range(table, layout, keys, aggs, mask, range))
+                scope.spawn(move || aggregate_range(table, layout, keys, aggs, mask, range))
             })
             .collect();
         handles
             .into_iter()
             .map(|h| h.join().expect("aggregation worker panicked"))
             .collect()
-    })
-    .expect("crossbeam scope failed");
+    });
 
     // Merge in range order: a group new to `merged` first appeared in this
     // range, after every group of the ranges before it.

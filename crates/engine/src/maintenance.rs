@@ -3,7 +3,7 @@
 //! The paper charges a maintenance time `t_maintenance(V_k)` per view per
 //! period but does not prescribe a method ("queries are posed during
 //! day-time and maintenance is performed during night-time"). Both classic
-//! strategies are implemented so the maintenance ablation (DESIGN.md §A3)
+//! strategies are implemented so the maintenance ablation (A3: `--bench ablation_maintenance`)
 //! can quantify the difference the choice makes to the cost models:
 //!
 //! * **Full** — rerun the view's defining query over the whole base table;
@@ -11,13 +11,11 @@
 //!   partial states into the stored table (valid for insert-only deltas;
 //!   `MIN`/`MAX` stay correct because inserts can only tighten them).
 
-use serde::{Deserialize, Serialize};
-
 use crate::groupby::{KeyLayout, KeySlice};
 use crate::{AggFunc, Column, EngineError, ExecStats, MaterializedView, Table};
 
 /// Maintenance strategy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RefreshStrategy {
     /// Recompute the view from the (already updated) base table.
     Full,

@@ -16,12 +16,11 @@
 //! the 10-GB experiment on a 100-MB in-memory table uses `factor = 100`.
 
 use mv_units::{Gb, Hours};
-use serde::{Deserialize, Serialize};
 
 use crate::EngineError;
 
 /// Work performed by one operator or query execution.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExecStats {
     /// Rows read from the input.
     pub rows_scanned: u64,
@@ -57,7 +56,7 @@ impl ExecStats {
 /// The paper's evaluation dataset is 10 GB; tests and experiments run the
 /// engine on a few tens of megabytes and declare the factor that maps the
 /// in-memory size to the simulated size.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimScale {
     /// cloud bytes = engine bytes × `factor`.
     pub factor: f64,
@@ -97,7 +96,7 @@ impl SimScale {
 /// compute_units)`. The per-job overhead models MapReduce startup latency,
 /// which dominates tiny jobs on the paper's Hadoop 0.20 cluster; the scan
 /// rate models the cluster's aggregate scan bandwidth per EC2 compute unit.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ThroughputModel {
     /// GB scanned per hour per compute unit.
     pub scan_gb_per_hour_per_unit: f64,

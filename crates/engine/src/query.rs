@@ -1,7 +1,5 @@
 //! Aggregation queries.
 
-use serde::{Deserialize, Serialize};
-
 use crate::agg::AggExpr;
 use crate::groupby::{group_by, parallel_group_by, LoweredAgg};
 use crate::{AggFunc, AggSpec, DataType, EngineError, ExecStats, Predicate, Schema, Table};
@@ -141,7 +139,7 @@ impl AggQuery {
 
 /// Serializable description of a query (without predicates), used in
 /// experiment configs. Lossless for the paper's workload class.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QueryShape {
     /// Query identifier.
     pub name: String,

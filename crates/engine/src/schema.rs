@@ -1,11 +1,9 @@
 //! Table schemas.
 
-use serde::{Deserialize, Serialize};
-
 use crate::EngineError;
 
 /// Logical column type.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DataType {
     /// 64-bit signed integer. Dates are integers in `yyyymmdd` form and
     /// monetary measures are integer cents; both conventions keep the
@@ -35,7 +33,7 @@ impl DataType {
 }
 
 /// A named, typed column slot.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Field {
     /// Column name, unique within a schema.
     pub name: String,
@@ -54,7 +52,7 @@ impl Field {
 }
 
 /// An ordered list of fields with unique names.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Schema {
     fields: Vec<Field>,
 }

@@ -9,13 +9,12 @@
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::datagen::days_in_month;
 use crate::{AggQuery, AggSpec, DataType, Field, Schema, Table, Value};
 
 /// Generator configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SsbConfig {
     /// Number of lineorder rows.
     pub rows: usize,

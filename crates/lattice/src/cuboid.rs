@@ -1,7 +1,5 @@
 //! Cuboids and the derivability order.
 
-use serde::{Deserialize, Serialize};
-
 /// A cuboid: one level index per dimension (index 0 = apex = coarsest).
 ///
 /// The derivability ("fineness") order: `a.covers(b)` means a view stored
@@ -9,7 +7,7 @@ use serde::{Deserialize, Serialize};
 /// every dimension. This is the classical data-cube lattice order of
 /// Harinarayan–Rajaraman–Ullman, which the paper's candidate-selection
 /// method \[8\] also builds on.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Cuboid(Vec<u8>);
 
 impl Cuboid {

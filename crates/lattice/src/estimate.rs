@@ -15,7 +15,6 @@
 //! standard estimator in the view-selection literature.
 
 use mv_units::Gb;
-use serde::{Deserialize, Serialize};
 
 use crate::{Cuboid, Lattice};
 
@@ -35,7 +34,7 @@ pub fn cardenas(n: u64, v: u64) -> f64 {
 }
 
 /// Size estimator for every cuboid of a lattice.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SizeEstimator {
     /// Fact-table row count.
     pub base_rows: u64,

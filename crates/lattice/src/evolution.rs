@@ -27,12 +27,10 @@
 //! Every generator is pure and deterministic: epoch `e`'s frequencies
 //! depend only on the base workload, the spec and `e`.
 
-use serde::{Deserialize, Serialize};
-
 use crate::LatticeWorkload;
 
 /// The drift family and its knobs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum EvolutionKind {
     /// Identity: every epoch repeats the base workload.
     Static,
@@ -65,7 +63,7 @@ pub enum EvolutionKind {
 }
 
 /// A deterministic workload trajectory over a fixed query universe.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorkloadEvolution {
     /// The drift family.
     pub kind: EvolutionKind,

@@ -8,12 +8,10 @@
 //! geography `ALL ⊃ country ⊃ (country,region) ⊃
 //! (country,region,department)`.
 
-use serde::{Deserialize, Serialize};
-
 use crate::LatticeError;
 
 /// One level of a dimension hierarchy.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Level {
     /// Level name (`"ALL"`, `"year"`, `"month"`, …).
     pub name: String,
@@ -36,7 +34,7 @@ impl Level {
 }
 
 /// An ordered hierarchy of levels, index 0 = apex (coarsest).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Dimension {
     /// Dimension name (`"time"`, `"geography"`, …).
     pub name: String,

@@ -1,7 +1,5 @@
 //! The full cuboid lattice over a set of dimensions.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{Cuboid, Dimension, LatticeError};
 
 /// The data-cube lattice: the cross product of every dimension's levels.
@@ -9,7 +7,7 @@ use crate::{Cuboid, Dimension, LatticeError};
 /// For the paper's running example (time: ALL/year/month/day × geography:
 /// ALL/country/region/department) this is the 16-cuboid lattice its
 /// candidate views live in.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Lattice {
     dims: Vec<Dimension>,
 }

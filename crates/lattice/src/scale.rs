@@ -21,10 +21,8 @@
 //!   collect many answerers (exercising top-k pruning) while most keep
 //!   one or two.
 
-use serde::{Deserialize, Serialize};
-
 /// Parameters of a synthetic sparse workload/candidate shape.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScaleShape {
     /// Workload queries (`m`).
     pub queries: usize,
@@ -134,12 +132,14 @@ impl SparseCoverage {
     }
 }
 
-/// The same splitmix-style generator the select-crate fixtures use;
-/// private so the crate needs no RNG dependency.
-struct XorShift(u64);
+/// The SplitMix64 generator behind every synthetic scale shape (the
+/// coverage here, the charges in `mvcloud::scale`): in-tree, so a seed
+/// yields the same problem wherever it is built.
+pub struct XorShift(pub u64);
 
 impl XorShift {
-    fn next_u64(&mut self) -> u64 {
+    /// The next 64 bits of the stream.
+    pub fn next_u64(&mut self) -> u64 {
         let mut x = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
         self.0 = x;
         x ^= x >> 30;
@@ -149,11 +149,13 @@ impl XorShift {
         x ^ (x >> 31)
     }
 
-    fn next_f64(&mut self) -> f64 {
+    /// Uniform float in `[0, 1)`.
+    pub fn next_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
     }
 
-    fn range(&mut self, lo: f64, hi: f64) -> f64 {
+    /// Uniform float in `[lo, hi)`.
+    pub fn range(&mut self, lo: f64, hi: f64) -> f64 {
         lo + self.next_f64() * (hi - lo)
     }
 }

@@ -6,12 +6,10 @@
 //! geo-level combinations plus the grand total, run in variable subsets of
 //! 3, 5 and 10 queries (its Figure 5).
 
-use serde::{Deserialize, Serialize};
-
 use crate::{Cuboid, Lattice, LatticeError};
 
 /// A query pinned to a lattice cuboid, with a monthly frequency.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LatticeQuery {
     /// Query identifier (`"Q1"`, …).
     pub name: String,
@@ -34,7 +32,7 @@ impl LatticeQuery {
 }
 
 /// An ordered set of lattice queries.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LatticeWorkload {
     /// The queries.
     pub queries: Vec<LatticeQuery>,
@@ -89,7 +87,7 @@ impl LatticeWorkload {
 /// over concrete columns, with its per-period frequency. Engine-agnostic
 /// on purpose — the lattice crate does not depend on the engine; callers
 /// turn this into an `AggQuery` by adding the measure aggregate.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LoweredQuery {
     /// Query identifier.
     pub name: String,

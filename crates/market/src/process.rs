@@ -18,7 +18,6 @@
 
 use rand::rngs::StdRng;
 use rand::RngExt;
-use serde::{Deserialize, Serialize};
 
 use crate::MAX_INTERRUPTION;
 
@@ -26,7 +25,7 @@ use crate::MAX_INTERRUPTION;
 /// pricing policy for one epoch. `1.0` everywhere is the identity (and
 /// re-pricing through it is bit-exact, see
 /// `mv_pricing::PricingPolicy::scale_rates`).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PriceFactors {
     /// Instance-hour rate multiplier.
     pub compute: f64,
@@ -62,7 +61,7 @@ impl PriceFactors {
 
 /// One epoch of one process's output: price factors plus the epoch's
 /// interruption probability under that process.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProcessQuote {
     /// Multiplicative price factors for the epoch.
     pub factors: PriceFactors,
@@ -82,7 +81,7 @@ impl ProcessQuote {
 /// A deterministic per-epoch factor trace (replayed history, a what-if
 /// schedule, a regulator-mandated price path). Traces shorter than the
 /// horizon hold their last value; empty traces are the identity.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PriceTrace {
     /// Per-epoch compute factors.
     pub compute: Vec<f64>,
@@ -142,7 +141,7 @@ impl Default for PriceTrace {
 /// the "we are cutting instance prices by 15% next quarter" pattern
 /// cloud vendors repeated throughout the 2010s. Factors apply from
 /// `effective_epoch` onward; earlier epochs are untouched.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AnnouncedCut {
     /// First epoch the new prices apply to.
     pub effective_epoch: usize,
@@ -178,7 +177,7 @@ impl AnnouncedCut {
 /// Secular storage-price decline: the storage factor decays linearly by
 /// `rate` per epoch down to `floor` (e.g. `rate = 0.02`, `floor = 0.5`
 /// models the steady multi-year slide of object-storage rates).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StorageDecay {
     /// Linear per-epoch decline of the storage factor.
     pub rate: f64,
@@ -221,7 +220,7 @@ impl StorageDecay {
 /// With `volatility == 0` and `start == mean == 1 ≤ bid` the process is
 /// the exact identity (factor 1, probability 0) — the zero-volatility
 /// consistency guarantee leans on this.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SpotMarket {
     /// Long-run mean of the compute factor (e.g. 0.35: spot clears at a
     /// third of the on-demand rate on average).
@@ -323,7 +322,7 @@ impl SpotMarket {
 ///   or `calm == crunch` with a unit crunch factor, yields identical
 ///   quotes on every path ([`PriceProcess::is_stochastic`] reports
 ///   `false` and the Monte-Carlo dedup collapses to one solve).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CorrelatedHazard {
     /// Stationary probability `π` of an epoch being in the crunch
     /// regime, in `[0, 1]`.
@@ -422,7 +421,7 @@ impl CorrelatedHazard {
 
 /// One composable force on the price sheet. See the variants' types for
 /// semantics; [`PriceProcess::sample`] yields the whole horizon.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum PriceProcess {
     /// Deterministic trace replay.
     Trace(PriceTrace),

@@ -18,14 +18,13 @@
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use mv_pricing::PricingPolicy;
 
 use crate::{PriceFactors, PriceProcess, ProcessQuote, MAX_INTERRUPTION};
 
 /// One epoch of a sampled price path.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EpochQuote {
     /// Combined multiplicative price factors for the epoch.
     pub factors: PriceFactors,
@@ -74,7 +73,7 @@ impl EpochQuote {
 }
 
 /// One sampled trajectory of the market over the horizon.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MarketPath {
     /// Which sampled path this is (0-based).
     pub path: usize,
@@ -90,7 +89,7 @@ impl MarketPath {
 }
 
 /// A compiled market: horizon length, seed, and the process stack.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MarketScenario {
     /// Billing periods in the horizon.
     pub epochs: usize,

@@ -19,8 +19,6 @@
 //! from the key — callers re-derive per-path events from
 //! [`crate::MarketScenario::path`] when reporting replicas.
 
-use serde::Serialize;
-
 use crate::{EpochQuote, MarketPath};
 
 /// The solve-relevant identity of a quote: factor and probability bits,
@@ -31,7 +29,7 @@ fn quote_key(q: &EpochQuote) -> [u64; 4] {
 
 /// One node of a [`ScenarioTree`]: a distinct quote-prefix of some
 /// sampled path, at a fixed epoch.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct TreeNode {
     /// The previous epoch's node, `None` for a root (epoch-0 node).
     pub parent: Option<usize>,
@@ -47,7 +45,7 @@ pub struct TreeNode {
 /// A prefix forest over K sampled paths. Nodes are stored
 /// parent-before-child (roots first in path-discovery order), so a
 /// single forward pass visits every parent before its children.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ScenarioTree {
     /// Horizon length every path spans.
     pub epochs: usize,

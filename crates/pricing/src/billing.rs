@@ -9,12 +9,11 @@
 use std::fmt;
 
 use mv_units::{Gb, Hours, Money, Months};
-use serde::{Deserialize, Serialize};
 
 use crate::{PricingError, PricingPolicy, StorageTimeline};
 
 /// The kind of resource a ledger entry charges.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum UsageKind {
     /// Instance-hours on a named configuration.
     Compute {
@@ -44,7 +43,7 @@ pub enum UsageKind {
 
 /// A usage record with a human-readable label ("query workload",
 /// "materialize V1", …).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LineItem {
     /// What the charge is for.
     pub label: String,
@@ -53,7 +52,7 @@ pub struct LineItem {
 }
 
 /// Accumulates usage during a simulated billing period.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct UsageLedger {
     items: Vec<LineItem>,
 }
@@ -190,7 +189,7 @@ impl UsageLedger {
 }
 
 /// One priced line of an [`Invoice`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InvoiceLine {
     /// What the charge is for.
     pub label: String,
@@ -201,7 +200,7 @@ pub struct InvoiceLine {
 }
 
 /// An itemized bill: the provider's view of a billing period.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Invoice {
     /// Provider name from the pricing policy.
     pub provider: String,

@@ -10,12 +10,11 @@
 //! what-if analyses.
 
 use mv_units::{Hours, Money, Months};
-use serde::{Deserialize, Serialize};
 
 use crate::InstanceType;
 
 /// A reserved-capacity plan for one instance type.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CommitmentPlan {
     /// Plan name (e.g. `"small-1yr-medium"`).
     pub name: String,
@@ -120,7 +119,7 @@ impl CommitmentPlan {
 }
 
 /// On-demand vs reserved compute pricing for one solved horizon.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CommitmentComparison {
     /// The reservation plan compared.
     pub plan: String,

@@ -18,13 +18,12 @@
 //! conformance tests pin against `Advisor::solve_market`.
 
 use mv_units::Money;
-use serde::{Deserialize, Serialize};
 
 use crate::CommitmentPlan;
 
 /// Which capacity pool a view's materialization/maintenance work runs
 /// on (and whose storage terms its bytes bill against).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Placement {
     /// Reserved / on-demand capacity: contract rates, never reclaimed.
     Reserved,
@@ -60,7 +59,7 @@ impl Default for Placement {
 
 /// One pool's pricing terms, expressed relative to the provider's base
 /// on-demand sheet.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PoolTerms {
     /// Hourly compute-rate multiplier vs the base sheet (`1.0` =
     /// on-demand parity; a reservation's discounted rate divided by
@@ -117,7 +116,7 @@ impl Default for PoolTerms {
 /// A mixed fleet: a reserved pool and a spot pool, the primary pool
 /// the shared sheet bills against, and whether per-view placement is a
 /// free search dimension or pinned.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FleetPlan {
     /// Plan name for reports.
     pub name: String,

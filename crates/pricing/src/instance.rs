@@ -1,7 +1,6 @@
 //! Compute-instance configurations and hourly pricing (paper Table 2).
 
 use mv_units::{Gb, Hours, Money};
-use serde::{Deserialize, Serialize};
 
 use crate::{BillingRounding, PricingError, RoundingScope};
 
@@ -12,7 +11,7 @@ use crate::{BillingRounding, PricingError, RoundingScope};
 /// the selection algorithms only consume [`InstanceType::hourly`] and
 /// `compute_units`, but the full shape is kept so the engine's throughput
 /// model can scale with the rented hardware.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InstanceType {
     /// Configuration name, unique within a catalog.
     pub name: String,
@@ -46,7 +45,7 @@ impl InstanceType {
 }
 
 /// An ordered collection of instance types, looked up by name.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InstanceCatalog {
     instances: Vec<InstanceType>,
 }
@@ -93,7 +92,7 @@ impl InstanceCatalog {
 }
 
 /// Compute pricing: a catalog plus the billing rounding rules.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ComputePricing {
     /// Available instance configurations (paper Table 2).
     pub catalog: InstanceCatalog,

@@ -78,14 +78,12 @@ pub use storage::{StorageInterval, StoragePricing, StorageTimeline};
 pub use tier::{Tier, TierMode, TierSchedule};
 pub use transfer::TransferPricing;
 
-use serde::{Deserialize, Serialize};
-
 /// A complete provider pricing policy: the three billed components plus a
 /// display name.
 ///
 /// This is the "CSP pricing model" parameter of every formula in the paper's
 /// Sections 3–4.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PricingPolicy {
     /// Human-readable provider name (e.g. `"aws-2012"`).
     pub name: String,

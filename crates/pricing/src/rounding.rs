@@ -8,10 +8,9 @@
 //! effect on selection decisions.
 
 use mv_units::Hours;
-use serde::{Deserialize, Serialize};
 
 /// Granularity to which billable time is rounded up.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BillingRounding {
     /// Every started hour is charged (the paper's rule).
     PerStartedHour,
@@ -47,7 +46,7 @@ impl BillingRounding {
 /// The paper rounds the *total* workload time (Example 2 rounds 50 h once,
 /// not each of the ten queries). Per-item rounding penalises many short
 /// jobs, which changes the materialization-cost trade-off.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RoundingScope {
     /// Round the sum of all durations once (the paper's convention).
     Total,

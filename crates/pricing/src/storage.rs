@@ -8,12 +8,11 @@
 //! `Σ cs(DS) × (t_end − t_start) × s(DS)` over them.
 
 use mv_units::{Gb, Money, Months};
-use serde::{Deserialize, Serialize};
 
 use crate::{PricingError, TierSchedule};
 
 /// Monthly storage pricing: a $/GB-month tier schedule.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StoragePricing {
     /// The `cs(DS)` schedule (paper Table 4).
     pub monthly: TierSchedule,
@@ -56,7 +55,7 @@ impl StoragePricing {
 }
 
 /// One interval of constant stored size.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StorageInterval {
     /// Interval start, in months from the beginning of the period.
     pub start: Months,
@@ -78,7 +77,7 @@ impl StorageInterval {
 /// Events must be recorded in chronological order; the timeline is closed by
 /// the horizon given at construction. The paper's Example 3 is the timeline
 /// `512 GB at month 0, +2048 GB at month 7, horizon 12 months`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StorageTimeline {
     horizon: Months,
     /// `(time, size-after-event)` pairs; first entry is at time 0.

@@ -15,12 +15,11 @@
 //!   1 TB.
 
 use mv_units::{Gb, Money};
-use serde::{Deserialize, Serialize};
 
 use crate::PricingError;
 
 /// How a schedule's brackets combine into a total price.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TierMode {
     /// Marginal pricing: each bracket bills only its own bytes.
     Graduated,
@@ -30,7 +29,7 @@ pub enum TierMode {
 
 /// One bracket of a schedule: volumes up to `upto` (exclusive upper bound,
 /// `None` = unbounded) cost `rate` dollars per GB.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Tier {
     /// Exclusive upper volume bound of this bracket; `None` for the last tier.
     pub upto: Option<Gb>,
@@ -54,7 +53,7 @@ impl Tier {
 }
 
 /// A validated sequence of brackets plus the combination mode.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TierSchedule {
     tiers: Vec<Tier>,
     mode: TierMode,

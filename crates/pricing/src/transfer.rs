@@ -1,7 +1,6 @@
 //! Bandwidth pricing (paper Table 3).
 
 use mv_units::{Gb, Money};
-use serde::{Deserialize, Serialize};
 
 use crate::TierSchedule;
 
@@ -12,7 +11,7 @@ use crate::TierSchedule;
 /// volumes are aggregated per billing period before the schedule applies —
 /// that is how the paper's Example 1 treats the workload's 10 GB of query
 /// results as one volume.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TransferPricing {
     /// Inbound ($0 under every 2012 preset, but modellable).
     pub inbound: TierSchedule,

@@ -1280,12 +1280,11 @@ where
     if threads <= 1 {
         worker();
     } else {
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for _ in 0..threads {
-                scope.spawn(|_| worker());
+                scope.spawn(worker);
             }
-        })
-        .expect("tree solve scope failed");
+        });
     }
     let board = board.into_inner().expect("tree board poisoned");
     board

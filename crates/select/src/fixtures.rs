@@ -143,11 +143,12 @@ pub fn churn_chain(epochs: usize) -> EpochChain {
     EpochChain::new(models, pool)
 }
 
-/// Deterministic xorshift generator so fixtures need no external RNG.
-struct XorShift(u64);
+/// Deterministic SplitMix64 generator, so the fixtures and the LNS
+/// destroy step need no external RNG and their streams never move.
+pub(crate) struct XorShift(pub(crate) u64);
 
 impl XorShift {
-    fn next_u64(&mut self) -> u64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
         let mut x = self.0.wrapping_add(0x9e3779b97f4a7c15);
         self.0 = x;
         x ^= x >> 30;

@@ -16,7 +16,7 @@
 //! never worse than local search while its polish pass is on).
 //! All evaluate selections under the *true* interaction model — each
 //! query uses its fastest selected view — so solver quality can be
-//! compared honestly (DESIGN.md ablation A1).
+//! compared honestly (ablation A1: `experiments ablations`).
 //!
 //! # Evaluation architecture
 //!
@@ -175,7 +175,7 @@
 //! per-leaf step sequences are **bit-identical** to solving each path
 //! alone on a [`Topology::Path`] over its own chain (proptest-pinned in
 //! `tests/tree_identity.rs` at the driver layer); ready nodes are
-//! work-stolen across crossbeam threads.
+//! work-stolen across scoped threads.
 //!
 //! The same two warm primitives carry the resident advisor service
 //! (`mvcloud::service`): a long-lived evaluator built **once** from the

@@ -24,6 +24,7 @@
 
 use mv_cost::SelectionSet;
 
+use crate::fixtures::XorShift;
 use crate::local_search::{self, default_move_budget};
 use crate::{Evaluation, IncrementalEvaluator, Outcome, Scenario, SelectionProblem, SolverKind};
 
@@ -61,22 +62,6 @@ impl LnsConfig {
             polish_moves: if n <= 256 { default_move_budget(n) } else { 0 },
             seed: 0x6d_7663_6c6f_7564,
         }
-    }
-}
-
-/// The xorshift-based splitmix step the fixtures use; kept private so
-/// the search is deterministic without an RNG dependency.
-struct XorShift(u64);
-
-impl XorShift {
-    fn next_u64(&mut self) -> u64 {
-        let mut x = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        self.0 = x;
-        x ^= x >> 30;
-        x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        x ^= x >> 27;
-        x = x.wrapping_mul(0x94d0_49bb_1331_11eb);
-        x ^ (x >> 31)
     }
 }
 

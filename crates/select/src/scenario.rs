@@ -1,12 +1,11 @@
 //! The paper's three objective functions (Section 5.1).
 
 use mv_units::{Hours, Money};
-use serde::{Deserialize, Serialize};
 
 use crate::Scored;
 
 /// An optimization scenario.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Scenario {
     /// MV1 (Formula 13): minimize `TprocessingQ` subject to `C ≤ budget`.
     Mv1 {

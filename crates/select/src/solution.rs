@@ -1,11 +1,9 @@
 //! Solver outcomes and the improvement metrics the paper reports.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{Evaluation, Scenario};
 
 /// Which algorithm produced an outcome.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SolverKind {
     /// The paper's dynamic-programming 0/1 knapsack (Section 5.2) over
     /// linearized per-view deltas, with a repair pass.

@@ -49,12 +49,12 @@ pub(crate) fn chunked<T: Send>(
 ) -> Vec<T> {
     let chunk = total.div_ceil(threads as u64);
     let run = &run;
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads as u64)
             .filter_map(|t| {
                 let lo = t * chunk;
                 let hi = ((t + 1) * chunk).min(total);
-                (lo < hi).then(|| scope.spawn(move |_| run(lo, hi)))
+                (lo < hi).then(|| scope.spawn(move || run(lo, hi)))
             })
             .collect();
         handles
@@ -62,7 +62,6 @@ pub(crate) fn chunked<T: Send>(
             .map(|h| h.join().expect("sweep worker panicked"))
             .collect()
     })
-    .expect("sweep scope failed")
 }
 
 /// Thread count for a sweep over `2^n` subsets: every available core

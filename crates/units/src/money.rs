@@ -4,8 +4,6 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
-
 /// Number of micro-dollars in one dollar.
 pub const MICROS_PER_DOLLAR: i128 = 1_000_000;
 
@@ -16,7 +14,7 @@ pub const MICROS_PER_DOLLAR: i128 = 1_000_000;
 /// examples are reproduced without floating-point drift. Amounts may be
 /// negative: including a materialized view can *reduce* total cost, and the
 /// selection algorithms reason about such deltas directly.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Money(i128);
 
 impl Money {

@@ -4,8 +4,6 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
-
 /// Gigabytes per terabyte.
 ///
 /// The paper uses binary multiples: its Example 3 writes "0.5 TB (512 GB)"
@@ -18,7 +16,7 @@ pub const GB_PER_TB: f64 = 1024.0;
 /// Sizes are the unit the paper's functions `s()` return (e.g. `s(DS)` is the
 /// dataset size in GB). Construction panics on negative or non-finite input —
 /// a negative size is always a logic error, never data.
-#[derive(Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Gb(f64);
 
 impl Gb {

@@ -4,8 +4,6 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
-
 /// Average hours in a month, used only when a single number must bridge the
 /// two clocks (e.g. "queries are posed during day-time and maintenance at
 /// night" scheduling checks). The paper never needs this conversion in its
@@ -13,7 +11,7 @@ use serde::{Deserialize, Serialize};
 pub const HOURS_PER_MONTH: f64 = 730.0;
 
 /// A non-negative duration in hours — the unit compute time is billed in.
-#[derive(Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Hours(f64);
 
 impl Hours {
@@ -168,7 +166,7 @@ impl<'a> Sum<&'a Hours> for Hours {
 /// Months are kept distinct from [`Hours`] on purpose: the paper bills
 /// storage per month and compute per hour, and mixing the clocks is a unit
 /// error the type system should catch.
-#[derive(Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Months(f64);
 
 impl Months {
