@@ -5,9 +5,9 @@
 //! split:
 //!
 //! 1. **placement-flip probe** — the joint local search's `Place`
-//!    move: re-derive the view's effective charge for the other pool
-//!    and splice it with `update_charge` (O(1): the answer profile is
-//!    untouched) plus one snapshot — vs rebuilding the charged
+//!    move: re-derive the view's effective price for the other pool
+//!    and splice it with `update_charge` (O(1): a price carries no
+//!    answer profile) plus one snapshot — vs rebuilding the charged
 //!    problem and a fresh evaluator repositioned by O(n) flips.
 //! 2. **K-path hedged sweep** — the `solve_fleet` hot loop at the
 //!    `mv-select` layer: K sampled spot paths with a correlated
@@ -25,7 +25,7 @@ use std::hint::black_box;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mv_select::epoch::{ChainSpec, EpochChain, EpochTree, EpochTreeNode, Topology};
 use mv_select::{IncrementalEvaluator, Placement, Scenario, SelectionProblem, SelectionSet};
-use mvcloud::cost::{InterruptionRisk, PoolCharge};
+use mvcloud::cost::{InterruptionRisk, PoolCharge, Price};
 use mvcloud::market::{CorrelatedHazard, MarketScenario, PriceProcess, SpotMarket};
 use mvcloud::ViewCharge;
 
@@ -46,15 +46,19 @@ fn crunchy_market(seed: u64) -> MarketScenario {
         ))
 }
 
-/// The effective charge of `charge` on `pool` under a fixed epoch's
+/// The effective price of `charge` on `pool` under a fixed epoch's
 /// terms (spot at 60% rate with a 25% interruption premium).
-fn placed(charge: &ViewCharge, pool: Placement) -> ViewCharge {
-    let mut c = match pool {
-        Placement::Reserved => charge.clone(),
-        Placement::Spot => PoolCharge::new(0.6, 1.0, InterruptionRisk::new(0.25)).adjust(charge),
+fn placed(charge: &ViewCharge, pool: Placement) -> Price {
+    let price = match pool {
+        Placement::Reserved => charge.price(),
+        Placement::Spot => {
+            PoolCharge::new(0.6, 1.0, InterruptionRisk::new(0.25)).adjust(charge.price())
+        }
     };
-    c.placement = pool;
-    c
+    Price {
+        placement: pool,
+        ..price
+    }
 }
 
 fn bench_placement_flip_probe(c: &mut Criterion) {
@@ -77,19 +81,16 @@ fn bench_placement_flip_probe(c: &mut Criterion) {
             } else {
                 Placement::Reserved
             };
-            let charged: Vec<ViewCharge> = pool
-                .iter()
-                .enumerate()
-                .map(|(k, v)| if k == 4 { placed(v, target) } else { v.clone() })
-                .collect();
+            let mut charged = pool.clone();
+            charged[4].set_price(placed(&pool[4], target));
             let p = SelectionProblem::new(problem.model().clone(), charged);
             let mut ev = IncrementalEvaluator::with_selection(&p, &selection);
             black_box(ev.snapshot().time.value())
         })
     });
 
-    // Warm: the joint search's Place move — one update_charge splice
-    // (same answer profile ⇒ O(1)) + snapshot on the live evaluator.
+    // Warm: the joint search's Place move — one O(1) update_charge
+    // price splice + snapshot on the live evaluator.
     group.bench_function(BenchmarkId::from_parameter("warm_splice"), |b| {
         let mut ev = IncrementalEvaluator::with_selection(&problem, &selection);
         let mut on_spot = false;
@@ -151,8 +152,8 @@ fn bench_k_path_hedged_sweep(c: &mut Criterion) {
     let initial = vec![Placement::Spot; CANDIDATES];
     fn reprice_for(
         pools: &[(f64, InterruptionRisk)],
-    ) -> impl Fn(usize, usize, Placement, &ViewCharge) -> ViewCharge + '_ {
-        move |e: usize, _k: usize, p: Placement, c: &ViewCharge| -> ViewCharge {
+    ) -> impl Fn(usize, usize, Placement, Price) -> Price + '_ {
+        move |e: usize, _k: usize, p: Placement, c: Price| -> Price {
             let (reserved_rate, risk) = pools[e];
             match p {
                 Placement::Spot => risk.adjust(c),
@@ -261,8 +262,8 @@ fn bench_scenario_tree_vs_flat(c: &mut Criterion) {
     let initial = [Placement::Spot; CANDIDATES];
     fn pool_reprice(
         pools: &[(f64, InterruptionRisk)],
-    ) -> impl Fn(usize, usize, Placement, &ViewCharge) -> ViewCharge + '_ {
-        move |i: usize, _k: usize, p: Placement, c: &ViewCharge| -> ViewCharge {
+    ) -> impl Fn(usize, usize, Placement, Price) -> Price + '_ {
+        move |i: usize, _k: usize, p: Placement, c: Price| -> Price {
             let (reserved_rate, risk) = pools[i];
             match p {
                 Placement::Spot => risk.adjust(c),

@@ -62,7 +62,7 @@ fn bench_epoch_transition(c: &mut Criterion) {
             let model = if flip { &model_b } else { &model_a };
             let mut charged = pool.clone();
             for k in selection.ones() {
-                charged[k] = pool[k].carried();
+                charged[k].set_price(pool[k].carried());
             }
             let p = SelectionProblem::new(model.clone(), charged);
             let mut ev = IncrementalEvaluator::with_selection(&p, &selection);
@@ -89,12 +89,12 @@ fn bench_epoch_transition(c: &mut Criterion) {
             ev.retarget(model.clone());
             carried = !carried;
             for k in selection.ones() {
-                let charge = if carried {
+                let price = if carried {
                     pool[k].carried()
                 } else {
-                    pool[k].clone()
+                    pool[k].price()
                 };
-                ev.update_charge(k, charge);
+                ev.update_charge(k, price);
             }
             black_box(ev.snapshot().time.value())
         })
@@ -142,7 +142,7 @@ fn bench_chain_solve(c: &mut Criterion) {
             for model in chain.epochs() {
                 let mut charged = pool.to_vec();
                 for k in prev.ones() {
-                    charged[k] = pool[k].carried();
+                    charged[k].set_price(pool[k].carried());
                 }
                 let p = SelectionProblem::new(model.clone(), charged);
                 let o = mv_select::solve_local_search(&p, scenario);

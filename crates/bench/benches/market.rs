@@ -28,9 +28,9 @@ use std::hint::black_box;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mv_select::epoch::{ChainSpec, EpochChain, EpochStep, EpochTree, EpochTreeNode, Topology};
 use mv_select::{IncrementalEvaluator, Placement, Scenario, SelectionProblem, SelectionSet};
-use mvcloud::cost::InterruptionRisk;
+use mvcloud::cost::{InterruptionRisk, Price};
 use mvcloud::market::{MarketPath, MarketScenario, PriceProcess, ScenarioTree, SpotMarket};
-use mvcloud::{CloudCostModel, ViewCharge};
+use mvcloud::CloudCostModel;
 
 /// The streaming/churn hot-path shape (shared: `mv_bench::shapes`).
 const CANDIDATES: usize = mv_bench::shapes::HOT_CANDIDATES;
@@ -81,9 +81,9 @@ fn compile_path(
 fn risk_spec(
     risks: &[InterruptionRisk],
     max_moves: usize,
-) -> ChainSpec<'static, impl Fn(usize, usize, Placement, &ViewCharge) -> ViewCharge + Sync + '_> {
+) -> ChainSpec<'static, impl Fn(usize, usize, Placement, Price) -> Price + Sync + '_> {
     ChainSpec {
-        reprice: move |node: usize, _k: usize, _p: Placement, v: &ViewCharge| risks[node].adjust(v),
+        reprice: move |node: usize, _k: usize, _p: Placement, v: Price| risks[node].adjust(v),
         initial: None,
         rebalance: false,
         max_moves,
@@ -126,17 +126,14 @@ fn bench_price_drift_handoff(c: &mut Criterion) {
             } else {
                 (&model_a, &risk_a)
             };
-            let charged: Vec<ViewCharge> = pool
-                .iter()
-                .enumerate()
-                .map(|(k, v)| {
-                    if selection.contains(k) {
-                        risk.adjust(&v.carried())
-                    } else {
-                        risk.adjust(v)
-                    }
-                })
-                .collect();
+            let mut charged = pool.clone();
+            for (k, v) in charged.iter_mut().enumerate() {
+                v.set_price(risk.adjust(if selection.contains(k) {
+                    v.carried()
+                } else {
+                    v.price()
+                }));
+            }
             let p = SelectionProblem::new(model.clone(), charged);
             let mut ev = IncrementalEvaluator::with_selection(&p, &selection);
             black_box(ev.snapshot().time.value())
@@ -161,12 +158,12 @@ fn bench_price_drift_handoff(c: &mut Criterion) {
             };
             ev.retarget(model.clone());
             for (k, v) in pool.iter().enumerate() {
-                let charge = if selection.contains(k) {
-                    risk.adjust(&v.carried())
+                let transition = if selection.contains(k) {
+                    v.carried()
                 } else {
-                    risk.adjust(v)
+                    v.price()
                 };
-                ev.update_charge(k, charge);
+                ev.update_charge(k, risk.adjust(transition));
             }
             black_box(ev.snapshot().time.value())
         })

@@ -16,8 +16,9 @@
 //! * **Bit-identical reload.** Charges are serialized through
 //!   [`crate::json`]'s `Num` variant, whose `{}` float rendering is
 //!   shortest-roundtrip, so `load(spill(c)) == c` exactly — a reloaded
-//!   catalog rebuilds the *same* [`SelectionProblem`] and therefore the
-//!   same resident plan and report (asserted in `tests/service.rs`).
+//!   catalog rebuilds the *same* [`mv_select::SelectionProblem`] and
+//!   therefore the same resident plan and report (asserted in
+//!   `tests/service.rs`).
 //! * **Atomic spill.** [`CandidateCatalog::spill`] writes through
 //!   [`crate::json::write_atomic`] (temp file + rename), so a crash
 //!   mid-spill leaves the previous durable catalog intact and the HWM

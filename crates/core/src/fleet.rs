@@ -47,7 +47,7 @@
 
 use std::collections::HashMap;
 
-use mv_cost::{CloudCostModel, InterruptionRisk, PoolCharge, SelectionSet, ViewCharge};
+use mv_cost::{CloudCostModel, InterruptionRisk, PoolCharge, Price, SelectionSet};
 use mv_lattice::WorkloadEvolution;
 use mv_market::{EpochQuote, MarketPath, MarketScenario, ScenarioTree};
 use mv_pricing::{FleetPlan, Placement};
@@ -533,7 +533,7 @@ impl Advisor {
         let pool = self.problem().candidates();
         let forced = fleet.initial.map(|p| vec![p; pool.len()]);
         let spec = ChainSpec {
-            reprice: |node: usize, _k: usize, p: Placement, transition: &ViewCharge| {
+            reprice: |node: usize, _k: usize, p: Placement, transition: Price| {
                 node_pools[node][pool_index(p)].adjust(transition)
             },
             initial: forced.as_deref(),

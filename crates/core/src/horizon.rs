@@ -142,15 +142,10 @@ impl Advisor {
     /// query universe is fixed, so the measured candidate pool stays
     /// aligned with every epoch.
     pub fn epoch_models(&self, horizon: &HorizonConfig) -> Vec<CloudCostModel> {
-        let base_ctx = self.problem().model().context();
+        let base = self.problem().model();
         (0..horizon.epochs)
             .map(|e| {
-                let mut ctx = base_ctx.clone();
-                let freqs = horizon.evolution.frequencies(&self.domain().workload, e);
-                for (q, f) in ctx.workload.iter_mut().zip(freqs) {
-                    q.frequency = f;
-                }
-                CloudCostModel::new(ctx)
+                base.with_frequencies(&horizon.evolution.frequencies(&self.domain().workload, e))
             })
             .collect()
     }

@@ -99,7 +99,6 @@ pub struct IngestOutcome {
 /// The resident advisor: catalog + warm evaluator + current plan.
 #[derive(Debug)]
 pub struct AdvisorService {
-    advisor_config: AdvisorConfig,
     service_config: ServiceConfig,
     catalog: CandidateCatalog,
     query_index: HashMap<String, usize>,
@@ -154,9 +153,9 @@ impl AdvisorService {
         // position (counts-adjusted frequencies) — a reload must land
         // on the same model a running service had after its last
         // re-solve, not on the pre-traffic one.
-        let charges = current_charges(&catalog);
-        let plan_frequencies: Vec<f64> = charges.iter().map(|q| q.frequency).collect();
-        let model = cost_model_for(&advisor_config, charges)?;
+        let plan_frequencies = current_frequencies(&catalog);
+        let model = cost_model_for(&advisor_config, catalog.workload.clone())?
+            .with_frequencies(&plan_frequencies);
         let problem = SelectionProblem::new(model, catalog.candidates.clone());
         let query_index = catalog
             .workload
@@ -170,7 +169,6 @@ impl AdvisorService {
         let baseline = evaluator.problem().baseline();
         let plan = solve_resident(&mut evaluator, &service_config, &baseline);
         Ok(AdvisorService {
-            advisor_config,
             service_config,
             catalog,
             query_index,
@@ -259,23 +257,22 @@ impl AdvisorService {
     /// [0, 2]). Zero while no events have been observed, and zero
     /// immediately after a re-solve.
     pub fn drift(&self) -> f64 {
-        let observed: Vec<f64> = current_charges(&self.catalog)
-            .iter()
-            .map(|q| q.frequency)
-            .collect();
-        l1_distribution_distance(&self.plan_frequencies, &observed)
+        l1_distribution_distance(&self.plan_frequencies, &current_frequencies(&self.catalog))
     }
 
     /// Re-solves the resident plan against the observed frequencies,
-    /// warm: the standing evaluator is retargeted to the re-costed
-    /// model (no rebuild — the sparse answer tables survive, only the
-    /// pricing context swaps) and the canonical solve procedure runs on
+    /// warm: the standing evaluator is retargeted to its own model
+    /// re-weighted (no rebuild — the sparse answer tables survive, only
+    /// the frequencies move) and the canonical solve procedure runs on
     /// it.
     pub fn resolve(&mut self) -> Result<&Evaluation, AdvisorError> {
         mv_obs::span!("service/resolve");
-        let charges = current_charges(&self.catalog);
-        self.plan_frequencies = charges.iter().map(|q| q.frequency).collect();
-        let model = cost_model_for(&self.advisor_config, charges)?;
+        self.plan_frequencies = current_frequencies(&self.catalog);
+        let model = self
+            .evaluator
+            .problem()
+            .model()
+            .with_frequencies(&self.plan_frequencies);
         self.evaluator.retarget(model);
         self.baseline = self.evaluator.problem().baseline();
         self.plan = solve_resident(&mut self.evaluator, &self.service_config, &self.baseline);
@@ -423,13 +420,12 @@ fn solve_resident(
     local_search::improve(evaluator, config.scenario, baseline, config.resolve_moves)
 }
 
-/// The workload charges at the catalog's stream position: measured
-/// per-query sizes/times unchanged, frequencies re-derived from the
-/// observed counts. While no events have been observed the original
-/// frequencies stand; afterwards the observed distribution carries the
-/// workload's total frequency mass (so bills stay comparable while the
-/// *mix* tracks traffic).
-fn current_charges(catalog: &CandidateCatalog) -> Vec<mv_cost::QueryCharge> {
+/// The workload frequencies at the catalog's stream position, re-derived
+/// from the observed counts. While no events have been observed the
+/// original frequencies stand; afterwards the observed distribution
+/// carries the workload's total frequency mass (so bills stay comparable
+/// while the *mix* tracks traffic).
+fn current_frequencies(catalog: &CandidateCatalog) -> Vec<f64> {
     let total: u64 = catalog.counts.iter().sum();
     let mass: f64 = catalog.workload.iter().map(|q| q.frequency).sum();
     catalog
@@ -437,11 +433,11 @@ fn current_charges(catalog: &CandidateCatalog) -> Vec<mv_cost::QueryCharge> {
         .iter()
         .zip(&catalog.counts)
         .map(|(q, &count)| {
-            let mut charge = q.clone();
             if total > 0 {
-                charge.frequency = mass * count as f64 / total as f64;
+                mass * count as f64 / total as f64
+            } else {
+                q.frequency
             }
-            charge
         })
         .collect()
 }
@@ -618,6 +614,60 @@ mod tests {
     }
 
     #[test]
+    fn drift_is_the_charge_cloning_expression_bit_for_bit() {
+        // What `drift` computed before it stopped cloning the workload:
+        // every `QueryCharge` copied, its frequency re-derived from the
+        // counts, the frequencies read back out.
+        fn by_cloned_charges(svc: &AdvisorService) -> f64 {
+            let catalog = svc.catalog();
+            let total: u64 = catalog.counts.iter().sum();
+            let mass: f64 = catalog.workload.iter().map(|q| q.frequency).sum();
+            let charges: Vec<mv_cost::QueryCharge> = catalog
+                .workload
+                .iter()
+                .zip(&catalog.counts)
+                .map(|(q, &count)| {
+                    let mut charge = q.clone();
+                    if total > 0 {
+                        charge.frequency = mass * count as f64 / total as f64;
+                    }
+                    charge
+                })
+                .collect();
+            let observed: Vec<f64> = charges.iter().map(|q| q.frequency).collect();
+            l1_distribution_distance(&svc.plan_frequencies, &observed)
+        }
+        let mut svc = small_service();
+        assert_eq!(svc.drift().to_bits(), by_cloned_charges(&svc).to_bits());
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut id = 0;
+        for batch in 0..60u64 {
+            let specs: Vec<QueryEvent> = (0..1 + batch % 5)
+                .map(|_| {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    id += 1;
+                    QueryEvent {
+                        timestamp: batch,
+                        query_id: id,
+                        // Skewed towards Q1, so some batches re-solve.
+                        query: ["Q1", "Q1", "Q1", "Q2", "Q3"][(state % 5) as usize].to_string(),
+                    }
+                })
+                .collect();
+            let out = svc.ingest(&specs).unwrap();
+            assert_eq!(
+                out.drift.to_bits(),
+                by_cloned_charges(&svc).to_bits(),
+                "batch {batch}"
+            );
+            assert_eq!(svc.drift().to_bits(), out.drift.to_bits(), "batch {batch}");
+        }
+        assert!(svc.resolves() > 0, "the skew never re-solved");
+    }
+
+    #[test]
     fn frequencies_preserve_total_mass() {
         let catalog = {
             let domain = sales_domain(800, 3, 2.0, 7);
@@ -629,10 +679,10 @@ mod tests {
             c.counts = vec![3, 1, 0];
             c
         };
-        let charges = current_charges(&catalog);
-        let mass: f64 = charges.iter().map(|q| q.frequency).sum();
+        let frequencies = current_frequencies(&catalog);
+        let mass: f64 = frequencies.iter().sum();
         assert!((mass - 6.0).abs() < 1e-12, "3 queries × frequency 2");
-        assert!((charges[0].frequency - 4.5).abs() < 1e-12);
-        assert_eq!(charges[2].frequency, 0.0);
+        assert!((frequencies[0] - 4.5).abs() < 1e-12);
+        assert_eq!(frequencies[2], 0.0);
     }
 }

@@ -7,13 +7,19 @@
 //! exactly reproducing every worked example of the paper (see
 //! `tests/paper_examples.rs` for Examples 1–9 as golden tests).
 //!
-//! Two extensions charge views beyond the paper's single static fleet,
-//! both as *charge transforms* that leave the answer profile untouched
-//! (the O(1) splice contract of `mv-select`'s `update_charge`):
-//! [`InterruptionRisk`] inflates build/refresh hours by the expected
-//! re-run count under spot interruption, and [`PoolCharge`] folds a
-//! mixed fleet's per-pool rate differentials into effective hours and
-//! bytes for views [`Placement`]-assigned to the non-primary pool.
+//! What differs between two billing periods is one frequency per query
+//! ([`CloudCostModel::with_frequencies`]) and one [`Price`] per view —
+//! size, build time, refresh time, fleet pool: the `Copy` part of a
+//! [`ViewCharge`], without its name or answer profile. Two extensions
+//! charge views beyond the paper's single static fleet, both as
+//! `Price → Price` transforms: [`InterruptionRisk`] inflates
+//! build/refresh hours by the expected re-run count under spot
+//! interruption, and [`PoolCharge`] folds a mixed fleet's per-pool rate
+//! differentials into effective hours and bytes for views
+//! [`Placement`]-assigned to the non-primary pool. Every bill — a full
+//! evaluation, an incremental evaluator's score, a DP oracle's state
+//! table — is assembled by [`CloudCostModel::breakdown_from_totals`]
+//! from four totals.
 //!
 //! ```
 //! use mv_cost::{CloudCostModel, CostContext, QueryCharge};
@@ -48,7 +54,7 @@ pub use breakdown::CostBreakdown;
 pub use fit::{CalibratedParams, LinearFit, MeterSample, WorkKind};
 pub use model::{CloudCostModel, TIME_FOLD_BLOCK};
 pub use mv_pricing::Placement;
-pub use params::{CostContext, QueryCharge, ViewCharge};
+pub use params::{CostContext, Price, QueryCharge, ViewCharge};
 pub use risk::{InterruptionRisk, PoolCharge, MAX_INTERRUPTION};
 pub use selection::SelectionSet;
 

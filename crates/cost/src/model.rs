@@ -12,7 +12,7 @@
 //! their dollar figures.
 
 use mv_pricing::StorageTimeline;
-use mv_units::{Hours, Money};
+use mv_units::{Gb, Hours, Money, Months};
 
 use crate::{CostBreakdown, CostContext, SelectionSet, ViewCharge};
 
@@ -22,20 +22,63 @@ use crate::{CostBreakdown, CostContext, SelectionSet, ViewCharge};
 pub const TIME_FOLD_BLOCK: usize = 64;
 
 /// Evaluates the paper's cost formulas over a [`CostContext`].
+///
+/// What a bill needs of the context but not of the selection is worked
+/// out once, in [`CloudCostModel::new`]: the transfer cost and the
+/// storage timeline's interval structure. That makes
+/// [`CloudCostModel::breakdown_from_totals`] allocation-free — cheap
+/// enough to be the one bill assembly behind full evaluations and
+/// incremental probes alike.
 #[derive(Debug, Clone)]
 pub struct CloudCostModel {
     ctx: CostContext,
+    /// [`CloudCostModel::transfer_cost`] of the context.
+    transfer: Money,
+    /// Formula 5's billable intervals as `(inserts applied, duration)`:
+    /// how many of the context's insert events precede the interval and
+    /// how long it lasts. Only the *size* an interval holds depends on
+    /// the selected views (see [`CloudCostModel::storage_cost`]).
+    storage_intervals: Vec<(usize, Months)>,
 }
 
 impl CloudCostModel {
-    /// Wraps a context.
+    /// Wraps a context and precomputes its selection-independent parts.
+    ///
+    /// # Panics
+    /// Panics when the context's inserts are not in chronological order.
     pub fn new(ctx: CostContext) -> Self {
-        CloudCostModel { ctx }
+        let transfer = transfer_cost_of(&ctx);
+        let storage_intervals = storage_interval_template(&ctx);
+        CloudCostModel {
+            ctx,
+            transfer,
+            storage_intervals,
+        }
     }
 
     /// The wrapped context.
     pub fn context(&self) -> &CostContext {
         &self.ctx
+    }
+
+    /// The same model with query `i` executed `frequencies[i]` times per
+    /// period — what differs between two epochs of a horizon, or between
+    /// a resident plan and the traffic observed since. Every measured
+    /// charge, the price sheet and the storage chronology are kept.
+    ///
+    /// # Panics
+    /// Panics unless there is one frequency per workload query.
+    pub fn with_frequencies(&self, frequencies: &[f64]) -> CloudCostModel {
+        assert_eq!(
+            frequencies.len(),
+            self.ctx.workload.len(),
+            "one frequency per workload query"
+        );
+        let mut ctx = self.ctx.clone();
+        for (q, &f) in ctx.workload.iter_mut().zip(frequencies) {
+            q.frequency = f;
+        }
+        CloudCostModel::new(ctx)
     }
 
     // ------------------------------------------------------------------
@@ -45,45 +88,32 @@ impl CloudCostModel {
     /// Formula 3: `Ct = Σ s(R_i) × ct`, with the provider's tier schedule
     /// applied to the period's aggregated outbound volume. (Formula 2's
     /// input terms are zero under free-inbound providers; for providers
-    /// that do charge inbound, the initial upload is added.)
+    /// that do charge inbound, the initial upload is added.) Recomputed
+    /// from the context on every call — the reference for the value
+    /// [`CloudCostModel::new`] caches for the bill assembly.
     pub fn transfer_cost(&self) -> Money {
-        let out = self
-            .ctx
-            .pricing
-            .transfer
-            .outbound_cost(self.ctx.total_result_size());
-        if self.ctx.pricing.transfer.inbound_is_free() {
-            out
-        } else {
-            // General Formula 2: the dataset and inserted data enter once.
-            let inserted: mv_units::Gb = self.ctx.inserts.iter().map(|(_, g)| *g).sum();
-            out + self
-                .ctx
-                .pricing
-                .transfer
-                .inbound_cost(self.ctx.dataset_size + inserted)
-        }
+        transfer_cost_of(&self.ctx)
     }
 
     /// Formula 4: `Cc = RoundUp(Σ t_i) × c(IC) × nbIC`.
     pub fn compute_cost_without_views(&self) -> Money {
-        self.compute_component(self.ctx.base_processing_time())
+        self.compute_cost(self.ctx.base_processing_time())
     }
 
     /// Formula 5 over the dataset-only timeline.
     pub fn storage_cost_without_views(&self) -> Money {
-        self.storage_cost_with_extra(mv_units::Gb::ZERO)
+        self.storage_cost(Gb::ZERO)
     }
 
-    /// Section 3 total: `C = Cc + Cs + Ct`.
+    /// Section 3 total: `C = Cc + Cs + Ct` — the Section 4 bill of no
+    /// views at all.
     pub fn without_views(&self) -> CostBreakdown {
-        CostBreakdown {
-            transfer: self.transfer_cost(),
-            compute_processing: self.compute_cost_without_views(),
-            compute_maintenance: Money::ZERO,
-            compute_materialization: Money::ZERO,
-            storage: self.storage_cost_without_views(),
-        }
+        self.breakdown_from_totals(
+            self.ctx.base_processing_time(),
+            Hours::ZERO,
+            Hours::ZERO,
+            Gb::ZERO,
+        )
     }
 
     // ------------------------------------------------------------------
@@ -169,7 +199,7 @@ impl CloudCostModel {
     }
 
     /// Extra storage of the selected views.
-    pub fn views_size(&self, views: &[ViewCharge], selected: &SelectionSet) -> mv_units::Gb {
+    pub fn views_size(&self, views: &[ViewCharge], selected: &SelectionSet) -> Gb {
         selected.ones().map(|k| views[k].size).sum()
     }
 
@@ -191,24 +221,28 @@ impl CloudCostModel {
         )
     }
 
-    /// Assembles the Section 4 breakdown from already-aggregated totals.
-    /// [`CloudCostModel::with_views`] is defined in terms of this, so an
-    /// incremental evaluator that tracks the four totals itself (e.g.
-    /// `mv-select`'s `IncrementalEvaluator`) produces breakdowns that are
-    /// bit-identical to a full re-evaluation by construction.
+    /// Assembles the Section 4 breakdown from already-aggregated totals
+    /// — the one place a bill is put together. [`CloudCostModel::
+    /// with_views`] is defined in terms of it, and so is every consumer
+    /// that tracks the four totals itself (`mv-select`'s
+    /// `SelectionProblem::evaluate`, its `IncrementalEvaluator::score`,
+    /// the DP oracles' state tables), so their breakdowns are
+    /// bit-identical to a full re-evaluation by construction. Allocates
+    /// nothing: transfer and the storage intervals were worked out by
+    /// [`CloudCostModel::new`].
     pub fn breakdown_from_totals(
         &self,
         processing: Hours,
         maintenance: Hours,
         materialization: Hours,
-        views_size: mv_units::Gb,
+        views_size: Gb,
     ) -> CostBreakdown {
         CostBreakdown {
-            transfer: self.transfer_cost(),
-            compute_processing: self.compute_component(processing),
-            compute_maintenance: self.compute_component(maintenance),
-            compute_materialization: self.compute_component(materialization),
-            storage: self.storage_cost_with_extra(views_size),
+            transfer: self.transfer,
+            compute_processing: self.compute_cost(processing),
+            compute_maintenance: self.compute_cost(maintenance),
+            compute_materialization: self.compute_cost(materialization),
+            storage: self.storage_cost(views_size),
         }
     }
 
@@ -218,13 +252,10 @@ impl CloudCostModel {
 
     /// One compute component: `RoundUp(time) × c(IC) × nbIC` under the
     /// provider's rounding rule. Zero time bills zero (no idle charge).
-    /// Public so incremental evaluators can price their cached totals
-    /// through the exact same routine as [`CloudCostModel::with_views`].
+    /// Public for callers that re-price one component of a breakdown
+    /// [`CloudCostModel::breakdown_from_totals`] produced (the epoch
+    /// chain's full-price materialization).
     pub fn compute_cost(&self, time: Hours) -> Money {
-        self.compute_component(time)
-    }
-
-    fn compute_component(&self, time: Hours) -> Money {
         if time == Hours::ZERO {
             return Money::ZERO;
         }
@@ -236,19 +267,29 @@ impl CloudCostModel {
 
     /// Formula 5: the interval-based storage cost of dataset + inserts,
     /// plus `extra` (the selected views) stored for the whole period.
-    fn storage_cost_with_extra(&self, extra: mv_units::Gb) -> Money {
-        let mut timeline = StorageTimeline::new(self.ctx.dataset_size + extra, self.ctx.months);
-        for (at, added) in &self.ctx.inserts {
-            timeline
-                .insert(*at, *added)
-                .expect("context inserts are chronological");
+    /// Replays [`CloudCostModel::storage_timeline`]'s arithmetic over
+    /// the precomputed intervals: the size chain is `dataset + extra`,
+    /// then each insert in order — the float-add sequence the timeline
+    /// records — so the result equals `period_cost(&storage_timeline(
+    /// extra))` bit for bit (`tests/bill_reference.rs`).
+    fn storage_cost(&self, extra: Gb) -> Money {
+        let mut size = self.ctx.dataset_size + extra;
+        let mut applied = 0;
+        let mut total = Money::ZERO;
+        for &(inserts_applied, duration) in &self.storage_intervals {
+            while applied < inserts_applied {
+                size += self.ctx.inserts[applied].1;
+                applied += 1;
+            }
+            total += self.ctx.pricing.storage.cost(size, duration);
         }
-        self.ctx.pricing.storage.period_cost(&timeline)
+        total
     }
 
-    /// The storage timeline used by [`CloudCostModel::with_views`], exposed
-    /// for invoice reconciliation in integration tests.
-    pub fn storage_timeline(&self, extra_views: mv_units::Gb) -> StorageTimeline {
+    /// The storage timeline [`CloudCostModel::with_views`] bills —
+    /// rebuilt (and allocated) per call: the slow reference of the
+    /// storage component, and what invoice reconciliation records.
+    pub fn storage_timeline(&self, extra_views: Gb) -> StorageTimeline {
         let mut timeline =
             StorageTimeline::new(self.ctx.dataset_size + extra_views, self.ctx.months);
         for (at, added) in &self.ctx.inserts {
@@ -260,12 +301,60 @@ impl CloudCostModel {
     }
 }
 
+/// Formula 3 (plus Formula 2's inbound term where the provider charges
+/// it) over a context.
+fn transfer_cost_of(ctx: &CostContext) -> Money {
+    let out = ctx.pricing.transfer.outbound_cost(ctx.total_result_size());
+    if ctx.pricing.transfer.inbound_is_free() {
+        out
+    } else {
+        // General Formula 2: the dataset and inserted data enter once.
+        let inserted: Gb = ctx.inserts.iter().map(|(_, g)| *g).sum();
+        out + ctx
+            .pricing
+            .transfer
+            .inbound_cost(ctx.dataset_size + inserted)
+    }
+}
+
+/// The billable-interval structure of a context's storage timeline: for
+/// each interval, how many insert events precede it and how long it
+/// lasts. Mirrors `StorageTimeline::intervals` (same-instant coalescing,
+/// horizon clamping, zero-length skipping, out-of-order rejection).
+fn storage_interval_template(ctx: &CostContext) -> Vec<(usize, Months)> {
+    let horizon = ctx.months;
+    // Points: (time, inserts applied up to and including this point).
+    let mut points: Vec<(Months, usize)> = vec![(Months::ZERO, 0)];
+    for (idx, (at, _)) in ctx.inserts.iter().enumerate() {
+        let last = points.last_mut().expect("points never empty");
+        assert!(
+            at.value() >= last.0.value(),
+            "context inserts are chronological"
+        );
+        if at.value() == last.0.value() {
+            last.1 = idx + 1;
+        } else {
+            points.push((*at, idx + 1));
+        }
+    }
+    let mut out = Vec::with_capacity(points.len());
+    for (i, (start, applied)) in points.iter().enumerate() {
+        if start.value() >= horizon.value() {
+            break;
+        }
+        let end = points.get(i + 1).map_or(horizon, |(t, _)| t.min(horizon));
+        if end.value() > start.value() {
+            out.push((*applied, end - *start));
+        }
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::QueryCharge;
     use mv_pricing::presets;
-    use mv_units::{Gb, Months};
 
     /// The running example as a costing context.
     fn running_example() -> CloudCostModel {

@@ -90,17 +90,53 @@ impl ViewCharge {
         self
     }
 
-    /// The charge this view presents when *carried over* an epoch
-    /// boundary in a multi-period horizon: its one-time materialization
-    /// was paid in an earlier billing period and is sunk, so keeping the
-    /// view costs maintenance and storage only. Everything else — size,
-    /// refresh time, the per-query speedups — is unchanged.
-    pub fn carried(&self) -> ViewCharge {
-        ViewCharge {
-            materialization: Hours::ZERO,
-            ..self.clone()
+    /// The four numbers re-pricing may move.
+    pub fn price(&self) -> Price {
+        Price {
+            size: self.size,
+            materialization: self.materialization,
+            maintenance: self.maintenance,
+            placement: self.placement,
         }
     }
+
+    /// Re-prices the view in place; name and answer profile stay.
+    pub fn set_price(&mut self, price: Price) {
+        self.size = price.size;
+        self.materialization = price.materialization;
+        self.maintenance = price.maintenance;
+        self.placement = price.placement;
+    }
+
+    /// The price this view presents when *carried over* an epoch
+    /// boundary in a multi-period horizon: its one-time materialization
+    /// was paid in an earlier billing period and is sunk, so keeping the
+    /// view costs maintenance and storage only.
+    pub fn carried(&self) -> Price {
+        Price {
+            materialization: Hours::ZERO,
+            ..self.price()
+        }
+    }
+}
+
+/// What a candidate view is charged, apart from what it answers: the
+/// part of a [`ViewCharge`] that differs between two billing periods,
+/// two fleet pools or two sampled quotes. Every re-pricing — the carried
+/// discount, [`crate::InterruptionRisk::adjust`],
+/// [`crate::PoolCharge::adjust`], `mv-select`'s `Reprice` transforms and
+/// its `update_charge` splice — takes and returns one of these, so none
+/// of them can touch a view's name or answer profile.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Price {
+    /// Stored size `s(V_k)`.
+    pub size: Gb,
+    /// One-time build time `t_materialization(V_k)`.
+    pub materialization: Hours,
+    /// Refresh time per billing period `t_maintenance(V_k)`.
+    pub maintenance: Hours,
+    /// The fleet pool the build/refresh work runs on.
+    pub placement: Placement,
 }
 
 /// The full costing context: everything the paper's formulas consume.
@@ -169,6 +205,27 @@ mod tests {
         ctx.workload[0].frequency = 2.0;
         assert_eq!(ctx.base_processing_time().value(), 100.0);
         assert_eq!(ctx.total_result_size().value(), 20.0);
+    }
+
+    #[test]
+    fn price_is_a_view_onto_four_fields() {
+        let mut v = ViewCharge::new("V1", Gb::new(50.0), Hours::new(1.0), Hours::new(5.0), 3)
+            .answers(1, Hours::new(0.1));
+        let full = v.clone();
+        let carried = v.carried();
+        assert_eq!(carried.materialization, Hours::ZERO);
+        assert_eq!(
+            (carried.size, carried.maintenance, carried.placement),
+            (v.size, v.maintenance, v.placement)
+        );
+        v.set_price(Price {
+            placement: Placement::Spot,
+            ..carried
+        });
+        assert_eq!(v.price().placement, Placement::Spot);
+        assert_eq!((&v.name, &v.profile), (&full.name, &full.profile));
+        v.set_price(full.price());
+        assert_eq!(v, full);
     }
 
     #[test]

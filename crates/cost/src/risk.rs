@@ -12,26 +12,24 @@
 //! survives the epoch with probability `1 − p`, an interrupted attempt
 //! is re-run from scratch, so the expected number of attempts is the
 //! geometric mean `1 / (1 − p)`. [`InterruptionRisk::adjust`] inflates a
-//! [`ViewCharge`]'s materialization and maintenance times by that
-//! factor — the two charges that buy *re-runnable work* — while size and
-//! the per-query answer times are untouched (stored bytes and query
-//! speedups are not lost to an interruption).
+//! [`Price`]'s materialization and maintenance times by that factor —
+//! the two charges that buy *re-runnable work* — while size is untouched
+//! (stored bytes are not lost to an interruption).
 //!
-//! Two properties the multi-epoch market machinery leans on:
-//!
-//! * **zero risk is the exact identity** — `adjust` at `p == 0` returns
-//!   a clone, bit for bit, so a zero-volatility market scenario
-//!   reproduces the risk-free horizon solve exactly (property-tested in
-//!   `tests/market.rs` at the workspace root);
-//! * **the answer profile never changes** — only `materialization` and
-//!   `maintenance` move, which is precisely the O(1) fast path of
-//!   `mv-select`'s `IncrementalEvaluator::update_charge`: re-risking a
-//!   whole pool at an epoch boundary costs one in-place splice per
-//!   candidate, no answer-table rebuilds.
+//! Both transforms here map a [`Price`] to a [`Price`]: a view's name
+//! and answer profile are out of their reach by type, which is what
+//! lets `mv-select` splice a re-risked price into a live evaluator in
+//! O(1) (`IncrementalEvaluator::update_charge`) — re-risking a whole
+//! pool at an epoch boundary moves four numbers per candidate and
+//! rebuilds no answer table. One more property the multi-epoch market
+//! machinery leans on: **zero risk is the exact identity** — `adjust` at
+//! `p == 0` returns its argument, bit for bit, so a zero-volatility
+//! market scenario reproduces the risk-free horizon solve exactly
+//! (property-tested in `tests/market.rs` at the workspace root).
 
 use mv_units::Hours;
 
-use crate::ViewCharge;
+use crate::Price;
 
 /// Largest admissible per-epoch interruption probability, shared with
 /// the quoting side in `mv-market` via `mv-units`. Probabilities are
@@ -71,19 +69,19 @@ impl InterruptionRisk {
         1.0 / (1.0 - self.probability)
     }
 
-    /// The risk-adjusted charge: materialization and maintenance times
+    /// The risk-adjusted price: materialization and maintenance times
     /// inflated by [`InterruptionRisk::expected_attempts`]; size and
-    /// answer times unchanged. At zero risk this returns a bit-identical
-    /// clone (no float multiply touches the charge at all).
-    pub fn adjust(&self, charge: &ViewCharge) -> ViewCharge {
+    /// placement unchanged. At zero risk this returns `price` itself (no
+    /// float multiply touches it at all).
+    pub fn adjust(&self, price: Price) -> Price {
         if self.probability == 0.0 {
-            return charge.clone();
+            return price;
         }
         let attempts = self.expected_attempts();
-        ViewCharge {
-            materialization: charge.materialization * attempts,
-            maintenance: charge.maintenance * attempts,
-            ..charge.clone()
+        Price {
+            materialization: price.materialization * attempts,
+            maintenance: price.maintenance * attempts,
+            ..price
         }
     }
 }
@@ -102,14 +100,9 @@ impl InterruptionRisk {
 /// does: per-minute providers see them exactly, whole-hour providers
 /// through the round-up (the `tests/market.rs` caveat).
 ///
-/// Two identities the fleet conformance tests lean on:
-///
-/// * **the primary pool is the exact identity** — `hour_factor` and
-///   `size_factor` of `1.0` with zero risk return a bit-identical
-///   clone (no float touches the charge);
-/// * **the answer profile never changes** — only materialization,
-///   maintenance and size move, so every fleet splice (including a
-///   placement flip) stays on `update_charge`'s O(1) fast path.
+/// The primary pool is the exact identity, which the fleet conformance
+/// tests lean on: `hour_factor` and `size_factor` of `1.0` with zero
+/// risk return the price they were given (no float touches it).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PoolCharge {
     /// Pool compute rate over the primary sheet's rate this epoch.
@@ -150,27 +143,27 @@ impl PoolCharge {
         self.hour_factor
     }
 
-    /// The effective charge a view presents when placed on this pool:
+    /// The effective price a view presents when placed on this pool:
     /// risk premium first (build/refresh re-runs), then the rate
     /// differential on the risk-adjusted hours. Identity factors and
-    /// zero risk return a bit-identical clone.
-    pub fn adjust(&self, charge: &ViewCharge) -> ViewCharge {
-        ViewCharge {
-            materialization: self.hours(charge.materialization),
-            maintenance: self.hours(charge.maintenance),
+    /// zero risk return `price` bit for bit.
+    pub fn adjust(&self, price: Price) -> Price {
+        Price {
+            materialization: self.hours(price.materialization),
+            maintenance: self.hours(price.maintenance),
             size: if self.size_factor == 1.0 {
-                charge.size
+                price.size
             } else {
-                charge.size * self.size_factor
+                price.size * self.size_factor
             },
-            ..charge.clone()
+            ..price
         }
     }
 
     /// The effective billable hours of `hours` of build or refresh work
-    /// on this pool — what [`PoolCharge::adjust`] applies to a charge's
+    /// on this pool — what [`PoolCharge::adjust`] applies to a price's
     /// materialization and maintenance, for accounting that needs
-    /// nothing else of the charge. A factor of exactly `1.0` (and zero
+    /// nothing else of it. A factor of exactly `1.0` (and zero
     /// risk) performs no float operation at all.
     pub fn hours(&self, hours: Hours) -> Hours {
         let risked = if self.risk.probability == 0.0 {
@@ -189,34 +182,38 @@ impl PoolCharge {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Placement;
     use mv_units::{Gb, Hours};
 
-    fn charge() -> ViewCharge {
-        ViewCharge::new("v", Gb::new(2.0), Hours::new(4.0), Hours::new(0.5), 2)
-            .answers(1, Hours::new(0.25))
+    fn price() -> Price {
+        Price {
+            size: Gb::new(2.0),
+            materialization: Hours::new(4.0),
+            maintenance: Hours::new(0.5),
+            placement: Placement::Reserved,
+        }
     }
 
     #[test]
     fn zero_risk_is_bit_identity() {
-        let c = charge();
-        assert_eq!(InterruptionRisk::NONE.adjust(&c), c);
-        assert_eq!(InterruptionRisk::new(0.0).adjust(&c), c);
-        assert_eq!(InterruptionRisk::new(-3.0).adjust(&c), c);
-        assert_eq!(InterruptionRisk::new(f64::NAN).adjust(&c), c);
+        let c = price();
+        assert_eq!(InterruptionRisk::NONE.adjust(c), c);
+        assert_eq!(InterruptionRisk::new(0.0).adjust(c), c);
+        assert_eq!(InterruptionRisk::new(-3.0).adjust(c), c);
+        assert_eq!(InterruptionRisk::new(f64::NAN).adjust(c), c);
         assert_eq!(InterruptionRisk::NONE.expected_attempts(), 1.0);
     }
 
     #[test]
     fn geometric_inflation_hits_build_and_refresh_only() {
-        let c = charge();
+        let c = price();
         let risk = InterruptionRisk::new(0.5);
         assert_eq!(risk.expected_attempts(), 2.0);
-        let adjusted = risk.adjust(&c);
+        let adjusted = risk.adjust(c);
         assert_eq!(adjusted.materialization, Hours::new(8.0));
         assert_eq!(adjusted.maintenance, Hours::new(1.0));
         assert_eq!(adjusted.size, c.size);
-        assert_eq!(adjusted.profile, c.profile);
-        assert_eq!(adjusted.name, c.name);
+        assert_eq!(adjusted.placement, c.placement);
     }
 
     #[test]
@@ -228,36 +225,35 @@ mod tests {
 
     #[test]
     fn identity_pool_is_bit_exact() {
-        let c = charge();
-        assert_eq!(PoolCharge::IDENTITY.adjust(&c), c);
+        let c = price();
+        assert_eq!(PoolCharge::IDENTITY.adjust(c), c);
         assert_eq!(
-            PoolCharge::new(1.0, 1.0, InterruptionRisk::NONE).adjust(&c),
+            PoolCharge::new(1.0, 1.0, InterruptionRisk::NONE).adjust(c),
             c
         );
         // Insane factors fall back to the identity.
         assert_eq!(
-            PoolCharge::new(f64::NAN, -2.0, InterruptionRisk::NONE).adjust(&c),
+            PoolCharge::new(f64::NAN, -2.0, InterruptionRisk::NONE).adjust(c),
             c
         );
     }
 
     #[test]
     fn pool_factors_scale_hours_and_bytes_only() {
-        let c = charge();
+        let c = price();
         let pool = PoolCharge::new(0.5, 2.0, InterruptionRisk::NONE);
-        let adjusted = pool.adjust(&c);
+        let adjusted = pool.adjust(c);
         assert_eq!(adjusted.materialization, Hours::new(2.0));
         assert_eq!(adjusted.maintenance, Hours::new(0.25));
         assert_eq!(adjusted.size, Gb::new(4.0));
-        assert_eq!(adjusted.profile, c.profile);
         assert_eq!(adjusted.placement, c.placement);
     }
 
     #[test]
     fn risk_applies_before_the_rate_differential() {
-        let c = charge();
+        let c = price();
         let pool = PoolCharge::new(0.5, 1.0, InterruptionRisk::new(0.5));
-        let adjusted = pool.adjust(&c);
+        let adjusted = pool.adjust(c);
         // 4 h × 2 attempts × 0.5 rate = 4 h.
         assert_eq!(adjusted.materialization, Hours::new(4.0));
         assert_eq!(adjusted.maintenance, Hours::new(0.5));
@@ -267,10 +263,10 @@ mod tests {
 
     #[test]
     fn monotone_in_probability() {
-        let c = charge();
+        let c = price();
         let mut prev = Hours::ZERO;
         for p in [0.0, 0.1, 0.3, 0.6, 0.9] {
-            let adj = InterruptionRisk::new(p).adjust(&c);
+            let adj = InterruptionRisk::new(p).adjust(c);
             assert!(adj.materialization >= prev, "p={p}");
             prev = adj.materialization;
         }

@@ -9,129 +9,49 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
-/// Every counter the stack records, grouped by subsystem. `name()`
-/// yields the stable `subsystem/metric` key used in JSON snapshots.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-#[repr(usize)]
-pub enum Counter {
-    // mv-select: IncrementalEvaluator
-    EvaluatorBuild,
-    EvaluatorRetarget,
-    EvaluatorFork,
-    EvaluatorFlip,
-    EvaluatorUnflip,
-    EvaluatorSnapshot,
-    EvaluatorUpdateCharge,
-    EvaluatorUpdateChargeFast,
-    // mv-select: local search
-    SearchProbes,
-    SearchFlipMoves,
-    SearchSwapMoves,
-    SearchPlaceMoves,
-    // mv-select: LNS
-    LnsRounds,
-    LnsAccepted,
-    LnsRejected,
-    // mv-select: EpochChain / EpochTree
-    TreeNodeSolves,
-    TreeRootSolves,
-    ChainEpochSteps,
-    // mv-engine: ReplayDriver
-    EngineQueries,
-    EngineQueriesViaViews,
-    EngineScanBytes,
-    EngineBuildBytes,
-    EngineRefreshBytes,
-    EngineViewBuilds,
-    EngineViewRefreshes,
-    // mv-core: calibration
-    CalibrateSamples,
-    // mv-core: AdvisorService stream loop
-    ServiceIngestEvents,
-    ServiceIngestDuplicates,
-    ServiceDriftResolves,
-    ServiceWhatIfs,
-    // mv-core: persistent candidate catalog
-    CatalogSpills,
-    CatalogReloads,
-}
-
-/// Number of [`Counter`] variants (length of the backing array).
-pub const COUNT: usize = 32;
-
-impl Counter {
-    /// All variants, in declaration order (index == discriminant).
-    pub const ALL: [Counter; COUNT] = [
-        Counter::EvaluatorBuild,
-        Counter::EvaluatorRetarget,
-        Counter::EvaluatorFork,
-        Counter::EvaluatorFlip,
-        Counter::EvaluatorUnflip,
-        Counter::EvaluatorSnapshot,
-        Counter::EvaluatorUpdateCharge,
-        Counter::EvaluatorUpdateChargeFast,
-        Counter::SearchProbes,
-        Counter::SearchFlipMoves,
-        Counter::SearchSwapMoves,
-        Counter::SearchPlaceMoves,
-        Counter::LnsRounds,
-        Counter::LnsAccepted,
-        Counter::LnsRejected,
-        Counter::TreeNodeSolves,
-        Counter::TreeRootSolves,
-        Counter::ChainEpochSteps,
-        Counter::EngineQueries,
-        Counter::EngineQueriesViaViews,
-        Counter::EngineScanBytes,
-        Counter::EngineBuildBytes,
-        Counter::EngineRefreshBytes,
-        Counter::EngineViewBuilds,
-        Counter::EngineViewRefreshes,
-        Counter::CalibrateSamples,
-        Counter::ServiceIngestEvents,
-        Counter::ServiceIngestDuplicates,
-        Counter::ServiceDriftResolves,
-        Counter::ServiceWhatIfs,
-        Counter::CatalogSpills,
-        Counter::CatalogReloads,
-    ];
-
-    /// Stable snapshot key, `subsystem/metric`.
-    pub fn name(self) -> &'static str {
-        match self {
-            Counter::EvaluatorBuild => "evaluator/build",
-            Counter::EvaluatorRetarget => "evaluator/retarget",
-            Counter::EvaluatorFork => "evaluator/fork",
-            Counter::EvaluatorFlip => "evaluator/flip",
-            Counter::EvaluatorUnflip => "evaluator/unflip",
-            Counter::EvaluatorSnapshot => "evaluator/snapshot",
-            Counter::EvaluatorUpdateCharge => "evaluator/update_charge",
-            Counter::EvaluatorUpdateChargeFast => "evaluator/update_charge_fast",
-            Counter::SearchProbes => "search/probes",
-            Counter::SearchFlipMoves => "search/flip_moves",
-            Counter::SearchSwapMoves => "search/swap_moves",
-            Counter::SearchPlaceMoves => "search/place_moves",
-            Counter::LnsRounds => "lns/rounds",
-            Counter::LnsAccepted => "lns/accepted",
-            Counter::LnsRejected => "lns/rejected",
-            Counter::TreeNodeSolves => "tree/node_solves",
-            Counter::TreeRootSolves => "tree/root_solves",
-            Counter::ChainEpochSteps => "chain/epoch_steps",
-            Counter::EngineQueries => "engine/queries",
-            Counter::EngineQueriesViaViews => "engine/queries_via_views",
-            Counter::EngineScanBytes => "engine/scan_bytes",
-            Counter::EngineBuildBytes => "engine/build_bytes",
-            Counter::EngineRefreshBytes => "engine/refresh_bytes",
-            Counter::EngineViewBuilds => "engine/view_builds",
-            Counter::EngineViewRefreshes => "engine/view_refreshes",
-            Counter::CalibrateSamples => "calibrate/samples",
-            Counter::ServiceIngestEvents => "service/ingest_events",
-            Counter::ServiceIngestDuplicates => "service/ingest_duplicates",
-            Counter::ServiceDriftResolves => "service/drift_resolves",
-            Counter::ServiceWhatIfs => "service/what_ifs",
-            Counter::CatalogSpills => "catalog/spills",
-            Counter::CatalogReloads => "catalog/reloads",
-        }
+name_table! {
+    /// Every counter the stack records, grouped by subsystem. `name()`
+    /// yields the stable `subsystem/metric` key used in JSON snapshots.
+    Counter {
+        // mv-select: IncrementalEvaluator
+        EvaluatorBuild => "evaluator/build",
+        EvaluatorRetarget => "evaluator/retarget",
+        EvaluatorFork => "evaluator/fork",
+        EvaluatorFlip => "evaluator/flip",
+        EvaluatorUnflip => "evaluator/unflip",
+        EvaluatorSnapshot => "evaluator/snapshot",
+        EvaluatorUpdateCharge => "evaluator/update_charge",
+        // mv-select: local search
+        SearchProbes => "search/probes",
+        SearchFlipMoves => "search/flip_moves",
+        SearchSwapMoves => "search/swap_moves",
+        SearchPlaceMoves => "search/place_moves",
+        // mv-select: LNS
+        LnsRounds => "lns/rounds",
+        LnsAccepted => "lns/accepted",
+        LnsRejected => "lns/rejected",
+        // mv-select: EpochChain / EpochTree
+        TreeNodeSolves => "tree/node_solves",
+        TreeRootSolves => "tree/root_solves",
+        ChainEpochSteps => "chain/epoch_steps",
+        // mv-engine: ReplayDriver
+        EngineQueries => "engine/queries",
+        EngineQueriesViaViews => "engine/queries_via_views",
+        EngineScanBytes => "engine/scan_bytes",
+        EngineBuildBytes => "engine/build_bytes",
+        EngineRefreshBytes => "engine/refresh_bytes",
+        EngineViewBuilds => "engine/view_builds",
+        EngineViewRefreshes => "engine/view_refreshes",
+        // mv-core: calibration
+        CalibrateSamples => "calibrate/samples",
+        // mv-core: AdvisorService stream loop
+        ServiceIngestEvents => "service/ingest_events",
+        ServiceIngestDuplicates => "service/ingest_duplicates",
+        ServiceDriftResolves => "service/drift_resolves",
+        ServiceWhatIfs => "service/what_ifs",
+        // mv-core: persistent candidate catalog
+        CatalogSpills => "catalog/spills",
+        CatalogReloads => "catalog/reloads",
     }
 }
 
@@ -251,5 +171,24 @@ impl CounterGuard {
 impl Drop for CounterGuard {
     fn drop(&mut self) {
         crate::disable();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_table_is_dense_and_its_names_are_unique() {
+        assert_eq!(COUNT, 31);
+        for (i, c) in Counter::ALL.iter().enumerate() {
+            assert_eq!(*c as usize, i, "{}", c.name());
+            assert_eq!(
+                Counter::ALL.iter().filter(|d| d.name() == c.name()).count(),
+                1,
+                "{}",
+                c.name()
+            );
+        }
     }
 }

@@ -8,41 +8,23 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Every histogram the stack records.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-#[repr(usize)]
-pub enum Hist {
-    /// Dirty time-blocks refreshed per `IncrementalEvaluator::snapshot`
-    /// (the "delta size" of the dirty-delta snapshot protocol).
-    SnapshotDirtyBlocks,
-    /// Views destroyed per LNS destroy/repair round.
-    LnsDestroySize,
-    /// Children per scenario-tree node with 2+ children (fork width).
-    TreeForkWidth,
+name_table! {
+    /// Every histogram the stack records.
+    Hist {
+        /// Dirty time-blocks refreshed per `IncrementalEvaluator::snapshot`
+        /// (the "delta size" of the dirty-delta snapshot protocol).
+        SnapshotDirtyBlocks => "evaluator/snapshot_dirty_blocks",
+        /// Views destroyed per LNS destroy/repair round.
+        LnsDestroySize => "lns/destroy_size",
+        /// Children per scenario-tree node with 2+ children (fork width).
+        TreeForkWidth => "tree/fork_width",
+    }
 }
-
-/// Number of [`Hist`] variants.
-pub const COUNT: usize = 3;
 
 /// Buckets per histogram: upper bounds `2^0 .. 2^15`, then overflow.
 pub const BUCKETS: usize = 17;
 
 impl Hist {
-    pub const ALL: [Hist; COUNT] = [
-        Hist::SnapshotDirtyBlocks,
-        Hist::LnsDestroySize,
-        Hist::TreeForkWidth,
-    ];
-
-    /// Stable snapshot key, `subsystem/metric`.
-    pub fn name(self) -> &'static str {
-        match self {
-            Hist::SnapshotDirtyBlocks => "evaluator/snapshot_dirty_blocks",
-            Hist::LnsDestroySize => "lns/destroy_size",
-            Hist::TreeForkWidth => "tree/fork_width",
-        }
-    }
-
     /// Inclusive upper bound of bucket `i` (`None` for the overflow).
     pub fn bucket_upper(i: usize) -> Option<u64> {
         (i + 1 < BUCKETS).then(|| 1u64 << i)
@@ -85,6 +67,20 @@ pub fn read(h: Hist) -> ([u64; BUCKETS], u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn the_table_is_dense_and_its_names_are_unique() {
+        assert_eq!(COUNT, 3);
+        for (i, h) in Hist::ALL.iter().enumerate() {
+            assert_eq!(*h as usize, i, "{}", h.name());
+            assert_eq!(
+                Hist::ALL.iter().filter(|g| g.name() == h.name()).count(),
+                1,
+                "{}",
+                h.name()
+            );
+        }
+    }
 
     #[test]
     fn bucket_bounds() {

@@ -11,7 +11,7 @@
 //! |--------------|--------------------------|--------------------------------------------|
 //! | [`counter`]  | monotonic counters       | enum-indexed `[AtomicU64; N]`, no hashing  |
 //! | [`hist`]     | fixed-bucket histograms  | power-of-two buckets behind atomics        |
-//! | [`span`]     | RAII span timers         | thread-local path stack → striped maps     |
+//! | [`mod@span`] | RAII span timers         | thread-local path stack → striped maps     |
 //! | [`ring`]     | structured event ring    | bounded, lock-striped `VecDeque`s          |
 //!
 //! [`snapshot`] freezes all four into a [`Snapshot`] — a plain data
@@ -38,6 +38,39 @@
 //! Telemetry observes; it never steers. Enabled vs disabled must leave
 //! every solver result bit-identical (property-tested in
 //! `tests/obs_identity.rs` at the workspace root).
+
+/// Declares a closed set of named metrics from one
+/// `Variant => "subsystem/metric"` table: the enum (`repr(usize)`, dense
+/// from zero), `COUNT`, `ALL` and `name()` — so the four cannot fall out
+/// of step. Declaration order is snapshot order.
+macro_rules! name_table {
+    (
+        $(#[$enum_doc:meta])*
+        $ty:ident { $($(#[$doc:meta])* $variant:ident => $name:literal,)+ }
+    ) => {
+        $(#[$enum_doc])*
+        #[derive(Clone, Copy, PartialEq, Eq, Debug)]
+        #[repr(usize)]
+        pub enum $ty {
+            $($(#[$doc])* $variant,)+
+        }
+
+        /// Number of variants (length of the backing array).
+        pub const COUNT: usize = [$($name),+].len();
+
+        impl $ty {
+            /// All variants, in declaration order (index == discriminant).
+            pub const ALL: [$ty; COUNT] = [$($ty::$variant),+];
+
+            /// Stable snapshot key, `subsystem/metric`.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $($ty::$variant => $name,)+
+                }
+            }
+        }
+    };
+}
 
 pub mod counter;
 pub mod hist;

@@ -21,7 +21,6 @@
 //! old ones, so pruning decisions — and therefore outcomes — match.
 
 use mv_cost::SelectionSet;
-use mv_units::{Hours, Money};
 
 use crate::{Evaluation, IncrementalEvaluator, Outcome, Scenario, SelectionProblem, SolverKind};
 
@@ -110,36 +109,21 @@ impl Search<'_, '_> {
     fn prune(&mut self, _depth: usize, incumbent: &Evaluation) -> bool {
         let problem = self.problem;
         let scenario = self.scenario;
-        let ctx = problem.model().context();
+        let model = problem.model();
         let candidates = problem.candidates();
 
         // Optimistic completion: all undecided views included (min time)...
         let min_time = self.optimistic.processing_time();
 
         // ...but only decided-in views pay storage/build/refresh (min cost).
-        let min_cost = {
-            let storage = ctx.pricing.storage.period_cost(
-                &problem
-                    .model()
-                    .storage_timeline(problem.model().views_size(candidates, &self.decided)),
-            );
-            let compute_time = |t: Hours| -> Money {
-                if t == Hours::ZERO {
-                    Money::ZERO
-                } else {
-                    ctx.pricing.compute.cost(t, &ctx.instance, ctx.nb_instances)
-                }
-            };
-            problem.model().transfer_cost()
-                + storage
-                + compute_time(min_time)
-                + compute_time(problem.model().maintenance_time(candidates, &self.decided))
-                + compute_time(
-                    problem
-                        .model()
-                        .materialization_time(candidates, &self.decided),
-                )
-        };
+        let min_cost = model
+            .breakdown_from_totals(
+                min_time,
+                model.maintenance_time(candidates, &self.decided),
+                model.materialization_time(candidates, &self.decided),
+                model.views_size(candidates, &self.decided),
+            )
+            .total();
 
         let incumbent_feasible = scenario.feasible(incumbent);
         match scenario {

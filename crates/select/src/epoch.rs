@@ -12,9 +12,9 @@
 //!
 //! * **Transition-aware charges** — at each epoch boundary the
 //!   candidates selected in the previous epoch are re-priced to their
-//!   [`ViewCharge::carried`] form (materialization zeroed), everything
-//!   else reverts to full price. The per-epoch optimum therefore
-//!   depends on the path taken to reach it, and re-solving each epoch
+//!   [`ViewCharge::carried`] [`Price`] (materialization zeroed),
+//!   everything else reverts to full price. The per-epoch optimum
+//!   therefore depends on the path taken, and re-solving each epoch
 //!   from scratch against full prices ([`EpochChain::solve_myopic`]) is
 //!   suboptimal — it churns views and re-pays materializations the
 //!   chain knows are sunk (pinned by `chain_beats_myopic_churn` below
@@ -24,8 +24,9 @@
 //!   [`IncrementalEvaluator::retarget`] (O(m) context switch: the
 //!   per-query answer caches survive because they hold only candidate
 //!   answer times) plus an [`IncrementalEvaluator::update_charge`]
-//!   splice per candidate whose effective charge changed — instead of
-//!   an O(n·m) problem rebuild plus O(n) repositioning flips per epoch.
+//!   splice per candidate whose effective [`Price`] changed — four
+//!   numbers each, compared against the live problem's — instead of an
+//!   O(n·m) problem rebuild plus O(n) repositioning flips per epoch.
 //!   [`EpochChain::solve_rebuilding`] is that rebuild-per-epoch
 //!   **reference**: bit-identical steps (tested), only slower
 //!   (`crates/bench/benches/{horizon,market,fleet}.rs`).
@@ -69,9 +70,7 @@
 //! zero-drift horizon reproduces the single-period solve bit-for-bit
 //! (property-tested in `tests/horizon_consistency.rs`).
 
-use std::borrow::Cow;
-
-use mv_cost::{CloudCostModel, CostBreakdown, Placement, SelectionSet, ViewCharge};
+use mv_cost::{CloudCostModel, CostBreakdown, Placement, Price, SelectionSet, ViewCharge};
 use mv_units::{Hours, Money};
 
 use crate::{
@@ -194,19 +193,19 @@ impl DpFleetSolution {
 }
 
 /// A solve's charge transform: `reprice(node, k, placement,
-/// transition)` yields candidate `k`'s effective charge on `placement`
-/// at `node` — the epoch on a [`Topology::Path`], the tree node on a
-/// [`Topology::Tree`]. `transition` is already the carry-aware charge:
-/// the full-price pool entry, or its [`ViewCharge::carried`] form when
-/// the candidate survived the previous epoch *on the same pool* (a
+/// transition)` yields candidate `k`'s effective [`Price`] on
+/// `placement` at `node` — the epoch on a [`Topology::Path`], the tree
+/// node on a [`Topology::Tree`]. `transition` is already the carry-aware
+/// price: the pool entry's full one, or its [`ViewCharge::carried`] form
+/// when the candidate survived the previous epoch *on the same pool* (a
 /// placement move rebuilds the view on the new pool's capacity, so it
 /// re-pays materialization). This is the price-dynamics hook (`mv-cost`'s
 /// `PoolCharge` folds rate differentials and interruption premiums into
-/// it); transforms that leave the answer profile alone keep each splice
-/// on [`IncrementalEvaluator::update_charge`]'s O(1) fast path.
-pub trait Reprice: Fn(usize, usize, Placement, &ViewCharge) -> ViewCharge {}
+/// it). Prices in, prices out: no transform can reach a view's answer
+/// profile, so every splice is O(1).
+pub trait Reprice: Fn(usize, usize, Placement, Price) -> Price {}
 
-impl<F: Fn(usize, usize, Placement, &ViewCharge) -> ViewCharge> Reprice for F {}
+impl<F: Fn(usize, usize, Placement, Price) -> Price> Reprice for F {}
 
 /// The axes of a solve other than its topology (module docs: table).
 pub struct ChainSpec<'a, F> {
@@ -216,18 +215,18 @@ pub struct ChainSpec<'a, F> {
     pub initial: Option<&'a [Placement]>,
     /// Whether the improvement pass may move views between pools
     /// ([`local_search::improve_joint`]'s placement-flip moves, each one
-    /// O(1) charge splice); `false` pins every candidate where it starts.
+    /// O(1) price splice); `false` pins every candidate where it starts.
     pub rebalance: bool,
     /// Bound on each node's improvement pass.
     pub max_moves: usize,
 }
 
-impl ChainSpec<'static, fn(usize, usize, Placement, &ViewCharge) -> ViewCharge> {
+impl ChainSpec<'static, fn(usize, usize, Placement, Price) -> Price> {
     /// The single-pool, full-price solve: identity transform, every
     /// candidate pinned on its charge's own placement.
     pub fn single_pool(max_moves: usize) -> Self {
         ChainSpec {
-            reprice: |_, _, _, charge| charge.clone(),
+            reprice: |_, _, _, price| price,
             initial: None,
             rebalance: false,
             max_moves,
@@ -425,26 +424,23 @@ impl EpochChain {
         let mut state = match inherited {
             None => {
                 let placements = self.initial_placements(spec.initial);
-                let current: Vec<ViewCharge> =
-                    (0..n).map(|k| effective(k, placements[k], false)).collect();
-                let problem = SelectionProblem::new(model.clone(), current.clone());
+                let charges = self.charged(|k| effective(k, placements[k], false));
+                let problem = SelectionProblem::new(model.clone(), charges);
                 NodeState {
                     ev: IncrementalEvaluator::from_problem(problem),
-                    current,
                     prev: SelectionSet::empty(n),
                     placements,
                 }
             }
             Some(mut state) => {
                 // The whole epoch transition: an O(m) context switch
-                // plus one splice per candidate whose effective charge
+                // plus one splice per candidate whose effective price
                 // changed. No rebuild, no repositioning.
                 state.ev.retarget(model.clone());
-                for (k, slot) in state.current.iter_mut().enumerate() {
+                for k in 0..n {
                     let want = effective(k, state.placements[k], state.prev.contains(k));
-                    if want != *slot {
-                        state.ev.update_charge(k, want.clone());
-                        *slot = want;
+                    if want != state.ev.problem().candidates()[k].price() {
+                        state.ev.update_charge(k, want);
                     }
                 }
                 state
@@ -459,24 +455,18 @@ impl EpochChain {
             // Carried-ness during the search keys off the node's *entry*
             // state: flipping a carried view's placement re-prices it
             // full (rebuild on the new pool), flipping it back restores
-            // the carried charge bit-for-bit.
+            // the carried price bit-for-bit.
             let entry = entry_placements.insert(state.placements.clone());
             let prev = &state.prev;
             let charge_for = |k, p| effective(k, p, prev.contains(k) && p == entry[k]);
-            let evaluation = local_search::improve_joint(
+            local_search::improve_joint(
                 &mut state.ev,
                 scenario,
                 &baseline,
                 spec.max_moves,
                 &mut state.placements,
                 &charge_for,
-            );
-            // Placement flips spliced new charges in; refresh the
-            // boundary-comparison cache from the live problem.
-            state
-                .current
-                .clone_from_slice(state.ev.problem().candidates());
-            evaluation
+            )
         } else {
             local_search::improve(&mut state.ev, scenario, &baseline, spec.max_moves)
         };
@@ -492,9 +482,7 @@ impl EpochChain {
         (step, state)
     }
 
-    /// Candidate `k`'s effective charge on pool `p` at `node`. Only a
-    /// carried transition needs constructing; the full-price one is the
-    /// pool entry itself.
+    /// Candidate `k`'s effective price on pool `p` at `node`.
     fn effective(
         &self,
         reprice: &impl Reprice,
@@ -502,15 +490,27 @@ impl EpochChain {
         k: usize,
         p: Placement,
         carried: bool,
-    ) -> ViewCharge {
+    ) -> Price {
         let transition = if carried {
-            Cow::Owned(self.pool[k].carried())
+            self.pool[k].carried()
         } else {
-            Cow::Borrowed(&self.pool[k])
+            self.pool[k].price()
         };
-        let mut charge = reprice(node, k, p, &transition);
-        charge.placement = p;
-        charge
+        Price {
+            placement: p,
+            ..reprice(node, k, p, transition)
+        }
+    }
+
+    /// The pool under `price_of(k)`: names and answer profiles cloned,
+    /// prices replaced — the charged problem a root (and each epoch of
+    /// the rebuild-per-epoch reference) is built over.
+    fn charged(&self, price_of: impl Fn(usize) -> Price) -> Vec<ViewCharge> {
+        let mut charges = self.pool.clone();
+        for (k, charge) in charges.iter_mut().enumerate() {
+            charge.set_price(price_of(k));
+        }
+        charges
     }
 
     /// A solve's starting placements: the caller's, or each pool
@@ -545,9 +545,7 @@ impl EpochChain {
         let mut steps = Vec::with_capacity(self.epochs.len());
         for (e, model) in self.epochs.iter().enumerate() {
             let effective = |k, p, carried| self.effective(&spec.reprice, e, k, p, carried);
-            let charged: Vec<ViewCharge> = (0..n)
-                .map(|k| effective(k, placements[k], prev.contains(k)))
-                .collect();
+            let charged = self.charged(|k| effective(k, placements[k], prev.contains(k)));
             let problem = SelectionProblem::new(model.clone(), charged);
             let baseline = problem.baseline();
             let mut ev = IncrementalEvaluator::with_selection(&problem, &prev);
@@ -592,7 +590,7 @@ impl EpochChain {
             let solo = local_search::solve_local_search(&full, scenario);
             let mut charged = self.pool.clone();
             for k in prev.ones() {
-                charged[k] = self.pool[k].carried();
+                charged[k].set_price(self.pool[k].carried());
             }
             let charged_problem = SelectionProblem::new(model.clone(), charged);
             let evaluation = charged_problem.evaluate(&solo.evaluation.selection);
@@ -731,7 +729,7 @@ impl EpochChain {
         for (e, &cur) in path.iter().enumerate() {
             let mut charges = self.pool.clone();
             for k in masks[cur & prev_mask].ones() {
-                charges[k] = self.pool[k].carried();
+                charges[k].set_price(self.pool[k].carried());
             }
             let problem = SelectionProblem::new(self.epochs[e].clone(), charges);
             let ev = problem.evaluate(&masks[cur]);
@@ -759,12 +757,12 @@ impl EpochChain {
     /// function minimizes total violation first, then total objective,
     /// as in [`Scenario::better`]'s lexicographic order.
     ///
-    /// `reprice` has the [`EpochChain::solve_fleet_bounded`] contract
-    /// plus the two properties the factored state tables rely on (both
-    /// hold for every pool/risk transform): it scales materialization
-    /// multiplicatively (zero in, zero out — so carried charges need no
-    /// separate table) and never touches the answer profile (so the
-    /// per-mask time table is placement-independent).
+    /// `reprice` has [`EpochChain::solve_fleet`]'s contract plus the
+    /// property the factored state tables rely on (it holds for every
+    /// pool/risk transform): it scales materialization multiplicatively
+    /// (zero in, zero out — so carried prices need no separate table).
+    /// That the per-mask time table is placement-independent needs no
+    /// contract: a [`Reprice`] cannot reach an answer profile.
     ///
     /// This is the oracle that exposes the sequential chain's
     /// *lookahead* gap on placement: committing each epoch greedily,
@@ -773,10 +771,7 @@ impl EpochChain {
     /// it on reserved ahead of the crunch (`tests/dp_oracle.rs` pins a
     /// strictly positive gap). State space is 3ⁿ per epoch, so the
     /// pool is capped at [`DP_FLEET_MAX_CANDIDATES`].
-    pub fn solve_dp_fleet<F>(&self, scenario: Scenario, reprice: &F) -> DpFleetSolution
-    where
-        F: Fn(usize, usize, Placement, &ViewCharge) -> ViewCharge,
-    {
+    pub fn solve_dp_fleet<F: Reprice>(&self, scenario: Scenario, reprice: &F) -> DpFleetSolution {
         let n = self.pool.len();
         assert!(
             n <= DP_FLEET_MAX_CANDIDATES,
@@ -798,19 +793,20 @@ impl EpochChain {
             .map(|m| SelectionSet::from_mask(m as u64, n))
             .collect();
 
-        // Per-epoch effective full-price charges per (candidate, pool),
-        // per-mask times (placement-independent: transforms never touch
-        // answers), and per-state partial breakdowns.
-        let mut eff: Vec<Vec<[ViewCharge; 2]>> = Vec::with_capacity(epochs);
+        // Per-epoch effective full prices per (candidate, pool), per-mask
+        // times (placement-independent: prices carry no answers), and
+        // per-state partial breakdowns.
+        let mut eff: Vec<Vec<[Price; 2]>> = Vec::with_capacity(epochs);
         let mut times: Vec<Vec<Hours>> = Vec::with_capacity(epochs);
         let mut baselines = Vec::with_capacity(epochs);
         for (e, model) in self.epochs.iter().enumerate() {
             eff.push(
                 (0..n)
                     .map(|k| {
+                        let full = self.pool[k].price();
                         [
-                            reprice(e, k, Placement::Reserved, &self.pool[k]),
-                            reprice(e, k, Placement::Spot, &self.pool[k]),
+                            reprice(e, k, Placement::Reserved, full),
+                            reprice(e, k, Placement::Spot, full),
                         ]
                     })
                     .collect(),
@@ -930,11 +926,12 @@ impl EpochChain {
                 let transition = if trit(prev_state, k) == t {
                     self.pool[k].carried()
                 } else {
-                    self.pool[k].clone()
+                    self.pool[k].price()
                 };
-                let mut charge = reprice(e, k, p, &transition);
-                charge.placement = p;
-                *slot = charge;
+                slot.set_price(Price {
+                    placement: p,
+                    ..reprice(e, k, p, transition)
+                });
             }
             let problem = SelectionProblem::new(self.epochs[e].clone(), charges);
             let ev = problem.evaluate(&masks[sel_mask(cur)]);
@@ -1197,11 +1194,10 @@ impl EpochTree {
 }
 
 /// What one node hands its children: the live evaluator on the node's
-/// selection, the effective charges spliced into it (the boundary
-/// comparison cache), that selection, and the standing placements.
+/// selection (its problem holds the effective prices spliced so far),
+/// that selection, and the standing placements.
 struct NodeState {
     ev: IncrementalEvaluator<'static>,
-    current: Vec<ViewCharge>,
     prev: SelectionSet,
     placements: Vec<Placement>,
 }
@@ -1211,7 +1207,6 @@ impl NodeState {
     fn fork(&self) -> NodeState {
         NodeState {
             ev: self.ev.fork(),
-            current: self.current.clone(),
             prev: self.prev.clone(),
             placements: self.placements.clone(),
         }
@@ -1227,7 +1222,11 @@ impl NodeState {
 /// enters the queue the moment its parent finishes. With `threads <= 1`
 /// the calling thread is the one worker (a degenerate chain pays no
 /// scope setup). Results are schedule-independent: a node's inputs come
-/// only from its parent.
+/// only from its parent. A node solve that panics (a transform fed a
+/// poisoned quote) aborts the whole run: the board is flagged on unwind,
+/// waiting workers return on the flag, and `std::thread::scope`
+/// re-raises the panic — the subtree that will never be queued must not
+/// leave its siblings waiting for it.
 fn run_tree<Solve>(tree: &EpochTree, threads: usize, solve: Solve) -> Vec<EpochStep>
 where
     Solve: Fn(usize, Option<NodeState>) -> (EpochStep, NodeState) + Sync,
@@ -1239,18 +1238,32 @@ where
         queue: VecDeque<(usize, Option<NodeState>)>,
         steps: Vec<Option<EpochStep>>,
         done: usize,
+        aborted: bool,
+    }
+    /// Flags the board and wakes every waiter if dropped by a panic.
+    struct AbortOnUnwind<'a>(&'a Mutex<Board>, &'a Condvar);
+    impl Drop for AbortOnUnwind<'_> {
+        fn drop(&mut self) {
+            if std::thread::panicking() {
+                // Every board update leaves it consistent, so a poisoned
+                // lock is still safe to flag.
+                self.0.lock().unwrap_or_else(|e| e.into_inner()).aborted = true;
+                self.1.notify_all();
+            }
+        }
     }
     let board = Mutex::new(Board {
         queue: tree.roots().iter().map(|&root| (root, None)).collect(),
         steps: (0..len).map(|_| None).collect(),
         done: 0,
+        aborted: false,
     });
     let ready = Condvar::new();
     let worker = || loop {
         let (i, inherited) = {
             let mut b = board.lock().expect("tree board poisoned");
             loop {
-                if b.done == len {
+                if b.aborted || b.done == len {
                     return;
                 }
                 if let Some(job) = b.queue.pop_front() {
@@ -1259,6 +1272,7 @@ where
                 b = ready.wait(b).expect("tree board poisoned");
             }
         };
+        let _abort_on_unwind = AbortOnUnwind(&board, &ready);
         let (step, state) = solve(i, inherited);
         // Fork outside the lock: sibling hand-offs are the expensive
         // part of a split (a width-w one pays w-1 forks).
@@ -1313,7 +1327,7 @@ mod tests {
     /// The driver over the chain's own epochs.
     fn on_path<F>(chain: &EpochChain, scenario: Scenario, spec: &ChainSpec<'_, F>) -> Vec<EpochStep>
     where
-        F: Fn(usize, usize, Placement, &ViewCharge) -> ViewCharge + Sync,
+        F: Reprice + Sync,
     {
         let mut solved = chain.solve_with(scenario, spec, Topology::Path);
         assert_eq!(solved.len(), 1, "a path is one lineage");
@@ -1381,12 +1395,12 @@ mod tests {
         // A per-epoch transform shaped like the market's interruption
         // premium: build/refresh inflate with the epoch, answers don't.
         let spec = ChainSpec {
-            reprice: |e: usize, _k: usize, _p: Placement, c: &ViewCharge| -> ViewCharge {
+            reprice: |e: usize, _k: usize, _p: Placement, c: Price| -> Price {
                 let attempts = 1.0 + 0.15 * e as f64;
-                ViewCharge {
+                Price {
                     materialization: c.materialization * attempts,
                     maintenance: c.maintenance * attempts,
-                    ..c.clone()
+                    ..c
                 }
             },
             initial: None,
@@ -1418,7 +1432,7 @@ mod tests {
         let chain = drifting_chain(4);
         let own: Vec<Placement> = chain.pool().iter().map(|c| c.placement).collect();
         let spec = ChainSpec {
-            reprice: |_: usize, _: usize, _: Placement, c: &ViewCharge| c.clone(),
+            reprice: |_: usize, _: usize, _: Placement, c: Price| c,
             initial: Some(&own),
             rebalance: false,
             max_moves: budget(&chain),
@@ -1439,7 +1453,7 @@ mod tests {
         for (e, s) in steps.iter().enumerate() {
             let mut charged = chain.pool().to_vec();
             for k in prev.ones() {
-                charged[k] = chain.pool()[k].carried();
+                charged[k].set_price(chain.pool()[k].carried());
             }
             let p = SelectionProblem::new(chain.epochs()[e].clone(), charged);
             assert_eq!(s.outcome.evaluation, p.evaluate(s.selection()), "epoch {e}");
@@ -1532,13 +1546,13 @@ mod tests {
     fn fleet_reprice(
         spot_factor: &'static [f64],
         spot_attempts: &'static [f64],
-    ) -> impl Fn(usize, usize, Placement, &ViewCharge) -> ViewCharge {
+    ) -> impl Fn(usize, usize, Placement, Price) -> Price {
         move |e, _k, p, c| match p {
-            Placement::Reserved => c.clone(),
-            Placement::Spot => ViewCharge {
+            Placement::Reserved => c,
+            Placement::Spot => Price {
                 materialization: c.materialization * (spot_factor[e] * spot_attempts[e]),
                 maintenance: c.maintenance * (spot_factor[e] * spot_attempts[e]),
-                ..c.clone()
+                ..c
             },
         }
     }
@@ -1586,11 +1600,11 @@ mod tests {
         let chain = drifting_chain(4);
         let n = chain.pool().len();
         let attempts: &[f64] = &[1.0, 1.6, 2.2, 1.3];
-        let fleet = |e: usize, _k: usize, _p: Placement, c: &ViewCharge| -> ViewCharge {
-            ViewCharge {
+        let fleet = |e: usize, _k: usize, _p: Placement, c: Price| -> Price {
+            Price {
                 materialization: c.materialization * attempts[e],
                 maintenance: c.maintenance * attempts[e],
-                ..c.clone()
+                ..c
             }
         };
         let single = ChainSpec {
@@ -1744,7 +1758,7 @@ mod tests {
         let chain = EpochChain::new(vec![p.model().clone(); 3], p.candidates().to_vec());
         let scenario = Scenario::tradeoff_normalized(0.5);
         let dp = chain.solve_dp_exact(scenario);
-        let joint = chain.solve_dp_fleet(scenario, &|_, _, _, c| c.clone());
+        let joint = chain.solve_dp_fleet(scenario, &|_, _, _, c| c);
         assert_eq!(joint.total_violation, dp.total_violation);
         assert_eq!(joint.total_objective, dp.total_objective);
         assert_eq!(joint.total_cost(), dp.total_cost());
@@ -1758,7 +1772,7 @@ mod tests {
     fn dp_fleet_rejects_oversized_pools() {
         let p = crate::fixtures::random_problem(1, 3, 7);
         let chain = EpochChain::new(vec![p.model().clone()], p.candidates().to_vec());
-        chain.solve_dp_fleet(Scenario::tradeoff_normalized(0.5), &|_, _, _, c| c.clone());
+        chain.solve_dp_fleet(Scenario::tradeoff_normalized(0.5), &|_, _, _, c| c);
     }
 
     #[test]
@@ -1769,7 +1783,7 @@ mod tests {
             Scenario::tradeoff(0.02),
             &[Placement::Spot],
             true,
-            &|_, _, _, c: &ViewCharge| c.clone(),
+            &|_, _, _, c: Price| c,
         );
     }
 
@@ -1874,12 +1888,12 @@ mod tests {
         // A per-node transform shaped like the market's interruption
         // premium, keyed on the node's epoch so the per-path reference can
         // reproduce it exactly.
-        let risked = |e: usize, c: &ViewCharge| -> ViewCharge {
+        let risked = |e: usize, c: Price| -> Price {
             let a = 1.0 + 0.2 * e as f64;
-            ViewCharge {
+            Price {
                 materialization: c.materialization * a,
                 maintenance: c.maintenance * a,
-                ..c.clone()
+                ..c
             }
         };
         fn single_pool<F>(reprice: F, max_moves: usize) -> ChainSpec<'static, F> {
@@ -1891,10 +1905,9 @@ mod tests {
             }
         }
         let moves = budget(&chain);
-        let by_node = |node: usize, _k: usize, _p: Placement, c: &ViewCharge| {
-            risked(tree.nodes()[node].epoch, c)
-        };
-        let by_epoch = |e: usize, _k: usize, _p: Placement, c: &ViewCharge| risked(e, c);
+        let by_node =
+            |node: usize, _k: usize, _p: Placement, c: Price| risked(tree.nodes()[node].epoch, c);
+        let by_epoch = |e: usize, _k: usize, _p: Placement, c: Price| risked(e, c);
         for scenario in [
             Scenario::tradeoff(0.02),
             Scenario::tradeoff_normalized(0.5),
@@ -1927,26 +1940,26 @@ mod tests {
         // Spot factor keyed on the node's epoch (so the per-path reference
         // can reproduce it) with enough spread to force rebalancing.
         let spot = |e: usize| [0.4, 0.5, 0.9, 0.45][e];
-        let tree_reprice = |node: usize, _k: usize, p: Placement, c: &ViewCharge| -> ViewCharge {
+        let tree_reprice = |node: usize, _k: usize, p: Placement, c: Price| -> Price {
             match p {
-                Placement::Reserved => c.clone(),
+                Placement::Reserved => c,
                 Placement::Spot => {
                     let f = spot(tree.nodes()[node].epoch);
-                    ViewCharge {
+                    Price {
                         materialization: c.materialization * f,
                         maintenance: c.maintenance * f,
-                        ..c.clone()
+                        ..c
                     }
                 }
             }
         };
-        let flat_reprice = |e: usize, _k: usize, p: Placement, c: &ViewCharge| -> ViewCharge {
+        let flat_reprice = |e: usize, _k: usize, p: Placement, c: Price| -> Price {
             match p {
-                Placement::Reserved => c.clone(),
-                Placement::Spot => ViewCharge {
+                Placement::Reserved => c,
+                Placement::Spot => Price {
                     materialization: c.materialization * spot(e),
                     maintenance: c.maintenance * spot(e),
-                    ..c.clone()
+                    ..c
                 },
             }
         };
@@ -1989,13 +2002,13 @@ mod tests {
         }
         let n = chain.pool().len();
         let initial = vec![Placement::Reserved; n];
-        let fleet = |_: usize, _: usize, p: Placement, c: &ViewCharge| -> ViewCharge {
+        let fleet = |_: usize, _: usize, p: Placement, c: Price| -> Price {
             match p {
-                Placement::Reserved => c.clone(),
-                Placement::Spot => ViewCharge {
+                Placement::Reserved => c,
+                Placement::Spot => Price {
                     materialization: c.materialization * 0.4,
                     maintenance: c.maintenance * 0.4,
-                    ..c.clone()
+                    ..c
                 },
             }
         };
@@ -2009,6 +2022,40 @@ mod tests {
         let parallel_fleet = chain.run_forest(scenario, &hedged, &tree, 4);
         for (j, (s, p)) in serial_fleet.iter().zip(&parallel_fleet).enumerate() {
             assert_steps_eq(s, p, &format!("fleet leaf {j}"));
+        }
+    }
+
+    #[test]
+    fn a_panicking_node_fails_the_solve_instead_of_hanging_it() {
+        // Node 3's transform panics, so nodes 5 and 6 are never queued
+        // and `done` never reaches the node count: a worker left waiting
+        // for them would wait forever. The solve runs on a thread of its
+        // own (deliberately not joined) so a hang is a timeout here, not
+        // a stuck test binary.
+        for threads in [1, 2] {
+            let (tx, rx) = std::sync::mpsc::channel();
+            std::thread::spawn(move || {
+                let chain = drifting_chain(4);
+                let tree = branchy_tree(&chain);
+                let spec = ChainSpec {
+                    reprice: |node: usize, _k: usize, _p: Placement, price: Price| -> Price {
+                        assert_ne!(node, 3, "node 3's quote is poisoned");
+                        price
+                    },
+                    initial: None,
+                    rebalance: false,
+                    max_moves: budget(&chain),
+                };
+                let solved = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    chain.run_forest(Scenario::tradeoff(0.02), &spec, &tree, threads)
+                }));
+                let _ = tx.send(solved.is_err());
+            });
+            assert_eq!(
+                rx.recv_timeout(std::time::Duration::from_secs(10)),
+                Ok(true),
+                "threads = {threads}: the solve must panic, not hang or finish"
+            );
         }
     }
 

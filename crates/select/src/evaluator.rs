@@ -54,10 +54,10 @@
 //! floor of a probe at large m), and B adds per dirty block
 //! ([`IncrementalEvaluator::snapshot_cold`] keeps the full
 //! O(n/64 + selected + m) fold as the benchmark reference). Every fold
-//! runs in exactly the same order as [`SelectionProblem::evaluate`]
-//! (and the breakdown assembles through `CloudCostModel::compute_cost`,
-//! the same routine `with_views` uses), so scores are **bit-identical**
-//! to full re-evaluations — property-tested in
+//! runs in exactly the same order as [`SelectionProblem::evaluate`],
+//! and the four totals become a bill through the same
+//! `CloudCostModel::breakdown_from_totals` call, so scores are
+//! **bit-identical** to full re-evaluations — property-tested in
 //! `tests/evaluator_matches.rs`.
 //!
 //! # Probes
@@ -124,9 +124,9 @@
 
 use std::borrow::Cow;
 
-use mv_cost::{CloudCostModel, CostBreakdown, SelectionSet, ViewCharge, TIME_FOLD_BLOCK};
+use mv_cost::{CloudCostModel, Price, SelectionSet, ViewCharge, TIME_FOLD_BLOCK};
 use mv_obs::{Counter, Hist};
-use mv_units::{Gb, Hours, Money, Months};
+use mv_units::{Gb, Hours};
 
 use crate::{Evaluation, Score, SelectionProblem};
 
@@ -185,8 +185,8 @@ pub struct IncrementalEvaluator<'p> {
     arena_q: Vec<u32>,
     /// Arena: answer times, parallel to `arena_q`.
     arena_t: Vec<Hours>,
-    /// Arena entries abandoned by removals/resplices; triggers
-    /// compaction once they outnumber the live entries.
+    /// Arena entries abandoned by removals; triggers compaction once
+    /// they outnumber the live entries.
     dead: usize,
     /// Top-k answer table: view ids, `ANSWER_TOP_K` slots per query.
     top_view: Vec<u32>,
@@ -206,13 +206,6 @@ pub struct IncrementalEvaluator<'p> {
     second_view: Vec<u32>,
     /// Its time; meaningless where `second_view` is `NONE`.
     second_time: Vec<Hours>,
-    /// Transfer cost is selection-independent: cached once.
-    transfer: Money,
-    /// Storage-interval template: `(inserts_applied, duration)` per
-    /// billable interval, precomputed from the context's insert events
-    /// (which are selection-independent; only the *size* each interval
-    /// holds shifts by the selected views' total size).
-    storage_intervals: Vec<(usize, Months)>,
     /// Cached per-block partial sums of the canonical
     /// [`TIME_FOLD_BLOCK`]-wide processing-time fold. A probe refolds
     /// only the blocks whose per-query minima changed since the last
@@ -295,8 +288,6 @@ impl<'p> IncrementalEvaluator<'p> {
             .iter()
             .map(|v| v.profile.answered())
             .sum();
-        let transfer = problem.model().transfer_cost();
-        let storage_intervals = storage_interval_template(&problem);
         let mut ev = IncrementalEvaluator {
             problem,
             selection: SelectionSet::empty(n),
@@ -312,8 +303,6 @@ impl<'p> IncrementalEvaluator<'p> {
             best_time: vec![Hours::ZERO; m],
             second_view: vec![NONE; m],
             second_time: vec![Hours::ZERO; m],
-            transfer,
-            storage_intervals,
             block_time: vec![Hours::ZERO; m.div_ceil(TIME_FOLD_BLOCK)],
             block_dirty: vec![false; m.div_ceil(TIME_FOLD_BLOCK)],
             dirty_blocks: Vec::new(),
@@ -555,57 +544,20 @@ impl<'p> IncrementalEvaluator<'p> {
         charge
     }
 
-    /// Re-prices candidate `k` in place — the epoch-boundary splice.
-    ///
-    /// The general form removes the view's entries from the top-k
-    /// tables and splices the replacement's back in (evicting it from
-    /// the caches around the edit, so a changed answer profile can
-    /// never leave a stale best/runner-up slot). When only the
-    /// *non-cached* attributes change — size, materialization,
-    /// maintenance, exactly the carried-over re-pricing an epoch chain
-    /// performs — the answer tables are untouched and the whole splice
-    /// is the O(1) in-place replacement. Indices are stable either way,
-    /// and the selection state of `k` is preserved. Returns the old
-    /// charge.
-    pub fn update_charge(&mut self, k: usize, charge: ViewCharge) -> ViewCharge {
+    /// Re-prices candidate `k` in place — the epoch-boundary splice,
+    /// and the fleet search's placement flip. O(1): a [`Price`] cannot
+    /// carry an answer profile, and nothing this evaluator caches (answer
+    /// arena, top-k tables, per-query minima, terms, block sums) depends
+    /// on a view's size, build or refresh time — `score` reads those
+    /// from the problem. Indices and the selection state of `k` are
+    /// untouched. Returns the old price. (A view whose *answers* change
+    /// is a different candidate: [`IncrementalEvaluator::
+    /// remove_candidate`] + [`IncrementalEvaluator::add_candidate`].)
+    pub fn update_charge(&mut self, k: usize, price: Price) -> Price {
         let n = self.spans.len();
         assert!(k < n, "candidate {k} out of {n}");
         mv_obs::inc(Counter::EvaluatorUpdateCharge);
-        let same_answers = self.problem.candidates()[k].profile == charge.profile;
-        if same_answers {
-            mv_obs::inc(Counter::EvaluatorUpdateChargeFast);
-            return self.problem.to_mut().replace_candidate(k, charge);
-        }
-        let was_selected = self.selection.contains(k);
-        if was_selected {
-            self.unflip(k);
-        }
-        let kk = k as u32;
-        let span = self.spans[k];
-        for idx in span.start as usize..(span.start + span.len) as usize {
-            let i = self.arena_q[idx] as usize;
-            self.topk_remove(i, kk);
-        }
-        self.dead += span.len as usize;
-        let old = self.problem.to_mut().replace_candidate(k, charge);
-        // Append the replacement profile as a fresh arena span.
-        let start = self.arena_q.len();
-        let profile = &self.problem.candidates()[k].profile;
-        self.arena_q.extend_from_slice(profile.query_ids());
-        self.arena_t.extend_from_slice(profile.times());
-        self.spans[k] = Span {
-            start: u32::try_from(start).expect("arena fits in u32"),
-            len: profile.answered() as u32,
-        };
-        for idx in start..self.arena_q.len() {
-            let (i, t) = (self.arena_q[idx] as usize, self.arena_t[idx]);
-            self.topk_insert(i, kk, t);
-        }
-        if was_selected {
-            self.flip(k);
-        }
-        self.maybe_compact();
-        old
+        self.problem.to_mut().reprice_candidate(k, price)
     }
 
     /// Rebuilds the arena without the abandoned spans once they
@@ -634,15 +586,13 @@ impl<'p> IncrementalEvaluator<'p> {
     /// Swaps in a new costing model over the same workload shape — the
     /// epoch-boundary *context* switch. The per-query best/runner-up
     /// caches survive untouched: they hold only candidate answer times,
-    /// which do not depend on the model. What does depend on it is
-    /// recomputed in O(m + inserts): the transfer cost, the
-    /// storage-interval template, and the per-query term cache (base
-    /// times and frequencies are the model's).
+    /// which do not depend on the model. What does depend on it is the
+    /// per-query term cache (base times and frequencies are the
+    /// model's), reloaded in O(m); the model brings its own transfer
+    /// cost and storage intervals.
     pub fn retarget(&mut self, model: CloudCostModel) {
         mv_obs::inc(Counter::EvaluatorRetarget);
         self.problem.to_mut().set_model(model);
-        self.transfer = self.problem.model().transfer_cost();
-        self.storage_intervals = storage_interval_template(&self.problem);
         // Base times and frequencies may have changed under every block.
         self.reload_terms();
         self.all_dirty = true;
@@ -836,17 +786,12 @@ impl<'p> IncrementalEvaluator<'p> {
     ///
     /// Exactness: the time total is summed in workload order and the
     /// per-candidate totals in candidate order — the same fold orders as
-    /// the model's own aggregation; compute components go through
-    /// `CloudCostModel::compute_cost` (the routine `with_views` uses);
-    /// the transfer cost is selection-independent and cached; and the
-    /// storage cost replays the model's interval/size chain over the
-    /// precomputed template, so every `f64` operation matches
-    /// `storage_cost_with_extra` bit for bit — without rebuilding (and
-    /// re-allocating) a `StorageTimeline` per probe.
+    /// the model's own aggregation — and the four totals become a
+    /// breakdown through `CloudCostModel::breakdown_from_totals`, the
+    /// call [`SelectionProblem::evaluate`] and `with_views` make.
     pub fn score(&mut self) -> Score {
         mv_obs::inc(Counter::EvaluatorSnapshot);
         let time = self.processing_time();
-        let model = self.problem.model();
         let candidates = self.problem.candidates();
         // One fused pass over the selected candidates; each accumulator
         // folds in ascending candidate order from its zero, exactly like
@@ -862,15 +807,10 @@ impl<'p> IncrementalEvaluator<'p> {
             materialization += v.materialization;
             views_size += v.size;
         }
+        let model = self.problem.model();
         Score {
             time,
-            breakdown: CostBreakdown {
-                transfer: self.transfer,
-                compute_processing: model.compute_cost(time),
-                compute_maintenance: model.compute_cost(maintenance),
-                compute_materialization: model.compute_cost(materialization),
-                storage: self.storage_cost(views_size),
-            },
+            breakdown: model.breakdown_from_totals(time, maintenance, materialization, views_size),
         }
     }
 
@@ -930,63 +870,6 @@ impl<'p> IncrementalEvaluator<'p> {
         self.all_dirty = true;
         self.snapshot()
     }
-
-    /// Storage cost of dataset + inserts + `extra` over the billing
-    /// period, replaying the model's timeline arithmetic over the
-    /// precomputed interval template (no allocation).
-    fn storage_cost(&self, extra: Gb) -> Money {
-        let ctx = self.problem.model().context();
-        // The size chain: (dataset + extra), then each insert in order —
-        // the identical float-add sequence `StorageTimeline` records.
-        let mut size = ctx.dataset_size + extra;
-        let mut applied = 0;
-        let mut total = Money::ZERO;
-        for &(inserts_applied, duration) in &self.storage_intervals {
-            while applied < inserts_applied {
-                size += ctx.inserts[applied].1;
-                applied += 1;
-            }
-            total += ctx.pricing.storage.cost(size, duration);
-        }
-        total
-    }
-}
-
-/// Precomputes the billable-interval structure of the problem's storage
-/// timeline: for each interval, how many insert events precede it and
-/// how long it lasts. Mirrors `StorageTimeline::intervals` (same-instant
-/// coalescing, horizon clamping, zero-length skipping), which is
-/// selection-independent — only interval *sizes* depend on the selected
-/// views, via the size chain replayed in
-/// [`IncrementalEvaluator::storage_cost`].
-fn storage_interval_template(problem: &SelectionProblem) -> Vec<(usize, Months)> {
-    let ctx = problem.model().context();
-    let horizon = ctx.months;
-    // Points: (time, inserts applied up to and including this point),
-    // coalescing same-instant events exactly like `StorageTimeline`.
-    let mut points: Vec<(Months, usize)> = vec![(Months::ZERO, 0)];
-    for (idx, (at, _)) in ctx.inserts.iter().enumerate() {
-        let last = points.last_mut().expect("points never empty");
-        if at.value() == last.0.value() {
-            last.1 = idx + 1;
-        } else {
-            points.push((*at, idx + 1));
-        }
-    }
-    let mut out = Vec::with_capacity(points.len());
-    for (i, (start, applied)) in points.iter().enumerate() {
-        if start.value() >= horizon.value() {
-            break;
-        }
-        let end = points
-            .get(i + 1)
-            .map(|(t, _)| t.min(horizon))
-            .unwrap_or(horizon);
-        if end.value() > start.value() {
-            out.push((*applied, end - *start));
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -996,6 +879,7 @@ mod probe_tests;
 mod tests {
     use super::*;
     use crate::fixtures::{paper_like_problem, random_problem};
+    use mv_units::Months;
 
     #[test]
     fn empty_matches_baseline() {
@@ -1242,28 +1126,28 @@ mod tests {
 
     #[test]
     fn update_charge_reprices_in_place() {
-        // The epoch-boundary fast path: same answer profile, different
-        // materialization. Indices, selection and caches all survive.
+        // The epoch-boundary splice: a different materialization under
+        // the same answers. Indices, selection and caches all survive.
         let p = paper_like_problem();
         let mut ev = IncrementalEvaluator::new(&p);
         ev.flip(1);
         ev.flip(2);
         let carried = p.candidates()[1].carried();
-        let old = ev.update_charge(1, carried.clone());
-        assert_eq!(old, p.candidates()[1]);
+        let old = ev.update_charge(1, carried);
+        assert_eq!(old, p.candidates()[1].price());
         assert!(ev.is_selected(1) && ev.is_selected(2));
         // Parity with a from-scratch problem holding the carried charge.
         let mut mirror_charges: Vec<ViewCharge> = p.candidates().to_vec();
-        mirror_charges[1] = carried;
+        mirror_charges[1].set_price(carried);
         let mirror = SelectionProblem::new(p.model().clone(), mirror_charges);
         assert_eq!(ev.snapshot(), mirror.evaluate(ev.selection()));
         // Restore full price: back to the original problem bit-for-bit.
-        ev.update_charge(1, p.candidates()[1].clone());
+        ev.update_charge(1, old);
         assert_eq!(ev.snapshot(), p.evaluate(ev.selection()));
     }
 
     #[test]
-    fn update_charge_with_new_answer_profile_resplices() {
+    fn a_new_answer_profile_is_remove_then_add() {
         let p = paper_like_problem();
         let m = p.model().context().workload.len();
         let mut ev = IncrementalEvaluator::new(&p);
@@ -1280,12 +1164,21 @@ mod tests {
             m,
         )
         .answers(2, Hours::new(0.05));
-        ev.update_charge(2, replacement.clone());
-        assert!(ev.is_selected(2), "selection preserved across resplice");
-        let mut mirror_charges: Vec<ViewCharge> = p.candidates().to_vec();
-        mirror_charges[2] = replacement;
-        let mirror = SelectionProblem::new(p.model().clone(), mirror_charges);
-        assert_eq!(ev.snapshot(), mirror.evaluate(ev.selection()));
+        ev.remove_candidate(2);
+        let k = ev.add_candidate(replacement.clone());
+        ev.flip(k);
+        // Swap-remove moved the last view into slot 2; the replacement
+        // took the last index.
+        let mirror = SelectionProblem::new(
+            p.model().clone(),
+            vec![
+                p.candidates()[0].clone(),
+                p.candidates()[1].clone(),
+                p.candidates()[3].clone(),
+                replacement,
+            ],
+        );
+        assert_eq!(ev.snapshot(), mirror.evaluate(&SelectionSet::full(4)));
         // Subsequent flips still behave (no stale cache slots).
         ev.unflip(0);
         assert_eq!(ev.snapshot(), ev.problem().evaluate(ev.selection()));

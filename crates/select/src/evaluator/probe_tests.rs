@@ -3,8 +3,8 @@
 //! evaluator *bit-equal* to where it found it — block sums, term
 //! cache, an empty dirty list, the selection — under random walks that
 //! interleave accepted flips with `add_candidate` / `remove_candidate`
-//! / `update_charge` (both the O(1) same-profile path and the
-//! resplice) / `retarget`, on pools where most queries have more than
+//! (back to back when a view's answers change) / `update_charge` price
+//! splices / `retarget`, on pools where most queries have more than
 //! [`ANSWER_TOP_K`] answerers (pruned tables, exact-fallback rescans)
 //! and the workload spans several [`TIME_FOLD_BLOCK`]s.
 
@@ -71,15 +71,22 @@ proptest! {
                 3 if n > 1 => {
                     ev.remove_candidate(a % n);
                 }
-                // Re-price in place: same answers (the O(1) splice)...
+                // Re-price in place (the O(1) splice)...
                 4 if n > 0 => {
                     let k = a % n;
                     let carried = ev.problem().candidates()[k].carried();
                     ev.update_charge(k, carried);
                 }
-                // ...or another view's answers (the resplice).
+                // ...or swap a view for one with other answers: retire
+                // it and admit the replacement, selected if it was.
                 5 if n > 0 => {
-                    ev.update_charge(a % n, pool[b % pool.len()].clone());
+                    let k = a % n;
+                    let was_selected = ev.is_selected(k);
+                    ev.remove_candidate(k);
+                    let added = ev.add_candidate(pool[b % pool.len()].clone());
+                    if was_selected {
+                        ev.flip(added);
+                    }
                 }
                 // New epoch: every frequency and base time moves.
                 6 => {

@@ -44,8 +44,9 @@
 //!   view was among a query's two fastest);
 //! * `score` / `snapshot` — O(n/64 + selected + m/B + B·dirty) over
 //!   cached block sums of the time fold (B = `TIME_FOLD_BLOCK`), summing
-//!   in the model's own fold orders and pricing through the model's own
-//!   routines, so results are **bit-identical** to
+//!   in the model's own fold orders and billing through the model's one
+//!   assembly (`CloudCostModel::breakdown_from_totals`), so results are
+//!   **bit-identical** to
 //!   [`SelectionProblem::evaluate`] (property-tested in
 //!   `tests/evaluator_matches.rs`, including random sparse profiles and
 //!   dynamic add/remove/placement interleavings);
@@ -110,12 +111,14 @@
 //! each epoch's candidates by what the *previous* epoch materialized
 //! (kept views pay maintenance only via [`mv_cost::ViewCharge::
 //! carried`]; added views pay full materialization; dropped views
-//! forfeit theirs), making the optimum path-dependent. Epoch
-//! boundaries reuse the live evaluator —
+//! forfeit theirs), making the optimum path-dependent. What crosses an
+//! epoch boundary is numbers, not structures: one frequency per query
+//! and one [`mv_cost::Price`] (size, build and refresh hours, pool) per
+//! candidate. The live evaluator takes both —
 //! [`IncrementalEvaluator::retarget`] swaps the costing model in O(m)
 //! while the answer caches survive, and
-//! [`IncrementalEvaluator::update_charge`] splices re-priced charges
-//! in place — instead of rebuilding the problem per epoch
+//! [`IncrementalEvaluator::update_charge`] splices a re-priced
+//! candidate in O(1) — instead of rebuilding the problem per epoch
 //! (`crates/bench/benches/horizon.rs` measures the difference;
 //! [`EpochChain::solve_rebuilding`] is the bit-identical rebuild
 //! reference). [`EpochChain::solve_myopic`] is the transition-blind
@@ -129,7 +132,8 @@
 //! the same warm-started hot path (this is how `mvcloud` splices
 //! spot-interruption risk premiums into the chain without this crate
 //! knowing about markets; the identity transform over the chain's own
-//! epochs *is* [`EpochChain::solve`]). For tiny pools,
+//! epochs *is* [`EpochChain::solve`]). A transform maps a `Price` to a
+//! `Price`, so no epoch edge can change what a view answers. For tiny pools,
 //! [`EpochChain::solve_dp_exact`] is the finite-horizon DP oracle —
 //! exact over selection states per epoch — that quantifies how far the
 //! sequential chain sits from the true horizon optimum
@@ -144,10 +148,10 @@
 //! epochs) the driver
 //! searches placements **jointly** with the selection: the improvement
 //! pass ([`local_search::improve_joint`]) gains a placement-flip move
-//! alongside select-flip/swap, and because the per-pool transform only
-//! moves materialization/maintenance/size (never the answer profile),
-//! every placement flip is one O(1) [`IncrementalEvaluator::
-//! update_charge`] splice on the same live evaluator — measured ≈ 38×
+//! alongside select-flip/swap, and because the per-pool transform is
+//! a `Price → Price` map, every placement flip is one O(1),
+//! allocation-free [`IncrementalEvaluator::update_charge`] splice on
+//! the same live evaluator — measured ≈ 38×
 //! faster than rebuilding the charged problem per probe
 //! (`crates/bench/benches/fleet.rs`). Transition accounting extends
 //! naturally: a view kept *on the same pool* is carried; a view moved
@@ -201,7 +205,7 @@
 //! |---|---|---|
 //! | [`IncrementalEvaluator`] build/retarget/fork | `evaluator/build`, `evaluator/retarget`, `evaluator/fork` | — |
 //! | [`IncrementalEvaluator`] flip/unflip/score (a `probe` counts as the flips, unflips and one snapshot it performs) | `evaluator/flip`, `evaluator/unflip`, `evaluator/snapshot` | `evaluator/snapshot_dirty_blocks` histogram (dirty-delta width) |
-//! | [`IncrementalEvaluator::update_charge`] | `evaluator/update_charge`, `evaluator/update_charge_fast` | — |
+//! | [`IncrementalEvaluator::update_charge`] | `evaluator/update_charge` | — |
 //! | [`local_search`] probe loops | `search/probes`; accepted moves: `search/flip_moves`, `search/swap_moves`, `search/place_moves` | `placement_move` event per accepted pool move |
 //! | [`lns`] refine rounds | `lns/rounds`, `lns/accepted`, `lns/rejected` | `lns/destroy_size` histogram, `lns_round` event |
 //! | [`EpochChain`] node step (every topology) | `chain/epoch_steps` | `epoch_transition` event (added/kept/dropped/moved); on a path, one `chain/epoch` span per epoch |

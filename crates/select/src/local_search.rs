@@ -19,20 +19,18 @@
 //!   batch, which is what makes the streamed search *anytime*: the
 //!   current selection is always a locally-repaired answer.
 
-use mv_cost::{Placement, ViewCharge};
+use mv_cost::{Placement, Price};
 
 use crate::{
     Evaluation, IncrementalEvaluator, Outcome, Scenario, Score, SelectionProblem, SolverKind,
 };
 
-/// The effective charge candidate `k` would carry under placement `p`
+/// The effective price candidate `k` would carry under placement `p`
 /// this epoch — the hook the joint selection+placement pass
 /// ([`improve_joint`]) probes placement moves through. Implementations
-/// must be deterministic in `(k, p)` (a flip probed and reverted must
-/// restore the exact prior charge) and must not change the answer
-/// profile (so every placement splice stays on
-/// [`IncrementalEvaluator::update_charge`]'s O(1) fast path).
-pub type ChargeFor<'a> = &'a dyn Fn(usize, Placement) -> ViewCharge;
+/// must be deterministic in `(k, p)`: a flip probed and reverted must
+/// restore the exact prior price.
+pub type ChargeFor<'a> = &'a dyn Fn(usize, Placement) -> Price;
 
 /// A candidate move over the current selection (and, in joint mode,
 /// the current placement assignment).
@@ -45,17 +43,17 @@ enum Move {
     /// Deselect `out`, select `in_` (one probe, two flips).
     Swap { out: usize, in_: usize },
     /// Move the *selected* view `k` to the other fleet pool: one O(1)
-    /// charge splice, selection unchanged.
+    /// price splice, selection unchanged.
     Place(usize),
     /// Select the unselected view `k` directly on the other pool
-    /// (charge splice + flip) — the compound move that admits a view
+    /// (price splice + flip) — the compound move that admits a view
     /// whose current placement alone would never pay off.
     FlipOnPlaced(usize),
 }
 
-/// The placement half of a joint-mode move: the charge `k` would carry
+/// The placement half of a joint-mode move: the price `k` would carry
 /// on the other pool.
-fn replaced(joint: Option<(&[Placement], ChargeFor<'_>)>, k: usize) -> ViewCharge {
+fn replaced(joint: Option<(&[Placement], ChargeFor<'_>)>, k: usize) -> Price {
     let (placements, charge_for) = joint.expect("placement move outside joint mode");
     charge_for(k, placements[k].flipped())
 }
@@ -85,9 +83,10 @@ fn apply(
 
 /// What the evaluator would score with `mv` applied, leaving it where
 /// it was. Selection moves are one [`IncrementalEvaluator::probe`];
-/// placement moves splice the other pool's charge around the probe and
-/// put the displaced charge back (bit-exact: the splice is the O(1)
-/// same-profile path, which touches no cached time).
+/// placement moves splice the other pool's price around the probe and
+/// put the displaced price back (bit-exact: a price splice touches no
+/// cached time). Neither allocates on a warm evaluator
+/// (`tests/probe_allocs.rs`).
 fn probe_move(
     ev: &mut IncrementalEvaluator<'_>,
     mv: Move,
@@ -197,11 +196,11 @@ pub fn improve(
 
 /// [`improve`] extended with the mixed-fleet placement dimension: on
 /// top of the flip/swap neighborhood, each round probes moving any
-/// *selected* view to the other pool ([`Move::Place`]) and admitting
-/// any unselected view directly on the other pool
-/// ([`Move::FlipOnPlaced`]). `placements` is the standing per-view
-/// assignment (updated in place as moves are applied); `charge_for`
-/// yields the effective charge of a view under either placement. With
+/// *selected* view to the other pool (one price splice) and admitting
+/// any unselected view directly on the other pool (splice + flip).
+/// `placements` is the standing per-view assignment (updated in place
+/// as moves are applied); `charge_for` yields the effective price of a
+/// view under either placement. With
 /// the placement moves never improving, this is [`improve`] exactly —
 /// same neighborhood enumeration order, same tie-breaks.
 pub fn improve_joint(
@@ -233,7 +232,9 @@ fn improve_inner(
         let n = ev.problem().len();
         let selected: Vec<usize> = ev.selection().ones().collect();
         let unselected: Vec<usize> = (0..n).filter(|&k| !ev.is_selected(k)).collect();
-        let mut moves: Vec<Move> = Vec::with_capacity(n + selected.len() * unselected.len());
+        let placement_moves = if joint.is_some() { n } else { 0 };
+        let mut moves: Vec<Move> =
+            Vec::with_capacity(n + selected.len() * unselected.len() + placement_moves);
         moves.extend(unselected.iter().map(|&k| Move::FlipOn(k)));
         moves.extend(selected.iter().map(|&k| Move::FlipOff(k)));
         for &out in &selected {
@@ -427,7 +428,7 @@ mod tests {
             let plain = improve(&mut plain_ev, s, &baseline, 32);
             let mut joint_ev = IncrementalEvaluator::new(&p);
             let mut placements = vec![Placement::Reserved; p.len()];
-            let charge_for = |k: usize, _p: Placement| p.candidates()[k].clone();
+            let charge_for = |k: usize, _p: Placement| p.candidates()[k].price();
             let joint = improve_joint(
                 &mut joint_ev,
                 s,
@@ -475,18 +476,18 @@ mod tests {
         );
         let baseline = p.baseline();
         let s = Scenario::tradeoff(0.02);
-        let charge_for = |k: usize, place: Placement| -> mv_cost::ViewCharge {
-            let base = &p.candidates()[k];
-            let mut c = match place {
-                Placement::Reserved => base.clone(),
-                Placement::Spot => mv_cost::ViewCharge {
-                    materialization: base.materialization * 0.5,
-                    maintenance: base.maintenance * 0.5,
-                    ..base.clone()
-                },
+        let charge_for = |k: usize, place: Placement| -> Price {
+            let base = p.candidates()[k].price();
+            let half = match place {
+                Placement::Reserved => 1.0,
+                Placement::Spot => 0.5,
             };
-            c.placement = place;
-            c
+            Price {
+                materialization: base.materialization * half,
+                maintenance: base.maintenance * half,
+                placement: place,
+                ..base
+            }
         };
         let mut ev = IncrementalEvaluator::from_problem(p.clone());
         let mut placements = vec![Placement::Reserved; p.len()];
@@ -505,8 +506,10 @@ mod tests {
             assert_eq!(placements[k], Placement::Spot, "view {k}");
         }
         // The end state reproduces on an equivalent static problem.
-        let mirror_charges: Vec<mv_cost::ViewCharge> =
-            (0..p.len()).map(|k| charge_for(k, placements[k])).collect();
+        let mut mirror_charges = p.candidates().to_vec();
+        for (k, charge) in mirror_charges.iter_mut().enumerate() {
+            charge.set_price(charge_for(k, placements[k]));
+        }
         let mirror = SelectionProblem::new(p.model().clone(), mirror_charges);
         assert_eq!(end, mirror.evaluate(&end.selection));
     }

@@ -1,6 +1,6 @@
 //! The view-selection problem instance.
 
-use mv_cost::{CloudCostModel, CostBreakdown, SelectionSet, ViewCharge};
+use mv_cost::{CloudCostModel, CostBreakdown, Price, SelectionSet, ViewCharge};
 use mv_units::{Hours, Money};
 
 /// A fully-evaluated selection: the true (non-linearized) processing time
@@ -159,21 +159,13 @@ impl SelectionProblem {
         self.candidates.len() - 1
     }
 
-    /// Replaces candidate `k`'s charge in place (indices are stable),
-    /// returning the old charge. The replacement must align with the
-    /// model's workload. Used by the epoch chain to re-price a carried
-    /// view at an epoch boundary without disturbing the pool order.
-    pub fn replace_candidate(&mut self, k: usize, charge: ViewCharge) -> ViewCharge {
-        let m = self.model.context().workload.len();
-        assert_eq!(
-            charge.profile.workload_len(),
-            m,
-            "candidate {} has {} query times for a {}-query workload",
-            charge.name,
-            charge.profile.workload_len(),
-            m
-        );
-        std::mem::replace(&mut self.candidates[k], charge)
+    /// Re-prices candidate `k` in place, returning its old price. Name,
+    /// answer profile and index are untouched — which is why the
+    /// incremental evaluator's `update_charge` has no cache to repair.
+    pub fn reprice_candidate(&mut self, k: usize, price: Price) -> Price {
+        let old = self.candidates[k].price();
+        self.candidates[k].set_price(price);
+        old
     }
 
     /// Swaps in a new costing model over the *same workload shape*: the
@@ -286,6 +278,37 @@ mod tests {
         let mut bad = p.candidates()[0].clone();
         bad.profile = mv_cost::AnswerProfile::none(p.model().context().workload.len() + 1);
         SelectionProblem::new(p.model().clone(), vec![bad]);
+    }
+
+    #[test]
+    fn with_frequencies_is_the_hand_built_context() {
+        // Re-weighting through the model must price exactly like a
+        // context assembled by hand with the same frequencies — over
+        // several fold blocks, selected views and all.
+        for seed in 0..8u64 {
+            let p = crate::fixtures::random_sparse_problem(seed, 150, 24, 0.1);
+            let frequencies: Vec<f64> = (0..150)
+                .map(|i| ((seed as usize + 7 * i) % 13) as f64 / 4.0)
+                .collect();
+            let mut ctx = p.model().context().clone();
+            for (q, &f) in ctx.workload.iter_mut().zip(&frequencies) {
+                q.frequency = f;
+            }
+            let by_hand = SelectionProblem::new(CloudCostModel::new(ctx), p.candidates().to_vec());
+            let reweighted = SelectionProblem::new(
+                p.model().with_frequencies(&frequencies),
+                p.candidates().to_vec(),
+            );
+            let mut selection = SelectionSet::empty(p.len());
+            for k in (seed as usize % 3..p.len()).step_by(3) {
+                selection.set(k, true);
+            }
+            for s in [&selection, &SelectionSet::empty(p.len())] {
+                let (a, b) = (reweighted.evaluate(s), by_hand.evaluate(s));
+                assert_eq!(a, b, "seed {seed}");
+                assert_eq!(a.time.value().to_bits(), b.time.value().to_bits());
+            }
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! sequential chain sits from the true horizon optimum on small
 //! pools").
 
-use mv_cost::{CloudCostModel, CostContext, Placement, QueryCharge, ViewCharge};
+use mv_cost::{CloudCostModel, CostContext, Placement, Price, QueryCharge, ViewCharge};
 use mv_select::epoch::EpochChain;
 use mv_select::{fixtures, Scenario};
 use mv_units::{Gb, Hours, Money, Months};
@@ -125,15 +125,15 @@ proptest! {
         let chain = drifting_chain(&p, epochs);
         // A fleet transform with a calm/crunch break: spot work is
         // discounted (or dear) and doubles once the crunch arrives.
-        let reprice = |e: usize, _k: usize, p: Placement, c: &ViewCharge| -> ViewCharge {
+        let reprice = |e: usize, _k: usize, p: Placement, c: Price| -> Price {
             match p {
-                Placement::Reserved => c.clone(),
+                Placement::Reserved => c,
                 Placement::Spot => {
                     let factor = spot_rate * if e >= crunch_epoch { 2.0 } else { 1.0 };
-                    ViewCharge {
+                    Price {
                         materialization: c.materialization * factor,
                         maintenance: c.maintenance * factor,
-                        ..c.clone()
+                        ..c
                     }
                 }
             }
@@ -276,15 +276,15 @@ fn dp_fleet_pre_places_on_reserved_ahead_of_a_crunch() {
     let chain = crunch_fleet_chain(4);
     // The view is mandatory: 50 h of base processing vs a 10 h limit.
     let scenario = Scenario::time_limit(Hours::new(10.0));
-    let reprice = |e: usize, _k: usize, p: Placement, c: &ViewCharge| -> ViewCharge {
+    let reprice = |e: usize, _k: usize, p: Placement, c: Price| -> Price {
         match p {
-            Placement::Reserved => c.clone(),
+            Placement::Reserved => c,
             Placement::Spot => {
                 let factor = 0.9 * if e >= 1 { 2.0 } else { 1.0 };
-                ViewCharge {
+                Price {
                     materialization: c.materialization * factor,
                     maintenance: c.maintenance * factor,
-                    ..c.clone()
+                    ..c
                 }
             }
         }

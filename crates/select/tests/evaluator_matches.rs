@@ -70,10 +70,10 @@ proptest! {
     /// semantics) and re-evaluates from scratch.
     ///
     /// A placement flip is what the mixed-fleet solver's `Place` move
-    /// does: re-derive the view's effective charge for the other pool
+    /// does: re-derive the view's effective price for the other pool
     /// from its pristine pool entry (spot here: half-rate hours plus an
-    /// interruption premium) and splice it with `update_charge` — the
-    /// O(1) same-answer-profile path, selected or not.
+    /// interruption premium) and splice it with `update_charge` — O(1),
+    /// selected or not.
     ///
     /// 128 cases × up to 30 ops ⇒ well over the 100 random
     /// interleavings the acceptance bar asks for.
@@ -84,7 +84,7 @@ proptest! {
         mask in 0u64..(1 << 10),
         ops in proptest::collection::vec((0u8..4, 0usize..64), 1..30),
     ) {
-        use mv_cost::{InterruptionRisk, Placement, PoolCharge, ViewCharge};
+        use mv_cost::{InterruptionRisk, Placement, PoolCharge, Price, ViewCharge};
 
         let pool_problem = fixtures::random_problem(seed, n_queries, 10);
         let model = pool_problem.model().clone();
@@ -105,13 +105,12 @@ proptest! {
         let mut mirror_sel: Vec<bool> = start.iter().collect();
         let mut recycle = 0usize;
         let spot_pool = PoolCharge::new(0.5, 1.25, InterruptionRisk::new(0.25));
-        let placed = |base: &ViewCharge, p: Placement| -> ViewCharge {
-            let mut c = match p {
-                Placement::Reserved => base.clone(),
-                Placement::Spot => spot_pool.adjust(base),
+        let placed = |base: &ViewCharge, p: Placement| -> Price {
+            let price = match p {
+                Placement::Reserved => base.price(),
+                Placement::Spot => spot_pool.adjust(base.price()),
             };
-            c.placement = p;
-            c
+            Price { placement: p, ..price }
         };
 
         for (step, &(op, arg)) in ops.iter().enumerate() {
@@ -155,10 +154,10 @@ proptest! {
                     }
                     let j = arg % mirror.len();
                     let flipped = mirror[j].placement.flipped();
-                    let charge = placed(&pristine[j], flipped);
-                    let old = ev.update_charge(j, charge.clone());
-                    prop_assert_eq!(&old, &mirror[j], "displaced charge at step {}", step);
-                    mirror[j] = charge;
+                    let price = placed(&pristine[j], flipped);
+                    let old = ev.update_charge(j, price);
+                    prop_assert_eq!(old, mirror[j].price(), "displaced price at step {}", step);
+                    mirror[j].set_price(price);
                 }
             }
             let rebuilt = mv_select::SelectionProblem::new(model.clone(), mirror.clone());
@@ -222,7 +221,7 @@ proptest! {
         mask in 0u64..(1 << 10),
         ops in proptest::collection::vec((0u8..4, 0usize..64), 1..30),
     ) {
-        use mv_cost::{InterruptionRisk, Placement, PoolCharge, ViewCharge};
+        use mv_cost::{InterruptionRisk, Placement, PoolCharge, Price, ViewCharge};
 
         let pool_problem =
             fixtures::random_sparse_problem(seed, n_queries, 10, density_pct as f64 / 100.0);
@@ -237,13 +236,12 @@ proptest! {
         let mut mirror_sel: Vec<bool> = start.iter().collect();
         let mut recycle = 0usize;
         let spot_pool = PoolCharge::new(0.5, 1.25, InterruptionRisk::new(0.25));
-        let placed = |base: &ViewCharge, p: Placement| -> ViewCharge {
-            let mut c = match p {
-                Placement::Reserved => base.clone(),
-                Placement::Spot => spot_pool.adjust(base),
+        let placed = |base: &ViewCharge, p: Placement| -> Price {
+            let price = match p {
+                Placement::Reserved => base.price(),
+                Placement::Spot => spot_pool.adjust(base.price()),
             };
-            c.placement = p;
-            c
+            Price { placement: p, ..price }
         };
 
         for (step, &(op, arg)) in ops.iter().enumerate() {
@@ -282,10 +280,10 @@ proptest! {
                     }
                     let j = arg % mirror.len();
                     let flipped = mirror[j].placement.flipped();
-                    let charge = placed(&pristine[j], flipped);
-                    let old = ev.update_charge(j, charge.clone());
-                    prop_assert_eq!(&old, &mirror[j], "displaced charge at step {}", step);
-                    mirror[j] = charge;
+                    let price = placed(&pristine[j], flipped);
+                    let old = ev.update_charge(j, price);
+                    prop_assert_eq!(old, mirror[j].price(), "displaced price at step {}", step);
+                    mirror[j].set_price(price);
                 }
             }
             let rebuilt = mv_select::SelectionProblem::new(model.clone(), mirror.clone());

@@ -2,14 +2,17 @@
 //! the move loops call it tens of thousands of times per solve. (Spelled
 //! out as `flip → snapshot → unflip`, a probe pays two copy-on-write
 //! allocations: the snapshot's selection handle forces the next flip
-//! to copy the word vector.) Counted with a `#[global_allocator]`
-//! wrapper; the count is per thread, so the harness's own threads do
-//! not disturb it.
+//! to copy the word vector.) Neither must what an epoch edge and a
+//! placement probe do to a candidate — `update_charge` moves a `Copy`
+//! `Price`, not a view's name and answer profile. Counted with a
+//! `#[global_allocator]` wrapper; the count is per thread, so the
+//! harness's own threads do not disturb it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use mv_select::{fixtures, IncrementalEvaluator};
+use mv_cost::{Placement, Price};
+use mv_select::{fixtures, local_search, IncrementalEvaluator, Scenario};
 
 struct Counting;
 
@@ -89,4 +92,123 @@ fn a_thousand_warm_probes_allocate_nothing() {
     ev.unflip(1);
     assert!(allocations() > before, "allocation counter is not live");
     assert!(held.selection.contains(1) && !ev.is_selected(1));
+}
+
+/// A third of the pool selected, as mid-search, on an evaluator that
+/// owns its problem (as the chain's do).
+fn mid_search(n_queries: usize, n_candidates: usize) -> IncrementalEvaluator<'static> {
+    let problem = fixtures::random_sparse_problem(43, n_queries, n_candidates, 0.05);
+    let mut ev = IncrementalEvaluator::from_problem(problem);
+    for k in (0..n_candidates).step_by(3) {
+        ev.flip(k);
+    }
+    ev
+}
+
+#[test]
+fn a_thousand_warm_price_splices_allocate_nothing() {
+    let mut ev = mid_search(4_000, 120);
+    let n = ev.problem().len();
+    ev.score();
+    let before = allocations();
+    let mut folded = 0u64;
+    for i in 0..1_000usize {
+        // What an epoch edge does (carry a view, or restore its full
+        // price) and what a placement probe does (splice, score, put
+        // the displaced price back).
+        let k = (i * 7) % n;
+        let view = &ev.problem().candidates()[k];
+        let price = if i % 2 == 0 {
+            view.carried()
+        } else {
+            Price {
+                placement: view.placement.flipped(),
+                ..view.price()
+            }
+        };
+        let displaced = ev.update_charge(k, price);
+        folded ^= ev.score().cost().micros() as u64;
+        if i % 4 >= 2 {
+            ev.update_charge(k, displaced);
+        }
+    }
+    assert_eq!(allocations() - before, 0, "a price splice allocated");
+    assert_ne!(folded, 0);
+}
+
+#[test]
+fn a_round_of_placement_probes_allocates_nothing() {
+    // One `improve_joint` round at a local optimum probes every
+    // placement move (n of them) on top of `improve`'s neighbourhood and
+    // applies none. The spot pool is dearer, so none improves — and the
+    // round must allocate exactly what the plain round does (its move
+    // list), however many candidates were placement-probed.
+    let scenario = Scenario::tradeoff_normalized(0.5);
+    let mut ev = mid_search(600, 40);
+    let n = ev.problem().len();
+    let baseline = ev.problem().baseline();
+    local_search::improve(&mut ev, scenario, &baseline, 4 * n);
+    let full: Vec<Price> = ev
+        .problem()
+        .candidates()
+        .iter()
+        .map(|v| v.price())
+        .collect();
+    let charge_for = |k: usize, p: Placement| -> Price {
+        let factor = if p == full[k].placement { 1.0 } else { 3.0 };
+        Price {
+            materialization: full[k].materialization * factor,
+            maintenance: full[k].maintenance * factor,
+            placement: p,
+            ..full[k]
+        }
+    };
+    let mut placements: Vec<Placement> = full.iter().map(|p| p.placement).collect();
+    let standing = placements.clone();
+
+    // Scores, not evaluations: an `Evaluation` held across the next
+    // round shares the selection's words, and the round's first flip
+    // would copy them.
+    let before = allocations();
+    let plain = local_search::improve(&mut ev, scenario, &baseline, 1).score();
+    let plain_allocations = allocations() - before;
+    let before = allocations();
+    let joint = local_search::improve_joint(
+        &mut ev,
+        scenario,
+        &baseline,
+        1,
+        &mut placements,
+        &charge_for,
+    )
+    .score();
+    let joint_allocations = allocations() - before;
+    assert_eq!(joint, plain, "no placement move may improve");
+    assert_eq!(placements, standing);
+    assert_eq!(
+        joint_allocations, plain_allocations,
+        "{n} placement probes allocated"
+    );
+}
+
+#[test]
+fn a_warm_epoch_edge_allocates_independently_of_the_pool_size() {
+    // The edge: one retarget (the model's clone allocates, in the
+    // workload's size) plus a price splice per candidate.
+    let edge = |n_candidates: usize| {
+        let mut ev = mid_search(256, n_candidates);
+        let model = ev.problem().model().clone();
+        ev.score();
+        let before = allocations();
+        ev.retarget(model.clone());
+        for k in 0..n_candidates {
+            let carried = ev.problem().candidates()[k].carried();
+            if carried != ev.problem().candidates()[k].price() {
+                ev.update_charge(k, carried);
+            }
+        }
+        ev.score();
+        allocations() - before
+    };
+    assert_eq!(edge(30), edge(120));
 }
