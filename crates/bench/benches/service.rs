@@ -14,10 +14,15 @@
 //!    pays.
 //! 3. **ingest** — the per-event cost of the high-water-mark fold and
 //!    drift check, the service's steady-state hot path.
+//! 4. **whatif** — a two-toggle what-if, and the bare fork under it, on
+//!    the resident shape (n = 256 / m = 4 096): the sales r1000 / q3
+//!    service of the other groups has 15 candidates over 3 queries,
+//!    where a fork copies a few hundred bytes whatever it shares.
 
 use std::hint::black_box;
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use mv_bench::shapes;
 use mvcloud::select::{local_search, IncrementalEvaluator, SelectionProblem};
 use mvcloud::{
     sales_domain, Advisor, AdvisorConfig, AdvisorService, CandidateCatalog, QueryEvent, Scenario,
@@ -124,6 +129,33 @@ fn bench_ingest(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_whatif(c: &mut Criterion) {
+    let problem = shapes::scale_problem(&shapes::resident_shape());
+    let catalog = CandidateCatalog::new(
+        problem.model().context().workload.clone(),
+        problem.candidates().to_vec(),
+    );
+    // A short polish: at n = 256 each accepted move scans an O(n²)
+    // swap neighbourhood, and the plan is only the what-ifs' start.
+    let config = ServiceConfig {
+        resolve_moves: 2,
+        ..service_config()
+    };
+    let svc =
+        AdvisorService::from_catalog(catalog, AdvisorConfig::default(), config).expect("service");
+    let n = problem.len();
+    let mut group = c.benchmark_group("service/whatif_n256_m4096");
+    group.bench_function("what_if_toggle_2", |b| {
+        let mut k = 0usize;
+        b.iter(|| {
+            k = (k + 7) % n;
+            black_box(svc.what_if_toggle(&[k, (k + 101) % n]).time)
+        })
+    });
+    group.bench_function("fork_only", |b| b.iter(|| svc.what_if(|_| ())));
+    group.finish();
+}
+
 fn bench_catalog_json(c: &mut Criterion) {
     let svc = AdvisorService::from_advisor(&advisor(), service_config()).expect("service");
     let text = svc.catalog().to_json().render_pretty();
@@ -142,7 +174,7 @@ fn bench_catalog_json(c: &mut Criterion) {
 
 criterion_group! {
     name = benches;
-    config = mv_bench::shapes::fast_config();
-    targets = bench_startup, bench_replan, bench_ingest, bench_catalog_json
+    config = shapes::fast_config();
+    targets = bench_startup, bench_replan, bench_ingest, bench_whatif, bench_catalog_json
 }
 criterion_main!(benches);

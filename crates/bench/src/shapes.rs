@@ -1,15 +1,18 @@
 //! Shared benchmark shapes and criterion configuration.
 //!
-//! Every micro-bench in `benches/` measures against one of two problem
-//! shapes; both are defined HERE so a shape change (or a new ROADMAP
-//! ledger baseline) edits one file, not five:
+//! Every micro-bench in `benches/` measures against one of these
+//! problem shapes; all are defined HERE so a shape change (or a new
+//! ROADMAP ledger baseline) edits one file, not five:
 //!
 //! * the **hot-path shape** — n = [`HOT_CANDIDATES`] candidates over
 //!   m = [`HOT_QUERIES`] queries, the streaming/churn regime the
 //!   evaluator/churn/horizon/market/fleet ratios are recorded at;
 //! * the **scale shape** — n = 2 000 / m = 50 000 sparse coverage
 //!   ([`mv_lattice::ScaleShape::benchmark`]), the regime
-//!   `benches/scale.rs` certifies microsecond probes on.
+//!   `benches/scale.rs` certifies microsecond probes on;
+//! * the **resident shape** — n = 256 / m = 4 096 at the same coverage,
+//!   the catalog a long-lived `AdvisorService` stands on
+//!   ([`resident_shape`]).
 
 use criterion::Criterion;
 use mv_lattice::ScaleShape;
@@ -65,6 +68,13 @@ pub fn scale_shape_sized(queries: usize, candidates: usize) -> ScaleShape {
     }
 }
 
+/// The resident-service shape: n = 256 / m = 4 096, mean coverage 12 —
+/// large enough that what a what-if's fork copies shows (on the sales
+/// r1000 / q3 service a fork is a few hundred bytes).
+pub fn resident_shape() -> ScaleShape {
+    scale_shape_sized(4_096, 256)
+}
+
 /// Builds the charged problem for a scale shape (delegates to
 /// [`mvcloud::scale_problem`] — one construction path with the CLI).
 pub fn scale_problem(shape: &ScaleShape) -> SelectionProblem {
@@ -89,5 +99,8 @@ mod tests {
         let small = scale_shape_sized(100, 10);
         assert_eq!((small.queries, small.candidates), (100, 10));
         assert_eq!(small.seed, s.seed);
+        let resident = resident_shape();
+        assert_eq!((resident.queries, resident.candidates), (4_096, 256));
+        assert_eq!(resident.mean_coverage, s.mean_coverage);
     }
 }

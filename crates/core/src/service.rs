@@ -25,10 +25,12 @@
 //!    never `evaluator/build`.
 //! 4. **Concurrent what-ifs with snapshot isolation** — each
 //!    [`AdvisorService::what_if`] runs on an [`IncrementalEvaluator::fork`]
-//!    of the resident evaluator (copy-on-write problem, refcounted
-//!    selection words), so any number of concurrent explorations can
-//!    flip candidates without perturbing the resident plan
-//!    (property-tested in `tests/service.rs`).
+//!    of the resident evaluator: the fork copies the per-selection
+//!    caches (O(m)) and shares the answer index and the problem, which
+//!    a flip only reads and an edit copies before writing. Any number
+//!    of concurrent explorations can flip, re-price, retarget or churn
+//!    candidates without perturbing the resident plan (property-tested
+//!    in `tests/service.rs`).
 //!
 //! The resident plan is always derived by one canonical procedure —
 //! greedy fill from empty plus a bounded local-search polish on the
@@ -107,6 +109,14 @@ pub struct AdvisorService {
     plan: Evaluation,
     /// The frequencies the resident plan was solved against.
     plan_frequencies: Vec<f64>,
+    /// `plan_frequencies` as a distribution — the plan side of the
+    /// drift check, which runs per ingest but moves only per re-solve.
+    plan_shares: Vec<f64>,
+    /// The catalog workload's total frequency; the catalog is private,
+    /// so it holds for the service's life.
+    mass: f64,
+    /// The sum of `catalog.counts`, bumped beside them.
+    total: u64,
     resolves: u64,
     accepted: u64,
     replayed: u64,
@@ -153,7 +163,9 @@ impl AdvisorService {
         // position (counts-adjusted frequencies) — a reload must land
         // on the same model a running service had after its last
         // re-solve, not on the pre-traffic one.
-        let plan_frequencies = current_frequencies(&catalog);
+        let mass: f64 = catalog.workload.iter().map(|q| q.frequency).sum();
+        let total: u64 = catalog.counts.iter().sum();
+        let plan_frequencies = observed_frequencies(&catalog, mass, total);
         let model = cost_model_for(&advisor_config, catalog.workload.clone())?
             .with_frequencies(&plan_frequencies);
         let problem = SelectionProblem::new(model, catalog.candidates.clone());
@@ -175,7 +187,10 @@ impl AdvisorService {
             evaluator,
             baseline,
             plan,
+            plan_shares: shares(&plan_frequencies),
             plan_frequencies,
+            mass,
+            total,
             resolves: 0,
             accepted: 0,
             replayed: 0,
@@ -229,6 +244,7 @@ impl AdvisorService {
             match index.filter(|_| mark > self.catalog.hwm) {
                 Some(i) => {
                     self.catalog.counts[i] += 1;
+                    self.total += 1;
                     self.catalog.hwm = mark;
                     accepted += 1;
                 }
@@ -257,7 +273,18 @@ impl AdvisorService {
     /// [0, 2]). Zero while no events have been observed, and zero
     /// immediately after a re-solve.
     pub fn drift(&self) -> f64 {
-        l1_distribution_distance(&self.plan_frequencies, &current_frequencies(&self.catalog))
+        // Materialize, then reduce: fused into the in-order sums, the
+        // counts-to-frequencies pass would stay scalar.
+        let observed = observed_frequencies(&self.catalog, self.mass, self.total);
+        let observed_mass: f64 = observed.iter().sum();
+        if self.plan_shares.is_empty() || observed_mass <= 0.0 {
+            return 0.0;
+        }
+        self.plan_shares
+            .iter()
+            .zip(&observed)
+            .map(|(&share, &f)| (share - f / observed_mass).abs())
+            .sum()
     }
 
     /// Re-solves the resident plan against the observed frequencies,
@@ -267,7 +294,8 @@ impl AdvisorService {
     /// it.
     pub fn resolve(&mut self) -> Result<&Evaluation, AdvisorError> {
         mv_obs::span!("service/resolve");
-        self.plan_frequencies = current_frequencies(&self.catalog);
+        self.plan_frequencies = observed_frequencies(&self.catalog, self.mass, self.total);
+        self.plan_shares = shares(&self.plan_frequencies);
         let model = self
             .evaluator
             .problem()
@@ -282,9 +310,12 @@ impl AdvisorService {
     }
 
     /// Runs `explore` on a fork of the resident evaluator: snapshot
-    /// isolation over the copy-on-write problem. The fork sees the
-    /// resident plan's selection and model; nothing it flips, splices
-    /// or retargets reaches the resident state. `&self` — any number of
+    /// isolation. The fork sees the resident plan's selection and
+    /// model; nothing it flips, splices or retargets reaches the
+    /// resident state — what the two share is copied by whichever side
+    /// writes to it first. A fork that `explore` returns, kept alive
+    /// across the next [`AdvisorService::resolve`], costs that
+    /// re-solve one copy of the problem. `&self` — any number of
     /// what-ifs may run concurrently.
     pub fn what_if<R>(&self, explore: impl FnOnce(&mut IncrementalEvaluator<'static>) -> R) -> R {
         mv_obs::inc(mv_obs::Counter::ServiceWhatIfs);
@@ -420,38 +451,33 @@ fn solve_resident(
     local_search::improve(evaluator, config.scenario, baseline, config.resolve_moves)
 }
 
-/// The workload frequencies at the catalog's stream position, re-derived
-/// from the observed counts. While no events have been observed the
-/// original frequencies stand; afterwards the observed distribution
-/// carries the workload's total frequency mass (so bills stay comparable
-/// while the *mix* tracks traffic).
-fn current_frequencies(catalog: &CandidateCatalog) -> Vec<f64> {
-    let total: u64 = catalog.counts.iter().sum();
-    let mass: f64 = catalog.workload.iter().map(|q| q.frequency).sum();
+/// The workload frequencies at the catalog's stream position. While no
+/// events have been observed the original frequencies stand; afterwards
+/// the observed distribution carries the workload's total frequency
+/// mass (so bills stay comparable while the *mix* tracks traffic).
+/// `mass` and `total` are the sums of the catalog's frequencies and of
+/// its counts.
+fn observed_frequencies(catalog: &CandidateCatalog, mass: f64, total: u64) -> Vec<f64> {
+    if total == 0 {
+        return catalog.workload.iter().map(|q| q.frequency).collect();
+    }
+    let total = total as f64;
     catalog
-        .workload
+        .counts
         .iter()
-        .zip(&catalog.counts)
-        .map(|(q, &count)| {
-            if total > 0 {
-                mass * count as f64 / total as f64
-            } else {
-                q.frequency
-            }
-        })
+        .map(|&count| mass * count as f64 / total)
         .collect()
 }
 
-/// L1 distance between two frequency vectors' normalized distributions.
-fn l1_distribution_distance(a: &[f64], b: &[f64]) -> f64 {
-    let (sa, sb): (f64, f64) = (a.iter().sum(), b.iter().sum());
-    if sa <= 0.0 || sb <= 0.0 {
-        return 0.0;
+/// `frequencies` as a distribution: each over their in-order sum. Empty
+/// when that sum is not positive — there is no distribution to drift
+/// from.
+fn shares(frequencies: &[f64]) -> Vec<f64> {
+    let sum: f64 = frequencies.iter().sum();
+    if sum <= 0.0 {
+        return Vec::new();
     }
-    a.iter()
-        .zip(b)
-        .map(|(&x, &y)| (x / sa - y / sb).abs())
-        .sum()
+    frequencies.iter().map(|&f| f / sum).collect()
 }
 
 /// Rebuilds the paper's cost model from the advisor configuration and
@@ -485,6 +511,38 @@ fn cost_model_for(
 mod tests {
     use super::*;
     use crate::sales_domain;
+
+    /// The reference for `observed_frequencies`: every sum re-derived
+    /// from the catalog.
+    fn current_frequencies(catalog: &CandidateCatalog) -> Vec<f64> {
+        let total: u64 = catalog.counts.iter().sum();
+        let mass: f64 = catalog.workload.iter().map(|q| q.frequency).sum();
+        catalog
+            .workload
+            .iter()
+            .zip(&catalog.counts)
+            .map(|(q, &count)| {
+                if total > 0 {
+                    mass * count as f64 / total as f64
+                } else {
+                    q.frequency
+                }
+            })
+            .collect()
+    }
+
+    /// The reference for `drift`: L1 distance between two frequency
+    /// vectors' normalized distributions, nothing cached.
+    fn l1_distribution_distance(a: &[f64], b: &[f64]) -> f64 {
+        let (sa, sb): (f64, f64) = (a.iter().sum(), b.iter().sum());
+        if sa <= 0.0 || sb <= 0.0 {
+            return 0.0;
+        }
+        a.iter()
+            .zip(b)
+            .map(|(&x, &y)| (x / sa - y / sb).abs())
+            .sum()
+    }
 
     fn small_service() -> AdvisorService {
         let domain = sales_domain(1_000, 3, 1.0, 42);
@@ -615,56 +673,90 @@ mod tests {
 
     #[test]
     fn drift_is_the_charge_cloning_expression_bit_for_bit() {
-        // What `drift` computed before it stopped cloning the workload:
-        // every `QueryCharge` copied, its frequency re-derived from the
-        // counts, the frequencies read back out.
-        fn by_cloned_charges(svc: &AdvisorService) -> f64 {
-            let catalog = svc.catalog();
-            let total: u64 = catalog.counts.iter().sum();
-            let mass: f64 = catalog.workload.iter().map(|q| q.frequency).sum();
-            let charges: Vec<mv_cost::QueryCharge> = catalog
-                .workload
-                .iter()
-                .zip(&catalog.counts)
-                .map(|(q, &count)| {
-                    let mut charge = q.clone();
-                    if total > 0 {
-                        charge.frequency = mass * count as f64 / total as f64;
-                    }
-                    charge
-                })
-                .collect();
-            let observed: Vec<f64> = charges.iter().map(|q| q.frequency).collect();
-            l1_distribution_distance(&svc.plan_frequencies, &observed)
+        // What `drift` computes, with nothing kept between calls.
+        fn reference(svc: &AdvisorService) -> u64 {
+            let observed = current_frequencies(svc.catalog());
+            l1_distribution_distance(&svc.plan_frequencies, &observed).to_bits()
         }
-        let mut svc = small_service();
-        assert_eq!(svc.drift().to_bits(), by_cloned_charges(&svc).to_bits());
         let mut state = 0x9e37_79b9_7f4a_7c15u64;
         let mut id = 0;
-        for batch in 0..60u64 {
-            let specs: Vec<QueryEvent> = (0..1 + batch % 5)
+        let mut batch_at = |timestamp: u64| -> Vec<QueryEvent> {
+            (0..1 + timestamp % 5)
                 .map(|_| {
                     state ^= state << 13;
                     state ^= state >> 7;
                     state ^= state << 17;
                     id += 1;
                     QueryEvent {
-                        timestamp: batch,
+                        timestamp,
                         query_id: id,
                         // Skewed towards Q1, so some batches re-solve.
                         query: ["Q1", "Q1", "Q1", "Q2", "Q3"][(state % 5) as usize].to_string(),
                     }
                 })
-                .collect();
+                .collect()
+        };
+        let mut svc = small_service();
+        // No events yet: the counts' total is zero.
+        assert_eq!(svc.drift().to_bits(), reference(&svc));
+        for batch in 0..60u64 {
+            let specs = batch_at(batch);
             let out = svc.ingest(&specs).unwrap();
-            assert_eq!(
-                out.drift.to_bits(),
-                by_cloned_charges(&svc).to_bits(),
-                "batch {batch}"
-            );
+            assert_eq!(out.drift.to_bits(), reference(&svc), "batch {batch}");
             assert_eq!(svc.drift().to_bits(), out.drift.to_bits(), "batch {batch}");
+            if out.resolved {
+                // Straight after a re-solve the plan side moved too.
+                let observed = current_frequencies(svc.catalog());
+                assert_eq!(svc.plan_frequencies, observed, "batch {batch}");
+            }
+            if batch % 7 == 0 {
+                // A replay-only batch moves no count and no total.
+                let again = svc.ingest(&specs).unwrap();
+                assert_eq!(again.accepted, 0, "batch {batch}");
+                assert_eq!(again.drift.to_bits(), reference(&svc), "batch {batch}");
+            }
         }
         assert!(svc.resolves() > 0, "the skew never re-solved");
+        assert!(svc.drift() > 0.0, "the walk ended on a re-solve");
+
+        // Spill → open: the reloaded service derives its constants from
+        // the spilled counts, and then tracks the running one.
+        let path = std::env::temp_dir().join(format!("mvcloud-drift-{}.json", std::process::id()));
+        svc.spill(&path).unwrap();
+        let config = ServiceConfig::new(Scenario::tradeoff_normalized(0.5));
+        let mut reopened = AdvisorService::open(&path, AdvisorConfig::default(), config).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        assert_eq!(reopened.drift().to_bits(), reference(&reopened));
+        for batch in 60..80u64 {
+            let specs = batch_at(batch);
+            let out = reopened.ingest(&specs).unwrap();
+            assert_eq!(out.drift.to_bits(), reference(&reopened), "batch {batch}");
+            let out = svc.ingest(&specs).unwrap();
+            assert_eq!(out.drift.to_bits(), reference(&svc), "batch {batch}");
+        }
+        assert_eq!(reopened.catalog().counts, svc.catalog().counts);
+    }
+
+    #[test]
+    fn a_workload_without_frequency_mass_never_drifts() {
+        // Nothing to normalize on the plan side: drift is 0.0 — not the
+        // NaN a cached 0 / 0 share would make — before and after traffic.
+        let mut catalog = small_service().catalog;
+        for q in &mut catalog.workload {
+            q.frequency = 0.0;
+        }
+        let config = ServiceConfig::new(Scenario::budget(mv_units::Money::from_dollars(100)));
+        let mut svc =
+            AdvisorService::from_catalog(catalog, AdvisorConfig::default(), config).unwrap();
+        assert_eq!(svc.drift().to_bits(), 0f64.to_bits());
+        let out = svc
+            .ingest(&events(&[(1, 1, "Q1"), (1, 2, "Q1"), (2, 1, "Q3")]))
+            .unwrap();
+        assert_eq!(out.drift.to_bits(), 0f64.to_bits());
+        assert!(!out.resolved);
+        svc.resolve().unwrap();
+        assert_eq!(svc.drift().to_bits(), 0f64.to_bits());
+        assert!(svc.plan_report().render().contains("\"drift\":0,"));
     }
 
     #[test]
@@ -679,7 +771,8 @@ mod tests {
             c.counts = vec![3, 1, 0];
             c
         };
-        let frequencies = current_frequencies(&catalog);
+        let frequencies = observed_frequencies(&catalog, 6.0, 4);
+        assert_eq!(frequencies, current_frequencies(&catalog));
         let mass: f64 = frequencies.iter().sum();
         assert!((mass - 6.0).abs() < 1e-12, "3 queries × frequency 2");
         assert!((frequencies[0] - 4.5).abs() < 1e-12);

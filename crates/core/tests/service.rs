@@ -13,6 +13,7 @@
 use std::fs;
 use std::path::Path;
 
+use mvcloud::select::IncrementalEvaluator;
 use mvcloud::{
     sales_domain, Advisor, AdvisorConfig, AdvisorService, CandidateCatalog, QueryEvent, Scenario,
     ServiceConfig,
@@ -140,9 +141,13 @@ proptest! {
     // Each case builds a measured advisor; keep the count modest.
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Concurrent what-ifs run on evaluator forks: whatever they flip,
-    /// from however many threads, the resident plan and its report are
-    /// untouched.
+    /// Concurrent what-ifs run on evaluator forks: whatever they flip —
+    /// or write to what a fork shares with the resident: the model
+    /// (`retarget`), a price (`update_charge`), the pool
+    /// (`add_candidate` + `remove_candidate`) — from however many
+    /// threads, and however long a fork outlives its call, the resident
+    /// plan, its report and its next re-solve are those of a twin
+    /// service that never ran a what-if.
     #[test]
     fn concurrent_what_ifs_never_perturb_the_resident_plan(
         seed in 0u64..1_000,
@@ -150,36 +155,92 @@ proptest! {
         n_queries in 2usize..5,
         toggles in prop::collection::vec(prop::collection::vec(0usize..15, 1..5), 1..8),
     ) {
-        let svc = service(rows, n_queries, seed);
+        let mut svc = service(rows, n_queries, seed);
+        let mut twin = service(rows, n_queries, seed);
         let before = svc.plan().clone();
         let report_before = svc.plan_report().render();
         let n = svc.catalog().candidates.len();
 
-        std::thread::scope(|scope| {
-            for spec in &toggles {
-                let svc = &svc;
-                scope.spawn(move || {
-                    let ks: Vec<usize> = spec.iter().map(|&k| k % n).collect();
-                    let probe = svc.what_if_toggle(&ks);
-                    // The fork starts from the resident selection, so a
-                    // single distinct toggle must change it.
-                    let mut distinct: Vec<usize> = ks.clone();
-                    distinct.sort_unstable();
-                    distinct.dedup();
-                    let odd: Vec<usize> = distinct
-                        .into_iter()
-                        .filter(|k| ks.iter().filter(|&&x| x == *k).count() % 2 == 1)
-                        .collect();
-                    if !odd.is_empty() {
-                        assert_ne!(probe.selection, svc.plan().selection);
-                    }
-                });
-            }
+        let kept: Vec<IncrementalEvaluator<'static>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = toggles
+                .iter()
+                .enumerate()
+                .map(|(t, spec)| {
+                    let svc = &svc;
+                    scope.spawn(move || {
+                        let ks: Vec<usize> = spec.iter().map(|&k| k % n).collect();
+                        let probe = svc.what_if_toggle(&ks);
+                        // The fork starts from the resident selection, so a
+                        // single distinct toggle must change it.
+                        let mut distinct: Vec<usize> = ks.clone();
+                        distinct.sort_unstable();
+                        distinct.dedup();
+                        let odd: Vec<usize> = distinct
+                            .into_iter()
+                            .filter(|k| ks.iter().filter(|&&x| x == *k).count() % 2 == 1)
+                            .collect();
+                        if !odd.is_empty() {
+                            assert_ne!(probe.selection, svc.plan().selection);
+                        }
+                        // A what-if that writes to the shared halves, by
+                        // thread; every other one hands its fork out.
+                        let k = ks[0];
+                        svc.what_if(|ev| {
+                            match t % 3 {
+                                0 => {
+                                    let model = ev.problem().model();
+                                    let mut reweighted: Vec<f64> = model
+                                        .context()
+                                        .workload
+                                        .iter()
+                                        .map(|q| q.frequency + 1.0)
+                                        .collect();
+                                    reweighted[0] += 3.0;
+                                    let model = model.with_frequencies(&reweighted);
+                                    ev.retarget(model);
+                                }
+                                1 => {
+                                    let carried = ev.problem().candidates()[k].carried();
+                                    ev.update_charge(k, carried);
+                                }
+                                _ => {
+                                    let extra = ev.problem().candidates()[k].clone();
+                                    let added = ev.add_candidate(extra);
+                                    ev.flip(added);
+                                    ev.remove_candidate(k);
+                                }
+                            }
+                            let written = ev.snapshot();
+                            assert_eq!(written, ev.problem().evaluate(ev.selection()));
+                            (t % 2 == 0).then(|| ev.fork())
+                        })
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .filter_map(|h| h.join().expect("what-if thread"))
+                .collect()
         });
 
         prop_assert_eq!(svc.plan(), &before);
         prop_assert_eq!(svc.plan_report().render(), report_before);
         // The resident evaluator still evaluates to the resident plan.
         prop_assert_eq!(svc.what_if(|ev| ev.snapshot()), before);
+        prop_assert_eq!(svc.plan(), twin.plan());
+        prop_assert_eq!(svc.plan_report().render(), twin.plan_report().render());
+
+        // The next re-solve — with the handed-out forks still alive and
+        // still sharing whatever they never wrote to.
+        for s in [&mut svc, &mut twin] {
+            s.ingest(&skew_events(3, 4, "Q1")).expect("ingest");
+            s.resolve().expect("resolve");
+        }
+        prop_assert_eq!(svc.plan(), twin.plan());
+        prop_assert_eq!(svc.plan_report().render(), twin.plan_report().render());
+        // Nor did the re-solve reach the forks.
+        for mut fork in kept {
+            prop_assert_eq!(fork.snapshot(), fork.problem().evaluate(fork.selection()));
+        }
     }
 }

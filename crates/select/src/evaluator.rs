@@ -74,8 +74,8 @@
 //!   times and frequencies). A block refold is then a straight sum of
 //!   64 contiguous `f64`s — in the same order, of the same products, as
 //!   the model's own fold — instead of a stride through 48-byte
-//!   `QueryCharge` structs. It is the only per-query state the probe
-//!   path added (8 bytes per query on a `fork`).
+//!   `QueryCharge` structs. It is per-selection state: a `fork` copies
+//!   it (see *Forks*).
 //! * **Save and restore of block sums.** A probe first settles
 //!   whatever earlier *accepted* moves left dirty, applies its toggles,
 //!   saves the sums of the blocks they dirtied, scores, reverts the
@@ -114,17 +114,45 @@
 //!   place; the arena compacts itself once dead entries outnumber live
 //!   ones.
 //!
-//! The evaluator holds its problem as a clone-on-write handle: solvers
-//! probing a fixed problem borrow it (zero copies, as before), while the
-//! first dynamic edit promotes the evaluator to an owned problem that
+//! Solvers probing a fixed problem borrow it (zero copies); the first
+//! dynamic edit promotes the evaluator to a problem of its own that
 //! grows and shrinks with the candidate pool. `snapshot()` stays
 //! bit-identical to a from-scratch `SelectionProblem::evaluate` on the
 //! equivalent static problem throughout — property-tested over random
 //! add/remove/flip interleavings in `tests/evaluator_matches.rs`.
+//!
+//! # Forks
+//!
+//! [`IncrementalEvaluator::fork`] is what a scenario-tree branch point
+//! and a resident what-if pay per exploration, so the evaluator is
+//! split by who writes what:
+//!
+//! * **Shared** (one `Arc` bump each): the **answer index** — arena,
+//!   spans and top-k tables, a function of the candidate pool alone —
+//!   and the **problem** (model, charges, names, profiles). A flip, a
+//!   probe and a score only read them.
+//! * **Copied**: the per-selection state — selection words (themselves
+//!   copy-on-write), best / runner-up caches, terms, block sums and the
+//!   dirty list. At m = 4 096 that is ≈ 130 KB in 7 allocations (8
+//!   with blocks dirty), independent of n and of Σ deg
+//!   (`tests/probe_allocs.rs`).
+//!
+//! A write to a shared half copies it first if — and only if — someone
+//! else still holds it: `add_candidate`, `remove_candidate` and the
+//! compaction it may trigger un-share the index; `retarget`,
+//! `update_charge` and the two candidate edits un-share the problem.
+//! Once the other holders are gone the writes are in place again, so
+//! a what-if that has returned costs the resident nothing — but a fork
+//! *kept alive* across the resident's next `retarget` (a service
+//! re-solve) costs that retarget one problem copy. Forks never see each
+//! other's edits, nor their origin's (`tests/fork_isolation.rs`).
 
-use std::borrow::Cow;
+use std::ops::Deref;
+use std::sync::Arc;
 
-use mv_cost::{CloudCostModel, Price, SelectionSet, ViewCharge, TIME_FOLD_BLOCK};
+use mv_cost::{
+    AnswerProfile, CloudCostModel, Price, QueryCharge, SelectionSet, ViewCharge, TIME_FOLD_BLOCK,
+};
 use mv_obs::{Counter, Hist};
 use mv_units::{Gb, Hours};
 
@@ -158,27 +186,12 @@ struct Span {
     len: u32,
 }
 
-/// O(deg)-per-flip evaluator over a [`SelectionProblem`].
-///
-/// ```
-/// use mv_select::{fixtures, IncrementalEvaluator};
-///
-/// let problem = fixtures::paper_like_problem();
-/// let mut ev = IncrementalEvaluator::new(&problem);
-/// let mut sel = mv_cost::SelectionSet::empty(problem.len());
-/// sel.set(0, true);
-/// // What would selecting view 0 score? The evaluator does not move.
-/// assert_eq!(ev.probe(&[0]), problem.evaluate(&sel).score());
-/// assert_eq!(ev.snapshot(), problem.baseline());
-/// ev.flip(0);
-/// assert_eq!(ev.snapshot(), problem.evaluate(&sel));
-/// ev.unflip(0);
-/// assert_eq!(ev.snapshot(), problem.baseline());
-/// ```
+/// The answer index: who answers which query how fast. A function of
+/// the candidate pool alone — no selection, no model — so forks share
+/// it (see the module's *Forks* section). Written only through
+/// `Arc::make_mut`, by `add_candidate` and `remove_candidate`.
 #[derive(Debug, Clone)]
-pub struct IncrementalEvaluator<'p> {
-    problem: Cow<'p, SelectionProblem>,
-    selection: SelectionSet,
+struct Index {
     /// Per-view spans into the shared answer arena.
     spans: Vec<Span>,
     /// Arena: query ids, ascending within each span.
@@ -198,169 +211,51 @@ pub struct IncrementalEvaluator<'p> {
     /// table. Once set, an empty-handed table rescan must fall back to
     /// the exact sweep; never reset (outsiders are untracked).
     pruned: Vec<bool>,
-    /// Fastest selected view per query (`NONE` = none selected).
-    best_view: Vec<u32>,
-    /// Its time; meaningless where `best_view` is `NONE`.
-    best_time: Vec<Hours>,
-    /// Runner-up selected view per query.
-    second_view: Vec<u32>,
-    /// Its time; meaningless where `second_view` is `NONE`.
-    second_time: Vec<Hours>,
-    /// Cached per-block partial sums of the canonical
-    /// [`TIME_FOLD_BLOCK`]-wide processing-time fold. A probe refolds
-    /// only the blocks whose per-query minima changed since the last
-    /// refresh, so `score()` is O(n/64 + selected + m/B + B·dirty)
-    /// instead of O(n + m).
-    block_time: Vec<Hours>,
-    /// Whether block `b` needs a refold (parallel to `block_time`).
-    block_dirty: Vec<bool>,
-    /// The dirty blocks, unordered (refolds are independent).
-    dirty_blocks: Vec<u32>,
-    /// Every block is stale (fresh build / retarget): refold them all
-    /// and ignore the dirty list.
-    all_dirty: bool,
-    /// Per-query term of the time fold, `min(base, best) × frequency`:
-    /// rewritten where a flip moves a query's best view and reloaded
-    /// whole on [`IncrementalEvaluator::retarget`], so a block refold
-    /// sums 64 contiguous values instead of striding through the
-    /// model's `QueryCharge` structs.
-    term: Vec<Hours>,
-    /// [`IncrementalEvaluator::probe`]'s scratch: the sums of the
-    /// blocks it refolds, put back once the toggles are reverted.
-    /// Empty between probes; kept for its capacity.
-    saved_blocks: Vec<(u32, Hours)>,
 }
 
-impl<'p> IncrementalEvaluator<'p> {
-    /// Builds an evaluator positioned at the empty selection, borrowing
-    /// `problem`. O(Σ deg + m).
-    pub fn new(problem: &'p SelectionProblem) -> Self {
-        Self::build(Cow::Borrowed(problem))
-    }
-
-    /// Builds an evaluator that **owns** its problem — the streaming
-    /// entry point: start from a zero-candidate problem and grow it with
-    /// [`IncrementalEvaluator::add_candidate`] without ever paying the
-    /// copy-on-write promotion.
-    pub fn from_problem(problem: SelectionProblem) -> IncrementalEvaluator<'static> {
-        IncrementalEvaluator::build(Cow::Owned(problem))
-    }
-
-    /// Total evaluator builds recorded by `mv-obs` so far (monotone
-    /// while telemetry is enabled; frozen otherwise). Delta-asserting
-    /// tests should scope reads with [`mv_obs::CounterGuard`] — it
-    /// enables telemetry and serializes concurrent delta sections —
-    /// and compare deltas to prove a hot loop never paid a full
-    /// rebuild (the no-rebuild assertions of the market tests).
-    pub fn build_count() -> usize {
-        mv_obs::counter::get(Counter::EvaluatorBuild) as usize
-    }
-
-    /// Total [`IncrementalEvaluator::retarget`] calls recorded by
-    /// `mv-obs` so far. The scenario-tree tests assert "one retarget
-    /// per tree edge" through guarded deltas of this counter.
-    pub fn retarget_count() -> usize {
-        mv_obs::counter::get(Counter::EvaluatorRetarget) as usize
-    }
-
-    /// Total [`IncrementalEvaluator::fork`] calls recorded by `mv-obs`
-    /// so far.
-    pub fn fork_count() -> usize {
-        mv_obs::counter::get(Counter::EvaluatorFork) as usize
-    }
-
-    /// Clones the warm evaluator for a scenario-tree branch point: the
-    /// copy carries every cache (answer arena, top-k tables, per-query
-    /// minima, term cache, block sums) and continues independently.
-    /// Counted in [`IncrementalEvaluator::fork_count`], *not* in
-    /// [`IncrementalEvaluator::build_count`] — no O(n·m) rebuild happens.
-    pub fn fork(&self) -> Self {
-        mv_obs::inc(Counter::EvaluatorFork);
-        self.clone()
-    }
-
-    fn build(problem: Cow<'p, SelectionProblem>) -> Self {
-        mv_obs::inc(Counter::EvaluatorBuild);
-        let m = problem.model().context().workload.len();
-        let n = problem.len();
-        let total: usize = problem
-            .candidates()
-            .iter()
-            .map(|v| v.profile.answered())
-            .sum();
-        let mut ev = IncrementalEvaluator {
-            problem,
-            selection: SelectionSet::empty(n),
-            spans: Vec::with_capacity(n),
-            arena_q: Vec::with_capacity(total),
-            arena_t: Vec::with_capacity(total),
+impl Index {
+    /// The index of `candidates` over an `m`-query workload.
+    fn new(m: usize, candidates: &[ViewCharge]) -> Index {
+        let entries: usize = candidates.iter().map(|v| v.profile.answered()).sum();
+        let mut index = Index {
+            spans: Vec::with_capacity(candidates.len()),
+            arena_q: Vec::with_capacity(entries),
+            arena_t: Vec::with_capacity(entries),
             dead: 0,
             top_view: vec![NONE; m * ANSWER_TOP_K],
             top_time: vec![Hours::ZERO; m * ANSWER_TOP_K],
             top_len: vec![0; m],
             pruned: vec![false; m],
-            best_view: vec![NONE; m],
-            best_time: vec![Hours::ZERO; m],
-            second_view: vec![NONE; m],
-            second_time: vec![Hours::ZERO; m],
-            block_time: vec![Hours::ZERO; m.div_ceil(TIME_FOLD_BLOCK)],
-            block_dirty: vec![false; m.div_ceil(TIME_FOLD_BLOCK)],
-            dirty_blocks: Vec::new(),
-            all_dirty: true,
-            term: vec![Hours::ZERO; m],
-            saved_blocks: Vec::new(),
         };
-        for k in 0..n {
-            ev.push_span(k);
+        for v in candidates {
+            index.push_span(&v.profile);
         }
-        ev.reload_terms();
-        ev
+        index
     }
 
-    /// Appends candidate `k`'s profile to the arena and offers its
-    /// entries to the top-k tables. The span must not exist yet.
-    fn push_span(&mut self, k: usize) {
-        debug_assert_eq!(self.spans.len(), k);
+    /// Appends the next view's profile to the arena and offers its
+    /// entries to the top-k tables.
+    fn push_span(&mut self, profile: &AnswerProfile) {
         let start = self.arena_q.len();
-        let profile = &self.problem.candidates()[k].profile;
+        let v = self.spans.len() as u32;
         self.arena_q.extend_from_slice(profile.query_ids());
         self.arena_t.extend_from_slice(profile.times());
         self.spans.push(Span {
             start: u32::try_from(start).expect("arena fits in u32"),
             len: profile.answered() as u32,
         });
-        let kk = k as u32;
         for idx in start..self.arena_q.len() {
             let (i, t) = (self.arena_q[idx] as usize, self.arena_t[idx]);
-            self.topk_insert(i, kk, t);
+            self.topk_insert(i, v, t);
         }
     }
 
-    /// Builds an evaluator positioned at `selection`.
-    pub fn with_selection(problem: &'p SelectionProblem, selection: &SelectionSet) -> Self {
-        let mut ev = IncrementalEvaluator::new(problem);
-        for k in selection.ones() {
-            ev.flip(k);
-        }
-        ev
+    /// View `k`'s answers: query ids (ascending) and times, parallel.
+    fn span(&self, k: usize) -> (&[u32], &[Hours]) {
+        let span = self.spans[k];
+        let (s, e) = (span.start as usize, (span.start + span.len) as usize);
+        (&self.arena_q[s..e], &self.arena_t[s..e])
     }
-
-    /// The underlying problem (borrowed or owned; reflects any dynamic
-    /// candidate edits).
-    pub fn problem(&self) -> &SelectionProblem {
-        &self.problem
-    }
-
-    /// Consumes the evaluator, returning its problem — including every
-    /// dynamic candidate edit. Clones only if the problem was still
-    /// borrowed and never edited.
-    pub fn into_problem(self) -> SelectionProblem {
-        self.problem.into_owned()
-    }
-
-    // ------------------------------------------------------------------
-    // Top-k pruned answer tables.
-    // ------------------------------------------------------------------
 
     /// Offers `(v, t)` to query `i`'s top-k table, preserving the
     /// pruning invariant: **every answerer outside the table has a time
@@ -427,27 +322,23 @@ impl<'p> IncrementalEvaluator<'p> {
     /// The answer time of view `k` for query `i`, by binary search over
     /// `k`'s arena span. O(log deg).
     fn span_time(&self, k: usize, i: u32) -> Option<Hours> {
-        let span = self.spans[k];
-        let (s, e) = (span.start as usize, (span.start + span.len) as usize);
-        self.arena_q[s..e]
-            .binary_search(&i)
-            .ok()
-            .map(|pos| self.arena_t[s + pos])
+        let (queries, times) = self.span(k);
+        queries.binary_search(&i).ok().map(|pos| times[pos])
     }
 
-    /// Finds the fastest selected view answering query `i`, excluding
-    /// `except` (the current best). Scans the top-k table first — exact
-    /// whenever it yields anyone, by the pruning invariant — and only
-    /// falls back to the exact sweep over the selected views' spans when
-    /// a pruned table comes up empty. Returns `(view, time)` with
-    /// `view == NONE` for "nobody".
-    fn rescan_runner_up(&self, i: usize, except: u32) -> (u32, Hours) {
+    /// Finds the fastest view of `selection` answering query `i`,
+    /// excluding `except` (the current best). Scans the top-k table
+    /// first — exact whenever it yields anyone, by the pruning
+    /// invariant — and only falls back to the exact sweep over the
+    /// selected views' spans when a pruned table comes up empty.
+    /// Returns `(view, time)` with `view == NONE` for "nobody".
+    fn rescan_runner_up(&self, selection: &SelectionSet, i: usize, except: u32) -> (u32, Hours) {
         let base = i * ANSWER_TOP_K;
         let len = self.top_len[i] as usize;
         let (mut view, mut time) = (NONE, Hours::ZERO);
         for j in 0..len {
             let v = self.top_view[base + j];
-            if v == except || !self.selection.contains(v as usize) {
+            if v == except || !selection.contains(v as usize) {
                 continue;
             }
             let t = self.top_time[base + j];
@@ -462,7 +353,7 @@ impl<'p> IncrementalEvaluator<'p> {
             // it needs > ANSWER_TOP_K answerers of one query *and* none
             // of the k fastest selected.
             let iq = i as u32;
-            for k in self.selection.ones() {
+            for k in selection.ones() {
                 if k as u32 == except {
                     continue;
                 }
@@ -475,89 +366,6 @@ impl<'p> IncrementalEvaluator<'p> {
             }
         }
         (view, time)
-    }
-
-    // ------------------------------------------------------------------
-    // Dynamic candidates.
-    // ------------------------------------------------------------------
-
-    /// Splices a new candidate into the evaluator — and into its problem —
-    /// returning the new index. The view starts **deselected**; its span
-    /// joins the arena and its entries are offered to the per-query
-    /// top-k tables in O(deg), with no rebuild of the cached
-    /// best/runner-up state. On a borrowed evaluator the first edit
-    /// clones the problem (copy-on-write); [`IncrementalEvaluator::
-    /// from_problem`] avoids even that.
-    pub fn add_candidate(&mut self, charge: ViewCharge) -> usize {
-        let k = self.problem.to_mut().push_candidate(charge);
-        self.push_span(k);
-        self.selection.push(false);
-        k
-    }
-
-    /// Retires candidate `k`, returning its charge. If selected, it is
-    /// deselected first (the `unflip` eviction leaves no best/runner-up
-    /// slot pointing at the retired index). Indices follow
-    /// `Vec::swap_remove` semantics: the last candidate takes index `k`
-    /// (renumbered in the top-k tables and query caches); all other
-    /// indices are stable. O(deg(k) + deg(last)); the abandoned arena
-    /// span is reclaimed by a later compaction.
-    pub fn remove_candidate(&mut self, k: usize) -> ViewCharge {
-        let n = self.spans.len();
-        assert!(k < n, "candidate {k} out of {n}");
-        if self.selection.contains(k) {
-            self.unflip(k);
-        }
-        let last = n - 1;
-        let kk = k as u32;
-        let span = self.spans[k];
-        for idx in span.start as usize..(span.start + span.len) as usize {
-            let i = self.arena_q[idx] as usize;
-            self.topk_remove(i, kk);
-        }
-        self.dead += span.len as usize;
-        if k != last {
-            // The last candidate takes index k: renumber its table
-            // entries and any cache slots currently naming it.
-            let lk = last as u32;
-            let lspan = self.spans[last];
-            for idx in lspan.start as usize..(lspan.start + lspan.len) as usize {
-                let i = self.arena_q[idx] as usize;
-                let base = i * ANSWER_TOP_K;
-                for j in 0..self.top_len[i] as usize {
-                    if self.top_view[base + j] == lk {
-                        self.top_view[base + j] = kk;
-                    }
-                }
-                if self.best_view[i] == lk {
-                    self.best_view[i] = kk;
-                }
-                if self.second_view[i] == lk {
-                    self.second_view[i] = kk;
-                }
-            }
-        }
-        self.spans.swap_remove(k);
-        self.selection.swap_remove(k);
-        let charge = self.problem.to_mut().swap_remove_candidate(k);
-        self.maybe_compact();
-        charge
-    }
-
-    /// Re-prices candidate `k` in place — the epoch-boundary splice,
-    /// and the fleet search's placement flip. O(1): a [`Price`] cannot
-    /// carry an answer profile, and nothing this evaluator caches (answer
-    /// arena, top-k tables, per-query minima, terms, block sums) depends
-    /// on a view's size, build or refresh time — `score` reads those
-    /// from the problem. Indices and the selection state of `k` are
-    /// untouched. Returns the old price. (A view whose *answers* change
-    /// is a different candidate: [`IncrementalEvaluator::
-    /// remove_candidate`] + [`IncrementalEvaluator::add_candidate`].)
-    pub fn update_charge(&mut self, k: usize, price: Price) -> Price {
-        let n = self.spans.len();
-        assert!(k < n, "candidate {k} out of {n}");
-        mv_obs::inc(Counter::EvaluatorUpdateCharge);
-        self.problem.to_mut().reprice_candidate(k, price)
     }
 
     /// Rebuilds the arena without the abandoned spans once they
@@ -582,6 +390,310 @@ impl<'p> IncrementalEvaluator<'p> {
         self.arena_t = t;
         self.dead = 0;
     }
+}
+
+/// The evaluator's problem: borrowed from a solver's caller, or its own
+/// — and then shared with its forks until one of them writes.
+#[derive(Debug, Clone)]
+enum ProblemHandle<'p> {
+    Borrowed(&'p SelectionProblem),
+    Shared(Arc<SelectionProblem>),
+}
+
+impl Deref for ProblemHandle<'_> {
+    type Target = SelectionProblem;
+
+    fn deref(&self) -> &SelectionProblem {
+        match self {
+            ProblemHandle::Borrowed(problem) => problem,
+            ProblemHandle::Shared(problem) => problem,
+        }
+    }
+}
+
+impl ProblemHandle<'_> {
+    /// The problem, for writing: a borrowed one is cloned into a handle
+    /// of its own first, a shared one is copied only while a fork (or
+    /// the origin) still holds it.
+    fn to_mut(&mut self) -> &mut SelectionProblem {
+        if let ProblemHandle::Borrowed(problem) = *self {
+            *self = ProblemHandle::Shared(Arc::new(problem.clone()));
+        }
+        match self {
+            ProblemHandle::Shared(problem) => Arc::make_mut(problem),
+            ProblemHandle::Borrowed(_) => unreachable!("promoted above"),
+        }
+    }
+
+    fn into_problem(self) -> SelectionProblem {
+        match self {
+            ProblemHandle::Borrowed(problem) => problem.clone(),
+            ProblemHandle::Shared(problem) => Arc::unwrap_or_clone(problem),
+        }
+    }
+}
+
+/// O(deg)-per-flip evaluator over a [`SelectionProblem`].
+///
+/// ```
+/// use mv_select::{fixtures, IncrementalEvaluator};
+///
+/// let problem = fixtures::paper_like_problem();
+/// let mut ev = IncrementalEvaluator::new(&problem);
+/// let mut sel = mv_cost::SelectionSet::empty(problem.len());
+/// sel.set(0, true);
+/// // What would selecting view 0 score? The evaluator does not move.
+/// assert_eq!(ev.probe(&[0]), problem.evaluate(&sel).score());
+/// assert_eq!(ev.snapshot(), problem.baseline());
+/// ev.flip(0);
+/// assert_eq!(ev.snapshot(), problem.evaluate(&sel));
+/// ev.unflip(0);
+/// assert_eq!(ev.snapshot(), problem.baseline());
+/// ```
+#[derive(Debug, Clone)]
+pub struct IncrementalEvaluator<'p> {
+    problem: ProblemHandle<'p>,
+    /// Shared with every fork; see [`Index`].
+    index: Arc<Index>,
+    selection: SelectionSet,
+    /// Fastest selected view per query (`NONE` = none selected).
+    best_view: Vec<u32>,
+    /// Its time; meaningless where `best_view` is `NONE`.
+    best_time: Vec<Hours>,
+    /// Runner-up selected view per query.
+    second_view: Vec<u32>,
+    /// Its time; meaningless where `second_view` is `NONE`.
+    second_time: Vec<Hours>,
+    /// Cached per-block partial sums of the canonical
+    /// [`TIME_FOLD_BLOCK`]-wide processing-time fold. A probe refolds
+    /// only the blocks whose per-query minima changed since the last
+    /// refresh, so `score()` is O(n/64 + selected + m/B + B·dirty)
+    /// instead of O(n + m).
+    block_time: Vec<Hours>,
+    /// Whether block `b` needs a refold (parallel to `block_time`).
+    block_dirty: Vec<bool>,
+    /// The dirty blocks, unordered (refolds are independent).
+    dirty_blocks: Vec<u32>,
+    /// Every block is stale (fresh build / retarget): refold them all
+    /// and ignore the dirty list.
+    all_dirty: bool,
+    /// Per-query term of the time fold, `min(base, best) × frequency`:
+    /// rewritten where a flip moves a query's best view and reloaded
+    /// whole on [`IncrementalEvaluator::retarget`], so a block refold
+    /// sums 64 contiguous values instead of striding through the
+    /// model's `QueryCharge` structs.
+    term: Vec<Hours>,
+    /// [`IncrementalEvaluator::probe`]'s scratch: the sums of the
+    /// blocks it refolds, put back once the toggles are reverted.
+    /// Empty between probes; kept for its capacity.
+    saved_blocks: Vec<(u32, Hours)>,
+}
+
+/// Query `q`'s term of the time fold when its fastest selected view is
+/// `view`, answering in `time` — the one expression every entry of
+/// `term` is computed by.
+fn term_of(q: &QueryCharge, view: u32, time: Hours) -> Hours {
+    let t = if view == NONE {
+        q.base_time
+    } else {
+        q.base_time.min(time)
+    };
+    t * q.frequency
+}
+
+/// Query `i`'s best selected view changed (its term is rewritten by
+/// the caller): mark its time-fold block stale. O(1).
+fn mark_dirty(i: usize, all_dirty: bool, block_dirty: &mut [bool], dirty_blocks: &mut Vec<u32>) {
+    if all_dirty {
+        return;
+    }
+    let b = i / TIME_FOLD_BLOCK;
+    if !block_dirty[b] {
+        block_dirty[b] = true;
+        dirty_blocks.push(b as u32);
+    }
+}
+
+impl<'p> IncrementalEvaluator<'p> {
+    /// Builds an evaluator positioned at the empty selection, borrowing
+    /// `problem`. O(Σ deg + m).
+    pub fn new(problem: &'p SelectionProblem) -> Self {
+        Self::build(ProblemHandle::Borrowed(problem))
+    }
+
+    /// Builds an evaluator that **owns** its problem — the streaming
+    /// entry point: start from a zero-candidate problem and grow it with
+    /// [`IncrementalEvaluator::add_candidate`] without ever paying the
+    /// promotion's clone.
+    pub fn from_problem(problem: SelectionProblem) -> IncrementalEvaluator<'static> {
+        IncrementalEvaluator::build(ProblemHandle::Shared(Arc::new(problem)))
+    }
+
+    /// Total evaluator builds recorded by `mv-obs` so far (monotone
+    /// while telemetry is enabled; frozen otherwise). Delta-asserting
+    /// tests should scope reads with [`mv_obs::CounterGuard`] — it
+    /// enables telemetry and serializes concurrent delta sections —
+    /// and compare deltas to prove a hot loop never paid a full
+    /// rebuild (the no-rebuild assertions of the market tests).
+    pub fn build_count() -> usize {
+        mv_obs::counter::get(Counter::EvaluatorBuild) as usize
+    }
+
+    /// Total [`IncrementalEvaluator::retarget`] calls recorded by
+    /// `mv-obs` so far. The scenario-tree tests assert "one retarget
+    /// per tree edge" through guarded deltas of this counter.
+    pub fn retarget_count() -> usize {
+        mv_obs::counter::get(Counter::EvaluatorRetarget) as usize
+    }
+
+    /// Total [`IncrementalEvaluator::fork`] calls recorded by `mv-obs`
+    /// so far.
+    pub fn fork_count() -> usize {
+        mv_obs::counter::get(Counter::EvaluatorFork) as usize
+    }
+
+    /// An independent evaluator at the same selection, for a
+    /// scenario-tree branch point or a what-if: the per-selection state
+    /// is copied, the answer index and the problem are shared until
+    /// either side writes to them (the module's *Forks* section).
+    /// O(m), independent of the pool. Counted in
+    /// [`IncrementalEvaluator::fork_count`], *not* in
+    /// [`IncrementalEvaluator::build_count`] — no O(n·m) rebuild happens.
+    pub fn fork(&self) -> Self {
+        mv_obs::inc(Counter::EvaluatorFork);
+        self.clone()
+    }
+
+    fn build(problem: ProblemHandle<'p>) -> Self {
+        mv_obs::inc(Counter::EvaluatorBuild);
+        let m = problem.model().context().workload.len();
+        let mut ev = IncrementalEvaluator {
+            index: Arc::new(Index::new(m, problem.candidates())),
+            selection: SelectionSet::empty(problem.len()),
+            problem,
+            best_view: vec![NONE; m],
+            best_time: vec![Hours::ZERO; m],
+            second_view: vec![NONE; m],
+            second_time: vec![Hours::ZERO; m],
+            block_time: vec![Hours::ZERO; m.div_ceil(TIME_FOLD_BLOCK)],
+            block_dirty: vec![false; m.div_ceil(TIME_FOLD_BLOCK)],
+            dirty_blocks: Vec::new(),
+            all_dirty: true,
+            term: vec![Hours::ZERO; m],
+            saved_blocks: Vec::new(),
+        };
+        ev.reload_terms();
+        ev
+    }
+
+    /// Builds an evaluator positioned at `selection`.
+    pub fn with_selection(problem: &'p SelectionProblem, selection: &SelectionSet) -> Self {
+        let mut ev = IncrementalEvaluator::new(problem);
+        for k in selection.ones() {
+            ev.flip(k);
+        }
+        ev
+    }
+
+    /// The underlying problem (borrowed or owned; reflects any dynamic
+    /// candidate edits).
+    pub fn problem(&self) -> &SelectionProblem {
+        &self.problem
+    }
+
+    /// Consumes the evaluator, returning its problem — including every
+    /// dynamic candidate edit. Clones only if the problem was still
+    /// borrowed and never edited, or a fork still shares it.
+    pub fn into_problem(self) -> SelectionProblem {
+        self.problem.into_problem()
+    }
+
+    // ------------------------------------------------------------------
+    // Dynamic candidates.
+    // ------------------------------------------------------------------
+
+    /// Splices a new candidate into the evaluator — and into its problem —
+    /// returning the new index. The view starts **deselected**; its span
+    /// joins the arena and its entries are offered to the per-query
+    /// top-k tables in O(deg), with no rebuild of the cached
+    /// best/runner-up state. On a borrowed evaluator the first edit
+    /// clones the problem; [`IncrementalEvaluator::from_problem`] avoids
+    /// even that. While a fork shares them, the edit first copies the
+    /// problem and the index.
+    pub fn add_candidate(&mut self, charge: ViewCharge) -> usize {
+        let k = self.problem.to_mut().push_candidate(charge);
+        debug_assert_eq!(self.index.spans.len(), k);
+        Arc::make_mut(&mut self.index).push_span(&self.problem.candidates()[k].profile);
+        self.selection.push(false);
+        k
+    }
+
+    /// Retires candidate `k`, returning its charge. If selected, it is
+    /// deselected first (the `unflip` eviction leaves no best/runner-up
+    /// slot pointing at the retired index). Indices follow
+    /// `Vec::swap_remove` semantics: the last candidate takes index `k`
+    /// (renumbered in the top-k tables and query caches); all other
+    /// indices are stable. O(deg(k) + deg(last)) — after one copy of the
+    /// problem and the index while a fork shares them; the abandoned
+    /// arena span is reclaimed by a later compaction.
+    pub fn remove_candidate(&mut self, k: usize) -> ViewCharge {
+        let n = self.index.spans.len();
+        assert!(k < n, "candidate {k} out of {n}");
+        if self.selection.contains(k) {
+            self.unflip(k);
+        }
+        let index = Arc::make_mut(&mut self.index);
+        let last = n - 1;
+        let kk = k as u32;
+        let span = index.spans[k];
+        for idx in span.start as usize..(span.start + span.len) as usize {
+            let i = index.arena_q[idx] as usize;
+            index.topk_remove(i, kk);
+        }
+        index.dead += span.len as usize;
+        if k != last {
+            // The last candidate takes index k: renumber its table
+            // entries and any cache slots currently naming it.
+            let lk = last as u32;
+            let lspan = index.spans[last];
+            for idx in lspan.start as usize..(lspan.start + lspan.len) as usize {
+                let i = index.arena_q[idx] as usize;
+                let base = i * ANSWER_TOP_K;
+                for j in 0..index.top_len[i] as usize {
+                    if index.top_view[base + j] == lk {
+                        index.top_view[base + j] = kk;
+                    }
+                }
+                if self.best_view[i] == lk {
+                    self.best_view[i] = kk;
+                }
+                if self.second_view[i] == lk {
+                    self.second_view[i] = kk;
+                }
+            }
+        }
+        index.spans.swap_remove(k);
+        index.maybe_compact();
+        self.selection.swap_remove(k);
+        self.problem.to_mut().swap_remove_candidate(k)
+    }
+
+    /// Re-prices candidate `k` in place — the epoch-boundary splice,
+    /// and the fleet search's placement flip. O(1) (after one problem
+    /// copy while a fork shares it): a [`Price`] cannot
+    /// carry an answer profile, and nothing this evaluator caches (answer
+    /// arena, top-k tables, per-query minima, terms, block sums) depends
+    /// on a view's size, build or refresh time — `score` reads those
+    /// from the problem. Indices and the selection state of `k` are
+    /// untouched. Returns the old price. (A view whose *answers* change
+    /// is a different candidate: [`IncrementalEvaluator::
+    /// remove_candidate`] + [`IncrementalEvaluator::add_candidate`].)
+    pub fn update_charge(&mut self, k: usize, price: Price) -> Price {
+        let n = self.index.spans.len();
+        assert!(k < n, "candidate {k} out of {n}");
+        mv_obs::inc(Counter::EvaluatorUpdateCharge);
+        self.problem.to_mut().reprice_candidate(k, price)
+    }
 
     /// Swaps in a new costing model over the same workload shape — the
     /// epoch-boundary *context* switch. The per-query best/runner-up
@@ -589,7 +701,8 @@ impl<'p> IncrementalEvaluator<'p> {
     /// which do not depend on the model. What does depend on it is the
     /// per-query term cache (base times and frequencies are the
     /// model's), reloaded in O(m); the model brings its own transfer
-    /// cost and storage intervals.
+    /// cost and storage intervals. While a fork shares the problem, it
+    /// is copied first.
     pub fn retarget(&mut self, model: CloudCostModel) {
         mv_obs::inc(Counter::EvaluatorRetarget);
         self.problem.to_mut().set_model(model);
@@ -617,16 +730,23 @@ impl<'p> IncrementalEvaluator<'p> {
         mv_obs::inc(Counter::EvaluatorFlip);
         self.selection.set(k, true);
         let kk = k as u32;
-        let span = self.spans[k];
-        for idx in span.start as usize..(span.start + span.len) as usize {
-            let i = self.arena_q[idx] as usize;
-            let t = self.arena_t[idx];
+        // The shared halves once per flip, not once per arena entry.
+        let workload = &self.problem.model().context().workload;
+        let (queries, times) = self.index.span(k);
+        for (&q, &t) in queries.iter().zip(times) {
+            let i = q as usize;
             if self.best_view[i] == NONE || t < self.best_time[i] {
                 self.second_view[i] = self.best_view[i];
                 self.second_time[i] = self.best_time[i];
                 self.best_view[i] = kk;
                 self.best_time[i] = t;
-                self.best_changed(i);
+                self.term[i] = term_of(&workload[i], kk, t);
+                mark_dirty(
+                    i,
+                    self.all_dirty,
+                    &mut self.block_dirty,
+                    &mut self.dirty_blocks,
+                );
             } else if self.second_view[i] == NONE || t < self.second_time[i] {
                 self.second_view[i] = kk;
                 self.second_time[i] = t;
@@ -643,24 +763,33 @@ impl<'p> IncrementalEvaluator<'p> {
         mv_obs::inc(Counter::EvaluatorUnflip);
         self.selection.set(k, false);
         let kk = k as u32;
-        let span = self.spans[k];
-        for idx in span.start as usize..(span.start + span.len) as usize {
-            let i = self.arena_q[idx] as usize;
+        // The shared halves once per unflip, not once per arena entry.
+        let workload = &self.problem.model().context().workload;
+        let index: &Index = &self.index;
+        let selection = &self.selection;
+        for &q in index.span(k).0 {
+            let i = q as usize;
             if self.best_view[i] == kk {
                 let (sv, st) = (self.second_view[i], self.second_time[i]);
                 self.best_view[i] = sv;
                 self.best_time[i] = st;
-                self.best_changed(i);
+                self.term[i] = term_of(&workload[i], sv, st);
+                mark_dirty(
+                    i,
+                    self.all_dirty,
+                    &mut self.block_dirty,
+                    &mut self.dirty_blocks,
+                );
                 if sv == NONE {
                     self.second_view[i] = NONE;
                     self.second_time[i] = Hours::ZERO;
                 } else {
-                    let (nv, nt) = self.rescan_runner_up(i, sv);
+                    let (nv, nt) = index.rescan_runner_up(selection, i, sv);
                     self.second_view[i] = nv;
                     self.second_time[i] = nt;
                 }
             } else if self.second_view[i] == kk {
-                let (nv, nt) = self.rescan_runner_up(i, self.best_view[i]);
+                let (nv, nt) = index.rescan_runner_up(selection, i, self.best_view[i]);
                 self.second_view[i] = nv;
                 self.second_time[i] = nt;
             }
@@ -687,36 +816,11 @@ impl<'p> IncrementalEvaluator<'p> {
         }
     }
 
-    /// Query `i`'s term of the time fold under the current caches —
-    /// the one expression every term in `term` is computed by.
-    fn term_of(&self, i: usize) -> Hours {
-        let q = &self.problem.model().context().workload[i];
-        let t = if self.best_view[i] == NONE {
-            q.base_time
-        } else {
-            q.base_time.min(self.best_time[i])
-        };
-        t * q.frequency
-    }
-
     /// Recomputes every term (fresh build, new model). O(m).
     fn reload_terms(&mut self) {
-        for i in 0..self.term.len() {
-            self.term[i] = self.term_of(i);
-        }
-    }
-
-    /// Query `i`'s best selected view changed: rewrite its term and
-    /// mark its time-fold block stale. O(1).
-    fn best_changed(&mut self, i: usize) {
-        self.term[i] = self.term_of(i);
-        if self.all_dirty {
-            return;
-        }
-        let b = i / TIME_FOLD_BLOCK;
-        if !self.block_dirty[b] {
-            self.block_dirty[b] = true;
-            self.dirty_blocks.push(b as u32);
+        let workload = &self.problem.model().context().workload;
+        for (i, q) in workload.iter().enumerate() {
+            self.term[i] = term_of(q, self.best_view[i], self.best_time[i]);
         }
     }
 
@@ -1052,7 +1156,7 @@ mod tests {
             .zip(&ev.second_view)
             .any(|(&b, &s)| b == lk || s == lk));
         ev.remove_candidate(last);
-        let n = ev.spans.len();
+        let n = ev.index.spans.len();
         for i in 0..ev.best_view.len() {
             // Every surviving slot either holds the NONE sentinel or a
             // live index — never the retired one.

@@ -172,8 +172,10 @@
 //! [`EpochChain::solve_with`] on a [`Topology::Tree`] solves
 //! each tree **node** exactly once — one evaluator build per root, one
 //! warm [`IncrementalEvaluator::retarget`] + charge splice per edge,
-//! and one O(n + tables) [`IncrementalEvaluator::fork`] per extra
-//! sibling at a split — instead of per path × epoch. Because a node's
+//! and one O(m) [`IncrementalEvaluator::fork`] per extra sibling at a
+//! split (the per-selection caches are copied; the answer index is
+//! shared, and so is the problem until the sibling's own retarget
+//! copies it) — instead of per path × epoch. Because a node's
 //! search trajectory depends only on its model, its effective charges
 //! and the selection it inherits (all shared along a prefix), the
 //! per-leaf step sequences are **bit-identical** to solving each path
@@ -187,7 +189,9 @@
 //! on every drift-triggered re-solve as live traffic shifts the
 //! workload frequencies (counter-pinned rebuild-free), and
 //! [`IncrementalEvaluator::fork`]ed per concurrent what-if probe for
-//! snapshot isolation over the copy-on-write problem.
+//! snapshot isolation: a what-if that only flips copies ≈ 130 KB at
+//! m = 4 096 whatever the pool holds, and one that edits copies what it
+//! edits (the evaluator module's *Forks* section).
 //! At K = 32 sampled paths the tree sweep beats the same paths solved
 //! one at a time ≈ 1.2× on a volatile spot market and ≈ 1.5× on a
 //! crunchy hedged fleet

@@ -4,9 +4,11 @@
 //! allocations: the snapshot's selection handle forces the next flip
 //! to copy the word vector.) Neither must what an epoch edge and a
 //! placement probe do to a candidate — `update_charge` moves a `Copy`
-//! `Price`, not a view's name and answer profile. Counted with a
-//! `#[global_allocator]` wrapper; the count is per thread, so the
-//! harness's own threads do not disturb it.
+//! `Price`, not a view's name and answer profile. And a `fork` copies
+//! the per-selection state only — its footprint does not know the pool
+//! — while a fork that is gone leaves nothing shared behind. Counted
+//! with a `#[global_allocator]` wrapper; the counts are per thread, so
+//! the harness's own threads do not disturb them.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -18,14 +20,16 @@ struct Counting;
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
 // SAFETY: every call is forwarded unchanged to `System`; the only added
-// work is bumping a const-initialized, destructor-free thread-local
-// `Cell`, which neither allocates nor unwinds.
+// work is bumping const-initialized, destructor-free thread-local
+// `Cell`s, which neither allocates nor unwinds.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.with(|a| a.set(a.get() + 1));
+        BYTES.with(|b| b.set(b.get() + layout.size() as u64));
         // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
         unsafe { System.alloc(layout) }
     }
@@ -37,6 +41,7 @@ unsafe impl GlobalAlloc for Counting {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.with(|a| a.set(a.get() + 1));
+        BYTES.with(|b| b.set(b.get() + new_size as u64));
         // SAFETY: the caller upholds `GlobalAlloc::realloc`'s contract.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -47,6 +52,11 @@ static GLOBAL: Counting = Counting;
 
 fn allocations() -> u64 {
     ALLOCATIONS.with(Cell::get)
+}
+
+/// `(allocations, bytes requested)` so far on this thread.
+fn footprint() -> (u64, u64) {
+    (allocations(), BYTES.with(Cell::get))
 }
 
 #[test]
@@ -95,14 +105,25 @@ fn a_thousand_warm_probes_allocate_nothing() {
 }
 
 /// A third of the pool selected, as mid-search, on an evaluator that
-/// owns its problem (as the chain's do).
-fn mid_search(n_queries: usize, n_candidates: usize) -> IncrementalEvaluator<'static> {
-    let problem = fixtures::random_sparse_problem(43, n_queries, n_candidates, 0.05);
+/// owns its problem (as the chain's and the service's do); each view
+/// answers ≈ `coverage` queries.
+fn mid_search_covering(
+    coverage: f64,
+    n_queries: usize,
+    n_candidates: usize,
+) -> IncrementalEvaluator<'static> {
+    let density = coverage / n_queries as f64;
+    let problem = fixtures::random_sparse_problem(43, n_queries, n_candidates, density);
     let mut ev = IncrementalEvaluator::from_problem(problem);
     for k in (0..n_candidates).step_by(3) {
         ev.flip(k);
     }
     ev
+}
+
+/// [`mid_search_covering`] 5 % of the workload per view.
+fn mid_search(n_queries: usize, n_candidates: usize) -> IncrementalEvaluator<'static> {
+    mid_search_covering(0.05 * n_queries as f64, n_queries, n_candidates)
 }
 
 #[test]
@@ -211,4 +232,69 @@ fn a_warm_epoch_edge_allocates_independently_of_the_pool_size() {
         allocations() - before
     };
     assert_eq!(edge(30), edge(120));
+}
+
+/// The resident service's shape: m = 4 096, mean coverage 12.
+fn resident(n_candidates: usize) -> IncrementalEvaluator<'static> {
+    let mut ev = mid_search_covering(12.0, 4_096, n_candidates);
+    ev.score();
+    ev
+}
+
+#[test]
+fn a_fork_copies_the_same_bytes_whatever_the_pool_holds() {
+    // Selection handle, answer index and problem are shared; what is
+    // copied is per query (caches, terms) and per block (sums, flags).
+    let fork_of = |n_candidates: usize| {
+        let ev = resident(n_candidates);
+        let before = footprint();
+        let fork = ev.fork();
+        let after = footprint();
+        assert_eq!(fork.selection(), ev.selection());
+        (after.0 - before.0, after.1 - before.1)
+    };
+    let (small, large) = (fork_of(32), fork_of(256));
+    assert_eq!(small, large, "(allocations, bytes) at n = 32 and n = 256");
+    assert!(large.0 <= 16, "a fork allocated {} times", large.0);
+}
+
+#[test]
+fn a_fork_that_is_gone_costs_the_resident_nothing() {
+    // The resident's next model swap and pool edit, after: no fork at
+    // all; a what-if's fork (two toggles, a snapshot) come and gone;
+    // a fork still alive.
+    let edits = |forked: bool, held: bool| {
+        let mut ev = resident(256);
+        let model = ev.problem().model().clone();
+        let newcomer = ev.problem().candidates()[3].clone();
+        let fork = forked.then(|| {
+            let mut fork = ev.fork();
+            fork.toggle(0);
+            fork.toggle(1);
+            assert_ne!(fork.snapshot().selection, *ev.selection());
+            fork
+        });
+        let fork = fork.filter(|_| held);
+        let before = footprint();
+        ev.retarget(model);
+        ev.add_candidate(newcomer);
+        let after = footprint();
+        drop(fork);
+        (after.0 - before.0, after.1 - before.1)
+    };
+    let never = edits(false, false);
+    assert_eq!(edits(true, false), never, "(allocations, bytes)");
+    // The counter does count: a live fork shares both halves, and the
+    // same two edits copy them first.
+    let shared = edits(true, true);
+    assert!(shared.0 > never.0 + 256 && shared.1 > never.1, "{shared:?}");
+}
+
+#[test]
+fn handing_an_unshared_problem_back_allocates_nothing() {
+    let ev = resident(256);
+    let before = allocations();
+    let problem = ev.into_problem();
+    assert_eq!(allocations() - before, 0, "into_problem copied");
+    assert_eq!(problem.len(), 256);
 }
