@@ -146,3 +146,76 @@ proptest! {
         }
     }
 }
+
+/// `problem` with every answer time snapped to one of four levels (all
+/// below any base time), so most queries have several answerers tied
+/// for fastest and for runner-up.
+fn with_tied_times(problem: &SelectionProblem) -> SelectionProblem {
+    let mut candidates = problem.candidates().to_vec();
+    for v in &mut candidates {
+        let entries: Vec<(usize, Hours)> = v.profile.entries().collect();
+        for (i, t) in entries {
+            let level = 1 + t.value().to_bits() % 4;
+            v.profile.set(i, Hours::new(0.002 * level as f64));
+        }
+    }
+    SelectionProblem::new(problem.model().clone(), candidates)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The cached best and runner-up of every query are the two
+    /// smallest times among its *selected* answerers, read off the
+    /// profiles — after every accepted flip and every probe, on the
+    /// SSB lattice's shape: 63 candidates, a dozen queries, each with
+    /// far more answerers than any bounded per-query table could hold,
+    /// and tied times throughout. Times are compared, not view ids: a
+    /// tie may name either view.
+    #[test]
+    fn runner_up_is_the_second_fastest_selected_answerer(
+        seed in 0u64..10_000,
+        n_queries in 1usize..14,
+        density_pct in 20u8..75,
+        ops in proptest::collection::vec((0u8..4, 0usize..1_000, 0usize..1_000), 1..60),
+    ) {
+        let n = 63;
+        let problem = with_tied_times(&random_sparse_problem(
+            seed, n_queries, n, f64::from(density_pct) / 100.0,
+        ));
+        let answerers = |i: usize| {
+            problem.candidates().iter().filter(|v| v.profile.get(i).is_some()).count()
+        };
+        // 63 × ≥ 20 %: a query with fewer than nine answerers would be
+        // a fixture change, not a case of this test.
+        prop_assert!((0..n_queries).any(|i| answerers(i) > 8), "seed {}: pool too thin", seed);
+
+        let mut ev = IncrementalEvaluator::new(&problem);
+        for (step, &(op, a, b)) in ops.iter().enumerate() {
+            match op {
+                // A swap probe: it must put both caches back.
+                0 => {
+                    ev.probe(&[a % n, b % n]);
+                }
+                _ => ev.toggle(a % n),
+            }
+            for i in 0..n_queries {
+                let mut times: Vec<Hours> = ev
+                    .selection()
+                    .ones()
+                    .filter_map(|k| problem.candidates()[k].profile.get(i))
+                    .collect();
+                times.sort_by(|x, y| x.partial_cmp(y).expect("finite times"));
+                let cached = |view: u32, time: Hours| (view != NONE).then_some(time);
+                prop_assert_eq!(
+                    cached(ev.best_view[i], ev.best_time[i]), times.first().copied(),
+                    "seed {} step {} query {}: best of {:?}", seed, step, i, &times
+                );
+                prop_assert_eq!(
+                    cached(ev.second_view[i], ev.second_time[i]), times.get(1).copied(),
+                    "seed {} step {} query {}: runner-up of {:?}", seed, step, i, &times
+                );
+            }
+        }
+    }
+}
