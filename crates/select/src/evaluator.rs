@@ -14,27 +14,26 @@
 //! * flipping **on** is a constant-time best/second update per affected
 //!   query — O(deg) for a view answering `deg` queries;
 //! * flipping **off** falls back to the cached runner-up, and only
-//!   rescans a query's answer table when the flipped view was one of its
+//!   rescans a query's answer list when the flipped view was one of its
 //!   two fastest.
 //!
 //! # Sparse struct-of-arrays layout
 //!
 //! At production scale (n = 2 000 candidates, m = 50 000 queries) most
 //! views answer a handful of queries, so every table here is sparse and
-//! flat:
+//! flat. The answer index is two CSR arenas, built once per evaluator
+//! in O(Σ deg + m) plus the per-query sorts and never written after:
 //!
-//! * the per-view answer lists live in one shared **CSR arena** — two
-//!   parallel `Vec`s of query ids and times, with a `(start, len)` span
-//!   per view — so a flip walks one contiguous slice, no per-view `Vec`
-//!   pointer chasing;
-//! * the per-query reverse index is a **top-k pruned answer table**
-//!   (fixed stride [`ANSWER_TOP_K`], parallel id/time arrays): only the
-//!   k fastest answerers of each query are indexed. A per-query
-//!   `pruned` flag records whether any answerer was ever left out;
-//!   rescans that find no selected member in a pruned table fall back
-//!   to an exact sweep of the selected views' spans, so pruning can
-//!   never lose the true runner-up (see `topk_insert` for the
-//!   invariant);
+//! * **by view** — two parallel `Vec`s of query ids and times, with a
+//!   `(start, len)` span per view — so a flip walks one contiguous
+//!   slice, no per-view `Vec` pointer chasing;
+//! * **by query** — its transpose: `m + 1` offsets into two parallel
+//!   `Vec`s of view ids and times, each query's answerers ordered
+//!   fastest first (equal times in ascending view order). A runner-up
+//!   rescan returns the first selected entry that is not the current
+//!   best: exact by construction, at the cost of the entries before
+//!   it — at most the query's answerer count, and one or two when the
+//!   selection holds its fast views, as a search's does;
 //! * the best/runner-up cache is four parallel arrays, not an
 //!   array-of-structs.
 //!
@@ -100,23 +99,11 @@
 //!
 //! # Dynamic candidates
 //!
-//! The candidate set itself can evolve mid-search, which is what lets
-//! the advisor *stream* lattice candidates instead of materializing all
-//! of them up front:
-//!
-//! * [`IncrementalEvaluator::add_candidate`] appends a new view's span
-//!   to the arena and offers its entries to the per-query top-k tables —
-//!   O(deg), no rebuild;
-//! * [`IncrementalEvaluator::remove_candidate`] retires a candidate with
-//!   `Vec::swap_remove` index semantics (only the last index is
-//!   renumbered), auto-deselecting it first so no best/runner-up slot is
-//!   left pointing at the retired index. Its arena span is abandoned in
-//!   place; the arena compacts itself once dead entries outnumber live
-//!   ones.
-//!
-//! Solvers probing a fixed problem borrow it (zero copies); the first
-//! dynamic edit promotes the evaluator to a problem of its own that
-//! grows and shrinks with the candidate pool. `snapshot()` stays
+//! [`IncrementalEvaluator::add_candidate`] and
+//! [`IncrementalEvaluator::remove_candidate`] edit the evaluator's
+//! problem (`Vec::push` / `Vec::swap_remove` index semantics) and
+//! rebuild the index and the per-query caches over it at the same
+//! selection — O(Σ deg + m), as a fresh build. `snapshot()` stays
 //! bit-identical to a from-scratch `SelectionProblem::evaluate` on the
 //! equivalent static problem throughout — property-tested over random
 //! add/remove/flip interleavings in `tests/evaluator_matches.rs`.
@@ -127,8 +114,8 @@
 //! and a resident what-if pay per exploration, so the evaluator is
 //! split by who writes what:
 //!
-//! * **Shared** (one `Arc` bump each): the **answer index** — arena,
-//!   spans and top-k tables, a function of the candidate pool alone —
+//! * **Shared** (one `Arc` bump each): the **answer index** — both
+//!   arenas, a function of the candidate pool alone —
 //!   and the **problem** (model, charges, names, profiles). A flip, a
 //!   probe and a score only read them.
 //! * **Copied**: the per-selection state — selection words (themselves
@@ -137,10 +124,10 @@
 //!   with blocks dirty), independent of n and of Σ deg
 //!   (`tests/probe_allocs.rs`).
 //!
-//! A write to a shared half copies it first if — and only if — someone
-//! else still holds it: `add_candidate`, `remove_candidate` and the
-//! compaction it may trigger un-share the index; `retarget`,
-//! `update_charge` and the two candidate edits un-share the problem.
+//! The index is never written, so forks share it for good (a
+//! candidate edit builds its evaluator a new one). A write to the
+//! problem copies it first if — and only if — someone else still holds
+//! it: `retarget`, `update_charge` and the two candidate edits.
 //! Once the other holders are gone the writes are in place again, so
 //! a what-if that has returned costs the resident nothing — but a fork
 //! *kept alive* across the resident's next `retarget` (a service
@@ -150,9 +137,7 @@
 use std::ops::Deref;
 use std::sync::Arc;
 
-use mv_cost::{
-    AnswerProfile, CloudCostModel, Price, QueryCharge, SelectionSet, ViewCharge, TIME_FOLD_BLOCK,
-};
+use mv_cost::{CloudCostModel, Price, QueryCharge, SelectionSet, ViewCharge, TIME_FOLD_BLOCK};
 use mv_obs::{Counter, Hist};
 use mv_units::{Gb, Hours};
 
@@ -160,16 +145,6 @@ use crate::{Evaluation, Score, SelectionProblem};
 
 /// Sentinel candidate index meaning "no view".
 const NONE: u32 = u32::MAX;
-
-/// Answerers indexed per query before pruning kicks in. Eight covers
-/// every selected-best plus runner-up pattern the solvers probe while
-/// keeping the table one cache line of ids; queries with more answerers
-/// set their `pruned` flag and keep the exact-fallback path honest.
-pub const ANSWER_TOP_K: usize = 8;
-
-/// Compact the arena only past this many dead entries (tiny problems
-/// never bother).
-const COMPACT_MIN_DEAD: usize = 1024;
 
 // Build / retarget / fork accounting lives in the `mv-obs` registry
 // ([`Counter::EvaluatorBuild`] and friends) rather than in ad-hoc
@@ -179,74 +154,90 @@ const COMPACT_MIN_DEAD: usize = 1024;
 // statics made cross-test interleaving a latent hazard under threaded
 // `cargo test`).
 
-/// One view's slice of the CSR arena.
+/// One view's slice of the view-major arena.
 #[derive(Debug, Clone, Copy)]
 struct Span {
     start: u32,
     len: u32,
 }
 
-/// The answer index: who answers which query how fast. A function of
-/// the candidate pool alone — no selection, no model — so forks share
-/// it (see the module's *Forks* section). Written only through
-/// `Arc::make_mut`, by `add_candidate` and `remove_candidate`.
-#[derive(Debug, Clone)]
+/// The answer index: who answers which query how fast, stored twice —
+/// by view for the flips, by query for the rescans. A function of the
+/// candidate pool alone — no selection, no model — built once and never
+/// written, so forks share it for good (see the module's *Forks*
+/// section).
+#[derive(Debug)]
 struct Index {
-    /// Per-view spans into the shared answer arena.
+    /// Per-view spans into the view-major arena.
     spans: Vec<Span>,
-    /// Arena: query ids, ascending within each span.
+    /// View-major arena: query ids, ascending within each span.
     arena_q: Vec<u32>,
-    /// Arena: answer times, parallel to `arena_q`.
+    /// View-major arena: answer times, parallel to `arena_q`.
     arena_t: Vec<Hours>,
-    /// Arena entries abandoned by removals; triggers compaction once
-    /// they outnumber the live entries.
-    dead: usize,
-    /// Top-k answer table: view ids, `ANSWER_TOP_K` slots per query.
-    top_view: Vec<u32>,
-    /// Top-k answer table: times, parallel to `top_view`.
-    top_time: Vec<Hours>,
-    /// Occupied top-k slots per query.
-    top_len: Vec<u8>,
-    /// Whether query `i` ever had an answerer kept *out* of its top-k
-    /// table. Once set, an empty-handed table rescan must fall back to
-    /// the exact sweep; never reset (outsiders are untracked).
-    pruned: Vec<bool>,
+    /// Query `i`'s answerers are entries `by_query_start[i]..
+    /// by_query_start[i + 1]` of the query-major arena (m + 1 offsets).
+    by_query_start: Vec<u32>,
+    /// Query-major arena: view ids, fastest first within each query,
+    /// equal times in ascending view order.
+    by_query_view: Vec<u32>,
+    /// Query-major arena: answer times, parallel to `by_query_view`.
+    by_query_time: Vec<Hours>,
 }
 
 impl Index {
     /// The index of `candidates` over an `m`-query workload.
+    /// O(Σ deg + m) plus the per-query sorts.
     fn new(m: usize, candidates: &[ViewCharge]) -> Index {
         let entries: usize = candidates.iter().map(|v| v.profile.answered()).sum();
-        let mut index = Index {
-            spans: Vec::with_capacity(candidates.len()),
-            arena_q: Vec::with_capacity(entries),
-            arena_t: Vec::with_capacity(entries),
-            dead: 0,
-            top_view: vec![NONE; m * ANSWER_TOP_K],
-            top_time: vec![Hours::ZERO; m * ANSWER_TOP_K],
-            top_len: vec![0; m],
-            pruned: vec![false; m],
-        };
+        // Invariant: every arena offset and length is at most `entries`
+        // and every view id is below `NONE` — checked here, once, so the
+        // `as u32` casts below are lossless and no `start + len` wraps.
+        assert!(
+            u32::try_from(entries).is_ok() && candidates.len() < NONE as usize,
+            "{} views with {entries} answers do not fit a u32 index",
+            candidates.len()
+        );
+        let mut spans = Vec::with_capacity(candidates.len());
+        let mut arena_q = Vec::with_capacity(entries);
+        let mut arena_t = Vec::with_capacity(entries);
+        let mut by_query_start = vec![0u32; m + 1];
         for v in candidates {
-            index.push_span(&v.profile);
+            spans.push(Span {
+                start: arena_q.len() as u32,
+                len: v.profile.answered() as u32,
+            });
+            arena_q.extend_from_slice(v.profile.query_ids());
+            arena_t.extend_from_slice(v.profile.times());
+            for &q in v.profile.query_ids() {
+                by_query_start[q as usize + 1] += 1;
+            }
         }
-        index
-    }
-
-    /// Appends the next view's profile to the arena and offers its
-    /// entries to the top-k tables.
-    fn push_span(&mut self, profile: &AnswerProfile) {
-        let start = self.arena_q.len();
-        let v = self.spans.len() as u32;
-        self.arena_q.extend_from_slice(profile.query_ids());
-        self.arena_t.extend_from_slice(profile.times());
-        self.spans.push(Span {
-            start: u32::try_from(start).expect("arena fits in u32"),
-            len: profile.answered() as u32,
-        });
-        for idx in start..self.arena_q.len() {
-            let (i, t) = (self.arena_q[idx] as usize, self.arena_t[idx]);
-            self.topk_insert(i, v, t);
+        for i in 0..m {
+            by_query_start[i + 1] += by_query_start[i];
+        }
+        // Transpose by counting sort — views arrive in ascending order
+        // within each query — then order each query fastest first; the
+        // sort is stable, so equal times keep that view order.
+        let mut next = by_query_start[..m].to_vec();
+        let mut by_query = vec![(Hours::ZERO, NONE); entries];
+        for (v, view) in candidates.iter().enumerate() {
+            for (q, t) in view.profile.entries() {
+                by_query[next[q] as usize] = (t, v as u32);
+                next[q] += 1;
+            }
+        }
+        for i in 0..m {
+            by_query[by_query_start[i] as usize..by_query_start[i + 1] as usize]
+                .sort_by(|a, b| a.0.cmp_total(b.0));
+        }
+        let (by_query_time, by_query_view) = by_query.into_iter().unzip();
+        Index {
+            spans,
+            arena_q,
+            arena_t,
+            by_query_start,
+            by_query_view,
+            by_query_time,
         }
     }
 
@@ -257,138 +248,25 @@ impl Index {
         (&self.arena_q[s..e], &self.arena_t[s..e])
     }
 
-    /// Offers `(v, t)` to query `i`'s top-k table, preserving the
-    /// pruning invariant: **every answerer outside the table has a time
-    /// ≥ the largest time inside it**. A table rescan that finds any
-    /// selected member is therefore exact — no outsider can beat it —
-    /// and an empty-handed rescan of a pruned table falls back to the
-    /// exact sweep.
-    ///
-    /// Concretely: an unpruned table below capacity holds *all*
-    /// answerers, so admission is unconditional. Otherwise the entry is
-    /// admitted only if it does not exceed the current member maximum
-    /// (evicting that maximum when full); a pruned *empty* table admits
-    /// nobody, because the invariant then says nothing about the
-    /// untracked outsiders.
-    fn topk_insert(&mut self, i: usize, v: u32, t: Hours) {
-        let base = i * ANSWER_TOP_K;
-        let len = self.top_len[i] as usize;
-        if !self.pruned[i] && len < ANSWER_TOP_K {
-            self.top_view[base + len] = v;
-            self.top_time[base + len] = t;
-            self.top_len[i] = (len + 1) as u8;
-            return;
-        }
-        self.pruned[i] = true;
-        if len == 0 {
-            return;
-        }
-        let (mut max_at, mut max_t) = (0, self.top_time[base]);
-        for j in 1..len {
-            if self.top_time[base + j] > max_t {
-                max_at = j;
-                max_t = self.top_time[base + j];
-            }
-        }
-        if t > max_t {
-            return;
-        }
-        if len < ANSWER_TOP_K {
-            self.top_view[base + len] = v;
-            self.top_time[base + len] = t;
-            self.top_len[i] = (len + 1) as u8;
-        } else {
-            self.top_view[base + max_at] = v;
-            self.top_time[base + max_at] = t;
-        }
-    }
-
-    /// Drops view `v` from query `i`'s top-k table if present (it may
-    /// legitimately be an untracked outsider).
-    fn topk_remove(&mut self, i: usize, v: u32) {
-        let base = i * ANSWER_TOP_K;
-        let len = self.top_len[i] as usize;
-        for j in 0..len {
-            if self.top_view[base + j] == v {
-                self.top_view[base + j] = self.top_view[base + len - 1];
-                self.top_time[base + j] = self.top_time[base + len - 1];
-                self.top_view[base + len - 1] = NONE;
-                self.top_len[i] = (len - 1) as u8;
-                return;
-            }
-        }
-    }
-
-    /// The answer time of view `k` for query `i`, by binary search over
-    /// `k`'s arena span. O(log deg).
-    fn span_time(&self, k: usize, i: u32) -> Option<Hours> {
-        let (queries, times) = self.span(k);
-        queries.binary_search(&i).ok().map(|pos| times[pos])
-    }
-
-    /// Finds the fastest view of `selection` answering query `i`,
-    /// excluding `except` (the current best). Scans the top-k table
-    /// first — exact whenever it yields anyone, by the pruning
-    /// invariant — and only falls back to the exact sweep over the
-    /// selected views' spans when a pruned table comes up empty.
-    /// Returns `(view, time)` with `view == NONE` for "nobody".
+    /// The fastest view of `selection` answering query `i`, excluding
+    /// `except` (the current best): the first selected entry of the
+    /// query's fastest-first list that is not `except` — exact, at the
+    /// cost of the entries before it. Returns `(view, time)` with
+    /// `view == NONE` for "nobody".
     fn rescan_runner_up(&self, selection: &SelectionSet, i: usize, except: u32) -> (u32, Hours) {
-        let base = i * ANSWER_TOP_K;
-        let len = self.top_len[i] as usize;
-        let (mut view, mut time) = (NONE, Hours::ZERO);
-        for j in 0..len {
-            let v = self.top_view[base + j];
-            if v == except || !selection.contains(v as usize) {
-                continue;
-            }
-            let t = self.top_time[base + j];
-            if view == NONE || t < time {
-                view = v;
-                time = t;
+        let (s, e) = (
+            self.by_query_start[i] as usize,
+            self.by_query_start[i + 1] as usize,
+        );
+        for (&v, &t) in self.by_query_view[s..e]
+            .iter()
+            .zip(&self.by_query_time[s..e])
+        {
+            if v != except && selection.contains(v as usize) {
+                return (v, t);
             }
         }
-        if view == NONE && self.pruned[i] {
-            // Exact fallback: the pruned outsiders are untracked, so
-            // sweep every selected view's span. Rare by construction —
-            // it needs > ANSWER_TOP_K answerers of one query *and* none
-            // of the k fastest selected.
-            let iq = i as u32;
-            for k in selection.ones() {
-                if k as u32 == except {
-                    continue;
-                }
-                if let Some(t) = self.span_time(k, iq) {
-                    if view == NONE || t < time {
-                        view = k as u32;
-                        time = t;
-                    }
-                }
-            }
-        }
-        (view, time)
-    }
-
-    /// Rebuilds the arena without the abandoned spans once they
-    /// outnumber the live entries (and amount to more than
-    /// [`COMPACT_MIN_DEAD`]). Spans are rewritten in view order; the
-    /// top-k tables and caches hold indices, not arena positions, so
-    /// they survive untouched.
-    fn maybe_compact(&mut self) {
-        let live = self.arena_q.len() - self.dead;
-        if self.dead <= COMPACT_MIN_DEAD || self.dead <= live {
-            return;
-        }
-        let mut q = Vec::with_capacity(live);
-        let mut t = Vec::with_capacity(live);
-        for span in &mut self.spans {
-            let (s, e) = (span.start as usize, (span.start + span.len) as usize);
-            span.start = q.len() as u32;
-            q.extend_from_slice(&self.arena_q[s..e]);
-            t.extend_from_slice(&self.arena_t[s..e]);
-        }
-        self.arena_q = q;
-        self.arena_t = t;
-        self.dead = 0;
+        (NONE, Hours::ZERO)
     }
 }
 
@@ -612,77 +490,52 @@ impl<'p> IncrementalEvaluator<'p> {
     // Dynamic candidates.
     // ------------------------------------------------------------------
 
-    /// Splices a new candidate into the evaluator — and into its problem —
-    /// returning the new index. The view starts **deselected**; its span
-    /// joins the arena and its entries are offered to the per-query
-    /// top-k tables in O(deg), with no rebuild of the cached
-    /// best/runner-up state. On a borrowed evaluator the first edit
-    /// clones the problem; [`IncrementalEvaluator::from_problem`] avoids
-    /// even that. While a fork shares them, the edit first copies the
-    /// problem and the index.
+    /// Appends a candidate, deselected, returning its index: the
+    /// problem grows (copied first while borrowed or shared with a
+    /// fork) and the evaluator is rebuilt over it at the same
+    /// selection. O(Σ deg + m).
     pub fn add_candidate(&mut self, charge: ViewCharge) -> usize {
         let k = self.problem.to_mut().push_candidate(charge);
-        debug_assert_eq!(self.index.spans.len(), k);
-        Arc::make_mut(&mut self.index).push_span(&self.problem.candidates()[k].profile);
         self.selection.push(false);
+        self.reindex();
         k
     }
 
-    /// Retires candidate `k`, returning its charge. If selected, it is
-    /// deselected first (the `unflip` eviction leaves no best/runner-up
-    /// slot pointing at the retired index). Indices follow
-    /// `Vec::swap_remove` semantics: the last candidate takes index `k`
-    /// (renumbered in the top-k tables and query caches); all other
-    /// indices are stable. O(deg(k) + deg(last)) — after one copy of the
-    /// problem and the index while a fork shares them; the abandoned
-    /// arena span is reclaimed by a later compaction.
+    /// Retires candidate `k`, returning its charge, with
+    /// `Vec::swap_remove` index semantics — the last candidate takes
+    /// index `k`, selected or not as it was — and rebuilds the
+    /// evaluator over the shrunk problem at the remaining selection.
+    /// O(Σ deg + m).
     pub fn remove_candidate(&mut self, k: usize) -> ViewCharge {
         let n = self.index.spans.len();
         assert!(k < n, "candidate {k} out of {n}");
-        if self.selection.contains(k) {
-            self.unflip(k);
-        }
-        let index = Arc::make_mut(&mut self.index);
-        let last = n - 1;
-        let kk = k as u32;
-        let span = index.spans[k];
-        for idx in span.start as usize..(span.start + span.len) as usize {
-            let i = index.arena_q[idx] as usize;
-            index.topk_remove(i, kk);
-        }
-        index.dead += span.len as usize;
-        if k != last {
-            // The last candidate takes index k: renumber its table
-            // entries and any cache slots currently naming it.
-            let lk = last as u32;
-            let lspan = index.spans[last];
-            for idx in lspan.start as usize..(lspan.start + lspan.len) as usize {
-                let i = index.arena_q[idx] as usize;
-                let base = i * ANSWER_TOP_K;
-                for j in 0..index.top_len[i] as usize {
-                    if index.top_view[base + j] == lk {
-                        index.top_view[base + j] = kk;
-                    }
-                }
-                if self.best_view[i] == lk {
-                    self.best_view[i] = kk;
-                }
-                if self.second_view[i] == lk {
-                    self.second_view[i] = kk;
-                }
-            }
-        }
-        index.spans.swap_remove(k);
-        index.maybe_compact();
         self.selection.swap_remove(k);
-        self.problem.to_mut().swap_remove_candidate(k)
+        let charge = self.problem.to_mut().swap_remove_candidate(k);
+        self.reindex();
+        charge
+    }
+
+    /// A fresh index over the (edited) problem, and the per-query
+    /// caches replayed at the current selection.
+    fn reindex(&mut self) {
+        let m = self.term.len();
+        self.index = Arc::new(Index::new(m, self.problem.candidates()));
+        self.best_view.fill(NONE);
+        self.second_view.fill(NONE);
+        self.reload_terms();
+        self.all_dirty = true;
+        let standing =
+            std::mem::replace(&mut self.selection, SelectionSet::empty(self.problem.len()));
+        for k in standing.ones() {
+            self.flip(k);
+        }
     }
 
     /// Re-prices candidate `k` in place — the epoch-boundary splice,
     /// and the fleet search's placement flip. O(1) (after one problem
     /// copy while a fork shares it): a [`Price`] cannot
     /// carry an answer profile, and nothing this evaluator caches (answer
-    /// arena, top-k tables, per-query minima, terms, block sums) depends
+    /// index, per-query minima, terms, block sums) depends
     /// on a view's size, build or refresh time — `score` reads those
     /// from the problem. Indices and the selection state of `k` are
     /// untouched. Returns the old price. (A view whose *answers* change
@@ -756,8 +609,8 @@ impl<'p> IncrementalEvaluator<'p> {
 
     /// Deselects candidate `k` (must currently be selected). O(deg)
     /// unless `k` was a query's best or runner-up, in which case that
-    /// query's top-k table is rescanned (exact fallback only on pruned
-    /// tables that come up empty).
+    /// query's fastest-first answer list is rescanned up to its first
+    /// selected entry.
     pub fn unflip(&mut self, k: usize) {
         assert!(self.selection.contains(k), "candidate {k} not selected");
         mv_obs::inc(Counter::EvaluatorUnflip);

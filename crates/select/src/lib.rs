@@ -29,16 +29,15 @@
 //!
 //! Every solver probes neighboring selections through the
 //! [`IncrementalEvaluator`], which caches each query's fastest selected
-//! view plus the runner-up over **sparse struct-of-arrays answer
-//! tables**: the per-view answer lists live in one flat CSR arena
-//! (parallel query-id/time vectors with a span per view), and the
-//! per-query reverse index keeps only the [`ANSWER_TOP_K`] fastest
-//! answerers, under the invariant that every answerer left outside a
-//! table is at least as slow as everything inside it — so a table
-//! rescan is exact whenever it finds anyone, and falls back to an exact
-//! sweep of the selected views' spans only when a pruned table comes up
-//! empty. Against n candidates and m workload queries, with `deg` the
-//! number of queries a view answers:
+//! view plus the runner-up over a **sparse struct-of-arrays answer
+//! index**, built once per evaluator and never written: the per-view
+//! answer lists live in one flat CSR arena (parallel query-id/time
+//! vectors with a span per view), and its transpose — a second CSR
+//! arena by query, each query's answerers ordered fastest first — is
+//! the reverse index, so the runner-up after a flip-off is the first
+//! selected entry of the query's list: exact by construction, whatever
+//! the pool's size or density. Against n candidates and m workload
+//! queries, with `deg` the number of queries a view answers:
 //!
 //! * `flip`/`unflip` — O(deg) (a runner-up rescan only when the flipped
 //!   view was among a query's two fastest);
@@ -250,7 +249,7 @@ pub use epoch::{
     ChainSpec, DpFleetSolution, DpSolution, EpochChain, EpochStep, EpochTree, EpochTreeNode,
     Topology, DP_FLEET_MAX_CANDIDATES, DP_MAX_CANDIDATES,
 };
-pub use evaluator::{IncrementalEvaluator, ANSWER_TOP_K};
+pub use evaluator::IncrementalEvaluator;
 pub use exhaustive::{
     solve_exhaustive, solve_exhaustive_with_threads, MAX_CANDIDATES, PARALLEL_THRESHOLD,
 };
