@@ -2,18 +2,16 @@
 //! an m = 50 000-query workload (ISSUE 6's headline shape — 100× the
 //! paper's pools, where a dense answer table would hold 10⁸ slots).
 //!
-//! What must hold for the sparse struct-of-arrays refactor to count:
+//! What must hold for the sparse struct-of-arrays layout to count:
 //!
 //! 1. **probe** — flip + snapshot + unflip stays in *microseconds*:
-//!    the flip itself is O(deg) against the top-k tables and the
+//!    the flip itself is O(deg) against the answer index and the
 //!    snapshot is O(n/64 + selected + m/B + B·dirty) over the cached
 //!    block sums, never O(n·m). The `full_evaluate` reference is one
 //!    from-scratch evaluation of the same read, O(m + Σ deg).
 //!    `probe_primitive` is the same probe through
 //!    `IncrementalEvaluator::probe`, as the move loops issue it.
-//! 2. **churn** — an add + probe + retire cycle (the streaming
-//!    advisor's inner loop) stays O(deg + m), not a rebuild.
-//! 3. **solve** — a bounded LNS pass completes on the full shape;
+//! 2. **solve** — a bounded LNS pass completes on the full shape;
 //!    flip/swap local search's O(n²) swap neighborhood is hopeless
 //!    here (n² = 4·10⁶ probes *per round*).
 //!
@@ -46,7 +44,7 @@ fn bench_probe(c: &mut Criterion) {
 
     // flip + snapshot + unflip — the solver probe. One probe per
     // iteration, rotating the flipped candidate over the unselected
-    // pool so the top-k hit pattern varies.
+    // pool so the affected queries vary.
     let probes: Vec<usize> = (0..n).filter(|k| k % 7 != 0).collect();
     group.bench_function(BenchmarkId::from_parameter("incremental"), |b| {
         let mut ev = IncrementalEvaluator::new(&problem);
@@ -157,28 +155,6 @@ fn bench_snapshot_delta(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_churn(c: &mut Criterion) {
-    let problem = shapes::scale_problem(&shapes::scale_shape());
-    let n = problem.len();
-    let newcomer = problem.candidates()[n - 1].clone();
-    let mut group = c.benchmark_group("scale/add_probe_n2000_m50000");
-
-    group.bench_function(BenchmarkId::from_parameter("incremental"), |b| {
-        let mut ev = IncrementalEvaluator::new(&problem);
-        for k in (0..n).step_by(7) {
-            ev.flip(k);
-        }
-        b.iter(|| {
-            let k = ev.add_candidate(newcomer.clone());
-            ev.flip(k);
-            let t = ev.snapshot().time.value();
-            ev.remove_candidate(k);
-            black_box(t)
-        })
-    });
-    group.finish();
-}
-
 fn bench_solve(c: &mut Criterion) {
     let problem = shapes::scale_problem(&shapes::scale_shape());
     let scenario = Scenario::tradeoff_normalized(0.5);
@@ -209,6 +185,6 @@ fn bench_solve(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = mv_bench::shapes::fast_config_samples(10);
-    targets = bench_probe, bench_snapshot_delta, bench_churn, bench_solve
+    targets = bench_probe, bench_snapshot_delta, bench_solve
 }
 criterion_main!(benches);

@@ -23,7 +23,8 @@ use mv_engine::{
 use mv_lattice::{candidates, CandidateStream, Cuboid, SizeEstimator};
 use mv_pricing::{PricingPolicy, UsageLedger};
 use mv_select::{
-    local_search, IncrementalEvaluator, Outcome, Scenario, SelectionProblem, SolverKind,
+    local_search, IncrementalEvaluator, Outcome, Scenario, SelectionProblem, SelectionSet,
+    SolverKind,
 };
 use mv_units::{Gb, Hours, Months};
 
@@ -487,17 +488,19 @@ impl Advisor {
     /// Streaming counterpart of [`Advisor::build`] + [`Advisor::solve`]:
     /// pulls candidate cuboids lazily from a benefit-ordered
     /// [`CandidateStream`], materializes and meters each one *on
-    /// admission*, splices it into a dynamic [`IncrementalEvaluator`]
-    /// (O(m), no rebuild), keeps the running selection locally repaired
-    /// with bounded flip/swap local search, and retires (ε-)dominated
+    /// admission*, keeps the running selection locally repaired with
+    /// bounded flip/swap local search, and retires (ε-)dominated
     /// candidates so the live pool stays small
     /// ([`StreamingConfig::retire_epsilon`]; 0 = strict dominance).
+    /// The pool lives here, as plain `Vec`s: each pull builds one
+    /// [`IncrementalEvaluator`] over it at the standing selection
+    /// (O(Σ deg + m), beside the engine measurement the pull pays).
     /// With [`StreamingConfig::stop_marginal`] set, the stream also
     /// stops early once the marginal benefit per measurement stays
     /// below the threshold for [`StreamingConfig::stop_patience`]
     /// consecutive pulls — huge lattices never need a full drain.
     ///
-    /// The search is *anytime* — after every pull the evaluator holds a
+    /// The search is *anytime* — after every pull it holds a
     /// feasibility-ranked answer — and at drain a greedy-restart
     /// multi-start pass guarantees the reported outcome is never worse
     /// than batch greedy over the same candidate pool (property-tested in
@@ -513,8 +516,7 @@ impl Advisor {
         let meter = CandidateMeter::new(&domain, &config)?;
         let charges = meter.workload_charges()?;
         let model = meter.cost_model(charges);
-        let mut ev = IncrementalEvaluator::from_problem(SelectionProblem::new(model, Vec::new()));
-        let baseline = ev.problem().baseline();
+        let baseline = SelectionProblem::new(model.clone(), Vec::new()).baseline();
         let estimator = SizeEstimator::new(domain.base.num_rows() as u64);
         let mut stream = match streaming.strategy {
             StreamStrategy::HruGreedy(limit) => {
@@ -529,7 +531,13 @@ impl Advisor {
             }
         };
 
+        // The pool and the standing selection over it, between evaluators.
         let mut measured: Vec<MeasuredCandidate> = Vec::new();
+        let mut standing: Vec<bool> = Vec::new();
+        let problem_over = |measured: &[MeasuredCandidate]| {
+            let charges = measured.iter().map(|m| m.charge.clone()).collect();
+            SelectionProblem::new(model.clone(), charges)
+        };
         let mut current = baseline.clone();
         let mut pulled = 0usize;
         let mut retired = 0usize;
@@ -538,9 +546,12 @@ impl Advisor {
         for cuboid in stream.by_ref() {
             pulled += 1;
             let before = current.clone();
-            let mc = meter.measure(cuboid)?;
-            let k = ev.add_candidate(mc.charge.clone());
-            measured.push(mc);
+            measured.push(meter.measure(cuboid)?);
+            standing.push(false);
+            let problem = problem_over(&measured);
+            let selection = SelectionSet::from_bools(&standing);
+            let mut ev = IncrementalEvaluator::with_selection(&problem, &selection);
+            let k = measured.len() - 1;
             // Admission probe: select the newcomer iff it improves the
             // scenario ordering right now.
             ev.flip(k);
@@ -556,8 +567,9 @@ impl Advisor {
                 current =
                     local_search::improve(&mut ev, scenario, &baseline, streaming.moves_per_pull);
             }
+            standing = ev.selection().iter().collect();
             if streaming.retire_dominated {
-                retired += retire_dominated(&mut ev, &mut measured, streaming.retire_epsilon);
+                retired += retire_dominated(&mut measured, &mut standing, streaming.retire_epsilon);
             }
             // Pull-adaptive stopping: a measurement is "worth it" while
             // it keeps buying progress in the scenario's own ordering.
@@ -578,6 +590,9 @@ impl Advisor {
 
         // Drain: polish the streamed answer, then multi-start against a
         // greedy fill from empty over the surviving pool; keep the better.
+        let problem = problem_over(&measured);
+        let selection = SelectionSet::from_bools(&standing);
+        let mut ev = IncrementalEvaluator::with_selection(&problem, &selection);
         let streamed = local_search::improve(&mut ev, scenario, &baseline, streaming.final_moves);
         for k in 0..ev.problem().len() {
             if ev.is_selected(k) {
@@ -592,7 +607,6 @@ impl Advisor {
             streamed
         };
 
-        let problem = ev.into_problem();
         // Re-derive the baseline over the *final* problem so the outcome's
         // baseline selection has the same length as its evaluation's (as
         // the batch path guarantees); the cost/time values are identical
@@ -740,8 +754,8 @@ fn marginal_gain(
 }
 
 /// Retires every deselected candidate (ε-)dominated by a live one,
-/// keeping `measured` aligned with the evaluator's candidate order
-/// (mirrored `swap_remove`s). With `epsilon == 0` this is strict Pareto
+/// keeping `selected` aligned with `measured` (mirrored
+/// `swap_remove`s). With `epsilon == 0` this is strict Pareto
 /// dominance: any selection using a dominated view maps to one using
 /// its dominator that is never slower, never costlier and never
 /// infeasible-when-the-original-was-feasible, so retirement cannot push
@@ -749,8 +763,8 @@ fn marginal_gain(
 /// near-duplicates (Aouiche et al.-style pruning) at the cost of a
 /// bounded optimum regression. Returns how many were retired.
 fn retire_dominated(
-    ev: &mut IncrementalEvaluator<'static>,
     measured: &mut Vec<MeasuredCandidate>,
+    selected: &mut Vec<bool>,
     epsilon: f64,
 ) -> usize {
     let mut removed = 0;
@@ -761,18 +775,18 @@ fn retire_dominated(
     // total instead of O(n³·m) restart-per-removal. (ε-dominance is not
     // transitive; a single pass may then retire fewer than a fixpoint
     // would, which only errs on the safe side.)
-    let mut j = ev.problem().len();
+    let mut j = measured.len();
     while j > 0 {
         j -= 1;
-        if ev.is_selected(j) {
+        if selected[j] {
             continue;
         }
-        let candidates = ev.problem().candidates();
-        if (0..candidates.len())
-            .any(|i| i != j && dominates_within(&candidates[i], &candidates[j], epsilon))
+        let victim = &measured[j].charge;
+        if (0..measured.len())
+            .any(|i| i != j && dominates_within(&measured[i].charge, victim, epsilon))
         {
-            ev.remove_candidate(j);
             measured.swap_remove(j);
+            selected.swap_remove(j);
             removed += 1;
         }
     }
@@ -994,6 +1008,34 @@ mod tests {
         // materializes and serves queries.
         let catalog = advisor.materialize_selection(&outcome).unwrap();
         assert_eq!(catalog.len(), outcome.evaluation.num_selected());
+    }
+
+    #[test]
+    fn streaming_builds_one_evaluator_per_pull() {
+        // The SSB closure stream, sized so that ε = 0.25 finds
+        // near-duplicates to retire on some pulls and none on others.
+        let guard = mv_obs::CounterGuard::scoped();
+        let (_, _, report) = Advisor::solve_streaming(
+            crate::ssb_domain(500, 1.0, 42),
+            AdvisorConfig {
+                sizing: SizingMode::MeasuredScaled,
+                ..AdvisorConfig::default()
+            },
+            Scenario::tradeoff_normalized(0.5),
+            StreamingConfig {
+                strategy: StreamStrategy::WorkloadClosure,
+                retire_epsilon: 0.25,
+                ..StreamingConfig::default()
+            },
+        )
+        .unwrap();
+        assert!(0 < report.retired && report.retired < report.pulled);
+        // One per admission and one to drain: no probe, repair move,
+        // retiring pass or greedy restart builds another.
+        assert_eq!(
+            guard.local_delta(mv_obs::Counter::EvaluatorBuild) as usize,
+            report.pulled + 1
+        );
     }
 
     #[test]

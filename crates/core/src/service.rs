@@ -26,11 +26,13 @@
 //! 4. **Concurrent what-ifs with snapshot isolation** — each
 //!    [`AdvisorService::what_if`] runs on an [`IncrementalEvaluator::fork`]
 //!    of the resident evaluator: the fork copies the per-selection
-//!    caches (O(m)) and shares the answer index and the problem, which
-//!    a flip only reads and an edit copies before writing. Any number
-//!    of concurrent explorations can flip, re-price, retarget or churn
-//!    candidates without perturbing the resident plan (property-tested
-//!    in `tests/service.rs`).
+//!    caches (O(m)) and shares the answer index, which nothing writes,
+//!    and the problem, which a flip only reads and a re-price or a
+//!    retarget copies before writing. Any number of concurrent
+//!    explorations can flip, re-price or retarget without perturbing
+//!    the resident plan (property-tested in `tests/service.rs`); one
+//!    that wants another candidate builds its own evaluator over
+//!    `problem()` plus that candidate.
 //!
 //! The resident plan is always derived by one canonical procedure —
 //! greedy fill from empty plus a bounded local-search polish on the
@@ -362,11 +364,6 @@ impl AdvisorService {
     /// Warm re-solves performed so far.
     pub fn resolves(&self) -> u64 {
         self.resolves
-    }
-
-    /// Events accepted / skipped-as-replayed so far.
-    pub fn ingest_totals(&self) -> (u64, u64) {
-        (self.accepted, self.replayed)
     }
 
     /// The names of the resident plan's selected views.

@@ -143,8 +143,7 @@ proptest! {
 
     /// Concurrent what-ifs run on evaluator forks: whatever they flip —
     /// or write to what a fork shares with the resident: the model
-    /// (`retarget`), a price (`update_charge`), the pool
-    /// (`add_candidate` + `remove_candidate`) — from however many
+    /// (`retarget`), a price (`update_charge`) — from however many
     /// threads, and however long a fork outlives its call, the resident
     /// plan, its report and its next re-solve are those of a twin
     /// service that never ran a what-if.
@@ -182,33 +181,26 @@ proptest! {
                         if !odd.is_empty() {
                             assert_ne!(probe.selection, svc.plan().selection);
                         }
-                        // A what-if that writes to the shared halves, by
-                        // thread; every other one hands its fork out.
+                        // A what-if that writes to the shared problem — a
+                        // retarget, a price splice or both, by thread;
+                        // every other one hands its fork out.
                         let k = ks[0];
                         svc.what_if(|ev| {
-                            match t % 3 {
-                                0 => {
-                                    let model = ev.problem().model();
-                                    let mut reweighted: Vec<f64> = model
-                                        .context()
-                                        .workload
-                                        .iter()
-                                        .map(|q| q.frequency + 1.0)
-                                        .collect();
-                                    reweighted[0] += 3.0;
-                                    let model = model.with_frequencies(&reweighted);
-                                    ev.retarget(model);
-                                }
-                                1 => {
-                                    let carried = ev.problem().candidates()[k].carried();
-                                    ev.update_charge(k, carried);
-                                }
-                                _ => {
-                                    let extra = ev.problem().candidates()[k].clone();
-                                    let added = ev.add_candidate(extra);
-                                    ev.flip(added);
-                                    ev.remove_candidate(k);
-                                }
+                            if t % 3 != 1 {
+                                let model = ev.problem().model();
+                                let mut reweighted: Vec<f64> = model
+                                    .context()
+                                    .workload
+                                    .iter()
+                                    .map(|q| q.frequency + 1.0)
+                                    .collect();
+                                reweighted[0] += 3.0;
+                                let model = model.with_frequencies(&reweighted);
+                                ev.retarget(model);
+                            }
+                            if t % 3 != 0 {
+                                let carried = ev.problem().candidates()[k].carried();
+                                ev.update_charge(k, carried);
                             }
                             let written = ev.snapshot();
                             assert_eq!(written, ev.problem().evaluate(ev.selection()));

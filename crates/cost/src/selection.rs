@@ -119,44 +119,6 @@ impl SelectionSet {
         words[k / 64] >> (k % 64) & 1 == 1
     }
 
-    /// Appends a new candidate slot at index `len`, selected iff `on`.
-    /// Grows the word vector only when `len` crosses a 64-bit boundary,
-    /// keeping the representation identical to `empty(new_len)` + `set`s
-    /// (so `Eq`/`Hash` stay representation-independent).
-    pub fn push(&mut self, on: bool) {
-        let k = self.len;
-        self.len += 1;
-        let words = Arc::make_mut(&mut self.words);
-        words.resize(self.len.div_ceil(64), 0);
-        if on {
-            words[k / 64] |= 1u64 << (k % 64);
-        }
-    }
-
-    /// Removes slot `k` by moving the **last** slot into it (swap-remove,
-    /// matching `Vec::swap_remove` on an aligned candidate vector) and
-    /// shrinking the range by one. Returns whether `k` was selected.
-    pub fn swap_remove(&mut self, k: usize) -> bool {
-        assert!(k < self.len, "candidate {k} out of {}", self.len);
-        let last = self.len - 1;
-        let was = self.contains(k);
-        let last_on = self.contains(last);
-        let words = Arc::make_mut(&mut self.words);
-        // Clear the retiring top slot, then rewrite slot k with its value.
-        words[last / 64] &= !(1u64 << (last % 64));
-        if k != last {
-            let bit = 1u64 << (k % 64);
-            if last_on {
-                words[k / 64] |= bit;
-            } else {
-                words[k / 64] &= !bit;
-            }
-        }
-        self.len = last;
-        words.truncate(self.len.div_ceil(64));
-        was
-    }
-
     /// Number of selected candidates.
     pub fn count_ones(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
@@ -283,102 +245,17 @@ mod tests {
     }
 
     #[test]
-    fn push_grows_and_matches_set_representation() {
-        // Pushing past one word must equal building the same selection via
-        // empty + set: Eq/Hash are representation-dependent on the word
-        // vector, so push must size it exactly like `empty(new_len)`.
-        let mut pushed = SelectionSet::empty(0);
-        for k in 0..130 {
-            pushed.push(k % 3 == 0);
-        }
-        assert_eq!(pushed.len(), 130);
-        let mut built = SelectionSet::empty(130);
-        for k in (0..130).step_by(3) {
-            built.set(k, true);
-        }
-        assert_eq!(pushed, built);
-        assert_eq!(pushed.count_ones(), built.count_ones());
-        // Word-boundary counts: 63→64→65 slots.
-        let mut s = SelectionSet::empty(63);
-        s.push(true);
-        assert_eq!(s.len(), 64);
-        assert!(s.contains(63));
-        s.push(true);
-        assert_eq!(s.len(), 65);
-        assert!(s.contains(64));
-        assert_eq!(s.count_ones(), 2);
-    }
-
-    #[test]
-    fn swap_remove_moves_last_and_shrinks() {
-        let mut s = SelectionSet::from_bools(&[true, false, true, false, true]);
-        // Remove middle: last slot (selected) moves into index 2.
-        assert!(s.swap_remove(2));
-        assert_eq!(s.len(), 4);
-        assert_eq!(s.iter().collect::<Vec<_>>(), vec![true, false, true, false]);
-        // Remove the last slot directly (no move).
-        assert!(!s.swap_remove(3));
-        assert_eq!(s.len(), 3);
-        assert_eq!(s.count_ones(), 2);
-        // Representation equals a freshly-built equivalent (Eq is
-        // word-vector-sensitive).
-        assert_eq!(s, SelectionSet::from_bools(&[true, false, true]));
-    }
-
-    #[test]
-    fn swap_remove_across_word_boundary_truncates_words() {
-        let mut s = SelectionSet::empty(65);
-        s.set(64, true);
-        s.set(3, true);
-        // Removing slot 3 pulls bit 64 down into one-word range.
-        assert!(s.swap_remove(3));
-        assert_eq!(s.len(), 64);
-        assert!(s.contains(3));
-        assert_eq!(s.count_ones(), 1);
-        let mut expect = SelectionSet::empty(64);
-        expect.set(3, true);
-        assert_eq!(s, expect);
-        assert_eq!(s.as_mask(), 1u64 << 3);
-    }
-
-    #[test]
-    fn push_and_swap_remove_preserve_cow_isolation() {
-        // Mutating a clone through the grow/shrink paths must not alias the
-        // original's shared words (Arc::make_mut copy-on-write).
-        let mut a = SelectionSet::from_bools(&[true, false, true]);
-        let b = a.clone();
-        a.push(true);
-        a.swap_remove(1);
-        assert_eq!(a.iter().collect::<Vec<_>>(), vec![true, true, true]);
-        assert_eq!(b.iter().collect::<Vec<_>>(), vec![true, false, true]);
-        // And the reverse direction: clone mutates, original unchanged.
-        let mut c = b.clone();
-        c.swap_remove(0);
-        assert_eq!(b.count_ones(), 2);
-        assert_eq!(c.len(), 2);
-    }
-
-    #[test]
     fn empty_set_storage_and_edges() {
-        // A zero-candidate selection is a real value: pushes start from it,
-        // and its word vector must stay empty so Eq against `empty(0)`
-        // holds.
-        let mut s = SelectionSet::empty(0);
+        // A zero-candidate selection is a real value — the streaming
+        // advisor's first evaluator holds one — and its word vector
+        // must stay empty so Eq against `from_mask(0, 0)` holds.
+        let s = SelectionSet::empty(0);
         assert!(s.is_empty());
         assert_eq!(s.count_ones(), 0);
         assert_eq!(s.as_mask(), 0);
         assert_eq!(s, SelectionSet::from_mask(0, 0));
-        s.push(true);
-        assert!(!s.is_empty());
-        assert!(s.swap_remove(0));
-        assert!(s.is_empty());
-        assert_eq!(s, SelectionSet::empty(0));
-    }
-
-    #[test]
-    #[should_panic(expected = "out of")]
-    fn swap_remove_out_of_range_panics() {
-        SelectionSet::empty(2).swap_remove(2);
+        assert_eq!(s, SelectionSet::from_bools(&[]));
+        assert_eq!(s.ones().count(), 0);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! walk every fold over a selection goes through — yields exactly the
 //! indices a bit-by-bit filter yields, in the same (ascending) order,
 //! at every length around the 64-bit word boundaries and after the
-//! grow/shrink edits the dynamic candidate pool applies.
+//! in-place `set` / `toggle` edits a search applies.
 
 use mv_cost::SelectionSet;
 use proptest::prelude::*;
@@ -40,17 +40,17 @@ proptest! {
     }
 
     #[test]
-    fn ones_matches_the_naive_filter_after_push_and_swap_remove(
-        start in 0usize..70,
+    fn ones_matches_the_naive_filter_after_set_and_toggle(
+        len in 1usize..200,
         bits in proptest::collection::vec(proptest::bool::ANY, 1..70),
         ops in proptest::collection::vec((proptest::bool::ANY, proptest::bool::ANY, 0usize..200), 1..160),
     ) {
-        let mut s = build(start, &bits);
-        for (step, &(push, on, at)) in ops.iter().enumerate() {
-            if push || s.is_empty() {
-                s.push(on);
+        let mut s = build(len, &bits);
+        for (step, &(set, on, at)) in ops.iter().enumerate() {
+            if set {
+                s.set(at % len, on);
             } else {
-                s.swap_remove(at % s.len());
+                s.toggle(at % len);
             }
             prop_assert_eq!(s.ones().collect::<Vec<_>>(), naive(&s), "step {}", step);
         }

@@ -18,8 +18,8 @@
 //!   cuboids answer many queries; most answer a handful), and
 //! * **popularity skew** — answer lists cluster around per-candidate
 //!   anchor queries rather than spraying uniformly, so some queries
-//!   collect many answerers (exercising top-k pruning) while most keep
-//!   one or two.
+//!   collect many answerers (long rows in the evaluator's by-query
+//!   index) while most keep one or two.
 
 /// Parameters of a synthetic sparse workload/candidate shape.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

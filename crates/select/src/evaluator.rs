@@ -21,19 +21,21 @@
 //!
 //! At production scale (n = 2 000 candidates, m = 50 000 queries) most
 //! views answer a handful of queries, so every table here is sparse and
-//! flat. The answer index is two CSR arenas, built once per evaluator
-//! in O(Σ deg + m) plus the per-query sorts and never written after:
+//! flat. The answer index is two compressed-sparse-row tables — one
+//! offset per row into two parallel `Vec`s of ids and times — built
+//! once per evaluator in O(Σ deg + m) plus the per-query sorts and
+//! never written after:
 //!
-//! * **by view** — two parallel `Vec`s of query ids and times, with a
-//!   `(start, len)` span per view — so a flip walks one contiguous
-//!   slice, no per-view `Vec` pointer chasing;
-//! * **by query** — its transpose: `m + 1` offsets into two parallel
-//!   `Vec`s of view ids and times, each query's answerers ordered
-//!   fastest first (equal times in ascending view order). A runner-up
-//!   rescan returns the first selected entry that is not the current
-//!   best: exact by construction, at the cost of the entries before
-//!   it — at most the query's answerer count, and one or two when the
-//!   selection holds its fast views, as a search's does;
+//! * **by view** — each view's answered query ids, ascending, and their
+//!   times — so a flip walks one contiguous slice, no per-view `Vec`
+//!   pointer chasing;
+//! * **by query** — the transpose: each query's answering view ids and
+//!   their times, fastest first (equal times in ascending view order).
+//!   A runner-up rescan returns the first selected entry that is not
+//!   the current best: exact by construction, at the cost of the
+//!   entries before it — at most the query's answerer count, and one or
+//!   two when the selection holds the query's fast views, as a search's
+//!   does;
 //! * the best/runner-up cache is four parallel arrays, not an
 //!   array-of-structs.
 //!
@@ -97,17 +99,6 @@
 //! snapshot it performs. `probe ≡ the triple`, with the evaluator left
 //! bit-equal, is property-tested in `evaluator/probe_tests.rs`.
 //!
-//! # Dynamic candidates
-//!
-//! [`IncrementalEvaluator::add_candidate`] and
-//! [`IncrementalEvaluator::remove_candidate`] edit the evaluator's
-//! problem (`Vec::push` / `Vec::swap_remove` index semantics) and
-//! rebuild the index and the per-query caches over it at the same
-//! selection — O(Σ deg + m), as a fresh build. `snapshot()` stays
-//! bit-identical to a from-scratch `SelectionProblem::evaluate` on the
-//! equivalent static problem throughout — property-tested over random
-//! add/remove/flip interleavings in `tests/evaluator_matches.rs`.
-//!
 //! # Forks
 //!
 //! [`IncrementalEvaluator::fork`] is what a scenario-tree branch point
@@ -115,24 +106,32 @@
 //! split by who writes what:
 //!
 //! * **Shared** (one `Arc` bump each): the **answer index** — both
-//!   arenas, a function of the candidate pool alone —
-//!   and the **problem** (model, charges, names, profiles). A flip, a
-//!   probe and a score only read them.
+//!   tables, a function of the candidate pool alone — and the
+//!   **problem** (model, charges, names, profiles). A flip, a probe and
+//!   a score only read them.
 //! * **Copied**: the per-selection state — selection words (themselves
 //!   copy-on-write), best / runner-up caches, terms, block sums and the
 //!   dirty list. At m = 4 096 that is ≈ 130 KB in 7 allocations (8
 //!   with blocks dirty), independent of n and of Σ deg
 //!   (`tests/probe_allocs.rs`).
 //!
-//! The index is never written, so forks share it for good (a
-//! candidate edit builds its evaluator a new one). A write to the
-//! problem copies it first if — and only if — someone else still holds
-//! it: `retarget`, `update_charge` and the two candidate edits.
-//! Once the other holders are gone the writes are in place again, so
-//! a what-if that has returned costs the resident nothing — but a fork
-//! *kept alive* across the resident's next `retarget` (a service
-//! re-solve) costs that retarget one problem copy. Forks never see each
-//! other's edits, nor their origin's (`tests/fork_isolation.rs`).
+//! The index is never written, so forks share it for good. A write to
+//! the problem — `retarget`, `update_charge` — copies it first if, and
+//! only if, someone else still holds it. Once the other holders are
+//! gone the writes are in place again, so a what-if that has returned
+//! costs the resident nothing — but a fork *kept alive* across the
+//! resident's next `retarget` (a service re-solve) costs that retarget
+//! one problem copy. Forks never see each other's edits, nor their
+//! origin's (`tests/fork_isolation.rs`).
+//!
+//! # One pool per evaluator
+//!
+//! The candidate pool is fixed for an evaluator's life, as the paper's
+//! `V_cand` is for a problem's. A caller whose pool changes — the
+//! streaming advisor admitting and retiring views, a what-if that wants
+//! one more candidate — edits its own candidate `Vec` and builds a new
+//! evaluator over it at the standing selection: O(Σ deg + m), the cost
+//! of the index.
 
 use std::ops::Deref;
 use std::sync::Arc;
@@ -146,19 +145,24 @@ use crate::{Evaluation, Score, SelectionProblem};
 /// Sentinel candidate index meaning "no view".
 const NONE: u32 = u32::MAX;
 
-// Build / retarget / fork accounting lives in the `mv-obs` registry
-// ([`Counter::EvaluatorBuild`] and friends) rather than in ad-hoc
-// process statics: counters only move while telemetry is enabled, and
-// delta-asserting tests scope their reads with `mv_obs::CounterGuard`
-// (which serializes those sections process-wide — the old always-on
-// statics made cross-test interleaving a latent hazard under threaded
-// `cargo test`).
+/// A compressed-sparse-row table of answers: row `r`'s entries are
+/// `start[r]..start[r + 1]` of two parallel arrays.
+#[derive(Debug)]
+struct Csr {
+    /// One offset per row, plus the total.
+    start: Vec<u32>,
+    /// The other side of each entry: a query id in a view's row, a view
+    /// id in a query's.
+    id: Vec<u32>,
+    /// Answer times, parallel to `id`.
+    time: Vec<Hours>,
+}
 
-/// One view's slice of the view-major arena.
-#[derive(Debug, Clone, Copy)]
-struct Span {
-    start: u32,
-    len: u32,
+impl Csr {
+    fn row(&self, r: usize) -> (&[u32], &[Hours]) {
+        let (s, e) = (self.start[r] as usize, self.start[r + 1] as usize);
+        (&self.id[s..e], &self.time[s..e])
+    }
 }
 
 /// The answer index: who answers which query how fast, stored twice —
@@ -168,20 +172,11 @@ struct Span {
 /// section).
 #[derive(Debug)]
 struct Index {
-    /// Per-view spans into the view-major arena.
-    spans: Vec<Span>,
-    /// View-major arena: query ids, ascending within each span.
-    arena_q: Vec<u32>,
-    /// View-major arena: answer times, parallel to `arena_q`.
-    arena_t: Vec<Hours>,
-    /// Query `i`'s answerers are entries `by_query_start[i]..
-    /// by_query_start[i + 1]` of the query-major arena (m + 1 offsets).
-    by_query_start: Vec<u32>,
-    /// Query-major arena: view ids, fastest first within each query,
-    /// equal times in ascending view order.
-    by_query_view: Vec<u32>,
-    /// Query-major arena: answer times, parallel to `by_query_view`.
-    by_query_time: Vec<Hours>,
+    /// A view's answers, in ascending query order.
+    by_view: Csr,
+    /// A query's answerers, fastest first; equal times in ascending
+    /// view order.
+    by_query: Csr,
 }
 
 impl Index {
@@ -189,79 +184,66 @@ impl Index {
     /// O(Σ deg + m) plus the per-query sorts.
     fn new(m: usize, candidates: &[ViewCharge]) -> Index {
         let entries: usize = candidates.iter().map(|v| v.profile.answered()).sum();
-        // Invariant: every arena offset and length is at most `entries`
-        // and every view id is below `NONE` — checked here, once, so the
-        // `as u32` casts below are lossless and no `start + len` wraps.
+        // Invariant: every offset is at most `entries` and every view id
+        // is below `NONE` — checked here, once, so the `as u32` casts
+        // below are lossless.
         assert!(
             u32::try_from(entries).is_ok() && candidates.len() < NONE as usize,
             "{} views with {entries} answers do not fit a u32 index",
             candidates.len()
         );
-        let mut spans = Vec::with_capacity(candidates.len());
-        let mut arena_q = Vec::with_capacity(entries);
-        let mut arena_t = Vec::with_capacity(entries);
-        let mut by_query_start = vec![0u32; m + 1];
+        let mut by_view = Csr {
+            start: Vec::with_capacity(candidates.len() + 1),
+            id: Vec::with_capacity(entries),
+            time: Vec::with_capacity(entries),
+        };
+        let mut query_start = vec![0u32; m + 1];
         for v in candidates {
-            spans.push(Span {
-                start: arena_q.len() as u32,
-                len: v.profile.answered() as u32,
-            });
-            arena_q.extend_from_slice(v.profile.query_ids());
-            arena_t.extend_from_slice(v.profile.times());
+            by_view.start.push(by_view.id.len() as u32);
+            by_view.id.extend_from_slice(v.profile.query_ids());
+            by_view.time.extend_from_slice(v.profile.times());
             for &q in v.profile.query_ids() {
-                by_query_start[q as usize + 1] += 1;
+                query_start[q as usize + 1] += 1;
             }
         }
+        by_view.start.push(entries as u32);
         for i in 0..m {
-            by_query_start[i + 1] += by_query_start[i];
+            query_start[i + 1] += query_start[i];
         }
         // Transpose by counting sort — views arrive in ascending order
         // within each query — then order each query fastest first; the
         // sort is stable, so equal times keep that view order.
-        let mut next = by_query_start[..m].to_vec();
-        let mut by_query = vec![(Hours::ZERO, NONE); entries];
+        let mut next = query_start[..m].to_vec();
+        let mut answers = vec![(Hours::ZERO, NONE); entries];
         for (v, view) in candidates.iter().enumerate() {
             for (q, t) in view.profile.entries() {
-                by_query[next[q] as usize] = (t, v as u32);
+                answers[next[q] as usize] = (t, v as u32);
                 next[q] += 1;
             }
         }
         for i in 0..m {
-            by_query[by_query_start[i] as usize..by_query_start[i + 1] as usize]
+            answers[query_start[i] as usize..query_start[i + 1] as usize]
                 .sort_by(|a, b| a.0.cmp_total(b.0));
         }
-        let (by_query_time, by_query_view) = by_query.into_iter().unzip();
+        let (time, id) = answers.into_iter().unzip();
         Index {
-            spans,
-            arena_q,
-            arena_t,
-            by_query_start,
-            by_query_view,
-            by_query_time,
+            by_view,
+            by_query: Csr {
+                start: query_start,
+                id,
+                time,
+            },
         }
-    }
-
-    /// View `k`'s answers: query ids (ascending) and times, parallel.
-    fn span(&self, k: usize) -> (&[u32], &[Hours]) {
-        let span = self.spans[k];
-        let (s, e) = (span.start as usize, (span.start + span.len) as usize);
-        (&self.arena_q[s..e], &self.arena_t[s..e])
     }
 
     /// The fastest view of `selection` answering query `i`, excluding
     /// `except` (the current best): the first selected entry of the
-    /// query's fastest-first list that is not `except` — exact, at the
+    /// query's fastest-first row that is not `except` — exact, at the
     /// cost of the entries before it. Returns `(view, time)` with
     /// `view == NONE` for "nobody".
     fn rescan_runner_up(&self, selection: &SelectionSet, i: usize, except: u32) -> (u32, Hours) {
-        let (s, e) = (
-            self.by_query_start[i] as usize,
-            self.by_query_start[i + 1] as usize,
-        );
-        for (&v, &t) in self.by_query_view[s..e]
-            .iter()
-            .zip(&self.by_query_time[s..e])
-        {
+        let (views, times) = self.by_query.row(i);
+        for (&v, &t) in views.iter().zip(times) {
             if v != except && selection.contains(v as usize) {
                 return (v, t);
             }
@@ -399,44 +381,21 @@ impl<'p> IncrementalEvaluator<'p> {
         Self::build(ProblemHandle::Borrowed(problem))
     }
 
-    /// Builds an evaluator that **owns** its problem — the streaming
-    /// entry point: start from a zero-candidate problem and grow it with
-    /// [`IncrementalEvaluator::add_candidate`] without ever paying the
-    /// promotion's clone.
+    /// Builds an evaluator that **owns** its problem — what a caller
+    /// that outlives the problem's scope holds (the epoch chain, the
+    /// resident service); `retarget` and `update_charge` then write in
+    /// place instead of cloning a borrow.
     pub fn from_problem(problem: SelectionProblem) -> IncrementalEvaluator<'static> {
         IncrementalEvaluator::build(ProblemHandle::Shared(Arc::new(problem)))
-    }
-
-    /// Total evaluator builds recorded by `mv-obs` so far (monotone
-    /// while telemetry is enabled; frozen otherwise). Delta-asserting
-    /// tests should scope reads with [`mv_obs::CounterGuard`] — it
-    /// enables telemetry and serializes concurrent delta sections —
-    /// and compare deltas to prove a hot loop never paid a full
-    /// rebuild (the no-rebuild assertions of the market tests).
-    pub fn build_count() -> usize {
-        mv_obs::counter::get(Counter::EvaluatorBuild) as usize
-    }
-
-    /// Total [`IncrementalEvaluator::retarget`] calls recorded by
-    /// `mv-obs` so far. The scenario-tree tests assert "one retarget
-    /// per tree edge" through guarded deltas of this counter.
-    pub fn retarget_count() -> usize {
-        mv_obs::counter::get(Counter::EvaluatorRetarget) as usize
-    }
-
-    /// Total [`IncrementalEvaluator::fork`] calls recorded by `mv-obs`
-    /// so far.
-    pub fn fork_count() -> usize {
-        mv_obs::counter::get(Counter::EvaluatorFork) as usize
     }
 
     /// An independent evaluator at the same selection, for a
     /// scenario-tree branch point or a what-if: the per-selection state
     /// is copied, the answer index and the problem are shared until
     /// either side writes to them (the module's *Forks* section).
-    /// O(m), independent of the pool. Counted in
-    /// [`IncrementalEvaluator::fork_count`], *not* in
-    /// [`IncrementalEvaluator::build_count`] — no O(n·m) rebuild happens.
+    /// O(m), independent of the pool. Counted as
+    /// [`Counter::EvaluatorFork`], *not* as [`Counter::EvaluatorBuild`] —
+    /// no index is built.
     pub fn fork(&self) -> Self {
         mv_obs::inc(Counter::EvaluatorFork);
         self.clone()
@@ -473,62 +432,17 @@ impl<'p> IncrementalEvaluator<'p> {
         ev
     }
 
-    /// The underlying problem (borrowed or owned; reflects any dynamic
-    /// candidate edits).
+    /// The underlying problem (borrowed or owned), as `retarget` and
+    /// `update_charge` have left it.
     pub fn problem(&self) -> &SelectionProblem {
         &self.problem
     }
 
-    /// Consumes the evaluator, returning its problem — including every
-    /// dynamic candidate edit. Clones only if the problem was still
-    /// borrowed and never edited, or a fork still shares it.
+    /// Consumes the evaluator, returning its problem. Clones only if
+    /// the problem was still borrowed and never written, or a fork
+    /// still shares it.
     pub fn into_problem(self) -> SelectionProblem {
         self.problem.into_problem()
-    }
-
-    // ------------------------------------------------------------------
-    // Dynamic candidates.
-    // ------------------------------------------------------------------
-
-    /// Appends a candidate, deselected, returning its index: the
-    /// problem grows (copied first while borrowed or shared with a
-    /// fork) and the evaluator is rebuilt over it at the same
-    /// selection. O(Σ deg + m).
-    pub fn add_candidate(&mut self, charge: ViewCharge) -> usize {
-        let k = self.problem.to_mut().push_candidate(charge);
-        self.selection.push(false);
-        self.reindex();
-        k
-    }
-
-    /// Retires candidate `k`, returning its charge, with
-    /// `Vec::swap_remove` index semantics — the last candidate takes
-    /// index `k`, selected or not as it was — and rebuilds the
-    /// evaluator over the shrunk problem at the remaining selection.
-    /// O(Σ deg + m).
-    pub fn remove_candidate(&mut self, k: usize) -> ViewCharge {
-        let n = self.index.spans.len();
-        assert!(k < n, "candidate {k} out of {n}");
-        self.selection.swap_remove(k);
-        let charge = self.problem.to_mut().swap_remove_candidate(k);
-        self.reindex();
-        charge
-    }
-
-    /// A fresh index over the (edited) problem, and the per-query
-    /// caches replayed at the current selection.
-    fn reindex(&mut self) {
-        let m = self.term.len();
-        self.index = Arc::new(Index::new(m, self.problem.candidates()));
-        self.best_view.fill(NONE);
-        self.second_view.fill(NONE);
-        self.reload_terms();
-        self.all_dirty = true;
-        let standing =
-            std::mem::replace(&mut self.selection, SelectionSet::empty(self.problem.len()));
-        for k in standing.ones() {
-            self.flip(k);
-        }
     }
 
     /// Re-prices candidate `k` in place — the epoch-boundary splice,
@@ -539,10 +453,9 @@ impl<'p> IncrementalEvaluator<'p> {
     /// on a view's size, build or refresh time — `score` reads those
     /// from the problem. Indices and the selection state of `k` are
     /// untouched. Returns the old price. (A view whose *answers* change
-    /// is a different candidate: [`IncrementalEvaluator::
-    /// remove_candidate`] + [`IncrementalEvaluator::add_candidate`].)
+    /// is a different candidate, in a different pool.)
     pub fn update_charge(&mut self, k: usize, price: Price) -> Price {
-        let n = self.index.spans.len();
+        let n = self.problem.len();
         assert!(k < n, "candidate {k} out of {n}");
         mv_obs::inc(Counter::EvaluatorUpdateCharge);
         self.problem.to_mut().reprice_candidate(k, price)
@@ -583,9 +496,9 @@ impl<'p> IncrementalEvaluator<'p> {
         mv_obs::inc(Counter::EvaluatorFlip);
         self.selection.set(k, true);
         let kk = k as u32;
-        // The shared halves once per flip, not once per arena entry.
+        // The shared halves once per flip, not once per answer.
         let workload = &self.problem.model().context().workload;
-        let (queries, times) = self.index.span(k);
+        let (queries, times) = self.index.by_view.row(k);
         for (&q, &t) in queries.iter().zip(times) {
             let i = q as usize;
             if self.best_view[i] == NONE || t < self.best_time[i] {
@@ -616,11 +529,11 @@ impl<'p> IncrementalEvaluator<'p> {
         mv_obs::inc(Counter::EvaluatorUnflip);
         self.selection.set(k, false);
         let kk = k as u32;
-        // The shared halves once per unflip, not once per arena entry.
+        // The shared halves once per unflip, not once per answer.
         let workload = &self.problem.model().context().workload;
         let index: &Index = &self.index;
         let selection = &self.selection;
-        for &q in index.span(k).0 {
+        for &q in index.by_view.row(k).0 {
             let i = q as usize;
             if self.best_view[i] == kk {
                 let (sv, st) = (self.second_view[i], self.second_time[i]);
@@ -633,10 +546,8 @@ impl<'p> IncrementalEvaluator<'p> {
                     &mut self.block_dirty,
                     &mut self.dirty_blocks,
                 );
-                if sv == NONE {
-                    self.second_view[i] = NONE;
-                    self.second_time[i] = Hours::ZERO;
-                } else {
+                // With no runner-up to promote, the slot already says so.
+                if sv != NONE {
                     let (nv, nt) = index.rescan_runner_up(selection, i, sv);
                     self.second_view[i] = nv;
                     self.second_time[i] = nt;
@@ -655,17 +566,6 @@ impl<'p> IncrementalEvaluator<'p> {
             self.unflip(k);
         } else {
             self.flip(k);
-        }
-    }
-
-    /// Effective time of query `i` under the current selection: the
-    /// cached best selected view, else the query's base time. O(1).
-    pub fn query_time(&self, i: usize) -> Hours {
-        let base = self.problem.model().context().workload[i].base_time;
-        if self.best_view[i] == NONE {
-            base
-        } else {
-            base.min(self.best_time[i])
         }
     }
 
@@ -879,27 +779,51 @@ mod tests {
         }
     }
 
-    /// More answerers per query than `ANSWER_TOP_K` slots: the pruned
-    /// tables must stay exact through flips and unflips (the fallback
-    /// sweep path).
+    /// One query, forty answerers on five time levels: the query's row
+    /// is fastest first with ties in view order, and whichever views a
+    /// walk leaves selected, the cached best and runner-up are the two
+    /// smallest selected times — the rescan's first hit is exact.
     #[test]
-    fn pruned_tables_stay_exact_past_top_k() {
-        for seed in 0..5 {
-            // 20 candidates over 2 queries at ~60% density ⇒ ~12
-            // answerers per query, well past the 8 table slots.
-            let p = random_problem(seed + 300, 2, 20);
-            let mut ev = IncrementalEvaluator::new(&p);
-            let mut sel = SelectionSet::empty(p.len());
-            let mut state = seed.wrapping_mul(0x2545f4914f6cdd1d) | 1;
-            for step in 0..128 {
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                let k = (state as usize) % p.len();
-                ev.toggle(k);
-                sel.set(k, !sel.contains(k));
-                assert_eq!(ev.snapshot(), p.evaluate(&sel), "seed {seed} step {step}");
-            }
+    fn rescan_is_exact_on_a_query_with_forty_tied_answerers() {
+        let model = random_problem(1, 1, 0).model().clone();
+        let time_of = |k: usize| Hours::new(0.001 * (1 + (k * 7) % 5) as f64);
+        let views = (0..40)
+            .map(|k| {
+                let size = Gb::new(0.1 + k as f64);
+                ViewCharge::new(format!("v{k}"), size, Hours::new(0.1), Hours::new(0.01), 1)
+                    .answers(0, time_of(k))
+            })
+            .collect();
+        let p = SelectionProblem::new(model, views);
+        let mut ev = IncrementalEvaluator::new(&p);
+        let (row_views, row_times) = ev.index.by_query.row(0);
+        assert_eq!(row_views.len(), 40);
+        for j in 1..40 {
+            let (a, b) = (row_times[j - 1], row_times[j]);
+            assert!(
+                a < b || (a == b && row_views[j - 1] < row_views[j]),
+                "row entry {j}"
+            );
+        }
+        let mut state = 0x2545f4914f6cdd1du64;
+        for step in 0..400 {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            ev.toggle((state as usize) % 40);
+            let mut times: Vec<Hours> = ev.selection().ones().map(time_of).collect();
+            times.sort_by(|a, b| a.cmp_total(*b));
+            let cached = |view: u32, time: Hours| (view != NONE).then_some(time);
+            assert_eq!(
+                cached(ev.best_view[0], ev.best_time[0]),
+                times.first().copied()
+            );
+            assert_eq!(
+                cached(ev.second_view[0], ev.second_time[0]),
+                times.get(1).copied(),
+                "step {step}: runner-up of {times:?}"
+            );
+            assert_eq!(ev.snapshot(), p.evaluate(ev.selection()), "step {step}");
         }
     }
 
@@ -914,171 +838,33 @@ mod tests {
     }
 
     #[test]
-    fn add_candidate_matches_grown_problem() {
-        let p = paper_like_problem();
-        let m = p.model().context().workload.len();
-        let mut ev = IncrementalEvaluator::new(&p);
-        ev.flip(1);
-        let v = ViewCharge::new("v-dyn", Gb::new(0.2), Hours::new(0.1), Hours::new(0.01), m)
-            .answers(1, Hours::new(0.001))
-            .answers(2, Hours::new(0.002));
-        let k = ev.add_candidate(v);
-        assert_eq!(k, 4);
-        assert_eq!(ev.problem().len(), 5);
-        // Parity with full evaluation of the grown problem, before and
-        // after selecting the newcomer.
-        assert_eq!(ev.snapshot(), ev.problem().evaluate(ev.selection()));
-        ev.flip(k);
-        assert_eq!(ev.snapshot(), ev.problem().evaluate(ev.selection()));
-        ev.unflip(k);
-        assert_eq!(ev.snapshot(), ev.problem().evaluate(ev.selection()));
-        // The borrowed source problem is untouched (copy-on-write).
-        assert_eq!(p.len(), 4);
-    }
-
-    #[test]
     fn from_problem_grows_from_zero_candidates() {
         let p = paper_like_problem();
-        let mut ev =
-            IncrementalEvaluator::from_problem(SelectionProblem::new(p.model().clone(), vec![]));
+        let over = |pool: &[ViewCharge]| {
+            IncrementalEvaluator::from_problem(SelectionProblem::new(
+                p.model().clone(),
+                pool.to_vec(),
+            ))
+        };
+        let mut ev = over(&[]);
         let base = p.baseline();
         assert_eq!(ev.snapshot().time, base.time);
         assert_eq!(ev.snapshot().breakdown, base.breakdown);
-        // Stream the static problem's candidates in one at a time,
-        // selecting each; parity must hold at every step.
-        for (k, v) in p.candidates().iter().enumerate() {
-            let got = ev.add_candidate(v.clone());
-            assert_eq!(got, k);
+        // Admit the static problem's candidates one at a time, as the
+        // streaming advisor does: a new evaluator over the grown pool
+        // at the standing selection, then select the newcomer.
+        for k in 0..p.len() {
+            let standing = ev.selection().clone();
+            ev = over(&p.candidates()[..=k]);
+            for j in standing.ones() {
+                ev.flip(j);
+            }
             ev.flip(k);
             assert_eq!(ev.snapshot(), ev.problem().evaluate(ev.selection()));
         }
         // Fully grown, the owned problem is the static problem.
         let full = p.evaluate(&SelectionSet::full(p.len()));
         assert_eq!(ev.snapshot(), full);
-    }
-
-    #[test]
-    fn remove_candidate_swap_renumbers_and_matches() {
-        let p = paper_like_problem();
-        let mut ev = IncrementalEvaluator::new(&p);
-        ev.flip(0);
-        ev.flip(2);
-        ev.flip(3);
-        // Retire the deselected middle candidate: the last one (selected)
-        // takes its slot.
-        let removed = ev.remove_candidate(1);
-        assert_eq!(removed.name, "v-month-country");
-        assert_eq!(ev.problem().len(), 3);
-        assert_eq!(ev.selection().ones().collect::<Vec<_>>(), vec![0, 1, 2]);
-        assert_eq!(ev.snapshot(), ev.problem().evaluate(ev.selection()));
-        // Independent cross-check: rebuild the equivalent static problem.
-        let mirror = SelectionProblem::new(
-            p.model().clone(),
-            vec![
-                p.candidates()[0].clone(),
-                p.candidates()[3].clone(),
-                p.candidates()[2].clone(),
-            ],
-        );
-        assert_eq!(ev.snapshot(), mirror.evaluate(&SelectionSet::full(3)));
-        // Remove a *selected* candidate: auto-deselects first.
-        ev.remove_candidate(0);
-        assert_eq!(ev.problem().len(), 2);
-        assert_eq!(ev.snapshot(), ev.problem().evaluate(ev.selection()));
-    }
-
-    /// Regression: retiring the **last, selected** candidate must evict it
-    /// from every per-query cache — no best/runner-up slot may keep
-    /// naming the retired index (it would alias whichever view is moved
-    /// into that slot next, silently corrupting probes).
-    #[test]
-    fn remove_last_selected_leaves_no_stale_runner_up() {
-        let p = paper_like_problem();
-        let mut ev = IncrementalEvaluator::new(&p);
-        for k in 0..p.len() {
-            ev.flip(k);
-        }
-        let last = p.len() - 1;
-        let lk = last as u32;
-        // Precondition: the retiring index really is cached somewhere
-        // (v-bulky answers Q3 slower than v-day-region, so it is Q3's
-        // runner-up).
-        assert!(ev
-            .best_view
-            .iter()
-            .zip(&ev.second_view)
-            .any(|(&b, &s)| b == lk || s == lk));
-        ev.remove_candidate(last);
-        let n = ev.index.spans.len();
-        for i in 0..ev.best_view.len() {
-            // Every surviving slot either holds the NONE sentinel or a
-            // live index — never the retired one.
-            assert!(
-                ev.best_view[i] == NONE || (ev.best_view[i] as usize) < n,
-                "query {i}: stale best {}",
-                ev.best_view[i]
-            );
-            assert!(
-                ev.second_view[i] == NONE || (ev.second_view[i] as usize) < n,
-                "query {i}: stale runner-up {}",
-                ev.second_view[i]
-            );
-        }
-        // Q3's runner-up specifically collapsed to the NONE sentinel: only
-        // v-day-region (still index 2) answers it now.
-        assert_eq!(ev.best_view[2], 2);
-        assert_eq!(ev.second_view[2], NONE);
-        assert_eq!(ev.snapshot(), ev.problem().evaluate(ev.selection()));
-        // A fresh unflip of the moved-into-place views still behaves.
-        ev.unflip(2);
-        assert_eq!(ev.snapshot(), ev.problem().evaluate(ev.selection()));
-    }
-
-    #[test]
-    fn remove_then_add_reuses_slots_consistently() {
-        let p = paper_like_problem();
-        let mut ev = IncrementalEvaluator::new(&p);
-        for k in 0..p.len() {
-            ev.flip(k);
-        }
-        let charge = ev.remove_candidate(0);
-        let k = ev.add_candidate(charge);
-        assert_eq!(k, p.len() - 1);
-        ev.flip(k);
-        assert_eq!(ev.snapshot(), ev.problem().evaluate(ev.selection()));
-        // The processing time matches the all-selected static evaluation
-        // exactly: per-query minima are order-independent and the time
-        // fold runs in workload order. (The per-candidate cost folds run
-        // in the *permuted* candidate order, so only the equivalent
-        // problem — not the original — is the bit-exact reference.)
-        let full = p.evaluate(&SelectionSet::full(p.len()));
-        assert_eq!(ev.snapshot().time, full.time);
-    }
-
-    /// Heavy churn crosses the arena's compaction threshold; parity and
-    /// span integrity must survive the rebuild.
-    #[test]
-    fn arena_compaction_preserves_parity() {
-        let p = random_problem(7, 4, 6);
-        let mut ev = IncrementalEvaluator::new(&p);
-        ev.flip(0);
-        ev.flip(3);
-        // Enough add/remove cycles to push `dead` past COMPACT_MIN_DEAD.
-        let mut spin = 0usize;
-        for round in 0..800 {
-            let charge = p.candidates()[round % p.len()].clone();
-            let k = ev.add_candidate(charge);
-            if round % 3 == 0 {
-                ev.flip(k);
-                spin += 1;
-            }
-            let victim = (round * 5) % ev.problem().len();
-            ev.remove_candidate(victim);
-            if spin.is_multiple_of(7) {
-                assert_eq!(ev.snapshot(), ev.problem().evaluate(ev.selection()));
-            }
-        }
-        assert_eq!(ev.snapshot(), ev.problem().evaluate(ev.selection()));
     }
 
     #[test]
@@ -1101,44 +887,6 @@ mod tests {
         // Restore full price: back to the original problem bit-for-bit.
         ev.update_charge(1, old);
         assert_eq!(ev.snapshot(), p.evaluate(ev.selection()));
-    }
-
-    #[test]
-    fn a_new_answer_profile_is_remove_then_add() {
-        let p = paper_like_problem();
-        let m = p.model().context().workload.len();
-        let mut ev = IncrementalEvaluator::new(&p);
-        for k in 0..p.len() {
-            ev.flip(k);
-        }
-        // Replace the all-query view with one answering only Q3, slower:
-        // every query's best/runner-up must be rebuilt correctly.
-        let replacement = ViewCharge::new(
-            "v-day-region-degraded",
-            Gb::new(0.9),
-            Hours::new(0.3),
-            Hours::new(0.06),
-            m,
-        )
-        .answers(2, Hours::new(0.05));
-        ev.remove_candidate(2);
-        let k = ev.add_candidate(replacement.clone());
-        ev.flip(k);
-        // Swap-remove moved the last view into slot 2; the replacement
-        // took the last index.
-        let mirror = SelectionProblem::new(
-            p.model().clone(),
-            vec![
-                p.candidates()[0].clone(),
-                p.candidates()[1].clone(),
-                p.candidates()[3].clone(),
-                replacement,
-            ],
-        );
-        assert_eq!(ev.snapshot(), mirror.evaluate(&SelectionSet::full(4)));
-        // Subsequent flips still behave (no stale cache slots).
-        ev.unflip(0);
-        assert_eq!(ev.snapshot(), ev.problem().evaluate(ev.selection()));
     }
 
     #[test]
@@ -1168,28 +916,6 @@ mod tests {
         let mut ctx = p.model().context().clone();
         ctx.workload.pop();
         ev.retarget(CloudCostModel::new(ctx));
-    }
-
-    #[test]
-    #[should_panic(expected = "out of")]
-    fn remove_out_of_range_panics() {
-        let p = paper_like_problem();
-        let mut ev = IncrementalEvaluator::new(&p);
-        ev.remove_candidate(4);
-    }
-
-    #[test]
-    #[should_panic(expected = "query times")]
-    fn add_misaligned_candidate_panics() {
-        let p = paper_like_problem();
-        let mut ev = IncrementalEvaluator::new(&p);
-        ev.add_candidate(ViewCharge::new(
-            "v-bad",
-            Gb::new(0.1),
-            Hours::new(0.1),
-            Hours::new(0.0),
-            7,
-        ));
     }
 
     #[test]

@@ -2,11 +2,13 @@
 //! `flip → snapshot → unflip` triple spelled out, and it leaves the
 //! evaluator *bit-equal* to where it found it — block sums, term
 //! cache, an empty dirty list, the selection — under random walks that
-//! interleave accepted flips with `add_candidate` / `remove_candidate`
-//! (back to back when a view's answers change) / `update_charge` price
-//! splices / `retarget`, on pools where most queries have more than
-//! [`ANSWER_TOP_K`] answerers (pruned tables, exact-fallback rescans)
-//! and the workload spans several [`TIME_FOLD_BLOCK`]s.
+//! interleave accepted flips with pool edits (a new evaluator over the
+//! grown, shrunk or re-profiled pool at the same selection) /
+//! `update_charge` price splices / `retarget`, on pools where most
+//! queries have a dozen answerers or more and the workload spans
+//! several [`TIME_FOLD_BLOCK`]s. And the runner-up cache is pinned
+//! directly: the two smallest selected times per query, on the SSB
+//! lattice's shape.
 
 use mv_cost::CloudCostModel;
 use proptest::prelude::*;
@@ -52,10 +54,10 @@ proptest! {
         ops in proptest::collection::vec((0u8..8, 0usize..1_000, 0usize..1_000), 1..40),
     ) {
         // 40 candidates at ≥ 15 % density: ≥ 6 answerers per query on
-        // average, past the 8 table slots for most queries from 25 % up.
+        // average, a dozen and more from 30 % up.
         let pool_problem =
             random_sparse_problem(seed, n_queries, 40, f64::from(density_pct) / 100.0);
-        let pool = pool_problem.candidates().to_vec();
+        let pool = pool_problem.candidates();
         let mut ev = IncrementalEvaluator::new(&pool_problem);
         let mut recycle = 0usize;
         for (step, &(op, a, b)) in ops.iter().enumerate() {
@@ -64,29 +66,40 @@ proptest! {
                 // An accepted move: leaves its blocks dirty for the next
                 // probe to settle.
                 0 | 1 if n > 0 => ev.toggle(a % n),
-                2 => {
-                    ev.add_candidate(pool[recycle % pool.len()].clone());
-                    recycle += 1;
+                // The pool changes under the search: a view joins, one
+                // is retired (`Vec::swap_remove`, the selection
+                // following), or one's answers change — another
+                // candidate in its slot, selected if it was. Each is a
+                // new evaluator over the edited pool at the same
+                // selection.
+                2 | 3 | 5 if n > 1 => {
+                    let mut candidates = ev.problem().candidates().to_vec();
+                    let mut selected: Vec<bool> = ev.selection().iter().collect();
+                    match op {
+                        2 => {
+                            candidates.push(pool[recycle % pool.len()].clone());
+                            selected.push(false);
+                            recycle += 1;
+                        }
+                        3 => {
+                            candidates.swap_remove(a % n);
+                            selected.swap_remove(a % n);
+                        }
+                        _ => candidates[a % n] = pool[b % pool.len()].clone(),
+                    }
+                    let model = ev.problem().model().clone();
+                    ev = IncrementalEvaluator::from_problem(SelectionProblem::new(
+                        model, candidates,
+                    ));
+                    for (k, _) in selected.iter().enumerate().filter(|(_, &on)| on) {
+                        ev.flip(k);
+                    }
                 }
-                3 if n > 1 => {
-                    ev.remove_candidate(a % n);
-                }
-                // Re-price in place (the O(1) splice)...
+                // Re-price in place (the O(1) splice).
                 4 if n > 0 => {
                     let k = a % n;
                     let carried = ev.problem().candidates()[k].carried();
                     ev.update_charge(k, carried);
-                }
-                // ...or swap a view for one with other answers: retire
-                // it and admit the replacement, selected if it was.
-                5 if n > 0 => {
-                    let k = a % n;
-                    let was_selected = ev.is_selected(k);
-                    ev.remove_candidate(k);
-                    let added = ev.add_candidate(pool[b % pool.len()].clone());
-                    if was_selected {
-                        ev.flip(added);
-                    }
                 }
                 // New epoch: every frequency and base time moves.
                 6 => {

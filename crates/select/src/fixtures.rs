@@ -220,9 +220,9 @@ pub fn random_problem(seed: u64, n_queries: usize, n_candidates: usize) -> Selec
 /// built for: each candidate answers roughly `density`·`n_queries`
 /// queries (clamped to at least one for positive densities), with
 /// non-uniform query frequencies so the frequency-weighted folds are
-/// exercised. At low densities most queries have few answerers, which
-/// drives the evaluator's top-k tables through their empty, partially
-/// filled and pruned states.
+/// exercised. Density sets how many answerers a query has — none or
+/// one at a few percent, most of the pool at 90 % — which is the length
+/// of its row in the evaluator's by-query index.
 pub fn random_sparse_problem(
     seed: u64,
     n_queries: usize,

@@ -48,7 +48,7 @@
 //!   **bit-identical** to
 //!   [`SelectionProblem::evaluate`] (property-tested in
 //!   `tests/evaluator_matches.rs`, including random sparse profiles and
-//!   dynamic add/remove/placement interleavings);
+//!   pool-edit/flip/placement interleavings);
 //! * `probe(toggles)` — the one "what would this move score?" primitive
 //!   every tier calls: apply, score, revert, put the refolded block sums
 //!   back. Allocation-free, and it leaves the evaluator bit-equal to
@@ -87,21 +87,16 @@
 //!
 //! # Streaming candidates
 //!
-//! The candidate pool itself is dynamic: the evaluator holds its problem
-//! behind a clone-on-write handle, and
-//! [`IncrementalEvaluator::add_candidate`] /
-//! [`IncrementalEvaluator::remove_candidate`] splice views into and out
-//! of the cached answer tables in O(m) — no rebuild — while
-//! `snapshot()` stays bit-identical to a from-scratch
-//! [`SelectionProblem::evaluate`] on the equivalent (grown or shrunk)
-//! problem at every step. That is what lets `mvcloud`'s
-//! `Advisor::solve_streaming` pull lattice candidates lazily from a
-//! benefit-ordered `CandidateStream`, admit each through one O(m)
-//! probe, repair with [`local_search`] moves, and retire dominated
-//! candidates mid-search instead of materializing and measuring the
-//! whole lattice up front. At n = 20, m = 30 an add + probe + retire
-//! cycle runs ≈ 7× faster than rebuilding the problem and re-evaluating
-//! (see `crates/bench/benches/candidate_churn.rs`).
+//! An evaluator's candidate pool is fixed for its life, as the paper's
+//! `V_cand` is for a problem's. `mvcloud`'s `Advisor::solve_streaming`
+//! — which pulls lattice candidates lazily from a benefit-ordered
+//! `CandidateStream`, admits each through one probe, repairs with
+//! [`local_search`] moves and retires dominated candidates mid-search
+//! instead of measuring the whole lattice up front — keeps the pool
+//! itself, as a plain `Vec`, and builds one evaluator per pull over it
+//! at the standing selection: O(Σ deg + m) beside the pull's engine
+//! measurement, and bit-identical to [`SelectionProblem::evaluate`] on
+//! the grown or shrunk problem (`tests/evaluator_matches.rs`).
 //!
 //! # Multi-epoch horizons
 //!

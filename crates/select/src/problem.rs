@@ -142,23 +142,6 @@ impl SelectionProblem {
         self.candidates.is_empty()
     }
 
-    /// Appends a candidate view, returning its index. Used by the dynamic
-    /// evaluator's `add_candidate` splice; the charge must align with the
-    /// model's workload.
-    pub fn push_candidate(&mut self, charge: ViewCharge) -> usize {
-        let m = self.model.context().workload.len();
-        assert_eq!(
-            charge.profile.workload_len(),
-            m,
-            "candidate {} has {} query times for a {}-query workload",
-            charge.name,
-            charge.profile.workload_len(),
-            m
-        );
-        self.candidates.push(charge);
-        self.candidates.len() - 1
-    }
-
     /// Re-prices candidate `k` in place, returning its old price. Name,
     /// answer profile and index are untouched — which is why the
     /// incremental evaluator's `update_charge` has no cache to repair.
@@ -180,15 +163,6 @@ impl SelectionProblem {
             "replacement model must keep the workload length"
         );
         self.model = model;
-    }
-
-    /// Removes candidate `k` by swapping the last candidate into its slot
-    /// (`Vec::swap_remove` semantics — only the last index is renumbered),
-    /// returning the removed charge. Selections over the old index space
-    /// must be remapped by the caller ([`mv_cost::SelectionSet::swap_remove`]
-    /// applies the matching transform).
-    pub fn swap_remove_candidate(&mut self, k: usize) -> ViewCharge {
-        self.candidates.swap_remove(k)
     }
 
     /// Evaluates a selection under the true interaction model: one

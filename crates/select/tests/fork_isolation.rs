@@ -2,9 +2,8 @@
 //! never see each other's edits, whatever they share underneath.
 //!
 //! Every live evaluator takes random interleaved ops (`toggle`,
-//! `probe`, `update_charge`, `retarget`, `add_candidate`,
-//! `remove_candidate`, bursts of add + remove that abandon arena spans);
-//! forks are taken and dropped mid-stream. After every op every live
+//! `probe`, `update_charge`, `retarget`); forks are taken and dropped
+//! mid-stream. After every op every live
 //! evaluator's `snapshot()` equals `problem().evaluate(selection())`
 //! and equals a **never-forked twin** that received only that
 //! evaluator's own ops (a fork's twin replays its origin's history up
@@ -16,33 +15,26 @@
 //! vendored proptest does not shrink.
 
 use mv_cost::{Price, SelectionSet};
-use mv_select::{fixtures, IncrementalEvaluator, SelectionProblem};
+use mv_select::{fixtures, IncrementalEvaluator};
 use proptest::prelude::*;
 
 /// At most this many evaluators alive at once.
 const MAX_LIVE: usize = 5;
 
 /// One op on one evaluator, as recorded in its history. Arguments are
-/// raw draws, reduced modulo the evaluator's current pool size where
-/// they are applied — so a replay onto a twin lands on the same
-/// candidates.
+/// raw draws, reduced modulo the pool size where they are applied.
 #[derive(Debug, Clone, Copy)]
 enum Op {
     Toggle(usize),
     Probe(usize, usize),
     UpdateCharge(usize),
     Retarget(usize),
-    Add(usize),
-    Remove(usize),
-    /// `count` rounds of add-then-remove: each abandons one arena span.
-    Churn(usize, usize),
 }
 
 /// Applies `op` to `ev`. A probe is checked here, against the full
 /// evaluation of the neighbour it names.
-fn apply(ev: &mut IncrementalEvaluator<'static>, pool: &SelectionProblem, op: Op, context: &str) {
+fn apply(ev: &mut IncrementalEvaluator<'static>, op: Op, context: &str) {
     let n = ev.problem().len();
-    let spare = |j: usize| pool.candidates()[j % pool.len()].clone();
     match op {
         Op::Toggle(k) => ev.toggle(k % n),
         Op::Probe(a, b) => {
@@ -77,24 +69,6 @@ fn apply(ev: &mut IncrementalEvaluator<'static>, pool: &SelectionProblem, op: Op
             let model = model.with_frequencies(&frequencies);
             ev.retarget(model);
         }
-        Op::Add(j) => {
-            ev.add_candidate(spare(j));
-        }
-        Op::Remove(k) => {
-            // Keep one candidate, so index draws always have a target.
-            if n > 1 {
-                ev.remove_candidate(k % n);
-            }
-        }
-        Op::Churn(j, count) => {
-            for round in 0..count {
-                let k = ev.add_candidate(spare(j + round));
-                if round % 3 == 0 {
-                    ev.flip(k);
-                }
-                ev.remove_candidate((j + round * 5) % ev.problem().len());
-            }
-        }
     }
 }
 
@@ -112,15 +86,12 @@ fn decode(kind: u8, a: usize, b: usize) -> Op {
         0..=2 => Op::Toggle(a),
         3 => Op::Probe(a, b),
         4 => Op::UpdateCharge(a),
-        5 => Op::Retarget(a),
-        6 => Op::Add(a),
-        7 => Op::Remove(a),
-        _ => Op::Churn(a, 1 + b % 6),
+        _ => Op::Retarget(a),
     }
 }
 
-/// Runs one case: `steps` are `(target, kind, a, b)` draws; kinds 9 and
-/// 10 fork and drop, the rest decode to an [`Op`] on `target`.
+/// Runs one case: `steps` are `(target, kind, a, b)` draws; kinds 6 and
+/// 7 fork and drop, the rest decode to an [`Op`] on `target`.
 fn run_case(
     seed: u64,
     n_queries: usize,
@@ -139,11 +110,11 @@ fn run_case(
         let at = target % live.len();
         let context = format!("seed {seed} step {step} evaluator {at} of {}", live.len());
         match kind {
-            9 if live.len() < MAX_LIVE => {
+            6 if live.len() < MAX_LIVE => {
                 let origin = &live[at];
                 let mut twin = fresh();
                 for &op in &origin.history {
-                    apply(&mut twin, &pool, op, &context);
+                    apply(&mut twin, op, &context);
                 }
                 let fork = Live {
                     ev: origin.ev.fork(),
@@ -152,7 +123,7 @@ fn run_case(
                 };
                 live.push(fork);
             }
-            10 if live.len() > 1 => {
+            7 if live.len() > 1 => {
                 // Any of them may go — the original included; whatever
                 // the rest still share must survive it.
                 live.swap_remove(at);
@@ -160,8 +131,8 @@ fn run_case(
             _ => {
                 let op = decode(kind, a, b);
                 let subject = &mut live[at];
-                apply(&mut subject.ev, &pool, op, &context);
-                apply(&mut subject.twin, &pool, op, &context);
+                apply(&mut subject.ev, op, &context);
+                apply(&mut subject.twin, op, &context);
                 subject.history.push(op);
             }
         }
@@ -190,38 +161,9 @@ proptest! {
         n_queries in 1usize..70,
         n_candidates in 1usize..10,
         dense in prop::bool::ANY,
-        steps in prop::collection::vec((0usize..MAX_LIVE, 0u8..11, 0usize..64, 0usize..64), 1..48),
+        steps in prop::collection::vec((0usize..MAX_LIVE, 0u8..8, 0usize..64, 0usize..64), 1..48),
     ) {
         let density = if dense { 0.6 } else { 0.1 };
         run_case(seed, n_queries, n_candidates, density, &steps);
     }
-}
-
-/// The arena compacts once abandoned entries pass `COMPACT_MIN_DEAD`
-/// (1 024) and outnumber the live ones. This case abandons ≈ 200 × 38
-/// of them on a fork while its origin — and a fork of the fork — stay
-/// alive and keep working, so the compaction runs on state the others
-/// were sharing.
-#[test]
-fn compaction_on_a_fork_leaves_its_relatives_alone() {
-    let mut steps = vec![
-        (0, 0, 1, 0), // toggle on the original
-        (0, 0, 4, 0),
-        (0, 9, 0, 0), // fork it → evaluator 1
-        (1, 9, 0, 0), // fork the fork → evaluator 2
-    ];
-    for round in 0..40 {
-        steps.push((1, 8, round, 4)); // five add + remove rounds on the fork
-        steps.push((round % 3, 0, round, 0)); // a toggle on one of the three
-        steps.push((2, 3, round, round + 3)); // a probe on the fork of the fork
-    }
-    steps.push((0, 10, 0, 0)); // drop the original; the forks carry on
-    steps.push((0, 8, 7, 5));
-    steps.push((1, 7, 2, 0));
-    // Heavy enough to compact several times over: 200 abandoned spans
-    // of the pool's mean degree.
-    let pool = fixtures::random_sparse_problem(11, 64, 8, 0.6);
-    let entries: usize = pool.candidates().iter().map(|v| v.profile.answered()).sum();
-    assert!(200 * entries / pool.len() > 4 * 1_024);
-    run_case(11, 64, 8, 0.6, &steps);
 }

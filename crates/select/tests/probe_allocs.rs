@@ -6,7 +6,8 @@
 //! placement probe do to a candidate — `update_charge` moves a `Copy`
 //! `Price`, not a view's name and answer profile. And a `fork` copies
 //! the per-selection state only — its footprint does not know the pool
-//! — while a fork that is gone leaves nothing shared behind. Counted
+//! — a fork that writes adds one copy of the problem and none of the
+//! index, and a fork that is gone leaves nothing shared behind. Counted
 //! with a `#[global_allocator]` wrapper; the counts are per thread, so
 //! the harness's own threads do not disturb them.
 
@@ -260,13 +261,12 @@ fn a_fork_copies_the_same_bytes_whatever_the_pool_holds() {
 
 #[test]
 fn a_fork_that_is_gone_costs_the_resident_nothing() {
-    // The resident's next model swap and pool edit, after: no fork at
-    // all; a what-if's fork (two toggles, a snapshot) come and gone;
-    // a fork still alive.
-    let edits = |forked: bool, held: bool| {
+    // The resident's next model swap, after: no fork at all; a
+    // what-if's fork (two toggles, a snapshot) come and gone; a fork
+    // still alive.
+    let swap = |forked: bool, held: bool| {
         let mut ev = resident(256);
         let model = ev.problem().model().clone();
-        let newcomer = ev.problem().candidates()[3].clone();
         let fork = forked.then(|| {
             let mut fork = ev.fork();
             fork.toggle(0);
@@ -277,17 +277,56 @@ fn a_fork_that_is_gone_costs_the_resident_nothing() {
         let fork = fork.filter(|_| held);
         let before = footprint();
         ev.retarget(model);
-        ev.add_candidate(newcomer);
         let after = footprint();
         drop(fork);
         (after.0 - before.0, after.1 - before.1)
     };
-    let never = edits(false, false);
-    assert_eq!(edits(true, false), never, "(allocations, bytes)");
-    // The counter does count: a live fork shares both halves, and the
-    // same two edits copy them first.
-    let shared = edits(true, true);
+    let never = swap(false, false);
+    assert_eq!(swap(true, false), never, "(allocations, bytes)");
+    // The counter does count: a live fork shares the problem, and the
+    // same swap copies it first.
+    let shared = swap(true, true);
     assert!(shared.0 > never.0 + 256 && shared.1 > never.1, "{shared:?}");
+}
+
+#[test]
+fn a_writing_fork_copies_the_problem_once_and_the_index_never() {
+    // What a fork that re-prices and retargets allocates beyond a fork
+    // that only toggles and scores, less one copy of the problem: the
+    // copy's `Arc`, whatever the pool holds — the index, where Σ deg
+    // lives, stays shared.
+    let beyond_one_copy = |n_candidates: usize| {
+        let ev = resident(n_candidates);
+        let model = ev.problem().model().clone();
+        let carried = ev.problem().candidates()[0].carried();
+        let before = footprint();
+        let copy = ev.problem().clone();
+        let one_copy = footprint();
+        drop(copy);
+        let mut reader = ev.fork();
+        reader.toggle(0);
+        reader.toggle(1);
+        reader.score();
+        let read = footprint();
+        let mut writer = ev.fork();
+        writer.toggle(0);
+        writer.toggle(1);
+        writer.update_charge(0, carried);
+        writer.retarget(model);
+        writer.update_charge(1, carried);
+        writer.score();
+        let written = footprint();
+        let spent = |from: (u64, u64), to: (u64, u64)| (to.0 - from.0, to.1 - from.1);
+        let (copy, read, written) = (
+            spent(before, one_copy),
+            spent(one_copy, read),
+            spent(read, written),
+        );
+        (written.0 - read.0 - copy.0, written.1 - read.1 - copy.1)
+    };
+    let (small, large) = (beyond_one_copy(32), beyond_one_copy(256));
+    assert_eq!(small, large, "(allocations, bytes) at n = 32 and n = 256");
+    assert_eq!(large.0, 1, "the copied problem's Arc");
 }
 
 #[test]

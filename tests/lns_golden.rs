@@ -5,8 +5,9 @@
 //! evaluator's probe path was rewritten (PR 14) and asserted ever
 //! since. A probe-path change that moves one plan, one tie-break or one
 //! `f64` bit at this scale fails here, where the small-n proptests
-//! cannot reach (tables larger than L2, pruned top-k tables, hundreds
-//! of selected views, shortlist-restricted repair pools).
+//! cannot reach (tables larger than L2, queries with several
+//! answerers, hundreds of selected views, shortlist-restricted repair
+//! pools).
 
 use mv_select::lns::{solve_lns_with, LnsConfig};
 use mv_select::{Evaluation, Scenario};
