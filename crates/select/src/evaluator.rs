@@ -391,8 +391,8 @@ impl<'p> IncrementalEvaluator<'p> {
 
     /// An independent evaluator at the same selection, for a
     /// scenario-tree branch point or a what-if: the per-selection state
-    /// is copied, the answer index and the problem are shared until
-    /// either side writes to them (the module's *Forks* section).
+    /// is copied, the answer index is shared for good and the problem
+    /// until either side writes to it (the module's *Forks* section).
     /// O(m), independent of the pool. Counted as
     /// [`Counter::EvaluatorFork`], *not* as [`Counter::EvaluatorBuild`] —
     /// no index is built.

@@ -91,7 +91,7 @@ proptest! {
                     ev = IncrementalEvaluator::from_problem(SelectionProblem::new(
                         model, candidates,
                     ));
-                    for (k, _) in selected.iter().enumerate().filter(|(_, &on)| on) {
+                    for k in SelectionSet::from_bools(&selected).ones() {
                         ev.flip(k);
                     }
                 }

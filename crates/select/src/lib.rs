@@ -31,9 +31,9 @@
 //! [`IncrementalEvaluator`], which caches each query's fastest selected
 //! view plus the runner-up over a **sparse struct-of-arrays answer
 //! index**, built once per evaluator and never written: the per-view
-//! answer lists live in one flat CSR arena (parallel query-id/time
-//! vectors with a span per view), and its transpose — a second CSR
-//! arena by query, each query's answerers ordered fastest first — is
+//! answer lists live in one flat CSR table (parallel query-id/time
+//! vectors with an offset per view), and its transpose — a second CSR
+//! table by query, each query's answerers ordered fastest first — is
 //! the reverse index, so the runner-up after a flip-off is the first
 //! selected entry of the query's list: exact by construction, whatever
 //! the pool's size or density. Against n candidates and m workload

@@ -36,7 +36,7 @@ fn pool_edits_and_flips_match_full_evaluation(
     let evaluator_at = |candidates: &[ViewCharge], selected: &[bool]| {
         let problem = SelectionProblem::new(model.clone(), candidates.to_vec());
         let mut ev = IncrementalEvaluator::from_problem(problem);
-        for (k, _) in selected.iter().enumerate().filter(|(_, &on)| on) {
+        for k in SelectionSet::from_bools(selected).ones() {
             ev.flip(k);
         }
         ev
