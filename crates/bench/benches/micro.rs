@@ -1,0 +1,297 @@
+//! The micro-benchmarks no `BENCHMARK.json` workload reaches.
+//!
+//! Every layer a workload runs is timed by a per-layer trace metric of
+//! `mv-benchmark run --trace 1`; what is left here has no workload
+//! behind it:
+//!
+//! * `obs/disabled/*`, `obs/enabled/*` — the telemetry registry's own
+//!   cost. The `mv_obs` contract is *zero-cost-when-off*: every
+//!   instrumentation site collapses to one relaxed atomic load while
+//!   the registry is disabled. Each id runs 1000 sites per iteration,
+//!   so per-site cost is the reading ÷ 1000. Nobody promises the
+//!   enabled path is free, only that you opted into it.
+//! * `calibrate/*` — `Advisor::calibrate` end to end (solve the horizon
+//!   plan, replay it through the engine, fit the throughput law,
+//!   reconcile the bills) at two epoch counts, and the least-squares
+//!   fit alone over a synthetic metered sample set.
+//! * `ablation_solvers/*` (A1) — the paper's linearized knapsack vs the
+//!   interaction-aware solvers, across all three scenarios on the same
+//!   problem. Runtime only; the optimality gap is asserted in
+//!   `mv-select`'s tests and printed by `experiments ablations`.
+//! * `ablation_maintenance/*` (A3) — incremental vs full view
+//!   maintenance: the incremental path's work is proportional to the
+//!   delta, the full path's to the whole base, which is what keeps the
+//!   maintenance term of the paper's Formula 12 small.
+//! * `ablation_parallel/*` (A4) — serial vs multi-threaded aggregation.
+//!   Scan-bound coarse keys (few groups, cheap merge) parallelize;
+//!   merge-bound fine keys (thousands of groups per partial) do not,
+//!   which is why the throughput model charges scans, not merges.
+//! * `evaluator/exhaustive_n20/*` — the 2²⁰-subset exhaustive sweep at
+//!   one and eight threads.
+//!
+//! Timing mode prints one JSON object per result; `BENCH_micro.json` at
+//! the repository root records one full run
+//! (`cargo bench -p mv-bench --bench micro | grep '^{'`), and
+//! `tests/micro_ledger.rs` fails when an id here has no record there.
+
+use std::hint::black_box;
+
+use criterion::{criterion_group, criterion_main, BenchmarkGroup, BenchmarkId, Criterion};
+use mv_engine::{datagen, AggQuery, AggSpec, MaterializedView, SalesConfig, ViewDefinition};
+use mv_obs::{Counter, Hist};
+use mv_select::{fixtures, SolverKind};
+use mvcloud::cost::{CalibratedParams, MeterSample, WorkKind};
+use mvcloud::lattice::WorkloadEvolution;
+use mvcloud::units::{Gb, Hours, Money};
+use mvcloud::{sales_domain, Advisor, AdvisorConfig, CalibrationConfig, Scenario};
+
+const SITES: usize = 1000;
+
+/// The three site kinds both `obs` groups time.
+fn bench_sites(group: &mut BenchmarkGroup<'_>) {
+    group.bench_function("counter_inc_x1000", |b| {
+        b.iter(|| {
+            for _ in 0..SITES {
+                mv_obs::inc(black_box(Counter::SearchProbes));
+            }
+        })
+    });
+    group.bench_function("hist_record_x1000", |b| {
+        b.iter(|| {
+            for i in 0..SITES {
+                mv_obs::record(black_box(Hist::LnsDestroySize), i as u64);
+            }
+        })
+    });
+    group.bench_function("span_x1000", |b| {
+        b.iter(|| {
+            for _ in 0..SITES {
+                mv_obs::span!("bench/span");
+            }
+        })
+    });
+}
+
+/// Must run first: nothing before it may have switched the registry on.
+fn bench_obs_disabled(c: &mut Criterion) {
+    assert!(
+        !mv_obs::enabled(),
+        "the disabled group must run with the registry off"
+    );
+    let mut group = c.benchmark_group("obs/disabled");
+    bench_sites(&mut group);
+    group.bench_function("mixed_site_x1000", |b| {
+        b.iter(|| {
+            for i in 0..SITES {
+                mv_obs::inc(black_box(Counter::SearchProbes));
+                mv_obs::record(black_box(Hist::LnsDestroySize), i as u64);
+                mv_obs::span!("bench/site");
+                if mv_obs::enabled() {
+                    mv_obs::event("bench_site", &[("i", i as f64)]);
+                }
+            }
+        })
+    });
+    group.finish();
+}
+
+fn bench_obs_enabled(c: &mut Criterion) {
+    let _on = mv_obs::EnableGuard::new();
+    let mut group = c.benchmark_group("obs/enabled");
+    bench_sites(&mut group);
+    group.bench_function("event_x1000", |b| {
+        b.iter(|| {
+            for i in 0..SITES {
+                mv_obs::event("bench_event", &[("i", i as f64)]);
+            }
+        })
+    });
+    group.finish();
+}
+
+/// The replay (engine scans, builds, refreshes) is the dominant term
+/// and should scale roughly linearly in epochs.
+fn bench_calibration_loop(c: &mut Criterion) {
+    let advisor = Advisor::build(
+        sales_domain(1_000, 3, 2.0, 42),
+        AdvisorConfig {
+            simulated_dataset: Gb::new(500.0),
+            ..AdvisorConfig::default()
+        },
+    )
+    .expect("advisor builds");
+    let scenario = Scenario::tradeoff_normalized(0.5);
+    let mut group = c.benchmark_group("calibrate/loop_sales_r1000_q3");
+    for epochs in [2usize, 6] {
+        let config = CalibrationConfig {
+            epochs,
+            evolution: WorkloadEvolution::fixed(),
+            ..CalibrationConfig::default()
+        };
+        group.bench_function(BenchmarkId::from_parameter(format!("e{epochs}")), |b| {
+            b.iter(|| {
+                let report = advisor.calibrate(scenario, &config).expect("calibrates");
+                black_box(report.holdout_fitted_rel_error)
+            })
+        });
+    }
+    group.finish();
+}
+
+fn bench_calibration_fit(c: &mut Criterion) {
+    // A deterministic metered sample cloud around the default law
+    // (25 GB/h/unit, 0.01 h overhead, 2 units).
+    let samples: Vec<MeterSample> = (0..512)
+        .map(|i| {
+            let gb = 1.0 + (i % 97) as f64 * 5.0;
+            let kind = match i % 3 {
+                0 => WorkKind::Scan,
+                1 => WorkKind::Materialize,
+                _ => WorkKind::Refresh,
+            };
+            MeterSample::new(kind, Gb::new(gb), Hours::new(0.01 + gb / 50.0))
+        })
+        .collect();
+    let mut group = c.benchmark_group("calibrate/fit");
+    group.bench_function(BenchmarkId::from_parameter("n512"), |b| {
+        b.iter(|| black_box(CalibratedParams::fit(black_box(&samples), 2.0)))
+    });
+    group.finish();
+}
+
+fn bench_solvers_by_scenario(c: &mut Criterion) {
+    let problem = fixtures::random_problem(3, 5, 12);
+    let scenarios = [
+        (
+            "mv1",
+            Scenario::budget(problem.baseline().cost() + Money::from_cents(60)),
+        ),
+        (
+            "mv2",
+            Scenario::time_limit(Hours::new(problem.baseline().time.value() * 0.5)),
+        ),
+        ("mv3", Scenario::tradeoff_normalized(0.5)),
+    ];
+    for (label, scenario) in scenarios {
+        let mut group = c.benchmark_group(format!("ablation_solvers/{label}"));
+        for solver in [
+            SolverKind::PaperKnapsack,
+            SolverKind::Greedy,
+            SolverKind::BranchAndBound,
+        ] {
+            group.bench_with_input(
+                BenchmarkId::from_parameter(solver.name()),
+                &problem,
+                |b, problem| {
+                    b.iter(|| black_box(mv_select::solve(problem, scenario, solver).objective()))
+                },
+            );
+        }
+        group.finish();
+    }
+}
+
+fn bench_maintenance(c: &mut Criterion) {
+    let cfg = SalesConfig::with_rows(20_000);
+    let mut base = datagen::generate_sales(&cfg);
+    let delta = datagen::generate_delta(&cfg, 400, 2011, 1); // 2% of base
+    let def = ViewDefinition::canonical(
+        "v",
+        &["year", "month", "country"],
+        &[
+            AggSpec::sum("profit"),
+            AggSpec::min("profit"),
+            AggSpec::max("profit"),
+        ],
+    );
+    let view = MaterializedView::materialize(def, &base).unwrap();
+    base.append(&delta).unwrap();
+
+    let mut group = c.benchmark_group("ablation_maintenance");
+    group.bench_with_input(
+        BenchmarkId::new("incremental", "2pct_delta"),
+        &(&view, &delta),
+        |b, (view, delta)| {
+            b.iter(|| {
+                let mut v = (*view).clone();
+                let stats = v.refresh_incremental(delta).unwrap();
+                black_box(stats.rows_scanned)
+            })
+        },
+    );
+    group.bench_with_input(
+        BenchmarkId::new("full", "rebuild"),
+        &(&view, &base),
+        |b, (view, base)| {
+            b.iter(|| {
+                let mut v = (*view).clone();
+                let stats = v.refresh_full(base).unwrap();
+                black_box(stats.rows_scanned)
+            })
+        },
+    );
+    group.finish();
+}
+
+fn bench_aggregation_threads(c: &mut Criterion) {
+    let table = datagen::generate_sales(&SalesConfig::with_rows(200_000));
+    let cases = [
+        (
+            "coarse_key",
+            AggQuery::new("q", &["country"], vec![AggSpec::sum("profit")]),
+        ),
+        (
+            "fine_key",
+            AggQuery::new(
+                "q",
+                &["year", "month", "country", "region"],
+                vec![AggSpec::sum("profit"), AggSpec::avg("profit")],
+            ),
+        ),
+    ];
+    for (label, query) in cases {
+        let mut group = c.benchmark_group(format!("ablation_parallel/{label}"));
+        for threads in [1usize, 2, 4] {
+            group.bench_with_input(BenchmarkId::from_parameter(threads), &table, |b, table| {
+                b.iter(|| {
+                    let (out, _) = query
+                        .execute_with_threads(black_box(table), threads)
+                        .unwrap();
+                    black_box(out.num_rows())
+                })
+            });
+        }
+        group.finish();
+    }
+}
+
+/// A full sweep evaluates 1 048 576 subsets, so only the incremental
+/// walk is timed, serial and fanned out.
+fn bench_exhaustive_threads(c: &mut Criterion) {
+    let problem = fixtures::random_problem(29, 6, 20);
+    let scenario = Scenario::tradeoff_normalized(0.5);
+    let mut group = c.benchmark_group("evaluator/exhaustive_n20");
+    for threads in [1usize, 8] {
+        group.bench_function(
+            BenchmarkId::from_parameter(format!("incremental_t{threads}")),
+            |b| {
+                b.iter(|| {
+                    black_box(
+                        mv_select::solve_exhaustive_with_threads(&problem, scenario, threads)
+                            .objective(),
+                    )
+                })
+            },
+        );
+    }
+    group.finish();
+}
+
+criterion_group! {
+    name = benches;
+    config = mv_bench::fast_config();
+    targets = bench_obs_disabled, bench_obs_enabled, bench_calibration_loop,
+        bench_calibration_fit, bench_solvers_by_scenario, bench_maintenance,
+        bench_aggregation_threads, bench_exhaustive_threads
+}
+criterion_main!(benches);

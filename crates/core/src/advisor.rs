@@ -209,6 +209,36 @@ pub struct Advisor {
     problem: SelectionProblem,
 }
 
+/// The configured instance type on the configured price sheet.
+fn configured_instance(config: &AdvisorConfig) -> Result<&mv_pricing::InstanceType, AdvisorError> {
+    config
+        .pricing
+        .compute
+        .instance(&config.instance)
+        .map_err(|_| AdvisorError::UnknownInstance {
+            name: config.instance.clone(),
+        })
+}
+
+/// Assembles the paper's cost model from the advisor configuration and
+/// the given workload charges. The measurement pipeline and the
+/// resident service both go through this one assembly, so bit-identical
+/// inputs produce a bit-identical model.
+pub(crate) fn cost_model_for(
+    config: &AdvisorConfig,
+    workload: Vec<QueryCharge>,
+) -> Result<CloudCostModel, AdvisorError> {
+    Ok(CloudCostModel::new(CostContext {
+        pricing: config.pricing.clone(),
+        instance: configured_instance(config)?.clone(),
+        nb_instances: config.nb_instances,
+        months: config.months,
+        dataset_size: config.simulated_dataset,
+        inserts: vec![],
+        workload,
+    }))
+}
+
 /// The shared measurement context: validated instance capacity, the
 /// engine→cloud scale mapping, the executable workload, and the
 /// extrapolation parameters. Both the batch pipeline
@@ -219,7 +249,6 @@ pub struct Advisor {
 pub(crate) struct CandidateMeter<'a> {
     domain: &'a Domain,
     config: &'a AdvisorConfig,
-    instance: mv_pricing::InstanceType,
     scale: SimScale,
     pub(crate) units: f64,
     engine_rows: f64,
@@ -236,15 +265,7 @@ impl<'a> CandidateMeter<'a> {
         if domain.base.num_rows() == 0 {
             return Err(AdvisorError::EmptyDataset);
         }
-        let instance = config
-            .pricing
-            .compute
-            .instance(&config.instance)
-            .map_err(|_| AdvisorError::UnknownInstance {
-                name: config.instance.clone(),
-            })?
-            .clone();
-        let units = instance.compute_units * config.nb_instances as f64;
+        let units = configured_instance(config)?.compute_units * config.nb_instances as f64;
         if units.is_nan() || units <= 0.0 {
             return Err(AdvisorError::InvalidComputeUnits {
                 instance: config.instance.clone(),
@@ -277,7 +298,6 @@ impl<'a> CandidateMeter<'a> {
         Ok(CandidateMeter {
             domain,
             config,
-            instance,
             scale,
             units,
             engine_rows,
@@ -428,19 +448,6 @@ impl<'a> CandidateMeter<'a> {
             charge,
         })
     }
-
-    /// Assembles the paper's cost model over the metered workload.
-    pub(crate) fn cost_model(&self, charges: Vec<QueryCharge>) -> CloudCostModel {
-        CloudCostModel::new(CostContext {
-            pricing: self.config.pricing.clone(),
-            instance: self.instance.clone(),
-            nb_instances: self.config.nb_instances,
-            months: self.config.months,
-            dataset_size: self.config.simulated_dataset,
-            inserts: vec![],
-            workload: charges,
-        })
-    }
 }
 
 impl Advisor {
@@ -470,7 +477,7 @@ impl Advisor {
         }
 
         // 5. Assemble the selection problem.
-        let model = meter.cost_model(charges);
+        let model = cost_model_for(&config, charges)?;
         let CandidateMeter { scale, queries, .. } = meter;
         let problem =
             SelectionProblem::new(model, measured.iter().map(|m| m.charge.clone()).collect());
@@ -515,7 +522,7 @@ impl Advisor {
     ) -> Result<(Advisor, Outcome, StreamingReport), AdvisorError> {
         let meter = CandidateMeter::new(&domain, &config)?;
         let charges = meter.workload_charges()?;
-        let model = meter.cost_model(charges);
+        let model = cost_model_for(&config, charges)?;
         let baseline = SelectionProblem::new(model.clone(), Vec::new()).baseline();
         let estimator = SizeEstimator::new(domain.base.num_rows() as u64);
         let mut stream = match streaming.strategy {
@@ -700,35 +707,44 @@ impl Advisor {
         let model = self.problem.model();
         let candidates = self.problem.candidates();
         let selection = &outcome.evaluation.selection;
+        self.period_ledger(
+            model,
+            selection,
+            model.processing_time_with_views(candidates, selection),
+            model.maintenance_time(candidates, selection),
+            (
+                "view materialization",
+                model.materialization_time(candidates, selection),
+            ),
+        )
+    }
+
+    /// The lines a period's bill has, whoever derived the hours:
+    /// processing always, maintenance and materialization when there is
+    /// any, storage of dataset + selected views, outbound results.
+    pub(crate) fn period_ledger(
+        &self,
+        model: &CloudCostModel,
+        selection: &SelectionSet,
+        processing: Hours,
+        maintenance: Hours,
+        materialization: (&str, Hours),
+    ) -> UsageLedger {
+        let config = &self.config;
         let mut ledger = UsageLedger::new();
         ledger.record_compute(
             "workload processing",
-            &self.config.instance,
-            self.config.nb_instances,
-            model.processing_time_with_views(candidates, selection),
+            &config.instance,
+            config.nb_instances,
+            processing,
         );
-        let maintenance = model.maintenance_time(candidates, selection);
-        if maintenance > Hours::ZERO {
-            ledger.record_compute(
-                "view maintenance",
-                &self.config.instance,
-                self.config.nb_instances,
-                maintenance,
-            );
+        for (label, hours) in [("view maintenance", maintenance), materialization] {
+            if hours > Hours::ZERO {
+                ledger.record_compute(label, &config.instance, config.nb_instances, hours);
+            }
         }
-        let materialization = model.materialization_time(candidates, selection);
-        if materialization > Hours::ZERO {
-            ledger.record_compute(
-                "view materialization",
-                &self.config.instance,
-                self.config.nb_instances,
-                materialization,
-            );
-        }
-        ledger.record_storage(
-            "dataset + views",
-            model.storage_timeline(model.views_size(candidates, selection)),
-        );
+        let views_size = model.views_size(self.problem.candidates(), selection);
+        ledger.record_storage("dataset + views", model.storage_timeline(views_size));
         ledger.record_transfer_out("query results", model.context().total_result_size());
         ledger
     }

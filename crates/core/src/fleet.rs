@@ -586,8 +586,6 @@ impl Advisor {
         path: &MarketPath,
         steps: &[EpochStep],
     ) -> FleetPathSummary {
-        let config = self.config();
-        let rounding = config.pricing.compute.rounding;
         let pool = self.problem().candidates();
         let mut billed = Hours::ZERO;
         let mut reserved_hours = Hours::ZERO;
@@ -626,18 +624,13 @@ impl Advisor {
                 }
                 raw[on] += work;
             }
-            // Billable hours: rounded per component when nonzero (zero
-            // components bill zero) and fleet-multiplied. The path total
-            // accumulates component by component; the epoch's own
-            // subtotal is kept beside it (the two associate differently
-            // under sub-hour rounding).
+            // Billable hours: the path total accumulates component by
+            // component; the epoch's own subtotal is kept beside it (the
+            // two associate differently under sub-hour rounding).
             let mut epoch_billed = Hours::ZERO;
-            for t in [time, maintenance, materialization] {
-                if t > Hours::ZERO {
-                    let hours = rounding.apply(t) * config.nb_instances as f64;
-                    billed += hours;
-                    epoch_billed += hours;
-                }
+            for hours in self.billed_components([time, maintenance, materialization]) {
+                billed += hours;
+                epoch_billed += hours;
             }
             epoch_billed_hours.push(epoch_billed);
             reserved_hours += raw[0];

@@ -166,17 +166,7 @@ impl Advisor {
         scenario: Scenario,
         horizon: &HorizonConfig,
     ) -> Result<HorizonReport, AdvisorError> {
-        if horizon.epochs == 0 {
-            return Err(AdvisorError::EmptyHorizon);
-        }
-        let telemetry_base = mv_obs::enabled().then(mv_obs::Snapshot::capture);
-        let chain = self.epoch_chain(horizon);
-        let steps = chain.solve(scenario);
-        let mut report = self.render_horizon(horizon, &chain, steps)?;
-        if let Some(base) = telemetry_base {
-            report.telemetry = Some(mv_obs::Snapshot::capture().since(&base));
-        }
-        Ok(report)
+        self.solve_horizon_by(horizon, |chain| chain.solve(scenario))
     }
 
     /// The transition-blind comparator: every epoch re-solved from
@@ -188,12 +178,22 @@ impl Advisor {
         scenario: Scenario,
         horizon: &HorizonConfig,
     ) -> Result<HorizonReport, AdvisorError> {
+        self.solve_horizon_by(horizon, |chain| chain.solve_myopic(scenario))
+    }
+
+    /// Builds the horizon's chain, lets `solve` walk it and renders the
+    /// steps, with the solve's telemetry when the registry is on.
+    fn solve_horizon_by(
+        &self,
+        horizon: &HorizonConfig,
+        solve: impl FnOnce(&EpochChain) -> Vec<EpochStep>,
+    ) -> Result<HorizonReport, AdvisorError> {
         if horizon.epochs == 0 {
             return Err(AdvisorError::EmptyHorizon);
         }
         let telemetry_base = mv_obs::enabled().then(mv_obs::Snapshot::capture);
         let chain = self.epoch_chain(horizon);
-        let steps = chain.solve_myopic(scenario);
+        let steps = solve(&chain);
         let mut report = self.render_horizon(horizon, &chain, steps)?;
         if let Some(base) = telemetry_base {
             report.telemetry = Some(mv_obs::Snapshot::capture().since(&base));
@@ -277,23 +277,34 @@ impl Advisor {
 
     /// Billable instance-hours of one solved epoch step — processing,
     /// the selection's maintenance and the added views'
-    /// materialization, each rounded per the provider's rule when
-    /// nonzero (zero components bill zero) and fleet-multiplied. The
+    /// materialization, through [`Advisor::billed_components`]. The
     /// Monte-Carlo driver's per-epoch subtotals (`crate::fleet`) are
     /// the same arithmetic over risk-adjusted hours (the
     /// zero-volatility market proptest pins them bit-for-bit).
     fn epoch_billed_instance_hours(&self, pool: &[ViewCharge], step: &EpochStep) -> Hours {
-        let config = self.config();
-        let rounding = config.pricing.compute.rounding;
         let maintenance: Hours = step.selection().ones().map(|k| pool[k].maintenance).sum();
         let materialization: Hours = step.added.iter().map(|&k| pool[k].materialization).sum();
         let mut billed = Hours::ZERO;
-        for t in [step.outcome.evaluation.time, maintenance, materialization] {
-            if t > Hours::ZERO {
-                billed += rounding.apply(t) * config.nb_instances as f64;
-            }
+        for hours in
+            self.billed_components([step.outcome.evaluation.time, maintenance, materialization])
+        {
+            billed += hours;
         }
         billed
+    }
+
+    /// The billable instance-hours of an epoch's compute components
+    /// (processing, maintenance, materialization): each nonzero one
+    /// rounded per the provider's rule and fleet-multiplied; a zero
+    /// component bills nothing. The caller adds them up, in this order.
+    pub(crate) fn billed_components(&self, components: [Hours; 3]) -> impl Iterator<Item = Hours> {
+        let config = self.config();
+        let rounding = config.pricing.compute.rounding;
+        let instances = config.nb_instances as f64;
+        components
+            .into_iter()
+            .filter(|&t| t > Hours::ZERO)
+            .map(move |t| rounding.apply(t) * instances)
     }
 
     /// The provider-side usage ledger for one epoch of a solved
@@ -304,42 +315,24 @@ impl Advisor {
     /// outbound results. Its invoice reconciles with the chain's
     /// charged evaluation.
     pub fn epoch_usage_ledger(&self, model: &CloudCostModel, step: &EpochStep) -> UsageLedger {
-        let config = self.config();
         let candidates = self.problem().candidates();
-        let selection = step.selection();
-        let mut ledger = UsageLedger::new();
-        ledger.record_compute(
-            "workload processing",
-            &config.instance,
-            config.nb_instances,
-            step.outcome.evaluation.time,
-        );
-        let maintenance: Hours = selection.ones().map(|k| candidates[k].maintenance).sum();
-        if maintenance > Hours::ZERO {
-            ledger.record_compute(
-                "view maintenance",
-                &config.instance,
-                config.nb_instances,
-                maintenance,
-            );
-        }
+        let maintenance: Hours = step
+            .selection()
+            .ones()
+            .map(|k| candidates[k].maintenance)
+            .sum();
         let materialization: Hours = step
             .added
             .iter()
             .map(|&k| candidates[k].materialization)
             .sum();
-        if materialization > Hours::ZERO {
-            ledger.record_compute(
-                "view materialization (new views)",
-                &config.instance,
-                config.nb_instances,
-                materialization,
-            );
-        }
-        let views_size = model.views_size(candidates, selection);
-        ledger.record_storage("dataset + views", model.storage_timeline(views_size));
-        ledger.record_transfer_out("query results", model.context().total_result_size());
-        ledger
+        self.period_ledger(
+            model,
+            step.selection(),
+            step.outcome.evaluation.time,
+            maintenance,
+            ("view materialization (new views)", materialization),
+        )
     }
 }
 

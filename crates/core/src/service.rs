@@ -44,9 +44,9 @@
 use std::collections::HashMap;
 use std::path::Path;
 
-use mv_cost::{CloudCostModel, CostContext};
 use mv_select::{local_search, Evaluation, IncrementalEvaluator, Scenario, SelectionProblem};
 
+use crate::advisor::cost_model_for;
 use crate::catalog::{CandidateCatalog, HighWaterMark};
 use crate::json::Json;
 use crate::{Advisor, AdvisorConfig, AdvisorError};
@@ -475,33 +475,6 @@ fn shares(frequencies: &[f64]) -> Vec<f64> {
         return Vec::new();
     }
     frequencies.iter().map(|&f| f / sum).collect()
-}
-
-/// Rebuilds the paper's cost model from the advisor configuration and
-/// the given workload charges — the same [`CostContext`] the
-/// measurement pipeline assembles, minus any need for the engine or the
-/// domain. Bit-identical inputs produce a bit-identical model.
-fn cost_model_for(
-    config: &AdvisorConfig,
-    workload: Vec<mv_cost::QueryCharge>,
-) -> Result<CloudCostModel, AdvisorError> {
-    let instance = config
-        .pricing
-        .compute
-        .instance(&config.instance)
-        .map_err(|_| AdvisorError::UnknownInstance {
-            name: config.instance.clone(),
-        })?
-        .clone();
-    Ok(CloudCostModel::new(CostContext {
-        pricing: config.pricing.clone(),
-        instance,
-        nb_instances: config.nb_instances,
-        months: config.months,
-        dataset_size: config.simulated_dataset,
-        inserts: vec![],
-        workload,
-    }))
 }
 
 #[cfg(test)]

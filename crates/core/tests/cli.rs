@@ -766,6 +766,29 @@ fn the_parser_rejects_what_it_used_to_ignore() {
     }
 }
 
+/// A catalog file is outside input: 300 000 unclosed brackets are a
+/// corrupt catalog, not a stack to overflow.
+#[test]
+fn a_hostile_catalog_is_an_error_not_an_abort() {
+    let path = std::env::temp_dir().join(format!("mvcloud-deep-{}.json", std::process::id()));
+    std::fs::write(&path, "[".repeat(300_000)).expect("write hostile catalog");
+    let args = [
+        "serve",
+        "--rows",
+        "500",
+        "--queries",
+        "3",
+        "--alpha",
+        "0.5",
+        "--catalog",
+        path.to_str().unwrap(),
+    ];
+    let stderr = assert_clean_error(&args);
+    assert!(stderr.contains("nesting deeper than 128"), "{stderr}");
+    assert!(run(&args).stdout.is_empty());
+    std::fs::remove_file(&path).ok();
+}
+
 /// `… | head`: the reader goes away before the report is written. The
 /// run finishes quietly — no panic, no backtrace, no error line.
 #[test]

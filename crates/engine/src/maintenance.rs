@@ -3,8 +3,9 @@
 //! The paper charges a maintenance time `t_maintenance(V_k)` per view per
 //! period but does not prescribe a method ("queries are posed during
 //! day-time and maintenance is performed during night-time"). Both classic
-//! strategies are implemented so the maintenance ablation (A3: `--bench ablation_maintenance`)
-//! can quantify the difference the choice makes to the cost models:
+//! strategies are implemented so the maintenance ablation (A3: the
+//! `ablation_maintenance` group of `--bench micro`) can quantify the
+//! difference the choice makes to the cost models:
 //!
 //! * **Full** — rerun the view's defining query over the whole base table;
 //! * **Incremental** — aggregate only the day's insert delta and merge the

@@ -104,13 +104,7 @@ static SERIAL: Mutex<()> = Mutex::new(());
 /// delta-asserting sections never interleave), enables telemetry for
 /// its lifetime, and reads counters as deltas from its baseline.
 ///
-/// This replaces the old `IncrementalEvaluator` process-global statics
-/// whose unconditional increments made cross-test interleaving a
-/// latent hazard under threaded `cargo test`: counters now only move
-/// inside an enabled window, and `CounterGuard` windows are mutually
-/// exclusive by construction.
-///
-/// The switch the window flips is process-wide, though: a sibling test
+/// The switch the window flips is process-wide: a sibling test
 /// that holds no guard and does solver work on *its* thread while the
 /// window is open moves the process totals too, so [`delta`] can read
 /// high in a multi-test binary. A test whose guarded work stays on its

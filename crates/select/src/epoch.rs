@@ -28,8 +28,9 @@
 //!   numbers each, compared against the live problem's — instead of an
 //!   O(n·m) problem rebuild plus O(n) repositioning flips per epoch.
 //!   [`EpochChain::solve_rebuilding`] is that rebuild-per-epoch
-//!   **reference**: bit-identical steps (tested), only slower
-//!   (`crates/bench/benches/{horizon,market,fleet}.rs`).
+//!   **reference**: bit-identical steps (tested), only slower (the
+//!   warm path is the repository benchmark's `select.retarget_us` and
+//!   `select.chain_solve_ms`).
 //!
 //! # One driver, four axes
 //!
@@ -533,7 +534,7 @@ impl EpochChain {
     /// problem and a fresh evaluator repositioned by O(n) flips.
     /// Bit-identical steps (tested below and in
     /// `tests/horizon_consistency.rs`): the correctness anchor of the
-    /// warm-start machinery and the baseline the benches measure against.
+    /// warm-start machinery.
     pub fn solve_rebuilding<F: Reprice>(
         &self,
         scenario: Scenario,

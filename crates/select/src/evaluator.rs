@@ -52,9 +52,7 @@
 //! (maintenance, materialization, size — folded in ascending candidate
 //! order from zero, so they cannot be kept as running sums), the
 //! in-order total of the m/B block sums (a dependent add chain: the
-//! floor of a probe at large m), and B adds per dirty block
-//! ([`IncrementalEvaluator::snapshot_cold`] keeps the full
-//! O(n/64 + selected + m) fold as the benchmark reference). Every fold
+//! floor of a probe at large m), and B adds per dirty block. Every fold
 //! runs in exactly the same order as [`SelectionProblem::evaluate`],
 //! and the four totals become a bill through the same
 //! `CloudCostModel::breakdown_from_totals` call, so scores are
@@ -717,15 +715,6 @@ impl<'p> IncrementalEvaluator<'p> {
             debug_assert!(self.fold_block(b as usize) == sum, "block {b} moved");
         }
         score
-    }
-
-    /// [`IncrementalEvaluator::snapshot`] with every block sum forced
-    /// stale first — the full O(n/64 + selected + m) fold the
-    /// dirty-delta path avoids. Exists as the benchmark reference (`--bench scale`
-    /// races the two) and as a self-check handle; results are identical.
-    pub fn snapshot_cold(&mut self) -> Evaluation {
-        self.all_dirty = true;
-        self.snapshot()
     }
 }
 

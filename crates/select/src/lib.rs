@@ -61,18 +61,19 @@
 //!
 //! The sparse layout is what scales the evaluator 100–1000× past the
 //! paper's shape: at n = 2 000 candidates and m = 50 000 queries a
-//! single-flip probe still answers in microseconds
-//! (`crates/bench/benches/scale.rs`), where the historical dense
-//! per-view `Vec<Option<Hours>>` representation alone would hold 10⁸
-//! slots.
+//! single-flip probe still answers in microseconds (the repository
+//! benchmark's `select.probe_ns` on its `advise_scale` workload, beside
+//! `cost.full_evaluate_us` for the full re-evaluation), where the
+//! historical dense per-view `Vec<Option<Hours>>` representation alone
+//! would hold 10⁸ slots.
 //!
 //! The exhaustive and Pareto sweeps fan out across threads above
 //! [`PARALLEL_THRESHOLD`] candidates: contiguous mask ranges per thread,
 //! each with its own evaluator, merged in ascending chunk order so the
 //! outcome (including tie-breaks) is identical to the serial sweep for
-//! any thread count. At n = 20, m = 30 the evaluator answers single-flip
-//! probes ≈ 6× faster than full re-evaluation (see
-//! `crates/bench/benches/evaluator.rs`).
+//! any thread count (the `evaluator/exhaustive_n20` group of
+//! `crates/bench/benches/micro.rs` times the sweep at one and eight
+//! threads).
 //!
 //! # Large-neighborhood search
 //!
@@ -113,9 +114,9 @@
 //! while the answer caches survive, and
 //! [`IncrementalEvaluator::update_charge`] splices a re-priced
 //! candidate in O(1) — instead of rebuilding the problem per epoch
-//! (`crates/bench/benches/horizon.rs` measures the difference;
-//! [`EpochChain::solve_rebuilding`] is the bit-identical rebuild
-//! reference). [`EpochChain::solve_myopic`] is the transition-blind
+//! (the benchmark's `select.retarget_us` and `select.chain_solve_ms`
+//! on `montecarlo` time the warm path; [`EpochChain::solve_rebuilding`]
+//! is the bit-identical rebuild reference). [`EpochChain::solve_myopic`] is the transition-blind
 //! re-solve-every-period comparator the regression tests beat.
 //!
 //! Every transition-aware solve is one driver,
@@ -145,10 +146,9 @@
 //! alongside select-flip/swap, and because the per-pool transform is
 //! a `Price → Price` map, every placement flip is one O(1),
 //! allocation-free [`IncrementalEvaluator::update_charge`] splice on
-//! the same live evaluator — measured ≈ 38×
-//! faster than rebuilding the charged problem per probe
-//! (`crates/bench/benches/fleet.rs`). Transition accounting extends
-//! naturally: a view kept *on the same pool* is carried; a view moved
+//! the same live evaluator instead of a rebuild of the charged problem
+//! per probe (`core.fleet_ms` on `montecarlo` is the driver those
+//! splices run under). Transition accounting extends naturally: a view kept *on the same pool* is carried; a view moved
 //! across pools re-pays materialization ([`EpochStep::moved`]).
 //! [`EpochChain::solve_dp_fleet`] is the joint selection+placement DP
 //! oracle (3ⁿ states per epoch, n ≤ [`DP_FLEET_MAX_CANDIDATES`]); on
@@ -186,18 +186,18 @@
 //! snapshot isolation: a what-if that only flips copies ≈ 130 KB at
 //! m = 4 096 whatever the pool holds, and one that edits copies what it
 //! edits (the evaluator module's *Forks* section).
-//! At K = 32 sampled paths the tree sweep beats the same paths solved
-//! one at a time ≈ 1.2× on a volatile spot market and ≈ 1.5× on a
-//! crunchy hedged fleet
-//! (`crates/bench/benches/market.rs`, `fleet.rs`), compounding with the
-//! dirty-delta `snapshot()` that makes every node probe O(deg).
+//! The tree's share of a Monte-Carlo sweep is the benchmark's
+//! `market.tree_share` and `select.tree_node_busy_ms` on `montecarlo`;
+//! the service's fork and warm re-solve are `select.fork_us` and
+//! `select.resident_solve_ms` on `serve_stream`.
 //!
 //! # Telemetry
 //!
 //! Every hot path above reports into the [`mv_obs`] registry —
 //! off-by-default, one relaxed atomic load per site while disabled
-//! (guarded in `crates/bench/benches/obs.rs` and
-//! `evaluator/probe_telemetry_n16`). The instrumentation points:
+//! (the `obs/disabled` group of `crates/bench/benches/micro.rs` times
+//! exactly that load; `obs.trace_overhead_share` is what switching it
+//! on costs a whole benchmark workload). The instrumentation points:
 //!
 //! | site | counters | spans / histograms / events |
 //! |---|---|---|
