@@ -783,10 +783,13 @@ fn a_hostile_catalog_is_an_error_not_an_abort() {
         "--catalog",
         path.to_str().unwrap(),
     ];
-    let stderr = assert_clean_error(&args);
-    assert!(stderr.contains("nesting deeper than 128"), "{stderr}");
-    assert!(run(&args).stdout.is_empty());
+    let out = run(&args);
     std::fs::remove_file(&path).ok();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.starts_with("error:"), "{stderr}");
+    assert!(stderr.contains("nesting deeper than 128"), "{stderr}");
+    assert!(out.stdout.is_empty());
 }
 
 /// `… | head`: the reader goes away before the report is written. The

@@ -116,7 +116,8 @@
 //! candidate in O(1) — instead of rebuilding the problem per epoch
 //! (the benchmark's `select.retarget_us` and `select.chain_solve_ms`
 //! on `montecarlo` time the warm path; [`EpochChain::solve_rebuilding`]
-//! is the bit-identical rebuild reference). [`EpochChain::solve_myopic`] is the transition-blind
+//! is the bit-identical rebuild reference).
+//! [`EpochChain::solve_myopic`] is the transition-blind
 //! re-solve-every-period comparator the regression tests beat.
 //!
 //! Every transition-aware solve is one driver,
@@ -148,8 +149,9 @@
 //! allocation-free [`IncrementalEvaluator::update_charge`] splice on
 //! the same live evaluator instead of a rebuild of the charged problem
 //! per probe (`core.fleet_ms` on `montecarlo` is the driver those
-//! splices run under). Transition accounting extends naturally: a view kept *on the same pool* is carried; a view moved
-//! across pools re-pays materialization ([`EpochStep::moved`]).
+//! splices run under). Transition accounting extends naturally: a view
+//! kept *on the same pool* is carried; a view moved across pools
+//! re-pays materialization ([`EpochStep::moved`]).
 //! [`EpochChain::solve_dp_fleet`] is the joint selection+placement DP
 //! oracle (3ⁿ states per epoch, n ≤ [`DP_FLEET_MAX_CANDIDATES`]); on
 //! the crunch fixture it exposes the chain's placement *lookahead*
