@@ -367,7 +367,11 @@ impl<'a> CandidateMeter<'a> {
 
     /// Materializes and meters one candidate cuboid (the paper's steps
     /// 3 & 4 for a single view).
-    pub(crate) fn measure(&self, cuboid: Cuboid) -> Result<MeasuredCandidate, AdvisorError> {
+    pub(crate) fn measure(
+        &self,
+        cuboid: Cuboid,
+        _held: &[MeasuredCandidate],
+    ) -> Result<MeasuredCandidate, AdvisorError> {
         let label = self.domain.lattice.label(&cuboid);
         let cols = self.domain.lattice.key_columns(&cuboid);
         let col_refs: Vec<&str> = cols.iter().map(String::as_str).collect();
@@ -450,9 +454,28 @@ impl<'a> CandidateMeter<'a> {
     }
 }
 
+/// How a driver meters one cuboid beside the candidates it already
+/// holds: [`CandidateMeter::measure`], or the slow reference the
+/// differential tests hold it to.
+type Measure = for<'a> fn(
+    &CandidateMeter<'a>,
+    Cuboid,
+    &[MeasuredCandidate],
+) -> Result<MeasuredCandidate, AdvisorError>;
+
 impl Advisor {
     /// Runs the measurement pipeline over `domain`.
     pub fn build(domain: Domain, config: AdvisorConfig) -> Result<Advisor, AdvisorError> {
+        Self::build_with(domain, config, |meter, cuboid, held| {
+            meter.measure(cuboid, held)
+        })
+    }
+
+    fn build_with(
+        domain: Domain,
+        config: AdvisorConfig,
+        measure: Measure,
+    ) -> Result<Advisor, AdvisorError> {
         let meter = CandidateMeter::new(&domain, &config)?;
 
         // 1. Measure the workload on the base table.
@@ -473,7 +496,8 @@ impl Advisor {
         // 3 & 4. Materialize and meter every candidate.
         let mut measured = Vec::with_capacity(cuboids.len());
         for cuboid in cuboids {
-            measured.push(meter.measure(cuboid)?);
+            let m = measure(&meter, cuboid, &measured)?;
+            measured.push(m);
         }
 
         // 5. Assemble the selection problem.
@@ -520,6 +544,22 @@ impl Advisor {
         scenario: Scenario,
         streaming: StreamingConfig,
     ) -> Result<(Advisor, Outcome, StreamingReport), AdvisorError> {
+        Self::stream_with(
+            domain,
+            config,
+            scenario,
+            streaming,
+            |meter, cuboid, held| meter.measure(cuboid, held),
+        )
+    }
+
+    fn stream_with(
+        domain: Domain,
+        config: AdvisorConfig,
+        scenario: Scenario,
+        streaming: StreamingConfig,
+        measure: Measure,
+    ) -> Result<(Advisor, Outcome, StreamingReport), AdvisorError> {
         let meter = CandidateMeter::new(&domain, &config)?;
         let charges = meter.workload_charges()?;
         let model = cost_model_for(&config, charges)?;
@@ -553,7 +593,8 @@ impl Advisor {
         for cuboid in stream.by_ref() {
             pulled += 1;
             let before = current.clone();
-            measured.push(meter.measure(cuboid)?);
+            let m = measure(&meter, cuboid, &measured)?;
+            measured.push(m);
             standing.push(false);
             let problem = problem_over(&measured);
             let selection = SelectionSet::from_bools(&standing);
@@ -1235,6 +1276,192 @@ mod tests {
         assert!(!r_stop.stopped_early);
         assert_eq!(r_stop.pulled, r_full.pulled);
         assert_eq!(o_stop.evaluation, o_full.evaluation);
+    }
+
+    impl CandidateMeter<'_> {
+        /// The metering procedure as it stood before roll-ups and planned
+        /// scans, kept as the slow reference: build the cuboid from the
+        /// base table, refresh a clone with the delta, run every workload
+        /// query the view can answer and read the executed scan's bytes.
+        fn measure_reference(&self, cuboid: Cuboid) -> Result<MeasuredCandidate, AdvisorError> {
+            let label = self.domain.lattice.label(&cuboid);
+            let cols = self.domain.lattice.key_columns(&cuboid);
+            let col_refs: Vec<&str> = cols.iter().map(String::as_str).collect();
+            let def = ViewDefinition::canonical(
+                label.clone(),
+                &col_refs,
+                &[AggSpec::sum(self.domain.measure.clone())],
+            );
+            let view = MaterializedView::materialize_with_threads(
+                def,
+                &self.domain.base,
+                self.config.threads,
+            )?;
+            let build = *view.build_stats();
+            let view_rows_engine = view.data().num_rows().max(1) as f64;
+            let view_rows_cloud = self.cloud_groups(&cuboid);
+            let throughput = self.config.throughput;
+
+            let maintenance = match &self.delta {
+                Some(d) if d.num_rows() > 0 => {
+                    let mut clone = view.clone();
+                    let stats = clone.refresh_incremental(d)?;
+                    match self.config.sizing {
+                        SizingMode::MeasuredScaled => {
+                            throughput.hours_for(&stats, self.units, self.scale)?
+                        }
+                        SizingMode::Extrapolated => self.scan_hours(
+                            stats.bytes_scanned,
+                            d.num_rows().max(1) as f64,
+                            self.cloud_rows * self.config.maintenance_delta_fraction,
+                        )?,
+                    }
+                }
+                _ => Hours::ZERO,
+            };
+            let (view_size, materialization) = match self.config.sizing {
+                SizingMode::MeasuredScaled => (
+                    self.scale.bytes_to_cloud(view.data().heap_bytes()),
+                    throughput.hours_for(&build, self.units, self.scale)?,
+                ),
+                SizingMode::Extrapolated => {
+                    let width = view.data().heap_bytes() as f64 / view_rows_engine;
+                    (
+                        Gb::from_bytes((view_rows_cloud * width) as u64),
+                        self.scan_hours(build.bytes_scanned, self.engine_rows, self.cloud_rows)?,
+                    )
+                }
+            };
+            let mut charge = ViewCharge::new(
+                label.clone(),
+                view_size,
+                materialization,
+                maintenance,
+                self.queries.len(),
+            );
+            for (i, q) in self.queries.iter().enumerate() {
+                if view.can_answer(q).is_ok() {
+                    let (_, stats) = view.answer(q)?;
+                    let t = match self.config.sizing {
+                        SizingMode::MeasuredScaled => {
+                            throughput.hours_for(&stats, self.units, self.scale)?
+                        }
+                        SizingMode::Extrapolated => {
+                            self.scan_hours(stats.bytes_scanned, view_rows_engine, view_rows_cloud)?
+                        }
+                    };
+                    charge = charge.answers(i, t);
+                }
+            }
+            Ok(MeasuredCandidate {
+                cuboid,
+                label,
+                view,
+                charge,
+            })
+        }
+    }
+
+    /// Candidate order, and every candidate's label, cuboid, stored view
+    /// (`Table ==`: row order, codes, dictionaries; `build_stats`) and
+    /// charge, are the reference's.
+    fn assert_same_pool(fast: &Advisor, slow: &Advisor, what: &str) {
+        assert_eq!(
+            fast.problem().candidates(),
+            slow.problem().candidates(),
+            "{what}: charges"
+        );
+        assert_eq!(fast.candidates().len(), slow.candidates().len(), "{what}");
+        for (f, s) in fast.candidates().iter().zip(slow.candidates()) {
+            assert_eq!(f.label, s.label, "{what}");
+            assert_eq!(f.cuboid, s.cuboid, "{what}: {}", f.label);
+            assert_eq!(f.view, s.view, "{what}: {}", f.label);
+            assert_eq!(f.charge, s.charge, "{what}: {}", f.label);
+        }
+    }
+
+    /// [`Advisor::build`] against the reference meter over both sizing
+    /// modes, the three batch strategies and one and two engine threads;
+    /// then [`Advisor::solve_streaming`], drained with ε-retirement and
+    /// cut by a pull budget.
+    fn assert_meter_identity(name: &str, domain: &Domain) {
+        use CandidateStrategy::{FullLattice, HruGreedy, WorkloadClosure};
+        for sizing in [SizingMode::Extrapolated, SizingMode::MeasuredScaled] {
+            for (candidates, threads) in [
+                (FullLattice, 1),
+                (FullLattice, 2),
+                (WorkloadClosure, 1),
+                (HruGreedy(5), 2),
+            ] {
+                let config = AdvisorConfig {
+                    sizing,
+                    candidates,
+                    threads,
+                    ..AdvisorConfig::default()
+                };
+                let what = format!("{name} {sizing:?} {candidates:?} t{threads}");
+                let fast = Advisor::build(domain.clone(), config.clone()).unwrap();
+                let slow = Advisor::build_with(domain.clone(), config, |meter, cuboid, _| {
+                    meter.measure_reference(cuboid)
+                })
+                .unwrap();
+                assert_same_pool(&fast, &slow, &what);
+            }
+            let config = AdvisorConfig {
+                sizing,
+                ..AdvisorConfig::default()
+            };
+            let scenario = Scenario::tradeoff_normalized(0.5);
+            for streaming in [
+                StreamingConfig {
+                    strategy: StreamStrategy::WorkloadClosure,
+                    retire_epsilon: 0.25,
+                    ..StreamingConfig::default()
+                },
+                StreamingConfig {
+                    strategy: StreamStrategy::HruGreedy(Some(6)),
+                    ..StreamingConfig::default()
+                },
+            ] {
+                let what = format!("{name} {sizing:?} {:?}", streaming.strategy);
+                let (fast, fast_outcome, fast_report) =
+                    Advisor::solve_streaming(domain.clone(), config.clone(), scenario, streaming)
+                        .unwrap();
+                let (slow, slow_outcome, slow_report) = Advisor::stream_with(
+                    domain.clone(),
+                    config.clone(),
+                    scenario,
+                    streaming,
+                    |meter, cuboid, _| meter.measure_reference(cuboid),
+                )
+                .unwrap();
+                assert_same_pool(&fast, &slow, &what);
+                assert_eq!(fast_outcome.evaluation, slow_outcome.evaluation, "{what}");
+                assert_eq!(fast_report, slow_report, "{what}");
+            }
+        }
+    }
+
+    #[test]
+    fn meter_matches_the_reference_meter() {
+        for seed in [1, 7, 42] {
+            assert_meter_identity(&format!("sales/{seed}"), &sales_domain(700, 6, 1.0, seed));
+            assert_meter_identity(&format!("ssb/{seed}"), &crate::ssb_domain(400, 1.0, seed));
+        }
+    }
+
+    /// The same identity at `advise_cold`'s shapes (`BENCHMARK.json`):
+    /// minutes in a debug build, so CI runs it in release.
+    #[test]
+    #[ignore = "benchmark shapes: run with --release -- --ignored"]
+    fn meter_matches_the_reference_meter_at_the_benchmark_shapes() {
+        for seed in 0..8 {
+            assert_meter_identity(
+                &format!("sales/{seed}"),
+                &sales_domain(20_000, 10, 1.0, seed),
+            );
+            assert_meter_identity(&format!("ssb/{seed}"), &crate::ssb_domain(4_000, 1.0, seed));
+        }
     }
 
     #[test]
