@@ -22,6 +22,12 @@
 //!   maintenance: the incremental path's work is proportional to the
 //!   delta, the full path's to the whole base, which is what keeps the
 //!   maintenance term of the paper's Formula 12 small.
+//! * `engine/materialize/*`, `meter/answer_profile/*` — the two engine
+//!   passes `Advisor::build` no longer makes per candidate, each beside
+//!   what replaced it: a cuboid built from the base table and rolled up
+//!   from a finer view, and a lattice's answer profile executed and
+//!   planned. (`advise_cold`'s traced `engine.candidate_measure_ms` is
+//!   the harness replaying the old procedure, so it cannot show these.)
 //! * `ablation_parallel/*` (A4) — serial vs multi-threaded aggregation.
 //!   Scan-bound coarse keys (few groups, cheap merge) parallelize;
 //!   merge-bound fine keys (thousands of groups per partial) do not,
@@ -233,6 +239,52 @@ fn bench_maintenance(c: &mut Criterion) {
     group.finish();
 }
 
+/// One candidate view built twice: from the 20 000 base rows, and
+/// rolled up from the finest candidate of the sales lattice
+/// (day×region) that the advisor has measured by then.
+fn bench_materialize(c: &mut Criterion) {
+    let base = datagen::generate_sales(&SalesConfig::with_rows(20_000));
+    let sum = [AggSpec::sum("profit")];
+    let finest = ViewDefinition::canonical(
+        "day×region",
+        &["year", "month", "day", "country", "region"],
+        &sum,
+    );
+    let finest = MaterializedView::materialize(finest, &base).unwrap();
+    let def = ViewDefinition::canonical("month×country", &["year", "month", "country"], &sum);
+    let mut group = c.benchmark_group("engine/materialize");
+    group.bench_function("from_base", |b| {
+        b.iter(|| MaterializedView::materialize(def.clone(), black_box(&base)).unwrap())
+    });
+    group.bench_function("roll_up", |b| {
+        b.iter(|| MaterializedView::roll_up(def.clone(), black_box(&finest)).unwrap())
+    });
+    group.finish();
+}
+
+/// The answer profile of every candidate of the sales advisor
+/// (r 20 000, 10 queries, 15 views): each answerable pair's scan bytes
+/// from running the answer and dropping its table, and from the
+/// planner.
+fn bench_answer_profile(c: &mut Criterion) {
+    let advisor = Advisor::build(sales_domain(20_000, 10, 1.0, 42), AdvisorConfig::default())
+        .expect("advisor builds");
+    let profile = |bytes: &dyn Fn(&MaterializedView, &AggQuery) -> Option<u64>| -> u64 {
+        let views = advisor.candidates().iter().map(|m| &m.view);
+        views
+            .flat_map(|v| advisor.queries().iter().filter_map(move |q| bytes(v, q)))
+            .sum()
+    };
+    let mut group = c.benchmark_group("meter/answer_profile");
+    group.bench_function("executed", |b| {
+        b.iter(|| profile(&|v, q| v.answer(q).ok().map(|(_, stats)| stats.bytes_scanned)))
+    });
+    group.bench_function("planned", |b| {
+        b.iter(|| profile(&|v, q| v.planned_scan_bytes(q).ok()))
+    });
+    group.finish();
+}
+
 fn bench_aggregation_threads(c: &mut Criterion) {
     let table = datagen::generate_sales(&SalesConfig::with_rows(200_000));
     let cases = [
@@ -292,6 +344,7 @@ criterion_group! {
     config = mv_bench::fast_config();
     targets = bench_obs_disabled, bench_obs_enabled, bench_calibration_loop,
         bench_calibration_fit, bench_solvers_by_scenario, bench_maintenance,
-        bench_aggregation_threads, bench_exhaustive_threads
+        bench_materialize, bench_answer_profile, bench_aggregation_threads,
+        bench_exhaustive_threads
 }
 criterion_main!(benches);

@@ -5,15 +5,28 @@
 //!
 //! 1. execute the workload on the base table and meter it;
 //! 2. generate candidate cuboids from the lattice;
-//! 3. materialize every candidate in the engine, metering build cost,
-//!    stored size, incremental-maintenance cost, and the improved time of
-//!    every workload query it can answer;
-//! 4. convert metered work to simulated cluster-hours and cloud gigabytes;
+//! 3. materialize every candidate in the engine, finest first, each in
+//!    one pass over the smallest already-measured view that derives it
+//!    and over the base table only when none does
+//!    ([`MaterializedView::roll_up`]: the stored table and `build_stats`
+//!    are the from-base build's either way), and execute one incremental
+//!    refresh of the maintenance batch on a copy of it;
+//! 4. convert scan bytes to simulated cluster-hours and stored bytes to
+//!    cloud gigabytes. Executed: the workload on the base table, each
+//!    build, each refresh (its merge is where a stored total leaving
+//!    `i64` shows). Read off cardinalities: the improved time of every
+//!    workload query a candidate can answer, from
+//!    [`MaterializedView::planned_scan_bytes`] — stored rows × the width
+//!    of the columns the scan would read, by the width rule executed
+//!    scans are metered with — so no answer is run and thrown away;
 //! 5. assemble the [`SelectionProblem`] over the paper's cost models.
 //!
 //! [`Advisor::solve`] then runs any scenario × solver combination, and
 //! [`Advisor::materialize_selection`] registers the chosen views in a
 //! catalog, ready to serve queries.
+
+use std::cell::Cell;
+use std::cmp::Reverse;
 
 use mv_cost::{CloudCostModel, CostContext, QueryCharge, ViewCharge};
 use mv_engine::{
@@ -206,6 +219,7 @@ pub struct Advisor {
     scale: SimScale,
     queries: Vec<AggQuery>,
     measured: Vec<MeasuredCandidate>,
+    base_builds: usize,
     problem: SelectionProblem,
 }
 
@@ -255,6 +269,8 @@ pub(crate) struct CandidateMeter<'a> {
     cloud_rows: f64,
     queries: Vec<AggQuery>,
     delta: Option<Table>,
+    /// Candidates [`CandidateMeter::measure`] built from the base table.
+    base_builds: Cell<usize>,
 }
 
 impl<'a> CandidateMeter<'a> {
@@ -304,6 +320,7 @@ impl<'a> CandidateMeter<'a> {
             cloud_rows,
             queries,
             delta,
+            base_builds: Cell::new(0),
         })
     }
 
@@ -315,19 +332,29 @@ impl<'a> CandidateMeter<'a> {
         )
     }
 
-    /// Scan work projected to cloud scale (engine bytes × how many more
-    /// input rows the cloud table has) and converted to simulated
-    /// cluster-hours under the configured throughput model.
-    fn scan_hours(
+    /// Simulated cluster-hours of a scan the engine metered at
+    /// `bytes_scanned` over an input of `input_rows_engine` rows that has
+    /// `input_rows_cloud` rows at cloud scale. Scan bytes are the only
+    /// engine reading either sizing mode turns into time:
+    /// [`SizingMode::MeasuredScaled`] multiplies them by the dataset
+    /// scale factor, [`SizingMode::Extrapolated`] by how many more input
+    /// rows the cloud table has.
+    fn hours(
         &self,
         bytes_scanned: u64,
         input_rows_engine: f64,
         input_rows_cloud: f64,
     ) -> Result<Hours, AdvisorError> {
-        let bytes = bytes_scanned as f64 * (input_rows_cloud / input_rows_engine.max(1.0));
+        let scanned = match self.config.sizing {
+            SizingMode::MeasuredScaled => self.scale.bytes_to_cloud(bytes_scanned),
+            SizingMode::Extrapolated => {
+                let ratio = input_rows_cloud / input_rows_engine.max(1.0);
+                Gb::from_bytes((bytes_scanned as f64 * ratio) as u64)
+            }
+        };
         self.config
             .throughput
-            .hours_for_scan(Gb::from_bytes(bytes as u64), self.units)
+            .hours_for_scan(scanned, self.units)
             .map_err(AdvisorError::from)
     }
 
@@ -339,22 +366,14 @@ impl<'a> CandidateMeter<'a> {
             let (out, stats) = q
                 .execute_with_threads(&self.domain.base, self.config.threads)
                 .map_err(AdvisorError::from)?;
-            let (result_size, base_time) = match self.config.sizing {
-                SizingMode::MeasuredScaled => (
-                    self.scale.bytes_to_cloud(stats.bytes_out),
-                    self.config
-                        .throughput
-                        .hours_for(&stats, self.units, self.scale)?,
-                ),
+            let result_size = match self.config.sizing {
+                SizingMode::MeasuredScaled => self.scale.bytes_to_cloud(stats.bytes_out),
                 SizingMode::Extrapolated => {
-                    let rows_cloud = self.cloud_groups(&lq.cuboid);
                     let width = out.schema().row_byte_width() as f64;
-                    (
-                        Gb::from_bytes((rows_cloud * width) as u64),
-                        self.scan_hours(stats.bytes_scanned, self.engine_rows, self.cloud_rows)?,
-                    )
+                    Gb::from_bytes((self.cloud_groups(&lq.cuboid) * width) as u64)
                 }
             };
+            let base_time = self.hours(stats.bytes_scanned, self.engine_rows, self.cloud_rows)?;
             charges.push(QueryCharge {
                 name: q.name.clone(),
                 result_size,
@@ -366,11 +385,14 @@ impl<'a> CandidateMeter<'a> {
     }
 
     /// Materializes and meters one candidate cuboid (the paper's steps
-    /// 3 & 4 for a single view).
+    /// 3 & 4 for a single view) in one pass over the smallest table that
+    /// holds its groups: the `held` candidate with the fewest stored rows
+    /// whose view derives it, else the base table. Which source it was
+    /// changes only the time taken ([`MaterializedView::roll_up`]).
     pub(crate) fn measure(
         &self,
         cuboid: Cuboid,
-        _held: &[MeasuredCandidate],
+        held: &[MeasuredCandidate],
     ) -> Result<MeasuredCandidate, AdvisorError> {
         let label = self.domain.lattice.label(&cuboid);
         let cols = self.domain.lattice.key_columns(&cuboid);
@@ -380,49 +402,49 @@ impl<'a> CandidateMeter<'a> {
             &col_refs,
             &[AggSpec::sum(self.domain.measure.clone())],
         );
-        let view =
-            MaterializedView::materialize_with_threads(def, &self.domain.base, self.config.threads)
-                .map_err(AdvisorError::from)?;
+        // The lattice order is the cheap filter; the engine has the last
+        // word on what a stored view derives.
+        let defining = def.as_query();
+        let source = held
+            .iter()
+            .filter(|m| m.cuboid.covers(&cuboid) && m.view.can_answer(&defining).is_ok())
+            .min_by_key(|m| m.view.data().num_rows());
+        let view = match source {
+            Some(finer) => MaterializedView::roll_up(def, &finer.view)?,
+            None => {
+                self.base_builds.set(self.base_builds.get() + 1);
+                let threads = self.config.threads;
+                MaterializedView::materialize_with_threads(def, &self.domain.base, threads)?
+            }
+        };
         let build = *view.build_stats();
         let view_rows_engine = view.data().num_rows().max(1) as f64;
         let view_rows_cloud = self.cloud_groups(&cuboid);
 
-        // Maintenance: incremental refresh of one monthly delta batch.
+        // Maintenance: incremental refresh of one monthly delta batch,
+        // executed — its merge is where a stored total leaving `i64`
+        // shows.
         let maintenance = match &self.delta {
             Some(d) if d.num_rows() > 0 => {
-                let mut clone = view.clone();
-                let stats = clone.refresh_incremental(d).map_err(AdvisorError::from)?;
-                match self.config.sizing {
-                    SizingMode::MeasuredScaled => self
-                        .config
-                        .throughput
-                        .hours_for(&stats, self.units, self.scale)?,
-                    SizingMode::Extrapolated => self.scan_hours(
-                        stats.bytes_scanned,
-                        d.num_rows().max(1) as f64,
-                        self.cloud_rows * self.config.maintenance_delta_fraction,
-                    )?,
-                }
+                let stats = view.clone().refresh_incremental(d)?;
+                self.hours(
+                    stats.bytes_scanned,
+                    d.num_rows().max(1) as f64,
+                    self.cloud_rows * self.config.maintenance_delta_fraction,
+                )?
             }
             _ => Hours::ZERO,
         };
 
-        let (view_size, materialization) = match self.config.sizing {
-            SizingMode::MeasuredScaled => (
-                self.scale.bytes_to_cloud(view.data().heap_bytes()),
-                self.config
-                    .throughput
-                    .hours_for(&build, self.units, self.scale)?,
-            ),
+        let view_size = match self.config.sizing {
+            SizingMode::MeasuredScaled => self.scale.bytes_to_cloud(view.data().heap_bytes()),
             SizingMode::Extrapolated => {
                 let width = view.data().heap_bytes() as f64 / view_rows_engine;
-                (
-                    Gb::from_bytes((view_rows_cloud * width) as u64),
-                    // Building a view scans the whole base table.
-                    self.scan_hours(build.bytes_scanned, self.engine_rows, self.cloud_rows)?,
-                )
+                Gb::from_bytes((view_rows_cloud * width) as u64)
             }
         };
+        // Building a view scans the whole base table.
+        let materialization = self.hours(build.bytes_scanned, self.engine_rows, self.cloud_rows)?;
         let mut charge = ViewCharge::new(
             label.clone(),
             view_size,
@@ -430,19 +452,13 @@ impl<'a> CandidateMeter<'a> {
             maintenance,
             self.queries.len(),
         );
+        // The answer profile is read off cardinalities: what the scan of
+        // the stored rows would meter, without producing its table. Every
+        // query here already ran on the base table (`workload_charges`),
+        // so the one way a view fails to plan it is not deriving it.
         for (i, q) in self.queries.iter().enumerate() {
-            if view.can_answer(q).is_ok() {
-                let (_, stats) = view.answer(q).map_err(AdvisorError::from)?;
-                let t = match self.config.sizing {
-                    SizingMode::MeasuredScaled => self
-                        .config
-                        .throughput
-                        .hours_for(&stats, self.units, self.scale)?,
-                    SizingMode::Extrapolated => {
-                        self.scan_hours(stats.bytes_scanned, view_rows_engine, view_rows_cloud)?
-                    }
-                };
-                charge = charge.answers(i, t);
+            if let Ok(bytes) = view.planned_scan_bytes(q) {
+                charge = charge.answers(i, self.hours(bytes, view_rows_engine, view_rows_cloud)?);
             }
         }
         Ok(MeasuredCandidate {
@@ -493,15 +509,24 @@ impl Advisor {
             }
         };
 
-        // 3 & 4. Materialize and meter every candidate.
+        // 3 & 4. Materialize and meter every candidate, finest first — a
+        // cuboid that strictly covers another has the higher rank — so
+        // each one finds every measured view that derives it; then back
+        // into `cuboids` order.
+        let mut order: Vec<usize> = (0..cuboids.len()).collect();
+        order.sort_by_key(|&i| Reverse(cuboids[i].rank()));
         let mut measured = Vec::with_capacity(cuboids.len());
-        for cuboid in cuboids {
-            let m = measure(&meter, cuboid, &measured)?;
+        for &i in &order {
+            let m = measure(&meter, cuboids[i].clone(), &measured)?;
             measured.push(m);
         }
+        let mut by_index: Vec<_> = order.into_iter().zip(measured).collect();
+        by_index.sort_by_key(|&(i, _)| i);
+        let measured: Vec<_> = by_index.into_iter().map(|(_, m)| m).collect();
 
         // 5. Assemble the selection problem.
         let model = cost_model_for(&config, charges)?;
+        let base_builds = meter.base_builds.get();
         let CandidateMeter { scale, queries, .. } = meter;
         let problem =
             SelectionProblem::new(model, measured.iter().map(|m| m.charge.clone()).collect());
@@ -512,6 +537,7 @@ impl Advisor {
             scale,
             queries,
             measured,
+            base_builds,
             problem,
         })
     }
@@ -660,6 +686,7 @@ impl Advisor {
         // the batch path guarantees); the cost/time values are identical
         // to the zero-candidate baseline used during the stream.
         let outcome = Outcome::new(best, problem.baseline(), scenario, SolverKind::LocalSearch);
+        let base_builds = meter.base_builds.get();
         let CandidateMeter { scale, queries, .. } = meter;
         let advisor = Advisor {
             domain,
@@ -667,6 +694,7 @@ impl Advisor {
             scale,
             queries,
             measured,
+            base_builds,
             problem,
         };
         let report = StreamingReport {
@@ -686,6 +714,13 @@ impl Advisor {
     /// The measured candidates, aligned with the problem's candidate order.
     pub fn candidates(&self) -> &[MeasuredCandidate] {
         &self.measured
+    }
+
+    /// How many cuboids the measurement pipeline materialized from the
+    /// base table; every other one was rolled up from a finer candidate
+    /// it had already measured.
+    pub fn base_builds(&self) -> usize {
+        self.base_builds
     }
 
     /// The domain being advised.
@@ -1279,6 +1314,20 @@ mod tests {
     }
 
     impl CandidateMeter<'_> {
+        /// The reference's extrapolated-mode conversion, as it stood.
+        fn scan_hours(
+            &self,
+            bytes_scanned: u64,
+            input_rows_engine: f64,
+            input_rows_cloud: f64,
+        ) -> Result<Hours, AdvisorError> {
+            let bytes = bytes_scanned as f64 * (input_rows_cloud / input_rows_engine.max(1.0));
+            self.config
+                .throughput
+                .hours_for_scan(Gb::from_bytes(bytes as u64), self.units)
+                .map_err(AdvisorError::from)
+        }
+
         /// The metering procedure as it stood before roll-ups and planned
         /// scans, kept as the slow reference: build the cuboid from the
         /// base table, refresh a clone with the delta, run every workload
@@ -1448,6 +1497,65 @@ mod tests {
             assert_meter_identity(&format!("sales/{seed}"), &sales_domain(700, 6, 1.0, seed));
             assert_meter_identity(&format!("ssb/{seed}"), &crate::ssb_domain(400, 1.0, seed));
         }
+    }
+
+    #[test]
+    fn only_the_finest_cuboids_are_built_from_the_base_table() {
+        // The sales lattice minus its base has two maximal cuboids
+        // (day×region, month×department), SSB's three; every other
+        // candidate has a measured view above it to roll up from.
+        let sales = Advisor::build(sales_domain(2_000, 10, 1.0, 7), AdvisorConfig::default());
+        let sales = sales.unwrap();
+        assert_eq!((sales.base_builds(), sales.candidates().len()), (2, 15));
+        let ssb = Advisor::build(crate::ssb_domain(1_000, 1.0, 7), AdvisorConfig::default());
+        let ssb = ssb.unwrap();
+        assert_eq!((ssb.base_builds(), ssb.candidates().len()), (3, 63));
+        // A stream pulls in benefit order, small views first, so what it
+        // holds rarely derives the next pull: there the gain is the
+        // planned answer profile alone.
+        let (streamed, _, report) = Advisor::solve_streaming(
+            sales_domain(2_000, 10, 1.0, 7),
+            AdvisorConfig::default(),
+            Scenario::tradeoff_normalized(0.5),
+            StreamingConfig::default(),
+        )
+        .unwrap();
+        assert_eq!(streamed.base_builds(), report.pulled);
+    }
+
+    #[test]
+    fn a_stored_total_at_the_edge_of_i64_still_fails_in_the_refresh_merge() {
+        // Every total fits — the workload runs, every cuboid builds — but
+        // the maintenance batch replays row 0 into the groups that hold
+        // it, and that merge leaves `i64`. The refresh is executed, not
+        // planned, so the error is the reference meter's.
+        let mut domain = sales_domain(200, 3, 1.0, 5);
+        domain.name = "replayed".to_string();
+        let measure = domain.base.schema().index_of(&domain.measure).unwrap();
+        let mut base = Table::empty(domain.base.schema().clone());
+        for r in 0..domain.base.num_rows() {
+            let mut row = domain.base.row(r);
+            row[measure] = mv_engine::Value::Int(if r == 0 { i64::MAX - 10_000 } else { 1 });
+            base.push_row(&row).unwrap();
+        }
+        domain.base = base;
+        let fast = Advisor::build(domain.clone(), AdvisorConfig::default()).unwrap_err();
+        assert_eq!(
+            fast,
+            AdvisorError::Engine(mv_engine::EngineError::AggregateOverflow {
+                aggregate: format!("sum_{}", domain.measure),
+            })
+        );
+        let slow = Advisor::build_with(domain.clone(), AdvisorConfig::default(), |meter, c, _| {
+            meter.measure_reference(c)
+        });
+        assert_eq!(fast, slow.unwrap_err());
+        // Without a maintenance batch nothing is merged and nothing fails.
+        let static_data = AdvisorConfig {
+            maintenance_delta_fraction: 0.0,
+            ..AdvisorConfig::default()
+        };
+        assert!(Advisor::build(domain, static_data).is_ok());
     }
 
     /// The same identity at `advise_cold`'s shapes (`BENCHMARK.json`):

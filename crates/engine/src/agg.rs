@@ -134,6 +134,32 @@ pub(crate) enum AggExpr {
     RatioOfSums { sum_col: usize, count_col: usize },
 }
 
+impl AggExpr {
+    /// `func` over column `col` of a base table (`Count` reads no column).
+    pub(crate) fn over_base(func: AggFunc, col: usize) -> AggExpr {
+        match func {
+            AggFunc::Sum => AggExpr::Sum { col },
+            AggFunc::Count => AggExpr::Count,
+            AggFunc::Min => AggExpr::Min { col },
+            AggFunc::Max => AggExpr::Max { col },
+            AggFunc::Avg => AggExpr::Avg { col },
+        }
+    }
+
+    /// Bytes of each input row this expression reads: 8 per `Int` column
+    /// it references.
+    pub(crate) fn input_width(self) -> u64 {
+        match self {
+            AggExpr::Sum { .. }
+            | AggExpr::Min { .. }
+            | AggExpr::Max { .. }
+            | AggExpr::Avg { .. } => 8,
+            AggExpr::Count => 0,
+            AggExpr::RatioOfSums { .. } => 16,
+        }
+    }
+}
+
 /// Per-group accumulator columns for one lowered expression: one slot per
 /// group id, typed once so the update loops carry no per-row dispatch.
 ///

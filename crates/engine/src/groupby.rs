@@ -452,6 +452,23 @@ fn aggregate_range(
     Ok(Partial { groups, reps, accs })
 }
 
+/// Bytes of each input row a group-by reads: a columnar scan touches
+/// every key column and every aggregate input, counted per reference,
+/// over all rows. The one width rule — executed scans ([`build_output`]),
+/// planned ones ([`crate::query::Plan::scan_bytes`]) and the from-base
+/// scan a rolled-up view reports all charge `rows ×` this.
+pub(crate) fn scanned_width(
+    schema: &Schema,
+    group_cols: &[usize],
+    aggs: impl Iterator<Item = AggExpr>,
+) -> u64 {
+    let keys: u64 = group_cols
+        .iter()
+        .map(|&c| schema.fields()[c].dtype.byte_width())
+        .sum();
+    keys + aggs.map(AggExpr::input_width).sum::<u64>()
+}
+
 /// Emits the output table (group columns + one Int column per aggregate)
 /// and the metering record.
 fn build_output(
@@ -483,31 +500,15 @@ fn build_output(
     }
     let out = Table::new(out_schema, out_cols)?;
 
-    // Metering: a columnar scan reads every referenced input column over all
-    // rows (mask evaluation cost is metered by the caller that built the
-    // mask). Aggregate inputs are counted per reference.
+    // Mask evaluation is metered by the caller that built the mask.
     let rows = table.num_rows() as u64;
-    let mut scanned_width: u64 = group_cols
-        .iter()
-        .map(|&c| in_schema.fields()[c].dtype.byte_width())
-        .sum();
-    for a in aggs {
-        scanned_width += match a.expr {
-            AggExpr::Sum { .. }
-            | AggExpr::Min { .. }
-            | AggExpr::Max { .. }
-            | AggExpr::Avg { .. } => 8,
-            AggExpr::Count => 0,
-            AggExpr::RatioOfSums { .. } => 16,
-        };
-    }
     let selected = match mask {
         Some(m) => m.iter().filter(|&&b| b).count() as u64,
         None => rows,
     };
     let stats = ExecStats {
         rows_scanned: rows,
-        bytes_scanned: rows * scanned_width,
+        bytes_scanned: rows * scanned_width(in_schema, group_cols, aggs.iter().map(|a| a.expr)),
         rows_out: out.num_rows() as u64,
         bytes_out: out.num_rows() as u64 * out.schema().row_byte_width(),
         groups: n_groups as u64,

@@ -1,7 +1,7 @@
 //! Aggregation queries.
 
 use crate::agg::AggExpr;
-use crate::groupby::{group_by, parallel_group_by, LoweredAgg};
+use crate::groupby::{group_by, parallel_group_by, scanned_width, LoweredAgg};
 use crate::{AggFunc, AggSpec, DataType, EngineError, ExecStats, Predicate, Schema, Table};
 
 /// A roll-up aggregation query: `SELECT group_by…, agg(…)… FROM t [WHERE …]
@@ -39,9 +39,9 @@ impl AggQuery {
         self
     }
 
-    /// Validates the query against `schema` and lowers the aggregates to
-    /// executor expressions.
-    fn plan(&self, schema: &Schema) -> Result<(Vec<usize>, Vec<LoweredAgg>), EngineError> {
+    /// The indices of the group-by columns in `schema`; also rejects a
+    /// query with no aggregates, which no table can run.
+    pub(crate) fn group_columns(&self, schema: &Schema) -> Result<Vec<usize>, EngineError> {
         if self.aggregates.is_empty() {
             return Err(EngineError::NoAggregates);
         }
@@ -52,7 +52,14 @@ impl AggQuery {
             }
             group_cols.push(schema.index_of(name)?);
         }
-        let mut lowered = Vec::with_capacity(self.aggregates.len());
+        Ok(group_cols)
+    }
+
+    /// Validates the query against a base table's `schema` and lowers it
+    /// onto its columns.
+    fn plan(&self, schema: &Schema) -> Result<Plan<'_>, EngineError> {
+        let group_cols = self.group_columns(schema)?;
+        let mut aggs = Vec::with_capacity(self.aggregates.len());
         for spec in &self.aggregates {
             let expr = match (spec.func, &spec.column) {
                 (AggFunc::Count, _) => AggExpr::Count,
@@ -66,13 +73,7 @@ impl AggQuery {
                             actual: field.dtype.name(),
                         });
                     }
-                    match func {
-                        AggFunc::Sum => AggExpr::Sum { col },
-                        AggFunc::Min => AggExpr::Min { col },
-                        AggFunc::Max => AggExpr::Max { col },
-                        AggFunc::Avg => AggExpr::Avg { col },
-                        AggFunc::Count => unreachable!("handled above"),
-                    }
+                    AggExpr::over_base(func, col)
                 }
                 (func, None) => {
                     return Err(EngineError::UnknownColumn {
@@ -80,12 +81,16 @@ impl AggQuery {
                     })
                 }
             };
-            lowered.push(LoweredAgg {
+            aggs.push(LoweredAgg {
                 expr,
                 alias: spec.alias.clone(),
             });
         }
-        Ok((group_cols, lowered))
+        Ok(Plan {
+            group_cols,
+            aggs,
+            predicate: self.predicate.as_ref(),
+        })
     }
 
     /// Executes against `table`, returning the result and metering record.
@@ -100,40 +105,68 @@ impl AggQuery {
         table: &Table,
         threads: usize,
     ) -> Result<(Table, ExecStats), EngineError> {
-        let (group_cols, lowered) = self.plan(table.schema())?;
-        let (mask, mut pred_stats) = match &self.predicate {
-            Some(p) => {
-                let mask = p.eval(table)?;
-                // Metering: predicate evaluation scans its referenced columns.
-                let width: u64 = p
-                    .columns()
-                    .iter()
-                    .map(|c| {
-                        table
-                            .schema()
-                            .field(c)
-                            .map(|f| f.dtype.byte_width())
-                            .unwrap_or(0)
-                    })
-                    .sum();
-                let stats = ExecStats {
-                    rows_scanned: table.num_rows() as u64,
-                    bytes_scanned: table.num_rows() as u64 * width,
-                    ..ExecStats::default()
-                };
-                (Some(mask), stats)
-            }
-            None => (None, ExecStats::default()),
-        };
-        let (out, agg_stats) = if threads > 1 {
-            parallel_group_by(table, &group_cols, &lowered, mask.as_deref(), threads)?
+        self.plan(table.schema())?.run(table, threads)
+    }
+}
+
+/// A query lowered onto one table — a base table
+/// ([`AggQuery::execute`]) or a view's stored one
+/// ([`crate::MaterializedView::answer`]): what the kernel runs, and what
+/// the scan is metered at whether it runs or not.
+#[derive(Debug)]
+pub(crate) struct Plan<'q> {
+    /// Key column indices, in output order.
+    pub(crate) group_cols: Vec<usize>,
+    /// Executor expressions with their output names.
+    pub(crate) aggs: Vec<LoweredAgg>,
+    /// The query's row filter.
+    pub(crate) predicate: Option<&'q Predicate>,
+}
+
+impl Plan<'_> {
+    /// Bytes evaluating the predicate reads from `table`: its referenced
+    /// columns over all rows.
+    fn predicate_bytes(&self, table: &Table) -> u64 {
+        let schema = table.schema();
+        let width: u64 = self.predicate.map_or(0, |p| {
+            p.columns()
+                .iter()
+                .map(|c| schema.field(c).map_or(0, |f| f.dtype.byte_width()))
+                .sum()
+        });
+        table.num_rows() as u64 * width
+    }
+
+    /// The `bytes_scanned` [`Plan::run`] reports over `table`, read off
+    /// its row count and the referenced columns' widths.
+    pub(crate) fn scan_bytes(&self, table: &Table) -> u64 {
+        let aggs = self.aggs.iter().map(|a| a.expr);
+        let width = scanned_width(table.schema(), &self.group_cols, aggs);
+        table.num_rows() as u64 * width + self.predicate_bytes(table)
+    }
+
+    /// Runs the plan over `table` on up to `threads` threads.
+    pub(crate) fn run(
+        &self,
+        table: &Table,
+        threads: usize,
+    ) -> Result<(Table, ExecStats), EngineError> {
+        let mask = self.predicate.map(|p| p.eval(table)).transpose()?;
+        let (out, mut stats) = if threads > 1 {
+            parallel_group_by(
+                table,
+                &self.group_cols,
+                &self.aggs,
+                mask.as_deref(),
+                threads,
+            )?
         } else {
-            group_by(table, &group_cols, &lowered, mask.as_deref())?
+            group_by(table, &self.group_cols, &self.aggs, mask.as_deref())?
         };
-        pred_stats.merge(&agg_stats);
-        // Rows were scanned once, not twice; keep the aggregation's count.
-        pred_stats.rows_scanned = agg_stats.rows_scanned;
-        Ok((out, pred_stats))
+        // The kernel metered the columns it read; the predicate's come on
+        // top. Rows were scanned once, not twice.
+        stats.bytes_scanned += self.predicate_bytes(table);
+        Ok((out, stats))
     }
 }
 

@@ -261,7 +261,7 @@ mod tests {
 
     use super::*;
     use crate::groupby::parallel_group_by;
-    use crate::{AggSpec, ViewDefinition};
+    use crate::{AggQuery, AggSpec, CmpOp, Predicate, Value, ViewDefinition};
 
     /// Values every wide `Int` key column draws from: the extremes force
     /// the packed-key span past `u64`, the repeats make groups collide.
@@ -330,6 +330,55 @@ mod tests {
             (0..rows).map(|_| rng.below(50) as i64 + 1).collect(),
         ));
         Table::new(Schema::new(fields).unwrap(), columns).unwrap()
+    }
+
+    /// A country → region → city hierarchy as three `Str` key columns
+    /// (`k0`, `k1`, `k2`; up to 6 / 18 / 54 strings) plus the two measures:
+    /// the product of the three dictionary domains is past any slot
+    /// table these row counts allow while the distinct prefixes are few,
+    /// which is when [`KeyLayout`](crate::groupby::KeyLayout) re-densifies
+    /// the running prefix.
+    fn hierarchy_table(rng: &mut TestRng, rows: usize) -> Table {
+        let mut keys = [
+            Column::empty(DataType::Str),
+            Column::empty(DataType::Str),
+            Column::empty(DataType::Str),
+        ];
+        for _ in 0..rows {
+            let (c, r, t) = (rng.below(6), rng.below(3), rng.below(3));
+            keys[0].push_str(&format!("c{c}"));
+            keys[1].push_str(&format!("c{c}-r{r}"));
+            keys[2].push_str(&format!("c{c}-r{r}-t{t}"));
+        }
+        let measures = table(rng, &[], rows, 0);
+        let mut fields: Vec<Field> = (0..3)
+            .map(|i| Field::new(format!("k{i}"), DataType::Str))
+            .collect();
+        fields.extend(measures.schema().fields().iter().cloned());
+        let columns = keys.into_iter().chain(measures.columns().iter().cloned());
+        Table::new(Schema::new(fields).unwrap(), columns.collect()).unwrap()
+    }
+
+    /// A base table for the view proptests — one case in four the
+    /// hierarchy, otherwise `n_keys` columns of random kinds — and a
+    /// description of it for failure messages.
+    fn view_base(rng: &mut TestRng, seed: u64, n_keys: usize, rows: usize) -> (Table, String) {
+        if seed.is_multiple_of(4) {
+            (hierarchy_table(rng, rows), "hierarchy".to_string())
+        } else {
+            let kinds: Vec<u64> = (0..n_keys).map(|_| rng.below(KEY_KINDS)).collect();
+            let what = format!("kinds {kinds:?}");
+            (table(rng, &kinds, rows, 0), what)
+        }
+    }
+
+    /// A random sub-list of `names`, in a random order.
+    fn sub_key(rng: &mut TestRng, names: &[String]) -> Vec<String> {
+        let mut kept: Vec<String> = names.iter().filter(|_| rng.below(3) > 0).cloned().collect();
+        for i in (1..kept.len()).rev() {
+            kept.swap(i, rng.below(i as u64 + 1) as usize);
+        }
+        kept
     }
 
     fn mask(rng: &mut TestRng, kind: u64, rows: usize) -> Option<Vec<bool>> {
@@ -423,6 +472,105 @@ mod tests {
                 let stats = got.refresh_incremental(&delta).unwrap();
                 prop_assert_eq!(stats, expected_stats, "kinds {:?}", &kinds);
                 prop_assert_eq!(&got, &expected, "kinds {:?}", &kinds);
+            }
+        }
+
+        /// A view rolled up from any ancestor — along a chain of up to
+        /// three, each link dropping key columns (and reordering the
+        /// rest) and possibly the `MIN` / `MAX` partials — equals the
+        /// same definition materialized from the base table: stored
+        /// table and `build_stats`.
+        #[test]
+        fn roll_up_equals_materialize_from_base(
+            seed in 0u64..u64::MAX,
+            n_keys in 1usize..6,
+            rows in 0usize..160,
+            threads in 0usize..3,
+        ) {
+            let mut rng = TestRng::deterministic(&seed.to_string());
+            let (base, what) = view_base(&mut rng, seed, n_keys, rows);
+            let mut key: Vec<String> = base.schema().fields()[..base.schema().len() - 2]
+                .iter()
+                .map(|f| f.name.clone())
+                .collect();
+            let mut measures =
+                vec![AggSpec::sum("m0"), AggSpec::min("m0"), AggSpec::max("m1"), AggSpec::avg("m1")];
+            let group_by: Vec<&str> = key.iter().map(String::as_str).collect();
+            let def = ViewDefinition::canonical("v0", &group_by, &measures);
+            let mut source =
+                MaterializedView::materialize_with_threads(def, &base, [1, 2, 4][threads]).unwrap();
+            for link in 1..=3 {
+                key = sub_key(&mut rng, &key);
+                measures.truncate(measures.len() - rng.below(2) as usize);
+                let group_by: Vec<&str> = key.iter().map(String::as_str).collect();
+                let def = ViewDefinition::canonical(format!("v{link}"), &group_by, &measures);
+                let expected = MaterializedView::materialize(def.clone(), &base).unwrap();
+                let rolled = MaterializedView::roll_up(def, &source).unwrap();
+                prop_assert_eq!(&rolled, &expected, "seed {}, {}, link {} onto {:?}", seed, &what, link, &key);
+                source = rolled;
+            }
+        }
+
+        /// What the planner says a view's answer scans is what running
+        /// the answer meters, for every query the view can answer — a
+        /// predicate on a key column and an `AVG` (two stored columns)
+        /// included — and the same error for one it cannot.
+        #[test]
+        fn planned_scan_bytes_equal_the_executed_scan(
+            seed in 0u64..u64::MAX,
+            n_keys in 1usize..6,
+            rows in 0usize..160,
+        ) {
+            let mut rng = TestRng::deterministic(&seed.to_string());
+            let (base, what) = view_base(&mut rng, seed, n_keys, rows);
+            let key: Vec<String> = base.schema().fields()[..base.schema().len() - 2]
+                .iter()
+                .map(|f| f.name.clone())
+                .collect();
+            let group_by: Vec<&str> = key.iter().map(String::as_str).collect();
+            // One view in three stores no MIN, so some queries are not derivable.
+            let mut stored = vec![AggSpec::sum("m0"), AggSpec::max("m1"), AggSpec::min("m0")];
+            stored.truncate(3 - (rng.below(3) == 0) as usize);
+            let def = ViewDefinition::canonical("v", &group_by, &stored);
+            let view = MaterializedView::materialize(def, &base).unwrap();
+            let wanted = [
+                AggSpec::sum("m0"),
+                AggSpec::count(),
+                AggSpec::min("m0"),
+                AggSpec::max("m1"),
+                AggSpec::avg("m0"),
+            ];
+            for _ in 0..6 {
+                let columns = sub_key(&mut rng, &key);
+                let columns: Vec<&str> = columns.iter().map(String::as_str).collect();
+                let mut aggregates: Vec<AggSpec> =
+                    wanted.iter().filter(|_| rng.below(2) == 0).cloned().collect();
+                aggregates.push(wanted[rng.below(5) as usize].clone().with_alias("last"));
+                let mut query = AggQuery::new("q", &columns, aggregates);
+                if rng.below(2) == 0 {
+                    let column = &key[rng.below(key.len() as u64) as usize];
+                    let literal = match base.column_by_name(column).unwrap() {
+                        Column::Int(v) => Value::Int(v.first().copied().unwrap_or(0)),
+                        Column::Str { .. } => Value::from("c1-r1"),
+                    };
+                    let filter = Predicate::cmp(column.clone(), CmpOp::Ne, literal);
+                    // Half of the filters read a second key column.
+                    query = query.with_predicate(if rng.below(2) == 0 {
+                        Predicate::And(vec![filter, Predicate::eq(key[0].clone(), "c0")])
+                    } else {
+                        filter
+                    });
+                }
+                let planned = view.planned_scan_bytes(&query);
+                match view.answer(&query) {
+                    Ok((_, stats)) => prop_assert_eq!(
+                        planned, Ok(stats.bytes_scanned), "seed {}, {}, {:?}", seed, &what, &query
+                    ),
+                    // A string literal against an `Int` key fails in the
+                    // filter itself, which only an executed scan reaches.
+                    Err(EngineError::TypeMismatch { .. }) => prop_assert!(planned.is_ok()),
+                    Err(e) => prop_assert_eq!(planned, Err(e), "seed {}, {}, {:?}", seed, &what, &query),
+                }
             }
         }
     }

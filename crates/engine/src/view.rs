@@ -13,7 +13,8 @@
 //! view key columns.
 
 use crate::agg::AggExpr;
-use crate::groupby::LoweredAgg;
+use crate::groupby::{scanned_width, LoweredAgg};
+use crate::query::Plan;
 use crate::{AggFunc, AggQuery, AggSpec, EngineError, ExecStats, Table};
 
 /// Canonical view definition.
@@ -136,58 +137,104 @@ impl MaterializedView {
         &self.build_stats
     }
 
+    /// Builds `def` from `source`, an already-built view whose key holds
+    /// every column of `def`'s and whose measures hold `def`'s, by
+    /// re-aggregating the stored partials — one pass over `source`'s rows
+    /// instead of the base table's. The result is *equal* to
+    /// [`MaterializedView::materialize`] of `def` from `source`'s base
+    /// table (property-tested): every aggregate is an `i64` folded through
+    /// `i128`, so partials re-sum exactly and a total that leaves `i64`
+    /// is the same [`EngineError::AggregateOverflow`]; groups keep their
+    /// first-appearance order and [`Column::gather`](crate::Column)
+    /// rebuilds the same dictionaries. `build_stats` reports the
+    /// from-base scan — `source`'s scanned rows at `def`'s own width —
+    /// since that is the work the cost model charges for the view. A
+    /// `def` that `source` cannot derive is
+    /// [`EngineError::ViewCannotAnswer`].
+    pub fn roll_up(def: ViewDefinition, source: &MaterializedView) -> Result<Self, EngineError> {
+        let query = def.as_query();
+        let plan = source.lower(&query)?;
+        let (data, rolled) = plan.run(&source.data, 1)?;
+        // What building `def` scans of each base row: its key columns,
+        // typed as `source` stores them, and its measures lowered as on a
+        // base table (which column a measure reads does not enter the
+        // width, so any index stands in).
+        let on_base = def.measures.iter().map(|m| AggExpr::over_base(m.func, 0));
+        let width = scanned_width(source.data.schema(), &plan.group_cols, on_base);
+        let rows_scanned = source.build_stats.rows_scanned;
+        Ok(MaterializedView {
+            def,
+            data,
+            build_stats: ExecStats {
+                rows_scanned,
+                bytes_scanned: rows_scanned * width,
+                ..rolled
+            },
+        })
+    }
+
+    /// Lowers `query` onto the stored table: group columns must be view
+    /// key columns, a predicate may only touch key columns, and every
+    /// aggregate must be derivable from the stored measures — anything
+    /// else is [`EngineError::ViewCannotAnswer`] with the reason.
+    fn lower<'q>(&self, query: &'q AggQuery) -> Result<Plan<'q>, EngineError> {
+        let cannot = |reason: String| EngineError::ViewCannotAnswer { reason };
+        let in_key = |c: &str| self.def.group_by.iter().any(|g| g == c);
+        if let Some(g) = query.group_by.iter().find(|g| !in_key(g)) {
+            return Err(cannot(format!("group column {g:?} is not in the view key")));
+        }
+        if let Some(p) = &query.predicate {
+            if let Some(c) = p.columns().into_iter().find(|c| !in_key(c)) {
+                return Err(cannot(format!(
+                    "predicate column {c:?} is not in the view key"
+                )));
+            }
+        }
+        let schema = self.data.schema();
+        // The stored column holding the `func` partial of `column`.
+        let stored = |func: AggFunc, column: Option<&str>| {
+            self.def
+                .measure_alias(func, column)
+                .and_then(|alias| schema.index_of(alias).ok())
+        };
+        let mut aggs = Vec::with_capacity(query.aggregates.len());
+        for spec in &query.aggregates {
+            let column = spec.column.as_deref();
+            let expr = match spec.func {
+                // SUM over a view re-aggregates the stored SUM partials.
+                AggFunc::Sum => stored(AggFunc::Sum, column).map(|col| AggExpr::Sum { col }),
+                // COUNT re-aggregates as a SUM of stored counts.
+                AggFunc::Count => stored(AggFunc::Count, None).map(|col| AggExpr::Sum { col }),
+                AggFunc::Min => stored(AggFunc::Min, column).map(|col| AggExpr::Min { col }),
+                AggFunc::Max => stored(AggFunc::Max, column).map(|col| AggExpr::Max { col }),
+                // AVG is the ratio of re-aggregated SUM and COUNT partials.
+                AggFunc::Avg => stored(AggFunc::Sum, column)
+                    .zip(stored(AggFunc::Count, None))
+                    .map(|(sum_col, count_col)| AggExpr::RatioOfSums { sum_col, count_col }),
+            };
+            let expr = expr.ok_or_else(|| {
+                cannot(format!(
+                    "aggregate {}({}) is not derivable from stored measures",
+                    spec.func.name(),
+                    column.unwrap_or("*"),
+                ))
+            })?;
+            aggs.push(LoweredAgg {
+                expr,
+                alias: spec.alias.clone(),
+            });
+        }
+        Ok(Plan {
+            group_cols: query.group_columns(schema)?,
+            aggs,
+            predicate: query.predicate.as_ref(),
+        })
+    }
+
     /// Checks whether this view can answer `query`; `Ok(())` or the reason
     /// it cannot.
     pub fn can_answer(&self, query: &AggQuery) -> Result<(), EngineError> {
-        for g in &query.group_by {
-            if !self.def.group_by.contains(g) {
-                return Err(EngineError::ViewCannotAnswer {
-                    reason: format!("group column {g:?} is not in the view key"),
-                });
-            }
-        }
-        if let Some(p) = &query.predicate {
-            for c in p.columns() {
-                if !self.def.group_by.iter().any(|g| g == c) {
-                    return Err(EngineError::ViewCannotAnswer {
-                        reason: format!("predicate column {c:?} is not in the view key"),
-                    });
-                }
-            }
-        }
-        for spec in &query.aggregates {
-            let derivable = match spec.func {
-                AggFunc::Sum => self
-                    .def
-                    .measure_alias(AggFunc::Sum, spec.column.as_deref())
-                    .is_some(),
-                AggFunc::Count => self.def.measure_alias(AggFunc::Count, None).is_some(),
-                AggFunc::Min => self
-                    .def
-                    .measure_alias(AggFunc::Min, spec.column.as_deref())
-                    .is_some(),
-                AggFunc::Max => self
-                    .def
-                    .measure_alias(AggFunc::Max, spec.column.as_deref())
-                    .is_some(),
-                AggFunc::Avg => {
-                    self.def
-                        .measure_alias(AggFunc::Sum, spec.column.as_deref())
-                        .is_some()
-                        && self.def.measure_alias(AggFunc::Count, None).is_some()
-                }
-            };
-            if !derivable {
-                return Err(EngineError::ViewCannotAnswer {
-                    reason: format!(
-                        "aggregate {}({}) is not derivable from stored measures",
-                        spec.func.name(),
-                        spec.column.as_deref().unwrap_or("*"),
-                    ),
-                });
-            }
-        }
-        Ok(())
+        self.lower(query).map(drop)
     }
 
     /// Answers `query` from the stored table instead of the base table.
@@ -196,87 +243,15 @@ impl MaterializedView {
     /// (property-tested), but the scan touches only `self.data`'s rows —
     /// which is where the paper's `t_iV < t_i` speedup comes from.
     pub fn answer(&self, query: &AggQuery) -> Result<(Table, ExecStats), EngineError> {
-        self.can_answer(query)?;
-        let schema = self.data.schema();
-        let mut group_cols = Vec::with_capacity(query.group_by.len());
-        for (i, name) in query.group_by.iter().enumerate() {
-            if query.group_by[..i].contains(name) {
-                return Err(EngineError::DuplicateGroupColumn { name: name.clone() });
-            }
-            group_cols.push(schema.index_of(name)?);
-        }
-        if query.aggregates.is_empty() {
-            return Err(EngineError::NoAggregates);
-        }
-        let count_alias = self.def.measure_alias(AggFunc::Count, None);
-        let mut lowered = Vec::with_capacity(query.aggregates.len());
-        for spec in &query.aggregates {
-            let expr = match spec.func {
-                // SUM over a view re-aggregates the stored SUM partials.
-                AggFunc::Sum => AggExpr::Sum {
-                    col: schema.index_of(
-                        self.def
-                            .measure_alias(AggFunc::Sum, spec.column.as_deref())
-                            .expect("checked by can_answer"),
-                    )?,
-                },
-                // COUNT re-aggregates as a SUM of stored counts.
-                AggFunc::Count => AggExpr::Sum {
-                    col: schema.index_of(count_alias.expect("checked by can_answer"))?,
-                },
-                AggFunc::Min => AggExpr::Min {
-                    col: schema.index_of(
-                        self.def
-                            .measure_alias(AggFunc::Min, spec.column.as_deref())
-                            .expect("checked by can_answer"),
-                    )?,
-                },
-                AggFunc::Max => AggExpr::Max {
-                    col: schema.index_of(
-                        self.def
-                            .measure_alias(AggFunc::Max, spec.column.as_deref())
-                            .expect("checked by can_answer"),
-                    )?,
-                },
-                // AVG is the ratio of re-aggregated SUM and COUNT partials.
-                AggFunc::Avg => AggExpr::RatioOfSums {
-                    sum_col: schema.index_of(
-                        self.def
-                            .measure_alias(AggFunc::Sum, spec.column.as_deref())
-                            .expect("checked by can_answer"),
-                    )?,
-                    count_col: schema.index_of(count_alias.expect("checked by can_answer"))?,
-                },
-            };
-            lowered.push(LoweredAgg {
-                expr,
-                alias: spec.alias.clone(),
-            });
-        }
-        let (mask, mut pred_stats) = match &query.predicate {
-            Some(p) => {
-                let mask = p.eval(&self.data)?;
-                let width: u64 = p
-                    .columns()
-                    .iter()
-                    .map(|c| schema.field(c).map(|f| f.dtype.byte_width()).unwrap_or(0))
-                    .sum();
-                (
-                    Some(mask),
-                    ExecStats {
-                        rows_scanned: self.data.num_rows() as u64,
-                        bytes_scanned: self.data.num_rows() as u64 * width,
-                        ..ExecStats::default()
-                    },
-                )
-            }
-            None => (None, ExecStats::default()),
-        };
-        let (out, agg_stats) =
-            crate::groupby::group_by(&self.data, &group_cols, &lowered, mask.as_deref())?;
-        pred_stats.merge(&agg_stats);
-        pred_stats.rows_scanned = agg_stats.rows_scanned;
-        Ok((out, pred_stats))
+        self.lower(query)?.run(&self.data, 1)
+    }
+
+    /// The `bytes_scanned` [`MaterializedView::answer`] would meter for
+    /// `query` — stored rows × the width of the columns the scan reads —
+    /// without running it. The cost model's `t_iV` is a function of this
+    /// number alone.
+    pub fn planned_scan_bytes(&self, query: &AggQuery) -> Result<u64, EngineError> {
+        Ok(self.lower(query)?.scan_bytes(&self.data))
     }
 }
 
@@ -413,6 +388,69 @@ mod tests {
             view.answer(&finer).unwrap_err(),
             EngineError::ViewCannotAnswer { .. }
         ));
+    }
+
+    #[test]
+    fn roll_up_is_the_from_base_view() {
+        let finest = month_country_view();
+        for key in [
+            &["year", "country"][..],
+            &["country", "year"],
+            &["month"],
+            &[],
+        ] {
+            let def = ViewDefinition::canonical(
+                "coarser",
+                key,
+                &[AggSpec::sum("profit"), AggSpec::max("profit")],
+            );
+            let from_base = MaterializedView::materialize(def.clone(), &sales()).unwrap();
+            let rolled = MaterializedView::roll_up(def, &finest).unwrap();
+            // Equal stored table, and `build_stats` of the from-base scan:
+            // 4 base rows at the key's width + SUM and MAX inputs (COUNT
+            // reads nothing), not the 4 stored rows at 8 more.
+            assert_eq!(rolled, from_base, "{key:?}");
+        }
+    }
+
+    #[test]
+    fn roll_up_onto_a_definition_the_source_cannot_derive_is_a_typed_error() {
+        let def = ViewDefinition::canonical("v", &["year", "country"], &[AggSpec::sum("profit")]);
+        let source = MaterializedView::materialize(def, &sales()).unwrap();
+        let cannot = |key: &[&str], measure: AggSpec| {
+            let def = ViewDefinition::canonical("w", key, &[measure]);
+            matches!(
+                MaterializedView::roll_up(def, &source),
+                Err(EngineError::ViewCannotAnswer { .. })
+            )
+        };
+        // A key column the source grouped away, a MIN partial it never
+        // stored, a SUM of another column.
+        assert!(cannot(&["year", "month"], AggSpec::sum("profit")));
+        assert!(cannot(&["year"], AggSpec::min("profit")));
+        assert!(cannot(&["year"], AggSpec::sum("month")));
+        assert!(!cannot(&["country"], AggSpec::avg("profit")));
+    }
+
+    #[test]
+    fn planned_scan_is_the_executed_scan() {
+        let view = month_country_view();
+        let q = AggQuery::new(
+            "q",
+            &["country"],
+            vec![AggSpec::avg("profit"), AggSpec::count()],
+        )
+        .with_predicate(Predicate::eq("year", 2000));
+        let (_, stats) = view.answer(&q).unwrap();
+        // 4 stored rows × (country 4 + AVG's two partials 16 + the stored
+        // count 8 + the filter's year 8).
+        assert_eq!(stats.bytes_scanned, 4 * 36);
+        assert_eq!(view.planned_scan_bytes(&q), Ok(stats.bytes_scanned));
+        let finer = AggQuery::new("q", &["day"], vec![AggSpec::count()]);
+        assert_eq!(
+            view.planned_scan_bytes(&finer).unwrap_err(),
+            view.answer(&finer).unwrap_err()
+        );
     }
 
     #[test]

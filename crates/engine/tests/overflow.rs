@@ -106,3 +106,78 @@ fn refresh_merge_reports_a_stored_sum_past_i64_and_writes_nothing() {
     all.append(&csv(&[("a", 11)])).unwrap();
     assert_eq!(view.refresh_full(&all).unwrap_err(), overflow("sum_v"));
 }
+
+/// A two-level table: `fine` groups whose sums fit, one `k` group whose
+/// re-summed total does not.
+fn two_level(rows: &[(&str, &str, i64)]) -> Table {
+    let schema = Schema::new(vec![
+        Field::new("k", DataType::Str),
+        Field::new("fine", DataType::Str),
+        Field::new("v", DataType::Int),
+    ])
+    .unwrap();
+    let mut text = String::from("k,fine,v");
+    for (k, fine, v) in rows {
+        text.push_str(&format!("\n{k},{fine},{v}"));
+    }
+    table_from_csv(&text, &schema).unwrap()
+}
+
+#[test]
+fn roll_up_reports_a_re_summed_total_past_i64_where_the_from_base_build_does() {
+    let base = two_level(&[
+        ("a", "x", i64::MAX - 5),
+        ("b", "x", 1),
+        ("a", "y", 10),
+        ("b", "y", -3),
+    ]);
+    let measures = [AggSpec::sum("v"), AggSpec::min("v")];
+    let fine = ViewDefinition::canonical("fine", &["k", "fine"], &measures);
+    let fine = MaterializedView::materialize(fine, &base).unwrap();
+    let coarse = ViewDefinition::canonical("coarse", &["k"], &measures);
+    let from_base = MaterializedView::materialize(coarse.clone(), &base).unwrap_err();
+    assert_eq!(from_base, overflow("sum_v"));
+    assert_eq!(
+        MaterializedView::roll_up(coarse, &fine).unwrap_err(),
+        from_base
+    );
+    // The partials leave `i64` on the way and come back: no error, and
+    // the same view, on either route.
+    let base = two_level(&[
+        ("a", "x", i64::MAX),
+        ("a", "y", i64::MAX),
+        ("a", "z", -i64::MAX),
+    ]);
+    let fine = ViewDefinition::canonical("fine", &["k", "fine"], &measures);
+    let fine = MaterializedView::materialize(fine, &base).unwrap();
+    let coarse = ViewDefinition::canonical("coarse", &["k"], &measures);
+    assert_eq!(
+        MaterializedView::roll_up(coarse.clone(), &fine).unwrap(),
+        MaterializedView::materialize(coarse, &base).unwrap()
+    );
+}
+
+/// A view's answer is the base query's result or the base query's
+/// error: once a query has run on the base table (the advisor's
+/// workload pass), asking a deriving view for it cannot fail.
+#[test]
+fn a_view_answer_fails_only_where_the_base_query_does() {
+    let base = two_level(&[
+        ("a", "x", i64::MAX - 5),
+        ("b", "x", 1),
+        ("a", "y", 10),
+        ("b", "y", -3),
+    ]);
+    let def = ViewDefinition::canonical("fine", &["k", "fine"], &[AggSpec::sum("v")]);
+    let view = MaterializedView::materialize(def, &base).unwrap();
+    let aggregates = || vec![AggSpec::sum("v"), AggSpec::avg("v"), AggSpec::count()];
+    for key in [&["k", "fine"][..], &["fine"], &["k"], &[]] {
+        let q = AggQuery::new("q", key, aggregates());
+        assert!(view.can_answer(&q).is_ok());
+        let on_base = q.execute(&base).map(|(out, _)| out.to_sorted_rows());
+        let on_view = view.answer(&q).map(|(out, _)| out.to_sorted_rows());
+        assert_eq!(on_view, on_base, "{key:?}");
+        // Both outcomes occur: per `fine` fits, per `k` and in total not.
+        assert_eq!(on_base.is_err(), matches!(key, [] | ["k"]), "{key:?}");
+    }
+}
