@@ -1,7 +1,7 @@
 //! Aggregation queries.
 
 use crate::agg::AggExpr;
-use crate::groupby::{group_by, parallel_group_by, scanned_width, LoweredAgg};
+use crate::groupby::{parallel_group_by, scanned_width, LoweredAgg};
 use crate::{AggFunc, AggSpec, DataType, EngineError, ExecStats, Predicate, Schema, Table};
 
 /// A roll-up aggregation query: `SELECT group_by…, agg(…)… FROM t [WHERE …]
@@ -145,24 +145,17 @@ impl Plan<'_> {
         table.num_rows() as u64 * width + self.predicate_bytes(table)
     }
 
-    /// Runs the plan over `table` on up to `threads` threads.
+    /// Runs the plan over `table` on up to `threads` threads (the kernel
+    /// runs serially at one, and on inputs too small to split).
     pub(crate) fn run(
         &self,
         table: &Table,
         threads: usize,
     ) -> Result<(Table, ExecStats), EngineError> {
         let mask = self.predicate.map(|p| p.eval(table)).transpose()?;
-        let (out, mut stats) = if threads > 1 {
-            parallel_group_by(
-                table,
-                &self.group_cols,
-                &self.aggs,
-                mask.as_deref(),
-                threads,
-            )?
-        } else {
-            group_by(table, &self.group_cols, &self.aggs, mask.as_deref())?
-        };
+        let (group_cols, aggs) = (&self.group_cols, &self.aggs);
+        let (out, mut stats) =
+            parallel_group_by(table, group_cols, aggs, mask.as_deref(), threads)?;
         // The kernel metered the columns it read; the predicate's come on
         // top. Rows were scanned once, not twice.
         stats.bytes_scanned += self.predicate_bytes(table);
