@@ -35,14 +35,16 @@
 //! * `evaluator/exhaustive_n20/*` — the 2²⁰-subset exhaustive sweep at
 //!   one and eight threads.
 //!
-//! Timing mode prints one JSON object per result; `BENCH_micro.json` at
-//! the repository root records one full run
+//! Each id runs under [`timer::run`] (`tests/micro_timer.rs` holds its
+//! two output lines). Timing mode prints one JSON object per id;
+//! `BENCH_micro.json` at the repository root records one full run
 //! (`cargo bench -p mv-bench --bench micro | grep '^{'`), and
 //! `tests/micro_ledger.rs` fails when an id here has no record there.
 
+mod timer;
+
 use std::hint::black_box;
 
-use criterion::{criterion_group, criterion_main, BenchmarkGroup, BenchmarkId, Criterion};
 use mv_engine::{datagen, AggQuery, AggSpec, MaterializedView, SalesConfig, ViewDefinition};
 use mv_obs::{Counter, Hist};
 use mv_select::{fixtures, SolverKind};
@@ -50,74 +52,61 @@ use mvcloud::cost::{CalibratedParams, MeterSample, WorkKind};
 use mvcloud::lattice::WorkloadEvolution;
 use mvcloud::units::{Gb, Hours, Money};
 use mvcloud::{sales_domain, Advisor, AdvisorConfig, CalibrationConfig, Scenario};
+use timer::run;
 
 const SITES: usize = 1000;
 
 /// The three site kinds both `obs` groups time.
-fn bench_sites(group: &mut BenchmarkGroup<'_>) {
-    group.bench_function("counter_inc_x1000", |b| {
-        b.iter(|| {
-            for _ in 0..SITES {
-                mv_obs::inc(black_box(Counter::SearchProbes));
-            }
-        })
+fn bench_sites(group: &str) {
+    run(group, "counter_inc_x1000", || {
+        for _ in 0..SITES {
+            mv_obs::inc(black_box(Counter::SearchProbes));
+        }
     });
-    group.bench_function("hist_record_x1000", |b| {
-        b.iter(|| {
-            for i in 0..SITES {
-                mv_obs::record(black_box(Hist::LnsDestroySize), i as u64);
-            }
-        })
+    run(group, "hist_record_x1000", || {
+        for i in 0..SITES {
+            mv_obs::record(black_box(Hist::LnsDestroySize), i as u64);
+        }
     });
-    group.bench_function("span_x1000", |b| {
-        b.iter(|| {
-            for _ in 0..SITES {
-                mv_obs::span!("bench/span");
-            }
-        })
+    run(group, "span_x1000", || {
+        for _ in 0..SITES {
+            mv_obs::span!("bench/span");
+        }
     });
 }
 
 /// Must run first: nothing before it may have switched the registry on.
-fn bench_obs_disabled(c: &mut Criterion) {
+fn bench_obs_disabled() {
     assert!(
         !mv_obs::enabled(),
         "the disabled group must run with the registry off"
     );
-    let mut group = c.benchmark_group("obs/disabled");
-    bench_sites(&mut group);
-    group.bench_function("mixed_site_x1000", |b| {
-        b.iter(|| {
-            for i in 0..SITES {
-                mv_obs::inc(black_box(Counter::SearchProbes));
-                mv_obs::record(black_box(Hist::LnsDestroySize), i as u64);
-                mv_obs::span!("bench/site");
-                if mv_obs::enabled() {
-                    mv_obs::event("bench_site", &[("i", i as f64)]);
-                }
+    bench_sites("obs/disabled");
+    run("obs/disabled", "mixed_site_x1000", || {
+        for i in 0..SITES {
+            mv_obs::inc(black_box(Counter::SearchProbes));
+            mv_obs::record(black_box(Hist::LnsDestroySize), i as u64);
+            mv_obs::span!("bench/site");
+            if mv_obs::enabled() {
+                mv_obs::event("bench_site", &[("i", i as f64)]);
             }
-        })
+        }
     });
-    group.finish();
 }
 
-fn bench_obs_enabled(c: &mut Criterion) {
+fn bench_obs_enabled() {
     let _on = mv_obs::EnableGuard::new();
-    let mut group = c.benchmark_group("obs/enabled");
-    bench_sites(&mut group);
-    group.bench_function("event_x1000", |b| {
-        b.iter(|| {
-            for i in 0..SITES {
-                mv_obs::event("bench_event", &[("i", i as f64)]);
-            }
-        })
+    bench_sites("obs/enabled");
+    run("obs/enabled", "event_x1000", || {
+        for i in 0..SITES {
+            mv_obs::event("bench_event", &[("i", i as f64)]);
+        }
     });
-    group.finish();
 }
 
 /// The replay (engine scans, builds, refreshes) is the dominant term
 /// and should scale roughly linearly in epochs.
-fn bench_calibration_loop(c: &mut Criterion) {
+fn bench_calibration_loop() {
     let advisor = Advisor::build(
         sales_domain(1_000, 3, 2.0, 42),
         AdvisorConfig {
@@ -127,24 +116,21 @@ fn bench_calibration_loop(c: &mut Criterion) {
     )
     .expect("advisor builds");
     let scenario = Scenario::tradeoff_normalized(0.5);
-    let mut group = c.benchmark_group("calibrate/loop_sales_r1000_q3");
     for epochs in [2usize, 6] {
         let config = CalibrationConfig {
             epochs,
             evolution: WorkloadEvolution::fixed(),
             ..CalibrationConfig::default()
         };
-        group.bench_function(BenchmarkId::from_parameter(format!("e{epochs}")), |b| {
-            b.iter(|| {
-                let report = advisor.calibrate(scenario, &config).expect("calibrates");
-                black_box(report.holdout_fitted_rel_error)
-            })
+        let id = format!("e{epochs}");
+        run("calibrate/loop_sales_r1000_q3", &id, || {
+            let report = advisor.calibrate(scenario, &config).expect("calibrates");
+            report.holdout_fitted_rel_error
         });
     }
-    group.finish();
 }
 
-fn bench_calibration_fit(c: &mut Criterion) {
+fn bench_calibration_fit() {
     // A deterministic metered sample cloud around the default law
     // (25 GB/h/unit, 0.01 h overhead, 2 units).
     let samples: Vec<MeterSample> = (0..512)
@@ -158,14 +144,12 @@ fn bench_calibration_fit(c: &mut Criterion) {
             MeterSample::new(kind, Gb::new(gb), Hours::new(0.01 + gb / 50.0))
         })
         .collect();
-    let mut group = c.benchmark_group("calibrate/fit");
-    group.bench_function(BenchmarkId::from_parameter("n512"), |b| {
-        b.iter(|| black_box(CalibratedParams::fit(black_box(&samples), 2.0)))
+    run("calibrate/fit", "n512", || {
+        CalibratedParams::fit(black_box(&samples), 2.0)
     });
-    group.finish();
 }
 
-fn bench_solvers_by_scenario(c: &mut Criterion) {
+fn bench_solvers_by_scenario() {
     let problem = fixtures::random_problem(3, 5, 12);
     let scenarios = [
         (
@@ -179,25 +163,20 @@ fn bench_solvers_by_scenario(c: &mut Criterion) {
         ("mv3", Scenario::tradeoff_normalized(0.5)),
     ];
     for (label, scenario) in scenarios {
-        let mut group = c.benchmark_group(format!("ablation_solvers/{label}"));
+        let group = format!("ablation_solvers/{label}");
         for solver in [
             SolverKind::PaperKnapsack,
             SolverKind::Greedy,
             SolverKind::BranchAndBound,
         ] {
-            group.bench_with_input(
-                BenchmarkId::from_parameter(solver.name()),
-                &problem,
-                |b, problem| {
-                    b.iter(|| black_box(mv_select::solve(problem, scenario, solver).objective()))
-                },
-            );
+            run(&group, solver.name(), || {
+                mv_select::solve(&problem, scenario, solver).objective()
+            });
         }
-        group.finish();
     }
 }
 
-fn bench_maintenance(c: &mut Criterion) {
+fn bench_maintenance() {
     let cfg = SalesConfig::with_rows(20_000);
     let mut base = datagen::generate_sales(&cfg);
     let delta = datagen::generate_delta(&cfg, 400, 2011, 1); // 2% of base
@@ -213,30 +192,14 @@ fn bench_maintenance(c: &mut Criterion) {
     let view = MaterializedView::materialize(def, &base).unwrap();
     base.append(&delta).unwrap();
 
-    let mut group = c.benchmark_group("ablation_maintenance");
-    group.bench_with_input(
-        BenchmarkId::new("incremental", "2pct_delta"),
-        &(&view, &delta),
-        |b, (view, delta)| {
-            b.iter(|| {
-                let mut v = (*view).clone();
-                let stats = v.refresh_incremental(delta).unwrap();
-                black_box(stats.rows_scanned)
-            })
-        },
-    );
-    group.bench_with_input(
-        BenchmarkId::new("full", "rebuild"),
-        &(&view, &base),
-        |b, (view, base)| {
-            b.iter(|| {
-                let mut v = (*view).clone();
-                let stats = v.refresh_full(base).unwrap();
-                black_box(stats.rows_scanned)
-            })
-        },
-    );
-    group.finish();
+    run("ablation_maintenance", "incremental/2pct_delta", || {
+        let mut v = view.clone();
+        v.refresh_incremental(&delta).unwrap().rows_scanned
+    });
+    run("ablation_maintenance", "full/rebuild", || {
+        let mut v = view.clone();
+        v.refresh_full(&base).unwrap().rows_scanned
+    });
 }
 
 /// One candidate view built twice: from the 20 000 base rows, and
@@ -245,7 +208,7 @@ fn bench_maintenance(c: &mut Criterion) {
 /// saves — a pass costs about the same per row on either table — and
 /// the advisor picks the *smallest* measured view that derives the
 /// cuboid (month×region here, under 2 000 rows).
-fn bench_materialize(c: &mut Criterion) {
+fn bench_materialize() {
     let base = datagen::generate_sales(&SalesConfig::with_rows(20_000));
     let sum = [AggSpec::sum("profit")];
     let finest = ViewDefinition::canonical(
@@ -255,21 +218,19 @@ fn bench_materialize(c: &mut Criterion) {
     );
     let finest = MaterializedView::materialize(finest, &base).unwrap();
     let def = ViewDefinition::canonical("month×country", &["year", "month", "country"], &sum);
-    let mut group = c.benchmark_group("engine/materialize");
-    group.bench_function("from_base", |b| {
-        b.iter(|| MaterializedView::materialize(def.clone(), black_box(&base)).unwrap())
+    run("engine/materialize", "from_base", || {
+        MaterializedView::materialize(def.clone(), black_box(&base)).unwrap()
     });
-    group.bench_function("roll_up", |b| {
-        b.iter(|| MaterializedView::roll_up(def.clone(), black_box(&finest)).unwrap())
+    run("engine/materialize", "roll_up", || {
+        MaterializedView::roll_up(def.clone(), black_box(&finest)).unwrap()
     });
-    group.finish();
 }
 
 /// The answer profile of every candidate of the sales advisor
 /// (r 20 000, 10 queries, 15 views): each answerable pair's scan bytes
 /// from running the answer and dropping its table, and from the
 /// planner.
-fn bench_answer_profile(c: &mut Criterion) {
+fn bench_answer_profile() {
     let advisor = Advisor::build(sales_domain(20_000, 10, 1.0, 42), AdvisorConfig::default())
         .expect("advisor builds");
     let profile = |bytes: &dyn Fn(&MaterializedView, &AggQuery) -> Option<u64>| -> u64 {
@@ -278,17 +239,15 @@ fn bench_answer_profile(c: &mut Criterion) {
             .flat_map(|v| advisor.queries().iter().filter_map(move |q| bytes(v, q)))
             .sum()
     };
-    let mut group = c.benchmark_group("meter/answer_profile");
-    group.bench_function("executed", |b| {
-        b.iter(|| profile(&|v, q| v.answer(q).ok().map(|(_, stats)| stats.bytes_scanned)))
+    run("meter/answer_profile", "executed", || {
+        profile(&|v, q| v.answer(q).ok().map(|(_, stats)| stats.bytes_scanned))
     });
-    group.bench_function("planned", |b| {
-        b.iter(|| profile(&|v, q| v.planned_scan_bytes(q).ok()))
+    run("meter/answer_profile", "planned", || {
+        profile(&|v, q| v.planned_scan_bytes(q).ok())
     });
-    group.finish();
 }
 
-fn bench_aggregation_threads(c: &mut Criterion) {
+fn bench_aggregation_threads() {
     let table = datagen::generate_sales(&SalesConfig::with_rows(200_000));
     let cases = [
         (
@@ -305,49 +264,40 @@ fn bench_aggregation_threads(c: &mut Criterion) {
         ),
     ];
     for (label, query) in cases {
-        let mut group = c.benchmark_group(format!("ablation_parallel/{label}"));
+        let group = format!("ablation_parallel/{label}");
         for threads in [1usize, 2, 4] {
-            group.bench_with_input(BenchmarkId::from_parameter(threads), &table, |b, table| {
-                b.iter(|| {
-                    let (out, _) = query
-                        .execute_with_threads(black_box(table), threads)
-                        .unwrap();
-                    black_box(out.num_rows())
-                })
+            run(&group, &threads.to_string(), || {
+                let (out, _) = query
+                    .execute_with_threads(black_box(&table), threads)
+                    .unwrap();
+                out.num_rows()
             });
         }
-        group.finish();
     }
 }
 
 /// A full sweep evaluates 1 048 576 subsets, so only the incremental
 /// walk is timed, serial and fanned out.
-fn bench_exhaustive_threads(c: &mut Criterion) {
+fn bench_exhaustive_threads() {
     let problem = fixtures::random_problem(29, 6, 20);
     let scenario = Scenario::tradeoff_normalized(0.5);
-    let mut group = c.benchmark_group("evaluator/exhaustive_n20");
     for threads in [1usize, 8] {
-        group.bench_function(
-            BenchmarkId::from_parameter(format!("incremental_t{threads}")),
-            |b| {
-                b.iter(|| {
-                    black_box(
-                        mv_select::solve_exhaustive_with_threads(&problem, scenario, threads)
-                            .objective(),
-                    )
-                })
-            },
-        );
+        let id = format!("incremental_t{threads}");
+        run("evaluator/exhaustive_n20", &id, || {
+            mv_select::solve_exhaustive_with_threads(&problem, scenario, threads).objective()
+        });
     }
-    group.finish();
 }
 
-criterion_group! {
-    name = benches;
-    config = mv_bench::fast_config();
-    targets = bench_obs_disabled, bench_obs_enabled, bench_calibration_loop,
-        bench_calibration_fit, bench_solvers_by_scenario, bench_maintenance,
-        bench_materialize, bench_answer_profile, bench_aggregation_threads,
-        bench_exhaustive_threads
+fn main() {
+    bench_obs_disabled();
+    bench_obs_enabled();
+    bench_calibration_loop();
+    bench_calibration_fit();
+    bench_solvers_by_scenario();
+    bench_maintenance();
+    bench_materialize();
+    bench_answer_profile();
+    bench_aggregation_threads();
+    bench_exhaustive_threads();
 }
-criterion_main!(benches);

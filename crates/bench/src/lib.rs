@@ -11,7 +11,7 @@
 //! | Table 8 / Fig 5(c,d) | [`experiments::scenario_mv3`] | `mv3` |
 //! | Figure 5, continuous sweeps | [`mvcloud::whatif`] | `sweeps` |
 //! | Tables 6–8 as CSV series | the three above | `all [--out DIR]` |
-//! | Timings no benchmark workload reaches | `benches/micro.rs` under [`fast_config`] | `cargo bench -p mv-bench --bench micro` |
+//! | Timings no benchmark workload reaches | `benches/micro.rs` (its own timer, `benches/timer/mod.rs`) | `cargo bench -p mv-bench --bench micro` |
 //!
 //! The [`paper`] module holds the published values each run is printed
 //! beside (`cargo run --release -p mv-bench --bin experiments -- mv1`).
@@ -19,18 +19,8 @@
 pub mod experiments;
 pub mod paper;
 
-use criterion::Criterion;
 use experiments::ScenarioRow;
 use mvcloud::report;
-
-/// Short measurement windows keep `cargo bench` minutes, not hours;
-/// absolute numbers matter less than the relative shapes.
-pub fn fast_config() -> Criterion {
-    Criterion::default()
-        .warm_up_time(std::time::Duration::from_millis(400))
-        .measurement_time(std::time::Duration::from_secs(1))
-        .sample_size(20)
-}
 
 /// Renders scenario rows as the paper prints them: one row per workload
 /// size with the with/without columns and the improvement rate.

@@ -134,15 +134,8 @@ pub enum StreamStrategy {
 pub struct StreamingConfig {
     /// Candidate source and order.
     pub strategy: StreamStrategy,
-    /// Local-search improvement moves budgeted after each admission (0
-    /// disables mid-stream repair; the newcomer probe always runs).
-    pub moves_per_pull: usize,
-    /// Improvement budget for each polish pass at stream drain.
-    pub final_moves: usize,
-    /// Retire dominated, deselected candidates as they accrue, bounding
-    /// the live pool.
-    pub retire_dominated: bool,
-    /// Dominance slack for retirement, following Aouiche, Jouve &
+    /// Dominance slack for retiring dominated, deselected candidates as
+    /// they accrue (which bounds the live pool), following Aouiche, Jouve &
     /// Darmont's observation that near-duplicate candidate views (views
     /// whose sizes and speedups differ only marginally) can be pruned
     /// as a cluster without hurting the reachable optimum: candidate
@@ -173,9 +166,6 @@ impl Default for StreamingConfig {
     fn default() -> Self {
         StreamingConfig {
             strategy: StreamStrategy::HruGreedy(None),
-            moves_per_pull: 2,
-            final_moves: 64,
-            retire_dominated: true,
             retire_epsilon: 0.0,
             stop_marginal: None,
             stop_patience: 3,
@@ -470,6 +460,12 @@ impl<'a> CandidateMeter<'a> {
     }
 }
 
+/// Local-search improvement moves [`Advisor::solve_streaming`] budgets
+/// after each admission (the newcomer probe always runs).
+const STREAM_MOVES_PER_PULL: usize = 2;
+/// Its improvement budget for each polish pass at stream drain.
+const STREAM_FINAL_MOVES: usize = 64;
+
 /// How a driver meters one cuboid beside the candidates it already
 /// holds: [`CandidateMeter::measure`], or the slow reference the
 /// differential tests hold it to.
@@ -563,7 +559,9 @@ impl Advisor {
     /// than batch greedy over the same candidate pool (property-tested in
     /// `tests/streaming.rs`). Returns the advisor over the surviving
     /// pool (usable for sweeps, materialization, ledgers), the chosen
-    /// outcome, and pull/retire accounting.
+    /// outcome, and pull/retire accounting. No binary, example or
+    /// benchmark workload calls it yet: its callers are the unit tests
+    /// here, `tests/streaming.rs` and the reference-meter identity.
     pub fn solve_streaming(
         domain: Domain,
         config: AdvisorConfig,
@@ -629,22 +627,14 @@ impl Advisor {
             // Admission probe: select the newcomer iff it improves the
             // scenario ordering right now.
             ev.flip(k);
-            let e = ev.score();
-            if scenario.better(&e, &current, &baseline) {
-                current = e.with_selection(ev.selection().clone());
-            } else {
+            if !scenario.better(&ev.score(), &current, &baseline) {
                 ev.unflip(k);
             }
             // Bounded repair keeps the running (anytime) answer locally
             // optimal as the pool evolves.
-            if streaming.moves_per_pull > 0 {
-                current =
-                    local_search::improve(&mut ev, scenario, &baseline, streaming.moves_per_pull);
-            }
+            current = local_search::improve(&mut ev, scenario, &baseline, STREAM_MOVES_PER_PULL);
             standing = ev.selection().iter().collect();
-            if streaming.retire_dominated {
-                retired += retire_dominated(&mut measured, &mut standing, streaming.retire_epsilon);
-            }
+            retired += retire_dominated(&mut measured, &mut standing, streaming.retire_epsilon);
             // Pull-adaptive stopping: a measurement is "worth it" while
             // it keeps buying progress in the scenario's own ordering.
             if let Some(threshold) = streaming.stop_marginal {
@@ -667,14 +657,14 @@ impl Advisor {
         let problem = problem_over(&measured);
         let selection = SelectionSet::from_bools(&standing);
         let mut ev = IncrementalEvaluator::with_selection(&problem, &selection);
-        let streamed = local_search::improve(&mut ev, scenario, &baseline, streaming.final_moves);
+        let streamed = local_search::improve(&mut ev, scenario, &baseline, STREAM_FINAL_MOVES);
         for k in 0..ev.problem().len() {
             if ev.is_selected(k) {
                 ev.unflip(k);
             }
         }
         local_search::greedy_fill(&mut ev, scenario, &baseline);
-        let restart = local_search::improve(&mut ev, scenario, &baseline, streaming.final_moves);
+        let restart = local_search::improve(&mut ev, scenario, &baseline, STREAM_FINAL_MOVES);
         let best = if scenario.better(&restart, &streamed, &baseline) {
             restart
         } else {
@@ -939,14 +929,15 @@ fn dominates_within(a: &ViewCharge, b: &ViewCharge, epsilon: f64) -> bool {
 }
 
 /// A monthly insert batch for maintenance metering: `fraction` of the base
-/// rows, landing in the month after the dataset's range (sales domain) or
-/// a replayed sample (other domains). `fraction == 0` disables maintenance.
+/// rows, landing in the month after the dataset's range (a base table with
+/// the sales generator's schema, whatever the domain is called) or a
+/// replayed sample (any other schema). `fraction == 0` disables maintenance.
 pub(crate) fn monthly_delta(domain: &Domain, fraction: f64) -> Option<Table> {
     if fraction <= 0.0 {
         return None;
     }
     let rows = ((domain.base.num_rows() as f64 * fraction) as usize).max(1);
-    if domain.name == "sales" {
+    if *domain.base.schema() == mv_engine::datagen::sales_schema() {
         let cfg = mv_engine::SalesConfig::default();
         Some(mv_engine::datagen::generate_delta(&cfg, rows, 2011, 1))
     } else {
@@ -1328,6 +1319,14 @@ mod tests {
                 .map_err(AdvisorError::from)
         }
 
+        /// The reference's measured-scaled conversion, as it stood.
+        fn scaled_hours(&self, bytes_scanned: u64) -> Result<Hours, AdvisorError> {
+            self.config
+                .throughput
+                .hours_for_scan(self.scale.bytes_to_cloud(bytes_scanned), self.units)
+                .map_err(AdvisorError::from)
+        }
+
         /// The metering procedure as it stood before roll-ups and planned
         /// scans, kept as the slow reference: build the cuboid from the
         /// base table, refresh a clone with the delta, run every workload
@@ -1349,16 +1348,13 @@ mod tests {
             let build = *view.build_stats();
             let view_rows_engine = view.data().num_rows().max(1) as f64;
             let view_rows_cloud = self.cloud_groups(&cuboid);
-            let throughput = self.config.throughput;
 
             let maintenance = match &self.delta {
                 Some(d) if d.num_rows() > 0 => {
                     let mut clone = view.clone();
                     let stats = clone.refresh_incremental(d)?;
                     match self.config.sizing {
-                        SizingMode::MeasuredScaled => {
-                            throughput.hours_for(&stats, self.units, self.scale)?
-                        }
+                        SizingMode::MeasuredScaled => self.scaled_hours(stats.bytes_scanned)?,
                         SizingMode::Extrapolated => self.scan_hours(
                             stats.bytes_scanned,
                             d.num_rows().max(1) as f64,
@@ -1371,7 +1367,7 @@ mod tests {
             let (view_size, materialization) = match self.config.sizing {
                 SizingMode::MeasuredScaled => (
                     self.scale.bytes_to_cloud(view.data().heap_bytes()),
-                    throughput.hours_for(&build, self.units, self.scale)?,
+                    self.scaled_hours(build.bytes_scanned)?,
                 ),
                 SizingMode::Extrapolated => {
                     let width = view.data().heap_bytes() as f64 / view_rows_engine;
@@ -1392,9 +1388,7 @@ mod tests {
                 if view.can_answer(q).is_ok() {
                     let (_, stats) = view.answer(q)?;
                     let t = match self.config.sizing {
-                        SizingMode::MeasuredScaled => {
-                            throughput.hours_for(&stats, self.units, self.scale)?
-                        }
+                        SizingMode::MeasuredScaled => self.scaled_hours(stats.bytes_scanned)?,
                         SizingMode::Extrapolated => {
                             self.scan_hours(stats.bytes_scanned, view_rows_engine, view_rows_cloud)?
                         }
@@ -1526,11 +1520,11 @@ mod tests {
     #[test]
     fn a_stored_total_at_the_edge_of_i64_still_fails_in_the_refresh_merge() {
         // Every total fits — the workload runs, every cuboid builds — but
-        // the maintenance batch replays row 0 into the groups that hold
-        // it, and that merge leaves `i64`. The refresh is executed, not
-        // planned, so the error is the reference meter's.
+        // the maintenance batch (a generated month of inserts) lands in
+        // the time-free groups that hold row 0, and that merge leaves
+        // `i64`. The refresh is executed, not planned, so the error is
+        // the reference meter's.
         let mut domain = sales_domain(200, 3, 1.0, 5);
-        domain.name = "replayed".to_string();
         let measure = domain.base.schema().index_of(&domain.measure).unwrap();
         let mut base = Table::empty(domain.base.schema().clone());
         for r in 0..domain.base.num_rows() {
@@ -1556,6 +1550,28 @@ mod tests {
             ..AdvisorConfig::default()
         };
         assert!(Advisor::build(domain, static_data).is_ok());
+    }
+
+    #[test]
+    fn the_insert_batch_follows_the_base_schema_not_the_domain_name() {
+        // An SSB table called "sales" once got the sales generator's
+        // batch, and its refresh failed on a missing column.
+        let config = AdvisorConfig {
+            candidates: CandidateStrategy::HruGreedy(6),
+            ..AdvisorConfig::default()
+        };
+        let ssb = crate::ssb_domain(400, 1.0, 3);
+        let mut renamed = ssb.clone();
+        renamed.name = "sales".to_string();
+        assert_eq!(monthly_delta(&renamed, 0.02), monthly_delta(&ssb, 0.02));
+        let renamed = Advisor::build(renamed, config.clone()).unwrap();
+        let ssb = Advisor::build(ssb, config).unwrap();
+        assert_eq!(renamed.problem().candidates(), ssb.problem().candidates());
+        // And a sales table under another name still gets its month.
+        let sales = sales_domain(500, 3, 1.0, 9);
+        let mut retail = sales.clone();
+        retail.name = "retail".to_string();
+        assert_eq!(monthly_delta(&retail, 0.02), monthly_delta(&sales, 0.02));
     }
 
     /// The same identity at `advise_cold`'s shapes (`BENCHMARK.json`):

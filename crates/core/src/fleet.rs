@@ -473,7 +473,8 @@ impl Advisor {
     /// fold. Paths that share a quote prefix share its solves; one path
     /// alone is a one-leaf forest, which makes
     /// `solve_fleet_paths(.., &[path_j])` the unshared reference path `j`
-    /// of any K-path solve must equal bit for bit.
+    /// of any K-path solve must equal bit for bit (its only callers are
+    /// those tests).
     ///
     /// # Panics
     /// Panics when `sampled` is empty or its paths span different (or

@@ -221,10 +221,6 @@ impl Json {
         }
     }
 
-    pub fn is_null(&self) -> bool {
-        matches!(self, Json::Null)
-    }
-
     // ---- parsing ----
 
     /// Parses a JSON document (numbers come back as [`Json::Num`] or
@@ -604,7 +600,7 @@ mod tests {
             doc.get("b").unwrap().get("c").unwrap().as_bool(),
             Some(true)
         );
-        assert!(doc.get("b").unwrap().get("d").unwrap().is_null());
+        assert_eq!(doc.get("b").unwrap().get("d"), Some(&Json::Null));
         assert_eq!(doc.get("e").unwrap().as_u64(), Some(u64::MAX));
     }
 
@@ -648,7 +644,7 @@ mod tests {
         for v in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
             let rendered = Json::Num(v).render();
             assert_eq!(rendered, "null");
-            assert!(Json::parse(&rendered).unwrap().is_null());
+            assert_eq!(Json::parse(&rendered), Ok(Json::Null));
         }
     }
 

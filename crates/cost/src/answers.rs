@@ -36,17 +36,6 @@ impl AnswerProfile {
         }
     }
 
-    /// Builds a profile from the historical dense representation.
-    pub fn from_dense(dense: &[Option<Hours>]) -> Self {
-        let mut p = AnswerProfile::none(dense.len());
-        for (i, t) in dense.iter().enumerate() {
-            if let Some(t) = *t {
-                p.set(i, t);
-            }
-        }
-        p
-    }
-
     /// The workload length this profile is aligned to (counting
     /// unanswered queries).
     pub fn workload_len(&self) -> usize {
@@ -56,11 +45,6 @@ impl AnswerProfile {
     /// Number of queries this view answers (the profile's degree).
     pub fn answered(&self) -> usize {
         self.queries.len()
-    }
-
-    /// `true` when the view answers no query at all.
-    pub fn answers_nothing(&self) -> bool {
-        self.queries.is_empty()
     }
 
     /// The answer time for workload query `index`, or `None` when the
@@ -118,15 +102,6 @@ impl AnswerProfile {
     pub fn times(&self) -> &[Hours] {
         &self.times
     }
-
-    /// The dense `Vec<Option<Hours>>` equivalent (tests, debugging).
-    pub fn to_dense(&self) -> Vec<Option<Hours>> {
-        let mut out = vec![None; self.workload_len as usize];
-        for (i, t) in self.entries() {
-            out[i] = Some(t);
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -135,14 +110,18 @@ mod tests {
 
     #[test]
     fn sparse_roundtrip_matches_dense() {
-        let dense = vec![None, Some(Hours::new(0.5)), None, Some(Hours::new(0.1))];
-        let p = AnswerProfile::from_dense(&dense);
+        let dense = [None, Some(Hours::new(0.5)), None, Some(Hours::new(0.1))];
+        let mut p = AnswerProfile::none(dense.len());
+        for (i, t) in dense.iter().enumerate() {
+            if let Some(t) = *t {
+                p.set(i, t);
+            }
+        }
         assert_eq!(p.workload_len(), 4);
         assert_eq!(p.answered(), 2);
-        assert_eq!(p.to_dense(), dense);
-        assert_eq!(p.get(0), None);
-        assert_eq!(p.get(1), Some(Hours::new(0.5)));
-        assert_eq!(p.get(3), Some(Hours::new(0.1)));
+        for (i, t) in dense.iter().enumerate() {
+            assert_eq!(p.get(i), *t);
+        }
         assert_eq!(
             p.entries().collect::<Vec<_>>(),
             vec![(1, Hours::new(0.5)), (3, Hours::new(0.1))]
@@ -178,7 +157,7 @@ mod tests {
     #[test]
     fn empty_profile_reports_answering_nothing() {
         let p = AnswerProfile::none(2);
-        assert!(p.answers_nothing());
+        assert_eq!(p.answered(), 0);
         assert_eq!(p.times(), &[]);
     }
 

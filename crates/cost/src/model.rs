@@ -100,11 +100,6 @@ impl CloudCostModel {
         self.compute_cost(self.ctx.base_processing_time())
     }
 
-    /// Formula 5 over the dataset-only timeline.
-    pub fn storage_cost_without_views(&self) -> Money {
-        self.storage_cost(Gb::ZERO)
-    }
-
     /// Section 3 total: `C = Cc + Cs + Ct` — the Section 4 bill of no
     /// views at all.
     pub fn without_views(&self) -> CostBreakdown {
@@ -467,7 +462,7 @@ mod tests {
         let expected = Money::from_dollars_str("0.14")
             .unwrap()
             .scale(500.0 * 6.0 + 600.0 * 6.0);
-        assert_eq!(m.storage_cost_without_views(), expected);
+        assert_eq!(m.storage_cost(Gb::ZERO), expected);
     }
 
     #[test]

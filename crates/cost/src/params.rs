@@ -233,8 +233,8 @@ mod tests {
         let v = ViewCharge::new("V1", Gb::new(50.0), Hours::new(1.0), Hours::new(5.0), 3)
             .answers(1, Hours::new(0.1));
         assert_eq!(
-            v.profile.to_dense(),
-            vec![None, Some(Hours::new(0.1)), None]
+            v.profile.entries().collect::<Vec<_>>(),
+            vec![(1, Hours::new(0.1))]
         );
         assert_eq!(v.profile.workload_len(), 3);
     }

@@ -98,6 +98,9 @@ fn split_record(input: &str) -> Option<(Vec<String>, usize)> {
 
 /// Parses CSV (with a header row) into a table under `schema`. Header
 /// names must match the schema's column order; integer columns must parse.
+/// Test reference and seam: no non-test caller — it is the inverse the
+/// round-trip tests hold [`table_to_csv`] to, and the door
+/// `tests/overflow.rs` feeds outside input through.
 pub fn table_from_csv(csv: &str, schema: &Schema) -> Result<Table, EngineError> {
     let mut rest = csv;
     let (header, consumed) = split_record(rest).ok_or(EngineError::SchemaMismatch)?;

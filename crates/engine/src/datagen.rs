@@ -93,15 +93,14 @@ pub fn days_in_month(year: i64, month: i64) -> i64 {
     }
 }
 
+/// The sale years, inclusive: the paper's dataset spans 2000–2010.
+const SALE_YEARS: std::ops::RangeInclusive<i64> = 2000..=2010;
+
 /// Generator configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SalesConfig {
     /// Number of fact rows to generate.
     pub rows: usize,
-    /// First sale year (inclusive). The paper's dataset starts in 2000.
-    pub start_year: i64,
-    /// Last sale year (inclusive). The paper's dataset ends in 2010.
-    pub end_year: i64,
     /// RNG seed; equal configs generate identical tables.
     pub seed: u64,
     /// Geometric skew across countries: 0 = uniform; larger values
@@ -114,8 +113,6 @@ impl Default for SalesConfig {
     fn default() -> Self {
         SalesConfig {
             rows: 10_000,
-            start_year: 2000,
-            end_year: 2010,
             seed: 42,
             skew: 0.3,
         }
@@ -154,10 +151,6 @@ pub fn sales_schema() -> Schema {
 
 /// Generates the sales fact table.
 pub fn generate_sales(cfg: &SalesConfig) -> Table {
-    assert!(
-        cfg.end_year >= cfg.start_year,
-        "end_year must be >= start_year"
-    );
     let geo = geography();
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let mut table = Table::empty(sales_schema());
@@ -169,7 +162,7 @@ pub fn generate_sales(cfg: &SalesConfig) -> Table {
     let total_weight: f64 = weights.iter().sum();
 
     for _ in 0..cfg.rows {
-        let year = rng.random_range(cfg.start_year..=cfg.end_year);
+        let year = rng.random_range(SALE_YEARS);
         let month = rng.random_range(1..=12i64);
         let day = rng.random_range(1..=days_in_month(year, month));
 

@@ -100,7 +100,6 @@ pub use datagen::SalesConfig;
 pub use dict::Dictionary;
 pub use error::EngineError;
 pub use fx::{FxHashMap, FxHashSet, FxHasher};
-pub use maintenance::RefreshStrategy;
 pub use metering::{ExecStats, SimScale, ThroughputModel};
 pub use predicate::{CmpOp, Predicate};
 pub use query::{AggQuery, QueryShape};

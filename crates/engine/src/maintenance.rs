@@ -15,15 +15,6 @@
 use crate::groupby::{KeyLayout, KeySlice};
 use crate::{AggFunc, Column, EngineError, ExecStats, MaterializedView, Table};
 
-/// Maintenance strategy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RefreshStrategy {
-    /// Recompute the view from the (already updated) base table.
-    Full,
-    /// Merge an aggregation of the insert delta into the stored table.
-    Incremental,
-}
-
 impl MaterializedView {
     /// Fully recomputes this view from `base` (which must already contain
     /// any new rows). Returns the work performed.
@@ -148,20 +139,6 @@ impl MaterializedView {
         }
         Ok(stats)
     }
-
-    /// Dispatches on `strategy`: `base_after` is the base table *after*
-    /// appending `delta`.
-    pub fn refresh(
-        &mut self,
-        strategy: RefreshStrategy,
-        base_after: &Table,
-        delta: &Table,
-    ) -> Result<ExecStats, EngineError> {
-        match strategy {
-            RefreshStrategy::Full => self.refresh_full(base_after),
-            RefreshStrategy::Incremental => self.refresh_incremental(delta),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -238,17 +215,6 @@ mod tests {
         let mut v2 = view();
         let full_stats = v2.refresh_full(&base_after()).unwrap();
         assert_eq!(full_stats.rows_scanned, 5);
-    }
-
-    #[test]
-    fn refresh_dispatch() {
-        let mut a = view();
-        let mut b = view();
-        a.refresh(RefreshStrategy::Incremental, &base_after(), &delta())
-            .unwrap();
-        b.refresh(RefreshStrategy::Full, &base_after(), &delta())
-            .unwrap();
-        assert_eq!(a.data().to_sorted_rows(), b.data().to_sorted_rows());
     }
 
     #[test]

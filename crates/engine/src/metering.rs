@@ -63,7 +63,8 @@ pub struct SimScale {
 }
 
 impl SimScale {
-    /// One-to-one scale (the engine size *is* the cloud size).
+    /// One-to-one scale (the engine size *is* the cloud size). Test seam:
+    /// no non-test caller; the unit tests here meter at it.
     pub fn identity() -> Self {
         SimScale { factor: 1.0 }
     }
@@ -128,20 +129,9 @@ impl ThroughputModel {
         }
     }
 
-    /// Simulated duration of a job that performed `stats` worth of work on
-    /// `compute_units` total capacity (instance units × instance count),
-    /// with engine bytes scaled through `scale`. Non-positive (or NaN)
+    /// Simulated duration of scanning `cloud_gb` on `compute_units` total
+    /// capacity (instance units × instance count). Non-positive (or NaN)
     /// capacity is user input, not an invariant — it is a typed error.
-    pub fn hours_for(
-        &self,
-        stats: &ExecStats,
-        compute_units: f64,
-        scale: SimScale,
-    ) -> Result<Hours, EngineError> {
-        self.hours_for_scan(scale.bytes_to_cloud(stats.bytes_scanned), compute_units)
-    }
-
-    /// Simulated duration of scanning `cloud_gb` directly (no stats record).
     pub fn hours_for_scan(&self, cloud_gb: Gb, compute_units: f64) -> Result<Hours, EngineError> {
         if compute_units.is_nan() || compute_units <= 0.0 {
             return Err(EngineError::NonPositiveComputeUnits);
@@ -190,12 +180,10 @@ mod tests {
     #[test]
     fn hours_scale_with_units_and_bytes() {
         let m = ThroughputModel::calibrated(10.0, Hours::ZERO);
-        let stats = ExecStats {
-            bytes_scanned: 10 << 30,
-            ..ExecStats::default()
+        let hours = |units: f64, scale: SimScale| {
+            let scanned = scale.bytes_to_cloud(10 << 30);
+            m.hours_for_scan(scanned, units).unwrap().value()
         };
-        let hours =
-            |units: f64, scale: SimScale| m.hours_for(&stats, units, scale).unwrap().value();
         assert_eq!(hours(1.0, SimScale::identity()), 1.0);
         assert_eq!(hours(2.0, SimScale::identity()), 0.5);
         assert_eq!(hours(1.0, SimScale { factor: 2.0 }), 2.0);
@@ -209,11 +197,6 @@ mod tests {
         for bad in [0.0, -1.0, f64::NAN] {
             assert_eq!(
                 m.hours_for_scan(Gb::new(1.0), bad),
-                Err(EngineError::NonPositiveComputeUnits),
-                "units = {bad}"
-            );
-            assert_eq!(
-                m.hours_for(&ExecStats::default(), bad, SimScale::identity()),
                 Err(EngineError::NonPositiveComputeUnits),
                 "units = {bad}"
             );

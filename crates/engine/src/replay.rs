@@ -46,18 +46,6 @@ impl EpochReplay {
     pub fn queries_via_views(&self) -> usize {
         self.queries.iter().filter(|q| q.via_view.is_some()).count()
     }
-
-    /// Total work across queries, builds and refreshes.
-    pub fn total_stats(&self) -> ExecStats {
-        let mut total = ExecStats::default();
-        for q in &self.queries {
-            total.merge(&q.stats);
-        }
-        for (_, s) in self.builds.iter().chain(&self.refreshes) {
-            total.merge(s);
-        }
-        total
-    }
 }
 
 /// Executes epochs of a view-selection plan against the engine, metering
@@ -199,7 +187,6 @@ mod tests {
         assert!(e1.queries[0].stats.bytes_scanned < base_bytes);
         assert_eq!(e1.refreshes.len(), 1);
         assert!(e1.refreshes[0].1.rows_scanned > 0);
-        assert!(e1.total_stats().bytes_scanned > 0);
 
         // Epoch 2: V1 is dropped — back to base scans, nothing refreshed.
         let e2 = driver

@@ -135,7 +135,8 @@ impl Table {
     }
 
     /// All rows, sorted — canonical form for comparing query results that
-    /// are only defined up to row order.
+    /// are only defined up to row order. Test seam: every caller is a
+    /// test or a doctest.
     pub fn to_sorted_rows(&self) -> Vec<Vec<Value>> {
         let mut rows = self.to_rows();
         rows.sort();

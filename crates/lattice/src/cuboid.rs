@@ -33,7 +33,8 @@ impl Cuboid {
         self.0.iter().zip(&other.0).all(|(a, b)| a >= b)
     }
 
-    /// Strictly finer: covers and differs.
+    /// Strictly finer: covers and differs. Test reference: no non-test
+    /// caller; the Hasse-neighbour tests state the order with it.
     pub fn strictly_covers(&self, other: &Cuboid) -> bool {
         self.covers(other) && self != other
     }
@@ -53,7 +54,8 @@ impl Cuboid {
     }
 
     /// The *finest* cuboid both inputs cover: component-wise min (the meet
-    /// of the lattice).
+    /// of the lattice). Test reference: no non-test caller; the property
+    /// tests check [`Cuboid::lca`] against its dual.
     pub fn meet(&self, other: &Cuboid) -> Cuboid {
         debug_assert_eq!(self.0.len(), other.0.len());
         Cuboid(

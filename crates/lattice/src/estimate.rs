@@ -14,8 +14,6 @@
 //! which is ≤ min(n, v), asymptotically tight at both ends, and the
 //! standard estimator in the view-selection literature.
 
-use mv_units::Gb;
-
 use crate::{Cuboid, Lattice};
 
 /// Cardenas' expected-distinct-cells formula.
@@ -38,49 +36,18 @@ pub fn cardenas(n: u64, v: u64) -> f64 {
 pub struct SizeEstimator {
     /// Fact-table row count.
     pub base_rows: u64,
-    /// Bytes per key column (dictionary code / integer width average).
-    pub key_bytes_per_column: u64,
-    /// Bytes of stored measures per row (sum/count/min/max partials).
-    pub measure_bytes: u64,
 }
 
 impl SizeEstimator {
-    /// Estimator with the workspace's column widths: 8-byte integers /
-    /// 4-byte codes average to ~6, and the canonical measure set
-    /// (sum + count) is 16 bytes.
+    /// Estimator over a fact table of `base_rows` rows.
     pub fn new(base_rows: u64) -> Self {
-        SizeEstimator {
-            base_rows,
-            key_bytes_per_column: 6,
-            measure_bytes: 16,
-        }
+        SizeEstimator { base_rows }
     }
 
     /// Expected row count of `cuboid` (Cardenas over its key domain).
     pub fn expected_rows(&self, lattice: &Lattice, cuboid: &Cuboid) -> f64 {
         let domain = lattice.domain_size(cuboid);
         cardenas(self.base_rows, domain)
-    }
-
-    /// Expected stored bytes of `cuboid`.
-    pub fn expected_bytes(&self, lattice: &Lattice, cuboid: &Cuboid) -> f64 {
-        let width = (lattice.key_columns(cuboid).len() as u64 * self.key_bytes_per_column
-            + self.measure_bytes) as f64;
-        self.expected_rows(lattice, cuboid) * width
-    }
-
-    /// Expected stored size of `cuboid` as [`Gb`].
-    pub fn expected_gb(&self, lattice: &Lattice, cuboid: &Cuboid) -> Gb {
-        Gb::new(self.expected_bytes(lattice, cuboid) / (1u64 << 30) as f64)
-    }
-
-    /// The fraction of the base table a scan of this cuboid reads —
-    /// the quantity the throughput model turns into `t_iV`.
-    pub fn scan_fraction(&self, lattice: &Lattice, cuboid: &Cuboid) -> f64 {
-        if self.base_rows == 0 {
-            return 0.0;
-        }
-        (self.expected_rows(lattice, cuboid) / self.base_rows as f64).min(1.0)
     }
 }
 
@@ -141,12 +108,12 @@ mod tests {
     fn sizes_and_fractions() {
         let l = Lattice::paper_running_example();
         let est = SizeEstimator::new(1_000_000);
-        let gb = est.expected_gb(&l, &l.base());
-        assert!(gb.value() > 0.0);
-        let f = est.scan_fraction(&l, &l.apex());
-        assert!(f > 0.0 && f < 1e-3);
-        assert!(est.scan_fraction(&l, &l.base()) <= 1.0);
+        // The apex is a vanishing fraction of the base rows, the base at
+        // most all of them.
+        let fraction = |c: &Cuboid| est.expected_rows(&l, c) / 1_000_000.0;
+        assert!(fraction(&l.apex()) > 0.0 && fraction(&l.apex()) < 1e-3);
+        assert!(fraction(&l.base()) <= 1.0);
         let empty = SizeEstimator::new(0);
-        assert_eq!(empty.scan_fraction(&l, &l.base()), 0.0);
+        assert_eq!(empty.expected_rows(&l, &l.base()), 0.0);
     }
 }

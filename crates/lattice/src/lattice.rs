@@ -76,7 +76,9 @@ impl Lattice {
         })
     }
 
-    /// The apex cuboid (every dimension at ALL): the grand total.
+    /// The apex cuboid (every dimension at ALL): the grand total. Test
+    /// reference: no non-test caller; the bottom the order tests hold
+    /// every cuboid, estimate and candidate set to.
     pub fn apex(&self) -> Cuboid {
         Cuboid::new(vec![0; self.dims.len()])
     }
@@ -134,7 +136,8 @@ impl Lattice {
 
     /// Direct parents in the Hasse diagram: one dimension coarsened by one
     /// level (cuboids `self` can be rolled up *to* in one step... direction:
-    /// a parent is coarser).
+    /// a parent is coarser). Test reference: no non-test caller; the dual
+    /// the tests check [`Lattice::children`] against.
     pub fn parents(&self, cuboid: &Cuboid) -> Vec<Cuboid> {
         let mut out = Vec::new();
         for (i, l) in cuboid.levels().iter().enumerate() {

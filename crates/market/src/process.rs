@@ -52,11 +52,6 @@ impl PriceFactors {
             transfer: self.transfer * other.transfer,
         }
     }
-
-    /// `true` when every factor is exactly `1.0`.
-    pub fn is_unit(self) -> bool {
-        self == PriceFactors::UNIT
-    }
 }
 
 /// One epoch of one process's output: price factors plus the epoch's
@@ -477,13 +472,13 @@ mod tests {
         assert_eq!(t.quote(2).factors.compute, 0.8);
         assert_eq!(t.quote(7).factors.compute, 0.8);
         assert_eq!(t.quote(7).factors.storage, 1.0);
-        assert!(PriceTrace::new().quote(3).factors.is_unit());
+        assert_eq!(PriceTrace::new().quote(3).factors, PriceFactors::UNIT);
     }
 
     #[test]
     fn cuts_take_effect_on_schedule() {
         let c = AnnouncedCut::compute(3, 0.85);
-        assert!(c.quote(2).factors.is_unit());
+        assert_eq!(c.quote(2).factors, PriceFactors::UNIT);
         assert_eq!(c.quote(3).factors.compute, 0.85);
         assert_eq!(c.quote(9).factors.compute, 0.85);
     }
@@ -503,7 +498,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(7);
         let quotes = spot.sample(6, &mut rng);
         for q in &quotes {
-            assert!(q.factors.is_unit());
+            assert_eq!(q.factors, PriceFactors::UNIT);
             assert_eq!(q.interruption, 0.0);
         }
         // The generator was never touched.
@@ -545,7 +540,7 @@ mod tests {
         for (e, q) in quotes.iter().enumerate() {
             let crunch = mirror.random_range(0.0f64..1.0) < 0.3;
             assert_eq!(q.interruption, if crunch { 0.5 } else { 0.0 }, "epoch {e}");
-            assert!(q.factors.is_unit());
+            assert_eq!(q.factors, PriceFactors::UNIT);
         }
     }
 

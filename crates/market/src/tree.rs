@@ -139,12 +139,6 @@ impl ScenarioTree {
         &self.roots
     }
 
-    /// Edge count: nodes minus roots — the number of warm epoch
-    /// transitions a tree-aware solver pays.
-    pub fn edges(&self) -> usize {
-        self.nodes.len() - self.roots.len()
-    }
-
     /// The leaf node path `j` ends at. Identical sampled paths share a
     /// leaf.
     pub fn leaf_of(&self, path: usize) -> usize {
@@ -159,19 +153,6 @@ impl ScenarioTree {
             .filter(|n| n.epoch == self.epochs - 1)
             .count()
     }
-
-    /// The root→leaf node chain for path `j`, in epoch order (length =
-    /// `epochs`).
-    pub fn path_nodes(&self, path: usize) -> Vec<usize> {
-        let mut chain = Vec::with_capacity(self.epochs);
-        let mut at = Some(self.leaf_of(path));
-        while let Some(n) = at {
-            chain.push(n);
-            at = self.nodes[n].parent;
-        }
-        chain.reverse();
-        chain
-    }
 }
 
 #[cfg(test)]
@@ -183,17 +164,24 @@ mod tests {
         (0..k).map(|j| scenario.path(j)).collect()
     }
 
+    /// The root→leaf node chain of path `j`, in epoch order.
+    fn path_nodes(tree: &ScenarioTree, j: usize) -> Vec<usize> {
+        let mut chain: Vec<usize> =
+            std::iter::successors(Some(tree.leaf_of(j)), |&n| tree.nodes()[n].parent).collect();
+        chain.reverse();
+        chain
+    }
+
     #[test]
     fn deterministic_market_degenerates_to_a_chain() {
         let m = MarketScenario::constant(6, 42);
         let tree = ScenarioTree::from_paths(&sample(&m, 8));
         assert_eq!(tree.len(), 6);
         assert_eq!(tree.roots().len(), 1);
-        assert_eq!(tree.edges(), 5);
         assert_eq!(tree.distinct_leaves(), 1);
         for j in 0..8 {
             assert_eq!(tree.leaf_of(j), 5);
-            assert_eq!(tree.path_nodes(j), vec![0, 1, 2, 3, 4, 5]);
+            assert_eq!(path_nodes(&tree, j), vec![0, 1, 2, 3, 4, 5]);
         }
     }
 
@@ -210,7 +198,7 @@ mod tests {
         // Every path's chain reproduces its own quotes (solve-relevant
         // fields).
         for (j, p) in paths.iter().enumerate() {
-            let chain = tree.path_nodes(j);
+            let chain = path_nodes(&tree, j);
             assert_eq!(chain.len(), 6);
             for (e, &n) in chain.iter().enumerate() {
                 let node = &tree.nodes()[n];
@@ -237,9 +225,6 @@ mod tests {
                 assert_eq!(tree.nodes()[c].parent, Some(idx));
             }
         }
-        // Edge accounting: every non-root has exactly one parent edge.
-        let non_roots = tree.len() - tree.roots().len();
-        assert_eq!(tree.edges(), non_roots);
     }
 
     #[test]

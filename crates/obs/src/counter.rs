@@ -100,7 +100,8 @@ pub fn all() -> [u64; COUNT] {
 /// Serializes delta-scoped counter sections across the process.
 static SERIAL: Mutex<()> = Mutex::new(());
 
-/// Test-scoped counter window: holds a process-wide lock (so two
+/// Test seam (no method here has a non-test caller) — a test-scoped
+/// counter window: holds a process-wide lock (so two
 /// delta-asserting sections never interleave), enables telemetry for
 /// its lifetime, and reads counters as deltas from its baseline.
 ///

@@ -187,17 +187,6 @@ impl Snapshot {
         self.spans.iter().find(|s| s.path == path)
     }
 
-    /// Sums span counts across every path whose *leaf* name is `name`
-    /// (i.e. the path ends with `name`) — how many times that span ran
-    /// regardless of what it nested under.
-    pub fn span_count(&self, name: &str) -> u64 {
-        self.spans
-            .iter()
-            .filter(|s| s.path == name || s.path.ends_with(&format!("{}{}", span::PATH_SEP, name)))
-            .map(|s| s.count)
-            .sum()
-    }
-
     /// Whether nothing at all was recorded.
     pub fn is_empty(&self) -> bool {
         self.counters.is_empty()

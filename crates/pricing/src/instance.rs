@@ -2,7 +2,7 @@
 
 use mv_units::{Gb, Hours, Money};
 
-use crate::{BillingRounding, PricingError, RoundingScope};
+use crate::{BillingRounding, PricingError};
 
 /// One rentable instance configuration ("micro", "small", …).
 ///
@@ -98,8 +98,6 @@ pub struct ComputePricing {
     pub catalog: InstanceCatalog,
     /// Granularity of billable-time rounding.
     pub rounding: BillingRounding,
-    /// Whether rounding applies per job or to the total.
-    pub scope: RoundingScope,
 }
 
 impl ComputePricing {
@@ -109,7 +107,6 @@ impl ComputePricing {
         ComputePricing {
             catalog,
             rounding: BillingRounding::PerStartedHour,
-            scope: RoundingScope::Total,
         }
     }
 
@@ -123,13 +120,6 @@ impl ComputePricing {
     /// instances): `RoundUp(t) × c(IC) × nbIC`.
     pub fn cost(&self, time: Hours, instance: &InstanceType, count: u32) -> Money {
         let billable = self.rounding.apply(time);
-        instance.hourly.scale(billable.value()) * count
-    }
-
-    /// Cost of a set of individually-timed jobs, honouring the configured
-    /// [`RoundingScope`].
-    pub fn cost_of_jobs(&self, jobs: &[Hours], instance: &InstanceType, count: u32) -> Money {
-        let billable = self.scope.billable(self.rounding, jobs);
         instance.hourly.scale(billable.value()) * count
     }
 
@@ -159,7 +149,6 @@ impl ComputePricing {
                     .collect(),
             },
             rounding: self.rounding,
-            scope: self.scope,
         }
     }
 }
@@ -245,21 +234,5 @@ mod tests {
         assert_eq!(c.cheapest_with_units(0.5).unwrap().name, "small");
         assert_eq!(c.cheapest_with_units(2.0).unwrap().name, "large");
         assert!(c.cheapest_with_units(100.0).is_none());
-    }
-
-    #[test]
-    fn job_scope_changes_bill() {
-        let mut pricing = ComputePricing::paper_rules(catalog());
-        let jobs = [Hours::new(0.2); 10];
-        let small = pricing.instance("small").unwrap().clone();
-        assert_eq!(
-            pricing.cost_of_jobs(&jobs, &small, 1),
-            Money::from_dollars_str("0.24").unwrap() // ceil(2.0 h) = 2 h
-        );
-        pricing.scope = RoundingScope::PerItem;
-        assert_eq!(
-            pricing.cost_of_jobs(&jobs, &small, 1),
-            Money::from_dollars_str("1.2").unwrap() // 10 × 1 h
-        );
     }
 }

@@ -132,16 +132,6 @@ impl StorageTimeline {
         self.points.last().expect("timeline never empty").1
     }
 
-    /// Stored size at month `at`.
-    pub fn size_at(&self, at: Months) -> Gb {
-        self.points
-            .iter()
-            .rev()
-            .find(|(t, _)| t.value() <= at.value())
-            .map(|(_, s)| *s)
-            .unwrap_or(Gb::ZERO)
-    }
-
     /// The constant-size intervals covering `[0, horizon]`. Events at or
     /// after the horizon are ignored; zero-length intervals are skipped.
     pub fn intervals(&self) -> Vec<StorageInterval> {
@@ -244,7 +234,7 @@ mod tests {
     fn removal_and_underflow() {
         let mut tl = StorageTimeline::new(Gb::new(100.0), Months::new(12.0));
         tl.remove(Months::new(6.0), Gb::new(40.0)).unwrap();
-        assert_eq!(tl.size_at(Months::new(7.0)).value(), 60.0);
+        assert_eq!(tl.size_at_end().value(), 60.0);
         assert_eq!(
             tl.remove(Months::new(8.0), Gb::new(100.0)),
             Err(PricingError::StorageUnderflow)
@@ -265,9 +255,8 @@ mod tests {
     fn size_queries() {
         let mut tl = StorageTimeline::new(Gb::new(100.0), Months::new(12.0));
         tl.insert(Months::new(4.0), Gb::new(50.0)).unwrap();
-        assert_eq!(tl.size_at(Months::ZERO).value(), 100.0);
-        assert_eq!(tl.size_at(Months::new(3.9)).value(), 100.0);
-        assert_eq!(tl.size_at(Months::new(4.0)).value(), 150.0);
+        let sizes: Vec<f64> = tl.intervals().iter().map(|i| i.size.value()).collect();
+        assert_eq!(sizes, [100.0, 150.0]);
         assert_eq!(tl.size_at_end().value(), 150.0);
     }
 

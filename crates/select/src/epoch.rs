@@ -534,7 +534,7 @@ impl EpochChain {
     /// problem and a fresh evaluator repositioned by O(n) flips.
     /// Bit-identical steps (tested below and in
     /// `tests/horizon_consistency.rs`): the correctness anchor of the
-    /// warm-start machinery.
+    /// warm-start machinery, with no non-test caller.
     pub fn solve_rebuilding<F: Reprice>(
         &self,
         scenario: Scenario,
@@ -771,7 +771,8 @@ impl EpochChain {
     /// when the crunch premium already bites, while the DP pre-places
     /// it on reserved ahead of the crunch (`tests/dp_oracle.rs` pins a
     /// strictly positive gap). State space is 3ⁿ per epoch, so the
-    /// pool is capped at [`DP_FLEET_MAX_CANDIDATES`].
+    /// pool is capped at [`DP_FLEET_MAX_CANDIDATES`]; like its
+    /// single-pool twin, a test reference and not a production path.
     pub fn solve_dp_fleet<F: Reprice>(&self, scenario: Scenario, reprice: &F) -> DpFleetSolution {
         let n = self.pool.len();
         assert!(
@@ -1170,12 +1171,6 @@ impl EpochTree {
         self.nodes.is_empty()
     }
 
-    /// Edge count (nodes minus roots) — the number of warm
-    /// retarget+splice transitions a tree solve pays.
-    pub fn edges(&self) -> usize {
-        self.nodes.len() - self.roots.len()
-    }
-
     /// The widest epoch's node count — the maximum useful worker count.
     pub fn width(&self) -> usize {
         self.width
@@ -1426,7 +1421,7 @@ mod tests {
     }
 
     #[test]
-    fn identity_reprice_is_solve_bounded_bit_for_bit() {
+    fn identity_reprice_is_the_single_pool_solve_bit_for_bit() {
         // `solve` is the driver with the single-pool spec, and the
         // single pool is the pinned fleet whose candidates start on
         // their charges' own placements.
@@ -1593,11 +1588,11 @@ mod tests {
     }
 
     #[test]
-    fn pinned_fleet_is_solve_repriced_bit_for_bit() {
+    fn pinned_fleet_is_solve_with_on_one_pool_bit_for_bit() {
         // A fleet that cannot rebalance, with every view on the primary
-        // pool, is the single-fleet repriced chain exactly — the
-        // degenerate case the workspace-level conformance tests extend
-        // to `Advisor::solve_market`.
+        // pool, is `solve_with` under the same re-price and a one-pool
+        // `ChainSpec` exactly — the degenerate case the workspace-level
+        // conformance tests extend to `Advisor::solve_market`.
         let chain = drifting_chain(4);
         let n = chain.pool().len();
         let attempts: &[f64] = &[1.0, 1.6, 2.2, 1.3];
@@ -2073,7 +2068,7 @@ mod tests {
             })
             .collect();
         let tree = EpochTree::new(nodes, vec![3, 3, 3]);
-        assert_eq!(tree.edges(), 3);
+        assert_eq!(tree.len() - tree.roots().len(), 3);
         assert_eq!(tree.width(), 1);
         let scenario = Scenario::tradeoff(0.02);
         let single = ChainSpec::single_pool(budget(&chain));

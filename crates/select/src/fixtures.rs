@@ -15,7 +15,7 @@ use crate::{Evaluation, SelectionProblem};
 /// `CloudCostModel::query_time_with_views` (every selected view probed
 /// per query, O(m · selected · log deg)), the canonical blocked fold
 /// over those, and the per-view totals summed by testing every
-/// candidate's bit in turn.
+/// candidate's bit in turn. No non-test caller.
 pub fn reference_evaluate(problem: &SelectionProblem, selection: &SelectionSet) -> Evaluation {
     let model = problem.model();
     let views = problem.candidates();
@@ -113,6 +113,8 @@ pub fn paper_like_problem() -> SelectionProblem {
 /// flips between the specialists every epoch, re-paying a
 /// materialization the transition-aware chain treats as sunk once both
 /// are resident — so the chain's horizon total is strictly cheaper.
+/// Test fixture: no non-test caller (`epoch.rs`'s tests,
+/// `tests/dp_oracle.rs`).
 pub fn churn_chain(epochs: usize) -> EpochChain {
     let pricing = presets::aws_2012();
     let instance = pricing.compute.instance("small").unwrap().clone();
@@ -222,7 +224,8 @@ pub fn random_problem(seed: u64, n_queries: usize, n_candidates: usize) -> Selec
 /// non-uniform query frequencies so the frequency-weighted folds are
 /// exercised. Density sets how many answerers a query has — none or
 /// one at a few percent, most of the pool at 90 % — which is the length
-/// of its row in the evaluator's by-query index.
+/// of its row in the evaluator's by-query index. Test fixture: no
+/// non-test caller (the evaluator's differential and allocation tests).
 pub fn random_sparse_problem(
     seed: u64,
     n_queries: usize,

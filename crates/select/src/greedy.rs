@@ -7,23 +7,24 @@
 //!
 //! Probes run through [`IncrementalEvaluator::probe`]: each candidate
 //! flip costs O(deg) plus the O(n/64 + selected + m/B) score instead
-//! of a full O(m + Σ deg) re-evaluation. The pass itself is
-//! [`crate::local_search::best_flip_on`], shared with the local-search
+//! of a full O(m + Σ deg) re-evaluation. The loop itself is
+//! [`crate::local_search::fill_from`], shared with the local-search
 //! fill and the LNS repair.
 
-use crate::local_search::best_flip_on;
+use crate::local_search::fill_from;
 use crate::{IncrementalEvaluator, Outcome, Scenario, SelectionProblem, SolverKind};
 
 /// Solves `scenario` by add-only greedy search.
 pub fn solve_greedy(problem: &SelectionProblem, scenario: Scenario) -> Outcome {
     let baseline = problem.baseline();
     let mut ev = IncrementalEvaluator::new(problem);
-    let mut current = baseline.score();
-    while let Some((k, e)) = best_flip_on(&mut ev, scenario, &baseline, &current, 0..problem.len())
-    {
-        ev.flip(k);
-        current = e;
-    }
+    let current = fill_from(
+        &mut ev,
+        scenario,
+        &baseline,
+        baseline.score(),
+        0..problem.len(),
+    );
     let chosen = current.with_selection(ev.selection().clone());
     Outcome::new(chosen, baseline, scenario, SolverKind::Greedy)
 }

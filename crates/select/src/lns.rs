@@ -28,14 +28,15 @@ use crate::fixtures::XorShift;
 use crate::local_search::{self, default_move_budget};
 use crate::{Evaluation, IncrementalEvaluator, Outcome, Scenario, SelectionProblem, SolverKind};
 
+/// Fraction of the selected views each destroy set evicts (at least
+/// one).
+const DESTROY_FRACTION: f64 = 0.3;
+
 /// Tuning knobs for [`solve_lns_with`] / [`refine`].
 #[derive(Debug, Clone)]
 pub struct LnsConfig {
     /// Destroy-and-repair rounds to run.
     pub rounds: usize,
-    /// Fraction of the selected views each destroy set evicts
-    /// (at least one).
-    pub destroy_fraction: f64,
     /// Unselected candidates the repair pass considers, ranked by
     /// standalone benefit (`0` = all of them — exact repair, large-n
     /// hostile).
@@ -57,7 +58,6 @@ impl LnsConfig {
     pub fn for_problem(n: usize) -> Self {
         LnsConfig {
             rounds: 12,
-            destroy_fraction: 0.3,
             shortlist: 64,
             polish_moves: if n <= 256 { default_move_budget(n) } else { 0 },
             seed: 0x6d_7663_6c6f_7564,
@@ -134,7 +134,9 @@ fn charge_weight(problem: &SelectionProblem, k: usize) -> f64 {
 /// back to the incumbent before the next round. With
 /// `cfg.polish_moves > 0` the incumbent starts from a full
 /// [`local_search::improve`] pass, so the result is never worse than
-/// that pass's.
+/// that pass's. Test seam: no non-test caller ([`solve_lns_with`] holds
+/// the order already); `tests/lns_never_worse.rs` starts the rounds
+/// from a local-search position through it.
 pub fn refine(
     ev: &mut IncrementalEvaluator<'_>,
     scenario: Scenario,
@@ -168,7 +170,7 @@ fn refine_ordered(
         let mut destroyed = SelectionSet::empty(n);
         let mut pool: Vec<usize> = Vec::new();
         if !selected.is_empty() {
-            let want = ((selected.len() as f64 * cfg.destroy_fraction).ceil() as usize)
+            let want = ((selected.len() as f64 * DESTROY_FRACTION).ceil() as usize)
                 .clamp(1, selected.len());
             if round % 2 == 0 {
                 for d in 0..want {
@@ -197,7 +199,8 @@ fn refine_ordered(
             !ev.is_selected(k) && !destroyed.contains(k)
         }));
         let start = ev.score();
-        let candidate = local_search::fill_from(ev, scenario, baseline, start, &pool);
+        let candidate =
+            local_search::fill_from(ev, scenario, baseline, start, pool.iter().copied());
         let accepted = scenario.better(&candidate, &incumbent, baseline);
         if accepted {
             incumbent = candidate.with_selection(ev.selection().clone());
@@ -250,7 +253,7 @@ pub fn solve_lns_with(problem: &SelectionProblem, scenario: Scenario, cfg: &LnsC
         // Large-pool path: shortlist-restricted fill.
         let pool = shortlisted(&order, cfg.shortlist, problem.len(), |_| true);
         let start = ev.score();
-        local_search::fill_from(&mut ev, scenario, &baseline, start, &pool);
+        local_search::fill_from(&mut ev, scenario, &baseline, start, pool.iter().copied());
     }
     let best = refine_ordered(&mut ev, scenario, &baseline, cfg, &order);
     Outcome::new(best, baseline, scenario, SolverKind::Lns)
@@ -310,7 +313,6 @@ mod tests {
             rounds: 0,
             polish_moves: 0,
             shortlist: 0,
-            destroy_fraction: 0.3,
             seed: 1,
         };
         let o = solve_lns_with(&p, s, &cfg);

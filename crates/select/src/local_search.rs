@@ -112,9 +112,8 @@ fn probe_move(
 /// still-unselected candidate of `pool`, in order, and returns the one
 /// that improves on `current` the most under the scenario ordering
 /// (first wins among equals) with its score — `None` at a flip-on
-/// local optimum. The one loop behind [`crate::solve_greedy`],
-/// [`greedy_fill`] and the LNS repair.
-pub(crate) fn best_flip_on(
+/// local optimum.
+fn best_flip_on(
     ev: &mut IncrementalEvaluator<'_>,
     scenario: Scenario,
     baseline: &Evaluation,
@@ -140,15 +139,16 @@ pub(crate) fn best_flip_on(
 
 /// Flip-on fill restricted to `pool`, from the evaluator's current
 /// position (scored `current`): applies [`best_flip_on`]'s pick until
-/// there is none, returning the final score.
+/// there is none, returning the final score. The one loop behind
+/// [`crate::solve_greedy`], [`greedy_fill`] and the LNS repair.
 pub(crate) fn fill_from(
     ev: &mut IncrementalEvaluator<'_>,
     scenario: Scenario,
     baseline: &Evaluation,
     mut current: Score,
-    pool: &[usize],
+    pool: impl IntoIterator<Item = usize> + Clone,
 ) -> Score {
-    while let Some((k, e)) = best_flip_on(ev, scenario, baseline, &current, pool.iter().copied()) {
+    while let Some((k, e)) = best_flip_on(ev, scenario, baseline, &current, pool.clone()) {
         ev.flip(k);
         current = e;
     }
@@ -165,19 +165,16 @@ pub fn greedy_fill(
     scenario: Scenario,
     baseline: &Evaluation,
 ) -> Evaluation {
-    let mut current = ev.score();
-    loop {
-        let n = ev.problem().len();
-        let unselected = n - ev.selection().count_ones();
-        mv_obs::add(mv_obs::Counter::SearchProbes, unselected as u64);
-        match best_flip_on(ev, scenario, baseline, &current, 0..n) {
-            Some((k, e)) => {
-                ev.flip(k);
-                current = e;
-            }
-            None => return current.with_selection(ev.selection().clone()),
-        }
-    }
+    let n = ev.problem().len();
+    let unselected = n - ev.selection().count_ones();
+    let start = ev.score();
+    let current = fill_from(ev, scenario, baseline, start, 0..n);
+    // Each round probed every candidate still unselected, and every
+    // round but the last selected one.
+    let flips = unselected - (n - ev.selection().count_ones());
+    let probes = (flips + 1) * unselected - flips * (flips + 1) / 2;
+    mv_obs::add(mv_obs::Counter::SearchProbes, probes as u64);
+    current.with_selection(ev.selection().clone())
 }
 
 /// Bounded best-improvement pass: each round probes every flip-on,

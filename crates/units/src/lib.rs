@@ -33,7 +33,7 @@ mod time;
 
 pub use money::{Money, MoneyParseError, MICROS_PER_DOLLAR};
 pub use size::{Gb, GB_PER_TB};
-pub use time::{Hours, Months, HOURS_PER_MONTH};
+pub use time::{Hours, Months};
 
 /// Largest admissible per-epoch capacity-interruption probability —
 /// the shared clamp of the market layer (`mv-market`, which quotes

@@ -4,12 +4,6 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
-/// Average hours in a month, used only when a single number must bridge the
-/// two clocks (e.g. "queries are posed during day-time and maintenance at
-/// night" scheduling checks). The paper never needs this conversion in its
-/// formulas: compute is billed in hours and storage in months independently.
-pub const HOURS_PER_MONTH: f64 = 730.0;
-
 /// A non-negative duration in hours — the unit compute time is billed in.
 #[derive(Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Hours(f64);
@@ -189,12 +183,6 @@ impl Months {
         self.0
     }
 
-    /// Approximate conversion to hours via [`HOURS_PER_MONTH`].
-    #[inline]
-    pub fn as_hours_approx(self) -> Hours {
-        Hours::new(self.0 * HOURS_PER_MONTH)
-    }
-
     /// The smaller of two durations.
     #[inline]
     pub fn min(self, other: Months) -> Months {
@@ -274,7 +262,6 @@ mod tests {
         assert_eq!(Hours::from_minutes(90.0).value(), 1.5);
         assert_eq!(Hours::from_secs(7200.0).value(), 2.0);
         assert_eq!(Hours::new(2.0).as_secs(), 7200.0);
-        assert_eq!(Months::new(2.0).as_hours_approx().value(), 1460.0);
     }
 
     #[test]

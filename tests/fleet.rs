@@ -26,7 +26,9 @@
 use std::sync::OnceLock;
 
 use mvcloud::fleet::FleetConfig;
-use mvcloud::market::{CorrelatedHazard, MarketConfig, MarketScenario, PriceProcess, SpotMarket};
+use mvcloud::market::{
+    CorrelatedHazard, MarketConfig, MarketScenario, PriceFactors, PriceProcess, SpotMarket,
+};
 use mvcloud::pricing::{FleetPlan, Placement};
 use mvcloud::{sales_domain, Advisor, AdvisorConfig, HorizonConfig, Scenario};
 use proptest::prelude::*;
@@ -213,7 +215,7 @@ proptest! {
             // same float roundtrip.
             let expected = if is_crunch { 1.0 - (1.0 - crunch) } else { 0.0 };
             prop_assert_eq!(q.interruption, expected, "epoch {}", e);
-            prop_assert!(q.factors.is_unit(), "epoch {}", e);
+            prop_assert_eq!(q.factors, PriceFactors::UNIT, "epoch {}", e);
         }
     }
 }

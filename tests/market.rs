@@ -6,10 +6,10 @@
 //! pricing component to a bit-identical policy (`scale_rates` clones on
 //! factor 1.0), the re-resolved instance is the same catalog entry,
 //! `InterruptionRisk::adjust` at probability 0 returns the charge
-//! unchanged, and `EpochChain::solve_repriced` with an identity
-//! transform is `solve_bounded` itself — so every per-epoch charged
-//! cost, processing time, selection and billed instance-hour of
-//! `Advisor::solve_market` must equal the risk-free horizon solve
+//! unchanged, and `EpochChain::solve_with` under an identity re-price
+//! is the `ChainSpec::single_pool` solve itself — so every per-epoch
+//! charged cost, processing time, selection and billed instance-hour
+//! of `Advisor::solve_market` must equal the risk-free horizon solve
 //! exactly, for every sampled path, and the quantile envelope must
 //! collapse to a point.
 
