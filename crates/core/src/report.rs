@@ -97,7 +97,7 @@ pub fn summarize(outcome: &Outcome, candidate_names: &[String]) -> String {
 }
 
 /// A cross-provider cost comparison row: provider name, total, and the
-/// breakdown triple.
+/// breakdown triple. No non-test caller.
 pub fn provider_row(name: &str, compute: Money, storage: Money, transfer: Money) -> Vec<String> {
     vec![
         name.to_string(),

@@ -40,7 +40,7 @@ impl AggFunc {
     }
 
     /// Whether re-aggregating partial results of this function with itself
-    /// is lossless (distributive functions).
+    /// is lossless (distributive functions). No non-test caller.
     pub fn is_distributive(self) -> bool {
         matches!(self, AggFunc::Sum | AggFunc::Min | AggFunc::Max)
     }

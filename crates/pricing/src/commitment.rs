@@ -49,6 +49,7 @@ impl CommitmentPlan {
 
     /// The *effective* hourly rate at a given utilisation (used hours over
     /// the term), amortising the upfront. Returns `Money::MAX` at zero use.
+    /// No non-test caller.
     pub fn effective_hourly(&self, used: Hours) -> Money {
         if used == Hours::ZERO {
             return Money::MAX;

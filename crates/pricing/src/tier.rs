@@ -205,7 +205,8 @@ impl TierSchedule {
 
     /// Largest volume purchasable with `budget` under this schedule, within
     /// `epsilon_gb` (bisection; the schedule's cost is monotone in volume).
-    /// Used by "how much data can I afford" what-if reports.
+    /// No non-test caller: the property tests invert
+    /// [`TierSchedule::cost_for`] through it.
     pub fn volume_for_budget(&self, budget: Money, epsilon_gb: f64) -> Gb {
         if budget <= Money::ZERO {
             return Gb::ZERO;

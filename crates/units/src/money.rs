@@ -122,7 +122,7 @@ impl Money {
     }
 
     /// Rounds *up* to the next whole cent. Some CSP invoices bill at cent
-    /// granularity; exposed for the billing simulator's invoice rendering.
+    /// granularity. No non-test caller.
     pub fn ceil_cents(self) -> Money {
         let per_cent = 10_000;
         let rem = self.0.rem_euclid(per_cent);
