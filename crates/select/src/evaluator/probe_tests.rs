@@ -14,7 +14,7 @@ use mv_cost::CloudCostModel;
 use proptest::prelude::*;
 
 use super::*;
-use crate::fixtures::{random_sparse_problem, reference_evaluate};
+use crate::fixtures::{random_sparse_problem, reference_evaluate, with_tied_times};
 
 /// Everything a probe must put back, as bits: block sums, terms,
 /// selection. Asserts the fold is settled (nothing dirty).
@@ -158,21 +158,6 @@ proptest! {
             );
         }
     }
-}
-
-/// `problem` with every answer time snapped to one of four levels (all
-/// below any base time), so most queries have several answerers tied
-/// for fastest and for runner-up.
-fn with_tied_times(problem: &SelectionProblem) -> SelectionProblem {
-    let mut candidates = problem.candidates().to_vec();
-    for v in &mut candidates {
-        let entries: Vec<(usize, Hours)> = v.profile.entries().collect();
-        for (i, t) in entries {
-            let level = 1 + t.value().to_bits() % 4;
-            v.profile.set(i, Hours::new(0.002 * level as f64));
-        }
-    }
-    SelectionProblem::new(problem.model().clone(), candidates)
 }
 
 proptest! {

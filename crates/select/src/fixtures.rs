@@ -284,6 +284,22 @@ pub fn random_sparse_problem(
     SelectionProblem::new(model, candidates)
 }
 
+/// `problem` with every answer time snapped to one of four levels (all
+/// below any base time), so most queries have several answerers tied
+/// for fastest and for runner-up. Test fixture: no non-test caller
+/// (`evaluator/probe_tests.rs`, `local_search`'s reference proptest).
+pub fn with_tied_times(problem: &SelectionProblem) -> SelectionProblem {
+    let mut candidates = problem.candidates().to_vec();
+    for v in &mut candidates {
+        let entries: Vec<(usize, Hours)> = v.profile.entries().collect();
+        for (i, t) in entries {
+            let level = 1 + t.value().to_bits() % 4;
+            v.profile.set(i, Hours::new(0.002 * level as f64));
+        }
+    }
+    SelectionProblem::new(problem.model().clone(), candidates)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -138,9 +138,38 @@ impl Scenario {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::fixtures::paper_like_problem;
+
+    /// [`Scenario::better`] as it stood before `Scenario::rank`, kept
+    /// as the reference ordering: feasibility first, then smaller
+    /// violation, then smaller objective, then smaller cost and time.
+    pub(crate) fn better_reference(
+        s: &Scenario,
+        a: &impl Scored,
+        b: &impl Scored,
+        baseline: &impl Scored,
+    ) -> bool {
+        let (fa, fb) = (s.feasible(a), s.feasible(b));
+        if fa != fb {
+            return fa;
+        }
+        if !fa {
+            let (va, vb) = (s.violation(a), s.violation(b));
+            if va != vb {
+                return va < vb;
+            }
+        }
+        let (oa, ob) = (s.objective(a, baseline), s.objective(b, baseline));
+        if oa != ob {
+            return oa < ob;
+        }
+        if a.cost() != b.cost() {
+            return a.cost() < b.cost();
+        }
+        a.time() < b.time()
+    }
 
     #[test]
     fn feasibility_and_violation() {
