@@ -63,9 +63,11 @@
 //!
 //! Every solver tier ranks neighbours of its current selection, and
 //! keeps at most one of thousands. [`IncrementalEvaluator::probe`] is
-//! the one implementation of that read — apply a few toggles, score,
-//! revert — and three things keep it to the work the toggled views
-//! cause:
+//! the one implementation of that read — what would the selection
+//! score with candidate `k` toggled? — and it is a read: apart from
+//! settling whatever earlier *accepted* moves left dirty, it writes no
+//! field, so there is nothing to revert and no dirty block outlives it.
+//! Three things keep it to the work the toggled view causes:
 //!
 //! * **The term cache.** `term[i] = min(base_i, best_i) × frequency_i`
 //!   is kept per query, rewritten only where a flip moves a query's
@@ -75,14 +77,16 @@
 //!   the model's own fold — instead of a stride through 48-byte
 //!   `QueryCharge` structs. It is per-selection state: a `fork` copies
 //!   it (see *Forks*).
-//! * **Save and restore of block sums.** A probe first settles
-//!   whatever earlier *accepted* moves left dirty, applies its toggles,
-//!   saves the sums of the blocks they dirtied, scores, reverts the
-//!   toggles, and puts the saved sums back with the dirty list cleared.
-//!   Reverting returns every query's best time — hence every term — to
-//!   its value before the probe, so the saved sums are again the right
-//!   ones; without the restore each probe would also refold the blocks
-//!   its predecessor's revert left dirty.
+//! * **Overrides, not writes.** One walk of `k`'s answers finds the
+//!   queries whose term the toggle would rewrite — by the tests `flip`
+//!   and `unflip` apply — and computes those terms; the time total
+//!   adds the cached block sums in order and refolds only the blocks
+//!   holding such a query, from an exact zero in workload order with
+//!   the new terms in place. Maintenance, materialization and size fold
+//!   over the selected views in candidate order with `k` merged in or
+//!   left out. Same folds, same order, same one bill assembly as a
+//!   `score` after the toggle — bit-identical to it — at
+//!   O(deg + n/64 + selected + m/B + B·affected).
 //! * **`Score` carries no selection.** An [`Evaluation`] holds the
 //!   selection's `Arc`; while one is alive the evaluator's next flip
 //!   must copy the word vector before writing to it — spelled as
@@ -90,12 +94,19 @@
 //!   `probe` and `score` return a `Copy`
 //!   [`Score`] (time + breakdown), the scenario orderings accept either
 //!   (`crate::Scored`), and a move loop materializes an `Evaluation`
-//!   (`Score::with_selection`) only for the move it keeps — so a warm
-//!   probe allocates nothing (`tests/probe_allocs.rs`).
+//!   (`Score::with_selection`) only for the move it keeps — so a probe
+//!   allocates nothing (`tests/probe_allocs.rs`).
 //!
-//! A probe counts in telemetry as exactly the flips, unflips and one
-//! snapshot it performs. `probe ≡ the triple`, with the evaluator left
-//! bit-equal, is property-tested in `evaluator/probe_tests.rs`.
+//! A probe is one toggle. A move of two — a swap — is probed by
+//! applying the first for real around probes of the second
+//! (`local_search`'s swap rows: one `unflip(out)`, a probe per `in_`,
+//! one `flip(out)`).
+//!
+//! A probe counts in telemetry as one snapshot and no flips; its
+//! `evaluator/snapshot_dirty_blocks` sample is the number of blocks it
+//! refolded. `probe ≡ the flip → snapshot → unflip triple`, with the
+//! evaluator left `==` in every field, is property-tested in
+//! `evaluator/probe_tests.rs`.
 //!
 //! # Forks
 //!
@@ -301,7 +312,7 @@ impl ProblemHandle<'_> {
 /// let mut sel = mv_cost::SelectionSet::empty(problem.len());
 /// sel.set(0, true);
 /// // What would selecting view 0 score? The evaluator does not move.
-/// assert_eq!(ev.probe(&[0]), problem.evaluate(&sel).score());
+/// assert_eq!(ev.probe(0), problem.evaluate(&sel).score());
 /// assert_eq!(ev.snapshot(), problem.baseline());
 /// ev.flip(0);
 /// assert_eq!(ev.snapshot(), problem.evaluate(&sel));
@@ -323,7 +334,7 @@ pub struct IncrementalEvaluator<'p> {
     /// Its time; meaningless where `second_view` is `NONE`.
     second_time: Vec<Hours>,
     /// Cached per-block partial sums of the canonical
-    /// [`TIME_FOLD_BLOCK`]-wide processing-time fold. A probe refolds
+    /// [`TIME_FOLD_BLOCK`]-wide processing-time fold. A score refolds
     /// only the blocks whose per-query minima changed since the last
     /// refresh, so `score()` is O(n/64 + selected + m/B + B·dirty)
     /// instead of O(n + m).
@@ -341,10 +352,34 @@ pub struct IncrementalEvaluator<'p> {
     /// sums 64 contiguous values instead of striding through the
     /// model's `QueryCharge` structs.
     term: Vec<Hours>,
-    /// [`IncrementalEvaluator::probe`]'s scratch: the sums of the
-    /// blocks it refolds, put back once the toggles are reverted.
-    /// Empty between probes; kept for its capacity.
-    saved_blocks: Vec<(u32, Hours)>,
+}
+
+/// Maintenance, materialization and size totals of a selection's
+/// views. Each accumulator folds from its zero in the order views are
+/// added; added in ascending candidate order, that is the model's own
+/// separate `.sum()` calls bit for bit (`+=` delegates to the same
+/// float add as `a + b`).
+#[derive(Default)]
+struct Charges {
+    maintenance: Hours,
+    materialization: Hours,
+    size: Gb,
+}
+
+impl Charges {
+    fn add(&mut self, v: &ViewCharge) {
+        self.maintenance += v.maintenance;
+        self.materialization += v.materialization;
+        self.size += v.size;
+    }
+
+    /// The score of a selection with these charges and processing time
+    /// `time`: the model's one bill assembly.
+    fn score(self, model: &CloudCostModel, time: Hours) -> Score {
+        let breakdown =
+            model.breakdown_from_totals(time, self.maintenance, self.materialization, self.size);
+        Score { time, breakdown }
+    }
 }
 
 /// Query `q`'s term of the time fold when its fastest selected view is
@@ -415,7 +450,6 @@ impl<'p> IncrementalEvaluator<'p> {
             dirty_blocks: Vec::new(),
             all_dirty: true,
             term: vec![Hours::ZERO; m],
-            saved_blocks: Vec::new(),
         };
         ev.reload_terms();
         ev
@@ -624,11 +658,7 @@ impl<'p> IncrementalEvaluator<'p> {
             mv_obs::record(Hist::SnapshotDirtyBlocks, dirty as u64);
         }
         self.refresh_time_blocks();
-        let mut total = Hours::ZERO;
-        for &block in &self.block_time {
-            total += block;
-        }
-        total
+        self.time_with(std::iter::empty()).0
     }
 
     /// Time and cost breakdown of the current selection, agreeing
@@ -648,25 +678,11 @@ impl<'p> IncrementalEvaluator<'p> {
         mv_obs::inc(Counter::EvaluatorSnapshot);
         let time = self.processing_time();
         let candidates = self.problem.candidates();
-        // One fused pass over the selected candidates; each accumulator
-        // folds in ascending candidate order from its zero, exactly like
-        // the model's separate `.sum()` calls.
-        let mut maintenance = Hours::ZERO;
-        let mut materialization = Hours::ZERO;
-        let mut views_size = Gb::ZERO;
+        let mut charges = Charges::default();
         for k in self.selection.ones() {
-            let v = &candidates[k];
-            // `+=` delegates to the same float add as `a + b`, so the fold
-            // stays bit-identical to the model's `.sum()`.
-            maintenance += v.maintenance;
-            materialization += v.materialization;
-            views_size += v.size;
+            charges.add(&candidates[k]);
         }
-        let model = self.problem.model();
-        Score {
-            time,
-            breakdown: model.breakdown_from_totals(time, maintenance, materialization, views_size),
-        }
+        charges.score(self.problem.model(), time)
     }
 
     /// Full [`Evaluation`] of the current selection:
@@ -678,43 +694,100 @@ impl<'p> IncrementalEvaluator<'p> {
         self.score().with_selection(self.selection.clone())
     }
 
-    /// What [`IncrementalEvaluator::score`] would return with
-    /// `toggles` applied, leaving the evaluator exactly where it was:
-    /// apply the toggles in order, score, revert them in reverse, and
-    /// put back the block sums the score refolded — so no dirty block
-    /// outlives the probe and the next one refolds only its own.
-    /// Allocation-free on a warm evaluator; counts as the flips,
-    /// unflips and one snapshot it performs.
-    ///
-    /// Putting the saved sums back is exact: reverting the toggles
-    /// returns every query's best *time* (ties may swap which view
-    /// holds it), hence every term, to its value before the probe, and
-    /// the blocks were settled before the toggles were applied — so
-    /// each block's sum is again the one it held then, whether the
-    /// probe overwrote it (restored) or not (untouched).
-    pub fn probe(&mut self, toggles: &[usize]) -> Score {
+    /// The time total with the terms of `changed` (ascending queries)
+    /// in place of the cached ones, and the number of blocks refolded.
+    fn time_with(&self, changed: impl Iterator<Item = (usize, Hours)>) -> (Hours, u64) {
+        let mut changed = changed.peekable();
+        let mut time = Hours::ZERO;
+        let mut settled = 0;
+        let mut refolded = 0u64;
+        while let Some(&(first, _)) = changed.peek() {
+            let b = first / TIME_FOLD_BLOCK;
+            for &sum in &self.block_time[settled..b] {
+                time += sum;
+            }
+            let end = ((b + 1) * TIME_FOLD_BLOCK).min(self.term.len());
+            let mut block = Hours::ZERO;
+            let mut i = b * TIME_FOLD_BLOCK;
+            while let Some((q, term)) = changed.next_if(|&(q, _)| q < end) {
+                for &t in &self.term[i..q] {
+                    block += t;
+                }
+                block += term;
+                i = q + 1;
+            }
+            for &t in &self.term[i..end] {
+                block += t;
+            }
+            time += block;
+            settled = b + 1;
+            refolded += 1;
+        }
+        for &sum in &self.block_time[settled..] {
+            time += sum;
+        }
+        (time, refolded)
+    }
+
+    /// What [`IncrementalEvaluator::score`] would return with candidate
+    /// `k` toggled — selected if it is not, deselected if it is — read
+    /// off the caches without writing to them: no flip, no dirty block,
+    /// nothing to revert (the module's *Probes* section). The queries
+    /// whose term would change are found as [`IncrementalEvaluator::flip`]
+    /// / [`IncrementalEvaluator::unflip`] find them — selecting `k`:
+    /// those it answers faster than their best; deselecting it: those
+    /// whose best it is, which fall back to the cached runner-up — and
+    /// get the term the toggle would have stored; every fold then runs
+    /// as `score` would have run it after the toggle, so the result is
+    /// bit-identical. O(deg + n/64 + selected + m/B + B·affected);
+    /// counts as one snapshot and no flips.
+    pub fn probe(&mut self, k: usize) -> Score {
+        mv_obs::inc(Counter::EvaluatorSnapshot);
+        // Settle what earlier accepted moves left dirty: the only write.
         self.refresh_time_blocks();
-        for &k in toggles {
-            self.toggle(k);
+        let on = !self.selection.contains(k);
+        let kk = k as u32;
+        let workload = &self.problem.model().context().workload;
+        let (queries, times) = self.index.by_view.row(k);
+        let answers = queries.iter().zip(times);
+        let (time, refolded) = if on {
+            self.time_with(answers.filter_map(|(&q, &t)| {
+                let i = q as usize;
+                (self.best_view[i] == NONE || t < self.best_time[i])
+                    .then(|| (i, term_of(&workload[i], kk, t)))
+            }))
+        } else {
+            self.time_with(answers.filter_map(|(&q, _)| {
+                let i = q as usize;
+                (self.best_view[i] == kk).then(|| {
+                    (
+                        i,
+                        term_of(&workload[i], self.second_view[i], self.second_time[i]),
+                    )
+                })
+            }))
+        };
+        mv_obs::record(Hist::SnapshotDirtyBlocks, refolded);
+
+        // `k` takes its place in candidate order when selecting it, and
+        // is passed over when deselecting it.
+        let candidates = self.problem.candidates();
+        let mut charges = Charges::default();
+        if on {
+            let mut ones = self.selection.ones().peekable();
+            while let Some(j) = ones.next_if(|&j| j < k) {
+                charges.add(&candidates[j]);
+            }
+            charges.add(&candidates[k]);
+            for j in ones {
+                charges.add(&candidates[j]);
+            }
+        } else {
+            for j in self.selection.ones().filter(|&j| j != k) {
+                charges.add(&candidates[j]);
+            }
         }
-        debug_assert!(self.saved_blocks.is_empty());
-        self.saved_blocks.extend(
-            self.dirty_blocks
-                .iter()
-                .map(|&b| (b, self.block_time[b as usize])),
-        );
-        let score = self.score();
-        for &k in toggles.iter().rev() {
-            self.toggle(k);
-        }
-        while let Some(b) = self.dirty_blocks.pop() {
-            self.block_dirty[b as usize] = false;
-        }
-        while let Some((b, sum)) = self.saved_blocks.pop() {
-            self.block_time[b as usize] = sum;
-            debug_assert!(self.fold_block(b as usize) == sum, "block {b} moved");
-        }
-        score
+        charges.score(self.problem.model(), time)
     }
 }
 

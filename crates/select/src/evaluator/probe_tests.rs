@@ -1,14 +1,17 @@
 //! Differential property: [`IncrementalEvaluator::probe`] ≡ the
-//! `flip → snapshot → unflip` triple spelled out, and it leaves the
-//! evaluator *bit-equal* to where it found it — block sums, term
-//! cache, an empty dirty list, the selection — under random walks that
-//! interleave accepted flips with pool edits (a new evaluator over the
-//! grown, shrunk or re-profiled pool at the same selection) /
-//! `update_charge` price splices / `retarget`, on pools where most
-//! queries have a dozen answerers or more and the workload spans
-//! several [`TIME_FOLD_BLOCK`]s. And the runner-up cache is pinned
-//! directly: the two smallest selected times per query, on the SSB
-//! lattice's shape.
+//! `flip → snapshot → unflip` triple spelled out, in both directions,
+//! and it writes nothing: once the fold is settled, the evaluator is
+//! `==` before and after in every field a fork copies — selection,
+//! best and runner-up views and times, terms, block sums, dirty flags
+//! and list — under random walks that interleave accepted flips with
+//! pool edits (a new evaluator over the grown, shrunk or re-profiled
+//! pool at the same selection) / `update_charge` price splices /
+//! `retarget`, on pools where most queries have a dozen answerers or
+//! more and the workload spans several [`TIME_FOLD_BLOCK`]s. A swap
+//! row as the move loop walks it — `unflip(out)`, a probe per `in_`,
+//! `flip(out)` — scores S − out + in. And the runner-up cache is
+//! pinned directly: the two smallest selected times per query, on the
+//! SSB lattice's shape.
 
 use mv_cost::CloudCostModel;
 use proptest::prelude::*;
@@ -16,30 +19,41 @@ use proptest::prelude::*;
 use super::*;
 use crate::fixtures::{random_sparse_problem, reference_evaluate, with_tied_times};
 
-/// Everything a probe must put back, as bits: block sums, terms,
-/// selection. Asserts the fold is settled (nothing dirty).
-fn settled_state(ev: &IncrementalEvaluator<'_>) -> (Vec<u64>, Vec<u64>, SelectionSet) {
-    assert!(!ev.all_dirty, "all blocks stale");
-    assert!(
-        ev.dirty_blocks.is_empty(),
-        "dirty list {:?}",
-        ev.dirty_blocks
-    );
-    assert!(ev.block_dirty.iter().all(|&d| !d), "stray dirty flag");
-    assert!(ev.saved_blocks.is_empty(), "scratch not drained");
-    let bits = |v: &[Hours]| v.iter().map(|h| h.value().to_bits()).collect();
-    (bits(&ev.block_time), bits(&ev.term), ev.selection.clone())
+/// Every field a fork copies — the whole per-selection state — with
+/// the floats as bits.
+#[derive(Debug, PartialEq)]
+struct State {
+    selection: SelectionSet,
+    views: [Vec<u32>; 2],
+    /// Best times, runner-up times, terms, block sums.
+    floats: [Vec<u64>; 4],
+    block_dirty: Vec<bool>,
+    dirty_blocks: Vec<u32>,
+    all_dirty: bool,
 }
 
-/// What `probe` must equal: apply, snapshot, revert.
-fn triple(ev: &mut IncrementalEvaluator<'_>, toggles: &[usize]) -> Evaluation {
-    for &k in toggles {
-        ev.toggle(k);
+fn state(ev: &IncrementalEvaluator<'_>) -> State {
+    let bits = |v: &[Hours]| v.iter().map(|h| h.value().to_bits()).collect();
+    State {
+        selection: ev.selection.clone(),
+        views: [ev.best_view.clone(), ev.second_view.clone()],
+        floats: [
+            bits(&ev.best_time),
+            bits(&ev.second_time),
+            bits(&ev.term),
+            bits(&ev.block_time),
+        ],
+        block_dirty: ev.block_dirty.clone(),
+        dirty_blocks: ev.dirty_blocks.clone(),
+        all_dirty: ev.all_dirty,
     }
+}
+
+/// What `probe` must equal: toggle, snapshot, toggle back.
+fn triple(ev: &mut IncrementalEvaluator<'_>, k: usize) -> Evaluation {
+    ev.toggle(k);
     let e = ev.snapshot();
-    for &k in toggles.iter().rev() {
-        ev.toggle(k);
-    }
+    ev.toggle(k);
     e
 }
 
@@ -116,41 +130,55 @@ proptest! {
             if n == 0 {
                 continue;
             }
-            // One to three toggles (repeats allowed: a view toggled
-            // twice must cancel), as single flips and swaps do.
-            let toggles: Vec<usize> = [a, b, a ^ b][..1 + (a + b) % 3]
-                .iter()
-                .map(|&x| x % n)
-                .collect();
+            // Both directions of one toggle: as the selection stands,
+            // and with `k` toggled for real.
+            let k = a % n;
+            for direction in 0..2 {
+                let mut twin = ev.clone();
+                let expected = triple(&mut twin, k);
+                let mut settled = ev.clone();
+                settled.refresh_time_blocks();
+                let before = state(&settled);
 
-            let mut twin = ev.clone();
-            let expected = triple(&mut twin, &toggles);
-            let mut settled = ev.clone();
-            settled.refresh_time_blocks();
-            let before = settled_state(&settled);
-
-            let got = ev.probe(&toggles);
-            prop_assert_eq!(got, expected.score(), "probe ≠ triple at step {}", step);
-            prop_assert_eq!(
-                got.time.value().to_bits(), expected.time.value().to_bits(),
-                "time bits at step {}", step
-            );
-            prop_assert_eq!(settled_state(&ev), before, "probe left a trace at step {}", step);
-
-            // And the score is the true one: against the slow reference,
-            // at the probed selection.
-            let mut probed = ev.selection().clone();
-            for &k in &toggles {
-                probed.toggle(k);
+                let got = ev.probe(k);
+                prop_assert_eq!(
+                    got, expected.score(),
+                    "probe ≠ triple at step {} direction {}", step, direction
+                );
+                prop_assert_eq!(
+                    got.time.value().to_bits(), expected.time.value().to_bits(),
+                    "time bits at step {}", step
+                );
+                prop_assert_eq!(state(&ev), before, "probe wrote at step {}", step);
+                // And the score is the true one: against the slow
+                // reference, at the probed selection.
+                prop_assert_eq!(
+                    &expected,
+                    &reference_evaluate(ev.problem(), &expected.selection),
+                    "probe ≠ reference at step {}", step
+                );
+                prop_assert_eq!(ev.probe(k), got, "re-probe at step {}", step);
+                ev.toggle(k);
             }
-            prop_assert_eq!(
-                got.with_selection(probed.clone()),
-                reference_evaluate(ev.problem(), &probed),
-                "probe ≠ reference at step {}", step
-            );
-            // A second probe from the settled state refolds only its own
-            // blocks and still agrees.
-            prop_assert_eq!(ev.probe(&toggles), got, "re-probe at step {}", step);
+
+            // A swap row: `out` leaves once, each `in_` is one probe
+            // against that position, `out` returns.
+            let out = b % n;
+            if ev.is_selected(out) {
+                let standing = ev.selection().clone();
+                ev.unflip(out);
+                for in_ in (0..n).filter(|&in_| !standing.contains(in_)) {
+                    let mut swapped = standing.clone();
+                    swapped.set(out, false);
+                    swapped.set(in_, true);
+                    prop_assert_eq!(
+                        ev.probe(in_).with_selection(swapped.clone()),
+                        ev.problem().evaluate(&swapped),
+                        "swap {} → {} at step {}", out, in_, step
+                    );
+                }
+                ev.flip(out);
+            }
             prop_assert_eq!(
                 ev.snapshot(),
                 reference_evaluate(ev.problem(), ev.selection()),
@@ -191,9 +219,15 @@ proptest! {
         let mut ev = IncrementalEvaluator::new(&problem);
         for (step, &(op, a, b)) in ops.iter().enumerate() {
             match op {
-                // A swap probe: it must put both caches back.
+                // A swap row of one: both caches must come back (a
+                // tie may change which view holds a slot).
+                0 if ev.is_selected(a % n) && !ev.is_selected(b % n) => {
+                    ev.unflip(a % n);
+                    ev.probe(b % n);
+                    ev.flip(a % n);
+                }
                 0 => {
-                    ev.probe(&[a % n, b % n]);
+                    ev.probe(a % n);
                 }
                 _ => ev.toggle(a % n),
             }

@@ -23,7 +23,7 @@
 use mv_cost::SelectionSet;
 use mv_units::{Hours, Money};
 
-use crate::{IncrementalEvaluator, Outcome, Scenario, Score, SelectionProblem, SolverKind};
+use crate::{IncrementalEvaluator, Outcome, Scenario, SelectionProblem, SolverKind};
 
 /// Hours per value unit in both DPs.
 const TIME_UNIT_HOURS: f64 = 1e-4;
@@ -227,7 +227,7 @@ fn repair(problem: &SelectionProblem, scenario: Scenario, selection: &mut Select
         let violation = scenario.violation(&current);
         let mut best: Option<(usize, f64)> = None;
         for k in 0..n {
-            let v = scenario.violation(&ev.probe(&[k]));
+            let v = scenario.violation(&ev.probe(k));
             if v < violation && best.is_none_or(|(_, bv)| v < bv) {
                 best = Some((k, v));
             }
@@ -240,20 +240,17 @@ fn repair(problem: &SelectionProblem, scenario: Scenario, selection: &mut Select
 
     // Phase 2: hill-climb the true objective within feasibility.
     for _ in 0..max_moves {
-        let current = ev.score();
-        let mut best_flip: Option<(usize, Score)> = None;
+        let mut to_beat = scenario.rank(&ev.score(), &baseline);
+        let mut best_flip = None;
         for k in 0..n {
-            let e = ev.probe(&[k]);
-            if scenario.better(&e, &current, &baseline)
-                && best_flip
-                    .as_ref()
-                    .is_none_or(|(_, b)| scenario.better(&e, b, &baseline))
-            {
-                best_flip = Some((k, e));
+            let rank = scenario.rank(&ev.probe(k), &baseline);
+            if rank < to_beat {
+                to_beat = rank;
+                best_flip = Some(k);
             }
         }
         match best_flip {
-            Some((k, _)) => ev.toggle(k),
+            Some(k) => ev.toggle(k),
             None => break,
         }
     }

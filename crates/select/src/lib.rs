@@ -49,10 +49,11 @@
 //!   [`SelectionProblem::evaluate`] (property-tested in
 //!   `tests/evaluator_matches.rs`, including random sparse profiles and
 //!   pool-edit/flip/placement interleavings);
-//! * `probe(toggles)` — the one "what would this move score?" primitive
-//!   every tier calls: apply, score, revert, put the refolded block sums
-//!   back. Allocation-free, and it leaves the evaluator bit-equal to
-//!   where it was (see the *Probes* section of the evaluator module);
+//! * `probe(k)` — the one "what would toggling this view score?"
+//!   primitive every tier calls: a read of the caches that writes
+//!   nothing, O(deg + n/64 + selected + m/B + B·affected),
+//!   allocation-free and bit-identical to `flip → score → unflip` (see
+//!   the *Probes* section of the evaluator module);
 //! * `SelectionProblem::evaluate` itself is O(m + Σ deg) over the
 //!   selected views' profiles (one scattered Formula 9 fold);
 //! * a greedy pass is therefore O(n) probes instead of O(n) full
@@ -204,7 +205,7 @@
 //! | site | counters | spans / histograms / events |
 //! |---|---|---|
 //! | [`IncrementalEvaluator`] build/retarget/fork | `evaluator/build`, `evaluator/retarget`, `evaluator/fork` | — |
-//! | [`IncrementalEvaluator`] flip/unflip/score (a `probe` counts as the flips, unflips and one snapshot it performs) | `evaluator/flip`, `evaluator/unflip`, `evaluator/snapshot` | `evaluator/snapshot_dirty_blocks` histogram (dirty-delta width) |
+//! | [`IncrementalEvaluator`] flip/unflip/score (a `probe` counts as one snapshot and no flips) | `evaluator/flip`, `evaluator/unflip`, `evaluator/snapshot` | `evaluator/snapshot_dirty_blocks` histogram (blocks refolded per score) |
 //! | [`IncrementalEvaluator::update_charge`] | `evaluator/update_charge` | — |
 //! | [`local_search`] probe loops | `search/probes`; accepted moves: `search/flip_moves`, `search/swap_moves`, `search/place_moves` | `placement_move` event per accepted pool move |
 //! | [`lns`] refine rounds | `lns/rounds`, `lns/accepted`, `lns/rejected` | `lns/destroy_size` histogram, `lns_round` event |
@@ -257,7 +258,7 @@ pub use local_search::{solve_local_search, solve_local_search_bounded};
 pub use mv_cost::Placement;
 pub use mv_cost::SelectionSet;
 pub use problem::{Evaluation, Score, Scored, SelectionProblem};
-pub use scenario::Scenario;
+pub use scenario::{Rank, Scenario};
 pub use solution::{Outcome, SolverKind};
 
 /// Dispatches to the solver named by `kind`.

@@ -1,13 +1,16 @@
 //! Local-search selection: flip and swap moves over the incremental
-//! evaluator's O(m) probes.
+//! evaluator's non-mutating probes.
 //!
 //! Add-only greedy (HRU-style) gets stuck at local optima a single
 //! *swap* — retire one selected view, admit one unselected — would
 //! escape: the classic repair move in local-search view selection
 //! (Anderson & Sasaki's workload-acceleration search). Every move here
-//! is probed through the [`IncrementalEvaluator`], so a full
-//! best-improvement round over flips and swaps costs O(n²·m) probes of
-//! O(m) work each instead of O(n²) full re-evaluations.
+//! is probed through the [`IncrementalEvaluator`]: a best-improvement
+//! round over s selected and u unselected views is n + s·u probes of
+//! O(deg) work each (plus the evaluator's per-score floor) and 2·s
+//! real toggles — each swap row deselects its `out` once, probes every
+//! `in_` against that position and selects `out` back — instead of
+//! O(n²) full re-evaluations.
 //!
 //! Two entry points:
 //!
@@ -22,7 +25,7 @@
 use mv_cost::{Placement, Price};
 
 use crate::{
-    Evaluation, IncrementalEvaluator, Outcome, Scenario, Score, SelectionProblem, SolverKind,
+    Evaluation, IncrementalEvaluator, Outcome, Rank, Scenario, Score, SelectionProblem, SolverKind,
 };
 
 /// The effective price candidate `k` would carry under placement `p`
@@ -40,7 +43,7 @@ enum Move {
     FlipOn(usize),
     /// Deselect `k`.
     FlipOff(usize),
-    /// Deselect `out`, select `in_` (one probe, two flips).
+    /// Deselect `out`, select `in_`.
     Swap { out: usize, in_: usize },
     /// Move the *selected* view `k` to the other fleet pool: one O(1)
     /// price splice, selection unchanged.
@@ -81,57 +84,29 @@ fn apply(
     }
 }
 
-/// What the evaluator would score with `mv` applied, leaving it where
-/// it was. Selection moves are one [`IncrementalEvaluator::probe`];
-/// placement moves splice the other pool's price around the probe and
-/// put the displaced price back (bit-exact: a price splice touches no
-/// cached time). Neither allocates on a warm evaluator
-/// (`tests/probe_allocs.rs`).
-fn probe_move(
-    ev: &mut IncrementalEvaluator<'_>,
-    mv: Move,
-    joint: Option<(&[Placement], ChargeFor<'_>)>,
-) -> Score {
-    match mv {
-        Move::FlipOn(k) | Move::FlipOff(k) => ev.probe(&[k]),
-        Move::Swap { out, in_ } => ev.probe(&[out, in_]),
-        Move::Place(k) | Move::FlipOnPlaced(k) => {
-            let displaced = ev.update_charge(k, replaced(joint, k));
-            let score = if matches!(mv, Move::Place(_)) {
-                ev.score()
-            } else {
-                ev.probe(&[k])
-            };
-            ev.update_charge(k, displaced);
-            score
-        }
-    }
-}
-
 /// One best-improvement step of a flip-on fill: probes selecting each
 /// still-unselected candidate of `pool`, in order, and returns the one
-/// that improves on `current` the most under the scenario ordering
-/// (first wins among equals) with its score — `None` at a flip-on
-/// local optimum.
+/// that improves on `current` (the standing score's rank) the most
+/// under the scenario ordering (first wins among equals) with its score
+/// and rank — `None` at a flip-on local optimum.
 fn best_flip_on(
     ev: &mut IncrementalEvaluator<'_>,
     scenario: Scenario,
     baseline: &Evaluation,
-    current: &Score,
+    current: Rank,
     pool: impl IntoIterator<Item = usize>,
-) -> Option<(usize, Score)> {
-    let mut best: Option<(usize, Score)> = None;
+) -> Option<(usize, Score, Rank)> {
+    let mut to_beat = current;
+    let mut best = None;
     for k in pool {
         if ev.is_selected(k) {
             continue;
         }
-        let e = ev.probe(&[k]);
-        if scenario.better(&e, current, baseline)
-            && best
-                .as_ref()
-                .is_none_or(|(_, b)| scenario.better(&e, b, baseline))
-        {
-            best = Some((k, e));
+        let e = ev.probe(k);
+        let rank = scenario.rank(&e, baseline);
+        if rank < to_beat {
+            to_beat = rank;
+            best = Some((k, e, rank));
         }
     }
     best
@@ -148,9 +123,10 @@ pub(crate) fn fill_from(
     mut current: Score,
     pool: impl IntoIterator<Item = usize> + Clone,
 ) -> Score {
-    while let Some((k, e)) = best_flip_on(ev, scenario, baseline, &current, pool.clone()) {
+    let mut rank = scenario.rank(&current, baseline);
+    while let Some((k, e, r)) = best_flip_on(ev, scenario, baseline, rank, pool.clone()) {
         ev.flip(k);
-        current = e;
+        (current, rank) = (e, r);
     }
     current
 }
@@ -224,55 +200,74 @@ fn improve_inner(
     max_moves: usize,
     mut joint: Option<(&mut [Placement], ChargeFor<'_>)>,
 ) -> Evaluation {
+    let n = ev.problem().len();
     let mut current = ev.score();
+    let mut current_rank = scenario.rank(&current, baseline);
+    let (mut selected, mut unselected) = (Vec::new(), Vec::new());
     for _ in 0..max_moves {
-        let n = ev.problem().len();
-        let selected: Vec<usize> = ev.selection().ones().collect();
-        let unselected: Vec<usize> = (0..n).filter(|&k| !ev.is_selected(k)).collect();
-        let placement_moves = if joint.is_some() { n } else { 0 };
-        let mut moves: Vec<Move> =
-            Vec::with_capacity(n + selected.len() * unselected.len() + placement_moves);
-        moves.extend(unselected.iter().map(|&k| Move::FlipOn(k)));
-        moves.extend(selected.iter().map(|&k| Move::FlipOff(k)));
-        for &out in &selected {
-            for &in_ in &unselected {
-                moves.push(Move::Swap { out, in_ });
+        selected.clear();
+        selected.extend(ev.selection().ones());
+        unselected.clear();
+        unselected.extend((0..n).filter(|&k| !ev.is_selected(k)));
+        // The best move so far and the rank the next one must beat:
+        // `current`'s until a move improves on it, then that move's —
+        // strictly, so the first wins among equals.
+        let mut to_beat = current_rank;
+        let mut best: Option<(Move, Score)> = None;
+        let mut offer = |mv: Move, e: Score| {
+            let rank = scenario.rank(&e, baseline);
+            if rank < to_beat {
+                to_beat = rank;
+                best = Some((mv, e));
             }
+        };
+        for &k in &unselected {
+            offer(Move::FlipOn(k), ev.probe(k));
         }
-        if joint.is_some() {
+        for &k in &selected {
+            offer(Move::FlipOff(k), ev.probe(k));
+        }
+        // A swap row shares its deselection: `out` leaves once, every
+        // `in_` is a single-toggle probe against that position, and
+        // `out` returns — every best time and term back bit for bit.
+        for &out in &selected {
+            ev.unflip(out);
+            for &in_ in &unselected {
+                offer(Move::Swap { out, in_ }, ev.probe(in_));
+            }
+            ev.flip(out);
+        }
+        let mut probes = n + selected.len() * unselected.len();
+        let shared = joint.as_ref().map(|(p, f)| (&**p, *f));
+        if shared.is_some() {
             // Placement moves probe after the selection neighborhood, so
             // joint mode with no improving placement move reproduces the
             // plain pass exactly (same enumeration, same tie-breaks).
-            moves.extend(selected.iter().map(|&k| Move::Place(k)));
-            moves.extend(unselected.iter().map(|&k| Move::FlipOnPlaced(k)));
-        }
-        let mut best: Option<(Move, Score)> = None;
-        mv_obs::add(mv_obs::Counter::SearchProbes, moves.len() as u64);
-        for mv in moves {
-            let shared = joint.as_ref().map(|(p, f)| (&**p, *f));
-            let e = probe_move(ev, mv, shared);
-            if scenario.better(&e, &current, baseline)
-                && best
-                    .as_ref()
-                    .is_none_or(|(_, b)| scenario.better(&e, b, baseline))
-            {
-                best = Some((mv, e));
+            // Each splices the other pool's price around its score and
+            // puts the displaced price back (bit-exact: a price splice
+            // touches no cached time).
+            for &k in &selected {
+                let displaced = ev.update_charge(k, replaced(shared, k));
+                offer(Move::Place(k), ev.score());
+                ev.update_charge(k, displaced);
             }
-        }
-        match best {
-            Some((mv, e)) => {
-                let shared = joint.as_ref().map(|(p, f)| (&**p, *f));
-                apply(ev, mv, shared);
-                record_accepted(mv);
-                if let (Move::Place(k) | Move::FlipOnPlaced(k), Some((placements, _))) =
-                    (mv, joint.as_mut())
-                {
-                    placements[k] = placements[k].flipped();
-                }
-                current = e;
+            for &k in &unselected {
+                let displaced = ev.update_charge(k, replaced(shared, k));
+                offer(Move::FlipOnPlaced(k), ev.probe(k));
+                ev.update_charge(k, displaced);
             }
-            None => break,
+            probes += n;
         }
+        mv_obs::add(mv_obs::Counter::SearchProbes, probes as u64);
+        let Some((mv, e)) = best else { break };
+        apply(ev, mv, shared);
+        record_accepted(mv);
+        if let (Move::Place(k) | Move::FlipOnPlaced(k), Some((placements, _))) =
+            (mv, joint.as_mut())
+        {
+            placements[k] = placements[k].flipped();
+        }
+        (current, current_rank) = (e, to_beat);
     }
     current.with_selection(ev.selection().clone())
 }

@@ -204,7 +204,7 @@ impl SelectionProblem {
         let mut ev = crate::IncrementalEvaluator::new(self);
         (0..self.candidates.len())
             .map(|k| {
-                let e = ev.probe(&[k]);
+                let e = ev.probe(k);
                 (
                     baseline.time.saturating_sub(e.time),
                     e.cost() - baseline.cost(),

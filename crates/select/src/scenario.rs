@@ -29,6 +29,21 @@ pub enum Scenario {
     },
 }
 
+/// A score's place in a [`Scenario`]'s ordering ([`Scenario::rank`]);
+/// smaller is better. The derived comparison is field by field in
+/// declaration order: feasible before infeasible, then the smaller
+/// constraint violation (0 when feasible), then the smaller objective,
+/// then the smaller cost, then the smaller time. Keys of different
+/// scenarios or baselines do not compare meaningfully.
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
+pub struct Rank {
+    infeasible: bool,
+    violation: f64,
+    objective: f64,
+    cost: Money,
+    time: Hours,
+}
+
 impl Scenario {
     /// MV1 constructor.
     pub fn budget(budget: Money) -> Self {
@@ -103,28 +118,26 @@ impl Scenario {
         }
     }
 
+    /// Where `e` stands in the scenario's ordering — everything
+    /// [`Scenario::better`] compares, derived once, so a move loop
+    /// ranks each probed score when it sees it and keeps the key of
+    /// the score to beat.
+    pub fn rank(&self, e: &impl Scored, baseline: &impl Scored) -> Rank {
+        let infeasible = !self.feasible(e);
+        Rank {
+            infeasible,
+            violation: if infeasible { self.violation(e) } else { 0.0 },
+            objective: self.objective(e, baseline),
+            cost: e.cost(),
+            time: e.time(),
+        }
+    }
+
     /// `true` when `a` is strictly better than `b`: feasibility first, then
     /// smaller violation, then smaller objective, then (tie-break) smaller
-    /// cost and time.
+    /// cost and time — `rank(a) < rank(b)`.
     pub fn better(&self, a: &impl Scored, b: &impl Scored, baseline: &impl Scored) -> bool {
-        let (fa, fb) = (self.feasible(a), self.feasible(b));
-        if fa != fb {
-            return fa;
-        }
-        if !fa {
-            let (va, vb) = (self.violation(a), self.violation(b));
-            if va != vb {
-                return va < vb;
-            }
-        }
-        let (oa, ob) = (self.objective(a, baseline), self.objective(b, baseline));
-        if oa != ob {
-            return oa < ob;
-        }
-        if a.cost() != b.cost() {
-            return a.cost() < b.cost();
-        }
-        a.time() < b.time()
+        self.rank(a, baseline) < self.rank(b, baseline)
     }
 
     /// Short label for reports (`"MV1"`, `"MV2"`, `"MV3"`).
@@ -141,6 +154,7 @@ impl Scenario {
 pub(crate) mod tests {
     use super::*;
     use crate::fixtures::paper_like_problem;
+    use proptest::prelude::*;
 
     /// [`Scenario::better`] as it stood before `Scenario::rank`, kept
     /// as the reference ordering: feasibility first, then smaller
@@ -224,6 +238,61 @@ pub(crate) mod tests {
             &all
         };
         assert!(tight.better(cheaper, dearer, &base));
+    }
+
+    /// A bare point of the time × cost plane.
+    #[derive(Debug, Clone, Copy)]
+    struct Point(Hours, Money);
+
+    impl Scored for Point {
+        fn time(&self) -> Hours {
+            self.0
+        }
+
+        fn cost(&self) -> Money {
+            self.1
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        /// `better` is `rank <`, and both are the spelled-out ordering
+        /// — over points on a coarse grid, so that equal objectives
+        /// with different costs (MV1: equal times; MV3 at α = ½: t and
+        /// c traded one for one), equal costs with different times,
+        /// infeasible pairs with equal violations and exact ties all
+        /// occur, against baselines that include zero time and zero
+        /// cost (the `f64::MIN_POSITIVE` guards; 0 · ∞ makes the
+        /// objective NaN there, which must order nothing).
+        #[test]
+        fn better_is_rank_order(
+            pick in 0usize..4,
+            level in 0i64..5,
+            a in (0i64..5, 0i64..5),
+            b in (0i64..5, 0i64..5),
+            base in (0i64..3, 0i64..3),
+        ) {
+            let point = |(t, c): (i64, i64)| Point(Hours::new(t as f64 * 0.5), Money::from_dollars(c));
+            let (a, b, base) = (point(a), point(b), point(base));
+            let scenario = match pick {
+                0 => Scenario::budget(Money::from_dollars(level)),
+                1 => Scenario::time_limit(Hours::new(level as f64 * 0.5)),
+                2 => Scenario::tradeoff(level as f64 / 4.0),
+                _ => Scenario::tradeoff_normalized(level as f64 / 4.0),
+            };
+            let expected = better_reference(&scenario, &a, &b, &base);
+            prop_assert_eq!(
+                scenario.better(&a, &b, &base), expected,
+                "{:?}: {:?} vs {:?} over {:?}", scenario, a, b, base
+            );
+            prop_assert_eq!(
+                scenario.rank(&a, &base) < scenario.rank(&b, &base), expected,
+                "{:?}: rank {:?} vs {:?} over {:?}", scenario, a, b, base
+            );
+            // Strict: nothing is better than itself.
+            prop_assert!(!scenario.better(&a, &a, &base));
+        }
     }
 
     #[test]

@@ -45,7 +45,17 @@ fn apply(ev: &mut IncrementalEvaluator<'static>, op: Op, context: &str) {
                 neighbour.set(k, !neighbour.contains(k));
             }
             let full = ev.problem().evaluate(&neighbour).score();
-            assert_eq!(ev.probe(&toggles), full, "{context}: {op:?} vs evaluate");
+            // A probe is one toggle: the leading ones are applied for
+            // real around it.
+            let (&last, leading) = toggles.split_last().expect("one or two toggles");
+            for &k in leading {
+                ev.toggle(k);
+            }
+            let probed = ev.probe(last);
+            for &k in leading.iter().rev() {
+                ev.toggle(k);
+            }
+            assert_eq!(probed, full, "{context}: {op:?} vs evaluate");
         }
         Op::UpdateCharge(k) => {
             let view = &ev.problem().candidates()[k % n];

@@ -1,8 +1,10 @@
-//! `IncrementalEvaluator::probe` must not allocate on a warm evaluator:
-//! the move loops call it tens of thousands of times per solve. (Spelled
+//! `IncrementalEvaluator::probe` must not allocate — warm, or first on
+//! a fresh fork: the move loops call it tens of thousands of times per
+//! solve, and it is a read — no flips, one snapshot. (Spelled
 //! out as `flip → snapshot → unflip`, a probe pays two copy-on-write
 //! allocations: the snapshot's selection handle forces the next flip
-//! to copy the word vector.) Neither must what an epoch edge and a
+//! to copy the word vector.) A move-loop round pays two real toggles
+//! per swap row and nothing per probe. Neither must what an epoch edge and a
 //! placement probe do to a candidate — `update_charge` moves a `Copy`
 //! `Price`, not a view's name and answer profile. And a `fork` copies
 //! the per-selection state only — its footprint does not know the pool
@@ -15,6 +17,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use mv_cost::{Placement, Price};
+use mv_obs::{Counter, CounterGuard};
 use mv_select::{fixtures, local_search, IncrementalEvaluator, Scenario};
 
 struct Counting;
@@ -70,7 +73,8 @@ fn a_thousand_warm_probes_allocate_nothing() {
     for k in (0..n).step_by(3) {
         ev.flip(k);
     }
-    // The walk: single toggles (on and off) and swaps, as the move
+    // The walk: single toggles (on and off) and swaps — the `out`
+    // toggled for real around the probe of the `in_` — as the move
     // loops issue them.
     let walk = |ev: &mut IncrementalEvaluator<'_>| {
         let mut folded = 0u64;
@@ -78,16 +82,19 @@ fn a_thousand_warm_probes_allocate_nothing() {
             let k = (i * 7) % n;
             let other = (i * 13 + 1) % n;
             let score = if i % 4 == 3 && other != k {
-                ev.probe(&[k, other])
+                ev.toggle(k);
+                let score = ev.probe(other);
+                ev.toggle(k);
+                score
             } else {
-                ev.probe(&[k])
+                ev.probe(k)
             };
             folded ^= score.time.value().to_bits();
         }
         folded
     };
-    // Warm-up: the same walk once, so the dirty list and the probe's
-    // scratch have grown to their working size.
+    // Warm-up: the same walk once, so the dirty list has grown to its
+    // working size.
     let warm = walk(&mut ev);
     let before = allocations();
     let timed = walk(&mut ev);
@@ -95,6 +102,13 @@ fn a_thousand_warm_probes_allocate_nothing() {
     assert_eq!(after - before, 0, "probe allocated on a warm evaluator");
     // The walk left no trace: both passes scored the same neighbours.
     assert_eq!(warm, timed);
+    // A probe keeps no scratch, so a fresh fork's first probes allocate
+    // nothing either.
+    let mut fork = ev.fork();
+    let before = allocations();
+    let first = (0..n).fold(0, |acc, k| acc ^ fork.probe(k).time.value().to_bits());
+    assert_eq!(allocations() - before, 0, "a fork's first probes allocated");
+    assert_ne!(first, 0);
     // The counter does count: a snapshot held across a flip shares
     // the selection's words, so the unflip copies them.
     let before = allocations();
@@ -103,6 +117,57 @@ fn a_thousand_warm_probes_allocate_nothing() {
     ev.unflip(1);
     assert!(allocations() > before, "allocation counter is not live");
     assert!(held.selection.contains(1) && !ev.is_selected(1));
+}
+
+#[test]
+fn a_probe_is_one_snapshot_and_no_flips() {
+    let problem = fixtures::random_sparse_problem(44, 600, 40, 0.05);
+    let mut ev = IncrementalEvaluator::new(&problem);
+    for k in (0..problem.len()).step_by(3) {
+        ev.flip(k);
+    }
+    let counters = CounterGuard::scoped();
+    for k in 0..problem.len() {
+        ev.probe(k);
+    }
+    assert_eq!(counters.local_delta(Counter::EvaluatorFlip), 0);
+    assert_eq!(counters.local_delta(Counter::EvaluatorUnflip), 0);
+    assert_eq!(
+        counters.local_delta(Counter::EvaluatorSnapshot),
+        problem.len() as u64
+    );
+}
+
+#[test]
+fn a_round_with_no_move_toggles_twice_per_swap_row() {
+    // At a local optimum one more round probes the whole neighbourhood
+    // — n flips and s·u swaps — and applies nothing: each of the s swap
+    // rows deselects its `out` and selects it back, and that is every
+    // write the round makes.
+    let scenario = Scenario::tradeoff_normalized(0.5);
+    let mut ev = mid_search(600, 40);
+    let n = ev.problem().len();
+    let baseline = ev.problem().baseline();
+    local_search::improve(&mut ev, scenario, &baseline, 4 * n);
+    let s = ev.selection().count_ones();
+    let u = n - s;
+    assert!(s > 0 && u > 0, "{s} selected of {n}");
+    let standing = ev.selection().clone();
+    let counters = CounterGuard::scoped();
+    local_search::improve(&mut ev, scenario, &baseline, 1);
+    assert_eq!(*ev.selection(), standing, "not a local optimum");
+    let toggles = counters.local_delta(Counter::EvaluatorFlip)
+        + counters.local_delta(Counter::EvaluatorUnflip);
+    assert_eq!(toggles, 2 * s as u64);
+    assert_eq!(
+        counters.local_delta(Counter::SearchProbes),
+        (n + s * u) as u64
+    );
+    // One score of the standing selection, one snapshot per probe.
+    assert_eq!(
+        counters.local_delta(Counter::EvaluatorSnapshot),
+        (1 + n + s * u) as u64
+    );
 }
 
 /// A third of the pool selected, as mid-search, on an evaluator that
@@ -163,8 +228,9 @@ fn a_round_of_placement_probes_allocates_nothing() {
     // One `improve_joint` round at a local optimum probes every
     // placement move (n of them) on top of `improve`'s neighbourhood and
     // applies none. The spot pool is dearer, so none improves — and the
-    // round must allocate exactly what the plain round does (its move
-    // list), however many candidates were placement-probed.
+    // round must allocate exactly what the plain round does (its lists
+    // of selected and unselected views), however many candidates were
+    // placement-probed.
     let scenario = Scenario::tradeoff_normalized(0.5);
     let mut ev = mid_search(600, 40);
     let n = ev.problem().len();
