@@ -34,6 +34,13 @@
 //!   which is why the throughput model charges scans, not merges.
 //! * `evaluator/exhaustive_n20/*` — the 2²⁰-subset exhaustive sweep at
 //!   one and eight threads.
+//! * `select/probe/*`, `select/improve/*` — the read the move loops
+//!   make, where the Monte-Carlo forests make it (the SSB advisor's 63
+//!   cuboids over 13 queries, at the MV3 plan): one flip-on
+//!   `IncrementalEvaluator::probe`, and one `local_search::improve`
+//!   round that finds no move — n + s·u probes and 2·s toggles. (The
+//!   benchmark's `select.probe_ns` times `flip → snapshot → unflip`,
+//!   the reference a probe is held to, not `probe`.)
 //!
 //! Each id runs under [`timer::run`] (`tests/micro_timer.rs` holds its
 //! two output lines). Timing mode prints one JSON object per id;
@@ -47,11 +54,11 @@ use std::hint::black_box;
 
 use mv_engine::{datagen, AggQuery, AggSpec, MaterializedView, SalesConfig, ViewDefinition};
 use mv_obs::{Counter, Hist};
-use mv_select::{fixtures, SolverKind};
+use mv_select::{fixtures, local_search, IncrementalEvaluator, SolverKind};
 use mvcloud::cost::{CalibratedParams, MeterSample, WorkKind};
 use mvcloud::lattice::WorkloadEvolution;
 use mvcloud::units::{Gb, Hours, Money};
-use mvcloud::{sales_domain, Advisor, AdvisorConfig, CalibrationConfig, Scenario};
+use mvcloud::{sales_domain, ssb_domain, Advisor, AdvisorConfig, CalibrationConfig, Scenario};
 use timer::run;
 
 const SITES: usize = 1000;
@@ -289,6 +296,28 @@ fn bench_exhaustive_threads() {
     }
 }
 
+/// A probe and a no-move round at a node of `montecarlo`'s SSB forest:
+/// r 2 000, 63 cuboids, 13 queries, standing on the local-search plan.
+fn bench_probe_and_round() {
+    let advisor = Advisor::build(ssb_domain(2_000, 1.0, 42), AdvisorConfig::default())
+        .expect("advisor builds");
+    let problem = advisor.problem();
+    let scenario = Scenario::tradeoff_normalized(0.5);
+    let baseline = problem.baseline();
+    let mut ev = IncrementalEvaluator::new(problem);
+    local_search::greedy_fill(&mut ev, scenario, &baseline);
+    local_search::improve(&mut ev, scenario, &baseline, usize::MAX);
+    let unselected = (0..problem.len())
+        .find(|&k| !ev.is_selected(k))
+        .expect("an unselected view");
+    run("select/probe", "ssb_n63", || {
+        ev.probe(black_box(unselected))
+    });
+    run("select/improve", "warm_round_ssb_n63", || {
+        local_search::improve(&mut ev, scenario, &baseline, 1).time
+    });
+}
+
 fn main() {
     bench_obs_disabled();
     bench_obs_enabled();
@@ -300,4 +329,5 @@ fn main() {
     bench_answer_profile();
     bench_aggregation_threads();
     bench_exhaustive_threads();
+    bench_probe_and_round();
 }
