@@ -33,12 +33,9 @@ use mv_engine::{
     AggQuery, AggSpec, MaterializedView, SimScale, Table, ThroughputModel, ViewCatalog,
     ViewDefinition,
 };
-use mv_lattice::{candidates, CandidateStream, Cuboid, SizeEstimator};
+use mv_lattice::{candidates, Cuboid, SizeEstimator};
 use mv_pricing::{PricingPolicy, UsageLedger};
-use mv_select::{
-    local_search, IncrementalEvaluator, Outcome, Scenario, SelectionProblem, SelectionSet,
-    SolverKind,
-};
+use mv_select::{Outcome, Scenario, SelectionProblem, SelectionSet, SolverKind};
 use mv_units::{Gb, Hours, Months};
 
 use crate::{AdvisorError, Domain};
@@ -119,74 +116,6 @@ impl Default for AdvisorConfig {
     }
 }
 
-/// How [`Advisor::solve_streaming`] pulls candidate cuboids.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StreamStrategy {
-    /// HRU greedy benefit order over the lazily-walked lattice, optionally
-    /// capped at a pull budget.
-    HruGreedy(Option<usize>),
-    /// Workload-closure members in static benefit-per-space order.
-    WorkloadClosure,
-}
-
-/// Tuning knobs for the streaming solve.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StreamingConfig {
-    /// Candidate source and order.
-    pub strategy: StreamStrategy,
-    /// Dominance slack for retiring dominated, deselected candidates as
-    /// they accrue (which bounds the live pool), following Aouiche, Jouve &
-    /// Darmont's observation that near-duplicate candidate views (views
-    /// whose sizes and speedups differ only marginally) can be pruned
-    /// as a cluster without hurting the reachable optimum: candidate
-    /// `b` is retired when some live `a` is within a `(1 + ε)` factor
-    /// of `b` on every charge axis and strictly better somewhere. `0.0`
-    /// (the default) is exact strict Pareto dominance — retirement then
-    /// provably cannot push the reachable optimum up. Positive ε trades
-    /// a bounded optimum regression for a smaller live pool on lattices
-    /// full of near-duplicates.
-    pub retire_epsilon: f64,
-    /// Pull-adaptive stopping: when set, the stream stops early once
-    /// the marginal benefit per measurement — the improvement of the
-    /// scenario's objective (or, while infeasible, its violation)
-    /// produced by a pull's admission + repair — stays below this
-    /// threshold for [`StreamingConfig::stop_patience`] consecutive
-    /// pulls. `None` (the default) drains the stream fully. Because
-    /// streams yield in estimated-benefit order, a dry spell is
-    /// evidence the tail is dry too — huge lattices never need a full
-    /// drain.
-    pub stop_marginal: Option<f64>,
-    /// Consecutive below-threshold pulls tolerated before stopping
-    /// (only meaningful with `stop_marginal`; a benefit-ordered stream
-    /// can still interleave a few duds before a useful candidate).
-    pub stop_patience: usize,
-}
-
-impl Default for StreamingConfig {
-    fn default() -> Self {
-        StreamingConfig {
-            strategy: StreamStrategy::HruGreedy(None),
-            retire_epsilon: 0.0,
-            stop_marginal: None,
-            stop_patience: 3,
-        }
-    }
-}
-
-/// Accounting for one streaming solve.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StreamingReport {
-    /// Cuboids pulled from the stream (each was materialized + metered).
-    pub pulled: usize,
-    /// Candidates surviving in the advisor's problem at drain.
-    pub admitted: usize,
-    /// Dominated candidates retired mid-stream.
-    pub retired: usize,
-    /// Whether the pull-adaptive stopping rule cut the stream before it
-    /// drained (always `false` when `stop_marginal` is `None`).
-    pub stopped_early: bool,
-}
-
 /// One measured candidate: the lattice cuboid, its engine view, and the
 /// derived [`ViewCharge`].
 #[derive(Debug, Clone)]
@@ -243,13 +172,9 @@ pub(crate) fn cost_model_for(
     }))
 }
 
-/// The shared measurement context: validated instance capacity, the
-/// engine→cloud scale mapping, the executable workload, and the
-/// extrapolation parameters. Both the batch pipeline
-/// ([`Advisor::build`]) and the streaming pipeline
-/// ([`Advisor::solve_streaming`]) meter candidates through one of
-/// these, so a streamed candidate's [`ViewCharge`] is bit-identical to
-/// the batch measurement of the same cuboid.
+/// The measurement context [`Advisor::build`] meters candidates
+/// through: validated instance capacity, the engine→cloud scale
+/// mapping, the executable workload, and the extrapolation parameters.
 pub(crate) struct CandidateMeter<'a> {
     domain: &'a Domain,
     config: &'a AdvisorConfig,
@@ -460,12 +385,6 @@ impl<'a> CandidateMeter<'a> {
     }
 }
 
-/// Local-search improvement moves [`Advisor::solve_streaming`] budgets
-/// after each admission (the newcomer probe always runs).
-const STREAM_MOVES_PER_PULL: usize = 2;
-/// Its improvement budget for each polish pass at stream drain.
-const STREAM_FINAL_MOVES: usize = 64;
-
 /// How a driver meters one cuboid beside the candidates it already
 /// holds: [`CandidateMeter::measure`], or the slow reference the
 /// differential tests hold it to.
@@ -538,164 +457,6 @@ impl Advisor {
         })
     }
 
-    /// Streaming counterpart of [`Advisor::build`] + [`Advisor::solve`]:
-    /// pulls candidate cuboids lazily from a benefit-ordered
-    /// [`CandidateStream`], materializes and meters each one *on
-    /// admission*, keeps the running selection locally repaired with
-    /// bounded flip/swap local search, and retires (ε-)dominated
-    /// candidates so the live pool stays small
-    /// ([`StreamingConfig::retire_epsilon`]; 0 = strict dominance).
-    /// The pool lives here, as plain `Vec`s: each pull builds one
-    /// [`IncrementalEvaluator`] over it at the standing selection
-    /// (O(Σ deg + m), beside the engine measurement the pull pays).
-    /// With [`StreamingConfig::stop_marginal`] set, the stream also
-    /// stops early once the marginal benefit per measurement stays
-    /// below the threshold for [`StreamingConfig::stop_patience`]
-    /// consecutive pulls — huge lattices never need a full drain.
-    ///
-    /// The search is *anytime* — after every pull it holds a
-    /// feasibility-ranked answer — and at drain a greedy-restart
-    /// multi-start pass guarantees the reported outcome is never worse
-    /// than batch greedy over the same candidate pool (property-tested in
-    /// `tests/streaming.rs`). Returns the advisor over the surviving
-    /// pool (usable for sweeps, materialization, ledgers), the chosen
-    /// outcome, and pull/retire accounting. No binary, example or
-    /// benchmark workload calls it yet: its callers are the unit tests
-    /// here, `tests/streaming.rs` and the reference-meter identity.
-    pub fn solve_streaming(
-        domain: Domain,
-        config: AdvisorConfig,
-        scenario: Scenario,
-        streaming: StreamingConfig,
-    ) -> Result<(Advisor, Outcome, StreamingReport), AdvisorError> {
-        Self::stream_with(
-            domain,
-            config,
-            scenario,
-            streaming,
-            |meter, cuboid, held| meter.measure(cuboid, held),
-        )
-    }
-
-    fn stream_with(
-        domain: Domain,
-        config: AdvisorConfig,
-        scenario: Scenario,
-        streaming: StreamingConfig,
-        measure: Measure,
-    ) -> Result<(Advisor, Outcome, StreamingReport), AdvisorError> {
-        let meter = CandidateMeter::new(&domain, &config)?;
-        let charges = meter.workload_charges()?;
-        let model = cost_model_for(&config, charges)?;
-        let baseline = SelectionProblem::new(model.clone(), Vec::new()).baseline();
-        let estimator = SizeEstimator::new(domain.base.num_rows() as u64);
-        let mut stream = match streaming.strategy {
-            StreamStrategy::HruGreedy(limit) => {
-                let s = CandidateStream::hru(&domain.lattice, &estimator, &domain.workload);
-                match limit {
-                    Some(k) => s.with_limit(k),
-                    None => s,
-                }
-            }
-            StreamStrategy::WorkloadClosure => {
-                CandidateStream::closure(&domain.lattice, &estimator, &domain.workload)
-            }
-        };
-
-        // The pool and the standing selection over it, between evaluators.
-        let mut measured: Vec<MeasuredCandidate> = Vec::new();
-        let mut standing: Vec<bool> = Vec::new();
-        let problem_over = |measured: &[MeasuredCandidate]| {
-            let charges = measured.iter().map(|m| m.charge.clone()).collect();
-            SelectionProblem::new(model.clone(), charges)
-        };
-        let mut current = baseline.clone();
-        let mut pulled = 0usize;
-        let mut retired = 0usize;
-        let mut stalled = 0usize;
-        let mut stopped_early = false;
-        for cuboid in stream.by_ref() {
-            pulled += 1;
-            let before = current.clone();
-            let m = measure(&meter, cuboid, &measured)?;
-            measured.push(m);
-            standing.push(false);
-            let problem = problem_over(&measured);
-            let selection = SelectionSet::from_bools(&standing);
-            let mut ev = IncrementalEvaluator::with_selection(&problem, &selection);
-            let k = measured.len() - 1;
-            // Admission probe: select the newcomer iff it improves the
-            // scenario ordering right now.
-            ev.flip(k);
-            if !scenario.better(&ev.score(), &current, &baseline) {
-                ev.unflip(k);
-            }
-            // Bounded repair keeps the running (anytime) answer locally
-            // optimal as the pool evolves.
-            current = local_search::improve(&mut ev, scenario, &baseline, STREAM_MOVES_PER_PULL);
-            standing = ev.selection().iter().collect();
-            retired += retire_dominated(&mut measured, &mut standing, streaming.retire_epsilon);
-            // Pull-adaptive stopping: a measurement is "worth it" while
-            // it keeps buying progress in the scenario's own ordering.
-            if let Some(threshold) = streaming.stop_marginal {
-                let gain = marginal_gain(scenario, &before, &current, &baseline);
-                if gain < threshold {
-                    stalled += 1;
-                    if stalled >= streaming.stop_patience.max(1) {
-                        stopped_early = true;
-                        break;
-                    }
-                } else {
-                    stalled = 0;
-                }
-            }
-        }
-        drop(stream);
-
-        // Drain: polish the streamed answer, then multi-start against a
-        // greedy fill from empty over the surviving pool; keep the better.
-        let problem = problem_over(&measured);
-        let selection = SelectionSet::from_bools(&standing);
-        let mut ev = IncrementalEvaluator::with_selection(&problem, &selection);
-        let streamed = local_search::improve(&mut ev, scenario, &baseline, STREAM_FINAL_MOVES);
-        for k in 0..ev.problem().len() {
-            if ev.is_selected(k) {
-                ev.unflip(k);
-            }
-        }
-        local_search::greedy_fill(&mut ev, scenario, &baseline);
-        let restart = local_search::improve(&mut ev, scenario, &baseline, STREAM_FINAL_MOVES);
-        let best = if scenario.better(&restart, &streamed, &baseline) {
-            restart
-        } else {
-            streamed
-        };
-
-        // Re-derive the baseline over the *final* problem so the outcome's
-        // baseline selection has the same length as its evaluation's (as
-        // the batch path guarantees); the cost/time values are identical
-        // to the zero-candidate baseline used during the stream.
-        let outcome = Outcome::new(best, problem.baseline(), scenario, SolverKind::LocalSearch);
-        let base_builds = meter.base_builds.get();
-        let CandidateMeter { scale, queries, .. } = meter;
-        let advisor = Advisor {
-            domain,
-            config,
-            scale,
-            queries,
-            measured,
-            base_builds,
-            problem,
-        };
-        let report = StreamingReport {
-            pulled,
-            admitted: advisor.problem.len(),
-            retired,
-            stopped_early,
-        };
-        Ok((advisor, outcome, report))
-    }
-
     /// The underlying selection problem.
     pub fn problem(&self) -> &SelectionProblem {
         &self.problem
@@ -737,20 +498,6 @@ impl Advisor {
     pub fn solve(&self, scenario: Scenario, solver: SolverKind) -> Outcome {
         mv_obs::span!("advisor/solve");
         mv_select::solve(&self.problem, scenario, solver)
-    }
-
-    /// An [`mv_select::IncrementalEvaluator`] positioned at the empty
-    /// selection over this advisor's problem — the O(m)-per-flip probe
-    /// interface for interactive what-if exploration and custom search
-    /// loops over the measured candidates.
-    pub fn evaluator(&self) -> mv_select::IncrementalEvaluator<'_> {
-        mv_select::IncrementalEvaluator::new(&self.problem)
-    }
-
-    /// The full (time, cost) solution space over the measured candidates,
-    /// swept in parallel when the candidate count warrants it.
-    pub fn solution_space(&self) -> Vec<mv_select::pareto::SpacePoint> {
-        mv_select::pareto::solution_space(&self.problem)
     }
 
     /// Registers the outcome's selected views in a fresh catalog — the
@@ -814,118 +561,6 @@ impl Advisor {
         ledger.record_transfer_out("query results", model.context().total_result_size());
         ledger
     }
-}
-
-/// The scenario-ordered improvement a pull bought: while either end is
-/// infeasible, progress is measured as constraint-violation reduction;
-/// once feasible, as objective reduction. Negative when the pull (plus
-/// repair) made things worse under that measure — the stopping rule
-/// treats that as a stalled pull too.
-fn marginal_gain(
-    scenario: Scenario,
-    before: &mv_select::Evaluation,
-    after: &mv_select::Evaluation,
-    baseline: &mv_select::Evaluation,
-) -> f64 {
-    let (vb, va) = (scenario.violation(before), scenario.violation(after));
-    if vb > 0.0 || va > 0.0 {
-        vb - va
-    } else {
-        scenario.objective(before, baseline) - scenario.objective(after, baseline)
-    }
-}
-
-/// Retires every deselected candidate (ε-)dominated by a live one,
-/// keeping `selected` aligned with `measured` (mirrored
-/// `swap_remove`s). With `epsilon == 0` this is strict Pareto
-/// dominance: any selection using a dominated view maps to one using
-/// its dominator that is never slower, never costlier and never
-/// infeasible-when-the-original-was-feasible, so retirement cannot push
-/// the reachable optimum up. Positive `epsilon` additionally collapses
-/// near-duplicates (Aouiche et al.-style pruning) at the cost of a
-/// bounded optimum regression. Returns how many were retired.
-fn retire_dominated(
-    measured: &mut Vec<MeasuredCandidate>,
-    selected: &mut Vec<bool>,
-    epsilon: f64,
-) -> usize {
-    let mut removed = 0;
-    // One descending pass suffices: removing index j swap-moves only the
-    // (already-checked) last index down, and strict dominance is
-    // transitive, so anything dominated by a victim is also dominated by
-    // the victim's own surviving dominator — no rescan needed. O(n²·m)
-    // total instead of O(n³·m) restart-per-removal. (ε-dominance is not
-    // transitive; a single pass may then retire fewer than a fixpoint
-    // would, which only errs on the safe side.)
-    let mut j = measured.len();
-    while j > 0 {
-        j -= 1;
-        if selected[j] {
-            continue;
-        }
-        let victim = &measured[j].charge;
-        if (0..measured.len())
-            .any(|i| i != j && dominates_within(&measured[i].charge, victim, epsilon))
-        {
-            measured.swap_remove(j);
-            selected.swap_remove(j);
-            removed += 1;
-        }
-    }
-    removed
-}
-
-/// (ε-)Pareto dominance of view charges: `a` ε-dominates `b` when, with
-/// slack factor `r = 1 + epsilon`, `a` answers every query `b` answers
-/// in at most `r×` the time, costs at most `r×` as much to
-/// store/maintain/build, and is *strictly* better somewhere in the
-/// unrelaxed comparison. At `epsilon == 0` this is exactly strict
-/// Pareto dominance: exact duplicates dominate in neither direction, so
-/// ties are never retired. (With `epsilon > 0`, two near-duplicates can
-/// ε-dominate each other; retirement order then decides which of the
-/// cluster survives — the clustering-based pruning rationale of Aouiche
-/// et al.)
-fn dominates_within(a: &ViewCharge, b: &ViewCharge, epsilon: f64) -> bool {
-    debug_assert!(epsilon >= 0.0, "dominance slack must be non-negative");
-    let r = 1.0 + epsilon;
-    if a.size.value() > b.size.value() * r
-        || a.maintenance.value() > b.maintenance.value() * r
-        || a.materialization.value() > b.materialization.value() * r
-    {
-        return false;
-    }
-    let mut strict =
-        a.size < b.size || a.maintenance < b.maintenance || a.materialization < b.materialization;
-    // Merge-join the two sparse profiles (both ascending by query id):
-    // a query answered only by `a` is a strict win, only by `b` kills
-    // the dominance, answered by both compares under the slack factor.
-    let (aq, at) = (a.profile.query_ids(), a.profile.times());
-    let (bq, bt) = (b.profile.query_ids(), b.profile.times());
-    let (mut i, mut j) = (0, 0);
-    while i < aq.len() || j < bq.len() {
-        match (aq.get(i), bq.get(j)) {
-            (Some(qa), Some(qb)) if qa == qb => {
-                if at[i].value() > bt[j].value() * r {
-                    return false;
-                }
-                if at[i] < bt[j] {
-                    strict = true;
-                }
-                i += 1;
-                j += 1;
-            }
-            (Some(qa), Some(qb)) if qa < qb => {
-                strict = true;
-                i += 1;
-            }
-            (Some(_), None) => {
-                strict = true;
-                i += 1;
-            }
-            _ => return false,
-        }
-    }
-    strict
 }
 
 /// A monthly insert batch for maintenance metering: `fraction` of the base
@@ -1053,257 +688,6 @@ mod tests {
         assert!(hru.problem().len() <= 4);
     }
 
-    #[test]
-    fn streaming_solve_reports_and_reproduces() {
-        let domain = sales_domain(1_200, 4, 2.0, 42);
-        let scenario = Scenario::tradeoff_normalized(0.5);
-        let (advisor, outcome, report) = Advisor::solve_streaming(
-            domain,
-            AdvisorConfig::default(),
-            scenario,
-            StreamingConfig::default(),
-        )
-        .unwrap();
-        assert!(report.pulled > 0);
-        assert_eq!(report.admitted + report.retired, report.pulled);
-        assert_eq!(report.admitted, advisor.problem().len());
-        assert_eq!(advisor.candidates().len(), advisor.problem().len());
-        // measured stays aligned with the problem's candidate order
-        // through retirement swap-removes.
-        for (m, c) in advisor
-            .candidates()
-            .iter()
-            .zip(advisor.problem().candidates())
-        {
-            assert_eq!(m.charge, *c);
-        }
-        // The outcome reproduces by full evaluation on the surviving pool,
-        // and its baseline is the final problem's baseline (same selection
-        // length as the evaluation, like the batch path).
-        assert_eq!(
-            outcome.evaluation,
-            advisor.problem().evaluate(&outcome.evaluation.selection)
-        );
-        assert_eq!(outcome.baseline, advisor.problem().baseline());
-        assert_eq!(outcome.solver, SolverKind::LocalSearch);
-        assert!(outcome.evaluation.time < outcome.baseline.time);
-        // The streamed advisor is a full advisor: its selection
-        // materializes and serves queries.
-        let catalog = advisor.materialize_selection(&outcome).unwrap();
-        assert_eq!(catalog.len(), outcome.evaluation.num_selected());
-    }
-
-    #[test]
-    fn streaming_builds_one_evaluator_per_pull() {
-        // The SSB closure stream, sized so that ε = 0.25 finds
-        // near-duplicates to retire on some pulls and none on others.
-        let guard = mv_obs::CounterGuard::scoped();
-        let (_, _, report) = Advisor::solve_streaming(
-            crate::ssb_domain(500, 1.0, 42),
-            AdvisorConfig {
-                sizing: SizingMode::MeasuredScaled,
-                ..AdvisorConfig::default()
-            },
-            Scenario::tradeoff_normalized(0.5),
-            StreamingConfig {
-                strategy: StreamStrategy::WorkloadClosure,
-                retire_epsilon: 0.25,
-                ..StreamingConfig::default()
-            },
-        )
-        .unwrap();
-        assert!(0 < report.retired && report.retired < report.pulled);
-        // One per admission and one to drain: no probe, repair move,
-        // retiring pass or greedy restart builds another.
-        assert_eq!(
-            guard.local_delta(mv_obs::Counter::EvaluatorBuild) as usize,
-            report.pulled + 1
-        );
-    }
-
-    #[test]
-    fn streaming_with_pull_budget_is_anytime() {
-        let domain = sales_domain(800, 3, 1.0, 7);
-        let scenario = Scenario::budget(Money::from_dollars(1_000));
-        let (advisor, outcome, report) = Advisor::solve_streaming(
-            domain,
-            AdvisorConfig::default(),
-            scenario,
-            StreamingConfig {
-                strategy: StreamStrategy::HruGreedy(Some(2)),
-                ..StreamingConfig::default()
-            },
-        )
-        .unwrap();
-        // The pull budget caps measurement work, yet a usable (feasible,
-        // improving) answer still comes back.
-        assert!(report.pulled <= 2);
-        assert!(advisor.problem().len() <= 2);
-        assert!(outcome.feasible());
-        assert!(outcome.evaluation.time < outcome.baseline.time);
-    }
-
-    #[test]
-    fn dominance_is_strict_and_directional() {
-        let a = ViewCharge::new("a", Gb::new(1.0), Hours::new(0.1), Hours::new(0.1), 2)
-            .answers(0, Hours::new(0.01));
-        // Bigger, slower, answers nothing extra: dominated.
-        let b = ViewCharge::new("b", Gb::new(2.0), Hours::new(0.1), Hours::new(0.1), 2)
-            .answers(0, Hours::new(0.02));
-        assert!(dominates_within(&a, &b, 0.0));
-        assert!(!dominates_within(&b, &a, 0.0));
-        // Answering an extra query protects from domination.
-        let c = ViewCharge::new("c", Gb::new(5.0), Hours::new(0.1), Hours::new(0.1), 2)
-            .answers(0, Hours::new(0.02))
-            .answers(1, Hours::new(0.5));
-        assert!(!dominates_within(&a, &c, 0.0));
-        // Exact duplicates dominate in neither direction (never retired).
-        assert!(!dominates_within(&a, &a.clone(), 0.0));
-    }
-
-    #[test]
-    fn epsilon_dominance_collapses_near_duplicates() {
-        // `a` is marginally larger than `d` (within 5%) but strictly
-        // faster: strict dominance keeps both, ε-dominance retires `d`.
-        let a = ViewCharge::new("a", Gb::new(1.02), Hours::new(0.1), Hours::new(0.1), 2)
-            .answers(0, Hours::new(0.01));
-        let d = ViewCharge::new("d", Gb::new(1.0), Hours::new(0.1), Hours::new(0.1), 2)
-            .answers(0, Hours::new(0.02));
-        assert!(!dominates_within(&a, &d, 0.0));
-        assert!(dominates_within(&a, &d, 0.05));
-        // The slack is bounded: a 30% size premium still protects `d`.
-        let fat = ViewCharge::new("fat", Gb::new(1.3), Hours::new(0.1), Hours::new(0.1), 2)
-            .answers(0, Hours::new(0.01));
-        assert!(!dominates_within(&fat, &d, 0.05));
-        // Exact duplicates still dominate in neither direction: the
-        // strict-somewhere requirement is unrelaxed.
-        assert!(!dominates_within(&d, &d.clone(), 0.5));
-        // The slack never excuses being slower: `d` answers Q0 in 2×
-        // `a`'s time, far outside 5%.
-        assert!(!dominates_within(&d, &a, 0.05));
-    }
-
-    #[test]
-    fn epsilon_zero_streaming_matches_strict_default() {
-        // The ε knob's default must preserve the pre-ε behavior bit for
-        // bit: an explicit 0.0 is the same solve as the default config.
-        let domain = sales_domain(900, 4, 2.0, 13);
-        let scenario = Scenario::tradeoff_normalized(0.5);
-        let (a1, o1, r1) = Advisor::solve_streaming(
-            domain.clone(),
-            AdvisorConfig::default(),
-            scenario,
-            StreamingConfig::default(),
-        )
-        .unwrap();
-        let (a2, o2, r2) = Advisor::solve_streaming(
-            domain,
-            AdvisorConfig::default(),
-            scenario,
-            StreamingConfig {
-                retire_epsilon: 0.0,
-                ..StreamingConfig::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(r1, r2);
-        assert_eq!(o1.evaluation, o2.evaluation);
-        assert_eq!(a1.problem().len(), a2.problem().len());
-    }
-
-    #[test]
-    fn generous_epsilon_retires_at_least_as_many() {
-        let domain = sales_domain(900, 4, 2.0, 13);
-        let scenario = Scenario::tradeoff_normalized(0.5);
-        let strict = Advisor::solve_streaming(
-            domain.clone(),
-            AdvisorConfig::default(),
-            scenario,
-            StreamingConfig::default(),
-        )
-        .unwrap()
-        .2;
-        let eps = Advisor::solve_streaming(
-            domain,
-            AdvisorConfig::default(),
-            scenario,
-            StreamingConfig {
-                retire_epsilon: 0.25,
-                ..StreamingConfig::default()
-            },
-        )
-        .unwrap()
-        .2;
-        assert!(eps.retired >= strict.retired);
-        assert_eq!(eps.admitted + eps.retired, eps.pulled);
-    }
-
-    #[test]
-    fn pull_adaptive_stopping_cuts_the_stream() {
-        let domain = sales_domain(1_000, 4, 2.0, 42);
-        let scenario = Scenario::tradeoff_normalized(0.5);
-        // Reference: full drain.
-        let (_, _, full) = Advisor::solve_streaming(
-            domain.clone(),
-            AdvisorConfig::default(),
-            scenario,
-            StreamingConfig::default(),
-        )
-        .unwrap();
-        assert!(!full.stopped_early);
-        // An impossible per-pull bar stops as soon as patience runs out.
-        let (advisor, outcome, cut) = Advisor::solve_streaming(
-            domain,
-            AdvisorConfig::default(),
-            scenario,
-            StreamingConfig {
-                stop_marginal: Some(f64::INFINITY),
-                stop_patience: 2,
-                ..StreamingConfig::default()
-            },
-        )
-        .unwrap();
-        assert!(cut.stopped_early);
-        assert_eq!(cut.pulled, 2, "patience bounds the pulls");
-        assert!(cut.pulled < full.pulled);
-        assert_eq!(cut.admitted + cut.retired, cut.pulled);
-        // The truncated solve still returns a coherent, usable advisor.
-        assert_eq!(advisor.problem().len(), cut.admitted);
-        assert_eq!(
-            outcome.evaluation,
-            advisor.problem().evaluate(&outcome.evaluation.selection)
-        );
-    }
-
-    #[test]
-    fn lenient_threshold_drains_like_default() {
-        // Every useful pull clears a tiny threshold, so the stream
-        // drains and the outcome matches the unstopped solve.
-        let domain = sales_domain(900, 3, 5.0, 7);
-        let scenario = Scenario::budget(Money::from_dollars(1_000));
-        let (_, o_full, r_full) = Advisor::solve_streaming(
-            domain.clone(),
-            AdvisorConfig::default(),
-            scenario,
-            StreamingConfig::default(),
-        )
-        .unwrap();
-        let (_, o_stop, r_stop) = Advisor::solve_streaming(
-            domain,
-            AdvisorConfig::default(),
-            scenario,
-            StreamingConfig {
-                stop_marginal: Some(1e-12),
-                stop_patience: r_full.pulled,
-                ..StreamingConfig::default()
-            },
-        )
-        .unwrap();
-        assert!(!r_stop.stopped_early);
-        assert_eq!(r_stop.pulled, r_full.pulled);
-        assert_eq!(o_stop.evaluation, o_full.evaluation);
-    }
-
     impl CandidateMeter<'_> {
         /// The reference's extrapolated-mode conversion, as it stood.
         fn scan_hours(
@@ -1424,9 +808,7 @@ mod tests {
     }
 
     /// [`Advisor::build`] against the reference meter over both sizing
-    /// modes, the three batch strategies and one and two engine threads;
-    /// then [`Advisor::solve_streaming`], drained with ε-retirement and
-    /// cut by a pull budget.
+    /// modes, the three strategies and one and two engine threads.
     fn assert_meter_identity(name: &str, domain: &Domain) {
         use CandidateStrategy::{FullLattice, HruGreedy, WorkloadClosure};
         for sizing in [SizingMode::Extrapolated, SizingMode::MeasuredScaled] {
@@ -1450,38 +832,6 @@ mod tests {
                 .unwrap();
                 assert_same_pool(&fast, &slow, &what);
             }
-            let config = AdvisorConfig {
-                sizing,
-                ..AdvisorConfig::default()
-            };
-            let scenario = Scenario::tradeoff_normalized(0.5);
-            for streaming in [
-                StreamingConfig {
-                    strategy: StreamStrategy::WorkloadClosure,
-                    retire_epsilon: 0.25,
-                    ..StreamingConfig::default()
-                },
-                StreamingConfig {
-                    strategy: StreamStrategy::HruGreedy(Some(6)),
-                    ..StreamingConfig::default()
-                },
-            ] {
-                let what = format!("{name} {sizing:?} {:?}", streaming.strategy);
-                let (fast, fast_outcome, fast_report) =
-                    Advisor::solve_streaming(domain.clone(), config.clone(), scenario, streaming)
-                        .unwrap();
-                let (slow, slow_outcome, slow_report) = Advisor::stream_with(
-                    domain.clone(),
-                    config.clone(),
-                    scenario,
-                    streaming,
-                    |meter, cuboid, _| meter.measure_reference(cuboid),
-                )
-                .unwrap();
-                assert_same_pool(&fast, &slow, &what);
-                assert_eq!(fast_outcome.evaluation, slow_outcome.evaluation, "{what}");
-                assert_eq!(fast_report, slow_report, "{what}");
-            }
         }
     }
 
@@ -1504,17 +854,6 @@ mod tests {
         let ssb = Advisor::build(crate::ssb_domain(1_000, 1.0, 7), AdvisorConfig::default());
         let ssb = ssb.unwrap();
         assert_eq!((ssb.base_builds(), ssb.candidates().len()), (3, 63));
-        // A stream pulls in benefit order, small views first, so what it
-        // holds rarely derives the next pull: there the gain is the
-        // planned answer profile alone.
-        let (streamed, _, report) = Advisor::solve_streaming(
-            sales_domain(2_000, 10, 1.0, 7),
-            AdvisorConfig::default(),
-            Scenario::tradeoff_normalized(0.5),
-            StreamingConfig::default(),
-        )
-        .unwrap();
-        assert_eq!(streamed.base_builds(), report.pulled);
     }
 
     #[test]

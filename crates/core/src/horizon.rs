@@ -336,79 +336,6 @@ impl Advisor {
     }
 }
 
-/// One point of a horizon what-if sweep: cumulative chain vs myopic
-/// bills after `epochs` periods.
-#[derive(Debug, Clone)]
-pub struct HorizonSweepPoint {
-    /// Horizon length this point represents (1-based epoch count).
-    pub epochs: usize,
-    /// Cumulative transition-aware cost.
-    pub chain_cost: f64,
-    /// Cumulative transition-blind (re-solve each period) cost.
-    pub myopic_cost: f64,
-    /// Cumulative chain processing hours.
-    pub chain_time: f64,
-    /// Cumulative myopic processing hours.
-    pub myopic_time: f64,
-}
-
-/// Sweeps the horizon length: for every prefix of the horizon, the
-/// cumulative chain-vs-myopic bill. Because both policies are
-/// sequential, an `E`-epoch horizon's trajectory is the prefix of the
-/// full one — one chain solve and one myopic solve cover every point.
-pub fn horizon_growth_sweep(
-    advisor: &Advisor,
-    scenario: Scenario,
-    horizon: &HorizonConfig,
-) -> Vec<HorizonSweepPoint> {
-    let chain = advisor.epoch_chain(horizon);
-    let aware = chain.solve(scenario);
-    let myopic = chain.solve_myopic(scenario);
-    let mut out = Vec::with_capacity(aware.len());
-    let (mut cc, mut mc) = (Money::ZERO, Money::ZERO);
-    let (mut ct, mut mt) = (Hours::ZERO, Hours::ZERO);
-    for (e, (a, m)) in aware.iter().zip(&myopic).enumerate() {
-        cc += a.outcome.evaluation.cost();
-        mc += m.outcome.evaluation.cost();
-        ct += a.outcome.evaluation.time;
-        mt += m.outcome.evaluation.time;
-        out.push(HorizonSweepPoint {
-            epochs: e + 1,
-            chain_cost: cc.to_dollars_f64(),
-            myopic_cost: mc.to_dollars_f64(),
-            chain_time: ct.value(),
-            myopic_time: mt.value(),
-        });
-    }
-    out
-}
-
-/// Renders horizon sweep points as CSV.
-pub fn horizon_sweep_csv(points: &[HorizonSweepPoint]) -> String {
-    let rows: Vec<Vec<String>> = points
-        .iter()
-        .map(|p| {
-            vec![
-                p.epochs.to_string(),
-                format!("{:.6}", p.chain_cost),
-                format!("{:.6}", p.myopic_cost),
-                format!("{:.6}", p.chain_time),
-                format!("{:.6}", p.myopic_time),
-            ]
-        })
-        .collect();
-    crate::report::render_csv(
-        &[
-            "epochs",
-            "chain_cost",
-            "myopic_cost",
-            "chain_time",
-            "myopic_time",
-        ],
-        &rows,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -537,26 +464,6 @@ mod tests {
             },
         );
         assert!(err.is_err());
-    }
-
-    #[test]
-    fn growth_sweep_is_cumulative_and_chain_never_loses() {
-        let a = advisor();
-        let scenario = Scenario::tradeoff(0.02);
-        let horizon = HorizonConfig {
-            epochs: 6,
-            evolution: mv_lattice::WorkloadEvolution::seasonal(3, 1.0),
-            commitment: None,
-        };
-        let points = horizon_growth_sweep(&a, scenario, &horizon);
-        assert_eq!(points.len(), 6);
-        for w in points.windows(2) {
-            assert!(w[1].chain_cost >= w[0].chain_cost);
-            assert!(w[1].myopic_cost >= w[0].myopic_cost);
-        }
-        let csv = horizon_sweep_csv(&points);
-        assert_eq!(csv.lines().count(), 7);
-        assert!(csv.starts_with("epochs,chain_cost"));
     }
 
     #[test]

@@ -14,13 +14,12 @@
 //! * [`lattice`] — cuboid lattice, size estimation, candidate generation;
 //! * [`cost`] — the paper's cost formulas (plus interruption-risk
 //!   charging);
-//! * [`select`] — MV1/MV2/MV3 scenarios and the four solvers;
+//! * [`select`] — MV1/MV2/MV3 scenarios and the six solvers;
 //! * [`market`] — cloud price dynamics (spot markets, announced cuts,
 //!   storage decay) and the Monte-Carlo market advisor.
 //!
 //! The [`Advisor`] wires them together — measuring once, then solving a
-//! single period ([`Advisor::solve`]), a lazy candidate stream
-//! ([`Advisor::solve_streaming`]), a whole multi-epoch billing
+//! single period ([`Advisor::solve`]), a whole multi-epoch billing
 //! horizon with drifting workloads and transition-aware carry-over
 //! ([`Advisor::solve_horizon`], [`horizon`]), that same horizon
 //! against `K` sampled price trajectories with risk-adjusted charging
@@ -68,10 +67,7 @@ pub mod scale;
 pub mod service;
 pub mod whatif;
 
-pub use advisor::{
-    Advisor, AdvisorConfig, CandidateStrategy, MeasuredCandidate, SizingMode, StreamStrategy,
-    StreamingConfig, StreamingReport,
-};
+pub use advisor::{Advisor, AdvisorConfig, CandidateStrategy, MeasuredCandidate, SizingMode};
 pub use calibrate::{CalibrationConfig, CalibrationReport, EpochCalibration};
 pub use catalog::{CandidateCatalog, HighWaterMark};
 pub use domain::{sales_domain, ssb_domain, Domain};

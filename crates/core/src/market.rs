@@ -107,10 +107,9 @@ pub struct Quantiles {
 
 impl Quantiles {
     /// Summarizes `values` (must be non-empty). NaNs are tolerated (they
-    /// order last under IEEE total order, never panic); callers with
-    /// user-supplied inputs should prefer [`Quantiles::checked`], which
-    /// rejects non-finite samples with a typed error instead of letting
-    /// them poison the summary.
+    /// order last under IEEE total order, never panic); the Monte-Carlo
+    /// driver rejects non-finite sampled quotes with a typed error before
+    /// any metric is derived from them, so none reaches a report.
     pub fn of(values: &[f64]) -> Quantiles {
         assert!(!values.is_empty(), "quantiles need at least one sample");
         let mut sorted = values.to_vec();
@@ -134,19 +133,6 @@ impl Quantiles {
     /// Summarizes `value` over `items` (must be non-empty).
     pub fn over<T>(items: &[T], value: impl Fn(&T) -> f64) -> Quantiles {
         Quantiles::of(&items.iter().map(value).collect::<Vec<f64>>())
-    }
-
-    /// Like [`Quantiles::of`], but surfaces non-finite samples as
-    /// [`AdvisorError::NonFiniteMetric`] (tagged with `metric`) instead
-    /// of summarizing garbage — the entry point for metrics derived from
-    /// user-supplied configuration.
-    pub fn checked(metric: &str, values: &[f64]) -> Result<Quantiles, AdvisorError> {
-        if values.iter().any(|v| !v.is_finite()) {
-            return Err(AdvisorError::NonFiniteMetric {
-                metric: metric.to_string(),
-            });
-        }
-        Ok(Quantiles::of(values))
     }
 
     /// The p90 − p10 spread (0 for a deterministic market).
@@ -588,12 +574,6 @@ mod tests {
         let q = Quantiles::of(&[1.0, f64::NAN, 0.5]);
         assert_eq!(q.min, 0.5);
         assert!(q.max.is_nan(), "NaN orders last under total order");
-        // The checked entry point surfaces the problem as a typed error.
-        assert!(matches!(
-            Quantiles::checked("bill", &[1.0, f64::NAN]),
-            Err(AdvisorError::NonFiniteMetric { metric }) if metric == "bill"
-        ));
-        assert!(Quantiles::checked("bill", &[1.0, 2.0]).is_ok());
     }
 
     #[test]

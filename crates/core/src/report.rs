@@ -2,7 +2,6 @@
 //! scenario summaries used by every experiment binary.
 
 use mv_select::Outcome;
-use mv_units::Money;
 
 /// Renders a markdown-ish aligned table from a header row and data rows.
 pub fn render_table(header: &[&str], rows: &[Vec<String>]) -> String {
@@ -96,18 +95,6 @@ pub fn summarize(outcome: &Outcome, candidate_names: &[String]) -> String {
     )
 }
 
-/// A cross-provider cost comparison row: provider name, total, and the
-/// breakdown triple. No non-test caller.
-pub fn provider_row(name: &str, compute: Money, storage: Money, transfer: Money) -> Vec<String> {
-    vec![
-        name.to_string(),
-        (compute + storage + transfer).to_string(),
-        compute.to_string(),
-        storage.to_string(),
-        transfer.to_string(),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -136,17 +123,5 @@ mod tests {
         assert_eq!(pct(0.256), "26%");
         assert_eq!(pct(0.6), "60%");
         assert_eq!(pct(0.0), "0%");
-    }
-
-    #[test]
-    fn provider_rows() {
-        let r = provider_row(
-            "aws",
-            Money::from_dollars(1),
-            Money::from_dollars(2),
-            Money::from_cents(50),
-        );
-        assert_eq!(r[0], "aws");
-        assert_eq!(r[1], "$3.50");
     }
 }

@@ -7,10 +7,7 @@
 //! * **budget sweep** — how much faster does each extra dollar make the
 //!   workload (the curve behind the paper's Figure 5(a));
 //! * **deadline sweep** — the cheapest bill at each response-time target;
-//! * **α sweep** — the MV3 pivot between the two optima;
-//! * **horizon sweep** — cumulative chain-vs-myopic bills as a billing
-//!   horizon grows (re-exported from [`crate::horizon`]): where
-//!   transition-aware re-optimization starts paying for itself.
+//! * **α sweep** — the MV3 pivot between the two optima.
 //!
 //! Sweep points are independent solves over the same immutable problem,
 //! so they fan out across threads (contiguous chunks, results stitched
@@ -20,8 +17,6 @@ use mv_select::{Scenario, SelectionProblem, SolverKind};
 use mv_units::{Hours, Money};
 
 use crate::Advisor;
-
-pub use crate::horizon::{horizon_growth_sweep, horizon_sweep_csv, HorizonSweepPoint};
 
 /// One point of a what-if sweep.
 #[derive(Debug, Clone)]
@@ -85,15 +80,15 @@ fn solve_points(
     })
 }
 
-/// [`budget_sweep`] over a bare [`SelectionProblem`] — the entry point
-/// for problems assembled outside a batch advisor, e.g. the surviving
-/// pool of a streaming solve ([`crate::Advisor::solve_streaming`]).
-pub fn budget_sweep_problem(
-    problem: &SelectionProblem,
+/// Sweeps MV1 budgets from the no-view baseline cost upward in `steps`
+/// equal increments of `span`.
+pub fn budget_sweep(
+    advisor: &Advisor,
     span: Money,
     steps: usize,
     solver: SolverKind,
 ) -> Vec<SweepPoint> {
+    let problem = advisor.problem();
     let base_cost = problem.baseline().cost();
     let points = (0..=steps)
         .map(|i| {
@@ -105,23 +100,9 @@ pub fn budget_sweep_problem(
     solve_points(problem, points, solver)
 }
 
-/// Sweeps MV1 budgets from the no-view baseline cost upward in `steps`
-/// equal increments of `span`.
-pub fn budget_sweep(
-    advisor: &Advisor,
-    span: Money,
-    steps: usize,
-    solver: SolverKind,
-) -> Vec<SweepPoint> {
-    budget_sweep_problem(advisor.problem(), span, steps, solver)
-}
-
-/// [`deadline_sweep`] over a bare [`SelectionProblem`].
-pub fn deadline_sweep_problem(
-    problem: &SelectionProblem,
-    fractions: &[f64],
-    solver: SolverKind,
-) -> Vec<SweepPoint> {
+/// Sweeps MV2 deadlines as fractions of the no-view workload time.
+pub fn deadline_sweep(advisor: &Advisor, fractions: &[f64], solver: SolverKind) -> Vec<SweepPoint> {
+    let problem = advisor.problem();
     let base_time = problem.baseline().time;
     let points = fractions
         .iter()
@@ -133,29 +114,15 @@ pub fn deadline_sweep_problem(
     solve_points(problem, points, solver)
 }
 
-/// Sweeps MV2 deadlines as fractions of the no-view workload time.
-pub fn deadline_sweep(advisor: &Advisor, fractions: &[f64], solver: SolverKind) -> Vec<SweepPoint> {
-    deadline_sweep_problem(advisor.problem(), fractions, solver)
-}
-
-/// [`alpha_sweep`] over a bare [`SelectionProblem`].
-pub fn alpha_sweep_problem(
-    problem: &SelectionProblem,
-    steps: usize,
-    solver: SolverKind,
-) -> Vec<SweepPoint> {
+/// Sweeps MV3's α over `steps` equal increments of [0, 1].
+pub fn alpha_sweep(advisor: &Advisor, steps: usize, solver: SolverKind) -> Vec<SweepPoint> {
     let points = (0..=steps)
         .map(|i| {
             let alpha = i as f64 / steps.max(1) as f64;
             (alpha, Scenario::tradeoff_normalized(alpha))
         })
         .collect();
-    solve_points(problem, points, solver)
-}
-
-/// Sweeps MV3's α over `steps` equal increments of [0, 1].
-pub fn alpha_sweep(advisor: &Advisor, steps: usize, solver: SolverKind) -> Vec<SweepPoint> {
-    alpha_sweep_problem(advisor.problem(), steps, solver)
+    solve_points(advisor.problem(), points, solver)
 }
 
 /// Renders sweep points as CSV.
@@ -222,35 +189,6 @@ mod tests {
         for w in points.windows(2) {
             assert!(w[1].time_hours <= w[0].time_hours + 1e-12);
             assert!(w[1].cost_dollars + 1e-9 >= w[0].cost_dollars);
-        }
-    }
-
-    #[test]
-    fn streamed_problem_sweeps_like_a_batch_one() {
-        // The problem a streaming solve leaves behind is a first-class
-        // sweep target: same shape guarantees as the batch sweeps.
-        let (advisor, _, _) = crate::Advisor::solve_streaming(
-            crate::sales_domain(900, 4, 10.0, 11),
-            crate::AdvisorConfig::default(),
-            mv_select::Scenario::tradeoff_normalized(0.5),
-            crate::StreamingConfig::default(),
-        )
-        .unwrap();
-        let points = alpha_sweep_problem(advisor.problem(), 4, SolverKind::LocalSearch);
-        assert_eq!(points.len(), 5);
-        for w in points.windows(2) {
-            assert!(w[1].time_hours <= w[0].time_hours + 1e-12);
-            assert!(w[1].cost_dollars + 1e-9 >= w[0].cost_dollars);
-        }
-        let budget = budget_sweep_problem(
-            advisor.problem(),
-            Money::from_dollars(5),
-            4,
-            SolverKind::LocalSearch,
-        );
-        assert!(budget.iter().all(|p| p.feasible));
-        for w in budget.windows(2) {
-            assert!(w[1].time_hours <= w[0].time_hours + 1e-12);
         }
     }
 

@@ -10,9 +10,7 @@
 //! before the columnar kernel replaced the row-at-a-time aggregation.
 
 use mvcloud::engine::{Column, Table};
-use mvcloud::{
-    sales_domain, ssb_domain, Advisor, AdvisorConfig, Domain, Scenario, SizingMode, StreamingConfig,
-};
+use mvcloud::{sales_domain, ssb_domain, Advisor, AdvisorConfig, Domain, SizingMode};
 
 struct Fnv(u64);
 
@@ -119,45 +117,17 @@ fn configs() -> Vec<(String, Domain, AdvisorConfig)> {
     out
 }
 
-/// `(config, Advisor::build digest, Advisor::solve_streaming digest)`,
-/// recorded at the commit before the engine's group-by kernel was rewritten.
-const GOLDEN: [(&str, u64, u64); 8] = [
-    (
-        "sales/MeasuredScaled/0",
-        0x2695163097a76621,
-        0xc55985c86b5248d2,
-    ),
-    (
-        "sales/MeasuredScaled/0.02",
-        0xfd664abf0f3fa172,
-        0x3a4edfdf05027fc4,
-    ),
-    (
-        "sales/Extrapolated/0",
-        0x4936d23d7cc49bde,
-        0x7ee53938cfa3c4b5,
-    ),
-    (
-        "sales/Extrapolated/0.02",
-        0xb4cae9a594cfdc74,
-        0x3fa73719dbb5eb23,
-    ),
-    (
-        "ssb/MeasuredScaled/0",
-        0x1be2d9343ff8326f,
-        0x039aab3d27341252,
-    ),
-    (
-        "ssb/MeasuredScaled/0.02",
-        0x3e78c2bbaba1473c,
-        0xa93e4f4a4e3fcb7b,
-    ),
-    ("ssb/Extrapolated/0", 0xd3483f655a46a024, 0x344c38600cafc83b),
-    (
-        "ssb/Extrapolated/0.02",
-        0xa9f834df39da4037,
-        0x3fdd0155da49b176,
-    ),
+/// `(config, Advisor::build digest)`, recorded at the commit before the
+/// engine's group-by kernel was rewritten.
+const GOLDEN: [(&str, u64); 8] = [
+    ("sales/MeasuredScaled/0", 0x2695163097a76621),
+    ("sales/MeasuredScaled/0.02", 0xfd664abf0f3fa172),
+    ("sales/Extrapolated/0", 0x4936d23d7cc49bde),
+    ("sales/Extrapolated/0.02", 0xb4cae9a594cfdc74),
+    ("ssb/MeasuredScaled/0", 0x1be2d9343ff8326f),
+    ("ssb/MeasuredScaled/0.02", 0x3e78c2bbaba1473c),
+    ("ssb/Extrapolated/0", 0xd3483f655a46a024),
+    ("ssb/Extrapolated/0.02", 0xa9f834df39da4037),
 ];
 
 #[test]
@@ -165,32 +135,13 @@ fn advisor_measurements_match_the_recorded_digests() {
     let mut got = Vec::new();
     for (name, domain, config) in configs() {
         let mut build = Fnv::new();
-        build.advisor(&Advisor::build(domain.clone(), config.clone()).expect("build"));
-
-        let (advisor, outcome, report) = Advisor::solve_streaming(
-            domain,
-            config,
-            Scenario::tradeoff_normalized(0.5),
-            StreamingConfig::default(),
-        )
-        .expect("streaming solve");
-        let mut streamed = Fnv::new();
-        streamed.advisor(&advisor);
-        streamed.u64(report.pulled as u64);
-        streamed.u64(report.retired as u64);
-        streamed.f64(outcome.evaluation.time.value());
-        for k in 0..advisor.problem().len() {
-            streamed.u64(outcome.evaluation.selection.contains(k) as u64);
-        }
-        got.push((name, build.0, streamed.0));
+        build.advisor(&Advisor::build(domain, config).expect("build"));
+        got.push((name, build.0));
     }
     let rendered: Vec<String> = got
         .iter()
-        .map(|(n, b, s)| format!("    (\"{n}\", {b:#018x}, {s:#018x}),"))
+        .map(|(n, b)| format!("    (\"{n}\", {b:#018x}),"))
         .collect();
-    let expected: Vec<(String, u64, u64)> = GOLDEN
-        .iter()
-        .map(|&(n, b, s)| (n.to_string(), b, s))
-        .collect();
+    let expected: Vec<(String, u64)> = GOLDEN.iter().map(|&(n, b)| (n.to_string(), b)).collect();
     assert_eq!(got, expected, "measured:\n{}", rendered.join("\n"));
 }

@@ -38,12 +38,6 @@ impl AggFunc {
             AggFunc::Avg => "avg",
         }
     }
-
-    /// Whether re-aggregating partial results of this function with itself
-    /// is lossless (distributive functions). No non-test caller.
-    pub fn is_distributive(self) -> bool {
-        matches!(self, AggFunc::Sum | AggFunc::Min | AggFunc::Max)
-    }
 }
 
 /// A requested aggregate: function + input column + output name.
@@ -324,15 +318,6 @@ mod tests {
         assert_eq!(AggSpec::max("profit").alias, "max_profit");
         assert_eq!(AggSpec::avg("profit").alias, "avg_profit");
         assert_eq!(AggSpec::sum("x").with_alias("total").alias, "total");
-    }
-
-    #[test]
-    fn distributivity_classification() {
-        assert!(AggFunc::Sum.is_distributive());
-        assert!(AggFunc::Min.is_distributive());
-        assert!(AggFunc::Max.is_distributive());
-        assert!(!AggFunc::Avg.is_distributive());
-        assert!(!AggFunc::Count.is_distributive()); // re-aggregates as SUM, not COUNT
     }
 
     /// Aggregates every row of `data` (one `Vec` per column) into one group.

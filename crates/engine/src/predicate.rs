@@ -57,7 +57,8 @@ pub enum Predicate {
 }
 
 impl Predicate {
-    /// `column = literal`.
+    /// `column = literal`. No non-test caller: the shorthand the
+    /// predicate, view and reference-executor tests build filters with.
     pub fn eq(column: impl Into<String>, literal: impl Into<Value>) -> Self {
         Predicate::Cmp {
             column: column.into(),

@@ -63,59 +63,44 @@ fn answer_cost(lattice: &Lattice, est: &SizeEstimator, sel: &[Cuboid], q: &Cuboi
     best
 }
 
-/// One step of the HRU greedy pick: the non-base cuboid with the highest
-/// positive benefit-per-space given the already-`selected` views, or
-/// `None` when nothing helps. Walks the lattice lazily — this is the
-/// shared inner step of both [`hru_greedy`] and the streaming generator
-/// ([`crate::CandidateStream::hru`]), which guarantees the stream
-/// replays the batch pick order exactly.
-pub(crate) fn next_hru_pick(
-    lattice: &Lattice,
-    est: &SizeEstimator,
-    workload: &LatticeWorkload,
-    selected: &[Cuboid],
-) -> Option<Cuboid> {
-    let base = lattice.base();
-    let mut best: Option<(f64, Cuboid)> = None;
-    for cand in lattice.iter_cuboids() {
-        if cand == base || selected.contains(&cand) {
-            continue;
-        }
-        let rows = est.expected_rows(lattice, &cand).max(1.0);
-        let mut benefit = 0.0;
-        for q in &workload.queries {
-            if cand.covers(&q.cuboid) {
-                let now = answer_cost(lattice, est, selected, &q.cuboid);
-                let with = now.min(rows);
-                benefit += (now - with) * q.frequency;
-            }
-        }
-        let per_space = benefit / rows;
-        let better = match &best {
-            None => per_space > 0.0,
-            Some((b, _)) => per_space > *b,
-        };
-        if better {
-            best = Some((per_space, cand));
-        }
-    }
-    best.map(|(_, c)| c)
-}
-
 /// Harinarayan–Rajaraman–Ullman greedy selection: repeatedly pick the
-/// cuboid with the highest total workload benefit per unit of space until
-/// `k` views are chosen or no candidate helps. Returns the picks in
-/// selection order.
+/// non-base cuboid with the highest positive workload benefit per unit
+/// of space given the views already picked, until `k` views are chosen
+/// or no candidate helps. Returns the picks in selection order.
 pub fn hru_greedy(
     lattice: &Lattice,
     est: &SizeEstimator,
     workload: &LatticeWorkload,
     k: usize,
 ) -> Vec<Cuboid> {
+    let base = lattice.base();
     let mut selected: Vec<Cuboid> = Vec::new();
     for _ in 0..k {
-        match next_hru_pick(lattice, est, workload, &selected) {
-            Some(cand) => selected.push(cand),
+        let mut best: Option<(f64, Cuboid)> = None;
+        for cand in lattice.iter_cuboids() {
+            if cand == base || selected.contains(&cand) {
+                continue;
+            }
+            let rows = est.expected_rows(lattice, &cand).max(1.0);
+            let mut benefit = 0.0;
+            for q in &workload.queries {
+                if cand.covers(&q.cuboid) {
+                    let now = answer_cost(lattice, est, &selected, &q.cuboid);
+                    let with = now.min(rows);
+                    benefit += (now - with) * q.frequency;
+                }
+            }
+            let per_space = benefit / rows;
+            let better = match &best {
+                None => per_space > 0.0,
+                Some((b, _)) => per_space > *b,
+            };
+            if better {
+                best = Some((per_space, cand));
+            }
+        }
+        match best {
+            Some((_, cand)) => selected.push(cand),
             None => break,
         }
     }

@@ -91,11 +91,6 @@ impl Dimension {
         self.levels.len()
     }
 
-    /// The finest level.
-    pub fn finest(&self) -> &Level {
-        self.levels.last().expect("validated non-empty")
-    }
-
     /// The paper's time dimension over `years` calendar years:
     /// `ALL < year < month < day`.
     pub fn paper_time(years: u64) -> Dimension {
@@ -138,12 +133,12 @@ mod tests {
     fn paper_dimensions_validate() {
         let time = Dimension::paper_time(11);
         assert_eq!(time.depth(), 4);
-        assert_eq!(time.finest().name, "day");
+        assert_eq!(time.levels()[3].name, "day");
         assert_eq!(time.levels()[1].cardinality, 11);
 
         let geo = Dimension::paper_geography();
         assert_eq!(geo.depth(), 4);
-        assert_eq!(geo.finest().columns.len(), 3);
+        assert_eq!(geo.levels()[3].columns.len(), 3);
     }
 
     #[test]

@@ -31,12 +31,15 @@ impl Lattice {
         .expect("paper lattice is valid")
     }
 
-    /// The dimensions.
+    /// The dimensions. No non-test caller: `tests/proptests.rs` draws
+    /// random cuboids through it.
     pub fn dimensions(&self) -> &[Dimension] {
         &self.dims
     }
 
-    /// Total number of cuboids (product of level counts).
+    /// Total number of cuboids (product of level counts). No non-test
+    /// caller: the crate's doc test and the lattice / domain shape tests
+    /// hold [`Lattice::all_cuboids`] to it.
     pub fn num_cuboids(&self) -> usize {
         self.dims.iter().map(Dimension::depth).product()
     }
@@ -48,8 +51,7 @@ impl Lattice {
 
     /// Lazily iterates every cuboid in lexicographic level order (apex
     /// first) without materializing the `num_cuboids()`-sized vector —
-    /// the streaming candidate generators re-walk the lattice per pull
-    /// and must not allocate it each time.
+    /// [`crate::candidates::hru_greedy`] re-walks the lattice per pick.
     pub fn iter_cuboids(&self) -> impl Iterator<Item = Cuboid> + '_ {
         let mut next = Some(vec![0u8; self.dims.len()]);
         std::iter::from_fn(move || {

@@ -28,7 +28,6 @@ mod hierarchy;
 #[allow(clippy::module_inception)]
 mod lattice;
 pub mod scale;
-mod stream;
 mod workload;
 
 pub use cuboid::Cuboid;
@@ -38,5 +37,4 @@ pub use evolution::{EvolutionKind, WorkloadEvolution};
 pub use hierarchy::{Dimension, Level};
 pub use lattice::Lattice;
 pub use scale::{ScaleShape, SparseCoverage};
-pub use stream::CandidateStream;
 pub use workload::{paper_workload, LatticeQuery, LatticeWorkload, LoweredQuery};

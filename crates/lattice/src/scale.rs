@@ -36,19 +36,6 @@ pub struct ScaleShape {
 }
 
 impl ScaleShape {
-    /// The benchmark headline shape: n = 2 000 candidates over an
-    /// m = 50 000-query workload at mean coverage 12 (≈ 24 000 answer
-    /// entries — density 2.4·10⁻⁴, where a dense table would hold 10⁸
-    /// slots).
-    pub fn benchmark() -> Self {
-        ScaleShape {
-            queries: 50_000,
-            candidates: 2_000,
-            mean_coverage: 12,
-            seed: 0x53_6361_6c65,
-        }
-    }
-
     /// Generates the shape's coverage structure.
     pub fn sparse_coverage(&self) -> SparseCoverage {
         let mut rng = XorShift(self.seed ^ 0x4c_6174_7469_6365);
@@ -209,11 +196,5 @@ mod tests {
         }
         let max = per_query.iter().max().copied().unwrap();
         assert!(max >= 3, "no popular query emerged: max degree {max}");
-    }
-
-    #[test]
-    fn benchmark_shape_has_the_headline_dimensions() {
-        let s = ScaleShape::benchmark();
-        assert_eq!((s.queries, s.candidates), (50_000, 2_000));
     }
 }

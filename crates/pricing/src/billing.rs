@@ -8,7 +8,7 @@
 
 use std::fmt;
 
-use mv_units::{Gb, Hours, Money, Months};
+use mv_units::{Gb, Hours, Money};
 
 use crate::{PricingError, PricingPolicy, StorageTimeline};
 
@@ -241,31 +241,11 @@ impl fmt::Display for Invoice {
     }
 }
 
-/// Convenience: bill the paper's running example (Section 1's $62 vs $64.60
-/// introduction figures use a flat $0.10/GB-month and $0.24/h pricing; this
-/// helper exists for the quickstart example and doctests).
-pub fn running_example_intro_ledger(with_views: bool) -> (UsageLedger, StorageTimeline) {
-    let mut ledger = UsageLedger::new();
-    let size = if with_views {
-        Gb::new(550.0)
-    } else {
-        Gb::new(500.0)
-    };
-    let timeline = StorageTimeline::new(size, Months::new(1.0));
-    ledger.record_storage("dataset (1 month)", timeline.clone());
-    ledger.record_compute(
-        "monthly workload",
-        "std",
-        1,
-        Hours::new(if with_views { 40.0 } else { 50.0 }),
-    );
-    (ledger, timeline)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::presets;
+    use mv_units::Months;
 
     #[test]
     fn invoice_reproduces_running_example_components() {

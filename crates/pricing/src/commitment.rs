@@ -47,16 +47,6 @@ impl CommitmentPlan {
         self.upfront + self.hourly.scale(used.value())
     }
 
-    /// The *effective* hourly rate at a given utilisation (used hours over
-    /// the term), amortising the upfront. Returns `Money::MAX` at zero use.
-    /// No non-test caller.
-    pub fn effective_hourly(&self, used: Hours) -> Money {
-        if used == Hours::ZERO {
-            return Money::MAX;
-        }
-        Money::from_micros((self.total_cost(used).micros() as f64 / used.value()).round() as i128)
-    }
-
     /// Hours of use per term above which this plan beats paying
     /// `on_demand_hourly`. `None` when the reserved rate is not actually
     /// cheaper (the plan can never pay off).
@@ -168,18 +158,6 @@ mod tests {
         // Just below breakeven: on-demand wins; just above: reservation.
         assert!(!plan.worthwhile(Hours::new(2_600.0), &on_demand_small()));
         assert!(plan.worthwhile(Hours::new(2_700.0), &on_demand_small()));
-    }
-
-    #[test]
-    fn effective_rate_amortises_upfront() {
-        let plan = CommitmentPlan::aws_small_1yr();
-        // Fully utilised year: 8760 h -> 160/8760 + 0.06 ≈ $0.0783/h.
-        let eff = plan.effective_hourly(Hours::new(8_760.0));
-        assert!((eff.to_dollars_f64() - 0.078264).abs() < 1e-4, "{eff}");
-        // Light use: effective rate exceeds on-demand.
-        let light = plan.effective_hourly(Hours::new(100.0));
-        assert!(light > on_demand_small().hourly);
-        assert_eq!(plan.effective_hourly(Hours::ZERO), Money::MAX);
     }
 
     #[test]

@@ -66,9 +66,7 @@ mod storage;
 mod tier;
 mod transfer;
 
-pub use billing::{
-    running_example_intro_ledger, Invoice, InvoiceLine, LineItem, UsageKind, UsageLedger,
-};
+pub use billing::{Invoice, InvoiceLine, LineItem, UsageKind, UsageLedger};
 pub use commitment::{CommitmentComparison, CommitmentPlan};
 pub use error::PricingError;
 pub use fleet::{FleetPlan, Placement, PoolTerms};

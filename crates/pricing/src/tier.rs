@@ -202,35 +202,6 @@ impl TierSchedule {
         // Unreachable: the last tier is always unbounded.
         self.tiers.last().expect("validated non-empty").rate
     }
-
-    /// Largest volume purchasable with `budget` under this schedule, within
-    /// `epsilon_gb` (bisection; the schedule's cost is monotone in volume).
-    /// No non-test caller: the property tests invert
-    /// [`TierSchedule::cost_for`] through it.
-    pub fn volume_for_budget(&self, budget: Money, epsilon_gb: f64) -> Gb {
-        if budget <= Money::ZERO {
-            return Gb::ZERO;
-        }
-        // Find an upper bracket by doubling.
-        let mut hi = 1.0f64;
-        while self.cost_for(Gb::new(hi)) <= budget {
-            hi *= 2.0;
-            if hi > 1e15 {
-                // Effectively free schedule: "infinite" volume.
-                return Gb::new(hi);
-            }
-        }
-        let mut lo = 0.0f64;
-        while hi - lo > epsilon_gb {
-            let mid = (lo + hi) / 2.0;
-            if self.cost_for(Gb::new(mid)) <= budget {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        Gb::new(lo)
-    }
 }
 
 #[cfg(test)]
@@ -353,15 +324,6 @@ mod tests {
             ),
             Err(PricingError::NegativeRate { index: 0 })
         );
-    }
-
-    #[test]
-    fn volume_for_budget_inverts_cost() {
-        let s = bandwidth();
-        let budget = dollars("1.08");
-        let vol = s.volume_for_budget(budget, 1e-6);
-        assert!((vol.value() - 10.0).abs() < 1e-3, "got {vol:?}");
-        assert_eq!(s.volume_for_budget(Money::ZERO, 1e-6), Gb::ZERO);
     }
 
     #[test]

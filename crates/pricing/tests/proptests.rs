@@ -73,19 +73,6 @@ proptest! {
         prop_assert_eq!(schedule.cost_for(Gb::new(vol)), rate.scale(vol));
     }
 
-    /// volume_for_budget is consistent: the returned volume is affordable
-    /// under graduated pricing.
-    #[test]
-    fn volume_for_budget_affordable(
-        schedule in arb_schedule(),
-        budget_cents in 0i64..10_000_000,
-    ) {
-        let schedule = schedule.with_mode(TierMode::Graduated);
-        let budget = Money::from_cents(budget_cents);
-        let vol = schedule.volume_for_budget(budget, 0.001);
-        prop_assert!(schedule.cost_for(vol) <= budget + Money::from_cents(1));
-    }
-
     /// Rounding rules never reduce billable time, and per-started-hour is
     /// within one hour of exact.
     #[test]

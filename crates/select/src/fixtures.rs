@@ -45,7 +45,8 @@ pub fn reference_evaluate(problem: &SelectionProblem, selection: &SelectionSet) 
 /// A small deterministic problem shaped like the paper's experiment: a
 /// 10 GB dataset, a handful of roll-up queries and candidate views whose
 /// speedups overlap (so view interactions matter), priced on AWS-2012 with
-/// two small instances over one month.
+/// two small instances over one month. No non-test caller: the problem
+/// every solver's and the evaluator's unit tests start from.
 pub fn paper_like_problem() -> SelectionProblem {
     let pricing = presets::aws_2012();
     let instance = pricing.compute.instance("small").unwrap().clone();

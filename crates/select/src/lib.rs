@@ -87,19 +87,6 @@
 //! [`solve_local_search`] from the same start
 //! (`tests/lns_never_worse.rs`).
 //!
-//! # Streaming candidates
-//!
-//! An evaluator's candidate pool is fixed for its life, as the paper's
-//! `V_cand` is for a problem's. `mvcloud`'s `Advisor::solve_streaming`
-//! — which pulls lattice candidates lazily from a benefit-ordered
-//! `CandidateStream`, admits each through one probe, repairs with
-//! [`local_search`] moves and retires dominated candidates mid-search
-//! instead of measuring the whole lattice up front — keeps the pool
-//! itself, as a plain `Vec`, and builds one evaluator per pull over it
-//! at the standing selection: O(Σ deg + m) beside the pull's engine
-//! measurement, and bit-identical to [`SelectionProblem::evaluate`] on
-//! the grown or shrunk problem (`tests/evaluator_matches.rs`).
-//!
 //! # Multi-epoch horizons
 //!
 //! The [`epoch`] module chains single-period problems into a billing

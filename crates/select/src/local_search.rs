@@ -18,9 +18,9 @@
 //!   bounded improvement pass. By construction never worse than
 //!   [`crate::solve_greedy`] under the same scenario.
 //! * [`improve`] — the improvement pass alone, over any evaluator
-//!   position. The streaming advisor calls this after each admission
-//!   batch, which is what makes the streamed search *anytime*: the
-//!   current selection is always a locally-repaired answer.
+//!   position: the epoch chain's node step (warm, from the parent
+//!   node's selection), `mvcloud`'s resident re-solve (after a greedy
+//!   fill from empty) and the [`crate::lns`] polish.
 
 use mv_cost::{Placement, Price};
 

@@ -76,14 +76,6 @@ pub fn solution_space_with_threads(problem: &SelectionProblem, threads: usize) -
     points
 }
 
-/// Only the Pareto-optimal points, sorted by time.
-pub fn frontier(problem: &SelectionProblem) -> Vec<SpacePoint> {
-    solution_space(problem)
-        .into_iter()
-        .filter(|p| p.on_frontier)
-        .collect()
-}
-
 /// Renders the space as an ASCII scatter (time on x, cost on y), marking
 /// frontier points `o`, dominated points `·`, and `highlight_mask` (the
 /// scenario's chosen solution) `X`.
@@ -192,7 +184,8 @@ mod tests {
     #[test]
     fn frontier_is_nondominated_and_sorted() {
         let p = paper_like_problem();
-        let f = frontier(&p);
+        let all = solution_space(&p);
+        let f: Vec<&SpacePoint> = all.iter().filter(|pt| pt.on_frontier).collect();
         assert!(!f.is_empty());
         for w in f.windows(2) {
             // Time strictly increases, cost strictly decreases.
@@ -200,7 +193,6 @@ mod tests {
             assert!(w[0].cost > w[1].cost);
         }
         // No point in the space strictly dominates a frontier point.
-        let all = solution_space(&p);
         for fp in &f {
             for q in &all {
                 let weakly_dominates = q.time <= fp.time && q.cost <= fp.cost;

@@ -121,18 +121,6 @@ impl Money {
         Money(self.0.saturating_add(rhs.0))
     }
 
-    /// Rounds *up* to the next whole cent. Some CSP invoices bill at cent
-    /// granularity. No non-test caller.
-    pub fn ceil_cents(self) -> Money {
-        let per_cent = 10_000;
-        let rem = self.0.rem_euclid(per_cent);
-        if rem == 0 {
-            self
-        } else {
-            Money(self.0 + (per_cent - rem))
-        }
-    }
-
     /// Absolute value.
     #[inline]
     pub const fn abs(self) -> Money {
@@ -348,17 +336,6 @@ mod tests {
         // A third of a micro-dollar rounds away.
         assert_eq!(Money::from_micros(1).scale(0.4), Money::ZERO);
         assert_eq!(Money::from_micros(1).scale(0.6), Money::from_micros(1));
-    }
-
-    #[test]
-    fn ceil_cents_behaviour() {
-        assert_eq!(Money::from_micros(1).ceil_cents(), Money::from_cents(1));
-        assert_eq!(Money::from_cents(108).ceil_cents(), Money::from_cents(108));
-        // Negative amounts move toward zero (rem_euclid semantics).
-        assert_eq!(
-            Money::from_micros(-15_000).ceil_cents(),
-            Money::from_cents(-1)
-        );
     }
 
     #[test]
