@@ -246,9 +246,9 @@ mod tests {
 
     #[test]
     fn empty_set_storage_and_edges() {
-        // A zero-candidate selection is a real value — the streaming
-        // advisor's first evaluator holds one — and its word vector
-        // must stay empty so Eq against `from_mask(0, 0)` holds.
+        // A zero-candidate selection is a real value — an evaluator
+        // over an empty pool holds one — and its word vector must stay
+        // empty so Eq against `from_mask(0, 0)` holds.
         let s = SelectionSet::empty(0);
         assert!(s.is_empty());
         assert_eq!(s.count_ones(), 0);

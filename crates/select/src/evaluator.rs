@@ -136,11 +136,10 @@
 //! # One pool per evaluator
 //!
 //! The candidate pool is fixed for an evaluator's life, as the paper's
-//! `V_cand` is for a problem's. A caller whose pool changes — the
-//! streaming advisor admitting and retiring views, a what-if that wants
-//! one more candidate — edits its own candidate `Vec` and builds a new
-//! evaluator over it at the standing selection: O(Σ deg + m), the cost
-//! of the index.
+//! `V_cand` is for a problem's. A caller whose pool changes — a what-if
+//! that wants one more candidate — edits its own candidate `Vec` and
+//! builds a new evaluator over it at the standing selection:
+//! O(Σ deg + m), the cost of the index.
 
 use std::ops::Deref;
 use std::sync::Arc;
@@ -912,9 +911,9 @@ mod tests {
         let base = p.baseline();
         assert_eq!(ev.snapshot().time, base.time);
         assert_eq!(ev.snapshot().breakdown, base.breakdown);
-        // Admit the static problem's candidates one at a time, as the
-        // streaming advisor does: a new evaluator over the grown pool
-        // at the standing selection, then select the newcomer.
+        // Admit the static problem's candidates one at a time: a new
+        // evaluator over the grown pool at the standing selection, then
+        // select the newcomer.
         for k in 0..p.len() {
             let standing = ev.selection().clone();
             ev = over(&p.candidates()[..=k]);

@@ -55,8 +55,8 @@ impl Scenario {
         Scenario::Mv2 { time_limit }
     }
 
-    /// MV3 constructor (paper-style raw mixing). No non-test caller —
-    /// every binary normalizes — the solver and chain tests run the
+    /// MV3 constructor (paper-style raw mixing). No non-test caller
+    /// (every binary normalizes): the solver and chain tests run the
     /// paper's own objective through it.
     pub fn tradeoff(alpha: f64) -> Self {
         assert!((0.0..=1.0).contains(&alpha), "alpha must be in [0,1]");

@@ -13,8 +13,8 @@ use proptest::prelude::*;
 
 /// Random interleavings of pool edits, selection flips and **placement
 /// flips** over `pool_problem`'s candidates, from the selection `mask`
-/// names. The pool belongs to the caller, as it does in the streaming
-/// advisor: an add or a remove edits the mirror candidate vector
+/// names. The pool belongs to the caller: an add or a remove edits the
+/// mirror candidate vector
 /// (`Vec::push` / `Vec::swap_remove`, the selection following) and
 /// builds a new evaluator over it at the same selection; flips and
 /// price splices go to the live evaluator. After every single op the

@@ -1,6 +1,5 @@
 //! Regression pin: large-neighborhood search never returns a worse
-//! objective than the flip/swap improvement pass from the same start —
-//! the LNS counterpart of PR 2's streaming-vs-greedy pin.
+//! objective than the flip/swap improvement pass from the same start.
 //!
 //! The guarantee is by construction (`lns::refine` runs
 //! `local_search::improve` first when `polish_moves > 0`, and rounds
