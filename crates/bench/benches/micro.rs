@@ -41,6 +41,10 @@
 //!   round that finds no move — n + s·u probes and 2·s toggles. (The
 //!   benchmark's `select.probe_ns` times `flip → snapshot → unflip`,
 //!   the reference a probe is held to, not `probe`.)
+//! * `cost/bill/*` — the bill a probe scores, alone: one
+//!   `CloudCostModel::breakdown_from_totals` at the four totals of that
+//!   same plan (three compute roundings and the tiered storage cost,
+//!   each through `Money::scale`).
 //!
 //! Each id runs under [`timer::run`] (`tests/micro_timer.rs` holds its
 //! two output lines). Timing mode prints one JSON object per id;
@@ -296,7 +300,7 @@ fn bench_exhaustive_threads() {
     }
 }
 
-/// A probe and a no-move round at a node of `montecarlo`'s SSB forest:
+/// The bill, a probe and a no-move round at a node of `montecarlo`'s SSB forest:
 /// r 2 000, 63 cuboids, 13 queries, standing on the local-search plan.
 fn bench_probe_and_round() {
     let advisor = Advisor::build(ssb_domain(2_000, 1.0, 42), AdvisorConfig::default())
@@ -310,6 +314,19 @@ fn bench_probe_and_round() {
     let unselected = (0..problem.len())
         .find(|&k| !ev.is_selected(k))
         .expect("an unselected view");
+    let (model, views, plan) = (problem.model(), problem.candidates(), ev.selection());
+    let processing = model.processing_time_with_views(views, plan);
+    let maintenance = model.maintenance_time(views, plan);
+    let materialization = model.materialization_time(views, plan);
+    let size = model.views_size(views, plan);
+    run("cost/bill", "ssb_n63", || {
+        model.breakdown_from_totals(
+            black_box(processing),
+            black_box(maintenance),
+            black_box(materialization),
+            black_box(size),
+        )
+    });
     run("select/probe", "ssb_n63", || {
         ev.probe(black_box(unselected))
     });
