@@ -140,13 +140,6 @@ impl Money {
         Money(((self.0 as f64) * factor).round() as i128)
     }
 
-    /// [`Money::scale`] as one expression, the reference its 64-bit path
-    /// is held to.
-    #[cfg(test)]
-    fn scale_reference(self, factor: f64) -> Money {
-        Money(((self.0 as f64) * factor).round() as i128)
-    }
-
     /// `true` when the amount is strictly negative.
     #[inline]
     pub const fn is_negative(self) -> bool {
@@ -376,11 +369,17 @@ mod tests {
         assert_eq!(Money::from_micros(1).scale(0.6), Money::from_micros(1));
     }
 
+    /// [`Money::scale`] as one expression, the reference its 64-bit path
+    /// is held to.
+    fn scale_reference(amount: Money, factor: f64) -> Money {
+        Money(((amount.0 as f64) * factor).round() as i128)
+    }
+
     /// `scale` against its one-expression reference, raw micros compared
     /// with `==`; the panic message carries the inputs.
     fn assert_scale_matches(micros: i128, factor: f64, context: fmt::Arguments<'_>) {
         let fast = Money(micros).scale(factor).micros();
-        let reference = Money(micros).scale_reference(factor).micros();
+        let reference = scale_reference(Money(micros), factor).micros();
         assert!(
             fast == reference,
             "{context}: Money({micros}).scale({factor:e} = {:#018x}) = {fast}, reference {reference}",
@@ -410,7 +409,7 @@ mod tests {
             (-12, -0.0, 0),
             (1, f64::from_bits(1), 0),
             (i64_max, f64::MIN_POSITIVE / 4.0, 0),
-            // 2^52 − ½ (one half-ulp below 2^52) rounds up to 2^52.
+            // 2^52 − ½, the largest f64 below 2^52, rounds up to 2^52.
             (P53 - 1, 0.5, P52),
             (-(P53 - 1), 0.5, -P52),
             (P52, 1.0, P52),
@@ -579,7 +578,7 @@ mod tests {
     }
 
     /// The release-build twin: `cargo test --release -p mv-units --lib
-    /// scale_matches -- --include-ignored`.
+    /// scale_matches_the_reference -- --include-ignored`.
     #[test]
     #[ignore = "100 M pairs; run in release"]
     fn scale_matches_the_reference_on_a_100m_sweep() {
