@@ -1056,29 +1056,33 @@ fn str_list_json(names: &[String]) -> Json {
     Json::Arr(names.iter().map(Json::str).collect())
 }
 
+/// One epoch of the market or fleet envelope as a JSON object: the two
+/// reports differ only in the fourth field, `fourth` (its key and which
+/// quantiles it shows).
+fn envelope_epoch_json(e: &mvcloud::FleetEpochReport, fourth: (&str, &mvcloud::Quantiles)) -> Json {
+    let q = quantiles_json;
+    Json::obj(vec![
+        ("epoch", Json::UInt(e.epoch as u64)),
+        ("charged_cost", q(&e.charged_cost)),
+        ("cumulative_cost", q(&e.cumulative_cost)),
+        (fourth.0, q(fourth.1)),
+        ("compute_factor", q(&e.compute_factor)),
+        ("interruption", q(&e.interruption)),
+        ("distinct_plans", Json::UInt(e.distinct_plans as u64)),
+        ("modal_share", Json::Fixed(e.modal_share, 4)),
+        ("modal_selection", str_list_json(&e.modal_selection)),
+    ])
+}
+
 /// Renders a fleet report's hedge/quantile timeline as JSON
 /// (through the shared writer, like [`market_json`]).
 fn fleet_json(report: &mvcloud::FleetReport, scenario: Scenario, paths: usize) -> String {
     let q = quantiles_json;
-    let epochs = Json::Arr(
-        report
-            .epochs
-            .iter()
-            .map(|e| {
-                Json::obj(vec![
-                    ("epoch", Json::UInt(e.epoch as u64)),
-                    ("charged_cost", q(&e.charged_cost)),
-                    ("cumulative_cost", q(&e.cumulative_cost)),
-                    ("hedge_ratio", q(&e.hedge_ratio)),
-                    ("compute_factor", q(&e.compute_factor)),
-                    ("interruption", q(&e.interruption)),
-                    ("distinct_plans", Json::UInt(e.distinct_plans as u64)),
-                    ("modal_share", Json::Fixed(e.modal_share, 4)),
-                    ("modal_selection", str_list_json(&e.modal_selection)),
-                ])
-            })
-            .collect(),
-    );
+    let epochs = report
+        .epochs
+        .iter()
+        .map(|e| envelope_epoch_json(e, ("hedge_ratio", &e.hedge_ratio)))
+        .collect();
     let comparison = Json::opt(report.comparison.as_ref().map(|c| {
         Json::obj(vec![
             ("hedged", q(&c.hedged)),
@@ -1097,7 +1101,7 @@ fn fleet_json(report: &mvcloud::FleetReport, scenario: Scenario, paths: usize) -
             "tree_nodes",
             Json::opt(report.tree_nodes.map(|n| Json::UInt(n as u64))),
         ),
-        ("epochs", epochs),
+        ("epochs", Json::Arr(epochs)),
         ("total_cost", q(&report.total_cost)),
         ("hedge_ratio", q(&report.hedge_ratio)),
         ("plan_stability", Json::Fixed(report.plan_stability, 4)),
@@ -1118,25 +1122,11 @@ fn fleet_json(report: &mvcloud::FleetReport, scenario: Scenario, paths: usize) -
 /// shared writer, like [`horizon_json`]).
 fn market_json(report: &mvcloud::MarketReport, scenario: Scenario, paths: usize) -> String {
     let q = quantiles_json;
-    let epochs = Json::Arr(
-        report
-            .epochs
-            .iter()
-            .map(|e| {
-                Json::obj(vec![
-                    ("epoch", Json::UInt(e.epoch as u64)),
-                    ("charged_cost", q(&e.charged_cost)),
-                    ("cumulative_cost", q(&e.cumulative_cost)),
-                    ("time_hours", q(&e.time_hours)),
-                    ("compute_factor", q(&e.compute_factor)),
-                    ("interruption", q(&e.interruption)),
-                    ("distinct_plans", Json::UInt(e.distinct_plans as u64)),
-                    ("modal_share", Json::Fixed(e.modal_share, 4)),
-                    ("modal_selection", str_list_json(&e.modal_selection)),
-                ])
-            })
-            .collect(),
-    );
+    let epochs = report
+        .epochs
+        .iter()
+        .map(|e| envelope_epoch_json(e, ("time_hours", &e.time_hours)))
+        .collect();
     Json::obj(vec![
         ("scenario", Json::str(scenario.label())),
         ("paths", Json::UInt(paths as u64)),
@@ -1145,7 +1135,7 @@ fn market_json(report: &mvcloud::MarketReport, scenario: Scenario, paths: usize)
             "tree_nodes",
             Json::opt(report.tree_nodes.map(|n| Json::UInt(n as u64))),
         ),
-        ("epochs", epochs),
+        ("epochs", Json::Arr(epochs)),
         ("total_cost", q(&report.total_cost)),
         ("total_time_hours", q(&report.total_time_hours)),
         ("plan_stability", Json::Fixed(report.plan_stability, 4)),

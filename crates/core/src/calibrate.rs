@@ -109,9 +109,6 @@ pub struct CalibrationReport {
     pub mean_planned_rel_error: f64,
     /// Mean fitted-vs-measured relative error across all epochs.
     pub mean_fitted_rel_error: f64,
-    /// Telemetry delta covering this calibration run, when [`mv_obs`]
-    /// was enabled at entry; `None` otherwise.
-    pub telemetry: Option<mv_obs::Snapshot>,
 }
 
 impl CalibrationReport {
@@ -202,7 +199,6 @@ impl Advisor {
             // epoch, so the loop cannot be scored.
             return Err(AdvisorError::EmptyHorizon);
         }
-        let telemetry_base = mv_obs::enabled().then(mv_obs::Snapshot::capture);
         let meter = CandidateMeter::new(self.domain(), self.config())?;
         let units = meter.units;
         let oracle = self.config().throughput;
@@ -338,7 +334,6 @@ impl Advisor {
             epochs.iter().map(f).sum::<f64>() / epochs.len() as f64
         };
         Ok(CalibrationReport {
-            telemetry: telemetry_base.map(|base| mv_obs::Snapshot::capture().since(&base)),
             holdout_epoch: holdout,
             holdout_fitted_rel_error: epochs[holdout].fitted_rel_error,
             holdout_synthetic_rel_error: epochs[holdout].synthetic_rel_error,

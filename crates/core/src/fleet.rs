@@ -89,8 +89,9 @@ impl Default for FleetConfig {
     }
 }
 
-/// Per-path accounting of one sampled trajectory under the fleet.
-#[derive(Debug, Clone)]
+/// Per-path accounting of one sampled trajectory under the fleet (and,
+/// pure-spot, under the single-fleet [`crate::MarketReport`]).
+#[derive(Debug, Clone, PartialEq)]
 pub struct FleetPathSummary {
     /// Path index (aligned with [`MarketScenario::path`]).
     pub path: usize,
@@ -99,7 +100,8 @@ pub struct FleetPathSummary {
     /// Total processing hours along the path.
     pub total_time: Hours,
     /// Total billable instance-hours (per-component rounding applied,
-    /// fleet-multiplied, effective pool hours included).
+    /// fleet-multiplied, effective pool hours included), summed
+    /// component by component.
     pub billed_instance_hours: Hours,
     /// Raw (pre-rounding) work hours run on the reserved pool:
     /// processing when reserved is primary, plus reserved-placed
@@ -133,7 +135,7 @@ pub struct FleetPathSummary {
 }
 
 /// One epoch of the fleet's Monte-Carlo envelope.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FleetEpochReport {
     /// Epoch index (0-based).
     pub epoch: usize,
@@ -208,49 +210,57 @@ pub struct FleetReport {
     /// `distinct_solves × epochs` without prefix sharing). `None` when
     /// the fleet is market-insulated and no forest was solved.
     pub tree_nodes: Option<usize>,
-    /// Telemetry delta covering this solve, when [`mv_obs`] was
-    /// enabled at entry; `None` otherwise (and never serialized by
-    /// the CLI report emitters — surfaced via `--metrics`).
-    pub telemetry: Option<mv_obs::Snapshot>,
 }
 
 impl FleetReport {
     /// Renders the quantile timeline as CSV (one row per epoch).
     pub fn timeline_csv(&self) -> String {
-        let rows: Vec<Vec<String>> = self
-            .epochs
-            .iter()
-            .map(|e| {
-                vec![
-                    e.epoch.to_string(),
-                    format!("{:.6}", e.charged_cost.p10),
-                    format!("{:.6}", e.charged_cost.median),
-                    format!("{:.6}", e.charged_cost.p90),
-                    format!("{:.6}", e.cumulative_cost.median),
-                    format!("{:.4}", e.hedge_ratio.median),
-                    format!("{:.6}", e.compute_factor.mean),
-                    format!("{:.6}", e.interruption.mean),
-                    e.distinct_plans.to_string(),
-                    format!("{:.4}", e.modal_share),
-                ]
-            })
-            .collect();
-        crate::report::render_csv(
-            &[
-                "epoch",
-                "cost_p10",
-                "cost_median",
-                "cost_p90",
-                "cumulative_median",
-                "hedge_ratio_median",
-                "compute_factor_mean",
-                "interruption_mean",
-                "distinct_plans",
-                "modal_share",
-            ],
-            &rows,
-        )
+        envelope_csv(&self.epochs, "hedge_ratio_median", |e| {
+            format!("{:.4}", e.hedge_ratio.median)
+        })
     }
+}
+
+/// The envelope timeline as CSV, one row per epoch: the fleet and
+/// market reports differ only in their sixth column, `sixth` (its
+/// header and how an epoch renders it).
+pub(crate) fn envelope_csv(
+    epochs: &[FleetEpochReport],
+    sixth: &str,
+    render: impl Fn(&FleetEpochReport) -> String,
+) -> String {
+    let rows: Vec<Vec<String>> = epochs
+        .iter()
+        .map(|e| {
+            vec![
+                e.epoch.to_string(),
+                format!("{:.6}", e.charged_cost.p10),
+                format!("{:.6}", e.charged_cost.median),
+                format!("{:.6}", e.charged_cost.p90),
+                format!("{:.6}", e.cumulative_cost.median),
+                render(e),
+                format!("{:.6}", e.compute_factor.mean),
+                format!("{:.6}", e.interruption.mean),
+                e.distinct_plans.to_string(),
+                format!("{:.4}", e.modal_share),
+            ]
+        })
+        .collect();
+    crate::report::render_csv(
+        &[
+            "epoch",
+            "cost_p10",
+            "cost_median",
+            "cost_p90",
+            "cumulative_median",
+            sixth,
+            "compute_factor_mean",
+            "interruption_mean",
+            "distinct_plans",
+            "modal_share",
+        ],
+        &rows,
+    )
 }
 
 /// What [`Advisor::solve_fleet_paths`] returns.
@@ -428,7 +438,6 @@ impl Advisor {
             }
         }
 
-        let telemetry_base = mv_obs::enabled().then(mv_obs::Snapshot::capture);
         // Sampled once: every fleet variant and the fold read these.
         let sampled: Vec<MarketPath> = (0..config.paths).map(|j| config.market.path(j)).collect();
         check_finite(&sampled)?;
@@ -461,11 +470,7 @@ impl Advisor {
                 hedged_wins_share: wins as f64 / hedged.len() as f64,
             }
         });
-        let mut report = self.render_fleet(config, &sampled, solved, comparison);
-        if let Some(base) = telemetry_base {
-            report.telemetry = Some(mv_obs::Snapshot::capture().since(&base));
-        }
-        Ok(report)
+        Ok(self.render_fleet(config, &sampled, solved, comparison))
     }
 
     /// Solves exactly these sampled paths under one fleet plan — the
@@ -751,7 +756,6 @@ impl Advisor {
             commitment,
             distinct_solves: solved.distinct_solves,
             tree_nodes: solved.tree_nodes,
-            telemetry: None,
             paths,
         }
     }

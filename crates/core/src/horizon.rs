@@ -93,9 +93,6 @@ pub struct HorizonReport {
     /// On-demand vs reserved pricing of those hours, when a plan was
     /// supplied.
     pub commitment: Option<CommitmentComparison>,
-    /// Telemetry delta covering this solve, when [`mv_obs`] was
-    /// enabled at entry; `None` otherwise.
-    pub telemetry: Option<mv_obs::Snapshot>,
 }
 
 impl HorizonReport {
@@ -182,7 +179,7 @@ impl Advisor {
     }
 
     /// Builds the horizon's chain, lets `solve` walk it and renders the
-    /// steps, with the solve's telemetry when the registry is on.
+    /// steps.
     fn solve_horizon_by(
         &self,
         horizon: &HorizonConfig,
@@ -191,14 +188,9 @@ impl Advisor {
         if horizon.epochs == 0 {
             return Err(AdvisorError::EmptyHorizon);
         }
-        let telemetry_base = mv_obs::enabled().then(mv_obs::Snapshot::capture);
         let chain = self.epoch_chain(horizon);
         let steps = solve(&chain);
-        let mut report = self.render_horizon(horizon, &chain, steps)?;
-        if let Some(base) = telemetry_base {
-            report.telemetry = Some(mv_obs::Snapshot::capture().since(&base));
-        }
-        Ok(report)
+        self.render_horizon(horizon, &chain, steps)
     }
 
     /// Assembles a [`HorizonReport`] from solved chain steps: per-epoch
@@ -271,7 +263,6 @@ impl Advisor {
             total_time,
             billed_instance_hours: billed,
             commitment,
-            telemetry: None,
         })
     }
 

@@ -74,10 +74,7 @@ pub use domain::{sales_domain, ssb_domain, Domain};
 pub use error::AdvisorError;
 pub use fleet::{FleetComparison, FleetConfig, FleetEpochReport, FleetPathSummary, FleetReport};
 pub use horizon::{EpochReport, HorizonConfig, HorizonReport};
-pub use market::{
-    MarketConfig, MarketEpochReport, MarketPathSummary, MarketReport, Quantiles,
-    SpotCommitmentReport,
-};
+pub use market::{MarketConfig, MarketReport, Quantiles, SpotCommitmentReport};
 pub use scale::scale_problem;
 pub use service::{AdvisorService, IngestOutcome, QueryEvent, ServiceConfig};
 

@@ -30,13 +30,11 @@ pub use mv_market::{
     PriceProcess, PriceTrace, ProcessQuote, ScenarioTree, SpotMarket, StorageDecay, TreeNode,
 };
 
-use mv_cost::SelectionSet;
 use mv_lattice::WorkloadEvolution;
 use mv_pricing::{CommitmentPlan, FleetPlan};
 use mv_select::Scenario;
-use mv_units::{Hours, Money};
 
-use crate::fleet::{FleetConfig, FleetReport};
+use crate::fleet::{FleetConfig, FleetEpochReport, FleetPathSummary, FleetReport};
 use crate::{Advisor, AdvisorError};
 
 /// Shape of a market-aware Monte-Carlo solve.
@@ -141,55 +139,6 @@ impl Quantiles {
     }
 }
 
-/// One epoch of the Monte-Carlo envelope.
-#[derive(Debug, Clone)]
-pub struct MarketEpochReport {
-    /// Epoch index (0-based).
-    pub epoch: usize,
-    /// Transition-aware charged cost across paths, in dollars.
-    pub charged_cost: Quantiles,
-    /// Running cumulative bill across paths, in dollars.
-    pub cumulative_cost: Quantiles,
-    /// Frequency-weighted processing hours across paths.
-    pub time_hours: Quantiles,
-    /// The sampled compute price factor across paths.
-    pub compute_factor: Quantiles,
-    /// The per-epoch interruption probability across paths.
-    pub interruption: Quantiles,
-    /// How many distinct selected sets the paths chose this epoch.
-    pub distinct_plans: usize,
-    /// Share of paths choosing the most common selected set (1.0 =
-    /// every path agrees).
-    pub modal_share: f64,
-    /// Labels of that most common selected set.
-    pub modal_selection: Vec<String>,
-}
-
-/// Per-path accounting of one sampled trajectory.
-#[derive(Debug, Clone)]
-pub struct MarketPathSummary {
-    /// Path index (aligned with [`MarketScenario::path`]).
-    pub path: usize,
-    /// Total charged cost along the path.
-    pub total_cost: Money,
-    /// Total processing hours along the path.
-    pub total_time: Hours,
-    /// Total billable instance-hours (per-component rounding applied,
-    /// fleet-multiplied, risk-adjusted work included).
-    pub billed_instance_hours: Hours,
-    /// The compute component of the path's bill, at the path's sampled
-    /// (spot) prices.
-    pub compute_bill: Money,
-    /// Epoch boundaries at which the selected set changed.
-    pub switches: usize,
-    /// Sampled interruption events along the path.
-    pub interruptions: usize,
-    /// Per-epoch charged cost.
-    pub epoch_costs: Vec<Money>,
-    /// Per-epoch selected sets.
-    pub selections: Vec<SelectionSet>,
-}
-
 /// Reserved-vs-spot pricing of the horizon's compute, across paths.
 #[derive(Debug, Clone)]
 pub struct SpotCommitmentReport {
@@ -234,10 +183,12 @@ impl SpotCommitmentReport {
 /// The Monte-Carlo envelope of a market-aware horizon solve.
 #[derive(Debug, Clone)]
 pub struct MarketReport {
-    /// Per-path accounting, in path order.
-    pub paths: Vec<MarketPathSummary>,
-    /// The per-epoch quantile timeline.
-    pub epochs: Vec<MarketEpochReport>,
+    /// Per-path accounting, in path order: the fleet's rows, with
+    /// `billed_instance_hours` the sum of `epoch_billed_hours`.
+    pub paths: Vec<FleetPathSummary>,
+    /// The per-epoch quantile timeline (on the one spot pool a path's
+    /// hedge ratio is 1 whenever it selects anything).
+    pub epochs: Vec<FleetEpochReport>,
     /// Total charged cost across paths, in dollars.
     pub total_cost: Quantiles,
     /// Total processing hours across paths.
@@ -255,98 +206,42 @@ pub struct MarketReport {
     /// Scenario-tree node count — the number of epoch-solves paid (vs
     /// `distinct_solves × epochs` without prefix sharing); always `Some`.
     pub tree_nodes: Option<usize>,
-    /// Telemetry recorded during this solve — a
-    /// [`mv_obs::Snapshot::since`] delta over the solve window. `None`
-    /// unless telemetry was enabled when the solve started.
-    pub telemetry: Option<mv_obs::Snapshot>,
 }
 
 impl MarketReport {
     /// Renders the quantile timeline as CSV (one row per epoch).
     pub fn timeline_csv(&self) -> String {
-        let rows: Vec<Vec<String>> = self
-            .epochs
-            .iter()
-            .map(|e| {
-                vec![
-                    e.epoch.to_string(),
-                    format!("{:.6}", e.charged_cost.p10),
-                    format!("{:.6}", e.charged_cost.median),
-                    format!("{:.6}", e.charged_cost.p90),
-                    format!("{:.6}", e.cumulative_cost.median),
-                    format!("{:.6}", e.time_hours.median),
-                    format!("{:.6}", e.compute_factor.mean),
-                    format!("{:.6}", e.interruption.mean),
-                    e.distinct_plans.to_string(),
-                    format!("{:.4}", e.modal_share),
-                ]
-            })
-            .collect();
-        crate::report::render_csv(
-            &[
-                "epoch",
-                "cost_p10",
-                "cost_median",
-                "cost_p90",
-                "cumulative_median",
-                "time_median",
-                "compute_factor_mean",
-                "interruption_mean",
-                "distinct_plans",
-                "modal_share",
-            ],
-            &rows,
-        )
+        crate::fleet::envelope_csv(&self.epochs, "time_median", |e| {
+            format!("{:.6}", e.time_hours.median)
+        })
     }
 }
 
 impl From<FleetReport> for MarketReport {
     /// The single-fleet projection of a pure-spot fleet report: the
-    /// pool split, hedge ratios and placements carry no information
-    /// when every view sits on the one pool, everything else maps
-    /// field for field.
+    /// fleet name, hedge ratio and pure-fleet comparison carry no
+    /// information when every view sits on the one pool, so they drop
+    /// out; the rows are the fleet's own.
     fn from(fleet: FleetReport) -> MarketReport {
         MarketReport {
             paths: fleet
                 .paths
                 .into_iter()
-                .map(|p| MarketPathSummary {
-                    path: p.path,
-                    total_cost: p.total_cost,
-                    total_time: p.total_time,
+                .map(|p| FleetPathSummary {
                     // Epoch subtotals first, as the horizon report sums
                     // them: a zero-volatility market reproduces its
                     // billed hours bit for bit under any rounding rule.
                     billed_instance_hours: p.epoch_billed_hours.iter().copied().sum(),
-                    compute_bill: p.compute_bill,
-                    switches: p.switches,
-                    interruptions: p.interruptions,
-                    epoch_costs: p.epoch_costs,
-                    selections: p.selections,
+                    ..p
                 })
                 .collect(),
-            epochs: fleet
-                .epochs
-                .into_iter()
-                .map(|e| MarketEpochReport {
-                    epoch: e.epoch,
-                    charged_cost: e.charged_cost,
-                    cumulative_cost: e.cumulative_cost,
-                    time_hours: e.time_hours,
-                    compute_factor: e.compute_factor,
-                    interruption: e.interruption,
-                    distinct_plans: e.distinct_plans,
-                    modal_share: e.modal_share,
-                    modal_selection: e.modal_selection,
-                })
-                .collect(),
+            epochs: fleet.epochs,
             total_cost: fleet.total_cost,
             total_time_hours: fleet.total_time_hours,
             plan_stability: fleet.plan_stability,
             commitment: fleet.commitment,
             distinct_solves: fleet.distinct_solves,
             tree_nodes: fleet.tree_nodes,
-            telemetry: fleet.telemetry,
         }
     }
 }

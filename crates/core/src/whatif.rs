@@ -10,8 +10,8 @@
 //! * **α sweep** — the MV3 pivot between the two optima.
 //!
 //! Sweep points are independent solves over the same immutable problem,
-//! so they fan out across threads (contiguous chunks, results stitched
-//! back in order — identical output to a serial sweep).
+//! run serially in point order (a solver's own parallelism, such as the
+//! exhaustive sweep's, still applies inside each solve).
 
 use mv_select::{Scenario, SelectionProblem, SolverKind};
 use mv_units::{Hours, Money};
@@ -33,51 +33,25 @@ pub struct SweepPoint {
     pub feasible: bool,
 }
 
-/// Solves every `(x, scenario)` point, in parallel when the point count
-/// warrants it. Chunks are contiguous and re-stitched in order, so the
-/// result is identical to a serial map for any thread count.
+/// Solves every `(x, scenario)` point, in order.
 fn solve_points(
     problem: &SelectionProblem,
     points: Vec<(f64, Scenario)>,
     solver: SolverKind,
 ) -> Vec<SweepPoint> {
-    let to_point = |x: f64, o: mv_select::Outcome| SweepPoint {
-        x,
-        time_hours: o.evaluation.time.value(),
-        cost_dollars: o.evaluation.cost().to_dollars_f64(),
-        views: o.evaluation.num_selected(),
-        feasible: o.feasible(),
-    };
-    let threads = std::thread::available_parallelism()
-        .map_or(1, |n| n.get())
-        .min(points.len());
-    if threads <= 1 || points.len() < 4 {
-        // Single-threaded sweep: let the solver use its own parallelism.
-        return points
-            .iter()
-            .map(|&(x, s)| to_point(x, mv_select::solve(problem, s, solver)))
-            .collect();
-    }
-    let chunk = points.len().div_ceil(threads);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = points
-            .chunks(chunk)
-            .map(|slice| {
-                scope.spawn(move || {
-                    slice
-                        .iter()
-                        // The sweep layer already owns every core: run the
-                        // solver serially so thread pools don't nest.
-                        .map(|&(x, s)| to_point(x, mv_select::solve_serial(problem, s, solver)))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("sweep worker panicked"))
-            .collect()
-    })
+    points
+        .into_iter()
+        .map(|(x, s)| {
+            let o = mv_select::solve(problem, s, solver);
+            SweepPoint {
+                x,
+                time_hours: o.evaluation.time.value(),
+                cost_dollars: o.evaluation.cost().to_dollars_f64(),
+                views: o.evaluation.num_selected(),
+                feasible: o.feasible(),
+            }
+        })
+        .collect()
 }
 
 /// Sweeps MV1 budgets from the no-view baseline cost upward in `steps`

@@ -68,11 +68,6 @@ impl Table {
         self.rows
     }
 
-    /// `true` when the table holds no rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows == 0
-    }
-
     /// Column by position.
     pub fn column(&self, index: usize) -> &Column {
         &self.columns[index]

@@ -133,12 +133,6 @@ impl ScenarioTree {
         self.nodes.is_empty()
     }
 
-    /// The epoch-0 nodes, in path-discovery order. Each costs a fresh
-    /// evaluator build; everything below is a warm retarget.
-    pub fn roots(&self) -> &[usize] {
-        &self.roots
-    }
-
     /// The leaf node path `j` ends at. Identical sampled paths share a
     /// leaf.
     pub fn leaf_of(&self, path: usize) -> usize {
@@ -164,6 +158,11 @@ mod tests {
         (0..k).map(|j| scenario.path(j)).collect()
     }
 
+    /// The epoch-0 nodes: those without a parent.
+    fn roots(tree: &ScenarioTree) -> usize {
+        tree.nodes().iter().filter(|n| n.parent.is_none()).count()
+    }
+
     /// The root→leaf node chain of path `j`, in epoch order.
     fn path_nodes(tree: &ScenarioTree, j: usize) -> Vec<usize> {
         let mut chain: Vec<usize> =
@@ -177,7 +176,7 @@ mod tests {
         let m = MarketScenario::constant(6, 42);
         let tree = ScenarioTree::from_paths(&sample(&m, 8));
         assert_eq!(tree.len(), 6);
-        assert_eq!(tree.roots().len(), 1);
+        assert_eq!(roots(&tree), 1);
         assert_eq!(tree.distinct_leaves(), 1);
         for j in 0..8 {
             assert_eq!(tree.leaf_of(j), 5);
@@ -193,7 +192,7 @@ mod tests {
         let tree = ScenarioTree::from_paths(&paths);
         // The spot process pins epoch 0 to `start`, so all paths share
         // one root and the tree is strictly smaller than K·E.
-        assert_eq!(tree.roots().len(), 1);
+        assert_eq!(roots(&tree), 1);
         assert!(tree.len() < 16 * 6, "tree {} nodes", tree.len());
         // Every path's chain reproduces its own quotes (solve-relevant
         // fields).

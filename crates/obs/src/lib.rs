@@ -15,8 +15,7 @@
 //! | [`ring`]     | structured event ring    | bounded, lock-striped `VecDeque`s          |
 //!
 //! [`snapshot`] freezes all four into a [`Snapshot`] — a plain data
-//! struct the CLI renders as versioned JSON (`--metrics <path|->`)
-//! and advisor reports embed as their optional telemetry section.
+//! struct the CLI renders as versioned JSON (`--metrics <path|->`).
 //! [`Snapshot::since`] turns two captures into a delta, which is how
 //! per-solve telemetry is scoped out of the process-global registry.
 //!

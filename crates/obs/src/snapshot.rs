@@ -2,9 +2,9 @@
 //!
 //! [`Snapshot::capture`] reads every counter, histogram, span path and
 //! the event tail into a plain data struct; [`Snapshot::since`] turns
-//! two captures into a delta. Reports attach deltas (one solve's worth
-//! of telemetry); the CLI's `--metrics` renders whichever snapshot the
-//! caller hands it as versioned JSON.
+//! two captures into a delta (one solve's worth of telemetry, read
+//! around the solve); the CLI's `--metrics` renders whichever snapshot
+//! the caller hands it as versioned JSON.
 
 use crate::ring::Event;
 use crate::{counter, hist, ring, span};
@@ -39,7 +39,7 @@ pub struct HistStat {
 }
 
 /// A frozen view of the whole registry. Plain data: safe to clone,
-/// diff, embed in reports, or render long after capture.
+/// diff, or render long after capture.
 #[derive(Clone, Debug, PartialEq, Default)]
 pub struct Snapshot {
     /// Non-zero counters, `(name, value)`, in [`counter::Counter::ALL`] order.
@@ -185,13 +185,5 @@ impl Snapshot {
     /// Looks up a span by its full path.
     pub fn span(&self, path: &str) -> Option<&SpanStat> {
         self.spans.iter().find(|s| s.path == path)
-    }
-
-    /// Whether nothing at all was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty()
-            && self.histograms.is_empty()
-            && self.spans.is_empty()
-            && self.events.is_empty()
     }
 }

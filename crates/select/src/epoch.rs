@@ -43,12 +43,12 @@
 //! local optimum), assemble the [`EpochStep`] — scheduled
 //! parent-before-child. What varies is four independent axes:
 //!
-//! | axis | set by | `solve` | `solve_fleet` | `mvcloud`'s Monte-Carlo driver |
-//! |---|---|---|---|---|
-//! | reprice | [`ChainSpec::reprice`] | identity | caller's per-pool transform | per-node rate differential + interruption premium |
-//! | placement | [`ChainSpec::initial`], [`ChainSpec::rebalance`] | each charge's own pool, pinned | caller's start, pinned or free | the fleet plan's |
-//! | budget | [`ChainSpec::max_moves`] | [`local_search::default_move_budget`] | same | same |
-//! | topology | [`Topology`] | `Path` | `Path` | `Tree`: a prefix forest of sampled price paths |
+//! | axis | set by | `solve` | `mvcloud`'s Monte-Carlo driver |
+//! |---|---|---|---|
+//! | reprice | [`ChainSpec::reprice`] | identity | per-node rate differential + interruption premium |
+//! | placement | [`ChainSpec::initial`], [`ChainSpec::rebalance`] | each charge's own pool, pinned | the fleet plan's start, pinned or free |
+//! | budget | [`ChainSpec::max_moves`] | [`local_search::default_move_budget`] | same |
+//! | topology | [`Topology`] | `Path` | `Tree`: a prefix forest of sampled price paths |
 //!
 //! A single pool is the pinned fleet on its charges' own placements and
 //! a path is the one-leaf forest, structurally. On a tree each node is
@@ -336,27 +336,6 @@ impl EpochChain {
     pub fn solve(&self, scenario: Scenario) -> Vec<EpochStep> {
         let budget = local_search::default_move_budget(self.pool.len());
         self.run_path(scenario, &ChainSpec::single_pool(budget))
-    }
-
-    /// The joint **selection + placement** solve over a mixed fleet,
-    /// over the chain's own epochs with the default move budget:
-    /// `initial` seeds each candidate's pool, `rebalance` frees the
-    /// search to move them, `reprice` is [`ChainSpec::reprice`] with the
-    /// epoch as its node.
-    pub fn solve_fleet<F: Reprice>(
-        &self,
-        scenario: Scenario,
-        initial: &[Placement],
-        rebalance: bool,
-        reprice: &F,
-    ) -> Vec<EpochStep> {
-        let spec = ChainSpec {
-            reprice,
-            initial: Some(initial),
-            rebalance,
-            max_moves: local_search::default_move_budget(self.pool.len()),
-        };
-        self.run_path(scenario, &spec)
     }
 
     /// The path scheduler: each epoch hands its state to the next.
@@ -758,9 +737,9 @@ impl EpochChain {
     /// function minimizes total violation first, then total objective,
     /// as in [`Scenario::better`]'s lexicographic order.
     ///
-    /// `reprice` has [`EpochChain::solve_fleet`]'s contract plus the
-    /// property the factored state tables rely on (it holds for every
-    /// pool/risk transform): it scales materialization multiplicatively
+    /// `reprice` is a [`Reprice`] with one more property the factored
+    /// state tables rely on (it holds for every pool/risk transform):
+    /// it scales materialization multiplicatively
     /// (zero in, zero out — so carried prices need no separate table).
     /// That the per-mask time table is placement-independent needs no
     /// contract: a [`Reprice`] cannot reach an answer profile.
@@ -1330,6 +1309,28 @@ mod tests {
         solved.remove(0)
     }
 
+    /// The joint selection + placement solve over the chain's own
+    /// epochs with the default move budget: `initial` seeds each
+    /// candidate's pool, `rebalance` frees the search to move them.
+    fn fleet_path<F>(
+        chain: &EpochChain,
+        scenario: Scenario,
+        initial: &[Placement],
+        rebalance: bool,
+        reprice: F,
+    ) -> Vec<EpochStep>
+    where
+        F: Reprice + Sync,
+    {
+        let spec = ChainSpec {
+            reprice,
+            initial: Some(initial),
+            rebalance,
+            max_moves: budget(chain),
+        };
+        on_path(chain, scenario, &spec)
+    }
+
     #[test]
     fn zero_drift_keeps_the_selection_and_stops_paying_materialization() {
         let chain = flat_chain(3);
@@ -1611,7 +1612,13 @@ mod tests {
         };
         for scenario in [Scenario::tradeoff(0.02), Scenario::tradeoff_normalized(0.5)] {
             let plain = on_path(&chain, scenario, &single);
-            let pinned = chain.solve_fleet(scenario, &vec![Placement::Reserved; n], false, &fleet);
+            let pinned = fleet_path(
+                &chain,
+                scenario,
+                &vec![Placement::Reserved; n],
+                false,
+                fleet,
+            );
             for (e, (p, f)) in plain.iter().zip(&pinned).enumerate() {
                 assert_eq!(p.outcome.evaluation, f.outcome.evaluation, "epoch {e}");
                 assert_eq!(p.added, f.added, "epoch {e}");
@@ -1678,7 +1685,8 @@ mod tests {
         let attempts: &[f64] = &[1.0, 1.0, 1.0];
         let reprice = fleet_reprice(factors, attempts);
         let counters = mv_obs::CounterGuard::scoped();
-        let steps = chain.solve_fleet(
+        let steps = fleet_path(
+            &chain,
             Scenario::tradeoff(0.02),
             &vec![Placement::Reserved; n],
             true,
@@ -1697,7 +1705,8 @@ mod tests {
         }
         // The spot-placed horizon is strictly cheaper than the pinned
         // reserved one.
-        let pinned = chain.solve_fleet(
+        let pinned = fleet_path(
+            &chain,
             Scenario::tradeoff(0.02),
             &vec![Placement::Reserved; n],
             false,
@@ -1716,7 +1725,8 @@ mod tests {
         let factors: &[f64] = &[0.2, 1.0, 1.0];
         let attempts: &[f64] = &[1.0, 8.0, 8.0];
         let reprice = fleet_reprice(factors, attempts);
-        let steps = chain.solve_fleet(
+        let steps = fleet_path(
+            &chain,
             Scenario::tradeoff(0.02),
             &vec![Placement::Spot; n],
             true,
@@ -1775,11 +1785,12 @@ mod tests {
     #[should_panic(expected = "initial placements must cover")]
     fn fleet_initial_must_align() {
         let chain = flat_chain(2);
-        chain.solve_fleet(
+        fleet_path(
+            &chain,
             Scenario::tradeoff(0.02),
             &[Placement::Spot],
             true,
-            &|_, _, _, c: Price| c,
+            |_, _, _, c: Price| c,
         );
     }
 
@@ -1970,7 +1981,7 @@ mod tests {
                 let solved = chain.solve_with(scenario, &spec, Topology::Tree(&tree));
                 for (j, &leaf) in tree.leaves().iter().enumerate() {
                     let (alone, _) = lineage_chain(&chain, &tree, leaf);
-                    let reference = alone.solve_fleet(scenario, &initial, rebalance, &flat_reprice);
+                    let reference = fleet_path(&alone, scenario, &initial, rebalance, flat_reprice);
                     assert_steps_eq(
                         &solved[j],
                         &reference,

@@ -128,16 +128,14 @@
 //! On a hedged fleet (part reserved, part spot capacity) each view
 //! additionally carries a [`Placement`] deciding which pool its
 //! build/refresh work bills against. With [`ChainSpec::rebalance`] set
-//! ([`EpochChain::solve_fleet`] is the shorthand over the chain's own
-//! epochs) the driver
-//! searches placements **jointly** with the selection: the improvement
-//! pass ([`local_search::improve_joint`]) gains a placement-flip move
-//! alongside select-flip/swap, and because the per-pool transform is
-//! a `Price → Price` map, every placement flip is one O(1),
-//! allocation-free [`IncrementalEvaluator::update_charge`] splice on
-//! the same live evaluator instead of a rebuild of the charged problem
-//! per probe (`core.fleet_ms` on `montecarlo` is the driver those
-//! splices run under). Transition accounting extends naturally: a view
+//! the driver searches placements **jointly** with the selection: the
+//! improvement pass ([`local_search::improve_joint`]) gains a
+//! placement-flip move alongside select-flip/swap, and because the
+//! per-pool transform is a `Price → Price` map, every placement flip is
+//! one O(1), allocation-free [`IncrementalEvaluator::update_charge`]
+//! splice on the same live evaluator instead of a rebuild of the charged
+//! problem per probe (`core.fleet_ms` on `montecarlo` is the driver
+//! those splices run under). Transition accounting extends naturally: a view
 //! kept *on the same pool* is carried; a view moved across pools
 //! re-pays materialization ([`EpochStep::moved`]).
 //! [`EpochChain::solve_dp_fleet`] is the joint selection+placement DP
@@ -257,17 +255,5 @@ pub fn solve(problem: &SelectionProblem, scenario: Scenario, kind: SolverKind) -
         SolverKind::BranchAndBound => solve_bnb(problem, scenario),
         SolverKind::LocalSearch => solve_local_search(problem, scenario),
         SolverKind::Lns => solve_lns(problem, scenario),
-    }
-}
-
-/// [`solve`], but with any internal parallelism disabled. For callers
-/// that already fan solves out across their own threads (e.g. the
-/// what-if scenario sweeps): nesting two levels of
-/// `available_parallelism()`-sized pools would oversubscribe the CPUs
-/// quadratically. Results are identical to [`solve`].
-pub fn solve_serial(problem: &SelectionProblem, scenario: Scenario, kind: SolverKind) -> Outcome {
-    match kind {
-        SolverKind::Exhaustive => solve_exhaustive_with_threads(problem, scenario, 1),
-        _ => solve(problem, scenario, kind),
     }
 }

@@ -12,14 +12,14 @@
 //! pools").
 
 use mv_cost::{CloudCostModel, CostContext, Placement, Price, QueryCharge, ViewCharge};
-use mv_select::epoch::EpochChain;
-use mv_select::{fixtures, Scenario};
+use mv_select::epoch::{ChainSpec, EpochChain, Reprice, Topology};
+use mv_select::{fixtures, local_search, EpochStep, Scenario};
 use mv_units::{Gb, Hours, Money, Months};
 use proptest::prelude::*;
 
 /// Total (violation, objective) of solved chain steps under `scenario`
 /// — the same per-epoch terms the DP sums.
-fn chain_totals(steps: &[mv_select::EpochStep], scenario: Scenario) -> (f64, f64) {
+fn chain_totals(steps: &[EpochStep], scenario: Scenario) -> (f64, f64) {
     steps
         .iter()
         .map(|s| {
@@ -29,6 +29,23 @@ fn chain_totals(steps: &[mv_select::EpochStep], scenario: Scenario) -> (f64, f64
             )
         })
         .fold((0.0, 0.0), |(v, o), (sv, so)| (v + sv, o + so))
+}
+
+/// The fleet chain over its own epochs: every candidate starts on
+/// `initial`, the search may move it, the move budget is the default.
+fn rebalancing_chain<F: Reprice + Sync>(
+    chain: &EpochChain,
+    scenario: Scenario,
+    initial: &[Placement],
+    reprice: F,
+) -> Vec<EpochStep> {
+    let spec = ChainSpec {
+        reprice,
+        initial: Some(initial),
+        rebalance: true,
+        max_moves: local_search::default_move_budget(chain.pool().len()),
+    };
+    chain.solve_with(scenario, &spec, Topology::Path).remove(0)
 }
 
 /// Paper-like pool with per-epoch sinusoidal frequency drift (the same
@@ -139,7 +156,7 @@ proptest! {
             }
         };
         let initial = vec![Placement::Reserved; n_candidates];
-        let steps = chain.solve_fleet(scenario, &initial, true, &reprice);
+        let steps = rebalancing_chain(&chain, scenario, &initial, reprice);
         let (chain_viol, chain_obj) = chain_totals(&steps, scenario);
         let dp = chain.solve_dp_fleet(scenario, &reprice);
         prop_assert_eq!(dp.selections.len(), epochs);
@@ -289,7 +306,7 @@ fn dp_fleet_pre_places_on_reserved_ahead_of_a_crunch() {
             }
         }
     };
-    let steps = chain.solve_fleet(scenario, &[Placement::Reserved], true, &reprice);
+    let steps = rebalancing_chain(&chain, scenario, &[Placement::Reserved], reprice);
     let (chain_viol, chain_obj) = chain_totals(&steps, scenario);
     // The chain takes the myopic bait: spot in epoch 0, spot forever.
     for (e, s) in steps.iter().enumerate() {

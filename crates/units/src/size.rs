@@ -75,12 +75,6 @@ impl Gb {
     pub fn max(self, other: Gb) -> Gb {
         Gb(self.0.max(other.0))
     }
-
-    /// Total-order comparison (sizes are never NaN, so this is safe).
-    #[inline]
-    pub fn cmp_total(self, other: Gb) -> std::cmp::Ordering {
-        self.0.total_cmp(&other.0)
-    }
 }
 
 impl fmt::Display for Gb {

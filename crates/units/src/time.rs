@@ -188,18 +188,6 @@ impl Months {
     pub fn min(self, other: Months) -> Months {
         Months(self.0.min(other.0))
     }
-
-    /// The larger of two durations.
-    #[inline]
-    pub fn max(self, other: Months) -> Months {
-        Months(self.0.max(other.0))
-    }
-
-    /// Total-order comparison.
-    #[inline]
-    pub fn cmp_total(self, other: Months) -> std::cmp::Ordering {
-        self.0.total_cmp(&other.0)
-    }
 }
 
 impl fmt::Display for Months {

@@ -30,7 +30,7 @@ fn tree_shape(market: &MarketScenario, paths: usize) -> (u64, u64, u64) {
         .iter()
         .map(|n| n.children.len().saturating_sub(1) as u64)
         .sum();
-    let roots = tree.roots().len();
+    let roots = tree.nodes().iter().filter(|n| n.parent.is_none()).count();
     (roots as u64, (tree.len() - roots) as u64, forks)
 }
 
@@ -132,9 +132,11 @@ fn market_solves_pay_tree_shaped_work() {
     };
     let (roots, edges, forks) = tree_shape(&fleet_market, PATHS);
     counters.rebase();
+    let before = mv_obs::Snapshot::capture();
     let fleet_report = advisor
         .solve_fleet(Scenario::tradeoff_normalized(0.5), &fleet_config)
         .unwrap();
+    let telemetry = mv_obs::Snapshot::capture().since(&before);
     let (builds, retargets, forked) = deltas(&counters);
 
     assert_eq!(fleet_report.paths.len(), PATHS);
@@ -147,9 +149,8 @@ fn market_solves_pay_tree_shaped_work() {
     assert_eq!(retargets, edges);
     assert_eq!(forked, forks);
 
-    // The report's own telemetry section reconciles with the guard:
-    // solve_fleet captured its delta over the same enabled window.
-    let telemetry = fleet_report.telemetry.expect("guard enabled telemetry");
+    // A registry delta over the solve reconciles with the guard: the
+    // same enabled window, read as a snapshot.
     assert_eq!(telemetry.counter("evaluator/build"), roots);
     // The node span, whatever it nested under.
     let node_spans = telemetry
