@@ -22,12 +22,16 @@
 //!   maintenance: the incremental path's work is proportional to the
 //!   delta, the full path's to the whole base, which is what keeps the
 //!   maintenance term of the paper's Formula 12 small.
-//! * `engine/materialize/*`, `meter/answer_profile/*` — the two engine
-//!   passes `Advisor::build` no longer makes per candidate, each beside
-//!   what replaced it: a cuboid built from the base table and rolled up
-//!   from a finer view, and a lattice's answer profile executed and
-//!   planned. (`advise_cold`'s traced `engine.candidate_measure_ms` is
-//!   the harness replaying the old procedure, so it cannot show these.)
+//! * `engine/materialize/*`, `meter/answer_profile/*`,
+//!   `meter/workload/*`, `meter/maintenance/*` — the engine passes
+//!   `Advisor::build` no longer makes, each beside what replaced it: a
+//!   cuboid built from the base table and rolled up from a finer view;
+//!   and, executed and planned, a lattice's answer profile, the sales
+//!   workload's scans of the base table and each SSB candidate's
+//!   refresh by the 2 % maintenance batch (the last two planned while
+//!   Σ|measure| fits `i64`). (`advise_cold`'s traced
+//!   `engine.workload_exec_ms` and `engine.candidate_measure_ms` are the
+//!   harness replaying the old procedure, so they cannot show these.)
 //! * `ablation_parallel/*` (A4) — serial vs multi-threaded aggregation.
 //!   Scan-bound coarse keys (few groups, cheap merge) parallelize;
 //!   merge-bound fine keys (thousands of groups per partial) do not,
@@ -56,7 +60,7 @@ mod timer;
 
 use std::hint::black_box;
 
-use mv_engine::{datagen, AggQuery, AggSpec, MaterializedView, SalesConfig, ViewDefinition};
+use mv_engine::{datagen, AggQuery, AggSpec, MaterializedView, SalesConfig, Table, ViewDefinition};
 use mv_obs::{Counter, Hist};
 use mv_select::{fixtures, local_search, IncrementalEvaluator, SolverKind};
 use mvcloud::cost::{CalibratedParams, MeterSample, WorkKind};
@@ -237,11 +241,13 @@ fn bench_materialize() {
     });
 }
 
-/// The answer profile of every candidate of the sales advisor
-/// (r 20 000, 10 queries, 15 views): each answerable pair's scan bytes
-/// from running the answer and dropping its table, and from the
-/// planner.
-fn bench_answer_profile() {
+/// The scan bytes the meter reads, each from running the pass and
+/// dropping its table and from the planner: the answer profile of every
+/// candidate of the sales advisor (r 20 000, 10 queries, 15 views) and
+/// its workload's scans of the base table; one refresh of each of the
+/// SSB advisor's 63 candidates (r 4 000) by the 2 % batch, a replayed
+/// sample of the base rows as the advisor's is for that schema.
+fn bench_meter() {
     let advisor = Advisor::build(sales_domain(20_000, 10, 1.0, 42), AdvisorConfig::default())
         .expect("advisor builds");
     let profile = |bytes: &dyn Fn(&MaterializedView, &AggQuery) -> Option<u64>| -> u64 {
@@ -255,6 +261,33 @@ fn bench_answer_profile() {
     });
     run("meter/answer_profile", "planned", || {
         profile(&|v, q| v.planned_scan_bytes(q).ok())
+    });
+    let (queries, base) = (advisor.queries(), &advisor.domain().base);
+    run("meter/workload", "executed", || {
+        let scans = queries.iter().map(|q| q.execute(base).unwrap().1);
+        scans.map(|stats| stats.bytes_scanned).sum::<u64>()
+    });
+    run("meter/workload", "planned", || {
+        let scans = queries.iter().map(|q| q.planned_scan(base).unwrap());
+        scans.map(|(bytes, _)| bytes).sum::<u64>()
+    });
+
+    let ssb = Advisor::build(ssb_domain(4_000, 1.0, 42), AdvisorConfig::default())
+        .expect("advisor builds");
+    let base = &ssb.domain().base;
+    let rows = (base.num_rows() as f64 * ssb.config().maintenance_delta_fraction) as usize;
+    let mut batch = Table::empty(base.schema().clone());
+    for r in 0..rows {
+        batch.push_row(&base.row(r * 37 % base.num_rows())).unwrap();
+    }
+    let views = || ssb.candidates().iter().map(|m| &m.view);
+    run("meter/maintenance", "executed", || {
+        let refreshes = views().map(|v| v.clone().refresh_incremental(&batch).unwrap());
+        refreshes.map(|stats| stats.bytes_scanned).sum::<u64>()
+    });
+    run("meter/maintenance", "planned", || {
+        let scans = views().map(|v| v.def().as_query().planned_scan(&batch).unwrap());
+        scans.map(|(bytes, _)| bytes).sum::<u64>()
     });
 }
 
@@ -343,7 +376,7 @@ fn main() {
     bench_solvers_by_scenario();
     bench_maintenance();
     bench_materialize();
-    bench_answer_profile();
+    bench_meter();
     bench_aggregation_threads();
     bench_exhaustive_threads();
     bench_probe_and_round();

@@ -3,22 +3,25 @@
 //! [`Advisor::build`] runs the whole measurement pipeline the paper
 //! describes (select on the client, materialize in the cloud):
 //!
-//! 1. execute the workload on the base table and meter it;
-//! 2. generate candidate cuboids from the lattice;
-//! 3. materialize every candidate in the engine, finest first, each in
+//! 1. generate candidate cuboids from the lattice;
+//! 2. materialize every candidate in the engine, finest first, each in
 //!    one pass over the smallest already-measured view that derives it
 //!    and over the base table only when none does
 //!    ([`MaterializedView::roll_up`]: the stored table and `build_stats`
-//!    are the from-base build's either way), and execute one incremental
-//!    refresh of the maintenance batch on a copy of it;
+//!    are the from-base build's either way), and meter one incremental
+//!    refresh of the maintenance batch;
+//! 3. meter the workload on the base table;
 //! 4. convert scan bytes to simulated cluster-hours and stored bytes to
-//!    cloud gigabytes. Executed: the workload on the base table, each
-//!    build, each refresh (its merge is where a stored total leaving
-//!    `i64` shows). Read off cardinalities: the improved time of every
-//!    workload query a candidate can answer, from
-//!    [`MaterializedView::planned_scan_bytes`] — stored rows × the width
-//!    of the columns the scan would read, by the width rule executed
-//!    scans are metered with — so no answer is run and thrown away;
+//!    cloud gigabytes. Each build is executed; every other scan is read
+//!    off cardinalities (rows × the width of the columns it would read,
+//!    the width rule executed scans are metered with): the improved time
+//!    of every query a candidate answers
+//!    ([`MaterializedView::planned_scan_bytes`]), and the workload's and
+//!    each refresh's scans ([`AggQuery::planned_scan`]) while Σ|measure|
+//!    over the base table and the batch fits `i64` — every SUM the meter
+//!    forms adds up a subset of those rows, so none can leave it. Past
+//!    that bound those two passes run, and a total leaving `i64` is
+//!    their typed error;
 //! 5. assemble the [`SelectionProblem`] over the paper's cost models.
 //!
 //! [`Advisor::solve`] then runs any scenario × solver combination, and
@@ -184,6 +187,9 @@ pub(crate) struct CandidateMeter<'a> {
     cloud_rows: f64,
     queries: Vec<AggQuery>,
     delta: Option<Table>,
+    /// Σ|measure| over the base table and the maintenance batch fits
+    /// `i64`: the passes read only for their metering are planned.
+    planned: bool,
     /// Candidates [`CandidateMeter::measure`] built from the base table.
     base_builds: Cell<usize>,
 }
@@ -226,6 +232,15 @@ impl<'a> CandidateMeter<'a> {
             })
             .collect();
         let delta = monthly_delta(domain, config.maintenance_delta_fraction);
+        // A group on the base, a delta partial, a stored total plus its
+        // partial: each SUM adds up a subset of these rows (COUNTs, fewer).
+        let abs_sum = |t: &Table| -> Result<i128, mv_engine::EngineError> {
+            let values = t.column_by_name(&domain.measure)?.as_int()?;
+            Ok(values.iter().map(|v| v.unsigned_abs() as i128).sum())
+        };
+        let tables = [Some(&domain.base), delta.as_ref()];
+        let bound: Result<i128, _> = tables.into_iter().flatten().map(abs_sum).sum();
+        let planned = bound.is_ok_and(|b| b <= i128::from(i64::MAX));
         Ok(CandidateMeter {
             domain,
             config,
@@ -235,6 +250,7 @@ impl<'a> CandidateMeter<'a> {
             cloud_rows,
             queries,
             delta,
+            planned,
             base_builds: Cell::new(0),
         })
     }
@@ -273,22 +289,38 @@ impl<'a> CandidateMeter<'a> {
             .map_err(AdvisorError::from)
     }
 
-    /// Executes the workload on the base table and derives its charges
-    /// (the paper's step 1).
-    pub(crate) fn workload_charges(&self) -> Result<Vec<QueryCharge>, AdvisorError> {
+    /// Meters the workload on the base table (the paper's step 3): scan
+    /// bytes and result width off each query's plan, result rows (read by
+    /// [`SizingMode::MeasuredScaled`] only) off [`Self::result_rows`];
+    /// past the bound, all three off the query run on the base table.
+    pub(crate) fn workload_charges(
+        &self,
+        held: &[MeasuredCandidate],
+    ) -> Result<Vec<QueryCharge>, AdvisorError> {
         let mut charges = Vec::with_capacity(self.queries.len());
         for (q, lq) in self.queries.iter().zip(&self.domain.workload.queries) {
-            let (out, stats) = q
-                .execute_with_threads(&self.domain.base, self.config.threads)
-                .map_err(AdvisorError::from)?;
+            let (bytes_scanned, width, rows) = if self.planned {
+                let (bytes, out) = q.planned_scan(&self.domain.base)?;
+                (bytes, out.row_byte_width(), None)
+            } else {
+                let (out, stats) =
+                    q.execute_with_threads(&self.domain.base, self.config.threads)?;
+                (
+                    stats.bytes_scanned,
+                    out.schema().row_byte_width(),
+                    Some(stats.rows_out),
+                )
+            };
             let result_size = match self.config.sizing {
-                SizingMode::MeasuredScaled => self.scale.bytes_to_cloud(stats.bytes_out),
+                SizingMode::MeasuredScaled => {
+                    let rows = rows.map_or_else(|| self.result_rows(q, held), Ok)?;
+                    self.scale.bytes_to_cloud(rows * width)
+                }
                 SizingMode::Extrapolated => {
-                    let width = out.schema().row_byte_width() as f64;
-                    Gb::from_bytes((self.cloud_groups(&lq.cuboid) * width) as u64)
+                    Gb::from_bytes((self.cloud_groups(&lq.cuboid) * width as f64) as u64)
                 }
             };
-            let base_time = self.hours(stats.bytes_scanned, self.engine_rows, self.cloud_rows)?;
+            let base_time = self.hours(bytes_scanned, self.engine_rows, self.cloud_rows)?;
             charges.push(QueryCharge {
                 name: q.name.clone(),
                 result_size,
@@ -299,8 +331,23 @@ impl<'a> CandidateMeter<'a> {
         Ok(charges)
     }
 
+    /// Rows of `q`'s result: the answer of the smallest `held` view that
+    /// derives it (a view's answer is the base query's result), else the
+    /// query run on the base table.
+    fn result_rows(&self, q: &AggQuery, held: &[MeasuredCandidate]) -> Result<u64, AdvisorError> {
+        let source = held
+            .iter()
+            .filter(|m| m.view.can_answer(q).is_ok())
+            .min_by_key(|m| m.view.data().num_rows());
+        let (_, stats) = match source {
+            Some(m) => m.view.answer(q)?,
+            None => q.execute_with_threads(&self.domain.base, self.config.threads)?,
+        };
+        Ok(stats.rows_out)
+    }
+
     /// Materializes and meters one candidate cuboid (the paper's steps
-    /// 3 & 4 for a single view) in one pass over the smallest table that
+    /// 2 & 4 for a single view) in one pass over the smallest table that
     /// holds its groups: the `held` candidate with the fewest stored rows
     /// whose view derives it, else the base table. Which source it was
     /// changes only the time taken ([`MaterializedView::roll_up`]).
@@ -337,13 +384,18 @@ impl<'a> CandidateMeter<'a> {
         let view_rows_cloud = self.cloud_groups(&cuboid);
 
         // Maintenance: incremental refresh of one monthly delta batch,
-        // executed — its merge is where a stored total leaving `i64`
-        // shows.
+        // whose scan is the definition's over the batch. Under the bound
+        // it is planned; past it the refresh runs on a copy, since its
+        // merge is where a stored total leaving `i64` shows.
         let maintenance = match &self.delta {
             Some(d) if d.num_rows() > 0 => {
-                let stats = view.clone().refresh_incremental(d)?;
+                let bytes_scanned = if self.planned {
+                    defining.planned_scan(d)?.0
+                } else {
+                    view.clone().refresh_incremental(d)?.bytes_scanned
+                };
                 self.hours(
-                    stats.bytes_scanned,
+                    bytes_scanned,
                     d.num_rows().max(1) as f64,
                     self.cloud_rows * self.config.maintenance_delta_fraction,
                 )?
@@ -368,9 +420,9 @@ impl<'a> CandidateMeter<'a> {
             self.queries.len(),
         );
         // The answer profile is read off cardinalities: what the scan of
-        // the stored rows would meter, without producing its table. Every
-        // query here already ran on the base table (`workload_charges`),
-        // so the one way a view fails to plan it is not deriving it.
+        // the stored rows would meter, without producing its table. A
+        // view stores the workload's columns as the base table does, so
+        // the one way it fails to plan a query is not deriving it.
         for (i, q) in self.queries.iter().enumerate() {
             if let Ok(bytes) = view.planned_scan_bytes(q) {
                 charge = charge.answers(i, self.hours(bytes, view_rows_engine, view_rows_cloud)?);
@@ -394,25 +446,31 @@ type Measure = for<'a> fn(
     &[MeasuredCandidate],
 ) -> Result<MeasuredCandidate, AdvisorError>;
 
+/// How a driver meters the workload beside the measured candidates:
+/// [`CandidateMeter::workload_charges`], or the slow reference.
+type Workload =
+    for<'a> fn(&CandidateMeter<'a>, &[MeasuredCandidate]) -> Result<Vec<QueryCharge>, AdvisorError>;
+
 impl Advisor {
     /// Runs the measurement pipeline over `domain`.
     pub fn build(domain: Domain, config: AdvisorConfig) -> Result<Advisor, AdvisorError> {
-        Self::build_with(domain, config, |meter, cuboid, held| {
-            meter.measure(cuboid, held)
-        })
+        Self::build_with(
+            domain,
+            config,
+            |meter, cuboid, held| meter.measure(cuboid, held),
+            |meter, held| meter.workload_charges(held),
+        )
     }
 
     fn build_with(
         domain: Domain,
         config: AdvisorConfig,
         measure: Measure,
+        workload: Workload,
     ) -> Result<Advisor, AdvisorError> {
         let meter = CandidateMeter::new(&domain, &config)?;
 
-        // 1. Measure the workload on the base table.
-        let charges = meter.workload_charges()?;
-
-        // 2. Generate candidate cuboids.
+        // 1. Generate candidate cuboids.
         let estimator = SizeEstimator::new(domain.base.num_rows() as u64);
         let cuboids: Vec<Cuboid> = match config.candidates {
             CandidateStrategy::FullLattice => candidates::full_lattice(&domain.lattice),
@@ -424,7 +482,7 @@ impl Advisor {
             }
         };
 
-        // 3 & 4. Materialize and meter every candidate, finest first — a
+        // 2 & 4. Materialize and meter every candidate, finest first — a
         // cuboid that strictly covers another has the higher rank — so
         // each one finds every measured view that derives it; then back
         // into `cuboids` order.
@@ -438,6 +496,9 @@ impl Advisor {
         let mut by_index: Vec<_> = order.into_iter().zip(measured).collect();
         by_index.sort_by_key(|&(i, _)| i);
         let measured: Vec<_> = by_index.into_iter().map(|(_, m)| m).collect();
+
+        // 3 & 4. Meter the workload on the base table.
+        let charges = workload(&meter, &measured)?;
 
         // 5. Assemble the selection problem.
         let model = cost_model_for(&config, charges)?;
@@ -711,6 +772,34 @@ mod tests {
                 .map_err(AdvisorError::from)
         }
 
+        /// The workload metering as it stood before planned scans, kept as
+        /// the slow reference: run every query on the base table and read
+        /// the executed scan's bytes and result.
+        fn workload_charges_reference(&self) -> Result<Vec<QueryCharge>, AdvisorError> {
+            let mut charges = Vec::with_capacity(self.queries.len());
+            for (q, lq) in self.queries.iter().zip(&self.domain.workload.queries) {
+                let (out, stats) = q
+                    .execute_with_threads(&self.domain.base, self.config.threads)
+                    .map_err(AdvisorError::from)?;
+                let result_size = match self.config.sizing {
+                    SizingMode::MeasuredScaled => self.scale.bytes_to_cloud(stats.bytes_out),
+                    SizingMode::Extrapolated => {
+                        let width = out.schema().row_byte_width() as f64;
+                        Gb::from_bytes((self.cloud_groups(&lq.cuboid) * width) as u64)
+                    }
+                };
+                let base_time =
+                    self.hours(stats.bytes_scanned, self.engine_rows, self.cloud_rows)?;
+                charges.push(QueryCharge {
+                    name: q.name.clone(),
+                    result_size,
+                    base_time,
+                    frequency: lq.frequency,
+                });
+            }
+            Ok(charges)
+        }
+
         /// The metering procedure as it stood before roll-ups and planned
         /// scans, kept as the slow reference: build the cuboid from the
         /// base table, refresh a clone with the delta, run every workload
@@ -789,10 +878,25 @@ mod tests {
         }
     }
 
-    /// Candidate order, and every candidate's label, cuboid, stored view
-    /// (`Table ==`: row order, codes, dictionaries; `build_stats`) and
-    /// charge, are the reference's.
+    /// [`Advisor::build_with`] the reference meter for both passes.
+    fn build_reference(domain: Domain, config: AdvisorConfig) -> Result<Advisor, AdvisorError> {
+        Advisor::build_with(
+            domain,
+            config,
+            |meter, cuboid, _| meter.measure_reference(cuboid),
+            |meter, _| meter.workload_charges_reference(),
+        )
+    }
+
+    /// Candidate order, the workload charges, and every candidate's
+    /// label, cuboid, stored view (`Table ==`: row order, codes,
+    /// dictionaries; `build_stats`) and charge, are the reference's.
     fn assert_same_pool(fast: &Advisor, slow: &Advisor, what: &str) {
+        assert_eq!(
+            fast.problem().model().context().workload,
+            slow.problem().model().context().workload,
+            "{what}: workload"
+        );
         assert_eq!(
             fast.problem().candidates(),
             slow.problem().candidates(),
@@ -826,13 +930,47 @@ mod tests {
                 };
                 let what = format!("{name} {sizing:?} {candidates:?} t{threads}");
                 let fast = Advisor::build(domain.clone(), config.clone()).unwrap();
-                let slow = Advisor::build_with(domain.clone(), config, |meter, cuboid, _| {
-                    meter.measure_reference(cuboid)
-                })
-                .unwrap();
+                let slow = build_reference(domain.clone(), config).unwrap();
                 assert_same_pool(&fast, &slow, &what);
             }
         }
+    }
+
+    /// [`Advisor::build`] against the reference meter where either may
+    /// fail: the same pool, or the same error. Returns the outcome.
+    fn assert_builds_as_the_reference(
+        domain: &Domain,
+        config: &AdvisorConfig,
+        what: &str,
+    ) -> Result<(), AdvisorError> {
+        let fast = Advisor::build(domain.clone(), config.clone());
+        match (&fast, build_reference(domain.clone(), config.clone())) {
+            (Ok(fast), Ok(slow)) => assert_same_pool(fast, &slow, what),
+            (_, slow) => assert_eq!(fast.as_ref().err(), slow.as_ref().err(), "{what}"),
+        }
+        fast.map(drop)
+    }
+
+    /// `domain` with row `r`'s measure replaced by `value(r, measure)`.
+    fn with_measure(domain: &Domain, value: impl Fn(usize, i64) -> i64) -> Domain {
+        let measure = domain.base.schema().index_of(&domain.measure).unwrap();
+        let mut base = Table::empty(domain.base.schema().clone());
+        for r in 0..domain.base.num_rows() {
+            let mut row = domain.base.row(r);
+            let v = row[measure].as_int().unwrap();
+            row[measure] = mv_engine::Value::Int(value(r, v));
+            base.push_row(&row).unwrap();
+        }
+        Domain {
+            base,
+            ..domain.clone()
+        }
+    }
+
+    /// Σ|measure| over `table`, as the bound adds it up.
+    fn abs_measure(table: &Table, measure: &str) -> i128 {
+        let values = table.column_by_name(measure).unwrap().as_int().unwrap();
+        values.iter().map(|v| v.unsigned_abs() as i128).sum()
     }
 
     #[test]
@@ -856,32 +994,31 @@ mod tests {
         assert_eq!((ssb.base_builds(), ssb.candidates().len()), (3, 63));
     }
 
+    /// The typed error a SUM of `domain`'s measure leaving `i64` is.
+    fn overflow(domain: &Domain) -> AdvisorError {
+        AdvisorError::Engine(mv_engine::EngineError::AggregateOverflow {
+            aggregate: format!("sum_{}", domain.measure),
+        })
+    }
+
+    /// Row 0 at `i64::MAX - 10 000`, every other row at 1: every total
+    /// on the base table fits, and one that adds row 0's group of the
+    /// maintenance batch does not.
+    fn edge_of_i64(domain: &Domain) -> Domain {
+        with_measure(domain, |r, _| if r == 0 { i64::MAX - 10_000 } else { 1 })
+    }
+
     #[test]
     fn a_stored_total_at_the_edge_of_i64_still_fails_in_the_refresh_merge() {
         // Every total fits — the workload runs, every cuboid builds — but
         // the maintenance batch (a generated month of inserts) lands in
         // the time-free groups that hold row 0, and that merge leaves
-        // `i64`. The refresh is executed, not planned, so the error is
-        // the reference meter's.
-        let mut domain = sales_domain(200, 3, 1.0, 5);
-        let measure = domain.base.schema().index_of(&domain.measure).unwrap();
-        let mut base = Table::empty(domain.base.schema().clone());
-        for r in 0..domain.base.num_rows() {
-            let mut row = domain.base.row(r);
-            row[measure] = mv_engine::Value::Int(if r == 0 { i64::MAX - 10_000 } else { 1 });
-            base.push_row(&row).unwrap();
-        }
-        domain.base = base;
+        // `i64`. Σ|measure| is past the bound, so the refresh is
+        // executed, not planned, and the error is the reference meter's.
+        let domain = edge_of_i64(&sales_domain(200, 3, 1.0, 5));
         let fast = Advisor::build(domain.clone(), AdvisorConfig::default()).unwrap_err();
-        assert_eq!(
-            fast,
-            AdvisorError::Engine(mv_engine::EngineError::AggregateOverflow {
-                aggregate: format!("sum_{}", domain.measure),
-            })
-        );
-        let slow = Advisor::build_with(domain.clone(), AdvisorConfig::default(), |meter, c, _| {
-            meter.measure_reference(c)
-        });
+        assert_eq!(fast, overflow(&domain));
+        let slow = build_reference(domain.clone(), AdvisorConfig::default());
         assert_eq!(fast, slow.unwrap_err());
         // Without a maintenance batch nothing is merged and nothing fails.
         let static_data = AdvisorConfig {
@@ -889,6 +1026,98 @@ mod tests {
             ..AdvisorConfig::default()
         };
         assert!(Advisor::build(domain, static_data).is_ok());
+    }
+
+    /// Past the bound the meter runs the workload on the base table and
+    /// each refresh on a copy, as the reference does: the reference's
+    /// pool where no total leaves `i64`, its typed error where a
+    /// workload group or a refresh merge does.
+    #[test]
+    fn meter_falls_back_to_the_executed_passes_past_the_bound() {
+        let sizings = [SizingMode::Extrapolated, SizingMode::MeasuredScaled];
+        for domain in [
+            sales_domain(400, 10, 1.0, 3),
+            crate::ssb_domain(400, 1.0, 3),
+        ] {
+            // Four rows at ±2^61: Σ|measure| reaches 2^63, and no total
+            // can, not even with row 0 replayed into the batch.
+            let cancelling = with_measure(&domain, |r, v| match r {
+                0 | 1 => 1 << 61,
+                2 | 3 => -(1 << 61),
+                _ => v,
+            });
+            // Every row at a quarter of `i64::MAX`: every group of five
+            // rows or more leaves it, workload groups on the base included.
+            let overflowing = with_measure(&domain, |_, _| i64::MAX / 4);
+            let refresh = edge_of_i64(&domain);
+            for sizing in sizings {
+                let config = AdvisorConfig {
+                    sizing,
+                    ..AdvisorConfig::default()
+                };
+                let what = |case: &str| format!("{} {sizing:?} {case}", domain.name);
+                let expected = [Ok(()), Err(overflow(&domain)), Err(overflow(&domain))];
+                for ((case, d), expected) in [
+                    ("cancelling", &cancelling),
+                    ("overflowing", &overflowing),
+                    ("refresh", &refresh),
+                ]
+                .into_iter()
+                .zip(expected)
+                {
+                    assert!(!CandidateMeter::new(d, &config).unwrap().planned);
+                    let built = assert_builds_as_the_reference(d, &config, &what(case));
+                    assert_eq!(built, expected, "{}", what(case));
+                }
+                let meter = CandidateMeter::new(&overflowing, &config).unwrap();
+                let reference = meter.workload_charges_reference().unwrap_err();
+                assert_eq!(reference, overflow(&domain), "{}", what("workload"));
+                assert_eq!(meter.workload_charges(&[]), Err(reference));
+            }
+        }
+    }
+
+    /// Σ|measure| over the base table and the batch at exactly
+    /// `i64::MAX` is inside the bound (planned, and every total fits)
+    /// and one more is past it (executed, and the grand total's refresh
+    /// leaves `i64`): the reference's outcome either way.
+    #[test]
+    fn meter_bound_is_inclusive_at_i64_max() {
+        let domain = sales_domain(400, 10, 1.0, 3);
+        let batch = monthly_delta(&domain, AdvisorConfig::default().maintenance_delta_fraction);
+        let without_row_0 = with_measure(&domain, |r, v| if r == 0 { 0 } else { v });
+        let rest = abs_measure(&without_row_0.base, &domain.measure)
+            + abs_measure(&batch.unwrap(), &domain.measure);
+        for extra in [0, 1] {
+            let row_0 = (i64::MAX as i128 - rest + extra) as i64;
+            let edge = with_measure(&domain, |r, v| if r == 0 { row_0 } else { v });
+            for sizing in [SizingMode::Extrapolated, SizingMode::MeasuredScaled] {
+                let config = AdvisorConfig {
+                    sizing,
+                    ..AdvisorConfig::default()
+                };
+                let meter = CandidateMeter::new(&edge, &config).unwrap();
+                assert_eq!(meter.planned, extra == 0, "{sizing:?} +{extra}");
+                let what = format!("{sizing:?} i64::MAX + {extra}");
+                let built = assert_builds_as_the_reference(&edge, &config, &what);
+                assert_eq!(built.is_ok(), extra == 0, "{what}");
+            }
+        }
+    }
+
+    /// `advise_cold`'s shapes stay inside the bound, so the benchmark
+    /// times the planned passes: no workload group-by on the base table
+    /// and no refresh.
+    #[test]
+    fn meter_plans_at_the_benchmark_shapes() {
+        let config = AdvisorConfig::default();
+        for seed in 0..8 {
+            let sales = sales_domain(20_000, 10, 1.0, seed);
+            for domain in [sales, crate::ssb_domain(4_000, 1.0, seed)] {
+                let meter = CandidateMeter::new(&domain, &config).unwrap();
+                assert!(meter.planned, "{} seed {seed}", domain.name);
+            }
+        }
     }
 
     #[test]

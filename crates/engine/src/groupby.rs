@@ -469,6 +469,20 @@ pub(crate) fn scanned_width(
     keys + aggs.map(AggExpr::input_width).sum::<u64>()
 }
 
+/// The schema a group-by over `in_schema` outputs: the group columns,
+/// then one `Int` column per aggregate.
+pub(crate) fn output_schema(
+    in_schema: &Schema,
+    group_cols: &[usize],
+    aggs: &[LoweredAgg],
+) -> Result<Schema, EngineError> {
+    let keys = group_cols.iter().map(|&c| in_schema.fields()[c].clone());
+    let measures = aggs
+        .iter()
+        .map(|a| Field::new(a.alias.clone(), DataType::Int));
+    Schema::new(keys.chain(measures).collect())
+}
+
 /// Emits the output table (group columns + one Int column per aggregate)
 /// and the metering record.
 fn build_output(
@@ -479,14 +493,7 @@ fn build_output(
     mask: Option<&[bool]>,
 ) -> Result<(Table, ExecStats), EngineError> {
     let in_schema = table.schema();
-    let mut fields: Vec<Field> = Vec::with_capacity(group_cols.len() + aggs.len());
-    for &c in group_cols {
-        fields.push(in_schema.fields()[c].clone());
-    }
-    for a in aggs {
-        fields.push(Field::new(a.alias.clone(), DataType::Int));
-    }
-    let out_schema = Schema::new(fields)?;
+    let out_schema = output_schema(in_schema, group_cols, aggs)?;
 
     // Groups are numbered by first appearance: deterministic given input
     // order, whatever the thread count.

@@ -1,7 +1,7 @@
 //! Aggregation queries.
 
 use crate::agg::AggExpr;
-use crate::groupby::{parallel_group_by, scanned_width, LoweredAgg};
+use crate::groupby::{output_schema, parallel_group_by, scanned_width, LoweredAgg};
 use crate::{AggFunc, AggSpec, DataType, EngineError, ExecStats, Predicate, Schema, Table};
 
 /// A roll-up aggregation query: `SELECT group_by…, agg(…)… FROM t [WHERE …]
@@ -106,6 +106,15 @@ impl AggQuery {
         threads: usize,
     ) -> Result<(Table, ExecStats), EngineError> {
         self.plan(table.schema())?.run(table, threads)
+    }
+
+    /// The `bytes_scanned` [`AggQuery::execute`] would meter over `table`
+    /// and its result's schema, read off the plan: no predicate is
+    /// evaluated and no total formed, so only planning can fail.
+    pub fn planned_scan(&self, table: &Table) -> Result<(u64, Schema), EngineError> {
+        let plan = self.plan(table.schema())?;
+        let out = output_schema(table.schema(), &plan.group_cols, &plan.aggs)?;
+        Ok((plan.scan_bytes(table), out))
     }
 }
 

@@ -158,8 +158,10 @@ fn roll_up_reports_a_re_summed_total_past_i64_where_the_from_base_build_does() {
 }
 
 /// A view's answer is the base query's result or the base query's
-/// error: once a query has run on the base table (the advisor's
-/// workload pass), asking a deriving view for it cannot fail.
+/// error, so the advisor may read a workload query's result rows off a
+/// deriving view instead of running it on the base table: inside its
+/// Σ|measure| bound neither can fail, and past it the query runs on the
+/// base table.
 #[test]
 fn a_view_answer_fails_only_where_the_base_query_does() {
     let base = two_level(&[

@@ -252,6 +252,28 @@ proptest! {
         prop_assert_eq!(via_sql.to_sorted_rows(), direct.to_sorted_rows());
     }
 
+    /// A query's planned scan is its executed one: the `bytes_scanned`
+    /// and the result's schema (so its row width) read off the plan, with
+    /// and without a filter, over empty tables too.
+    #[test]
+    fn planned_scan_is_the_executed_scan(
+        table in arb_sales(60),
+        empty in proptest::bool::ANY,
+        sql in arb_sql(),
+        filtered in proptest::bool::ANY,
+    ) {
+        let table = if empty { Table::empty(table.schema().clone()) } else { table };
+        let mut query = mv_engine::parse_query(&sql).unwrap().query;
+        if !filtered {
+            query.predicate = None;
+        }
+        let (out, stats) = query.execute(&table).unwrap();
+        let (bytes_scanned, schema) = query.planned_scan(&table).unwrap();
+        prop_assert_eq!(bytes_scanned, stats.bytes_scanned, "{}", sql);
+        prop_assert_eq!(schema.row_byte_width(), out.schema().row_byte_width());
+        prop_assert_eq!(&schema, out.schema());
+    }
+
     /// CSV roundtrips any generated table exactly.
     #[test]
     fn csv_roundtrip(table in arb_sales(80)) {
