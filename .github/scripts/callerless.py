@@ -39,7 +39,7 @@ SHADOWED = {
     # every definition has a non-test caller
     "add", "all", "baseline", "build", "candidates", "catalog", "cost", "drift",
     "empty", "execute", "feasible", "get", "heap_bytes", "hours", "label", "len",
-    "levels", "name", "new", "nodes", "objective", "problem", "rank", "record",
+    "levels", "name", "new", "objective", "problem", "rank", "record",
     "render", "row", "saturating_sub", "scale", "scale_rates", "score",
     "selection", "set", "solve", "spill", "timeline_csv", "total", "validate",
     "value", "with_selection",
@@ -48,11 +48,11 @@ SHADOWED = {
     # one definition only tests read, beside called namesakes: the DP
     # oracles' totals, `SelectionSet::toggle` / `iter`, the unit types'
     # `max` / `min` (`Hours`, `Gb`, `Money`), `Value::as_int` / `as_str`,
-    # `Table::columns`, `Lattice::children`, `InterruptionRisk::adjust`,
-    # `PriceTrace::compute`, `SparseCoverage::entries`,
-    # `WorkloadEvolution::epochs`, `MarketScenario::is_stochastic`
+    # `Table::columns`, `InterruptionRisk::adjust`, `PriceTrace::compute`,
+    # `SparseCoverage::entries`, `WorkloadEvolution::epochs`,
+    # `MarketScenario::is_stochastic`
     "total_cost", "toggle", "iter", "max", "min", "as_int", "as_str", "columns",
-    "children", "adjust", "compute", "entries", "epochs", "is_stochastic",
+    "adjust", "compute", "entries", "epochs", "is_stochastic",
 }
 
 

@@ -16,11 +16,14 @@
 //! The driver is one pipeline: validate → sample the K paths once →
 //! factor them into a [`ScenarioTree`] (sampled paths share long quote
 //! prefixes; a deterministic market is a single chain) → one
-//! [`EpochChain::solve_with`] over the forest, with one quote-repriced
-//! primary-sheet model and one [`PoolCharge`] pair per tree *node* — one
-//! evaluator build per root, one warm transition per edge, one fork per
-//! extra sibling (counter-pinned in `tests/market_no_rebuild.rs`) → one
-//! per-path account → one envelope fold. [`Advisor::solve_market`] is
+//! [`EpochChain::forest`] straight from the tree, with one quote-repriced
+//! primary-sheet model and one [`PoolCharge`] pair per tree *node*, and
+//! one [`EpochChain::solve_with`] over it — one evaluator build per root,
+//! one warm transition per edge, one fork per extra sibling
+//! (counter-pinned in `tests/market_no_rebuild.rs`) → one per-path
+//! account → one envelope fold. A market-insulated plan (every view
+//! pinned to a reserved primary) solves path 0's one-path tree with
+//! every path's leaf pointing at it. [`Advisor::solve_market`] is
 //! this driver on the pure-spot plan ([`crate::MarketConfig::as_fleet`]),
 //! projected into a [`crate::MarketReport`]. [`Advisor::solve_fleet_paths`]
 //! is the inner *solve these sampled paths* step on its own: path `j`
@@ -51,7 +54,7 @@ use mv_cost::{CloudCostModel, InterruptionRisk, PoolCharge, Price, SelectionSet}
 use mv_lattice::WorkloadEvolution;
 use mv_market::{EpochQuote, MarketPath, MarketScenario, ScenarioTree};
 use mv_pricing::{FleetPlan, Placement};
-use mv_select::epoch::{ChainSpec, EpochChain, EpochStep, EpochTree, EpochTreeNode, Topology};
+use mv_select::epoch::{ChainSpec, EpochChain, EpochStep};
 use mv_select::{local_search, Scenario};
 use mv_units::{Hours, Money};
 
@@ -208,7 +211,8 @@ pub struct FleetReport {
     pub distinct_solves: usize,
     /// Scenario-tree node count — the number of epoch-solves paid (vs
     /// `distinct_solves × epochs` without prefix sharing). `None` when
-    /// the fleet is market-insulated and no forest was solved.
+    /// the fleet is market-insulated and one path's epochs stood for the
+    /// whole sampled forest.
     pub tree_nodes: Option<usize>,
 }
 
@@ -504,33 +508,33 @@ impl Advisor {
         forest: &Forest<'_>,
         fleet: &FleetPlan,
     ) -> SolvedPaths {
-        let (sampled, stree) = (forest.sampled, &forest.tree);
+        let sampled = forest.sampled;
         // A pinned all-reserved fleet under a reserved primary never
         // sees the market: the quotes *differ* across paths, they just
         // don't matter (a sharing the prefix forest cannot discover),
-        // so the first path's solve stands for all.
+        // so path 0's one-path tree stands for all — every path ends at
+        // its leaf, and each path's account still reads its own sampled
+        // interruption events.
         let insulated = fleet.primary == Placement::Reserved
             && fleet.pinned_pool() == Some(Placement::Reserved);
-        if insulated && sampled.len() > 1 {
-            let one = self.solve_forest(scenario, &Forest::new(&sampled[..1], forest.base), fleet);
-            let paths = sampled
-                .iter()
-                .enumerate()
-                .map(|(j, p)| FleetPathSummary {
-                    path: j,
-                    // Interruption *events* are still Bernoulli-sampled
-                    // per path.
-                    interruptions: p.interruptions(),
-                    ..one.paths[0].clone()
-                })
-                .collect();
-            return SolvedPaths { paths, ..one };
-        }
-
-        let models = stree
+        let one_path;
+        let stree = if insulated {
+            one_path = ScenarioTree::from_paths(&sampled[..1]);
+            &one_path
+        } else {
+            &forest.tree
+        };
+        let leaves = (0..sampled.len())
+            .map(|j| stree.leaf_of(if insulated { 0 } else { j }))
+            .collect();
+        let nodes = stree
             .nodes()
             .iter()
-            .map(|n| self.fleet_quote_model(&forest.base[n.epoch], &n.quote, fleet));
+            .map(|n| {
+                let model = self.fleet_quote_model(&forest.base[n.epoch], &n.quote, fleet);
+                (n.parent, model)
+            })
+            .collect();
         let node_pools: Vec<[PoolCharge; 2]> = stree
             .nodes()
             .iter()
@@ -546,28 +550,7 @@ impl Advisor {
             rebalance: fleet.rebalance,
             max_moves: local_search::default_move_budget(pool.len()),
         };
-        let (per_path, tree_nodes) = if insulated {
-            // One lineage the quotes never reach: its nodes are its
-            // epochs, so there is no forest to walk.
-            let chain = EpochChain::new(models.collect(), pool.to_vec());
-            (chain.solve_with(scenario, &spec, Topology::Path), None)
-        } else {
-            let nodes = stree
-                .nodes()
-                .iter()
-                .zip(models)
-                .map(|(n, model)| EpochTreeNode {
-                    parent: n.parent,
-                    epoch: n.epoch,
-                    model,
-                })
-                .collect();
-            let leaves = (0..sampled.len()).map(|j| stree.leaf_of(j)).collect();
-            let tree = EpochTree::new(nodes, leaves);
-            let chain = EpochChain::new(forest.base.to_vec(), pool.to_vec());
-            let per_path = chain.solve_with(scenario, &spec, Topology::Tree(&tree));
-            (per_path, Some(stree.len()))
-        };
+        let per_path = EpochChain::forest(nodes, leaves, pool.to_vec()).solve_with(scenario, &spec);
         let paths = sampled
             .iter()
             .zip(&per_path)
@@ -577,7 +560,7 @@ impl Advisor {
         SolvedPaths {
             paths,
             distinct_solves: stree.distinct_leaves(),
-            tree_nodes,
+            tree_nodes: (!insulated).then(|| stree.len()),
         }
     }
 

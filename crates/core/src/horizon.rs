@@ -178,8 +178,8 @@ impl Advisor {
         self.solve_horizon_by(horizon, |chain| chain.solve_myopic(scenario))
     }
 
-    /// Builds the horizon's chain, lets `solve` walk it and renders the
-    /// steps.
+    /// Checks the horizon and its reservation, builds the horizon's
+    /// chain, lets `solve` walk it and renders the steps.
     fn solve_horizon_by(
         &self,
         horizon: &HorizonConfig,
@@ -188,17 +188,38 @@ impl Advisor {
         if horizon.epochs == 0 {
             return Err(AdvisorError::EmptyHorizon);
         }
+        let config = self.config();
+        let commitment = match &horizon.commitment {
+            Some(plan) if plan.instance != config.instance => {
+                return Err(AdvisorError::CommitmentMismatch {
+                    plan: plan.name.clone(),
+                    plan_instance: plan.instance.clone(),
+                    advisor_instance: config.instance.clone(),
+                });
+            }
+            Some(plan) => {
+                let on_demand_hourly = config
+                    .pricing
+                    .compute
+                    .instance(&config.instance)
+                    .map_err(AdvisorError::from)?
+                    .hourly;
+                Some((plan, on_demand_hourly))
+            }
+            None => None,
+        };
         let chain = self.epoch_chain(horizon);
         let steps = solve(&chain);
-        self.render_horizon(horizon, &chain, steps)
+        self.render_horizon(commitment, &chain, steps)
     }
 
     /// Assembles a [`HorizonReport`] from solved chain steps: per-epoch
-    /// ledgers/invoices, cumulative totals, billable compute and the
-    /// optional commitment comparison.
+    /// ledgers/invoices, cumulative totals, billable compute and, given a
+    /// checked plan and the on-demand hourly rate, the commitment
+    /// comparison.
     fn render_horizon(
         &self,
-        horizon: &HorizonConfig,
+        commitment: Option<(&CommitmentPlan, Money)>,
         chain: &EpochChain,
         steps: Vec<EpochStep>,
     ) -> Result<HorizonReport, AdvisorError> {
@@ -229,31 +250,10 @@ impl Advisor {
                 invoice,
             });
         }
-        let commitment = match &horizon.commitment {
-            Some(plan) => {
-                if plan.instance != config.instance {
-                    return Err(AdvisorError::CommitmentMismatch {
-                        plan: plan.name.clone(),
-                        plan_instance: plan.instance.clone(),
-                        advisor_instance: config.instance.clone(),
-                    });
-                }
-                let on_demand_hourly = config
-                    .pricing
-                    .compute
-                    .instance(&config.instance)
-                    .map_err(AdvisorError::from)?
-                    .hourly;
-                let total_months = config.months * steps.len() as f64;
-                Some(plan.compare_horizon(
-                    on_demand_hourly,
-                    total_months,
-                    billed,
-                    config.nb_instances,
-                ))
-            }
-            None => None,
-        };
+        let commitment = commitment.map(|(plan, on_demand_hourly)| {
+            let total_months = config.months * steps.len() as f64;
+            plan.compare_horizon(on_demand_hourly, total_months, billed, config.nb_instances)
+        });
         let total_cost = horizon_cost(&steps);
         let total_time = horizon_time(&steps);
         Ok(HorizonReport {
@@ -446,6 +446,7 @@ mod tests {
         let a = advisor();
         let mut plan = mv_pricing::CommitmentPlan::aws_small_1yr();
         plan.instance = "large".to_string();
+        let counters = mv_obs::CounterGuard::scoped();
         let err = a.solve_horizon(
             Scenario::tradeoff_normalized(0.5),
             &HorizonConfig {
@@ -454,7 +455,9 @@ mod tests {
                 commitment: Some(plan),
             },
         );
-        assert!(err.is_err());
+        assert!(matches!(err, Err(AdvisorError::CommitmentMismatch { .. })));
+        // Rejected before the chain solve: no evaluator was built.
+        assert_eq!(counters.local_delta(mv_obs::Counter::EvaluatorBuild), 0);
     }
 
     #[test]

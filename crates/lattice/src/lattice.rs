@@ -139,27 +139,13 @@ impl Lattice {
     /// Direct parents in the Hasse diagram: one dimension coarsened by one
     /// level (cuboids `self` can be rolled up *to* in one step... direction:
     /// a parent is coarser). Test reference: no non-test caller; the dual
-    /// the tests check [`Lattice::children`] against.
+    /// the tests check their `children` against.
     pub fn parents(&self, cuboid: &Cuboid) -> Vec<Cuboid> {
         let mut out = Vec::new();
         for (i, l) in cuboid.levels().iter().enumerate() {
             if *l > 0 {
                 let mut levels = cuboid.levels().to_vec();
                 levels[i] -= 1;
-                out.push(Cuboid::new(levels));
-            }
-        }
-        out
-    }
-
-    /// Direct children in the Hasse diagram: one dimension refined by one
-    /// level (finer cuboids).
-    pub fn children(&self, cuboid: &Cuboid) -> Vec<Cuboid> {
-        let mut out = Vec::new();
-        for (i, l) in cuboid.levels().iter().enumerate() {
-            if (*l as usize) + 1 < self.dims[i].depth() {
-                let mut levels = cuboid.levels().to_vec();
-                levels[i] += 1;
                 out.push(Cuboid::new(levels));
             }
         }
@@ -187,6 +173,20 @@ impl Lattice {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Direct children in the Hasse diagram: one dimension refined by one
+    /// level (finer cuboids) — the dual of [`Lattice::parents`].
+    fn children(l: &Lattice, cuboid: &Cuboid) -> Vec<Cuboid> {
+        let mut out = Vec::new();
+        for (i, level) in cuboid.levels().iter().enumerate() {
+            if (*level as usize) + 1 < l.dims[i].depth() {
+                let mut levels = cuboid.levels().to_vec();
+                levels[i] += 1;
+                out.push(Cuboid::new(levels));
+            }
+        }
+        out
+    }
 
     #[test]
     fn paper_lattice_has_16_cuboids() {
@@ -232,13 +232,13 @@ mod tests {
             assert!(c.strictly_covers(p));
             assert_eq!(c.rank() - p.rank(), 1);
         }
-        let children = l.children(&c);
-        assert_eq!(children.len(), 2);
-        for ch in &children {
+        let finer = children(&l, &c);
+        assert_eq!(finer.len(), 2);
+        for ch in &finer {
             assert!(ch.strictly_covers(&c));
         }
         assert!(l.parents(&l.apex()).is_empty());
-        assert!(l.children(&l.base()).is_empty());
+        assert!(children(&l, &l.base()).is_empty());
     }
 
     #[test]

@@ -30,7 +30,7 @@ name_table! {
         LnsRounds => "lns/rounds",
         LnsAccepted => "lns/accepted",
         LnsRejected => "lns/rejected",
-        // mv-select: EpochChain / EpochTree
+        // mv-select: EpochChain node solves and steps
         TreeNodeSolves => "tree/node_solves",
         TreeRootSolves => "tree/root_solves",
         ChainEpochSteps => "chain/epoch_steps",

@@ -48,16 +48,17 @@
 //! | reprice | [`ChainSpec::reprice`] | identity | per-node rate differential + interruption premium |
 //! | placement | [`ChainSpec::initial`], [`ChainSpec::rebalance`] | each charge's own pool, pinned | the fleet plan's start, pinned or free |
 //! | budget | [`ChainSpec::max_moves`] | [`local_search::default_move_budget`] | same |
-//! | topology | [`Topology`] | `Path` | `Tree`: a prefix forest of sampled price paths |
+//! | shape | the chain's constructor | [`EpochChain::new`]: a path | [`EpochChain::forest`]: a prefix forest of sampled price paths |
 //!
 //! A single pool is the pinned fleet on its charges' own placements and
-//! a path is the one-leaf forest, structurally. On a tree each node is
-//! solved exactly once — one evaluator build per root, one warm
-//! transition per edge, one [`IncrementalEvaluator::fork`] per extra
-//! sibling — and since a node's search depends only on its model, its
-//! effective charges and the state it inherits (all shared along a
-//! prefix), every leaf's steps are **bit-identical** to solving its
-//! lineage alone (tested below and in `tests/tree_identity.rs`).
+//! a path is the one-leaf forest, structurally: one scheduler runs both,
+//! a path (width 1) inline on the calling thread. Each node is solved
+//! exactly once — one evaluator build per root, one warm transition per
+//! edge, one [`IncrementalEvaluator::fork`] per extra sibling — and
+//! since a node's search depends only on its model, its effective
+//! charges and the state it inherits (all shared along a prefix), every
+//! leaf's steps are **bit-identical** to solving its lineage alone
+//! (tested below and in `tests/tree_identity.rs`).
 //! [`EpochChain::solve_dp_exact`] / [`EpochChain::solve_dp_fleet`] are
 //! the exact small-pool oracles.
 //!
@@ -195,20 +196,20 @@ impl DpFleetSolution {
 
 /// A solve's charge transform: `reprice(node, k, placement,
 /// transition)` yields candidate `k`'s effective [`Price`] on
-/// `placement` at `node` — the epoch on a [`Topology::Path`], the tree
-/// node on a [`Topology::Tree`]. `transition` is already the carry-aware
-/// price: the pool entry's full one, or its [`ViewCharge::carried`] form
-/// when the candidate survived the previous epoch *on the same pool* (a
-/// placement move rebuilds the view on the new pool's capacity, so it
-/// re-pays materialization). This is the price-dynamics hook (`mv-cost`'s
-/// `PoolCharge` folds rate differentials and interruption premiums into
-/// it). Prices in, prices out: no transform can reach a view's answer
-/// profile, so every splice is O(1).
+/// `placement` at chain node `node` (on a path, node `e` is epoch `e`).
+/// `transition` is already the carry-aware price: the pool entry's full
+/// one, or its [`ViewCharge::carried`] form when the candidate survived
+/// the previous epoch *on the same pool* (a placement move rebuilds the
+/// view on the new pool's capacity, so it re-pays materialization). This
+/// is the price-dynamics hook (`mv-cost`'s `PoolCharge` folds rate
+/// differentials and interruption premiums into it). Prices in, prices
+/// out: no transform can reach a view's answer profile, so every splice
+/// is O(1).
 pub trait Reprice: Fn(usize, usize, Placement, Price) -> Price {}
 
 impl<F: Fn(usize, usize, Placement, Price) -> Price> Reprice for F {}
 
-/// The axes of a solve other than its topology (module docs: table).
+/// The axes of a solve other than the chain's shape (module docs: table).
 pub struct ChainSpec<'a, F> {
     /// The per-node charge transform, a [`Reprice`].
     pub reprice: F,
@@ -235,43 +236,79 @@ impl ChainSpec<'static, fn(usize, usize, Placement, Price) -> Price> {
     }
 }
 
-/// Which epoch models a solve walks, and in what shape.
-#[derive(Debug, Clone, Copy)]
-pub enum Topology<'a> {
-    /// The chain's own epochs, one after another: one lineage.
-    Path,
-    /// A prefix forest of per-node models: one result per
-    /// [`EpochTree::leaves`] entry. Ready nodes are drained by up to
-    /// [`EpochTree::width`] worker threads; scheduling cannot change
-    /// results, only wall-clock.
-    Tree(&'a EpochTree),
-}
-
 /// A billing horizon: per-epoch costing models over one shared,
-/// full-price candidate pool.
+/// full-price candidate pool, shaped as a prefix forest.
 ///
-/// Every epoch model must cover the same query universe (same workload
+/// Each node is one epoch under one costing model; its parent is the
+/// previous epoch (`None` at a root), so its epoch is its depth. Each
+/// leaf ends one lineage. [`EpochChain::new`] builds a path (node `e` is
+/// epoch `e`, one leaf); [`EpochChain::forest`] builds a prefix forest of
+/// sampled price paths — `mv-market`'s `ScenarioTree` compiles into one
+/// (the driver attaches the quote-repriced models); this crate stays
+/// market-agnostic. Nodes are stored parent-before-child, so index order
+/// is a valid (serial) schedule and any parent-completes-first schedule
+/// yields the same results.
+///
+/// Every node model must cover the same query universe (same workload
 /// length; frequencies, base times, pricing and storage horizon are
-/// free to differ per epoch) so the pool's answer profiles stay aligned
+/// free to differ per node) so the pool's answer profiles stay aligned
 /// throughout — that is also what makes the warm-started evaluator's
 /// caches valid across [`IncrementalEvaluator::retarget`].
 #[derive(Debug, Clone)]
 pub struct EpochChain {
-    epochs: Vec<CloudCostModel>,
+    models: Vec<CloudCostModel>,
+    parent: Vec<Option<usize>>,
+    depths: Vec<usize>,
+    leaves: Vec<usize>,
     pool: Vec<ViewCharge>,
 }
 
 impl EpochChain {
-    /// Builds a chain, validating epoch/pool alignment.
+    /// Builds a path: epoch `e` follows epoch `e - 1`, one leaf at the
+    /// last epoch.
+    ///
+    /// # Panics
+    /// As [`EpochChain::forest`].
     pub fn new(epochs: Vec<CloudCostModel>, pool: Vec<ViewCharge>) -> Self {
-        assert!(!epochs.is_empty(), "a horizon needs at least one epoch");
-        let m = epochs[0].context().workload.len();
-        for (e, model) in epochs.iter().enumerate() {
+        let last = epochs.len().saturating_sub(1);
+        let nodes = epochs
+            .into_iter()
+            .enumerate()
+            .map(|(e, model)| (e.checked_sub(1), model))
+            .collect();
+        Self::forest(nodes, vec![last], pool)
+    }
+
+    /// Builds a prefix forest from a `(parent, model)` pair per node plus
+    /// the leaf each requested lineage ends at (duplicates allowed:
+    /// identical sampled paths share a leaf).
+    ///
+    /// # Panics
+    /// Panics unless there is a node and a leaf, nodes are stored
+    /// parent-before-child, every node model and pool entry covers the
+    /// first model's workload, and every leaf sits at one final epoch.
+    pub fn forest(
+        nodes: Vec<(Option<usize>, CloudCostModel)>,
+        leaves: Vec<usize>,
+        pool: Vec<ViewCharge>,
+    ) -> Self {
+        assert!(!nodes.is_empty(), "a horizon needs at least one epoch");
+        assert!(!leaves.is_empty(), "a forest needs at least one leaf");
+        let m = nodes[0].1.context().workload.len();
+        let mut depths = Vec::with_capacity(nodes.len());
+        for (idx, (parent, model)) in nodes.iter().enumerate() {
             assert_eq!(
                 model.context().workload.len(),
                 m,
-                "epoch {e} has a different workload length"
+                "node {idx} has a different workload length"
             );
+            depths.push(match *parent {
+                None => 0,
+                Some(p) => {
+                    assert!(p < idx, "node {idx} must be stored after its parent {p}");
+                    depths[p] + 1
+                }
+            });
         }
         for c in &pool {
             assert_eq!(
@@ -283,23 +320,28 @@ impl EpochChain {
                 m
             );
         }
-        EpochChain { epochs, pool }
+        let depth = |l: usize| {
+            assert!(l < depths.len(), "leaf {l} out of {} nodes", depths.len());
+            depths[l]
+        };
+        let last = depth(leaves[0]);
+        for &l in &leaves {
+            assert_eq!(depth(l), last, "every leaf must sit at one final epoch");
+        }
+        let (parent, models) = nodes.into_iter().unzip();
+        EpochChain {
+            models,
+            parent,
+            depths,
+            leaves,
+            pool,
+        }
     }
 
-    /// Number of epochs.
-    pub fn len(&self) -> usize {
-        self.epochs.len()
-    }
-
-    /// `true` when the chain has no epochs (never constructible via
-    /// [`EpochChain::new`], which rejects empty horizons).
-    pub fn is_empty(&self) -> bool {
-        self.epochs.is_empty()
-    }
-
-    /// The per-epoch costing models.
+    /// The per-node costing models, parent-before-child (on a path, node
+    /// `e` is epoch `e`).
     pub fn epochs(&self) -> &[CloudCostModel] {
-        &self.epochs
+        &self.models
     }
 
     /// The shared full-price candidate pool.
@@ -307,97 +349,93 @@ impl EpochChain {
         &self.pool
     }
 
-    /// The transition-aware solve — the one driver every other entry
-    /// point calls (see the module docs). Returns one epoch-ordered
-    /// `Vec<EpochStep>` per lineage: exactly one on a [`Topology::Path`],
-    /// one per [`EpochTree::leaves`] entry on a [`Topology::Tree`].
+    /// The epoch models of a path — what the path-only solves walk.
     ///
     /// # Panics
-    /// Panics when `spec.initial` does not cover the pool, or a tree does
-    /// not fit this chain's query universe and horizon.
+    /// Panics when the chain was built as a forest that is not a path.
+    fn path(&self) -> &[CloudCostModel] {
+        assert!(
+            self.leaves == [self.models.len() - 1]
+                && self.depths.iter().enumerate().all(|(i, &d)| d == i),
+            "this solve walks a path; a forest is solved by solve_with"
+        );
+        &self.models
+    }
+
+    /// The transition-aware solve — the one driver every other entry
+    /// point calls (see the module docs). Returns one epoch-ordered
+    /// `Vec<EpochStep>` per leaf, in leaf order: exactly one on a path.
+    ///
+    /// # Panics
+    /// Panics when `spec.initial` does not cover the pool.
     pub fn solve_with<F: Reprice + Sync>(
         &self,
         scenario: Scenario,
         spec: &ChainSpec<'_, F>,
-        topology: Topology<'_>,
     ) -> Vec<Vec<EpochStep>> {
-        match topology {
-            Topology::Path => vec![self.run_path(scenario, spec)],
-            Topology::Tree(tree) => {
-                // One worker per unit of tree width, capped by the machine.
-                let machine = std::thread::available_parallelism().map_or(1, |t| t.get());
-                self.run_forest(scenario, spec, tree, machine.min(tree.width()))
-            }
+        // One worker per unit of forest width (the widest epoch's node
+        // count), capped by the machine: a path runs inline.
+        let mut per_epoch = vec![0; self.models.len()];
+        for &d in &self.depths {
+            per_epoch[d] += 1;
         }
+        let width = per_epoch.into_iter().max().unwrap_or(1);
+        let machine = std::thread::available_parallelism().map_or(1, |t| t.get());
+        self.run_forest(scenario, spec, machine.min(width))
     }
 
-    /// The single-pool solve at full price with the default move budget:
-    /// [`ChainSpec::single_pool`] over the chain's own epochs.
+    /// The single-pool solve of a path at full price with the default
+    /// move budget: [`ChainSpec::single_pool`].
     pub fn solve(&self, scenario: Scenario) -> Vec<EpochStep> {
+        self.path();
         let budget = local_search::default_move_budget(self.pool.len());
-        self.run_path(scenario, &ChainSpec::single_pool(budget))
+        let mut solved = self.solve_with(scenario, &ChainSpec::single_pool(budget));
+        solved.pop().expect("a path has one leaf")
     }
 
-    /// The path scheduler: each epoch hands its state to the next.
-    fn run_path<F: Reprice>(&self, scenario: Scenario, spec: &ChainSpec<'_, F>) -> Vec<EpochStep> {
-        let mut state = None;
-        self.epochs
-            .iter()
-            .enumerate()
-            .map(|(e, model)| {
-                mv_obs::span!("chain/epoch");
-                let (step, next) = self.node_step(scenario, spec, e, e, model, state.take());
-                state = Some(next);
-                step
-            })
-            .collect()
-    }
-
-    /// The forest scheduler: every node solved once by [`run_tree`], then
-    /// each leaf's lineage cloned out.
+    /// Every node solved once by [`run_tree`] on up to `threads` workers,
+    /// then each leaf's lineage cloned out.
     fn run_forest<F: Reprice + Sync>(
         &self,
         scenario: Scenario,
         spec: &ChainSpec<'_, F>,
-        tree: &EpochTree,
         threads: usize,
     ) -> Vec<Vec<EpochStep>> {
-        self.validate_tree(tree);
-        let node_steps = run_tree(tree, threads, |idx, inherited| {
+        let node_steps = run_tree(&self.parent, threads, |idx, inherited| {
             mv_obs::span!("solve_tree/node");
-            let node = &tree.nodes()[idx];
             mv_obs::inc(mv_obs::Counter::TreeNodeSolves);
-            if node.parent.is_none() {
+            if inherited.is_none() {
                 mv_obs::inc(mv_obs::Counter::TreeRootSolves);
             }
             mv_obs::event(
                 "tree_node_solve",
-                &[("node", idx as f64), ("epoch", node.epoch as f64)],
+                &[("node", idx as f64), ("epoch", self.depths[idx] as f64)],
             );
-            self.node_step(scenario, spec, idx, node.epoch, &node.model, inherited)
+            self.node_step(scenario, spec, idx, inherited)
         });
-        let steps_of = |&leaf| {
-            tree.lineage(leaf)
-                .into_iter()
-                .map(|i| node_steps[i].clone())
-        };
-        tree.leaves()
+        self.leaves
             .iter()
-            .map(|l| steps_of(l).collect())
+            .map(|&leaf| {
+                let mut lineage: Vec<EpochStep> =
+                    std::iter::successors(Some(leaf), |&i| self.parent[i])
+                        .map(|i| node_steps[i].clone())
+                        .collect();
+                lineage.reverse();
+                lineage
+            })
             .collect()
     }
 
-    /// The node step: one epoch under one model, from the state its
-    /// parent left (`None` at a root). See the module docs.
+    /// The node step: one epoch under the node's model, from the state
+    /// its parent left (`None` at a root). See the module docs.
     fn node_step<F: Reprice>(
         &self,
         scenario: Scenario,
         spec: &ChainSpec<'_, F>,
         node: usize,
-        epoch: usize,
-        model: &CloudCostModel,
         inherited: Option<NodeState>,
     ) -> (EpochStep, NodeState) {
+        let model = &self.models[node];
         let n = self.pool.len();
         let effective = |k, p, carried| self.effective(&spec.reprice, node, k, p, carried);
         let root = inherited.is_none();
@@ -452,7 +490,7 @@ impl EpochChain {
         };
         let step = self.step(
             model,
-            epoch,
+            self.depths[node],
             Outcome::new(evaluation, baseline, scenario, SolverKind::LocalSearch),
             &state.prev,
             entry_placements.as_deref().unwrap_or(&state.placements),
@@ -508,9 +546,9 @@ impl EpochChain {
     }
 
     /// The rebuild-per-epoch **reference** of [`EpochChain::solve_with`]
-    /// on a [`Topology::Path`]: identical transition, placement and
-    /// re-pricing semantics, but each epoch builds a fresh charged
-    /// problem and a fresh evaluator repositioned by O(n) flips.
+    /// on a path: identical transition, placement and re-pricing
+    /// semantics, but each epoch builds a fresh charged problem and a
+    /// fresh evaluator repositioned by O(n) flips.
     /// Bit-identical steps (tested below and in
     /// `tests/horizon_consistency.rs`): the correctness anchor of the
     /// warm-start machinery, with no non-test caller.
@@ -519,11 +557,12 @@ impl EpochChain {
         scenario: Scenario,
         spec: &ChainSpec<'_, F>,
     ) -> Vec<EpochStep> {
+        let epochs = self.path();
         let n = self.pool.len();
         let mut placements = self.initial_placements(spec.initial);
         let mut prev = SelectionSet::empty(n);
-        let mut steps = Vec::with_capacity(self.epochs.len());
-        for (e, model) in self.epochs.iter().enumerate() {
+        let mut steps = Vec::with_capacity(epochs.len());
+        for (e, model) in epochs.iter().enumerate() {
             let effective = |k, p, carried| self.effective(&spec.reprice, e, k, p, carried);
             let charged = self.charged(|k| effective(k, placements[k], prev.contains(k)));
             let problem = SelectionProblem::new(model.clone(), charged);
@@ -562,10 +601,11 @@ impl EpochChain {
     /// to; on drifting workloads it churns specialists and re-pays
     /// builds the chain keeps sunk.
     pub fn solve_myopic(&self, scenario: Scenario) -> Vec<EpochStep> {
+        let epochs = self.path();
         let placements = self.initial_placements(None);
         let mut prev = SelectionSet::empty(self.pool.len());
-        let mut steps = Vec::with_capacity(self.epochs.len());
-        for (e, model) in self.epochs.iter().enumerate() {
+        let mut steps = Vec::with_capacity(epochs.len());
+        for (e, model) in epochs.iter().enumerate() {
             let full = SelectionProblem::new(model.clone(), self.pool.clone());
             let solo = local_search::solve_local_search(&full, scenario);
             let mut charged = self.pool.clone();
@@ -611,7 +651,8 @@ impl EpochChain {
             "DP reference solver supports at most {DP_MAX_CANDIDATES} candidates, got {n}"
         );
         let size: usize = 1 << n;
-        let epochs = self.epochs.len();
+        let models = self.path();
+        let epochs = models.len();
 
         // Materialization hours of every subset, indexed by mask (the
         // added-set lookup `mat[cur & !prev]` makes transitions O(1)).
@@ -628,7 +669,7 @@ impl EpochChain {
         // ascending-mask sweep (amortized two flips per subset).
         let mut full: Vec<Vec<(Hours, CostBreakdown)>> = Vec::with_capacity(epochs);
         let mut baselines = Vec::with_capacity(epochs);
-        for model in &self.epochs {
+        for model in models {
             let problem = SelectionProblem::new(model.clone(), self.pool.clone());
             baselines.push(problem.baseline());
             let mut per_mask = Vec::with_capacity(size);
@@ -647,58 +688,19 @@ impl EpochChain {
             Evaluation {
                 time,
                 breakdown: CostBreakdown {
-                    compute_materialization: self.epochs[e].compute_cost(mat[cur & !prev]),
+                    compute_materialization: models[e].compute_cost(mat[cur & !prev]),
                     ..breakdown
                 },
                 selection: masks[cur].clone(),
             }
         };
-
-        // value[cur] = (total violation, total objective) of the best
-        // trajectory ending in `cur`; ties break toward the
-        // first-visited predecessor, so the result is deterministic.
-        let better = |a: (f64, f64), b: (f64, f64)| a.0 < b.0 || (a.0 == b.0 && a.1 < b.1);
-        let mut value: Vec<(f64, f64)> = (0..size)
-            .map(|cur| {
-                let ev = charged(0, 0, cur);
-                (
-                    scenario.violation(&ev),
-                    scenario.objective(&ev, &baselines[0]),
-                )
-            })
-            .collect();
-        let mut back: Vec<Vec<u32>> = Vec::with_capacity(epochs.saturating_sub(1));
-        for (e, epoch_baseline) in baselines.iter().enumerate().skip(1) {
-            let mut next = vec![(f64::INFINITY, f64::INFINITY); size];
-            let mut prevptr = vec![0u32; size];
-            for (prev, &base) in value.iter().enumerate() {
-                for (cur, slot) in next.iter_mut().enumerate() {
-                    let ev = charged(e, prev, cur);
-                    let cand = (
-                        base.0 + scenario.violation(&ev),
-                        base.1 + scenario.objective(&ev, epoch_baseline),
-                    );
-                    if better(cand, *slot) {
-                        *slot = cand;
-                        prevptr[cur] = prev as u32;
-                    }
-                }
-            }
-            value = next;
-            back.push(prevptr);
-        }
-
-        // Best terminal state, then backtrack the trajectory.
-        let mut best = 0usize;
-        for cur in 1..size {
-            if better(value[cur], value[best]) {
-                best = cur;
-            }
-        }
-        let mut path = vec![best; epochs];
-        for e in (1..epochs).rev() {
-            path[e - 1] = back[e - 1][path[e]] as usize;
-        }
+        let path = best_trajectory(size, epochs, |e, prev, cur| {
+            let ev = charged(e, prev, cur);
+            (
+                scenario.violation(&ev),
+                scenario.objective(&ev, &baselines[e]),
+            )
+        });
 
         // Re-derive the chosen trajectory's evaluations exactly, through
         // the same charged problems the chain would bill.
@@ -711,7 +713,7 @@ impl EpochChain {
             for k in masks[cur & prev_mask].ones() {
                 charges[k].set_price(self.pool[k].carried());
             }
-            let problem = SelectionProblem::new(self.epochs[e].clone(), charges);
+            let problem = SelectionProblem::new(models[e].clone(), charges);
             let ev = problem.evaluate(&masks[cur]);
             total_violation += scenario.violation(&ev);
             total_objective += scenario.objective(&ev, &baselines[e]);
@@ -759,7 +761,8 @@ impl EpochChain {
             "joint DP reference solver supports at most {DP_FLEET_MAX_CANDIDATES} candidates, got {n}"
         );
         let states: usize = 3usize.pow(n as u32);
-        let epochs = self.epochs.len();
+        let models = self.path();
+        let epochs = models.len();
         let trit = |s: usize, k: usize| -> usize { s / 3usize.pow(k as u32) % 3 };
         let placement_of = |t: usize| -> Placement {
             match t {
@@ -780,7 +783,7 @@ impl EpochChain {
         let mut eff: Vec<Vec<[Price; 2]>> = Vec::with_capacity(epochs);
         let mut times: Vec<Vec<Hours>> = Vec::with_capacity(epochs);
         let mut baselines = Vec::with_capacity(epochs);
-        for (e, model) in self.epochs.iter().enumerate() {
+        for (e, model) in models.iter().enumerate() {
             eff.push(
                 (0..n)
                     .map(|k| {
@@ -804,7 +807,7 @@ impl EpochChain {
         // partial[e][s]: the state's breakdown with materialization
         // zeroed (the only transition-dependent component).
         let mut partial: Vec<Vec<(Hours, CostBreakdown)>> = Vec::with_capacity(epochs);
-        for (e, model) in self.epochs.iter().enumerate() {
+        for (e, model) in models.iter().enumerate() {
             let mut per_state = Vec::with_capacity(states);
             for s in 0..states {
                 let mut maint = Hours::ZERO;
@@ -839,53 +842,19 @@ impl EpochChain {
             Evaluation {
                 time,
                 breakdown: CostBreakdown {
-                    compute_materialization: self.epochs[e].compute_cost(mat),
+                    compute_materialization: models[e].compute_cost(mat),
                     ..breakdown
                 },
                 selection: masks[sel_mask(cur)].clone(),
             }
         };
-
-        let better = |a: (f64, f64), b: (f64, f64)| a.0 < b.0 || (a.0 == b.0 && a.1 < b.1);
-        let mut value: Vec<(f64, f64)> = (0..states)
-            .map(|cur| {
-                let ev = charged(0, 0, cur);
-                (
-                    scenario.violation(&ev),
-                    scenario.objective(&ev, &baselines[0]),
-                )
-            })
-            .collect();
-        let mut back: Vec<Vec<u32>> = Vec::with_capacity(epochs.saturating_sub(1));
-        for (e, epoch_baseline) in baselines.iter().enumerate().skip(1) {
-            let mut next = vec![(f64::INFINITY, f64::INFINITY); states];
-            let mut prevptr = vec![0u32; states];
-            for (prev, &base) in value.iter().enumerate() {
-                for (cur, slot) in next.iter_mut().enumerate() {
-                    let ev = charged(e, prev, cur);
-                    let cand = (
-                        base.0 + scenario.violation(&ev),
-                        base.1 + scenario.objective(&ev, epoch_baseline),
-                    );
-                    if better(cand, *slot) {
-                        *slot = cand;
-                        prevptr[cur] = prev as u32;
-                    }
-                }
-            }
-            value = next;
-            back.push(prevptr);
-        }
-        let mut best = 0usize;
-        for cur in 1..states {
-            if better(value[cur], value[best]) {
-                best = cur;
-            }
-        }
-        let mut path = vec![best; epochs];
-        for e in (1..epochs).rev() {
-            path[e - 1] = back[e - 1][path[e]] as usize;
-        }
+        let path = best_trajectory(states, epochs, |e, prev, cur| {
+            let ev = charged(e, prev, cur);
+            (
+                scenario.violation(&ev),
+                scenario.objective(&ev, &baselines[e]),
+            )
+        });
 
         // Re-derive the chosen trajectory's evaluations exactly through
         // charged problems (the internal tallies only pick it).
@@ -914,7 +883,7 @@ impl EpochChain {
                     ..reprice(e, k, p, transition)
                 });
             }
-            let problem = SelectionProblem::new(self.epochs[e].clone(), charges);
+            let problem = SelectionProblem::new(models[e].clone(), charges);
             let ev = problem.evaluate(&masks[sel_mask(cur)]);
             total_violation += scenario.violation(&ev);
             total_objective += scenario.objective(&ev, &baselines[e]);
@@ -931,41 +900,12 @@ impl EpochChain {
         }
     }
 
-    /// Validates a scenario tree against this chain: every node model
-    /// must cover the chain's query universe (that is what keeps the
-    /// branched evaluators' answer caches valid across
-    /// [`IncrementalEvaluator::retarget`]), node epochs must fit the
-    /// horizon, and every leaf must sit at the final epoch.
-    fn validate_tree(&self, tree: &EpochTree) {
-        let m = self.epochs[0].context().workload.len();
-        for (idx, node) in tree.nodes().iter().enumerate() {
-            assert!(
-                node.epoch < self.len(),
-                "tree node {idx} at epoch {} exceeds the {}-epoch horizon",
-                node.epoch,
-                self.len()
-            );
-            assert_eq!(
-                node.model.context().workload.len(),
-                m,
-                "tree node {idx} has a different workload length"
-            );
-        }
-        for &leaf in tree.leaves() {
-            assert_eq!(
-                tree.nodes()[leaf].epoch,
-                self.len() - 1,
-                "leaf {leaf} must sit at the final epoch"
-            );
-        }
-    }
-
     /// Assembles one epoch's step: transition accounting against the
     /// previous selection and placements — a candidate selected in both
     /// epochs whose placement changed is `moved` (it re-paid
     /// materialization on the new pool), not `kept` — plus the
     /// full-price reference evaluation. `model` is the epoch's
-    /// *effective* costing model (a tree node's is quote-repriced).
+    /// *effective* costing model (a forest node's is quote-repriced).
     fn step(
         &self,
         model: &CloudCostModel,
@@ -1031,141 +971,50 @@ impl EpochChain {
     }
 }
 
-/// One node of an [`EpochTree`]: a distinct price-prefix of some
-/// Monte-Carlo path, carrying its own (quote-repriced) costing model
-/// for the epoch it sits at.
-#[derive(Debug, Clone)]
-pub struct EpochTreeNode {
-    /// The previous epoch's node; `None` for a root (epoch-0 node).
-    pub parent: Option<usize>,
-    /// The epoch this node prices.
-    pub epoch: usize,
-    /// The node's effective costing model — same query universe as the
-    /// chain, pricing already repriced to the node's quote.
-    pub model: CloudCostModel,
-}
-
-/// A prefix forest over Monte-Carlo price paths, in solver terms: each
-/// node is one epoch-solve, each edge one warm evaluator transition.
-/// `mv-market`'s `ScenarioTree` compiles into this (the driver attaches
-/// the quote-repriced models); this crate stays market-agnostic.
-///
-/// Nodes are stored parent-before-child, so index order is a valid
-/// (serial) schedule and any parent-completes-first schedule yields the
-/// same results.
-#[derive(Debug, Clone)]
-pub struct EpochTree {
-    nodes: Vec<EpochTreeNode>,
-    children: Vec<Vec<usize>>,
-    roots: Vec<usize>,
-    leaves: Vec<usize>,
-    width: usize,
-}
-
-impl EpochTree {
-    /// Builds a tree from parent-linked nodes plus the leaf node each
-    /// requested path ends at (duplicates allowed: identical sampled
-    /// paths share a leaf).
-    ///
-    /// # Panics
-    /// Panics unless nodes are stored parent-before-child, roots sit at
-    /// epoch 0, every child sits one epoch below its parent, and every
-    /// leaf sits at one common final epoch.
-    pub fn new(nodes: Vec<EpochTreeNode>, leaves: Vec<usize>) -> EpochTree {
-        assert!(!nodes.is_empty(), "an epoch tree needs at least one node");
-        assert!(!leaves.is_empty(), "an epoch tree needs at least one leaf");
-        let mut children = vec![Vec::new(); nodes.len()];
-        let mut roots = Vec::new();
-        let mut per_epoch: Vec<usize> = Vec::new();
-        for (idx, node) in nodes.iter().enumerate() {
-            match node.parent {
-                None => {
-                    assert_eq!(node.epoch, 0, "root node {idx} must sit at epoch 0");
-                    roots.push(idx);
-                }
-                Some(p) => {
-                    assert!(p < idx, "node {idx} must be stored after its parent {p}");
-                    assert_eq!(
-                        node.epoch,
-                        nodes[p].epoch + 1,
-                        "node {idx} must sit one epoch below its parent"
-                    );
-                    children[p].push(idx);
+/// The DP oracles' trajectory search over `states` states per epoch:
+/// `cost(e, prev, cur)` is the (violation, objective) of entering `cur`
+/// from `prev` in epoch `e` (epoch 0 enters from state 0). Minimizes the
+/// summed violation first, then the summed objective — the order
+/// [`Scenario::better`] ranks candidates by — and returns the optimal
+/// state per epoch. Ties break toward the first-visited predecessor and
+/// the lowest terminal state, so the result is deterministic.
+fn best_trajectory(
+    states: usize,
+    epochs: usize,
+    cost: impl Fn(usize, usize, usize) -> (f64, f64),
+) -> Vec<usize> {
+    let better = |a: (f64, f64), b: (f64, f64)| a.0 < b.0 || (a.0 == b.0 && a.1 < b.1);
+    // value[cur]: the best trajectory ending in `cur` so far.
+    let mut value: Vec<(f64, f64)> = (0..states).map(|cur| cost(0, 0, cur)).collect();
+    let mut back: Vec<Vec<u32>> = Vec::with_capacity(epochs.saturating_sub(1));
+    for e in 1..epochs {
+        let mut next = vec![(f64::INFINITY, f64::INFINITY); states];
+        let mut prevptr = vec![0u32; states];
+        for (prev, &base) in value.iter().enumerate() {
+            for (cur, slot) in next.iter_mut().enumerate() {
+                let (violation, objective) = cost(e, prev, cur);
+                let cand = (base.0 + violation, base.1 + objective);
+                if better(cand, *slot) {
+                    *slot = cand;
+                    prevptr[cur] = prev as u32;
                 }
             }
-            if node.epoch >= per_epoch.len() {
-                per_epoch.resize(node.epoch + 1, 0);
-            }
-            per_epoch[node.epoch] += 1;
         }
-        for &l in &leaves {
-            assert!(l < nodes.len(), "leaf {l} out of {} nodes", nodes.len());
-        }
-        let last = nodes[leaves[0]].epoch;
-        for &l in &leaves {
-            assert_eq!(
-                nodes[l].epoch, last,
-                "every leaf must sit at the same final epoch"
-            );
-        }
-        let width = per_epoch.iter().copied().max().unwrap_or(1);
-        EpochTree {
-            nodes,
-            children,
-            roots,
-            leaves,
-            width,
+        value = next;
+        back.push(prevptr);
+    }
+    // Best terminal state, then backtrack the trajectory.
+    let mut best = 0usize;
+    for cur in 1..states {
+        if better(value[cur], value[best]) {
+            best = cur;
         }
     }
-
-    /// Every node, parent-before-child.
-    pub fn nodes(&self) -> &[EpochTreeNode] {
-        &self.nodes
+    let mut path = vec![best; epochs];
+    for e in (1..epochs).rev() {
+        path[e - 1] = back[e - 1][path[e]] as usize;
     }
-
-    /// The children of node `idx`, ascending.
-    pub fn children(&self, idx: usize) -> &[usize] {
-        &self.children[idx]
-    }
-
-    /// The epoch-0 nodes — each costs one fresh evaluator build.
-    pub fn roots(&self) -> &[usize] {
-        &self.roots
-    }
-
-    /// The leaf node of each requested path, in request order.
-    pub fn leaves(&self) -> &[usize] {
-        &self.leaves
-    }
-
-    /// Total node count — the number of epoch-solves a tree solve
-    /// performs (vs `paths × epochs` solving each path alone).
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// `true` when the tree has no nodes (never constructible via
-    /// [`EpochTree::new`]).
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
-
-    /// The widest epoch's node count — the maximum useful worker count.
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
-    /// The root→leaf node chain ending at `leaf`, in epoch order.
-    pub fn lineage(&self, leaf: usize) -> Vec<usize> {
-        let mut chain = Vec::new();
-        let mut at = Some(leaf);
-        while let Some(i) = at {
-            chain.push(i);
-            at = self.nodes[i].parent;
-        }
-        chain.reverse();
-        chain
-    }
+    path
 }
 
 /// What one node hands its children: the live evaluator on the node's
@@ -1188,27 +1037,37 @@ impl NodeState {
     }
 }
 
-/// Solves every tree node exactly once, parents before children,
-/// handing each node's post-solve state to its children: the last
-/// child takes it by move, earlier siblings get a [`NodeState::fork`].
-/// Returns one [`EpochStep`] per node, in node order.
+/// Solves every node of the forest `parents` describes (each node's
+/// parent, stored parent-before-child) exactly once, parents before
+/// children, handing each node's post-solve state to its children: the
+/// last child takes it by move, earlier siblings get a
+/// [`NodeState::fork`]. Returns one [`EpochStep`] per node, in node
+/// order.
 ///
 /// Workers drain a shared ready queue under a mutex + condvar — a node
 /// enters the queue the moment its parent finishes. With `threads <= 1`
-/// the calling thread is the one worker (a degenerate chain pays no
-/// scope setup). Results are schedule-independent: a node's inputs come
-/// only from its parent. A node solve that panics (a transform fed a
-/// poisoned quote) aborts the whole run: the board is flagged on unwind,
-/// waiting workers return on the flag, and `std::thread::scope`
-/// re-raises the panic — the subtree that will never be queued must not
-/// leave its siblings waiting for it.
-fn run_tree<Solve>(tree: &EpochTree, threads: usize, solve: Solve) -> Vec<EpochStep>
+/// the calling thread is the one worker (a path pays no scope setup).
+/// Results are schedule-independent: a node's inputs come only from its
+/// parent. A node solve that panics (a transform fed a poisoned quote)
+/// aborts the whole run: the board is flagged on unwind, waiting
+/// workers return on the flag, and `std::thread::scope` re-raises the
+/// panic — the subtree that will never be queued must not leave its
+/// siblings waiting for it.
+fn run_tree<Solve>(parents: &[Option<usize>], threads: usize, solve: Solve) -> Vec<EpochStep>
 where
     Solve: Fn(usize, Option<NodeState>) -> (EpochStep, NodeState) + Sync,
 {
     use std::collections::VecDeque;
     use std::sync::{Condvar, Mutex};
-    let len = tree.len();
+    let len = parents.len();
+    let mut roots = VecDeque::new();
+    let mut children = vec![Vec::new(); len];
+    for (i, parent) in parents.iter().enumerate() {
+        match *parent {
+            None => roots.push_back((i, None)),
+            Some(p) => children[p].push(i),
+        }
+    }
     struct Board {
         queue: VecDeque<(usize, Option<NodeState>)>,
         steps: Vec<Option<EpochStep>>,
@@ -1228,7 +1087,7 @@ where
         }
     }
     let board = Mutex::new(Board {
-        queue: tree.roots().iter().map(|&root| (root, None)).collect(),
+        queue: roots,
         steps: (0..len).map(|_| None).collect(),
         done: 0,
         aborted: false,
@@ -1251,8 +1110,8 @@ where
         let (step, state) = solve(i, inherited);
         // Fork outside the lock: sibling hand-offs are the expensive
         // part of a split (a width-w one pays w-1 forks).
-        let mut ship = Vec::with_capacity(tree.children(i).len());
-        if let Some((&last, rest)) = tree.children(i).split_last() {
+        let mut ship = Vec::with_capacity(children[i].len());
+        if let Some((&last, rest)) = children[i].split_last() {
             if !rest.is_empty() {
                 mv_obs::record(mv_obs::Hist::TreeForkWidth, rest.len() as u64 + 1);
             }
@@ -1304,7 +1163,7 @@ mod tests {
     where
         F: Reprice + Sync,
     {
-        let mut solved = chain.solve_with(scenario, spec, Topology::Path);
+        let mut solved = chain.solve_with(scenario, spec);
         assert_eq!(solved.len(), 1, "a path is one lineage");
         solved.remove(0)
     }
@@ -1825,23 +1684,20 @@ mod tests {
         CloudCostModel::new(ctx)
     }
 
-    /// A 3-leaf, 7-node tree over a 4-epoch drifting chain: paths share
-    /// epochs 0–1, split at epoch 2 (two branches), and branch B splits
-    /// again at epoch 3.
+    /// A 3-leaf, 7-node forest over a 4-epoch drifting chain: paths
+    /// share epochs 0–1, split at epoch 2 (two branches), and branch B
+    /// splits again at epoch 3.
     ///
     /// ```text
     ///   0 ── 1 ──┬── 2 ─── 4          leaves: [4, 5, 6]
     ///            └── 3 ──┬─ 5
     ///                    └─ 6
     /// ```
-    fn branchy_tree(chain: &EpochChain) -> EpochTree {
+    fn branchy_tree(chain: &EpochChain) -> EpochChain {
         let m = chain.epochs();
-        let node = |parent: Option<usize>, epoch: usize, delta: f64| EpochTreeNode {
-            parent,
-            epoch,
-            model: perturbed(&m[epoch], delta),
-        };
-        EpochTree::new(
+        let node =
+            |parent: Option<usize>, epoch: usize, delta: f64| (parent, perturbed(&m[epoch], delta));
+        EpochChain::forest(
             vec![
                 node(None, 0, 0.0),
                 node(Some(0), 1, 0.0),
@@ -1852,23 +1708,19 @@ mod tests {
                 node(Some(3), 3, 0.7),
             ],
             vec![4, 5, 6],
+            chain.pool().to_vec(),
         )
     }
 
-    /// The unshared per-path reference for one leaf: its lineage solved as
-    /// a stand-alone chain with the node-indexed reprice mapped down to
-    /// epochs.
-    fn lineage_chain(
-        chain: &EpochChain,
-        tree: &EpochTree,
-        leaf: usize,
-    ) -> (EpochChain, Vec<usize>) {
-        let lineage = tree.lineage(leaf);
-        let models: Vec<CloudCostModel> = lineage
-            .iter()
-            .map(|&i| tree.nodes()[i].model.clone())
-            .collect();
-        (EpochChain::new(models, chain.pool().to_vec()), lineage)
+    /// The unshared per-path reference for one leaf: its lineage as a
+    /// stand-alone path, so a node-indexed reprice maps down to epochs.
+    fn lineage_chain(forest: &EpochChain, leaf: usize) -> EpochChain {
+        let mut models: Vec<CloudCostModel> =
+            std::iter::successors(Some(leaf), |&i| forest.parent[i])
+                .map(|i| forest.models[i].clone())
+                .collect();
+        models.reverse();
+        EpochChain::new(models, forest.pool().to_vec())
     }
 
     fn assert_steps_eq(a: &[EpochStep], b: &[EpochStep], tag: &str) {
@@ -1890,8 +1742,7 @@ mod tests {
 
     #[test]
     fn tree_solve_is_bit_identical_to_flat_per_path_solves() {
-        let chain = drifting_chain(4);
-        let tree = branchy_tree(&chain);
+        let forest = branchy_tree(&drifting_chain(4));
         // A per-node transform shaped like the market's interruption
         // premium, keyed on the node's epoch so the per-path reference can
         // reproduce it exactly.
@@ -1911,23 +1762,19 @@ mod tests {
                 max_moves,
             }
         }
-        let moves = budget(&chain);
+        let moves = budget(&forest);
         let by_node =
-            |node: usize, _k: usize, _p: Placement, c: Price| risked(tree.nodes()[node].epoch, c);
+            |node: usize, _k: usize, _p: Placement, c: Price| risked(forest.depths[node], c);
         let by_epoch = |e: usize, _k: usize, _p: Placement, c: Price| risked(e, c);
         for scenario in [
             Scenario::tradeoff(0.02),
             Scenario::tradeoff_normalized(0.5),
             Scenario::time_limit(Hours::new(20.0)),
         ] {
-            let solved = chain.solve_with(
-                scenario,
-                &single_pool(&by_node, moves),
-                Topology::Tree(&tree),
-            );
-            assert_eq!(solved.len(), tree.leaves().len());
-            for (j, &leaf) in tree.leaves().iter().enumerate() {
-                let (alone, _) = lineage_chain(&chain, &tree, leaf);
+            let solved = forest.solve_with(scenario, &single_pool(&by_node, moves));
+            assert_eq!(solved.len(), forest.leaves.len());
+            for (j, &leaf) in forest.leaves.iter().enumerate() {
+                let alone = lineage_chain(&forest, leaf);
                 let reference = on_path(&alone, scenario, &single_pool(&by_epoch, moves));
                 assert_steps_eq(
                     &solved[j],
@@ -1940,9 +1787,8 @@ mod tests {
 
     #[test]
     fn tree_fleet_solve_is_bit_identical_to_flat_per_path_solves() {
-        let chain = drifting_chain(4);
-        let tree = branchy_tree(&chain);
-        let n = chain.pool().len();
+        let forest = branchy_tree(&drifting_chain(4));
+        let n = forest.pool().len();
         let initial = vec![Placement::Reserved; n];
         // Spot factor keyed on the node's epoch (so the per-path reference
         // can reproduce it) with enough spread to force rebalancing.
@@ -1951,7 +1797,7 @@ mod tests {
             match p {
                 Placement::Reserved => c,
                 Placement::Spot => {
-                    let f = spot(tree.nodes()[node].epoch);
+                    let f = spot(forest.depths[node]);
                     Price {
                         materialization: c.materialization * f,
                         maintenance: c.maintenance * f,
@@ -1976,11 +1822,11 @@ mod tests {
                     reprice: &tree_reprice,
                     initial: Some(&initial),
                     rebalance,
-                    max_moves: budget(&chain),
+                    max_moves: budget(&forest),
                 };
-                let solved = chain.solve_with(scenario, &spec, Topology::Tree(&tree));
-                for (j, &leaf) in tree.leaves().iter().enumerate() {
-                    let (alone, _) = lineage_chain(&chain, &tree, leaf);
+                let solved = forest.solve_with(scenario, &spec);
+                for (j, &leaf) in forest.leaves.iter().enumerate() {
+                    let alone = lineage_chain(&forest, leaf);
                     let reference = fleet_path(&alone, scenario, &initial, rebalance, flat_reprice);
                     assert_steps_eq(
                         &solved[j],
@@ -1996,18 +1842,17 @@ mod tests {
     fn tree_solve_is_schedule_independent() {
         // The work-queue path must match the serial inline path for any
         // worker count (the 1-CPU CI box never exercises it otherwise).
-        let chain = drifting_chain(4);
-        let tree = branchy_tree(&chain);
+        let forest = branchy_tree(&drifting_chain(4));
         let scenario = Scenario::tradeoff_normalized(0.5);
-        let single = ChainSpec::single_pool(budget(&chain));
-        let serial = chain.run_forest(scenario, &single, &tree, 1);
+        let single = ChainSpec::single_pool(budget(&forest));
+        let serial = forest.run_forest(scenario, &single, 1);
         for threads in [2, 4] {
-            let parallel = chain.run_forest(scenario, &single, &tree, threads);
+            let parallel = forest.run_forest(scenario, &single, threads);
             for (j, (s, p)) in serial.iter().zip(&parallel).enumerate() {
                 assert_steps_eq(s, p, &format!("leaf {j} threads={threads}"));
             }
         }
-        let n = chain.pool().len();
+        let n = forest.pool().len();
         let initial = vec![Placement::Reserved; n];
         let fleet = |_: usize, _: usize, p: Placement, c: Price| -> Price {
             match p {
@@ -2023,10 +1868,10 @@ mod tests {
             reprice: &fleet,
             initial: Some(&initial),
             rebalance: true,
-            max_moves: budget(&chain),
+            max_moves: budget(&forest),
         };
-        let serial_fleet = chain.run_forest(scenario, &hedged, &tree, 1);
-        let parallel_fleet = chain.run_forest(scenario, &hedged, &tree, 4);
+        let serial_fleet = forest.run_forest(scenario, &hedged, 1);
+        let parallel_fleet = forest.run_forest(scenario, &hedged, 4);
         for (j, (s, p)) in serial_fleet.iter().zip(&parallel_fleet).enumerate() {
             assert_steps_eq(s, p, &format!("fleet leaf {j}"));
         }
@@ -2042,8 +1887,7 @@ mod tests {
         for threads in [1, 2] {
             let (tx, rx) = std::sync::mpsc::channel();
             std::thread::spawn(move || {
-                let chain = drifting_chain(4);
-                let tree = branchy_tree(&chain);
+                let forest = branchy_tree(&drifting_chain(4));
                 let spec = ChainSpec {
                     reprice: |node: usize, _k: usize, _p: Placement, price: Price| -> Price {
                         assert_ne!(node, 3, "node 3's quote is poisoned");
@@ -2051,10 +1895,10 @@ mod tests {
                     },
                     initial: None,
                     rebalance: false,
-                    max_moves: budget(&chain),
+                    max_moves: budget(&forest),
                 };
                 let solved = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    chain.run_forest(Scenario::tradeoff(0.02), &spec, &tree, threads)
+                    forest.run_forest(Scenario::tradeoff(0.02), &spec, threads)
                 }));
                 let _ = tx.send(solved.is_err());
             });
@@ -2068,22 +1912,17 @@ mod tests {
 
     #[test]
     fn degenerate_chain_tree_reproduces_solve() {
-        // A deterministic market's tree is a single chain: the tree
-        // solve must be `solve` exactly, for every leaf alias.
+        // A deterministic market's forest is a single chain: its solve
+        // must be `solve` exactly, for every leaf alias.
         let chain = drifting_chain(4);
-        let nodes: Vec<EpochTreeNode> = (0..4)
-            .map(|e| EpochTreeNode {
-                parent: (e > 0).then(|| e - 1),
-                epoch: e,
-                model: chain.epochs()[e].clone(),
-            })
+        let nodes = (0..4)
+            .map(|e: usize| (e.checked_sub(1), chain.epochs()[e].clone()))
             .collect();
-        let tree = EpochTree::new(nodes, vec![3, 3, 3]);
-        assert_eq!(tree.len() - tree.roots().len(), 3);
-        assert_eq!(tree.width(), 1);
+        let forest = EpochChain::forest(nodes, vec![3, 3, 3], chain.pool().to_vec());
         let scenario = Scenario::tradeoff(0.02);
         let single = ChainSpec::single_pool(budget(&chain));
-        let solved = chain.solve_with(scenario, &single, Topology::Tree(&tree));
+        let solved = forest.solve_with(scenario, &single);
+        assert_eq!(solved.len(), 3);
         let reference = chain.solve(scenario);
         for (j, steps) in solved.iter().enumerate() {
             assert_steps_eq(steps, &reference, &format!("alias {j}"));
@@ -2091,31 +1930,32 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "one epoch below its parent")]
-    fn tree_rejects_epoch_gaps() {
-        let chain = flat_chain(3);
-        let node = |parent: Option<usize>, epoch: usize| EpochTreeNode {
-            parent,
-            epoch,
-            model: chain.epochs()[epoch].clone(),
-        };
-        EpochTree::new(vec![node(None, 0), node(Some(0), 2)], vec![1]);
+    #[should_panic(expected = "walks a path")]
+    fn path_only_solves_reject_a_forest() {
+        branchy_tree(&drifting_chain(4)).solve(Scenario::tradeoff(0.02));
     }
 
     #[test]
-    #[should_panic(expected = "final epoch")]
-    fn tree_leaves_must_reach_the_horizon() {
-        let chain = flat_chain(3);
-        let node = |parent: Option<usize>, epoch: usize| EpochTreeNode {
-            parent,
-            epoch,
-            model: chain.epochs()[epoch].clone(),
-        };
-        let tree = EpochTree::new(vec![node(None, 0), node(Some(0), 1)], vec![1]);
-        chain.solve_with(
-            Scenario::tradeoff(0.02),
-            &ChainSpec::single_pool(16),
-            Topology::Tree(&tree),
+    #[should_panic(expected = "stored after its parent")]
+    fn forest_rejects_a_child_stored_before_its_parent() {
+        let p = paper_like_problem();
+        let m = p.model().clone();
+        EpochChain::forest(
+            vec![(Some(1), m.clone()), (None, m)],
+            vec![0],
+            p.candidates().to_vec(),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "one final epoch")]
+    fn forest_leaves_must_share_one_depth() {
+        let p = paper_like_problem();
+        let m = p.model().clone();
+        EpochChain::forest(
+            vec![(None, m.clone()), (Some(0), m.clone()), (Some(1), m)],
+            vec![2, 1],
+            p.candidates().to_vec(),
         );
     }
 }

@@ -110,8 +110,9 @@
 //!
 //! Every transition-aware solve is one driver,
 //! [`EpochChain::solve_with`], varied along four axes — a [`ChainSpec`]
-//! (charge transform, placements, move budget) and a [`Topology`]; see
-//! the [`epoch`] module docs for the table. The transform passes every
+//! (charge transform, placements, move budget) and the chain's shape (a
+//! path or a prefix forest); see the [`epoch`] module docs for the
+//! table. The transform passes every
 //! transition charge through a caller-supplied [`epoch::Reprice`] on
 //! the same warm-started hot path (this is how `mvcloud` splices
 //! spot-interruption risk premiums into the chain without this crate
@@ -148,22 +149,23 @@
 //! # Scenario trees
 //!
 //! Monte-Carlo price sweeps share work across sampled paths: an
-//! [`EpochTree`] is a prefix forest of per-node costing models (node =
-//! one epoch under one quote, edge = an epoch transition; built by
-//! `mv-market`'s `ScenarioTree` from the sampled quote paths), and
-//! [`EpochChain::solve_with`] on a [`Topology::Tree`] solves
-//! each tree **node** exactly once — one evaluator build per root, one
-//! warm [`IncrementalEvaluator::retarget`] + charge splice per edge,
-//! and one O(m) [`IncrementalEvaluator::fork`] per extra sibling at a
-//! split (the per-selection caches are copied; the answer index is
-//! shared, and so is the problem until the sibling's own retarget
-//! copies it) — instead of per path × epoch. Because a node's
-//! search trajectory depends only on its model, its effective charges
-//! and the selection it inherits (all shared along a prefix), the
-//! per-leaf step sequences are **bit-identical** to solving each path
-//! alone on a [`Topology::Path`] over its own chain (proptest-pinned in
-//! `tests/tree_identity.rs` at the driver layer); ready nodes are
-//! work-stolen across scoped threads.
+//! [`EpochChain::forest`] is a prefix forest of per-node costing models
+//! (node = one epoch under one quote, edge = an epoch transition; built
+//! from `mv-market`'s `ScenarioTree` of the sampled quote paths), and
+//! [`EpochChain::solve_with`] solves each **node** exactly once — a
+//! horizon's path is the one-leaf forest, run inline on the calling
+//! thread — with one evaluator build per root, one warm
+//! [`IncrementalEvaluator::retarget`] + charge splice per edge, and one
+//! O(m) [`IncrementalEvaluator::fork`] per extra sibling at a split (the
+//! per-selection caches are copied; the answer index is shared, and so
+//! is the problem until the sibling's own retarget copies it) — instead
+//! of per path × epoch. Because a node's search trajectory depends only
+//! on its model, its effective charges and the selection it inherits
+//! (all shared along a prefix), the per-leaf step sequences are
+//! **bit-identical** to solving each path alone as an
+//! [`EpochChain::new`] path (proptest-pinned in `tests/tree_identity.rs`
+//! at the driver layer); ready nodes are work-stolen across scoped
+//! threads.
 //!
 //! The same two warm primitives carry the resident advisor service
 //! (`mvcloud::service`): a long-lived evaluator built **once** from the
@@ -194,8 +196,8 @@
 //! | [`IncrementalEvaluator::update_charge`] | `evaluator/update_charge` | — |
 //! | [`local_search`] probe loops | `search/probes`; accepted moves: `search/flip_moves`, `search/swap_moves`, `search/place_moves` | `placement_move` event per accepted pool move |
 //! | [`lns`] refine rounds | `lns/rounds`, `lns/accepted`, `lns/rejected` | `lns/destroy_size` histogram, `lns_round` event |
-//! | [`EpochChain`] node step (every topology) | `chain/epoch_steps` | `epoch_transition` event (added/kept/dropped/moved); on a path, one `chain/epoch` span per epoch |
-//! | [`EpochTree`] node solves | `tree/node_solves`, `tree/root_solves` | `solve_tree/node` span (count ≡ tree nodes), `tree/fork_width` histogram, `tree_node_solve` event |
+//! | [`EpochChain`] step (every solve, the path-only references included) | `chain/epoch_steps` | `epoch_transition` event (added/kept/dropped/moved) |
+//! | [`EpochChain::solve_with`] node solves (forest nodes and horizon epochs alike) | `tree/node_solves`, `tree/root_solves` | `solve_tree/node` span (count ≡ nodes solved), `tree/fork_width` histogram, `tree_node_solve` event |
 //!
 //! Telemetry is *observational*: with the registry enabled, solver
 //! output stays bit-identical (`tests/obs_identity.rs`), and counters
@@ -229,8 +231,8 @@ mod sweep;
 
 pub use bnb::{solve_bnb, solve_bnb_counted, BnbStats};
 pub use epoch::{
-    ChainSpec, DpFleetSolution, DpSolution, EpochChain, EpochStep, EpochTree, EpochTreeNode,
-    Topology, DP_FLEET_MAX_CANDIDATES, DP_MAX_CANDIDATES,
+    ChainSpec, DpFleetSolution, DpSolution, EpochChain, EpochStep, DP_FLEET_MAX_CANDIDATES,
+    DP_MAX_CANDIDATES,
 };
 pub use evaluator::IncrementalEvaluator;
 pub use exhaustive::{

@@ -12,7 +12,7 @@
 //! pools").
 
 use mv_cost::{CloudCostModel, CostContext, Placement, Price, QueryCharge, ViewCharge};
-use mv_select::epoch::{ChainSpec, EpochChain, Reprice, Topology};
+use mv_select::epoch::{ChainSpec, EpochChain, Reprice};
 use mv_select::{fixtures, local_search, EpochStep, Scenario};
 use mv_units::{Gb, Hours, Money, Months};
 use proptest::prelude::*;
@@ -45,7 +45,7 @@ fn rebalancing_chain<F: Reprice + Sync>(
         rebalance: true,
         max_moves: local_search::default_move_budget(chain.pool().len()),
     };
-    chain.solve_with(scenario, &spec, Topology::Path).remove(0)
+    chain.solve_with(scenario, &spec).remove(0)
 }
 
 /// Paper-like pool with per-epoch sinusoidal frequency drift (the same

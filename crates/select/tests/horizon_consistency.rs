@@ -19,7 +19,7 @@
 //! views the single-period solve could not (see `mv_select::epoch`'s
 //! module docs).
 
-use mv_select::epoch::{ChainSpec, EpochChain, Topology};
+use mv_select::epoch::{ChainSpec, EpochChain};
 use mv_select::{fixtures, solve_local_search_bounded, Scenario};
 use mv_units::Hours;
 use proptest::prelude::*;
@@ -52,7 +52,7 @@ proptest! {
         let solo = solve_local_search_bounded(&p, scenario, MOVES);
         let chain = EpochChain::new(vec![p.model().clone(); epochs], p.candidates().to_vec());
         let spec = ChainSpec::single_pool(MOVES);
-        let steps = chain.solve_with(scenario, &spec, Topology::Path).remove(0);
+        let steps = chain.solve_with(scenario, &spec).remove(0);
         prop_assert_eq!(steps.len(), epochs);
 
         // Epoch 0 is the single-period solve, bit for bit.
