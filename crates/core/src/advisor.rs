@@ -530,7 +530,9 @@ impl Advisor {
 
     /// How many cuboids the measurement pipeline materialized from the
     /// base table; every other one was rolled up from a finer candidate
-    /// it had already measured.
+    /// it had already measured. Only tests read it:
+    /// `only_the_finest_cuboids_are_built_from_the_base_table` in this
+    /// module's tests pins 2 of 15 on sales and 3 of 63 on SSB.
     pub fn base_builds(&self) -> usize {
         self.base_builds
     }

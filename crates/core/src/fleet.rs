@@ -9,7 +9,7 @@
 //! paths, and makes the reserved-vs-spot hedge a **per-view decision**:
 //! an [`mv_pricing::FleetPlan`] splits capacity into a reserved pool
 //! and a spot pool, each view's [`Placement`] decides which pool its
-//! build/refresh work (and storage) bills against, and the
+//! build/refresh work bills against, and the
 //! transition-aware chain searches placements jointly with the
 //! selection itself (placement-flip moves on the warm evaluator).
 //!
@@ -17,8 +17,10 @@
 //! factor them into a [`ScenarioTree`] (sampled paths share long quote
 //! prefixes; a deterministic market is a single chain) → one
 //! [`EpochChain::forest`] straight from the tree, with one quote-repriced
-//! primary-sheet model and one [`PoolCharge`] pair per tree *node*, and
-//! one [`EpochChain::solve_with`] over it — one evaluator build per root,
+//! primary-sheet model per tree *node*, and one [`EpochChain::solve_with`]
+//! over it with one [`PoolCharge`] pair per node as its [`ChainSpec`]'s
+//! pool table (plain data: the quote is read here, once per node, and
+//! the chain splices the prices) — one evaluator build per root,
 //! one warm transition per edge, one fork per extra sibling
 //! (counter-pinned in `tests/market_no_rebuild.rs`) → one per-path
 //! account → one envelope fold. A market-insulated plan (every view
@@ -50,16 +52,16 @@
 
 use std::collections::HashMap;
 
-use mv_cost::{CloudCostModel, InterruptionRisk, PoolCharge, Price, SelectionSet};
+use mv_cost::{CloudCostModel, InterruptionRisk, PoolCharge, SelectionSet};
 use mv_lattice::WorkloadEvolution;
 use mv_market::{EpochQuote, MarketPath, MarketScenario, ScenarioTree};
 use mv_pricing::{FleetPlan, Placement};
 use mv_select::epoch::{ChainSpec, EpochChain, EpochStep};
-use mv_select::{local_search, Scenario};
+use mv_select::Scenario;
 use mv_units::{Hours, Money};
 
 use crate::market::{Quantiles, SpotCommitmentReport};
-use crate::{Advisor, AdvisorError, HorizonConfig};
+use crate::{Advisor, AdvisorError};
 
 /// Shape of a mixed-fleet Monte-Carlo solve.
 #[derive(Debug, Clone)]
@@ -296,30 +298,26 @@ impl<'a> Forest<'a> {
     }
 }
 
-/// The [`PoolCharge`] pair one sampled quote induces under a fleet: how
-/// a view placed on either pool is effectively charged against the
-/// primary sheet. The primary pool is always the exact identity on
-/// rates; the spot pool carries the quote's interruption risk.
+/// The `[reserved, spot]` [`PoolCharge`] pair one sampled quote induces
+/// under a fleet: how a view placed on either pool is effectively
+/// charged against the primary sheet. The primary pool is always the
+/// exact identity on rates; the spot pool carries the quote's
+/// interruption risk.
 fn quote_pool_charges(quote: &EpochQuote, fleet: &FleetPlan) -> [PoolCharge; 2] {
-    let rates = |p: Placement| -> (f64, f64) {
-        let terms = fleet.terms(p);
+    let rate = |p: Placement| -> f64 {
+        let factor = fleet.terms(p).rate_factor;
         match p {
-            Placement::Reserved => (terms.rate_factor, terms.storage_factor),
-            Placement::Spot => (
-                terms.rate_factor * quote.factors.compute,
-                terms.storage_factor,
-            ),
+            Placement::Reserved => factor,
+            Placement::Spot => factor * quote.factors.compute,
         }
     };
-    let (primary_rate, primary_storage) = rates(fleet.primary);
     let pool = |p: Placement, risk: InterruptionRisk| -> PoolCharge {
         if p == fleet.primary {
             // The primary pool *is* the sheet: exact identity on rates
             // by construction.
-            return PoolCharge::new(1.0, 1.0, risk);
+            return PoolCharge::new(1.0, risk);
         }
-        let (rate, storage) = rates(p);
-        PoolCharge::new(rate / primary_rate, storage / primary_storage, risk)
+        PoolCharge::new(rate(p) / rate(fleet.primary), risk)
     };
     [
         pool(Placement::Reserved, InterruptionRisk::NONE),
@@ -327,13 +325,8 @@ fn quote_pool_charges(quote: &EpochQuote, fleet: &FleetPlan) -> [PoolCharge; 2] 
     ]
 }
 
-/// A pool's slot in a `[reserved, spot]` pair.
-fn pool_index(p: Placement) -> usize {
-    usize::from(p == Placement::Spot)
-}
-
-/// A NaN or infinite process parameter (a price trace entry, a
-/// volatility) poisons the sampled quotes; fail before any model is
+/// A NaN or infinite process parameter (a cut factor, a volatility)
+/// poisons the sampled quotes; fail before any model is
 /// compiled from them, with the offending metric named.
 fn check_finite(sampled: &[MarketPath]) -> Result<(), AdvisorError> {
     for q in sampled.iter().flat_map(|p| &p.quotes) {
@@ -354,20 +347,6 @@ fn check_finite(sampled: &[MarketPath]) -> Result<(), AdvisorError> {
 }
 
 impl Advisor {
-    /// The evolution-reweighted per-epoch models *before* any market
-    /// quote is applied — the base every tree node re-prices from.
-    fn market_base_models(
-        &self,
-        epochs: usize,
-        evolution: &WorkloadEvolution,
-    ) -> Vec<CloudCostModel> {
-        self.epoch_models(&HorizonConfig {
-            epochs,
-            evolution: *evolution,
-            commitment: None,
-        })
-    }
-
     /// `base` on another price sheet, the rented instance re-resolved
     /// from it: the context embeds the *resolved* instance (Formula 4
     /// prices through `ctx.instance.hourly`), so keeping the old one
@@ -407,11 +386,10 @@ impl Advisor {
         if terms.is_parity() {
             return model;
         }
-        let scaled =
-            model
-                .context()
-                .pricing
-                .scale_rates(terms.rate_factor, terms.storage_factor, 1.0);
+        let scaled = model
+            .context()
+            .pricing
+            .scale_rates(terms.rate_factor, 1.0, 1.0);
         self.repriced_model(&model, scaled)
     }
 
@@ -445,7 +423,7 @@ impl Advisor {
         // Sampled once: every fleet variant and the fold read these.
         let sampled: Vec<MarketPath> = (0..config.paths).map(|j| config.market.path(j)).collect();
         check_finite(&sampled)?;
-        let base = self.market_base_models(config.market.epochs, &config.evolution);
+        let base = self.epoch_models(config.market.epochs, &config.evolution);
         let forest = Forest::new(&sampled, &base);
         let solved = self.solve_forest(scenario, &forest, &config.fleet);
         let comparison = config.compare_pure.then(|| {
@@ -496,7 +474,7 @@ impl Advisor {
         sampled: &[MarketPath],
     ) -> SolvedPaths {
         let epochs = sampled.first().map_or(0, |p| p.quotes.len());
-        let base = self.market_base_models(epochs, evolution);
+        let base = self.epoch_models(epochs, evolution);
         self.solve_forest(scenario, &Forest::new(sampled, &base), fleet)
     }
 
@@ -540,17 +518,13 @@ impl Advisor {
             .iter()
             .map(|n| quote_pool_charges(&n.quote, fleet))
             .collect();
-        let pool = self.problem().candidates();
-        let forced = fleet.initial.map(|p| vec![p; pool.len()]);
         let spec = ChainSpec {
-            reprice: |node: usize, _k: usize, p: Placement, transition: Price| {
-                node_pools[node][pool_index(p)].adjust(transition)
-            },
-            initial: forced.as_deref(),
+            pools: Some(&node_pools),
+            initial: fleet.initial,
             rebalance: fleet.rebalance,
-            max_moves: local_search::default_move_budget(pool.len()),
         };
-        let per_path = EpochChain::forest(nodes, leaves, pool.to_vec()).solve_with(scenario, &spec);
+        let pool = self.problem().candidates().to_vec();
+        let per_path = EpochChain::forest(nodes, leaves, pool).solve_with(scenario, &spec);
         let paths = sampled
             .iter()
             .zip(&per_path)
@@ -597,12 +571,12 @@ impl Advisor {
             let pools = quote_pool_charges(quote, fleet);
             let time = step.outcome.evaluation.time;
             let mut raw = [Hours::ZERO; 2]; // [reserved, spot]
-            raw[pool_index(fleet.primary)] += time;
+            raw[fleet.primary.slot()] += time;
             let mut maintenance = Hours::ZERO;
             let mut materialization = Hours::ZERO;
             let mut spot_selected = 0usize;
             for k in step.selection().ones() {
-                let on = pool_index(step.placements[k]);
+                let on = step.placements[k].slot();
                 spot_selected += on;
                 let mut work = pools[on].hours(pool[k].maintenance);
                 maintenance += work;

@@ -9,15 +9,16 @@
 //! across an epoch boundary pay maintenance and storage only, newly
 //! added views pay materialization, dropped views forfeit theirs. The
 //! result is a [`HorizonReport`]: the per-epoch timeline of selections
-//! and transitions, a provider-side [`UsageLedger`] invoice per epoch
-//! (reconciled against the predicted charges in `tests/horizon.rs`),
-//! the cumulative bill, and — because a horizon finally gives the
-//! upfront fee enough hours to amortize — an on-demand vs
-//! reserved-instance comparison over the horizon's billed compute.
+//! and transitions, a provider-side [`mv_pricing::UsageLedger`] invoice
+//! per epoch (reconciled against the predicted charges in
+//! `tests/horizon.rs`), the cumulative bill, and — because a horizon
+//! finally gives the upfront fee enough hours to amortize — an
+//! on-demand vs reserved-instance comparison over the horizon's billed
+//! compute.
 
-use mv_cost::{CloudCostModel, ViewCharge};
+use mv_cost::CloudCostModel;
 use mv_lattice::WorkloadEvolution;
-use mv_pricing::{CommitmentComparison, CommitmentPlan, Invoice, UsageLedger};
+use mv_pricing::{CommitmentComparison, CommitmentPlan, Invoice};
 use mv_select::epoch::{horizon_cost, horizon_time, EpochChain, EpochStep};
 use mv_select::Scenario;
 use mv_units::{Hours, Money};
@@ -133,17 +134,20 @@ impl HorizonReport {
 }
 
 impl Advisor {
-    /// The per-epoch costing models a horizon induces over this
-    /// advisor's measured workload: epoch `e` keeps every measured
-    /// charge but re-weights query frequencies by the evolution. The
-    /// query universe is fixed, so the measured candidate pool stays
-    /// aligned with every epoch.
-    pub fn epoch_models(&self, horizon: &HorizonConfig) -> Vec<CloudCostModel> {
+    /// The per-epoch costing models `epochs` billing periods induce over
+    /// this advisor's measured workload: epoch `e` keeps every measured
+    /// charge but re-weights query frequencies by `evolution`. The query
+    /// universe is fixed, so the measured candidate pool stays aligned
+    /// with every epoch. A horizon chains them as they are; the
+    /// Monte-Carlo driver re-prices them per sampled quote.
+    pub fn epoch_models(
+        &self,
+        epochs: usize,
+        evolution: &WorkloadEvolution,
+    ) -> Vec<CloudCostModel> {
         let base = self.problem().model();
-        (0..horizon.epochs)
-            .map(|e| {
-                base.with_frequencies(&horizon.evolution.frequencies(&self.domain().workload, e))
-            })
+        (0..epochs)
+            .map(|e| base.with_frequencies(&evolution.frequencies(&self.domain().workload, e)))
             .collect()
     }
 
@@ -151,7 +155,7 @@ impl Advisor {
     /// advisor's measured pool.
     pub fn epoch_chain(&self, horizon: &HorizonConfig) -> EpochChain {
         EpochChain::new(
-            self.epoch_models(horizon),
+            self.epoch_models(horizon.epochs, &horizon.evolution),
             self.problem().candidates().to_vec(),
         )
     }
@@ -229,21 +233,39 @@ impl Advisor {
         let mut epochs = Vec::with_capacity(steps.len());
         let mut cumulative = Money::ZERO;
         let mut billed = Hours::ZERO;
+        let pool = chain.pool();
         for (e, (step, model)) in steps.iter().zip(chain.epochs()).enumerate() {
-            let ledger = self.epoch_usage_ledger(model, step);
+            // The epoch's compute components, summed once for both its
+            // ledger and its billable hours: the selection's maintenance
+            // and the *newly added* views' materialization (carried
+            // views' builds are sunk in earlier epochs).
+            let time = step.outcome.evaluation.time;
+            let maintenance: Hours = step.selection().ones().map(|k| pool[k].maintenance).sum();
+            let materialization: Hours = step.added.iter().map(|&k| pool[k].materialization).sum();
+            let ledger = self.period_ledger(
+                model,
+                step.selection(),
+                time,
+                maintenance,
+                ("view materialization (new views)", materialization),
+            );
             let invoice = ledger
                 .invoice(&config.pricing)
                 .map_err(AdvisorError::from)?;
             let charged = step.outcome.evaluation.cost();
             cumulative += charged;
-            billed += self.epoch_billed_instance_hours(chain.pool(), step);
+            // The epoch's own subtotal first, then the running total (the
+            // two associate differently under sub-hour rounding).
+            billed += self
+                .billed_components([time, maintenance, materialization])
+                .sum::<Hours>();
             epochs.push(EpochReport {
                 epoch: e,
                 selected: name(&step.selection().ones().collect::<Vec<_>>()),
                 added: name(&step.added),
                 kept: name(&step.kept),
                 dropped: name(&step.dropped),
-                time_hours: step.outcome.evaluation.time.value(),
+                time_hours: time.value(),
                 charged_cost: charged,
                 full_price_cost: step.full_price.cost(),
                 cumulative_cost: cumulative,
@@ -266,28 +288,14 @@ impl Advisor {
         })
     }
 
-    /// Billable instance-hours of one solved epoch step — processing,
-    /// the selection's maintenance and the added views'
-    /// materialization, through [`Advisor::billed_components`]. The
-    /// Monte-Carlo driver's per-epoch subtotals (`crate::fleet`) are
-    /// the same arithmetic over risk-adjusted hours (the
-    /// zero-volatility market proptest pins them bit-for-bit).
-    fn epoch_billed_instance_hours(&self, pool: &[ViewCharge], step: &EpochStep) -> Hours {
-        let maintenance: Hours = step.selection().ones().map(|k| pool[k].maintenance).sum();
-        let materialization: Hours = step.added.iter().map(|&k| pool[k].materialization).sum();
-        let mut billed = Hours::ZERO;
-        for hours in
-            self.billed_components([step.outcome.evaluation.time, maintenance, materialization])
-        {
-            billed += hours;
-        }
-        billed
-    }
-
     /// The billable instance-hours of an epoch's compute components
     /// (processing, maintenance, materialization): each nonzero one
     /// rounded per the provider's rule and fleet-multiplied; a zero
     /// component bills nothing. The caller adds them up, in this order.
+    /// The horizon report and the Monte-Carlo driver's per-epoch
+    /// subtotals (`crate::fleet`, over risk-adjusted hours) both bill
+    /// through it (the zero-volatility market proptest pins them
+    /// bit-for-bit).
     pub(crate) fn billed_components(&self, components: [Hours; 3]) -> impl Iterator<Item = Hours> {
         let config = self.config();
         let rounding = config.pricing.compute.rounding;
@@ -296,34 +304,6 @@ impl Advisor {
             .into_iter()
             .filter(|&t| t > Hours::ZERO)
             .map(move |t| rounding.apply(t) * instances)
-    }
-
-    /// The provider-side usage ledger for one epoch of a solved
-    /// horizon: the epoch's processing and maintenance for the whole
-    /// selection, materialization for the *newly added* views only
-    /// (carried views' builds are sunk in earlier epochs), storage of
-    /// dataset + selected views over the epoch, and the epoch's
-    /// outbound results. Its invoice reconciles with the chain's
-    /// charged evaluation.
-    pub fn epoch_usage_ledger(&self, model: &CloudCostModel, step: &EpochStep) -> UsageLedger {
-        let candidates = self.problem().candidates();
-        let maintenance: Hours = step
-            .selection()
-            .ones()
-            .map(|k| candidates[k].maintenance)
-            .sum();
-        let materialization: Hours = step
-            .added
-            .iter()
-            .map(|&k| candidates[k].materialization)
-            .sum();
-        self.period_ledger(
-            model,
-            step.selection(),
-            step.outcome.evaluation.time,
-            maintenance,
-            ("view materialization (new views)", materialization),
-        )
     }
 }
 

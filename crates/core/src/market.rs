@@ -27,7 +27,7 @@
 // everything through `mvcloud::market::*`.
 pub use mv_market::{
     AnnouncedCut, CorrelatedHazard, EpochQuote, MarketPath, MarketScenario, PriceFactors,
-    PriceProcess, PriceTrace, ProcessQuote, ScenarioTree, SpotMarket, StorageDecay, TreeNode,
+    PriceProcess, ProcessQuote, ScenarioTree, SpotMarket, StorageDecay, TreeNode,
 };
 
 use mv_lattice::WorkloadEvolution;
@@ -474,12 +474,11 @@ mod tests {
     #[test]
     fn non_finite_price_inputs_are_typed_errors_not_aborts() {
         let a = advisor();
-        // A NaN in a user-supplied price trace used to survive until the
-        // quantile sort's `partial_cmp(..).expect(..)` and abort there.
+        // A NaN in a user-supplied price factor used to survive until
+        // the quantile sort's `partial_cmp(..).expect(..)` and abort there.
         let config = MarketConfig {
-            market: MarketScenario::constant(4, 1).with(PriceProcess::Trace(
-                super::PriceTrace::compute(vec![1.0, f64::NAN, 1.0]),
-            )),
+            market: MarketScenario::constant(4, 1)
+                .with(PriceProcess::Cut(AnnouncedCut::compute(1, f64::NAN))),
             paths: 4,
             ..MarketConfig::default()
         };
@@ -488,7 +487,7 @@ mod tests {
             a.solve_market(scenario, &config),
             Err(AdvisorError::NonFiniteMetric { .. })
         ));
-        // The same trace under a hedged fleet (reserved primary: the
+        // The same cut under a hedged fleet (reserved primary: the
         // check is the driver's, not the spot sheet's) used to abort
         // inside the pricing layer's rate-factor assertion.
         let hedged = FleetConfig {

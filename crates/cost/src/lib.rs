@@ -10,16 +10,15 @@
 //! What differs between two billing periods is one frequency per query
 //! ([`CloudCostModel::with_frequencies`]) and one [`Price`] per view —
 //! size, build time, refresh time, fleet pool: the `Copy` part of a
-//! [`ViewCharge`], without its name or answer profile. Two extensions
-//! charge views beyond the paper's single static fleet, both as
-//! `Price → Price` transforms: [`InterruptionRisk`] inflates
-//! build/refresh hours by the expected re-run count under spot
-//! interruption, and [`PoolCharge`] folds a mixed fleet's per-pool rate
-//! differentials into effective hours and bytes for views
-//! [`Placement`]-assigned to the non-primary pool. Every bill — a full
-//! evaluation, an incremental evaluator's score, a DP oracle's state
-//! table — is assembled by [`CloudCostModel::breakdown_from_totals`]
-//! from four totals.
+//! [`ViewCharge`], without its name or answer profile. One extension
+//! charges views beyond the paper's single static fleet, as a
+//! `Price → Price` transform: a [`PoolCharge`] folds a mixed fleet's
+//! per-pool rate differential and the pool's [`InterruptionRisk`] (the
+//! expected re-run count under spot interruption) into effective
+//! build/refresh hours for views [`Placement`]-assigned to that pool.
+//! Every bill — a full evaluation, an incremental evaluator's score, a
+//! DP oracle's state table — is assembled by
+//! [`CloudCostModel::breakdown_from_totals`] from four totals.
 //!
 //! ```
 //! use mv_cost::{CloudCostModel, CostContext, QueryCharge};
@@ -57,6 +56,3 @@ pub use mv_pricing::Placement;
 pub use params::{CostContext, Price, QueryCharge, ViewCharge};
 pub use risk::{InterruptionRisk, PoolCharge, MAX_INTERRUPTION};
 pub use selection::SelectionSet;
-
-/// Historical alias: selections were `Vec<bool>` before the bitset.
-pub type Selection = SelectionSet;

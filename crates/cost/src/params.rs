@@ -123,10 +123,10 @@ impl ViewCharge {
 /// What a candidate view is charged, apart from what it answers: the
 /// part of a [`ViewCharge`] that differs between two billing periods,
 /// two fleet pools or two sampled quotes. Every re-pricing — the carried
-/// discount, [`crate::InterruptionRisk::adjust`],
-/// [`crate::PoolCharge::adjust`], `mv-select`'s `Reprice` transforms and
-/// its `update_charge` splice — takes and returns one of these, so none
-/// of them can touch a view's name or answer profile.
+/// discount, [`crate::PoolCharge::adjust`] (what `mv-select`'s chain
+/// applies per node and pool) and its `update_charge` splice — takes and
+/// returns one of these, so none of them can touch a view's name or
+/// answer profile.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Price {
     /// Stored size `s(V_k)`.

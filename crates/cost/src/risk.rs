@@ -11,21 +11,25 @@
 //! [`InterruptionRisk`] models the classic retry process: an attempt
 //! survives the epoch with probability `1 − p`, an interrupted attempt
 //! is re-run from scratch, so the expected number of attempts is the
-//! geometric mean `1 / (1 − p)`. [`InterruptionRisk::adjust`] inflates a
-//! [`Price`]'s materialization and maintenance times by that factor —
-//! the two charges that buy *re-runnable work* — while size is untouched
-//! (stored bytes are not lost to an interruption).
+//! geometric mean `1 / (1 − p)`. A [`PoolCharge`] pairs one pool's risk
+//! with its rate differential against the primary sheet, and
+//! [`PoolCharge::adjust`] inflates a [`Price`]'s materialization and
+//! maintenance hours by both — the two charges that buy *re-runnable
+//! work* — while size is untouched (stored bytes are not lost to an
+//! interruption, and bill at the primary sheet's storage rate).
 //!
-//! Both transforms here map a [`Price`] to a [`Price`]: a view's name
-//! and answer profile are out of their reach by type, which is what
-//! lets `mv-select` splice a re-risked price into a live evaluator in
-//! O(1) (`IncrementalEvaluator::update_charge`) — re-risking a whole
-//! pool at an epoch boundary moves four numbers per candidate and
-//! rebuilds no answer table. One more property the multi-epoch market
-//! machinery leans on: **zero risk is the exact identity** — `adjust` at
-//! `p == 0` returns its argument, bit for bit, so a zero-volatility
-//! market scenario reproduces the risk-free horizon solve exactly
-//! (property-tested in `tests/market.rs` at the workspace root).
+//! The transform maps a [`Price`] to a [`Price`]: a view's name and
+//! answer profile are out of its reach by type, which is what lets
+//! `mv-select` splice a re-risked price into a live evaluator in O(1)
+//! (`IncrementalEvaluator::update_charge`) — re-risking a whole pool at
+//! an epoch boundary moves four numbers per candidate and rebuilds no
+//! answer table. `mv-select`'s chain takes one `[reserved, spot]` pair
+//! of these per node as plain data. One more property the multi-epoch
+//! market machinery leans on: **a unit factor at zero risk is the exact
+//! identity** — `adjust` returns its argument bit for bit, so a
+//! zero-volatility market scenario reproduces the risk-free horizon
+//! solve exactly (property-tested in `tests/market.rs` at the workspace
+//! root).
 
 use mv_units::Hours;
 
@@ -58,31 +62,10 @@ impl InterruptionRisk {
         InterruptionRisk { probability: p }
     }
 
-    /// The clamped interruption probability.
-    pub fn probability(&self) -> f64 {
-        self.probability
-    }
-
     /// Expected number of attempts until a build/refresh survives the
     /// epoch: `1 / (1 − p)` (geometric). `1.0` exactly at zero risk.
     pub fn expected_attempts(&self) -> f64 {
         1.0 / (1.0 - self.probability)
-    }
-
-    /// The risk-adjusted price: materialization and maintenance times
-    /// inflated by [`InterruptionRisk::expected_attempts`]; size and
-    /// placement unchanged. At zero risk this returns `price` itself (no
-    /// float multiply touches it at all).
-    pub fn adjust(&self, price: Price) -> Price {
-        if self.probability == 0.0 {
-            return price;
-        }
-        let attempts = self.expected_attempts();
-        Price {
-            materialization: price.materialization * attempts,
-            maintenance: price.maintenance * attempts,
-            ..price
-        }
     }
 }
 
@@ -94,21 +77,19 @@ impl InterruptionRisk {
 /// (the epoch's `CostContext::pricing`). A view placed on the other
 /// pool really runs at that pool's rate, so its materialization and
 /// maintenance hours are scaled by `hour_factor` — the pool rate over
-/// the primary rate — before pricing, and its stored bytes by
-/// `size_factor` likewise. Rate differentials therefore reach the bill
-/// through the rounding rule exactly like the interruption premium
-/// does: per-minute providers see them exactly, whole-hour providers
-/// through the round-up (the `tests/market.rs` caveat).
+/// the primary rate — before pricing. Rate differentials therefore
+/// reach the bill through the rounding rule exactly like the
+/// interruption premium does: per-minute providers see them exactly,
+/// whole-hour providers through the round-up (the `tests/market.rs`
+/// caveat).
 ///
 /// The primary pool is the exact identity, which the fleet conformance
-/// tests lean on: `hour_factor` and `size_factor` of `1.0` with zero
-/// risk return the price they were given (no float touches it).
+/// tests lean on: an `hour_factor` of `1.0` with zero risk returns the
+/// price it was given (no float touches it).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PoolCharge {
     /// Pool compute rate over the primary sheet's rate this epoch.
     hour_factor: f64,
-    /// Pool storage rate over the primary sheet's rate.
-    size_factor: f64,
     /// The pool's interruption risk this epoch (zero on reserved
     /// capacity).
     risk: InterruptionRisk,
@@ -118,53 +99,38 @@ impl PoolCharge {
     /// The do-nothing pool: primary-rate hours, no risk.
     pub const IDENTITY: PoolCharge = PoolCharge {
         hour_factor: 1.0,
-        size_factor: 1.0,
         risk: InterruptionRisk::NONE,
     };
 
-    /// Builds a pool charge. Non-finite or non-positive factors fall
+    /// Builds a pool charge. A non-finite or non-positive factor falls
     /// back to `1.0` (a rate ratio is always positive).
-    pub fn new(hour_factor: f64, size_factor: f64, risk: InterruptionRisk) -> PoolCharge {
-        let sane = |f: f64| if f.is_finite() && f > 0.0 { f } else { 1.0 };
+    pub fn new(hour_factor: f64, risk: InterruptionRisk) -> PoolCharge {
         PoolCharge {
-            hour_factor: sane(hour_factor),
-            size_factor: sane(size_factor),
+            hour_factor: if hour_factor.is_finite() && hour_factor > 0.0 {
+                hour_factor
+            } else {
+                1.0
+            },
             risk,
         }
     }
 
-    /// The pool's interruption risk.
-    pub fn risk(&self) -> InterruptionRisk {
-        self.risk
-    }
-
-    /// The pool's hour (compute-rate) factor.
-    pub fn hour_factor(&self) -> f64 {
-        self.hour_factor
-    }
-
     /// The effective price a view presents when placed on this pool:
-    /// risk premium first (build/refresh re-runs), then the rate
-    /// differential on the risk-adjusted hours. Identity factors and
-    /// zero risk return `price` bit for bit.
+    /// materialization and maintenance through [`PoolCharge::hours`];
+    /// size and placement unchanged. The identity pool returns `price`
+    /// bit for bit.
     pub fn adjust(&self, price: Price) -> Price {
         Price {
             materialization: self.hours(price.materialization),
             maintenance: self.hours(price.maintenance),
-            size: if self.size_factor == 1.0 {
-                price.size
-            } else {
-                price.size * self.size_factor
-            },
             ..price
         }
     }
 
     /// The effective billable hours of `hours` of build or refresh work
-    /// on this pool — what [`PoolCharge::adjust`] applies to a price's
-    /// materialization and maintenance, for accounting that needs
-    /// nothing else of it. A factor of exactly `1.0` (and zero
-    /// risk) performs no float operation at all.
+    /// on this pool: risk premium first (build/refresh re-runs), then
+    /// the rate differential on the risk-adjusted hours. A factor of
+    /// exactly `1.0` (and zero risk) performs no float operation at all.
     pub fn hours(&self, hours: Hours) -> Hours {
         let risked = if self.risk.probability == 0.0 {
             hours
@@ -194,13 +160,18 @@ mod tests {
         }
     }
 
+    /// The primary-rate pool under `risk`.
+    fn risked(risk: InterruptionRisk) -> PoolCharge {
+        PoolCharge::new(1.0, risk)
+    }
+
     #[test]
     fn zero_risk_is_bit_identity() {
         let c = price();
-        assert_eq!(InterruptionRisk::NONE.adjust(c), c);
-        assert_eq!(InterruptionRisk::new(0.0).adjust(c), c);
-        assert_eq!(InterruptionRisk::new(-3.0).adjust(c), c);
-        assert_eq!(InterruptionRisk::new(f64::NAN).adjust(c), c);
+        assert_eq!(risked(InterruptionRisk::NONE).adjust(c), c);
+        assert_eq!(risked(InterruptionRisk::new(0.0)).adjust(c), c);
+        assert_eq!(risked(InterruptionRisk::new(-3.0)).adjust(c), c);
+        assert_eq!(risked(InterruptionRisk::new(f64::NAN)).adjust(c), c);
         assert_eq!(InterruptionRisk::NONE.expected_attempts(), 1.0);
     }
 
@@ -209,7 +180,7 @@ mod tests {
         let c = price();
         let risk = InterruptionRisk::new(0.5);
         assert_eq!(risk.expected_attempts(), 2.0);
-        let adjusted = risk.adjust(c);
+        let adjusted = risked(risk).adjust(c);
         assert_eq!(adjusted.materialization, Hours::new(8.0));
         assert_eq!(adjusted.maintenance, Hours::new(1.0));
         assert_eq!(adjusted.size, c.size);
@@ -218,8 +189,8 @@ mod tests {
 
     #[test]
     fn probability_is_clamped() {
-        assert_eq!(InterruptionRisk::new(2.0).probability(), MAX_INTERRUPTION);
-        assert_eq!(InterruptionRisk::new(-1.0).probability(), 0.0);
+        assert_eq!(InterruptionRisk::new(2.0).probability, MAX_INTERRUPTION);
+        assert_eq!(InterruptionRisk::new(-1.0).probability, 0.0);
         assert!(InterruptionRisk::new(1.0).expected_attempts().is_finite());
     }
 
@@ -227,38 +198,33 @@ mod tests {
     fn identity_pool_is_bit_exact() {
         let c = price();
         assert_eq!(PoolCharge::IDENTITY.adjust(c), c);
-        assert_eq!(
-            PoolCharge::new(1.0, 1.0, InterruptionRisk::NONE).adjust(c),
-            c
-        );
-        // Insane factors fall back to the identity.
-        assert_eq!(
-            PoolCharge::new(f64::NAN, -2.0, InterruptionRisk::NONE).adjust(c),
-            c
-        );
+        assert_eq!(PoolCharge::new(1.0, InterruptionRisk::NONE).adjust(c), c);
+        // An insane factor falls back to the identity.
+        for f in [f64::NAN, -2.0, 0.0, f64::INFINITY] {
+            assert_eq!(PoolCharge::new(f, InterruptionRisk::NONE).adjust(c), c);
+        }
     }
 
     #[test]
-    fn pool_factors_scale_hours_and_bytes_only() {
+    fn pool_factor_scales_hours_only() {
         let c = price();
-        let pool = PoolCharge::new(0.5, 2.0, InterruptionRisk::NONE);
+        let pool = PoolCharge::new(0.5, InterruptionRisk::NONE);
         let adjusted = pool.adjust(c);
         assert_eq!(adjusted.materialization, Hours::new(2.0));
         assert_eq!(adjusted.maintenance, Hours::new(0.25));
-        assert_eq!(adjusted.size, Gb::new(4.0));
+        assert_eq!(adjusted.size, c.size);
         assert_eq!(adjusted.placement, c.placement);
     }
 
     #[test]
     fn risk_applies_before_the_rate_differential() {
         let c = price();
-        let pool = PoolCharge::new(0.5, 1.0, InterruptionRisk::new(0.5));
+        let pool = PoolCharge::new(0.5, InterruptionRisk::new(0.5));
         let adjusted = pool.adjust(c);
         // 4 h × 2 attempts × 0.5 rate = 4 h.
         assert_eq!(adjusted.materialization, Hours::new(4.0));
         assert_eq!(adjusted.maintenance, Hours::new(0.5));
-        assert_eq!(pool.risk().expected_attempts(), 2.0);
-        assert_eq!(pool.hour_factor(), 0.5);
+        assert_eq!(pool.hours(Hours::new(3.0)), Hours::new(3.0));
     }
 
     #[test]
@@ -266,7 +232,7 @@ mod tests {
         let c = price();
         let mut prev = Hours::ZERO;
         for p in [0.0, 0.1, 0.3, 0.6, 0.9] {
-            let adj = InterruptionRisk::new(p).adjust(c);
+            let adj = risked(InterruptionRisk::new(p)).adjust(c);
             assert!(adj.materialization >= prev, "p={p}");
             prev = adj.materialization;
         }

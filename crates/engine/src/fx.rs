@@ -63,9 +63,6 @@ impl Hasher for FxHasher {
 /// `HashMap` keyed with [`FxHasher`].
 pub type FxHashMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
-/// `HashSet` keyed with [`FxHasher`].
-pub type FxHashSet<K> = std::collections::HashSet<K, BuildHasherDefault<FxHasher>>;
-
 #[cfg(test)]
 mod tests {
     use super::*;

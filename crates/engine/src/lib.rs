@@ -83,8 +83,6 @@ mod maintenance;
 mod metering;
 mod predicate;
 mod query;
-#[cfg(test)]
-mod reference;
 pub mod replay;
 mod schema;
 pub mod sql;
@@ -99,7 +97,7 @@ pub use column::Column;
 pub use datagen::SalesConfig;
 pub use dict::Dictionary;
 pub use error::EngineError;
-pub use fx::{FxHashMap, FxHashSet, FxHasher};
+pub use fx::{FxHashMap, FxHasher};
 pub use metering::{ExecStats, SimScale, ThroughputModel};
 pub use predicate::{CmpOp, Predicate};
 pub use query::{AggQuery, QueryShape};
@@ -110,3 +108,6 @@ pub use ssb::SsbConfig;
 pub use table::{Table, TableBuilder};
 pub use value::Value;
 pub use view::{MaterializedView, ViewDefinition};
+
+#[cfg(test)]
+mod reference;

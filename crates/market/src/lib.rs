@@ -13,12 +13,11 @@
 //! # Module map
 //!
 //! * [`process`](PriceProcess) — the composable forces on a price
-//!   sheet: deterministic [`PriceTrace`] replay, [`AnnouncedCut`] step
-//!   changes, linear [`StorageDecay`], the seeded mean-reverting
-//!   [`SpotMarket`] with interruption risk, and the two-state
-//!   calm/crunch [`CorrelatedHazard`] regime (bursty, *correlated*
-//!   interruption epochs — zero persistence degenerates to the i.i.d.
-//!   hazard exactly). Each samples a whole horizon of
+//!   sheet: [`AnnouncedCut`] step changes, linear [`StorageDecay`], the
+//!   seeded mean-reverting [`SpotMarket`] with interruption risk, and
+//!   the two-state calm/crunch [`CorrelatedHazard`] regime (bursty,
+//!   *correlated* interruption epochs — zero persistence degenerates to
+//!   the i.i.d. hazard exactly). Each samples a whole horizon of
 //!   [`ProcessQuote`]s (price factors + interruption probability per
 //!   epoch).
 //! * [`scenario`](MarketScenario) — a process stack compiled over a
@@ -29,10 +28,11 @@
 //!   `PricingPolicy` through the pricing crate's `scale_rates` hooks.
 //! * [`tree`](ScenarioTree) — shared-prefix factoring of K sampled
 //!   paths into a scenario forest (one node per distinct quote-prefix,
-//!   keyed on solve-relevant quote bits, interruption *events*
-//!   excluded). Tree-aware Monte-Carlo solvers pay one solve per node
-//!   instead of per path × epoch; a deterministic market degenerates
-//!   to a single chain.
+//!   keyed on [`EpochQuote::solve_key`], interruption *events*
+//!   excluded — the one rule for when two paths are the same).
+//!   Tree-aware Monte-Carlo solvers pay one solve per node instead of
+//!   per path × epoch; a deterministic market degenerates to a single
+//!   chain.
 //!
 //! # Reproducibility contract
 //!
@@ -52,8 +52,8 @@ mod scenario;
 mod tree;
 
 pub use process::{
-    AnnouncedCut, CorrelatedHazard, PriceFactors, PriceProcess, PriceTrace, ProcessQuote,
-    SpotMarket, StorageDecay,
+    AnnouncedCut, CorrelatedHazard, PriceFactors, PriceProcess, ProcessQuote, SpotMarket,
+    StorageDecay,
 };
 pub use scenario::{EpochQuote, MarketPath, MarketScenario};
 pub use tree::{ScenarioTree, TreeNode};

@@ -1,9 +1,9 @@
 //! Composable price processes.
 //!
 //! Each process describes one force acting on a provider's price sheet
-//! over a billing horizon — a replayed historical trace, an announced
-//! price cut, the secular decline of storage rates, a fluctuating spot
-//! market. A process samples a whole horizon at once
+//! over a billing horizon — an announced price cut, the secular decline
+//! of storage rates, a fluctuating spot market, a bursty interruption
+//! regime. A process samples a whole horizon at once
 //! ([`PriceProcess::sample`]): per epoch it yields a [`PriceFactors`]
 //! multiplier triple plus an interruption probability, and a
 //! [`crate::MarketScenario`] multiplies the factors of its whole
@@ -71,65 +71,6 @@ impl ProcessQuote {
         factors: PriceFactors::UNIT,
         interruption: 0.0,
     };
-}
-
-/// A deterministic per-epoch factor trace (replayed history, a what-if
-/// schedule, a regulator-mandated price path). Traces shorter than the
-/// horizon hold their last value; empty traces are the identity.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PriceTrace {
-    /// Per-epoch compute factors.
-    pub compute: Vec<f64>,
-    /// Per-epoch storage factors.
-    pub storage: Vec<f64>,
-    /// Per-epoch transfer factors.
-    pub transfer: Vec<f64>,
-    /// Per-epoch interruption probabilities.
-    pub interruption: Vec<f64>,
-}
-
-impl PriceTrace {
-    /// An empty (identity) trace.
-    pub fn new() -> Self {
-        PriceTrace {
-            compute: Vec::new(),
-            storage: Vec::new(),
-            transfer: Vec::new(),
-            interruption: Vec::new(),
-        }
-    }
-
-    /// A trace replaying the given compute factors.
-    pub fn compute(factors: Vec<f64>) -> Self {
-        PriceTrace {
-            compute: factors,
-            ..PriceTrace::new()
-        }
-    }
-
-    fn at(trace: &[f64], epoch: usize, default: f64) -> f64 {
-        match trace.get(epoch) {
-            Some(v) => *v,
-            None => *trace.last().unwrap_or(&default),
-        }
-    }
-
-    fn quote(&self, epoch: usize) -> ProcessQuote {
-        ProcessQuote {
-            factors: PriceFactors {
-                compute: Self::at(&self.compute, epoch, 1.0),
-                storage: Self::at(&self.storage, epoch, 1.0),
-                transfer: Self::at(&self.transfer, epoch, 1.0),
-            },
-            interruption: Self::at(&self.interruption, epoch, 0.0).clamp(0.0, MAX_INTERRUPTION),
-        }
-    }
-}
-
-impl Default for PriceTrace {
-    fn default() -> Self {
-        PriceTrace::new()
-    }
 }
 
 /// A provider-announced step change taking effect at a known epoch —
@@ -299,8 +240,8 @@ impl SpotMarket {
 /// Bursty, regime-switching interruption hazard: a two-state
 /// calm/crunch Markov chain modulating the quoted interruption
 /// probability (and optionally the compute factor) — capacity crunches
-/// hit *consecutive* epochs, unlike the i.i.d. hazards of
-/// [`PriceTrace`] and [`SpotMarket`].
+/// hit *consecutive* epochs, unlike [`SpotMarket`]'s per-epoch
+/// price-driven hazard.
 ///
 /// The regime chain is parameterized by its stationary crunch share
 /// `π` and its epoch-to-epoch persistence `ρ` (the regime's lag-1
@@ -315,8 +256,8 @@ impl SpotMarket {
 ///   quotes bit-for-bit);
 /// * **a degenerate regime quotes deterministically** — `π ∈ {0, 1}`,
 ///   or `calm == crunch` with a unit crunch factor, yields identical
-///   quotes on every path ([`PriceProcess::is_stochastic`] reports
-///   `false` and the Monte-Carlo dedup collapses to one solve).
+///   quotes on every path (so the scenario tree merges them into one
+///   chain and the Monte-Carlo driver pays one solve).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CorrelatedHazard {
     /// Stationary probability `π` of an epoch being in the crunch
@@ -405,21 +346,12 @@ impl CorrelatedHazard {
         }
         quotes
     }
-
-    /// Whether two paths can quote differently: the regime must be
-    /// able to vary *and* the two regimes must quote differently.
-    fn is_stochastic(&self) -> bool {
-        let (share, _, calm, crunch, crunch_compute) = self.sanitized();
-        share > 0.0 && share < 1.0 && (calm != crunch || crunch_compute != 1.0)
-    }
 }
 
 /// One composable force on the price sheet. See the variants' types for
 /// semantics; [`PriceProcess::sample`] yields the whole horizon.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PriceProcess {
-    /// Deterministic trace replay.
-    Trace(PriceTrace),
     /// Announced step price change.
     Cut(AnnouncedCut),
     /// Linear storage-rate decline.
@@ -437,25 +369,10 @@ impl PriceProcess {
     /// no draws.
     pub fn sample(&self, epochs: usize, rng: &mut StdRng) -> Vec<ProcessQuote> {
         match self {
-            PriceProcess::Trace(t) => (0..epochs).map(|e| t.quote(e)).collect(),
             PriceProcess::Cut(c) => (0..epochs).map(|e| c.quote(e)).collect(),
             PriceProcess::StorageDecay(d) => (0..epochs).map(|e| d.quote(e)).collect(),
             PriceProcess::Spot(s) => s.sample(epochs, rng),
             PriceProcess::Correlated(h) => h.sample(epochs, rng),
-        }
-    }
-
-    /// `true` when sampling can yield *different quotes on different
-    /// paths* — only such processes spread the Monte-Carlo envelope
-    /// (the per-epoch interruption *event* draw is always
-    /// path-specific). A [`CorrelatedHazard`] always consumes draws,
-    /// but a degenerate regime quotes identically on every path and so
-    /// still reports `false`.
-    pub fn is_stochastic(&self) -> bool {
-        match self {
-            PriceProcess::Spot(s) => s.volatility > 0.0,
-            PriceProcess::Correlated(h) => h.is_stochastic(),
-            _ => false,
         }
     }
 }
@@ -464,16 +381,6 @@ impl PriceProcess {
 mod tests {
     use super::*;
     use rand::SeedableRng;
-
-    #[test]
-    fn traces_hold_their_last_value() {
-        let t = PriceTrace::compute(vec![1.0, 0.9, 0.8]);
-        assert_eq!(t.quote(0).factors.compute, 1.0);
-        assert_eq!(t.quote(2).factors.compute, 0.8);
-        assert_eq!(t.quote(7).factors.compute, 0.8);
-        assert_eq!(t.quote(7).factors.storage, 1.0);
-        assert_eq!(PriceTrace::new().quote(3).factors, PriceFactors::UNIT);
-    }
 
     #[test]
     fn cuts_take_effect_on_schedule() {
@@ -581,8 +488,8 @@ mod tests {
 
     #[test]
     fn degenerate_hazards_are_deterministic() {
-        // π ∈ {0, 1} or indistinguishable regimes: not stochastic, and
-        // the quotes really are path-independent.
+        // π ∈ {0, 1} or indistinguishable regimes: the quotes are
+        // path-independent.
         for h in [
             CorrelatedHazard::bursty(0.0, 0.5, 0.6),
             CorrelatedHazard::bursty(1.0, 0.5, 0.6),
@@ -594,12 +501,10 @@ mod tests {
                 crunch_compute: 1.0,
             },
         ] {
-            assert!(!PriceProcess::Correlated(h).is_stochastic());
             let a = h.sample(12, &mut StdRng::seed_from_u64(7));
             let b = h.sample(12, &mut StdRng::seed_from_u64(1234));
             assert_eq!(a, b);
         }
-        assert!(PriceProcess::Correlated(CorrelatedHazard::bursty(0.4, 0.5, 0.6)).is_stochastic());
     }
 
     #[test]

@@ -49,8 +49,8 @@ impl EpochQuote {
     /// `interrupted` event flag is excluded — it is reporting-only
     /// (expected-cost charging uses the probability), so two quotes
     /// with equal keys re-price and risk-adjust bit-identically. This
-    /// is the merge key of [`crate::ScenarioTree`] and of the flat
-    /// Monte-Carlo loop's path dedup.
+    /// is the one rule for path identity: the merge key of
+    /// [`crate::ScenarioTree`].
     pub fn solve_key(&self) -> [u64; 4] {
         [
             self.factors.compute.to_bits(),
@@ -116,14 +116,6 @@ impl MarketScenario {
         self
     }
 
-    /// `true` when any process draws randomness — otherwise every path
-    /// quotes identical factors and probabilities, and one chain solve
-    /// covers them all (interruption *events* are still Bernoulli
-    /// -sampled per path).
-    pub fn is_stochastic(&self) -> bool {
-        self.processes.iter().any(PriceProcess::is_stochastic)
-    }
-
     /// Samples path `path`: an independent, reproducible trajectory.
     /// Processes sample in stack order from a generator seeded by
     /// `(seed, path)`, then one Bernoulli event draw per epoch realizes
@@ -163,7 +155,7 @@ impl MarketScenario {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{AnnouncedCut, SpotMarket, StorageDecay};
+    use crate::{AnnouncedCut, CorrelatedHazard, SpotMarket, StorageDecay};
     use mv_pricing::presets;
     use mv_units::{Gb, Hours};
 
@@ -200,7 +192,6 @@ mod tests {
         assert_eq!(p.quotes[4].factors.compute, 0.8 * 0.5);
         assert_eq!(p.quotes[3].factors.storage, 0.7);
         assert_eq!(p.quotes[0].interruption, 0.0);
-        assert!(!m.is_stochastic());
         // Deterministic stacks: every path identical.
         assert_eq!(m.path(3).quotes, p.quotes);
     }
@@ -235,7 +226,6 @@ mod tests {
     fn paths_are_reproducible_and_independent() {
         let m = MarketScenario::constant(8, 1234)
             .with(PriceProcess::Spot(SpotMarket::with_volatility(0.4)));
-        assert!(m.is_stochastic());
         let a = m.path(3);
         let b = m.path(3);
         assert_eq!(a, b);
@@ -252,15 +242,11 @@ mod tests {
 
     #[test]
     fn hazards_combine_as_independent_probabilities() {
+        // Two always-crunching regimes, each quoting p = 0.5.
+        let crunch = PriceProcess::Correlated(CorrelatedHazard::bursty(1.0, 0.0, 0.5));
         let m = MarketScenario::constant(1, 0)
-            .with(PriceProcess::Trace(crate::PriceTrace {
-                interruption: vec![0.5],
-                ..crate::PriceTrace::new()
-            }))
-            .with(PriceProcess::Trace(crate::PriceTrace {
-                interruption: vec![0.5],
-                ..crate::PriceTrace::new()
-            }));
+            .with(crunch.clone())
+            .with(crunch);
         let p = m.path(0);
         assert!((p.quotes[0].interruption - 0.75).abs() < 1e-12);
     }

@@ -8,24 +8,19 @@
 //! solver can then solve every node **once** and branch its warm state
 //! at the split points — one solve per edge instead of per path ×
 //! epoch. A deterministic market degenerates to a single chain (one
-//! root, E nodes, every path on the same leaf), generalizing the
-//! all-or-nothing "solve path 0 once" dedup; coincidentally-identical
-//! sampled paths collapse onto the same leaf for free.
+//! root, E nodes, every path on the same leaf) with no predicate asking
+//! whether it is one; coincidentally-identical sampled paths collapse
+//! onto the same leaf for free.
 //!
-//! Two quotes are merged when every **solve-relevant** field matches
-//! bit-for-bit: the three price factors and the interruption
-//! *probability*. The Bernoulli interruption *event* flag is reporting
-//! -only (expected-cost charging uses the probability) and is excluded
-//! from the key — callers re-derive per-path events from
-//! [`crate::MarketScenario::path`] when reporting replicas.
+//! Two quotes are merged when their [`EpochQuote::solve_key`]s match —
+//! every **solve-relevant** field bit-for-bit: the three price factors
+//! and the interruption *probability*. The Bernoulli interruption
+//! *event* flag is reporting-only (expected-cost charging uses the
+//! probability) and is excluded from the key — callers re-derive
+//! per-path events from [`crate::MarketScenario::path`] when reporting
+//! replicas.
 
 use crate::{EpochQuote, MarketPath};
-
-/// The solve-relevant identity of a quote: factor and probability bits,
-/// event flag excluded (see [`EpochQuote::solve_key`]).
-fn quote_key(q: &EpochQuote) -> [u64; 4] {
-    q.solve_key()
-}
 
 /// One node of a [`ScenarioTree`]: a distinct quote-prefix of some
 /// sampled path, at a fixed epoch.
@@ -80,7 +75,7 @@ impl ScenarioTree {
             );
             let mut at: Option<usize> = None;
             for (epoch, quote) in path.quotes.iter().enumerate() {
-                let key = quote_key(quote);
+                let key = quote.solve_key();
                 let siblings = match at {
                     None => &tree.roots,
                     Some(p) => &tree.nodes[p].children,
@@ -88,7 +83,7 @@ impl ScenarioTree {
                 let found = siblings
                     .iter()
                     .copied()
-                    .find(|&c| quote_key(&tree.nodes[c].quote) == key);
+                    .find(|&c| tree.nodes[c].quote.solve_key() == key);
                 let node = match found {
                     Some(c) => c,
                     None => {

@@ -136,7 +136,9 @@ impl CounterGuard {
 
     /// Counter movement, on every thread of the process, since this
     /// guard (or the last [`rebase`]) — saturating, in case an
-    /// unrelated enabler raced the baseline.
+    /// unrelated enabler raced the baseline. Only tests read it: the
+    /// counter pins of `tests/market_no_rebuild.rs` (whose tree solves
+    /// fan out to worker threads) and this crate's own guard tests.
     ///
     /// [`rebase`]: CounterGuard::rebase
     pub fn delta(&self, c: Counter) -> u64 {

@@ -106,11 +106,6 @@ impl UsageLedger {
         });
     }
 
-    /// The recorded items.
-    pub fn items(&self) -> &[LineItem] {
-        &self.items
-    }
-
     /// Prices the ledger under `policy` and produces an invoice.
     ///
     /// Compute and storage items are priced independently; transfer volumes

@@ -22,7 +22,7 @@ use mv_units::Money;
 use crate::CommitmentPlan;
 
 /// Which capacity pool a view's materialization/maintenance work runs
-/// on (and whose storage terms its bytes bill against).
+/// on (its stored bytes bill at the primary sheet's storage rate).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Placement {
     /// Reserved / on-demand capacity: contract rates, never reclaimed.
@@ -48,6 +48,12 @@ impl Placement {
             Placement::Spot => "spot",
         }
     }
+
+    /// This pool's slot in a `[reserved, spot]` pair — the one place
+    /// that order is written down.
+    pub fn slot(self) -> usize {
+        usize::from(self == Placement::Spot)
+    }
 }
 
 impl Default for Placement {
@@ -66,28 +72,26 @@ pub struct PoolTerms {
     /// on-demand). The spot pool's effective rate is additionally
     /// multiplied by the sampled market factor each epoch.
     pub rate_factor: f64,
-    /// Storage-rate multiplier vs the base sheet (`1.0` = shared
-    /// object storage at list price).
-    pub storage_factor: f64,
     /// Optional reservation backing the pool; its upfronts and
     /// discounted hourly feed the fleet's commitment comparison.
     pub commitment: Option<CommitmentPlan>,
 }
 
 impl PoolTerms {
-    /// On-demand parity terms: every factor exactly `1.0` — charging
+    /// On-demand parity terms: a rate factor of exactly `1.0` — charging
     /// through them is bit-identical to the base sheet, which the
     /// degenerate-fleet conformance tests lean on.
     pub fn on_demand() -> PoolTerms {
         PoolTerms {
             rate_factor: 1.0,
-            storage_factor: 1.0,
             commitment: None,
         }
     }
 
     /// Terms derived from a reservation: the pool's compute rate is
-    /// the plan's discounted hourly over the on-demand rate.
+    /// the plan's discounted hourly over the on-demand rate. Only tests
+    /// build one: `reserved_terms_derive_the_discount` below and the
+    /// reservation-backed fleet digest in `tests/driver_golden.rs`.
     pub fn reserved(plan: CommitmentPlan, on_demand_hourly: Money) -> PoolTerms {
         let od = on_demand_hourly.to_dollars_f64();
         PoolTerms {
@@ -96,14 +100,13 @@ impl PoolTerms {
             } else {
                 1.0
             },
-            storage_factor: 1.0,
             commitment: Some(plan),
         }
     }
 
     /// `true` when charging through these terms is the exact identity.
     pub fn is_parity(&self) -> bool {
-        self.rate_factor == 1.0 && self.storage_factor == 1.0
+        self.rate_factor == 1.0
     }
 }
 
@@ -212,18 +215,14 @@ impl FleetPlan {
         }
     }
 
-    /// Validates the plan's factors (positive and finite).
+    /// Validates the plan's rate factors (positive and finite).
     pub fn validate(&self) -> Result<(), crate::PricingError> {
         for (pool, terms) in [("reserved", &self.reserved), ("spot", &self.spot)] {
-            for (what, f) in [
-                ("rate_factor", terms.rate_factor),
-                ("storage_factor", terms.storage_factor),
-            ] {
-                if !f.is_finite() || f <= 0.0 {
-                    return Err(crate::PricingError::InvalidRate {
-                        what: format!("fleet {}: {pool} pool {what} {f}", self.name),
-                    });
-                }
+            let f = terms.rate_factor;
+            if !f.is_finite() || f <= 0.0 {
+                return Err(crate::PricingError::InvalidRate {
+                    what: format!("fleet {}: {pool} pool rate_factor {f}", self.name),
+                });
             }
         }
         Ok(())
@@ -240,6 +239,7 @@ mod tests {
         assert_eq!(Placement::Spot.flipped(), Placement::Reserved);
         assert_eq!(Placement::default(), Placement::Reserved);
         assert_eq!(Placement::Spot.name(), "spot");
+        assert_eq!([Placement::Reserved.slot(), Placement::Spot.slot()], [0, 1]);
     }
 
     #[test]

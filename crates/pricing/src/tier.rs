@@ -105,11 +105,6 @@ impl TierSchedule {
         TierSchedule::flat(Money::ZERO)
     }
 
-    /// The combination mode.
-    pub fn mode(&self) -> TierMode {
-        self.mode
-    }
-
     /// Returns a copy of this schedule with a different [`TierMode`]
     /// (used by the tier-mode ablation bench).
     pub fn with_mode(&self, mode: TierMode) -> Self {

@@ -32,22 +32,22 @@
 //!   warm path is the repository benchmark's `select.retarget_us` and
 //!   `select.chain_solve_ms`).
 //!
-//! # One driver, four axes
+//! # One driver, three axes
 //!
 //! Every transition-aware solve is [`EpochChain::solve_with`]: **one
 //! node step** — inherit the parent's evaluator or build one at a root,
 //! switch it to the node's model and splice the charges that moved,
 //! greedy-fill from empty at a root, run [`crate::solve_local_search`]'s
-//! bounded best-improvement pass from the inherited selection (with
-//! zero drift it merely confirms the standing selection is still a
-//! local optimum), assemble the [`EpochStep`] — scheduled
-//! parent-before-child. What varies is four independent axes:
+//! best-improvement pass (bounded by
+//! [`local_search::default_move_budget`]) from the inherited selection
+//! (with zero drift it merely confirms the standing selection is still
+//! a local optimum), assemble the [`EpochStep`] — scheduled
+//! parent-before-child. What varies is three independent axes:
 //!
 //! | axis | set by | `solve` | `mvcloud`'s Monte-Carlo driver |
 //! |---|---|---|---|
-//! | reprice | [`ChainSpec::reprice`] | identity | per-node rate differential + interruption premium |
+//! | reprice | [`ChainSpec::pools`] | identity | per-node `[PoolCharge; 2]`: rate differential + interruption premium |
 //! | placement | [`ChainSpec::initial`], [`ChainSpec::rebalance`] | each charge's own pool, pinned | the fleet plan's start, pinned or free |
-//! | budget | [`ChainSpec::max_moves`] | [`local_search::default_move_budget`] | same |
 //! | shape | the chain's constructor | [`EpochChain::new`]: a path | [`EpochChain::forest`]: a prefix forest of sampled price paths |
 //!
 //! A single pool is the pinned fleet on its charges' own placements and
@@ -72,7 +72,9 @@
 //! zero-drift horizon reproduces the single-period solve bit-for-bit
 //! (property-tested in `tests/horizon_consistency.rs`).
 
-use mv_cost::{CloudCostModel, CostBreakdown, Placement, Price, SelectionSet, ViewCharge};
+use mv_cost::{
+    CloudCostModel, CostBreakdown, Placement, PoolCharge, Price, SelectionSet, ViewCharge,
+};
 use mv_units::{Hours, Money};
 
 use crate::{
@@ -194,46 +196,30 @@ impl DpFleetSolution {
     }
 }
 
-/// A solve's charge transform: `reprice(node, k, placement,
-/// transition)` yields candidate `k`'s effective [`Price`] on
-/// `placement` at chain node `node` (on a path, node `e` is epoch `e`).
-/// `transition` is already the carry-aware price: the pool entry's full
-/// one, or its [`ViewCharge::carried`] form when the candidate survived
-/// the previous epoch *on the same pool* (a placement move rebuilds the
-/// view on the new pool's capacity, so it re-pays materialization). This
-/// is the price-dynamics hook (`mv-cost`'s `PoolCharge` folds rate
-/// differentials and interruption premiums into it). Prices in, prices
-/// out: no transform can reach a view's answer profile, so every splice
-/// is O(1).
-pub trait Reprice: Fn(usize, usize, Placement, Price) -> Price {}
-
-impl<F: Fn(usize, usize, Placement, Price) -> Price> Reprice for F {}
-
-/// The axes of a solve other than the chain's shape (module docs: table).
-pub struct ChainSpec<'a, F> {
-    /// The per-node charge transform, a [`Reprice`].
-    pub reprice: F,
-    /// Each candidate's starting pool; `None` is each charge's own.
-    pub initial: Option<&'a [Placement]>,
+/// The axes of a solve other than the chain's shape (module docs:
+/// table). `ChainSpec::default()` is the single-pool, full-price solve:
+/// identity charges, every candidate pinned on its charge's own
+/// placement.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ChainSpec<'a> {
+    /// One `[reserved, spot]` [`PoolCharge`] pair per chain node (on a
+    /// path, node `e` is epoch `e`; [`Placement::slot`] orders a pair).
+    /// At node `i` a candidate on pool `p` presents
+    /// `pools[i][p.slot()].adjust(transition)`, where `transition` is its
+    /// carry-aware price: the pool entry's full one, or its
+    /// [`ViewCharge::carried`] form when the candidate survived the
+    /// previous epoch *on the same pool* (a placement move rebuilds the
+    /// view on the new pool's capacity, so it re-pays materialization).
+    /// Prices in, prices out: no pool charge can reach a view's answer
+    /// profile, so every splice is O(1). `None` is the identity at every
+    /// node.
+    pub pools: Option<&'a [[PoolCharge; 2]]>,
+    /// Every candidate's starting pool; `None` is each charge's own.
+    pub initial: Option<Placement>,
     /// Whether the improvement pass may move views between pools
     /// ([`local_search::improve_joint`]'s placement-flip moves, each one
     /// O(1) price splice); `false` pins every candidate where it starts.
     pub rebalance: bool,
-    /// Bound on each node's improvement pass.
-    pub max_moves: usize,
-}
-
-impl ChainSpec<'static, fn(usize, usize, Placement, Price) -> Price> {
-    /// The single-pool, full-price solve: identity transform, every
-    /// candidate pinned on its charge's own placement.
-    pub fn single_pool(max_moves: usize) -> Self {
-        ChainSpec {
-            reprice: |_, _, _, price| price,
-            initial: None,
-            rebalance: false,
-            max_moves,
-        }
-    }
 }
 
 /// A billing horizon: per-epoch costing models over one shared,
@@ -367,12 +353,9 @@ impl EpochChain {
     /// `Vec<EpochStep>` per leaf, in leaf order: exactly one on a path.
     ///
     /// # Panics
-    /// Panics when `spec.initial` does not cover the pool.
-    pub fn solve_with<F: Reprice + Sync>(
-        &self,
-        scenario: Scenario,
-        spec: &ChainSpec<'_, F>,
-    ) -> Vec<Vec<EpochStep>> {
+    /// Panics when `spec.pools` does not hold one pair per node.
+    pub fn solve_with(&self, scenario: Scenario, spec: &ChainSpec<'_>) -> Vec<Vec<EpochStep>> {
+        self.check_pools(spec.pools);
         // One worker per unit of forest width (the widest epoch's node
         // count), capped by the machine: a path runs inline.
         let mut per_epoch = vec![0; self.models.len()];
@@ -384,21 +367,28 @@ impl EpochChain {
         self.run_forest(scenario, spec, machine.min(width))
     }
 
-    /// The single-pool solve of a path at full price with the default
-    /// move budget: [`ChainSpec::single_pool`].
+    /// The single-pool solve of a path at full price:
+    /// `ChainSpec::default()`.
     pub fn solve(&self, scenario: Scenario) -> Vec<EpochStep> {
         self.path();
-        let budget = local_search::default_move_budget(self.pool.len());
-        let mut solved = self.solve_with(scenario, &ChainSpec::single_pool(budget));
+        let mut solved = self.solve_with(scenario, &ChainSpec::default());
         solved.pop().expect("a path has one leaf")
+    }
+
+    /// Asserts that a pool table, if any, holds one pair per node.
+    fn check_pools(&self, pools: Option<&[[PoolCharge; 2]]>) {
+        assert!(
+            pools.is_none_or(|pools| pools.len() == self.models.len()),
+            "pool charges must cover every chain node"
+        );
     }
 
     /// Every node solved once by [`run_tree`] on up to `threads` workers,
     /// then each leaf's lineage cloned out.
-    fn run_forest<F: Reprice + Sync>(
+    fn run_forest(
         &self,
         scenario: Scenario,
-        spec: &ChainSpec<'_, F>,
+        spec: &ChainSpec<'_>,
         threads: usize,
     ) -> Vec<Vec<EpochStep>> {
         let node_steps = run_tree(&self.parent, threads, |idx, inherited| {
@@ -428,16 +418,17 @@ impl EpochChain {
 
     /// The node step: one epoch under the node's model, from the state
     /// its parent left (`None` at a root). See the module docs.
-    fn node_step<F: Reprice>(
+    fn node_step(
         &self,
         scenario: Scenario,
-        spec: &ChainSpec<'_, F>,
+        spec: &ChainSpec<'_>,
         node: usize,
         inherited: Option<NodeState>,
     ) -> (EpochStep, NodeState) {
         let model = &self.models[node];
         let n = self.pool.len();
-        let effective = |k, p, carried| self.effective(&spec.reprice, node, k, p, carried);
+        let max_moves = local_search::default_move_budget(n);
+        let effective = |k, p, carried| self.effective(spec.pools, node, k, p, carried);
         let root = inherited.is_none();
         let mut state = match inherited {
             None => {
@@ -481,12 +472,12 @@ impl EpochChain {
                 &mut state.ev,
                 scenario,
                 &baseline,
-                spec.max_moves,
+                max_moves,
                 &mut state.placements,
                 &charge_for,
             )
         } else {
-            local_search::improve(&mut state.ev, scenario, &baseline, spec.max_moves)
+            local_search::improve(&mut state.ev, scenario, &baseline, max_moves)
         };
         let step = self.step(
             model,
@@ -500,10 +491,11 @@ impl EpochChain {
         (step, state)
     }
 
-    /// Candidate `k`'s effective price on pool `p` at `node`.
+    /// Candidate `k`'s effective price on pool `p` at `node` (see
+    /// [`ChainSpec::pools`]).
     fn effective(
         &self,
-        reprice: &impl Reprice,
+        pools: Option<&[[PoolCharge; 2]]>,
         node: usize,
         k: usize,
         p: Placement,
@@ -514,9 +506,13 @@ impl EpochChain {
         } else {
             self.pool[k].price()
         };
+        let price = match pools {
+            Some(pools) => pools[node][p.slot()].adjust(transition),
+            None => transition,
+        };
         Price {
             placement: p,
-            ..reprice(node, k, p, transition)
+            ..price
         }
     }
 
@@ -531,18 +527,13 @@ impl EpochChain {
         charges
     }
 
-    /// A solve's starting placements: the caller's, or each pool
-    /// charge's own.
-    fn initial_placements(&self, initial: Option<&[Placement]>) -> Vec<Placement> {
-        let n = self.pool.len();
-        assert!(
-            initial.is_none_or(|given| given.len() == n),
-            "initial placements must cover the pool"
-        );
-        initial.map_or_else(
-            || self.pool.iter().map(|c| c.placement).collect(),
-            <[_]>::to_vec,
-        )
+    /// A solve's starting placements: the caller's pool for every
+    /// candidate, or each pool charge's own.
+    fn initial_placements(&self, initial: Option<Placement>) -> Vec<Placement> {
+        match initial {
+            Some(p) => vec![p; self.pool.len()],
+            None => self.pool.iter().map(|c| c.placement).collect(),
+        }
     }
 
     /// The rebuild-per-epoch **reference** of [`EpochChain::solve_with`]
@@ -552,18 +543,16 @@ impl EpochChain {
     /// Bit-identical steps (tested below and in
     /// `tests/horizon_consistency.rs`): the correctness anchor of the
     /// warm-start machinery, with no non-test caller.
-    pub fn solve_rebuilding<F: Reprice>(
-        &self,
-        scenario: Scenario,
-        spec: &ChainSpec<'_, F>,
-    ) -> Vec<EpochStep> {
+    pub fn solve_rebuilding(&self, scenario: Scenario, spec: &ChainSpec<'_>) -> Vec<EpochStep> {
         let epochs = self.path();
+        self.check_pools(spec.pools);
         let n = self.pool.len();
+        let max_moves = local_search::default_move_budget(n);
         let mut placements = self.initial_placements(spec.initial);
         let mut prev = SelectionSet::empty(n);
         let mut steps = Vec::with_capacity(epochs.len());
         for (e, model) in epochs.iter().enumerate() {
-            let effective = |k, p, carried| self.effective(&spec.reprice, e, k, p, carried);
+            let effective = |k, p, carried| self.effective(spec.pools, e, k, p, carried);
             let charged = self.charged(|k| effective(k, placements[k], prev.contains(k)));
             let problem = SelectionProblem::new(model.clone(), charged);
             let baseline = problem.baseline();
@@ -578,12 +567,12 @@ impl EpochChain {
                     &mut ev,
                     scenario,
                     &baseline,
-                    spec.max_moves,
+                    max_moves,
                     &mut placements,
                     &charge_for,
                 )
             } else {
-                local_search::improve(&mut ev, scenario, &baseline, spec.max_moves)
+                local_search::improve(&mut ev, scenario, &baseline, max_moves)
             };
             let outcome = Outcome::new(evaluation, baseline, scenario, SolverKind::LocalSearch);
             steps.push(self.step(model, e, outcome, &prev, &entry, &placements));
@@ -737,14 +726,8 @@ impl EpochChain {
     /// pool* in `s_prev` — exactly the fleet chain's transition
     /// accounting, where a placement move rebuilds the view. The value
     /// function minimizes total violation first, then total objective,
-    /// as in [`Scenario::better`]'s lexicographic order.
-    ///
-    /// `reprice` is a [`Reprice`] with one more property the factored
-    /// state tables rely on (it holds for every pool/risk transform):
-    /// it scales materialization multiplicatively
-    /// (zero in, zero out — so carried prices need no separate table).
-    /// That the per-mask time table is placement-independent needs no
-    /// contract: a [`Reprice`] cannot reach an answer profile.
+    /// as in [`Scenario::better`]'s lexicographic order. `pools` holds
+    /// one `[reserved, spot]` pair per epoch, as [`ChainSpec::pools`].
     ///
     /// This is the oracle that exposes the sequential chain's
     /// *lookahead* gap on placement: committing each epoch greedily,
@@ -754,7 +737,7 @@ impl EpochChain {
     /// strictly positive gap). State space is 3ⁿ per epoch, so the
     /// pool is capped at [`DP_FLEET_MAX_CANDIDATES`]; like its
     /// single-pool twin, a test reference and not a production path.
-    pub fn solve_dp_fleet<F: Reprice>(&self, scenario: Scenario, reprice: &F) -> DpFleetSolution {
+    pub fn solve_dp_fleet(&self, scenario: Scenario, pools: &[[PoolCharge; 2]]) -> DpFleetSolution {
         let n = self.pool.len();
         assert!(
             n <= DP_FLEET_MAX_CANDIDATES,
@@ -762,6 +745,7 @@ impl EpochChain {
         );
         let states: usize = 3usize.pow(n as u32);
         let models = self.path();
+        self.check_pools(Some(pools));
         let epochs = models.len();
         let trit = |s: usize, k: usize| -> usize { s / 3usize.pow(k as u32) % 3 };
         let placement_of = |t: usize| -> Placement {
@@ -779,20 +763,17 @@ impl EpochChain {
 
         // Per-epoch effective full prices per (candidate, pool), per-mask
         // times (placement-independent: prices carry no answers), and
-        // per-state partial breakdowns.
+        // per-state partial breakdowns. A pool charge scales
+        // materialization (zero in, zero out), so carried prices need no
+        // table of their own.
         let mut eff: Vec<Vec<[Price; 2]>> = Vec::with_capacity(epochs);
         let mut times: Vec<Vec<Hours>> = Vec::with_capacity(epochs);
         let mut baselines = Vec::with_capacity(epochs);
         for (e, model) in models.iter().enumerate() {
             eff.push(
-                (0..n)
-                    .map(|k| {
-                        let full = self.pool[k].price();
-                        [
-                            reprice(e, k, Placement::Reserved, full),
-                            reprice(e, k, Placement::Spot, full),
-                        ]
-                    })
+                self.pool
+                    .iter()
+                    .map(|c| pools[e].map(|pool| pool.adjust(c.price())))
                     .collect(),
             );
             let problem = SelectionProblem::new(model.clone(), self.pool.clone());
@@ -803,7 +784,7 @@ impl EpochChain {
             });
             times.push(per_mask);
         }
-        let eff_of = |e: usize, k: usize, t: usize| &eff[e][k][usize::from(t == 2)];
+        let eff_of = |e: usize, k: usize, t: usize| &eff[e][k][placement_of(t).slot()];
         // partial[e][s]: the state's breakdown with materialization
         // zeroed (the only transition-dependent component).
         let mut partial: Vec<Vec<(Hours, CostBreakdown)>> = Vec::with_capacity(epochs);
@@ -866,22 +847,14 @@ impl EpochChain {
         for (e, &cur) in path.iter().enumerate() {
             let mut charges = self.pool.clone();
             let mut assignment = vec![Placement::Reserved; n];
-            for (k, slot) in charges.iter_mut().enumerate() {
+            for (k, charge) in charges.iter_mut().enumerate() {
                 let t = trit(cur, k);
                 if t == 0 {
                     continue;
                 }
                 let p = placement_of(t);
                 assignment[k] = p;
-                let transition = if trit(prev_state, k) == t {
-                    self.pool[k].carried()
-                } else {
-                    self.pool[k].price()
-                };
-                slot.set_price(Price {
-                    placement: p,
-                    ..reprice(e, k, p, transition)
-                });
+                charge.set_price(self.effective(Some(pools), e, k, p, trit(prev_state, k) == t));
             }
             let problem = SelectionProblem::new(models[e].clone(), charges);
             let ev = problem.evaluate(&masks[sel_mask(cur)]);
@@ -1048,8 +1021,7 @@ impl NodeState {
 /// enters the queue the moment its parent finishes. With `threads <= 1`
 /// the calling thread is the one worker (a path pays no scope setup).
 /// Results are schedule-independent: a node's inputs come only from its
-/// parent. A node solve that panics (a transform fed a poisoned quote)
-/// aborts the whole run: the board is flagged on unwind, waiting
+/// parent. A node solve that panics aborts the whole run: the board is flagged on unwind, waiting
 /// workers return on the flag, and `std::thread::scope` re-raises the
 /// panic — the subtree that will never be queued must not leave its
 /// siblings waiting for it.
@@ -1146,6 +1118,7 @@ where
 mod tests {
     use super::*;
     use crate::fixtures::paper_like_problem;
+    use mv_cost::InterruptionRisk;
 
     /// `epochs` identical copies of the paper-like problem's model.
     fn flat_chain(epochs: usize) -> EpochChain {
@@ -1153,41 +1126,43 @@ mod tests {
         EpochChain::new(vec![p.model().clone(); epochs], p.candidates().to_vec())
     }
 
-    /// The default move budget of `chain`'s pool.
-    fn budget(chain: &EpochChain) -> usize {
-        crate::local_search::default_move_budget(chain.pool().len())
-    }
-
     /// The driver over the chain's own epochs.
-    fn on_path<F>(chain: &EpochChain, scenario: Scenario, spec: &ChainSpec<'_, F>) -> Vec<EpochStep>
-    where
-        F: Reprice + Sync,
-    {
+    fn on_path(chain: &EpochChain, scenario: Scenario, spec: &ChainSpec<'_>) -> Vec<EpochStep> {
         let mut solved = chain.solve_with(scenario, spec);
         assert_eq!(solved.len(), 1, "a path is one lineage");
         solved.remove(0)
     }
 
     /// The joint selection + placement solve over the chain's own
-    /// epochs with the default move budget: `initial` seeds each
-    /// candidate's pool, `rebalance` frees the search to move them.
-    fn fleet_path<F>(
+    /// epochs: every candidate starts on `initial`, `rebalance` frees
+    /// the search to move it.
+    fn fleet_path(
         chain: &EpochChain,
         scenario: Scenario,
-        initial: &[Placement],
+        initial: Placement,
         rebalance: bool,
-        reprice: F,
-    ) -> Vec<EpochStep>
-    where
-        F: Reprice + Sync,
-    {
+        pools: &[[PoolCharge; 2]],
+    ) -> Vec<EpochStep> {
         let spec = ChainSpec {
-            reprice,
+            pools: Some(pools),
             initial: Some(initial),
             rebalance,
-            max_moves: budget(chain),
         };
         on_path(chain, scenario, &spec)
+    }
+
+    /// Both pools' hours scaled by `factor` under interruption risk
+    /// `risk`: one node of a single-pool table.
+    fn both(factor: f64, risk: f64) -> [PoolCharge; 2] {
+        [PoolCharge::new(factor, InterruptionRisk::new(risk)); 2]
+    }
+
+    /// `ChainSpec::default()` under a pool table.
+    fn priced(pools: &[[PoolCharge; 2]]) -> ChainSpec<'_> {
+        ChainSpec {
+            pools: Some(pools),
+            ..ChainSpec::default()
+        }
     }
 
     #[test]
@@ -1233,7 +1208,7 @@ mod tests {
             Scenario::time_limit(Hours::new(20.0)),
         ] {
             let warm = chain.solve(scenario);
-            let rebuilt = chain.solve_rebuilding(scenario, &ChainSpec::single_pool(budget(&chain)));
+            let rebuilt = chain.solve_rebuilding(scenario, &ChainSpec::default());
             assert_eq!(warm.len(), rebuilt.len());
             for (e, (w, r)) in warm.iter().zip(&rebuilt).enumerate() {
                 assert_eq!(w.outcome.evaluation, r.outcome.evaluation, "epoch {e}");
@@ -1248,21 +1223,11 @@ mod tests {
     #[test]
     fn repriced_warm_start_matches_rebuild_bit_for_bit() {
         let chain = drifting_chain(5);
-        // A per-epoch transform shaped like the market's interruption
-        // premium: build/refresh inflate with the epoch, answers don't.
-        let spec = ChainSpec {
-            reprice: |e: usize, _k: usize, _p: Placement, c: Price| -> Price {
-                let attempts = 1.0 + 0.15 * e as f64;
-                Price {
-                    materialization: c.materialization * attempts,
-                    maintenance: c.maintenance * attempts,
-                    ..c
-                }
-            },
-            initial: None,
-            rebalance: false,
-            max_moves: budget(&chain),
-        };
+        // Per-epoch charges shaped like the market's interruption
+        // premium: build/refresh inflate with the epoch, answers don't,
+        // and a nonzero risk re-runs them on top.
+        let pools: Vec<_> = (0..5).map(|e| both(1.0 + 0.15 * e as f64, 0.2)).collect();
+        let spec = priced(&pools);
         for scenario in [
             Scenario::tradeoff(0.02),
             Scenario::tradeoff_normalized(0.5),
@@ -1281,22 +1246,26 @@ mod tests {
     }
 
     #[test]
-    fn identity_reprice_is_the_single_pool_solve_bit_for_bit() {
-        // `solve` is the driver with the single-pool spec, and the
-        // single pool is the pinned fleet whose candidates start on
-        // their charges' own placements.
+    fn identity_pools_are_the_default_solve_bit_for_bit() {
+        // `solve` is the driver with the default spec, and the single
+        // pool is the pinned fleet whose candidates start on their
+        // charges' own placements (all reserved here) under identity
+        // pool charges.
         let chain = drifting_chain(4);
-        let own: Vec<Placement> = chain.pool().iter().map(|c| c.placement).collect();
+        assert!(chain
+            .pool()
+            .iter()
+            .all(|c| c.placement == Placement::Reserved));
+        let identity = vec![[PoolCharge::IDENTITY; 2]; 4];
         let spec = ChainSpec {
-            reprice: |_: usize, _: usize, _: Placement, c: Price| c,
-            initial: Some(&own),
+            pools: Some(&identity),
+            initial: Some(Placement::Reserved),
             rebalance: false,
-            max_moves: budget(&chain),
         };
         for scenario in [Scenario::tradeoff(0.02), Scenario::tradeoff_normalized(0.5)] {
             let plain = chain.solve(scenario);
-            assert_steps_eq(&plain, &on_path(&chain, scenario, &spec), "own placements");
-            let single = ChainSpec::single_pool(budget(&chain));
+            assert_steps_eq(&plain, &on_path(&chain, scenario, &spec), "identity pools");
+            let single = ChainSpec::default();
             assert_steps_eq(&plain, &on_path(&chain, scenario, &single), "single pool");
         }
     }
@@ -1396,30 +1365,25 @@ mod tests {
         }
     }
 
-    /// A fleet transform shaped like the market's: spot work rides a
-    /// per-epoch rate factor and an interruption premium, reserved work
-    /// bills at the primary sheet.
-    fn fleet_reprice(
-        spot_factor: &'static [f64],
-        spot_attempts: &'static [f64],
-    ) -> impl Fn(usize, usize, Placement, Price) -> Price {
-        move |e, _k, p, c| match p {
-            Placement::Reserved => c,
-            Placement::Spot => Price {
-                materialization: c.materialization * (spot_factor[e] * spot_attempts[e]),
-                maintenance: c.maintenance * (spot_factor[e] * spot_attempts[e]),
-                ..c
-            },
-        }
+    /// A fleet table shaped like the market's: spot work rides a
+    /// per-epoch rate factor and an interruption premium (folded into
+    /// the factor, plus `risk`), reserved work bills at the primary
+    /// sheet.
+    fn fleet_pools(spot_factor: &[f64], spot_attempts: &[f64], risk: f64) -> Vec<[PoolCharge; 2]> {
+        spot_factor
+            .iter()
+            .zip(spot_attempts)
+            .map(|(f, a)| {
+                let spot = PoolCharge::new(f * a, InterruptionRisk::new(risk));
+                [PoolCharge::IDENTITY, spot]
+            })
+            .collect()
     }
 
     #[test]
     fn fleet_warm_start_matches_rebuild_bit_for_bit() {
         let chain = drifting_chain(5);
-        let factors: &[f64] = &[0.4, 0.5, 0.9, 0.6, 0.4];
-        let attempts: &[f64] = &[1.0, 1.5, 2.0, 1.25, 1.0];
-        let reprice = fleet_reprice(factors, attempts);
-        let initial = vec![Placement::Reserved; chain.pool().len()];
+        let pools = fleet_pools(&[0.4, 0.5, 0.9, 0.6, 0.4], &[1.0, 1.5, 2.0, 1.25, 1.0], 0.3);
         for scenario in [
             Scenario::tradeoff(0.02),
             Scenario::tradeoff_normalized(0.5),
@@ -1427,10 +1391,9 @@ mod tests {
         ] {
             for rebalance in [false, true] {
                 let spec = ChainSpec {
-                    reprice: &reprice,
-                    initial: Some(&initial),
+                    pools: Some(&pools),
+                    initial: Some(Placement::Reserved),
                     rebalance,
-                    max_moves: budget(&chain),
                 };
                 let warm = on_path(&chain, scenario, &spec);
                 let rebuilt = chain.solve_rebuilding(scenario, &spec);
@@ -1450,34 +1413,15 @@ mod tests {
     #[test]
     fn pinned_fleet_is_solve_with_on_one_pool_bit_for_bit() {
         // A fleet that cannot rebalance, with every view on the primary
-        // pool, is `solve_with` under the same re-price and a one-pool
-        // `ChainSpec` exactly — the degenerate case the workspace-level
-        // conformance tests extend to `Advisor::solve_market`.
+        // pool, is `solve_with` under the same pool table on each
+        // charge's own placement exactly — the degenerate case the
+        // workspace-level conformance tests extend to
+        // `Advisor::solve_market`.
         let chain = drifting_chain(4);
-        let n = chain.pool().len();
-        let attempts: &[f64] = &[1.0, 1.6, 2.2, 1.3];
-        let fleet = |e: usize, _k: usize, _p: Placement, c: Price| -> Price {
-            Price {
-                materialization: c.materialization * attempts[e],
-                maintenance: c.maintenance * attempts[e],
-                ..c
-            }
-        };
-        let single = ChainSpec {
-            reprice: &fleet,
-            initial: None,
-            rebalance: false,
-            max_moves: budget(&chain),
-        };
+        let pools: Vec<_> = [1.0, 1.6, 2.2, 1.3].map(|a| both(a, 0.0)).to_vec();
         for scenario in [Scenario::tradeoff(0.02), Scenario::tradeoff_normalized(0.5)] {
-            let plain = on_path(&chain, scenario, &single);
-            let pinned = fleet_path(
-                &chain,
-                scenario,
-                &vec![Placement::Reserved; n],
-                false,
-                fleet,
-            );
+            let plain = on_path(&chain, scenario, &priced(&pools));
+            let pinned = fleet_path(&chain, scenario, Placement::Reserved, false, &pools);
             for (e, (p, f)) in plain.iter().zip(&pinned).enumerate() {
                 assert_eq!(p.outcome.evaluation, f.outcome.evaluation, "epoch {e}");
                 assert_eq!(p.added, f.added, "epoch {e}");
@@ -1539,17 +1483,14 @@ mod tests {
         // every selected view should end up spot-placed, and flipping
         // placement must never rebuild the evaluator.
         let chain = hot_chain(3);
-        let n = chain.pool().len();
-        let factors: &[f64] = &[0.4, 0.4, 0.4];
-        let attempts: &[f64] = &[1.0, 1.0, 1.0];
-        let reprice = fleet_reprice(factors, attempts);
+        let pools = fleet_pools(&[0.4; 3], &[1.0; 3], 0.0);
         let counters = mv_obs::CounterGuard::scoped();
         let steps = fleet_path(
             &chain,
             Scenario::tradeoff(0.02),
-            &vec![Placement::Reserved; n],
+            Placement::Reserved,
             true,
-            &reprice,
+            &pools,
         );
         assert_eq!(
             counters.local_delta(mv_obs::Counter::EvaluatorBuild),
@@ -1567,9 +1508,9 @@ mod tests {
         let pinned = fleet_path(
             &chain,
             Scenario::tradeoff(0.02),
-            &vec![Placement::Reserved; n],
+            Placement::Reserved,
             false,
-            &reprice,
+            &pools,
         );
         assert!(horizon_cost(&steps) < horizon_cost(&pinned));
     }
@@ -1580,16 +1521,13 @@ mod tests {
         // work 8×. The chain moves the resident views to reserved at
         // the boundary — classified `moved`, re-paying materialization.
         let chain = hot_chain(3);
-        let n = chain.pool().len();
-        let factors: &[f64] = &[0.2, 1.0, 1.0];
-        let attempts: &[f64] = &[1.0, 8.0, 8.0];
-        let reprice = fleet_reprice(factors, attempts);
+        let pools = fleet_pools(&[0.2, 1.0, 1.0], &[1.0, 8.0, 8.0], 0.0);
         let steps = fleet_path(
             &chain,
             Scenario::tradeoff(0.02),
-            &vec![Placement::Spot; n],
+            Placement::Spot,
             true,
-            &reprice,
+            &pools,
         );
         let selected: Vec<usize> = steps[0].selection().ones().collect();
         assert!(!selected.is_empty());
@@ -1623,7 +1561,7 @@ mod tests {
         let chain = EpochChain::new(vec![p.model().clone(); 3], p.candidates().to_vec());
         let scenario = Scenario::tradeoff_normalized(0.5);
         let dp = chain.solve_dp_exact(scenario);
-        let joint = chain.solve_dp_fleet(scenario, &|_, _, _, c| c);
+        let joint = chain.solve_dp_fleet(scenario, &[[PoolCharge::IDENTITY; 2]; 3]);
         assert_eq!(joint.total_violation, dp.total_violation);
         assert_eq!(joint.total_objective, dp.total_objective);
         assert_eq!(joint.total_cost(), dp.total_cost());
@@ -1637,19 +1575,23 @@ mod tests {
     fn dp_fleet_rejects_oversized_pools() {
         let p = crate::fixtures::random_problem(1, 3, 7);
         let chain = EpochChain::new(vec![p.model().clone()], p.candidates().to_vec());
-        chain.solve_dp_fleet(Scenario::tradeoff_normalized(0.5), &|_, _, _, c| c);
+        chain.solve_dp_fleet(
+            Scenario::tradeoff_normalized(0.5),
+            &[[PoolCharge::IDENTITY; 2]],
+        );
     }
 
     #[test]
-    #[should_panic(expected = "initial placements must cover")]
-    fn fleet_initial_must_align() {
+    #[should_panic(expected = "cover every chain node")]
+    fn pool_table_must_cover_every_node() {
         let chain = flat_chain(2);
+        let one = [[PoolCharge::IDENTITY; 2]];
         fleet_path(
             &chain,
             Scenario::tradeoff(0.02),
-            &[Placement::Spot],
+            Placement::Spot,
             true,
-            |_, _, _, c: Price| c,
+            &one,
         );
     }
 
@@ -1713,7 +1655,7 @@ mod tests {
     }
 
     /// The unshared per-path reference for one leaf: its lineage as a
-    /// stand-alone path, so a node-indexed reprice maps down to epochs.
+    /// stand-alone path, so a node-indexed pool table maps down to epochs.
     fn lineage_chain(forest: &EpochChain, leaf: usize) -> EpochChain {
         let mut models: Vec<CloudCostModel> =
             std::iter::successors(Some(leaf), |&i| forest.parent[i])
@@ -1743,39 +1685,22 @@ mod tests {
     #[test]
     fn tree_solve_is_bit_identical_to_flat_per_path_solves() {
         let forest = branchy_tree(&drifting_chain(4));
-        // A per-node transform shaped like the market's interruption
-        // premium, keyed on the node's epoch so the per-path reference can
-        // reproduce it exactly.
-        let risked = |e: usize, c: Price| -> Price {
-            let a = 1.0 + 0.2 * e as f64;
-            Price {
-                materialization: c.materialization * a,
-                maintenance: c.maintenance * a,
-                ..c
-            }
-        };
-        fn single_pool<F>(reprice: F, max_moves: usize) -> ChainSpec<'static, F> {
-            ChainSpec {
-                reprice,
-                initial: None,
-                rebalance: false,
-                max_moves,
-            }
-        }
-        let moves = budget(&forest);
-        let by_node =
-            |node: usize, _k: usize, _p: Placement, c: Price| risked(forest.depths[node], c);
-        let by_epoch = |e: usize, _k: usize, _p: Placement, c: Price| risked(e, c);
+        // Per-node charges shaped like the market's interruption premium,
+        // keyed on the node's epoch so the per-path reference can
+        // reproduce them exactly.
+        let risked = |e: usize| both(1.0 + 0.2 * e as f64, 0.25);
+        let by_node: Vec<_> = forest.depths.iter().map(|&d| risked(d)).collect();
+        let by_epoch: Vec<_> = (0..4).map(risked).collect();
         for scenario in [
             Scenario::tradeoff(0.02),
             Scenario::tradeoff_normalized(0.5),
             Scenario::time_limit(Hours::new(20.0)),
         ] {
-            let solved = forest.solve_with(scenario, &single_pool(&by_node, moves));
+            let solved = forest.solve_with(scenario, &priced(&by_node));
             assert_eq!(solved.len(), forest.leaves.len());
             for (j, &leaf) in forest.leaves.iter().enumerate() {
                 let alone = lineage_chain(&forest, leaf);
-                let reference = on_path(&alone, scenario, &single_pool(&by_epoch, moves));
+                let reference = on_path(&alone, scenario, &priced(&by_epoch));
                 assert_steps_eq(
                     &solved[j],
                     &reference,
@@ -1788,46 +1713,35 @@ mod tests {
     #[test]
     fn tree_fleet_solve_is_bit_identical_to_flat_per_path_solves() {
         let forest = branchy_tree(&drifting_chain(4));
-        let n = forest.pool().len();
-        let initial = vec![Placement::Reserved; n];
-        // Spot factor keyed on the node's epoch (so the per-path reference
-        // can reproduce it) with enough spread to force rebalancing.
-        let spot = |e: usize| [0.4, 0.5, 0.9, 0.45][e];
-        let tree_reprice = |node: usize, _k: usize, p: Placement, c: Price| -> Price {
-            match p {
-                Placement::Reserved => c,
-                Placement::Spot => {
-                    let f = spot(forest.depths[node]);
-                    Price {
-                        materialization: c.materialization * f,
-                        maintenance: c.maintenance * f,
-                        ..c
-                    }
-                }
-            }
+        // Spot charges keyed on the node's epoch (so the per-path
+        // reference can reproduce them) with enough spread to force
+        // rebalancing, and a nonzero interruption risk.
+        let spot = |e: usize| {
+            let factor = [0.4, 0.5, 0.9, 0.45][e];
+            [
+                PoolCharge::IDENTITY,
+                PoolCharge::new(factor, InterruptionRisk::new(0.3)),
+            ]
         };
-        let flat_reprice = |e: usize, _k: usize, p: Placement, c: Price| -> Price {
-            match p {
-                Placement::Reserved => c,
-                Placement::Spot => Price {
-                    materialization: c.materialization * spot(e),
-                    maintenance: c.maintenance * spot(e),
-                    ..c
-                },
-            }
-        };
+        let tree_pools: Vec<_> = forest.depths.iter().map(|&d| spot(d)).collect();
+        let flat_pools: Vec<_> = (0..4).map(spot).collect();
         for scenario in [Scenario::tradeoff(0.02), Scenario::tradeoff_normalized(0.5)] {
             for rebalance in [false, true] {
                 let spec = ChainSpec {
-                    reprice: &tree_reprice,
-                    initial: Some(&initial),
+                    pools: Some(&tree_pools),
+                    initial: Some(Placement::Reserved),
                     rebalance,
-                    max_moves: budget(&forest),
                 };
                 let solved = forest.solve_with(scenario, &spec);
                 for (j, &leaf) in forest.leaves.iter().enumerate() {
                     let alone = lineage_chain(&forest, leaf);
-                    let reference = fleet_path(&alone, scenario, &initial, rebalance, flat_reprice);
+                    let reference = fleet_path(
+                        &alone,
+                        scenario,
+                        Placement::Reserved,
+                        rebalance,
+                        &flat_pools,
+                    );
                     assert_steps_eq(
                         &solved[j],
                         &reference,
@@ -1844,7 +1758,7 @@ mod tests {
         // worker count (the 1-CPU CI box never exercises it otherwise).
         let forest = branchy_tree(&drifting_chain(4));
         let scenario = Scenario::tradeoff_normalized(0.5);
-        let single = ChainSpec::single_pool(budget(&forest));
+        let single = ChainSpec::default();
         let serial = forest.run_forest(scenario, &single, 1);
         for threads in [2, 4] {
             let parallel = forest.run_forest(scenario, &single, threads);
@@ -1852,23 +1766,12 @@ mod tests {
                 assert_steps_eq(s, p, &format!("leaf {j} threads={threads}"));
             }
         }
-        let n = forest.pool().len();
-        let initial = vec![Placement::Reserved; n];
-        let fleet = |_: usize, _: usize, p: Placement, c: Price| -> Price {
-            match p {
-                Placement::Reserved => c,
-                Placement::Spot => Price {
-                    materialization: c.materialization * 0.4,
-                    maintenance: c.maintenance * 0.4,
-                    ..c
-                },
-            }
-        };
+        let spot = PoolCharge::new(0.4, InterruptionRisk::NONE);
+        let fleet = vec![[PoolCharge::IDENTITY, spot]; forest.epochs().len()];
         let hedged = ChainSpec {
-            reprice: &fleet,
-            initial: Some(&initial),
+            pools: Some(&fleet),
+            initial: Some(Placement::Reserved),
             rebalance: true,
-            max_moves: budget(&forest),
         };
         let serial_fleet = forest.run_forest(scenario, &hedged, 1);
         let parallel_fleet = forest.run_forest(scenario, &hedged, 4);
@@ -1879,24 +1782,19 @@ mod tests {
 
     #[test]
     fn a_panicking_node_fails_the_solve_instead_of_hanging_it() {
-        // Node 3's transform panics, so nodes 5 and 6 are never queued
-        // and `done` never reaches the node count: a worker left waiting
-        // for them would wait forever. The solve runs on a thread of its
+        // The pool table stops at node 2, so node 3's charge lookup
+        // panics (and node 4's), nodes 5 and 6 are never queued and
+        // `done` never reaches the node count: a worker left waiting for
+        // them would wait forever. `run_forest` is called directly, past
+        // `solve_with`'s table check. The solve runs on a thread of its
         // own (deliberately not joined) so a hang is a timeout here, not
         // a stuck test binary.
         for threads in [1, 2] {
             let (tx, rx) = std::sync::mpsc::channel();
             std::thread::spawn(move || {
                 let forest = branchy_tree(&drifting_chain(4));
-                let spec = ChainSpec {
-                    reprice: |node: usize, _k: usize, _p: Placement, price: Price| -> Price {
-                        assert_ne!(node, 3, "node 3's quote is poisoned");
-                        price
-                    },
-                    initial: None,
-                    rebalance: false,
-                    max_moves: budget(&forest),
-                };
+                let short = [[PoolCharge::IDENTITY; 2]; 3];
+                let spec = priced(&short);
                 let solved = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                     forest.run_forest(Scenario::tradeoff(0.02), &spec, threads)
                 }));
@@ -1920,8 +1818,7 @@ mod tests {
             .collect();
         let forest = EpochChain::forest(nodes, vec![3, 3, 3], chain.pool().to_vec());
         let scenario = Scenario::tradeoff(0.02);
-        let single = ChainSpec::single_pool(budget(&chain));
-        let solved = forest.solve_with(scenario, &single);
+        let solved = forest.solve_with(scenario, &ChainSpec::default());
         assert_eq!(solved.len(), 3);
         let reference = chain.solve(scenario);
         for (j, steps) in solved.iter().enumerate() {

@@ -109,16 +109,17 @@
 //! re-solve-every-period comparator the regression tests beat.
 //!
 //! Every transition-aware solve is one driver,
-//! [`EpochChain::solve_with`], varied along four axes — a [`ChainSpec`]
-//! (charge transform, placements, move budget) and the chain's shape (a
-//! path or a prefix forest); see the [`epoch`] module docs for the
-//! table. The transform passes every
-//! transition charge through a caller-supplied [`epoch::Reprice`] on
-//! the same warm-started hot path (this is how `mvcloud` splices
-//! spot-interruption risk premiums into the chain without this crate
-//! knowing about markets; the identity transform over the chain's own
-//! epochs *is* [`EpochChain::solve`]). A transform maps a `Price` to a
-//! `Price`, so no epoch edge can change what a view answers. For tiny pools,
+//! [`EpochChain::solve_with`], varied along three axes — a [`ChainSpec`]
+//! (per-node pool charges, placements) and the chain's shape (a path or
+//! a prefix forest); see the [`epoch`] module docs for the table. The
+//! pool charges are data: one `[reserved, spot]` [`mv_cost::PoolCharge`]
+//! pair per chain node ([`ChainSpec::pools`]), applied to every
+//! transition charge on the same warm-started hot path (this is how
+//! `mvcloud` splices rate differentials and spot-interruption risk
+//! premiums into the chain without this crate knowing about markets;
+//! no table over the chain's own epochs *is* [`EpochChain::solve`]). A
+//! pool charge maps a `Price` to a `Price`, so no epoch edge can change
+//! what a view answers. For tiny pools,
 //! [`EpochChain::solve_dp_exact`] is the finite-horizon DP oracle —
 //! exact over selection states per epoch — that quantifies how far the
 //! sequential chain sits from the true horizon optimum
@@ -131,16 +132,18 @@
 //! build/refresh work bills against. With [`ChainSpec::rebalance`] set
 //! the driver searches placements **jointly** with the selection: the
 //! improvement pass ([`local_search::improve_joint`]) gains a
-//! placement-flip move alongside select-flip/swap, and because the
-//! per-pool transform is a `Price → Price` map, every placement flip is
-//! one O(1), allocation-free [`IncrementalEvaluator::update_charge`]
-//! splice on the same live evaluator instead of a rebuild of the charged
-//! problem per probe (`core.fleet_ms` on `montecarlo` is the driver
-//! those splices run under). Transition accounting extends naturally: a view
-//! kept *on the same pool* is carried; a view moved across pools
-//! re-pays materialization ([`EpochStep::moved`]).
+//! placement-flip move alongside select-flip/swap. A flip re-prices the
+//! view through the other slot of its node's pool pair, a `Price →
+//! Price` map, so every placement flip is one O(1), allocation-free
+//! [`IncrementalEvaluator::update_charge`] splice on the same live
+//! evaluator instead of a rebuild of the charged problem per probe
+//! (`core.fleet_ms` on `montecarlo` is the driver those splices run
+//! under). Transition accounting extends naturally: a view kept *on the
+//! same pool* is carried; a view moved across pools re-pays
+//! materialization ([`EpochStep::moved`]).
 //! [`EpochChain::solve_dp_fleet`] is the joint selection+placement DP
-//! oracle (3ⁿ states per epoch, n ≤ [`DP_FLEET_MAX_CANDIDATES`]); on
+//! oracle over the same kind of table, one pair per epoch (3ⁿ states
+//! per epoch, n ≤ [`DP_FLEET_MAX_CANDIDATES`]); on
 //! the crunch fixture it exposes the chain's placement *lookahead*
 //! gap — the DP pre-places a view on reserved capacity ahead of a
 //! correlated interruption crunch the greedy chain only reacts to

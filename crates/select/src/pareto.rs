@@ -14,10 +14,9 @@
 //! are concatenated in order, so the output is identical to the serial
 //! sweep for any thread count.
 
-use mv_cost::SelectionSet;
 use mv_units::{Hours, Money};
 
-use crate::{Evaluation, SelectionProblem};
+use crate::SelectionProblem;
 
 /// One point of the solution space.
 #[derive(Debug, Clone)]
@@ -142,6 +141,7 @@ pub fn render_ascii(
 mod tests {
     use super::*;
     use crate::fixtures::{paper_like_problem, random_problem};
+    use mv_cost::SelectionSet;
 
     #[test]
     fn space_has_all_subsets() {
@@ -234,42 +234,43 @@ mod tests {
     }
 }
 
-/// Solves any scenario directly from the enumerated solution space — every
-/// constrained optimum lies on the Pareto frontier, so scanning the space
-/// is a complete (if exponential) solver. Exists as an independent
-/// cross-check of [`crate::solve_exhaustive`]: the two must always agree
-/// (property-tested), and disagreement would indicate a bug in either the
-/// frontier sweep or the scenario ordering. Deliberately re-evaluates
-/// every subset through [`SelectionProblem::evaluate`] — the slow,
-/// non-incremental path — so it also cross-checks the evaluator.
-pub fn solve_via_space(problem: &SelectionProblem, scenario: crate::Scenario) -> crate::Outcome {
-    let baseline = problem.baseline();
-    let n = problem.len();
-    let mut best: Option<Evaluation> = None;
-    for p in solution_space(problem) {
-        let e = problem.evaluate(&SelectionSet::from_mask(p.mask, n));
-        let better = match &best {
-            None => true,
-            Some(b) => scenario.better(&e, b, &baseline),
-        };
-        if better {
-            best = Some(e);
-        }
-    }
-    crate::Outcome::new(
-        best.unwrap_or_else(|| baseline.clone()),
-        baseline,
-        scenario,
-        crate::SolverKind::Exhaustive,
-    )
-}
-
 #[cfg(test)]
 mod space_solver_tests {
     use super::*;
     use crate::fixtures::{paper_like_problem, random_problem};
-    use crate::{solve_exhaustive, Scenario};
+    use crate::{solve_exhaustive, Evaluation, Scenario};
+    use mv_cost::SelectionSet;
     use mv_units::{Hours, Money as M};
+
+    /// Solves any scenario directly from the enumerated solution space — every
+    /// constrained optimum lies on the Pareto frontier, so scanning the space
+    /// is a complete (if exponential) solver. Exists as an independent
+    /// cross-check of [`crate::solve_exhaustive`]: the two must always agree
+    /// (property-tested), and disagreement would indicate a bug in either the
+    /// frontier sweep or the scenario ordering. Deliberately re-evaluates
+    /// every subset through [`SelectionProblem::evaluate`] — the slow,
+    /// non-incremental path — so it also cross-checks the evaluator.
+    fn solve_via_space(problem: &SelectionProblem, scenario: Scenario) -> crate::Outcome {
+        let baseline = problem.baseline();
+        let n = problem.len();
+        let mut best: Option<Evaluation> = None;
+        for p in solution_space(problem) {
+            let e = problem.evaluate(&SelectionSet::from_mask(p.mask, n));
+            let better = match &best {
+                None => true,
+                Some(b) => scenario.better(&e, b, &baseline),
+            };
+            if better {
+                best = Some(e);
+            }
+        }
+        crate::Outcome::new(
+            best.unwrap_or_else(|| baseline.clone()),
+            baseline,
+            scenario,
+            crate::SolverKind::Exhaustive,
+        )
+    }
 
     #[test]
     fn agrees_with_exhaustive_on_all_scenarios() {

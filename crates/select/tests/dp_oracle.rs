@@ -11,9 +11,11 @@
 //! sequential chain sits from the true horizon optimum on small
 //! pools").
 
-use mv_cost::{CloudCostModel, CostContext, Placement, Price, QueryCharge, ViewCharge};
-use mv_select::epoch::{ChainSpec, EpochChain, Reprice};
-use mv_select::{fixtures, local_search, EpochStep, Scenario};
+use mv_cost::{
+    CloudCostModel, CostContext, InterruptionRisk, Placement, PoolCharge, QueryCharge, ViewCharge,
+};
+use mv_select::epoch::{ChainSpec, EpochChain};
+use mv_select::{fixtures, EpochStep, Scenario};
 use mv_units::{Gb, Hours, Money, Months};
 use proptest::prelude::*;
 
@@ -31,21 +33,30 @@ fn chain_totals(steps: &[EpochStep], scenario: Scenario) -> (f64, f64) {
         .fold((0.0, 0.0), |(v, o), (sv, so)| (v + sv, o + so))
 }
 
-/// The fleet chain over its own epochs: every candidate starts on
-/// `initial`, the search may move it, the move budget is the default.
-fn rebalancing_chain<F: Reprice + Sync>(
+/// The fleet chain over its own epochs: every candidate starts
+/// reserved and the search may move it.
+fn rebalancing_chain(
     chain: &EpochChain,
     scenario: Scenario,
-    initial: &[Placement],
-    reprice: F,
+    pools: &[[PoolCharge; 2]],
 ) -> Vec<EpochStep> {
     let spec = ChainSpec {
-        reprice,
-        initial: Some(initial),
+        pools: Some(pools),
+        initial: Some(Placement::Reserved),
         rebalance: true,
-        max_moves: local_search::default_move_budget(chain.pool().len()),
     };
     chain.solve_with(scenario, &spec).remove(0)
+}
+
+/// A fleet table with a calm/crunch break: reserved work bills at the
+/// primary sheet, spot work at `spot(e)` times the reserved hours.
+fn spot_pools(epochs: usize, spot: impl Fn(usize) -> f64) -> Vec<[PoolCharge; 2]> {
+    (0..epochs)
+        .map(|e| {
+            let spot = PoolCharge::new(spot(e), InterruptionRisk::NONE);
+            [PoolCharge::IDENTITY, spot]
+        })
+        .collect()
 }
 
 /// Paper-like pool with per-epoch sinusoidal frequency drift (the same
@@ -140,25 +151,12 @@ proptest! {
             _ => Scenario::tradeoff_normalized(knob),
         };
         let chain = drifting_chain(&p, epochs);
-        // A fleet transform with a calm/crunch break: spot work is
-        // discounted (or dear) and doubles once the crunch arrives.
-        let reprice = |e: usize, _k: usize, p: Placement, c: Price| -> Price {
-            match p {
-                Placement::Reserved => c,
-                Placement::Spot => {
-                    let factor = spot_rate * if e >= crunch_epoch { 2.0 } else { 1.0 };
-                    Price {
-                        materialization: c.materialization * factor,
-                        maintenance: c.maintenance * factor,
-                        ..c
-                    }
-                }
-            }
-        };
-        let initial = vec![Placement::Reserved; n_candidates];
-        let steps = rebalancing_chain(&chain, scenario, &initial, reprice);
+        // Spot work is discounted (or dear) and doubles once the crunch
+        // arrives.
+        let pools = spot_pools(epochs, |e| spot_rate * if e >= crunch_epoch { 2.0 } else { 1.0 });
+        let steps = rebalancing_chain(&chain, scenario, &pools);
         let (chain_viol, chain_obj) = chain_totals(&steps, scenario);
-        let dp = chain.solve_dp_fleet(scenario, &reprice);
+        let dp = chain.solve_dp_fleet(scenario, &pools);
         prop_assert_eq!(dp.selections.len(), epochs);
         prop_assert_eq!(dp.placements.len(), epochs);
         prop_assert!(
@@ -293,27 +291,15 @@ fn dp_fleet_pre_places_on_reserved_ahead_of_a_crunch() {
     let chain = crunch_fleet_chain(4);
     // The view is mandatory: 50 h of base processing vs a 10 h limit.
     let scenario = Scenario::time_limit(Hours::new(10.0));
-    let reprice = |e: usize, _k: usize, p: Placement, c: Price| -> Price {
-        match p {
-            Placement::Reserved => c,
-            Placement::Spot => {
-                let factor = 0.9 * if e >= 1 { 2.0 } else { 1.0 };
-                Price {
-                    materialization: c.materialization * factor,
-                    maintenance: c.maintenance * factor,
-                    ..c
-                }
-            }
-        }
-    };
-    let steps = rebalancing_chain(&chain, scenario, &[Placement::Reserved], reprice);
+    let pools = spot_pools(4, |e| 0.9 * if e >= 1 { 2.0 } else { 1.0 });
+    let steps = rebalancing_chain(&chain, scenario, &pools);
     let (chain_viol, chain_obj) = chain_totals(&steps, scenario);
     // The chain takes the myopic bait: spot in epoch 0, spot forever.
     for (e, s) in steps.iter().enumerate() {
         assert_eq!(s.selection().count_ones(), 1, "epoch {e}");
         assert_eq!(s.placements[0], Placement::Spot, "epoch {e}");
     }
-    let dp = chain.solve_dp_fleet(scenario, &reprice);
+    let dp = chain.solve_dp_fleet(scenario, &pools);
     assert_eq!(dp.total_violation, 0.0);
     assert_eq!(chain_viol, 0.0);
     // The DP keeps the view reserved from epoch 0 and never moves it.

@@ -24,7 +24,8 @@ use proptest::prelude::*;
 /// A placement flip is what the mixed-fleet solver's `Place` move
 /// does: re-derive the view's effective price for the other pool from
 /// its pristine pool entry (spot here: half-rate hours plus an
-/// interruption premium) and splice it with `update_charge` — O(1),
+/// interruption premium, and a larger footprint so the splice moves
+/// stored bytes too) and splice it with `update_charge` — O(1),
 /// selected or not.
 fn pool_edits_and_flips_match_full_evaluation(
     pool_problem: &SelectionProblem,
@@ -52,11 +53,14 @@ fn pool_edits_and_flips_match_full_evaluation(
         .collect();
     let mut ev = evaluator_at(&mirror, &mirror_sel);
     let mut recycle = 0usize;
-    let spot_pool = PoolCharge::new(0.5, 1.25, InterruptionRisk::new(0.25));
+    let spot_pool = PoolCharge::new(0.5, InterruptionRisk::new(0.25));
     let placed = |base: &ViewCharge, p: Placement| -> Price {
         let price = match p {
             Placement::Reserved => base.price(),
-            Placement::Spot => spot_pool.adjust(base.price()),
+            Placement::Spot => Price {
+                size: base.size * 1.25,
+                ..spot_pool.adjust(base.price())
+            },
         };
         Price {
             placement: p,

@@ -20,14 +20,9 @@
 //! module docs).
 
 use mv_select::epoch::{ChainSpec, EpochChain};
-use mv_select::{fixtures, solve_local_search_bounded, Scenario};
+use mv_select::{fixtures, solve_local_search, Scenario};
 use mv_units::Hours;
 use proptest::prelude::*;
-
-/// Large enough that every improvement pass runs to a true local
-/// optimum instead of exhausting its budget (budget-truncated epochs
-/// would let later epochs "continue" the search and drift legitimately).
-const MOVES: usize = 10_000;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -49,9 +44,12 @@ proptest! {
             )),
             _ => Scenario::tradeoff_normalized(knob),
         };
-        let solo = solve_local_search_bounded(&p, scenario, MOVES);
+        // Both sides run the default move budget, which on these pools
+        // reaches a true local optimum (a budget-truncated epoch would
+        // let later epochs "continue" the search and drift legitimately).
+        let solo = solve_local_search(&p, scenario);
         let chain = EpochChain::new(vec![p.model().clone(); epochs], p.candidates().to_vec());
-        let spec = ChainSpec::single_pool(MOVES);
+        let spec = ChainSpec::default();
         let steps = chain.solve_with(scenario, &spec).remove(0);
         prop_assert_eq!(steps.len(), epochs);
 

@@ -6,7 +6,8 @@
 //! * an **all-spot** [`FleetPlan`] at market parity reproduces
 //!   `Advisor::solve_market` **bit-for-bit per path** — same models
 //!   (the primary sheet rides the quotes), same risk-adjusted charges
-//!   (the spot pool's `PoolCharge` is the bare `InterruptionRisk`),
+//!   (the spot pool's `PoolCharge` is a unit factor under the quote's
+//!   `InterruptionRisk`),
 //!   same move enumeration (placement pinned ⇒ the joint improvement
 //!   pass is the plain one);
 //! * an **all-reserved** plan at on-demand parity never sees the

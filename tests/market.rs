@@ -4,10 +4,10 @@
 //! This is the market counterpart of PR 3's zero-drift guarantee, and
 //! it pins the whole identity chain at once: unit quotes re-price every
 //! pricing component to a bit-identical policy (`scale_rates` clones on
-//! factor 1.0), the re-resolved instance is the same catalog entry,
-//! `InterruptionRisk::adjust` at probability 0 returns the charge
-//! unchanged, and `EpochChain::solve_with` under an identity re-price
-//! is the `ChainSpec::single_pool` solve itself — so every per-epoch
+//! factor 1.0), the re-resolved instance is the same catalog entry, a
+//! unit-factor `PoolCharge` at probability 0 returns the charge
+//! unchanged, and `EpochChain::solve_with` under identity pool charges
+//! is the `ChainSpec::default()` solve itself — so every per-epoch
 //! charged cost, processing time, selection and billed instance-hour
 //! of `Advisor::solve_market` must equal the risk-free horizon solve
 //! exactly, for every sampled path, and the quantile envelope must
@@ -15,7 +15,9 @@
 
 use std::sync::OnceLock;
 
-use mvcloud::market::{MarketConfig, MarketScenario, PriceProcess, PriceTrace, SpotMarket};
+use mvcloud::market::{
+    AnnouncedCut, CorrelatedHazard, MarketConfig, MarketScenario, PriceProcess, SpotMarket,
+};
 use mvcloud::{sales_domain, Advisor, AdvisorConfig, HorizonConfig, Scenario};
 use proptest::prelude::*;
 
@@ -29,15 +31,15 @@ fn advisor() -> &'static Advisor {
 }
 
 /// A constant-price, zero-interruption market: either no processes at
-/// all, or a stack whose members all quote the identity (a unit trace
-/// plus a zero-volatility spot pinned at the on-demand price).
+/// all, or a stack whose members all quote the identity (a unit-factor
+/// cut plus a zero-volatility spot pinned at the on-demand price).
 fn zero_volatility_market(epochs: usize, seed: u64, with_processes: bool) -> MarketScenario {
     let market = MarketScenario::constant(epochs, seed);
     if !with_processes {
         return market;
     }
     market
-        .with(PriceProcess::Trace(PriceTrace::new()))
+        .with(PriceProcess::Cut(AnnouncedCut::compute(0, 1.0)))
         .with(PriceProcess::Spot(SpotMarket::with_volatility(0.0)))
 }
 
@@ -161,10 +163,11 @@ fn interruption_risk_raises_the_bill() {
         .solve_market(
             scenario,
             &MarketConfig {
-                market: MarketScenario::constant(4, 7).with(PriceProcess::Trace(PriceTrace {
-                    interruption: vec![0.5],
-                    ..PriceTrace::new()
-                })),
+                // An always-crunching regime: p = 0.5 in every epoch at
+                // unit prices.
+                market: MarketScenario::constant(4, 7).with(PriceProcess::Correlated(
+                    CorrelatedHazard::bursty(1.0, 0.0, 0.5),
+                )),
                 paths: 2,
                 ..MarketConfig::default()
             },
