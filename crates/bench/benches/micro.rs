@@ -42,9 +42,14 @@
 //!   make, where the Monte-Carlo forests make it (the SSB advisor's 63
 //!   cuboids over 13 queries, at the MV3 plan): one flip-on
 //!   `IncrementalEvaluator::probe`, and one `local_search::improve`
-//!   round that finds no move — n + s·u probes and 2·s toggles. (The
-//!   benchmark's `select.probe_ns` times `flip → snapshot → unflip`,
-//!   the reference a probe is held to, not `probe`.)
+//!   round that finds no move — n + s·u probes and 2·s toggles. And
+//!   where the large solves make it, one probe per iteration walking
+//!   every candidate in turn (flip-on and flip-off): an `advise_scale`
+//!   problem (n = 1 000, m = 25 000) at the end of its 4-round LNS
+//!   solve, and the `serve_stream` catalog (n = 256, m = 4 096) at the
+//!   end of its greedy fill. (The benchmark's `select.probe_ns` times
+//!   `flip → snapshot → unflip`, the reference a probe is held to, not
+//!   `probe`.)
 //! * `cost/bill/*` — the bill a probe scores, alone: one
 //!   `CloudCostModel::breakdown_from_totals` at the four totals of that
 //!   same plan (three compute roundings and the tiered storage cost,
@@ -62,11 +67,14 @@ use std::hint::black_box;
 
 use mv_engine::{datagen, AggQuery, AggSpec, MaterializedView, SalesConfig, Table, ViewDefinition};
 use mv_obs::{Counter, Hist};
-use mv_select::{fixtures, local_search, IncrementalEvaluator, SolverKind};
+use mv_select::lns::{solve_lns_with, LnsConfig};
+use mv_select::{fixtures, local_search, IncrementalEvaluator, SelectionProblem, SolverKind};
 use mvcloud::cost::{CalibratedParams, MeterSample, WorkKind};
-use mvcloud::lattice::WorkloadEvolution;
+use mvcloud::lattice::{ScaleShape, WorkloadEvolution};
 use mvcloud::units::{Gb, Hours, Money};
-use mvcloud::{sales_domain, ssb_domain, Advisor, AdvisorConfig, CalibrationConfig, Scenario};
+use mvcloud::{
+    sales_domain, scale_problem, ssb_domain, Advisor, AdvisorConfig, CalibrationConfig, Scenario,
+};
 use timer::run;
 
 const SITES: usize = 1000;
@@ -368,6 +376,49 @@ fn bench_probe_and_round() {
     });
 }
 
+/// One probe per iteration, walking every candidate of `problem` in
+/// turn from the evaluator standing on `plan`.
+fn bench_probe_walk(id: &str, problem: &SelectionProblem, plan: &mvcloud::cost::SelectionSet) {
+    let mut ev = IncrementalEvaluator::with_selection(problem, plan);
+    ev.score();
+    let n = problem.len();
+    let mut k = 0;
+    run("select/probe", id, || {
+        k = (k + 1) % n;
+        ev.probe(black_box(k))
+    });
+}
+
+/// The probe at the large shapes: an `advise_scale` problem at the end
+/// of its LNS solve, the `serve_stream` catalog at the end of its
+/// greedy fill.
+fn bench_probe_at_scale() {
+    let scenario = Scenario::tradeoff_normalized(0.5);
+    let lns = scale_problem(&ScaleShape {
+        queries: 25_000,
+        candidates: 1_000,
+        mean_coverage: 12,
+        seed: 7,
+    });
+    let config = LnsConfig {
+        rounds: 4,
+        ..LnsConfig::for_problem(lns.len())
+    };
+    let plan = solve_lns_with(&lns, scenario, &config).evaluation.selection;
+    bench_probe_walk("lns_n1000_m25000", &lns, &plan);
+
+    let resident = scale_problem(&ScaleShape {
+        queries: 4_096,
+        candidates: 256,
+        mean_coverage: 12,
+        seed: 0x0063_6174_616c_6f67,
+    });
+    let baseline = resident.baseline();
+    let mut ev = IncrementalEvaluator::new(&resident);
+    let plan = local_search::greedy_fill(&mut ev, scenario, &baseline).selection;
+    bench_probe_walk("resident_n256_m4096", &resident, &plan);
+}
+
 fn main() {
     bench_obs_disabled();
     bench_obs_enabled();
@@ -380,4 +431,5 @@ fn main() {
     bench_aggregation_threads();
     bench_exhaustive_threads();
     bench_probe_and_round();
+    bench_probe_at_scale();
 }

@@ -46,14 +46,27 @@
 //! selection from the cached per-query minima through the canonical
 //! blocked processing-time fold (`mv_cost::TIME_FOLD_BLOCK`-wide partial
 //! sums): flips mark only the blocks whose best view changed, and a
-//! score refolds just those. Its cost, honestly itemized, is
-//! **O(n/64 + selected + m/B + B·dirty)**: the word-wise walk of the
-//! selection bitset, one pass over the selected views' charges
-//! (maintenance, materialization, size — folded in ascending candidate
-//! order from zero, so they cannot be kept as running sums), the
-//! in-order total of the m/B block sums (a dependent add chain: the
-//! floor of a probe at large m), and B adds per dirty block. Every fold
-//! runs in exactly the same order as [`SelectionProblem::evaluate`],
+//! score refolds just those. The two folds that run across the whole
+//! workload or selection keep their running value after every step,
+//! so what a change leaves in front of it is never added again:
+//!
+//! * **the block prefix** — the in-order total of the block sums
+//!   through each block, rebuilt from the lowest refolded block on;
+//! * **the charge run** — the selected views' maintenance,
+//!   materialization and size in ascending candidate order, each with
+//!   the three folds through it, refolded from the lowest view a
+//!   toggle or a price splice has invalidated.
+//!
+//! A settled score reads the two last entries: O(1). After accepted
+//! moves it costs, honestly itemized,
+//! **O(B·dirty + m/B − b₀ + n/64 + selected)** at most: B adds per
+//! dirty block (full blocks four at a time side by side), the prefix
+//! from the lowest dirty block b₀ on, and the charges from the lowest
+//! invalidated view on (reached by a walk of the selection's words;
+//! a score folds them without writing the run, the next probe
+//! refolds it).
+//! Every fold runs in exactly the same order as
+//! [`SelectionProblem::evaluate`],
 //! and the four totals become a bill through the same
 //! `CloudCostModel::breakdown_from_totals` call, so scores are
 //! **bit-identical** to full re-evaluations — property-tested in
@@ -67,7 +80,7 @@
 //! score with candidate `k` toggled? — and it is a read: apart from
 //! settling whatever earlier *accepted* moves left dirty, it writes no
 //! field, so there is nothing to revert and no dirty block outlives it.
-//! Three things keep it to the work the toggled view causes:
+//! Five things keep it to the work the toggled view causes:
 //!
 //! * **The term cache.** `term[i] = min(base_i, best_i) × frequency_i`
 //!   is kept per query, rewritten only where a flip moves a query's
@@ -80,13 +93,23 @@
 //! * **Overrides, not writes.** One walk of `k`'s answers finds the
 //!   queries whose term the toggle would rewrite — by the tests `flip`
 //!   and `unflip` apply — and computes those terms; the time total
-//!   adds the cached block sums in order and refolds only the blocks
-//!   holding such a query, from an exact zero in workload order with
-//!   the new terms in place. Maintenance, materialization and size fold
-//!   over the selected views in candidate order with `k` merged in or
-//!   left out. Same folds, same order, same one bill assembly as a
-//!   `score` after the toggle — bit-identical to it — at
-//!   O(deg + n/64 + selected + m/B + B·affected).
+//!   refolds only the blocks holding such a query, from an exact zero
+//!   in workload order with the new terms in place, and adds the
+//!   cached block sums around them in order.
+//! * **Restarts from cached prefixes.** Every probe at one position
+//!   shares the leading part of each fold, so it starts there: the time
+//!   chain at the block prefix of its first touched block, the charges
+//!   at the run's fold through the last selected view before `k` — then
+//!   `k` merged in (selecting it) or left out (deselecting it), then
+//!   the views after it.
+//! * **Touched blocks side by side.** A probe gathers its touched
+//!   blocks' 64 terms, new terms in place, into a stack buffer and sums
+//!   four of them in one loop, one accumulator each — every block
+//!   still in workload order from +0.0, a short last block padded with
+//!   +0.0 (exact: terms are finite and ≥ 0). A one-block workload (the
+//!   SSB and sales lattices' thirteen and ten queries) folds its block
+//!   in place, as before: there is no prefix to skip and nothing to
+//!   sum beside it.
 //! * **`Score` carries no selection.** An [`Evaluation`] holds the
 //!   selection's `Arc`; while one is alive the evaluator's next flip
 //!   must copy the word vector before writing to it — spelled as
@@ -96,6 +119,14 @@
 //!   (`crate::Scored`), and a move loop materializes an `Evaluation`
 //!   (`Score::with_selection`) only for the move it keeps — so a probe
 //!   allocates nothing (`tests/probe_allocs.rs`).
+//!
+//! Same folds, same order, same one bill assembly as a `score` after the
+//! toggle — bit-identical to it — at O(deg + log selected + selected
+//! after `k` + m/B − b₁ + B·affected), for b₁ its first touched block.
+//! At n = 1 000, m = 25 000 and ≈ 320 selected (an `advise_scale`
+//! problem at its LNS end) that is ≈ 0.6 µs a probe, against ≈ 1 µs
+//! with every chain from zero and every block one after another
+//! (`select/probe/lns_n1000_m25000` in `BENCH_micro.json`).
 //!
 //! A probe is one toggle. A move of two — a swap — is probed by
 //! applying the first for real around probes of the second
@@ -117,12 +148,18 @@
 //! * **Shared** (one `Arc` bump each): the **answer index** — both
 //!   tables, a function of the candidate pool alone — and the
 //!   **problem** (model, charges, names, profiles). A flip, a probe and
-//!   a score only read them.
+//!   a score only read them. And the **charge run**, until one side
+//!   settles a stale run (a `score` reads a stale run without writing
+//!   it; a probe after a toggle refolds it, copying it first — 56
+//!   bytes per selected view). A fork of a stale evaluator settles its
+//!   own copy at once, so its first probes allocate nothing; the move
+//!   loops leave their evaluator settled, so forks of their result
+//!   (what-ifs, scenario-tree branches) share it.
 //! * **Copied**: the per-selection state — selection words (themselves
-//!   copy-on-write), best / runner-up caches, terms, block sums and the
-//!   dirty list. At m = 4 096 that is ≈ 130 KB in 7 allocations (8
-//!   with blocks dirty), independent of n and of Σ deg
-//!   (`tests/probe_allocs.rs`).
+//!   copy-on-write), best / runner-up caches, terms, block sums and
+//!   prefix, dirty flags and list. At m = 4 096 that is ≈ 130 KB in 8
+//!   allocations (9 with blocks dirty), independent of n, of Σ deg
+//!   and of the selection's size (`tests/probe_allocs.rs`).
 //!
 //! The index is never written, so forks share it for good. A write to
 //! the problem — `retarget`, `update_charge` — copies it first if, and
@@ -335,9 +372,14 @@ pub struct IncrementalEvaluator<'p> {
     /// Cached per-block partial sums of the canonical
     /// [`TIME_FOLD_BLOCK`]-wide processing-time fold. A score refolds
     /// only the blocks whose per-query minima changed since the last
-    /// refresh, so `score()` is O(n/64 + selected + m/B + B·dirty)
-    /// instead of O(n + m).
+    /// refresh.
     block_time: Vec<Hours>,
+    /// `block_prefix[b]`: the in-order running total of
+    /// `block_time[0..b]` from zero, one entry per block plus the
+    /// total. Rebuilt from the lowest block a refresh refolds, so a
+    /// probe starts its chain at its first touched block and a settled
+    /// `score` reads the last entry.
+    block_prefix: Vec<Hours>,
     /// Whether block `b` needs a refold (parallel to `block_time`).
     block_dirty: Vec<bool>,
     /// The dirty blocks, unordered (refolds are independent).
@@ -351,14 +393,24 @@ pub struct IncrementalEvaluator<'p> {
     /// sums 64 contiguous values instead of striding through the
     /// model's `QueryCharge` structs.
     term: Vec<Hours>,
+    /// The *charge run*: the selected views in candidate order, each
+    /// with its charges and the fold through it. Entries of views at or
+    /// past `run_stale` may be stale until the next settle. Shared with
+    /// forks until one side settles a stale run (copy on write).
+    run: Arc<Vec<RunEntry>>,
+    /// The lowest candidate whose run entry a toggle or a price splice
+    /// has invalidated since the last settle; `usize::MAX` when none.
+    run_stale: usize,
 }
 
 /// Maintenance, materialization and size totals of a selection's
 /// views. Each accumulator folds from its zero in the order views are
 /// added; added in ascending candidate order, that is the model's own
 /// separate `.sum()` calls bit for bit (`+=` delegates to the same
-/// float add as `a + b`).
-#[derive(Default)]
+/// float add as `a + b`). A fold through the first `j` selected views
+/// is the same whatever follows them, so the charge run keeps one per
+/// selected view and a probe restarts from the one before its toggle.
+#[derive(Debug, Default, Clone, Copy)]
 struct Charges {
     maintenance: Hours,
     materialization: Hours,
@@ -366,7 +418,15 @@ struct Charges {
 }
 
 impl Charges {
-    fn add(&mut self, v: &ViewCharge) {
+    fn of(v: &ViewCharge) -> Charges {
+        Charges {
+            maintenance: v.maintenance,
+            materialization: v.materialization,
+            size: v.size,
+        }
+    }
+
+    fn add(&mut self, v: Charges) {
         self.maintenance += v.maintenance;
         self.materialization += v.materialization;
         self.size += v.size;
@@ -379,6 +439,81 @@ impl Charges {
             model.breakdown_from_totals(time, self.maintenance, self.materialization, self.size);
         Score { time, breakdown }
     }
+}
+
+/// One selected view's entry in the charge run.
+#[derive(Debug, Clone, Copy)]
+struct RunEntry {
+    view: u32,
+    /// The view's own charges.
+    own: Charges,
+    /// The run's fold through this view, from zero.
+    fold: Charges,
+}
+
+/// How many fold blocks are summed side by side: one accumulator each,
+/// so the adds of different blocks overlap instead of queueing behind
+/// one another.
+const LANES: usize = 4;
+
+/// Sums `LANES` full blocks of terms side by side, each in its own
+/// order from an exact zero — every block's sum is the serial fold's
+/// bit for bit.
+fn fold_lanes(lanes: [&[Hours; TIME_FOLD_BLOCK]; LANES]) -> [Hours; LANES] {
+    let mut sums = [Hours::ZERO; LANES];
+    for i in 0..TIME_FOLD_BLOCK {
+        for (sum, lane) in sums.iter_mut().zip(&lanes) {
+            *sum += lane[i];
+        }
+    }
+    sums
+}
+
+/// Block `b` of `term` if it is a full one (every block but a short
+/// last one).
+fn full_block(term: &[Hours], b: usize) -> Option<&[Hours; TIME_FOLD_BLOCK]> {
+    let start = b * TIME_FOLD_BLOCK;
+    term.get(start..start + TIME_FOLD_BLOCK)
+        .map(|block| block.try_into().expect("a block's width"))
+}
+
+/// Refolds `blocks` of `term` into `block_time`: full blocks `LANES` at
+/// a time side by side, a short last block on its own. Returns the
+/// lowest block refolded (`block_time.len()` when none).
+fn refold(term: &[Hours], block_time: &mut [Hours], blocks: impl Iterator<Item = usize>) -> usize {
+    let mut lowest = block_time.len();
+    let mut group = [0usize; LANES];
+    let mut used = 0;
+    let flush = |group: &[usize; LANES], used: usize, block_time: &mut [Hours]| {
+        // Unused lanes repeat the first block; their sums are dropped.
+        let lanes = std::array::from_fn(|l| {
+            full_block(term, group[if l < used { l } else { 0 }]).expect("a full block")
+        });
+        for (&b, sum) in group[..used].iter().zip(fold_lanes(lanes)) {
+            block_time[b] = sum;
+        }
+    };
+    for b in blocks {
+        lowest = lowest.min(b);
+        if full_block(term, b).is_none() {
+            let mut sum = Hours::ZERO;
+            for &t in &term[b * TIME_FOLD_BLOCK..] {
+                sum += t;
+            }
+            block_time[b] = sum;
+            continue;
+        }
+        group[used] = b;
+        used += 1;
+        if used == LANES {
+            flush(&group, used, block_time);
+            used = 0;
+        }
+    }
+    if used > 0 {
+        flush(&group, used, block_time);
+    }
+    lowest
 }
 
 /// Query `q`'s term of the time fold when its fastest selected view is
@@ -406,6 +541,48 @@ fn mark_dirty(i: usize, all_dirty: bool, block_dirty: &mut [bool], dirty_blocks:
     }
 }
 
+/// The queries whose term toggling candidate `k` would rewrite, found
+/// as [`IncrementalEvaluator::flip`] / [`IncrementalEvaluator::unflip`]
+/// find them, each with the term the toggle would store — in ascending
+/// query order, off `k`'s answers.
+/// (One non-generic iterator, its `next` inlined: the probe's two
+/// consumers, the one-block fold and the lane gather, then share it
+/// without calling out per answer.)
+struct Toggled<'a> {
+    answers: std::iter::Zip<std::slice::Iter<'a, u32>, std::slice::Iter<'a, Hours>>,
+    workload: &'a [QueryCharge],
+    best_view: &'a [u32],
+    best_time: &'a [Hours],
+    second_view: &'a [u32],
+    second_time: &'a [Hours],
+    k: u32,
+    /// Selecting `k` (else deselecting it).
+    on: bool,
+}
+
+impl Iterator for Toggled<'_> {
+    type Item = (usize, Hours);
+
+    #[inline(always)]
+    fn next(&mut self) -> Option<(usize, Hours)> {
+        for (&q, &t) in self.answers.by_ref() {
+            let i = q as usize;
+            if self.on {
+                // Selecting `k`: the queries it answers faster than their best.
+                if self.best_view[i] == NONE || t < self.best_time[i] {
+                    return Some((i, term_of(&self.workload[i], self.k, t)));
+                }
+            } else if self.best_view[i] == self.k {
+                // Deselecting it: those whose best it is fall back to the
+                // cached runner-up.
+                let (view, time) = (self.second_view[i], self.second_time[i]);
+                return Some((i, term_of(&self.workload[i], view, time)));
+            }
+        }
+        None
+    }
+}
+
 impl<'p> IncrementalEvaluator<'p> {
     /// Builds an evaluator positioned at the empty selection, borrowing
     /// `problem`. O(Σ deg + m).
@@ -430,12 +607,17 @@ impl<'p> IncrementalEvaluator<'p> {
     /// no index is built.
     pub fn fork(&self) -> Self {
         mv_obs::inc(Counter::EvaluatorFork);
-        self.clone()
+        let mut fork = self.clone();
+        // A stale run is copied and refolded here, not by the fork's
+        // first probe; a settled one stays shared.
+        fork.settle_run();
+        fork
     }
 
     fn build(problem: ProblemHandle<'p>) -> Self {
         mv_obs::inc(Counter::EvaluatorBuild);
         let m = problem.model().context().workload.len();
+        let blocks = m.div_ceil(TIME_FOLD_BLOCK);
         let mut ev = IncrementalEvaluator {
             index: Arc::new(Index::new(m, problem.candidates())),
             selection: SelectionSet::empty(problem.len()),
@@ -444,11 +626,14 @@ impl<'p> IncrementalEvaluator<'p> {
             best_time: vec![Hours::ZERO; m],
             second_view: vec![NONE; m],
             second_time: vec![Hours::ZERO; m],
-            block_time: vec![Hours::ZERO; m.div_ceil(TIME_FOLD_BLOCK)],
-            block_dirty: vec![false; m.div_ceil(TIME_FOLD_BLOCK)],
+            block_time: vec![Hours::ZERO; blocks],
+            block_prefix: vec![Hours::ZERO; blocks + 1],
+            block_dirty: vec![false; blocks],
             dirty_blocks: Vec::new(),
             all_dirty: true,
             term: vec![Hours::ZERO; m],
+            run: Arc::new(Vec::new()),
+            run_stale: usize::MAX,
         };
         ev.reload_terms();
         ev
@@ -481,14 +666,18 @@ impl<'p> IncrementalEvaluator<'p> {
     /// copy while a fork shares it): a [`Price`] cannot
     /// carry an answer profile, and nothing this evaluator caches (answer
     /// index, per-query minima, terms, block sums) depends
-    /// on a view's size, build or refresh time — `score` reads those
-    /// from the problem. Indices and the selection state of `k` are
+    /// on a view's size, build or refresh time but the charge run,
+    /// whose entries from a selected `k` on the next settle refolds.
+    /// Indices and the selection state of `k` are
     /// untouched. Returns the old price. (A view whose *answers* change
     /// is a different candidate, in a different pool.)
     pub fn update_charge(&mut self, k: usize, price: Price) -> Price {
         let n = self.problem.len();
         assert!(k < n, "candidate {k} out of {n}");
         mv_obs::inc(Counter::EvaluatorUpdateCharge);
+        if self.selection.contains(k) {
+            self.run_stale = self.run_stale.min(k);
+        }
         self.problem.to_mut().reprice_candidate(k, price)
     }
 
@@ -526,6 +715,7 @@ impl<'p> IncrementalEvaluator<'p> {
         );
         mv_obs::inc(Counter::EvaluatorFlip);
         self.selection.set(k, true);
+        self.run_stale = self.run_stale.min(k);
         let kk = k as u32;
         // The shared halves once per flip, not once per answer.
         let workload = &self.problem.model().context().workload;
@@ -559,6 +749,7 @@ impl<'p> IncrementalEvaluator<'p> {
         assert!(self.selection.contains(k), "candidate {k} not selected");
         mv_obs::inc(Counter::EvaluatorUnflip);
         self.selection.set(k, false);
+        self.run_stale = self.run_stale.min(k);
         let kk = k as u32;
         // The shared halves once per unflip, not once per answer.
         let workload = &self.problem.model().context().workload;
@@ -608,36 +799,81 @@ impl<'p> IncrementalEvaluator<'p> {
         }
     }
 
-    /// Block `b`'s partial sum: its terms in workload order from an
-    /// exact zero — the same inner fold as
-    /// `CloudCostModel::processing_time_with_views`.
-    fn fold_block(&self, b: usize) -> Hours {
-        let start = b * TIME_FOLD_BLOCK;
-        let end = (start + TIME_FOLD_BLOCK).min(self.term.len());
-        let mut block = Hours::ZERO;
-        for &t in &self.term[start..end] {
-            block += t;
-        }
-        block
-    }
-
-    /// Brings every stale block sum up to date.
+    /// Brings every stale block sum up to date, and the block prefix
+    /// from the lowest of them on.
     fn refresh_time_blocks(&mut self) {
-        if self.all_dirty {
-            for b in 0..self.block_time.len() {
-                self.block_time[b] = self.fold_block(b);
-            }
-            self.all_dirty = false;
-            for idx in 0..self.dirty_blocks.len() {
-                self.block_dirty[self.dirty_blocks[idx] as usize] = false;
-            }
-            self.dirty_blocks.clear();
+        if !self.all_dirty && self.dirty_blocks.is_empty() {
             return;
         }
-        while let Some(b) = self.dirty_blocks.pop() {
+        for &b in &self.dirty_blocks {
             self.block_dirty[b as usize] = false;
-            self.block_time[b as usize] = self.fold_block(b as usize);
         }
+        let lowest = if std::mem::take(&mut self.all_dirty) {
+            self.dirty_blocks.clear();
+            let blocks = 0..self.block_time.len();
+            refold(&self.term, &mut self.block_time, blocks)
+        } else {
+            let dirty = self.dirty_blocks.drain(..).map(|b| b as usize);
+            refold(&self.term, &mut self.block_time, dirty)
+        };
+        // The running total stays in a local: read back from the prefix
+        // each step, the chain would wait on its own stores.
+        let mut total = self.block_prefix[lowest];
+        let sums = &self.block_time[lowest..];
+        for (prefix, &sum) in self.block_prefix[lowest + 1..].iter_mut().zip(sums) {
+            total += sum;
+            *prefix = total;
+        }
+    }
+
+    /// Brings the charge run up to date: keeps the entries below the
+    /// lowest invalidated candidate and refolds the selected views from
+    /// there on.
+    fn settle_run(&mut self) {
+        if self.run_stale == usize::MAX {
+            return;
+        }
+        let from = std::mem::replace(&mut self.run_stale, usize::MAX);
+        let run = Arc::make_mut(&mut self.run);
+        run.truncate(run.partition_point(|e| (e.view as usize) < from));
+        let mut fold = run.last().map_or(Charges::default(), |e| e.fold);
+        let candidates = self.problem.candidates();
+        for j in self.selection.ones().skip_while(|&j| j < from) {
+            let own = Charges::of(&candidates[j]);
+            fold.add(own);
+            run.push(RunEntry {
+                view: j as u32,
+                own,
+                fold,
+            });
+        }
+    }
+
+    /// The selected views' charge totals, read off the run without
+    /// writing it: its fold through the last entry still valid, then
+    /// the views from the lowest invalidated one on.
+    fn charges(&self) -> Charges {
+        let stale = self.run_stale;
+        let valid = self.run.partition_point(|e| (e.view as usize) < stale);
+        let mut charges = valid
+            .checked_sub(1)
+            .map_or(Charges::default(), |j| self.run[j].fold);
+        if stale != usize::MAX {
+            let candidates = self.problem.candidates();
+            for j in self.selection.ones().skip_while(|&j| j < stale) {
+                charges.add(Charges::of(&candidates[j]));
+            }
+        }
+        charges
+    }
+
+    /// What earlier accepted moves left stale — block sums, the block
+    /// prefix, the charge run — brought up to date: the only write a
+    /// probe makes, and what a move loop does last, so that forks of
+    /// its result share the run.
+    pub(crate) fn settle(&mut self) {
+        self.refresh_time_blocks();
+        self.settle_run();
     }
 
     /// Frequency-weighted total processing time (Formula 9 summed)
@@ -645,8 +881,10 @@ impl<'p> IncrementalEvaluator<'p> {
     /// the term cache (each in workload order from an exact zero) and
     /// the total folds the block sums in order — exactly the
     /// arithmetic of `processing_time_with_views`, so the result is
-    /// bit-identical. O(m/B + B·dirty) per call instead of O(m).
-    /// Telemetry records the dirty-delta size (blocks refolded).
+    /// bit-identical. O(B·dirty + m/B − b₀) per call, for b₀ the lowest
+    /// stale block (the prefix is rebuilt from there); O(1) once
+    /// settled. Telemetry records the dirty-delta size (blocks
+    /// refolded).
     pub fn processing_time(&mut self) -> Hours {
         if mv_obs::enabled() {
             let dirty = if self.all_dirty {
@@ -657,16 +895,18 @@ impl<'p> IncrementalEvaluator<'p> {
             mv_obs::record(Hist::SnapshotDirtyBlocks, dirty as u64);
         }
         self.refresh_time_blocks();
-        self.time_with(std::iter::empty()).0
+        self.block_prefix[self.block_time.len()]
     }
 
     /// Time and cost breakdown of the current selection, agreeing
     /// exactly with [`SelectionProblem::evaluate`] — the selection-free
     /// half of [`IncrementalEvaluator::snapshot`], for the move loops
-    /// that rank thousands of neighbours and keep one.
-    /// O(n/64 + selected + m/B + B·dirty): the word-wise walk of the
-    /// selection, one pass over the selected views' charges, the
-    /// block-sum total and the refold of the stale blocks.
+    /// that rank thousands of neighbours and keep one. Settled, it
+    /// reads the block prefix's total and the charge run's last fold.
+    /// Otherwise it first refolds the stale blocks (see
+    /// [`IncrementalEvaluator::processing_time`]) and folds the charges
+    /// from the run's last valid entry on without writing the run — a
+    /// what-if's fork scores its toggles without copying it.
     ///
     /// Exactness: the time total is summed in workload order and the
     /// per-candidate totals in candidate order — the same fold orders as
@@ -676,12 +916,7 @@ impl<'p> IncrementalEvaluator<'p> {
     pub fn score(&mut self) -> Score {
         mv_obs::inc(Counter::EvaluatorSnapshot);
         let time = self.processing_time();
-        let candidates = self.problem.candidates();
-        let mut charges = Charges::default();
-        for k in self.selection.ones() {
-            charges.add(&candidates[k]);
-        }
-        charges.score(self.problem.model(), time)
+        self.charges().score(self.problem.model(), time)
     }
 
     /// Full [`Evaluation`] of the current selection:
@@ -695,35 +930,78 @@ impl<'p> IncrementalEvaluator<'p> {
 
     /// The time total with the terms of `changed` (ascending queries)
     /// in place of the cached ones, and the number of blocks refolded.
-    fn time_with(&self, changed: impl Iterator<Item = (usize, Hours)>) -> (Hours, u64) {
+    /// The chain starts from the block prefix at the first touched
+    /// block; the touched blocks are gathered, new terms in place, and
+    /// summed [`LANES`] at a time side by side (a short last block
+    /// padded with exact zeros: terms are finite and ≥ 0, so adding
+    /// +0.0 to a running sum is the identity). A one-block workload
+    /// folds its block in place: with no prefix to skip and nothing to
+    /// sum beside it, a gather would only add work.
+    fn time_with(&self, changed: Toggled<'_>) -> (Hours, u64) {
         let mut changed = changed.peekable();
-        let mut time = Hours::ZERO;
-        let mut settled = 0;
-        let mut refolded = 0u64;
-        while let Some(&(first, _)) = changed.peek() {
-            let b = first / TIME_FOLD_BLOCK;
-            for &sum in &self.block_time[settled..b] {
-                time += sum;
-            }
-            let end = ((b + 1) * TIME_FOLD_BLOCK).min(self.term.len());
+        let blocks = self.block_time.len();
+        let Some(&(first, _)) = changed.peek() else {
+            return (self.block_prefix[blocks], 0);
+        };
+        if blocks == 1 {
             let mut block = Hours::ZERO;
-            let mut i = b * TIME_FOLD_BLOCK;
-            while let Some((q, term)) = changed.next_if(|&(q, _)| q < end) {
+            let mut i = 0;
+            for (q, term) in changed {
                 for &t in &self.term[i..q] {
                     block += t;
                 }
                 block += term;
                 i = q + 1;
             }
-            for &t in &self.term[i..end] {
+            for &t in &self.term[i..] {
                 block += t;
             }
-            time += block;
-            settled = b + 1;
-            refolded += 1;
+            return (self.block_prefix[0] + block, 1);
         }
-        for &sum in &self.block_time[settled..] {
-            time += sum;
+        self.time_with_lanes(first, changed)
+    }
+
+    /// [`IncrementalEvaluator::time_with`] past one block, from the
+    /// first change's query `first` on. Out of line: its lane buffers
+    /// would otherwise weigh on every one-block probe.
+    #[inline(never)]
+    fn time_with_lanes(
+        &self,
+        first: usize,
+        mut changed: std::iter::Peekable<Toggled<'_>>,
+    ) -> (Hours, u64) {
+        let mut settled = first / TIME_FOLD_BLOCK;
+        let mut time = self.block_prefix[settled];
+        let mut refolded = 0u64;
+        let mut lanes = [[Hours::ZERO; TIME_FOLD_BLOCK]; LANES];
+        let mut group = [0usize; LANES];
+        while changed.peek().is_some() {
+            let mut used = 0;
+            while let (true, Some(&(q, _))) = (used < LANES, changed.peek()) {
+                let b = q / TIME_FOLD_BLOCK;
+                let start = b * TIME_FOLD_BLOCK;
+                let end = (start + TIME_FOLD_BLOCK).min(self.term.len());
+                let lane = &mut lanes[used];
+                lane[..end - start].copy_from_slice(&self.term[start..end]);
+                lane[end - start..].fill(Hours::ZERO);
+                while let Some((q, term)) = changed.next_if(|&(q, _)| q < end) {
+                    lane[q - start] = term;
+                }
+                group[used] = b;
+                used += 1;
+            }
+            // Unused lanes hold earlier blocks; their sums are dropped.
+            for (&b, sum) in group[..used].iter().zip(fold_lanes(lanes.each_ref())) {
+                for &s in &self.block_time[settled..b] {
+                    time += s;
+                }
+                time += sum;
+                settled = b + 1;
+            }
+            refolded += used as u64;
+        }
+        for &s in &self.block_time[settled..] {
+            time += s;
         }
         (time, refolded)
     }
@@ -737,54 +1015,43 @@ impl<'p> IncrementalEvaluator<'p> {
     /// those it answers faster than their best; deselecting it: those
     /// whose best it is, which fall back to the cached runner-up — and
     /// get the term the toggle would have stored; every fold then runs
-    /// as `score` would have run it after the toggle, so the result is
-    /// bit-identical. O(deg + n/64 + selected + m/B + B·affected);
-    /// counts as one snapshot and no flips.
+    /// as `score` would have run it after the toggle, each from the
+    /// cached fold of what precedes the toggle's first change, so the
+    /// result is bit-identical. O(deg + log selected + selected after
+    /// `k` + blocks after the first touched one + B·affected); counts
+    /// as one snapshot and no flips.
     pub fn probe(&mut self, k: usize) -> Score {
         mv_obs::inc(Counter::EvaluatorSnapshot);
-        // Settle what earlier accepted moves left dirty: the only write.
-        self.refresh_time_blocks();
+        self.settle();
         let on = !self.selection.contains(k);
-        let kk = k as u32;
-        let workload = &self.problem.model().context().workload;
         let (queries, times) = self.index.by_view.row(k);
-        let answers = queries.iter().zip(times);
-        let (time, refolded) = if on {
-            self.time_with(answers.filter_map(|(&q, &t)| {
-                let i = q as usize;
-                (self.best_view[i] == NONE || t < self.best_time[i])
-                    .then(|| (i, term_of(&workload[i], kk, t)))
-            }))
-        } else {
-            self.time_with(answers.filter_map(|(&q, _)| {
-                let i = q as usize;
-                (self.best_view[i] == kk).then(|| {
-                    (
-                        i,
-                        term_of(&workload[i], self.second_view[i], self.second_time[i]),
-                    )
-                })
-            }))
-        };
+        let (time, refolded) = self.time_with(Toggled {
+            answers: queries.iter().zip(times),
+            workload: &self.problem.model().context().workload,
+            best_view: &self.best_view,
+            best_time: &self.best_time,
+            second_view: &self.second_view,
+            second_time: &self.second_time,
+            k: k as u32,
+            on,
+        });
         mv_obs::record(Hist::SnapshotDirtyBlocks, refolded);
 
-        // `k` takes its place in candidate order when selecting it, and
-        // is passed over when deselecting it.
-        let candidates = self.problem.candidates();
-        let mut charges = Charges::default();
-        if on {
-            let mut ones = self.selection.ones().peekable();
-            while let Some(j) = ones.next_if(|&j| j < k) {
-                charges.add(&candidates[j]);
-            }
-            charges.add(&candidates[k]);
-            for j in ones {
-                charges.add(&candidates[j]);
-            }
+        // The run's fold through the views before `k`, then `k` in its
+        // place when selecting it (passed over when deselecting it), then
+        // the views after it.
+        let at = self.run.partition_point(|e| (e.view as usize) < k);
+        let mut charges = at
+            .checked_sub(1)
+            .map_or(Charges::default(), |j| self.run[j].fold);
+        let after = if on {
+            charges.add(Charges::of(&self.problem.candidates()[k]));
+            at
         } else {
-            for j in self.selection.ones().filter(|&j| j != k) {
-                charges.add(&candidates[j]);
-            }
+            at + 1
+        };
+        for e in &self.run[after..] {
+            charges.add(e.own);
         }
         charges.score(self.problem.model(), time)
     }

@@ -1,17 +1,19 @@
 //! Differential property: [`IncrementalEvaluator::probe`] ≡ the
 //! `flip → snapshot → unflip` triple spelled out, in both directions,
-//! and it writes nothing: once the fold is settled, the evaluator is
+//! and it writes nothing: once the folds are settled, the evaluator is
 //! `==` before and after in every field a fork copies — selection,
-//! best and runner-up views and times, terms, block sums, dirty flags
-//! and list — under random walks that interleave accepted flips with
-//! pool edits (a new evaluator over the grown, shrunk or re-profiled
-//! pool at the same selection) / `update_charge` price splices /
-//! `retarget`, on pools where most queries have a dozen answerers or
-//! more and the workload spans several [`TIME_FOLD_BLOCK`]s. A swap
-//! row as the move loop walks it — `unflip(out)`, a probe per `in_`,
-//! `flip(out)` — scores S − out + in. And the runner-up cache is
-//! pinned directly: the two smallest selected times per query, on the
-//! SSB lattice's shape.
+//! best and runner-up views and times, terms, block sums and prefix,
+//! dirty flags and list, charge run — under random walks that
+//! interleave accepted flips with pool edits (a new evaluator over the
+//! grown, shrunk or re-profiled pool at the same selection) /
+//! `update_charge` price splices / `retarget`, on pools where most
+//! queries have a dozen answerers or more and the workload spans
+//! several [`TIME_FOLD_BLOCK`]s. Past the lanes too: probes touching
+//! more blocks than one pass folds side by side, a short last block,
+//! and 70 and more selected views in the charge run. A swap row as the
+//! move loop walks it — `unflip(out)`, a probe per `in_`, `flip(out)` —
+//! scores S − out + in. And the runner-up cache is pinned directly: the
+//! two smallest selected times per query, on the SSB lattice's shape.
 
 use mv_cost::CloudCostModel;
 use proptest::prelude::*;
@@ -25,15 +27,27 @@ use crate::fixtures::{random_sparse_problem, reference_evaluate, with_tied_times
 struct State {
     selection: SelectionSet,
     views: [Vec<u32>; 2],
-    /// Best times, runner-up times, terms, block sums.
-    floats: [Vec<u64>; 4],
+    /// Best times, runner-up times, terms, block sums, block prefix.
+    floats: [Vec<u64>; 5],
     block_dirty: Vec<bool>,
     dirty_blocks: Vec<u32>,
     all_dirty: bool,
+    /// The charge run: each entry's view, then its own charges and its
+    /// fold as (maintenance, materialization, size) bits.
+    run: Vec<(u32, [u64; 6])>,
+    run_stale: usize,
 }
 
 fn state(ev: &IncrementalEvaluator<'_>) -> State {
     let bits = |v: &[Hours]| v.iter().map(|h| h.value().to_bits()).collect();
+    let charges = |c: &Charges| {
+        [
+            c.maintenance.value(),
+            c.materialization.value(),
+            c.size.value(),
+        ]
+        .map(f64::to_bits)
+    };
     State {
         selection: ev.selection.clone(),
         views: [ev.best_view.clone(), ev.second_view.clone()],
@@ -42,10 +56,20 @@ fn state(ev: &IncrementalEvaluator<'_>) -> State {
             bits(&ev.second_time),
             bits(&ev.term),
             bits(&ev.block_time),
+            bits(&ev.block_prefix),
         ],
         block_dirty: ev.block_dirty.clone(),
         dirty_blocks: ev.dirty_blocks.clone(),
         all_dirty: ev.all_dirty,
+        run: ev
+            .run
+            .iter()
+            .map(|e| {
+                let (own, fold) = (charges(&e.own), charges(&e.fold));
+                (e.view, [own[0], own[1], own[2], fold[0], fold[1], fold[2]])
+            })
+            .collect(),
+        run_stale: ev.run_stale,
     }
 }
 
@@ -55,6 +79,146 @@ fn triple(ev: &mut IncrementalEvaluator<'_>, k: usize) -> Evaluation {
     let e = ev.snapshot();
     ev.toggle(k);
     e
+}
+
+/// One walk of the differential property over a pool of `n_candidates`
+/// views answering ≈ `density` of `n_queries` queries each, starting
+/// with `start_per_5` of every five views selected.
+fn probe_walk(
+    seed: u64,
+    n_queries: usize,
+    n_candidates: usize,
+    density: f64,
+    start_per_5: usize,
+    ops: &[(u8, usize, usize)],
+) {
+    let pool_problem = random_sparse_problem(seed, n_queries, n_candidates, density);
+    let pool = pool_problem.candidates();
+    let mut ev = IncrementalEvaluator::new(&pool_problem);
+    for k in (0..n_candidates).filter(|k| k % 5 < start_per_5) {
+        ev.flip(k);
+    }
+    let mut recycle = 0usize;
+    for (step, &(op, a, b)) in ops.iter().enumerate() {
+        let n = ev.problem().len();
+        match op {
+            // An accepted move: leaves its blocks dirty for the next
+            // probe to settle.
+            0 | 1 if n > 0 => ev.toggle(a % n),
+            // The pool changes under the search: a view joins, one
+            // is retired (`Vec::swap_remove`, the selection
+            // following), or one's answers change — another
+            // candidate in its slot, selected if it was. Each is a
+            // new evaluator over the edited pool at the same
+            // selection.
+            2 | 3 | 5 if n > 1 => {
+                let mut candidates = ev.problem().candidates().to_vec();
+                let mut selected: Vec<bool> = ev.selection().iter().collect();
+                match op {
+                    2 => {
+                        candidates.push(pool[recycle % pool.len()].clone());
+                        selected.push(false);
+                        recycle += 1;
+                    }
+                    3 => {
+                        candidates.swap_remove(a % n);
+                        selected.swap_remove(a % n);
+                    }
+                    _ => candidates[a % n] = pool[b % pool.len()].clone(),
+                }
+                let model = ev.problem().model().clone();
+                ev = IncrementalEvaluator::from_problem(SelectionProblem::new(model, candidates));
+                for k in SelectionSet::from_bools(&selected).ones() {
+                    ev.flip(k);
+                }
+            }
+            // Re-price in place (the O(1) splice) — another view than
+            // the one probed next, so a stale charge-run entry shows.
+            4 if n > 0 => {
+                let k = b % n;
+                let carried = ev.problem().candidates()[k].carried();
+                ev.update_charge(k, carried);
+            }
+            // New epoch: every frequency and base time moves.
+            6 => {
+                let mut ctx = ev.problem().model().context().clone();
+                for (i, q) in ctx.workload.iter_mut().enumerate() {
+                    q.frequency = 0.25 + ((a + 7 * i) % 17) as f64 / 4.0;
+                    q.base_time = q.base_time * (0.5 + ((b + 3 * i) % 5) as f64 / 4.0);
+                }
+                ev.retarget(CloudCostModel::new(ctx));
+            }
+            _ => {}
+        }
+        let n = ev.problem().len();
+        if n == 0 {
+            continue;
+        }
+        // Both directions of one toggle: as the selection stands,
+        // and with `k` toggled for real.
+        let k = a % n;
+        for direction in 0..2 {
+            let mut twin = ev.clone();
+            let expected = triple(&mut twin, k);
+            let mut settled = ev.clone();
+            settled.settle();
+            let before = state(&settled);
+
+            let got = ev.probe(k);
+            prop_assert_eq!(
+                got,
+                expected.score(),
+                "probe ≠ triple at step {} direction {}",
+                step,
+                direction
+            );
+            prop_assert_eq!(
+                got.time.value().to_bits(),
+                expected.time.value().to_bits(),
+                "time bits at step {}",
+                step
+            );
+            prop_assert_eq!(state(&ev), before, "probe wrote at step {}", step);
+            // And the score is the true one: against the slow
+            // reference, at the probed selection.
+            prop_assert_eq!(
+                &expected,
+                &reference_evaluate(ev.problem(), &expected.selection),
+                "probe ≠ reference at step {}",
+                step
+            );
+            prop_assert_eq!(ev.probe(k), got, "re-probe at step {}", step);
+            ev.toggle(k);
+        }
+
+        // A swap row: `out` leaves once, each `in_` is one probe
+        // against that position, `out` returns.
+        let out = b % n;
+        if ev.is_selected(out) {
+            let standing = ev.selection().clone();
+            ev.unflip(out);
+            for in_ in (0..n).filter(|&in_| !standing.contains(in_)) {
+                let mut swapped = standing.clone();
+                swapped.set(out, false);
+                swapped.set(in_, true);
+                prop_assert_eq!(
+                    ev.probe(in_).with_selection(swapped.clone()),
+                    ev.problem().evaluate(&swapped),
+                    "swap {} → {} at step {}",
+                    out,
+                    in_,
+                    step
+                );
+            }
+            ev.flip(out);
+        }
+        prop_assert_eq!(
+            ev.snapshot(),
+            reference_evaluate(ev.problem(), ev.selection()),
+            "position drifted at step {}",
+            step
+        );
+    }
 }
 
 proptest! {
@@ -69,121 +233,77 @@ proptest! {
     ) {
         // 40 candidates at ≥ 15 % density: ≥ 6 answerers per query on
         // average, a dozen and more from 30 % up.
-        let pool_problem =
-            random_sparse_problem(seed, n_queries, 40, f64::from(density_pct) / 100.0);
-        let pool = pool_problem.candidates();
-        let mut ev = IncrementalEvaluator::new(&pool_problem);
-        let mut recycle = 0usize;
-        for (step, &(op, a, b)) in ops.iter().enumerate() {
-            let n = ev.problem().len();
-            match op {
-                // An accepted move: leaves its blocks dirty for the next
-                // probe to settle.
-                0 | 1 if n > 0 => ev.toggle(a % n),
-                // The pool changes under the search: a view joins, one
-                // is retired (`Vec::swap_remove`, the selection
-                // following), or one's answers change — another
-                // candidate in its slot, selected if it was. Each is a
-                // new evaluator over the edited pool at the same
-                // selection.
-                2 | 3 | 5 if n > 1 => {
-                    let mut candidates = ev.problem().candidates().to_vec();
-                    let mut selected: Vec<bool> = ev.selection().iter().collect();
-                    match op {
-                        2 => {
-                            candidates.push(pool[recycle % pool.len()].clone());
-                            selected.push(false);
-                            recycle += 1;
-                        }
-                        3 => {
-                            candidates.swap_remove(a % n);
-                            selected.swap_remove(a % n);
-                        }
-                        _ => candidates[a % n] = pool[b % pool.len()].clone(),
-                    }
-                    let model = ev.problem().model().clone();
-                    ev = IncrementalEvaluator::from_problem(SelectionProblem::new(
-                        model, candidates,
-                    ));
-                    for k in SelectionSet::from_bools(&selected).ones() {
-                        ev.flip(k);
-                    }
-                }
-                // Re-price in place (the O(1) splice).
-                4 if n > 0 => {
-                    let k = a % n;
-                    let carried = ev.problem().candidates()[k].carried();
-                    ev.update_charge(k, carried);
-                }
-                // New epoch: every frequency and base time moves.
-                6 => {
-                    let mut ctx = ev.problem().model().context().clone();
-                    for (i, q) in ctx.workload.iter_mut().enumerate() {
-                        q.frequency = 0.25 + ((a + 7 * i) % 17) as f64 / 4.0;
-                        q.base_time = q.base_time * (0.5 + ((b + 3 * i) % 5) as f64 / 4.0);
-                    }
-                    ev.retarget(CloudCostModel::new(ctx));
-                }
-                _ => {}
-            }
-            let n = ev.problem().len();
-            if n == 0 {
-                continue;
-            }
-            // Both directions of one toggle: as the selection stands,
-            // and with `k` toggled for real.
-            let k = a % n;
-            for direction in 0..2 {
-                let mut twin = ev.clone();
-                let expected = triple(&mut twin, k);
-                let mut settled = ev.clone();
-                settled.refresh_time_blocks();
-                let before = state(&settled);
+        probe_walk(seed, n_queries, 40, f64::from(density_pct) / 100.0, 0, &ops);
+    }
+}
 
-                let got = ev.probe(k);
-                prop_assert_eq!(
-                    got, expected.score(),
-                    "probe ≠ triple at step {} direction {}", step, direction
-                );
-                prop_assert_eq!(
-                    got.time.value().to_bits(), expected.time.value().to_bits(),
-                    "time bits at step {}", step
-                );
-                prop_assert_eq!(state(&ev), before, "probe wrote at step {}", step);
-                // And the score is the true one: against the slow
-                // reference, at the probed selection.
-                prop_assert_eq!(
-                    &expected,
-                    &reference_evaluate(ev.problem(), &expected.selection),
-                    "probe ≠ reference at step {}", step
-                );
-                prop_assert_eq!(ev.probe(k), got, "re-probe at step {}", step);
-                ev.toggle(k);
-            }
+/// A workload of nine full blocks and a short tenth: a view answering
+/// a few percent of it touches more blocks than one pass of the lanes
+/// folds.
+const PAST_THE_LANES: usize = 9 * TIME_FOLD_BLOCK + 5;
 
-            // A swap row: `out` leaves once, each `in_` is one probe
-            // against that position, `out` returns.
-            let out = b % n;
-            if ev.is_selected(out) {
-                let standing = ev.selection().clone();
-                ev.unflip(out);
-                for in_ in (0..n).filter(|&in_| !standing.contains(in_)) {
-                    let mut swapped = standing.clone();
-                    swapped.set(out, false);
-                    swapped.set(in_, true);
-                    prop_assert_eq!(
-                        ev.probe(in_).with_selection(swapped.clone()),
-                        ev.problem().evaluate(&swapped),
-                        "swap {} → {} at step {}", out, in_, step
-                    );
-                }
-                ev.flip(out);
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Probes that refold more blocks than [`LANES`] side by side (the
+    /// short last block among them), over a charge run of 70 and more
+    /// selected views: 96 candidates, four in five selected at the start.
+    #[test]
+    fn probe_matches_the_triple_past_the_lanes(
+        seed in 0u64..10_000,
+        extra_queries in 0usize..3 * TIME_FOLD_BLOCK,
+        density_pct in 2u8..12,
+        ops in proptest::collection::vec((0u8..8, 0usize..1_000, 0usize..1_000), 1..10),
+    ) {
+        let n_queries = PAST_THE_LANES + extra_queries;
+        probe_walk(seed, n_queries, 96, f64::from(density_pct) / 100.0, 4, &ops);
+    }
+}
+
+/// The same property over a dense deterministic sweep — workloads of
+/// one query to fifteen blocks (short last blocks and exact multiples),
+/// pools of 40 to 120 views from none to nearly all selected: minutes
+/// in a debug build, so CI runs it in release (*Probe identity
+/// (release)*).
+#[test]
+#[ignore = "1 200 walks: run with --release -- --ignored"]
+fn probe_matches_the_triple_on_a_dense_sweep() {
+    let mut state = 0x2545_f491_4f6c_dd1du64;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    let workloads = [
+        1,
+        13,
+        64,
+        65,
+        200,
+        255,
+        256,
+        PAST_THE_LANES,
+        640,
+        15 * TIME_FOLD_BLOCK + 1,
+    ];
+    for round in 0..40 {
+        for &n_queries in &workloads {
+            for n_candidates in [40, 80, 120] {
+                let seed = next() % 100_000;
+                let density = (2 + next() % 40) as f64 / 100.0;
+                let ops: Vec<(u8, usize, usize)> = (0..1 + next() % 12)
+                    .map(|_| {
+                        (
+                            (next() % 8) as u8,
+                            (next() % 1_000) as usize,
+                            (next() % 1_000) as usize,
+                        )
+                    })
+                    .collect();
+                let start_per_5 = round % 6;
+                probe_walk(seed, n_queries, n_candidates, density, start_per_5, &ops);
             }
-            prop_assert_eq!(
-                ev.snapshot(),
-                reference_evaluate(ev.problem(), ev.selection()),
-                "position drifted at step {}", step
-            );
         }
     }
 }

@@ -6,8 +6,9 @@
 //! monetary objectives; used as a baseline in the solver ablation.
 //!
 //! Probes run through [`IncrementalEvaluator::probe`]: each candidate
-//! flip costs O(deg) plus the O(n/64 + selected + m/B) score instead
-//! of a full O(m + Σ deg) re-evaluation. The loop itself is
+//! flip costs O(deg) plus the folds after its first change (the
+//! evaluator's *Probes* section) instead of a full O(m + Σ deg)
+//! re-evaluation. The loop itself is
 //! [`crate::local_search::fill_from`], shared with the local-search
 //! fill and the LNS repair.
 

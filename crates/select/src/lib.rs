@@ -41,8 +41,11 @@
 //!
 //! * `flip`/`unflip` — O(deg) (a runner-up rescan only when the flipped
 //!   view was among a query's two fastest);
-//! * `score` / `snapshot` — O(n/64 + selected + m/B + B·dirty) over
-//!   cached block sums of the time fold (B = `TIME_FOLD_BLOCK`), summing
+//! * `score` / `snapshot` — O(1) once settled, reading the cached
+//!   running totals of the time fold's block sums (B =
+//!   `TIME_FOLD_BLOCK`) and of the selected views' charges; after
+//!   accepted moves at most O(B·dirty + m/B + n/64 + selected) to
+//!   refold what they left stale, summing
 //!   in the model's own fold orders and billing through the model's one
 //!   assembly (`CloudCostModel::breakdown_from_totals`), so results are
 //!   **bit-identical** to
@@ -51,7 +54,9 @@
 //!   pool-edit/flip/placement interleavings);
 //! * `probe(k)` — the one "what would toggling this view score?"
 //!   primitive every tier calls: a read of the caches that writes
-//!   nothing, O(deg + n/64 + selected + m/B + B·affected),
+//!   nothing, O(deg + log selected + selected after `k` + m/B − b₁ +
+//!   B·affected) for b₁ its first touched block — each fold restarts
+//!   from its cached prefix, the touched blocks refold side by side —
 //!   allocation-free and bit-identical to `flip → score → unflip` (see
 //!   the *Probes* section of the evaluator module);
 //! * `SelectionProblem::evaluate` itself is O(m + Σ deg) over the

@@ -301,17 +301,23 @@ fn a_warm_epoch_edge_allocates_independently_of_the_pool_size() {
     assert_eq!(edge(30), edge(120));
 }
 
-/// The resident service's shape: m = 4 096, mean coverage 12.
+/// The resident service's shape: m = 4 096, mean coverage 12 —
+/// settled, as the service's evaluator is after its solve's last round
+/// (a probe settles what the flips left stale).
 fn resident(n_candidates: usize) -> IncrementalEvaluator<'static> {
     let mut ev = mid_search_covering(12.0, 4_096, n_candidates);
-    ev.score();
+    ev.probe(0);
     ev
 }
 
 #[test]
 fn a_fork_copies_the_same_bytes_whatever_the_pool_holds() {
-    // Selection handle, answer index and problem are shared; what is
-    // copied is per query (caches, terms) and per block (sums, flags).
+    // Selection handle, answer index, problem and (settled) charge run
+    // are shared; what is copied is per query (caches, terms) and per
+    // block (sums, prefix, flags) — no byte per candidate or per
+    // selected view, nothing that grows with Σ deg or the index. (A
+    // fork of an evaluator whose run is stale copies and refolds its
+    // own run at once: 56 bytes per selected view.)
     let fork_of = |n_candidates: usize| {
         let ev = resident(n_candidates);
         let before = footprint();
