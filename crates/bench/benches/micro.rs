@@ -47,7 +47,10 @@
 //!   every candidate in turn (flip-on and flip-off): an `advise_scale`
 //!   problem (n = 1 000, m = 25 000) at the end of its 4-round LNS
 //!   solve, and the `serve_stream` catalog (n = 256, m = 4 096) at the
-//!   end of its greedy fill. (The benchmark's `select.probe_ns` times
+//!   end of its greedy fill; and on that catalog at a local optimum,
+//!   one no-move round — n + s·u moves, each ruled out by its bound or
+//!   scored exactly (the SSB round's one fold block skips the bound).
+//!   (The benchmark's `select.probe_ns` times
 //!   `flip → snapshot → unflip`, the reference a probe is held to, not
 //!   `probe`.)
 //! * `cost/bill/*` — the bill a probe scores, alone: one
@@ -391,7 +394,7 @@ fn bench_probe_walk(id: &str, problem: &SelectionProblem, plan: &mvcloud::cost::
 
 /// The probe at the large shapes: an `advise_scale` problem at the end
 /// of its LNS solve, the `serve_stream` catalog at the end of its
-/// greedy fill.
+/// greedy fill — and a no-move round of the move loop on that catalog.
 fn bench_probe_at_scale() {
     let scenario = Scenario::tradeoff_normalized(0.5);
     let lns = scale_problem(&ScaleShape {
@@ -417,6 +420,14 @@ fn bench_probe_at_scale() {
     let mut ev = IncrementalEvaluator::new(&resident);
     let plan = local_search::greedy_fill(&mut ev, scenario, &baseline).selection;
     bench_probe_walk("resident_n256_m4096", &resident, &plan);
+    // On to a local optimum, where a round offers every move and
+    // applies none: ≈ 16 K moves, nearly all ruled out by their bound.
+    local_search::improve(&mut ev, scenario, &baseline, usize::MAX);
+    run(
+        "select/improve",
+        "no_move_round_resident_n256_m4096",
+        || local_search::improve(&mut ev, scenario, &baseline, 1).time,
+    );
 }
 
 fn main() {

@@ -188,7 +188,7 @@ impl CandidateCatalog {
                         .to_string(),
                     result_size: size_field(q, "result_size_gb", i)?,
                     base_time: hours_field(q, "base_time_hours", i)?,
-                    frequency: finite_field(q, "frequency", i)?,
+                    frequency: frequency_field(q, "frequency", i)?,
                 })
             })
             .collect::<Result<_, String>>()?;
@@ -313,6 +313,17 @@ fn size_field(obj: &Json, key: &str, index: usize) -> Result<Gb, String> {
     Ok(Gb::new(v))
 }
 
+/// Reads a non-negative frequency field (a negative one would price a
+/// negative result volume, which `Gb::new` rejects with a panic when
+/// the service opens the catalog — a corrupt file must be an error).
+fn frequency_field(obj: &Json, key: &str, index: usize) -> Result<f64, String> {
+    let v = finite_field(obj, key, index)?;
+    if v < 0.0 {
+        return Err(format!("[{index}].{key}: negative frequency {v}"));
+    }
+    Ok(v)
+}
+
 /// Reads a non-negative duration field (same rationale as [`size_field`]).
 fn hours_field(obj: &Json, key: &str, index: usize) -> Result<Hours, String> {
     let v = finite_field(obj, key, index)?;
@@ -429,6 +440,32 @@ mod tests {
         let misaligned = good.replacen("\"counts\":[\n    3,\n    8\n  ]", "\"counts\":[3]", 1);
         let doc = Json::parse(&misaligned).unwrap();
         assert!(CandidateCatalog::from_json(&doc).is_err());
+        let negative = negative_frequency(&good);
+        let err = CandidateCatalog::from_json(&Json::parse(&negative).unwrap()).unwrap_err();
+        assert!(err.contains("negative frequency"), "{err}");
+    }
+
+    /// `rendered` with its first query's frequency negated.
+    fn negative_frequency(rendered: &str) -> String {
+        let negative = rendered.replacen("\"frequency\":2", "\"frequency\":-1", 1);
+        assert_ne!(negative, rendered, "the frequency field moved");
+        negative
+    }
+
+    #[test]
+    fn a_negative_frequency_fails_open_instead_of_panicking() {
+        let dir = std::env::temp_dir().join(format!("mvcloud-catalog-freq-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("catalog.json");
+        let rendered = sample_catalog().to_json().render_pretty();
+        std::fs::write(&path, negative_frequency(&rendered)).unwrap();
+        let opened = crate::AdvisorService::open(
+            &path,
+            crate::AdvisorConfig::default(),
+            crate::ServiceConfig::new(mv_select::Scenario::tradeoff_normalized(0.5)),
+        );
+        assert!(matches!(opened, Err(AdvisorError::CatalogCorrupt { .. })));
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

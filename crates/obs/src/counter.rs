@@ -23,6 +23,7 @@ name_table! {
         EvaluatorUpdateCharge => "evaluator/update_charge",
         // mv-select: local search
         SearchProbes => "search/probes",
+        SearchBounded => "search/bounded",
         SearchFlipMoves => "search/flip_moves",
         SearchSwapMoves => "search/swap_moves",
         SearchPlaceMoves => "search/place_moves",
@@ -177,7 +178,7 @@ mod tests {
 
     #[test]
     fn the_table_is_dense_and_its_names_are_unique() {
-        assert_eq!(COUNT, 31);
+        assert_eq!(COUNT, 32);
         for (i, c) in Counter::ALL.iter().enumerate() {
             assert_eq!(*c as usize, i, "{}", c.name());
             assert_eq!(

@@ -139,6 +139,62 @@
 //! evaluator left `==` in every field, is property-tested in
 //! `evaluator/probe_tests.rs`.
 //!
+//! # Bounded probes
+//!
+//! A move loop keeps the first move whose rank beats its best so far,
+//! and at a local optimum that is none of thousands. So the loops —
+//! `local_search`'s flip-on fill and its flip, swap and placed flip-on
+//! rows, and the knapsack repair's hill-climb — go through one
+//! crate-private entry, `probe_below(k, scenario, baseline, to_beat)`,
+//! which rules most moves out without a refold. Past one fold block it
+//! walks the same `Toggled` queries a probe walks, sums their term
+//! changes Δ and their terms old and new, A — O(deg), no block refold,
+//! no prefix chain — and forms the time floor
+//!
+//! `t_lb = max(0, total + Δ − ε·(total + A))`
+//!
+//! for `total` the settled time total. It prices `t_lb` with the
+//! toggle's exact charge totals through the one `breakdown_from_totals`
+//! and scores exactly — with the same charge totals, folded once — only
+//! if that rank is below `to_beat`. A move the floor rules out could
+//! not have won, by three facts:
+//!
+//! * **Every [`Rank`] field is monotone in (time, cost)** under MV1–MV3:
+//!   feasibility, violation and objective are, and cost and time are
+//!   the last two fields; the derived comparison is lexicographic, so
+//!   a score no later in time and cost ranks no later.
+//! * **`compute_cost` is monotone in hours** under every
+//!   `BillingRounding` (each rounds up, zero bills zero) and
+//!   `Money::scale` in its factor, so a lower time never bills more.
+//! * **Maintenance, materialization and storage come from the exact
+//!   totals**, the exact score's own, so they need no envelope (a
+//!   `FlatByVolume` storage sheet included).
+//!
+//! ε is derived from the fold's chain lengths, not tuned. Every term is
+//! ≥ 0 (an `Hours`) and passes through at most h = B + blocks roundings
+//! of the blocked fold (B in its block, one per block in the prefix
+//! chain), so by Higham's bound for recursive summation the settled
+//! total and the exact toggled total are each within γₕ of the exact
+//! sums S and S′ (relatively: Σ|x| = S), and Δ — deg differences, each
+//! rounded once, then summed in a chain — within γ_{deg+1}·A of S′ − S.
+//! For γ = γ_N, N = B + blocks + deg + 1, that puts the exact toggled
+//! time at or above `total + Δ − 3γ·(total + A)`; a fourth γ covers the
+//! bound's own few roundings (each at most u·(total + A), against
+//! γ ≥ 66u). So ε = 4γ_N: ≈ 2·10⁻¹³ at m = 25 000.
+//!
+//! A one-block workload (the SSB and sales lattices') skips the floor
+//! and scores every move exactly, as `probe` does — its fold has no
+//! prefix to skip, so a floor would save nothing: a property of the
+//! input, like the one-block fold in place. A ruled-out move counts as
+//! `search/bounded` and no snapshot, so `evaluator/snapshot` counts
+//! exact scores only. Under debug assertions every ruled-out move is
+//! also scored exactly, uncounted, and asserted not to have won; the
+//! floor's soundness — its time and rank never past the probe's, a
+//! score returned exactly when the probe's rank beats `to_beat`, under
+//! every scenario and rounding — is property-tested in
+//! `evaluator/probe_tests.rs`. Picks, scores and digests are the
+//! unbounded loop's by construction.
+//!
 //! # Forks
 //!
 //! [`IncrementalEvaluator::fork`] is what a scenario-tree branch point
@@ -178,6 +234,7 @@
 //! builds a new evaluator over it at the standing selection:
 //! O(Σ deg + m), the cost of the index.
 
+use std::cmp::Ordering;
 use std::ops::Deref;
 use std::sync::Arc;
 
@@ -185,7 +242,7 @@ use mv_cost::{CloudCostModel, Price, QueryCharge, SelectionSet, ViewCharge, TIME
 use mv_obs::{Counter, Hist};
 use mv_units::{Gb, Hours};
 
-use crate::{Evaluation, Score, SelectionProblem};
+use crate::{Evaluation, Rank, Scenario, Score, Scored, SelectionProblem};
 
 /// Sentinel candidate index meaning "no view".
 const NONE: u32 = u32::MAX;
@@ -469,35 +526,26 @@ fn fold_lanes(lanes: [&[Hours; TIME_FOLD_BLOCK]; LANES]) -> [Hours; LANES] {
     sums
 }
 
-/// Block `b` of `term` if it is a full one (every block but a short
-/// last one).
-fn full_block(term: &[Hours], b: usize) -> Option<&[Hours; TIME_FOLD_BLOCK]> {
-    let start = b * TIME_FOLD_BLOCK;
-    term.get(start..start + TIME_FOLD_BLOCK)
-        .map(|block| block.try_into().expect("a block's width"))
-}
-
 /// Refolds `blocks` of `term` into `block_time`: full blocks `LANES` at
 /// a time side by side, a short last block on its own. Returns the
 /// lowest block refolded (`block_time.len()` when none).
 fn refold(term: &[Hours], block_time: &mut [Hours], blocks: impl Iterator<Item = usize>) -> usize {
+    let (full, tail) = term.as_chunks::<TIME_FOLD_BLOCK>();
     let mut lowest = block_time.len();
     let mut group = [0usize; LANES];
     let mut used = 0;
     let flush = |group: &[usize; LANES], used: usize, block_time: &mut [Hours]| {
         // Unused lanes repeat the first block; their sums are dropped.
-        let lanes = std::array::from_fn(|l| {
-            full_block(term, group[if l < used { l } else { 0 }]).expect("a full block")
-        });
+        let lanes = std::array::from_fn(|l| &full[group[if l < used { l } else { 0 }]]);
         for (&b, sum) in group[..used].iter().zip(fold_lanes(lanes)) {
             block_time[b] = sum;
         }
     };
     for b in blocks {
         lowest = lowest.min(b);
-        if full_block(term, b).is_none() {
+        if b == full.len() {
             let mut sum = Hours::ZERO;
-            for &t in &term[b * TIME_FOLD_BLOCK..] {
+            for &t in tail {
                 sum += t;
             }
             block_time[b] = sum;
@@ -936,7 +984,11 @@ impl<'p> IncrementalEvaluator<'p> {
     /// padded with exact zeros: terms are finite and ≥ 0, so adding
     /// +0.0 to a running sum is the identity). A one-block workload
     /// folds its block in place: with no prefix to skip and nothing to
-    /// sum beside it, a gather would only add work.
+    /// sum beside it, a gather would only add work. (Inlined into both
+    /// callers, `probe` and `probe_below`, as are `toggled` and
+    /// `charges_toggled`: out of line, every probe paid the calls and a
+    /// `Toggled` passed through memory.)
+    #[inline(always)]
     fn time_with(&self, changed: Toggled<'_>) -> (Hours, u64) {
         let mut changed = changed.peekable();
         let blocks = self.block_time.len();
@@ -1006,6 +1058,45 @@ impl<'p> IncrementalEvaluator<'p> {
         (time, refolded)
     }
 
+    /// The walk of the queries whose term toggling `k` would rewrite —
+    /// selecting it if `on`, else deselecting it.
+    #[inline(always)]
+    fn toggled(&self, k: usize, on: bool) -> Toggled<'_> {
+        let (queries, times) = self.index.by_view.row(k);
+        Toggled {
+            answers: queries.iter().zip(times),
+            workload: &self.problem.model().context().workload,
+            best_view: &self.best_view,
+            best_time: &self.best_time,
+            second_view: &self.second_view,
+            second_time: &self.second_time,
+            k: k as u32,
+            on,
+        }
+    }
+
+    /// The selected views' charge totals with `k` toggled, off a settled
+    /// run: the run's fold through the views before `k`, then `k` in its
+    /// place when selecting it (passed over when deselecting it), then
+    /// the views after it.
+    #[inline(always)]
+    fn charges_toggled(&self, k: usize, on: bool) -> Charges {
+        let at = self.run.partition_point(|e| (e.view as usize) < k);
+        let mut charges = at
+            .checked_sub(1)
+            .map_or(Charges::default(), |j| self.run[j].fold);
+        let after = if on {
+            charges.add(Charges::of(&self.problem.candidates()[k]));
+            at
+        } else {
+            at + 1
+        };
+        for e in &self.run[after..] {
+            charges.add(e.own);
+        }
+        charges
+    }
+
     /// What [`IncrementalEvaluator::score`] would return with candidate
     /// `k` toggled — selected if it is not, deselected if it is — read
     /// off the caches without writing to them: no flip, no dirty block,
@@ -1024,37 +1115,85 @@ impl<'p> IncrementalEvaluator<'p> {
         mv_obs::inc(Counter::EvaluatorSnapshot);
         self.settle();
         let on = !self.selection.contains(k);
-        let (queries, times) = self.index.by_view.row(k);
-        let (time, refolded) = self.time_with(Toggled {
-            answers: queries.iter().zip(times),
-            workload: &self.problem.model().context().workload,
-            best_view: &self.best_view,
-            best_time: &self.best_time,
-            second_view: &self.second_view,
-            second_time: &self.second_time,
-            k: k as u32,
-            on,
-        });
+        let (time, refolded) = self.time_with(self.toggled(k, on));
         mv_obs::record(Hist::SnapshotDirtyBlocks, refolded);
-
-        // The run's fold through the views before `k`, then `k` in its
-        // place when selecting it (passed over when deselecting it), then
-        // the views after it.
-        let at = self.run.partition_point(|e| (e.view as usize) < k);
-        let mut charges = at
-            .checked_sub(1)
-            .map_or(Charges::default(), |j| self.run[j].fold);
-        let after = if on {
-            charges.add(Charges::of(&self.problem.candidates()[k]));
-            at
-        } else {
-            at + 1
-        };
-        for e in &self.run[after..] {
-            charges.add(e.own);
-        }
-        charges.score(self.problem.model(), time)
+        self.charges_toggled(k, on)
+            .score(self.problem.model(), time)
     }
+
+    /// A lower bound on the time total with `k` toggled, in O(deg) — the
+    /// settled total plus the toggle's term changes, less the rounding
+    /// error the blocked fold could hide (the module's *Bounded probes*
+    /// section): never above what [`IncrementalEvaluator::probe`]
+    /// returns.
+    fn time_floor(&self, k: usize, on: bool) -> Hours {
+        let blocks = self.block_time.len();
+        let total = self.block_prefix[blocks].value();
+        let (mut delta, mut touched) = (0.0, 0.0);
+        for (i, term) in self.toggled(k, on) {
+            let (new, old) = (term.value(), self.term[i].value());
+            delta += new - old;
+            touched += new + old;
+        }
+        let deg = self.index.by_view.row(k).0.len();
+        let eps = 4.0 * gamma(TIME_FOLD_BLOCK + blocks + deg + 1);
+        Hours::new((total + delta - eps * (total + touched)).max(0.0))
+    }
+
+    /// [`IncrementalEvaluator::probe`]`(k)` and its rank, if that rank is
+    /// below `to_beat` — `None` otherwise: the entry every move loop that
+    /// keeps the first strictly better move goes through. Past one fold
+    /// block it first prices [`IncrementalEvaluator::time_floor`] with
+    /// the toggle's exact charges, and scores exactly only if that rank
+    /// is below `to_beat`: a move the bound rules out counts as
+    /// [`Counter::SearchBounded`] and no snapshot. The bound's charges
+    /// are the exact score's.
+    pub(crate) fn probe_below(
+        &mut self,
+        k: usize,
+        scenario: Scenario,
+        baseline: &impl Scored,
+        to_beat: Rank,
+    ) -> Option<(Score, Rank)> {
+        self.settle();
+        let on = !self.selection.contains(k);
+        let charges = self.charges_toggled(k, on);
+        if self.block_time.len() > 1 {
+            let floor = charges.score(self.problem.model(), self.time_floor(k, on));
+            let floor_rank = scenario.rank(&floor, baseline);
+            // The exact rank is no lower than the floor's, so a floor
+            // not below `to_beat` rules the move out.
+            if floor_rank.partial_cmp(&to_beat) != Some(Ordering::Less) {
+                mv_obs::inc(Counter::SearchBounded);
+                #[cfg(debug_assertions)]
+                {
+                    let (time, _) = self.time_with(self.toggled(k, on));
+                    let exact = charges.score(self.problem.model(), time);
+                    let rank = scenario.rank(&exact, baseline);
+                    assert!(
+                        floor.time <= exact.time
+                            && floor_rank <= rank
+                            && rank.partial_cmp(&to_beat) != Some(Ordering::Less),
+                        "candidate {k}: the bound {floor:?} ruled out {exact:?}"
+                    );
+                }
+                return None;
+            }
+        }
+        mv_obs::inc(Counter::EvaluatorSnapshot);
+        let (time, refolded) = self.time_with(self.toggled(k, on));
+        mv_obs::record(Hist::SnapshotDirtyBlocks, refolded);
+        let score = charges.score(self.problem.model(), time);
+        let rank = scenario.rank(&score, baseline);
+        (rank < to_beat).then_some((score, rank))
+    }
+}
+
+/// Higham's γₙ = n·u / (1 − n·u), for u the unit roundoff of `f64`: a
+/// bound on the relative error of a chain of n roundings.
+fn gamma(n: usize) -> f64 {
+    let nu = n as f64 * (f64::EPSILON / 2.0);
+    nu / (1.0 - nu)
 }
 
 #[cfg(test)]

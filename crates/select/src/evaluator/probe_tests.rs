@@ -14,8 +14,14 @@
 //! move loop walks it — `unflip(out)`, a probe per `in_`, `flip(out)` —
 //! scores S − out + in. And the runner-up cache is pinned directly: the
 //! two smallest selected times per query, on the SSB lattice's shape.
+//! And the bounded entry is sound: its time floor and its rank never
+//! exceed the probe's, and it returns a score exactly when the probe's
+//! rank beats the rank it is handed, under every scenario and billing
+//! rounding.
 
 use mv_cost::CloudCostModel;
+use mv_pricing::BillingRounding;
+use mv_units::Money;
 use proptest::prelude::*;
 
 use super::*;
@@ -367,6 +373,165 @@ proptest! {
                     cached(ev.second_view[i], ev.second_time[i]), times.get(1).copied(),
                     "seed {} step {} query {}: runner-up of {:?}", seed, step, i, &times
                 );
+            }
+        }
+    }
+}
+
+/// The billing rules the bound must hold under.
+const ROUNDINGS: [BillingRounding; 4] = [
+    BillingRounding::PerStartedHour,
+    BillingRounding::PerStartedMinute,
+    BillingRounding::PerSecondMin60,
+    BillingRounding::Exact,
+];
+
+/// The workloads past one fold block (a one-block workload skips the
+/// bound): one past a block, a few, nine full blocks and a short tenth.
+const BOUNDED_WORKLOADS: [usize; 3] = [TIME_FOLD_BLOCK + 1, 200, PAST_THE_LANES];
+
+/// One case of the bound's soundness: a sparse pool (answer times tied
+/// on four levels if `tied`) billed under `rounding`, ranked by one of
+/// MV1, MV2, raw MV3 and normalized MV3 (`scenario_pick`), standing on
+/// `start_per_5` of every five views selected. For every candidate, in
+/// both directions as the selection stands: the bound's time and rank
+/// are at most the probe's, and [`IncrementalEvaluator::probe_below`]
+/// returns the probe's score exactly when its rank beats `to_beat` —
+/// drawn at the probe's own rank and one ulp of time either side.
+#[allow(clippy::too_many_arguments)]
+fn bound_case(
+    seed: u64,
+    n_queries: usize,
+    n: usize,
+    density: f64,
+    tied: bool,
+    rounding: BillingRounding,
+    scenario_pick: usize,
+    start_per_5: usize,
+) {
+    let context = format!(
+        "seed {seed} m {n_queries} n {n} density {density} tied {tied} {rounding:?} \
+         scenario {scenario_pick} start {start_per_5}"
+    );
+    let pool = random_sparse_problem(seed, n_queries, n, density);
+    let pool = if tied { with_tied_times(&pool) } else { pool };
+    let mut ctx = pool.model().context().clone();
+    ctx.pricing.compute.rounding = rounding;
+    let problem = SelectionProblem::new(CloudCostModel::new(ctx), pool.candidates().to_vec());
+    let baseline = problem.baseline();
+    let scenario = match scenario_pick % 4 {
+        0 => Scenario::budget(baseline.cost() + Money::from_cents(5 + (seed % 300) as i64)),
+        1 => Scenario::time_limit(baseline.time * (0.2 + (seed % 7) as f64 / 10.0)),
+        2 => Scenario::tradeoff((seed % 11) as f64 / 10.0),
+        _ => Scenario::tradeoff_normalized((seed % 11) as f64 / 10.0),
+    };
+    let mut ev = IncrementalEvaluator::new(&problem);
+    for k in (0..n).filter(|k| k % 5 < start_per_5) {
+        ev.flip(k);
+    }
+    for k in 0..n {
+        let exact = ev.probe(k);
+        let rank = scenario.rank(&exact, &baseline);
+        let on = !ev.is_selected(k);
+        let floor_time = ev.time_floor(k, on);
+        let floor = ev
+            .charges_toggled(k, on)
+            .score(ev.problem().model(), floor_time);
+        prop_assert!(
+            floor.time <= exact.time,
+            "{context} candidate {k}: {floor:?} > {exact:?}"
+        );
+        prop_assert!(
+            scenario.rank(&floor, &baseline) <= rank,
+            "{context} candidate {k}: the bound {floor:?} ranks past {exact:?}"
+        );
+        let nudged = |time: f64| {
+            let score = Score {
+                time: Hours::new(time),
+                ..exact
+            };
+            scenario.rank(&score, &baseline)
+        };
+        let time = exact.time.value();
+        let mut draws = vec![rank, nudged(time.next_up())];
+        if time > 0.0 {
+            draws.push(nudged(time.next_down()));
+        }
+        for to_beat in draws {
+            prop_assert_eq!(
+                ev.probe_below(k, scenario, &baseline, to_beat),
+                (rank < to_beat).then_some((exact, rank)),
+                "{} candidate {} against {:?}",
+                context,
+                k,
+                to_beat
+            );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn probe_below_is_sound(
+        seed in 0u64..10_000,
+        workload in 0usize..BOUNDED_WORKLOADS.len(),
+        extra_queries in 0usize..TIME_FOLD_BLOCK,
+        density_pct in 2u8..40,
+        tied in 0u8..2,
+        rounding in 0usize..ROUNDINGS.len(),
+        scenario_pick in 0usize..4,
+        start_per_5 in 0usize..6,
+    ) {
+        let n_queries = BOUNDED_WORKLOADS[workload] + extra_queries % 3;
+        bound_case(
+            seed,
+            n_queries,
+            24,
+            f64::from(density_pct) / 100.0,
+            tied == 1,
+            ROUNDINGS[rounding],
+            scenario_pick,
+            start_per_5,
+        );
+    }
+}
+
+/// The same soundness over a dense deterministic sweep — every bounded
+/// workload × rounding × scenario, tied and untied, pools of 24 to 72
+/// views: minutes in a debug build, so CI runs it in release (*Probe
+/// identity (release)*).
+#[test]
+#[ignore = "5 760 cases: run with --release -- --ignored"]
+fn probe_below_is_sound_on_a_dense_sweep() {
+    let mut state = 0x9e37_79b9_7f4a_7c15u64;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    for round in 0..60 {
+        for &n_queries in &BOUNDED_WORKLOADS {
+            for rounding in ROUNDINGS {
+                for scenario_pick in 0..4 {
+                    for tied in [false, true] {
+                        let seed = next() % 100_000;
+                        let n = 24 + (next() % 49) as usize;
+                        let density = (2 + next() % 40) as f64 / 100.0;
+                        bound_case(
+                            seed,
+                            n_queries,
+                            n,
+                            density,
+                            tied,
+                            rounding,
+                            scenario_pick,
+                            round % 6,
+                        );
+                    }
+                }
             }
         }
     }

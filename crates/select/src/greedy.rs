@@ -5,10 +5,12 @@
 //! Classic view-selection greedy (HRU-style) adapted to the paper's
 //! monetary objectives; used as a baseline in the solver ablation.
 //!
-//! Probes run through [`IncrementalEvaluator::probe`]: each candidate
-//! flip costs O(deg) plus the folds after its first change (the
-//! evaluator's *Probes* section) instead of a full O(m + Σ deg)
-//! re-evaluation. The loop itself is
+//! Each candidate flip is read off the [`IncrementalEvaluator`]
+//! instead of a full O(m + Σ deg) re-evaluation: priced from below in
+//! O(deg) plus its charge fold, and probed exactly
+//! ([`IncrementalEvaluator::probe`], the evaluator's *Probes* section)
+//! only if it could beat the best flip so far (*Bounded probes*). The
+//! loop itself is
 //! [`crate::local_search::fill_from`], shared with the local-search
 //! fill and the LNS repair.
 

@@ -211,7 +211,8 @@ fn dp_min_cost(items: &[(usize, u64, i128)], target: u64) -> Vec<usize> {
 /// objective)` ordering over a finite space, so the search terminates; a
 /// defensive iteration cap bounds it regardless. All probes run through
 /// the [`IncrementalEvaluator`], so a repair round costs O(n·(n + m))
-/// instead of O(n²·m).
+/// instead of O(n²·m); phase 2 scores exactly only the flips whose
+/// bound could beat the best so far (the evaluator's *Bounded probes*).
 fn repair(problem: &SelectionProblem, scenario: Scenario, selection: &mut SelectionSet) {
     let baseline = problem.baseline();
     let n = selection.len();
@@ -243,8 +244,7 @@ fn repair(problem: &SelectionProblem, scenario: Scenario, selection: &mut Select
         let mut to_beat = scenario.rank(&ev.score(), &baseline);
         let mut best_flip = None;
         for k in 0..n {
-            let rank = scenario.rank(&ev.probe(k), &baseline);
-            if rank < to_beat {
+            if let Some((_, rank)) = ev.probe_below(k, scenario, &baseline, to_beat) {
                 to_beat = rank;
                 best_flip = Some(k);
             }

@@ -59,6 +59,11 @@
 //!   from its cached prefix, the touched blocks refold side by side —
 //!   allocation-free and bit-identical to `flip → score → unflip` (see
 //!   the *Probes* section of the evaluator module);
+//! * a move loop reads each move from below first: O(deg) plus the
+//!   charges after `k` and one bill price a floor of the probe's rank,
+//!   and the exact probe runs only where that floor could beat the
+//!   loop's best so far — same picks, far fewer exact scores (the
+//!   *Bounded probes* section);
 //! * `SelectionProblem::evaluate` itself is O(m + Σ deg) over the
 //!   selected views' profiles (one scattered Formula 9 fold);
 //! * a greedy pass is therefore O(n) probes instead of O(n) full
@@ -202,7 +207,8 @@
 //! | [`IncrementalEvaluator`] build/retarget/fork | `evaluator/build`, `evaluator/retarget`, `evaluator/fork` | — |
 //! | [`IncrementalEvaluator`] flip/unflip/score (a `probe` counts as one snapshot and no flips) | `evaluator/flip`, `evaluator/unflip`, `evaluator/snapshot` | `evaluator/snapshot_dirty_blocks` histogram (blocks refolded per score) |
 //! | [`IncrementalEvaluator::update_charge`] | `evaluator/update_charge` | — |
-//! | [`local_search`] probe loops | `search/probes`; accepted moves: `search/flip_moves`, `search/swap_moves`, `search/place_moves` | `placement_move` event per accepted pool move |
+//! | [`local_search`] probe loops | moves offered: `search/probes`; accepted moves: `search/flip_moves`, `search/swap_moves`, `search/place_moves` | `placement_move` event per accepted pool move |
+//! | bounded move loops (those, and the knapsack repair's hill-climb) | moves their bound ruled out, with no snapshot: `search/bounded` | — |
 //! | [`lns`] refine rounds | `lns/rounds`, `lns/accepted`, `lns/rejected` | `lns/destroy_size` histogram, `lns_round` event |
 //! | [`EpochChain`] step (every solve, the path-only references included) | `chain/epoch_steps` | `epoch_transition` event (added/kept/dropped/moved) |
 //! | [`EpochChain::solve_with`] node solves (forest nodes and horizon epochs alike) | `tree/node_solves`, `tree/root_solves` | `solve_tree/node` span (count ≡ nodes solved), `tree/fork_width` histogram, `tree_node_solve` event |

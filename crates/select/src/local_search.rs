@@ -5,16 +5,21 @@
 //! *swap* — retire one selected view, admit one unselected — would
 //! escape: the classic repair move in local-search view selection
 //! (Anderson & Sasaki's workload-acceleration search). Every move here
-//! is probed through the [`IncrementalEvaluator`]: a best-improvement
-//! round over s selected and u unselected views is n + s·u probes —
-//! each O(deg) plus the folds after its first change: the block sums
-//! past its first touched block and the charges of the selected views
-//! after it — and 2·s real toggles — each swap row deselects its `out`
-//! once, probes every `in_` against that position and selects `out`
-//! back, and its first probe refolds what the deselection left stale —
-//! instead of O(n²) full re-evaluations. Every round counts its probes
-//! (`search/probes`) and the move it accepts, as does every round of
-//! the flip-on fill.
+//! is read off the [`IncrementalEvaluator`], instead of O(n²) full
+//! re-evaluations: a best-improvement round over s selected and u
+//! unselected views offers n + s·u moves and makes 2·s real toggles —
+//! each swap row deselects its `out` once, offers every `in_` against
+//! that position and selects `out` back, and its first read refolds
+//! what the deselection left stale. A move is priced from below first,
+//! in O(deg) plus the charges of the selected views after it and one
+//! bill, and scored exactly only if that bound could beat the round's
+//! best so far (the evaluator's *Bounded probes*); an exact score adds
+//! the block sums past its first touched block. So a round is n + s·u
+//! bounds and only as many exact scores as moves could win — nearly
+//! none at a local optimum, every move on a one-block workload, which
+//! skips the bound. Every round counts the moves it offers
+//! (`search/probes`), those its bound ruled out (`search/bounded`) and
+//! the move it accepts, as does every round of the flip-on fill.
 //!
 //! Two entry points:
 //!
@@ -88,12 +93,53 @@ fn apply(
     }
 }
 
-/// One best-improvement step of a flip-on fill: probes selecting each
+/// A round's pick: the best move so far, and the rank the next one
+/// must beat — the standing score's until a move improves on it, then
+/// that move's; strictly, so the first wins among equals.
+struct Pick<'b, M> {
+    scenario: Scenario,
+    baseline: &'b Evaluation,
+    to_beat: Rank,
+    best: Option<(M, Score)>,
+}
+
+impl<'b, M> Pick<'b, M> {
+    fn new(scenario: Scenario, baseline: &'b Evaluation, current: Rank) -> Self {
+        Pick {
+            scenario,
+            baseline,
+            to_beat: current,
+            best: None,
+        }
+    }
+
+    /// Offers `mv`, a toggle of `k` from the evaluator's position:
+    /// scored exactly only if its bound could beat the pick
+    /// ([`IncrementalEvaluator::probe_below`]).
+    fn toggle(&mut self, ev: &mut IncrementalEvaluator<'_>, mv: M, k: usize) {
+        if let Some((e, rank)) = ev.probe_below(k, self.scenario, self.baseline, self.to_beat) {
+            self.to_beat = rank;
+            self.best = Some((mv, e));
+        }
+    }
+
+    /// Offers `mv`, the evaluator's position as it stands, scored.
+    fn standing(&mut self, ev: &mut IncrementalEvaluator<'_>, mv: M) {
+        let e = ev.score();
+        let rank = self.scenario.rank(&e, self.baseline);
+        if rank < self.to_beat {
+            self.to_beat = rank;
+            self.best = Some((mv, e));
+        }
+    }
+}
+
+/// One best-improvement step of a flip-on fill: offers selecting each
 /// still-unselected candidate of `pool`, in order, and returns the one
 /// that improves on `current` (the standing score's rank) the most
 /// under the scenario ordering (first wins among equals) with its score
 /// and rank — `None` at a flip-on local optimum. Counts the round's
-/// probes, and the flip it returns as an accepted flip move (the fill
+/// moves, and the flip it returns as an accepted flip move (the fill
 /// applies every one).
 fn best_flip_on(
     ev: &mut IncrementalEvaluator<'_>,
@@ -102,26 +148,19 @@ fn best_flip_on(
     current: Rank,
     pool: impl IntoIterator<Item = usize>,
 ) -> Option<(usize, Score, Rank)> {
-    let mut to_beat = current;
-    let mut best = None;
+    let mut pick = Pick::new(scenario, baseline, current);
     let mut probes = 0;
     for k in pool {
         if ev.is_selected(k) {
             continue;
         }
-        let e = ev.probe(k);
+        pick.toggle(ev, k, k);
         probes += 1;
-        let rank = scenario.rank(&e, baseline);
-        if rank < to_beat {
-            to_beat = rank;
-            best = Some((k, e, rank));
-        }
     }
     mv_obs::add(mv_obs::Counter::SearchProbes, probes);
-    if best.is_some() {
-        mv_obs::inc(mv_obs::Counter::SearchFlipMoves);
-    }
-    best
+    let (k, e) = pick.best?;
+    mv_obs::inc(mv_obs::Counter::SearchFlipMoves);
+    Some((k, e, pick.to_beat))
 }
 
 /// Flip-on fill restricted to `pool`, from the evaluator's current
@@ -209,41 +248,37 @@ fn improve_inner(
     let n = ev.problem().len();
     let mut current = ev.score();
     let mut current_rank = scenario.rank(&current, baseline);
-    let (mut selected, mut unselected) = (Vec::new(), Vec::new());
     for _ in 0..max_moves {
-        selected.clear();
-        selected.extend(ev.selection().ones());
-        unselected.clear();
-        unselected.extend((0..n).filter(|&k| !ev.is_selected(k)));
-        // The best move so far and the rank the next one must beat:
-        // `current`'s until a move improves on it, then that move's —
-        // strictly, so the first wins among equals.
-        let mut to_beat = current_rank;
-        let mut best: Option<(Move, Score)> = None;
-        let mut offer = |mv: Move, e: Score| {
-            let rank = scenario.rank(&e, baseline);
-            if rank < to_beat {
-                to_beat = rank;
-                best = Some((mv, e));
+        // The standing selection, read off the evaluator: a swap row
+        // puts back what it takes out, so each row sees it whole.
+        let selected = ev.selection().count_ones();
+        let mut pick = Pick::new(scenario, baseline, current_rank);
+        for k in 0..n {
+            if !ev.is_selected(k) {
+                pick.toggle(ev, Move::FlipOn(k), k);
             }
-        };
-        for &k in &unselected {
-            offer(Move::FlipOn(k), ev.probe(k));
         }
-        for &k in &selected {
-            offer(Move::FlipOff(k), ev.probe(k));
+        for k in 0..n {
+            if ev.is_selected(k) {
+                pick.toggle(ev, Move::FlipOff(k), k);
+            }
         }
         // A swap row shares its deselection: `out` leaves once, every
         // `in_` is a single-toggle probe against that position, and
         // `out` returns — every best time and term back bit for bit.
-        for &out in &selected {
+        for out in 0..n {
+            if !ev.is_selected(out) {
+                continue;
+            }
             ev.unflip(out);
-            for &in_ in &unselected {
-                offer(Move::Swap { out, in_ }, ev.probe(in_));
+            for in_ in 0..n {
+                if in_ != out && !ev.is_selected(in_) {
+                    pick.toggle(ev, Move::Swap { out, in_ }, in_);
+                }
             }
             ev.flip(out);
         }
-        let mut probes = n + selected.len() * unselected.len();
+        let mut probes = n + selected * (n - selected);
         let shared = joint.as_ref().map(|(p, f)| (&**p, *f));
         if shared.is_some() {
             // Placement moves probe after the selection neighborhood, so
@@ -252,20 +287,24 @@ fn improve_inner(
             // Each splices the other pool's price around its score and
             // puts the displaced price back (bit-exact: a price splice
             // touches no cached time).
-            for &k in &selected {
-                let displaced = ev.update_charge(k, replaced(shared, k));
-                offer(Move::Place(k), ev.score());
-                ev.update_charge(k, displaced);
+            for k in 0..n {
+                if ev.is_selected(k) {
+                    let displaced = ev.update_charge(k, replaced(shared, k));
+                    pick.standing(ev, Move::Place(k));
+                    ev.update_charge(k, displaced);
+                }
             }
-            for &k in &unselected {
-                let displaced = ev.update_charge(k, replaced(shared, k));
-                offer(Move::FlipOnPlaced(k), ev.probe(k));
-                ev.update_charge(k, displaced);
+            for k in 0..n {
+                if !ev.is_selected(k) {
+                    let displaced = ev.update_charge(k, replaced(shared, k));
+                    pick.toggle(ev, Move::FlipOnPlaced(k), k);
+                    ev.update_charge(k, displaced);
+                }
             }
             probes += n;
         }
         mv_obs::add(mv_obs::Counter::SearchProbes, probes as u64);
-        let Some((mv, e)) = best else { break };
+        let Some((mv, e)) = pick.best else { break };
         apply(ev, mv, shared);
         record_accepted(mv);
         if let (Move::Place(k) | Move::FlipOnPlaced(k), Some((placements, _))) =
@@ -273,7 +312,7 @@ fn improve_inner(
         {
             placements[k] = placements[k].flipped();
         }
-        (current, current_rank) = (e, to_beat);
+        (current, current_rank) = (e, pick.to_beat);
     }
     // The last accepted move left the caches stale: settle them once
     // here, so forks of the result (what-ifs, scenario-tree branches)

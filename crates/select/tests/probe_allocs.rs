@@ -140,10 +140,11 @@ fn a_probe_is_one_snapshot_and_no_flips() {
 
 #[test]
 fn a_round_with_no_move_toggles_twice_per_swap_row() {
-    // At a local optimum one more round probes the whole neighbourhood
+    // At a local optimum one more round offers the whole neighbourhood
     // — n flips and s·u swaps — and applies nothing: each of the s swap
     // rows deselects its `out` and selects it back, and that is every
-    // write the round makes.
+    // write the round makes. Each move is either ruled out by its bound
+    // or scored exactly, and the round allocates nothing.
     let scenario = Scenario::tradeoff_normalized(0.5);
     let mut ev = mid_search(600, 40);
     let n = ev.problem().len();
@@ -152,22 +153,30 @@ fn a_round_with_no_move_toggles_twice_per_swap_row() {
     let s = ev.selection().count_ones();
     let u = n - s;
     assert!(s > 0 && u > 0, "{s} selected of {n}");
-    let standing = ev.selection().clone();
+    // The ids, not a handle: a held selection would make the round's
+    // first toggle copy its words.
+    let standing: Vec<usize> = ev.selection().ones().collect();
     let counters = CounterGuard::scoped();
-    local_search::improve(&mut ev, scenario, &baseline, 1);
-    assert_eq!(*ev.selection(), standing, "not a local optimum");
+    let before = allocations();
+    let end = local_search::improve(&mut ev, scenario, &baseline, 1).score();
+    assert_eq!(allocations() - before, 0, "a bounded round allocated");
+    assert_eq!(
+        ev.selection().ones().collect::<Vec<_>>(),
+        standing,
+        "not a local optimum"
+    );
+    assert_eq!(end, ev.score());
     let toggles = counters.local_delta(Counter::EvaluatorFlip)
         + counters.local_delta(Counter::EvaluatorUnflip);
     assert_eq!(toggles, 2 * s as u64);
-    assert_eq!(
-        counters.local_delta(Counter::SearchProbes),
-        (n + s * u) as u64
-    );
-    // One score of the standing selection, one snapshot per probe.
-    assert_eq!(
-        counters.local_delta(Counter::EvaluatorSnapshot),
-        (1 + n + s * u) as u64
-    );
+    let moves = (n + s * u) as u64;
+    assert_eq!(counters.local_delta(Counter::SearchProbes), moves);
+    // One score of the standing selection (and one of its end, above),
+    // then per move a bound that ruled it out or an exact score.
+    let bounded = counters.local_delta(Counter::SearchBounded);
+    let exact = counters.local_delta(Counter::EvaluatorSnapshot) - 2;
+    assert_eq!(bounded + exact, moves);
+    assert!(bounded > 0, "no move was ruled out by its bound");
 }
 
 /// A third of the pool selected, as mid-search, on an evaluator that
@@ -228,9 +237,8 @@ fn a_round_of_placement_probes_allocates_nothing() {
     // One `improve_joint` round at a local optimum probes every
     // placement move (n of them) on top of `improve`'s neighbourhood and
     // applies none. The spot pool is dearer, so none improves — and the
-    // round must allocate exactly what the plain round does (its lists
-    // of selected and unselected views), however many candidates were
-    // placement-probed.
+    // round must allocate exactly what the plain round does (nothing),
+    // however many candidates were placement-probed.
     let scenario = Scenario::tradeoff_normalized(0.5);
     let mut ev = mid_search(600, 40);
     let n = ev.problem().len();
@@ -260,6 +268,7 @@ fn a_round_of_placement_probes_allocates_nothing() {
     let before = allocations();
     let plain = local_search::improve(&mut ev, scenario, &baseline, 1).score();
     let plain_allocations = allocations() - before;
+    assert_eq!(plain_allocations, 0, "a plain round allocated");
     let before = allocations();
     let joint = local_search::improve_joint(
         &mut ev,
