@@ -11,7 +11,9 @@ from a file's first `#[cfg(test)]` on. A bare `.name` is a field read,
 not a use: `self.risk` vouches for no `pub fn risk`. Since the scan and
 CI's non-test line count both stop at a file's first `#[cfg(test)]`, a
 non-test item after it would go unseen by both, so the scan fails on
-one. The scan is by name, not by item: two functions
+one. Both also skip every `*_tests.rs` file, so a `#[cfg(test)] mod x;`
+whose file is not named so would be read as product code: the scan
+fails on one too. The scan is by name, not by item: two functions
 of one name vouch for each other, so every name two or more `pub fn`s
 share is on SHADOWED, checked definition by definition (which type's
 method each non-test call resolves to). A newly shared name fails the
@@ -24,7 +26,6 @@ import sys
 
 ALLOWED = {
     # slow references the identity tests compare the fast paths against
-    "solve_rebuilding", "solve_dp_exact", "solve_dp_fleet", "solve_fleet_paths",
     "reference_evaluate", "churn_chain", "random_sparse_problem", "with_tied_times",
     "paper_like_problem",
     "refine", "identity", "table_from_csv", "to_sorted_rows",
@@ -44,21 +45,46 @@ ALLOWED = {
 
 SHADOWED = {
     # every definition has a non-test caller
-    "add", "all", "baseline", "build", "candidates", "catalog", "compute", "cost", "drift",
-    "empty", "execute", "feasible", "get", "heap_bytes", "hours", "label", "len",
-    "levels", "name", "new", "objective", "problem", "rank", "record",
+    "add", "all", "as_str", "baseline", "build", "candidates", "catalog", "compute", "cost",
+    "drift", "empty", "execute", "feasible", "get", "heap_bytes", "hours", "label", "len",
+    "levels", "min", "name", "new", "objective", "problem", "rank", "record",
     "render", "row", "saturating_sub", "scale", "scale_rates", "score",
     "selection", "set", "solve", "spill", "timeline_csv", "total", "validate",
     "value", "with_selection",
     # `len`'s companions (clippy's len_without_is_empty); no non-test caller
     "is_empty",
-    # one definition only tests read, beside called namesakes: the DP
-    # oracles' totals, `SelectionSet::toggle` / `iter`, the unit types'
-    # `max` / `min` (`Hours`, `Gb`, `Money`), `Value::as_int` / `as_str`,
-    # `Table::columns`, `SparseCoverage::entries`, `WorkloadEvolution::epochs`
-    "total_cost", "toggle", "iter", "max", "min", "as_int", "as_str", "columns",
-    "entries", "epochs",
 }
+
+
+MOD_DECL = re.compile(r"\s*(?:pub(?:\([\w:]+\))?\s+)?mod\s+(\w+)\s*;")
+PATH_ATTR = re.compile(r'\s*#\[path\s*=\s*"([^"]+)"\]')
+
+
+def misnamed_test_modules(path):
+    """Line numbers of the `#[cfg(test)] mod x;` declarations in one file
+    whose module file is not `*_tests.rs` (`x.rs`, or the file a
+    `#[path]` names): the scan and the CI line count read such a file as
+    product code."""
+    found, gated, named = [], False, None
+    for n, line in enumerate(open(path, encoding="utf-8"), 1):
+        if "#[cfg(test)]" in line:
+            gated, named = True, None
+            line = line.split("#[cfg(test)]", 1)[1]
+            if not line.strip():
+                continue
+        if not gated:
+            continue
+        attr = PATH_ATTR.match(line)
+        if attr:
+            named = attr.group(1)
+            continue
+        if line.lstrip().startswith("#["):
+            continue
+        decl = MOD_DECL.match(line)
+        if decl and not (named or f"{decl.group(1)}.rs").endswith("_tests.rs"):
+            found.append(n)
+        gated = False
+    return found
 
 
 ITEM = re.compile(
@@ -139,6 +165,11 @@ hidden = [
     f"{path}:{n}" for path in sources("crates/*/src/**/*.rs", "crates/*/benches/**/*.rs")
     for n in hidden_items(path)
 ]
+misnamed = [
+    f"{path}:{n}"
+    for path in sorted(glob.glob("crates/*/src/**/*.rs", recursive=True))
+    for n in misnamed_test_modules(path)
+]
 for name in new:
     print(f"caller-less: {name} ({callerless[name]})")
 for name in stale:
@@ -149,8 +180,10 @@ for name in unshared:
     print(f"no longer shared — drop it from SHADOWED: {name}")
 for where in hidden:
     print(f"non-test item after the first #[cfg(test)] — move it above, or gate it: {where}")
+for where in misnamed:
+    print(f"test module file not named *_tests.rs — rename it: {where}")
 print(
     f"{len(defined)} pub fn names, {len(callerless)} caller-less, {len(ALLOWED)} allowed, "
     f"{len(shared)} shared"
 )
-sys.exit(1 if new or stale or unchecked or unshared or hidden else 0)
+sys.exit(1 if new or stale or unchecked or unshared or hidden or misnamed else 0)

@@ -959,7 +959,9 @@ mod tests {
         let mut base = Table::empty(domain.base.schema().clone());
         for r in 0..domain.base.num_rows() {
             let mut row = domain.base.row(r);
-            let v = row[measure].as_int().unwrap();
+            let mv_engine::Value::Int(v) = row[measure] else {
+                panic!("an integer measure")
+            };
             row[measure] = mv_engine::Value::Int(value(r, v));
             base.push_row(&row).unwrap();
         }

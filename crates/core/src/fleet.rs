@@ -27,10 +27,10 @@
 //! pinned to a reserved primary) solves path 0's one-path tree with
 //! every path's leaf pointing at it. [`Advisor::solve_market`] is
 //! this driver on the pure-spot plan ([`crate::MarketConfig::as_fleet`]),
-//! projected into a [`crate::MarketReport`]. [`Advisor::solve_fleet_paths`]
-//! is the inner *solve these sampled paths* step on its own: path `j`
-//! alone shares nothing and forks nothing, and must equal path `j` of
-//! the K-path solve bit for bit (`tests/tree_identity.rs`).
+//! projected into a [`crate::MarketReport`]. The inner *solve these
+//! sampled paths* step, given path `j` alone, shares nothing and forks
+//! nothing, and must equal path `j` of the K-path solve bit for bit
+//! (`fleet/paths_tests.rs`).
 //!
 //! The shared charges (workload processing, dataset storage, transfer)
 //! follow the plan's *primary* pool: a spot primary rides the sampled
@@ -42,7 +42,7 @@
 //! exactly (`tests/fleet.rs`). Hazards can be *correlated* across epochs
 //! ([`mv_market::CorrelatedHazard`]): crunches arrive in runs, which is
 //! when pre-placing a view on reserved capacity beats reacting — the
-//! lookahead gap `EpochChain::solve_dp_fleet` quantifies.
+//! lookahead gap `mv-select`'s exhaustive DP oracle quantifies.
 //!
 //! The report is a Monte-Carlo envelope rather than a single bill:
 //! per-pool bills and hours, per-epoch cost and **hedge-ratio
@@ -269,15 +269,15 @@ pub(crate) fn envelope_csv(
     )
 }
 
-/// What [`Advisor::solve_fleet_paths`] returns.
+/// What one forest solve under one fleet plan returns.
 #[derive(Debug, Clone)]
-pub struct SolvedPaths {
+pub(crate) struct SolvedPaths {
     /// Per-path accounting, in the order the paths were given.
-    pub paths: Vec<FleetPathSummary>,
+    pub(crate) paths: Vec<FleetPathSummary>,
     /// See [`FleetReport::distinct_solves`].
-    pub distinct_solves: usize,
+    pub(crate) distinct_solves: usize,
     /// See [`FleetReport::tree_nodes`].
-    pub tree_nodes: Option<usize>,
+    pub(crate) tree_nodes: Option<usize>,
 }
 
 /// Sampled paths factored into their shared-prefix forest, over the
@@ -453,29 +453,6 @@ impl Advisor {
             }
         });
         Ok(self.render_fleet(config, &sampled, solved, comparison))
-    }
-
-    /// Solves exactly these sampled paths under one fleet plan — the
-    /// driver's inner step, without sampling, validation or the envelope
-    /// fold. Paths that share a quote prefix share its solves; one path
-    /// alone is a one-leaf forest, which makes
-    /// `solve_fleet_paths(.., &[path_j])` the unshared reference path `j`
-    /// of any K-path solve must equal bit for bit (its only callers are
-    /// those tests).
-    ///
-    /// # Panics
-    /// Panics when `sampled` is empty or its paths span different (or
-    /// zero-length) horizons.
-    pub fn solve_fleet_paths(
-        &self,
-        scenario: Scenario,
-        evolution: &WorkloadEvolution,
-        fleet: &FleetPlan,
-        sampled: &[MarketPath],
-    ) -> SolvedPaths {
-        let epochs = sampled.first().map_or(0, |p| p.quotes.len());
-        let base = self.epoch_models(epochs, evolution);
-        self.solve_forest(scenario, &Forest::new(sampled, &base), fleet)
     }
 
     /// One chain solve over the forest under one fleet plan, then one
@@ -842,7 +819,7 @@ mod tests {
         let tree = a.solve_fleet(scenario, &config).unwrap();
         let alone = |fleet: &FleetPlan, j: usize| -> FleetPathSummary {
             let path = [config.market.path(j)];
-            let solved = a.solve_fleet_paths(scenario, &config.evolution, fleet, &path);
+            let solved = a.solve_sampled_paths(scenario, &config.evolution, fleet, &path);
             assert_eq!(solved.distinct_solves, 1);
             solved.paths.into_iter().next().expect("one path in")
         };
@@ -953,3 +930,6 @@ mod tests {
         assert!((0.0..=1.0).contains(&cmp.reserved_wins_share));
     }
 }
+
+#[cfg(test)]
+mod paths_tests;

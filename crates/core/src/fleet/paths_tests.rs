@@ -1,27 +1,50 @@
-//! Shared ≡ unshared identity: the K-path Monte-Carlo solves must
-//! reproduce every sampled path solved **alone**, bit for bit.
+//! Shared ≡ unshared: the K-path Monte-Carlo solves must reproduce
+//! every sampled path solved **alone**, bit for bit.
 //!
 //! The K-path solve factors the sampled paths into a prefix forest,
 //! solves each shared quote-prefix once and branches the warm evaluator
-//! at split points. `Advisor::solve_fleet_paths` on one path is the
+//! at split points. [`Advisor::solve_sampled_paths`] on one path is the
 //! same driver step over a one-leaf forest: nothing shared, nothing
 //! forked. A node's search trajectory depends only on its costing
 //! model, its effective charges and the state it inherits — all shared
 //! along a prefix — so the two must agree exactly: same per-path bills,
-//! hours, selections, placements and churn. These properties drive both
-//! `Advisor::solve_market` (volatile spot markets) and
-//! `Advisor::solve_fleet` (hedged fleets under correlated interruption
-//! crunches) over random market shapes.
+//! hours, selections, placements and churn. The properties below drive
+//! both [`Advisor::solve_market`] (volatile spot markets) and
+//! [`Advisor::solve_fleet`] (hedged fleets under correlated
+//! interruption crunches) over random market shapes; `fleet.rs`'s and
+//! `market.rs`'s tests pin fixed ones.
 
 use std::sync::OnceLock;
 
-use mvcloud::fleet::{FleetConfig, FleetPathSummary};
-use mvcloud::lattice::WorkloadEvolution;
-use mvcloud::market::{CorrelatedHazard, MarketConfig, MarketScenario, PriceProcess, SpotMarket};
-use mvcloud::pricing::FleetPlan;
-use mvcloud::units::Hours;
-use mvcloud::{sales_domain, Advisor, AdvisorConfig, Scenario};
+use mv_market::{CorrelatedHazard, PriceProcess, SpotMarket};
+use mv_obs::{Counter, CounterGuard};
 use proptest::prelude::*;
+
+use super::*;
+use crate::{sales_domain, AdvisorConfig, MarketConfig};
+
+impl Advisor {
+    /// Solves exactly these sampled paths under one fleet plan — the
+    /// driver's inner step, without sampling, validation or the
+    /// envelope fold. Paths that share a quote prefix share its solves;
+    /// one path alone is a one-leaf forest: the unshared reference path
+    /// `j` of any K-path solve must equal bit for bit.
+    ///
+    /// # Panics
+    /// Panics when `sampled` is empty or its paths span different (or
+    /// zero-length) horizons.
+    pub(crate) fn solve_sampled_paths(
+        &self,
+        scenario: Scenario,
+        evolution: &WorkloadEvolution,
+        fleet: &FleetPlan,
+        sampled: &[MarketPath],
+    ) -> SolvedPaths {
+        let epochs = sampled.first().map_or(0, |p| p.quotes.len());
+        let base = self.epoch_models(epochs, evolution);
+        self.solve_forest(scenario, &Forest::new(sampled, &base), fleet)
+    }
+}
 
 /// One measured advisor shared by every proptest case (building one is
 /// the expensive part; the properties only vary the solve).
@@ -63,7 +86,7 @@ fn alone(
     market: &MarketScenario,
     j: usize,
 ) -> FleetPathSummary {
-    let solved = advisor().solve_fleet_paths(scenario, evolution, fleet, &[market.path(j)]);
+    let solved = advisor().solve_sampled_paths(scenario, evolution, fleet, &[market.path(j)]);
     assert_eq!(solved.distinct_solves, 1);
     assert!(solved.tree_nodes.is_none_or(|nodes| nodes == market.epochs));
     solved
@@ -90,7 +113,7 @@ proptest! {
         let tree_cfg = MarketConfig {
             market: volatile_market(epochs, seed, discount, volatility, None),
             paths,
-            commitment: Some(mvcloud::pricing::CommitmentPlan::aws_small_1yr()),
+            commitment: Some(mv_pricing::CommitmentPlan::aws_small_1yr()),
             ..MarketConfig::default()
         };
         let tree = a.solve_market(scenario, &tree_cfg).unwrap();
@@ -133,7 +156,7 @@ proptest! {
     ) {
         let a = advisor();
         let scenario = Scenario::tradeoff_normalized(alpha);
-        let mut fleet = mvcloud::pricing::FleetPlan::hedged("hedged");
+        let mut fleet = FleetPlan::hedged("hedged");
         fleet.rebalance = rebalance;
         let tree_cfg = FleetConfig {
             market: volatile_market(
@@ -170,5 +193,43 @@ proptest! {
             // one path is solved and stands for all.
             None => prop_assert_eq!(tree.distinct_solves, 1),
         }
+    }
+}
+
+/// Without sharing, the paths `tests/market_no_rebuild.rs` solves as a
+/// forest pay per path × epoch: each one solved alone is a one-leaf
+/// forest — one evaluator build, one retarget per epoch boundary and no
+/// fork. A one-leaf forest runs inline on the calling thread, so the
+/// calling thread's own counters are exact whatever other tests do.
+#[test]
+fn a_path_alone_pays_per_path_work() {
+    const PATHS: usize = 16;
+    const EPOCHS: usize = 6;
+    let market = MarketScenario::constant(EPOCHS, 99)
+        .with(PriceProcess::Spot(SpotMarket::discounted(0.5, 0.4)));
+    let config = MarketConfig {
+        market: market.clone(),
+        paths: PATHS,
+        ..MarketConfig::default()
+    };
+    let pure_spot = config.as_fleet().fleet;
+    let a = advisor();
+    let mut counters = CounterGuard::scoped();
+    for j in 0..PATHS {
+        counters.rebase();
+        let alone = a.solve_sampled_paths(
+            Scenario::tradeoff_normalized(0.5),
+            &config.evolution,
+            &pure_spot,
+            &[market.path(j)],
+        );
+        assert_eq!(alone.tree_nodes, Some(EPOCHS));
+        let work = [
+            Counter::EvaluatorBuild,
+            Counter::EvaluatorRetarget,
+            Counter::EvaluatorFork,
+        ]
+        .map(|c| counters.local_delta(c));
+        assert_eq!(work, [1, EPOCHS as u64 - 1, 0], "path {j} alone");
     }
 }

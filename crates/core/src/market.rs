@@ -406,7 +406,7 @@ mod tests {
         let tree = a.solve_market(scenario, &config).unwrap();
         let fleet = config.as_fleet().fleet;
         for (j, t) in tree.paths.iter().enumerate() {
-            let alone = a.solve_fleet_paths(
+            let alone = a.solve_sampled_paths(
                 scenario,
                 &config.evolution,
                 &fleet,
@@ -450,7 +450,7 @@ mod tests {
         let shared = a.solve_market(scenario, &config).unwrap();
         assert_eq!(shared.distinct_solves, 1);
         assert_eq!(shared.tree_nodes, Some(4));
-        let alone = a.solve_fleet_paths(
+        let alone = a.solve_sampled_paths(
             scenario,
             &config.evolution,
             &config.as_fleet().fleet,

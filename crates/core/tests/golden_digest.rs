@@ -40,7 +40,8 @@ impl Fnv {
 
     fn table(&mut self, t: &Table) {
         self.u64(t.num_rows() as u64);
-        for (field, col) in t.schema().fields().iter().zip(t.columns()) {
+        for (c, field) in t.schema().fields().iter().enumerate() {
+            let col = t.column(c);
             self.str(&field.name);
             match col {
                 Column::Int(v) => {

@@ -110,23 +110,9 @@ impl SelectionSet {
         }
     }
 
-    /// Toggles candidate `k`, returning its new state.
-    #[inline]
-    pub fn toggle(&mut self, k: usize) -> bool {
-        assert!(k < self.len, "candidate {k} out of {}", self.len);
-        let words = Arc::make_mut(&mut self.words);
-        words[k / 64] ^= 1u64 << (k % 64);
-        words[k / 64] >> (k % 64) & 1 == 1
-    }
-
     /// Number of selected candidates.
     pub fn count_ones(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// Per-candidate booleans in index order.
-    pub fn iter(&self) -> impl Iterator<Item = bool> + '_ {
-        (0..self.len).map(move |k| self.contains(k))
     }
 
     /// Indices of the selected candidates, ascending. Walks the words,
@@ -206,7 +192,7 @@ mod tests {
         assert_eq!(e.count_ones(), 0);
         let f = SelectionSet::full(70);
         assert_eq!(f.count_ones(), 70);
-        assert!(f.iter().all(|b| b));
+        assert!((0..70).all(|k| f.contains(k)));
         assert_eq!(SelectionSet::full(64).count_ones(), 64);
         assert!(SelectionSet::empty(0).is_empty());
     }
@@ -218,8 +204,9 @@ mod tests {
         s.set(9, true);
         assert!(s.contains(3) && s.contains(9) && !s.contains(0));
         assert_eq!(s.ones().collect::<Vec<_>>(), vec![3, 9]);
-        assert!(!s.toggle(3));
-        assert!(s.toggle(4));
+        s.set(3, false);
+        s.set(4, true);
+        assert!(!s.contains(3) && s.contains(4));
         assert_eq!(s.count_ones(), 2);
     }
 
@@ -237,7 +224,7 @@ mod tests {
     #[test]
     fn mask_and_bools_roundtrip() {
         let s = SelectionSet::from_mask(0b1011, 4);
-        assert_eq!(s.iter().collect::<Vec<_>>(), vec![true, true, false, true]);
+        assert_eq!(s.ones().collect::<Vec<_>>(), vec![0, 1, 3]);
         assert_eq!(s.as_mask(), 0b1011);
         let t = SelectionSet::from_bools(&[true, false, true]);
         assert_eq!(t.as_mask(), 0b101);

@@ -47,10 +47,11 @@ proptest! {
     ) {
         let mut s = build(len, &bits);
         for (step, &(set, on, at)) in ops.iter().enumerate() {
+            let k = at % len;
             if set {
-                s.set(at % len, on);
+                s.set(k, on);
             } else {
-                s.toggle(at % len);
+                s.set(k, !s.contains(k));
             }
             prop_assert_eq!(s.ones().collect::<Vec<_>>(), naive(&s), "step {}", step);
         }

@@ -62,18 +62,6 @@ impl Column {
         }
     }
 
-    /// A group-by key fragment for `row`: the raw integer for `Int`
-    /// columns, the dictionary code for `Str` columns. Only comparable
-    /// within one column, which is all grouping needs (the group-by kernel
-    /// reads the same fragments a whole column slice at a time).
-    #[inline]
-    pub fn key_at(&self, row: usize) -> i64 {
-        match self {
-            Column::Int(v) => v[row],
-            Column::Str { codes, .. } => codes[row] as i64,
-        }
-    }
-
     /// Appends a boundary value, interning strings.
     pub fn push_value(&mut self, value: &Value) -> Result<(), EngineError> {
         match (self, value) {
@@ -90,16 +78,6 @@ impl Column {
                 expected: col.dtype().name(),
                 actual: v.type_name(),
             }),
-        }
-    }
-
-    /// Appends an integer. Panics if this is not an `Int` column — used on
-    /// hot paths where the type was already checked.
-    #[inline]
-    pub fn push_int(&mut self, v: i64) {
-        match self {
-            Column::Int(vals) => vals.push(v),
-            Column::Str { .. } => panic!("push_int on a string column"),
         }
     }
 
@@ -190,11 +168,10 @@ mod tests {
     #[test]
     fn int_column_roundtrip() {
         let mut c = Column::empty(DataType::Int);
-        c.push_int(2000);
+        c.push_value(&Value::Int(2000)).unwrap();
         c.push_value(&Value::Int(1999)).unwrap();
         assert_eq!(c.len(), 2);
         assert_eq!(c.value_at(0), Value::Int(2000));
-        assert_eq!(c.key_at(1), 1999);
         assert_eq!(c.as_int().unwrap(), &[2000, 1999]);
     }
 
@@ -206,10 +183,10 @@ mod tests {
         c.push_str("France");
         assert_eq!(c.len(), 3);
         assert_eq!(c.value_at(2), Value::from("France"));
-        // Repeated strings share a code.
-        assert_eq!(c.key_at(0), c.key_at(2));
-        assert_ne!(c.key_at(0), c.key_at(1));
         let (codes, dict) = c.as_str().unwrap();
+        // Repeated strings share a code.
+        assert_eq!(codes[0], codes[2]);
+        assert_ne!(codes[0], codes[1]);
         assert_eq!(codes.len(), 3);
         assert_eq!(dict.len(), 2);
     }
@@ -243,17 +220,8 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "push_int on a string column")]
-    fn push_int_on_str_panics() {
-        Column::empty(DataType::Str).push_int(1);
-    }
-
-    #[test]
     fn heap_accounting() {
-        let mut c = Column::empty(DataType::Int);
-        for i in 0..10 {
-            c.push_int(i);
-        }
+        let c = Column::Int((0..10).collect());
         assert_eq!(c.heap_bytes(), 80);
         assert!(Column::empty(DataType::Str).heap_bytes() == 0);
     }

@@ -314,9 +314,9 @@ mod tests {
         let geo = geography();
         for row in 0..t.num_rows().min(300) {
             let r = t.row(row);
-            let country = r[3].as_str().unwrap().to_string();
-            let region = r[4].as_str().unwrap().to_string();
-            let dept = r[5].as_str().unwrap().to_string();
+            let country = r[3].to_string();
+            let region = r[4].to_string();
+            let dept = r[5].to_string();
             let c = geo
                 .iter()
                 .find(|c| c.name == country)

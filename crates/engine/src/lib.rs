@@ -109,5 +109,8 @@ pub use table::{Table, TableBuilder};
 pub use value::Value;
 pub use view::{MaterializedView, ViewDefinition};
 
+// The `_tests.rs` file name marks the whole module as test code for
+// CI's line count and the caller-less scan; the module keeps its name.
 #[cfg(test)]
+#[path = "reference_tests.rs"]
 mod reference;

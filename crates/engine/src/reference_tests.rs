@@ -88,6 +88,24 @@ fn finish(expr: AggExpr, state: &AggState) -> i64 {
     }
 }
 
+/// A group-by key fragment for `row`: the raw integer of an `Int`
+/// column, the dictionary code of a `Str` one. Only comparable within
+/// one column, which is all grouping needs.
+fn key_at(column: &Column, row: usize) -> i64 {
+    match column {
+        Column::Int(v) => v[row],
+        Column::Str { codes, .. } => codes[row] as i64,
+    }
+}
+
+/// Appends an integer to an `Int` column; panics on a `Str` one.
+fn push_int(column: &mut Column, v: i64) {
+    match column {
+        Column::Int(vals) => vals.push(v),
+        Column::Str { .. } => panic!("push_int on a string column"),
+    }
+}
+
 /// Row-at-a-time hash aggregation (serial).
 pub(crate) fn hash_group_by(
     table: &Table,
@@ -95,8 +113,7 @@ pub(crate) fn hash_group_by(
     aggs: &[LoweredAgg],
     mask: Option<&[bool]>,
 ) -> Result<(Table, ExecStats), EngineError> {
-    let columns = table.columns();
-    let get = |col: usize, row: usize| columns[col].key_at(row);
+    let get = |col: usize, row: usize| key_at(table.column(col), row);
     let mut index: FxHashMap<Box<[i64]>, usize> = FxHashMap::default();
     let mut states: Vec<AggState> = Vec::new();
     let mut rep_rows: Vec<usize> = Vec::new();
@@ -106,7 +123,7 @@ pub(crate) fn hash_group_by(
             continue;
         }
         for (i, &c) in group_cols.iter().enumerate() {
-            key[i] = columns[c].key_at(row);
+            key[i] = key_at(table.column(c), row);
         }
         let g = match index.get(key.as_slice()) {
             Some(&g) => g,
@@ -141,13 +158,13 @@ pub(crate) fn hash_group_by(
     for (g, &rep) in rep_rows.iter().enumerate() {
         for (i, &c) in group_cols.iter().enumerate() {
             match table.column(c) {
-                Column::Int(v) => out_cols[i].push_int(v[rep]),
+                Column::Int(v) => push_int(&mut out_cols[i], v[rep]),
                 Column::Str { codes, dict } => out_cols[i].push_str(dict.decode(codes[rep])),
             }
         }
         for (a, agg) in aggs.iter().enumerate() {
             let v = finish(agg.expr, &states[g * aggs.len() + a]);
-            out_cols[group_cols.len() + a].push_int(v);
+            push_int(&mut out_cols[group_cols.len() + a], v);
         }
     }
     let out = Table::new(out_schema, out_cols)?;
@@ -197,7 +214,7 @@ pub(crate) fn refresh_incremental(
         let mut key = vec![0i64; n_keys];
         for row in 0..data.num_rows() {
             for (i, k) in key.iter_mut().enumerate() {
-                *k = data.column(i).key_at(row);
+                *k = key_at(data.column(i), row);
             }
             index.insert(key.as_slice().into(), row);
         }
@@ -355,7 +372,8 @@ mod tests {
             .map(|i| Field::new(format!("k{i}"), DataType::Str))
             .collect();
         fields.extend(measures.schema().fields().iter().cloned());
-        let columns = keys.into_iter().chain(measures.columns().iter().cloned());
+        let measure_columns = (0..fields.len() - 3).map(|c| measures.column(c).clone());
+        let columns = keys.into_iter().chain(measure_columns);
         Table::new(Schema::new(fields).unwrap(), columns.collect()).unwrap()
     }
 
@@ -573,5 +591,11 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "push_int on a string column")]
+    fn push_int_on_str_panics() {
+        push_int(&mut Column::empty(DataType::Str), 1);
     }
 }

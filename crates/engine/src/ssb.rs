@@ -166,16 +166,16 @@ mod tests {
         let t = generate_lineorder(&SsbConfig { rows: 500, seed: 1 });
         for row in 0..t.num_rows() {
             let r = t.row(row);
-            let region = r[3].as_str().unwrap();
-            let nation = r[4].as_str().unwrap();
-            let city = r[5].as_str().unwrap();
-            assert!(nation.starts_with(region), "{nation} under {region}");
-            assert!(city.starts_with(nation), "{city} under {nation}");
-            let mfgr = r[6].as_str().unwrap();
-            let category = r[7].as_str().unwrap();
-            let brand = r[8].as_str().unwrap();
-            assert!(category.starts_with(mfgr));
-            assert!(brand.starts_with(category));
+            let region = r[3].to_string();
+            let nation = r[4].to_string();
+            let city = r[5].to_string();
+            assert!(nation.starts_with(&region), "{nation} under {region}");
+            assert!(city.starts_with(&nation), "{city} under {nation}");
+            let mfgr = r[6].to_string();
+            let category = r[7].to_string();
+            let brand = r[8].to_string();
+            assert!(category.starts_with(&mfgr));
+            assert!(brand.starts_with(&category));
         }
     }
 

@@ -78,11 +78,6 @@ impl Table {
         Ok(&self.columns[self.schema.index_of(name)?])
     }
 
-    /// All columns.
-    pub fn columns(&self) -> &[Column] {
-        &self.columns
-    }
-
     /// Mutable column access for in-place merge during incremental view
     /// maintenance. Crate-internal: external mutation could break the
     /// equal-length invariant.
@@ -270,8 +265,7 @@ mod tests {
             Field::new("b", DataType::Int),
         ])
         .unwrap();
-        let mut c1 = Column::empty(DataType::Int);
-        c1.push_int(1);
+        let c1 = Column::Int(vec![1]);
         let bad_len = Table::new(schema2, vec![c1, Column::empty(DataType::Int)]);
         assert!(matches!(bad_len, Err(EngineError::LengthMismatch { .. })));
     }

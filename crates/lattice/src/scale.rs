@@ -106,11 +106,6 @@ impl SparseCoverage {
         self.offsets.len() - 1
     }
 
-    /// Total answer entries across all candidates.
-    pub fn entries(&self) -> usize {
-        self.query_ids.len()
-    }
-
     /// Candidate `k`'s answer list as parallel (ids, speedups) slices.
     pub fn answer_list(&self, k: usize) -> (&[u32], &[f64]) {
         let lo = self.offsets[k] as usize;
@@ -187,7 +182,8 @@ mod tests {
     fn shape_is_sparse_with_popularity_skew() {
         let cov = small().sparse_coverage();
         // Far from dense…
-        assert!(cov.entries() < 500 * 40 / 10, "dense: {}", cov.entries());
+        let entries = cov.query_ids.len();
+        assert!(entries < 500 * 40 / 10, "dense: {entries}");
         // …and clustered: some query has strictly more answerers than
         // the uniform expectation.
         let mut per_query = vec![0usize; cov.queries];

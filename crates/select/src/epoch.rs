@@ -27,8 +27,8 @@
 //!   splice per candidate whose effective [`Price`] changed — four
 //!   numbers each, compared against the live problem's — instead of an
 //!   O(n·m) problem rebuild plus O(n) repositioning flips per epoch.
-//!   [`EpochChain::solve_rebuilding`] is that rebuild-per-epoch
-//!   **reference**: bit-identical steps (tested), only slower (the
+//!   The rebuild-per-epoch **reference** lives with its tests
+//!   (`epoch/oracle_tests.rs`): bit-identical steps, only slower (the
 //!   warm path is the repository benchmark's `select.retarget_us` and
 //!   `select.chain_solve_ms`).
 //!
@@ -58,9 +58,10 @@
 //! since a node's search depends only on its model, its effective
 //! charges and the state it inherits (all shared along a prefix), every
 //! leaf's steps are **bit-identical** to solving its lineage alone
-//! (tested below and in `tests/tree_identity.rs`).
-//! [`EpochChain::solve_dp_exact`] / [`EpochChain::solve_dp_fleet`] are
-//! the exact small-pool oracles.
+//! (tested below and in `mvcloud`'s `fleet/paths_tests.rs`). The exact
+//! small-pool oracle — one exhaustive trajectory DP over selection, or
+//! selection and placement, states per epoch — is in
+//! `epoch/oracle_tests.rs` with the tests it bounds the chain in.
 //!
 //! **Scenario caveat (MV1):** under a budget constraint, carried
 //! materialization discounts free up budget headroom, so later epochs
@@ -70,7 +71,7 @@
 //! such headroom effect: hour rounding makes the marginal cost of a
 //! new view at least what it was in the single-period problem, so a
 //! zero-drift horizon reproduces the single-period solve bit-for-bit
-//! (property-tested in `tests/horizon_consistency.rs`).
+//! (property-tested in `epoch/oracle_tests.rs`).
 
 use mv_cost::{
     CloudCostModel, CostBreakdown, Placement, PoolCharge, Price, SelectionSet, ViewCharge,
@@ -131,69 +132,6 @@ pub fn horizon_cost(steps: &[EpochStep]) -> Money {
 /// Total frequency-weighted processing time across a solved horizon.
 pub fn horizon_time(steps: &[EpochStep]) -> Hours {
     steps.iter().map(|s| s.outcome.evaluation.time).sum()
-}
-
-/// Hard cap on the pool size [`EpochChain::solve_dp_exact`] accepts:
-/// the DP's state space is 2ⁿ per epoch and its transition relation 4ⁿ
-/// per boundary, so it is an oracle for tiny pools only.
-pub const DP_MAX_CANDIDATES: usize = 12;
-
-/// The exact finite-horizon optimum found by
-/// [`EpochChain::solve_dp_exact`].
-#[derive(Debug, Clone)]
-pub struct DpSolution {
-    /// The optimal selection per epoch.
-    pub selections: Vec<SelectionSet>,
-    /// The charged (transition-aware) evaluation of each epoch's
-    /// selection along the optimal trajectory, re-derived through
-    /// [`SelectionProblem::evaluate`] so it reproduces externally.
-    pub evaluations: Vec<Evaluation>,
-    /// Total constraint violation along the trajectory (0 when every
-    /// epoch is feasible).
-    pub total_violation: f64,
-    /// Total scenario objective along the trajectory — the number the
-    /// sequential chain's optimality gap is measured against.
-    pub total_objective: f64,
-}
-
-impl DpSolution {
-    /// Total charged cost of the optimal trajectory.
-    pub fn total_cost(&self) -> Money {
-        self.evaluations.iter().map(|e| e.cost()).sum()
-    }
-}
-
-/// Hard cap on the pool size [`EpochChain::solve_dp_fleet`] accepts:
-/// the joint state space is 3ⁿ per epoch (unselected /
-/// selected-reserved / selected-spot per candidate) and the transition
-/// relation 9ⁿ per boundary — tighter than the selection-only DP's cap.
-pub const DP_FLEET_MAX_CANDIDATES: usize = 6;
-
-/// The exact joint selection+placement optimum found by
-/// [`EpochChain::solve_dp_fleet`].
-#[derive(Debug, Clone)]
-pub struct DpFleetSolution {
-    /// The optimal selection per epoch.
-    pub selections: Vec<SelectionSet>,
-    /// The optimal placement assignment per epoch (unselected
-    /// candidates are reported at the canonical
-    /// [`Placement::Reserved`]; only selected entries carry meaning).
-    pub placements: Vec<Vec<Placement>>,
-    /// The charged evaluation of each epoch along the optimal
-    /// trajectory, re-derived through [`SelectionProblem::evaluate`]
-    /// so it reproduces externally.
-    pub evaluations: Vec<Evaluation>,
-    /// Total constraint violation along the trajectory.
-    pub total_violation: f64,
-    /// Total scenario objective along the trajectory.
-    pub total_objective: f64,
-}
-
-impl DpFleetSolution {
-    /// Total charged cost of the optimal trajectory.
-    pub fn total_cost(&self) -> Money {
-        self.evaluations.iter().map(|e| e.cost()).sum()
-    }
 }
 
 /// The axes of a solve other than the chain's shape (module docs:
@@ -536,51 +474,6 @@ impl EpochChain {
         }
     }
 
-    /// The rebuild-per-epoch **reference** of [`EpochChain::solve_with`]
-    /// on a path: identical transition, placement and re-pricing
-    /// semantics, but each epoch builds a fresh charged problem and a
-    /// fresh evaluator repositioned by O(n) flips.
-    /// Bit-identical steps (tested below and in
-    /// `tests/horizon_consistency.rs`): the correctness anchor of the
-    /// warm-start machinery, with no non-test caller.
-    pub fn solve_rebuilding(&self, scenario: Scenario, spec: &ChainSpec<'_>) -> Vec<EpochStep> {
-        let epochs = self.path();
-        self.check_pools(spec.pools);
-        let n = self.pool.len();
-        let max_moves = local_search::default_move_budget(n);
-        let mut placements = self.initial_placements(spec.initial);
-        let mut prev = SelectionSet::empty(n);
-        let mut steps = Vec::with_capacity(epochs.len());
-        for (e, model) in epochs.iter().enumerate() {
-            let effective = |k, p, carried| self.effective(spec.pools, e, k, p, carried);
-            let charged = self.charged(|k| effective(k, placements[k], prev.contains(k)));
-            let problem = SelectionProblem::new(model.clone(), charged);
-            let baseline = problem.baseline();
-            let mut ev = IncrementalEvaluator::with_selection(&problem, &prev);
-            if e == 0 {
-                local_search::greedy_fill(&mut ev, scenario, &baseline);
-            }
-            let entry = placements.clone();
-            let evaluation = if spec.rebalance {
-                let charge_for = |k, p| effective(k, p, prev.contains(k) && p == entry[k]);
-                local_search::improve_joint(
-                    &mut ev,
-                    scenario,
-                    &baseline,
-                    max_moves,
-                    &mut placements,
-                    &charge_for,
-                )
-            } else {
-                local_search::improve(&mut ev, scenario, &baseline, max_moves)
-            };
-            let outcome = Outcome::new(evaluation, baseline, scenario, SolverKind::LocalSearch);
-            steps.push(self.step(model, e, outcome, &prev, &entry, &placements));
-            prev = steps.last().expect("just pushed").selection().clone();
-        }
-        steps
-    }
-
     /// The transition-*blind* comparator: each epoch is re-solved from
     /// scratch against full prices (as if it stood alone), then the
     /// chosen selection is charged under the true transition accounting
@@ -609,268 +502,6 @@ impl EpochChain {
             prev = steps.last().expect("just pushed").selection().clone();
         }
         steps
-    }
-
-    /// The exact finite-horizon optimum over a tiny pool: dynamic
-    /// programming over *selection states per epoch*. State = the subset
-    /// selected at epoch `e`; transition `(S_prev → S)` is charged with
-    /// materialization only for `S \ S_prev` (exactly the chain's
-    /// transition accounting); the value function minimizes total
-    /// constraint violation first, then total scenario objective — the
-    /// same lexicographic order [`Scenario::better`] ranks candidates
-    /// by, summed over the horizon.
-    ///
-    /// This is the oracle the sequential chain is measured against: the
-    /// chain commits each epoch greedily and can land on a
-    /// path-suboptimal trajectory (e.g. skipping a build that only pays
-    /// off two epochs later), while the DP considers every trajectory.
-    /// Its optimality gap is pinned in `tests/dp_oracle.rs`. Complexity
-    /// is O(E·4ⁿ) transitions over O(2ⁿ·m) sweep work, so the pool is
-    /// capped at [`DP_MAX_CANDIDATES`]; this is a reference solver for
-    /// small pools, not a production path.
-    ///
-    /// The returned per-epoch evaluations are re-derived through
-    /// [`SelectionProblem::evaluate`] on the chosen trajectory's charged
-    /// problems, so they reproduce externally bit-for-bit; the DP's
-    /// internal tallies only pick the trajectory.
-    pub fn solve_dp_exact(&self, scenario: Scenario) -> DpSolution {
-        let n = self.pool.len();
-        assert!(
-            n <= DP_MAX_CANDIDATES,
-            "DP reference solver supports at most {DP_MAX_CANDIDATES} candidates, got {n}"
-        );
-        let size: usize = 1 << n;
-        let models = self.path();
-        let epochs = models.len();
-
-        // Materialization hours of every subset, indexed by mask (the
-        // added-set lookup `mat[cur & !prev]` makes transitions O(1)).
-        let mut mat = vec![Hours::ZERO; size];
-        for mask in 1..size {
-            let low = mask.trailing_zeros() as usize;
-            mat[mask] = mat[mask & (mask - 1)] + self.pool[low].materialization;
-        }
-        let masks: Vec<SelectionSet> = (0..size)
-            .map(|m| SelectionSet::from_mask(m as u64, n))
-            .collect();
-
-        // Per-epoch, per-mask full-price evaluations via the incremental
-        // ascending-mask sweep (amortized two flips per subset).
-        let mut full: Vec<Vec<(Hours, CostBreakdown)>> = Vec::with_capacity(epochs);
-        let mut baselines = Vec::with_capacity(epochs);
-        for model in models {
-            let problem = SelectionProblem::new(model.clone(), self.pool.clone());
-            baselines.push(problem.baseline());
-            let mut per_mask = Vec::with_capacity(size);
-            crate::sweep::sweep_masks(&problem, 0, size as u64, |_, ev| {
-                let e = ev.score();
-                per_mask.push((e.time, e.breakdown));
-            });
-            full.push(per_mask);
-        }
-
-        // The charged evaluation of selecting `cur` after `prev` in
-        // epoch `e`: the full-price evaluation with materialization
-        // re-priced to the added set only.
-        let charged = |e: usize, prev: usize, cur: usize| -> Evaluation {
-            let (time, breakdown) = full[e][cur];
-            Evaluation {
-                time,
-                breakdown: CostBreakdown {
-                    compute_materialization: models[e].compute_cost(mat[cur & !prev]),
-                    ..breakdown
-                },
-                selection: masks[cur].clone(),
-            }
-        };
-        let path = best_trajectory(size, epochs, |e, prev, cur| {
-            let ev = charged(e, prev, cur);
-            (
-                scenario.violation(&ev),
-                scenario.objective(&ev, &baselines[e]),
-            )
-        });
-
-        // Re-derive the chosen trajectory's evaluations exactly, through
-        // the same charged problems the chain would bill.
-        let mut evaluations = Vec::with_capacity(epochs);
-        let mut total_violation = 0.0;
-        let mut total_objective = 0.0;
-        let mut prev_mask = 0usize;
-        for (e, &cur) in path.iter().enumerate() {
-            let mut charges = self.pool.clone();
-            for k in masks[cur & prev_mask].ones() {
-                charges[k].set_price(self.pool[k].carried());
-            }
-            let problem = SelectionProblem::new(models[e].clone(), charges);
-            let ev = problem.evaluate(&masks[cur]);
-            total_violation += scenario.violation(&ev);
-            total_objective += scenario.objective(&ev, &baselines[e]);
-            evaluations.push(ev);
-            prev_mask = cur;
-        }
-        DpSolution {
-            selections: path.into_iter().map(|m| masks[m].clone()).collect(),
-            evaluations,
-            total_violation,
-            total_objective,
-        }
-    }
-
-    /// The exact finite-horizon optimum over the **joint** selection +
-    /// placement state — the mixed-fleet counterpart of
-    /// [`EpochChain::solve_dp_exact`]. Each candidate's per-epoch state
-    /// is a trit (unselected / selected-reserved / selected-spot);
-    /// transition `(s_prev → s)` charges materialization for every
-    /// candidate selected in `s` that was not selected *on the same
-    /// pool* in `s_prev` — exactly the fleet chain's transition
-    /// accounting, where a placement move rebuilds the view. The value
-    /// function minimizes total violation first, then total objective,
-    /// as in [`Scenario::better`]'s lexicographic order. `pools` holds
-    /// one `[reserved, spot]` pair per epoch, as [`ChainSpec::pools`].
-    ///
-    /// This is the oracle that exposes the sequential chain's
-    /// *lookahead* gap on placement: committing each epoch greedily,
-    /// the chain parks a view on cheap spot capacity and only moves it
-    /// when the crunch premium already bites, while the DP pre-places
-    /// it on reserved ahead of the crunch (`tests/dp_oracle.rs` pins a
-    /// strictly positive gap). State space is 3ⁿ per epoch, so the
-    /// pool is capped at [`DP_FLEET_MAX_CANDIDATES`]; like its
-    /// single-pool twin, a test reference and not a production path.
-    pub fn solve_dp_fleet(&self, scenario: Scenario, pools: &[[PoolCharge; 2]]) -> DpFleetSolution {
-        let n = self.pool.len();
-        assert!(
-            n <= DP_FLEET_MAX_CANDIDATES,
-            "joint DP reference solver supports at most {DP_FLEET_MAX_CANDIDATES} candidates, got {n}"
-        );
-        let states: usize = 3usize.pow(n as u32);
-        let models = self.path();
-        self.check_pools(Some(pools));
-        let epochs = models.len();
-        let trit = |s: usize, k: usize| -> usize { s / 3usize.pow(k as u32) % 3 };
-        let placement_of = |t: usize| -> Placement {
-            match t {
-                1 => Placement::Reserved,
-                _ => Placement::Spot,
-            }
-        };
-        let sel_mask = |s: usize| -> usize {
-            (0..n).fold(0usize, |m, k| m | usize::from(trit(s, k) != 0) << k)
-        };
-        let masks: Vec<SelectionSet> = (0..1usize << n)
-            .map(|m| SelectionSet::from_mask(m as u64, n))
-            .collect();
-
-        // Per-epoch effective full prices per (candidate, pool), per-mask
-        // times (placement-independent: prices carry no answers), and
-        // per-state partial breakdowns. A pool charge scales
-        // materialization (zero in, zero out), so carried prices need no
-        // table of their own.
-        let mut eff: Vec<Vec<[Price; 2]>> = Vec::with_capacity(epochs);
-        let mut times: Vec<Vec<Hours>> = Vec::with_capacity(epochs);
-        let mut baselines = Vec::with_capacity(epochs);
-        for (e, model) in models.iter().enumerate() {
-            eff.push(
-                self.pool
-                    .iter()
-                    .map(|c| pools[e].map(|pool| pool.adjust(c.price())))
-                    .collect(),
-            );
-            let problem = SelectionProblem::new(model.clone(), self.pool.clone());
-            baselines.push(problem.baseline());
-            let mut per_mask = Vec::with_capacity(1usize << n);
-            crate::sweep::sweep_masks(&problem, 0, 1u64 << n, |_, ev| {
-                per_mask.push(ev.score().time);
-            });
-            times.push(per_mask);
-        }
-        let eff_of = |e: usize, k: usize, t: usize| &eff[e][k][placement_of(t).slot()];
-        // partial[e][s]: the state's breakdown with materialization
-        // zeroed (the only transition-dependent component).
-        let mut partial: Vec<Vec<(Hours, CostBreakdown)>> = Vec::with_capacity(epochs);
-        for (e, model) in models.iter().enumerate() {
-            let mut per_state = Vec::with_capacity(states);
-            for s in 0..states {
-                let mut maint = Hours::ZERO;
-                let mut size = mv_units::Gb::ZERO;
-                for k in 0..n {
-                    let t = trit(s, k);
-                    if t != 0 {
-                        let c = eff_of(e, k, t);
-                        maint += c.maintenance;
-                        size += c.size;
-                    }
-                }
-                let time = times[e][sel_mask(s)];
-                per_state.push((
-                    time,
-                    model.breakdown_from_totals(time, maint, Hours::ZERO, size),
-                ));
-            }
-            partial.push(per_state);
-        }
-
-        // Charged evaluation of entering state `cur` from `prev`.
-        let charged = |e: usize, prev: usize, cur: usize| -> Evaluation {
-            let mut mat = Hours::ZERO;
-            for k in 0..n {
-                let t = trit(cur, k);
-                if t != 0 && trit(prev, k) != t {
-                    mat += eff_of(e, k, t).materialization;
-                }
-            }
-            let (time, breakdown) = partial[e][cur];
-            Evaluation {
-                time,
-                breakdown: CostBreakdown {
-                    compute_materialization: models[e].compute_cost(mat),
-                    ..breakdown
-                },
-                selection: masks[sel_mask(cur)].clone(),
-            }
-        };
-        let path = best_trajectory(states, epochs, |e, prev, cur| {
-            let ev = charged(e, prev, cur);
-            (
-                scenario.violation(&ev),
-                scenario.objective(&ev, &baselines[e]),
-            )
-        });
-
-        // Re-derive the chosen trajectory's evaluations exactly through
-        // charged problems (the internal tallies only pick it).
-        let mut evaluations = Vec::with_capacity(epochs);
-        let mut placements = Vec::with_capacity(epochs);
-        let mut total_violation = 0.0;
-        let mut total_objective = 0.0;
-        let mut prev_state = 0usize;
-        for (e, &cur) in path.iter().enumerate() {
-            let mut charges = self.pool.clone();
-            let mut assignment = vec![Placement::Reserved; n];
-            for (k, charge) in charges.iter_mut().enumerate() {
-                let t = trit(cur, k);
-                if t == 0 {
-                    continue;
-                }
-                let p = placement_of(t);
-                assignment[k] = p;
-                charge.set_price(self.effective(Some(pools), e, k, p, trit(prev_state, k) == t));
-            }
-            let problem = SelectionProblem::new(models[e].clone(), charges);
-            let ev = problem.evaluate(&masks[sel_mask(cur)]);
-            total_violation += scenario.violation(&ev);
-            total_objective += scenario.objective(&ev, &baselines[e]);
-            evaluations.push(ev);
-            placements.push(assignment);
-            prev_state = cur;
-        }
-        DpFleetSolution {
-            selections: path.iter().map(|&s| masks[sel_mask(s)].clone()).collect(),
-            placements,
-            evaluations,
-            total_violation,
-            total_objective,
-        }
     }
 
     /// Assembles one epoch's step: transition accounting against the
@@ -920,7 +551,7 @@ impl EpochChain {
         // only in the materialization component (carrying a view changes
         // nothing else), so it is derived — in the model's own fold
         // order, hence bit-identical to evaluating a full-price problem
-        // from scratch (property-tested in tests/horizon_consistency.rs)
+        // from scratch (property-tested in `oracle_tests`)
         // — instead of rebuilding and re-evaluating a problem per epoch.
         let full_materialization: Hours =
             selection.ones().map(|k| self.pool[k].materialization).sum();
@@ -942,52 +573,6 @@ impl EpochChain {
             placements: placements.to_vec(),
         }
     }
-}
-
-/// The DP oracles' trajectory search over `states` states per epoch:
-/// `cost(e, prev, cur)` is the (violation, objective) of entering `cur`
-/// from `prev` in epoch `e` (epoch 0 enters from state 0). Minimizes the
-/// summed violation first, then the summed objective — the order
-/// [`Scenario::better`] ranks candidates by — and returns the optimal
-/// state per epoch. Ties break toward the first-visited predecessor and
-/// the lowest terminal state, so the result is deterministic.
-fn best_trajectory(
-    states: usize,
-    epochs: usize,
-    cost: impl Fn(usize, usize, usize) -> (f64, f64),
-) -> Vec<usize> {
-    let better = |a: (f64, f64), b: (f64, f64)| a.0 < b.0 || (a.0 == b.0 && a.1 < b.1);
-    // value[cur]: the best trajectory ending in `cur` so far.
-    let mut value: Vec<(f64, f64)> = (0..states).map(|cur| cost(0, 0, cur)).collect();
-    let mut back: Vec<Vec<u32>> = Vec::with_capacity(epochs.saturating_sub(1));
-    for e in 1..epochs {
-        let mut next = vec![(f64::INFINITY, f64::INFINITY); states];
-        let mut prevptr = vec![0u32; states];
-        for (prev, &base) in value.iter().enumerate() {
-            for (cur, slot) in next.iter_mut().enumerate() {
-                let (violation, objective) = cost(e, prev, cur);
-                let cand = (base.0 + violation, base.1 + objective);
-                if better(cand, *slot) {
-                    *slot = cand;
-                    prevptr[cur] = prev as u32;
-                }
-            }
-        }
-        value = next;
-        back.push(prevptr);
-    }
-    // Best terminal state, then backtrack the trajectory.
-    let mut best = 0usize;
-    for cur in 1..states {
-        if better(value[cur], value[best]) {
-            best = cur;
-        }
-    }
-    let mut path = vec![best; epochs];
-    for e in (1..epochs).rev() {
-        path[e - 1] = back[e - 1][path[e]] as usize;
-    }
-    path
 }
 
 /// What one node hands its children: the live evaluator on the node's
@@ -1208,7 +793,7 @@ mod tests {
             Scenario::time_limit(Hours::new(20.0)),
         ] {
             let warm = chain.solve(scenario);
-            let rebuilt = chain.solve_rebuilding(scenario, &ChainSpec::default());
+            let rebuilt = chain.rebuild_per_epoch(scenario, &ChainSpec::default());
             assert_eq!(warm.len(), rebuilt.len());
             for (e, (w, r)) in warm.iter().zip(&rebuilt).enumerate() {
                 assert_eq!(w.outcome.evaluation, r.outcome.evaluation, "epoch {e}");
@@ -1234,7 +819,7 @@ mod tests {
             Scenario::time_limit(Hours::new(20.0)),
         ] {
             let warm = on_path(&chain, scenario, &spec);
-            let rebuilt = chain.solve_rebuilding(scenario, &spec);
+            let rebuilt = chain.rebuild_per_epoch(scenario, &spec);
             assert_eq!(warm.len(), rebuilt.len());
             for (e, (w, r)) in warm.iter().zip(&rebuilt).enumerate() {
                 assert_eq!(w.outcome.evaluation, r.outcome.evaluation, "epoch {e}");
@@ -1396,7 +981,7 @@ mod tests {
                     rebalance,
                 };
                 let warm = on_path(&chain, scenario, &spec);
-                let rebuilt = chain.solve_rebuilding(scenario, &spec);
+                let rebuilt = chain.rebuild_per_epoch(scenario, &spec);
                 assert_eq!(warm.len(), rebuilt.len());
                 for (e, (w, r)) in warm.iter().zip(&rebuilt).enumerate() {
                     assert_eq!(w.outcome.evaluation, r.outcome.evaluation, "epoch {e}");
@@ -1555,18 +1140,32 @@ mod tests {
 
     #[test]
     fn dp_fleet_single_epoch_matches_selection_dp_on_a_neutral_fleet() {
-        // With both pools charging identically, the joint DP must land
-        // on the selection-only DP's numbers.
+        // With both pools charging identically, the oracle on two pools
+        // (radix 3) must land on its one-pool numbers (radix 2): on three
+        // identical epochs of the paper-like problem, and on the DP
+        // proptest's multi-epoch drifting horizons.
         let p = paper_like_problem();
-        let chain = EpochChain::new(vec![p.model().clone(); 3], p.candidates().to_vec());
-        let scenario = Scenario::tradeoff_normalized(0.5);
-        let dp = chain.solve_dp_exact(scenario);
-        let joint = chain.solve_dp_fleet(scenario, &[[PoolCharge::IDENTITY; 2]; 3]);
-        assert_eq!(joint.total_violation, dp.total_violation);
-        assert_eq!(joint.total_objective, dp.total_objective);
-        assert_eq!(joint.total_cost(), dp.total_cost());
-        for (e, (a, b)) in joint.selections.iter().zip(&dp.selections).enumerate() {
-            assert_eq!(a, b, "epoch {e}");
+        let mut horizons = vec![(
+            EpochChain::new(vec![p.model().clone(); 3], p.candidates().to_vec()),
+            Scenario::tradeoff_normalized(0.5),
+        )];
+        for seed in 0..12 {
+            let p =
+                crate::fixtures::random_problem(seed, 2 + seed as usize % 3, 2 + seed as usize % 5);
+            let scenario = oracle_tests::drawn_scenario(&p, (seed % 3) as u8, seed as f64 / 12.0);
+            let epochs = 2 + seed as usize % 3;
+            horizons.push((oracle_tests::drifting_horizon(&p, epochs), scenario));
+        }
+        for (h, (chain, scenario)) in horizons.iter().enumerate() {
+            let epochs = chain.epochs().len();
+            let dp = chain.dp_optimum(*scenario, None);
+            let joint = chain.dp_optimum(*scenario, Some(&vec![[PoolCharge::IDENTITY; 2]; epochs]));
+            assert_eq!(joint.total_violation, dp.total_violation, "horizon {h}");
+            assert_eq!(joint.total_objective, dp.total_objective, "horizon {h}");
+            assert_eq!(joint.total_cost(), dp.total_cost(), "horizon {h}");
+            for (e, (a, b)) in joint.selections.iter().zip(&dp.selections).enumerate() {
+                assert_eq!(a, b, "horizon {h} epoch {e}");
+            }
         }
     }
 
@@ -1575,9 +1174,9 @@ mod tests {
     fn dp_fleet_rejects_oversized_pools() {
         let p = crate::fixtures::random_problem(1, 3, 7);
         let chain = EpochChain::new(vec![p.model().clone()], p.candidates().to_vec());
-        chain.solve_dp_fleet(
+        chain.dp_optimum(
             Scenario::tradeoff_normalized(0.5),
-            &[[PoolCharge::IDENTITY; 2]],
+            Some(&[[PoolCharge::IDENTITY; 2]]),
         );
     }
 
@@ -1856,3 +1455,6 @@ mod tests {
         );
     }
 }
+
+#[cfg(test)]
+mod oracle_tests;

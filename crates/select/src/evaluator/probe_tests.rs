@@ -119,7 +119,7 @@ fn probe_walk(
             // selection.
             2 | 3 | 5 if n > 1 => {
                 let mut candidates = ev.problem().candidates().to_vec();
-                let mut selected: Vec<bool> = ev.selection().iter().collect();
+                let mut selected: Vec<bool> = (0..n).map(|k| ev.selection().contains(k)).collect();
                 match op {
                     2 => {
                         candidates.push(pool[recycle % pool.len()].clone());

@@ -114,8 +114,8 @@ pub fn paper_like_problem() -> SelectionProblem {
 /// flips between the specialists every epoch, re-paying a
 /// materialization the transition-aware chain treats as sunk once both
 /// are resident — so the chain's horizon total is strictly cheaper.
-/// Test fixture: no non-test caller (`epoch.rs`'s tests,
-/// `tests/dp_oracle.rs`).
+/// Test fixture: no non-test caller (`epoch.rs`'s tests and
+/// `epoch/oracle_tests.rs`).
 pub fn churn_chain(epochs: usize) -> EpochChain {
     let pricing = presets::aws_2012();
     let instance = pricing.compute.instance("small").unwrap().clone();

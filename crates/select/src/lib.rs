@@ -113,8 +113,8 @@
 //! [`IncrementalEvaluator::update_charge`] splices a re-priced
 //! candidate in O(1) — instead of rebuilding the problem per epoch
 //! (the benchmark's `select.retarget_us` and `select.chain_solve_ms`
-//! on `montecarlo` time the warm path; [`EpochChain::solve_rebuilding`]
-//! is the bit-identical rebuild reference).
+//! on `montecarlo` time the warm path; a bit-identical rebuild-per-epoch
+//! reference lives in the module's tests).
 //! [`EpochChain::solve_myopic`] is the transition-blind
 //! re-solve-every-period comparator the regression tests beat.
 //!
@@ -129,11 +129,10 @@
 //! premiums into the chain without this crate knowing about markets;
 //! no table over the chain's own epochs *is* [`EpochChain::solve`]). A
 //! pool charge maps a `Price` to a `Price`, so no epoch edge can change
-//! what a view answers. For tiny pools,
-//! [`EpochChain::solve_dp_exact`] is the finite-horizon DP oracle —
-//! exact over selection states per epoch — that quantifies how far the
-//! sequential chain sits from the true horizon optimum
-//! (`tests/dp_oracle.rs`).
+//! what a view answers. For tiny pools, a finite-horizon DP oracle in
+//! the module's tests (`epoch/oracle_tests.rs`) — exact over selection
+//! states per epoch — quantifies how far the sequential chain sits from
+//! the true horizon optimum.
 //!
 //! # Mixed-fleet placement
 //!
@@ -151,13 +150,11 @@
 //! under). Transition accounting extends naturally: a view kept *on the
 //! same pool* is carried; a view moved across pools re-pays
 //! materialization ([`EpochStep::moved`]).
-//! [`EpochChain::solve_dp_fleet`] is the joint selection+placement DP
-//! oracle over the same kind of table, one pair per epoch (3ⁿ states
-//! per epoch, n ≤ [`DP_FLEET_MAX_CANDIDATES`]); on
-//! the crunch fixture it exposes the chain's placement *lookahead*
+//! The same DP oracle, given such a table (one pair per epoch, 3ⁿ
+//! states per epoch, n ≤ 6), searches selection and placement jointly;
+//! on the crunch fixture it exposes the chain's placement *lookahead*
 //! gap — the DP pre-places a view on reserved capacity ahead of a
-//! correlated interruption crunch the greedy chain only reacts to
-//! (`tests/dp_oracle.rs`).
+//! correlated interruption crunch the greedy chain only reacts to.
 //!
 //! # Scenario trees
 //!
@@ -176,9 +173,9 @@
 //! on its model, its effective charges and the selection it inherits
 //! (all shared along a prefix), the per-leaf step sequences are
 //! **bit-identical** to solving each path alone as an
-//! [`EpochChain::new`] path (proptest-pinned in `tests/tree_identity.rs`
-//! at the driver layer); ready nodes are work-stolen across scoped
-//! threads.
+//! [`EpochChain::new`] path (proptest-pinned at the driver layer in
+//! `mvcloud`'s `fleet/paths_tests.rs`); ready nodes are work-stolen
+//! across scoped threads.
 //!
 //! The same two warm primitives carry the resident advisor service
 //! (`mvcloud::service`): a long-lived evaluator built **once** from the
@@ -244,10 +241,7 @@ mod solution;
 mod sweep;
 
 pub use bnb::{solve_bnb, solve_bnb_counted, BnbStats};
-pub use epoch::{
-    ChainSpec, DpFleetSolution, DpSolution, EpochChain, EpochStep, DP_FLEET_MAX_CANDIDATES,
-    DP_MAX_CANDIDATES,
-};
+pub use epoch::{ChainSpec, EpochChain, EpochStep};
 pub use evaluator::IncrementalEvaluator;
 pub use exhaustive::{
     solve_exhaustive, solve_exhaustive_with_threads, MAX_CANDIDATES, PARALLEL_THRESHOLD,

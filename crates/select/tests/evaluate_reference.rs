@@ -25,7 +25,8 @@ proptest! {
         );
         let mut sel = SelectionSet::empty(problem.len());
         for &k in &picks {
-            sel.toggle(k % problem.len());
+            let k = k % problem.len();
+            sel.set(k, !sel.contains(k));
         }
         for sel in [sel, SelectionSet::empty(problem.len()), SelectionSet::full(problem.len())] {
             let full = problem.evaluate(&sel);

@@ -48,9 +48,8 @@ fn pool_edits_and_flips_match_full_evaluation(
     // derives from the same base (flip twice = bit-identical restore).
     let mut mirror = pool.to_vec();
     let mut pristine = pool.to_vec();
-    let mut mirror_sel: Vec<bool> = SelectionSet::from_mask(mask & ((1 << 10) - 1), pool.len())
-        .iter()
-        .collect();
+    let start = SelectionSet::from_mask(mask & ((1 << 10) - 1), pool.len());
+    let mut mirror_sel: Vec<bool> = (0..pool.len()).map(|k| start.contains(k)).collect();
     let mut ev = evaluator_at(&mirror, &mirror_sel);
     let mut recycle = 0usize;
     let spot_pool = PoolCharge::new(0.5, InterruptionRisk::new(0.25));

@@ -157,26 +157,6 @@ impl Money {
     pub const fn abs(self) -> Money {
         Money(self.0.abs())
     }
-
-    /// The larger of two amounts.
-    #[inline]
-    pub fn max(self, other: Money) -> Money {
-        if self.0 >= other.0 {
-            self
-        } else {
-            other
-        }
-    }
-
-    /// The smaller of two amounts.
-    #[inline]
-    pub fn min(self, other: Money) -> Money {
-        if self.0 <= other.0 {
-            self
-        } else {
-            other
-        }
-    }
 }
 
 /// Error returned by [`Money::from_dollars_str`].

@@ -69,12 +69,6 @@ impl Gb {
     pub fn min(self, other: Gb) -> Gb {
         Gb(self.0.min(other.0))
     }
-
-    /// The larger of two sizes.
-    #[inline]
-    pub fn max(self, other: Gb) -> Gb {
-        Gb(self.0.max(other.0))
-    }
 }
 
 impl fmt::Display for Gb {
@@ -195,6 +189,5 @@ mod tests {
         assert_eq!((Gb::new(10.0) * 2.0).value(), 20.0);
         assert_eq!((Gb::new(10.0) / 2.0).value(), 5.0);
         assert_eq!(Gb::new(3.0).min(Gb::new(4.0)).value(), 3.0);
-        assert_eq!(Gb::new(3.0).max(Gb::new(4.0)).value(), 4.0);
     }
 }

@@ -65,12 +65,6 @@ impl Hours {
         Hours(self.0.min(other.0))
     }
 
-    /// The larger of two durations.
-    #[inline]
-    pub fn max(self, other: Hours) -> Hours {
-        Hours(self.0.max(other.0))
-    }
-
     /// Total-order comparison (durations are never NaN).
     #[inline]
     pub fn cmp_total(self, other: Hours) -> std::cmp::Ordering {
@@ -264,7 +258,6 @@ mod tests {
     fn saturating_and_ordering() {
         assert_eq!(Hours::new(1.0).saturating_sub(Hours::new(2.0)), Hours::ZERO);
         assert_eq!(Hours::new(3.0).min(Hours::new(2.0)).value(), 2.0);
-        assert_eq!(Hours::new(3.0).max(Hours::new(2.0)).value(), 3.0);
         assert_eq!(Months::new(3.0).min(Months::new(2.0)).value(), 2.0);
     }
 

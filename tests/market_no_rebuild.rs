@@ -3,7 +3,8 @@
 //! scenario-tree root, one warm `retarget` per tree edge, one
 //! evaluator fork per extra sibling at each split — instead of per
 //! path × epoch, which is what the same paths cost solved one at a
-//! time.
+//! time (pinned beside the driver, in `mvcloud`'s
+//! `fleet/paths_tests.rs`).
 //!
 //! The evaluator reports those operations through the [`mv_obs`]
 //! counter registry. [`mv_obs::CounterGuard`] owns the delta sections:
@@ -93,25 +94,9 @@ fn market_solves_pay_tree_shaped_work() {
         "expected one evaluator fork per extra sibling at each split"
     );
 
-    // Without sharing the same paths pay per path × epoch: each one
-    // solved alone is a one-leaf forest — one build, one retarget per
-    // epoch boundary, and no forks at all.
-    let pure_spot = config.as_fleet().fleet;
-    for j in 0..PATHS {
-        counters.rebase();
-        let alone = advisor.solve_fleet_paths(
-            Scenario::tradeoff_normalized(0.5),
-            &config.evolution,
-            &pure_spot,
-            &[market.path(j)],
-        );
-        assert_eq!(alone.tree_nodes, Some(EPOCHS));
-        assert_eq!(
-            deltas(&counters),
-            (1, EPOCHS as u64 - 1, 0),
-            "path {j} alone"
-        );
-    }
+    // Without sharing the same paths pay per path × epoch (each one
+    // alone is a one-leaf forest: one build and one retarget per epoch
+    // boundary, pinned by `mvcloud`'s `fleet/paths_tests.rs`).
     assert!(
         roots + edges < (report.distinct_solves * EPOCHS) as u64,
         "the forest must pay fewer epoch-solves than its distinct paths alone"
