@@ -4,11 +4,15 @@ a non-test line of some crate, binary, bench, example or the benchmark
 harness, or be on the allowlist of references and seams ROADMAP lists
 (each says in its doc comment which tests compare against it).
 
-A use is the name followed by `(` or `::<` (a call, method calls
-included), or reached through `::` (a function passed by path) — outside
-comments, `pub use` re-exports, the definition itself and everything
-from a file's first `#[cfg(test)]` on. A bare `.name` is a field read,
-not a use: `self.risk` vouches for no `pub fn risk`. Since the scan and
+A use is the name followed by `(` or `::<` (a call), or reached through
+`::` (a function passed by path) — outside comments, `pub use`
+re-exports, the body of every `pub fn` of that name (a function does not
+vouch for itself, nor does a same-named call it wraps, such as an `i64`
+method inside a `Money` one) and everything from a file's first
+`#[cfg(test)]` on. A method (an indented `pub fn`) is used only as
+`.name(`, `.name::<` or `::name`: a bare `name(` reaches a free function
+or a local closure, never a method. A bare `.name` is a field read, not
+a use: `self.risk` vouches for no `pub fn risk`. Since the scan and
 CI's non-test line count both stop at a file's first `#[cfg(test)]`, a
 non-test item after it would go unseen by both, so the scan fails on
 one. Both also skip every `*_tests.rs` file, so a `#[cfg(test)] mod x;`
@@ -49,8 +53,8 @@ SHADOWED = {
     "drift", "empty", "execute", "feasible", "get", "heap_bytes", "hours", "label", "len",
     "levels", "min", "name", "new", "objective", "problem", "rank", "record",
     "render", "row", "saturating_sub", "scale", "scale_rates", "score",
-    "selection", "set", "solve", "spill", "timeline_csv", "total", "validate",
-    "value", "with_selection",
+    "selection", "set", "solve", "spill", "timeline_csv", "to_json", "total",
+    "validate", "value", "with_selection",
     # `len`'s companions (clippy's len_without_is_empty); no non-test caller
     "is_empty",
 }
@@ -111,9 +115,14 @@ def hidden_items(path):
     return found
 
 
+DEF = re.compile(r"(\s*)pub (?:const )?fn (\w+)")
+
+
 def code_lines(path):
-    """Non-test, non-comment, non-`pub use` lines of one source file."""
-    out, in_use = [], False
+    """Non-test, non-comment, non-`pub use` lines of one source file, each
+    with the names of the `pub fn`s whose definition holds it (a body
+    runs to the first `}` at its `pub fn`'s indentation)."""
+    out, in_use, bodies = [], False, []
     for line in open(path, encoding="utf-8"):
         if "#[cfg(test)]" in line:
             break
@@ -121,7 +130,13 @@ def code_lines(path):
         if in_use or re.match(r"\s*pub use\b", line):
             in_use = ";" not in line
             continue
-        out.append(line)
+        m = DEF.match(line)
+        one_line = m and "{" in line and line.count("{") == line.count("}")
+        if m and not one_line:
+            bodies.append((m.group(1) + "}", m.group(2)))
+        out.append((line, {name for _, name in bodies} | ({m.group(2)} if m else set())))
+        if bodies and line.rstrip() == bodies[-1][0]:
+            bodies.pop()
     return out
 
 
@@ -131,28 +146,33 @@ def sources(*patterns):
     )
 
 
-defined, count = {}, {}
+defined, count, free = {}, {}, set()
 for path in sources("crates/*/src/**/*.rs"):
-    for line in code_lines(path):
-        m = re.match(r"\s*pub (?:const )?fn (\w+)", line)
+    for line, _ in code_lines(path):
+        m = DEF.match(line)
         if m:
-            defined.setdefault(m.group(1), path)
-            count[m.group(1)] = count.get(m.group(1), 0) + 1
+            defined.setdefault(m.group(2), path)
+            count[m.group(2)] = count.get(m.group(2), 0) + 1
+            if not m.group(1):
+                free.add(m.group(2))
 
-code = "".join(
+code = [
     line
     for path in sources(
         "crates/*/src/**/*.rs", "crates/*/benches/**/*.rs", "examples/**/*.rs",
         "src/**/*.rs", "benchmark/src/**/*.rs",
     )
     for line in code_lines(path)
-)
+]
 
 
 def used(name):
-    call = rf"(?<!fn )\b{name}\s*(?:\(|::<)"
-    path = rf"::\s*{name}\b"
-    return re.search(f"{call}|{path}", code) is not None
+    """Whether any line outside the bodies of `name`'s own definitions
+    uses it: as a call (a bare one only if some definition is free, not
+    a method) or a path."""
+    call = rf"(?<!fn )\b{name}" if name in free else rf"\.{name}"
+    text = "".join(line for line, owners in code if name not in owners)
+    return re.search(rf"{call}\s*(?:\(|::<)|::\s*{name}\b", text) is not None
 
 
 callerless = {name: path for name, path in defined.items() if not used(name)}

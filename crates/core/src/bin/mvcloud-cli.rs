@@ -3,8 +3,9 @@
 //! Run `mvcloud-cli --help` for the subcommands and their flags: that
 //! text, the parser, the defaults and the range checks are all derived
 //! from the flag tables below ([`COMMANDS`]), so a new flag is one row.
-//! Reports go to stdout — a plan summary for `advise`, JSON (rendered
-//! through [`mvcloud::json`]) for the multi-epoch subcommands.
+//! Reports go to stdout — a plan summary for `advise`, JSON for the
+//! multi-epoch subcommands, each rendered by its report's own `to_json`
+//! (through [`mvcloud::json`]).
 //!
 //! Every subcommand additionally accepts `--metrics <path|->`, which
 //! enables the [`mvcloud::obs`] telemetry registry for the run and
@@ -17,7 +18,7 @@ use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use mvcloud::engine::{csv, datagen, parse_query, SalesConfig};
-use mvcloud::json::{snapshot_json, Json};
+use mvcloud::json::snapshot_json;
 use mvcloud::lattice::WorkloadEvolution;
 use mvcloud::pricing::{presets, CommitmentPlan};
 use mvcloud::report::summarize;
@@ -688,7 +689,7 @@ fn cmd_horizon(args: &Args) -> Result<(), Failure> {
     } else {
         advisor.solve_horizon(scenario, &horizon)
     }?;
-    emit(horizon_json(&report, scenario, myopic))
+    emit(report.to_json(scenario, myopic).render_pretty())
 }
 
 fn cmd_calibrate(args: &Args) -> Result<(), Failure> {
@@ -723,7 +724,7 @@ fn cmd_calibrate(args: &Args) -> Result<(), Failure> {
         ),
     };
     let report = advisor.calibrate(scenario, &config)?;
-    emit(calibrate_json(&report, scenario))
+    emit(report.to_json(scenario).render_pretty())
 }
 
 fn cmd_market(args: &Args) -> Result<(), Failure> {
@@ -731,7 +732,6 @@ fn cmd_market(args: &Args) -> Result<(), Failure> {
         AnnouncedCut, MarketConfig, MarketScenario, PriceProcess, SpotMarket, StorageDecay,
     };
 
-    let paths = args.count("paths");
     let (volatility, spot_mean) = (args.real("volatility"), args.real("spot-mean"));
     let decay = args.real("decay");
     let scenario = parse_scenario(args)?;
@@ -763,12 +763,12 @@ fn cmd_market(args: &Args) -> Result<(), Failure> {
     let advisor = sales_advisor(args, 1.0, AdvisorConfig::default())?;
     let config = MarketConfig {
         market,
-        paths,
+        paths: args.count("paths"),
         commitment: args.given("commitment").then(CommitmentPlan::aws_small_1yr),
         ..MarketConfig::default()
     };
     let report = advisor.solve_market(scenario, &config)?;
-    emit(market_json(&report, scenario, paths))
+    emit(report.to_json(scenario).render_pretty())
 }
 
 fn cmd_fleet(args: &Args) -> Result<(), Failure> {
@@ -776,7 +776,6 @@ fn cmd_fleet(args: &Args) -> Result<(), Failure> {
     use mvcloud::market::{CorrelatedHazard, MarketScenario, PriceProcess, SpotMarket};
     use mvcloud::pricing::FleetPlan;
 
-    let paths = args.count("paths");
     let (volatility, spot_mean) = (args.real("volatility"), args.real("spot-mean"));
     let crunch_share = args.real("crunch-share");
     let crunch_hazard = args.real("crunch-hazard");
@@ -811,13 +810,13 @@ fn cmd_fleet(args: &Args) -> Result<(), Failure> {
     let advisor = sales_advisor(args, 1.0, AdvisorConfig::default())?;
     let config = FleetConfig {
         market,
-        paths,
+        paths: args.count("paths"),
         fleet,
         compare_pure: !args.given("no-compare"),
         ..FleetConfig::default()
     };
     let report = advisor.solve_fleet(scenario, &config)?;
-    emit(fleet_json(&report, scenario, paths))
+    emit(report.to_json(scenario).render_pretty())
 }
 
 /// The resident advisor loop: catalog-backed startup, scripted or CSV
@@ -956,238 +955,6 @@ fn run_script_line(
             "unknown script command {line:?} (ingest TS ID NAME | resolve | spill | status | whatif K..)"
         ).into()),
     }
-}
-
-/// Renders a calibration report's reconciliation timeline as JSON
-/// (through the shared [`mvcloud::json`] writer, like [`horizon_json`]).
-fn calibrate_json(report: &mvcloud::CalibrationReport, scenario: Scenario) -> String {
-    let epochs = Json::Arr(
-        report
-            .epochs
-            .iter()
-            .map(|e| {
-                Json::obj(vec![
-                    ("epoch", Json::UInt(e.epoch as u64)),
-                    ("queries_via_views", Json::UInt(e.queries_via_views as u64)),
-                    ("metered_gb", Json::Fixed(e.metered_gb, 6)),
-                    ("measured_bill", usd(e.measured_bill)),
-                    ("planned_bill", usd(e.planned_bill)),
-                    ("fitted_bill", usd(e.fitted_bill)),
-                    ("synthetic_bill", usd(e.synthetic_bill)),
-                    ("planned_rel_error", Json::Fixed(e.planned_rel_error, 6)),
-                    ("fitted_rel_error", Json::Fixed(e.fitted_rel_error, 6)),
-                    ("synthetic_rel_error", Json::Fixed(e.synthetic_rel_error, 6)),
-                ])
-            })
-            .collect(),
-    );
-    let fitted = report.fitted_throughput();
-    Json::obj(vec![
-        ("scenario", Json::str(scenario.label())),
-        ("epochs", epochs),
-        (
-            "fitted",
-            Json::obj(vec![
-                (
-                    "scan_gb_per_hour_per_unit",
-                    Json::Fixed(fitted.scan_gb_per_hour_per_unit, 6),
-                ),
-                ("job_overhead_hours", hours(fitted.job_overhead)),
-            ]),
-        ),
-        ("samples", Json::UInt(report.samples as u64)),
-        ("holdout_epoch", Json::UInt(report.holdout_epoch as u64)),
-        (
-            "holdout_fitted_rel_error",
-            Json::Fixed(report.holdout_fitted_rel_error, 6),
-        ),
-        (
-            "holdout_synthetic_rel_error",
-            Json::Fixed(report.holdout_synthetic_rel_error, 6),
-        ),
-        (
-            "mean_planned_rel_error",
-            Json::Fixed(report.mean_planned_rel_error, 6),
-        ),
-        (
-            "mean_fitted_rel_error",
-            Json::Fixed(report.mean_fitted_rel_error, 6),
-        ),
-    ])
-    .render_pretty()
-}
-
-/// Dollars and hours as the reports print them: six decimals.
-fn usd(amount: Money) -> Json {
-    Json::Fixed(amount.to_dollars_f64(), 6)
-}
-
-fn hours(duration: Hours) -> Json {
-    Json::Fixed(duration.value(), 6)
-}
-
-/// Renders one [`mvcloud::Quantiles`] as a JSON object — the ONE place
-/// the six-field schema lives; the market and fleet renderers share it.
-fn quantiles_json(q: &mvcloud::Quantiles) -> Json {
-    Json::obj(vec![
-        ("min", Json::Fixed(q.min, 6)),
-        ("p10", Json::Fixed(q.p10, 6)),
-        ("median", Json::Fixed(q.median, 6)),
-        ("p90", Json::Fixed(q.p90, 6)),
-        ("max", Json::Fixed(q.max, 6)),
-        ("mean", Json::Fixed(q.mean, 6)),
-    ])
-}
-
-/// The shared `{plan,spot_compute,reserved,saving,reserved_wins_share}`
-/// commitment object of the market and fleet reports.
-fn spot_commitment_json(c: &mvcloud::SpotCommitmentReport) -> Json {
-    Json::obj(vec![
-        ("plan", Json::str(c.plan.clone())),
-        ("spot_compute", quantiles_json(&c.spot_compute)),
-        ("reserved", quantiles_json(&c.reserved)),
-        ("saving", quantiles_json(&c.saving)),
-        ("reserved_wins_share", Json::Fixed(c.reserved_wins_share, 4)),
-    ])
-}
-
-/// A JSON array of quoted names.
-fn str_list_json(names: &[String]) -> Json {
-    Json::Arr(names.iter().map(Json::str).collect())
-}
-
-/// One epoch of the market or fleet envelope as a JSON object: the two
-/// reports differ only in the fourth field, `fourth` (its key and which
-/// quantiles it shows).
-fn envelope_epoch_json(e: &mvcloud::FleetEpochReport, fourth: (&str, &mvcloud::Quantiles)) -> Json {
-    let q = quantiles_json;
-    Json::obj(vec![
-        ("epoch", Json::UInt(e.epoch as u64)),
-        ("charged_cost", q(&e.charged_cost)),
-        ("cumulative_cost", q(&e.cumulative_cost)),
-        (fourth.0, q(fourth.1)),
-        ("compute_factor", q(&e.compute_factor)),
-        ("interruption", q(&e.interruption)),
-        ("distinct_plans", Json::UInt(e.distinct_plans as u64)),
-        ("modal_share", Json::Fixed(e.modal_share, 4)),
-        ("modal_selection", str_list_json(&e.modal_selection)),
-    ])
-}
-
-/// Renders a fleet report's hedge/quantile timeline as JSON
-/// (through the shared writer, like [`market_json`]).
-fn fleet_json(report: &mvcloud::FleetReport, scenario: Scenario, paths: usize) -> String {
-    let q = quantiles_json;
-    let epochs = report
-        .epochs
-        .iter()
-        .map(|e| envelope_epoch_json(e, ("hedge_ratio", &e.hedge_ratio)))
-        .collect();
-    let comparison = Json::opt(report.comparison.as_ref().map(|c| {
-        Json::obj(vec![
-            ("hedged", q(&c.hedged)),
-            ("pure_spot", q(&c.pure_spot)),
-            ("pure_reserved", q(&c.pure_reserved)),
-            ("hedged_wins_share", Json::Fixed(c.hedged_wins_share, 4)),
-        ])
-    }));
-    let moves: usize = report.paths.iter().map(|p| p.moves).sum();
-    Json::obj(vec![
-        ("scenario", Json::str(scenario.label())),
-        ("fleet", Json::str(report.fleet.clone())),
-        ("paths", Json::UInt(paths as u64)),
-        ("distinct_solves", Json::UInt(report.distinct_solves as u64)),
-        (
-            "tree_nodes",
-            Json::opt(report.tree_nodes.map(|n| Json::UInt(n as u64))),
-        ),
-        ("epochs", Json::Arr(epochs)),
-        ("total_cost", q(&report.total_cost)),
-        ("hedge_ratio", q(&report.hedge_ratio)),
-        ("plan_stability", Json::Fixed(report.plan_stability, 4)),
-        (
-            "placement_moves_per_path",
-            Json::Fixed(moves as f64 / report.paths.len() as f64, 2),
-        ),
-        ("comparison", comparison),
-        (
-            "commitment",
-            Json::opt(report.commitment.as_ref().map(spot_commitment_json)),
-        ),
-    ])
-    .render_pretty()
-}
-
-/// Renders a market report's quantile timeline as JSON (through the
-/// shared writer, like [`horizon_json`]).
-fn market_json(report: &mvcloud::MarketReport, scenario: Scenario, paths: usize) -> String {
-    let q = quantiles_json;
-    let epochs = report
-        .epochs
-        .iter()
-        .map(|e| envelope_epoch_json(e, ("time_hours", &e.time_hours)))
-        .collect();
-    Json::obj(vec![
-        ("scenario", Json::str(scenario.label())),
-        ("paths", Json::UInt(paths as u64)),
-        ("distinct_solves", Json::UInt(report.distinct_solves as u64)),
-        (
-            "tree_nodes",
-            Json::opt(report.tree_nodes.map(|n| Json::UInt(n as u64))),
-        ),
-        ("epochs", Json::Arr(epochs)),
-        ("total_cost", q(&report.total_cost)),
-        ("total_time_hours", q(&report.total_time_hours)),
-        ("plan_stability", Json::Fixed(report.plan_stability, 4)),
-        (
-            "commitment",
-            Json::opt(report.commitment.as_ref().map(spot_commitment_json)),
-        ),
-    ])
-    .render_pretty()
-}
-
-/// Renders a horizon report's per-epoch timeline as JSON.
-fn horizon_json(report: &mvcloud::HorizonReport, scenario: Scenario, myopic: bool) -> String {
-    let epochs = Json::Arr(
-        report
-            .epochs
-            .iter()
-            .map(|e| {
-                Json::obj(vec![
-                    ("epoch", Json::UInt(e.epoch as u64)),
-                    ("selected", str_list_json(&e.selected)),
-                    ("added", str_list_json(&e.added)),
-                    ("kept", str_list_json(&e.kept)),
-                    ("dropped", str_list_json(&e.dropped)),
-                    ("time_hours", Json::Fixed(e.time_hours, 6)),
-                    ("charged_cost", usd(e.charged_cost)),
-                    ("full_price_cost", usd(e.full_price_cost)),
-                    ("cumulative_cost", usd(e.cumulative_cost)),
-                ])
-            })
-            .collect(),
-    );
-    let commitment = Json::opt(report.commitment.as_ref().map(|c| {
-        Json::obj(vec![
-            ("plan", Json::str(c.plan.clone())),
-            ("billed_instance_hours", hours(c.billed_instance_hours)),
-            ("on_demand", usd(c.on_demand)),
-            ("reserved", usd(c.reserved)),
-            ("saving", usd(c.saving())),
-            ("reserved_wins", Json::Bool(c.reserved_wins())),
-        ])
-    }));
-    Json::obj(vec![
-        ("scenario", Json::str(scenario.label())),
-        ("policy", Json::str(if myopic { "myopic" } else { "chain" })),
-        ("epochs", epochs),
-        ("total_cost", usd(report.total_cost)),
-        ("total_time_hours", hours(report.total_time)),
-        ("billed_instance_hours", hours(report.billed_instance_hours)),
-        ("commitment", commitment),
-    ])
-    .render_pretty()
 }
 
 fn cmd_sql(args: &Args) -> Result<(), Failure> {

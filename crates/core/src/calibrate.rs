@@ -34,6 +34,8 @@ use mv_select::Scenario;
 use mv_units::{Gb, Hours, Money};
 
 use crate::advisor::{monthly_delta, CandidateMeter};
+use crate::json::Json;
+use crate::report::{hours, usd};
 use crate::{Advisor, AdvisorError, HorizonConfig};
 
 /// Shape of a calibration run.
@@ -121,41 +123,55 @@ impl CalibrationReport {
         )
     }
 
-    /// Renders the reconciliation as CSV (one row per epoch).
-    pub fn timeline_csv(&self) -> String {
-        let rows: Vec<Vec<String>> = self
+    /// Renders the reconciliation as the JSON document
+    /// `mvcloud-cli calibrate` prints (one `epochs` row per epoch).
+    pub fn to_json(&self, scenario: Scenario) -> Json {
+        let fixed = |x: f64| Json::Fixed(x, 6);
+        let epochs = self
             .epochs
             .iter()
             .map(|e| {
-                vec![
-                    e.epoch.to_string(),
-                    e.queries_via_views.to_string(),
-                    format!("{:.6}", e.metered_gb),
-                    format!("{:.6}", e.measured_bill.to_dollars_f64()),
-                    format!("{:.6}", e.planned_bill.to_dollars_f64()),
-                    format!("{:.6}", e.fitted_bill.to_dollars_f64()),
-                    format!("{:.6}", e.synthetic_bill.to_dollars_f64()),
-                    format!("{:.6}", e.planned_rel_error),
-                    format!("{:.6}", e.fitted_rel_error),
-                    format!("{:.6}", e.synthetic_rel_error),
-                ]
+                Json::obj(vec![
+                    ("epoch", Json::UInt(e.epoch as u64)),
+                    ("queries_via_views", Json::UInt(e.queries_via_views as u64)),
+                    ("metered_gb", fixed(e.metered_gb)),
+                    ("measured_bill", usd(e.measured_bill)),
+                    ("planned_bill", usd(e.planned_bill)),
+                    ("fitted_bill", usd(e.fitted_bill)),
+                    ("synthetic_bill", usd(e.synthetic_bill)),
+                    ("planned_rel_error", fixed(e.planned_rel_error)),
+                    ("fitted_rel_error", fixed(e.fitted_rel_error)),
+                    ("synthetic_rel_error", fixed(e.synthetic_rel_error)),
+                ])
             })
             .collect();
-        crate::report::render_csv(
-            &[
-                "epoch",
-                "queries_via_views",
-                "metered_gb",
-                "measured_bill",
-                "planned_bill",
-                "fitted_bill",
-                "synthetic_bill",
-                "planned_rel_error",
-                "fitted_rel_error",
-                "synthetic_rel_error",
-            ],
-            &rows,
-        )
+        let fitted = self.fitted_throughput();
+        Json::obj(vec![
+            ("scenario", Json::str(scenario.label())),
+            ("epochs", Json::Arr(epochs)),
+            (
+                "fitted",
+                Json::obj(vec![
+                    (
+                        "scan_gb_per_hour_per_unit",
+                        fixed(fitted.scan_gb_per_hour_per_unit),
+                    ),
+                    ("job_overhead_hours", hours(fitted.job_overhead)),
+                ]),
+            ),
+            ("samples", Json::UInt(self.samples as u64)),
+            ("holdout_epoch", Json::UInt(self.holdout_epoch as u64)),
+            (
+                "holdout_fitted_rel_error",
+                fixed(self.holdout_fitted_rel_error),
+            ),
+            (
+                "holdout_synthetic_rel_error",
+                fixed(self.holdout_synthetic_rel_error),
+            ),
+            ("mean_planned_rel_error", fixed(self.mean_planned_rel_error)),
+            ("mean_fitted_rel_error", fixed(self.mean_fitted_rel_error)),
+        ])
     }
 }
 
@@ -416,9 +432,8 @@ mod tests {
             epochs: 4,
             ..CalibrationConfig::default()
         };
-        let report = advisor
-            .calibrate(Scenario::tradeoff_normalized(0.5), &config)
-            .unwrap();
+        let scenario = Scenario::tradeoff_normalized(0.5);
+        let report = advisor.calibrate(scenario, &config).unwrap();
         assert_eq!(report.epochs.len(), 4);
         assert_eq!(report.holdout_epoch, 3);
         assert!(report.samples > 0);
@@ -435,9 +450,10 @@ mod tests {
         let t = report.fitted_throughput();
         let o = ThroughputModel::default();
         assert!((t.scan_gb_per_hour_per_unit - o.scan_gb_per_hour_per_unit).abs() < 1.0);
-        let csv = report.timeline_csv();
-        assert_eq!(csv.lines().count(), 5);
-        assert!(csv.starts_with("epoch,queries_via_views"));
+        let json = report.to_json(scenario);
+        let epochs = json.get("epochs").and_then(Json::as_array).unwrap();
+        assert_eq!(epochs.len(), 4);
+        assert_eq!(json.get("holdout_epoch").and_then(Json::as_u64), Some(3));
     }
 
     #[test]

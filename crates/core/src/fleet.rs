@@ -60,7 +60,9 @@ use mv_select::epoch::{ChainSpec, EpochChain, EpochStep};
 use mv_select::Scenario;
 use mv_units::{Hours, Money};
 
+use crate::json::Json;
 use crate::market::{Quantiles, SpotCommitmentReport};
+use crate::report::{envelope_epoch, quantiles, spot_commitment};
 use crate::{Advisor, AdvisorError};
 
 /// Shape of a mixed-fleet Monte-Carlo solve.
@@ -224,6 +226,48 @@ impl FleetReport {
         envelope_csv(&self.epochs, "hedge_ratio_median", |e| {
             format!("{:.4}", e.hedge_ratio.median)
         })
+    }
+
+    /// Renders the report as the JSON document `mvcloud-cli fleet`
+    /// prints.
+    pub fn to_json(&self, scenario: Scenario) -> Json {
+        let epochs = self
+            .epochs
+            .iter()
+            .map(|e| envelope_epoch(e, ("hedge_ratio", &e.hedge_ratio)))
+            .collect();
+        let comparison = Json::opt(self.comparison.as_ref().map(|c| {
+            Json::obj(vec![
+                ("hedged", quantiles(&c.hedged)),
+                ("pure_spot", quantiles(&c.pure_spot)),
+                ("pure_reserved", quantiles(&c.pure_reserved)),
+                ("hedged_wins_share", Json::Fixed(c.hedged_wins_share, 4)),
+            ])
+        }));
+        let moves: usize = self.paths.iter().map(|p| p.moves).sum();
+        Json::obj(vec![
+            ("scenario", Json::str(scenario.label())),
+            ("fleet", Json::str(self.fleet.clone())),
+            ("paths", Json::UInt(self.paths.len() as u64)),
+            ("distinct_solves", Json::UInt(self.distinct_solves as u64)),
+            (
+                "tree_nodes",
+                Json::opt(self.tree_nodes.map(|n| Json::UInt(n as u64))),
+            ),
+            ("epochs", Json::Arr(epochs)),
+            ("total_cost", quantiles(&self.total_cost)),
+            ("hedge_ratio", quantiles(&self.hedge_ratio)),
+            ("plan_stability", Json::Fixed(self.plan_stability, 4)),
+            (
+                "placement_moves_per_path",
+                Json::Fixed(moves as f64 / self.paths.len() as f64, 2),
+            ),
+            ("comparison", comparison),
+            (
+                "commitment",
+                Json::opt(self.commitment.as_ref().map(spot_commitment)),
+            ),
+        ])
     }
 }
 
@@ -798,6 +842,15 @@ mod tests {
         let csv = r1.timeline_csv();
         assert_eq!(csv.lines().count(), 7);
         assert!(csv.starts_with("epoch,cost_p10"));
+        // The JSON renders the same epochs: each median charged cost at
+        // six decimals is the CSV's `cost_median`.
+        let json = r1.to_json(scenario);
+        let epochs = json.get("epochs").and_then(Json::as_array).unwrap();
+        assert_eq!(epochs.len(), 6);
+        for (row, e) in csv.lines().skip(1).zip(epochs) {
+            let median = e.get("charged_cost").and_then(|q| q.get("median"));
+            assert_eq!(median.unwrap().render(), row.split(',').nth(2).unwrap());
+        }
     }
 
     #[test]

@@ -23,6 +23,8 @@ use mv_select::epoch::{horizon_cost, horizon_time, EpochChain, EpochStep};
 use mv_select::Scenario;
 use mv_units::{Hours, Money};
 
+use crate::json::Json;
+use crate::report::{hours, names, usd};
 use crate::{Advisor, AdvisorError};
 
 /// Shape of a billing horizon.
@@ -130,6 +132,47 @@ impl HorizonReport {
             ],
             &rows,
         )
+    }
+
+    /// Renders the report as the JSON document `mvcloud-cli horizon`
+    /// prints; `myopic` names the policy that solved it.
+    pub fn to_json(&self, scenario: Scenario, myopic: bool) -> Json {
+        let epochs = self
+            .epochs
+            .iter()
+            .map(|e| {
+                Json::obj(vec![
+                    ("epoch", Json::UInt(e.epoch as u64)),
+                    ("selected", names(&e.selected)),
+                    ("added", names(&e.added)),
+                    ("kept", names(&e.kept)),
+                    ("dropped", names(&e.dropped)),
+                    ("time_hours", Json::Fixed(e.time_hours, 6)),
+                    ("charged_cost", usd(e.charged_cost)),
+                    ("full_price_cost", usd(e.full_price_cost)),
+                    ("cumulative_cost", usd(e.cumulative_cost)),
+                ])
+            })
+            .collect();
+        let commitment = Json::opt(self.commitment.as_ref().map(|c| {
+            Json::obj(vec![
+                ("plan", Json::str(c.plan.clone())),
+                ("billed_instance_hours", hours(c.billed_instance_hours)),
+                ("on_demand", usd(c.on_demand)),
+                ("reserved", usd(c.reserved)),
+                ("saving", usd(c.saving())),
+                ("reserved_wins", Json::Bool(c.reserved_wins())),
+            ])
+        }));
+        Json::obj(vec![
+            ("scenario", Json::str(scenario.label())),
+            ("policy", Json::str(if myopic { "myopic" } else { "chain" })),
+            ("epochs", Json::Arr(epochs)),
+            ("total_cost", usd(self.total_cost)),
+            ("total_time_hours", hours(self.total_time)),
+            ("billed_instance_hours", hours(self.billed_instance_hours)),
+            ("commitment", commitment),
+        ])
     }
 }
 
@@ -455,5 +498,17 @@ mod tests {
         let csv = report.timeline_csv();
         assert_eq!(csv.lines().count(), 3);
         assert!(csv.starts_with("epoch,selected,added,kept,dropped,time_hours"));
+        // The JSON renders the same rows: one epoch per data row, each
+        // transition list as long as the CSV's count column.
+        let json = report.to_json(Scenario::tradeoff_normalized(0.5), false);
+        let epochs = json.get("epochs").and_then(Json::as_array).unwrap();
+        assert_eq!(epochs.len(), csv.lines().count() - 1);
+        for (row, e) in csv.lines().skip(1).zip(epochs) {
+            let cells: Vec<&str> = row.split(',').collect();
+            for (column, key) in [(2, "added"), (3, "kept"), (4, "dropped")] {
+                let list = e.get(key).and_then(Json::as_array).unwrap();
+                assert_eq!(list.len().to_string(), cells[column], "{key}");
+            }
+        }
     }
 }

@@ -35,6 +35,8 @@ use mv_pricing::{CommitmentPlan, FleetPlan};
 use mv_select::Scenario;
 
 use crate::fleet::{FleetConfig, FleetEpochReport, FleetPathSummary, FleetReport};
+use crate::json::Json;
+use crate::report::{envelope_epoch, quantiles, spot_commitment};
 use crate::{Advisor, AdvisorError};
 
 /// Shape of a market-aware Monte-Carlo solve.
@@ -215,6 +217,33 @@ impl MarketReport {
             format!("{:.6}", e.time_hours.median)
         })
     }
+
+    /// Renders the report as the JSON document `mvcloud-cli market`
+    /// prints.
+    pub fn to_json(&self, scenario: Scenario) -> Json {
+        let epochs = self
+            .epochs
+            .iter()
+            .map(|e| envelope_epoch(e, ("time_hours", &e.time_hours)))
+            .collect();
+        Json::obj(vec![
+            ("scenario", Json::str(scenario.label())),
+            ("paths", Json::UInt(self.paths.len() as u64)),
+            ("distinct_solves", Json::UInt(self.distinct_solves as u64)),
+            (
+                "tree_nodes",
+                Json::opt(self.tree_nodes.map(|n| Json::UInt(n as u64))),
+            ),
+            ("epochs", Json::Arr(epochs)),
+            ("total_cost", quantiles(&self.total_cost)),
+            ("total_time_hours", quantiles(&self.total_time_hours)),
+            ("plan_stability", Json::Fixed(self.plan_stability, 4)),
+            (
+                "commitment",
+                Json::opt(self.commitment.as_ref().map(spot_commitment)),
+            ),
+        ])
+    }
 }
 
 impl From<FleetReport> for MarketReport {
@@ -365,6 +394,15 @@ mod tests {
         let csv = r1.timeline_csv();
         assert_eq!(csv.lines().count(), 7);
         assert!(csv.starts_with("epoch,cost_p10"));
+        // The JSON renders the same epochs: each median charged cost at
+        // six decimals is the CSV's `cost_median`.
+        let json = r1.to_json(scenario);
+        let epochs = json.get("epochs").and_then(Json::as_array).unwrap();
+        assert_eq!(epochs.len(), 6);
+        for (row, e) in csv.lines().skip(1).zip(epochs) {
+            let median = e.get("charged_cost").and_then(|q| q.get("median"));
+            assert_eq!(median.unwrap().render(), row.split(',').nth(2).unwrap());
+        }
     }
 
     #[test]

@@ -1,7 +1,12 @@
-//! Report rendering: paper-style result tables, CSV series, and the
-//! scenario summaries used by every experiment binary.
+//! Report rendering: paper-style result tables, CSV series, the
+//! scenario summaries used by every experiment binary, and the pieces
+//! the reports' `to_json` renderers share.
 
 use mv_select::Outcome;
+use mv_units::{Hours, Money};
+
+use crate::json::Json;
+use crate::{FleetEpochReport, Quantiles, SpotCommitmentReport};
 
 /// Renders a markdown-ish aligned table from a header row and data rows.
 pub fn render_table(header: &[&str], rows: &[Vec<String>]) -> String {
@@ -93,6 +98,63 @@ pub fn summarize(outcome: &Outcome, candidate_names: &[String]) -> String {
         },
         feas = outcome.feasible(),
     )
+}
+
+/// Dollars as the JSON reports print them: six decimals.
+pub(crate) fn usd(amount: Money) -> Json {
+    Json::Fixed(amount.to_dollars_f64(), 6)
+}
+
+/// Hours as the JSON reports print them: six decimals.
+pub(crate) fn hours(duration: Hours) -> Json {
+    Json::Fixed(duration.value(), 6)
+}
+
+/// A JSON array of quoted names.
+pub(crate) fn names(list: &[String]) -> Json {
+    Json::Arr(list.iter().map(Json::str).collect())
+}
+
+/// One [`Quantiles`] as a JSON object — the one place its six-field
+/// schema lives.
+pub(crate) fn quantiles(q: &Quantiles) -> Json {
+    Json::obj(vec![
+        ("min", Json::Fixed(q.min, 6)),
+        ("p10", Json::Fixed(q.p10, 6)),
+        ("median", Json::Fixed(q.median, 6)),
+        ("p90", Json::Fixed(q.p90, 6)),
+        ("max", Json::Fixed(q.max, 6)),
+        ("mean", Json::Fixed(q.mean, 6)),
+    ])
+}
+
+/// The `{plan,spot_compute,reserved,saving,reserved_wins_share}`
+/// commitment object of the market and fleet reports.
+pub(crate) fn spot_commitment(c: &SpotCommitmentReport) -> Json {
+    Json::obj(vec![
+        ("plan", Json::str(c.plan.clone())),
+        ("spot_compute", quantiles(&c.spot_compute)),
+        ("reserved", quantiles(&c.reserved)),
+        ("saving", quantiles(&c.saving)),
+        ("reserved_wins_share", Json::Fixed(c.reserved_wins_share, 4)),
+    ])
+}
+
+/// One epoch of the market or fleet envelope as a JSON object: the two
+/// reports differ only in the fourth field, `fourth` (its key and which
+/// quantiles it shows).
+pub(crate) fn envelope_epoch(e: &FleetEpochReport, fourth: (&str, &Quantiles)) -> Json {
+    Json::obj(vec![
+        ("epoch", Json::UInt(e.epoch as u64)),
+        ("charged_cost", quantiles(&e.charged_cost)),
+        ("cumulative_cost", quantiles(&e.cumulative_cost)),
+        (fourth.0, quantiles(fourth.1)),
+        ("compute_factor", quantiles(&e.compute_factor)),
+        ("interruption", quantiles(&e.interruption)),
+        ("distinct_plans", Json::UInt(e.distinct_plans as u64)),
+        ("modal_share", Json::Fixed(e.modal_share, 4)),
+        ("modal_selection", names(&e.modal_selection)),
+    ])
 }
 
 #[cfg(test)]

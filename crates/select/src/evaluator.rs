@@ -386,13 +386,6 @@ impl ProblemHandle<'_> {
             ProblemHandle::Borrowed(_) => unreachable!("promoted above"),
         }
     }
-
-    fn into_problem(self) -> SelectionProblem {
-        match self {
-            ProblemHandle::Borrowed(problem) => problem.clone(),
-            ProblemHandle::Shared(problem) => Arc::unwrap_or_clone(problem),
-        }
-    }
 }
 
 /// O(deg)-per-flip evaluator over a [`SelectionProblem`].
@@ -700,13 +693,6 @@ impl<'p> IncrementalEvaluator<'p> {
     /// `update_charge` have left it.
     pub fn problem(&self) -> &SelectionProblem {
         &self.problem
-    }
-
-    /// Consumes the evaluator, returning its problem. Clones only if
-    /// the problem was still borrowed and never written, or a fork
-    /// still shares it.
-    pub fn into_problem(self) -> SelectionProblem {
-        self.problem.into_problem()
     }
 
     /// Re-prices candidate `k` in place — the epoch-boundary splice,

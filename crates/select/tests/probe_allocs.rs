@@ -409,12 +409,3 @@ fn a_writing_fork_copies_the_problem_once_and_the_index_never() {
     assert_eq!(small, large, "(allocations, bytes) at n = 32 and n = 256");
     assert_eq!(large.0, 1, "the copied problem's Arc");
 }
-
-#[test]
-fn handing_an_unshared_problem_back_allocates_nothing() {
-    let ev = resident(256);
-    let before = allocations();
-    let problem = ev.into_problem();
-    assert_eq!(allocations() - before, 0, "into_problem copied");
-    assert_eq!(problem.len(), 256);
-}

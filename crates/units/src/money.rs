@@ -146,12 +146,6 @@ impl Money {
         self.0 < 0
     }
 
-    /// Saturating addition; used by solvers that mix `Money::MAX` sentinels.
-    #[inline]
-    pub const fn saturating_add(self, rhs: Money) -> Money {
-        Money(self.0.saturating_add(rhs.0))
-    }
-
     /// Absolute value.
     #[inline]
     pub const fn abs(self) -> Money {

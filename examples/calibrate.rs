@@ -47,8 +47,9 @@ fn main() {
         evolution: WorkloadEvolution::seasonal(4, 0.5),
         ..CalibrationConfig::default()
     };
+    let scenario = Scenario::tradeoff_normalized(0.5);
     let report = advisor
-        .calibrate(Scenario::tradeoff_normalized(0.5), &config)
+        .calibrate(scenario, &config)
         .expect("calibration runs");
 
     println!(
@@ -57,7 +58,7 @@ fn main() {
         report.samples,
         report.holdout_epoch
     );
-    println!("{}", report.timeline_csv());
+    println!("{}", report.to_json(scenario).render_pretty());
 
     let fitted = report.fitted_throughput();
     println!(

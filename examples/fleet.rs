@@ -128,7 +128,7 @@ fn main() {
          (${:.2} cheaper at the median), but spreads ${:.2} of p10–p90 price risk \
          across the year vs the hedge's ${:.2}.",
         cmp.hedged.median - cmp.pure_spot.median,
-        cmp.pure_spot.p90 - cmp.pure_spot.p10,
-        cmp.hedged.p90 - cmp.hedged.p10,
+        cmp.pure_spot.spread(),
+        cmp.hedged.spread(),
     );
 }
