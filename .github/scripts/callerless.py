@@ -23,6 +23,13 @@ share is on SHADOWED, checked definition by definition (which type's
 method each non-test call resolves to). A newly shared name fails the
 scan until it is checked and listed; a listed name no longer shared
 fails too.
+
+Two more item classes are held to non-test use, by name as well. A `pub
+const` or `pub static` (an associated one included) is used where a
+non-test line other than a definition names it. A variant of a `pub
+enum` is used where a non-test line constructs it as `Enum::Variant` or
+`Self::Variant`: a `match` arm's pattern, a `|` alternative and the
+patterns of `matches!`, `if let` and `while let` only read one.
 """
 import glob
 import re
@@ -32,7 +39,7 @@ ALLOWED = {
     # slow references the identity tests compare the fast paths against
     "reference_evaluate", "churn_chain", "random_sparse_problem", "with_tied_times",
     "paper_like_problem",
-    "refine", "identity", "table_from_csv", "to_sorted_rows",
+    "refine", "identity", "IDENTITY", "table_from_csv", "to_sorted_rows",
     # counter seams the counter-pinned tests read
     "scoped", "local_delta", "rebase", "delta",
     # read-outs and constructors only tests reach: the meter's from-base
@@ -175,7 +182,96 @@ def used(name):
     return re.search(rf"{call}\s*(?:\(|::<)|::\s*{name}\b", text) is not None
 
 
+CONST = re.compile(r"\s*pub (?:const|static) (?!fn\b)(\w+)\s*:")
+ENUM = re.compile(r"(\s*)pub enum (\w+)")
+VARIANT = re.compile(r"\s*([A-Z]\w*)\b")
+
+
+def enum_variants(path):
+    """`Enum::Variant` names of one file's non-test `pub enum`s: a body
+    runs to the first `}` at its `pub enum`'s indentation, and a variant
+    is a name at the body's first nesting level."""
+    out, enum, depth = [], None, 0
+    for line, _ in code_lines(path):
+        if enum is None:
+            m = ENUM.match(line)
+            if m:
+                enum, close = m.group(2), m.group(1) + "}"
+            continue
+        if line.rstrip() == close:
+            enum = None
+            continue
+        m = VARIANT.match(line)
+        if depth == 0 and m:
+            out.append(f"{enum}::{m.group(1)}")
+        depth += sum(map(line.count, "({[")) - sum(map(line.count, ")}]"))
+    return out
+
+
+def group_end(text, i):
+    """Index just past the bracket group that opens at `text[i]`."""
+    depth = 0
+    for j in range(i, len(text)):
+        depth += (text[j] in "({[") - (text[j] in ")}]")
+        if depth == 0:
+            return j + 1
+    return len(text)
+
+
+code_text = "\n".join(line.rstrip("\n") for line, _ in code)
+# Spans that hold only patterns: a `matches!(…)` and an `if let` /
+# `while let` pattern (up to its `=`).
+patterns = [(m.start(), group_end(code_text, m.end() - 1))
+            for m in re.finditer(r"matches!\s*\(", code_text)]
+BIND = re.compile(r"(?<![=!<>])=(?![=>])")
+patterns += [(m.start(), BIND.search(code_text, m.end()).start())
+             for m in re.finditer(r"\b(?:if|while)\s+let\b", code_text)]
+# A closure's parameter list (`|e|`, `||`), which a `|` alternative is not.
+CLOSURE = re.compile(r"\|(?:[\w\s,&()]|:(?!:))*\|\s*$")
+
+
+def constructed(variant):
+    """Whether a non-test line builds `Enum::Variant` (or `Self::Variant`)
+    outside a pattern: not in a `matches!` or an `if let` / `while let`,
+    not a `|` alternative, and not a `match` arm (followed, past its
+    payload, by `=>`, `|` or a guard's `if`)."""
+    enum, name = variant.split("::")
+    for m in re.finditer(rf"(?<!\w)(?:{enum}|Self)::{name}\b", code_text):
+        if any(lo <= m.start() < hi for lo, hi in patterns):
+            continue
+        end = m.end()
+        payload = re.match(r"\s*[({]", code_text[end:])
+        if payload:
+            end = group_end(code_text, end + payload.end() - 1)
+        before = code_text[: m.start()].rstrip()
+        if before.endswith("|") and not CLOSURE.search(before):
+            continue
+        if not re.match(r"\s*(?:=>|\|(?!\|)|if\b)", code_text[end:]):
+            return True
+    return False
+
+
+consts = {
+    m.group(1): path
+    for path in sources("crates/*/src/**/*.rs")
+    for m in map(CONST.match, (line for line, _ in code_lines(path)))
+    if m
+}
+
+
+def named(name):
+    """Whether a non-test line other than `name`'s definitions names it."""
+    for line, _ in code:
+        definition = CONST.match(line)
+        if re.search(rf"\b{name}\b", line) and not (definition and definition.group(1) == name):
+            return True
+    return False
+
+
+variants = {v: path for path in sources("crates/*/src/**/*.rs") for v in enum_variants(path)}
 callerless = {name: path for name, path in defined.items() if not used(name)}
+callerless.update({name: path for name, path in consts.items() if not named(name)})
+callerless.update({v: path for v, path in variants.items() if not constructed(v)})
 new = sorted(set(callerless) - ALLOWED)
 stale = sorted(ALLOWED - set(callerless))
 shared = {name for name, n in count.items() if n > 1}
@@ -203,7 +299,8 @@ for where in hidden:
 for where in misnamed:
     print(f"test module file not named *_tests.rs — rename it: {where}")
 print(
-    f"{len(defined)} pub fn names, {len(callerless)} caller-less, {len(ALLOWED)} allowed, "
+    f"{len(defined)} pub fn names, {len(consts)} pub consts and statics, {len(variants)} "
+    f"pub enum variants, {len(callerless)} unused, {len(ALLOWED)} allowed, "
     f"{len(shared)} shared"
 )
 sys.exit(1 if new or stale or unchecked or unshared or hidden or misnamed else 0)

@@ -365,7 +365,7 @@ struct Measured {
 impl Measured {
     fn mv1() -> Self {
         Measured {
-            rows: scenario_mv1(SolverKind::PaperKnapsack),
+            rows: scenario_mv1(),
             paper: paper::TABLE6.iter().map(|(q, _, r)| (*q, *r)).collect(),
             rate: "IP rate",
         }
@@ -373,7 +373,7 @@ impl Measured {
 
     fn mv2() -> Self {
         Measured {
-            rows: scenario_mv2(SolverKind::PaperKnapsack),
+            rows: scenario_mv2(),
             paper: paper::TABLE7.iter().map(|(q, _, r)| (*q, *r)).collect(),
             rate: "IC rate",
         }
@@ -382,7 +382,7 @@ impl Measured {
     /// Table 8 has two columns: α = 0.3 and α = 0.7.
     fn mv3(alpha: f64) -> Self {
         Measured {
-            rows: scenario_mv3(alpha, SolverKind::PaperKnapsack),
+            rows: scenario_mv3(alpha),
             paper: paper::TABLE8
                 .iter()
                 .map(|(q, low, high)| (*q, if alpha < 0.5 { *low } else { *high }))

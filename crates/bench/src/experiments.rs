@@ -7,7 +7,8 @@
 //! ## Workload regimes
 //!
 //! The paper's evaluation (§6) ran each scenario over 3-, 5- and 10-query
-//! workloads on a 10 GB dataset. Two regimes reproduce its two cost
+//! workloads on a 10 GB dataset, each solved by its knapsack
+//! ([`SolverKind::PaperKnapsack`]). Two regimes reproduce its two cost
 //! structures:
 //!
 //! * **MV1 (budget)** — ad-hoc regime: each query runs once, storage billed
@@ -124,7 +125,7 @@ fn candidate_names(advisor: &Advisor) -> Vec<String> {
 ///
 /// Budget headroom over the baseline grows with workload size (the paper's
 /// budgets 0.8/1.2/2.4 likewise grow superlinearly): $0.30, $0.90, $4.00.
-pub fn scenario_mv1(solver: SolverKind) -> Vec<ScenarioRow> {
+pub fn scenario_mv1() -> Vec<ScenarioRow> {
     let headrooms = [
         Money::from_cents(30),
         Money::from_cents(90),
@@ -136,7 +137,7 @@ pub fn scenario_mv1(solver: SolverKind) -> Vec<ScenarioRow> {
         .map(|(&n, headroom)| {
             let advisor = build_advisor(n, 1.0, 12.0, 0.0, SizingMode::MeasuredScaled);
             let budget = advisor.problem().baseline().cost() + headroom;
-            let o = advisor.solve(Scenario::budget(budget), solver);
+            let o = advisor.solve(Scenario::budget(budget), SolverKind::PaperKnapsack);
             let rate = o.time_improvement();
             row_from_outcome(n, format!("{budget}"), &o, rate, &candidate_names(&advisor))
         })
@@ -147,13 +148,13 @@ pub fn scenario_mv1(solver: SolverKind) -> Vec<ScenarioRow> {
 ///
 /// The limit is half the no-view workload time, mirroring the paper's
 /// limits (0.57/0.99/2.24 h, each below its workload's base time).
-pub fn scenario_mv2(solver: SolverKind) -> Vec<ScenarioRow> {
+pub fn scenario_mv2() -> Vec<ScenarioRow> {
     WORKLOAD_SIZES
         .iter()
         .map(|&n| {
             let advisor = build_advisor(n, 50.0, 1.0, 0.02, SizingMode::Extrapolated);
             let limit = Hours::new(advisor.problem().baseline().time.value() * 0.5);
-            let o = advisor.solve(Scenario::time_limit(limit), solver);
+            let o = advisor.solve(Scenario::time_limit(limit), SolverKind::PaperKnapsack);
             let rate = o.cost_improvement();
             row_from_outcome(n, format!("{limit}"), &o, rate, &candidate_names(&advisor))
         })
@@ -163,12 +164,15 @@ pub fn scenario_mv2(solver: SolverKind) -> Vec<ScenarioRow> {
 /// **Table 8 / Figures 5(c,d)** — MV3: weighted tradeoff at a given α
 /// (the paper runs α = 0.3 and α = 0.7; Figure 5(d)'s caption says 0.65,
 /// so the harness accepts any α).
-pub fn scenario_mv3(alpha: f64, solver: SolverKind) -> Vec<ScenarioRow> {
+pub fn scenario_mv3(alpha: f64) -> Vec<ScenarioRow> {
     WORKLOAD_SIZES
         .iter()
         .map(|&n| {
             let advisor = build_advisor(n, 50.0, 1.0, 0.02, SizingMode::Extrapolated);
-            let o = advisor.solve(Scenario::tradeoff_normalized(alpha), solver);
+            let o = advisor.solve(
+                Scenario::tradeoff_normalized(alpha),
+                SolverKind::PaperKnapsack,
+            );
             let rate = o.tradeoff_improvement();
             row_from_outcome(
                 n,
@@ -187,7 +191,7 @@ mod tests {
 
     #[test]
     fn mv1_views_always_desirable_and_growing() {
-        let rows = scenario_mv1(SolverKind::PaperKnapsack);
+        let rows = scenario_mv1();
         assert_eq!(rows.len(), 3);
         for r in &rows {
             assert!(r.feasible, "{}-query workload infeasible", r.queries);
@@ -206,7 +210,7 @@ mod tests {
 
     #[test]
     fn mv2_views_cut_costs_under_time_limits() {
-        let rows = scenario_mv2(SolverKind::PaperKnapsack);
+        let rows = scenario_mv2();
         for r in &rows {
             assert!(r.feasible, "{}-query workload infeasible", r.queries);
             // The paper's Table 7 shape: large, roughly flat cost savings.
@@ -223,7 +227,7 @@ mod tests {
     #[test]
     fn mv3_positive_tradeoff_at_both_alphas() {
         for alpha in [0.3, 0.7] {
-            let rows = scenario_mv3(alpha, SolverKind::PaperKnapsack);
+            let rows = scenario_mv3(alpha);
             for r in &rows {
                 assert!(
                     r.rate > 0.0,

@@ -9,19 +9,6 @@ pub const TABLE7: [(usize, f64, f64); 3] = [(3, 0.57, 0.75), (5, 0.99, 0.72), (1
 /// Table 8 (MV3): `(queries, rate at α=0.3, rate at α=0.7)`.
 pub const TABLE8: [(usize, f64, f64); 3] = [(3, 0.55, 0.32), (5, 0.50, 0.35), (10, 0.68, 0.45)];
 
-/// Worked examples (§3–§4): `(id, description, dollars)`.
-/// Example 3 records the value the paper's own formula yields ($2101.76);
-/// the printed $2131.76 is a typo (`experiments examples` prints both).
-pub const EXAMPLES: [(&str, &str, &str); 7] = [
-    ("EX1", "data transfer cost", "1.08"),
-    ("EX2", "computing cost (no views)", "12.00"),
-    ("EX3", "storage cost with intervals", "2101.76"),
-    ("EX4", "materialization cost", "0.24"),
-    ("EX6", "processing cost with views", "9.60"),
-    ("EX8", "maintenance cost", "1.20"),
-    ("EX9", "storage cost with views", "924.00"),
-];
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -38,6 +25,5 @@ mod tests {
         for (_, a, b) in TABLE8 {
             assert!((0.0..1.0).contains(&a) && (0.0..1.0).contains(&b));
         }
-        assert_eq!(EXAMPLES.len(), 7);
     }
 }

@@ -2,17 +2,17 @@
 //!
 //! [`mv_lattice::ScaleShape`] generates coverage *structure* (which
 //! candidate answers which query, how much faster) as pure numbers;
-//! this module is where that structure gets priced into a real
-//! [`SelectionProblem`] — workload query charges, per-view
-//! storage/build/maintenance charges, AWS-2012 pricing — so the CLI
-//! and the `scale` benchmarks share one construction path for the
-//! n = 2 000 / m = 50 000 regime.
+//! this module prices that structure into a real [`SelectionProblem`]
+//! from the synthetic AWS-2012 parts in [`mv_select::fixtures`] — a
+//! workload with skewed frequencies, per-view storage/build/maintenance
+//! charges, the `small`-instance model — so the CLI and the benchmarks
+//! share one construction path for the n = 2 000 / m = 50 000 regime.
 
-use mv_cost::{CloudCostModel, CostContext, QueryCharge, ViewCharge};
-use mv_lattice::scale::XorShift;
 use mv_lattice::ScaleShape;
-use mv_pricing::presets;
-use mv_units::{Gb, Hours, Months};
+use mv_select::fixtures::{aws_small_model, random_view, random_workload};
+use mv_units::{Gb, Hours};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 use crate::SelectionProblem;
 
@@ -22,42 +22,13 @@ use crate::SelectionProblem;
 /// Deterministic per `shape.seed`.
 pub fn scale_problem(shape: &ScaleShape) -> SelectionProblem {
     let cov = shape.sparse_coverage();
-    let mut rng = XorShift(shape.seed ^ 0x4368_6172_6765);
-    let workload: Vec<QueryCharge> = (0..shape.queries)
-        .map(|i| {
-            let mut q = QueryCharge::new(
-                format!("Q{i}"),
-                Gb::new(rng.range(0.05, 2.0)),
-                Hours::new(rng.range(0.05, 1.0)),
-            );
-            q.frequency = rng.range(0.2, 5.0);
-            q
-        })
-        .collect();
-    let pricing = presets::aws_2012();
-    let instance = pricing
-        .compute
-        .instance("small")
-        .expect("aws-2012 preset ships a small instance")
-        .clone();
-    let model = CloudCostModel::new(CostContext {
-        pricing,
-        instance,
-        nb_instances: 2,
-        months: Months::new(1.0),
-        dataset_size: Gb::new(100.0),
-        inserts: vec![],
-        workload: workload.clone(),
-    });
-    let candidates: Vec<ViewCharge> = (0..cov.candidates())
+    let mut rng = StdRng::seed_from_u64(shape.seed ^ 0x4368_6172_6765);
+    let workload = random_workload(&mut rng, shape.queries, true);
+    let model = aws_small_model(workload, 2, Gb::new(100.0));
+    let workload = &model.context().workload;
+    let candidates = (0..cov.candidates())
         .map(|k| {
-            let mut v = ViewCharge::new(
-                format!("v{k}"),
-                Gb::new(rng.range(0.001, 8.0)),
-                Hours::new(rng.range(0.01, 0.4)),
-                Hours::new(rng.range(0.0, 0.2)),
-                shape.queries,
-            );
+            let mut v = random_view(&mut rng, k, shape.queries);
             let (ids, speedups) = cov.answer_list(k);
             for (&q, &f) in ids.iter().zip(speedups) {
                 let base = workload[q as usize].base_time.value();

@@ -175,24 +175,29 @@ pub fn generate_sales(cfg: &SalesConfig) -> Table {
             }
             pick -= w;
         }
-        let country = &geo[ci];
-        let (region, departments) = country.regions[rng.random_range(0..country.regions.len())];
-        let department = departments[rng.random_range(0..departments.len())];
-        let profit = rng.random_range(1_000..=60_000i64);
-
-        table
-            .push_row(&[
-                Value::Int(year),
-                Value::Int(month),
-                Value::Int(day),
-                Value::from(country.name),
-                Value::from(region),
-                Value::from(department),
-                Value::Int(profit),
-            ])
-            .expect("generated row matches schema");
+        push_sale(&mut table, &mut rng, [year, month, day], &geo[ci]);
     }
     table
+}
+
+/// Appends one sale on `date` (`[year, month, day]`) in `country`,
+/// drawing its region, department and profit in that order.
+fn push_sale(table: &mut Table, rng: &mut StdRng, date: [i64; 3], country: &Country) {
+    let (region, departments) = country.regions[rng.random_range(0..country.regions.len())];
+    let department = departments[rng.random_range(0..departments.len())];
+    let profit = rng.random_range(1_000..=60_000i64);
+    let [year, month, day] = date;
+    table
+        .push_row(&[
+            Value::Int(year),
+            Value::Int(month),
+            Value::Int(day),
+            Value::from(country.name),
+            Value::from(region),
+            Value::from(department),
+            Value::Int(profit),
+        ])
+        .expect("generated row matches schema");
 }
 
 /// Generates an insert *delta* batch: `rows` new sales landing in
@@ -205,20 +210,7 @@ pub fn generate_delta(cfg: &SalesConfig, rows: usize, year: i64, month: i64) -> 
     for _ in 0..rows {
         let day = rng.random_range(1..=days_in_month(year, month));
         let country = &geo[rng.random_range(0..geo.len())];
-        let (region, departments) = country.regions[rng.random_range(0..country.regions.len())];
-        let department = departments[rng.random_range(0..departments.len())];
-        let profit = rng.random_range(1_000..=60_000i64);
-        table
-            .push_row(&[
-                Value::Int(year),
-                Value::Int(month),
-                Value::Int(day),
-                Value::from(country.name),
-                Value::from(region),
-                Value::from(department),
-                Value::Int(profit),
-            ])
-            .expect("generated row matches schema");
+        push_sale(&mut table, &mut rng, [year, month, day], country);
     }
     table
 }

@@ -21,6 +21,9 @@
 //!   collect many answerers (long rows in the evaluator's by-query
 //!   index) while most keep one or two.
 
+use rand::rngs::StdRng;
+use rand::{RngExt, SeedableRng};
+
 /// Parameters of a synthetic sparse workload/candidate shape.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScaleShape {
@@ -38,7 +41,7 @@ pub struct ScaleShape {
 impl ScaleShape {
     /// Generates the shape's coverage structure.
     pub fn sparse_coverage(&self) -> SparseCoverage {
-        let mut rng = XorShift(self.seed ^ 0x4c_6174_7469_6365);
+        let mut rng = StdRng::seed_from_u64(self.seed ^ 0x4c_6174_7469_6365);
         let m = self.queries;
         let mut offsets = Vec::with_capacity(self.candidates + 1);
         let mut query_ids = Vec::new();
@@ -48,7 +51,7 @@ impl ScaleShape {
         for _ in 0..self.candidates {
             // Degree: power-law-ish around the mean — u⁻² keeps most
             // candidates near 1–2× the mean and a thin tail out to 8×.
-            let u = rng.next_f64().max(1e-9);
+            let u = rng.random_range(0.0..1.0).max(1e-9);
             let deg = ((self.mean_coverage as f64 * 0.5 / u.sqrt()) as usize)
                 .clamp(1, (8 * self.mean_coverage).min(m.max(1)));
             // Answer list: cluster around an anchor query with a window
@@ -58,7 +61,7 @@ impl ScaleShape {
             let window = (deg * 6).max(8).min(m.max(1));
             scratch.clear();
             while scratch.len() < deg {
-                let q = if rng.next_f64() < 0.85 {
+                let q = if rng.random_range(0.0..1.0) < 0.85 {
                     (anchor + (rng.next_u64() as usize) % window) % m
                 } else {
                     (rng.next_u64() as usize) % m
@@ -71,7 +74,7 @@ impl ScaleShape {
                 query_ids.push(q);
                 // Speedup factor in (0, 1): answering time = base × f,
                 // between 50× faster and 2× faster than the base scan.
-                speedups.push(rng.range(0.02, 0.5));
+                speedups.push(rng.random_range(0.02..0.5));
             }
             offsets.push(query_ids.len() as u32);
         }
@@ -111,34 +114,6 @@ impl SparseCoverage {
         let lo = self.offsets[k] as usize;
         let hi = self.offsets[k + 1] as usize;
         (&self.query_ids[lo..hi], &self.speedups[lo..hi])
-    }
-}
-
-/// The SplitMix64 generator behind every synthetic scale shape (the
-/// coverage here, the charges in `mvcloud::scale`): in-tree, so a seed
-/// yields the same problem wherever it is built.
-pub struct XorShift(pub u64);
-
-impl XorShift {
-    /// The next 64 bits of the stream.
-    pub fn next_u64(&mut self) -> u64 {
-        let mut x = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        self.0 = x;
-        x ^= x >> 30;
-        x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        x ^= x >> 27;
-        x = x.wrapping_mul(0x94d0_49bb_1331_11eb);
-        x ^ (x >> 31)
-    }
-
-    /// Uniform float in `[0, 1)`.
-    pub fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
-    }
-
-    /// Uniform float in `[lo, hi)`.
-    pub fn range(&mut self, lo: f64, hi: f64) -> f64 {
-        lo + self.next_f64() * (hi - lo)
     }
 }
 

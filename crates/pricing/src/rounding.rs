@@ -2,7 +2,7 @@
 //!
 //! The paper's Example 2 rounds total processing time *up* to whole hours
 //! ("every started hour is charged"). Real invoices differ in two ways that
-//! matter to an optimizer: the granularity (hour / minute / second) and the
+//! matter to an optimizer: the granularity (hour / minute / exact) and the
 //! scope (is each job rounded separately, or the instance's total on-time?).
 //! Both knobs are modelled so the ablation bench `A5` can quantify their
 //! effect on selection decisions.
@@ -16,9 +16,6 @@ pub enum BillingRounding {
     PerStartedHour,
     /// Every started minute is charged.
     PerStartedMinute,
-    /// Per-second billing with a minimum charge of one minute
-    /// (the common post-2017 cloud rule, included for the ablation).
-    PerSecondMin60,
     /// No rounding: bill exact fractional hours.
     Exact,
 }
@@ -29,13 +26,6 @@ impl BillingRounding {
         match self {
             BillingRounding::PerStartedHour => t.round_up_whole(),
             BillingRounding::PerStartedMinute => Hours::from_minutes((t.value() * 60.0).ceil()),
-            BillingRounding::PerSecondMin60 => {
-                if t == Hours::ZERO {
-                    Hours::ZERO
-                } else {
-                    Hours::from_secs(t.as_secs().ceil().max(60.0))
-                }
-            }
             BillingRounding::Exact => t,
         }
     }
@@ -91,21 +81,6 @@ mod tests {
                 .apply(Hours::from_minutes(12.4))
                 .value(),
             Hours::from_minutes(13.0).value()
-        );
-        // 45 s rounds up to the 60 s minimum.
-        assert_eq!(
-            BillingRounding::PerSecondMin60.apply(Hours::from_secs(45.0)),
-            Hours::from_secs(60.0)
-        );
-        // 61.2 s rounds to 62 s.
-        assert_eq!(
-            BillingRounding::PerSecondMin60.apply(Hours::from_secs(61.2)),
-            Hours::from_secs(62.0)
-        );
-        // Zero stays zero (no minimum charge for no usage).
-        assert_eq!(
-            BillingRounding::PerSecondMin60.apply(Hours::ZERO),
-            Hours::ZERO
         );
     }
 

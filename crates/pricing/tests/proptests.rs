@@ -81,7 +81,6 @@ proptest! {
         for rule in [
             BillingRounding::PerStartedHour,
             BillingRounding::PerStartedMinute,
-            BillingRounding::PerSecondMin60,
             BillingRounding::Exact,
         ] {
             prop_assert!(rule.apply(t).value() >= t.value());

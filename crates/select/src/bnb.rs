@@ -30,7 +30,8 @@ pub fn solve_bnb(problem: &SelectionProblem, scenario: Scenario) -> Outcome {
     solve_bnb_counted(problem, scenario).0
 }
 
-/// Node counters (exposed for the ablation bench via `solve_bnb_counted`).
+/// Node counters of one [`solve_bnb_counted`] search (the pruning test
+/// reads them).
 #[derive(Debug, Default, Clone, Copy)]
 pub struct BnbStats {
     /// Nodes visited.

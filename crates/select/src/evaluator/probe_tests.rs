@@ -379,10 +379,9 @@ proptest! {
 }
 
 /// The billing rules the bound must hold under.
-const ROUNDINGS: [BillingRounding; 4] = [
+const ROUNDINGS: [BillingRounding; 3] = [
     BillingRounding::PerStartedHour,
     BillingRounding::PerStartedMinute,
-    BillingRounding::PerSecondMin60,
     BillingRounding::Exact,
 ];
 

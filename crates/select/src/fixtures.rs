@@ -1,11 +1,16 @@
 //! Problem fixtures shared by unit tests, property tests, benches and
-//! examples.
+//! examples, and the parts of the synthetic AWS-2012 problem they and
+//! `mvcloud::scale_problem` draw from one seeded `StdRng`: a workload
+//! ([`random_workload`]), a candidate's charges ([`random_view`]) and
+//! the priced model ([`aws_small_model`]).
 
 use mv_cost::{
     CloudCostModel, CostContext, QueryCharge, SelectionSet, ViewCharge, TIME_FOLD_BLOCK,
 };
 use mv_pricing::presets;
 use mv_units::{Gb, Hours, Months};
+use rand::rngs::StdRng;
+use rand::{RngExt, SeedableRng};
 
 use crate::epoch::EpochChain;
 use crate::{Evaluation, SelectionProblem};
@@ -48,21 +53,12 @@ pub fn reference_evaluate(problem: &SelectionProblem, selection: &SelectionSet) 
 /// two small instances over one month. No non-test caller: the problem
 /// every solver's and the evaluator's unit tests start from.
 pub fn paper_like_problem() -> SelectionProblem {
-    let pricing = presets::aws_2012();
-    let instance = pricing.compute.instance("small").unwrap().clone();
-    let model = CloudCostModel::new(CostContext {
-        pricing,
-        instance,
-        nb_instances: 2,
-        months: Months::new(1.0),
-        dataset_size: Gb::new(10.0),
-        inserts: vec![],
-        workload: vec![
-            QueryCharge::new("Q1", Gb::new(0.4), Hours::new(0.21)),
-            QueryCharge::new("Q2", Gb::new(0.6), Hours::new(0.21)),
-            QueryCharge::new("Q3", Gb::new(0.2), Hours::new(0.21)),
-        ],
-    });
+    let workload = vec![
+        QueryCharge::new("Q1", Gb::new(0.4), Hours::new(0.21)),
+        QueryCharge::new("Q2", Gb::new(0.6), Hours::new(0.21)),
+        QueryCharge::new("Q3", Gb::new(0.2), Hours::new(0.21)),
+    ];
+    let model = aws_small_model(workload, 2, Gb::new(10.0));
     let candidates = vec![
         // A coarse, cheap view serving Q1 only.
         ViewCharge::new(
@@ -117,8 +113,6 @@ pub fn paper_like_problem() -> SelectionProblem {
 /// Test fixture: no non-test caller (`epoch.rs`'s tests and
 /// `epoch/oracle_tests.rs`).
 pub fn churn_chain(epochs: usize) -> EpochChain {
-    let pricing = presets::aws_2012();
-    let instance = pricing.compute.instance("small").unwrap().clone();
     let models: Vec<CloudCostModel> = (0..epochs)
         .map(|e| {
             let (f1, f2) = if e % 2 == 0 { (5.0, 0.2) } else { (0.2, 5.0) };
@@ -126,15 +120,7 @@ pub fn churn_chain(epochs: usize) -> EpochChain {
             q1.frequency = f1;
             let mut q2 = QueryCharge::new("Q2", Gb::new(0.01), Hours::new(10.0));
             q2.frequency = f2;
-            CloudCostModel::new(CostContext {
-                pricing: pricing.clone(),
-                instance: instance.clone(),
-                nb_instances: 1,
-                months: Months::new(1.0),
-                dataset_size: Gb::new(10.0),
-                inserts: vec![],
-                workload: vec![q1, q2],
-            })
+            aws_small_model(vec![q1, q2], 1, Gb::new(10.0))
         })
         .collect();
     let pool = vec![
@@ -146,29 +132,61 @@ pub fn churn_chain(epochs: usize) -> EpochChain {
     EpochChain::new(models, pool)
 }
 
-/// Deterministic SplitMix64 generator, so the fixtures and the LNS
-/// destroy step need no external RNG and their streams never move.
-pub(crate) struct XorShift(pub(crate) u64);
+/// `n` synthetic queries `Q0…`: per query a result size (0.05–2 GB), a
+/// base time (0.05–1 h) and, if `frequencies`, a frequency (0.2–5),
+/// drawn in that order. One part of the synthetic AWS-2012 problem the
+/// fixtures below and `mvcloud::scale_problem` assemble.
+pub fn random_workload(rng: &mut StdRng, n: usize, frequencies: bool) -> Vec<QueryCharge> {
+    (0..n)
+        .map(|i| {
+            let mut q = QueryCharge::new(
+                format!("Q{i}"),
+                Gb::new(rng.random_range(0.05..2.0)),
+                Hours::new(rng.random_range(0.05..1.0)),
+            );
+            if frequencies {
+                q.frequency = rng.random_range(0.2..5.0);
+            }
+            q
+        })
+        .collect()
+}
 
-impl XorShift {
-    pub(crate) fn next_u64(&mut self) -> u64 {
-        let mut x = self.0.wrapping_add(0x9e3779b97f4a7c15);
-        self.0 = x;
-        x ^= x >> 30;
-        x = x.wrapping_mul(0xbf58476d1ce4e5b9);
-        x ^= x >> 27;
-        x = x.wrapping_mul(0x94d049bb133111eb);
-        x ^ (x >> 31)
-    }
+/// Candidate `v{k}` over an `m`-query workload, answering nothing yet:
+/// a size (1 MB–8 GB), a build time (0.01–0.4 h) and a refresh time
+/// (0–0.2 h), drawn in that order.
+pub fn random_view(rng: &mut StdRng, k: usize, m: usize) -> ViewCharge {
+    ViewCharge::new(
+        format!("v{k}"),
+        Gb::new(rng.random_range(0.001..8.0)),
+        Hours::new(rng.random_range(0.01..0.4)),
+        Hours::new(rng.random_range(0.0..0.2)),
+        m,
+    )
+}
 
-    /// Uniform float in `[0, 1)`.
-    fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
-    }
-
-    fn range(&mut self, lo: f64, hi: f64) -> f64 {
-        lo + self.next_f64() * (hi - lo)
-    }
+/// `workload` priced on AWS-2012 `small` instances over one month, with
+/// no inserts.
+pub fn aws_small_model(
+    workload: Vec<QueryCharge>,
+    nb_instances: u32,
+    dataset_size: Gb,
+) -> CloudCostModel {
+    let pricing = presets::aws_2012();
+    let instance = pricing
+        .compute
+        .instance("small")
+        .expect("aws-2012 preset ships a small instance")
+        .clone();
+    CloudCostModel::new(CostContext {
+        pricing,
+        instance,
+        nb_instances,
+        months: Months::new(1.0),
+        dataset_size,
+        inserts: vec![],
+        workload,
+    })
 }
 
 /// A random problem with `n_queries` queries and `n_candidates` candidate
@@ -176,40 +194,18 @@ impl XorShift {
 /// speedup. Used by the solver-equivalence property tests: exhaustive
 /// search is the ground truth the other solvers are checked against.
 pub fn random_problem(seed: u64, n_queries: usize, n_candidates: usize) -> SelectionProblem {
-    let mut rng = XorShift(seed);
-    let pricing = presets::aws_2012();
-    let instance = pricing.compute.instance("small").unwrap().clone();
-    let workload: Vec<QueryCharge> = (0..n_queries)
-        .map(|i| {
-            QueryCharge::new(
-                format!("Q{i}"),
-                Gb::new(rng.range(0.05, 2.0)),
-                Hours::new(rng.range(0.05, 1.0)),
-            )
-        })
-        .collect();
-    let model = CloudCostModel::new(CostContext {
-        pricing,
-        instance,
-        nb_instances: 1 + (seed % 3) as u32,
-        months: Months::new(1.0),
-        dataset_size: Gb::new(rng.range(1.0, 50.0)),
-        inserts: vec![],
-        workload: workload.clone(),
-    });
+    let mut rng = StdRng::seed_from_u64(seed);
+    let workload = random_workload(&mut rng, n_queries, false);
+    let dataset_size = Gb::new(rng.random_range(1.0..50.0));
+    let model = aws_small_model(workload, 1 + (seed % 3) as u32, dataset_size);
+    let workload = &model.context().workload;
     let candidates: Vec<ViewCharge> = (0..n_candidates)
         .map(|k| {
-            let mut v = ViewCharge::new(
-                format!("v{k}"),
-                Gb::new(rng.range(0.001, 8.0)),
-                Hours::new(rng.range(0.01, 0.4)),
-                Hours::new(rng.range(0.0, 0.2)),
-                n_queries,
-            );
+            let mut v = random_view(&mut rng, k, n_queries);
             for (i, q) in workload.iter().enumerate() {
-                if rng.next_f64() < 0.6 {
+                if rng.random_range(0.0..1.0) < 0.6 {
                     // Speedup factor between 2x and 50x.
-                    let t = q.base_time.value() / rng.range(2.0, 50.0);
+                    let t = q.base_time.value() / rng.random_range(2.0..50.0);
                     v = v.answers(i, Hours::new(t));
                 }
             }
@@ -233,42 +229,18 @@ pub fn random_sparse_problem(
     n_candidates: usize,
     density: f64,
 ) -> SelectionProblem {
-    let mut rng = XorShift(seed ^ 0x5370_6172_7365);
-    let pricing = presets::aws_2012();
-    let instance = pricing.compute.instance("small").unwrap().clone();
-    let workload: Vec<QueryCharge> = (0..n_queries)
-        .map(|i| {
-            let mut q = QueryCharge::new(
-                format!("Q{i}"),
-                Gb::new(rng.range(0.05, 2.0)),
-                Hours::new(rng.range(0.05, 1.0)),
-            );
-            q.frequency = rng.range(0.2, 5.0);
-            q
-        })
-        .collect();
-    let model = CloudCostModel::new(CostContext {
-        pricing,
-        instance,
-        nb_instances: 1 + (seed % 3) as u32,
-        months: Months::new(1.0),
-        dataset_size: Gb::new(rng.range(1.0, 50.0)),
-        inserts: vec![],
-        workload: workload.clone(),
-    });
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x5370_6172_7365);
+    let workload = random_workload(&mut rng, n_queries, true);
+    let dataset_size = Gb::new(rng.random_range(1.0..50.0));
+    let model = aws_small_model(workload, 1 + (seed % 3) as u32, dataset_size);
+    let workload = &model.context().workload;
     let candidates: Vec<ViewCharge> = (0..n_candidates)
         .map(|k| {
-            let mut v = ViewCharge::new(
-                format!("v{k}"),
-                Gb::new(rng.range(0.001, 8.0)),
-                Hours::new(rng.range(0.01, 0.4)),
-                Hours::new(rng.range(0.0, 0.2)),
-                n_queries,
-            );
+            let mut v = random_view(&mut rng, k, n_queries);
             let mut answered = 0;
             for (i, q) in workload.iter().enumerate() {
-                if rng.next_f64() < density {
-                    let t = q.base_time.value() / rng.range(2.0, 50.0);
+                if rng.random_range(0.0..1.0) < density {
+                    let t = q.base_time.value() / rng.random_range(2.0..50.0);
                     v = v.answers(i, Hours::new(t));
                     answered += 1;
                 }
@@ -276,7 +248,7 @@ pub fn random_sparse_problem(
             if answered == 0 && density > 0.0 && n_queries > 0 {
                 // Keep every candidate relevant: answer one random query.
                 let i = (rng.next_u64() as usize) % n_queries;
-                let t = workload[i].base_time.value() / rng.range(2.0, 50.0);
+                let t = workload[i].base_time.value() / rng.random_range(2.0..50.0);
                 v = v.answers(i, Hours::new(t));
             }
             v

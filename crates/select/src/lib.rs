@@ -249,7 +249,7 @@ pub use exhaustive::{
 pub use greedy::solve_greedy;
 pub use knapsack::solve_knapsack;
 pub use lns::{solve_lns, solve_lns_with, LnsConfig};
-pub use local_search::{solve_local_search, solve_local_search_bounded};
+pub use local_search::solve_local_search;
 pub use mv_cost::Placement;
 pub use mv_cost::SelectionSet;
 pub use problem::{Evaluation, Score, Scored, SelectionProblem};

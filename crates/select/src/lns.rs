@@ -23,8 +23,9 @@
 //! `tests/lns_never_worse.rs`.
 
 use mv_cost::SelectionSet;
+use rand::rngs::StdRng;
+use rand::{RngExt, SeedableRng};
 
-use crate::fixtures::XorShift;
 use crate::local_search::{self, default_move_budget};
 use crate::{Evaluation, IncrementalEvaluator, Outcome, Scenario, SelectionProblem, SolverKind};
 
@@ -160,7 +161,7 @@ fn refine_ordered(
     } else {
         ev.snapshot()
     };
-    let mut rng = XorShift(cfg.seed);
+    let mut rng = StdRng::seed_from_u64(cfg.seed);
     for round in 0..cfg.rounds {
         let n = ev.problem().len();
         let mut selected: Vec<usize> = ev.selection().ones().collect();

@@ -352,7 +352,7 @@ pub fn solve_local_search(problem: &SelectionProblem, scenario: Scenario) -> Out
 }
 
 /// [`solve_local_search`] with an explicit improvement-move budget.
-pub fn solve_local_search_bounded(
+fn solve_local_search_bounded(
     problem: &SelectionProblem,
     scenario: Scenario,
     max_moves: usize,

@@ -34,14 +34,13 @@ pub struct SpacePoint {
 
 /// Enumerates the full solution space (≤ 20 candidates) with frontier
 /// marking, sorted by time ascending. Thread count is chosen
-/// automatically; see [`solution_space_with_threads`].
+/// automatically; the result is identical for every thread count.
 pub fn solution_space(problem: &SelectionProblem) -> Vec<SpacePoint> {
     solution_space_with_threads(problem, crate::sweep::auto_threads(problem.len()))
 }
 
-/// [`solution_space`] with an explicit thread count (1 = serial). The
-/// result is identical for every thread count.
-pub fn solution_space_with_threads(problem: &SelectionProblem, threads: usize) -> Vec<SpacePoint> {
+/// [`solution_space`] with an explicit thread count (1 = serial).
+fn solution_space_with_threads(problem: &SelectionProblem, threads: usize) -> Vec<SpacePoint> {
     let n = problem.len();
     assert!(n <= 20, "solution space over {n} candidates is too large");
     let total: u64 = 1u64 << n;

@@ -28,22 +28,10 @@ impl Hours {
         Hours::new(minutes / 60.0)
     }
 
-    /// Builds a duration from seconds.
-    #[inline]
-    pub fn from_secs(secs: f64) -> Self {
-        Hours::new(secs / 3600.0)
-    }
-
     /// The duration in hours.
     #[inline]
     pub const fn value(self) -> f64 {
         self.0
-    }
-
-    /// The duration in seconds.
-    #[inline]
-    pub fn as_secs(self) -> f64 {
-        self.0 * 3600.0
     }
 
     /// Rounds up to the next whole hour: the paper's `RoundUp` in Example 2
@@ -242,15 +230,13 @@ mod tests {
     #[test]
     fn conversions() {
         assert_eq!(Hours::from_minutes(90.0).value(), 1.5);
-        assert_eq!(Hours::from_secs(7200.0).value(), 2.0);
-        assert_eq!(Hours::new(2.0).as_secs(), 7200.0);
     }
 
     #[test]
     fn display_picks_unit() {
         assert_eq!(Hours::new(40.0).to_string(), "40.00 h");
         assert_eq!(Hours::new(0.5).to_string(), "30.0 min");
-        assert_eq!(Hours::from_secs(10.0).to_string(), "10.00 s");
+        assert_eq!(Hours::new(10.0 / 3600.0).to_string(), "10.00 s");
         assert_eq!(Months::new(12.0).to_string(), "12.0 mo");
     }
 
