@@ -344,7 +344,8 @@ fn bench_exhaustive_threads() {
     }
 }
 
-/// The bill, a probe and a no-move round at a node of `montecarlo`'s SSB forest:
+/// The bill, a model clone (what every tree edge's retarget takes), a
+/// probe and a no-move round at a node of `montecarlo`'s SSB forest:
 /// r 2 000, 63 cuboids, 13 queries, standing on the local-search plan.
 fn bench_probe_and_round() {
     let advisor = Advisor::build(ssb_domain(2_000, 1.0, 42), AdvisorConfig::default())
@@ -371,6 +372,7 @@ fn bench_probe_and_round() {
             black_box(size),
         )
     });
+    run("cost/model", "clone_ssb_n63", || model.clone());
     run("select/probe", "ssb_n63", || {
         ev.probe(black_box(unselected))
     });

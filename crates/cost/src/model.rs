@@ -11,6 +11,8 @@
 //! which is exactly how the paper's worked Examples 2, 4, 6 and 8 compute
 //! their dollar figures.
 
+use std::sync::Arc;
+
 use mv_pricing::StorageTimeline;
 use mv_units::{Gb, Hours, Money, Months};
 
@@ -29,11 +31,24 @@ pub const TIME_FOLD_BLOCK: usize = 64;
 /// [`CloudCostModel::breakdown_from_totals`] allocation-free — cheap
 /// enough to be the one bill assembly behind full evaluations and
 /// incremental probes alike.
+///
+/// A model is never written after [`CloudCostModel::new`], so a clone
+/// shares the context (workload names, price catalog) and the interval
+/// structure behind one `Arc`: a reference-count bump, no allocation —
+/// what an epoch edge's retarget and a fleet node's base model pay.
+/// [`CloudCostModel::with_frequencies`] is a new model and copies the
+/// context once.
 #[derive(Debug, Clone)]
 pub struct CloudCostModel {
-    ctx: CostContext,
+    shared: Arc<Shared>,
     /// [`CloudCostModel::transfer_cost`] of the context.
     transfer: Money,
+}
+
+/// What every clone of a model shares.
+#[derive(Debug)]
+struct Shared {
+    ctx: CostContext,
     /// Formula 5's billable intervals as `(inserts applied, duration)`:
     /// how many of the context's insert events precede the interval and
     /// how long it lasts. Only the *size* an interval holds depends on
@@ -50,31 +65,34 @@ impl CloudCostModel {
         let transfer = transfer_cost_of(&ctx);
         let storage_intervals = storage_interval_template(&ctx);
         CloudCostModel {
-            ctx,
+            shared: Arc::new(Shared {
+                ctx,
+                storage_intervals,
+            }),
             transfer,
-            storage_intervals,
         }
     }
 
     /// The wrapped context.
     pub fn context(&self) -> &CostContext {
-        &self.ctx
+        &self.shared.ctx
     }
 
     /// The same model with query `i` executed `frequencies[i]` times per
     /// period — what differs between two epochs of a horizon, or between
     /// a resident plan and the traffic observed since. Every measured
-    /// charge, the price sheet and the storage chronology are kept.
+    /// charge, the price sheet and the storage chronology are kept. A
+    /// new model: the context is copied once, not shared.
     ///
     /// # Panics
     /// Panics unless there is one frequency per workload query.
     pub fn with_frequencies(&self, frequencies: &[f64]) -> CloudCostModel {
         assert_eq!(
             frequencies.len(),
-            self.ctx.workload.len(),
+            self.shared.ctx.workload.len(),
             "one frequency per workload query"
         );
-        let mut ctx = self.ctx.clone();
+        let mut ctx = CostContext::clone(&self.shared.ctx);
         for (q, &f) in ctx.workload.iter_mut().zip(frequencies) {
             q.frequency = f;
         }
@@ -92,19 +110,19 @@ impl CloudCostModel {
     /// from the context on every call — the reference for the value
     /// [`CloudCostModel::new`] caches for the bill assembly.
     pub fn transfer_cost(&self) -> Money {
-        transfer_cost_of(&self.ctx)
+        transfer_cost_of(&self.shared.ctx)
     }
 
     /// Formula 4: `Cc = RoundUp(Σ t_i) × c(IC) × nbIC`.
     pub fn compute_cost_without_views(&self) -> Money {
-        self.compute_cost(self.ctx.base_processing_time())
+        self.compute_cost(self.shared.ctx.base_processing_time())
     }
 
     /// Section 3 total: `C = Cc + Cs + Ct` — the Section 4 bill of no
     /// views at all.
     pub fn without_views(&self) -> CostBreakdown {
         self.breakdown_from_totals(
-            self.ctx.base_processing_time(),
+            self.shared.ctx.base_processing_time(),
             Hours::ZERO,
             Hours::ZERO,
             Gb::ZERO,
@@ -127,7 +145,7 @@ impl CloudCostModel {
         views: &[ViewCharge],
         selected: &SelectionSet,
     ) -> Hours {
-        let mut best = self.ctx.workload[index].base_time;
+        let mut best = self.shared.ctx.workload[index].base_time;
         for k in selected.ones() {
             if let Some(t) = views[k].profile.get(index) {
                 best = best.min(t);
@@ -160,7 +178,7 @@ impl CloudCostModel {
         views: &[ViewCharge],
         selected: &SelectionSet,
     ) -> Hours {
-        let workload = &self.ctx.workload;
+        let workload = &self.shared.ctx.workload;
         let mut best: Vec<Hours> = workload.iter().map(|q| q.base_time).collect();
         for k in selected.ones() {
             let profile = &views[k].profile;
@@ -254,10 +272,11 @@ impl CloudCostModel {
         if time == Hours::ZERO {
             return Money::ZERO;
         }
-        self.ctx
-            .pricing
-            .compute
-            .cost(time, &self.ctx.instance, self.ctx.nb_instances)
+        self.shared.ctx.pricing.compute.cost(
+            time,
+            &self.shared.ctx.instance,
+            self.shared.ctx.nb_instances,
+        )
     }
 
     /// Formula 5: the interval-based storage cost of dataset + inserts,
@@ -268,26 +287,59 @@ impl CloudCostModel {
     /// records — so the result equals `period_cost(&storage_timeline(
     /// extra))` bit for bit (`tests/bill_reference.rs`).
     fn storage_cost(&self, extra: Gb) -> Money {
-        let mut size = self.ctx.dataset_size + extra;
+        let mut size = self.shared.ctx.dataset_size + extra;
         let mut applied = 0;
         let mut total = Money::ZERO;
-        for &(inserts_applied, duration) in &self.storage_intervals {
+        for &(inserts_applied, duration) in &self.shared.storage_intervals {
             while applied < inserts_applied {
-                size += self.ctx.inserts[applied].1;
+                size += self.shared.ctx.inserts[applied].1;
                 applied += 1;
             }
-            total += self.ctx.pricing.storage.cost(size, duration);
+            total += self.shared.ctx.pricing.storage.cost(size, duration);
         }
         total
+    }
+
+    /// Whether the bill never falls as the selected views' total size
+    /// grows anywhere in `[0, max_views_size]` (compute, transfer and
+    /// the hours' rounding already never do). Storage is the one
+    /// component that can: each interval's size is the chain
+    /// `dataset + views, + each insert`, which moves with the views'
+    /// size between its value at no views and at `max_views_size`, and
+    /// the storage sheet must never fall over that range
+    /// ([`mv_pricing::TierSchedule::monotone_between`]) in any interval.
+    /// `false` for a `max_views_size` that overflowed to infinity.
+    pub fn bill_monotone_upto(&self, max_views_size: Gb) -> bool {
+        if !max_views_size.value().is_finite() {
+            return false;
+        }
+        let monthly = &self.shared.ctx.pricing.storage.monthly;
+        let mut lo = self.shared.ctx.dataset_size;
+        let mut hi = self.shared.ctx.dataset_size + max_views_size;
+        let mut applied = 0;
+        for &(inserts_applied, _) in &self.shared.storage_intervals {
+            while applied < inserts_applied {
+                let added = self.shared.ctx.inserts[applied].1;
+                lo += added;
+                hi += added;
+                applied += 1;
+            }
+            if !monthly.monotone_between(lo, hi) {
+                return false;
+            }
+        }
+        true
     }
 
     /// The storage timeline [`CloudCostModel::with_views`] bills —
     /// rebuilt (and allocated) per call: the slow reference of the
     /// storage component, and what invoice reconciliation records.
     pub fn storage_timeline(&self, extra_views: Gb) -> StorageTimeline {
-        let mut timeline =
-            StorageTimeline::new(self.ctx.dataset_size + extra_views, self.ctx.months);
-        for (at, added) in &self.ctx.inserts {
+        let mut timeline = StorageTimeline::new(
+            self.shared.ctx.dataset_size + extra_views,
+            self.shared.ctx.months,
+        );
+        for (at, added) in &self.shared.ctx.inserts {
             timeline
                 .insert(*at, *added)
                 .expect("context inserts are chronological");
@@ -455,7 +507,7 @@ mod tests {
 
     #[test]
     fn inserts_change_storage_intervals() {
-        let mut ctx = running_example().ctx;
+        let mut ctx = running_example().context().clone();
         ctx.inserts = vec![(Months::new(6.0), Gb::new(100.0))];
         let m = CloudCostModel::new(ctx);
         // 500×6 + 600×6 GB-months at $0.14.
@@ -463,6 +515,49 @@ mod tests {
             .unwrap()
             .scale(500.0 * 6.0 + 600.0 * 6.0);
         assert_eq!(m.storage_cost(Gb::ZERO), expected);
+    }
+
+    #[test]
+    fn bill_is_monotone_while_storage_stays_in_one_bracket() {
+        // 500 GB of data on AWS-2012's flat-by-volume sheet: up to 523 GB
+        // of views stays under its 1 024 GB threshold.
+        let m = running_example();
+        assert!(m.bill_monotone_upto(Gb::ZERO));
+        assert!(m.bill_monotone_upto(Gb::new(523.0)));
+        assert!(!m.bill_monotone_upto(Gb::new(524.0)));
+        let overflow = Gb::new(f64::MAX) + Gb::new(f64::MAX);
+        assert!(!m.bill_monotone_upto(overflow));
+        // An insert that lifts a later interval past the threshold.
+        let mut ctx = m.context().clone();
+        ctx.inserts = vec![(Months::new(6.0), Gb::new(500.0))];
+        let grown = CloudCostModel::new(ctx.clone());
+        assert!(grown.bill_monotone_upto(Gb::new(23.0)));
+        assert!(!grown.bill_monotone_upto(Gb::new(24.0)));
+        // A graduated sheet never falls.
+        ctx.pricing.storage.monthly = ctx
+            .pricing
+            .storage
+            .monthly
+            .with_mode(mv_pricing::TierMode::Graduated);
+        assert!(CloudCostModel::new(ctx).bill_monotone_upto(Gb::new(1e6)));
+        // No data and no views is zero volume: in no bracket.
+        let mut empty = m.context().clone();
+        empty.dataset_size = Gb::ZERO;
+        assert!(!CloudCostModel::new(empty).bill_monotone_upto(Gb::new(1.0)));
+    }
+
+    #[test]
+    fn a_clone_shares_the_context() {
+        let m = running_example();
+        let c = m.clone();
+        assert!(std::ptr::eq(m.context(), c.context()));
+        assert_eq!(
+            c.with_views(&[v1(1)], &SelectionSet::full(1)),
+            m.with_views(&[v1(1)], &SelectionSet::full(1))
+        );
+        let f = m.with_frequencies(&[2.0]);
+        assert!(!std::ptr::eq(m.context(), f.context()));
+        assert_eq!(m.context().workload[0].frequency, 1.0);
     }
 
     #[test]

@@ -271,14 +271,54 @@ mod tests {
     fn all_presets_are_wellformed() {
         for p in all() {
             assert!(!p.compute.catalog.all().is_empty(), "{}", p.name);
-            // Pricing must be monotone: bigger transfers never cost less.
+            // Bigger transfers never cost less: every outbound sheet is
+            // graduated.
             let c1 = p.transfer.outbound_cost(Gb::new(10.0));
             let c2 = p.transfer.outbound_cost(Gb::new(100.0));
             assert!(c2 >= c1, "{}: outbound pricing not monotone", p.name);
-            let s1 = p.storage.monthly_cost(Gb::new(10.0));
-            let s2 = p.storage.monthly_cost(Gb::new(100.0));
-            assert!(s2 >= s1, "{}: storage pricing not monotone", p.name);
+            // Storage never costs less for more volume inside one
+            // bracket. Across a threshold a flat-by-volume sheet reprices
+            // the whole volume, and may drop (below).
+            let sheet = &p.storage.monthly;
+            let mut start = 0.0;
+            for (i, tier) in sheet.tiers().iter().enumerate() {
+                let end = tier.upto.map_or(2.0 * start + GB_PER_TB, Gb::value);
+                let volumes: Vec<Gb> = [1e-3, 0.25, 0.5, 0.75, 0.999]
+                    .iter()
+                    .map(|f| Gb::new(start + f * (end - start)))
+                    .collect();
+                assert!(
+                    sheet.monotone_between(volumes[0], volumes[4]),
+                    "{}: bracket {i}",
+                    p.name
+                );
+                for pair in volumes.windows(2) {
+                    assert!(
+                        sheet.cost_for(pair[0]) <= sheet.cost_for(pair[1]),
+                        "{}: storage falls inside bracket {i} at {:?}",
+                        p.name,
+                        pair[1]
+                    );
+                }
+                start = end;
+            }
         }
+        // The drop at the first flat-by-volume threshold: AWS-2012 storage
+        // bills 1 023 GB above 1 025 GB, Stratus 10 TB less 1 GB above
+        // 10 TB plus 1 GB.
+        let aws = aws_2012().storage;
+        assert_eq!(aws.monthly_cost(Gb::new(1023.0)), dollars("143.22"));
+        assert_eq!(aws.monthly_cost(Gb::new(1025.0)), dollars("128.125"));
+        assert!(!aws
+            .monthly
+            .monotone_between(Gb::new(1023.0), Gb::new(1025.0)));
+        let stratus = stratus().storage.monthly;
+        let (below, above) = (
+            Gb::new(10.0 * GB_PER_TB - 1.0),
+            Gb::new(10.0 * GB_PER_TB + 1.0),
+        );
+        assert!(stratus.cost_for(below) > stratus.cost_for(above));
+        assert!(!stratus.monotone_between(below, above));
     }
 
     #[test]

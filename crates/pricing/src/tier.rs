@@ -175,6 +175,33 @@ impl TierSchedule {
         }
     }
 
+    /// Whether [`TierSchedule::cost_for`] never falls as the volume grows
+    /// anywhere from `lo` to `hi`. [`TierMode::Graduated`]: always — each
+    /// bracket's width grows with the volume and rates are validated
+    /// ≥ 0. [`TierMode::FlatByVolume`]: only over a range inside one
+    /// bracket, `0 < lo ≤ hi`. Across a threshold the whole volume is
+    /// repriced at the next bracket's rate, which on an "earned rate"
+    /// sheet is lower (AWS-2012 storage bills 1 023 GB above 1 025 GB),
+    /// and zero volume belongs to no bracket; the answer is `false` for
+    /// both, whatever the rates.
+    pub fn monotone_between(&self, lo: Gb, hi: Gb) -> bool {
+        match self.mode {
+            TierMode::Graduated => true,
+            TierMode::FlatByVolume => {
+                lo.value() > 0.0 && lo.value() <= hi.value() && self.bracket(lo) == self.bracket(hi)
+            }
+        }
+    }
+
+    /// The index of the bracket a positive `volume` falls in: the first
+    /// whose exclusive upper bound lies above it.
+    fn bracket(&self, volume: Gb) -> usize {
+        self.tiers
+            .iter()
+            .position(|t| t.upto.is_none_or(|upto| volume.value() < upto.value()))
+            .expect("the last tier is unbounded")
+    }
+
     /// The $/GB rate of the bracket that `volume` falls in. A volume exactly
     /// on a threshold belongs to the *next* bracket (thresholds are exclusive
     /// upper bounds), matching the paper's Example 3 where 2560 GB > 1 TB is
@@ -276,6 +303,34 @@ mod tests {
         // Exactly 1 TB belongs to the next bracket (exclusive upper bound).
         assert_eq!(s.marginal_rate(Gb::from_tb(1.0)), dollars("0.125"));
         assert_eq!(s.marginal_rate(Gb::from_tb(600.0)), dollars("0.095"));
+    }
+
+    #[test]
+    fn graduated_is_monotone_everywhere() {
+        let s = bandwidth();
+        assert!(s.monotone_between(Gb::ZERO, Gb::from_tb(200.0)));
+        assert!(s.monotone_between(Gb::new(0.5), Gb::new(2.0)));
+        let volumes = [0.0, 0.5, 1.0, 1.5, 10.0, 10_240.0, 10_241.0, 200_000.0];
+        for pair in volumes.windows(2) {
+            assert!(s.cost_for(Gb::new(pair[0])) <= s.cost_for(Gb::new(pair[1])));
+        }
+    }
+
+    #[test]
+    fn flat_by_volume_is_monotone_inside_one_bracket_only() {
+        let s = storage();
+        // Inside the first bracket, and inside the second.
+        assert!(s.monotone_between(Gb::new(1.0), Gb::new(1023.0)));
+        assert!(s.monotone_between(Gb::new(512.0), Gb::new(512.0)));
+        assert!(s.monotone_between(Gb::from_tb(1.0), Gb::new(2560.0)));
+        // Across the 1 TB threshold the bill drops: 1 023 GB at $0.14
+        // costs more than 1 025 GB at $0.125.
+        assert!(!s.monotone_between(Gb::new(1023.0), Gb::new(1025.0)));
+        assert!(s.cost_for(Gb::new(1023.0)) > s.cost_for(Gb::new(1025.0)));
+        // Zero volume belongs to no bracket; an empty or reversed range
+        // vouches for nothing either.
+        assert!(!s.monotone_between(Gb::ZERO, Gb::new(10.0)));
+        assert!(!s.monotone_between(Gb::new(20.0), Gb::new(10.0)));
     }
 
     #[test]

@@ -183,17 +183,74 @@
 //! γ ≥ 66u). So ε = 4γ_N: ≈ 2·10⁻¹³ at m = 25 000.
 //!
 //! A one-block workload (the SSB and sales lattices') skips the floor
-//! and scores every move exactly, as `probe` does — its fold has no
-//! prefix to skip, so a floor would save nothing: a property of the
-//! input, like the one-block fold in place. A ruled-out move counts as
-//! `search/bounded` and no snapshot, so `evaluator/snapshot` counts
-//! exact scores only. Under debug assertions every ruled-out move is
-//! also scored exactly, uncounted, and asserted not to have won; the
-//! floor's soundness — its time and rank never past the probe's, a
-//! score returned exactly when the probe's rank beats `to_beat`, under
-//! every scenario and rounding — is property-tested in
-//! `evaluator/probe_tests.rs`. Picks, scores and digests are the
-//! unbounded loop's by construction.
+//! — its fold has no prefix to skip, so a floor would save nothing: a
+//! property of the input, like the one-block fold in place — and scores
+//! exactly every move the next section does not rule out. A ruled-out
+//! move counts as `search/bounded` and no snapshot, so
+//! `evaluator/snapshot` counts exact scores only. Under debug
+//! assertions every ruled-out move is also scored exactly, uncounted,
+//! and asserted not to have won; the floor's soundness — its time and
+//! rank never past the probe's, a score returned exactly when the
+//! probe's rank beats `to_beat`, under every scenario and rounding — is
+//! property-tested in `evaluator/probe_tests.rs`. Picks, scores and
+//! digests are the unbounded loop's by construction.
+//!
+//! # Dominated toggles
+//!
+//! Near a local optimum most unselected views answer no query faster
+//! than the selection already does. Selecting such a view `k` changes
+//! no query's best time and adds only charges, so it cannot rank better
+//! than the position it leaves. The move loops rule it out before any
+//! bound or fold, through `probe_unless_dominated`, when the crate-private
+//! `dominated_on(k)` holds:
+//!
+//! * `k` is unselected, and `toggled(k, true)` yields no query — the
+//!   walk a probe makes of `k`'s answers, O(deg);
+//! * `k`'s size, maintenance and materialization are finite and ≥ 0;
+//! * the bill never falls as the views' size grows, at any size a
+//!   selection can reach: a flag computed at build and `retarget`, and
+//!   again when `update_charge` moves a size, as
+//!   `CloudCostModel::bill_monotone_upto` of the candidate-order fold
+//!   of every candidate's size.
+//!
+//! Such a move ranks no better than the standing position, for these
+//! reasons:
+//!
+//! * **The time is the standing total, bit for bit.** No term changes,
+//!   so every fold runs over the same terms in the same order.
+//! * **Every charge total is at least the standing one.** The toggled
+//!   fold is the standing fold with one more term ≥ 0 inserted, and
+//!   rounded addition is monotone in each operand, so inserting it
+//!   never lowers the running sum or anything folded after it.
+//! * **Every cost component is at least the standing one.** Compute is
+//!   monotone in hours (*Bounded probes*) and transfer is fixed.
+//!   Storage is monotone in the views' size under the flag: each of
+//!   Formula 5's intervals holds a size between its value at no views
+//!   and at the fold of every candidate's size — which bounds every
+//!   selection's fold from above, by the insertion argument again — and
+//!   the flag holds only if the storage sheet never falls over that
+//!   range (`TierSchedule::monotone_between`). A graduated sheet never
+//!   falls. A flat-by-volume sheet vouches only inside one bracket:
+//!   AWS-2012's gets cheaper at 1 TB, so a dataset near it turns the
+//!   rule off.
+//! * **[`Rank`] is monotone in (time, cost)** under MV1–MV3
+//!   (*Bounded probes*).
+//!
+//! So a loop may skip the move when `to_beat` is no worse than the
+//! standing rank, which each loop keeps as its invariant (see
+//! `local_search`'s module docs). `probe_below` itself keeps its
+//! contract for any `to_beat`, so the rule is not inside it. A skipped
+//! move counts as `search/bounded` and no snapshot; under debug
+//! assertions it is scored exactly, uncounted, and asserted not to beat
+//! `to_beat`. The rule's soundness — the standing time's bits, no
+//! component below the standing one, no better rank under MV1, MV2 and
+//! both MV3s, every rounding, both tier modes, and no move ruled out
+//! where storage could cross a flat-by-volume threshold — is
+//! property-tested in `evaluator/probe_tests.rs`. At the SSB node shape
+//! of `select/improve/warm_round_ssb_n63` (63 candidates, 11 selected,
+//! one block) a no-move round offers 635 moves and scores 125 of them
+//! exactly, where it scored all 635; on the sales lattice (15
+//! candidates, 4 selected), 34 of 59.
 //!
 //! # Forks
 //!
@@ -451,6 +508,11 @@ pub struct IncrementalEvaluator<'p> {
     /// The lowest candidate whose run entry a toggle or a price splice
     /// has invalidated since the last settle; `usize::MAX` when none.
     run_stale: usize,
+    /// Whether the bill never falls as views are added, at any reachable
+    /// views size ([`bill_monotone`]): the condition under which a
+    /// toggle can be ruled out as dominated. Recomputed when the model
+    /// or a candidate's size changes.
+    bill_monotone: bool,
 }
 
 /// Maintenance, materialization and size totals of a selection's
@@ -480,6 +542,18 @@ impl Charges {
         self.maintenance += v.maintenance;
         self.materialization += v.materialization;
         self.size += v.size;
+    }
+
+    /// Every charge finite and ≥ 0: adding them to a fold never lowers
+    /// it.
+    fn nonnegative(self) -> bool {
+        [
+            self.maintenance.value(),
+            self.materialization.value(),
+            self.size.value(),
+        ]
+        .iter()
+        .all(|x| x.is_finite() && *x >= 0.0)
     }
 
     /// The score of a selection with these charges and processing time
@@ -567,6 +641,17 @@ fn term_of(q: &QueryCharge, view: u32, time: Hours) -> Hours {
         q.base_time.min(time)
     };
     t * q.frequency
+}
+
+/// Whether `problem`'s bill never falls as views are added, whichever
+/// are selected: [`CloudCostModel::bill_monotone_upto`] the candidate-order
+/// fold of every candidate's size. That fold bounds every selection's
+/// folded size from above — a selection's fold is the full fold with
+/// terms left out, and adding a term ≥ 0 to a sequential IEEE sum never
+/// lowers it. O(n + storage intervals).
+fn bill_monotone(problem: &SelectionProblem) -> bool {
+    let max_views_size: Gb = problem.candidates().iter().map(|v| v.size).sum();
+    problem.model().bill_monotone_upto(max_views_size)
 }
 
 /// Query `i`'s best selected view changed (its term is rewritten by
@@ -675,8 +760,10 @@ impl<'p> IncrementalEvaluator<'p> {
             term: vec![Hours::ZERO; m],
             run: Arc::new(Vec::new()),
             run_stale: usize::MAX,
+            bill_monotone: false,
         };
         ev.reload_terms();
+        ev.bill_monotone = bill_monotone(&ev.problem);
         ev
     }
 
@@ -704,7 +791,8 @@ impl<'p> IncrementalEvaluator<'p> {
     /// whose entries from a selected `k` on the next settle refolds.
     /// Indices and the selection state of `k` are
     /// untouched. Returns the old price. (A view whose *answers* change
-    /// is a different candidate, in a different pool.)
+    /// is a different candidate, in a different pool.) A new size also
+    /// rechecks whether the bill is monotone in the views: O(n).
     pub fn update_charge(&mut self, k: usize, price: Price) -> Price {
         let n = self.problem.len();
         assert!(k < n, "candidate {k} out of {n}");
@@ -712,7 +800,11 @@ impl<'p> IncrementalEvaluator<'p> {
         if self.selection.contains(k) {
             self.run_stale = self.run_stale.min(k);
         }
-        self.problem.to_mut().reprice_candidate(k, price)
+        let old = self.problem.to_mut().reprice_candidate(k, price);
+        if old.size != price.size {
+            self.bill_monotone = bill_monotone(&self.problem);
+        }
+        old
     }
 
     /// Swaps in a new costing model over the same workload shape — the
@@ -729,6 +821,7 @@ impl<'p> IncrementalEvaluator<'p> {
         // Base times and frequencies may have changed under every block.
         self.reload_terms();
         self.all_dirty = true;
+        self.bill_monotone = bill_monotone(&self.problem);
     }
 
     /// The current selection.
@@ -1172,6 +1265,55 @@ impl<'p> IncrementalEvaluator<'p> {
         let score = charges.score(self.problem.model(), time);
         let rank = scenario.rank(&score, baseline);
         (rank < to_beat).then_some((score, rank))
+    }
+
+    /// Whether selecting candidate `k` is *dominated* — ranks no better
+    /// than the standing position, under every scenario (the module's
+    /// *Dominated toggles*): `k` is unselected, answers no query faster
+    /// than its best (the toggle yields no query: the time stays the
+    /// standing total bit for bit), its charges are finite and ≥ 0 (each
+    /// charge total can only grow), and the bill never falls as the
+    /// views' size grows. O(deg) — no fold, no bill.
+    pub(crate) fn dominated_on(&self, k: usize) -> bool {
+        self.bill_monotone
+            && !self.selection.contains(k)
+            && Charges::of(&self.problem.candidates()[k]).nonnegative()
+            && self.toggled(k, true).next().is_none()
+    }
+
+    /// [`IncrementalEvaluator::probe_below`] for a move loop whose
+    /// `to_beat` is no worse than the standing position's rank (each
+    /// loop's invariant: see `local_search`'s module docs). A dominated
+    /// toggle ranks no better than the standing position, so it cannot
+    /// beat `to_beat`: it is ruled out first, without a score, and
+    /// counts as [`Counter::SearchBounded`] and no snapshot. Under
+    /// debug assertions it is also scored exactly, uncounted, and
+    /// asserted not to have won.
+    pub(crate) fn probe_unless_dominated(
+        &mut self,
+        k: usize,
+        scenario: Scenario,
+        baseline: &impl Scored,
+        to_beat: Rank,
+    ) -> Option<(Score, Rank)> {
+        if self.dominated_on(k) {
+            mv_obs::inc(Counter::SearchBounded);
+            #[cfg(debug_assertions)]
+            {
+                self.settle();
+                let (time, _) = self.time_with(self.toggled(k, true));
+                let exact = self
+                    .charges_toggled(k, true)
+                    .score(self.problem.model(), time);
+                let rank = scenario.rank(&exact, baseline);
+                assert!(
+                    rank.partial_cmp(&to_beat) != Some(Ordering::Less),
+                    "candidate {k}: dominated, yet {exact:?} beats {to_beat:?}"
+                );
+            }
+            return None;
+        }
+        self.probe_below(k, scenario, baseline, to_beat)
     }
 }
 

@@ -205,7 +205,7 @@
 //! | [`IncrementalEvaluator`] flip/unflip/score (a `probe` counts as one snapshot and no flips) | `evaluator/flip`, `evaluator/unflip`, `evaluator/snapshot` | `evaluator/snapshot_dirty_blocks` histogram (blocks refolded per score) |
 //! | [`IncrementalEvaluator::update_charge`] | `evaluator/update_charge` | — |
 //! | [`local_search`] probe loops | moves offered: `search/probes`; accepted moves: `search/flip_moves`, `search/swap_moves`, `search/place_moves` | `placement_move` event per accepted pool move |
-//! | bounded move loops (those, and the knapsack repair's hill-climb) | moves their bound ruled out, with no snapshot: `search/bounded` | — |
+//! | bounded move loops (those, and the knapsack repair's hill-climb) | moves their bound or the dominated rule ruled out, with no snapshot: `search/bounded` | — |
 //! | [`lns`] refine rounds | `lns/rounds`, `lns/accepted`, `lns/rejected` | `lns/destroy_size` histogram, `lns_round` event |
 //! | [`EpochChain`] step (every solve, the path-only references included) | `chain/epoch_steps` | `epoch_transition` event (added/kept/dropped/moved) |
 //! | [`EpochChain::solve_with`] node solves (forest nodes and horizon epochs alike) | `tree/node_solves`, `tree/root_solves` | `solve_tree/node` span (count ≡ nodes solved), `tree/fork_width` histogram, `tree_node_solve` event |

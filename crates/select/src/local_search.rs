@@ -10,16 +10,38 @@
 //! unselected views offers n + s·u moves and makes 2·s real toggles —
 //! each swap row deselects its `out` once, offers every `in_` against
 //! that position and selects `out` back, and its first read refolds
-//! what the deselection left stale. A move is priced from below first,
-//! in O(deg) plus the charges of the selected views after it and one
-//! bill, and scored exactly only if that bound could beat the round's
-//! best so far (the evaluator's *Bounded probes*); an exact score adds
-//! the block sums past its first touched block. So a round is n + s·u
-//! bounds and only as many exact scores as moves could win — nearly
-//! none at a local optimum, every move on a one-block workload, which
-//! skips the bound. Every round counts the moves it offers
-//! (`search/probes`), those its bound ruled out (`search/bounded`) and
-//! the move it accepts, as does every round of the flip-on fill.
+//! what the deselection left stale. A selection of a view that answers
+//! no query faster than the position does is ruled out in O(deg) with
+//! no bill (the evaluator's *Dominated toggles*). Any other move is
+//! priced from below first, in O(deg) plus the charges of the selected
+//! views after it and one bill, and scored exactly only if that bound
+//! could beat the round's best so far (the evaluator's *Bounded
+//! probes*); an exact score adds the block sums past its first touched
+//! block. So a round is n + s·u bounds and only as many exact scores as
+//! moves could win — nearly none at a local optimum. A one-block
+//! workload skips the bound and scores exactly every move that is not
+//! dominated. Every round counts the moves it offers (`search/probes`),
+//! those ruled out (`search/bounded`) and the move it accepts, as does
+//! every round of the flip-on fill.
+//!
+//! # The standing rank
+//!
+//! A dominated move ranks no better than the position it is made from,
+//! so it may be skipped only where the rank to beat is no worse than
+//! that position's. Every loop that offers moves through
+//! `Pick::toggle` (and the knapsack repair's hill-climb) keeps this
+//! invariant:
+//!
+//! * **A flip-on fill, the flip-on and flip-off rows, and the knapsack
+//!   repair** offer moves from the standing selection S. The rank to
+//!   beat starts at S's rank and only falls.
+//! * **A placed flip-on row** splices `k`'s other-pool price before the
+//!   toggle. `k` is unselected, so the splice leaves S's score as it is,
+//!   and the rank to beat is still at most S's.
+//! * **The swap row of `out`** offers moves from S − out. That is the
+//!   position FlipOff(out) leads to, and the same round offered that
+//!   move earlier. Its rank was then either kept as the rank to beat or
+//!   not below it, so the rank to beat is at most the rank of S − out.
 //!
 //! Two entry points:
 //!
@@ -114,10 +136,15 @@ impl<'b, M> Pick<'b, M> {
     }
 
     /// Offers `mv`, a toggle of `k` from the evaluator's position:
-    /// scored exactly only if its bound could beat the pick
-    /// ([`IncrementalEvaluator::probe_below`]).
+    /// ruled out if dominated, else scored exactly only if its bound
+    /// could beat the pick
+    /// ([`IncrementalEvaluator::probe_unless_dominated`]). Every caller
+    /// keeps `to_beat` no worse than its position's rank (the module's
+    /// *The standing rank*).
     fn toggle(&mut self, ev: &mut IncrementalEvaluator<'_>, mv: M, k: usize) {
-        if let Some((e, rank)) = ev.probe_below(k, self.scenario, self.baseline, self.to_beat) {
+        if let Some((e, rank)) =
+            ev.probe_unless_dominated(k, self.scenario, self.baseline, self.to_beat)
+        {
             self.to_beat = rank;
             self.best = Some((mv, e));
         }

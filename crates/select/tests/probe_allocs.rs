@@ -9,7 +9,9 @@
 //! `Price`, not a view's name and answer profile. And a `fork` copies
 //! the per-selection state only — its footprint does not know the pool
 //! — a fork that writes adds one copy of the problem and none of the
-//! index, and a fork that is gone leaves nothing shared behind. Counted
+//! index, and a fork that is gone leaves nothing shared behind. A cost
+//! model's clone shares its context, and a retarget to it on an
+//! evaluator that holds its problem alone allocates nothing. Counted
 //! with a `#[global_allocator]` wrapper; the counts are per thread, so
 //! the harness's own threads do not disturb them.
 
@@ -289,9 +291,33 @@ fn a_round_of_placement_probes_allocates_nothing() {
 }
 
 #[test]
+fn a_model_clone_and_a_retarget_to_it_allocate_nothing() {
+    // A model is never written after it is built, so a clone shares its
+    // context (workload names, price catalog) and its storage intervals;
+    // an evaluator that is the only holder of its problem swaps the
+    // model in place.
+    let mut ev = mid_search(256, 40);
+    ev.score();
+    let model = ev.problem().model().clone();
+    let before = allocations();
+    let copy = model.clone();
+    assert_eq!(allocations() - before, 0, "a model clone allocated");
+    let before = allocations();
+    ev.retarget(model.clone());
+    assert_eq!(allocations() - before, 0, "a retarget allocated");
+    // The counter does count: a model with other frequencies is a new
+    // model, and copies the context once.
+    let frequencies = vec![2.0; copy.context().workload.len()];
+    let before = allocations();
+    let epoch = copy.with_frequencies(&frequencies);
+    assert!(allocations() - before > 256, "the context was not copied");
+    assert_eq!(epoch.context().workload.len(), 256);
+}
+
+#[test]
 fn a_warm_epoch_edge_allocates_independently_of_the_pool_size() {
-    // The edge: one retarget (the model's clone allocates, in the
-    // workload's size) plus a price splice per candidate.
+    // The edge: one retarget (to a clone of the model, which shares its
+    // context) plus a price splice per candidate.
     let edge = |n_candidates: usize| {
         let mut ev = mid_search(256, n_candidates);
         let model = ev.problem().model().clone();
