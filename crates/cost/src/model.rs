@@ -99,6 +99,28 @@ impl CloudCostModel {
         CloudCostModel::new(ctx)
     }
 
+    /// The same model on a re-priced sheet: compute, storage and
+    /// transfer rates multiplied by their own factors
+    /// ([`mv_pricing::PricingPolicy::scale_rates`]), and the rented
+    /// instance by the compute factor under the catalog's own rule
+    /// ([`mv_pricing::InstanceType::scaled`]) — Formula 4 prices through
+    /// the context's instance, so an unscaled one would keep compute
+    /// drift off the bill. Factors of exactly `1.0` reproduce the model
+    /// bit for bit. A new model: the context is copied once.
+    ///
+    /// # Panics
+    /// Panics unless every factor is finite and non-negative.
+    pub fn scale_rates(&self, compute: f64, storage: f64, transfer: f64) -> CloudCostModel {
+        let ctx = &self.shared.ctx;
+        CloudCostModel::new(CostContext {
+            pricing: ctx.pricing.scale_rates(compute, storage, transfer),
+            instance: ctx.instance.scaled(compute),
+            workload: ctx.workload.clone(),
+            inserts: ctx.inserts.clone(),
+            ..*ctx
+        })
+    }
+
     // ------------------------------------------------------------------
     // Section 3: no views.
     // ------------------------------------------------------------------

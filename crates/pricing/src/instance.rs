@@ -42,6 +42,21 @@ impl InstanceType {
             hourly,
         }
     }
+
+    /// This configuration with its hourly rate multiplied by `factor`
+    /// (name, capacities unchanged) — the one per-instance re-pricing
+    /// rule, which [`ComputePricing::scale_rates`] maps over a catalog.
+    /// A factor of exactly `1.0` returns a bit-identical clone.
+    pub fn scaled(&self, factor: f64) -> InstanceType {
+        InstanceType {
+            hourly: if factor == 1.0 {
+                self.hourly
+            } else {
+                self.hourly.scale(factor)
+            },
+            ..self.clone()
+        }
+    }
 }
 
 /// An ordered collection of instance types, looked up by name.
@@ -133,19 +148,13 @@ impl ComputePricing {
             factor.is_finite() && factor >= 0.0,
             "rate factor must be finite and non-negative, got {factor}"
         );
-        if factor == 1.0 {
-            return self.clone();
-        }
         ComputePricing {
             catalog: InstanceCatalog {
                 instances: self
                     .catalog
                     .instances
                     .iter()
-                    .map(|i| InstanceType {
-                        hourly: i.hourly.scale(factor),
-                        ..i.clone()
-                    })
+                    .map(|i| i.scaled(factor))
                     .collect(),
             },
             rounding: self.rounding,
