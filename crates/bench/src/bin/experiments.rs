@@ -183,7 +183,6 @@ fn examples() {
         nb_instances: 2,
         months: Months::new(12.0),
         dataset_size: Gb::new(500.0),
-        inserts: vec![],
         workload: vec![QueryCharge::new("Q", Gb::new(10.0), Hours::new(50.0))],
     });
     let v1 = ViewCharge::new("V1", Gb::new(50.0), Hours::new(1.0), Hours::new(5.0), 1)
@@ -274,7 +273,6 @@ fn examples() {
         nb_instances: 1,
         months: Months::new(1.0),
         dataset_size: Gb::new(500.0),
-        inserts: vec![],
         workload: vec![QueryCharge::new("Q", Gb::ZERO, Hours::new(50.0))],
     });
     let without = intro_model.without_views();

@@ -170,7 +170,6 @@ pub(crate) fn cost_model_for(
         nb_instances: config.nb_instances,
         months: config.months,
         dataset_size: config.simulated_dataset,
-        inserts: vec![],
         workload,
     }))
 }

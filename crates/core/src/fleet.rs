@@ -369,6 +369,30 @@ fn quote_pool_charges(quote: &EpochQuote, fleet: &FleetPlan) -> [PoolCharge; 2] 
     ]
 }
 
+/// One epoch's base model under the fleet's *primary* sheet for one
+/// sampled quote: a spot primary rides the quote's factors (unit
+/// quotes reproduce the base model bit-for-bit); a reserved primary
+/// keeps the base sheet. Non-parity primary terms scale compute on
+/// top; parity terms leave it bit-identical. Both steps are
+/// [`CloudCostModel::scale_rates`], which re-prices the rented
+/// instance with the sheet.
+fn fleet_quote_model(
+    base: &CloudCostModel,
+    quote: &EpochQuote,
+    fleet: &FleetPlan,
+) -> CloudCostModel {
+    let f = &quote.factors;
+    let model = match fleet.primary {
+        Placement::Spot => base.scale_rates(f.compute, f.storage, f.transfer),
+        Placement::Reserved => base.clone(),
+    };
+    let terms = fleet.terms(fleet.primary);
+    if terms.is_parity() {
+        return model;
+    }
+    model.scale_rates(terms.rate_factor, 1.0, 1.0)
+}
+
 /// A NaN or infinite process parameter (a cut factor, a volatility)
 /// poisons the sampled quotes; fail before any model is
 /// compiled from them, with the offending metric named.
@@ -391,52 +415,6 @@ fn check_finite(sampled: &[MarketPath]) -> Result<(), AdvisorError> {
 }
 
 impl Advisor {
-    /// `base` on another price sheet, the rented instance re-resolved
-    /// from it: the context embeds the *resolved* instance (Formula 4
-    /// prices through `ctx.instance.hourly`), so keeping the old one
-    /// would keep compute drift off the bill.
-    fn repriced_model(
-        &self,
-        base: &CloudCostModel,
-        pricing: mv_pricing::PricingPolicy,
-    ) -> CloudCostModel {
-        let mut ctx = base.context().clone();
-        ctx.pricing = pricing;
-        ctx.instance = ctx
-            .pricing
-            .compute
-            .instance(&self.config().instance)
-            .expect("advisor instance validated at build")
-            .clone();
-        CloudCostModel::new(ctx)
-    }
-
-    /// One epoch's base model under the fleet's *primary* sheet for one
-    /// sampled quote: a spot primary rides the quote (unit quotes
-    /// reproduce the base model bit-for-bit); a reserved primary keeps
-    /// the base sheet. Non-parity primary terms scale the sheet on top;
-    /// parity terms leave it bit-identical.
-    fn fleet_quote_model(
-        &self,
-        base: &CloudCostModel,
-        quote: &EpochQuote,
-        fleet: &FleetPlan,
-    ) -> CloudCostModel {
-        let model = match fleet.primary {
-            Placement::Spot => self.repriced_model(base, quote.reprice(&self.config().pricing)),
-            Placement::Reserved => base.clone(),
-        };
-        let terms = fleet.terms(fleet.primary);
-        if terms.is_parity() {
-            return model;
-        }
-        let scaled = model
-            .context()
-            .pricing
-            .scale_rates(terms.rate_factor, 1.0, 1.0);
-        self.repriced_model(&model, scaled)
-    }
-
     /// Solves the horizon across `K` sampled price paths with joint
     /// per-view selection + placement and reports the Monte-Carlo
     /// envelope. See the module docs for the pipeline.
@@ -530,8 +508,10 @@ impl Advisor {
             .nodes()
             .iter()
             .map(|n| {
-                let model = self.fleet_quote_model(&forest.base[n.epoch], &n.quote, fleet);
-                (n.parent, model)
+                (
+                    n.parent,
+                    fleet_quote_model(&forest.base[n.epoch], &n.quote, fleet),
+                )
             })
             .collect();
         let node_pools: Vec<[PoolCharge; 2]> = stree

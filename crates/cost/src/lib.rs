@@ -20,6 +20,12 @@
 //! DP oracle's state table — is assembled by
 //! [`CloudCostModel::breakdown_from_totals`] from four totals.
 //!
+//! The model bills a static dataset: storage is one Formula 5 interval
+//! holding dataset + views for the whole period. A chronology of inserts
+//! and deletions — Formula 5's interval edges — is
+//! [`mv_pricing::StorageTimeline`]'s, which
+//! [`CloudCostModel::storage_timeline`] starts for the invoice ledger.
+//!
 //! ```
 //! use mv_cost::{CloudCostModel, CostContext, QueryCharge};
 //! use mv_pricing::presets;
@@ -33,7 +39,6 @@
 //!     nb_instances: 2,
 //!     months: Months::new(12.0),
 //!     dataset_size: Gb::new(500.0),
-//!     inserts: vec![],
 //!     workload: vec![QueryCharge::new("Q", Gb::new(10.0), Hours::new(50.0))],
 //! });
 //! // Example 2: $12 of compute without views.

@@ -25,74 +25,56 @@ pub const TIME_FOLD_BLOCK: usize = 64;
 
 /// Evaluates the paper's cost formulas over a [`CostContext`].
 ///
-/// What a bill needs of the context but not of the selection is worked
-/// out once, in [`CloudCostModel::new`]: the transfer cost and the
-/// storage timeline's interval structure. That makes
-/// [`CloudCostModel::breakdown_from_totals`] allocation-free — cheap
-/// enough to be the one bill assembly behind full evaluations and
+/// What a bill needs of the context but not of the selection — the
+/// transfer cost — is worked out once, in [`CloudCostModel::new`]. That
+/// makes [`CloudCostModel::breakdown_from_totals`] allocation-free —
+/// cheap enough to be the one bill assembly behind full evaluations and
 /// incremental probes alike.
 ///
 /// A model is never written after [`CloudCostModel::new`], so a clone
-/// shares the context (workload names, price catalog) and the interval
-/// structure behind one `Arc`: a reference-count bump, no allocation —
-/// what an epoch edge's retarget and a fleet node's base model pay.
-/// [`CloudCostModel::with_frequencies`] is a new model and copies the
-/// context once.
+/// shares the context (workload names, price catalog) behind one `Arc`:
+/// a reference-count bump, no allocation — what an epoch edge's
+/// retarget and a fleet node's base model pay.
+/// [`CloudCostModel::with_frequencies`] and
+/// [`CloudCostModel::scale_rates`] are new models and copy the context
+/// once.
 #[derive(Debug, Clone)]
 pub struct CloudCostModel {
-    shared: Arc<Shared>,
+    ctx: Arc<CostContext>,
     /// [`CloudCostModel::transfer_cost`] of the context.
     transfer: Money,
 }
 
-/// What every clone of a model shares.
-#[derive(Debug)]
-struct Shared {
-    ctx: CostContext,
-    /// Formula 5's billable intervals as `(inserts applied, duration)`:
-    /// how many of the context's insert events precede the interval and
-    /// how long it lasts. Only the *size* an interval holds depends on
-    /// the selected views (see [`CloudCostModel::storage_cost`]).
-    storage_intervals: Vec<(usize, Months)>,
-}
-
 impl CloudCostModel {
-    /// Wraps a context and precomputes its selection-independent parts.
-    ///
-    /// # Panics
-    /// Panics when the context's inserts are not in chronological order.
+    /// Wraps a context and precomputes its selection-independent part,
+    /// the transfer cost. Every context is accepted: nothing here panics.
     pub fn new(ctx: CostContext) -> Self {
-        let transfer = transfer_cost_of(&ctx);
-        let storage_intervals = storage_interval_template(&ctx);
         CloudCostModel {
-            shared: Arc::new(Shared {
-                ctx,
-                storage_intervals,
-            }),
-            transfer,
+            transfer: transfer_cost_of(&ctx),
+            ctx: Arc::new(ctx),
         }
     }
 
     /// The wrapped context.
     pub fn context(&self) -> &CostContext {
-        &self.shared.ctx
+        &self.ctx
     }
 
     /// The same model with query `i` executed `frequencies[i]` times per
     /// period — what differs between two epochs of a horizon, or between
     /// a resident plan and the traffic observed since. Every measured
-    /// charge, the price sheet and the storage chronology are kept. A
-    /// new model: the context is copied once, not shared.
+    /// charge and the price sheet are kept. A new model: the context is
+    /// copied once, not shared.
     ///
     /// # Panics
     /// Panics unless there is one frequency per workload query.
     pub fn with_frequencies(&self, frequencies: &[f64]) -> CloudCostModel {
         assert_eq!(
             frequencies.len(),
-            self.shared.ctx.workload.len(),
+            self.ctx.workload.len(),
             "one frequency per workload query"
         );
-        let mut ctx = CostContext::clone(&self.shared.ctx);
+        let mut ctx = CostContext::clone(&self.ctx);
         for (q, &f) in ctx.workload.iter_mut().zip(frequencies) {
             q.frequency = f;
         }
@@ -111,13 +93,12 @@ impl CloudCostModel {
     /// # Panics
     /// Panics unless every factor is finite and non-negative.
     pub fn scale_rates(&self, compute: f64, storage: f64, transfer: f64) -> CloudCostModel {
-        let ctx = &self.shared.ctx;
+        let ctx = &self.ctx;
         CloudCostModel::new(CostContext {
             pricing: ctx.pricing.scale_rates(compute, storage, transfer),
             instance: ctx.instance.scaled(compute),
             workload: ctx.workload.clone(),
-            inserts: ctx.inserts.clone(),
-            ..*ctx
+            ..**ctx
         })
     }
 
@@ -132,19 +113,19 @@ impl CloudCostModel {
     /// from the context on every call — the reference for the value
     /// [`CloudCostModel::new`] caches for the bill assembly.
     pub fn transfer_cost(&self) -> Money {
-        transfer_cost_of(&self.shared.ctx)
+        transfer_cost_of(&self.ctx)
     }
 
     /// Formula 4: `Cc = RoundUp(Σ t_i) × c(IC) × nbIC`.
     pub fn compute_cost_without_views(&self) -> Money {
-        self.compute_cost(self.shared.ctx.base_processing_time())
+        self.compute_cost(self.ctx.base_processing_time())
     }
 
     /// Section 3 total: `C = Cc + Cs + Ct` — the Section 4 bill of no
     /// views at all.
     pub fn without_views(&self) -> CostBreakdown {
         self.breakdown_from_totals(
-            self.shared.ctx.base_processing_time(),
+            self.ctx.base_processing_time(),
             Hours::ZERO,
             Hours::ZERO,
             Gb::ZERO,
@@ -167,7 +148,7 @@ impl CloudCostModel {
         views: &[ViewCharge],
         selected: &SelectionSet,
     ) -> Hours {
-        let mut best = self.shared.ctx.workload[index].base_time;
+        let mut best = self.ctx.workload[index].base_time;
         for k in selected.ones() {
             if let Some(t) = views[k].profile.get(index) {
                 best = best.min(t);
@@ -200,7 +181,7 @@ impl CloudCostModel {
         views: &[ViewCharge],
         selected: &SelectionSet,
     ) -> Hours {
-        let workload = &self.shared.ctx.workload;
+        let workload = &self.ctx.workload;
         let mut best: Vec<Hours> = workload.iter().map(|q| q.base_time).collect();
         for k in selected.ones() {
             let profile = &views[k].profile;
@@ -263,8 +244,7 @@ impl CloudCostModel {
     /// `SelectionProblem::evaluate`, its `IncrementalEvaluator::score`,
     /// the DP oracles' state tables), so their breakdowns are
     /// bit-identical to a full re-evaluation by construction. Allocates
-    /// nothing: transfer and the storage intervals were worked out by
-    /// [`CloudCostModel::new`].
+    /// nothing: transfer was worked out by [`CloudCostModel::new`].
     pub fn breakdown_from_totals(
         &self,
         processing: Hours,
@@ -294,79 +274,50 @@ impl CloudCostModel {
         if time == Hours::ZERO {
             return Money::ZERO;
         }
-        self.shared.ctx.pricing.compute.cost(
-            time,
-            &self.shared.ctx.instance,
-            self.shared.ctx.nb_instances,
-        )
+        self.ctx
+            .pricing
+            .compute
+            .cost(time, &self.ctx.instance, self.ctx.nb_instances)
     }
 
-    /// Formula 5: the interval-based storage cost of dataset + inserts,
-    /// plus `extra` (the selected views) stored for the whole period.
-    /// Replays [`CloudCostModel::storage_timeline`]'s arithmetic over
-    /// the precomputed intervals: the size chain is `dataset + extra`,
-    /// then each insert in order — the float-add sequence the timeline
-    /// records — so the result equals `period_cost(&storage_timeline(
-    /// extra))` bit for bit (`tests/bill_reference.rs`).
+    /// Formula 5 over a static dataset: `dataset + extra` (the selected
+    /// views) stored for the whole period, one interval — equal to
+    /// `period_cost(&storage_timeline(extra))` bit for bit
+    /// (`tests/bill_reference.rs`).
     fn storage_cost(&self, extra: Gb) -> Money {
-        let mut size = self.shared.ctx.dataset_size + extra;
-        let mut applied = 0;
-        let mut total = Money::ZERO;
-        for &(inserts_applied, duration) in &self.shared.storage_intervals {
-            while applied < inserts_applied {
-                size += self.shared.ctx.inserts[applied].1;
-                applied += 1;
-            }
-            total += self.shared.ctx.pricing.storage.cost(size, duration);
-        }
-        total
+        self.ctx
+            .pricing
+            .storage
+            .cost(self.ctx.dataset_size + extra, self.ctx.months)
     }
 
     /// Whether the bill never falls as the selected views' total size
     /// grows anywhere in `[0, max_views_size]` (compute, transfer and
     /// the hours' rounding already never do). Storage is the one
-    /// component that can: each interval's size is the chain
-    /// `dataset + views, + each insert`, which moves with the views'
-    /// size between its value at no views and at `max_views_size`, and
-    /// the storage sheet must never fall over that range
-    /// ([`mv_pricing::TierSchedule::monotone_between`]) in any interval.
-    /// `false` for a `max_views_size` that overflowed to infinity.
+    /// component that can: it bills `dataset + views`, and the storage
+    /// sheet must never fall from the dataset alone to `dataset +
+    /// max_views_size` ([`mv_pricing::TierSchedule::monotone_between`]).
+    /// `true` for a zero-length period, which stores nothing; `false`
+    /// for a `max_views_size` that overflowed to infinity.
     pub fn bill_monotone_upto(&self, max_views_size: Gb) -> bool {
         if !max_views_size.value().is_finite() {
             return false;
         }
-        let monthly = &self.shared.ctx.pricing.storage.monthly;
-        let mut lo = self.shared.ctx.dataset_size;
-        let mut hi = self.shared.ctx.dataset_size + max_views_size;
-        let mut applied = 0;
-        for &(inserts_applied, _) in &self.shared.storage_intervals {
-            while applied < inserts_applied {
-                let added = self.shared.ctx.inserts[applied].1;
-                lo += added;
-                hi += added;
-                applied += 1;
-            }
-            if !monthly.monotone_between(lo, hi) {
-                return false;
-            }
-        }
-        true
+        let dataset = self.ctx.dataset_size;
+        self.ctx.months == Months::ZERO
+            || self
+                .ctx
+                .pricing
+                .storage
+                .monthly
+                .monotone_between(dataset, dataset + max_views_size)
     }
 
     /// The storage timeline [`CloudCostModel::with_views`] bills —
     /// rebuilt (and allocated) per call: the slow reference of the
     /// storage component, and what invoice reconciliation records.
     pub fn storage_timeline(&self, extra_views: Gb) -> StorageTimeline {
-        let mut timeline = StorageTimeline::new(
-            self.shared.ctx.dataset_size + extra_views,
-            self.shared.ctx.months,
-        );
-        for (at, added) in &self.shared.ctx.inserts {
-            timeline
-                .insert(*at, *added)
-                .expect("context inserts are chronological");
-        }
-        timeline
+        StorageTimeline::new(self.ctx.dataset_size + extra_views, self.ctx.months)
     }
 }
 
@@ -377,46 +328,9 @@ fn transfer_cost_of(ctx: &CostContext) -> Money {
     if ctx.pricing.transfer.inbound_is_free() {
         out
     } else {
-        // General Formula 2: the dataset and inserted data enter once.
-        let inserted: Gb = ctx.inserts.iter().map(|(_, g)| *g).sum();
-        out + ctx
-            .pricing
-            .transfer
-            .inbound_cost(ctx.dataset_size + inserted)
+        // General Formula 2: the dataset enters once.
+        out + ctx.pricing.transfer.inbound_cost(ctx.dataset_size)
     }
-}
-
-/// The billable-interval structure of a context's storage timeline: for
-/// each interval, how many insert events precede it and how long it
-/// lasts. Mirrors `StorageTimeline::intervals` (same-instant coalescing,
-/// horizon clamping, zero-length skipping, out-of-order rejection).
-fn storage_interval_template(ctx: &CostContext) -> Vec<(usize, Months)> {
-    let horizon = ctx.months;
-    // Points: (time, inserts applied up to and including this point).
-    let mut points: Vec<(Months, usize)> = vec![(Months::ZERO, 0)];
-    for (idx, (at, _)) in ctx.inserts.iter().enumerate() {
-        let last = points.last_mut().expect("points never empty");
-        assert!(
-            at.value() >= last.0.value(),
-            "context inserts are chronological"
-        );
-        if at.value() == last.0.value() {
-            last.1 = idx + 1;
-        } else {
-            points.push((*at, idx + 1));
-        }
-    }
-    let mut out = Vec::with_capacity(points.len());
-    for (i, (start, applied)) in points.iter().enumerate() {
-        if start.value() >= horizon.value() {
-            break;
-        }
-        let end = points.get(i + 1).map_or(horizon, |(t, _)| t.min(horizon));
-        if end.value() > start.value() {
-            out.push((*applied, end - *start));
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -435,7 +349,6 @@ mod tests {
             nb_instances: 2,
             months: Months::new(12.0),
             dataset_size: Gb::new(500.0),
-            inserts: vec![],
             workload: vec![QueryCharge::new("Q", Gb::new(10.0), Hours::new(50.0))],
         })
     }
@@ -528,18 +441,6 @@ mod tests {
     }
 
     #[test]
-    fn inserts_change_storage_intervals() {
-        let mut ctx = running_example().context().clone();
-        ctx.inserts = vec![(Months::new(6.0), Gb::new(100.0))];
-        let m = CloudCostModel::new(ctx);
-        // 500×6 + 600×6 GB-months at $0.14.
-        let expected = Money::from_dollars_str("0.14")
-            .unwrap()
-            .scale(500.0 * 6.0 + 600.0 * 6.0);
-        assert_eq!(m.storage_cost(Gb::ZERO), expected);
-    }
-
-    #[test]
     fn bill_is_monotone_while_storage_stays_in_one_bracket() {
         // 500 GB of data on AWS-2012's flat-by-volume sheet: up to 523 GB
         // of views stays under its 1 024 GB threshold.
@@ -549,13 +450,8 @@ mod tests {
         assert!(!m.bill_monotone_upto(Gb::new(524.0)));
         let overflow = Gb::new(f64::MAX) + Gb::new(f64::MAX);
         assert!(!m.bill_monotone_upto(overflow));
-        // An insert that lifts a later interval past the threshold.
-        let mut ctx = m.context().clone();
-        ctx.inserts = vec![(Months::new(6.0), Gb::new(500.0))];
-        let grown = CloudCostModel::new(ctx.clone());
-        assert!(grown.bill_monotone_upto(Gb::new(23.0)));
-        assert!(!grown.bill_monotone_upto(Gb::new(24.0)));
         // A graduated sheet never falls.
+        let mut ctx = m.context().clone();
         ctx.pricing.storage.monthly = ctx
             .pricing
             .storage
@@ -565,7 +461,10 @@ mod tests {
         // No data and no views is zero volume: in no bracket.
         let mut empty = m.context().clone();
         empty.dataset_size = Gb::ZERO;
-        assert!(!CloudCostModel::new(empty).bill_monotone_upto(Gb::new(1.0)));
+        assert!(!CloudCostModel::new(empty.clone()).bill_monotone_upto(Gb::new(1.0)));
+        // A zero-length period stores nothing.
+        empty.months = Months::ZERO;
+        assert!(CloudCostModel::new(empty).bill_monotone_upto(Gb::new(1.0)));
     }
 
     #[test]

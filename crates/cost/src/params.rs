@@ -152,8 +152,6 @@ pub struct CostContext {
     pub months: Months,
     /// Initial dataset size `s(DS)`.
     pub dataset_size: Gb,
-    /// Insert events: `(month, added size)` — Formula 5's interval edges.
-    pub inserts: Vec<(Months, Gb)>,
     /// The query workload `Q` with per-query charges.
     pub workload: Vec<QueryCharge>,
 }
@@ -192,7 +190,6 @@ mod tests {
             nb_instances: 2,
             months: Months::new(12.0),
             dataset_size: Gb::new(500.0),
-            inserts: vec![],
             workload: vec![QueryCharge::new("Q", Gb::new(10.0), Hours::new(50.0))],
         }
     }

@@ -2,9 +2,8 @@
 //! from what `new` precomputed equals the slow references, bit for bit —
 //! storage against `StoragePricing::period_cost` over a freshly built
 //! [`StorageTimeline`](mv_pricing::StorageTimeline) (Formula 5), transfer
-//! against Formulas 2–3 recomputed from the context — over random insert
-//! chronologies: same-instant inserts (coalesced), inserts at and after
-//! the horizon (ignored), a zero-length horizon, inbound-free and
+//! against Formulas 2–3 recomputed from the context — over five
+//! horizons (a zero-length one among them), inbound-free and
 //! inbound-charged price sheets, and after a `with_frequencies`
 //! re-weighting (which must refresh the cached transfer cost). And
 //! `CloudCostModel::scale_rates` against the re-pricing it replaced:
@@ -16,9 +15,6 @@ use mv_pricing::presets;
 use mv_units::{Gb, Hours, Months};
 use proptest::prelude::*;
 
-/// Insert times advance in multiples of this, so they land exactly on
-/// each other and on the horizons below.
-const QUANTUM: f64 = 1.5;
 const HORIZONS: [f64; 5] = [0.0, 1.5, 4.5, 6.0, 12.0];
 
 fn context(
@@ -26,7 +22,6 @@ fn context(
     instance: usize,
     inbound_charged: bool,
     horizon: usize,
-    steps: &[(u8, f64)],
     frequencies: &[f64],
 ) -> CostContext {
     let mut pricing = presets::all().swap_remove(sheet % presets::all().len());
@@ -35,15 +30,6 @@ fn context(
     }
     let catalog = pricing.compute.catalog.all();
     let instance = catalog[instance % catalog.len()].clone();
-    let mut at = 0.0;
-    let inserts = steps
-        .iter()
-        .map(|&(step, added)| {
-            // Step 0 is a same-instant insert.
-            at += f64::from(step) * QUANTUM;
-            (Months::new(at), Gb::new(added))
-        })
-        .collect();
     let workload = frequencies
         .iter()
         .enumerate()
@@ -60,7 +46,6 @@ fn context(
         nb_instances: 2,
         months: Months::new(HORIZONS[horizon]),
         dataset_size: Gb::new(500.0),
-        inserts,
         workload,
     }
 }
@@ -73,13 +58,12 @@ proptest! {
         sheet in 0usize..8,
         inbound_charged in proptest::bool::ANY,
         horizon in 0usize..HORIZONS.len(),
-        steps in proptest::collection::vec((0u8..4, 0.0f64..700.0), 0..8),
         frequencies in proptest::collection::vec(0.0f64..9.0, 1..5),
         reweighted in proptest::collection::vec(0.0f64..9.0, 4),
         extra in 0.0f64..2_000.0,
         hours in (0.0f64..90.0, 0.0f64..9.0, 0.0f64..9.0),
     ) {
-        let ctx = context(sheet, 0, inbound_charged, horizon, &steps, &frequencies);
+        let ctx = context(sheet, 0, inbound_charged, horizon, &frequencies);
         let base = CloudCostModel::new(ctx.clone());
         let reweighted = &reweighted[..frequencies.len()];
         for (model, frequencies) in [
@@ -100,7 +84,7 @@ proptest! {
             );
             prop_assert_eq!(bill.transfer, model.transfer_cost());
             // Formulas 2–3 by hand: outbound results, plus — where the
-            // sheet charges it — the dataset and every insert, once.
+            // sheet charges it — the dataset, once.
             let results: Gb = ctx
                 .workload
                 .iter()
@@ -109,8 +93,7 @@ proptest! {
                 .sum();
             let mut transfer = ctx.pricing.transfer.outbound_cost(results);
             if inbound_charged {
-                let inserted: Gb = ctx.inserts.iter().map(|(_, g)| *g).sum();
-                transfer += ctx.pricing.transfer.inbound_cost(ctx.dataset_size + inserted);
+                transfer += ctx.pricing.transfer.inbound_cost(ctx.dataset_size);
             }
             prop_assert_eq!(bill.transfer, transfer);
             prop_assert_eq!(bill.compute_processing, model.compute_cost(Hours::new(hours.0)));
@@ -132,7 +115,7 @@ proptest! {
         ),
         masks in proptest::collection::vec(0u64..64, 4),
     ) {
-        let ctx = context(sheet, instance, inbound_charged, horizon, &[], &frequencies);
+        let ctx = context(sheet, instance, inbound_charged, horizon, &frequencies);
         let base = CloudCostModel::new(ctx);
         let views: Vec<ViewCharge> = views
             .iter()
@@ -190,15 +173,4 @@ fn scale_rates_reference(model: &CloudCostModel, f: (f64, f64, f64)) -> CloudCos
         .unwrap()
         .clone();
     CloudCostModel::new(ctx)
-}
-
-#[test]
-#[should_panic(expected = "context inserts are chronological")]
-fn out_of_order_inserts_are_rejected_when_the_model_is_built() {
-    let mut ctx = context(0, 0, false, 4, &[], &[1.0]);
-    ctx.inserts = vec![
-        (Months::new(6.0), Gb::new(10.0)),
-        (Months::new(3.0), Gb::new(10.0)),
-    ];
-    CloudCostModel::new(ctx);
 }

@@ -27,7 +27,6 @@ fn running_example() -> CloudCostModel {
         nb_instances: 2,
         months: Months::new(12.0),
         dataset_size: Gb::new(500.0),
-        inserts: vec![],
         workload: vec![QueryCharge::new("Q", Gb::new(10.0), Hours::new(50.0))],
     })
 }
@@ -125,7 +124,6 @@ fn section1_intro_figures() {
         nb_instances: 1,
         months: Months::new(1.0),
         dataset_size: Gb::new(500.0),
-        inserts: vec![],
         workload: vec![QueryCharge::new("Q", Gb::ZERO, Hours::new(50.0))],
     });
     // Without views: $50 storage + $12 compute = $62.

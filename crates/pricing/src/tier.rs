@@ -14,6 +14,8 @@
 //!   `512 + 2048 = 2560` GB at tier 2's `$0.125` once the total crosses
 //!   1 TB.
 
+use std::cmp::Ordering::Less;
+
 use mv_units::{Gb, Money};
 
 use crate::PricingError;
@@ -182,8 +184,8 @@ impl TierSchedule {
     /// bracket, `0 < lo ≤ hi`. Across a threshold the whole volume is
     /// repriced at the next bracket's rate, which on an "earned rate"
     /// sheet is lower (AWS-2012 storage bills 1 023 GB above 1 025 GB),
-    /// and zero volume belongs to no bracket; the answer is `false` for
-    /// both, whatever the rates.
+    /// and zero volume bills nothing at all; both are answered `false`,
+    /// whatever the rates.
     pub fn monotone_between(&self, lo: Gb, hi: Gb) -> bool {
         match self.mode {
             TierMode::Graduated => true,
@@ -193,36 +195,28 @@ impl TierSchedule {
         }
     }
 
-    /// The index of the bracket a positive `volume` falls in: the first
-    /// whose exclusive upper bound lies above it.
+    /// The index of the bracket `volume` falls in: the first whose
+    /// exclusive upper bound lies above it, counted as the bounded
+    /// brackets it is not below (a NaN volume is below none). Always a
+    /// valid index: only the last tier is unbounded
+    /// ([`TierSchedule::new`], [`TierSchedule::flat`]), and the count
+    /// stops there.
     fn bracket(&self, volume: Gb) -> usize {
         self.tiers
             .iter()
-            .position(|t| t.upto.is_none_or(|upto| volume.value() < upto.value()))
-            .expect("the last tier is unbounded")
+            .take_while(|t| {
+                t.upto
+                    .is_some_and(|upto| volume.partial_cmp(&upto) != Some(Less))
+            })
+            .count()
     }
 
     /// The $/GB rate of the bracket that `volume` falls in. A volume exactly
     /// on a threshold belongs to the *next* bracket (thresholds are exclusive
     /// upper bounds), matching the paper's Example 3 where 2560 GB > 1 TB is
-    /// priced at the second tier.
+    /// priced at the second tier; zero volume is in the first.
     pub fn marginal_rate(&self, volume: Gb) -> Money {
-        for tier in &self.tiers {
-            match tier.upto {
-                Some(upto) if volume.value() <= upto.value() && volume.value() > 0.0 => {
-                    // Strictly inside the bracket or exactly at the boundary?
-                    // Exactly at the boundary -> next bracket, except when
-                    // volume < upto.
-                    if volume.value() < upto.value() {
-                        return tier.rate;
-                    }
-                }
-                Some(_) => {}
-                None => return tier.rate,
-            }
-        }
-        // Unreachable: the last tier is always unbounded.
-        self.tiers.last().expect("validated non-empty").rate
+        self.tiers[self.bracket(volume)].rate
     }
 }
 
@@ -303,6 +297,7 @@ mod tests {
         // Exactly 1 TB belongs to the next bracket (exclusive upper bound).
         assert_eq!(s.marginal_rate(Gb::from_tb(1.0)), dollars("0.125"));
         assert_eq!(s.marginal_rate(Gb::from_tb(600.0)), dollars("0.095"));
+        assert_eq!(s.marginal_rate(Gb::ZERO), dollars("0.14"));
     }
 
     #[test]
@@ -327,7 +322,7 @@ mod tests {
         // costs more than 1 025 GB at $0.125.
         assert!(!s.monotone_between(Gb::new(1023.0), Gb::new(1025.0)));
         assert!(s.cost_for(Gb::new(1023.0)) > s.cost_for(Gb::new(1025.0)));
-        // Zero volume belongs to no bracket; an empty or reversed range
+        // Zero volume is answered `false`; an empty or reversed range
         // vouches for nothing either.
         assert!(!s.monotone_between(Gb::ZERO, Gb::new(10.0)));
         assert!(!s.monotone_between(Gb::new(20.0), Gb::new(10.0)));

@@ -498,8 +498,9 @@ impl EpochChain {
             let evaluation = charged_problem.evaluate(&solo.evaluation.selection);
             let baseline = charged_problem.baseline();
             let outcome = Outcome::new(evaluation, baseline, scenario, SolverKind::LocalSearch);
-            steps.push(self.step(model, e, outcome, &prev, &placements, &placements));
-            prev = steps.last().expect("just pushed").selection().clone();
+            let step = self.step(model, e, outcome, &prev, &placements, &placements);
+            prev = step.selection().clone();
+            steps.push(step);
         }
         steps
     }
@@ -1036,7 +1037,6 @@ mod tests {
                     nb_instances: 1,
                     months: mv_units::Months::new(1.0),
                     dataset_size: mv_units::Gb::new(10.0),
-                    inserts: vec![],
                     workload: vec![q1, q2],
                 })
             })

@@ -519,7 +519,6 @@ fn crunch_fleet_chain(epochs: usize) -> EpochChain {
                 nb_instances: 1,
                 months: Months::new(1.0),
                 dataset_size: Gb::new(10.0),
-                inserts: vec![],
                 workload: vec![q],
             })
         })

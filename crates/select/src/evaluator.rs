@@ -224,9 +224,9 @@
 //!   never lowers the running sum or anything folded after it.
 //! * **Every cost component is at least the standing one.** Compute is
 //!   monotone in hours (*Bounded probes*) and transfer is fixed.
-//!   Storage is monotone in the views' size under the flag: each of
-//!   Formula 5's intervals holds a size between its value at no views
-//!   and at the fold of every candidate's size — which bounds every
+//!   Storage is monotone in the views' size under the flag: Formula 5's
+//!   one interval holds dataset + views, a size between its value at no
+//!   views and at the fold of every candidate's size — which bounds every
 //!   selection's fold from above, by the insertion argument again — and
 //!   the flag holds only if the storage sheet never falls over that
 //!   range (`TierSchedule::monotone_between`). A graduated sheet never
@@ -648,7 +648,7 @@ fn term_of(q: &QueryCharge, view: u32, time: Hours) -> Hours {
 /// fold of every candidate's size. That fold bounds every selection's
 /// folded size from above — a selection's fold is the full fold with
 /// terms left out, and adding a term ≥ 0 to a sequential IEEE sum never
-/// lowers it. O(n + storage intervals).
+/// lowers it. O(n).
 fn bill_monotone(problem: &SelectionProblem) -> bool {
     let max_views_size: Gb = problem.candidates().iter().map(|v| v.size).sum();
     problem.model().bill_monotone_upto(max_views_size)
@@ -813,7 +813,7 @@ impl<'p> IncrementalEvaluator<'p> {
     /// which do not depend on the model. What does depend on it is the
     /// per-query term cache (base times and frequencies are the
     /// model's), reloaded in O(m); the model brings its own transfer
-    /// cost and storage intervals. While a fork shares the problem, it
+    /// cost. While a fork shares the problem, it
     /// is copied first.
     pub fn retarget(&mut self, model: CloudCostModel) {
         mv_obs::inc(Counter::EvaluatorRetarget);

@@ -165,8 +165,7 @@ pub fn random_view(rng: &mut StdRng, k: usize, m: usize) -> ViewCharge {
     )
 }
 
-/// `workload` priced on AWS-2012 `small` instances over one month, with
-/// no inserts.
+/// `workload` priced on AWS-2012 `small` instances over one month.
 pub fn aws_small_model(
     workload: Vec<QueryCharge>,
     nb_instances: u32,
@@ -184,7 +183,6 @@ pub fn aws_small_model(
         nb_instances,
         months: Months::new(1.0),
         dataset_size,
-        inserts: vec![],
         workload,
     })
 }

@@ -845,7 +845,6 @@ mod tests {
             nb_instances: 1,
             months: mv_units::Months::new(1.0),
             dataset_size: mv_units::Gb::new(10.0),
-            inserts: vec![],
             workload: vec![q],
         });
         let p = SelectionProblem::new(

@@ -237,30 +237,4 @@ proptest! {
             fixtures::random_sparse_problem(seed, n_queries, 10, density_pct as f64 / 100.0);
         pool_edits_and_flips_match_full_evaluation(&pool_problem, mask, &ops);
     }
-
-    /// Problems with insert events exercise the evaluator's storage
-    /// interval template (multi-interval timelines).
-    #[test]
-    fn storage_intervals_survive_inserts(
-        seed in 0u64..10_000,
-        insert_month in 1u8..11,
-        insert_gb in 1u32..500,
-        mask in 0u64..(1 << 6),
-    ) {
-        use mv_cost::CloudCostModel;
-        use mv_units::{Gb, Months};
-
-        let base = fixtures::random_problem(seed, 3, 6);
-        let mut ctx = base.model().context().clone();
-        ctx.months = Months::new(12.0);
-        ctx.inserts = vec![(Months::new(insert_month as f64), Gb::new(insert_gb as f64))];
-        let problem = SelectionProblem::new(
-            CloudCostModel::new(ctx),
-            base.candidates().to_vec(),
-        );
-
-        let sel = SelectionSet::from_mask(mask, problem.len());
-        let mut ev = IncrementalEvaluator::with_selection(&problem, &sel);
-        prop_assert_eq!(ev.snapshot(), problem.evaluate(&sel));
-    }
 }

@@ -25,7 +25,6 @@ fn main() {
         nb_instances: 2,
         months: Months::new(12.0),
         dataset_size: Gb::new(500.0),
-        inserts: vec![],
         workload: vec![QueryCharge::new("Q", Gb::new(10.0), Hours::new(50.0))],
     });
     let without = model.without_views();

@@ -39,7 +39,6 @@ fn client_model_and_provider_invoice_agree() {
         nb_instances: 2,
         months: Months::new(12.0),
         dataset_size: Gb::new(500.0),
-        inserts: vec![],
         workload: vec![QueryCharge::new("Q", Gb::new(10.0), Hours::new(50.0))],
     });
     let v1 = ViewCharge::new("V1", Gb::new(50.0), Hours::new(1.0), Hours::new(5.0), 1)
