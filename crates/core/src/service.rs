@@ -168,8 +168,16 @@ impl AdvisorService {
         let mass: f64 = catalog.workload.iter().map(|q| q.frequency).sum();
         let total: u64 = catalog.counts.iter().sum();
         let plan_frequencies = observed_frequencies(&catalog, mass, total);
-        let model = cost_model_for(&advisor_config, catalog.workload.clone())?
-            .with_frequencies(&plan_frequencies);
+        let mut workload = catalog.workload.clone();
+        assert_eq!(
+            plan_frequencies.len(),
+            workload.len(),
+            "one count per workload query"
+        );
+        for (q, &f) in workload.iter_mut().zip(&plan_frequencies) {
+            q.frequency = f;
+        }
+        let model = cost_model_for(&advisor_config, workload)?;
         let problem = SelectionProblem::new(model, catalog.candidates.clone());
         let query_index = catalog
             .workload
