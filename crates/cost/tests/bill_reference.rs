@@ -6,9 +6,9 @@
 //! horizons (a zero-length one among them), inbound-free and
 //! inbound-charged price sheets, and after a `with_frequencies`
 //! re-weighting (which must refresh the cached transfer cost). And
-//! `CloudCostModel::scale_rates` against the re-pricing it replaced:
-//! the context copied, the sheet scaled, the rented instance looked up by
-//! name on the scaled sheet.
+//! `CloudCostModel::scale_rates` against a by-name reference: the
+//! context copied, the sheet scaled, the rented instance looked up by name
+//! on the scaled sheet.
 
 use mv_cost::{CloudCostModel, CostContext, QueryCharge, SelectionSet, ViewCharge};
 use mv_pricing::presets;
@@ -160,7 +160,7 @@ fn factor() -> impl Strategy<Value = f64> {
     (0usize..4, 0.0f64..3.0).prop_map(|(pick, any)| [1.0, 0.5, 1.3, any][pick])
 }
 
-/// The re-pricing `CloudCostModel::scale_rates` replaced: the context
+/// The reference `CloudCostModel::scale_rates` is held to: the context
 /// copied, the sheet scaled, and the rented instance looked up again by
 /// name on the scaled sheet.
 fn scale_rates_reference(model: &CloudCostModel, f: (f64, f64, f64)) -> CloudCostModel {
