@@ -50,6 +50,10 @@
 //!   end of its greedy fill; and on that catalog at a local optimum,
 //!   one no-move round — n + s·u moves, each ruled out by its bound or
 //!   scored exactly (the SSB round's one fold block skips the bound).
+//!   And `select/fill/*`: one flip-on fill from the empty selection over
+//!   the 64 candidates of highest standalone gain — the shortlist of an
+//!   `advise_scale` solve's first LNS fill — then back to empty, the
+//!   fill's picks unflipped.
 //!   (The benchmark's `select.probe_ns` times
 //!   `flip → snapshot → unflip`, the reference a probe is held to, not
 //!   `probe`.)
@@ -394,6 +398,37 @@ fn bench_probe_walk(id: &str, problem: &SelectionProblem, plan: &mvcloud::cost::
     });
 }
 
+/// One fill from empty over the 64 candidates of `problem` that would
+/// each save the most frequency-weighted hours alone — the shortlist an
+/// LNS solve fills from first — and the unflips back to empty.
+fn bench_shortlist_fill(problem: &SelectionProblem, scenario: Scenario) {
+    let workload = &problem.model().context().workload;
+    let gain = |k: usize| -> f64 {
+        let entries = problem.candidates()[k].profile.entries();
+        entries
+            .map(|(i, t)| {
+                (workload[i].base_time.value() - t.value()).max(0.0) * workload[i].frequency
+            })
+            .sum()
+    };
+    let mut shortlist: Vec<usize> = (0..problem.len()).collect();
+    shortlist.sort_by(|&a, &b| gain(b).total_cmp(&gain(a)).then(a.cmp(&b)));
+    shortlist.truncate(64);
+    let baseline = problem.baseline();
+    let mut ev = IncrementalEvaluator::new(problem);
+    run("select/fill", "shortlist_lns_n1000_m25000", || {
+        let start = ev.score();
+        let pool = shortlist.iter().copied();
+        let filled = local_search::fill_from(&mut ev, scenario, &baseline, start, pool);
+        for &k in &shortlist {
+            if ev.is_selected(k) {
+                ev.unflip(k);
+            }
+        }
+        filled
+    });
+}
+
 /// The probe at the large shapes: an `advise_scale` problem at the end
 /// of its LNS solve, the `serve_stream` catalog at the end of its
 /// greedy fill — and a no-move round of the move loop on that catalog.
@@ -411,6 +446,7 @@ fn bench_probe_at_scale() {
     };
     let plan = solve_lns_with(&lns, scenario, &config).evaluation.selection;
     bench_probe_walk("lns_n1000_m25000", &lns, &plan);
+    bench_shortlist_fill(&lns, scenario);
 
     let resident = scale_problem(&ScaleShape {
         queries: 4_096,

@@ -267,7 +267,8 @@ impl CandidateCatalog {
     /// leaves the previous durable state in place).
     pub fn spill(&self, path: &Path) -> Result<(), AdvisorError> {
         mv_obs::span!("catalog/spill");
-        let doc = format!("{}\n", self.to_json().render_pretty());
+        let mut doc = self.to_json().render_pretty();
+        doc.push('\n');
         write_atomic(path, &doc).map_err(|e| AdvisorError::CatalogIo {
             path: path.display().to_string(),
             message: e.to_string(),

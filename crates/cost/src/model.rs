@@ -291,6 +291,22 @@ impl CloudCostModel {
             .cost(self.ctx.dataset_size + extra, self.ctx.months)
     }
 
+    /// A floor on the storage bill of any selection whose views weigh
+    /// at least `views_size`: the least storage component of
+    /// [`CloudCostModel::breakdown_from_totals`] any size at or above it
+    /// can reach
+    /// ([`mv_pricing::StoragePricing::floor_cost`] of `dataset +
+    /// views_size`; rounded addition never falls as an operand grows).
+    /// The storage bill itself on a graduated sheet; on a flat-by-volume
+    /// sheet, possibly less, where more views would cross a threshold
+    /// to a cheaper bracket.
+    pub fn storage_floor(&self, views_size: Gb) -> Money {
+        self.ctx
+            .pricing
+            .storage
+            .floor_cost(self.ctx.dataset_size + views_size, self.ctx.months)
+    }
+
     /// Whether the bill never falls as the selected views' total size
     /// grows anywhere in `[0, max_views_size]` (compute, transfer and
     /// the hours' rounding already never do). Storage is the one
@@ -465,6 +481,31 @@ mod tests {
         // A zero-length period stores nothing.
         empty.months = Months::ZERO;
         assert!(CloudCostModel::new(empty).bill_monotone_upto(Gb::new(1.0)));
+    }
+
+    #[test]
+    fn storage_floor_bounds_every_larger_selection() {
+        // 500 GB of data on AWS-2012's flat-by-volume sheet: up to 523 GB
+        // of views the bill is the floor; 524 GB and more could cross
+        // 1 TB, where every gigabyte bills at $0.125 instead of $0.14.
+        let m = running_example();
+        let storage = |views: f64| {
+            m.breakdown_from_totals(Hours::ZERO, Hours::ZERO, Hours::ZERO, Gb::new(views))
+                .storage
+        };
+        assert_eq!(m.storage_floor(Gb::new(50.0)), storage(50.0));
+        let floor = m.storage_floor(Gb::new(523.5));
+        assert!(floor < storage(523.5));
+        assert_eq!(
+            floor,
+            Money::from_dollars_str("0.125")
+                .unwrap()
+                .scale(1024.0)
+                .scale(12.0)
+        );
+        for views in [523.5, 523.9, 524.0, 524.5, 600.0, 2000.0] {
+            assert!(floor <= storage(views), "{views} GB");
+        }
     }
 
     #[test]

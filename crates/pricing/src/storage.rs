@@ -34,6 +34,13 @@ impl StoragePricing {
         self.monthly_cost(size).scale(duration.value())
     }
 
+    /// The least [`StoragePricing::cost`] over `duration` of any size at
+    /// or above `size` ([`TierSchedule::least_cost_from`]; `Money::scale`
+    /// never falls as the amount grows).
+    pub fn floor_cost(&self, size: Gb, duration: Months) -> Money {
+        self.monthly.least_cost_from(size).scale(duration.value())
+    }
+
     /// Formula 5: total cost of a timeline's intervals.
     pub fn period_cost(&self, timeline: &StorageTimeline) -> Money {
         timeline

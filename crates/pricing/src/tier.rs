@@ -177,6 +177,36 @@ impl TierSchedule {
         }
     }
 
+    /// The least [`TierSchedule::cost_for`] of any volume at or above
+    /// `volume` (finite and ≥ 0): a floor on the price of a volume that
+    /// can only grow from here. [`TierMode::Graduated`]: the price of
+    /// `volume` itself — the price never falls
+    /// ([`TierSchedule::monotone_between`]). [`TierMode::FlatByVolume`]:
+    /// the least, over `volume`'s bracket and every bracket above it, of
+    /// its rate times the least volume it can bill — `volume` in its own
+    /// bracket, the bracket's lower threshold in a higher one. A volume
+    /// `v ≥ volume` lands in one of those brackets, at or above that
+    /// least volume, and `Money::scale` never falls as its factor grows,
+    /// so `cost_for(v)` is at least the bracket's term (zero volume
+    /// bills zero, and is only reached from zero).
+    pub fn least_cost_from(&self, volume: Gb) -> Money {
+        match self.mode {
+            TierMode::Graduated => self.cost_for(volume),
+            TierMode::FlatByVolume => {
+                // Bracket `b` starts at bracket `b − 1`'s threshold.
+                let starts =
+                    std::iter::once(Gb::ZERO).chain(self.tiers.iter().filter_map(|t| t.upto));
+                self.tiers
+                    .iter()
+                    .zip(starts)
+                    .skip(self.bracket(volume))
+                    .map(|(tier, start)| tier.rate.scale(volume.value().max(start.value())))
+                    .min()
+                    .unwrap_or(Money::ZERO)
+            }
+        }
+    }
+
     /// Whether [`TierSchedule::cost_for`] never falls as the volume grows
     /// anywhere from `lo` to `hi`. [`TierMode::Graduated`]: always — each
     /// bracket's width grows with the volume and rates are validated
@@ -326,6 +356,42 @@ mod tests {
         // vouches for nothing either.
         assert!(!s.monotone_between(Gb::ZERO, Gb::new(10.0)));
         assert!(!s.monotone_between(Gb::new(20.0), Gb::new(10.0)));
+    }
+
+    #[test]
+    fn least_cost_from_is_the_least_price_of_any_larger_volume() {
+        let flat = storage();
+        let graduated = storage().with_mode(TierMode::Graduated);
+        // Volumes on a grid through every threshold, each against every
+        // volume at or above it on a finer grid.
+        let grid: Vec<f64> = (0..=64)
+            .map(|i| f64::from(i) * 40.0)
+            .chain([1023.0, 1023.9, 1024.0, 1024.1, 51_199.0, 51_200.0, 51_201.0])
+            .collect();
+        for (s, exact) in [(&flat, false), (&graduated, true)] {
+            for &v in &grid {
+                let floor = s.least_cost_from(Gb::new(v));
+                let reachable = grid.iter().filter(|&&w| w >= v);
+                let least = reachable.map(|&w| s.cost_for(Gb::new(w))).min().unwrap();
+                assert!(floor <= least, "{v} GB: {floor} above {least}");
+                // Graduated: the floor is the price itself.
+                if exact {
+                    assert_eq!(floor, s.cost_for(Gb::new(v)), "{v} GB");
+                }
+            }
+        }
+        // 1 000 GB on the flat sheet may grow past 1 TB, where all of it
+        // bills at $0.125: the floor is 1 024 GB at that rate, below the
+        // standing $140.
+        assert_eq!(
+            flat.least_cost_from(Gb::new(1000.0)),
+            dollars("0.125").scale(1024.0)
+        );
+        assert!(flat.least_cost_from(Gb::new(1000.0)) < flat.cost_for(Gb::new(1000.0)));
+        // Past the last threshold nothing is cheaper than the price.
+        let far = Gb::from_tb(600.0);
+        assert_eq!(flat.least_cost_from(far), flat.cost_for(far));
+        assert_eq!(flat.least_cost_from(Gb::ZERO), Money::ZERO);
     }
 
     #[test]

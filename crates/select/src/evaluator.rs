@@ -156,8 +156,9 @@
 //! for `total` the settled time total. It prices `t_lb` with the
 //! toggle's exact charge totals through the one `breakdown_from_totals`
 //! and scores exactly — with the same charge totals, folded once — only
-//! if that rank is below `to_beat`. A move the floor rules out could
-//! not have won, by three facts:
+//! if that rank is below `to_beat`. (Selecting toggles meet a cheaper
+//! floor first; see below.) A move the floor rules out could not have
+//! won, by three facts:
 //!
 //! * **Every [`Rank`] field is monotone in (time, cost)** under MV1–MV3:
 //!   feasibility, violation and objective are, and cost and time are
@@ -182,6 +183,45 @@
 //! bound's own few roundings (each at most u·(total + A), against
 //! γ ≥ 66u). So ε = 4γ_N: ≈ 2·10⁻¹³ at m = 25 000.
 //!
+//! Before that bill, a *selecting* toggle meets a cheaper floor, the
+//! **standing-charge floor**: the position's own charge totals — the
+//! settled run's last fold, read in O(1) — stand in for the toggled
+//! ones. When `k`'s charges and those totals are finite and ≥ 0,
+//! selecting `k` inserts one more term ≥ 0 into each fold, and rounded
+//! addition is monotone in each operand, so no total falls (the
+//! insertion argument of *Dominated toggles*); compute bills them no
+//! more. Storage is priced at its floor, `CloudCostModel::storage_floor`:
+//! the least bill any views size at or above the standing one can
+//! reach — the bill itself on a graduated sheet, and on a flat-by-volume
+//! sheet the least over the standing bracket and every bracket above it
+//! of its rate times the least volume it bills (the standing volume in
+//! its own bracket, the threshold in a higher one), so a move that would
+//! carry storage over a threshold to a cheaper bracket is never ruled
+//! out on the bill it leaves behind. Every toggle at one position shares
+//! those charges, so the floor's rank depends on its time alone and
+//! never falls as that time grows: "ruled out" is a **threshold in
+//! time** per (position, `to_beat`). A loop's `Floors` keep the
+//! smallest time floor found ruled out and the largest found not, and
+//! price a bill only for a time between them — at `advise_scale`'s LNS
+//! end a few thousand bills a solve for tens of thousands of moves. A
+//! move this floor does not rule out goes on to the floor of its exact
+//! charges, at the same time floor, and then to the exact score.
+//!
+//! A flip-on fill offers the same candidates step after step, and
+//! between two steps it only selects views: every cached term can only
+//! fall, a query `k` no longer answers faster than its best stays so,
+//! and each query's term change when `k` is selected can only rise
+//! toward zero. So the (Δ, A) a fill scanned for `k` at an earlier step
+//! still bounds Δ from below now, and with that A as the ε scale —
+//! the same chain lengths, the same Higham bound — forms a floor with
+//! no scan at all. The fill's `Floors` keep one per candidate (one
+//! allocation per fill call, owned by the fill and not by the
+//! evaluator, so a fork copies none of it); a move the standing-charge
+//! floor does not rule out at its stale time floor re-scans `k`'s
+//! answers, refreshes its entry and tries again. Every bound is a
+//! floor, so picks, scores and digests are the unbounded loop's by
+//! construction.
+//!
 //! A one-block workload (the SSB and sales lattices') skips the floor
 //! — its fold has no prefix to skip, so a floor would save nothing: a
 //! property of the input, like the one-block fold in place — and scores
@@ -192,8 +232,12 @@
 //! and asserted not to have won; the floor's soundness — its time and
 //! rank never past the probe's, a score returned exactly when the
 //! probe's rank beats `to_beat`, under every scenario and rounding — is
-//! property-tested in `evaluator/probe_tests.rs`. Picks, scores and
-//! digests are the unbounded loop's by construction.
+//! property-tested in `evaluator/probe_tests.rs`, as are the
+//! standing-charge floor's (no bill component above the probe's, on
+//! flat-by-volume sheets that could cross a threshold and graduated
+//! ones, zero-charge views included) and the stale term change's
+//! (a floor while the selection only gains views; a fill through it
+//! picks what a fill scoring every move exactly picks).
 //!
 //! # Dominated toggles
 //!
@@ -295,7 +339,9 @@ use std::cmp::Ordering;
 use std::ops::Deref;
 use std::sync::Arc;
 
-use mv_cost::{CloudCostModel, Price, QueryCharge, SelectionSet, ViewCharge, TIME_FOLD_BLOCK};
+use mv_cost::{
+    CloudCostModel, CostBreakdown, Price, QueryCharge, SelectionSet, ViewCharge, TIME_FOLD_BLOCK,
+};
 use mv_obs::{Counter, Hist};
 use mv_units::{Gb, Hours};
 
@@ -556,6 +602,16 @@ impl Charges {
         .all(|x| x.is_finite() && *x >= 0.0)
     }
 
+    /// The three totals' bits: equal bits, equal bills.
+    fn bits(self) -> [u64; 3] {
+        [
+            self.maintenance.value(),
+            self.materialization.value(),
+            self.size.value(),
+        ]
+        .map(f64::to_bits)
+    }
+
     /// The score of a selection with these charges and processing time
     /// `time`: the model's one bill assembly.
     fn score(self, model: &CloudCostModel, time: Hours) -> Score {
@@ -573,6 +629,128 @@ struct RunEntry {
     own: Charges,
     /// The run's fold through this view, from zero.
     fold: Charges,
+}
+
+/// A toggle's effect on the time fold, summed over the queries it
+/// rewrites: Δ, their term changes, and A, their terms old and new —
+/// what [`IncrementalEvaluator::time_floor`] is formed from.
+#[derive(Debug, Clone, Copy)]
+struct TermChange {
+    delta: f64,
+    touched: f64,
+}
+
+/// What a move loop carries from one bounded probe to the next
+/// ([`IncrementalEvaluator::probe_below`]; the module's *Bounded
+/// probes*): the standing-charge floor's time threshold and, in a
+/// flip-on fill, every candidate's selecting [`TermChange`] as last
+/// scanned. One per loop, over one model, scenario and baseline; the
+/// loop owns it, not the evaluator, so a fork copies none of it.
+#[derive(Debug, Default)]
+pub(crate) struct Floors {
+    threshold: Option<Threshold>,
+    /// Per candidate, its selecting toggle's term change as last
+    /// scanned — empty outside a fill, whose evaluator only gains views
+    /// between two reads.
+    stale: Vec<Option<TermChange>>,
+}
+
+/// The standing-charge floor at one standing position and rank to beat:
+/// its bill but the processing component, and what it decided so far.
+/// With the charges fixed, the floor's rank never falls as its time
+/// grows, so "ruled out" is a threshold in time.
+#[derive(Debug, Clone, Copy)]
+struct Threshold {
+    /// The standing charges' bits.
+    charges: [u64; 3],
+    to_beat: Rank,
+    /// Compute of the standing maintenance and materialization, the
+    /// storage floor of the standing size, transfer.
+    bill: CostBreakdown,
+    /// The largest time floor found not ruled out (−∞: none yet) and the
+    /// smallest ruled out (+∞).
+    kept: f64,
+    ruled: f64,
+}
+
+impl Floors {
+    /// The floors of a flip-on fill from `ev`'s position, which must
+    /// only gain views while they are read. Allocates once, and only
+    /// past one fold block, where a bound is formed at all.
+    pub(crate) fn for_fill(ev: &IncrementalEvaluator<'_>) -> Floors {
+        let stale = if ev.block_time.len() > 1 {
+            vec![None; ev.problem.len()]
+        } else {
+            Vec::new()
+        };
+        Floors {
+            threshold: None,
+            stale,
+        }
+    }
+
+    /// Whether a selecting toggle whose time is at least `time` ranks no
+    /// better than `to_beat` with the `standing` charges — a floor on the
+    /// toggled ones — billed with storage at its floor. Reads the
+    /// threshold when `time` is on a side of it already found, else
+    /// prices one bill and moves it.
+    fn standing_rules_out(
+        &mut self,
+        model: &CloudCostModel,
+        standing: Charges,
+        time: Hours,
+        scenario: Scenario,
+        baseline: &impl Scored,
+        to_beat: Rank,
+    ) -> bool {
+        let charges = standing.bits();
+        if self
+            .threshold
+            .as_ref()
+            .is_some_and(|m| m.charges != charges || m.to_beat != to_beat)
+        {
+            self.threshold = None;
+        }
+        let memo = self.threshold.get_or_insert_with(|| {
+            let (maintenance, materialization) = (standing.maintenance, standing.materialization);
+            let bill = CostBreakdown {
+                storage: model.storage_floor(standing.size),
+                ..model.breakdown_from_totals(Hours::ZERO, maintenance, materialization, Gb::ZERO)
+            };
+            Threshold {
+                charges,
+                to_beat,
+                bill,
+                kept: f64::NEG_INFINITY,
+                ruled: f64::INFINITY,
+            }
+        });
+        let t = time.value();
+        if t >= memo.ruled {
+            return true;
+        }
+        if t <= memo.kept {
+            return false;
+        }
+        let breakdown = CostBreakdown {
+            compute_processing: model.compute_cost(time),
+            ..memo.bill
+        };
+        match scenario
+            .rank(&Score { time, breakdown }, baseline)
+            .partial_cmp(&to_beat)
+        {
+            Some(Ordering::Less) => {
+                memo.kept = t;
+                false
+            }
+            Some(_) => {
+                memo.ruled = t;
+                true
+            }
+            None => false,
+        }
+    }
 }
 
 /// How many fold blocks are summed side by side: one accumulator each,
@@ -1200,65 +1378,140 @@ impl<'p> IncrementalEvaluator<'p> {
             .score(self.problem.model(), time)
     }
 
-    /// A lower bound on the time total with `k` toggled, in O(deg) — the
-    /// settled total plus the toggle's term changes, less the rounding
-    /// error the blocked fold could hide (the module's *Bounded probes*
-    /// section): never above what [`IncrementalEvaluator::probe`]
-    /// returns.
-    fn time_floor(&self, k: usize, on: bool) -> Hours {
-        let blocks = self.block_time.len();
-        let total = self.block_prefix[blocks].value();
+    /// The toggle's [`TermChange`]: one walk of its `Toggled` queries,
+    /// O(deg).
+    fn term_change(&self, k: usize, on: bool) -> TermChange {
         let (mut delta, mut touched) = (0.0, 0.0);
         for (i, term) in self.toggled(k, on) {
             let (new, old) = (term.value(), self.term[i].value());
             delta += new - old;
             touched += new + old;
         }
+        TermChange { delta, touched }
+    }
+
+    /// A lower bound on the time total with `k` toggled, in O(1) from
+    /// its term change — the settled total plus Δ, less the rounding
+    /// error the blocked fold could hide (the module's *Bounded
+    /// probes*): never above what [`IncrementalEvaluator::probe`]
+    /// returns. So is a selecting toggle's term change scanned at an
+    /// earlier position this one only added views to.
+    fn time_floor(&self, k: usize, change: TermChange) -> Hours {
+        let blocks = self.block_time.len();
+        let total = self.block_prefix[blocks].value();
         let deg = self.index.by_view.row(k).0.len();
         let eps = 4.0 * gamma(TIME_FOLD_BLOCK + blocks + deg + 1);
-        Hours::new((total + delta - eps * (total + touched)).max(0.0))
+        Hours::new((total + change.delta - eps * (total + change.touched)).max(0.0))
+    }
+
+    /// The standing charges — the settled run's last fold — when they
+    /// are a floor on the charges of selecting `k`: both finite and ≥ 0,
+    /// so inserting `k`'s into the fold lowers none of its totals.
+    fn standing_floor(&self, k: usize) -> Option<Charges> {
+        let standing = self.run.last().map_or(Charges::default(), |e| e.fold);
+        let own = Charges::of(&self.problem.candidates()[k]);
+        (standing.nonnegative() && own.nonnegative()).then_some(standing)
+    }
+
+    /// Past one fold block, the bounds a move goes through before an
+    /// exact score, cheapest first; the toggle's exact charges if none
+    /// rules it out. A selecting toggle tries the standing-charge floor
+    /// — first at its stale term change in a fill (no scan), then at a
+    /// fresh one — and every toggle the floor of its exact charges, at
+    /// the same time floor.
+    fn bounded(
+        &self,
+        k: usize,
+        on: bool,
+        scenario: Scenario,
+        baseline: &impl Scored,
+        to_beat: Rank,
+        floors: &mut Floors,
+    ) -> Option<Charges> {
+        let model = self.problem.model();
+        let standing = if on { self.standing_floor(k) } else { None };
+        let stale = if on {
+            floors.stale.get(k).copied().flatten()
+        } else {
+            None
+        };
+        if let (Some(standing), Some(change)) = (standing, stale) {
+            let time = self.time_floor(k, change);
+            if floors.standing_rules_out(model, standing, time, scenario, baseline, to_beat) {
+                return self.ruled_out(k, on, scenario, baseline, to_beat, time);
+            }
+        }
+        let change = self.term_change(k, on);
+        if let (true, Some(slot)) = (on, floors.stale.get_mut(k)) {
+            *slot = Some(change);
+        }
+        let time = self.time_floor(k, change);
+        if let Some(standing) = standing {
+            if floors.standing_rules_out(model, standing, time, scenario, baseline, to_beat) {
+                return self.ruled_out(k, on, scenario, baseline, to_beat, time);
+            }
+        }
+        let charges = self.charges_toggled(k, on);
+        // The exact rank is no lower than the floor's, so a floor not
+        // below `to_beat` rules the move out.
+        let floor = scenario.rank(&charges.score(model, time), baseline);
+        if floor.partial_cmp(&to_beat) != Some(Ordering::Less) {
+            return self.ruled_out(k, on, scenario, baseline, to_beat, time);
+        }
+        Some(charges)
+    }
+
+    /// A move a bound ruled out at time floor `floor`: counted as
+    /// [`Counter::SearchBounded`] and no snapshot. Under debug
+    /// assertions it is also scored exactly, uncounted, and asserted not
+    /// to have won (off a settled evaluator).
+    fn ruled_out<T>(
+        &self,
+        k: usize,
+        on: bool,
+        scenario: Scenario,
+        baseline: &impl Scored,
+        to_beat: Rank,
+        floor: Hours,
+    ) -> Option<T> {
+        mv_obs::inc(Counter::SearchBounded);
+        if cfg!(debug_assertions) {
+            let (time, _) = self.time_with(self.toggled(k, on));
+            let exact = self
+                .charges_toggled(k, on)
+                .score(self.problem.model(), time);
+            let rank = scenario.rank(&exact, baseline);
+            assert!(
+                floor <= exact.time && rank.partial_cmp(&to_beat) != Some(Ordering::Less),
+                "candidate {k}: ruled out at {floor:?}, yet {exact:?} beats {to_beat:?}"
+            );
+        }
+        None
     }
 
     /// [`IncrementalEvaluator::probe`]`(k)` and its rank, if that rank is
     /// below `to_beat` — `None` otherwise: the entry every move loop that
-    /// keeps the first strictly better move goes through. Past one fold
-    /// block it first prices [`IncrementalEvaluator::time_floor`] with
-    /// the toggle's exact charges, and scores exactly only if that rank
-    /// is below `to_beat`: a move the bound rules out counts as
-    /// [`Counter::SearchBounded`] and no snapshot. The bound's charges
-    /// are the exact score's.
+    /// keeps the first strictly better move goes through, with the
+    /// [`Floors`] it carries from move to move. Past one fold block it
+    /// first tries the bounds of [`IncrementalEvaluator::bounded`], and
+    /// scores exactly only a move none of them rules out: a ruled-out
+    /// move counts as [`Counter::SearchBounded`] and no snapshot. The
+    /// exact score's charges are those its last bound priced.
     pub(crate) fn probe_below(
         &mut self,
         k: usize,
         scenario: Scenario,
         baseline: &impl Scored,
         to_beat: Rank,
+        floors: &mut Floors,
     ) -> Option<(Score, Rank)> {
         self.settle();
         let on = !self.selection.contains(k);
-        let charges = self.charges_toggled(k, on);
-        if self.block_time.len() > 1 {
-            let floor = charges.score(self.problem.model(), self.time_floor(k, on));
-            let floor_rank = scenario.rank(&floor, baseline);
-            // The exact rank is no lower than the floor's, so a floor
-            // not below `to_beat` rules the move out.
-            if floor_rank.partial_cmp(&to_beat) != Some(Ordering::Less) {
-                mv_obs::inc(Counter::SearchBounded);
-                #[cfg(debug_assertions)]
-                {
-                    let (time, _) = self.time_with(self.toggled(k, on));
-                    let exact = charges.score(self.problem.model(), time);
-                    let rank = scenario.rank(&exact, baseline);
-                    assert!(
-                        floor.time <= exact.time
-                            && floor_rank <= rank
-                            && rank.partial_cmp(&to_beat) != Some(Ordering::Less),
-                        "candidate {k}: the bound {floor:?} ruled out {exact:?}"
-                    );
-                }
-                return None;
-            }
-        }
+        let charges = if self.block_time.len() > 1 {
+            self.bounded(k, on, scenario, baseline, to_beat, floors)?
+        } else {
+            self.charges_toggled(k, on)
+        };
         mv_obs::inc(Counter::EvaluatorSnapshot);
         let (time, refolded) = self.time_with(self.toggled(k, on));
         mv_obs::record(Hist::SnapshotDirtyBlocks, refolded);
@@ -1285,35 +1538,21 @@ impl<'p> IncrementalEvaluator<'p> {
     /// `to_beat` is no worse than the standing position's rank (each
     /// loop's invariant: see `local_search`'s module docs). A dominated
     /// toggle ranks no better than the standing position, so it cannot
-    /// beat `to_beat`: it is ruled out first, without a score, and
-    /// counts as [`Counter::SearchBounded`] and no snapshot. Under
-    /// debug assertions it is also scored exactly, uncounted, and
-    /// asserted not to have won.
+    /// beat `to_beat`: it is ruled out first, without a score, as
+    /// [`IncrementalEvaluator::ruled_out`] counts and checks it.
     pub(crate) fn probe_unless_dominated(
         &mut self,
         k: usize,
         scenario: Scenario,
         baseline: &impl Scored,
         to_beat: Rank,
+        floors: &mut Floors,
     ) -> Option<(Score, Rank)> {
         if self.dominated_on(k) {
-            mv_obs::inc(Counter::SearchBounded);
-            #[cfg(debug_assertions)]
-            {
-                self.settle();
-                let (time, _) = self.time_with(self.toggled(k, true));
-                let exact = self
-                    .charges_toggled(k, true)
-                    .score(self.problem.model(), time);
-                let rank = scenario.rank(&exact, baseline);
-                assert!(
-                    rank.partial_cmp(&to_beat) != Some(Ordering::Less),
-                    "candidate {k}: dominated, yet {exact:?} beats {to_beat:?}"
-                );
-            }
-            return None;
+            self.settle();
+            return self.ruled_out(k, true, scenario, baseline, to_beat, Hours::ZERO);
         }
-        self.probe_below(k, scenario, baseline, to_beat)
+        self.probe_below(k, scenario, baseline, to_beat, floors)
     }
 }
 

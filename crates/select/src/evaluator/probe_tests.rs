@@ -21,9 +21,15 @@
 //! standing time bit for bit, no component below the standing one, and
 //! ranks no better under every scenario — and where the views could
 //! carry storage across a flat-by-volume threshold it rules out
-//! nothing.
+//! nothing. So are the floors a move loop carries: the standing
+//! charges' floor — its bill, storage at the least any larger size can
+//! reach, never above the exact probe's in any component, and a move it
+//! rules out never beats the rank it was handed, on flat-by-volume
+//! sheets that could cross a threshold and graduated ones, under every
+//! rounding — and a fill's stale term change, which stays a floor while
+//! the selection only gains views.
 
-use mv_cost::CloudCostModel;
+use mv_cost::{CloudCostModel, Price};
 use mv_pricing::{BillingRounding, TierMode};
 use mv_units::Money;
 use proptest::prelude::*;
@@ -32,6 +38,7 @@ use rand::{RngExt, SeedableRng};
 
 use super::*;
 use crate::fixtures::{random_sparse_problem, reference_evaluate, with_tied_times};
+use crate::local_search::fill_from;
 
 /// Every field a fork copies — the whole per-selection state — with
 /// the floats as bits.
@@ -434,11 +441,13 @@ fn bound_case(
     for k in (0..n).filter(|k| k % 5 < start_per_5) {
         ev.flip(k);
     }
+    // One loop's floors across every move and every rank to beat.
+    let mut floors = Floors::default();
     for k in 0..n {
         let exact = ev.probe(k);
         let rank = scenario.rank(&exact, &baseline);
         let on = !ev.is_selected(k);
-        let floor_time = ev.time_floor(k, on);
+        let floor_time = ev.time_floor(k, ev.term_change(k, on));
         let floor = ev
             .charges_toggled(k, on)
             .score(ev.problem().model(), floor_time);
@@ -464,7 +473,7 @@ fn bound_case(
         }
         for to_beat in draws {
             prop_assert_eq!(
-                ev.probe_below(k, scenario, &baseline, to_beat),
+                ev.probe_below(k, scenario, &baseline, to_beat, &mut floors),
                 (rank < to_beat).then_some((exact, rank)),
                 "{} candidate {} against {:?}",
                 context,
@@ -715,4 +724,475 @@ fn dominated_on_is_sound_on_a_dense_sweep() {
         }
     }
     assert!(dominated > 0, "no toggle was dominated");
+}
+
+/// The scenario `pick` selects, with its constraint or weight drawn off
+/// `seed`, over `baseline`.
+fn scenario_of(pick: usize, seed: u64, baseline: &Evaluation) -> Scenario {
+    match pick % 4 {
+        0 => Scenario::budget(baseline.cost() + Money::from_cents(5 + (seed % 300) as i64)),
+        1 => Scenario::time_limit(baseline.time * (0.2 + (seed % 7) as f64 / 10.0)),
+        2 => Scenario::tradeoff((seed % 11) as f64 / 10.0),
+        _ => Scenario::tradeoff_normalized((seed % 11) as f64 / 10.0),
+    }
+}
+
+/// A sparse pool billed under `rounding` on the AWS-2012 storage sheet
+/// read in `mode`; with `zeros`, every third view costs nothing — no
+/// size, no build, no refresh.
+fn floor_problem(
+    seed: u64,
+    n_queries: usize,
+    n: usize,
+    density: f64,
+    zeros: bool,
+    rounding: BillingRounding,
+    mode: TierMode,
+) -> SelectionProblem {
+    let pool = random_sparse_problem(seed, n_queries, n, density);
+    let mut ctx = pool.model().context().clone();
+    ctx.pricing.compute.rounding = rounding;
+    ctx.pricing.storage.monthly = ctx.pricing.storage.monthly.with_mode(mode);
+    let mut candidates = pool.candidates().to_vec();
+    if zeros {
+        for v in candidates.iter_mut().step_by(3) {
+            v.set_price(Price {
+                size: Gb::ZERO,
+                materialization: Hours::ZERO,
+                maintenance: Hours::ZERO,
+                ..v.price()
+            });
+        }
+    }
+    SelectionProblem::new(CloudCostModel::new(ctx), candidates)
+}
+
+/// Ranks to beat around `exact`: its own rank and one ulp of time
+/// either side, then `others`.
+fn draws_around(
+    scenario: Scenario,
+    exact: Score,
+    baseline: &Evaluation,
+    others: &[Rank],
+) -> Vec<Rank> {
+    let nudged = |time: f64| {
+        let score = Score {
+            time: Hours::new(time),
+            ..exact
+        };
+        scenario.rank(&score, baseline)
+    };
+    let time = exact.time.value();
+    let mut draws = vec![scenario.rank(&exact, baseline), nudged(time.next_up())];
+    if time > 0.0 {
+        draws.push(nudged(time.next_down()));
+    }
+    draws.extend_from_slice(others);
+    draws
+}
+
+/// One case of the standing-charge floor's soundness, over
+/// [`floor_problem`] ranked by `scenario_pick`, standing on a random
+/// selection of about `per_5` in five views. With `crossing`, the
+/// dataset puts the standing storage 0.05 GB under the sheet's 1 TB
+/// threshold, so selecting a view may cross it — on the flat-by-volume
+/// sheet, to a smaller bill. For every unselected candidate (each has
+/// finite charges ≥ 0, so the floor applies): its bill is no component
+/// above the exact probe's, its time floor no later, and every rank to
+/// beat it rules the move out against — the probe's own and an ulp
+/// either side, the standing rank, the floor's own — the probe does not
+/// beat. One [`Floors`] serves the whole case, so its threshold is read
+/// and moved across moves and ranks. Returns how many (move, rank)
+/// pairs it ruled out.
+#[allow(clippy::too_many_arguments)]
+fn standing_case(
+    seed: u64,
+    n_queries: usize,
+    n: usize,
+    density: f64,
+    zeros: bool,
+    rounding: BillingRounding,
+    mode: TierMode,
+    crossing: bool,
+    scenario_pick: usize,
+    per_5: u32,
+) -> usize {
+    let context = format!(
+        "seed {seed} m {n_queries} n {n} density {density} zeros {zeros} {rounding:?} \
+         {mode:?} crossing {crossing} scenario {scenario_pick} per_5 {per_5}"
+    );
+    let problem = floor_problem(seed, n_queries, n, density, zeros, rounding, mode);
+    let baseline = problem.baseline();
+    let scenario = scenario_of(scenario_pick, seed, &baseline);
+    let mut ev = IncrementalEvaluator::new(&problem);
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x5374_616e_6469);
+    for k in 0..n {
+        if rng.random_range(0..5u32) < per_5 {
+            ev.flip(k);
+        }
+    }
+    if crossing {
+        let standing: Gb = ev
+            .selection()
+            .ones()
+            .map(|k| problem.candidates()[k].size)
+            .sum();
+        let mut ctx = problem.model().context().clone();
+        ctx.dataset_size = Gb::new((1024.0 - standing.value() - 0.05).max(0.0));
+        ev.retarget(CloudCostModel::new(ctx));
+    }
+    let standing_rank = scenario.rank(&ev.score(), &baseline);
+    let mut floors = Floors::default();
+    let mut ruled = 0;
+    let unselected: Vec<usize> = (0..n).filter(|&k| !ev.is_selected(k)).collect();
+    for k in unselected {
+        let exact = ev.probe(k);
+        let rank = scenario.rank(&exact, &baseline);
+        let charges = ev.standing_floor(k);
+        assert!(charges.is_some(), "{context} candidate {k}: no floor");
+        let standing = charges.unwrap_or_default();
+        let time = ev.time_floor(k, ev.term_change(k, true));
+        assert!(
+            time <= exact.time,
+            "{context} candidate {k}: {time:?} > {exact:?}"
+        );
+        let floor = {
+            let model = ev.problem().model();
+            floors.standing_rules_out(model, standing, time, scenario, &baseline, rank);
+            let bill = floors.threshold.map(|t| t.bill).unwrap_or_default();
+            Score {
+                time,
+                breakdown: CostBreakdown {
+                    compute_processing: model.compute_cost(time),
+                    ..bill
+                },
+            }
+        };
+        let (f, e) = (floor.breakdown, exact.breakdown);
+        assert!(
+            f.transfer == e.transfer
+                && f.compute_processing <= e.compute_processing
+                && f.compute_maintenance <= e.compute_maintenance
+                && f.compute_materialization <= e.compute_materialization
+                && f.storage <= e.storage,
+            "{context} candidate {k}: the floor {f:?} bills above {e:?}"
+        );
+        let others = [standing_rank, scenario.rank(&floor, &baseline)];
+        for to_beat in draws_around(scenario, exact, &baseline, &others) {
+            let model = ev.problem().model();
+            if floors.standing_rules_out(model, standing, time, scenario, &baseline, to_beat) {
+                ruled += 1;
+                assert!(
+                    rank.partial_cmp(&to_beat) != Some(Ordering::Less),
+                    "{context} candidate {k}: ruled out, yet {exact:?} beats {to_beat:?}"
+                );
+            }
+        }
+    }
+    ruled
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn standing_floor_is_sound(
+        seed in 0u64..10_000,
+        workload in 0usize..BOUNDED_WORKLOADS.len(),
+        n in 8usize..40,
+        density_pct in 2u8..40,
+        zeros in 0u8..2,
+        rounding in 0usize..ROUNDINGS.len(),
+        mode in 0usize..MODES.len(),
+        crossing in 0u8..2,
+        scenario_pick in 0usize..4,
+        per_5 in 0u32..6,
+    ) {
+        standing_case(
+            seed,
+            BOUNDED_WORKLOADS[workload],
+            n,
+            f64::from(density_pct) / 100.0,
+            zeros == 1,
+            ROUNDINGS[rounding],
+            MODES[mode],
+            crossing == 1,
+            scenario_pick,
+            per_5,
+        );
+    }
+}
+
+/// The same soundness over a dense deterministic sweep — every bounded
+/// workload × rounding × storage mode × scenario, crossing and not, with
+/// and without zero-charge views: minutes in a debug build, so CI runs
+/// it in release (*Probe identity (release)*). And the floor does rule
+/// moves out.
+#[test]
+#[ignore = "5 760 cases: run with --release -- --ignored"]
+fn standing_floor_is_sound_on_a_dense_sweep() {
+    let mut state = 0xbb67_ae85_84ca_a73bu64;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    let mut ruled = 0;
+    for round in 0..15 {
+        for &n_queries in &BOUNDED_WORKLOADS {
+            for rounding in ROUNDINGS {
+                for mode in MODES {
+                    for scenario_pick in 0..4 {
+                        for (zeros, crossing) in
+                            [(false, false), (true, false), (false, true), (true, true)]
+                        {
+                            let seed = next() % 100_000;
+                            let n = 8 + (next() % 49) as usize;
+                            let density = (2 + next() % 40) as f64 / 100.0;
+                            ruled += standing_case(
+                                seed,
+                                n_queries,
+                                n,
+                                density,
+                                zeros,
+                                rounding,
+                                mode,
+                                crossing,
+                                scenario_pick,
+                                round % 6,
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert!(ruled > 0, "the floor ruled nothing out");
+}
+
+/// A charge no floor may stand on — one that overflowed to infinity
+/// (every unit constructor asserts finite and ≥ 0, so a negative charge
+/// cannot be built; `Charges::nonnegative` refuses both) — takes the
+/// exact path: neither as the toggled view nor in the standing fold.
+#[test]
+fn a_charge_outside_finite_and_nonnegative_has_no_standing_floor() {
+    let pool = random_sparse_problem(3, TIME_FOLD_BLOCK + 1, 6, 0.2);
+    let mut candidates = pool.candidates().to_vec();
+    let huge = Hours::new(f64::MAX);
+    let price = candidates[2].price();
+    candidates[2].set_price(Price {
+        maintenance: huge + huge,
+        ..price
+    });
+    let problem = SelectionProblem::new(pool.model().clone(), candidates);
+    let mut ev = IncrementalEvaluator::new(&problem);
+    ev.flip(0);
+    ev.settle();
+    assert!(ev.standing_floor(1).is_some());
+    assert!(ev.standing_floor(2).is_none());
+    ev.flip(2);
+    ev.settle();
+    assert!(ev.standing_floor(1).is_none());
+}
+
+/// The best a flip-on move of `pool` can do from `ev`'s position, every
+/// move scored exactly — [`crate::local_search`]'s fill step without
+/// floors: the first strictly best move below the standing rank.
+fn exact_fill(
+    ev: &mut IncrementalEvaluator<'_>,
+    scenario: Scenario,
+    baseline: &Evaluation,
+    pool: &[usize],
+) {
+    loop {
+        let mut to_beat = scenario.rank(&ev.score(), baseline);
+        let mut best = None;
+        for &k in pool {
+            if ev.is_selected(k) {
+                continue;
+            }
+            let rank = scenario.rank(&ev.probe(k), baseline);
+            if rank < to_beat {
+                (to_beat, best) = (rank, Some(k));
+            }
+        }
+        match best {
+            Some(k) => ev.flip(k),
+            None => return,
+        }
+    }
+}
+
+/// One case of the stale term change's soundness, as a fill reads it,
+/// over [`floor_problem`] (flat-by-volume storage when `flat`) ranked by
+/// `scenario_pick`, from about `per_5` in five views selected. A fill's
+/// [`Floors`] first scan every unselected candidate's selecting term
+/// change; then views are only added, one at a time, `adds` of them, and
+/// at every position every unselected candidate's stale time floor is at
+/// most its exact time, and [`IncrementalEvaluator::probe_below`]
+/// through those floors returns the exact probe's verdict at ranks to
+/// beat drawn around it — so a move it rules out does not beat its rank
+/// to beat. Last, as an LNS round: a third of the selection leaves, and
+/// [`fill_from`] over every candidate ends on the selection and the
+/// score bits of a fill that scores every move exactly — which it
+/// could not if a stale term change outlived an unflip.
+#[allow(clippy::too_many_arguments)]
+fn stale_case(
+    seed: u64,
+    n_queries: usize,
+    n: usize,
+    density: f64,
+    flat: bool,
+    rounding: BillingRounding,
+    scenario_pick: usize,
+    per_5: u32,
+    adds: usize,
+) {
+    let context = format!(
+        "seed {seed} m {n_queries} n {n} density {density} flat {flat} {rounding:?} \
+         scenario {scenario_pick} per_5 {per_5} adds {adds}"
+    );
+    let mode = if flat {
+        TierMode::FlatByVolume
+    } else {
+        TierMode::Graduated
+    };
+    let problem = floor_problem(
+        seed,
+        n_queries,
+        n,
+        density,
+        seed.is_multiple_of(2),
+        rounding,
+        mode,
+    );
+    let baseline = problem.baseline();
+    let scenario = scenario_of(scenario_pick, seed, &baseline);
+    let mut ev = IncrementalEvaluator::new(&problem);
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x5374_616c_6544);
+    for k in 0..n {
+        if rng.random_range(0..5u32) < per_5 {
+            ev.flip(k);
+        }
+    }
+    let mut floors = Floors::for_fill(&ev);
+    for step in 0..=adds {
+        let standing_rank = scenario.rank(&ev.score(), &baseline);
+        let unselected: Vec<usize> = (0..n).filter(|&k| !ev.is_selected(k)).collect();
+        for &k in &unselected {
+            let exact = ev.probe(k);
+            let rank = scenario.rank(&exact, &baseline);
+            if let Some(Some(change)) = floors.stale.get(k) {
+                let time = ev.time_floor(k, *change);
+                assert!(
+                    time <= exact.time,
+                    "{context} step {step} candidate {k}: stale {time:?} > {exact:?}"
+                );
+            }
+            for to_beat in draws_around(scenario, exact, &baseline, &[standing_rank]) {
+                assert_eq!(
+                    ev.probe_below(k, scenario, &baseline, to_beat, &mut floors),
+                    (rank < to_beat).then_some((exact, rank)),
+                    "{context} step {step} candidate {k} against {to_beat:?}"
+                );
+            }
+        }
+        if unselected.is_empty() {
+            break;
+        }
+        ev.flip(unselected[rng.random_range(0..unselected.len())]);
+    }
+    // An LNS round: destroy, then repair from the same position twice.
+    let selected: Vec<usize> = ev.selection().ones().collect();
+    for &k in selected.iter().step_by(3) {
+        ev.unflip(k);
+    }
+    let pool: Vec<usize> = (0..n).collect();
+    let mut reference = ev.clone();
+    exact_fill(&mut reference, scenario, &baseline, &pool);
+    let start = ev.score();
+    let filled = fill_from(&mut ev, scenario, &baseline, start, pool.iter().copied());
+    assert_eq!(
+        ev.selection(),
+        reference.selection(),
+        "{context}: the fill's picks"
+    );
+    let expected = reference.score();
+    assert_eq!(filled, expected, "{context}: the fill's score");
+    assert_eq!(
+        filled.time.value().to_bits(),
+        expected.time.value().to_bits(),
+        "{context}"
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn stale_delta_floor_is_sound(
+        seed in 0u64..10_000,
+        workload in 0usize..BOUNDED_WORKLOADS.len(),
+        n in 8usize..32,
+        density_pct in 2u8..40,
+        flat in 0u8..2,
+        rounding in 0usize..ROUNDINGS.len(),
+        scenario_pick in 0usize..4,
+        per_5 in 0u32..4,
+        adds in 1usize..6,
+    ) {
+        stale_case(
+            seed,
+            BOUNDED_WORKLOADS[workload],
+            n,
+            f64::from(density_pct) / 100.0,
+            flat == 1,
+            ROUNDINGS[rounding],
+            scenario_pick,
+            per_5,
+            adds,
+        );
+    }
+}
+
+/// The same soundness over a dense deterministic sweep — every bounded
+/// workload × rounding × scenario, both storage modes, pools of 8 to 56
+/// views: minutes in a debug build, so CI runs it in release (*Probe
+/// identity (release)*).
+#[test]
+#[ignore = "1 440 cases: run with --release -- --ignored"]
+fn stale_delta_floor_is_sound_on_a_dense_sweep() {
+    let mut state = 0x3c6e_f372_fe94_f82bu64;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    for round in 0..30 {
+        for &n_queries in &BOUNDED_WORKLOADS {
+            for rounding in ROUNDINGS {
+                for scenario_pick in 0..4 {
+                    for flat in [false, true] {
+                        let seed = next() % 100_000;
+                        let n = 8 + (next() % 49) as usize;
+                        let density = (2 + next() % 40) as f64 / 100.0;
+                        let adds = 1 + (next() % 8) as usize;
+                        stale_case(
+                            seed,
+                            n_queries,
+                            n,
+                            density,
+                            flat,
+                            rounding,
+                            scenario_pick,
+                            (round % 4) as u32,
+                            adds,
+                        );
+                    }
+                }
+            }
+        }
+    }
 }

@@ -23,6 +23,7 @@
 use mv_cost::SelectionSet;
 use mv_units::{Hours, Money};
 
+use crate::evaluator::Floors;
 use crate::{IncrementalEvaluator, Outcome, Scenario, SelectionProblem, SolverKind};
 
 /// Hours per value unit in both DPs.
@@ -241,12 +242,15 @@ fn repair(problem: &SelectionProblem, scenario: Scenario, selection: &mut Select
     }
 
     // Phase 2: hill-climb the true objective within feasibility.
+    let mut floors = Floors::default();
     for _ in 0..max_moves {
         let mut to_beat = scenario.rank(&ev.score(), &baseline);
         let mut best_flip = None;
         for k in 0..n {
             // `to_beat` starts at the standing rank and only falls.
-            if let Some((_, rank)) = ev.probe_unless_dominated(k, scenario, &baseline, to_beat) {
+            if let Some((_, rank)) =
+                ev.probe_unless_dominated(k, scenario, &baseline, to_beat, &mut floors)
+            {
                 to_beat = rank;
                 best_flip = Some(k);
             }

@@ -13,16 +13,28 @@
 //! what the deselection left stale. A selection of a view that answers
 //! no query faster than the position does is ruled out in O(deg) with
 //! no bill (the evaluator's *Dominated toggles*). Any other move is
-//! priced from below first, in O(deg) plus the charges of the selected
-//! views after it and one bill, and scored exactly only if that bound
-//! could beat the round's best so far (the evaluator's *Bounded
-//! probes*); an exact score adds the block sums past its first touched
-//! block. So a round is n + s·u bounds and only as many exact scores as
-//! moves could win — nearly none at a local optimum. A one-block
-//! workload skips the bound and scores exactly every move that is not
-//! dominated. Every round counts the moves it offers (`search/probes`),
-//! those ruled out (`search/bounded`) and the move it accepts, as does
-//! every round of the flip-on fill.
+//! priced from below first and scored exactly only if a bound could
+//! beat the round's best so far (the evaluator's *Bounded probes*).
+//!
+//! * **A round** offers n + s·u moves. Each pays one O(deg) scan of its
+//!   view's answers for a time floor. A selecting move — a flip-on, or
+//!   a swap row's `in_` — is then priced on the standing charges, which
+//!   costs a bill only when its time floor is new to the round's
+//!   threshold; a deselecting move, or one that floor keeps, folds the
+//!   charges of the selected views after it and prices one bill. Only
+//!   a move whose bound could win pays an exact score: the block sums
+//!   past its first touched block. At a local optimum that is nearly
+//!   none.
+//! * **A fill** offers its pool's unselected views at every step and
+//!   keeps each view's scanned term change for the rest of the call, so
+//!   a move the standing-charge floor rules out at the stale change
+//!   costs no scan at all — an O(1) read and a comparison — and the
+//!   others pay one scan, as in a round.
+//!
+//! A one-block workload skips the bounds and scores exactly every move
+//! that is not dominated. Every round counts the moves it offers
+//! (`search/probes`), those ruled out (`search/bounded`) and the move
+//! it accepts, as does every step of the flip-on fill.
 //!
 //! # The standing rank
 //!
@@ -55,6 +67,7 @@
 
 use mv_cost::{Placement, Price};
 
+use crate::evaluator::Floors;
 use crate::{
     Evaluation, IncrementalEvaluator, Outcome, Rank, Scenario, Score, SelectionProblem, SolverKind,
 };
@@ -117,21 +130,29 @@ fn apply(
 
 /// A round's pick: the best move so far, and the rank the next one
 /// must beat — the standing score's until a move improves on it, then
-/// that move's; strictly, so the first wins among equals.
-struct Pick<'b, M> {
+/// that move's; strictly, so the first wins among equals. Its moves are
+/// bounded through the loop's [`Floors`].
+struct Pick<'b, 'f, M> {
     scenario: Scenario,
     baseline: &'b Evaluation,
     to_beat: Rank,
     best: Option<(M, Score)>,
+    floors: &'f mut Floors,
 }
 
-impl<'b, M> Pick<'b, M> {
-    fn new(scenario: Scenario, baseline: &'b Evaluation, current: Rank) -> Self {
+impl<'b, 'f, M> Pick<'b, 'f, M> {
+    fn new(
+        scenario: Scenario,
+        baseline: &'b Evaluation,
+        current: Rank,
+        floors: &'f mut Floors,
+    ) -> Self {
         Pick {
             scenario,
             baseline,
             to_beat: current,
             best: None,
+            floors,
         }
     }
 
@@ -143,7 +164,7 @@ impl<'b, M> Pick<'b, M> {
     /// *The standing rank*).
     fn toggle(&mut self, ev: &mut IncrementalEvaluator<'_>, mv: M, k: usize) {
         if let Some((e, rank)) =
-            ev.probe_unless_dominated(k, self.scenario, self.baseline, self.to_beat)
+            ev.probe_unless_dominated(k, self.scenario, self.baseline, self.to_beat, self.floors)
         {
             self.to_beat = rank;
             self.best = Some((mv, e));
@@ -174,8 +195,9 @@ fn best_flip_on(
     baseline: &Evaluation,
     current: Rank,
     pool: impl IntoIterator<Item = usize>,
+    floors: &mut Floors,
 ) -> Option<(usize, Score, Rank)> {
-    let mut pick = Pick::new(scenario, baseline, current);
+    let mut pick = Pick::new(scenario, baseline, current, floors);
     let mut probes = 0;
     for k in pool {
         if ev.is_selected(k) {
@@ -191,10 +213,13 @@ fn best_flip_on(
 }
 
 /// Flip-on fill restricted to `pool`, from the evaluator's current
-/// position (scored `current`): applies [`best_flip_on`]'s pick until
+/// position (scored `current`): applies `best_flip_on`'s pick until
 /// there is none, returning the final score. The one loop behind
-/// [`crate::solve_greedy`], [`greedy_fill`] and the LNS repair.
-pub(crate) fn fill_from(
+/// [`crate::solve_greedy`], [`greedy_fill`] and the LNS repair. Between
+/// two steps the selection only gains a view, so each candidate's
+/// selecting term change, once scanned, stays a floor for the rest of
+/// the call: one allocation per call, none per step or probe.
+pub fn fill_from(
     ev: &mut IncrementalEvaluator<'_>,
     scenario: Scenario,
     baseline: &Evaluation,
@@ -202,7 +227,10 @@ pub(crate) fn fill_from(
     pool: impl IntoIterator<Item = usize> + Clone,
 ) -> Score {
     let mut rank = scenario.rank(&current, baseline);
-    while let Some((k, e, r)) = best_flip_on(ev, scenario, baseline, rank, pool.clone()) {
+    let mut floors = Floors::for_fill(ev);
+    while let Some((k, e, r)) =
+        best_flip_on(ev, scenario, baseline, rank, pool.clone(), &mut floors)
+    {
         ev.flip(k);
         (current, rank) = (e, r);
     }
@@ -275,11 +303,12 @@ fn improve_inner(
     let n = ev.problem().len();
     let mut current = ev.score();
     let mut current_rank = scenario.rank(&current, baseline);
+    let mut floors = Floors::default();
     for _ in 0..max_moves {
         // The standing selection, read off the evaluator: a swap row
         // puts back what it takes out, so each row sees it whole.
         let selected = ev.selection().count_ones();
-        let mut pick = Pick::new(scenario, baseline, current_rank);
+        let mut pick = Pick::new(scenario, baseline, current_rank, &mut floors);
         for k in 0..n {
             if !ev.is_selected(k) {
                 pick.toggle(ev, Move::FlipOn(k), k);
