@@ -1,39 +1,41 @@
 #!/usr/bin/env python3
-"""Caller-less scan: every `pub fn` under crates/*/src must be called from
-a non-test line of some crate, binary, bench, example or the benchmark
-harness, or be on the allowlist of references and seams ROADMAP lists
-(each says in its doc comment which tests compare against it).
+"""Caller-less scan of `crates/*/src`, in two passes.
 
-A use is the name followed by `(` or `::<` (a call), or reached through
-`::` (a function passed by path) — outside comments, `pub use`
-re-exports, the body of every `pub fn` of that name (a function does not
-vouch for itself, nor does a same-named call it wraps, such as an `i64`
-method inside a `Money` one) and everything from a file's first
-`#[cfg(test)]` on. A method (an indented `pub fn`) is used only as
-`.name(`, `.name::<` or `::name`: a bare `name(` reaches a free function
-or a local closure, never a method. A bare `.name` is a field read, not
-a use: `self.risk` vouches for no `pub fn risk`. Since the scan and
-CI's non-test line count both stop at a file's first `#[cfg(test)]`, a
-non-test item after it would go unseen by both, so the scan fails on
-one. Both also skip every `*_tests.rs` file, so a `#[cfg(test)] mod x;`
-whose file is not named so would be read as product code: the scan
-fails on one too. The scan is by name, not by item: two functions
-of one name vouch for each other, so every name two or more `pub fn`s
-share is on SHADOWED, checked definition by definition (which type's
-method each non-test call resolves to). A newly shared name fails the
-scan until it is checked and listed; a listed name no longer shared
-fails too.
+`callerless.py --compile` decides each `pub fn` by compiling. One
+definition at a time is renamed in a scratch copy of the tracked files
+(a free function's `pub use` re-exports with it), and every non-test
+target is type-checked: `cargo check --workspace --lib --bins
+--examples`, `cargo check -p mv-bench --bench micro` and the benchmark
+manifest. A definition whose copy still type-checks has no non-test
+caller. `--benches` and `--all-targets` are not used: they build each
+library in test mode, so the tests' calls would count. The pass takes
+about 5 minutes on 2 vCPUs.
 
-Two more item classes are held to non-test use, by name as well. A `pub
+`callerless.py` with no argument runs the quick checks, by name. A `pub
 const` or `pub static` (an associated one included) is used where a
 non-test line other than a definition names it. A variant of a `pub
 enum` is used where a non-test line constructs it as `Enum::Variant` or
 `Self::Variant`: a `match` arm's pattern, a `|` alternative and the
-patterns of `matches!`, `if let` and `while let` only read one.
+patterns of `matches!`, `if let` and `while let` only read one. A
+non-test line is outside comments, `pub use` re-exports and everything
+from a file's first `#[cfg(test)]` on. Since the scan and CI's non-test
+line count both stop at that attribute, a non-test item after it would
+go unseen by both, so the scan fails on one. Both also skip every
+`*_tests.rs` file, so a `#[cfg(test)] mod x;` whose file is not named so
+would be read as product code: the scan fails on one too.
+
+Either pass fails on an unused item whose name is not on ALLOWED, the
+references and seams ROADMAP lists (each says in its doc comment which
+tests read it), and on an allowlisted name that is no longer unused.
 """
 import glob
+import os
 import re
+import shutil
+import subprocess
 import sys
+import tempfile
+import time
 
 ALLOWED = {
     # slow references the identity tests compare the fast paths against
@@ -50,22 +52,12 @@ ALLOWED = {
     # the paper's vocabulary: the raw MV3 mix; the rest until calibration
     # feeds the planner (direction 3)
     "tradeoff", "record_transfer_in", "query_charge", "view_charge",
-    # shape accessors and a filter shorthand only tests and doc tests read
-    "dimensions", "num_cuboids", "eq",
-}
-
-SHADOWED = {
-    # every definition has a non-test caller
-    "add", "all", "as_str", "baseline", "build", "candidates", "catalog", "compute", "cost",
-    "drift", "empty", "execute", "feasible", "get", "heap_bytes", "hours", "label", "len",
-    "levels", "min", "name", "new", "objective", "problem", "rank", "record",
-    "render", "row", "saturating_sub", "scale", "scale_rates", "score",
-    "selection", "set", "solve", "spill", "timeline_csv", "to_json", "total",
-    "validate", "value", "with_selection",
-    # `len`'s companions (clippy's len_without_is_empty); no non-test caller
+    # shape accessors and the builders and read-out only tests and doc
+    # tests use: two filter shorthands, a string-column push, a span lookup
+    "dimensions", "num_cuboids", "eq", "cmp", "push_str", "span",
+    # `len`'s companions (clippy's len_without_is_empty)
     "is_empty",
 }
-
 
 MOD_DECL = re.compile(r"\s*(?:pub(?:\([\w:]+\))?\s+)?mod\s+(\w+)\s*;")
 PATH_ATTR = re.compile(r'\s*#\[path\s*=\s*"([^"]+)"\]')
@@ -122,14 +114,9 @@ def hidden_items(path):
     return found
 
 
-DEF = re.compile(r"(\s*)pub (?:const )?fn (\w+)")
-
-
 def code_lines(path):
-    """Non-test, non-comment, non-`pub use` lines of one source file, each
-    with the names of the `pub fn`s whose definition holds it (a body
-    runs to the first `}` at its `pub fn`'s indentation)."""
-    out, in_use, bodies = [], False, []
+    """Non-test, non-comment, non-`pub use` lines of one source file."""
+    out, in_use = [], False
     for line in open(path, encoding="utf-8"):
         if "#[cfg(test)]" in line:
             break
@@ -137,13 +124,7 @@ def code_lines(path):
         if in_use or re.match(r"\s*pub use\b", line):
             in_use = ";" not in line
             continue
-        m = DEF.match(line)
-        one_line = m and "{" in line and line.count("{") == line.count("}")
-        if m and not one_line:
-            bodies.append((m.group(1) + "}", m.group(2)))
-        out.append((line, {name for _, name in bodies} | ({m.group(2)} if m else set())))
-        if bodies and line.rstrip() == bodies[-1][0]:
-            bodies.pop()
+        out.append(line)
     return out
 
 
@@ -153,15 +134,101 @@ def sources(*patterns):
     )
 
 
-defined, count, free = {}, {}, set()
-for path in sources("crates/*/src/**/*.rs"):
-    for line, _ in code_lines(path):
-        m = DEF.match(line)
-        if m:
-            defined.setdefault(m.group(2), path)
-            count[m.group(2)] = count.get(m.group(2), 0) + 1
-            if not m.group(1):
-                free.add(m.group(2))
+DEF = re.compile(r"(\s*)pub (?:const )?fn (\w+)")
+PROBE = "__callerless_probe"
+CHECKS = [
+    ["cargo", "check", "-q", "--offline", "--workspace", "--lib", "--bins", "--examples"],
+    ["cargo", "check", "-q", "--offline", "-p", "mv-bench", "--bench", "micro"],
+    ["cargo", "check", "-q", "--offline", "--manifest-path", "benchmark/Cargo.toml"],
+]
+
+
+def definitions():
+    """`(path, line number, name, free)` of every non-test `pub fn`."""
+    out = []
+    for path in sources("crates/*/src/**/*.rs"):
+        for n, line in enumerate(open(path, encoding="utf-8"), 1):
+            if "#[cfg(test)]" in line:
+                break
+            m = DEF.match(line.split("//")[0])
+            if m:
+                out.append((path, n, m.group(2), not m.group(1)))
+    return out
+
+
+def renamed(path, n, name, free):
+    """`{file: text}` of the files renaming one definition touches: its
+    own line, and for a free function its `pub use` re-exports."""
+    files = {}
+    for f in sources("crates/*/src/**/*.rs") if free else [path]:
+        lines = open(f, encoding="utf-8").read().splitlines(keepends=True)
+        in_use = False
+        for i, line in enumerate(lines):
+            if "#[cfg(test)]" in line:
+                break
+            if f == path and i + 1 == n:
+                lines[i] = re.sub(rf"\bfn {name}\b", f"fn {name}{PROBE}", line, count=1)
+            elif free and (in_use or re.match(r"\s*pub use\b", line)):
+                in_use = ";" not in line
+                lines[i] = re.sub(rf"(?<!as )\b{name}\b(?!\s*::)", name + PROBE, line)
+        text = "".join(lines)
+        if text != open(f, encoding="utf-8").read():
+            files[f] = text
+    return files
+
+
+def compile_pass():
+    """The `pub fn` definitions whose renamed copy still type-checks."""
+    began = time.monotonic()
+    tracked = subprocess.run(
+        ["git", "ls-files", "-z"], capture_output=True, check=True, text=True
+    ).stdout.split("\0")
+    with tempfile.TemporaryDirectory() as copy:
+        for f in filter(os.path.isfile, filter(None, tracked)):
+            os.makedirs(os.path.join(copy, os.path.dirname(f)), exist_ok=True)
+            shutil.copy2(f, os.path.join(copy, f))
+        env = dict(os.environ, CARGO_TARGET_DIR=os.path.join(copy, "target"))
+
+        def type_checks():
+            return all(
+                subprocess.run(c, cwd=copy, env=env, stdout=subprocess.DEVNULL,
+                               stderr=subprocess.DEVNULL).returncode == 0
+                for c in CHECKS
+            )
+
+        if not type_checks():
+            sys.exit("the copy does not type-check before any rename")
+        defs, unused = definitions(), []
+        for path, n, name, free in defs:
+            files = renamed(path, n, name, free)
+            for f, text in files.items():
+                open(os.path.join(copy, f), "w", encoding="utf-8").write(text)
+            if type_checks():
+                unused.append((path, n, name))
+            # Restored with a fresh mtime, so that cargo re-checks the file.
+            for f in files:
+                shutil.copyfile(f, os.path.join(copy, f))
+    return defs, unused, time.monotonic() - began
+
+
+if sys.argv[1:] == ["--compile"]:
+    defs, unused, seconds = compile_pass()
+    names = {name for _, _, name, _ in defs}
+    for path, n, name in unused:
+        if name not in ALLOWED:
+            print(f"caller-less: {name} ({path}:{n})")
+    stale = sorted((ALLOWED & names) - {name for _, _, name in unused})
+    for name in stale:
+        print(f"allowlisted but called — drop it from ALLOWED: {name}")
+    print(
+        f"{len(defs)} pub fn definitions, {len(unused)} unused, "
+        f"{len(ALLOWED & names)} allowed names, {seconds:.0f} s"
+    )
+    new = [name for _, _, name in unused if name not in ALLOWED]
+    sys.exit(1 if new or stale else 0)
+elif sys.argv[1:]:
+    sys.exit("usage: callerless.py [--compile]")
+
 
 code = [
     line
@@ -171,17 +238,6 @@ code = [
     )
     for line in code_lines(path)
 ]
-
-
-def used(name):
-    """Whether any line outside the bodies of `name`'s own definitions
-    uses it: as a call (a bare one only if some definition is free, not
-    a method) or a path."""
-    call = rf"(?<!fn )\b{name}" if name in free else rf"\.{name}"
-    text = "".join(line for line, owners in code if name not in owners)
-    return re.search(rf"{call}\s*(?:\(|::<)|::\s*{name}\b", text) is not None
-
-
 CONST = re.compile(r"\s*pub (?:const|static) (?!fn\b)(\w+)\s*:")
 ENUM = re.compile(r"(\s*)pub enum (\w+)")
 VARIANT = re.compile(r"\s*([A-Z]\w*)\b")
@@ -192,7 +248,7 @@ def enum_variants(path):
     runs to the first `}` at its `pub enum`'s indentation, and a variant
     is a name at the body's first nesting level."""
     out, enum, depth = [], None, 0
-    for line, _ in code_lines(path):
+    for line in code_lines(path):
         if enum is None:
             m = ENUM.match(line)
             if m:
@@ -218,7 +274,7 @@ def group_end(text, i):
     return len(text)
 
 
-code_text = "\n".join(line.rstrip("\n") for line, _ in code)
+code_text = "\n".join(line.rstrip("\n") for line in code)
 # Spans that hold only patterns: a `matches!(…)` and an `if let` /
 # `while let` pattern (up to its `=`).
 patterns = [(m.start(), group_end(code_text, m.end() - 1))
@@ -254,14 +310,14 @@ def constructed(variant):
 consts = {
     m.group(1): path
     for path in sources("crates/*/src/**/*.rs")
-    for m in map(CONST.match, (line for line, _ in code_lines(path)))
+    for m in map(CONST.match, code_lines(path))
     if m
 }
 
 
 def named(name):
     """Whether a non-test line other than `name`'s definitions names it."""
-    for line, _ in code:
+    for line in code:
         definition = CONST.match(line)
         if re.search(rf"\b{name}\b", line) and not (definition and definition.group(1) == name):
             return True
@@ -269,14 +325,11 @@ def named(name):
 
 
 variants = {v: path for path in sources("crates/*/src/**/*.rs") for v in enum_variants(path)}
-callerless = {name: path for name, path in defined.items() if not used(name)}
-callerless.update({name: path for name, path in consts.items() if not named(name)})
+callerless = {name: path for name, path in consts.items() if not named(name)}
 callerless.update({v: path for v, path in variants.items() if not constructed(v)})
 new = sorted(set(callerless) - ALLOWED)
-stale = sorted(ALLOWED - set(callerless))
-shared = {name for name, n in count.items() if n > 1}
-unchecked = sorted(shared - SHADOWED)
-unshared = sorted(SHADOWED - shared)
+# An allowlisted `pub fn` name is the compile pass's to judge.
+stale = sorted(ALLOWED - set(callerless) - {name for _, _, name, _ in definitions()})
 hidden = [
     f"{path}:{n}" for path in sources("crates/*/src/**/*.rs", "crates/*/benches/**/*.rs")
     for n in hidden_items(path)
@@ -290,17 +343,12 @@ for name in new:
     print(f"caller-less: {name} ({callerless[name]})")
 for name in stale:
     print(f"allowlisted but called or gone — drop it from ALLOWED: {name}")
-for name in unchecked:
-    print(f"shared by {count[name]} pub fns — check each, then add it to SHADOWED: {name}")
-for name in unshared:
-    print(f"no longer shared — drop it from SHADOWED: {name}")
 for where in hidden:
     print(f"non-test item after the first #[cfg(test)] — move it above, or gate it: {where}")
 for where in misnamed:
     print(f"test module file not named *_tests.rs — rename it: {where}")
 print(
-    f"{len(defined)} pub fn names, {len(consts)} pub consts and statics, {len(variants)} "
-    f"pub enum variants, {len(callerless)} unused, {len(ALLOWED)} allowed, "
-    f"{len(shared)} shared"
+    f"{len(consts)} pub consts and statics, {len(variants)} pub enum variants, "
+    f"{len(callerless)} unused"
 )
-sys.exit(1 if new or stale or unchecked or unshared or hidden or misnamed else 0)
+sys.exit(1 if new or stale or hidden or misnamed else 0)

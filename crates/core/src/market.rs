@@ -125,7 +125,7 @@ impl Quantiles {
             p10: rank(0.10),
             median: rank(0.50),
             p90: rank(0.90),
-            max: *sorted.last().expect("non-empty"),
+            max: rank(1.0),
             mean: sorted.iter().sum::<f64>() / sorted.len() as f64,
         }
     }

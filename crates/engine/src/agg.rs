@@ -41,25 +41,31 @@ impl AggFunc {
 }
 
 /// A requested aggregate: function + input column + output name.
+///
+/// Built only through its five constructors, so the input column is
+/// present exactly when the function reads one.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct AggSpec {
-    /// The function.
-    pub func: AggFunc,
-    /// Input column; `None` only for `Count`.
-    pub column: Option<String>,
+    func: AggFunc,
+    column: Option<String>,
     /// Output column name.
     pub alias: String,
 }
 
 impl AggSpec {
-    /// `SUM(column) AS sum_column`.
-    pub fn sum(column: impl Into<String>) -> Self {
+    /// `func(column) AS func_column`.
+    fn of(func: AggFunc, column: impl Into<String>) -> Self {
         let column = column.into();
         AggSpec {
-            alias: format!("sum_{column}"),
-            func: AggFunc::Sum,
+            alias: format!("{}_{column}", func.name()),
+            func,
             column: Some(column),
         }
+    }
+
+    /// `SUM(column) AS sum_column`.
+    pub fn sum(column: impl Into<String>) -> Self {
+        Self::of(AggFunc::Sum, column)
     }
 
     /// `COUNT(*) AS count_rows`.
@@ -73,31 +79,36 @@ impl AggSpec {
 
     /// `MIN(column) AS min_column`.
     pub fn min(column: impl Into<String>) -> Self {
-        let column = column.into();
-        AggSpec {
-            alias: format!("min_{column}"),
-            func: AggFunc::Min,
-            column: Some(column),
-        }
+        Self::of(AggFunc::Min, column)
     }
 
     /// `MAX(column) AS max_column`.
     pub fn max(column: impl Into<String>) -> Self {
-        let column = column.into();
-        AggSpec {
-            alias: format!("max_{column}"),
-            func: AggFunc::Max,
-            column: Some(column),
-        }
+        Self::of(AggFunc::Max, column)
     }
 
     /// `AVG(column) AS avg_column`.
     pub fn avg(column: impl Into<String>) -> Self {
-        let column = column.into();
-        AggSpec {
-            alias: format!("avg_{column}"),
-            func: AggFunc::Avg,
-            column: Some(column),
+        Self::of(AggFunc::Avg, column)
+    }
+
+    /// The function.
+    pub fn func(&self) -> AggFunc {
+        self.func
+    }
+
+    /// The input column; `None` exactly for `Count`.
+    pub fn column(&self) -> Option<&str> {
+        self.column.as_deref()
+    }
+
+    /// The measure a view stores for this aggregate, under its default
+    /// name: `Avg(c)` is stored as `Sum(c)`, anything else as itself.
+    pub(crate) fn stored(&self) -> AggSpec {
+        match &self.column {
+            None => AggSpec::count(),
+            Some(column) if self.func == AggFunc::Avg => AggSpec::sum(column.as_str()),
+            Some(column) => Self::of(self.func, column.as_str()),
         }
     }
 
@@ -174,21 +185,6 @@ pub(crate) enum Accumulator {
 }
 
 impl Accumulator {
-    /// Identity state for `groups` groups of `expr`.
-    pub(crate) fn new(expr: AggExpr, groups: usize) -> Self {
-        let mut acc = match expr {
-            AggExpr::Sum { .. } | AggExpr::Count => Accumulator::Total(Vec::new()),
-            AggExpr::Avg { .. } | AggExpr::RatioOfSums { .. } => Accumulator::Ratio {
-                sum: Vec::new(),
-                count: Vec::new(),
-            },
-            AggExpr::Min { .. } => Accumulator::Min(Vec::new()),
-            AggExpr::Max { .. } => Accumulator::Max(Vec::new()),
-        };
-        acc.grow(groups);
-        acc
-    }
-
     /// Extends the state to `groups` groups (new groups start at identity).
     pub(crate) fn grow(&mut self, groups: usize) {
         match self {
@@ -202,16 +198,16 @@ impl Accumulator {
         }
     }
 
-    /// Folds rows `rows` of `table` into the groups `gids` names for them
-    /// (`gids[i]` is the group of row `rows.start + i`; [`SKIP`] rows are
-    /// filtered out). `expr` must be the expression `self` was built for.
-    pub(crate) fn update(
-        &mut self,
+    /// The state of `groups` groups of `expr`, folded over rows `rows` of
+    /// `table` (`gids[i]` is the group of row `rows.start + i`; [`SKIP`]
+    /// rows are filtered out).
+    pub(crate) fn fold(
         expr: AggExpr,
+        groups: usize,
         table: &Table,
         rows: Range<usize>,
         gids: &[u32],
-    ) -> Result<(), EngineError> {
+    ) -> Result<Self, EngineError> {
         /// `f(slot of the row's group, row's value)` for every selected row.
         fn scatter<T>(slots: &mut [T], gids: &[u32], values: &[i64], f: impl Fn(&mut T, i64)) {
             for (&g, &v) in gids.iter().zip(values) {
@@ -227,28 +223,41 @@ impl Accumulator {
         }
         let input = |col: usize| Ok::<_, EngineError>(&table.column(col).as_int()?[rows.clone()]);
         let add = |total: &mut i128, v: i64| *total += v as i128;
-        match (expr, self) {
-            (AggExpr::Sum { col }, Accumulator::Total(total)) => {
-                scatter(total, gids, input(col)?, add)
+        let totals = || vec![0i128; groups];
+        Ok(match expr {
+            AggExpr::Sum { col } => {
+                let mut total = totals();
+                scatter(&mut total, gids, input(col)?, add);
+                Accumulator::Total(total)
             }
-            (AggExpr::Count, Accumulator::Total(total)) => count_rows(total, gids),
-            (AggExpr::Avg { col }, Accumulator::Ratio { sum, count }) => {
-                scatter(sum, gids, input(col)?, add);
-                count_rows(count, gids);
+            AggExpr::Count => {
+                let mut total = totals();
+                count_rows(&mut total, gids);
+                Accumulator::Total(total)
             }
-            (AggExpr::RatioOfSums { sum_col, count_col }, Accumulator::Ratio { sum, count }) => {
-                scatter(sum, gids, input(sum_col)?, add);
-                scatter(count, gids, input(count_col)?, add);
+            AggExpr::Avg { col } => {
+                let (mut sum, mut count) = (totals(), totals());
+                scatter(&mut sum, gids, input(col)?, add);
+                count_rows(&mut count, gids);
+                Accumulator::Ratio { sum, count }
             }
-            (AggExpr::Min { col }, Accumulator::Min(min)) => {
-                scatter(min, gids, input(col)?, |m, v| *m = (*m).min(v))
+            AggExpr::RatioOfSums { sum_col, count_col } => {
+                let (mut sum, mut count) = (totals(), totals());
+                scatter(&mut sum, gids, input(sum_col)?, add);
+                scatter(&mut count, gids, input(count_col)?, add);
+                Accumulator::Ratio { sum, count }
             }
-            (AggExpr::Max { col }, Accumulator::Max(max)) => {
-                scatter(max, gids, input(col)?, |m, v| *m = (*m).max(v))
+            AggExpr::Min { col } => {
+                let mut min = vec![i64::MAX; groups];
+                scatter(&mut min, gids, input(col)?, |m, v| *m = (*m).min(v));
+                Accumulator::Min(min)
             }
-            _ => unreachable!("accumulator state mismatch"),
-        }
-        Ok(())
+            AggExpr::Max { col } => {
+                let mut max = vec![i64::MIN; groups];
+                scatter(&mut max, gids, input(col)?, |m, v| *m = (*m).max(v));
+                Accumulator::Max(max)
+            }
+        })
     }
 
     /// Combines a partial state into this one: group `i` of `other` is
@@ -333,8 +342,7 @@ mod tests {
         let columns = data.iter().cloned().map(Column::Int).collect();
         let table = Table::new(schema, columns).unwrap();
         let rows = table.num_rows();
-        let mut acc = Accumulator::new(expr, 1);
-        acc.update(expr, &table, 0..rows, &vec![0; rows]).unwrap();
+        let acc = Accumulator::fold(expr, 1, &table, 0..rows, &vec![0; rows]).unwrap();
         acc.finish("out").unwrap()[0]
     }
 

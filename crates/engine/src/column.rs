@@ -81,7 +81,9 @@ impl Column {
         }
     }
 
-    /// Appends a string, interning it. Panics on an `Int` column.
+    /// Appends a string, interning it. Panics on an `Int` column. No
+    /// non-test caller: the column unit tests and the reference executor
+    /// (`reference_tests.rs`) build string columns with it.
     #[inline]
     pub fn push_str(&mut self, s: &str) {
         match self {

@@ -257,7 +257,7 @@ impl KeyLayout {
                 dense: None,
                 radix: 0,
             };
-            let mut radix = span.checked_add(1);
+            let radix = span.checked_add(1);
             let fits = |card: u64, radix: Option<u64>, bound: u64| {
                 radix
                     .and_then(|r| card.checked_mul(r))
@@ -278,24 +278,27 @@ impl KeyLayout {
             }
             // A dense prefix is at most `rows` wide; a column that still
             // overflows spans more than 2^32 values and is densified too.
-            if !fits(card, radix, u64::MAX) {
-                let mut ids = Resolver::hashed(rows);
-                col.fold_offsets(min, &mut keys, |_, off| {
-                    ids.get_or_insert(off);
-                });
-                radix = Some(ids.len() as u64);
-                part.dense = Some(ids);
-            }
-            let radix = radix.expect("a densified column has at most `rows` values");
-            match &part.dense {
-                Some(ids) => col.fold_offsets(min, &mut keys, |k, off| {
-                    *k = *k * radix + ids.get(off).expect("inserted above") as u64;
-                }),
-                None => col.fold_offsets(min, &mut keys, |k, off| *k = *k * radix + off),
-            }
-            part.radix = radix;
-            card *= radix;
-            dense = dense && radix == 1;
+            part.radix = match radix.filter(|&r| fits(card, Some(r), u64::MAX)) {
+                Some(radix) => {
+                    col.fold_offsets(min, &mut keys, |k, off| *k = *k * radix + off);
+                    radix
+                }
+                None => {
+                    let mut ids = Resolver::hashed(rows);
+                    col.fold_offsets(min, &mut keys, |_, off| {
+                        ids.get_or_insert(off);
+                    });
+                    let radix = ids.len() as u64;
+                    // Every offset is present now, so each gets its id back.
+                    col.fold_offsets(min, &mut keys, |k, off| {
+                        *k = *k * radix + u64::from(ids.get_or_insert(off));
+                    });
+                    part.dense = Some(ids);
+                    radix
+                }
+            };
+            card *= part.radix;
+            dense = dense && part.radix == 1;
             parts.push(part);
         }
         (KeyLayout { parts, card }, keys)
@@ -445,9 +448,13 @@ fn aggregate_range(
     }
     let mut accs = Vec::with_capacity(aggs.len());
     for agg in aggs {
-        let mut acc = Accumulator::new(agg.expr, reps.len());
-        acc.update(agg.expr, table, rows.clone(), &gids)?;
-        accs.push(acc);
+        accs.push(Accumulator::fold(
+            agg.expr,
+            reps.len(),
+            table,
+            rows.clone(),
+            &gids,
+        )?);
     }
     Ok(Partial { groups, reps, accs })
 }

@@ -110,7 +110,7 @@ impl MaterializedView {
             let incoming = partial.column(n_keys + m).as_int()?;
             let merge = |&(row, prow): &(usize, usize)| {
                 let (cur, inc) = (current[row], incoming[prow]);
-                match spec.func {
+                match spec.func() {
                     AggFunc::Sum | AggFunc::Count => {
                         cur.checked_add(inc)
                             .ok_or_else(|| EngineError::AggregateOverflow {

@@ -34,17 +34,6 @@ pub struct ExecStats {
     pub groups: u64,
 }
 
-impl ExecStats {
-    /// Element-wise accumulation.
-    pub fn merge(&mut self, other: &ExecStats) {
-        self.rows_scanned += other.rows_scanned;
-        self.bytes_scanned += other.bytes_scanned;
-        self.rows_out += other.rows_out;
-        self.bytes_out += other.bytes_out;
-        self.groups += other.groups;
-    }
-}
-
 /// Scale factor between engine bytes and simulated "cloud" bytes.
 ///
 /// The paper's evaluation dataset is 10 GB; tests and experiments run the
@@ -138,22 +127,6 @@ impl ThroughputModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn merge_accumulates() {
-        let mut a = ExecStats {
-            rows_scanned: 10,
-            bytes_scanned: 100,
-            rows_out: 2,
-            bytes_out: 16,
-            groups: 2,
-        };
-        let b = a;
-        a.merge(&b);
-        assert_eq!(a.rows_scanned, 20);
-        assert_eq!(a.bytes_out, 32);
-        assert_eq!(a.groups, 4);
-    }
 
     #[test]
     fn scale_mapping() {

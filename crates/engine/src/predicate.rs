@@ -67,7 +67,9 @@ impl Predicate {
         }
     }
 
-    /// `column op literal`.
+    /// `column op literal`. No non-test caller: the shorthand the
+    /// predicate and query unit tests, the reference executor
+    /// (`reference_tests.rs`) and `tests/proptests.rs` build filters with.
     pub fn cmp(column: impl Into<String>, op: CmpOp, literal: impl Into<Value>) -> Self {
         Predicate::Cmp {
             column: column.into(),

@@ -2,7 +2,7 @@
 
 use crate::agg::AggExpr;
 use crate::groupby::{output_schema, parallel_group_by, scanned_width, LoweredAgg};
-use crate::{AggFunc, AggSpec, DataType, EngineError, ExecStats, Predicate, Schema, Table};
+use crate::{AggSpec, DataType, EngineError, ExecStats, Predicate, Schema, Table};
 
 /// A roll-up aggregation query: `SELECT group_by…, agg(…)… FROM t [WHERE …]
 /// GROUP BY group_by…`.
@@ -61,24 +61,19 @@ impl AggQuery {
         let group_cols = self.group_columns(schema)?;
         let mut aggs = Vec::with_capacity(self.aggregates.len());
         for spec in &self.aggregates {
-            let expr = match (spec.func, &spec.column) {
-                (AggFunc::Count, _) => AggExpr::Count,
-                (func, Some(col_name)) => {
+            let expr = match spec.column() {
+                None => AggExpr::Count,
+                Some(col_name) => {
                     let col = schema.index_of(col_name)?;
                     let field = &schema.fields()[col];
                     if field.dtype != DataType::Int {
                         return Err(EngineError::TypeMismatch {
-                            column: col_name.clone(),
+                            column: col_name.to_string(),
                             expected: "int",
                             actual: field.dtype.name(),
                         });
                     }
-                    AggExpr::over_base(func, col)
-                }
-                (func, None) => {
-                    return Err(EngineError::UnknownColumn {
-                        name: format!("<missing input column for {}>", func.name()),
-                    })
+                    AggExpr::over_base(spec.func(), col)
                 }
             };
             aggs.push(LoweredAgg {
@@ -308,20 +303,6 @@ mod tests {
         assert!(matches!(
             str_sum.execute(&t).unwrap_err(),
             EngineError::TypeMismatch { .. }
-        ));
-
-        let no_col = AggQuery::new(
-            "q",
-            &[],
-            vec![AggSpec {
-                func: AggFunc::Sum,
-                column: None,
-                alias: "s".into(),
-            }],
-        );
-        assert!(matches!(
-            no_col.execute(&t).unwrap_err(),
-            EngineError::UnknownColumn { .. }
         ));
     }
 

@@ -253,7 +253,7 @@ pub(crate) fn refresh_incremental(
                     let delta_v = partial.column(col_idx).as_int()?[prow];
                     let values = data.column_mut(col_idx).int_values_mut();
                     let cur = values[row];
-                    values[row] = match spec.func {
+                    values[row] = match spec.func() {
                         AggFunc::Sum | AggFunc::Count => cur + delta_v,
                         AggFunc::Min => cur.min(delta_v),
                         AggFunc::Max => cur.max(delta_v),

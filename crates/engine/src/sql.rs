@@ -317,28 +317,28 @@ impl Parser {
 
     /// `predicate := and_term (OR and_term)*`
     fn parse_predicate(&mut self) -> Result<Predicate, SqlError> {
-        let mut terms = vec![self.parse_and_term()?];
+        let first = self.parse_and_term()?;
+        if !self.eat_kw("or") {
+            return Ok(first);
+        }
+        let mut terms = vec![first, self.parse_and_term()?];
         while self.eat_kw("or") {
             terms.push(self.parse_and_term()?);
         }
-        Ok(if terms.len() == 1 {
-            terms.pop().expect("non-empty")
-        } else {
-            Predicate::Or(terms)
-        })
+        Ok(Predicate::Or(terms))
     }
 
     /// `and_term := factor (AND factor)*`
     fn parse_and_term(&mut self) -> Result<Predicate, SqlError> {
-        let mut factors = vec![self.parse_factor()?];
+        let first = self.parse_factor()?;
+        if !self.eat_kw("and") {
+            return Ok(first);
+        }
+        let mut factors = vec![first, self.parse_factor()?];
         while self.eat_kw("and") {
             factors.push(self.parse_factor()?);
         }
-        Ok(if factors.len() == 1 {
-            factors.pop().expect("non-empty")
-        } else {
-            Predicate::And(factors)
-        })
+        Ok(Predicate::And(factors))
     }
 
     /// `factor := '(' predicate ')' | column op literal`

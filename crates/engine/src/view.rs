@@ -35,34 +35,12 @@ impl ViewDefinition {
     /// * duplicates are removed.
     pub fn canonical(name: impl Into<String>, group_by: &[&str], requested: &[AggSpec]) -> Self {
         let mut measures: Vec<AggSpec> = Vec::new();
-        let mut push_unique = |spec: AggSpec| {
-            if !measures
-                .iter()
-                .any(|m| m.func == spec.func && m.column == spec.column)
-            {
+        let stored = requested.iter().map(AggSpec::stored);
+        for spec in stored.chain([AggSpec::count()]) {
+            if !measures.contains(&spec) {
                 measures.push(spec);
             }
-        };
-        for spec in requested {
-            match spec.func {
-                AggFunc::Avg => {
-                    let col = spec.column.clone().expect("avg requires a column");
-                    push_unique(AggSpec::sum(col));
-                }
-                AggFunc::Count => push_unique(AggSpec::count()),
-                AggFunc::Sum | AggFunc::Min | AggFunc::Max => {
-                    let col = spec.column.clone().expect("agg requires a column");
-                    let canonical = match spec.func {
-                        AggFunc::Sum => AggSpec::sum(col),
-                        AggFunc::Min => AggSpec::min(col),
-                        AggFunc::Max => AggSpec::max(col),
-                        _ => unreachable!(),
-                    };
-                    push_unique(canonical);
-                }
-            }
         }
-        push_unique(AggSpec::count());
         ViewDefinition {
             name: name.into(),
             group_by: group_by.iter().map(|s| s.to_string()).collect(),
@@ -84,7 +62,7 @@ impl ViewDefinition {
     fn measure_alias(&self, func: AggFunc, column: Option<&str>) -> Option<&str> {
         self.measures
             .iter()
-            .find(|m| m.func == func && m.column.as_deref() == column)
+            .find(|m| m.func() == func && m.column() == column)
             .map(|m| m.alias.as_str())
     }
 }
@@ -159,7 +137,7 @@ impl MaterializedView {
         // typed as `source` stores them, and its measures lowered as on a
         // base table (which column a measure reads does not enter the
         // width, so any index stands in).
-        let on_base = def.measures.iter().map(|m| AggExpr::over_base(m.func, 0));
+        let on_base = def.measures.iter().map(|m| AggExpr::over_base(m.func(), 0));
         let width = scanned_width(source.data.schema(), &plan.group_cols, on_base);
         let rows_scanned = source.build_stats.rows_scanned;
         Ok(MaterializedView {
@@ -199,8 +177,8 @@ impl MaterializedView {
         };
         let mut aggs = Vec::with_capacity(query.aggregates.len());
         for spec in &query.aggregates {
-            let column = spec.column.as_deref();
-            let expr = match spec.func {
+            let column = spec.column();
+            let expr = match spec.func() {
                 // SUM over a view re-aggregates the stored SUM partials.
                 AggFunc::Sum => stored(AggFunc::Sum, column).map(|col| AggExpr::Sum { col }),
                 // COUNT re-aggregates as a SUM of stored counts.
@@ -215,7 +193,7 @@ impl MaterializedView {
             let expr = expr.ok_or_else(|| {
                 cannot(format!(
                     "aggregate {}({}) is not derivable from stored measures",
-                    spec.func.name(),
+                    spec.func().name(),
                     column.unwrap_or("*"),
                 ))
             })?;
@@ -295,7 +273,7 @@ mod tests {
     #[test]
     fn canonicalization_splits_avg_and_adds_count() {
         let def = ViewDefinition::canonical("v", &["year"], &[AggSpec::avg("profit")]);
-        let funcs: Vec<AggFunc> = def.measures.iter().map(|m| m.func).collect();
+        let funcs: Vec<AggFunc> = def.measures.iter().map(|m| m.func()).collect();
         assert_eq!(funcs, vec![AggFunc::Sum, AggFunc::Count]);
         // Duplicates collapse.
         let def2 = ViewDefinition::canonical(

@@ -182,7 +182,8 @@ impl Snapshot {
             .map_or(0, |&(_, v)| v)
     }
 
-    /// Looks up a span by its full path.
+    /// Looks up a span by its full path. No non-test caller: the span
+    /// test in `lib.rs` (`span_paths_nest`) reads nested paths with it.
     pub fn span(&self, path: &str) -> Option<&SpanStat> {
         self.spans.iter().find(|s| s.path == path)
     }

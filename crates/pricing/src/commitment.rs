@@ -36,7 +36,7 @@ impl CommitmentPlan {
             name: "small-1yr-medium".to_string(),
             instance: "small".to_string(),
             upfront: Money::from_dollars(160),
-            hourly: Money::from_dollars_str("0.06").expect("literal"),
+            hourly: Money::from_cents(6),
             term: Months::new(12.0),
         }
     }

@@ -41,8 +41,6 @@ pub enum PricingError {
     },
     /// A storage timeline event was recorded out of chronological order.
     OutOfOrderEvent,
-    /// A storage timeline removal exceeded the currently stored size.
-    StorageUnderflow,
 }
 
 impl fmt::Display for PricingError {
@@ -77,9 +75,6 @@ impl fmt::Display for PricingError {
                     f,
                     "storage timeline events must be recorded in chronological order"
                 )
-            }
-            PricingError::StorageUnderflow => {
-                write!(f, "storage timeline removal exceeds stored size")
             }
         }
     }

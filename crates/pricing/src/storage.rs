@@ -87,8 +87,12 @@ impl StorageInterval {
 #[derive(Debug, Clone, PartialEq)]
 pub struct StorageTimeline {
     horizon: Months,
-    /// `(time, size-after-event)` pairs; first entry is at time 0.
-    points: Vec<(Months, Gb)>,
+    /// `(time, size-after-event)` pairs before `last`; the first point of
+    /// the timeline (here, or `last` when this is empty) is at time 0.
+    earlier: Vec<(Months, Gb)>,
+    /// The latest `(time, size-after-event)`: held apart so that a
+    /// timeline always has one.
+    last: (Months, Gb),
 }
 
 impl StorageTimeline {
@@ -96,36 +100,25 @@ impl StorageTimeline {
     pub fn new(initial: Gb, horizon: Months) -> Self {
         StorageTimeline {
             horizon,
-            points: vec![(Months::ZERO, initial)],
+            earlier: Vec::new(),
+            last: (Months::ZERO, initial),
         }
     }
 
     /// Records `added` gigabytes uploaded at month `at`.
     pub fn insert(&mut self, at: Months, added: Gb) -> Result<(), PricingError> {
-        let current = self.size_at_end();
-        self.push_point(at, current + added)
-    }
-
-    /// Records `removed` gigabytes deleted at month `at`.
-    pub fn remove(&mut self, at: Months, removed: Gb) -> Result<(), PricingError> {
-        let current = self.size_at_end();
-        if removed.value() > current.value() + 1e-9 {
-            return Err(PricingError::StorageUnderflow);
-        }
-        self.push_point(at, current.saturating_sub(removed))
-    }
-
-    fn push_point(&mut self, at: Months, size: Gb) -> Result<(), PricingError> {
-        let last = self.points.last().expect("timeline never empty").0;
+        let size = self.size_at_end() + added;
+        let last = self.last.0;
         if at.value() < last.value() {
             return Err(PricingError::OutOfOrderEvent);
         }
-        if at.value() == last.value() {
-            // Coalesce same-instant events.
-            self.points.last_mut().expect("timeline never empty").1 = size;
-        } else {
-            self.points.push((at, size));
+        // Coalesce same-instant events; any other instant (NaN included)
+        // starts a new point.
+        if at.value() != last.value() {
+            self.earlier.push(self.last);
+            self.last.0 = at;
         }
+        self.last.1 = size;
         Ok(())
     }
 
@@ -136,28 +129,24 @@ impl StorageTimeline {
 
     /// Stored size after the last recorded event.
     pub fn size_at_end(&self) -> Gb {
-        self.points.last().expect("timeline never empty").1
+        self.last.1
     }
 
     /// The constant-size intervals covering `[0, horizon]`. Events at or
     /// after the horizon are ignored; zero-length intervals are skipped.
     pub fn intervals(&self) -> Vec<StorageInterval> {
-        let mut out = Vec::with_capacity(self.points.len());
-        for (i, (start, size)) in self.points.iter().enumerate() {
+        let mut out = Vec::with_capacity(self.earlier.len() + 1);
+        let mut points = self.earlier.iter().chain([&self.last]).peekable();
+        while let Some(&(start, size)) = points.next() {
             if start.value() >= self.horizon.value() {
                 break;
             }
-            let end = self
-                .points
-                .get(i + 1)
+            let end = points
+                .peek()
                 .map(|(t, _)| t.min(self.horizon))
                 .unwrap_or(self.horizon);
             if end.value() > start.value() {
-                out.push(StorageInterval {
-                    start: *start,
-                    end,
-                    size: *size,
-                });
+                out.push(StorageInterval { start, end, size });
             }
         }
         out
@@ -235,17 +224,6 @@ mod tests {
         let ivs = tl.intervals();
         assert_eq!(ivs.len(), 2);
         assert_eq!(ivs[1].size.value(), 120.0);
-    }
-
-    #[test]
-    fn removal_and_underflow() {
-        let mut tl = StorageTimeline::new(Gb::new(100.0), Months::new(12.0));
-        tl.remove(Months::new(6.0), Gb::new(40.0)).unwrap();
-        assert_eq!(tl.size_at_end().value(), 60.0);
-        assert_eq!(
-            tl.remove(Months::new(8.0), Gb::new(100.0)),
-            Err(PricingError::StorageUnderflow)
-        );
     }
 
     #[test]

@@ -616,7 +616,7 @@ where
     Solve: Fn(usize, Option<NodeState>) -> (EpochStep, NodeState) + Sync,
 {
     use std::collections::VecDeque;
-    use std::sync::{Condvar, Mutex};
+    use std::sync::{Condvar, Mutex, PoisonError};
     let len = parents.len();
     let mut roots = VecDeque::new();
     let mut children = vec![Vec::new(); len];
@@ -651,9 +651,11 @@ where
         aborted: false,
     });
     let ready = Condvar::new();
+    // A board poisoned by a panicking node is still consistent, and
+    // flagged: the other workers see `aborted` and return.
     let worker = || loop {
         let (i, inherited) = {
-            let mut b = board.lock().expect("tree board poisoned");
+            let mut b = board.lock().unwrap_or_else(PoisonError::into_inner);
             loop {
                 if b.aborted || b.done == len {
                     return;
@@ -661,7 +663,7 @@ where
                 if let Some(job) = b.queue.pop_front() {
                     break job;
                 }
-                b = ready.wait(b).expect("tree board poisoned");
+                b = ready.wait(b).unwrap_or_else(PoisonError::into_inner);
             }
         };
         let _abort_on_unwind = AbortOnUnwind(&board, &ready);
@@ -676,7 +678,7 @@ where
             ship.extend(rest.iter().map(|&c| (c, Some(state.fork()))));
             ship.push((last, Some(state)));
         }
-        let mut b = board.lock().expect("tree board poisoned");
+        let mut b = board.lock().unwrap_or_else(PoisonError::into_inner);
         b.steps[i] = Some(step);
         b.done += 1;
         b.queue.extend(ship);
@@ -692,7 +694,7 @@ where
             }
         });
     }
-    let board = board.into_inner().expect("tree board poisoned");
+    let board = board.into_inner().unwrap_or_else(PoisonError::into_inner);
     board
         .steps
         .into_iter()

@@ -481,12 +481,12 @@ impl ProblemHandle<'_> {
     /// of its own first, a shared one is copied only while a fork (or
     /// the origin) still holds it.
     fn to_mut(&mut self) -> &mut SelectionProblem {
-        if let ProblemHandle::Borrowed(problem) = *self {
-            *self = ProblemHandle::Shared(Arc::new(problem.clone()));
-        }
         match self {
             ProblemHandle::Shared(problem) => Arc::make_mut(problem),
-            ProblemHandle::Borrowed(_) => unreachable!("promoted above"),
+            &mut ProblemHandle::Borrowed(problem) => {
+                *self = ProblemHandle::Shared(Arc::new(problem.clone()));
+                self.to_mut()
+            }
         }
     }
 }

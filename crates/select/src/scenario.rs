@@ -23,8 +23,10 @@ pub enum Scenario {
         alpha: f64,
         /// When `true`, `T` and `C` are divided by their no-view baselines
         /// before weighting, making the two terms commensurable. The paper
-        /// mixes raw hours and dollars (`false`); both are supported and
-        /// compared in the ablation benches.
+        /// mixes raw hours and dollars (`false`): only tests build that
+        /// form, through [`Scenario::tradeoff`]; every bench, binary and
+        /// `experiments` subcommand normalizes. Which form stays is
+        /// ROADMAP direction 10(iii).
         normalize: bool,
     },
 }

@@ -145,12 +145,6 @@ impl Money {
     pub const fn is_negative(self) -> bool {
         self.0 < 0
     }
-
-    /// Absolute value.
-    #[inline]
-    pub const fn abs(self) -> Money {
-        Money(self.0.abs())
-    }
 }
 
 /// Error returned by [`Money::from_dollars_str`].
@@ -579,6 +573,5 @@ mod tests {
         assert_eq!(a.min(b), a);
         assert!(Money::from_micros(-1).is_negative());
         assert!(!Money::ZERO.is_negative());
-        assert_eq!(Money::from_micros(-5).abs(), Money::from_micros(5));
     }
 }
