@@ -52,8 +52,8 @@ ALLOWED = {
     # the paper's vocabulary: the raw MV3 mix; the rest until calibration
     # feeds the planner (direction 3)
     "tradeoff", "record_transfer_in", "query_charge", "view_charge",
-    # shape accessors and the builders and read-out only tests and doc
-    # tests use: two filter shorthands, a string-column push, a span lookup
+    # shape accessors, and what only tests and doc tests call: two filter
+    # shorthands, a string-column push, a span lookup
     "dimensions", "num_cuboids", "eq", "cmp", "push_str", "span",
     # `len`'s companions (clippy's len_without_is_empty)
     "is_empty",
