@@ -22,16 +22,17 @@
 //!   maintenance: the incremental path's work is proportional to the
 //!   delta, the full path's to the whole base, which is what keeps the
 //!   maintenance term of the paper's Formula 12 small.
-//! * `engine/materialize/*`, `meter/answer_profile/*`,
+//! * `engine/materialize/*`, `engine/count/*`, `meter/answer_profile/*`,
 //!   `meter/workload/*`, `meter/maintenance/*` — the engine passes
 //!   `Advisor::build` no longer makes, each beside what replaced it: a
-//!   cuboid built from the base table and rolled up from a finer view;
-//!   and, executed and planned, a lattice's answer profile, the sales
-//!   workload's scans of the base table and each SSB candidate's
-//!   refresh by the 2 % maintenance batch (the last two planned while
-//!   Σ|measure| fits `i64`). (`advise_cold`'s traced
-//!   `engine.workload_exec_ms` and `engine.candidate_measure_ms` are the
-//!   harness replaying the old procedure, so they cannot show these.)
+//!   cuboid built from the base table, and the counting pass that meters
+//!   the SSB advisor's whole pool without building one; and, executed
+//!   and planned, a lattice's answer profile, the sales workload's scans
+//!   of the base table and each SSB candidate's refresh by the 2 %
+//!   maintenance batch (the last two planned while Σ|measure| fits
+//!   `i64`). (`advise_cold`'s traced `engine.workload_exec_ms` and
+//!   `engine.candidate_measure_ms` are the harness replaying the old
+//!   procedure, so they cannot show these.)
 //! * `ablation_parallel/*` (A4) — serial vs multi-threaded aggregation.
 //!   Scan-bound coarse keys (few groups, cheap merge) parallelize;
 //!   merge-bound fine keys (thousands of groups per partial) do not,
@@ -72,12 +73,14 @@ mod timer;
 
 use std::hint::black_box;
 
-use mv_engine::{datagen, AggQuery, AggSpec, MaterializedView, SalesConfig, Table, ViewDefinition};
+use mv_engine::{
+    datagen, AggQuery, AggSpec, MaterializedView, PlannedView, SalesConfig, Table, ViewDefinition,
+};
 use mv_obs::{Counter, Hist};
 use mv_select::lns::{solve_lns_with, LnsConfig};
 use mv_select::{fixtures, local_search, IncrementalEvaluator, SelectionProblem, SolverKind};
 use mvcloud::cost::{CalibratedParams, MeterSample, WorkKind};
-use mvcloud::lattice::{ScaleShape, WorkloadEvolution};
+use mvcloud::lattice::{Cuboid, ScaleShape, WorkloadEvolution};
 use mvcloud::units::{Gb, Hours, Money};
 use mvcloud::{
     sales_domain, scale_problem, ssb_domain, Advisor, AdvisorConfig, CalibrationConfig, Scenario,
@@ -232,27 +235,39 @@ fn bench_maintenance() {
     });
 }
 
-/// One candidate view built twice: from the 20 000 base rows, and
-/// rolled up from the finest candidate of the sales lattice
-/// (day×region, ≈ 16 000 stored rows). That is the least a roll-up
-/// saves — a pass costs about the same per row on either table — and
-/// the advisor picks the *smallest* measured view that derives the
-/// cuboid (month×region here, under 2 000 rows).
+/// One candidate view built from the 20 000 base rows — what
+/// `Advisor::materialize_selection` does per selected view — and the
+/// counting pass over the SSB advisor's 63 candidates (r 4 000) as
+/// `Advisor::build` runs it: finest first, each over the
+/// representatives of the smallest counted view that derives it, the
+/// base table when none does.
 fn bench_materialize() {
     let base = datagen::generate_sales(&SalesConfig::with_rows(20_000));
     let sum = [AggSpec::sum("profit")];
-    let finest = ViewDefinition::canonical(
-        "day×region",
-        &["year", "month", "day", "country", "region"],
-        &sum,
-    );
-    let finest = MaterializedView::materialize(finest, &base).unwrap();
     let def = ViewDefinition::canonical("month×country", &["year", "month", "country"], &sum);
     run("engine/materialize", "from_base", || {
         MaterializedView::materialize(def.clone(), black_box(&base)).unwrap()
     });
-    run("engine/materialize", "roll_up", || {
-        MaterializedView::roll_up(def.clone(), black_box(&finest)).unwrap()
+
+    let ssb = Advisor::build(ssb_domain(4_000, 1.0, 42), AdvisorConfig::default())
+        .expect("advisor builds");
+    let base = &ssb.domain().base;
+    let mut pool: Vec<_> = ssb.candidates().iter().collect();
+    pool.sort_by_key(|m| std::cmp::Reverse(m.cuboid.rank()));
+    run("engine/count", "pool_ssb_r4000_n63", || {
+        let mut counted: Vec<(&Cuboid, PlannedView, Vec<u32>)> = Vec::with_capacity(pool.len());
+        for m in &pool {
+            let defining = m.view.def().as_query();
+            let finer = counted
+                .iter()
+                .filter(|(c, v, _)| c.covers(&m.cuboid) && v.can_answer(&defining).is_ok())
+                .min_by_key(|(_, v, _)| v.num_rows())
+                .map(|(_, v, reps)| (v, &reps[..]));
+            let def = m.view.def().clone();
+            let (view, reps) = PlannedView::count(def, black_box(base), finer).unwrap();
+            counted.push((&m.cuboid, view, reps));
+        }
+        counted.len()
     });
 }
 
@@ -261,13 +276,23 @@ fn bench_materialize() {
 /// candidate of the sales advisor (r 20 000, 10 queries, 15 views) and
 /// its workload's scans of the base table; one refresh of each of the
 /// SSB advisor's 63 candidates (r 4 000) by the 2 % batch, a replayed
-/// sample of the base rows as the advisor's is for that schema.
+/// sample of the base rows as the advisor's is for that schema. The
+/// candidates' rows are built from the base table during set-up.
 fn bench_meter() {
     let advisor = Advisor::build(sales_domain(20_000, 10, 1.0, 42), AdvisorConfig::default())
         .expect("advisor builds");
+    let built = |advisor: &Advisor| -> Vec<MaterializedView> {
+        let base = &advisor.domain().base;
+        let views = advisor
+            .candidates()
+            .iter()
+            .map(|m| m.view.materialize(base));
+        views.collect::<Result<_, _>>().expect("candidates build")
+    };
+    let sales_views = built(&advisor);
     let profile = |bytes: &dyn Fn(&MaterializedView, &AggQuery) -> Option<u64>| -> u64 {
-        let views = advisor.candidates().iter().map(|m| &m.view);
-        views
+        sales_views
+            .iter()
             .flat_map(|v| advisor.queries().iter().filter_map(move |q| bytes(v, q)))
             .sum()
     };
@@ -295,7 +320,8 @@ fn bench_meter() {
     for r in 0..rows {
         batch.push_row(&base.row(r * 37 % base.num_rows())).unwrap();
     }
-    let views = || ssb.candidates().iter().map(|m| &m.view);
+    let ssb_views = built(&ssb);
+    let views = || ssb_views.iter();
     run("meter/maintenance", "executed", || {
         let refreshes = views().map(|v| v.clone().refresh_incremental(&batch).unwrap());
         refreshes.map(|stats| stats.bytes_scanned).sum::<u64>()

@@ -4,37 +4,39 @@
 //! describes (select on the client, materialize in the cloud):
 //!
 //! 1. generate candidate cuboids from the lattice;
-//! 2. materialize every candidate in the engine, finest first, each in
-//!    one pass over the smallest already-measured view that derives it
-//!    and over the base table only when none does
-//!    ([`MaterializedView::roll_up`]: the stored table and `build_stats`
-//!    are the from-base build's either way), and meter one incremental
+//! 2. meter every candidate from its group count, finest first: the
+//!    counting pass ([`PlannedView::count`]) runs over the
+//!    representatives of the smallest already-measured view that derives
+//!    it, and over the base table only when none does; the stored size,
+//!    the from-base build's scan and the answer profile are read off the
+//!    count, and no candidate's rows are built. Likewise one incremental
 //!    refresh of the maintenance batch;
 //! 3. meter the workload on the base table;
 //! 4. convert scan bytes to simulated cluster-hours and stored bytes to
-//!    cloud gigabytes. Each build is executed; every other scan is read
-//!    off cardinalities (rows × the width of the columns it would read,
-//!    the width rule executed scans are metered with): the improved time
-//!    of every query a candidate answers
-//!    ([`MaterializedView::planned_scan_bytes`]), and the workload's and
-//!    each refresh's scans ([`AggQuery::planned_scan`]) while Σ|measure|
-//!    over the base table and the batch fits `i64` — every SUM the meter
-//!    forms adds up a subset of those rows, so none can leave it. Past
-//!    that bound those two passes run, and a total leaving `i64` is
-//!    their typed error;
+//!    cloud gigabytes. Every scan is read off cardinalities (rows × the
+//!    width of the columns it would read, the width rule executed scans
+//!    are metered with): each build's, the improved time of every query
+//!    a candidate answers ([`PlannedView::planned_scan_bytes`]), and the
+//!    workload's and each refresh's ([`AggQuery::planned_scan`]) — while
+//!    Σ|measure| over the base table and the batch fits `i64`: every SUM
+//!    the meter forms adds up a subset of those rows, so none can leave
+//!    it. Past that bound each candidate is materialized from the base
+//!    table and refreshed on a copy, the workload runs, and a total
+//!    leaving `i64` is their typed error;
 //! 5. assemble the [`SelectionProblem`] over the paper's cost models.
 //!
 //! [`Advisor::solve`] then runs any scenario × solver combination, and
-//! [`Advisor::materialize_selection`] registers the chosen views in a
-//! catalog, ready to serve queries.
+//! [`Advisor::materialize_selection`] builds the chosen views' rows from
+//! the base table and registers them in a catalog, ready to serve
+//! queries.
 
 use std::cell::Cell;
 use std::cmp::Reverse;
 
 use mv_cost::{CloudCostModel, CostContext, QueryCharge, ViewCharge};
 use mv_engine::{
-    AggQuery, AggSpec, MaterializedView, SimScale, Table, ThroughputModel, ViewCatalog,
-    ViewDefinition,
+    AggQuery, AggSpec, MaterializedView, PlannedView, SimScale, Table, ThroughputModel,
+    ViewCatalog, ViewDefinition,
 };
 use mv_lattice::{candidates, Cuboid, SizeEstimator};
 use mv_pricing::{PricingPolicy, UsageLedger};
@@ -119,16 +121,17 @@ impl Default for AdvisorConfig {
     }
 }
 
-/// One measured candidate: the lattice cuboid, its engine view, and the
-/// derived [`ViewCharge`].
+/// One measured candidate: the lattice cuboid, its engine view's plan,
+/// and the derived [`ViewCharge`].
 #[derive(Debug, Clone)]
 pub struct MeasuredCandidate {
     /// The cuboid this candidate materializes.
     pub cuboid: Cuboid,
     /// Human-readable label (`"month×country"`).
     pub label: String,
-    /// The materialized engine view (kept for later registration).
-    pub view: MaterializedView,
+    /// The engine view without its rows
+    /// ([`PlannedView::materialize`] builds them).
+    pub view: PlannedView,
     /// The cost-model attributes fed to the optimizer.
     pub charge: ViewCharge,
 }
@@ -189,8 +192,27 @@ pub(crate) struct CandidateMeter<'a> {
     /// Σ|measure| over the base table and the maintenance batch fits
     /// `i64`: the passes read only for their metering are planned.
     planned: bool,
-    /// Candidates [`CandidateMeter::measure`] built from the base table.
+    /// Candidates [`CandidateMeter::measure`] counted over (or, past
+    /// the bound, built from) the base table.
     base_builds: Cell<usize>,
+}
+
+/// A measured candidate as [`Advisor::build`] holds it while the pool is
+/// metered: under the bound, with the first base row of each of its
+/// groups, which a coarser candidate and a query's result are counted
+/// over ([`PlannedView::count`], [`AggQuery::count_groups`]); past it,
+/// with none.
+pub(crate) struct Held {
+    candidate: MeasuredCandidate,
+    reps: Vec<u32>,
+}
+
+impl Held {
+    /// The candidate's view and representatives, as the counting pass
+    /// reads them.
+    fn counted(&self) -> (&PlannedView, &[u32]) {
+        (&self.candidate.view, &self.reps)
+    }
 }
 
 impl<'a> CandidateMeter<'a> {
@@ -292,10 +314,7 @@ impl<'a> CandidateMeter<'a> {
     /// bytes and result width off each query's plan, result rows (read by
     /// [`SizingMode::MeasuredScaled`] only) off [`Self::result_rows`];
     /// past the bound, all three off the query run on the base table.
-    pub(crate) fn workload_charges(
-        &self,
-        held: &[MeasuredCandidate],
-    ) -> Result<Vec<QueryCharge>, AdvisorError> {
+    pub(crate) fn workload_charges(&self, held: &[Held]) -> Result<Vec<QueryCharge>, AdvisorError> {
         let mut charges = Vec::with_capacity(self.queries.len());
         for (q, lq) in self.queries.iter().zip(&self.domain.workload.queries) {
             let (bytes_scanned, width, rows) = if self.planned {
@@ -330,31 +349,25 @@ impl<'a> CandidateMeter<'a> {
         Ok(charges)
     }
 
-    /// Rows of `q`'s result: the answer of the smallest `held` view that
-    /// derives it (a view's answer is the base query's result), else the
-    /// query run on the base table.
-    fn result_rows(&self, q: &AggQuery, held: &[MeasuredCandidate]) -> Result<u64, AdvisorError> {
+    /// Rows of `q`'s result: its groups counted over the representatives
+    /// of the smallest `held` view that answers it (a view's answer is
+    /// the base query's result), else over the base table.
+    fn result_rows(&self, q: &AggQuery, held: &[Held]) -> Result<u64, AdvisorError> {
         let source = held
             .iter()
-            .filter(|m| m.view.can_answer(q).is_ok())
-            .min_by_key(|m| m.view.data().num_rows());
-        let (_, stats) = match source {
-            Some(m) => m.view.answer(q)?,
-            None => q.execute_with_threads(&self.domain.base, self.config.threads)?,
-        };
-        Ok(stats.rows_out)
+            .filter(|h| h.candidate.view.can_answer(q).is_ok())
+            .min_by_key(|h| h.candidate.view.num_rows());
+        Ok(q.count_groups(&self.domain.base, source.map(Held::counted))?)
     }
 
-    /// Materializes and meters one candidate cuboid (the paper's steps
-    /// 2 & 4 for a single view) in one pass over the smallest table that
-    /// holds its groups: the `held` candidate with the fewest stored rows
-    /// whose view derives it, else the base table. Which source it was
-    /// changes only the time taken ([`MaterializedView::roll_up`]).
-    pub(crate) fn measure(
-        &self,
-        cuboid: Cuboid,
-        held: &[MeasuredCandidate],
-    ) -> Result<MeasuredCandidate, AdvisorError> {
+    /// Meters one candidate cuboid (the paper's steps 2 & 4 for a single
+    /// view). Under the bound it is counted over the smallest table that
+    /// holds its groups — the representatives of the `held` candidate with
+    /// the fewest stored rows whose view derives it, else the base table;
+    /// which source it was changes only the time taken
+    /// ([`PlannedView::count`]). Past the bound it is materialized from
+    /// the base table and its refresh runs on the copy.
+    pub(crate) fn measure(&self, cuboid: Cuboid, held: &[Held]) -> Result<Held, AdvisorError> {
         let label = self.domain.lattice.label(&cuboid);
         let cols = self.domain.lattice.key_columns(&cuboid);
         let col_refs: Vec<&str> = cols.iter().map(String::as_str).collect();
@@ -363,49 +376,53 @@ impl<'a> CandidateMeter<'a> {
             &col_refs,
             &[AggSpec::sum(self.domain.measure.clone())],
         );
-        // The lattice order is the cheap filter; the engine has the last
-        // word on what a stored view derives.
         let defining = def.as_query();
-        let source = held
-            .iter()
-            .filter(|m| m.cuboid.covers(&cuboid) && m.view.can_answer(&defining).is_ok())
-            .min_by_key(|m| m.view.data().num_rows());
-        let view = match source {
-            Some(finer) => MaterializedView::roll_up(def, &finer.view)?,
-            None => {
+        let batch = self.delta.as_ref().filter(|d| d.num_rows() > 0);
+        let (view, reps, refresh_bytes) = if self.planned {
+            // The lattice order is the cheap filter; the engine has the
+            // last word on what a stored view derives.
+            let source = held
+                .iter()
+                .filter(|h| h.candidate.cuboid.covers(&cuboid))
+                .filter(|h| h.candidate.view.can_answer(&defining).is_ok())
+                .min_by_key(|h| h.candidate.view.num_rows());
+            if source.is_none() {
                 self.base_builds.set(self.base_builds.get() + 1);
-                let threads = self.config.threads;
-                MaterializedView::materialize_with_threads(def, &self.domain.base, threads)?
             }
+            let base = &self.domain.base;
+            let (view, reps) = PlannedView::count(def, base, source.map(Held::counted))?;
+            // The refresh scans the definition's columns of the batch.
+            let refresh_bytes = batch.map(|d| defining.planned_scan(d)).transpose()?;
+            (view, reps, refresh_bytes.map(|(bytes, _)| bytes))
+        } else {
+            // The refresh's merge is where a stored total leaving `i64`
+            // shows.
+            self.base_builds.set(self.base_builds.get() + 1);
+            let threads = self.config.threads;
+            let mut built =
+                MaterializedView::materialize_with_threads(def, &self.domain.base, threads)?;
+            let view = built.plan().clone();
+            let refresh = batch.map(|d| built.refresh_incremental(d)).transpose()?;
+            (view, Vec::new(), refresh.map(|stats| stats.bytes_scanned))
         };
         let build = *view.build_stats();
-        let view_rows_engine = view.data().num_rows().max(1) as f64;
+        let view_rows_engine = view.num_rows().max(1) as f64;
         let view_rows_cloud = self.cloud_groups(&cuboid);
 
-        // Maintenance: incremental refresh of one monthly delta batch,
-        // whose scan is the definition's over the batch. Under the bound
-        // it is planned; past it the refresh runs on a copy, since its
-        // merge is where a stored total leaving `i64` shows.
-        let maintenance = match &self.delta {
-            Some(d) if d.num_rows() > 0 => {
-                let bytes_scanned = if self.planned {
-                    defining.planned_scan(d)?.0
-                } else {
-                    view.clone().refresh_incremental(d)?.bytes_scanned
-                };
-                self.hours(
-                    bytes_scanned,
-                    d.num_rows().max(1) as f64,
-                    self.cloud_rows * self.config.maintenance_delta_fraction,
-                )?
-            }
+        // Maintenance: incremental refresh of one monthly delta batch.
+        let maintenance = match (batch, refresh_bytes) {
+            (Some(d), Some(bytes_scanned)) => self.hours(
+                bytes_scanned,
+                d.num_rows().max(1) as f64,
+                self.cloud_rows * self.config.maintenance_delta_fraction,
+            )?,
             _ => Hours::ZERO,
         };
 
         let view_size = match self.config.sizing {
-            SizingMode::MeasuredScaled => self.scale.bytes_to_cloud(view.data().heap_bytes()),
+            SizingMode::MeasuredScaled => self.scale.bytes_to_cloud(view.heap_bytes()),
             SizingMode::Extrapolated => {
-                let width = view.data().heap_bytes() as f64 / view_rows_engine;
+                let width = view.heap_bytes() as f64 / view_rows_engine;
                 Gb::from_bytes((view_rows_cloud * width) as u64)
             }
         };
@@ -427,28 +444,24 @@ impl<'a> CandidateMeter<'a> {
                 charge = charge.answers(i, self.hours(bytes, view_rows_engine, view_rows_cloud)?);
             }
         }
-        Ok(MeasuredCandidate {
+        let candidate = MeasuredCandidate {
             cuboid,
             label,
             view,
             charge,
-        })
+        };
+        Ok(Held { candidate, reps })
     }
 }
 
 /// How a driver meters one cuboid beside the candidates it already
 /// holds: [`CandidateMeter::measure`], or the slow reference the
 /// differential tests hold it to.
-type Measure = for<'a> fn(
-    &CandidateMeter<'a>,
-    Cuboid,
-    &[MeasuredCandidate],
-) -> Result<MeasuredCandidate, AdvisorError>;
+type Measure = for<'a> fn(&CandidateMeter<'a>, Cuboid, &[Held]) -> Result<Held, AdvisorError>;
 
 /// How a driver meters the workload beside the measured candidates:
 /// [`CandidateMeter::workload_charges`], or the slow reference.
-type Workload =
-    for<'a> fn(&CandidateMeter<'a>, &[MeasuredCandidate]) -> Result<Vec<QueryCharge>, AdvisorError>;
+type Workload = for<'a> fn(&CandidateMeter<'a>, &[Held]) -> Result<Vec<QueryCharge>, AdvisorError>;
 
 impl Advisor {
     /// Runs the measurement pipeline over `domain`.
@@ -481,23 +494,24 @@ impl Advisor {
             }
         };
 
-        // 2 & 4. Materialize and meter every candidate, finest first — a
-        // cuboid that strictly covers another has the higher rank — so
-        // each one finds every measured view that derives it; then back
-        // into `cuboids` order.
+        // 2 & 4. Meter every candidate, finest first — a cuboid that
+        // strictly covers another has the higher rank — so each one finds
+        // every measured view that derives it; then back into `cuboids`
+        // order.
         let mut order: Vec<usize> = (0..cuboids.len()).collect();
         order.sort_by_key(|&i| Reverse(cuboids[i].rank()));
-        let mut measured = Vec::with_capacity(cuboids.len());
+        let mut held = Vec::with_capacity(cuboids.len());
         for &i in &order {
-            let m = measure(&meter, cuboids[i].clone(), &measured)?;
-            measured.push(m);
+            let h = measure(&meter, cuboids[i].clone(), &held)?;
+            held.push(h);
         }
-        let mut by_index: Vec<_> = order.into_iter().zip(measured).collect();
+        let mut by_index: Vec<_> = order.into_iter().zip(held).collect();
         by_index.sort_by_key(|&(i, _)| i);
-        let measured: Vec<_> = by_index.into_iter().map(|(_, m)| m).collect();
+        let held: Vec<_> = by_index.into_iter().map(|(_, h)| h).collect();
 
         // 3 & 4. Meter the workload on the base table.
-        let charges = workload(&meter, &measured)?;
+        let charges = workload(&meter, &held)?;
+        let measured: Vec<_> = held.into_iter().map(|h| h.candidate).collect();
 
         // 5. Assemble the selection problem.
         let model = cost_model_for(&config, charges)?;
@@ -527,9 +541,10 @@ impl Advisor {
         &self.measured
     }
 
-    /// How many cuboids the measurement pipeline materialized from the
-    /// base table; every other one was rolled up from a finer candidate
-    /// it had already measured. Only tests read it:
+    /// How many cuboids the measurement pipeline counted over (past the
+    /// Σ|measure| bound: built from) the base table; every other one was
+    /// counted over the representatives of a finer candidate it had
+    /// already measured. Only tests read it:
     /// `only_the_finest_cuboids_are_built_from_the_base_table` in this
     /// module's tests pins 2 of 15 on sales and 3 of 63 on SSB.
     pub fn base_builds(&self) -> usize {
@@ -562,15 +577,15 @@ impl Advisor {
         mv_select::solve(&self.problem, scenario, solver)
     }
 
-    /// Registers the outcome's selected views in a fresh catalog — the
-    /// "materialize them in the cloud" step. Queries routed through the
-    /// catalog then actually use the chosen views.
+    /// Builds the outcome's selected views from the base table and
+    /// registers them in a fresh catalog — the "materialize them in the
+    /// cloud" step. Queries routed through the catalog then actually use
+    /// the chosen views.
     pub fn materialize_selection(&self, outcome: &Outcome) -> Result<ViewCatalog, AdvisorError> {
         let catalog = ViewCatalog::new();
         for k in outcome.evaluation.selection.ones() {
-            catalog
-                .register(self.measured[k].view.clone())
-                .map_err(AdvisorError::from)?;
+            let view = self.measured[k].view.materialize(&self.domain.base)?;
+            catalog.register(view)?;
         }
         Ok(catalog)
     }
@@ -801,10 +816,11 @@ mod tests {
             Ok(charges)
         }
 
-        /// The metering procedure as it stood before roll-ups and planned
-        /// scans, kept as the slow reference: build the cuboid from the
-        /// base table, refresh a clone with the delta, run every workload
-        /// query the view can answer and read the executed scan's bytes.
+        /// The metering procedure as it stood before counted views and
+        /// planned scans, kept as the slow reference: build the cuboid
+        /// from the base table, refresh a clone with the delta, run every
+        /// workload query the view can answer and read the executed
+        /// scan's bytes.
         fn measure_reference(&self, cuboid: Cuboid) -> Result<MeasuredCandidate, AdvisorError> {
             let label = self.domain.lattice.label(&cuboid);
             let cols = self.domain.lattice.key_columns(&cuboid);
@@ -873,7 +889,7 @@ mod tests {
             Ok(MeasuredCandidate {
                 cuboid,
                 label,
-                view,
+                view: view.plan().clone(),
                 charge,
             })
         }
@@ -884,14 +900,21 @@ mod tests {
         Advisor::build_with(
             domain,
             config,
-            |meter, cuboid, _| meter.measure_reference(cuboid),
+            |meter, cuboid, _| {
+                let candidate = meter.measure_reference(cuboid)?;
+                Ok(Held {
+                    candidate,
+                    reps: Vec::new(),
+                })
+            },
             |meter, _| meter.workload_charges_reference(),
         )
     }
 
     /// Candidate order, the workload charges, and every candidate's
-    /// label, cuboid, stored view (`Table ==`: row order, codes,
-    /// dictionaries; `build_stats`) and charge, are the reference's.
+    /// label, cuboid, view (the plan: stored rows, schema, footprint,
+    /// `build_stats`; and its rows built from the base table, `Table ==`:
+    /// row order, codes, dictionaries) and charge, are the reference's.
     fn assert_same_pool(fast: &Advisor, slow: &Advisor, what: &str) {
         assert_eq!(
             fast.problem().model().context().workload,
@@ -908,6 +931,9 @@ mod tests {
             assert_eq!(f.label, s.label, "{what}");
             assert_eq!(f.cuboid, s.cuboid, "{what}: {}", f.label);
             assert_eq!(f.view, s.view, "{what}: {}", f.label);
+            let base = &fast.domain().base;
+            let built = MaterializedView::materialize(s.view.def().clone(), base);
+            assert_eq!(f.view.materialize(base), built, "{what}: {}", f.label);
             assert_eq!(f.charge, s.charge, "{what}: {}", f.label);
         }
     }
@@ -988,7 +1014,7 @@ mod tests {
     fn only_the_finest_cuboids_are_built_from_the_base_table() {
         // The sales lattice minus its base has two maximal cuboids
         // (day×region, month×department), SSB's three; every other
-        // candidate has a measured view above it to roll up from.
+        // candidate is counted over a measured view above it.
         let sales = Advisor::build(sales_domain(2_000, 10, 1.0, 7), AdvisorConfig::default());
         let sales = sales.unwrap();
         assert_eq!((sales.base_builds(), sales.candidates().len()), (2, 15));

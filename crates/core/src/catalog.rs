@@ -200,13 +200,6 @@ impl CandidateCatalog {
             .enumerate()
             .map(|(i, c)| c.as_u64().ok_or(format!("counts[{i}]")))
             .collect::<Result<_, String>>()?;
-        if counts.len() != workload.len() {
-            return Err(format!(
-                "counts length {} does not match workload length {}",
-                counts.len(),
-                workload.len()
-            ));
-        }
         let candidates: Vec<ViewCharge> = doc
             .get("candidates")
             .and_then(Json::as_array)
@@ -254,12 +247,36 @@ impl CandidateCatalog {
                 Ok(charge.placed(placement))
             })
             .collect::<Result<_, String>>()?;
-        Ok(CandidateCatalog {
+        let catalog = CandidateCatalog {
             workload,
             counts,
             candidates,
             hwm,
-        })
+        };
+        catalog.misalignment().map_or(Ok(catalog), Err)
+    }
+
+    /// What keeps the catalog from describing one selection problem:
+    /// `counts`, or a candidate's answer profile, of another length than
+    /// the workload. `None` when they align. The fields are public, so a
+    /// catalog built by hand is checked as a decoded one is.
+    pub(crate) fn misalignment(&self) -> Option<String> {
+        let queries = self.workload.len();
+        if self.counts.len() != queries {
+            return Some(format!(
+                "counts length {} does not match workload length {queries}",
+                self.counts.len(),
+            ));
+        }
+        let candidate = self
+            .candidates
+            .iter()
+            .find(|c| c.profile.workload_len() != queries)?;
+        Some(format!(
+            "candidate {} has {} query times for a {queries}-query workload",
+            candidate.name,
+            candidate.profile.workload_len(),
+        ))
     }
 
     /// Durably writes the catalog to `path` (atomic temp-file + rename:
@@ -444,6 +461,49 @@ mod tests {
         let negative = negative_frequency(&good);
         let err = CandidateCatalog::from_json(&Json::parse(&negative).unwrap()).unwrap_err();
         assert!(err.contains("negative frequency"), "{err}");
+    }
+
+    #[test]
+    fn a_hand_built_misaligned_catalog_is_a_typed_error_not_a_panic() {
+        let service = |catalog: CandidateCatalog| {
+            crate::AdvisorService::from_catalog(
+                catalog,
+                crate::AdvisorConfig::default(),
+                crate::ServiceConfig::new(mv_select::Scenario::tradeoff_normalized(0.5)),
+            )
+            .map(drop)
+        };
+        assert_eq!(service(sample_catalog()), Ok(()));
+        // Counts shorter than the workload (with and without traffic),
+        // longer, and a candidate priced for a three-query workload.
+        let mut short = sample_catalog();
+        short.counts = vec![3];
+        let mut silent = sample_catalog();
+        silent.counts = Vec::new();
+        let mut long = sample_catalog();
+        long.counts = vec![3, 8, 1];
+        let mut wide = sample_catalog();
+        wide.candidates[1] =
+            ViewCharge::new("month", Gb::new(0.02), Hours::new(0.15), Hours::ZERO, 3);
+        for (what, catalog) in [
+            ("short", short),
+            ("silent", silent),
+            ("long", long),
+            ("wide", wide),
+        ] {
+            let misaligned = catalog.misalignment().expect(what);
+            assert_eq!(
+                service(catalog.clone()),
+                Err(AdvisorError::CatalogMisaligned {
+                    message: misaligned
+                }),
+                "{what}"
+            );
+            // The same counts, spilled and decoded, are a corrupt file; a
+            // profile is decoded at the file's workload length.
+            let decoded = CandidateCatalog::from_json(&catalog.to_json());
+            assert_eq!(decoded.is_err(), what != "wide", "{what}");
+        }
     }
 
     /// `rendered` with its first query's frequency negated.

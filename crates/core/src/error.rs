@@ -75,6 +75,14 @@ pub enum AdvisorError {
         /// What failed to decode.
         message: String,
     },
+    /// A catalog handed to the service directly does not describe one
+    /// selection problem: its counts, or a candidate's answer profile,
+    /// do not align with its workload (a decoded file with the same
+    /// fault is [`AdvisorError::CatalogCorrupt`]).
+    CatalogMisaligned {
+        /// What does not align.
+        message: String,
+    },
     /// A stream event names a query that is not in the catalog's
     /// workload.
     UnknownQuery {
@@ -127,6 +135,9 @@ impl fmt::Display for AdvisorError {
             }
             AdvisorError::CatalogCorrupt { path, message } => {
                 write!(f, "catalog {path:?} is corrupt: {message}")
+            }
+            AdvisorError::CatalogMisaligned { message } => {
+                write!(f, "catalog does not align with its workload: {message}")
             }
             AdvisorError::UnknownQuery { name } => {
                 write!(f, "query {name:?} is not in the catalog workload")

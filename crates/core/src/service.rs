@@ -161,6 +161,9 @@ impl AdvisorService {
         if catalog.workload.is_empty() {
             return Err(AdvisorError::EmptyWorkload);
         }
+        if let Some(message) = catalog.misalignment() {
+            return Err(AdvisorError::CatalogMisaligned { message });
+        }
         // The model prices the workload at the catalog's stream
         // position (counts-adjusted frequencies) — a reload must land
         // on the same model a running service had after its last
@@ -169,11 +172,6 @@ impl AdvisorService {
         let total: u64 = catalog.counts.iter().sum();
         let plan_frequencies = observed_frequencies(&catalog, mass, total);
         let mut workload = catalog.workload.clone();
-        assert_eq!(
-            plan_frequencies.len(),
-            workload.len(),
-            "one count per workload query"
-        );
         for (q, &f) in workload.iter_mut().zip(&plan_frequencies) {
             q.frequency = f;
         }

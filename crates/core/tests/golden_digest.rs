@@ -80,8 +80,12 @@ impl Fnv {
                 self.f64(t.value());
             }
             self.u64(charge.placement as u64);
-            self.table(measured.view.data());
+            // The rows the candidate's plan builds from the base table,
+            // and the plan's `build_stats`, which are that build's.
+            let built = measured.view.materialize(&advisor.domain().base).unwrap();
+            self.table(built.data());
             let build = measured.view.build_stats();
+            assert_eq!(build, built.build_stats());
             for v in [
                 build.rows_scanned,
                 build.bytes_scanned,

@@ -39,7 +39,7 @@ impl ViewCatalog {
     /// Registers a view under its definition name. Errors if the name is
     /// taken.
     pub fn register(&self, view: MaterializedView) -> Result<(), EngineError> {
-        let name = view.def().name.clone();
+        let name = view.def().name().to_string();
         let mut views = self.write();
         if views.iter().any(|(n, _)| *n == name) {
             return Err(EngineError::ViewExists { name });
@@ -124,7 +124,7 @@ impl ViewCatalog {
         match self.best_view_for(query) {
             Some(view) => {
                 let (out, stats) = view.answer(query)?;
-                Ok((out, stats, Some(view.def().name.clone())))
+                Ok((out, stats, Some(view.def().name().to_string())))
             }
             None => {
                 let (out, stats) = query.execute(base)?;
@@ -196,7 +196,7 @@ mod tests {
             .unwrap();
         let q = AggQuery::new("q", &["year"], vec![AggSpec::sum("profit")]);
         let best = cat.best_view_for(&q).unwrap();
-        assert_eq!(best.def().name, "coarse");
+        assert_eq!(best.def().name(), "coarse");
     }
 
     #[test]

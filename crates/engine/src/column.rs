@@ -121,6 +121,26 @@ impl Column {
         }
     }
 
+    /// The dictionary footprint [`Column::gather`] of `rows` would hold:
+    /// each distinct string among them counted once, as
+    /// [`Dictionary::heap_bytes`] counts it; `0` for an `Int` column.
+    pub(crate) fn dictionary_bytes_at(&self, rows: &[u32]) -> u64 {
+        match self {
+            Column::Int(_) => 0,
+            Column::Str { codes, dict } => {
+                let mut seen = vec![false; dict.len()];
+                let mut bytes = 0;
+                for &r in rows {
+                    let code = codes[r as usize];
+                    if !std::mem::replace(&mut seen[code as usize], true) {
+                        bytes += dict.entry_bytes(code);
+                    }
+                }
+                bytes
+            }
+        }
+    }
+
     /// Mutable integer data for in-place accumulator merges
     /// (crate-internal; see `Table::column_mut`).
     pub(crate) fn int_values_mut(&mut self) -> &mut Vec<i64> {

@@ -121,7 +121,14 @@ impl Dictionary {
     /// this figure, which is why it is a function of the contents alone and
     /// not of how the index happens to be laid out.
     pub fn heap_bytes(&self) -> u64 {
-        self.values.iter().map(|s| s.len() as u64 + 24).sum::<u64>() * 2
+        (0..self.values.len() as u32)
+            .map(|c| self.entry_bytes(c))
+            .sum()
+    }
+
+    /// [`Dictionary::heap_bytes`]'s share of the string coded `code`.
+    pub(crate) fn entry_bytes(&self, code: u32) -> u64 {
+        (self.values[code as usize].len() as u64 + 24) * 2
     }
 
     /// Iterates `(code, string)` pairs in code order.

@@ -28,6 +28,10 @@
 //!    (first) row; string dictionaries are rebuilt through an old-code →
 //!    new-code table ([`Column::gather`]).
 //!
+//! The counting pass ([`first_rows`]) is steps 1 and 2 alone: it returns
+//! the representatives, over every row or over a given list of rows, and
+//! a [`crate::PlannedView`] is read off their number.
+//!
 //! The parallel variant packs keys once for the whole table (the layout is
 //! shared), resolves and accumulates contiguous row ranges on their own
 //! threads, and merges the partial states by packed key in range order —
@@ -134,6 +138,25 @@ impl Resolver {
         match self {
             Resolver::Direct { slots, len } => scan(keys, mask, |k| Self::direct_id(slots, len, k)),
             Resolver::Hashed(map) => scan(keys, mask, |k| Self::hashed_id(map, k)),
+        }
+    }
+
+    /// The position of the first occurrence of each distinct key of
+    /// `keys`, in order of first appearance — the group representatives
+    /// [`Resolver::assign`] would hand out ids for, with no id vector.
+    pub(crate) fn first_rows(&mut self, keys: &[u64]) -> Vec<u32> {
+        fn scan(keys: &[u64], mut id: impl FnMut(u64) -> u32) -> Vec<u32> {
+            let mut firsts = Vec::new();
+            for (row, &k) in keys.iter().enumerate() {
+                if id(k) as usize == firsts.len() {
+                    firsts.push(row as u32);
+                }
+            }
+            firsts
+        }
+        match self {
+            Resolver::Direct { slots, len } => scan(keys, |k| Self::direct_id(slots, len, k)),
+            Resolver::Hashed(map) => scan(keys, |k| Self::hashed_id(map, k)),
         }
     }
 
@@ -417,6 +440,51 @@ pub(crate) fn parallel_group_by(
     build_output(table, group_cols, aggs, merged, mask)
 }
 
+/// The counting pass: the first row of each distinct key of
+/// `group_cols` in `table`, in order of first appearance — the
+/// representatives [`group_by`] gathers its key columns by, found by the
+/// same key packing and resolver with no accumulator, gather or output
+/// table. `among` restricts the pass to those rows, in that order (an
+/// increasing list of row indices); `None` scans every row.
+pub(crate) fn first_rows(table: &Table, group_cols: &[usize], among: Option<&[u32]>) -> Vec<u32> {
+    let Some(among) = among else {
+        let (layout, keys) = pack_keys(table, group_cols);
+        return layout.resolver(keys.len()).first_rows(&keys);
+    };
+    // The key values at `among`, copied out; codes keep their column's
+    // dictionary, so its size still bounds them.
+    enum Picked {
+        Int(Vec<i64>),
+        Codes(Vec<u32>, usize),
+    }
+    let picked: Vec<Picked> = group_cols
+        .iter()
+        .map(|&c| match table.column(c) {
+            Column::Int(v) => Picked::Int(among.iter().map(|&r| v[r as usize]).collect()),
+            Column::Str { codes, dict } => Picked::Codes(
+                among.iter().map(|&r| codes[r as usize]).collect(),
+                dict.len(),
+            ),
+        })
+        .collect();
+    let cols: Vec<KeySlice<'_>> = picked
+        .iter()
+        .map(|p| match p {
+            Picked::Int(v) => KeySlice::Int(v),
+            Picked::Codes(codes, domain) => KeySlice::Codes {
+                codes,
+                domain: *domain,
+            },
+        })
+        .collect();
+    let (layout, keys) = KeyLayout::build(&cols, among.len());
+    let mut firsts = layout.resolver(among.len()).first_rows(&keys);
+    for r in &mut firsts {
+        *r = among[*r as usize];
+    }
+    firsts
+}
+
 /// Packs the group key of every row of `table`.
 fn pack_keys(table: &Table, group_cols: &[usize]) -> (KeyLayout, Vec<u64>) {
     let cols: Vec<KeySlice<'_>> = group_cols
@@ -461,9 +529,9 @@ fn aggregate_range(
 
 /// Bytes of each input row a group-by reads: a columnar scan touches
 /// every key column and every aggregate input, counted per reference,
-/// over all rows. The one width rule — executed scans ([`build_output`]),
-/// planned ones ([`crate::query::Plan::scan_bytes`]) and the from-base
-/// scan a rolled-up view reports all charge `rows ×` this.
+/// over all rows. The one width rule — executed scans ([`build_output`])
+/// and planned ones ([`crate::query::Plan::scan_bytes`], which a counted
+/// view's from-base `build_stats` read too) both charge `rows ×` this.
 pub(crate) fn scanned_width(
     schema: &Schema,
     group_cols: &[usize],

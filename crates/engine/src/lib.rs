@@ -16,8 +16,10 @@
 //! * [`ssb`] / [`datagen`] — generate the fact table the replay runs on;
 //! * [`query`](AggQuery) — the roll-up query class, executed with full
 //!   per-operator metering;
-//! * [`view`](MaterializedView) — materialize candidates (build work is
-//!   metered) and answer queries from them;
+//! * [`view`](MaterializedView) — plan candidates from their group count
+//!   ([`PlannedView`]: what a build would store and meter, without the
+//!   rows), materialize them (build work is metered) and answer queries
+//!   from them;
 //! * [`catalog`](ViewCatalog) — best-view routing with base-table
 //!   fallback, plus [`ViewCatalog::refresh_incremental_all`] for
 //!   epoch-boundary maintenance;
@@ -107,7 +109,7 @@ pub use sql::{parse_query, ParsedQuery, SqlError};
 pub use ssb::SsbConfig;
 pub use table::{Table, TableBuilder};
 pub use value::Value;
-pub use view::{MaterializedView, ViewDefinition};
+pub use view::{MaterializedView, PlannedView, ViewDefinition};
 
 // The `_tests.rs` file name marks the whole module as test code for
 // CI's line count and the caller-less scan; the module keeps its name.

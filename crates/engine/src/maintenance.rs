@@ -44,7 +44,7 @@ impl MaterializedView {
         if partial.schema() != self.data().schema() {
             return Err(EngineError::SchemaMismatch);
         }
-        let n_keys = self.def().group_by.len();
+        let n_keys = self.def().group_by().len();
         let data = self.data();
 
         // String keys only compare within one dictionary: translate the
@@ -104,8 +104,8 @@ impl MaterializedView {
 
         // Merge measures of matched groups; nothing is written until every
         // merged value is known to fit.
-        let mut merged: Vec<Vec<i64>> = Vec::with_capacity(self.def().measures.len());
-        for (m, spec) in self.def().measures.iter().enumerate() {
+        let mut merged: Vec<Vec<i64>> = Vec::with_capacity(self.def().measures().len());
+        for (m, spec) in self.def().measures().iter().enumerate() {
             let current = data.column(n_keys + m).as_int()?;
             let incoming = partial.column(n_keys + m).as_int()?;
             let merge = |&(row, prow): &(usize, usize)| {
@@ -119,6 +119,8 @@ impl MaterializedView {
                     }
                     AggFunc::Min => Ok(cur.min(inc)),
                     AggFunc::Max => Ok(cur.max(inc)),
+                    // `ViewDefinition::canonical` stores `Avg` as `Sum`, and
+                    // a definition has no other constructor.
                     AggFunc::Avg => unreachable!("canonical views never store Avg"),
                 }
             };
@@ -133,11 +135,14 @@ impl MaterializedView {
         }
 
         // New groups: append the partial rows wholesale.
-        for prow in (0..partial.num_rows()).filter(|&prow| is_new[prow]) {
-            data.push_row(&partial.row(prow))?;
-            stats.rows_out += 1;
-        }
-        Ok(stats)
+        let appended = (0..partial.num_rows())
+            .filter(|&prow| is_new[prow])
+            .try_for_each(|prow| {
+                stats.rows_out += 1;
+                data.push_row(&partial.row(prow))
+            });
+        self.replan();
+        appended.map(|()| stats)
     }
 }
 

@@ -1,8 +1,8 @@
 //! Aggregation queries.
 
 use crate::agg::AggExpr;
-use crate::groupby::{output_schema, parallel_group_by, scanned_width, LoweredAgg};
-use crate::{AggSpec, DataType, EngineError, ExecStats, Predicate, Schema, Table};
+use crate::groupby::{first_rows, output_schema, parallel_group_by, scanned_width, LoweredAgg};
+use crate::{AggSpec, DataType, EngineError, ExecStats, PlannedView, Predicate, Schema, Table};
 
 /// A roll-up aggregation query: `SELECT group_by…, agg(…)… FROM t [WHERE …]
 /// GROUP BY group_by…`.
@@ -57,7 +57,7 @@ impl AggQuery {
 
     /// Validates the query against a base table's `schema` and lowers it
     /// onto its columns.
-    fn plan(&self, schema: &Schema) -> Result<Plan<'_>, EngineError> {
+    pub(crate) fn plan(&self, schema: &Schema) -> Result<Plan<'_>, EngineError> {
         let group_cols = self.group_columns(schema)?;
         let mut aggs = Vec::with_capacity(self.aggregates.len());
         for spec in &self.aggregates {
@@ -109,14 +109,59 @@ impl AggQuery {
     pub fn planned_scan(&self, table: &Table) -> Result<(u64, Schema), EngineError> {
         let plan = self.plan(table.schema())?;
         let out = output_schema(table.schema(), &plan.group_cols, &plan.aggs)?;
-        Ok((plan.scan_bytes(table), out))
+        Ok((plan.scan_bytes(table.schema(), table.num_rows()), out))
+    }
+
+    /// The rows [`AggQuery::execute`] would return over `base`, counted
+    /// by the counting pass: no total is formed, so only planning and the
+    /// predicate can fail. `among` is a view that answers the query and
+    /// the representatives [`PlannedView::count`] returned with it; the
+    /// pass then reads those rows only.
+    pub fn count_groups(
+        &self,
+        base: &Table,
+        among: Option<(&PlannedView, &[u32])>,
+    ) -> Result<u64, EngineError> {
+        Ok(self.representatives(base, among)?.1.len() as u64)
+    }
+
+    /// The plan over `base` and the first row of each of its groups. Over
+    /// a view's representatives (`among`) the groups are the same: a
+    /// group of a query the view answers is a union of view groups, and
+    /// its first row is the first row of the earliest of them. A
+    /// predicate may touch only the view's key columns, which the rows of
+    /// one view group share, so filtering representatives filters groups.
+    pub(crate) fn representatives(
+        &self,
+        base: &Table,
+        among: Option<(&PlannedView, &[u32])>,
+    ) -> Result<(Plan<'_>, Vec<u32>), EngineError> {
+        if let Some((view, _)) = among {
+            view.can_answer(self)?;
+        }
+        let among = among.map(|(_, reps)| reps);
+        let plan = self.plan(base.schema())?;
+        let kept: Option<Vec<u32>> = match plan.predicate {
+            None => None,
+            Some(p) => {
+                let mask = p.eval(base)?;
+                let keep = |r: &u32| mask[*r as usize];
+                Some(match among {
+                    Some(reps) => reps.iter().copied().filter(keep).collect(),
+                    None => (0..base.num_rows() as u32).filter(keep).collect(),
+                })
+            }
+        };
+        let reps = first_rows(base, &plan.group_cols, kept.as_deref().or(among));
+        Ok((plan, reps))
     }
 }
 
 /// A query lowered onto one table — a base table
 /// ([`AggQuery::execute`]) or a view's stored one
 /// ([`crate::MaterializedView::answer`]): what the kernel runs, and what
-/// the scan is metered at whether it runs or not.
+/// the scan is metered at whether it runs or not (a [`PlannedView`]'s
+/// answers are only metered).
 #[derive(Debug)]
 pub(crate) struct Plan<'q> {
     /// Key column indices, in output order.
@@ -128,25 +173,24 @@ pub(crate) struct Plan<'q> {
 }
 
 impl Plan<'_> {
-    /// Bytes evaluating the predicate reads from `table`: its referenced
-    /// columns over all rows.
-    fn predicate_bytes(&self, table: &Table) -> u64 {
-        let schema = table.schema();
+    /// Bytes evaluating the predicate reads from `rows` rows of
+    /// `schema`: its referenced columns over all rows.
+    fn predicate_bytes(&self, schema: &Schema, rows: usize) -> u64 {
         let width: u64 = self.predicate.map_or(0, |p| {
             p.columns()
                 .iter()
                 .map(|c| schema.field(c).map_or(0, |f| f.dtype.byte_width()))
                 .sum()
         });
-        table.num_rows() as u64 * width
+        rows as u64 * width
     }
 
-    /// The `bytes_scanned` [`Plan::run`] reports over `table`, read off
-    /// its row count and the referenced columns' widths.
-    pub(crate) fn scan_bytes(&self, table: &Table) -> u64 {
+    /// The `bytes_scanned` [`Plan::run`] reports over a table of `rows`
+    /// rows of `schema`, read off the referenced columns' widths.
+    pub(crate) fn scan_bytes(&self, schema: &Schema, rows: usize) -> u64 {
         let aggs = self.aggs.iter().map(|a| a.expr);
-        let width = scanned_width(table.schema(), &self.group_cols, aggs);
-        table.num_rows() as u64 * width + self.predicate_bytes(table)
+        let width = scanned_width(schema, &self.group_cols, aggs);
+        rows as u64 * width + self.predicate_bytes(schema, rows)
     }
 
     /// Runs the plan over `table` on up to `threads` threads (the kernel
@@ -162,7 +206,7 @@ impl Plan<'_> {
             parallel_group_by(table, group_cols, aggs, mask.as_deref(), threads)?;
         // The kernel metered the columns it read; the predicate's come on
         // top. Rows were scanned once, not twice.
-        stats.bytes_scanned += self.predicate_bytes(table);
+        stats.bytes_scanned += self.predicate_bytes(table.schema(), table.num_rows());
         Ok((out, stats))
     }
 }

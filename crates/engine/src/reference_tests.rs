@@ -205,8 +205,8 @@ pub(crate) fn refresh_incremental(
     if partial.schema() != view.data().schema() {
         return Err(EngineError::SchemaMismatch);
     }
-    let n_keys = view.def().group_by.len();
-    let measures = view.def().measures.clone();
+    let n_keys = view.def().group_by().len();
+    let measures = view.def().measures().to_vec();
 
     let mut index: FxHashMap<Box<[i64]>, usize> = FxHashMap::default();
     {
@@ -268,6 +268,7 @@ pub(crate) fn refresh_incremental(
         }
     }
     stats.rows_out += appended;
+    view.replan();
     Ok(stats)
 }
 
@@ -278,7 +279,7 @@ mod tests {
 
     use super::*;
     use crate::groupby::parallel_group_by;
-    use crate::{AggQuery, AggSpec, CmpOp, Predicate, Value, ViewDefinition};
+    use crate::{AggQuery, AggSpec, CmpOp, PlannedView, Predicate, Value, ViewDefinition};
 
     /// Values every wide `Int` key column draws from: the extremes force
     /// the packed-key span past `u64`, the repeats make groups collide.
@@ -433,6 +434,38 @@ mod tests {
         .collect()
     }
 
+    /// A query over random columns of `keys` — group columns, and half
+    /// the time a filter — with random aggregates over the two measures.
+    fn random_query(rng: &mut TestRng, keys: &[String], base: &Table) -> AggQuery {
+        let wanted = [
+            AggSpec::sum("m0"),
+            AggSpec::count(),
+            AggSpec::min("m0"),
+            AggSpec::max("m1"),
+            AggSpec::avg("m0"),
+        ];
+        let columns = sub_key(rng, keys);
+        let columns: Vec<&str> = columns.iter().map(String::as_str).collect();
+        let mut aggregates: Vec<AggSpec> = wanted
+            .iter()
+            .filter(|_| rng.below(2) == 0)
+            .cloned()
+            .collect();
+        aggregates.push(wanted[rng.below(5) as usize].clone().with_alias("last"));
+        let query = AggQuery::new("q", &columns, aggregates);
+        if rng.below(2) == 0 {
+            return query;
+        }
+        let column = &keys[rng.below(keys.len() as u64) as usize];
+        let literal = match base.column_by_name(column).unwrap() {
+            Column::Int(v) => Value::Int(v.first().copied().unwrap_or(0)),
+            Column::Str { codes, dict } => {
+                Value::from(codes.first().map_or("none", |&c| dict.decode(c)))
+            }
+        };
+        query.with_predicate(Predicate::cmp(column.clone(), CmpOp::Ne, literal))
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -493,39 +526,68 @@ mod tests {
             }
         }
 
-        /// A view rolled up from any ancestor — along a chain of up to
-        /// three, each link dropping key columns (and reordering the
-        /// rest) and possibly the `MIN` / `MAX` partials — equals the
-        /// same definition materialized from the base table: stored
-        /// table and `build_stats`.
+        /// The counting pass and the row-less view against
+        /// [`MaterializedView::materialize`], along a chain of four
+        /// definitions — each link dropping key columns (and reordering
+        /// the rest) and possibly the `MIN` / `MAX` partials — each
+        /// counted over the base table and over the previous link's
+        /// representatives: the same plan either way (row count,
+        /// `heap_bytes`, schema, `build_stats`), the same representatives,
+        /// `materialize(base)` equal to the from-base build, and for
+        /// random queries over every key column of the base table (so
+        /// some the view cannot answer) the same `can_answer` and planned
+        /// scan, and the groups of each answer counted over the
+        /// representatives.
         #[test]
-        fn roll_up_equals_materialize_from_base(
+        fn meter_counted_views_equal_materialized_views(
             seed in 0u64..u64::MAX,
             n_keys in 1usize..6,
             rows in 0usize..160,
-            threads in 0usize..3,
         ) {
             let mut rng = TestRng::deterministic(&seed.to_string());
             let (base, what) = view_base(&mut rng, seed, n_keys, rows);
-            let mut key: Vec<String> = base.schema().fields()[..base.schema().len() - 2]
+            let all_keys: Vec<String> = base.schema().fields()[..base.schema().len() - 2]
                 .iter()
                 .map(|f| f.name.clone())
                 .collect();
+            let mut key = all_keys.clone();
             let mut measures =
                 vec![AggSpec::sum("m0"), AggSpec::min("m0"), AggSpec::max("m1"), AggSpec::avg("m1")];
-            let group_by: Vec<&str> = key.iter().map(String::as_str).collect();
-            let def = ViewDefinition::canonical("v0", &group_by, &measures);
-            let mut source =
-                MaterializedView::materialize_with_threads(def, &base, [1, 2, 4][threads]).unwrap();
-            for link in 1..=3 {
-                key = sub_key(&mut rng, &key);
-                measures.truncate(measures.len() - rng.below(2) as usize);
+            let mut finer: Option<(PlannedView, Vec<u32>)> = None;
+            for link in 0..4 {
+                if link > 0 {
+                    key = sub_key(&mut rng, &key);
+                    measures.truncate(measures.len() - rng.below(2) as usize);
+                }
+                let at = format!("seed {seed}, {what}, link {link} at {key:?}");
                 let group_by: Vec<&str> = key.iter().map(String::as_str).collect();
                 let def = ViewDefinition::canonical(format!("v{link}"), &group_by, &measures);
                 let expected = MaterializedView::materialize(def.clone(), &base).unwrap();
-                let rolled = MaterializedView::roll_up(def, &source).unwrap();
-                prop_assert_eq!(&rolled, &expected, "seed {}, {}, link {} onto {:?}", seed, &what, link, &key);
-                source = rolled;
+                let direct = PlannedView::count(def.clone(), &base, None).unwrap();
+                let over = finer.as_ref().map(|(view, reps)| (view, &reps[..]));
+                let (view, reps) = PlannedView::count(def, &base, over).unwrap();
+                prop_assert_eq!(&view, expected.plan(), "{}", &at);
+                prop_assert_eq!(view.num_rows(), expected.data().num_rows(), "{}", &at);
+                prop_assert_eq!(view.heap_bytes(), expected.data().heap_bytes(), "{}", &at);
+                prop_assert_eq!(view.build_stats(), expected.build_stats(), "{}", &at);
+                prop_assert_eq!(&direct, &(view.clone(), reps.clone()), "{}", &at);
+                prop_assert_eq!(&view.materialize(&base).unwrap(), &expected, "{}", &at);
+                for _ in 0..4 {
+                    let query = random_query(&mut rng, &all_keys, &base);
+                    let at = format!("{at}, {query:?}");
+                    let answer = expected.answer(&query);
+                    prop_assert_eq!(view.can_answer(&query), expected.can_answer(&query), "{}", &at);
+                    prop_assert_eq!(
+                        view.planned_scan_bytes(&query),
+                        expected.planned_scan_bytes(&query),
+                        "{}", &at
+                    );
+                    let counted = query.count_groups(&base, Some((&view, &reps)));
+                    prop_assert_eq!(counted, answer.map(|(t, _)| t.num_rows() as u64), "{}", &at);
+                    let from_base = query.execute(&base).map(|(t, _)| t.num_rows() as u64);
+                    prop_assert_eq!(query.count_groups(&base, None), from_base, "{}", &at);
+                }
+                finer = Some((view, reps));
             }
         }
 

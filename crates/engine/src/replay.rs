@@ -127,7 +127,7 @@ impl<'a> ReplayDriver<'a> {
             self.drop_view(name)?;
         }
         for def in added {
-            let name = def.name.clone();
+            let name = def.name().to_string();
             let build = self.install(def)?;
             epoch.builds.push((name, build));
         }

@@ -1,10 +1,19 @@
-//! Materialized views: definition, materialization, and query answering.
+//! Views: definition, plan, materialization, and query answering.
 //!
 //! A view is defined by a group-by key and a set of *stored measures*. The
 //! definition is canonicalized so the stored measures are always
 //! re-aggregable: `AVG` is split into `SUM` + `COUNT` (the classical
 //! algebraic-function decomposition), and a `COUNT` partial is always kept
 //! so any `AVG`/`COUNT` query can be derived later.
+//!
+//! A [`PlannedView`] is a view without its rows: the definition, its
+//! group count over the base table, the stored table's schema and
+//! footprint, and the from-base build's [`ExecStats`]. That is all a cost
+//! model reads of a candidate, so [`PlannedView::count`] finds it with the
+//! counting pass alone — the first row of each distinct key, over the
+//! base table or over the representatives of a finer view already counted
+//! — and forms no total. A [`MaterializedView`] is that plan plus its rows
+//! ([`PlannedView::materialize`]).
 //!
 //! A view can answer a query when (1) the query's group-by columns are a
 //! subset of the view's — with the denormalized hierarchy encoding this is
@@ -13,19 +22,29 @@
 //! view key columns.
 
 use crate::agg::AggExpr;
-use crate::groupby::{scanned_width, LoweredAgg};
+use crate::groupby::{output_schema, LoweredAgg};
 use crate::query::Plan;
-use crate::{AggFunc, AggQuery, AggSpec, EngineError, ExecStats, Table};
+use crate::{AggFunc, AggQuery, AggSpec, EngineError, ExecStats, Schema, Table};
 
-/// Canonical view definition.
+/// Canonical view definition: built only by
+/// [`ViewDefinition::canonical`], so its stored measures never hold an
+/// `Avg` and always hold a `Count`.
+///
+/// ```compile_fail
+/// use mv_engine::{AggSpec, ViewDefinition};
+///
+/// // The fields are private: an `Avg` measure cannot be stored.
+/// let def = ViewDefinition {
+///     name: "v".to_string(),
+///     group_by: vec!["year".to_string()],
+///     measures: vec![AggSpec::avg("profit")],
+/// };
+/// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct ViewDefinition {
-    /// View name.
-    pub name: String,
-    /// Group-by key columns (base-table names).
-    pub group_by: Vec<String>,
-    /// Stored measures; canonical (no `Avg`, always includes `Count`).
-    pub measures: Vec<AggSpec>,
+    name: String,
+    group_by: Vec<String>,
+    measures: Vec<AggSpec>,
 }
 
 impl ViewDefinition {
@@ -48,6 +67,21 @@ impl ViewDefinition {
         }
     }
 
+    /// View name.
+    pub fn name(&self) -> &str {
+        &self.name
+    }
+
+    /// Group-by key columns (base-table names).
+    pub fn group_by(&self) -> &[String] {
+        &self.group_by
+    }
+
+    /// Stored measures: no `Avg`, always a `Count`.
+    pub fn measures(&self) -> &[AggSpec] {
+        &self.measures
+    }
+
     /// The query that computes this view from the base table.
     pub fn as_query(&self) -> AggQuery {
         AggQuery {
@@ -67,32 +101,81 @@ impl ViewDefinition {
     }
 }
 
-/// A materialized view: its definition plus the stored result table.
+/// A view without its rows: what materializing it would store and meter,
+/// read off its group count.
 #[derive(Debug, Clone, PartialEq)]
-pub struct MaterializedView {
+pub struct PlannedView {
     def: ViewDefinition,
-    data: Table,
+    /// Stored rows: the definition's groups over the base table.
+    rows: usize,
+    /// The stored table's schema: the key columns as the base table
+    /// types them, then one `Int` column per measure.
+    schema: Schema,
+    /// The string keys' dictionaries: every distinct string present in
+    /// the key column, as [`crate::Dictionary::heap_bytes`] counts it.
+    dict_bytes: u64,
+    /// Work the from-base build performs.
     build_stats: ExecStats,
 }
 
-impl MaterializedView {
-    /// Computes the view from `base` and stores the result.
-    pub fn materialize(def: ViewDefinition, base: &Table) -> Result<Self, EngineError> {
-        Self::materialize_with_threads(def, base, 1)
-    }
-
-    /// [`MaterializedView::materialize`] with a thread budget.
-    pub fn materialize_with_threads(
+impl PlannedView {
+    /// Plans `def` over `base` with the counting pass, and returns the
+    /// plan with the first base row of each of its groups, in order of
+    /// first appearance. The pass reads every base row, or — given a view
+    /// counted over the same `base` that derives `def`, with the
+    /// representatives counted with it — only those rows: the groups,
+    /// and so the plan, are the same either way (property-tested against
+    /// [`MaterializedView::materialize`]). No total is formed, so only
+    /// planning fails: an unknown or mistyped column, or a `finer` view
+    /// that cannot derive `def` ([`EngineError::ViewCannotAnswer`]).
+    pub fn count(
         def: ViewDefinition,
         base: &Table,
-        threads: usize,
-    ) -> Result<Self, EngineError> {
-        let (data, build_stats) = def.as_query().execute_with_threads(base, threads)?;
-        Ok(MaterializedView {
+        finer: Option<(&PlannedView, &[u32])>,
+    ) -> Result<(PlannedView, Vec<u32>), EngineError> {
+        let query = def.as_query();
+        let (plan, reps) = query.representatives(base, finer)?;
+        let schema = output_schema(base.schema(), &plan.group_cols, &plan.aggs)?;
+        let dict_bytes = plan
+            .group_cols
+            .iter()
+            .map(|&c| base.column(c).dictionary_bytes_at(&reps))
+            .sum();
+        let (rows, groups) = (reps.len(), reps.len() as u64);
+        let build_stats = ExecStats {
+            rows_scanned: base.num_rows() as u64,
+            bytes_scanned: plan.scan_bytes(base.schema(), base.num_rows()),
+            rows_out: groups,
+            bytes_out: groups * schema.row_byte_width(),
+            groups,
+        };
+        let view = PlannedView {
             def,
-            data,
+            rows,
+            schema,
+            dict_bytes,
             build_stats,
-        })
+        };
+        Ok((view, reps))
+    }
+
+    /// The plan of a stored table `data` built with `build_stats`.
+    fn of_table(def: ViewDefinition, data: &Table, build_stats: ExecStats) -> PlannedView {
+        let mut view = PlannedView {
+            def,
+            rows: 0,
+            schema: data.schema().clone(),
+            dict_bytes: 0,
+            build_stats,
+        };
+        view.reread(data);
+        view
+    }
+
+    /// Reads the row count and the dictionaries' footprint off `data`.
+    fn reread(&mut self, data: &Table) {
+        self.rows = data.num_rows();
+        self.dict_bytes = data.heap_bytes() - self.rows as u64 * self.schema.row_byte_width();
     }
 
     /// The canonical definition.
@@ -100,55 +183,25 @@ impl MaterializedView {
         &self.def
     }
 
-    /// The stored table.
-    pub fn data(&self) -> &Table {
-        &self.data
+    /// Rows the stored table holds.
+    pub fn num_rows(&self) -> usize {
+        self.rows
     }
 
-    /// Crate-internal mutable access for incremental maintenance.
-    pub(crate) fn data_mut_internal(&mut self) -> &mut Table {
-        &mut self.data
+    /// The stored table's [`Table::heap_bytes`]: rows × the key and
+    /// measure widths, plus each string key's dictionary.
+    pub fn heap_bytes(&self) -> u64 {
+        self.rows as u64 * self.schema.row_byte_width() + self.dict_bytes
     }
 
-    /// Work performed to build (or last fully refresh) the view.
+    /// Work performed to build the view from the base table.
     pub fn build_stats(&self) -> &ExecStats {
         &self.build_stats
     }
 
-    /// Builds `def` from `source`, an already-built view whose key holds
-    /// every column of `def`'s and whose measures hold `def`'s, by
-    /// re-aggregating the stored partials — one pass over `source`'s rows
-    /// instead of the base table's. The result is *equal* to
-    /// [`MaterializedView::materialize`] of `def` from `source`'s base
-    /// table (property-tested): every aggregate is an `i64` folded through
-    /// `i128`, so partials re-sum exactly and a total that leaves `i64`
-    /// is the same [`EngineError::AggregateOverflow`]; groups keep their
-    /// first-appearance order and [`Column::gather`](crate::Column)
-    /// rebuilds the same dictionaries. `build_stats` reports the
-    /// from-base scan — `source`'s scanned rows at `def`'s own width —
-    /// since that is the work the cost model charges for the view. A
-    /// `def` that `source` cannot derive is
-    /// [`EngineError::ViewCannotAnswer`].
-    pub fn roll_up(def: ViewDefinition, source: &MaterializedView) -> Result<Self, EngineError> {
-        let query = def.as_query();
-        let plan = source.lower(&query)?;
-        let (data, rolled) = plan.run(&source.data, 1)?;
-        // What building `def` scans of each base row: its key columns,
-        // typed as `source` stores them, and its measures lowered as on a
-        // base table (which column a measure reads does not enter the
-        // width, so any index stands in).
-        let on_base = def.measures.iter().map(|m| AggExpr::over_base(m.func(), 0));
-        let width = scanned_width(source.data.schema(), &plan.group_cols, on_base);
-        let rows_scanned = source.build_stats.rows_scanned;
-        Ok(MaterializedView {
-            def,
-            data,
-            build_stats: ExecStats {
-                rows_scanned,
-                bytes_scanned: rows_scanned * width,
-                ..rolled
-            },
-        })
+    /// Builds the view's rows from `base`.
+    pub fn materialize(&self, base: &Table) -> Result<MaterializedView, EngineError> {
+        MaterializedView::materialize(self.def.clone(), base)
     }
 
     /// Lowers `query` onto the stored table: group columns must be view
@@ -168,7 +221,7 @@ impl MaterializedView {
                 )));
             }
         }
-        let schema = self.data.schema();
+        let schema = &self.schema;
         // The stored column holding the `func` partial of `column`.
         let stored = |func: AggFunc, column: Option<&str>| {
             self.def
@@ -215,21 +268,93 @@ impl MaterializedView {
         self.lower(query).map(drop)
     }
 
+    /// The `bytes_scanned` [`MaterializedView::answer`] would meter for
+    /// `query` — stored rows × the width of the columns the scan reads —
+    /// without the rows. The cost model's `t_iV` is a function of this
+    /// number alone.
+    pub fn planned_scan_bytes(&self, query: &AggQuery) -> Result<u64, EngineError> {
+        Ok(self.lower(query)?.scan_bytes(&self.schema, self.rows))
+    }
+}
+
+/// A materialized view: its plan plus the stored result table.
+#[derive(Debug, Clone, PartialEq)]
+pub struct MaterializedView {
+    plan: PlannedView,
+    data: Table,
+}
+
+impl MaterializedView {
+    /// Computes the view from `base` and stores the result.
+    pub fn materialize(def: ViewDefinition, base: &Table) -> Result<Self, EngineError> {
+        Self::materialize_with_threads(def, base, 1)
+    }
+
+    /// [`MaterializedView::materialize`] with a thread budget.
+    pub fn materialize_with_threads(
+        def: ViewDefinition,
+        base: &Table,
+        threads: usize,
+    ) -> Result<Self, EngineError> {
+        let (data, build_stats) = def.as_query().execute_with_threads(base, threads)?;
+        Ok(MaterializedView {
+            plan: PlannedView::of_table(def, &data, build_stats),
+            data,
+        })
+    }
+
+    /// The view without its rows.
+    pub fn plan(&self) -> &PlannedView {
+        &self.plan
+    }
+
+    /// The canonical definition.
+    pub fn def(&self) -> &ViewDefinition {
+        &self.plan.def
+    }
+
+    /// The stored table.
+    pub fn data(&self) -> &Table {
+        &self.data
+    }
+
+    /// Crate-internal mutable access for incremental maintenance; the
+    /// plan is re-read from the table when the borrow's user is done
+    /// ([`MaterializedView::replan`]).
+    pub(crate) fn data_mut_internal(&mut self) -> &mut Table {
+        &mut self.data
+    }
+
+    /// Re-reads the plan's row count and footprint off the stored table
+    /// after an in-place change to it.
+    pub(crate) fn replan(&mut self) {
+        self.plan.reread(&self.data);
+    }
+
+    /// Work performed to build (or last fully refresh) the view.
+    pub fn build_stats(&self) -> &ExecStats {
+        &self.plan.build_stats
+    }
+
+    /// Checks whether this view can answer `query`; `Ok(())` or the reason
+    /// it cannot.
+    pub fn can_answer(&self, query: &AggQuery) -> Result<(), EngineError> {
+        self.plan.can_answer(query)
+    }
+
     /// Answers `query` from the stored table instead of the base table.
     ///
     /// The result is identical to running the query on the base table
     /// (property-tested), but the scan touches only `self.data`'s rows —
     /// which is where the paper's `t_iV < t_i` speedup comes from.
     pub fn answer(&self, query: &AggQuery) -> Result<(Table, ExecStats), EngineError> {
-        self.lower(query)?.run(&self.data, 1)
+        self.plan.lower(query)?.run(&self.data, 1)
     }
 
     /// The `bytes_scanned` [`MaterializedView::answer`] would meter for
-    /// `query` — stored rows × the width of the columns the scan reads —
-    /// without running it. The cost model's `t_iV` is a function of this
-    /// number alone.
+    /// `query`, without running it ([`PlannedView::planned_scan_bytes`]).
     pub fn planned_scan_bytes(&self, query: &AggQuery) -> Result<u64, EngineError> {
-        Ok(self.lower(query)?.scan_bytes(&self.data))
+        self.plan.planned_scan_bytes(query)
     }
 }
 
@@ -273,7 +398,7 @@ mod tests {
     #[test]
     fn canonicalization_splits_avg_and_adds_count() {
         let def = ViewDefinition::canonical("v", &["year"], &[AggSpec::avg("profit")]);
-        let funcs: Vec<AggFunc> = def.measures.iter().map(|m| m.func()).collect();
+        let funcs: Vec<AggFunc> = def.measures().iter().map(|m| m.func()).collect();
         assert_eq!(funcs, vec![AggFunc::Sum, AggFunc::Count]);
         // Duplicates collapse.
         let def2 = ViewDefinition::canonical(
@@ -285,7 +410,7 @@ mod tests {
                 AggSpec::count(),
             ],
         );
-        assert_eq!(def2.measures.len(), 2);
+        assert_eq!(def2.measures().len(), 2);
     }
 
     #[test]
@@ -369,8 +494,11 @@ mod tests {
     }
 
     #[test]
-    fn roll_up_is_the_from_base_view() {
-        let finest = month_country_view();
+    fn a_counted_view_is_the_from_base_plan() {
+        let month_country = month_country_view().def().clone();
+        let (finest, reps) = PlannedView::count(month_country, &sales(), None).unwrap();
+        assert_eq!(&finest, month_country_view().plan());
+        assert_eq!(reps, vec![0, 1, 2, 3]);
         for key in [
             &["year", "country"][..],
             &["country", "year"],
@@ -383,22 +511,26 @@ mod tests {
                 &[AggSpec::sum("profit"), AggSpec::max("profit")],
             );
             let from_base = MaterializedView::materialize(def.clone(), &sales()).unwrap();
-            let rolled = MaterializedView::roll_up(def, &finest).unwrap();
-            // Equal stored table, and `build_stats` of the from-base scan:
-            // 4 base rows at the key's width + SUM and MAX inputs (COUNT
-            // reads nothing), not the 4 stored rows at 8 more.
-            assert_eq!(rolled, from_base, "{key:?}");
+            // The plan over the base table and over the finer view's
+            // representatives: 4 base rows scanned at the key's width +
+            // SUM and MAX inputs (COUNT reads nothing) either way.
+            let (direct, direct_reps) = PlannedView::count(def.clone(), &sales(), None).unwrap();
+            let over = Some((&finest, &reps[..]));
+            let (counted, counted_reps) = PlannedView::count(def, &sales(), over).unwrap();
+            assert_eq!(&counted, from_base.plan(), "{key:?}");
+            assert_eq!((direct, direct_reps), (counted, counted_reps), "{key:?}");
+            assert_eq!(from_base.plan().heap_bytes(), from_base.data().heap_bytes());
         }
     }
 
     #[test]
-    fn roll_up_onto_a_definition_the_source_cannot_derive_is_a_typed_error() {
+    fn counting_over_a_view_that_cannot_derive_the_definition_is_a_typed_error() {
         let def = ViewDefinition::canonical("v", &["year", "country"], &[AggSpec::sum("profit")]);
-        let source = MaterializedView::materialize(def, &sales()).unwrap();
+        let (source, reps) = PlannedView::count(def, &sales(), None).unwrap();
         let cannot = |key: &[&str], measure: AggSpec| {
             let def = ViewDefinition::canonical("w", key, &[measure]);
             matches!(
-                MaterializedView::roll_up(def, &source),
+                PlannedView::count(def, &sales(), Some((&source, &reps))),
                 Err(EngineError::ViewCannotAnswer { .. })
             )
         };
