@@ -1,5 +1,10 @@
 #!/usr/bin/env python3
-"""Caller-less scan of `crates/*/src`, in two passes.
+"""Caller-less scan of the `pub` items under `crates/*/src`, in two passes.
+
+Only `pub` items need it: an item no other crate needs is `pub(crate)`
+(the workspace's `unreachable_pub` lint holds every `pub` item to being
+reachable from its crate's root), and rustc's own `dead_code` lint
+judges every crate-private item on each build.
 
 `callerless.py --compile` decides each `pub fn` by compiling. One
 definition at a time is renamed in a scratch copy of the tracked files
@@ -9,7 +14,7 @@ target is type-checked: `cargo check --workspace --lib --bins
 manifest. A definition whose copy still type-checks has no non-test
 caller. `--benches` and `--all-targets` are not used: they build each
 library in test mode, so the tests' calls would count. The pass takes
-about 5 minutes on 2 vCPUs.
+about 3.5 minutes on 2 vCPUs.
 
 `callerless.py` with no argument runs the quick checks, by name. A `pub
 const` or `pub static` (an associated one included) is used where a
@@ -39,22 +44,21 @@ import time
 
 ALLOWED = {
     # slow references the identity tests compare the fast paths against
-    "reference_evaluate", "churn_chain", "random_sparse_problem", "with_tied_times",
+    "reference_evaluate", "churn_chain", "random_sparse_problem",
     "paper_like_problem",
-    "refine", "identity", "IDENTITY", "table_from_csv", "to_sorted_rows",
+    "refine", "IDENTITY", "table_from_csv", "to_sorted_rows",
     # counter seams the counter-pinned tests read
     "scoped", "local_delta", "rebase", "delta",
-    # read-outs and constructors only tests reach: the meter's from-base
-    # build count, reservation-derived pool terms
-    "base_builds", "reserved",
+    # a constructor only tests reach: reservation-derived pool terms
+    "reserved",
     # lattice-order duals the order tests hold `covers` / `lca` / `children` to
-    "strictly_covers", "meet", "apex", "parents",
+    "meet", "apex",
     # the paper's vocabulary: the raw MV3 mix; the rest until calibration
     # feeds the planner (direction 3)
     "tradeoff", "record_transfer_in", "query_charge", "view_charge",
-    # shape accessors, and what only tests and doc tests call: two filter
-    # shorthands, a string-column push, a span lookup
-    "dimensions", "num_cuboids", "eq", "cmp", "push_str", "span",
+    # shape accessors, and what only tests and doc tests call: a filter
+    # shorthand
+    "dimensions", "num_cuboids", "cmp",
     # `len`'s companions (clippy's len_without_is_empty)
     "is_empty",
 }

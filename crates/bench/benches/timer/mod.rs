@@ -19,7 +19,7 @@ const MEASUREMENT: Duration = Duration::from_secs(1);
 const MIN_SAMPLES: usize = 20;
 
 /// Times `body` (or, under `--test`, runs it once) and prints its line.
-pub fn run<R>(group: &str, id: &str, mut body: impl FnMut() -> R) {
+pub(crate) fn run<R>(group: &str, id: &str, mut body: impl FnMut() -> R) {
     let smoke = std::env::args().any(|a| a == "--test");
     let line = report_line(smoke, group, id, &mut || {
         black_box(body());
@@ -28,7 +28,7 @@ pub fn run<R>(group: &str, id: &str, mut body: impl FnMut() -> R) {
 }
 
 /// [`run`] without the process state: the line it would print.
-pub fn report_line(smoke: bool, group: &str, id: &str, body: &mut dyn FnMut()) -> String {
+pub(crate) fn report_line(smoke: bool, group: &str, id: &str, body: &mut dyn FnMut()) -> String {
     if smoke {
         body();
         return format!("bench {:<56} smoke ok", format!("{group}/{id}"));

@@ -27,7 +27,7 @@ use mvcloud::{
 };
 
 /// The paper's workload sizes (Figure 5's x-axis).
-pub const WORKLOAD_SIZES: [usize; 3] = [3, 5, 10];
+pub(crate) const WORKLOAD_SIZES: [usize; 3] = [3, 5, 10];
 
 /// Engine rows standing in for the paper's 10 GB experimental dataset.
 pub const ENGINE_ROWS: usize = 20_000;

@@ -30,7 +30,6 @@
 //! the base table and registers them in a catalog, ready to serve
 //! queries.
 
-use std::cell::Cell;
 use std::cmp::Reverse;
 
 use mv_cost::{CloudCostModel, CostContext, QueryCharge, ViewCharge};
@@ -144,7 +143,6 @@ pub struct Advisor {
     scale: SimScale,
     queries: Vec<AggQuery>,
     measured: Vec<MeasuredCandidate>,
-    base_builds: usize,
     problem: SelectionProblem,
 }
 
@@ -192,9 +190,6 @@ pub(crate) struct CandidateMeter<'a> {
     /// Σ|measure| over the base table and the maintenance batch fits
     /// `i64`: the passes read only for their metering are planned.
     planned: bool,
-    /// Candidates [`CandidateMeter::measure`] counted over (or, past
-    /// the bound, built from) the base table.
-    base_builds: Cell<usize>,
 }
 
 /// A measured candidate as [`Advisor::build`] holds it while the pool is
@@ -272,7 +267,6 @@ impl<'a> CandidateMeter<'a> {
             queries,
             delta,
             planned,
-            base_builds: Cell::new(0),
         })
     }
 
@@ -360,6 +354,18 @@ impl<'a> CandidateMeter<'a> {
         Ok(q.count_groups(&self.domain.base, source.map(Held::counted))?)
     }
 
+    /// The `held` candidate [`CandidateMeter::measure`] counts `cuboid`
+    /// (defined by `defining`) over under the bound: the one with the
+    /// fewest stored rows whose view derives it, or `None` for the base
+    /// table. The lattice order is the cheap filter; the engine has the
+    /// last word on what a stored view derives.
+    fn source<'h>(cuboid: &Cuboid, defining: &AggQuery, held: &'h [Held]) -> Option<&'h Held> {
+        held.iter()
+            .filter(|h| h.candidate.cuboid.covers(cuboid))
+            .filter(|h| h.candidate.view.can_answer(defining).is_ok())
+            .min_by_key(|h| h.candidate.view.num_rows())
+    }
+
     /// Meters one candidate cuboid (the paper's steps 2 & 4 for a single
     /// view). Under the bound it is counted over the smallest table that
     /// holds its groups — the representatives of the `held` candidate with
@@ -379,16 +385,7 @@ impl<'a> CandidateMeter<'a> {
         let defining = def.as_query();
         let batch = self.delta.as_ref().filter(|d| d.num_rows() > 0);
         let (view, reps, refresh_bytes) = if self.planned {
-            // The lattice order is the cheap filter; the engine has the
-            // last word on what a stored view derives.
-            let source = held
-                .iter()
-                .filter(|h| h.candidate.cuboid.covers(&cuboid))
-                .filter(|h| h.candidate.view.can_answer(&defining).is_ok())
-                .min_by_key(|h| h.candidate.view.num_rows());
-            if source.is_none() {
-                self.base_builds.set(self.base_builds.get() + 1);
-            }
+            let source = Self::source(&cuboid, &defining, held);
             let base = &self.domain.base;
             let (view, reps) = PlannedView::count(def, base, source.map(Held::counted))?;
             // The refresh scans the definition's columns of the batch.
@@ -397,7 +394,6 @@ impl<'a> CandidateMeter<'a> {
         } else {
             // The refresh's merge is where a stored total leaving `i64`
             // shows.
-            self.base_builds.set(self.base_builds.get() + 1);
             let threads = self.config.threads;
             let mut built =
                 MaterializedView::materialize_with_threads(def, &self.domain.base, threads)?;
@@ -515,7 +511,6 @@ impl Advisor {
 
         // 5. Assemble the selection problem.
         let model = cost_model_for(&config, charges)?;
-        let base_builds = meter.base_builds.get();
         let CandidateMeter { scale, queries, .. } = meter;
         let problem =
             SelectionProblem::new(model, measured.iter().map(|m| m.charge.clone()).collect());
@@ -526,7 +521,6 @@ impl Advisor {
             scale,
             queries,
             measured,
-            base_builds,
             problem,
         })
     }
@@ -541,16 +535,6 @@ impl Advisor {
         &self.measured
     }
 
-    /// How many cuboids the measurement pipeline counted over (past the
-    /// Σ|measure| bound: built from) the base table; every other one was
-    /// counted over the representatives of a finer candidate it had
-    /// already measured. Only tests read it:
-    /// `only_the_finest_cuboids_are_built_from_the_base_table` in this
-    /// module's tests pins 2 of 15 on sales and 3 of 63 on SSB.
-    pub fn base_builds(&self) -> usize {
-        self.base_builds
-    }
-
     /// The domain being advised.
     pub fn domain(&self) -> &Domain {
         &self.domain
@@ -562,7 +546,7 @@ impl Advisor {
     }
 
     /// The engine-to-cloud scale factor in use.
-    pub fn scale(&self) -> SimScale {
+    pub(crate) fn scale(&self) -> SimScale {
         self.scale
     }
 
@@ -1010,17 +994,50 @@ mod tests {
         }
     }
 
+    thread_local! {
+        /// Candidates [`counting_base_builds`] saw counted over the base
+        /// table.
+        static BASE_BUILDS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
+
+    /// [`CandidateMeter::measure`], counting in [`BASE_BUILDS`] each
+    /// candidate it has no measured view to count over.
+    fn counting_base_builds(
+        meter: &CandidateMeter<'_>,
+        cuboid: Cuboid,
+        held: &[Held],
+    ) -> Result<Held, AdvisorError> {
+        let h = meter.measure(cuboid, held)?;
+        let defining = h.candidate.view.def().as_query();
+        if CandidateMeter::source(&h.candidate.cuboid, &defining, held).is_none() {
+            BASE_BUILDS.with(|n| n.set(n.get() + 1));
+        }
+        Ok(h)
+    }
+
+    /// How many of `domain`'s candidates the meter counts over the base
+    /// table, and how many it meters.
+    fn base_builds(domain: Domain) -> (usize, usize) {
+        BASE_BUILDS.with(|n| n.set(0));
+        let advisor = Advisor::build_with(
+            domain,
+            AdvisorConfig::default(),
+            counting_base_builds,
+            |meter, held| meter.workload_charges(held),
+        );
+        (
+            BASE_BUILDS.with(|n| n.get()),
+            advisor.unwrap().candidates().len(),
+        )
+    }
+
     #[test]
     fn only_the_finest_cuboids_are_built_from_the_base_table() {
         // The sales lattice minus its base has two maximal cuboids
         // (day×region, month×department), SSB's three; every other
         // candidate is counted over a measured view above it.
-        let sales = Advisor::build(sales_domain(2_000, 10, 1.0, 7), AdvisorConfig::default());
-        let sales = sales.unwrap();
-        assert_eq!((sales.base_builds(), sales.candidates().len()), (2, 15));
-        let ssb = Advisor::build(crate::ssb_domain(1_000, 1.0, 7), AdvisorConfig::default());
-        let ssb = ssb.unwrap();
-        assert_eq!((ssb.base_builds(), ssb.candidates().len()), (3, 63));
+        assert_eq!(base_builds(sales_domain(2_000, 10, 1.0, 7)), (2, 15));
+        assert_eq!(base_builds(crate::ssb_domain(1_000, 1.0, 7)), (3, 63));
     }
 
     /// The typed error a SUM of `domain`'s measure leaving `i64` is.

@@ -938,7 +938,7 @@ fn run_script_line(
                 .iter()
                 .map(|t| t.parse().map_err(|_| format!("bad candidate index {t:?}")))
                 .collect::<Result<_, String>>()?;
-            let n = svc.catalog().candidates.len();
+            let n = svc.catalog().candidates().len();
             if let Some(k) = ks.iter().find(|&&k| k >= n) {
                 return Err(format!("candidate index {k} out of range (have {n})").into());
             }

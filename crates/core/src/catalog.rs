@@ -40,10 +40,12 @@ use crate::json::{write_atomic, Json};
 use crate::AdvisorError;
 
 /// Catalog file schema version (bumped on incompatible layout change).
-pub const CATALOG_VERSION: u64 = 1;
+pub(crate) const CATALOG_VERSION: u64 = 1;
 
-/// The ingest stream position: events at or below this mark have
-/// already been folded into the catalog's counts. Ordered
+/// The ingest stream position: the last event folded into the
+/// catalog's counts. Once a catalog has folded an event, every event at
+/// or below its mark is a replay; a fresh catalog's `(0, 0)` is no
+/// event's position, so the event `(0, 0)` is new to it. Ordered
 /// lexicographically by `(timestamp, query_id)`, matching a stream that
 /// is timestamp-ordered with the event id as tiebreaker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
@@ -59,20 +61,15 @@ pub struct HighWaterMark {
 /// stream counts, and the high-water mark they are current to.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CandidateCatalog {
-    /// The measured workload charges (frequencies as originally built).
-    pub workload: Vec<QueryCharge>,
-    /// Stream events observed per workload query (aligned with
-    /// `workload`), cumulative since the catalog was created.
-    pub counts: Vec<u64>,
-    /// Every measured candidate's cost-model attributes, in problem
-    /// candidate order.
-    pub candidates: Vec<ViewCharge>,
-    /// The stream position `counts` is current to.
-    pub hwm: HighWaterMark,
+    workload: Vec<QueryCharge>,
+    counts: Vec<u64>,
+    candidates: Vec<ViewCharge>,
+    hwm: HighWaterMark,
 }
 
 impl CandidateCatalog {
-    /// A fresh catalog over measured charges: zero counts, zero HWM.
+    /// A fresh catalog over measured charges: zero counts, zero HWM, no
+    /// event folded.
     pub fn new(workload: Vec<QueryCharge>, candidates: Vec<ViewCharge>) -> CandidateCatalog {
         let counts = vec![0; workload.len()];
         CandidateCatalog {
@@ -81,6 +78,45 @@ impl CandidateCatalog {
             candidates,
             hwm: HighWaterMark::default(),
         }
+    }
+
+    /// The measured workload charges (frequencies as originally built).
+    pub fn workload(&self) -> &[QueryCharge] {
+        &self.workload
+    }
+
+    /// Stream events observed per workload query (aligned with
+    /// [`CandidateCatalog::workload`]), cumulative since the catalog was
+    /// created.
+    pub fn counts(&self) -> &[u64] {
+        &self.counts
+    }
+
+    /// Every measured candidate's cost-model attributes, in problem
+    /// candidate order.
+    pub fn candidates(&self) -> &[ViewCharge] {
+        &self.candidates
+    }
+
+    /// The stream position the counts are current to.
+    pub fn hwm(&self) -> HighWaterMark {
+        self.hwm
+    }
+
+    /// Whether the event at `mark` is already folded into the counts:
+    /// at or below the high-water mark, once an event has been folded.
+    /// An event is folded only by counting it, so a catalog whose counts
+    /// are all zero (`total`, their sum, is zero) has folded none, and
+    /// its mark — `(0, 0)` from [`CandidateCatalog::new`] — is no
+    /// event's position: the event `(0, 0)` is new to it.
+    pub(crate) fn replays(&self, mark: HighWaterMark, total: u64) -> bool {
+        total > 0 && mark <= self.hwm
+    }
+
+    /// Folds one accepted event for workload query `query` at `mark`.
+    pub(crate) fn fold(&mut self, query: usize, mark: HighWaterMark) {
+        self.counts[query] += 1;
+        self.hwm = mark;
     }
 
     /// Serializes the catalog. All floats go through [`Json::Num`]
@@ -152,7 +188,7 @@ impl CandidateCatalog {
     }
 
     /// Decodes a catalog document (inverse of [`CandidateCatalog::to_json`]).
-    pub fn from_json(doc: &Json) -> Result<CandidateCatalog, String> {
+    pub(crate) fn from_json(doc: &Json) -> Result<CandidateCatalog, String> {
         let version = doc
             .get("version")
             .and_then(Json::as_u64)
@@ -200,6 +236,11 @@ impl CandidateCatalog {
             .enumerate()
             .map(|(i, c)| c.as_u64().ok_or(format!("counts[{i}]")))
             .collect::<Result<_, String>>()?;
+        // A service keeps the counts' sum as a `u64`.
+        counts
+            .iter()
+            .try_fold(0u64, |sum, &c| sum.checked_add(c))
+            .ok_or("counts sum past u64")?;
         let candidates: Vec<ViewCharge> = doc
             .get("candidates")
             .and_then(Json::as_array)
@@ -258,8 +299,9 @@ impl CandidateCatalog {
 
     /// What keeps the catalog from describing one selection problem:
     /// `counts`, or a candidate's answer profile, of another length than
-    /// the workload. `None` when they align. The fields are public, so a
-    /// catalog built by hand is checked as a decoded one is.
+    /// the workload. `None` when they align. [`CandidateCatalog::new`]
+    /// takes any candidates, so a catalog built by hand is checked as a
+    /// decoded one is.
     pub(crate) fn misalignment(&self) -> Option<String> {
         let queries = self.workload.len();
         if self.counts.len() != queries {
@@ -321,34 +363,40 @@ fn finite_field(obj: &Json, key: &str, index: usize) -> Result<f64, String> {
         .ok_or(format!("[{index}].{key}: missing or non-finite"))
 }
 
-/// Reads a non-negative size field (`Gb::new` would panic on negative
-/// input — a corrupt file must be an error instead).
-fn size_field(obj: &Json, key: &str, index: usize) -> Result<Gb, String> {
-    let v = finite_field(obj, key, index)?;
-    if v < 0.0 {
-        return Err(format!("[{index}].{key}: negative size {v}"));
-    }
-    Ok(Gb::new(v))
-}
+/// The largest quantity a catalog stores: a size (GB), a duration
+/// (hours) or a frequency. Metered values sit many orders of magnitude
+/// below it; the bound keeps every bill the cost model forms from them
+/// inside `Money`'s range, which a damaged digit or exponent (a size of
+/// `1e85` GB) would otherwise overflow in a sum.
+const MAX_QUANTITY: f64 = 1e12;
 
-/// Reads a non-negative frequency field (a negative one would price a
-/// negative result volume, which `Gb::new` rejects with a panic when
-/// the service opens the catalog — a corrupt file must be an error).
-fn frequency_field(obj: &Json, key: &str, index: usize) -> Result<f64, String> {
+/// Reads a quantity field: non-negative (`Gb::new` and `Hours::new`
+/// panic on negative input, and a negative frequency would price a
+/// negative result volume — a corrupt file must be an error instead) and
+/// at most [`MAX_QUANTITY`].
+fn quantity_field(obj: &Json, key: &str, index: usize, what: &str) -> Result<f64, String> {
     let v = finite_field(obj, key, index)?;
     if v < 0.0 {
-        return Err(format!("[{index}].{key}: negative frequency {v}"));
+        return Err(format!("[{index}].{key}: negative {what} {v}"));
+    }
+    if v > MAX_QUANTITY {
+        return Err(format!(
+            "[{index}].{key}: {what} {v:e} above {MAX_QUANTITY:e}"
+        ));
     }
     Ok(v)
 }
 
-/// Reads a non-negative duration field (same rationale as [`size_field`]).
+fn size_field(obj: &Json, key: &str, index: usize) -> Result<Gb, String> {
+    quantity_field(obj, key, index, "size").map(Gb::new)
+}
+
+fn frequency_field(obj: &Json, key: &str, index: usize) -> Result<f64, String> {
+    quantity_field(obj, key, index, "frequency")
+}
+
 fn hours_field(obj: &Json, key: &str, index: usize) -> Result<Hours, String> {
-    let v = finite_field(obj, key, index)?;
-    if v < 0.0 {
-        return Err(format!("[{index}].{key}: negative duration {v}"));
-    }
-    Ok(Hours::new(v))
+    quantity_field(obj, key, index, "duration").map(Hours::new)
 }
 
 #[cfg(test)]
@@ -461,6 +509,14 @@ mod tests {
         let negative = negative_frequency(&good);
         let err = CandidateCatalog::from_json(&Json::parse(&negative).unwrap()).unwrap_err();
         assert!(err.contains("negative frequency"), "{err}");
+        // Magnitudes no bill or running total can hold.
+        let huge = good.replacen("\"size_gb\":0.1", "\"size_gb\":1e85", 1);
+        let err = CandidateCatalog::from_json(&Json::parse(&huge).unwrap()).unwrap_err();
+        assert!(err.contains("size 1e85 above 1e12"), "{err}");
+        let counts = format!("\"counts\":[{},8]", u64::MAX);
+        let past = good.replacen("\"counts\":[\n    3,\n    8\n  ]", &counts, 1);
+        let err = CandidateCatalog::from_json(&Json::parse(&past).unwrap()).unwrap_err();
+        assert!(err.contains("counts sum past u64"), "{err}");
     }
 
     #[test]

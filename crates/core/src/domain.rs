@@ -29,7 +29,7 @@ pub struct Domain {
 impl Domain {
     /// Validates internal consistency (measure exists, workload fits the
     /// lattice, every lattice column exists in the base table).
-    pub fn validate(&self) -> Result<(), AdvisorError> {
+    pub(crate) fn validate(&self) -> Result<(), AdvisorError> {
         if self.base.schema().index_of(&self.measure).is_err() {
             return Err(AdvisorError::MissingMeasure {
                 column: self.measure.clone(),

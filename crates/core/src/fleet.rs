@@ -26,11 +26,11 @@
 //! account → one envelope fold. A market-insulated plan (every view
 //! pinned to a reserved primary) solves path 0's one-path tree with
 //! every path's leaf pointing at it. [`Advisor::solve_market`] is
-//! this driver on the pure-spot plan ([`crate::MarketConfig::as_fleet`]),
-//! projected into a [`crate::MarketReport`]. The inner *solve these
-//! sampled paths* step, given path `j` alone, shares nothing and forks
-//! nothing, and must equal path `j` of the K-path solve bit for bit
-//! (`fleet/paths_tests.rs`).
+//! this driver on the pure-spot plan (every view on a spot pool at
+//! market parity), projected into a [`crate::market::MarketReport`].
+//! The inner *solve these sampled paths* step, given path `j` alone,
+//! shares nothing and forks nothing, and must equal path `j` of the
+//! K-path solve bit for bit (`fleet/paths_tests.rs`).
 //!
 //! The shared charges (workload processing, dataset storage, transfer)
 //! follow the plan's *primary* pool: a spot primary rides the sampled
@@ -97,7 +97,7 @@ impl Default for FleetConfig {
 }
 
 /// Per-path accounting of one sampled trajectory under the fleet (and,
-/// pure-spot, under the single-fleet [`crate::MarketReport`]).
+/// pure-spot, under the single-fleet [`crate::market::MarketReport`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetPathSummary {
     /// Path index (aligned with [`MarketScenario::path`]).
@@ -206,7 +206,7 @@ pub struct FleetReport {
     pub comparison: Option<FleetComparison>,
     /// Reserved-pool commitment pricing of the fleet's compute, when
     /// the reserved pool carries a plan — the same arithmetic as
-    /// `solve_market`'s report ([`SpotCommitmentReport::from_path_bills`]).
+    /// `solve_market`'s report.
     pub commitment: Option<SpotCommitmentReport>,
     /// Distinct full-horizon solves actually performed for the K
     /// requested paths of the *hedged* fleet: distinct scenario-tree

@@ -21,7 +21,8 @@ use mv_obs::{Counter, CounterGuard};
 use proptest::prelude::*;
 
 use super::*;
-use crate::{sales_domain, AdvisorConfig, MarketConfig};
+use crate::market::MarketConfig;
+use crate::{sales_domain, AdvisorConfig};
 
 impl Advisor {
     /// Solves exactly these sampled paths under one fleet plan — the

@@ -183,7 +183,7 @@ impl Advisor {
     /// universe is fixed, so the measured candidate pool stays aligned
     /// with every epoch. A horizon chains them as they are; the
     /// Monte-Carlo driver re-prices them per sampled quote.
-    pub fn epoch_models(
+    pub(crate) fn epoch_models(
         &self,
         epochs: usize,
         evolution: &WorkloadEvolution,

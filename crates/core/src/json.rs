@@ -67,7 +67,7 @@ impl Json {
     }
 
     /// `value` if present, else `null`.
-    pub fn opt(value: Option<Json>) -> Json {
+    pub(crate) fn opt(value: Option<Json>) -> Json {
         value.unwrap_or(Json::Null)
     }
 

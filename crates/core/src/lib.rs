@@ -68,13 +68,11 @@ pub mod service;
 pub mod whatif;
 
 pub use advisor::{Advisor, AdvisorConfig, CandidateStrategy, MeasuredCandidate, SizingMode};
-pub use calibrate::{CalibrationConfig, CalibrationReport, EpochCalibration};
-pub use catalog::{CandidateCatalog, HighWaterMark};
+pub use calibrate::CalibrationConfig;
+pub use catalog::CandidateCatalog;
 pub use domain::{sales_domain, ssb_domain, Domain};
 pub use error::AdvisorError;
-pub use fleet::{FleetComparison, FleetConfig, FleetEpochReport, FleetPathSummary, FleetReport};
-pub use horizon::{EpochReport, HorizonConfig, HorizonReport};
-pub use market::{MarketConfig, MarketReport, Quantiles, SpotCommitmentReport};
+pub use horizon::{HorizonConfig, HorizonReport};
 pub use scale::scale_problem;
 pub use service::{AdvisorService, IngestOutcome, QueryEvent, ServiceConfig};
 
@@ -88,5 +86,4 @@ pub use mv_select as select;
 pub use mv_units as units;
 
 // The most-used types, flattened for ergonomic imports.
-pub use mv_cost::{CloudCostModel, CostBreakdown, CostContext, QueryCharge, ViewCharge};
 pub use mv_select::{Evaluation, Outcome, Scenario, SelectionProblem, SolverKind};

@@ -16,7 +16,7 @@
 //! A single homogeneous fleet riding the sampled market *is* the
 //! mixed-fleet solve with every view pinned to a spot pool at market
 //! parity, so there is no market driver: [`Advisor::solve_market`] runs
-//! [`Advisor::solve_fleet`] on [`MarketConfig::as_fleet`] (the pipeline
+//! [`Advisor::solve_fleet`] on the config's pure-spot fleet (the pipeline
 //! is described in [`crate::fleet`]) and projects the result onto the
 //! single-fleet report: a Monte-Carlo envelope rather than a single
 //! bill — per-epoch cost quantiles, plan stability (how often the
@@ -61,7 +61,7 @@ impl MarketConfig {
     /// ([`FleetPlan::pure_spot`]), over the same sampled paths. The
     /// reservation, if any, backs the (idle) reserved pool, which is
     /// what the fleet report's commitment leg prices.
-    pub fn as_fleet(&self) -> FleetConfig {
+    pub(crate) fn as_fleet(&self) -> FleetConfig {
         let mut fleet = FleetPlan::pure_spot();
         fleet.reserved.commitment = self.commitment.clone();
         FleetConfig {
@@ -110,7 +110,7 @@ impl Quantiles {
     /// order last under IEEE total order, never panic); the Monte-Carlo
     /// driver rejects non-finite sampled quotes with a typed error before
     /// any metric is derived from them, so none reaches a report.
-    pub fn of(values: &[f64]) -> Quantiles {
+    pub(crate) fn of(values: &[f64]) -> Quantiles {
         assert!(!values.is_empty(), "quantiles need at least one sample");
         let mut sorted = values.to_vec();
         sorted.sort_by(f64::total_cmp);
@@ -131,7 +131,7 @@ impl Quantiles {
     }
 
     /// Summarizes `value` over `items` (must be non-empty).
-    pub fn over<T>(items: &[T], value: impl Fn(&T) -> f64) -> Quantiles {
+    pub(crate) fn over<T>(items: &[T], value: impl Fn(&T) -> f64) -> Quantiles {
         Quantiles::of(&items.iter().map(value).collect::<Vec<f64>>())
     }
 
@@ -164,7 +164,11 @@ impl SpotCommitmentReport {
     /// same billed hours with the reservation. This is the ONE place
     /// the comparison's arithmetic lives: the fleet report prices
     /// through it, and the single-fleet report is its pure-spot case.
-    pub fn from_path_bills(plan: &str, spot: &[f64], reserved: &[f64]) -> SpotCommitmentReport {
+    pub(crate) fn from_path_bills(
+        plan: &str,
+        spot: &[f64],
+        reserved: &[f64],
+    ) -> SpotCommitmentReport {
         assert_eq!(
             spot.len(),
             reserved.len(),
@@ -277,9 +281,9 @@ impl From<FleetReport> for MarketReport {
 
 impl Advisor {
     /// Solves the horizon across `K` sampled price paths and reports
-    /// the Monte-Carlo envelope: [`Advisor::solve_fleet`] on
-    /// [`MarketConfig::as_fleet`], projected onto the single-fleet
-    /// report. See the module docs for semantics.
+    /// the Monte-Carlo envelope: [`Advisor::solve_fleet`] on the
+    /// config's pure-spot fleet, projected onto the single-fleet report.
+    /// See the module docs for semantics.
     pub fn solve_market(
         &self,
         scenario: Scenario,

@@ -5,8 +5,9 @@
 use mv_select::Outcome;
 use mv_units::{Hours, Money};
 
+use crate::fleet::FleetEpochReport;
 use crate::json::Json;
-use crate::{FleetEpochReport, Quantiles, SpotCommitmentReport};
+use crate::market::{Quantiles, SpotCommitmentReport};
 
 /// Renders a markdown-ish aligned table from a header row and data rows.
 pub fn render_table(header: &[&str], rows: &[Vec<String>]) -> String {

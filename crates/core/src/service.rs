@@ -117,7 +117,7 @@ pub struct AdvisorService {
     /// The catalog workload's total frequency; the catalog is private,
     /// so it holds for the service's life.
     mass: f64,
-    /// The sum of `catalog.counts`, bumped beside them.
+    /// The sum of the catalog's counts, bumped beside them.
     total: u64,
     resolves: u64,
     accepted: u64,
@@ -158,7 +158,7 @@ impl AdvisorService {
         advisor_config: AdvisorConfig,
         service_config: ServiceConfig,
     ) -> Result<AdvisorService, AdvisorError> {
-        if catalog.workload.is_empty() {
+        if catalog.workload().is_empty() {
             return Err(AdvisorError::EmptyWorkload);
         }
         if let Some(message) = catalog.misalignment() {
@@ -168,17 +168,17 @@ impl AdvisorService {
         // position (counts-adjusted frequencies) — a reload must land
         // on the same model a running service had after its last
         // re-solve, not on the pre-traffic one.
-        let mass: f64 = catalog.workload.iter().map(|q| q.frequency).sum();
-        let total: u64 = catalog.counts.iter().sum();
+        let mass: f64 = catalog.workload().iter().map(|q| q.frequency).sum();
+        let total: u64 = catalog.counts().iter().sum();
         let plan_frequencies = observed_frequencies(&catalog, mass, total);
-        let mut workload = catalog.workload.clone();
+        let mut workload = catalog.workload().to_vec();
         for (q, &f) in workload.iter_mut().zip(&plan_frequencies) {
             q.frequency = f;
         }
         let model = cost_model_for(&advisor_config, workload)?;
-        let problem = SelectionProblem::new(model, catalog.candidates.clone());
+        let problem = SelectionProblem::new(model, catalog.candidates().to_vec());
         let query_index = catalog
-            .workload
+            .workload()
             .iter()
             .enumerate()
             .map(|(i, q)| (q.name.clone(), i))
@@ -229,7 +229,7 @@ impl AdvisorService {
                     timestamp: e.timestamp,
                     query_id: e.query_id,
                 };
-                if mark <= self.catalog.hwm {
+                if self.catalog.replays(mark, self.total) {
                     return Ok(None);
                 }
                 match self.query_index.get(&e.query) {
@@ -249,11 +249,10 @@ impl AdvisorService {
             };
             // Re-check against the advancing mark: a duplicate *within*
             // the batch is a replay too.
-            match index.filter(|_| mark > self.catalog.hwm) {
+            match index.filter(|_| !self.catalog.replays(mark, self.total)) {
                 Some(i) => {
-                    self.catalog.counts[i] += 1;
+                    self.catalog.fold(i, mark);
                     self.total += 1;
-                    self.catalog.hwm = mark;
                     accepted += 1;
                 }
                 None => replayed += 1,
@@ -280,7 +279,7 @@ impl AdvisorService {
     /// and the currently observed one (both normalized to sum 1; range
     /// [0, 2]). Zero while no events have been observed, and zero
     /// immediately after a re-solve.
-    pub fn drift(&self) -> f64 {
+    pub(crate) fn drift(&self) -> f64 {
         // Materialize, then reduce: fused into the in-order sums, the
         // counts-to-frequencies pass would stay scalar.
         let observed = observed_frequencies(&self.catalog, self.mass, self.total);
@@ -377,7 +376,7 @@ impl AdvisorService {
         self.plan
             .selection
             .ones()
-            .map(|k| self.catalog.candidates[k].name.clone())
+            .map(|k| self.catalog.candidates()[k].name.clone())
             .collect()
     }
 
@@ -404,8 +403,8 @@ impl AdvisorService {
             (
                 "hwm",
                 Json::obj(vec![
-                    ("timestamp", Json::UInt(self.catalog.hwm.timestamp)),
-                    ("query_id", Json::UInt(self.catalog.hwm.query_id)),
+                    ("timestamp", Json::UInt(self.catalog.hwm().timestamp)),
+                    ("query_id", Json::UInt(self.catalog.hwm().query_id)),
                 ]),
             ),
             (
@@ -431,7 +430,7 @@ impl AdvisorService {
             ("resolves", Json::UInt(self.resolves)),
             (
                 "candidates",
-                Json::UInt(self.catalog.candidates.len() as u64),
+                Json::UInt(self.catalog.candidates().len() as u64),
             ),
         ])
     }
@@ -462,11 +461,11 @@ fn solve_resident(
 /// its counts.
 fn observed_frequencies(catalog: &CandidateCatalog, mass: f64, total: u64) -> Vec<f64> {
     if total == 0 {
-        return catalog.workload.iter().map(|q| q.frequency).collect();
+        return catalog.workload().iter().map(|q| q.frequency).collect();
     }
     let total = total as f64;
     catalog
-        .counts
+        .counts()
         .iter()
         .map(|&count| mass * count as f64 / total)
         .collect()
@@ -487,16 +486,18 @@ fn shares(frequencies: &[f64]) -> Vec<f64> {
 mod tests {
     use super::*;
     use crate::sales_domain;
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
 
     /// The reference for `observed_frequencies`: every sum re-derived
     /// from the catalog.
     fn current_frequencies(catalog: &CandidateCatalog) -> Vec<f64> {
-        let total: u64 = catalog.counts.iter().sum();
-        let mass: f64 = catalog.workload.iter().map(|q| q.frequency).sum();
+        let total: u64 = catalog.counts().iter().sum();
+        let mass: f64 = catalog.workload().iter().map(|q| q.frequency).sum();
         catalog
-            .workload
+            .workload()
             .iter()
-            .zip(&catalog.counts)
+            .zip(catalog.counts())
             .map(|(q, &count)| {
                 if total > 0 {
                     mass * count as f64 / total as f64
@@ -548,15 +549,15 @@ mod tests {
         let first = svc.ingest(&batch).unwrap();
         assert_eq!(first.accepted, 3);
         assert_eq!(first.replayed, 0);
-        let counts_after = svc.catalog().counts.clone();
-        let hwm_after = svc.catalog().hwm;
+        let counts_after = svc.catalog().counts().to_vec();
+        let hwm_after = svc.catalog().hwm();
         // Replaying the exact same batch (at-least-once delivery) is a
         // no-op: everything is at or below the mark.
         let again = svc.ingest(&batch).unwrap();
         assert_eq!(again.accepted, 0);
         assert_eq!(again.replayed, 3);
-        assert_eq!(svc.catalog().counts, counts_after);
-        assert_eq!(svc.catalog().hwm, hwm_after);
+        assert_eq!(svc.catalog().counts(), counts_after);
+        assert_eq!(svc.catalog().hwm(), hwm_after);
         assert!(!again.resolved, "a replayed batch never re-solves");
     }
 
@@ -568,7 +569,7 @@ mod tests {
             .unwrap();
         assert_eq!(out.accepted, 2);
         assert_eq!(out.replayed, 1);
-        assert_eq!(svc.catalog().counts, vec![1, 1, 0]);
+        assert_eq!(svc.catalog().counts(), vec![1, 1, 0]);
     }
 
     #[test]
@@ -577,8 +578,8 @@ mod tests {
         let err = svc.ingest(&events(&[(1, 1, "Q1"), (1, 2, "Q99")]));
         assert!(matches!(err, Err(AdvisorError::UnknownQuery { .. })));
         // All-or-nothing: the valid prefix was not applied either.
-        assert_eq!(svc.catalog().counts, vec![0, 0, 0]);
-        assert_eq!(svc.catalog().hwm, HighWaterMark::default());
+        assert_eq!(svc.catalog().counts(), vec![0, 0, 0]);
+        assert_eq!(svc.catalog().hwm(), HighWaterMark::default());
     }
 
     #[test]
@@ -635,7 +636,7 @@ mod tests {
     fn what_ifs_never_perturb_the_resident_plan() {
         let svc = small_service();
         let before = svc.plan().clone();
-        let n = svc.catalog().candidates.len();
+        let n = svc.catalog().candidates().len();
         for k in 0..n {
             let _ = svc.what_if_toggle(&[k]);
         }
@@ -710,17 +711,19 @@ mod tests {
             let out = svc.ingest(&specs).unwrap();
             assert_eq!(out.drift.to_bits(), reference(&svc), "batch {batch}");
         }
-        assert_eq!(reopened.catalog().counts, svc.catalog().counts);
+        assert_eq!(reopened.catalog().counts(), svc.catalog().counts());
     }
 
     #[test]
     fn a_workload_without_frequency_mass_never_drifts() {
         // Nothing to normalize on the plan side: drift is 0.0 — not the
         // NaN a cached 0 / 0 share would make — before and after traffic.
-        let mut catalog = small_service().catalog;
-        for q in &mut catalog.workload {
+        let catalog = small_service().catalog;
+        let mut workload = catalog.workload().to_vec();
+        for q in &mut workload {
             q.frequency = 0.0;
         }
+        let catalog = CandidateCatalog::new(workload, catalog.candidates().to_vec());
         let config = ServiceConfig::new(Scenario::budget(mv_units::Money::from_dollars(100)));
         let mut svc =
             AdvisorService::from_catalog(catalog, AdvisorConfig::default(), config).unwrap();
@@ -744,7 +747,15 @@ mod tests {
                 advisor.problem().model().context().workload.clone(),
                 advisor.problem().candidates().to_vec(),
             );
-            c.counts = vec![3, 1, 0];
+            for (t, query) in [0, 0, 0, 1].into_iter().enumerate() {
+                c.fold(
+                    query,
+                    HighWaterMark {
+                        timestamp: t as u64,
+                        query_id: 0,
+                    },
+                );
+            }
             c
         };
         let frequencies = observed_frequencies(&catalog, 6.0, 4);
@@ -753,5 +764,50 @@ mod tests {
         assert!((mass - 6.0).abs() < 1e-12, "3 queries × frequency 2");
         assert!((frequencies[0] - 4.5).abs() < 1e-12);
         assert_eq!(frequencies[2], 0.0);
+    }
+
+    #[test]
+    fn catalog_bytes_never_reach_a_panic() {
+        // A spilled catalog, damaged four ways — truncated, one bit
+        // flipped, one byte substituted, one byte inserted — ends every
+        // case as a service or a typed error, never a panic, through
+        // each stage a reload runs: parse, decode, service start. Bytes
+        // that are no longer UTF-8 stop at `load`'s `read_to_string`.
+        const SEED: u64 = 43;
+        const CASES: usize = 20_000;
+        println!("seed {SEED}");
+        let mut svc = small_service();
+        svc.ingest(&events(&[(1, 1, "Q1"), (1, 2, "Q2"), (2, 1, "Q3")]))
+            .unwrap();
+        let spilled = svc.catalog().to_json().render_pretty().into_bytes();
+        let mut rng = StdRng::seed_from_u64(SEED);
+        let (mut started, mut errors) = (0, 0);
+        for case in 0..CASES {
+            let mut bytes = spilled.clone();
+            let at = rng.random_range(0..bytes.len());
+            let kind = ["truncate", "flip", "substitute", "insert"][case % 4];
+            match kind {
+                "truncate" => bytes.truncate(at),
+                "flip" => bytes[at] ^= 1 << rng.random_range(0..8u32),
+                "substitute" => bytes[at] = rng.random_range(0..=255u8),
+                _ => bytes.insert(at, rng.random_range(0..=255u8)),
+            }
+            let reload = std::panic::catch_unwind(|| {
+                let text = std::str::from_utf8(&bytes).map_err(|e| e.to_string())?;
+                let doc = Json::parse(text)?;
+                let catalog = CandidateCatalog::from_json(&doc)?;
+                let config = ServiceConfig::new(Scenario::tradeoff_normalized(0.5));
+                AdvisorService::from_catalog(catalog, AdvisorConfig::default(), config)
+                    .map(|_| ())
+                    .map_err(|e| e.to_string())
+            });
+            match reload {
+                Ok(Ok(())) => started += 1,
+                Ok(Err(_)) => errors += 1,
+                Err(_) => panic!("case {case} ({kind} at byte {at}, seed {SEED}) panicked"),
+            }
+        }
+        assert_eq!(started + errors, CASES);
+        assert!(errors > 0, "no damage was caught");
     }
 }

@@ -75,6 +75,43 @@ fn restart_reproduces_the_plan_report_bit_identically() {
 }
 
 #[test]
+fn a_fresh_catalog_accepts_the_event_at_zero_zero() {
+    // A fresh catalog has folded no event, so its high-water mark
+    // `(0, 0)` is no event's position: the event `(0, 0)` is new, and
+    // only once folded is it a replay — before a spill and after the
+    // reload alike.
+    let dir = std::env::temp_dir().join(format!("mv-service-origin-{}", std::process::id()));
+    fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("catalog.json");
+    let origin = || {
+        skew_events(0, 1, "Q1")
+            .into_iter()
+            .map(|e| QueryEvent { query_id: 0, ..e })
+    };
+    let counts = |svc: &AdvisorService| svc.catalog().counts().iter().sum::<u64>();
+
+    let mut svc = service(500, 3, 5);
+    let out = svc.ingest(&origin().collect::<Vec<_>>()).expect("ingest");
+    assert_eq!((out.accepted, out.replayed), (1, 0), "(0, 0) is new");
+    let out = svc.ingest(&origin().collect::<Vec<_>>()).expect("ingest");
+    assert_eq!((out.accepted, out.replayed), (0, 1), "(0, 0) again replays");
+    assert_eq!(counts(&svc), 1);
+
+    svc.spill(&path).expect("spill");
+    let mut reopened = reopen(&path);
+    let mut batch: Vec<_> = origin().collect();
+    batch.extend(skew_events(1, 1, "Q1"));
+    let out = reopened.ingest(&batch).expect("replay");
+    assert_eq!(
+        (out.accepted, out.replayed),
+        (1, 1),
+        "reloaded, (0, 0) replays"
+    );
+    assert_eq!(counts(&reopened), 2);
+    fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn crash_mid_spill_recovers_the_last_durable_state() {
     let dir = std::env::temp_dir().join(format!("mv-service-crash-{}", std::process::id()));
     fs::create_dir_all(&dir).unwrap();
@@ -95,10 +132,11 @@ fn crash_mid_spill_recovers_the_last_durable_state() {
     let recovered = CandidateCatalog::load(&path).expect("reload");
     assert_eq!(recovered, durable, "reload sees the last durable state");
     assert_eq!(
-        recovered.hwm, durable.hwm,
+        recovered.hwm(),
+        durable.hwm(),
         "HWM not advanced past the spill"
     );
-    assert!(recovered.hwm < svc.catalog().hwm);
+    assert!(recovered.hwm() < svc.catalog().hwm());
 
     // Replaying the full stream from a reopened service reconverges:
     // the pre-spill prefix is skipped, the lost tail is re-applied.
@@ -108,8 +146,8 @@ fn crash_mid_spill_recovers_the_last_durable_state() {
     let out = reopened.ingest(&all).expect("replay");
     assert_eq!(out.replayed, 5, "durable prefix is idempotent");
     assert_eq!(out.accepted, 9, "lost tail is re-applied");
-    assert_eq!(reopened.catalog().counts, svc.catalog().counts);
-    assert_eq!(reopened.catalog().hwm, svc.catalog().hwm);
+    assert_eq!(reopened.catalog().counts(), svc.catalog().counts());
+    assert_eq!(reopened.catalog().hwm(), svc.catalog().hwm());
     fs::remove_dir_all(&dir).ok();
 }
 
@@ -158,7 +196,7 @@ proptest! {
         let mut twin = service(rows, n_queries, seed);
         let before = svc.plan().clone();
         let report_before = svc.plan_report().render();
-        let n = svc.catalog().candidates.len();
+        let n = svc.catalog().candidates().len();
 
         let kept: Vec<IncrementalEvaluator<'static>> = std::thread::scope(|scope| {
             let handles: Vec<_> = toggles

@@ -68,7 +68,7 @@ impl LinearFit {
     /// Ordinary least squares over `(gb, hours)` points. Returns `None`
     /// when the regression is under-determined: fewer than two points,
     /// non-finite coordinates, or zero variance in `gb`.
-    pub fn least_squares(points: &[(f64, f64)]) -> Option<LinearFit> {
+    pub(crate) fn least_squares(points: &[(f64, f64)]) -> Option<LinearFit> {
         if points.len() < 2 || points.iter().any(|(x, y)| !x.is_finite() || !y.is_finite()) {
             return None;
         }
@@ -89,7 +89,7 @@ impl LinearFit {
     }
 
     /// Predicted hours for a job touching `gb` gigabytes.
-    pub fn hours(&self, gb: Gb) -> Hours {
+    pub(crate) fn hours(&self, gb: Gb) -> Hours {
         Hours::new(self.intercept + self.slope * gb.value())
     }
 }

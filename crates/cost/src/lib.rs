@@ -59,5 +59,5 @@ pub use fit::{CalibratedParams, LinearFit, MeterSample, WorkKind};
 pub use model::{CloudCostModel, TIME_FOLD_BLOCK};
 pub use mv_pricing::Placement;
 pub use params::{CostContext, Price, QueryCharge, ViewCharge};
-pub use risk::{InterruptionRisk, PoolCharge, MAX_INTERRUPTION};
+pub use risk::{InterruptionRisk, PoolCharge};
 pub use selection::SelectionSet;

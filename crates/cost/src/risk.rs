@@ -35,10 +35,10 @@ use mv_units::Hours;
 
 use crate::Price;
 
-/// Largest admissible per-epoch interruption probability, shared with
-/// the quoting side in `mv-market` via `mv-units`. Probabilities are
-/// clamped here so the geometric expected-attempt factor stays finite.
-pub use mv_units::MAX_INTERRUPTION;
+// The largest admissible per-epoch interruption probability, shared with
+// the quoting side in `mv-market` via `mv-units`. Probabilities are
+// clamped here so the geometric expected-attempt factor stays finite.
+use mv_units::MAX_INTERRUPTION;
 
 /// Per-epoch interruption risk: the probability that the fleet is
 /// reclaimed mid-epoch and in-flight build/refresh work must re-run.
@@ -64,7 +64,7 @@ impl InterruptionRisk {
 
     /// Expected number of attempts until a build/refresh survives the
     /// epoch: `1 / (1 − p)` (geometric). `1.0` exactly at zero risk.
-    pub fn expected_attempts(&self) -> f64 {
+    pub(crate) fn expected_attempts(&self) -> f64 {
         1.0 / (1.0 - self.probability)
     }
 }

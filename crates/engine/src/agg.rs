@@ -13,7 +13,7 @@ pub(crate) const SKIP: u32 = u32::MAX;
 /// view: the materializer canonicalizes it to `Sum` + `Count` so the view
 /// stays re-aggregable (the classical distributive/algebraic split).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum AggFunc {
+pub(crate) enum AggFunc {
     /// Sum of an integer column.
     Sum,
     /// Row count (no input column).
@@ -29,7 +29,7 @@ pub enum AggFunc {
 
 impl AggFunc {
     /// Short lowercase name, used for auto-generated output column names.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             AggFunc::Sum => "sum",
             AggFunc::Count => "count",
@@ -93,12 +93,12 @@ impl AggSpec {
     }
 
     /// The function.
-    pub fn func(&self) -> AggFunc {
+    pub(crate) fn func(&self) -> AggFunc {
         self.func
     }
 
     /// The input column; `None` exactly for `Count`.
-    pub fn column(&self) -> Option<&str> {
+    pub(crate) fn column(&self) -> Option<&str> {
         self.column.as_deref()
     }
 
@@ -113,7 +113,7 @@ impl AggSpec {
     }
 
     /// Renames the output column.
-    pub fn with_alias(mut self, alias: impl Into<String>) -> Self {
+    pub(crate) fn with_alias(mut self, alias: impl Into<String>) -> Self {
         self.alias = alias.into();
         self
     }

@@ -49,7 +49,7 @@ impl ViewCatalog {
     }
 
     /// Removes a view by name, returning it.
-    pub fn deregister(&self, name: &str) -> Result<Arc<MaterializedView>, EngineError> {
+    pub(crate) fn deregister(&self, name: &str) -> Result<Arc<MaterializedView>, EngineError> {
         let mut views = self.write();
         match views.iter().position(|(n, _)| n == name) {
             Some(i) => Ok(views.remove(i).1),
@@ -89,7 +89,7 @@ impl ViewCatalog {
     /// batch, in registration order, returning each view's metered
     /// refresh work. Views are copy-on-write (`Arc::make_mut`), so
     /// readers holding a pre-refresh `Arc` keep a consistent snapshot.
-    pub fn refresh_incremental_all(
+    pub(crate) fn refresh_incremental_all(
         &self,
         delta: &Table,
     ) -> Result<Vec<(String, ExecStats)>, EngineError> {
@@ -105,7 +105,7 @@ impl ViewCatalog {
     /// The smallest registered view able to answer `query`, if any —
     /// smallest by stored row count, which minimises the scan and therefore
     /// the simulated processing time.
-    pub fn best_view_for(&self, query: &AggQuery) -> Option<Arc<MaterializedView>> {
+    pub(crate) fn best_view_for(&self, query: &AggQuery) -> Option<Arc<MaterializedView>> {
         self.read()
             .iter()
             .filter(|(_, v)| v.can_answer(query).is_ok())

@@ -23,7 +23,7 @@ pub enum Column {
 
 impl Column {
     /// An empty column of the given type.
-    pub fn empty(dtype: DataType) -> Self {
+    pub(crate) fn empty(dtype: DataType) -> Self {
         match dtype {
             DataType::Int => Column::Int(Vec::new()),
             DataType::Str => Column::Str {
@@ -34,7 +34,7 @@ impl Column {
     }
 
     /// This column's logical type.
-    pub fn dtype(&self) -> DataType {
+    pub(crate) fn dtype(&self) -> DataType {
         match self {
             Column::Int(_) => DataType::Int,
             Column::Str { .. } => DataType::Str,
@@ -42,20 +42,15 @@ impl Column {
     }
 
     /// Number of rows.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         match self {
             Column::Int(v) => v.len(),
             Column::Str { codes, .. } => codes.len(),
         }
     }
 
-    /// `true` when the column holds no rows.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// The value at `row` as a boundary [`Value`].
-    pub fn value_at(&self, row: usize) -> Value {
+    pub(crate) fn value_at(&self, row: usize) -> Value {
         match self {
             Column::Int(v) => Value::Int(v[row]),
             Column::Str { codes, dict } => Value::Str(dict.decode(codes[row]).to_string()),
@@ -63,7 +58,7 @@ impl Column {
     }
 
     /// Appends a boundary value, interning strings.
-    pub fn push_value(&mut self, value: &Value) -> Result<(), EngineError> {
+    pub(crate) fn push_value(&mut self, value: &Value) -> Result<(), EngineError> {
         match (self, value) {
             (Column::Int(v), Value::Int(i)) => {
                 v.push(*i);
@@ -78,17 +73,6 @@ impl Column {
                 expected: col.dtype().name(),
                 actual: v.type_name(),
             }),
-        }
-    }
-
-    /// Appends a string, interning it. Panics on an `Int` column. No
-    /// non-test caller: the column unit tests and the reference executor
-    /// (`reference_tests.rs`) build string columns with it.
-    #[inline]
-    pub fn push_str(&mut self, s: &str) {
-        match self {
-            Column::Str { codes, dict } => codes.push(dict.intern(s)),
-            Column::Int(_) => panic!("push_str on an int column"),
         }
     }
 
@@ -175,10 +159,24 @@ impl Column {
     }
 
     /// Approximate heap footprint in bytes.
-    pub fn heap_bytes(&self) -> u64 {
+    pub(crate) fn heap_bytes(&self) -> u64 {
         match self {
             Column::Int(v) => 8 * v.len() as u64,
             Column::Str { codes, dict } => 4 * codes.len() as u64 + dict.heap_bytes(),
+        }
+    }
+}
+
+#[cfg(test)]
+impl Column {
+    /// Appends a string, interning it. Panics on an `Int` column. No
+    /// non-test caller: the column unit tests and the reference executor
+    /// (`reference_tests.rs`) build string columns with it.
+    #[inline]
+    pub(crate) fn push_str(&mut self, s: &str) {
+        match self {
+            Column::Str { codes, dict } => codes.push(dict.intern(s)),
+            Column::Int(_) => panic!("push_str on an int column"),
         }
     }
 }

@@ -15,7 +15,7 @@ use crate::{DataType, Field, Schema, Table, TableBuilder, Value};
 
 /// One country with its regions and departments.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Country {
+pub(crate) struct Country {
     /// Country name.
     pub name: &'static str,
     /// `(region, departments)` pairs.
@@ -25,7 +25,7 @@ pub struct Country {
 /// The administrative-geography catalog used by the generator: six
 /// countries, 2–3 regions each, 2–4 departments per region — the same
 /// shape as the paper's France ⊃ Auvergne ⊃ Puy-de-Dôme example.
-pub fn geography() -> Vec<Country> {
+pub(crate) fn geography() -> Vec<Country> {
     vec![
         Country {
             name: "France",
@@ -78,7 +78,7 @@ pub fn geography() -> Vec<Country> {
 }
 
 /// Days in `month` of `year` (Gregorian).
-pub fn days_in_month(year: i64, month: i64) -> i64 {
+pub(crate) fn days_in_month(year: i64, month: i64) -> i64 {
     match month {
         1 | 3 | 5 | 7 | 8 | 10 | 12 => 31,
         4 | 6 | 9 | 11 => 30,

@@ -31,7 +31,7 @@ impl PartialEq for Dictionary {
 
 impl Dictionary {
     /// An empty dictionary.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Dictionary::default()
     }
 
@@ -72,7 +72,7 @@ impl Dictionary {
     }
 
     /// Interns `s`, returning its code (allocating one if unseen).
-    pub fn intern(&mut self, s: &str) -> u32 {
+    pub(crate) fn intern(&mut self, s: &str) -> u32 {
         if self.slots.len() < 2 * (self.values.len() + 1) {
             self.grow();
         }
@@ -90,7 +90,7 @@ impl Dictionary {
     }
 
     /// The code of `s`, if already interned.
-    pub fn lookup(&self, s: &str) -> Option<u32> {
+    pub(crate) fn lookup(&self, s: &str) -> Option<u32> {
         if self.slots.is_empty() {
             return None;
         }
@@ -101,7 +101,7 @@ impl Dictionary {
     ///
     /// # Panics
     /// Panics if the code was not produced by this dictionary.
-    pub fn decode(&self, code: u32) -> &str {
+    pub(crate) fn decode(&self, code: u32) -> &str {
         &self.values[code as usize]
     }
 
@@ -120,7 +120,7 @@ impl Dictionary {
     /// sizes — and so the cost models' storage charges — are computed from
     /// this figure, which is why it is a function of the contents alone and
     /// not of how the index happens to be laid out.
-    pub fn heap_bytes(&self) -> u64 {
+    pub(crate) fn heap_bytes(&self) -> u64 {
         (0..self.values.len() as u32)
             .map(|c| self.entry_bytes(c))
             .sum()

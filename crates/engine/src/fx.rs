@@ -13,7 +13,7 @@ const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 
 /// Multiply-rotate hasher; state is a single `u64`.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct FxHasher {
+pub(crate) struct FxHasher {
     hash: u64,
 }
 
@@ -61,7 +61,7 @@ impl Hasher for FxHasher {
 }
 
 /// `HashMap` keyed with [`FxHasher`].
-pub type FxHashMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<FxHasher>>;
+pub(crate) type FxHashMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
 #[cfg(test)]
 mod tests {

@@ -21,11 +21,11 @@
 //!   rows), materialize them (build work is metered) and answer queries
 //!   from them;
 //! * [`catalog`](ViewCatalog) — best-view routing with base-table
-//!   fallback, plus [`ViewCatalog::refresh_incremental_all`] for
+//!   fallback, plus every registered view's incremental refresh for
 //!   epoch-boundary maintenance;
 //! * [`replay`](ReplayDriver) — the epoch driver: apply a plan's view
 //!   transitions, run the query stream, refresh, and return the metered
-//!   [`EpochReplay`];
+//!   [`replay::EpochReplay`];
 //! * [`metering`](ThroughputModel) — convert metered bytes into
 //!   simulated cluster-hours ([`SimScale`] maps engine bytes to cloud
 //!   gigabytes).
@@ -93,19 +93,19 @@ mod table;
 mod value;
 mod view;
 
-pub use agg::{AggFunc, AggSpec};
+pub(crate) use agg::AggFunc;
+pub use agg::AggSpec;
 pub use catalog::ViewCatalog;
 pub use column::Column;
 pub use datagen::SalesConfig;
 pub use dict::Dictionary;
 pub use error::EngineError;
-pub use fx::{FxHashMap, FxHasher};
 pub use metering::{ExecStats, SimScale, ThroughputModel};
 pub use predicate::{CmpOp, Predicate};
-pub use query::{AggQuery, QueryShape};
-pub use replay::{EpochReplay, QueryExecution, ReplayDriver};
+pub use query::AggQuery;
+pub use replay::ReplayDriver;
 pub use schema::{DataType, Field, Schema};
-pub use sql::{parse_query, ParsedQuery, SqlError};
+pub use sql::parse_query;
 pub use ssb::SsbConfig;
 pub use table::{Table, TableBuilder};
 pub use value::Value;

@@ -46,12 +46,6 @@ pub struct SimScale {
 }
 
 impl SimScale {
-    /// One-to-one scale (the engine size *is* the cloud size). Test seam:
-    /// no non-test caller; the unit tests here meter at it.
-    pub fn identity() -> Self {
-        SimScale { factor: 1.0 }
-    }
-
     /// Scale such that `engine_size` represents `cloud_size`.
     pub fn mapping(engine_size: Gb, cloud_size: Gb) -> Self {
         assert!(
@@ -64,7 +58,7 @@ impl SimScale {
     }
 
     /// Converts an engine-side size to the simulated cloud size.
-    pub fn to_cloud(&self, engine: Gb) -> Gb {
+    pub(crate) fn to_cloud(self, engine: Gb) -> Gb {
         engine * self.factor
     }
 
@@ -121,6 +115,15 @@ impl ThroughputModel {
         }
         Ok(self.job_overhead
             + Hours::new(cloud_gb.value() / (self.scan_gb_per_hour_per_unit * compute_units)))
+    }
+}
+
+#[cfg(test)]
+impl SimScale {
+    /// One-to-one scale (the engine size *is* the cloud size). Test seam:
+    /// no non-test caller; the unit tests here meter at it.
+    pub(crate) fn identity() -> Self {
+        SimScale { factor: 1.0 }
     }
 }
 

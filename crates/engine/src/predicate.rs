@@ -57,16 +57,6 @@ pub enum Predicate {
 }
 
 impl Predicate {
-    /// `column = literal`. No non-test caller: the shorthand the
-    /// predicate, view and reference-executor tests build filters with.
-    pub fn eq(column: impl Into<String>, literal: impl Into<Value>) -> Self {
-        Predicate::Cmp {
-            column: column.into(),
-            op: CmpOp::Eq,
-            literal: literal.into(),
-        }
-    }
-
     /// `column op literal`. No non-test caller: the shorthand the
     /// predicate and query unit tests, the reference executor
     /// (`reference_tests.rs`) and `tests/proptests.rs` build filters with.
@@ -79,7 +69,7 @@ impl Predicate {
     }
 
     /// All column names referenced by the predicate (with duplicates).
-    pub fn columns(&self) -> Vec<&str> {
+    pub(crate) fn columns(&self) -> Vec<&str> {
         let mut out = Vec::new();
         self.collect_columns(&mut out);
         out
@@ -97,7 +87,7 @@ impl Predicate {
     }
 
     /// Evaluates to one boolean per row.
-    pub fn eval(&self, table: &Table) -> Result<Vec<bool>, EngineError> {
+    pub(crate) fn eval(&self, table: &Table) -> Result<Vec<bool>, EngineError> {
         match self {
             Predicate::Cmp {
                 column,
@@ -170,6 +160,19 @@ fn eval_cmp(
             expected: c.dtype().name(),
             actual: v.type_name(),
         }),
+    }
+}
+
+#[cfg(test)]
+impl Predicate {
+    /// `column = literal`. No non-test caller: the shorthand the
+    /// predicate, view and reference-executor tests build filters with.
+    pub(crate) fn eq(column: impl Into<String>, literal: impl Into<Value>) -> Self {
+        Predicate::Cmp {
+            column: column.into(),
+            op: CmpOp::Eq,
+            literal: literal.into(),
+        }
     }
 }
 

@@ -211,25 +211,6 @@ impl Plan<'_> {
     }
 }
 
-/// Serializable description of a query (without predicates), used in
-/// experiment configs. Lossless for the paper's workload class.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct QueryShape {
-    /// Query identifier.
-    pub name: String,
-    /// Group-by column names.
-    pub group_by: Vec<String>,
-}
-
-impl From<&AggQuery> for QueryShape {
-    fn from(q: &AggQuery) -> Self {
-        QueryShape {
-            name: q.name.clone(),
-            group_by: q.group_by.clone(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -360,13 +341,5 @@ mod tests {
         let (serial, _) = q.execute(&sales()).unwrap();
         let (par, _) = q.execute_with_threads(&sales(), 4).unwrap();
         assert_eq!(serial.to_sorted_rows(), par.to_sorted_rows());
-    }
-
-    #[test]
-    fn shape_roundtrip() {
-        let q = AggQuery::new("q1", &["year", "country"], vec![AggSpec::sum("profit")]);
-        let shape = QueryShape::from(&q);
-        assert_eq!(shape.name, "q1");
-        assert_eq!(shape.group_by, vec!["year", "country"]);
     }
 }

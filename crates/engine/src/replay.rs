@@ -80,7 +80,7 @@ impl<'a> ReplayDriver<'a> {
 
     /// Materializes `view` from the base table and registers it,
     /// returning the metered build work.
-    pub fn install(&mut self, def: crate::ViewDefinition) -> Result<ExecStats, EngineError> {
+    pub(crate) fn install(&mut self, def: crate::ViewDefinition) -> Result<ExecStats, EngineError> {
         let view = MaterializedView::materialize_with_threads(def, self.base, self.threads)?;
         let build = *view.build_stats();
         self.catalog.register(view)?;
@@ -90,13 +90,13 @@ impl<'a> ReplayDriver<'a> {
     }
 
     /// Drops a standing view (its build cost is forfeited).
-    pub fn drop_view(&mut self, name: &str) -> Result<(), EngineError> {
+    pub(crate) fn drop_view(&mut self, name: &str) -> Result<(), EngineError> {
         self.catalog.deregister(name).map(|_| ())
     }
 
     /// Executes one query through the catalog (best-view routing, base
     /// fallback).
-    pub fn run_query(&self, query: &AggQuery) -> Result<QueryExecution, EngineError> {
+    pub(crate) fn run_query(&self, query: &AggQuery) -> Result<QueryExecution, EngineError> {
         let (_, stats, via_view) = self.catalog.execute(query, self.base)?;
         mv_obs::inc(mv_obs::Counter::EngineQueries);
         if via_view.is_some() {

@@ -15,7 +15,7 @@ pub enum DataType {
 
 impl DataType {
     /// Short name for error messages.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             DataType::Int => "int",
             DataType::Str => "str",
@@ -24,7 +24,7 @@ impl DataType {
 
     /// Bytes scanned per row for work metering (integers are 8 bytes,
     /// dictionary codes 4).
-    pub fn byte_width(self) -> u64 {
+    pub(crate) fn byte_width(self) -> u64 {
         match self {
             DataType::Int => 8,
             DataType::Str => 4,
@@ -78,13 +78,8 @@ impl Schema {
     }
 
     /// Number of columns.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.fields.len()
-    }
-
-    /// `true` for the empty schema.
-    pub fn is_empty(&self) -> bool {
-        self.fields.is_empty()
     }
 
     /// Index of the column called `name`.
@@ -98,7 +93,7 @@ impl Schema {
     }
 
     /// The field called `name`.
-    pub fn field(&self, name: &str) -> Result<&Field, EngineError> {
+    pub(crate) fn field(&self, name: &str) -> Result<&Field, EngineError> {
         self.index_of(name).map(|i| &self.fields[i])
     }
 
@@ -151,7 +146,6 @@ mod tests {
     #[test]
     fn empty_schema() {
         let s = Schema::new(vec![]).unwrap();
-        assert!(s.is_empty());
         assert_eq!(s.len(), 0);
         assert_eq!(s.row_byte_width(), 0);
     }

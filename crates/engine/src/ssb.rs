@@ -44,7 +44,7 @@ const BRANDS_PER_CATEGORY: usize = 8;
 ///   `(c_region, c_nation, c_city)`;
 /// * part: `(p_mfgr)`, `(p_mfgr, p_category)`,
 ///   `(p_mfgr, p_category, p_brand)`.
-pub fn lineorder_schema() -> Schema {
+pub(crate) fn lineorder_schema() -> Schema {
     Schema::new(vec![
         Field::new("d_year", DataType::Int),
         Field::new("d_month", DataType::Int),

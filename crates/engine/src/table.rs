@@ -28,7 +28,7 @@ impl Table {
     }
 
     /// Builds a table from pre-filled columns, validating lengths.
-    pub fn new(schema: Schema, columns: Vec<Column>) -> Result<Self, EngineError> {
+    pub(crate) fn new(schema: Schema, columns: Vec<Column>) -> Result<Self, EngineError> {
         let rows = columns.first().map(Column::len).unwrap_or(0);
         if columns.len() != schema.len() {
             return Err(EngineError::LengthMismatch {

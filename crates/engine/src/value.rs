@@ -15,7 +15,7 @@ pub enum Value {
 
 impl Value {
     /// Short type name for error messages.
-    pub fn type_name(&self) -> &'static str {
+    pub(crate) fn type_name(&self) -> &'static str {
         match self {
             Value::Int(_) => "int",
             Value::Str(_) => "str",

@@ -68,17 +68,17 @@ impl ViewDefinition {
     }
 
     /// View name.
-    pub fn name(&self) -> &str {
+    pub(crate) fn name(&self) -> &str {
         &self.name
     }
 
     /// Group-by key columns (base-table names).
-    pub fn group_by(&self) -> &[String] {
+    pub(crate) fn group_by(&self) -> &[String] {
         &self.group_by
     }
 
     /// Stored measures: no `Avg`, always a `Count`.
-    pub fn measures(&self) -> &[AggSpec] {
+    pub(crate) fn measures(&self) -> &[AggSpec] {
         &self.measures
     }
 

@@ -17,12 +17,12 @@ impl Cuboid {
     }
 
     /// Per-dimension level indices.
-    pub fn levels(&self) -> &[u8] {
+    pub(crate) fn levels(&self) -> &[u8] {
         &self.0
     }
 
     /// Number of dimensions.
-    pub fn arity(&self) -> usize {
+    pub(crate) fn arity(&self) -> usize {
         self.0.len()
     }
 
@@ -31,12 +31,6 @@ impl Cuboid {
     pub fn covers(&self, other: &Cuboid) -> bool {
         debug_assert_eq!(self.0.len(), other.0.len());
         self.0.iter().zip(&other.0).all(|(a, b)| a >= b)
-    }
-
-    /// Strictly finer: covers and differs. Test reference: no non-test
-    /// caller; the Hasse-neighbour tests state the order with it.
-    pub fn strictly_covers(&self, other: &Cuboid) -> bool {
-        self.covers(other) && self != other
     }
 
     /// The *coarsest* cuboid that covers both inputs: component-wise max.
@@ -72,6 +66,15 @@ impl Cuboid {
     /// sums).
     pub fn rank(&self) -> u32 {
         self.0.iter().map(|&l| l as u32).sum()
+    }
+}
+
+#[cfg(test)]
+impl Cuboid {
+    /// Strictly finer: covers and differs. Test reference: no non-test
+    /// caller; the Hasse-neighbour tests state the order with it.
+    pub(crate) fn strictly_covers(&self, other: &Cuboid) -> bool {
+        self.covers(other) && self != other
     }
 }
 

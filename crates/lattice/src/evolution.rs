@@ -109,7 +109,7 @@ impl WorkloadEvolution {
 
     /// Epoch `epoch`'s frequency multipliers, one per query of an
     /// `n`-query workload. Always finite and ≥ 0.
-    pub fn multipliers(&self, n: usize, epoch: usize) -> Vec<f64> {
+    pub(crate) fn multipliers(&self, n: usize, epoch: usize) -> Vec<f64> {
         match self.kind {
             EvolutionKind::Static => vec![1.0; n],
             EvolutionKind::Drift { rate } => (0..n)

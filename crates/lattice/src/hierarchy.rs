@@ -82,7 +82,7 @@ impl Dimension {
     }
 
     /// The levels, apex first.
-    pub fn levels(&self) -> &[Level] {
+    pub(crate) fn levels(&self) -> &[Level] {
         &self.levels
     }
 
@@ -93,7 +93,7 @@ impl Dimension {
 
     /// The paper's time dimension over `years` calendar years:
     /// `ALL < year < month < day`.
-    pub fn paper_time(years: u64) -> Dimension {
+    pub(crate) fn paper_time(years: u64) -> Dimension {
         Dimension::new(
             "time",
             vec![
@@ -111,7 +111,7 @@ impl Dimension {
     /// The paper's geography dimension:
     /// `ALL < country < region < department`, with the cardinalities of the
     /// generator's catalog (6 countries, 14 regions, 36 departments).
-    pub fn paper_geography() -> Dimension {
+    pub(crate) fn paper_geography() -> Dimension {
         Dimension::new(
             "geography",
             vec![

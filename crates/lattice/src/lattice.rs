@@ -52,7 +52,7 @@ impl Lattice {
     /// Lazily iterates every cuboid in lexicographic level order (apex
     /// first) without materializing the `num_cuboids()`-sized vector —
     /// [`crate::candidates::hru_greedy`] re-walks the lattice per pick.
-    pub fn iter_cuboids(&self) -> impl Iterator<Item = Cuboid> + '_ {
+    pub(crate) fn iter_cuboids(&self) -> impl Iterator<Item = Cuboid> + '_ {
         let mut next = Some(vec![0u8; self.dims.len()]);
         std::iter::from_fn(move || {
             let current = next.take()?;
@@ -136,22 +136,6 @@ impl Lattice {
             .fold(1u64, u64::saturating_mul)
     }
 
-    /// Direct parents in the Hasse diagram: one dimension coarsened by one
-    /// level (cuboids `self` can be rolled up *to* in one step... direction:
-    /// a parent is coarser). Test reference: no non-test caller; the dual
-    /// the tests check their `children` against.
-    pub fn parents(&self, cuboid: &Cuboid) -> Vec<Cuboid> {
-        let mut out = Vec::new();
-        for (i, l) in cuboid.levels().iter().enumerate() {
-            if *l > 0 {
-                let mut levels = cuboid.levels().to_vec();
-                levels[i] -= 1;
-                out.push(Cuboid::new(levels));
-            }
-        }
-        out
-    }
-
     /// Maps a set of group-by columns back to the cuboid with exactly those
     /// key columns (order-insensitive).
     pub fn cuboid_for_columns(&self, columns: &[String]) -> Result<Cuboid, LatticeError> {
@@ -167,6 +151,25 @@ impl Lattice {
         Err(LatticeError::NoSuchCuboid {
             columns: columns.to_vec(),
         })
+    }
+}
+
+#[cfg(test)]
+impl Lattice {
+    /// Direct parents in the Hasse diagram: one dimension coarsened by one
+    /// level (cuboids `self` can be rolled up *to* in one step... direction:
+    /// a parent is coarser). Test reference: no non-test caller; the dual
+    /// the tests check their `children` against.
+    pub(crate) fn parents(&self, cuboid: &Cuboid) -> Vec<Cuboid> {
+        let mut out = Vec::new();
+        for (i, l) in cuboid.levels().iter().enumerate() {
+            if *l > 0 {
+                let mut levels = cuboid.levels().to_vec();
+                levels[i] -= 1;
+                out.push(Cuboid::new(levels));
+            }
+        }
+        out
     }
 }
 

@@ -36,5 +36,5 @@ pub use estimate::{cardenas, SizeEstimator};
 pub use evolution::{EvolutionKind, WorkloadEvolution};
 pub use hierarchy::{Dimension, Level};
 pub use lattice::Lattice;
-pub use scale::{ScaleShape, SparseCoverage};
+pub use scale::ScaleShape;
 pub use workload::{paper_workload, LatticeQuery, LatticeWorkload, LoweredQuery};

@@ -28,8 +28,9 @@
 //!   `PricingPolicy` through the pricing crate's `scale_rates` hooks.
 //! * [`tree`](ScenarioTree) — shared-prefix factoring of K sampled
 //!   paths into a scenario forest (one node per distinct quote-prefix,
-//!   keyed on [`EpochQuote::solve_key`], interruption *events*
-//!   excluded — the one rule for when two paths are the same).
+//!   keyed on each quote's price factors and interruption probability,
+//!   interruption *events* excluded — the one rule for when two paths
+//!   are the same).
 //!   Tree-aware Monte-Carlo solvers pay one solve per node instead of
 //!   per path × epoch; a deterministic market degenerates to a single
 //!   chain.

@@ -45,7 +45,7 @@ impl PriceFactors {
 
     /// Component-wise product (stacked processes compose
     /// multiplicatively).
-    pub fn combine(self, other: PriceFactors) -> PriceFactors {
+    pub(crate) fn combine(self, other: PriceFactors) -> PriceFactors {
         PriceFactors {
             compute: self.compute * other.compute,
             storage: self.storage * other.storage,
@@ -67,7 +67,7 @@ pub struct ProcessQuote {
 
 impl ProcessQuote {
     /// The do-nothing quote.
-    pub const UNIT: ProcessQuote = ProcessQuote {
+    pub(crate) const UNIT: ProcessQuote = ProcessQuote {
         factors: PriceFactors::UNIT,
         interruption: 0.0,
     };
@@ -175,7 +175,7 @@ pub struct SpotMarket {
 
 impl SpotMarket {
     /// Smallest admissible price factor (prices never reach zero).
-    pub const PRICE_FLOOR: f64 = 0.01;
+    pub(crate) const PRICE_FLOOR: f64 = 0.01;
 
     /// A calm spot market centered on the on-demand price: mean and
     /// start 1.0, mild reversion, the given volatility, interruptions
@@ -349,7 +349,7 @@ impl CorrelatedHazard {
 }
 
 /// One composable force on the price sheet. See the variants' types for
-/// semantics; [`PriceProcess::sample`] yields the whole horizon.
+/// semantics; a [`crate::MarketScenario`] samples whole horizons from them.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PriceProcess {
     /// Announced step price change.
@@ -367,7 +367,7 @@ impl PriceProcess {
     /// Samples the process over `epochs` epochs. Stochastic variants
     /// draw from `rng` in a fixed order; deterministic variants consume
     /// no draws.
-    pub fn sample(&self, epochs: usize, rng: &mut StdRng) -> Vec<ProcessQuote> {
+    pub(crate) fn sample(&self, epochs: usize, rng: &mut StdRng) -> Vec<ProcessQuote> {
         match self {
             PriceProcess::Cut(c) => (0..epochs).map(|e| c.quote(e)).collect(),
             PriceProcess::StorageDecay(d) => (0..epochs).map(|e| d.quote(e)).collect(),

@@ -37,13 +37,6 @@ pub struct EpochQuote {
 }
 
 impl EpochQuote {
-    /// The identity quote: base prices, no interruption risk.
-    pub const UNIT: EpochQuote = EpochQuote {
-        factors: PriceFactors::UNIT,
-        interruption: 0.0,
-        interrupted: false,
-    };
-
     /// The solve-relevant identity of the quote: the three price-factor
     /// bits plus the interruption-*probability* bits. The Bernoulli
     /// `interrupted` event flag is excluded — it is reporting-only
@@ -51,7 +44,7 @@ impl EpochQuote {
     /// with equal keys re-price and risk-adjust bit-identically. This
     /// is the one rule for path identity: the merge key of
     /// [`crate::ScenarioTree`].
-    pub fn solve_key(&self) -> [u64; 4] {
+    pub(crate) fn solve_key(&self) -> [u64; 4] {
         [
             self.factors.compute.to_bits(),
             self.factors.storage.to_bits(),
@@ -150,6 +143,16 @@ impl MarketScenario {
         }
         MarketPath { path, quotes }
     }
+}
+
+#[cfg(test)]
+impl EpochQuote {
+    /// The identity quote: base prices, no interruption risk.
+    pub(crate) const UNIT: EpochQuote = EpochQuote {
+        factors: PriceFactors::UNIT,
+        interruption: 0.0,
+        interrupted: false,
+    };
 }
 
 #[cfg(test)]

@@ -66,7 +66,7 @@ thread_local! {
 
 /// Adds `n` to counter `c` — no-op while telemetry is disabled.
 #[inline(always)]
-pub fn add(c: Counter, n: u64) {
+pub(crate) fn add(c: Counter, n: u64) {
     if crate::enabled() {
         CELLS[c as usize].fetch_add(n, Ordering::Relaxed);
         LOCAL.with(|local| {
@@ -79,7 +79,7 @@ pub fn add(c: Counter, n: u64) {
 /// Reads counter `c`'s process-lifetime total (readable even while
 /// disabled — it just stops moving).
 #[inline]
-pub fn get(c: Counter) -> u64 {
+pub(crate) fn get(c: Counter) -> u64 {
     CELLS[c as usize].load(Ordering::Relaxed)
 }
 
@@ -90,7 +90,7 @@ fn all_local() -> [u64; COUNT] {
 }
 
 /// Reads every counter in [`Counter::ALL`] order.
-pub fn all() -> [u64; COUNT] {
+pub(crate) fn all() -> [u64; COUNT] {
     let mut out = [0u64; COUNT];
     for (slot, c) in out.iter_mut().zip(Counter::ALL) {
         *slot = get(c);

@@ -22,11 +22,11 @@ name_table! {
 }
 
 /// Buckets per histogram: upper bounds `2^0 .. 2^15`, then overflow.
-pub const BUCKETS: usize = 17;
+pub(crate) const BUCKETS: usize = 17;
 
 impl Hist {
     /// Inclusive upper bound of bucket `i` (`None` for the overflow).
-    pub fn bucket_upper(i: usize) -> Option<u64> {
+    pub(crate) fn bucket_upper(i: usize) -> Option<u64> {
         (i + 1 < BUCKETS).then(|| 1u64 << i)
     }
 }
@@ -48,7 +48,7 @@ fn bucket_of(value: u64) -> usize {
 
 /// Records one observation — no-op while telemetry is disabled.
 #[inline(always)]
-pub fn record(h: Hist, value: u64) {
+pub(crate) fn record(h: Hist, value: u64) {
     if crate::enabled() {
         CELLS[h as usize][bucket_of(value)].fetch_add(1, Ordering::Relaxed);
         SUMS[h as usize].fetch_add(value, Ordering::Relaxed);
@@ -56,7 +56,7 @@ pub fn record(h: Hist, value: u64) {
 }
 
 /// Reads histogram `h`: per-bucket counts plus the running sum.
-pub fn read(h: Hist) -> ([u64; BUCKETS], u64) {
+pub(crate) fn read(h: Hist) -> ([u64; BUCKETS], u64) {
     let mut buckets = [0u64; BUCKETS];
     for (slot, cell) in buckets.iter_mut().zip(&CELLS[h as usize]) {
         *slot = cell.load(Ordering::Relaxed);

@@ -62,7 +62,7 @@ macro_rules! name_table {
             pub const ALL: [$ty; COUNT] = [$($ty::$variant),+];
 
             /// Stable snapshot key, `subsystem/metric`.
-            pub fn name(self) -> &'static str {
+            pub(crate) fn name(self) -> &'static str {
                 match self {
                     $($ty::$variant => $name,)+
                 }
@@ -81,9 +81,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 pub use counter::{Counter, CounterGuard};
 pub use hist::Hist;
-pub use ring::Event;
-pub use snapshot::{HistStat, Snapshot, SpanStat};
-pub use span::SpanGuard;
+pub use snapshot::Snapshot;
 
 /// Fast-path switch: one relaxed load per instrumentation site.
 static ENABLED: AtomicBool = AtomicBool::new(false);

@@ -14,7 +14,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 /// Total events retained across all stripes.
-pub const CAPACITY: usize = 1024;
+pub(crate) const CAPACITY: usize = 1024;
 const STRIPES: usize = 8;
 const STRIPE_CAP: usize = CAPACITY / STRIPES;
 
@@ -38,7 +38,7 @@ fn stripes() -> &'static [Mutex<VecDeque<Event>>; STRIPES] {
 
 /// Appends an event — no-op while telemetry is disabled.
 #[inline(always)]
-pub fn push(kind: &'static str, fields: &[(&'static str, f64)]) {
+pub(crate) fn push(kind: &'static str, fields: &[(&'static str, f64)]) {
     if !crate::enabled() {
         return;
     }
@@ -58,12 +58,12 @@ pub fn push(kind: &'static str, fields: &[(&'static str, f64)]) {
 }
 
 /// Total events ever emitted (monotonic, survives eviction).
-pub fn seen() -> u64 {
+pub(crate) fn seen() -> u64 {
     SEQ.load(Ordering::Relaxed)
 }
 
 /// The retained tail, sorted by sequence number.
-pub fn tail() -> Vec<Event> {
+pub(crate) fn tail() -> Vec<Event> {
     let mut out: Vec<Event> = Vec::new();
     for stripe in stripes() {
         let stripe = stripe.lock().unwrap_or_else(|e| e.into_inner());

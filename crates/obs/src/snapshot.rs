@@ -181,10 +181,13 @@ impl Snapshot {
             .find(|(n, _)| *n == name)
             .map_or(0, |&(_, v)| v)
     }
+}
 
+#[cfg(test)]
+impl Snapshot {
     /// Looks up a span by its full path. No non-test caller: the span
     /// test in `lib.rs` (`span_paths_nest`) reads nested paths with it.
-    pub fn span(&self, path: &str) -> Option<&SpanStat> {
+    pub(crate) fn span(&self, path: &str) -> Option<&SpanStat> {
         self.spans.iter().find(|s| s.path == path)
     }
 }

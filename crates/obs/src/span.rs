@@ -16,11 +16,11 @@ use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 /// Separator between nested span names in an aggregated path.
-pub const PATH_SEP: &str = " + ";
+pub(crate) const PATH_SEP: &str = " + ";
 
 /// One aggregated cell: how often a path ran and for how long.
 #[derive(Clone, Copy, Default)]
-pub struct Cell {
+pub(crate) struct Cell {
     pub count: u64,
     pub total_ns: u64,
     pub max_ns: u64,
@@ -108,7 +108,7 @@ fn record(path: &str, elapsed_ns: u64) {
 }
 
 /// Reads every aggregated span path, sorted by path.
-pub fn all() -> Vec<(String, Cell)> {
+pub(crate) fn all() -> Vec<(String, Cell)> {
     let mut out: Vec<(String, Cell)> = Vec::new();
     for stripe in stripes() {
         let map = stripe.lock().unwrap_or_else(|e| e.into_inner());

@@ -14,7 +14,7 @@ use crate::{PricingError, PricingPolicy, StorageTimeline};
 
 /// The kind of resource a ledger entry charges.
 #[derive(Debug, Clone, PartialEq)]
-pub enum UsageKind {
+pub(crate) enum UsageKind {
     /// Instance-hours on a named configuration.
     Compute {
         /// Instance configuration name.
@@ -44,7 +44,7 @@ pub enum UsageKind {
 /// A usage record with a human-readable label ("query workload",
 /// "materialize V1", …).
 #[derive(Debug, Clone, PartialEq)]
-pub struct LineItem {
+pub(crate) struct LineItem {
     /// What the charge is for.
     pub label: String,
     /// The recorded usage.

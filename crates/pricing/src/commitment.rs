@@ -66,7 +66,7 @@ impl CommitmentPlan {
 
     /// Consecutive reservation terms needed to cover a billing horizon
     /// (partially-used final terms still pay their full upfront).
-    pub fn terms_for(&self, horizon: Months) -> u32 {
+    pub(crate) fn terms_for(&self, horizon: Months) -> u32 {
         (horizon.value() / self.term.value()).ceil().max(1.0) as u32
     }
 

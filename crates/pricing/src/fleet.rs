@@ -42,7 +42,7 @@ impl Placement {
     }
 
     /// Short label for reports.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             Placement::Reserved => "reserved",
             Placement::Spot => "spot",
@@ -81,7 +81,7 @@ impl PoolTerms {
     /// On-demand parity terms: a rate factor of exactly `1.0` — charging
     /// through them is bit-identical to the base sheet, which the
     /// degenerate-fleet conformance tests lean on.
-    pub fn on_demand() -> PoolTerms {
+    pub(crate) fn on_demand() -> PoolTerms {
         PoolTerms {
             rate_factor: 1.0,
             commitment: None,

@@ -27,7 +27,7 @@ pub struct InstanceType {
 
 impl InstanceType {
     /// Convenience constructor.
-    pub fn new(
+    pub(crate) fn new(
         name: impl Into<String>,
         ram_gb: f64,
         compute_units: f64,
@@ -45,7 +45,8 @@ impl InstanceType {
 
     /// This configuration with its hourly rate multiplied by `factor`
     /// (name, capacities unchanged) — the one per-instance re-pricing
-    /// rule, which [`ComputePricing::scale_rates`] maps over a catalog.
+    /// rule, which [`crate::PricingPolicy::scale_rates`] maps over a
+    /// catalog.
     /// A factor of exactly `1.0` returns a bit-identical clone.
     pub fn scaled(&self, factor: f64) -> InstanceType {
         InstanceType {
@@ -67,7 +68,7 @@ pub struct InstanceCatalog {
 
 impl InstanceCatalog {
     /// Builds a catalog, rejecting duplicate names.
-    pub fn new(instances: Vec<InstanceType>) -> Result<Self, PricingError> {
+    pub(crate) fn new(instances: Vec<InstanceType>) -> Result<Self, PricingError> {
         for (i, a) in instances.iter().enumerate() {
             for b in &instances[i + 1..] {
                 if a.name == b.name {
@@ -81,7 +82,7 @@ impl InstanceCatalog {
     }
 
     /// Looks up a configuration by name.
-    pub fn get(&self, name: &str) -> Result<&InstanceType, PricingError> {
+    pub(crate) fn get(&self, name: &str) -> Result<&InstanceType, PricingError> {
         self.instances
             .iter()
             .find(|i| i.name == name)
@@ -118,7 +119,7 @@ pub struct ComputePricing {
 impl ComputePricing {
     /// Compute pricing with the paper's rules: round the total up to whole
     /// hours.
-    pub fn paper_rules(catalog: InstanceCatalog) -> Self {
+    pub(crate) fn paper_rules(catalog: InstanceCatalog) -> Self {
         ComputePricing {
             catalog,
             rounding: BillingRounding::PerStartedHour,
@@ -143,7 +144,7 @@ impl ComputePricing {
     /// price-drift hook used by `mv-market` to model spot swings and
     /// announced price cuts. A factor of exactly `1.0` returns a
     /// bit-identical clone.
-    pub fn scale_rates(&self, factor: f64) -> ComputePricing {
+    pub(crate) fn scale_rates(&self, factor: f64) -> ComputePricing {
         assert!(
             factor.is_finite() && factor >= 0.0,
             "rate factor must be finite and non-negative, got {factor}"

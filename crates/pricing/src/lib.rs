@@ -12,8 +12,8 @@
 //! # Module map
 //!
 //! * [`tier`](TierSchedule) — volume-tiered rate schedules (Tables 3–4's
-//!   shape), graduated or flat-by-volume, with [`TierSchedule::scale_rates`]
-//!   as the price-drift hook;
+//!   shape), graduated or flat-by-volume, rescaled by
+//!   [`PricingPolicy::scale_rates`] as the price-drift hook;
 //! * [`instance`](ComputePricing) — the instance catalog, billing rounding
 //!   rules and Formula 4 compute charges;
 //! * [`storage`](StoragePricing) — interval-based storage timelines and
@@ -66,7 +66,7 @@ mod storage;
 mod tier;
 mod transfer;
 
-pub use billing::{Invoice, InvoiceLine, LineItem, UsageKind, UsageLedger};
+pub use billing::{Invoice, InvoiceLine, UsageLedger};
 pub use commitment::{CommitmentComparison, CommitmentPlan};
 pub use error::PricingError;
 pub use fleet::{FleetPlan, Placement, PoolTerms};
@@ -95,7 +95,7 @@ pub struct PricingPolicy {
 
 impl PricingPolicy {
     /// Convenience constructor.
-    pub fn new(
+    pub(crate) fn new(
         name: impl Into<String>,
         compute: ComputePricing,
         transfer: TransferPricing,

@@ -35,8 +35,8 @@ impl StoragePricing {
     }
 
     /// The least [`StoragePricing::cost`] over `duration` of any size at
-    /// or above `size` ([`TierSchedule::least_cost_from`]; `Money::scale`
-    /// never falls as the amount grows).
+    /// or above `size` (the schedule's least charge from that volume
+    /// on; `Money::scale` never falls as the amount grows).
     pub fn floor_cost(&self, size: Gb, duration: Months) -> Money {
         self.monthly.least_cost_from(size).scale(duration.value())
     }
@@ -54,7 +54,7 @@ impl StoragePricing {
     /// `factor` — the price-drift hook used by `mv-market` to model
     /// storage-cost decay. A factor of exactly `1.0` returns a
     /// bit-identical clone.
-    pub fn scale_rates(&self, factor: f64) -> StoragePricing {
+    pub(crate) fn scale_rates(&self, factor: f64) -> StoragePricing {
         StoragePricing {
             monthly: self.monthly.scale_rates(factor),
         }
@@ -74,7 +74,7 @@ pub struct StorageInterval {
 
 impl StorageInterval {
     /// `t_end − t_start`.
-    pub fn duration(&self) -> Months {
+    pub(crate) fn duration(&self) -> Months {
         self.end - self.start
     }
 }
@@ -123,12 +123,12 @@ impl StorageTimeline {
     }
 
     /// The billing horizon.
-    pub fn horizon(&self) -> Months {
+    pub(crate) fn horizon(&self) -> Months {
         self.horizon
     }
 
     /// Stored size after the last recorded event.
-    pub fn size_at_end(&self) -> Gb {
+    pub(crate) fn size_at_end(&self) -> Gb {
         self.last.1
     }
 
@@ -153,7 +153,7 @@ impl StorageTimeline {
     }
 
     /// GB-months integral of the whole timeline (used by reports).
-    pub fn gb_months(&self) -> f64 {
+    pub(crate) fn gb_months(&self) -> f64 {
         self.intervals()
             .iter()
             .map(|iv| iv.size.value() * iv.duration().value())

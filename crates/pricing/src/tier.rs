@@ -95,7 +95,7 @@ impl TierSchedule {
     }
 
     /// A single-rate schedule: every gigabyte costs `rate`.
-    pub fn flat(rate: Money) -> Self {
+    pub(crate) fn flat(rate: Money) -> Self {
         TierSchedule {
             tiers: vec![Tier::rest(rate)],
             mode: TierMode::Graduated,
@@ -103,7 +103,7 @@ impl TierSchedule {
     }
 
     /// A schedule that charges nothing (the paper's inbound transfer).
-    pub fn free() -> Self {
+    pub(crate) fn free() -> Self {
         TierSchedule::flat(Money::ZERO)
     }
 
@@ -126,7 +126,7 @@ impl TierSchedule {
     /// price-drift hook used by `mv-market` to compile per-epoch pricing
     /// models. A factor of exactly `1.0` returns a bit-identical clone,
     /// so a zero-volatility market reproduces the base schedule exactly.
-    pub fn scale_rates(&self, factor: f64) -> TierSchedule {
+    pub(crate) fn scale_rates(&self, factor: f64) -> TierSchedule {
         assert!(
             factor.is_finite() && factor >= 0.0,
             "rate factor must be finite and non-negative, got {factor}"
@@ -189,7 +189,7 @@ impl TierSchedule {
     /// least volume, and `Money::scale` never falls as its factor grows,
     /// so `cost_for(v)` is at least the bracket's term (zero volume
     /// bills zero, and is only reached from zero).
-    pub fn least_cost_from(&self, volume: Gb) -> Money {
+    pub(crate) fn least_cost_from(&self, volume: Gb) -> Money {
         match self.mode {
             TierMode::Graduated => self.cost_for(volume),
             TierMode::FlatByVolume => {

@@ -21,7 +21,7 @@ pub struct TransferPricing {
 
 impl TransferPricing {
     /// Free inbound + the given outbound schedule (the AWS shape).
-    pub fn free_inbound(outbound: TierSchedule) -> Self {
+    pub(crate) fn free_inbound(outbound: TierSchedule) -> Self {
         TransferPricing {
             inbound: TierSchedule::free(),
             outbound,
@@ -48,7 +48,7 @@ impl TransferPricing {
     /// `factor` — the price-drift hook used by `mv-market`. A factor of
     /// exactly `1.0` returns a bit-identical clone; free tiers stay free
     /// under any factor.
-    pub fn scale_rates(&self, factor: f64) -> TransferPricing {
+    pub(crate) fn scale_rates(&self, factor: f64) -> TransferPricing {
         TransferPricing {
             inbound: self.inbound.scale_rates(factor),
             outbound: self.outbound.scale_rates(factor),

@@ -26,14 +26,14 @@ use crate::{Evaluation, IncrementalEvaluator, Outcome, Scenario, SelectionProble
 
 /// Solves `scenario` by branch-and-bound. Returns the same selection as
 /// exhaustive search (property-tested), pruning with admissible bounds.
-pub fn solve_bnb(problem: &SelectionProblem, scenario: Scenario) -> Outcome {
+pub(crate) fn solve_bnb(problem: &SelectionProblem, scenario: Scenario) -> Outcome {
     solve_bnb_counted(problem, scenario).0
 }
 
 /// Node counters of one [`solve_bnb_counted`] search (the pruning test
 /// reads them).
 #[derive(Debug, Default, Clone, Copy)]
-pub struct BnbStats {
+pub(crate) struct BnbStats {
     /// Nodes visited.
     pub visited: u64,
     /// Subtrees pruned by bounds.
@@ -41,7 +41,10 @@ pub struct BnbStats {
 }
 
 /// [`solve_bnb`] variant that also reports node counters.
-pub fn solve_bnb_counted(problem: &SelectionProblem, scenario: Scenario) -> (Outcome, BnbStats) {
+pub(crate) fn solve_bnb_counted(
+    problem: &SelectionProblem,
+    scenario: Scenario,
+) -> (Outcome, BnbStats) {
     let baseline = problem.baseline();
     // Seed the incumbent greedily for effective early pruning; the empty
     // selection may beat greedy under weird scenarios.

@@ -48,7 +48,7 @@ pub(super) struct DpOptimum {
 
 impl DpOptimum {
     /// Total charged cost of the optimal trajectory.
-    pub fn total_cost(&self) -> Money {
+    pub(crate) fn total_cost(&self) -> Money {
         self.evaluations.iter().map(|e| e.cost()).sum()
     }
 }

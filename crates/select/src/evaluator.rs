@@ -1190,7 +1190,7 @@ impl<'p> IncrementalEvaluator<'p> {
     /// stale block (the prefix is rebuilt from there); O(1) once
     /// settled. Telemetry records the dirty-delta size (blocks
     /// refolded).
-    pub fn processing_time(&mut self) -> Hours {
+    pub(crate) fn processing_time(&mut self) -> Hours {
         if mv_obs::enabled() {
             let dirty = if self.all_dirty {
                 self.block_time.len()
@@ -1208,8 +1208,7 @@ impl<'p> IncrementalEvaluator<'p> {
     /// half of [`IncrementalEvaluator::snapshot`], for the move loops
     /// that rank thousands of neighbours and keep one. Settled, it
     /// reads the block prefix's total and the charge run's last fold.
-    /// Otherwise it first refolds the stale blocks (see
-    /// [`IncrementalEvaluator::processing_time`]) and folds the charges
+    /// Otherwise it first refolds the stale blocks and folds the charges
     /// from the run's last valid entry on without writing the run — a
     /// what-if's fork scores its toggles without copying it.
     ///

@@ -23,19 +23,21 @@ pub const MAX_CANDIDATES: usize = 24;
 
 /// Candidate count above which the sweep fans out across threads
 /// (2^14 = 16 384 subsets; below that thread setup dominates).
-pub const PARALLEL_THRESHOLD: usize = 14;
+pub(crate) const PARALLEL_THRESHOLD: usize = 14;
 
 /// Evaluates every subset and returns the scenario-best one, choosing a
 /// thread count automatically.
 ///
 /// # Panics
 /// Panics if the problem has more than [`MAX_CANDIDATES`] candidates.
-pub fn solve_exhaustive(problem: &SelectionProblem, scenario: Scenario) -> Outcome {
+pub(crate) fn solve_exhaustive(problem: &SelectionProblem, scenario: Scenario) -> Outcome {
     solve_exhaustive_with_threads(problem, scenario, sweep::auto_threads(problem.len()))
 }
 
-/// [`solve_exhaustive`] with an explicit thread count (1 = serial).
-/// The result is identical for every thread count.
+/// Exhaustive enumeration ([`crate::SolverKind::Exhaustive`]) with an
+/// explicit thread count (1 = serial); the solver picks one from the
+/// pool size, fanning out above a fixed size. The result is identical
+/// for every thread count.
 pub fn solve_exhaustive_with_threads(
     problem: &SelectionProblem,
     scenario: Scenario,

@@ -259,7 +259,8 @@ pub fn random_sparse_problem(
 /// below any base time), so most queries have several answerers tied
 /// for fastest and for runner-up. Test fixture: no non-test caller
 /// (`evaluator/probe_tests.rs`, `local_search`'s reference proptest).
-pub fn with_tied_times(problem: &SelectionProblem) -> SelectionProblem {
+#[cfg(test)]
+pub(crate) fn with_tied_times(problem: &SelectionProblem) -> SelectionProblem {
     let mut candidates = problem.candidates().to_vec();
     for v in &mut candidates {
         let entries: Vec<(usize, Hours)> = v.profile.entries().collect();

@@ -18,7 +18,7 @@ use crate::local_search::fill_from;
 use crate::{IncrementalEvaluator, Outcome, Scenario, SelectionProblem, SolverKind};
 
 /// Solves `scenario` by add-only greedy search.
-pub fn solve_greedy(problem: &SelectionProblem, scenario: Scenario) -> Outcome {
+pub(crate) fn solve_greedy(problem: &SelectionProblem, scenario: Scenario) -> Outcome {
     let baseline = problem.baseline();
     let mut ev = IncrementalEvaluator::new(problem);
     let current = fill_from(

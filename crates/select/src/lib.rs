@@ -6,10 +6,11 @@
 //! * **MV2** — minimize monetary cost under a response-time limit;
 //! * **MV3** — minimize the α-weighted combination of both.
 //!
-//! Six solvers: the paper's dynamic-programming 0/1 knapsack
-//! ([`solve_knapsack`]), exhaustive enumeration ([`solve_exhaustive`],
-//! ground truth), greedy hill climbing ([`solve_greedy`]),
-//! branch-and-bound ([`solve_bnb`]), flip/swap local search
+//! Six solvers, one [`SolverKind`] each (dispatched by [`solve`]): the
+//! paper's dynamic-programming 0/1 knapsack ([`solve_knapsack`]),
+//! exhaustive enumeration ([`SolverKind::Exhaustive`], ground truth),
+//! greedy hill climbing ([`SolverKind::Greedy`]), branch-and-bound
+//! ([`SolverKind::BranchAndBound`]), flip/swap local search
 //! ([`solve_local_search`], never worse than greedy by construction)
 //! and large-neighborhood search ([`solve_lns`], the destroy-and-repair
 //! tier for candidate pools where the O(n²) swap neighborhood stalls —
@@ -78,20 +79,20 @@
 //! historical dense per-view `Vec<Option<Hours>>` representation alone
 //! would hold 10⁸ slots.
 //!
-//! The exhaustive and Pareto sweeps fan out across threads above
-//! [`PARALLEL_THRESHOLD`] candidates: contiguous mask ranges per thread,
-//! each with its own evaluator, merged in ascending chunk order so the
-//! outcome (including tie-breaks) is identical to the serial sweep for
-//! any thread count (the `evaluator/exhaustive_n20` group of
-//! `crates/bench/benches/micro.rs` times the sweep at one and eight
-//! threads).
+//! The exhaustive and Pareto sweeps fan out across threads above a
+//! fixed pool size (see [`solve_exhaustive_with_threads`]): contiguous
+//! mask ranges per thread, each with its own evaluator, merged in
+//! ascending chunk order so the outcome (including tie-breaks) is
+//! identical to the serial sweep for any thread count (the
+//! `evaluator/exhaustive_n20` group of `crates/bench/benches/micro.rs`
+//! times the sweep at one and eight threads).
 //!
 //! # Large-neighborhood search
 //!
 //! The [`lns`] module is the solver tier for large pools:
 //! destroy-and-repair rounds over the live evaluator, alternating
 //! random and worst-charge destroy sets with a greedy repair restricted
-//! to a benefit-ranked shortlist ([`LnsConfig`]). Rounds are accepted
+//! to a benefit-ranked shortlist ([`lns::LnsConfig`]). Rounds are accepted
 //! only on strict improvement and rolled back flip-for-flip otherwise,
 //! so with the polish pass enabled [`solve_lns`] is never worse than
 //! [`solve_local_search`] from the same start
@@ -100,56 +101,58 @@
 //! # Multi-epoch horizons
 //!
 //! The [`epoch`] module chains single-period problems into a billing
-//! horizon with transition-aware charges: an [`EpochChain`] re-prices
-//! each epoch's candidates by what the *previous* epoch materialized
-//! (kept views pay maintenance only via [`mv_cost::ViewCharge::
-//! carried`]; added views pay full materialization; dropped views
-//! forfeit theirs), making the optimum path-dependent. What crosses an
-//! epoch boundary is numbers, not structures: one frequency per query
-//! and one [`mv_cost::Price`] (size, build and refresh hours, pool) per
-//! candidate. The live evaluator takes both —
-//! [`IncrementalEvaluator::retarget`] swaps the costing model in O(m)
-//! while the answer caches survive, and
+//! horizon with transition-aware charges: an [`epoch::EpochChain`]
+//! re-prices each epoch's candidates by what the *previous* epoch
+//! materialized (kept views pay maintenance only via
+//! [`mv_cost::ViewCharge::carried`]; added views pay full
+//! materialization; dropped views forfeit theirs), making the optimum
+//! path-dependent. What crosses an epoch boundary is numbers, not
+//! structures: one frequency per query and one [`mv_cost::Price`]
+//! (size, build and refresh hours, pool) per candidate. The live
+//! evaluator takes both — [`IncrementalEvaluator::retarget`] swaps the
+//! costing model in O(m) while the answer caches survive, and
 //! [`IncrementalEvaluator::update_charge`] splices a re-priced
-//! candidate in O(1) — instead of rebuilding the problem per epoch
-//! (the benchmark's `select.retarget_us` and `select.chain_solve_ms`
-//! on `montecarlo` time the warm path; a bit-identical rebuild-per-epoch
+//! candidate in O(1) — instead of rebuilding the problem per epoch (the
+//! benchmark's `select.retarget_us` and `select.chain_solve_ms` on
+//! `montecarlo` time the warm path; a bit-identical rebuild-per-epoch
 //! reference lives in the module's tests).
-//! [`EpochChain::solve_myopic`] is the transition-blind
+//! [`epoch::EpochChain::solve_myopic`] is the transition-blind
 //! re-solve-every-period comparator the regression tests beat.
 //!
 //! Every transition-aware solve is one driver,
-//! [`EpochChain::solve_with`], varied along three axes — a [`ChainSpec`]
-//! (per-node pool charges, placements) and the chain's shape (a path or
-//! a prefix forest); see the [`epoch`] module docs for the table. The
-//! pool charges are data: one `[reserved, spot]` [`mv_cost::PoolCharge`]
-//! pair per chain node ([`ChainSpec::pools`]), applied to every
-//! transition charge on the same warm-started hot path (this is how
-//! `mvcloud` splices rate differentials and spot-interruption risk
-//! premiums into the chain without this crate knowing about markets;
-//! no table over the chain's own epochs *is* [`EpochChain::solve`]). A
-//! pool charge maps a `Price` to a `Price`, so no epoch edge can change
-//! what a view answers. For tiny pools, a finite-horizon DP oracle in
-//! the module's tests (`epoch/oracle_tests.rs`) — exact over selection
-//! states per epoch — quantifies how far the sequential chain sits from
-//! the true horizon optimum.
+//! [`epoch::EpochChain::solve_with`], varied along three axes — a
+//! [`epoch::ChainSpec`] (per-node pool charges, placements) and the
+//! chain's shape (a path or a prefix forest); see the [`epoch`] module
+//! docs for the table. The pool charges are data: one
+//! `[reserved, spot]` [`mv_cost::PoolCharge`] pair per chain node
+//! ([`epoch::ChainSpec::pools`]), applied to every transition charge on
+//! the same warm-started hot path (this is how `mvcloud` splices rate
+//! differentials and spot-interruption risk premiums into the chain
+//! without this crate knowing about markets; no table over the chain's
+//! own epochs *is* [`epoch::EpochChain::solve`]). A pool charge maps a
+//! `Price` to a `Price`, so no epoch edge can change what a view
+//! answers. For tiny pools, a finite-horizon DP oracle in the module's
+//! tests (`epoch/oracle_tests.rs`) — exact over selection states per
+//! epoch — quantifies how far the sequential chain sits from the true
+//! horizon optimum.
 //!
 //! # Mixed-fleet placement
 //!
 //! On a hedged fleet (part reserved, part spot capacity) each view
-//! additionally carries a [`Placement`] deciding which pool its
-//! build/refresh work bills against. With [`ChainSpec::rebalance`] set
-//! the driver searches placements **jointly** with the selection: the
-//! improvement pass ([`local_search::improve_joint`]) gains a
-//! placement-flip move alongside select-flip/swap. A flip re-prices the
-//! view through the other slot of its node's pool pair, a `Price →
-//! Price` map, so every placement flip is one O(1), allocation-free
+//! additionally carries a [`mv_cost::Placement`] deciding which pool
+//! its build/refresh work bills against. With
+//! [`epoch::ChainSpec::rebalance`] set the driver searches placements
+//! **jointly** with the selection: the improvement pass
+//! ([`local_search::improve_joint`]) gains a placement-flip move
+//! alongside select-flip/swap. A flip re-prices the view through the
+//! other slot of its node's pool pair, a `Price → Price` map, so every
+//! placement flip is one O(1), allocation-free
 //! [`IncrementalEvaluator::update_charge`] splice on the same live
 //! evaluator instead of a rebuild of the charged problem per probe
 //! (`core.fleet_ms` on `montecarlo` is the driver those splices run
 //! under). Transition accounting extends naturally: a view kept *on the
 //! same pool* is carried; a view moved across pools re-pays
-//! materialization ([`EpochStep::moved`]).
+//! materialization ([`epoch::EpochStep::moved`]).
 //! The same DP oracle, given such a table (one pair per epoch, 3ⁿ
 //! states per epoch, n ≤ 6), searches selection and placement jointly;
 //! on the crunch fixture it exposes the chain's placement *lookahead*
@@ -159,10 +162,10 @@
 //! # Scenario trees
 //!
 //! Monte-Carlo price sweeps share work across sampled paths: an
-//! [`EpochChain::forest`] is a prefix forest of per-node costing models
+//! [`epoch::EpochChain::forest`] is a prefix forest of per-node costing models
 //! (node = one epoch under one quote, edge = an epoch transition; built
 //! from `mv-market`'s `ScenarioTree` of the sampled quote paths), and
-//! [`EpochChain::solve_with`] solves each **node** exactly once — a
+//! [`epoch::EpochChain::solve_with`] solves each **node** exactly once — a
 //! horizon's path is the one-leaf forest, run inline on the calling
 //! thread — with one evaluator build per root, one warm
 //! [`IncrementalEvaluator::retarget`] + charge splice per edge, and one
@@ -173,7 +176,7 @@
 //! on its model, its effective charges and the selection it inherits
 //! (all shared along a prefix), the per-leaf step sequences are
 //! **bit-identical** to solving each path alone as an
-//! [`EpochChain::new`] path (proptest-pinned at the driver layer in
+//! [`epoch::EpochChain::new`] path (proptest-pinned at the driver layer in
 //! `mvcloud`'s `fleet/paths_tests.rs`); ready nodes are work-stolen
 //! across scoped threads.
 //!
@@ -207,8 +210,8 @@
 //! | [`local_search`] probe loops | moves offered: `search/probes`; accepted moves: `search/flip_moves`, `search/swap_moves`, `search/place_moves` | `placement_move` event per accepted pool move |
 //! | bounded move loops (those, and the knapsack repair's hill-climb) | moves their bound or the dominated rule ruled out, with no snapshot: `search/bounded` | — |
 //! | [`lns`] refine rounds | `lns/rounds`, `lns/accepted`, `lns/rejected` | `lns/destroy_size` histogram, `lns_round` event |
-//! | [`EpochChain`] step (every solve, the path-only references included) | `chain/epoch_steps` | `epoch_transition` event (added/kept/dropped/moved) |
-//! | [`EpochChain::solve_with`] node solves (forest nodes and horizon epochs alike) | `tree/node_solves`, `tree/root_solves` | `solve_tree/node` span (count ≡ nodes solved), `tree/fork_width` histogram, `tree_node_solve` event |
+//! | [`epoch::EpochChain`] step (every solve, the path-only references included) | `chain/epoch_steps` | `epoch_transition` event (added/kept/dropped/moved) |
+//! | [`epoch::EpochChain::solve_with`] node solves (forest nodes and horizon epochs alike) | `tree/node_solves`, `tree/root_solves` | `solve_tree/node` span (count ≡ nodes solved), `tree/fork_width` histogram, `tree_node_solve` event |
 //!
 //! Telemetry is *observational*: with the registry enabled, solver
 //! output stays bit-identical (`tests/obs_identity.rs`), and counters
@@ -240,20 +243,18 @@ mod scenario;
 mod solution;
 mod sweep;
 
-pub use bnb::{solve_bnb, solve_bnb_counted, BnbStats};
-pub use epoch::{ChainSpec, EpochChain, EpochStep};
+pub(crate) use bnb::solve_bnb;
 pub use evaluator::IncrementalEvaluator;
-pub use exhaustive::{
-    solve_exhaustive, solve_exhaustive_with_threads, MAX_CANDIDATES, PARALLEL_THRESHOLD,
-};
-pub use greedy::solve_greedy;
+pub(crate) use exhaustive::{solve_exhaustive, PARALLEL_THRESHOLD};
+pub use exhaustive::{solve_exhaustive_with_threads, MAX_CANDIDATES};
+pub(crate) use greedy::solve_greedy;
 pub use knapsack::solve_knapsack;
-pub use lns::{solve_lns, solve_lns_with, LnsConfig};
+pub use lns::solve_lns;
 pub use local_search::solve_local_search;
-pub use mv_cost::Placement;
 pub use mv_cost::SelectionSet;
 pub use problem::{Evaluation, Score, Scored, SelectionProblem};
-pub use scenario::{Rank, Scenario};
+pub(crate) use scenario::Rank;
+pub use scenario::Scenario;
 pub use solution::{Outcome, SolverKind};
 
 /// Dispatches to the solver named by `kind`.

@@ -59,7 +59,7 @@
 //!
 //! * [`solve_local_search`] — a standalone solver: greedy fill, then a
 //!   bounded improvement pass. By construction never worse than
-//!   [`crate::solve_greedy`] under the same scenario.
+//!   [`crate::SolverKind::Greedy`] under the same scenario.
 //! * [`improve`] — the improvement pass alone, over any evaluator
 //!   position: the epoch chain's node step (warm, from the parent
 //!   node's selection), `mvcloud`'s resident re-solve (after a greedy
@@ -77,7 +77,7 @@ use crate::{
 /// ([`improve_joint`]) probes placement moves through. Implementations
 /// must be deterministic in `(k, p)`: a flip probed and reverted must
 /// restore the exact prior price.
-pub type ChargeFor<'a> = &'a dyn Fn(usize, Placement) -> Price;
+pub(crate) type ChargeFor<'a> = &'a dyn Fn(usize, Placement) -> Price;
 
 /// A candidate move over the current selection (and, in joint mode,
 /// the current placement assignment).
@@ -215,7 +215,7 @@ fn best_flip_on(
 /// Flip-on fill restricted to `pool`, from the evaluator's current
 /// position (scored `current`): applies `best_flip_on`'s pick until
 /// there is none, returning the final score. The one loop behind
-/// [`crate::solve_greedy`], [`greedy_fill`] and the LNS repair. Between
+/// [`crate::SolverKind::Greedy`], [`greedy_fill`] and the LNS repair. Between
 /// two steps the selection only gains a view, so each candidate's
 /// selecting term change, once scanned, stays a floor for the rest of
 /// the call: one allocation per call, none per step or probe.
@@ -240,7 +240,7 @@ pub fn fill_from(
 /// Greedy fill from the evaluator's current position: repeatedly apply
 /// the single most-improving flip-on, stopping at a flip-on local
 /// optimum. Starting from the empty selection this reproduces
-/// [`crate::solve_greedy`]'s selection exactly (same move rule, same
+/// [`crate::SolverKind::Greedy`]'s selection exactly (same move rule, same
 /// tie-breaks). Returns the resulting evaluation.
 pub fn greedy_fill(
     ev: &mut IncrementalEvaluator<'_>,
@@ -400,7 +400,7 @@ pub fn default_move_budget(n: usize) -> usize {
 }
 
 /// Solves `scenario` by greedy fill plus a bounded flip/swap improvement
-/// pass. Never worse than [`crate::solve_greedy`]: the fill reproduces
+/// pass. Never worse than [`crate::SolverKind::Greedy`]: the fill reproduces
 /// greedy's selection and every subsequent move must strictly improve
 /// the scenario ordering.
 pub fn solve_local_search(problem: &SelectionProblem, scenario: Scenario) -> Outcome {

@@ -8,11 +8,11 @@
 //!
 //! Enumeration runs through the [`crate::IncrementalEvaluator`] in ascending
 //! mask order (amortized two O(m) flips per subset instead of an
-//! O(n·m) re-evaluation), and fans out across threads above
-//! [`crate::exhaustive::PARALLEL_THRESHOLD`] candidates — each thread
-//! sweeps a contiguous mask range with its own evaluator and the chunks
-//! are concatenated in order, so the output is identical to the serial
-//! sweep for any thread count.
+//! O(n·m) re-evaluation), and fans out across threads above the
+//! exhaustive sweep's fixed pool size — each thread sweeps a contiguous
+//! mask range with its own evaluator and the chunks are concatenated in
+//! order, so the output is identical to the serial sweep for any thread
+//! count.
 
 use mv_units::{Hours, Money};
 

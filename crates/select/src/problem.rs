@@ -57,7 +57,7 @@ impl Score {
 
     /// The [`Evaluation`] of `selection`, which must be the selection
     /// this score was taken at.
-    pub fn with_selection(self, selection: SelectionSet) -> Evaluation {
+    pub(crate) fn with_selection(self, selection: SelectionSet) -> Evaluation {
         Evaluation {
             selection,
             time: self.time,
@@ -145,7 +145,7 @@ impl SelectionProblem {
     /// Re-prices candidate `k` in place, returning its old price. Name,
     /// answer profile and index are untouched — which is why the
     /// incremental evaluator's `update_charge` has no cache to repair.
-    pub fn reprice_candidate(&mut self, k: usize, price: Price) -> Price {
+    pub(crate) fn reprice_candidate(&mut self, k: usize, price: Price) -> Price {
         let old = self.candidates[k].price();
         self.candidates[k].set_price(price);
         old
@@ -156,7 +156,7 @@ impl SelectionProblem {
     /// aligned. Per-query frequencies, base times, pricing, horizon and
     /// dataset size may all differ — that is exactly what changes between
     /// epochs of a billing horizon.
-    pub fn set_model(&mut self, model: CloudCostModel) {
+    pub(crate) fn set_model(&mut self, model: CloudCostModel) {
         assert_eq!(
             model.context().workload.len(),
             self.model.context().workload.len(),
@@ -199,7 +199,7 @@ impl SelectionProblem {
     /// selection. Interactions (two views serving the same query) make the
     /// sum of these deltas an optimistic estimate — the knapsack solver
     /// repairs against [`SelectionProblem::evaluate`] afterwards.
-    pub fn linearized_deltas(&self) -> Vec<(Hours, Money)> {
+    pub(crate) fn linearized_deltas(&self) -> Vec<(Hours, Money)> {
         let baseline = self.baseline();
         let mut ev = crate::IncrementalEvaluator::new(self);
         (0..self.candidates.len())

@@ -38,7 +38,7 @@ pub enum Scenario {
 /// then the smaller cost, then the smaller time. Keys of different
 /// scenarios or baselines do not compare meaningfully.
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
-pub struct Rank {
+pub(crate) struct Rank {
     infeasible: bool,
     violation: f64,
     objective: f64,
@@ -89,7 +89,7 @@ impl Scenario {
 
     /// Constraint violation magnitude, as a dimensionless number used only
     /// to rank infeasible solutions (0 when feasible).
-    pub fn violation(&self, e: &impl Scored) -> f64 {
+    pub(crate) fn violation(&self, e: &impl Scored) -> f64 {
         match self {
             Scenario::Mv1 { budget } => (e.cost() - *budget).to_dollars_f64().max(0.0),
             Scenario::Mv2 { time_limit } => (e.time().value() - time_limit.value()).max(0.0),
@@ -126,7 +126,7 @@ impl Scenario {
     /// [`Scenario::better`] compares, derived once, so a move loop
     /// ranks each probed score when it sees it and keeps the key of
     /// the score to beat.
-    pub fn rank(&self, e: &impl Scored, baseline: &impl Scored) -> Rank {
+    pub(crate) fn rank(&self, e: &impl Scored, baseline: &impl Scored) -> Rank {
         let infeasible = !self.feasible(e);
         Rank {
             infeasible,

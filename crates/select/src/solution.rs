@@ -51,7 +51,7 @@ pub struct Outcome {
 
 impl Outcome {
     /// Builds an outcome.
-    pub fn new(
+    pub(crate) fn new(
         evaluation: Evaluation,
         baseline: Evaluation,
         scenario: Scenario,

@@ -31,7 +31,7 @@ mod money;
 mod size;
 mod time;
 
-pub use money::{Money, MoneyParseError, MICROS_PER_DOLLAR};
+pub use money::{Money, MoneyParseError};
 pub use size::{Gb, GB_PER_TB};
 pub use time::{Hours, Months};
 

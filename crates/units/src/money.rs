@@ -5,7 +5,7 @@ use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
 
 /// Number of micro-dollars in one dollar.
-pub const MICROS_PER_DOLLAR: i128 = 1_000_000;
+pub(crate) const MICROS_PER_DOLLAR: i128 = 1_000_000;
 
 /// 2^63: [`Money::scale`] rounds a product below it in `i64`.
 const TWO_POW_63: f64 = 9_223_372_036_854_775_808.0;
