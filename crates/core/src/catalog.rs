@@ -237,10 +237,16 @@ impl CandidateCatalog {
             .map(|(i, c)| c.as_u64().ok_or(format!("counts[{i}]")))
             .collect::<Result<_, String>>()?;
         // A service keeps the counts' sum as a `u64`.
-        counts
+        let total = counts
             .iter()
             .try_fold(0u64, |sum, &c| sum.checked_add(c))
             .ok_or("counts sum past u64")?;
+        // Only folding an event moves the mark, and folding counts it: a
+        // mark past `(0, 0)` over zero counts would turn every replay
+        // below it into a new event that moves the mark back.
+        if total == 0 && hwm != HighWaterMark::default() {
+            return Err("hwm past (0, 0) with no event counted".to_string());
+        }
         let candidates: Vec<ViewCharge> = doc
             .get("candidates")
             .and_then(Json::as_array)
@@ -517,6 +523,10 @@ mod tests {
         let past = good.replacen("\"counts\":[\n    3,\n    8\n  ]", &counts, 1);
         let err = CandidateCatalog::from_json(&Json::parse(&past).unwrap()).unwrap_err();
         assert!(err.contains("counts sum past u64"), "{err}");
+        // Counts that name no event under a mark that names one.
+        let zeroed = good.replacen("\"counts\":[\n    3,\n    8\n  ]", "\"counts\":[0,0]", 1);
+        let err = CandidateCatalog::from_json(&Json::parse(&zeroed).unwrap()).unwrap_err();
+        assert!(err.contains("no event counted"), "{err}");
     }
 
     #[test]
